@@ -270,23 +270,17 @@ impl QueryEngine {
     /// Purge window-expired state up to `horizon` only — no spill
     /// check, no mode side effects. Used for the catch-up purge when a
     /// relocation's `Resume` releases a held-back watermark. Returns
-    /// the number of tuples dropped (0 for unwindowed queries).
+    /// the accounted bytes freed (0 for unwindowed queries).
+    ///
+    /// Skipped: partitions with disk-resident segments *here*, and
+    /// those whose segments live on another engine after a relocation
+    /// (`purge_protect`) — asked per resident group, nothing is built
+    /// per pulse.
     pub fn purge_at(&mut self, horizon: VirtualTime) -> usize {
-        if self.cfg.join.window.is_none() {
-            return 0;
-        }
-        let skip = self.purge_skip_set();
-        self.join.purge_expired(horizon, &skip)
-    }
-
-    /// Partitions the window purge must skip: those with disk-resident
-    /// segments *here*, plus those whose segments live on another
-    /// engine after a relocation (`purge_protect`).
-    fn purge_skip_set(&self) -> FxHashSet<PartitionId> {
-        let mut skip: FxHashSet<PartitionId> =
-            self.store.partitions_with_segments().into_iter().collect();
-        skip.extend(self.purge_protect.iter().copied());
-        skip
+        let (store, protect) = (&self.store, &self.purge_protect);
+        self.join.purge_expired(horizon, |pid| {
+            !store.segments_of(pid).is_empty() || protect.contains(&pid)
+        })
     }
 
     /// The active-disk `start_ss` command: spill `amount` bytes now,

@@ -271,27 +271,31 @@ impl MJoinOperator {
     /// partners already purged when they replay. Purging strictly by
     /// clock time is what made windowed totals timing-dependent.
     ///
-    /// `skip` names partitions that must NOT be purged: partitions
-    /// whose disk-resident spill segments live here *or on any other
-    /// engine* (tracked cluster-wide across relocations via the
-    /// engine's purge-protect set). Their memory tuples may still owe
-    /// cross-slice results to spilled partners — dropping them would
-    /// lose results, and retiring them to disk would break the cleanup
-    /// merge's disjoint-co-residency-slice assumption. Purging a
-    /// segment-free partition is always safe: every co-resident partner
-    /// already joined at insert time and every post-horizon arrival is
-    /// out of window.
+    /// `skip` answers, per resident partition, whether it must NOT be
+    /// purged: partitions whose disk-resident spill segments live here
+    /// *or on any other engine* (tracked cluster-wide across
+    /// relocations via the engine's purge-protect set). Their memory
+    /// tuples may still owe cross-slice results to spilled partners —
+    /// dropping them would lose results, and retiring them to disk
+    /// would break the cleanup merge's disjoint-co-residency-slice
+    /// assumption. Purging a segment-free partition is always safe:
+    /// every co-resident partner already joined at insert time and
+    /// every post-horizon arrival is out of window.
+    ///
+    /// `skip` is a predicate, not a set, so a pulse builds nothing: it
+    /// costs O(resident groups) plus what
+    /// [`PartitionGroup::purge_expired`] pays for the rows that expire.
     pub fn purge_expired(
         &mut self,
         horizon: dcape_common::time::VirtualTime,
-        skip: &dcape_common::hash::FxHashSet<PartitionId>,
+        skip: impl Fn(PartitionId) -> bool,
     ) -> usize {
         if self.cfg.window.is_none() {
             return 0;
         }
         let mut freed = 0usize;
         self.groups.retain(|pid, g| {
-            if skip.contains(pid) {
+            if skip(*pid) {
                 return true;
             }
             freed += g.purge_expired(horizon);

@@ -17,11 +17,15 @@
 //!
 //! * **Row** — `Vec<Tuple>` per stream, the original layout, kept as the
 //!   equivalence reference;
-//! * **Columnar** — struct-of-arrays per stream: contiguous timestamp,
-//!   sequence, hash, and join-key columns plus one packed payload arena.
-//!   The probe path touches only the columns (a count-only sink gets
+//! * **Columnar** — struct-of-arrays per stream: a contiguous timestamp
+//!   column, a packed per-row bookkeeping column (sequence number,
+//!   accounted size, arena end offset) and one payload arena of encoded
+//!   values. Join keys live only in the hash index. The probe path
+//!   touches only the columns (a count-only sink gets
 //!   [`SpanList::TsOnly`] lists and never sees a row); rows are
 //!   materialized from the arena only at the sink or spill boundary.
+//!   Window purge retires a prefix of a time-ordered partition in
+//!   O(expired rows) — see [`ColumnarPartition::purge`].
 
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::{fx_hash, FxHashMap};
@@ -34,6 +38,7 @@ use dcape_storage::codec::{
     decode_value, encode_value, encoded_value_len, get_varint, put_varint, varint_len,
 };
 use dcape_storage::SpilledGroup;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::config::StateLayout;
@@ -145,10 +150,15 @@ struct RowMeta {
 /// the packed [`RowMeta`] record `meta[i]`, and the payload arena slice
 /// `meta[i-1].end..meta[i].end` holding the codec-encoded column
 /// values (arity varint + one [`encode_value`] per column). The join
-/// key lives only in the `index` — purge compacts the stores in place
-/// and remaps the index's positions, so no per-row key copy is ever
-/// stored. `end` is `u32`: one stream partition's arena is capped at
-/// 4 GiB, enforced *before* any result is emitted.
+/// key lives only in the `index`; purge recovers an expiring row's key
+/// from its own arena slice, so no per-row key copy is ever stored.
+///
+/// Rows `..head` are a retired (window-expired) prefix: still
+/// physically present in `ts`/`meta`/`arena` so that index positions
+/// stay physical indices into `ts`, but unreachable — the index holds
+/// no position below `head`, and every reader walks `head..` only.
+/// `end` is `u32`: one stream partition's arena is capped at 4 GiB of
+/// live bytes, enforced *before* any result is emitted.
 #[derive(Debug)]
 struct ColumnarPartition {
     ts: Vec<VirtualTime>,
@@ -159,7 +169,22 @@ struct ColumnarPartition {
     index: FxHashMap<HashedKey, Vec<u32>>,
     /// Same meaning as [`StreamPartition::ts_sorted`].
     ts_sorted: bool,
+    /// Physical index of the first live row.
+    head: usize,
+    /// Oldest live timestamp ([`NO_ROWS`] when empty): one comparison
+    /// rejects a purge pulse that expires nothing here.
+    min_ts: VirtualTime,
 }
+
+/// `min_ts` of an empty partition: no cutoff is above it.
+const NO_ROWS: VirtualTime = VirtualTime::from_millis(u64::MAX);
+
+/// The retired prefix is physically reclaimed once fewer than this
+/// many live rows remain per retired row (`head > live / 4`). A
+/// constant, not a setting: it only trades ≤ 25 % transient column
+/// memory against how often the O(live rows) re-base runs, and any
+/// fixed ratio keeps the amortised cost at O(1) per expired row.
+const COMPACT_LIVE_PER_DEAD: usize = 4;
 
 impl Default for ColumnarPartition {
     fn default() -> Self {
@@ -169,13 +194,35 @@ impl Default for ColumnarPartition {
             arena: Vec::new(),
             index: FxHashMap::default(),
             ts_sorted: true,
+            head: 0,
+            min_ts: NO_ROWS,
         }
     }
 }
 
 impl ColumnarPartition {
+    /// Live rows.
     fn len(&self) -> usize {
-        self.meta.len()
+        self.meta.len() - self.head
+    }
+
+    /// Physical indices of the live rows, in insertion order.
+    fn live(&self) -> std::ops::Range<usize> {
+        self.head..self.meta.len()
+    }
+
+    /// Arena offset where row `i`'s slice starts.
+    fn row_start(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.meta[i - 1].end as usize
+        }
+    }
+
+    /// Row `i`'s encoded slice of the arena.
+    fn row_bytes(&self, i: usize) -> &[u8] {
+        &self.arena[self.row_start(i)..self.meta[i].end as usize]
     }
 
     /// Arena bytes one tuple's payload will occupy (exact; walks every
@@ -190,16 +237,18 @@ impl ColumnarPartition {
     /// emitted for a tuple that is then refused. The fast path is an
     /// O(1) over-estimate from the tuple's cached heap size (which
     /// bounds every Text/Blob content length; fixed-width values encode
-    /// in ≤ 11 bytes each); only near the 4 GiB edge does the exact
+    /// in ≤ 11 bytes each); only near the 4 GiB edge is the retired
+    /// prefix reclaimed — the cap is on live bytes — and the exact
     /// per-value walk run.
-    fn check_capacity(&self, tuple: &Tuple) -> Result<()> {
+    fn check_capacity(&mut self, tuple: &Tuple) -> Result<()> {
         let bound = 10 + 11 * tuple.arity() + tuple.heap_size();
-        if self.arena.len() + bound > u32::MAX as usize
-            && self.arena.len() + Self::payload_len(tuple) > u32::MAX as usize
-        {
-            return Err(DcapeError::state(
-                "columnar arena exceeds 4 GiB for one stream partition",
-            ));
+        if self.arena.len() + bound > u32::MAX as usize {
+            self.compact();
+            if self.arena.len() + Self::payload_len(tuple) > u32::MAX as usize {
+                return Err(DcapeError::state(
+                    "columnar arena exceeds 4 GiB for one stream partition",
+                ));
+            }
         }
         Ok(())
     }
@@ -210,6 +259,7 @@ impl ColumnarPartition {
         if let Some(&last) = self.ts.last() {
             self.ts_sorted &= tuple.ts() >= last;
         }
+        self.min_ts = self.min_ts.min(tuple.ts());
         let pos = self.meta.len() as u32;
         self.ts.push(tuple.ts());
         put_varint(&mut self.arena, tuple.arity() as u64);
@@ -231,12 +281,7 @@ impl ColumnarPartition {
     /// Rebuild row `i` from its columns and arena slice. The arena is
     /// self-encoded at insert, so decode failures are impossible.
     fn materialize(&self, stream: StreamId, i: usize) -> Tuple {
-        let start = if i == 0 {
-            0
-        } else {
-            self.meta[i - 1].end as usize
-        };
-        let mut buf = &self.arena[start..self.meta[i].end as usize];
+        let mut buf = self.row_bytes(i);
         let arity = get_varint(&mut buf).expect("arena: self-encoded") as usize;
         let mut values = Vec::with_capacity(arity);
         for _ in 0..arity {
@@ -245,27 +290,104 @@ impl ColumnarPartition {
         Tuple::new(stream, self.meta[i].seq, self.ts[i], values)
     }
 
-    /// Drop all rows with `ts < cutoff`, compacting every column and the
-    /// arena **in place** and remapping the index's positions through a
-    /// survivor table — no re-hashing, no key clones, no row
-    /// materialization. Returns the accounted bytes freed.
-    fn purge(&mut self, cutoff: VirtualTime) -> usize {
-        if self.ts.iter().all(|&t| t >= cutoff) {
-            return 0;
+    /// Recover row `i`'s join key from its arena slice, decoding only as
+    /// far as the join `column` (validated present at insert).
+    fn key_at(&self, i: usize, column: usize) -> HashedKey {
+        let mut buf = self.row_bytes(i);
+        get_varint(&mut buf).expect("arena: self-encoded");
+        for _ in 0..column {
+            decode_value(&mut buf).expect("arena: self-encoded");
         }
+        HashedKey::new(decode_value(&mut buf).expect("arena: self-encoded"))
+    }
+
+    /// Drop all rows with `ts < cutoff`. Returns the accounted bytes
+    /// freed and the number of rows visited (the purge-cost counter
+    /// behind [`PartitionGroup::purge_rows_touched`]).
+    ///
+    /// A pulse that expires nothing here is rejected by one comparison
+    /// against `min_ts`. In a `ts_sorted` partition the expired rows are
+    /// a prefix: a galloping binary search finds the cut, each expired
+    /// row's key is recovered from the arena to drop its positions from
+    /// the front of that key's (ascending) position list, and the
+    /// prefix is retired by advancing `head` — O(expired rows), nothing
+    /// moves. [`compact`](Self::compact) reclaims the prefix once it
+    /// outgrows a quarter of the live rows. An unsorted partition takes
+    /// the full compaction of [`purge_unsorted`](Self::purge_unsorted).
+    fn purge(&mut self, cutoff: VirtualTime, column: usize) -> (usize, u64) {
+        if self.min_ts >= cutoff {
+            return (0, 0);
+        }
+        if !self.ts_sorted {
+            return self.purge_unsorted(cutoff);
+        }
+        let cut = self.head + expired_prefix(&self.ts[self.head..], cutoff);
+        let mut freed = 0usize;
+        for i in self.head..cut {
+            freed += self.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
+            // An earlier expired row with the same key already dropped
+            // every position below `cut`, this row's included.
+            if let Entry::Occupied(mut slot) = self.index.entry(self.key_at(i, column)) {
+                let positions = slot.get_mut();
+                let dead = positions.partition_point(|&p| (p as usize) < cut);
+                if dead == positions.len() {
+                    slot.remove();
+                } else {
+                    positions.drain(..dead);
+                }
+            }
+        }
+        let mut touched = (cut - self.head) as u64;
+        self.head = cut;
+        self.min_ts = self.ts.get(cut).copied().unwrap_or(NO_ROWS);
+        if self.len() < COMPACT_LIVE_PER_DEAD * self.head {
+            touched += self.len() as u64;
+            self.compact();
+        }
+        (freed, touched)
+    }
+
+    /// Physically reclaim the retired prefix: shift the live rows to
+    /// the front of every store and re-base arena offsets and index
+    /// positions. O(live rows).
+    fn compact(&mut self) {
+        let head = self.head;
+        if head == 0 {
+            return;
+        }
+        let base = self.meta[head - 1].end;
+        self.ts.drain(..head);
+        self.meta.drain(..head);
+        self.arena.drain(..base as usize);
+        for m in &mut self.meta {
+            m.end -= base;
+        }
+        for positions in self.index.values_mut() {
+            for p in positions {
+                *p -= head as u32;
+            }
+        }
+        self.head = 0;
+    }
+
+    /// Purge of a partition whose rows are not in time order (replayed
+    /// or installed state): scan every live row, compact the survivors
+    /// to the front of every store **in place** and remap the index's
+    /// positions through a survivor table — no re-hashing, no key
+    /// clones, no row materialization. Recomputes `ts_sorted` over the
+    /// survivors, so the partition returns to the prefix-drop path once
+    /// the offending rows expire.
+    fn purge_unsorted(&mut self, cutoff: VirtualTime) -> (usize, u64) {
         const DEAD: u32 = u32::MAX;
-        let mut remap = vec![DEAD; self.len()];
+        let mut remap = vec![DEAD; self.meta.len()];
         let mut freed = 0usize;
         let mut kept = 0usize;
         let mut arena_w = 0usize;
-        let mut prev_end = 0usize;
-        // Survivors keep their relative order, so sortedness is
-        // recomputed over the kept subsequence — a partition that went
-        // unsorted recovers the pruning shortcut once the offending
-        // rows expire.
+        let mut prev_end = self.row_start(self.head);
         let mut sorted = true;
         let mut prev_ts = VirtualTime::from_millis(0);
-        for (i, slot) in remap.iter_mut().enumerate() {
+        let mut min_ts = NO_ROWS;
+        for i in self.live() {
             let start = prev_end;
             let end = self.meta[i].end as usize;
             prev_end = end;
@@ -273,7 +395,7 @@ impl ColumnarPartition {
                 freed += self.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
                 continue;
             }
-            *slot = kept as u32;
+            remap[i] = kept as u32;
             self.ts[kept] = self.ts[i];
             self.arena.copy_within(start..end, arena_w);
             arena_w += end - start;
@@ -283,12 +405,16 @@ impl ColumnarPartition {
             };
             sorted &= kept == 0 || self.ts[kept] >= prev_ts;
             prev_ts = self.ts[kept];
+            min_ts = min_ts.min(prev_ts);
             kept += 1;
         }
+        let touched = self.len() as u64;
         self.ts.truncate(kept);
         self.meta.truncate(kept);
         self.arena.truncate(arena_w);
         self.ts_sorted = sorted;
+        self.head = 0;
+        self.min_ts = min_ts;
         self.index.retain(|_, positions| {
             positions.retain_mut(|p| {
                 let n = remap[*p as usize];
@@ -297,8 +423,47 @@ impl ColumnarPartition {
             });
             !positions.is_empty()
         });
-        freed
+        (freed, touched)
     }
+
+    /// Test-only: the structural invariants every reader relies on.
+    #[cfg(test)]
+    fn assert_invariants(&self) {
+        assert_eq!(self.ts.len(), self.meta.len());
+        assert!(self.head <= self.meta.len());
+        assert!(
+            self.meta.is_empty() || self.head < self.meta.len(),
+            "a fully retired partition is compacted to empty"
+        );
+        let ends: Vec<u32> = self.meta.iter().map(|m| m.end).collect();
+        assert!(ends.windows(2).all(|w| w[0] < w[1]), "arena offsets ascend");
+        assert_eq!(ends.last().map_or(0, |&e| e as usize), self.arena.len());
+        let oldest = self.ts[self.head..].iter().min().copied();
+        assert_eq!(self.min_ts, oldest.unwrap_or(NO_ROWS));
+        let mut indexed: Vec<u32> = Vec::new();
+        for positions in self.index.values() {
+            assert!(!positions.is_empty(), "empty keys are removed");
+            assert!(positions.windows(2).all(|w| w[0] < w[1]));
+            indexed.extend(positions);
+        }
+        indexed.sort_unstable();
+        let live: Vec<u32> = self.live().map(|i| i as u32).collect();
+        assert_eq!(indexed, live, "the index holds exactly the live rows");
+    }
+}
+
+/// Length of the `< cutoff` prefix of a ts-nondecreasing column whose
+/// first element is below `cutoff`. Gallops from the front before
+/// bisecting, so a pulse that expires `k` rows costs O(log k) and reads
+/// the cache line the oldest timestamp sits in, whatever the live
+/// length.
+fn expired_prefix(live: &[VirtualTime], cutoff: VirtualTime) -> usize {
+    let mut hi = 1;
+    while hi < live.len() && live[hi] < cutoff {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + live[lo..hi.min(live.len())].partition_point(|&t| t < cutoff)
 }
 
 /// The layout-selected per-stream state of one group.
@@ -326,6 +491,8 @@ pub struct PartitionGroup {
     scratch: Vec<Vec<Tuple>>,
     /// Reused key buffer for [`insert_run`](Self::insert_run).
     key_scratch: Vec<HashedKey>,
+    /// See [`purge_rows_touched`](Self::purge_rows_touched).
+    purge_touched: u64,
 }
 
 impl PartitionGroup {
@@ -358,6 +525,7 @@ impl PartitionGroup {
             decay: DecayState::default(),
             scratch: Vec::new(),
             key_scratch: Vec::new(),
+            purge_touched: 0,
         }
     }
 
@@ -503,7 +671,7 @@ impl PartitionGroup {
         sink: &mut dyn ResultSink,
     ) -> Result<(u64, usize)> {
         let s = tuple.stream().index();
-        if let StateStore::Columnar(cols) = &self.state {
+        if let StateStore::Columnar(cols) = &mut self.state {
             cols[s].check_capacity(&tuple)?;
         }
         let m = self.join_columns.len();
@@ -672,11 +840,14 @@ impl PartitionGroup {
 
     /// Drop every tuple whose window has fully expired at the purge
     /// `horizon` (i.e. it can no longer join with any arrival carrying
-    /// `ts >= horizon`), rebuilding the per-stream indexes. Callers
-    /// pass a watermark-driven horizon — never ahead of the oldest
-    /// tuple still in flight — so expiry is judged against data
-    /// progress, not the wall clock. Returns the accounted bytes
-    /// freed. No-op for unwindowed groups.
+    /// `ts >= horizon`) and unindex it. Callers pass a watermark-driven
+    /// horizon — never ahead of the oldest tuple still in flight — so
+    /// expiry is judged against data progress, not the wall clock.
+    /// Returns the accounted bytes freed. No-op for unwindowed groups.
+    ///
+    /// Costs O(streams) when nothing expired and O(expired rows)
+    /// amortised when the streams are in time order; see
+    /// [`ColumnarPartition::purge`].
     pub fn purge_expired(&mut self, horizon: VirtualTime) -> usize {
         let Some(window) = self.window else {
             return 0;
@@ -687,9 +858,16 @@ impl PartitionGroup {
         match &mut self.state {
             StateStore::Row(streams) => {
                 for (stream_index, sp) in streams.iter_mut().enumerate() {
-                    if sp.tuples.iter().all(|t| t.ts() >= cutoff) {
+                    // In time order the first tuple is the oldest.
+                    let nothing_expired = if sp.ts_sorted {
+                        sp.tuples.first().is_none_or(|t| t.ts() >= cutoff)
+                    } else {
+                        sp.tuples.iter().all(|t| t.ts() >= cutoff)
+                    };
+                    if nothing_expired {
                         continue;
                     }
+                    self.purge_touched += sp.tuples.len() as u64;
                     let old = std::mem::take(&mut sp.tuples);
                     sp.index.clear();
                     // Re-inserting recomputes sortedness from scratch, so a
@@ -709,13 +887,24 @@ impl PartitionGroup {
                 }
             }
             StateStore::Columnar(cols) => {
-                for cp in cols.iter_mut() {
-                    freed += cp.purge(cutoff);
+                for (cp, &column) in cols.iter_mut().zip(self.join_columns.iter()) {
+                    let (bytes, touched) = cp.purge(cutoff, column);
+                    freed += bytes;
+                    self.purge_touched += touched;
                 }
             }
         }
         self.bytes -= freed;
         freed
+    }
+
+    /// Rows the purge path has visited over this group's lifetime:
+    /// expired rows unindexed, plus live rows moved by a compaction or
+    /// scanned by the out-of-order fallback. The purge-cost counter —
+    /// in a steady sliding window it grows with the rows that expire,
+    /// not with the rows that are live.
+    pub fn purge_rows_touched(&self) -> u64 {
+        self.purge_touched
     }
 
     /// Consume the group into a serializable snapshot plus its output
@@ -730,7 +919,7 @@ impl PartitionGroup {
                 .iter()
                 .enumerate()
                 .map(|(s, cp)| {
-                    (0..cp.len())
+                    cp.live()
                         .map(|i| cp.materialize(StreamId(s as u8), i))
                         .collect()
                 })
@@ -806,7 +995,7 @@ impl PartitionGroup {
                 .iter()
                 .enumerate()
                 .map(|(s, cp)| {
-                    (0..cp.len())
+                    cp.live()
                         .map(|i| cp.materialize(StreamId(s as u8), i))
                         .collect()
                 })
@@ -832,7 +1021,7 @@ impl PartitionGroup {
                 .iter()
                 .enumerate()
                 .flat_map(|(s, cp)| {
-                    (0..cp.len()).map(move |i| {
+                    cp.live().map(move |i| {
                         cp.materialize(StreamId(s as u8), i).heap_size() + PER_TUPLE_OVERHEAD
                     })
                 })
@@ -846,6 +1035,14 @@ impl PartitionGroup {
         match &self.state {
             StateStore::Row(streams) => streams[s].ts_sorted,
             StateStore::Columnar(cols) => cols[s].ts_sorted,
+        }
+    }
+
+    /// Test-only: check every columnar stream's structural invariants.
+    #[cfg(test)]
+    fn assert_invariants(&self) {
+        if let StateStore::Columnar(cols) = &self.state {
+            cols.iter().for_each(ColumnarPartition::assert_invariants);
         }
     }
 
@@ -1154,6 +1351,45 @@ mod tests {
     }
 
     #[test]
+    fn late_arrival_behind_a_retired_prefix_takes_the_fallback() {
+        // A prefix drop leaves a retired prefix in place (35 live rows
+        // against 5 retired: no compaction yet); a late arrival older
+        // than everything live then sends the next purge down the
+        // unsorted path, which must start from the retired prefix's
+        // end and leave the partition compacted and sorted again.
+        let row_of = |ts: u64| {
+            TupleBuilder::new(StreamId(0))
+                .seq(ts)
+                .ts(VirtualTime::from_millis(ts))
+                .value(1i64)
+                .value(ts as i64) // rows must differ, or a misread arena slice hides
+                .build()
+        };
+        for layout in LAYOUTS {
+            let window = Some(VirtualDuration::from_millis(5));
+            let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, layout);
+            let mut sink = CountingSink::new();
+            for ts in 0..40 {
+                g.insert(row_of(ts), &mut sink).unwrap();
+            }
+            let horizon = VirtualTime::from_millis(10);
+            assert!(g.purge_expired(horizon) > 0);
+            assert_eq!(g.stream_len(0), 35);
+            g.insert(row_of(3), &mut sink).unwrap();
+            assert!(!g.ts_sorted_of(0));
+            let freed = g.purge_expired(horizon);
+            assert_eq!(freed, row_of(3).heap_size() + PER_TUPLE_OVERHEAD);
+            assert!(g.ts_sorted_of(0));
+            assert_eq!(
+                g.snapshot().per_stream[0],
+                (5..40).map(row_of).collect::<Vec<_>>()
+            );
+            assert_eq!(g.bytes(), g.recompute_bytes());
+            g.assert_invariants();
+        }
+    }
+
+    #[test]
     fn purge_keeps_layouts_equivalent() {
         let window = Some(VirtualDuration::from_millis(5));
         let mut row = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, StateLayout::Row);
@@ -1161,18 +1397,52 @@ mod tests {
             PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, StateLayout::Columnar);
         let mut s1 = CountingSink::new();
         let mut s2 = CountingSink::new();
-        for i in 0..30u64 {
-            let t = tpl((i % 3) as u8, i, (i % 2) as i64);
-            row.insert(t.clone(), &mut s1).unwrap();
-            col.insert(t, &mut s2).unwrap();
+        // A sliding run: every few inserts a purge at the newest
+        // timestamp, a no-op repeat of it, and a late (out-of-order)
+        // arrival now and then — prefix drops, several compactions and
+        // the unsorted fallback all have to agree with the row layout.
+        for i in 0..300u64 {
+            let ts = if i % 41 == 40 { i - 4 } else { i };
+            let t = TupleBuilder::new(StreamId((i % 3) as u8))
+                .seq(i)
+                .ts(VirtualTime::from_millis(ts))
+                .value((i % 2) as i64)
+                .build();
+            let (er, _) = row.insert(t.clone(), &mut s1).unwrap();
+            let (ec, _) = col.insert(t, &mut s2).unwrap();
+            assert_eq!(er, ec, "emitted diverges at {i}");
+            if i % 7 == 6 {
+                let horizon = VirtualTime::from_millis(i);
+                let fr = row.purge_expired(horizon);
+                let fc = col.purge_expired(horizon);
+                assert_eq!(fr, fc, "purge frees the same accounted bytes at {i}");
+                assert!(fr > 0 || i < 12);
+                assert_eq!(
+                    row.purge_expired(horizon),
+                    0,
+                    "same horizon again is a no-op"
+                );
+                assert_eq!(
+                    col.purge_expired(horizon),
+                    0,
+                    "same horizon again is a no-op"
+                );
+                assert_eq!(row.bytes(), col.bytes());
+                assert_eq!(row.snapshot(), col.snapshot());
+                assert_eq!(col.bytes(), col.recompute_bytes());
+                for s in 0..3 {
+                    assert_eq!(row.ts_sorted_of(s), col.ts_sorted_of(s));
+                }
+                col.assert_invariants();
+            }
         }
-        let fr = row.purge_expired(VirtualTime::from_millis(25));
-        let fc = col.purge_expired(VirtualTime::from_millis(25));
-        assert_eq!(fr, fc, "purge frees the same accounted bytes");
-        assert!(fr > 0);
-        assert_eq!(row.bytes(), col.bytes());
-        assert_eq!(row.snapshot(), col.snapshot());
-        assert_eq!(col.bytes(), col.recompute_bytes());
+        assert_eq!(s1.count(), s2.count());
+        // Whole-partition expiry empties both.
+        let end = VirtualTime::from_millis(10_000);
+        assert_eq!(row.purge_expired(end), col.purge_expired(end));
+        assert!(row.is_empty() && col.is_empty());
+        assert_eq!(col.bytes(), 0);
+        col.assert_invariants();
     }
 
     #[test]
@@ -1242,6 +1512,278 @@ mod tests {
             }
             assert!(hot.productivity() > cold.productivity());
             assert_eq!(cold.output_count(), 0);
+        }
+    }
+    /// Steady-state sliding run over several groups: `N` live rows,
+    /// `k` expiring per pulse, `P` pulses. The rows purge visits must
+    /// follow the rows that expire (plus the amortised compactions),
+    /// not the rows that are live.
+    #[test]
+    fn purge_cost_follows_expired_rows_not_live_rows() {
+        const GROUPS: u64 = 8;
+        const PER_STREAM: u64 = 200; // live rows per stream partition
+        const PULSES: u64 = 400;
+        let window = Some(VirtualDuration::from_millis(PER_STREAM - 1));
+        let mut groups: Vec<PartitionGroup> = (0..GROUPS)
+            .map(|g| {
+                PartitionGroup::new(
+                    PartitionId(g as u32),
+                    vec![0, 0, 0],
+                    window,
+                    StateLayout::Columnar,
+                )
+            })
+            .collect();
+        let mut sink = CountingSink::new();
+        // One tick = one row into every stream of every group.
+        let mut tick = |groups: &mut [PartitionGroup], now: u64| {
+            for (g, group) in groups.iter_mut().enumerate() {
+                for s in 0..3u8 {
+                    let t = TupleBuilder::new(StreamId(s))
+                        .seq(now)
+                        .ts(VirtualTime::from_millis(now))
+                        .value((now % 50 + g as u64) as i64)
+                        .build();
+                    group.insert(t, &mut sink).unwrap();
+                }
+            }
+        };
+        for now in 0..PER_STREAM {
+            tick(&mut groups, now);
+        }
+        let live: u64 = groups.iter().map(|g| g.tuple_count() as u64).sum();
+        assert_eq!(live, GROUPS * 3 * PER_STREAM);
+        for pulse in 0..PULSES {
+            let now = PER_STREAM + pulse;
+            tick(&mut groups, now);
+            for g in &mut groups {
+                assert!(g.purge_expired(VirtualTime::from_millis(now)) > 0);
+            }
+        }
+        let expired_per_pulse = GROUPS * 3;
+        let touched: u64 = groups.iter().map(PartitionGroup::purge_rows_touched).sum();
+        let live_after: u64 = groups.iter().map(|g| g.tuple_count() as u64).sum();
+        assert_eq!(live_after, live, "the window is in steady state");
+        assert!(
+            touched >= expired_per_pulse * PULSES,
+            "every expiry is counted"
+        );
+        // 1 visit per expired row + < COMPACT_LIVE_PER_DEAD per row for
+        // the compaction that later reclaims it.
+        let bound = (1 + COMPACT_LIVE_PER_DEAD as u64) * expired_per_pulse * PULSES;
+        assert!(
+            touched <= bound,
+            "purge visited {touched} rows for {} expiries (bound {bound}); a full scan visits {}",
+            expired_per_pulse * PULSES,
+            live * PULSES
+        );
+        for g in &groups {
+            g.assert_invariants();
+            assert_eq!(g.bytes(), g.recompute_bytes());
+        }
+    }
+
+    mod purge_model {
+        //! Random interleavings of in-order and late inserts, purges at
+        //! arbitrary horizons and snapshot round trips, checked after
+        //! every step against a naive `Vec<Tuple>` filter model — on
+        //! both layouts, so they are also checked against each other.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        const WINDOW_MS: u64 = 120;
+        /// Stream 1 keeps its key in column 1 so key recovery has to
+        /// decode past a payload column.
+        const JOIN_COLUMNS: [usize; 3] = [0, 1, 0];
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Arrival at `newest + offset` ms: in order when `offset`
+            /// is not negative, late (out of order) when it is.
+            Insert { stream: u8, key: i64, offset: i64 },
+            /// Purge with the cutoff at `newest - 2·W + offset` — from
+            /// "nothing expires" through "everything expires" — or,
+            /// with `None`, again at the previous horizon.
+            Purge { offset: Option<u64> },
+            /// `snapshot` → `from_snapshot`.
+            RoundTrip,
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            const W: u64 = WINDOW_MS;
+            let insert = |offsets: std::ops::Range<i64>| {
+                (0u8..3, 0i64..4, offsets).prop_map(|(stream, key, offset)| Op::Insert {
+                    stream,
+                    key,
+                    offset,
+                })
+            };
+            let purge =
+                |offsets: std::ops::Range<u64>| offsets.prop_map(|o| Op::Purge { offset: Some(o) });
+            // Arms are unweighted: in-order arrivals and sliding purges
+            // are listed more than once so that windows fill, slide
+            // and compact several times per case.
+            prop_oneof![
+                insert(0..4),
+                insert(0..4),
+                insert(0..4),
+                insert(0..4),
+                insert(0..4),
+                insert(-2 * W as i64..0),
+                purge(0..3 * W + 2),
+                purge(2 * W - 4..2 * W + 1),
+                purge(2 * W - 4..2 * W + 1),
+                (0u64..1).prop_map(|_| Op::Purge { offset: None }),
+                (0u64..1).prop_map(|_| Op::RoundTrip),
+            ]
+        }
+
+        /// The reference: live tuples per stream in arrival order, and
+        /// the sortedness flag as the layouts define it.
+        struct Model {
+            live: [Vec<Tuple>; 3],
+            sorted: [bool; 3],
+        }
+
+        impl Model {
+            /// Same-key combinations of `t` with one live tuple of each
+            /// other stream whose timestamps all fit the window.
+            fn matches(&self, t: &Tuple) -> u64 {
+                let key = |u: &Tuple| u.get(JOIN_COLUMNS[u.stream().index()]).cloned();
+                let s = t.stream().index();
+                let (a, b) = ((s + 1) % 3, (s + 2) % 3);
+                let mut n = 0;
+                for x in self.live[a].iter().filter(|x| key(x) == key(t)) {
+                    for y in self.live[b].iter().filter(|y| key(y) == key(t)) {
+                        let ts = [t, x, y].map(|u| u.ts().as_millis());
+                        let span = ts.iter().max().unwrap() - ts.iter().min().unwrap();
+                        n += u64::from(span <= WINDOW_MS);
+                    }
+                }
+                n
+            }
+
+            fn insert(&mut self, t: Tuple) {
+                let s = t.stream().index();
+                if let Some(last) = self.live[s].last() {
+                    self.sorted[s] &= t.ts() >= last.ts();
+                }
+                self.live[s].push(t);
+            }
+
+            /// Filter out `ts < cutoff`; a stream that lost a row has
+            /// its flag recomputed over the survivors.
+            fn purge(&mut self, cutoff: VirtualTime) -> usize {
+                let mut freed = 0;
+                for (live, sorted) in self.live.iter_mut().zip(&mut self.sorted) {
+                    let before = live.len();
+                    live.retain(|t| {
+                        let keep = t.ts() >= cutoff;
+                        if !keep {
+                            freed += t.heap_size() + PER_TUPLE_OVERHEAD;
+                        }
+                        keep
+                    });
+                    if live.len() < before {
+                        *sorted = Self::in_order(live);
+                    }
+                }
+                freed
+            }
+
+            fn in_order(live: &[Tuple]) -> bool {
+                live.windows(2).all(|w| w[0].ts() <= w[1].ts())
+            }
+
+            fn bytes(&self) -> usize {
+                self.live
+                    .iter()
+                    .flatten()
+                    .map(|t| t.heap_size() + PER_TUPLE_OVERHEAD)
+                    .sum()
+            }
+        }
+
+        fn tuple(stream: u8, seq: u64, ts: u64, key: i64) -> Tuple {
+            let payload = &"payload"[..(seq % 7) as usize];
+            let b = TupleBuilder::new(StreamId(stream))
+                .seq(seq)
+                .ts(VirtualTime::from_millis(ts));
+            // The trailing column makes every row's arena slice unique.
+            if JOIN_COLUMNS[stream as usize] == 0 {
+                b.value(key).value(payload).value(seq as i64).build()
+            } else {
+                b.value(payload).value(key).value(seq as i64).build()
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn purge_matches_naive_filter_model(
+                ops in proptest::collection::vec(op_strategy(), 50..600)
+            ) {
+                let window = Some(VirtualDuration::from_millis(WINDOW_MS));
+                let mut model = Model {
+                    live: Default::default(),
+                    sorted: [true; 3],
+                };
+                let mut groups = LAYOUTS
+                    .map(|l| PartitionGroup::new(PartitionId(5), JOIN_COLUMNS.to_vec(), window, l));
+                let mut sink = CountingSink::new();
+                let (mut newest, mut last_horizon) = (0u64, 0u64);
+                for (seq, op) in ops.into_iter().enumerate() {
+                    match op {
+                        Op::Insert { stream, key, offset } => {
+                            let ts = newest.saturating_add_signed(offset);
+                            newest = newest.max(ts);
+                            let t = tuple(stream, seq as u64, ts, key);
+                            let expected = model.matches(&t);
+                            for g in &mut groups {
+                                let (emitted, _) = g.insert(t.clone(), &mut sink).unwrap();
+                                prop_assert_eq!(emitted, expected, "probe count at step {}", seq);
+                            }
+                            model.insert(t);
+                        }
+                        Op::Purge { offset } => {
+                            if let Some(offset) = offset {
+                                last_horizon = (newest + offset).saturating_sub(WINDOW_MS);
+                            }
+                            let horizon = VirtualTime::from_millis(last_horizon);
+                            let cutoff =
+                                VirtualTime::from_millis(last_horizon.saturating_sub(WINDOW_MS));
+                            let expected = model.purge(cutoff);
+                            for g in &mut groups {
+                                prop_assert_eq!(g.purge_expired(horizon), expected);
+                            }
+                        }
+                        Op::RoundTrip => {
+                            for g in &mut groups {
+                                *g = PartitionGroup::from_snapshot(
+                                    g.snapshot(),
+                                    JOIN_COLUMNS.to_vec(),
+                                    window,
+                                    g.output_count(),
+                                    g.layout(),
+                                )
+                                .unwrap();
+                            }
+                            for (live, sorted) in model.live.iter().zip(&mut model.sorted) {
+                                *sorted = Model::in_order(live);
+                            }
+                        }
+                    }
+                    for g in &groups {
+                        g.assert_invariants();
+                        prop_assert_eq!(&g.snapshot().per_stream[..], &model.live[..]);
+                        prop_assert_eq!(g.bytes(), model.bytes());
+                        prop_assert_eq!(g.bytes(), g.recompute_bytes());
+                        for s in 0..3 {
+                            prop_assert_eq!(g.ts_sorted_of(s), model.sorted[s]);
+                        }
+                    }
+                }
+            }
         }
     }
 }

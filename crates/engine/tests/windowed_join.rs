@@ -12,11 +12,13 @@
 //!   cross-slice combinations are NOT resurrected by the cleanup merge.
 
 use dcape_common::ids::{EngineId, PartitionId, StreamId};
+use dcape_common::mem::HeapSize;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::{Tuple, TupleBuilder};
 use dcape_engine::config::EngineConfig;
 use dcape_engine::engine::QueryEngine;
 use dcape_engine::sink::{CollectingSink, CountingSink};
+use dcape_engine::state::partition_group::PER_TUPLE_OVERHEAD;
 
 fn tpl(stream: u8, seq: u64, key: i64, ts_ms: u64) -> Tuple {
     TupleBuilder::new(StreamId(stream))
@@ -171,4 +173,132 @@ fn unwindowed_engine_unaffected() {
     }
     let unwindowed_reference = windowed_reference(&all, u64::MAX);
     assert_eq!(sink.count() as usize, unwindowed_reference.len());
+}
+
+/// Feed `all` into `engine`, ticking at every tuple; `horizon_of` maps
+/// the clock to the purge horizon the tick carries.
+fn run_ticking(
+    engine: &mut QueryEngine,
+    all: &[Tuple],
+    sink: &mut CountingSink,
+    horizon_of: impl Fn(VirtualTime) -> VirtualTime,
+) {
+    for t in all {
+        let pid = PartitionId((t.get(0).unwrap().as_int().unwrap() % 4) as u32);
+        engine.process(pid, t.clone(), sink).unwrap();
+        engine
+            .tick_with_horizon(t.ts(), horizon_of(t.ts()))
+            .unwrap();
+    }
+}
+
+#[test]
+fn protected_partitions_are_never_purged_and_catch_up_on_release() {
+    let window_ms = 400;
+    let all = workload(600);
+    let (head, tail) = all.split_at(100);
+    let relocated = PartitionId(1);
+    let spilled = PartitionId(2);
+
+    // `open` purges everything; `guarded` holds the same state with
+    // partition 1 installed purge-protected (segments left behind on
+    // its sender) and partition 2 spilled locally.
+    let mut open = windowed_engine(window_ms, 1 << 29);
+    let mut guarded = windowed_engine(window_ms, 1 << 29);
+    let (mut open_sink, mut guarded_sink) = (CountingSink::new(), CountingSink::new());
+    run_ticking(&mut open, head, &mut open_sink, |now| now);
+    run_ticking(&mut guarded, head, &mut guarded_sink, |now| now);
+    let mut groups = guarded.extract_groups(&[relocated]);
+    assert_eq!(groups.len(), 1);
+    groups[0].2 = true;
+    guarded.install_groups(groups).unwrap();
+    let spilled_bytes = guarded.join().group_stats()[spilled.0 as usize].bytes as u64;
+    let outcome = guarded
+        .force_spill(spilled_bytes, head.last().unwrap().ts())
+        .unwrap();
+    assert_eq!(outcome.groups, vec![spilled]);
+
+    run_ticking(&mut open, tail, &mut open_sink, |now| now);
+    run_ticking(&mut guarded, tail, &mut guarded_sink, |now| now);
+    open.assert_accounting_consistent().unwrap();
+    guarded.assert_accounting_consistent().unwrap();
+
+    let bytes_of = |e: &QueryEngine, pid: PartitionId| {
+        let stats = e.join().group_stats();
+        stats.iter().find(|s| s.pid == pid).map_or(0, |s| s.bytes)
+    };
+    // Skipped partitions kept every tuple they received since the
+    // protection began; the others were purged exactly as in `open`.
+    let arrived = |pid: PartitionId, from: &[Tuple]| {
+        from.iter()
+            .filter(|t| t.get(0).unwrap().as_int().unwrap() % 4 == pid.0 as i64)
+            .count()
+    };
+    let per_tuple = all[0].heap_size() + PER_TUPLE_OVERHEAD; // same for every tuple
+    assert_eq!(
+        bytes_of(&guarded, spilled),
+        arrived(spilled, tail) * per_tuple,
+        "a locally spilled partition's memory tuples are never purged"
+    );
+    assert!(bytes_of(&guarded, relocated) >= arrived(relocated, tail) * per_tuple);
+    assert!(bytes_of(&guarded, relocated) > 4 * bytes_of(&open, relocated));
+    assert_eq!(
+        bytes_of(&guarded, PartitionId(3)),
+        bytes_of(&open, PartitionId(3))
+    );
+
+    // Release: the partition relocates on without the flag (its
+    // protection travels with it), lands unprotected, and the next
+    // purge catches it up to exactly what `open` holds.
+    let horizon = tail.last().unwrap().ts();
+    let mut groups = guarded.extract_groups(&[relocated]);
+    assert!(groups[0].2, "protection is handed to the next receiver");
+    groups[0].2 = false;
+    guarded.install_groups(groups).unwrap();
+    assert!(guarded.purge_at(horizon) > 0);
+    assert_eq!(bytes_of(&guarded, relocated), bytes_of(&open, relocated));
+    assert_eq!(guarded.purge_at(horizon), 0, "nothing left to catch up");
+    guarded.assert_accounting_consistent().unwrap();
+}
+
+#[test]
+fn held_watermark_defers_purge_and_resume_catches_up() {
+    let window_ms = 400;
+    let all = workload(600);
+    let (before, rest) = all.split_at(200);
+    let (held, after) = rest.split_at(200);
+    let hold = before.last().unwrap().ts();
+
+    // `clock` purges at the clock throughout. `lagging` sees the
+    // horizon pinned at `hold` for the middle third (a relocation
+    // holding the watermark), then the `Resume` catch-up purge.
+    let mut clock = windowed_engine(window_ms, 1 << 29);
+    let mut lagging = windowed_engine(window_ms, 1 << 29);
+    let (mut clock_sink, mut lagging_sink) = (CountingSink::new(), CountingSink::new());
+    run_ticking(&mut clock, before, &mut clock_sink, |now| now);
+    run_ticking(&mut lagging, before, &mut lagging_sink, |now| now);
+    run_ticking(&mut clock, held, &mut clock_sink, |now| now);
+    run_ticking(&mut lagging, held, &mut lagging_sink, |_| hold);
+    assert!(
+        lagging.memory_used() > 4 * clock.memory_used(),
+        "a held horizon purges nothing past it: {} vs {}",
+        lagging.memory_used(),
+        clock.memory_used()
+    );
+    // Resident bytes per partition. (`P_output` is not compared: a
+    // group the purge empties is dropped with its history, and only
+    // `clock` emptied any.)
+    let resident = |e: &QueryEngine| -> Vec<(PartitionId, usize)> {
+        let stats = e.join().group_stats();
+        stats.iter().map(|s| (s.pid, s.bytes)).collect()
+    };
+    let watermark = held.last().unwrap().ts();
+    assert!(lagging.purge_at(watermark) > 0);
+    assert_eq!(resident(&lagging), resident(&clock));
+
+    run_ticking(&mut clock, after, &mut clock_sink, |now| now);
+    run_ticking(&mut lagging, after, &mut lagging_sink, |now| now);
+    assert_eq!(lagging_sink.count(), clock_sink.count());
+    assert_eq!(resident(&lagging), resident(&clock));
+    lagging.assert_accounting_consistent().unwrap();
 }

@@ -67,6 +67,18 @@ impl MJoinOperator {
         &self.cfg
     }
 
+    /// The resident group of `pid`, created empty on first arrival.
+    fn group_mut(&mut self, pid: PartitionId) -> &mut PartitionGroup {
+        self.groups.entry(pid).or_insert_with(|| {
+            PartitionGroup::new(
+                pid,
+                Arc::clone(&self.join_columns),
+                self.cfg.window,
+                self.cfg.layout,
+            )
+        })
+    }
+
     /// Process one input tuple belonging to partition `pid`; results go
     /// to `sink`. Returns the number of results emitted.
     pub fn process(
@@ -75,15 +87,7 @@ impl MJoinOperator {
         tuple: Tuple,
         sink: &mut dyn ResultSink,
     ) -> Result<u64> {
-        let group = self.groups.entry(pid).or_insert_with(|| {
-            PartitionGroup::new(
-                pid,
-                Arc::clone(&self.join_columns),
-                self.cfg.window,
-                self.cfg.layout,
-            )
-        });
-        let (emitted, added_bytes) = group.insert(tuple, sink)?;
+        let (emitted, added_bytes) = self.group_mut(pid).insert(tuple, sink)?;
         self.tracker.allocate(added_bytes);
         self.window.record(emitted);
         self.state_bytes += added_bytes;
@@ -93,42 +97,30 @@ impl MJoinOperator {
     /// Process a whole batch of routed tuples; results go to `sink`.
     /// Returns the number of results emitted.
     ///
-    /// The group lookup is paid once per *run* of consecutive
-    /// same-partition tuples instead of once per tuple, and
-    /// tracker/window updates are paid once per batch. Each run is
-    /// handed to [`PartitionGroup::insert_run`], which hashes the run's
-    /// join keys in one batched pass before probing. Arrival order is
-    /// preserved: one generator tick emits one tuple per stream for the
-    /// same key, so runs of consecutive equal partition IDs arise
-    /// naturally without sorting, and tuples of different partitions
-    /// never interact — results and state are identical to processing
-    /// the batch tuple by tuple.
+    /// Tuples are inserted one by one, in arrival order; what the batch
+    /// saves is the tracker/window update, paid once per batch. There is
+    /// no per-partition regrouping: the generator samples a partition
+    /// per stream per tick, so consecutive tuples of one batch almost
+    /// never share a partition, and tuples of different partitions never
+    /// interact — results and state are identical to calling
+    /// [`process`](Self::process) per tuple.
+    ///
+    /// An invalid tuple ends the batch: the tuples before it stay
+    /// inserted (and accounted), the rest are dropped.
     pub fn process_batch(&mut self, batch: TupleBatch, sink: &mut dyn ResultSink) -> Result<u64> {
         let mut emitted_total = 0u64;
         let mut added_total = 0usize;
         let mut failed = None;
-        let mut run_buf: Vec<Tuple> = Vec::new();
-        let mut items = batch.into_iter().peekable();
-        while let Some(run_pid) = items.peek().map(|(p, _)| *p) {
-            run_buf.clear();
-            while items.peek().map(|(p, _)| *p) == Some(run_pid) {
-                let (_, tuple) = items.next().expect("peeked");
-                run_buf.push(tuple);
-            }
-            let group = self.groups.entry(run_pid).or_insert_with(|| {
-                PartitionGroup::new(
-                    run_pid,
-                    Arc::clone(&self.join_columns),
-                    self.cfg.window,
-                    self.cfg.layout,
-                )
-            });
-            let (emitted, added, status) = group.insert_run(&mut run_buf, sink);
-            emitted_total += emitted;
-            added_total += added;
-            if let Err(e) = status {
-                failed = Some(e);
-                break;
+        for (pid, tuple) in batch {
+            match self.group_mut(pid).insert(tuple, sink) {
+                Ok((emitted, added)) => {
+                    emitted_total += emitted;
+                    added_total += added;
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
             }
         }
         // Account for everything inserted even when a mid-batch tuple
@@ -325,13 +317,20 @@ impl MJoinOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StateLayout;
     use crate::sink::{CollectingSink, CountingSink};
     use dcape_common::ids::StreamId;
     use dcape_common::time::VirtualTime;
     use dcape_common::tuple::TupleBuilder;
 
+    const LAYOUTS: [StateLayout; 2] = [StateLayout::Row, StateLayout::Columnar];
+
     fn op() -> MJoinOperator {
-        MJoinOperator::new(MJoinConfig::same_column(3, 0), MemoryTracker::new(10 << 20)).unwrap()
+        op_with(StateLayout::Columnar, MemoryTracker::new(10 << 20))
+    }
+
+    fn op_with(layout: StateLayout, tracker: Arc<MemoryTracker>) -> MJoinOperator {
+        MJoinOperator::new(MJoinConfig::same_column(3, 0).with_layout(layout), tracker).unwrap()
     }
 
     fn tpl(stream: u8, seq: u64, key: i64) -> Tuple {
@@ -448,39 +447,78 @@ mod tests {
 
     #[test]
     fn batch_matches_per_tuple_path() {
-        let mut per_tuple = op();
-        let mut batched = op();
-        let mut sink_a = CollectingSink::new();
-        let mut sink_b = CollectingSink::new();
-        let mut batch = TupleBatch::new();
-        let mut seq = 0u64;
-        // Interleave two partitions so the batched path has to sort.
-        for s in 0..3u8 {
-            for k in 0..4i64 {
-                let pid = PartitionId((k % 2) as u32);
-                let t = tpl(s, seq, k);
-                per_tuple.process(pid, t.clone(), &mut sink_a).unwrap();
+        for layout in LAYOUTS {
+            let tracker = MemoryTracker::new(10 << 20);
+            let mut per_tuple = op_with(layout, MemoryTracker::new(10 << 20));
+            let mut batched = op_with(layout, Arc::clone(&tracker));
+            let mut sink_a = CollectingSink::new();
+            let mut sink_b = CollectingSink::new();
+            let mut batch = TupleBatch::new();
+            let mut per_tuple_emitted = 0;
+            // Two interleaved partitions, then a same-partition run.
+            for seq in 0..30u64 {
+                let pid = PartitionId(if seq < 12 { (seq % 2) as u32 } else { 1 });
+                let t = tpl((seq % 3) as u8, seq, (seq % 4) as i64);
+                per_tuple_emitted += per_tuple.process(pid, t.clone(), &mut sink_a).unwrap();
                 batch.push(pid, t);
-                seq += 1;
             }
+            let emitted = batched.process_batch(batch, &mut sink_b).unwrap();
+            assert_eq!(emitted, per_tuple_emitted);
+            assert_eq!(emitted as usize, sink_b.len());
+            assert!(emitted > 0);
+            // Same result multiset (order may differ across partitions).
+            let ids = |sink: &CollectingSink| {
+                let mut v: Vec<Vec<(u8, u64)>> = sink
+                    .results()
+                    .iter()
+                    .map(|r| r.iter().map(|t| (t.stream().0, t.seq())).collect())
+                    .collect();
+                v.sort();
+                v
+            };
+            assert_eq!(ids(&sink_a), ids(&sink_b));
+            // Same state, and the incremental totals never drift.
+            assert_eq!(per_tuple.state_bytes(), batched.state_bytes());
+            assert_eq!(batched.state_bytes(), batched.recompute_state_bytes());
+            assert_eq!(tracker.used() as usize, batched.state_bytes());
+            assert_eq!(per_tuple.total_output(), batched.total_output());
         }
-        let emitted = batched.process_batch(batch, &mut sink_b).unwrap();
-        assert_eq!(emitted as usize, sink_b.len());
-        // Same result multiset (order may differ across partitions).
-        let ids = |sink: &CollectingSink| {
-            let mut v: Vec<Vec<(u8, u64)>> = sink
-                .results()
-                .iter()
-                .map(|r| r.iter().map(|t| (t.stream().0, t.seq())).collect())
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(ids(&sink_a), ids(&sink_b));
-        // Same state, and the incremental total never drifts.
-        assert_eq!(per_tuple.state_bytes(), batched.state_bytes());
-        assert_eq!(batched.state_bytes(), batched.recompute_state_bytes());
-        assert_eq!(per_tuple.total_output(), batched.total_output());
+    }
+
+    #[test]
+    fn batch_inserts_valid_prefix_then_errors() {
+        for layout in LAYOUTS {
+            // The reference: the valid prefix alone.
+            let mut prefix = op_with(layout, MemoryTracker::new(10 << 20));
+            let mut prefix_sink = CountingSink::new();
+            let tracker = MemoryTracker::new(10 << 20);
+            let mut op = op_with(layout, Arc::clone(&tracker));
+            let mut sink = CountingSink::new();
+            let mut batch = TupleBatch::new();
+            let pid = PartitionId(3);
+            for (i, stream) in [0u8, 1, 2, 0, 7, 1, 2].into_iter().enumerate() {
+                let t = tpl(stream, i as u64, 1);
+                if i < 4 {
+                    prefix.process(pid, t.clone(), &mut prefix_sink).unwrap();
+                }
+                batch.push(pid, t);
+            }
+            assert!(
+                op.process_batch(batch, &mut sink).is_err(),
+                "out-of-range stream reported"
+            );
+            // Valid prefix inserted, tail dropped, and state bytes,
+            // tracker and productivity window account exactly that.
+            let (snap, _) = op.drain_group(pid).unwrap();
+            assert_eq!(snap.tuple_count(), 4);
+            op.install_group(snap, 0).unwrap();
+            assert_eq!(sink.count(), prefix_sink.count());
+            assert!(sink.count() > 0);
+            assert_eq!(op.total_output(), prefix.total_output());
+            assert_eq!(op.state_bytes(), prefix.state_bytes());
+            assert_eq!(op.state_bytes(), op.recompute_state_bytes());
+            assert_eq!(tracker.used() as usize, op.state_bytes());
+        }
     }
 
     #[test]
@@ -506,16 +544,8 @@ mod tests {
 
     #[test]
     fn layouts_produce_identical_operator_behavior() {
-        use crate::config::StateLayout;
-        let mk = |layout| {
-            MJoinOperator::new(
-                MJoinConfig::same_column(3, 0).with_layout(layout),
-                MemoryTracker::new(10 << 20),
-            )
-            .unwrap()
-        };
-        let mut row = mk(StateLayout::Row);
-        let mut col = mk(StateLayout::Columnar);
+        let mut row = op_with(StateLayout::Row, MemoryTracker::new(10 << 20));
+        let mut col = op_with(StateLayout::Columnar, MemoryTracker::new(10 << 20));
         let mut sink_r = CollectingSink::new();
         let mut sink_c = CollectingSink::new();
         let mut batch_r = TupleBatch::new();

@@ -8,24 +8,26 @@
 //! results among co-resident tuples are produced symmetrically at
 //! insertion time, so a spilled group owes nothing internally.
 //!
-//! Insertion implements the symmetric hash join step: probe the other
-//! streams' indexes with the new tuple's join key, emit the full
-//! cartesian combination of matches, then index the tuple.
+//! Insertion implements the symmetric hash join step: look the new
+//! tuple's join key up, emit the full cartesian combination of the other
+//! streams' matches, then index the tuple.
 //!
 //! Two in-memory layouts implement that contract
 //! ([`StateLayout`](crate::config::StateLayout)):
 //!
-//! * **Row** — `Vec<Tuple>` per stream, the original layout, kept as the
-//!   equivalence reference;
+//! * **Row** — `Vec<Tuple>` and a hash index per stream, the original
+//!   layout, kept as the equivalence reference;
 //! * **Columnar** — struct-of-arrays per stream: a contiguous timestamp
 //!   column, a packed per-row bookkeeping column (sequence number,
 //!   accounted size, arena end offset) and one payload arena of encoded
-//!   values. Join keys live only in the hash index. The probe path
-//!   touches only the columns (a count-only sink gets
-//!   [`SpanList::TsOnly`] lists and never sees a row); rows are
-//!   materialized from the arena only at the sink or spill boundary.
-//!   Window purge retires a prefix of a time-ordered partition in
-//!   O(expired rows) — see [`ColumnarPartition::purge`].
+//!   values; and **one** [`JoinIndex`] for the whole group, whose entry
+//!   for a key holds a position list per stream — so an insert pays one
+//!   lookup, not one per stream. Join keys live only in that index. The
+//!   probe path touches only the index entry and the columns (a
+//!   count-only sink gets [`SpanList::TsOnly`] lists and never sees a
+//!   row); rows are materialized from the arena only at the sink or
+//!   spill boundary. Window purge retires a prefix of a time-ordered
+//!   partition in O(expired rows) — see [`ColumnarState::purge`].
 
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::{fx_hash, FxHashMap};
@@ -38,24 +40,26 @@ use dcape_storage::codec::{
     decode_value, encode_value, encoded_value_len, get_varint, put_varint, varint_len,
 };
 use dcape_storage::SpilledGroup;
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::config::StateLayout;
 use crate::probe::{ProbeSpans, SpanList, INLINE_STREAMS};
 use crate::sink::ResultSink;
+use crate::state::join_index::{JoinIndex, PosList};
 use crate::state::productivity::DecayState;
 
 /// Estimated per-tuple bookkeeping bytes beyond the tuple itself
 /// (vector slot + hash-index entry share).
 pub const PER_TUPLE_OVERHEAD: usize = 24;
 
-/// A join key carrying its precomputed [`fx_hash`].
+/// A row-layout join key carrying its precomputed [`fx_hash`].
 ///
-/// Inserting one tuple into an m-way join probes m-1 indexes plus its own:
-/// hashing the full `Value` (a text key walks every byte) once instead of
-/// m times is a measurable hot-path win. `Hash` forwards only the cached
-/// hash; `Eq` still compares the real key, so buckets stay exact.
+/// The row layout indexes each stream apart, so inserting one tuple into
+/// an m-way join probes m-1 maps plus its own: hashing the full `Value`
+/// (a text key walks every byte) once instead of m times is a measurable
+/// hot-path win. `Hash` forwards only the cached hash; `Eq` still
+/// compares the real key, so buckets stay exact. (The columnar layout
+/// has one index per group and passes `fx_hash` straight to it.)
 #[derive(Debug, Clone)]
 struct HashedKey {
     hash: u64,
@@ -150,8 +154,9 @@ struct RowMeta {
 /// the packed [`RowMeta`] record `meta[i]`, and the payload arena slice
 /// `meta[i-1].end..meta[i].end` holding the codec-encoded column
 /// values (arity varint + one [`encode_value`] per column). The join
-/// key lives only in the `index`; purge recovers an expiring row's key
-/// from its own arena slice, so no per-row key copy is ever stored.
+/// key lives only in the group's [`JoinIndex`]; purge recovers an
+/// expiring row's key from its own arena slice, so no per-row key copy
+/// is ever stored.
 ///
 /// Rows `..head` are a retired (window-expired) prefix: still
 /// physically present in `ts`/`meta`/`arena` so that index positions
@@ -165,8 +170,6 @@ struct ColumnarPartition {
     meta: Vec<RowMeta>,
     /// Packed encoded payloads of all rows, in insertion order.
     arena: Vec<u8>,
-    /// join key (with precomputed hash) -> positions in the columns.
-    index: FxHashMap<HashedKey, Vec<u32>>,
     /// Same meaning as [`StreamPartition::ts_sorted`].
     ts_sorted: bool,
     /// Physical index of the first live row.
@@ -192,7 +195,6 @@ impl Default for ColumnarPartition {
             ts: Vec::new(),
             meta: Vec::new(),
             arena: Vec::new(),
-            index: FxHashMap::default(),
             ts_sorted: true,
             head: 0,
             min_ts: NO_ROWS,
@@ -232,30 +234,9 @@ impl ColumnarPartition {
             + tuple.values().iter().map(encoded_value_len).sum::<usize>()
     }
 
-    /// Reject an insert whose payload would push the arena past the
-    /// `u32` offset range. Checked before the probe so no results are
-    /// emitted for a tuple that is then refused. The fast path is an
-    /// O(1) over-estimate from the tuple's cached heap size (which
-    /// bounds every Text/Blob content length; fixed-width values encode
-    /// in ≤ 11 bytes each); only near the 4 GiB edge is the retired
-    /// prefix reclaimed — the cap is on live bytes — and the exact
-    /// per-value walk run.
-    fn check_capacity(&mut self, tuple: &Tuple) -> Result<()> {
-        let bound = 10 + 11 * tuple.arity() + tuple.heap_size();
-        if self.arena.len() + bound > u32::MAX as usize {
-            self.compact();
-            if self.arena.len() + Self::payload_len(tuple) > u32::MAX as usize {
-                return Err(DcapeError::state(
-                    "columnar arena exceeds 4 GiB for one stream partition",
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Append one row. Infallible: callers run [`check_capacity`]
-    /// first.
-    fn insert(&mut self, key: HashedKey, tuple: &Tuple) {
+    /// Append one row and return its position. Infallible: callers run
+    /// [`ColumnarState::check_capacity`] first.
+    fn append(&mut self, tuple: &Tuple) -> u32 {
         if let Some(&last) = self.ts.last() {
             self.ts_sorted &= tuple.ts() >= last;
         }
@@ -271,11 +252,7 @@ impl ColumnarPartition {
             acct: tuple.heap_size() as u64,
             end: self.arena.len() as u32,
         });
-        self.index.entry(key).or_default().push(pos);
-    }
-
-    fn matches(&self, key: &HashedKey) -> &[u32] {
-        self.index.get(key).map_or(&[], Vec::as_slice)
+        pos
     }
 
     /// Rebuild row `i` from its columns and arena slice. The arena is
@@ -292,141 +269,16 @@ impl ColumnarPartition {
 
     /// Recover row `i`'s join key from its arena slice, decoding only as
     /// far as the join `column` (validated present at insert).
-    fn key_at(&self, i: usize, column: usize) -> HashedKey {
+    fn key_at(&self, i: usize, column: usize) -> Value {
         let mut buf = self.row_bytes(i);
         get_varint(&mut buf).expect("arena: self-encoded");
         for _ in 0..column {
             decode_value(&mut buf).expect("arena: self-encoded");
         }
-        HashedKey::new(decode_value(&mut buf).expect("arena: self-encoded"))
+        decode_value(&mut buf).expect("arena: self-encoded")
     }
 
-    /// Drop all rows with `ts < cutoff`. Returns the accounted bytes
-    /// freed and the number of rows visited (the purge-cost counter
-    /// behind [`PartitionGroup::purge_rows_touched`]).
-    ///
-    /// A pulse that expires nothing here is rejected by one comparison
-    /// against `min_ts`. In a `ts_sorted` partition the expired rows are
-    /// a prefix: a galloping binary search finds the cut, each expired
-    /// row's key is recovered from the arena to drop its positions from
-    /// the front of that key's (ascending) position list, and the
-    /// prefix is retired by advancing `head` — O(expired rows), nothing
-    /// moves. [`compact`](Self::compact) reclaims the prefix once it
-    /// outgrows a quarter of the live rows. An unsorted partition takes
-    /// the full compaction of [`purge_unsorted`](Self::purge_unsorted).
-    fn purge(&mut self, cutoff: VirtualTime, column: usize) -> (usize, u64) {
-        if self.min_ts >= cutoff {
-            return (0, 0);
-        }
-        if !self.ts_sorted {
-            return self.purge_unsorted(cutoff);
-        }
-        let cut = self.head + expired_prefix(&self.ts[self.head..], cutoff);
-        let mut freed = 0usize;
-        for i in self.head..cut {
-            freed += self.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
-            // An earlier expired row with the same key already dropped
-            // every position below `cut`, this row's included.
-            if let Entry::Occupied(mut slot) = self.index.entry(self.key_at(i, column)) {
-                let positions = slot.get_mut();
-                let dead = positions.partition_point(|&p| (p as usize) < cut);
-                if dead == positions.len() {
-                    slot.remove();
-                } else {
-                    positions.drain(..dead);
-                }
-            }
-        }
-        let mut touched = (cut - self.head) as u64;
-        self.head = cut;
-        self.min_ts = self.ts.get(cut).copied().unwrap_or(NO_ROWS);
-        if self.len() < COMPACT_LIVE_PER_DEAD * self.head {
-            touched += self.len() as u64;
-            self.compact();
-        }
-        (freed, touched)
-    }
-
-    /// Physically reclaim the retired prefix: shift the live rows to
-    /// the front of every store and re-base arena offsets and index
-    /// positions. O(live rows).
-    fn compact(&mut self) {
-        let head = self.head;
-        if head == 0 {
-            return;
-        }
-        let base = self.meta[head - 1].end;
-        self.ts.drain(..head);
-        self.meta.drain(..head);
-        self.arena.drain(..base as usize);
-        for m in &mut self.meta {
-            m.end -= base;
-        }
-        for positions in self.index.values_mut() {
-            for p in positions {
-                *p -= head as u32;
-            }
-        }
-        self.head = 0;
-    }
-
-    /// Purge of a partition whose rows are not in time order (replayed
-    /// or installed state): scan every live row, compact the survivors
-    /// to the front of every store **in place** and remap the index's
-    /// positions through a survivor table — no re-hashing, no key
-    /// clones, no row materialization. Recomputes `ts_sorted` over the
-    /// survivors, so the partition returns to the prefix-drop path once
-    /// the offending rows expire.
-    fn purge_unsorted(&mut self, cutoff: VirtualTime) -> (usize, u64) {
-        const DEAD: u32 = u32::MAX;
-        let mut remap = vec![DEAD; self.meta.len()];
-        let mut freed = 0usize;
-        let mut kept = 0usize;
-        let mut arena_w = 0usize;
-        let mut prev_end = self.row_start(self.head);
-        let mut sorted = true;
-        let mut prev_ts = VirtualTime::from_millis(0);
-        let mut min_ts = NO_ROWS;
-        for i in self.live() {
-            let start = prev_end;
-            let end = self.meta[i].end as usize;
-            prev_end = end;
-            if self.ts[i] < cutoff {
-                freed += self.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
-                continue;
-            }
-            remap[i] = kept as u32;
-            self.ts[kept] = self.ts[i];
-            self.arena.copy_within(start..end, arena_w);
-            arena_w += end - start;
-            self.meta[kept] = RowMeta {
-                end: arena_w as u32,
-                ..self.meta[i]
-            };
-            sorted &= kept == 0 || self.ts[kept] >= prev_ts;
-            prev_ts = self.ts[kept];
-            min_ts = min_ts.min(prev_ts);
-            kept += 1;
-        }
-        let touched = self.len() as u64;
-        self.ts.truncate(kept);
-        self.meta.truncate(kept);
-        self.arena.truncate(arena_w);
-        self.ts_sorted = sorted;
-        self.head = 0;
-        self.min_ts = min_ts;
-        self.index.retain(|_, positions| {
-            positions.retain_mut(|p| {
-                let n = remap[*p as usize];
-                *p = n;
-                n != DEAD
-            });
-            !positions.is_empty()
-        });
-        (freed, touched)
-    }
-
-    /// Test-only: the structural invariants every reader relies on.
+    /// Test-only: the structural invariants of the column stores.
     #[cfg(test)]
     fn assert_invariants(&self) {
         assert_eq!(self.ts.len(), self.meta.len());
@@ -440,15 +292,311 @@ impl ColumnarPartition {
         assert_eq!(ends.last().map_or(0, |&e| e as usize), self.arena.len());
         let oldest = self.ts[self.head..].iter().min().copied();
         assert_eq!(self.min_ts, oldest.unwrap_or(NO_ROWS));
-        let mut indexed: Vec<u32> = Vec::new();
-        for positions in self.index.values() {
-            assert!(!positions.is_empty(), "empty keys are removed");
-            assert!(positions.windows(2).all(|w| w[0] < w[1]));
-            indexed.extend(positions);
+    }
+}
+
+/// The columnar state of one group: a [`ColumnarPartition`] per stream
+/// and the one [`JoinIndex`] over all of them. List `s` of a key's index
+/// entry holds exactly the live positions of stream `s`'s rows with that
+/// key, ascending; whatever moves rows (`compact`, `purge_unsorted`) or
+/// retires them (`purge`) therefore lives here, beside the index.
+#[derive(Debug)]
+struct ColumnarState {
+    cols: Vec<ColumnarPartition>,
+    index: JoinIndex,
+}
+
+impl ColumnarState {
+    fn new(streams: usize) -> Self {
+        ColumnarState {
+            cols: (0..streams).map(|_| ColumnarPartition::default()).collect(),
+            index: JoinIndex::new(streams),
         }
-        indexed.sort_unstable();
-        let live: Vec<u32> = self.live().map(|i| i as u32).collect();
-        assert_eq!(indexed, live, "the index holds exactly the live rows");
+    }
+
+    /// Reject an insert into stream `s` whose payload would push its
+    /// arena past the `u32` offset range. Checked before the probe so no
+    /// results are emitted for a tuple that is then refused. The fast
+    /// path is an O(1) over-estimate from the tuple's cached heap size
+    /// (which bounds every Text/Blob content length; fixed-width values
+    /// encode in ≤ 11 bytes each); only near the 4 GiB edge is the
+    /// retired prefix reclaimed — the cap is on live bytes — and the
+    /// exact per-value walk run.
+    fn check_capacity(&mut self, s: usize, tuple: &Tuple) -> Result<()> {
+        let bound = 10 + 11 * tuple.arity() + tuple.heap_size();
+        if self.cols[s].arena.len() + bound > u32::MAX as usize {
+            self.compact(s);
+            let exact = ColumnarPartition::payload_len(tuple);
+            if self.cols[s].arena.len() + exact > u32::MAX as usize {
+                return Err(DcapeError::state(
+                    "columnar arena exceeds 4 GiB for one stream partition",
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Store and index one row of stream `s` under `key` without probing
+    /// (snapshot restore).
+    fn insert(&mut self, s: usize, key: &Value, tuple: &Tuple) {
+        let slot = self.index.find_or_insert(fx_hash(key), key);
+        let pos = self.cols[s].append(tuple);
+        self.index.list_mut(slot, s).push(pos);
+    }
+
+    /// Symmetric-join step for one row of stream `s`: **one** index
+    /// lookup yields the key's entry, whose lists are the `m - 1` match
+    /// lists to probe and the list the new row's position is appended to
+    /// (the key is cloned only when the entry is new). Returns the
+    /// results emitted.
+    fn probe_insert(
+        &mut self,
+        s: usize,
+        key: &Value,
+        tuple: &Tuple,
+        scratch: &mut Vec<Vec<Tuple>>,
+        window: Option<VirtualDuration>,
+        sink: &mut dyn ResultSink,
+    ) -> Result<u64> {
+        self.check_capacity(s, tuple)?;
+        let slot = self.index.find_or_insert(fx_hash(key), key);
+        let matches = self.index.lists(slot);
+        let emitted = Self::probe(&self.cols, matches, scratch, window, s, tuple, sink);
+        let pos = self.cols[s].append(tuple);
+        self.index.list_mut(slot, s).push(pos);
+        Ok(emitted)
+    }
+
+    /// Deliver the product of `tuple` (slot `s`) with the `matches` of
+    /// every other stream. First checks every other list for emptiness
+    /// and bails before touching any column; then builds the span lists:
+    /// timestamp-only views for count-only sinks, materialized row
+    /// slices (into the reused `scratch` buffers) for sinks that
+    /// enumerate.
+    fn probe<'a>(
+        cols: &'a [ColumnarPartition],
+        matches: &'a [PosList],
+        scratch: &'a mut Vec<Vec<Tuple>>,
+        window: Option<VirtualDuration>,
+        s: usize,
+        tuple: &'a Tuple,
+        sink: &mut dyn ResultSink,
+    ) -> u64 {
+        let m = cols.len();
+        if m < 2 {
+            return 0;
+        }
+        let mut ts_sorted = true;
+        for (i, cp) in cols.iter().enumerate() {
+            if i == s {
+                continue;
+            }
+            if matches[i].is_empty() {
+                return 0;
+            }
+            ts_sorted &= cp.ts_sorted;
+        }
+        let mut inline = [SpanList::One(tuple); INLINE_STREAMS];
+        let mut spilled = Vec::new();
+        let lists = if m <= INLINE_STREAMS {
+            &mut inline[..m]
+        } else {
+            spilled.resize(m, SpanList::One(tuple));
+            &mut spilled[..]
+        };
+        if sink.wants_rows() {
+            if scratch.len() < m {
+                scratch.resize_with(m, Vec::new);
+            }
+            for (i, cp) in cols.iter().enumerate() {
+                if i == s {
+                    continue;
+                }
+                let buf = &mut scratch[i];
+                buf.clear();
+                buf.extend(
+                    matches[i]
+                        .as_slice()
+                        .iter()
+                        .map(|&p| cp.materialize(StreamId(i as u8), p as usize)),
+                );
+            }
+            let scratch: &'a [Vec<Tuple>] = scratch;
+            for (i, rows) in scratch.iter().enumerate().take(m) {
+                if i != s {
+                    lists[i] = SpanList::Slice(rows);
+                }
+            }
+        } else {
+            for (i, cp) in cols.iter().enumerate() {
+                if i != s {
+                    lists[i] = SpanList::TsOnly {
+                        ts: &cp.ts,
+                        positions: matches[i].as_slice(),
+                    };
+                }
+            }
+        }
+        sink.emit_product(&ProbeSpans::new(lists, window, ts_sorted))
+    }
+
+    /// Drop stream `s`'s rows with `ts < cutoff`. Returns the accounted
+    /// bytes freed and the number of rows visited (the purge-cost
+    /// counter behind [`PartitionGroup::purge_rows_touched`]).
+    ///
+    /// A pulse that expires nothing here is rejected by one comparison
+    /// against `min_ts`. In a `ts_sorted` partition the expired rows are
+    /// a prefix: a galloping binary search finds the cut, each expired
+    /// row's key is recovered from the arena and looked up in the index
+    /// to drop the `< cut` front of its (ascending) list `s` — removing
+    /// the entry if that emptied its last list — and the prefix is
+    /// retired by advancing `head`: O(expired rows), nothing moves.
+    /// [`compact`](Self::compact) reclaims the prefix once it outgrows a
+    /// quarter of the live rows. An unsorted partition takes the full
+    /// compaction of [`purge_unsorted`](Self::purge_unsorted).
+    fn purge(&mut self, s: usize, cutoff: VirtualTime, column: usize) -> (usize, u64) {
+        let cp = &mut self.cols[s];
+        if cp.min_ts >= cutoff {
+            return (0, 0);
+        }
+        if !cp.ts_sorted {
+            return self.purge_unsorted(s, cutoff);
+        }
+        let cut = cp.head + expired_prefix(&cp.ts[cp.head..], cutoff);
+        let mut freed = 0usize;
+        for i in cp.head..cut {
+            freed += cp.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
+            // An earlier expired row with the same key already dropped
+            // every position below `cut`, this row's included (and with
+            // them, perhaps, the entry).
+            let key = cp.key_at(i, column);
+            if let Some(slot) = self.index.find(fx_hash(&key), &key) {
+                let list = self.index.list_mut(slot, s);
+                list.drop_below(cut as u32);
+                if list.is_empty() {
+                    self.index.remove_if_empty(slot);
+                }
+            }
+        }
+        let mut touched = (cut - cp.head) as u64;
+        cp.head = cut;
+        cp.min_ts = cp.ts.get(cut).copied().unwrap_or(NO_ROWS);
+        if cp.len() < COMPACT_LIVE_PER_DEAD * cp.head {
+            touched += cp.len() as u64;
+            self.compact(s);
+        }
+        (freed, touched)
+    }
+
+    /// Physically reclaim stream `s`'s retired prefix: shift the live
+    /// rows to the front of every store and re-base arena offsets and
+    /// the stream's index positions. O(live rows + index slots).
+    fn compact(&mut self, s: usize) {
+        let cp = &mut self.cols[s];
+        let head = cp.head;
+        if head == 0 {
+            return;
+        }
+        let base = cp.meta[head - 1].end;
+        cp.ts.drain(..head);
+        cp.meta.drain(..head);
+        cp.arena.drain(..base as usize);
+        for m in &mut cp.meta {
+            m.end -= base;
+        }
+        cp.head = 0;
+        self.index.for_each_list_mut(s, |list| {
+            list.retain_mut(|p| {
+                *p -= head as u32;
+                true
+            })
+        });
+    }
+
+    /// Purge of a partition whose rows are not in time order (replayed
+    /// or installed state): scan every live row, compact the survivors
+    /// to the front of every store **in place** and remap the stream's
+    /// index positions through a survivor table — no re-hashing of rows,
+    /// no row materialization — then sweep out the entries that lost
+    /// their last position. Recomputes `ts_sorted` over the survivors,
+    /// so the partition returns to the prefix-drop path once the
+    /// offending rows expire.
+    fn purge_unsorted(&mut self, s: usize, cutoff: VirtualTime) -> (usize, u64) {
+        const DEAD: u32 = u32::MAX;
+        let cp = &mut self.cols[s];
+        let mut remap = vec![DEAD; cp.meta.len()];
+        let mut freed = 0usize;
+        let mut kept = 0usize;
+        let mut arena_w = 0usize;
+        let mut prev_end = cp.row_start(cp.head);
+        let mut sorted = true;
+        let mut prev_ts = VirtualTime::from_millis(0);
+        let mut min_ts = NO_ROWS;
+        for i in cp.live() {
+            let start = prev_end;
+            let end = cp.meta[i].end as usize;
+            prev_end = end;
+            if cp.ts[i] < cutoff {
+                freed += cp.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
+                continue;
+            }
+            remap[i] = kept as u32;
+            cp.ts[kept] = cp.ts[i];
+            cp.arena.copy_within(start..end, arena_w);
+            arena_w += end - start;
+            cp.meta[kept] = RowMeta {
+                end: arena_w as u32,
+                ..cp.meta[i]
+            };
+            sorted &= kept == 0 || cp.ts[kept] >= prev_ts;
+            prev_ts = cp.ts[kept];
+            min_ts = min_ts.min(prev_ts);
+            kept += 1;
+        }
+        let touched = cp.len() as u64;
+        cp.ts.truncate(kept);
+        cp.meta.truncate(kept);
+        cp.arena.truncate(arena_w);
+        cp.ts_sorted = sorted;
+        cp.head = 0;
+        cp.min_ts = min_ts;
+        self.index.for_each_list_mut(s, |list| {
+            list.retain_mut(|p| {
+                *p = remap[*p as usize];
+                *p != DEAD
+            })
+        });
+        self.index.drop_empty_entries();
+        (freed, touched)
+    }
+
+    /// Test-only: the column stores' invariants, the index's own, and
+    /// the tie between them — each live row of stream `s` appears
+    /// exactly once, ascending, in list `s` of its key's entry, and the
+    /// index holds nothing else.
+    #[cfg(test)]
+    fn assert_invariants(&self, join_columns: &[usize]) {
+        self.cols
+            .iter()
+            .for_each(ColumnarPartition::assert_invariants);
+        self.index.assert_invariants();
+        let mut expected: std::collections::HashMap<Value, Vec<Vec<u32>>> = Default::default();
+        for (s, cp) in self.cols.iter().enumerate() {
+            for i in cp.live() {
+                expected
+                    .entry(cp.key_at(i, join_columns[s]))
+                    .or_insert_with(|| vec![Vec::new(); self.cols.len()])[s]
+                    .push(i as u32);
+            }
+        }
+        assert_eq!(self.index.len(), expected.len(), "one entry per live key");
+        for (key, lists) in self.index.entries() {
+            let held: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
+            let rows = expected
+                .get(key)
+                .unwrap_or_else(|| panic!("{key} has no live row"));
+            assert_eq!(held, rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        }
     }
 }
 
@@ -466,11 +614,53 @@ fn expired_prefix(live: &[VirtualTime], cutoff: VirtualTime) -> usize {
     lo + live[lo..hi.min(live.len())].partition_point(|&t| t < cutoff)
 }
 
+/// Row-layout probe: look `key` up in every stream's index other than
+/// `s` and deliver the product with `tuple` in slot `s`. Bails early on
+/// any empty side. The span lists borrow the stream state directly; all
+/// borrows end before the caller stores the tuple.
+fn probe_row(
+    streams: &[StreamPartition],
+    window: Option<VirtualDuration>,
+    s: usize,
+    key: &HashedKey,
+    tuple: &Tuple,
+    sink: &mut dyn ResultSink,
+) -> u64 {
+    let m = streams.len();
+    if m < 2 {
+        return 0;
+    }
+    let mut inline = [SpanList::One(tuple); INLINE_STREAMS];
+    let mut spilled = Vec::new();
+    let lists = if m <= INLINE_STREAMS {
+        &mut inline[..m]
+    } else {
+        spilled.resize(m, SpanList::One(tuple));
+        &mut spilled[..]
+    };
+    let mut ts_sorted = true;
+    for (i, sp) in streams.iter().enumerate() {
+        if i == s {
+            continue;
+        }
+        let positions = sp.matches(key);
+        if positions.is_empty() {
+            return 0;
+        }
+        lists[i] = SpanList::Indexed {
+            tuples: &sp.tuples,
+            positions,
+        };
+        ts_sorted &= sp.ts_sorted;
+    }
+    sink.emit_product(&ProbeSpans::new(lists, window, ts_sorted))
+}
+
 /// The layout-selected per-stream state of one group.
 #[derive(Debug)]
 enum StateStore {
     Row(Vec<StreamPartition>),
-    Columnar(Vec<ColumnarPartition>),
+    Columnar(ColumnarState),
 }
 
 /// In-memory join state for one partition ID across all input streams.
@@ -489,8 +679,6 @@ pub struct PartitionGroup {
     /// probes feeding row-wanting sinks (no per-probe allocation once
     /// warm).
     scratch: Vec<Vec<Tuple>>,
-    /// Reused key buffer for [`insert_run`](Self::insert_run).
-    key_scratch: Vec<HashedKey>,
     /// See [`purge_rows_touched`](Self::purge_rows_touched).
     purge_touched: u64,
 }
@@ -511,9 +699,7 @@ impl PartitionGroup {
             StateLayout::Row => {
                 StateStore::Row((0..n).map(|_| StreamPartition::default()).collect())
             }
-            StateLayout::Columnar => {
-                StateStore::Columnar((0..n).map(|_| ColumnarPartition::default()).collect())
-            }
+            StateLayout::Columnar => StateStore::Columnar(ColumnarState::new(n)),
         };
         PartitionGroup {
             pid,
@@ -524,7 +710,6 @@ impl PartitionGroup {
             output_count: 0,
             decay: DecayState::default(),
             scratch: Vec::new(),
-            key_scratch: Vec::new(),
             purge_touched: 0,
         }
     }
@@ -573,7 +758,7 @@ impl PartitionGroup {
     pub fn tuple_count(&self) -> usize {
         match &self.state {
             StateStore::Row(streams) => streams.iter().map(|s| s.tuples.len()).sum(),
-            StateStore::Columnar(cols) => cols.iter().map(ColumnarPartition::len).sum(),
+            StateStore::Columnar(st) => st.cols.iter().map(ColumnarPartition::len).sum(),
         }
     }
 
@@ -596,13 +781,30 @@ impl PartitionGroup {
     /// [`SpanList::TsOnly`] lists straight off the timestamp columns —
     /// no row is materialized at all.
     pub fn insert(&mut self, tuple: Tuple, sink: &mut dyn ResultSink) -> Result<(u64, usize)> {
+        let s = tuple.stream().index();
         let key = self.key_of(&tuple)?;
-        self.insert_hashed(key, tuple, sink)
+        let added = tuple.heap_size() + PER_TUPLE_OVERHEAD;
+        let window = self.window;
+        let emitted = match &mut self.state {
+            StateStore::Columnar(st) => {
+                st.probe_insert(s, key, &tuple, &mut self.scratch, window, sink)?
+            }
+            StateStore::Row(streams) => {
+                let key = HashedKey::new(key.clone());
+                let emitted = probe_row(streams, window, s, &key, &tuple, sink);
+                streams[s].insert(key, tuple);
+                emitted
+            }
+        };
+        self.bytes += added;
+        self.output_count += emitted;
+        self.decay.window_output += emitted;
+        Ok((emitted, added))
     }
 
     /// Validate stream range and join-column presence, returning the
-    /// hashed join key.
-    fn key_of(&self, tuple: &Tuple) -> Result<HashedKey> {
+    /// tuple's join key.
+    fn key_of<'t>(&self, tuple: &'t Tuple) -> Result<&'t Value> {
         let s = tuple.stream().index();
         if s >= self.join_columns.len() {
             return Err(DcapeError::state(format!(
@@ -611,231 +813,9 @@ impl PartitionGroup {
                 self.join_columns.len()
             )));
         }
-        Ok(HashedKey::new(
-            tuple
-                .get(self.join_columns[s])
-                .ok_or_else(|| DcapeError::state("tuple lacks join column"))?
-                .clone(),
-        ))
-    }
-
-    /// Insert a whole same-partition run of tuples, hashing keys in one
-    /// batched pass before probing (the vectorized entry used by
-    /// [`MJoinOperator::process_batch`](crate::operators::mjoin::MJoinOperator::process_batch)).
-    ///
-    /// Drains `run` (leaving it empty for reuse) and returns
-    /// `(results_emitted, bytes_added, status)`. On an invalid tuple the
-    /// valid prefix is inserted — and accounted in the first two fields —
-    /// the remainder is dropped, and `status` carries the error: exactly
-    /// the per-tuple path's semantics when a batch aborts mid-run.
-    pub fn insert_run(
-        &mut self,
-        run: &mut Vec<Tuple>,
-        sink: &mut dyn ResultSink,
-    ) -> (u64, usize, Result<()>) {
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        keys.clear();
-        let mut status = Ok(());
-        for t in run.iter() {
-            match self.key_of(t) {
-                Ok(k) => keys.push(k),
-                Err(e) => {
-                    status = Err(e);
-                    break;
-                }
-            }
-        }
-        let valid = keys.len();
-        let mut emitted_total = 0u64;
-        let mut added_total = 0usize;
-        for (tuple, key) in run.drain(..).zip(keys.drain(..)).take(valid) {
-            match self.insert_hashed(key, tuple, sink) {
-                Ok((emitted, added)) => {
-                    emitted_total += emitted;
-                    added_total += added;
-                }
-                Err(e) => {
-                    status = Err(e);
-                    break;
-                }
-            }
-        }
-        self.key_scratch = keys;
-        (emitted_total, added_total, status)
-    }
-
-    fn insert_hashed(
-        &mut self,
-        key: HashedKey,
-        tuple: Tuple,
-        sink: &mut dyn ResultSink,
-    ) -> Result<(u64, usize)> {
-        let s = tuple.stream().index();
-        if let StateStore::Columnar(cols) = &mut self.state {
-            cols[s].check_capacity(&tuple)?;
-        }
-        let m = self.join_columns.len();
-        let emitted = if m >= 2 {
-            match self.state {
-                StateStore::Columnar(_) => self.probe_columnar(s, &key, &tuple, sink),
-                StateStore::Row(_) => {
-                    if m <= INLINE_STREAMS {
-                        let mut lists = [SpanList::One(&tuple); INLINE_STREAMS];
-                        self.probe_row(s, &key, &mut lists[..m], sink)
-                    } else {
-                        let mut lists = vec![SpanList::One(&tuple); m];
-                        self.probe_row(s, &key, &mut lists, sink)
-                    }
-                }
-            }
-        } else {
-            0
-        };
-
-        let added = tuple.heap_size() + PER_TUPLE_OVERHEAD;
-        match &mut self.state {
-            StateStore::Row(streams) => streams[s].insert(key, tuple),
-            StateStore::Columnar(cols) => cols[s].insert(key, &tuple),
-        }
-        self.bytes += added;
-        self.output_count += emitted;
-        self.decay.window_output += emitted;
-        Ok((emitted, added))
-    }
-
-    /// Probe every stream other than `s` (whose slot in `lists` already
-    /// holds the probing tuple) and deliver the product. Bails early on
-    /// any empty side. The span lists borrow the stream state directly;
-    /// all borrows end before the caller stores the tuple.
-    fn probe_row<'a>(
-        &'a self,
-        s: usize,
-        key: &HashedKey,
-        lists: &mut [SpanList<'a>],
-        sink: &mut dyn ResultSink,
-    ) -> u64 {
-        let StateStore::Row(streams) = &self.state else {
-            unreachable!("probe_row on columnar state");
-        };
-        let mut ts_sorted = true;
-        for (i, sp) in streams.iter().enumerate() {
-            if i == s {
-                continue;
-            }
-            let positions = sp.matches(key);
-            if positions.is_empty() {
-                return 0;
-            }
-            lists[i] = SpanList::Indexed {
-                tuples: &sp.tuples,
-                positions,
-            };
-            ts_sorted &= sp.ts_sorted;
-        }
-        sink.emit_product(&ProbeSpans::new(lists, self.window, ts_sorted))
-    }
-
-    /// Columnar probe entry: splits `self`'s fields so the span lists
-    /// can borrow the columns and (for row-wanting sinks) the reused
-    /// scratch buffers simultaneously.
-    fn probe_columnar(
-        &mut self,
-        s: usize,
-        key: &HashedKey,
-        tuple: &Tuple,
-        sink: &mut dyn ResultSink,
-    ) -> u64 {
-        let m = self.join_columns.len();
-        let window = self.window;
-        let PartitionGroup { state, scratch, .. } = self;
-        let StateStore::Columnar(cols) = &*state else {
-            unreachable!("probe_columnar on row state");
-        };
-        if m <= INLINE_STREAMS {
-            let mut lists = [SpanList::One(tuple); INLINE_STREAMS];
-            let mut pos: [&[u32]; INLINE_STREAMS] = [&[]; INLINE_STREAMS];
-            Self::probe_columnar_into(
-                cols,
-                scratch,
-                window,
-                s,
-                key,
-                &mut pos[..m],
-                &mut lists[..m],
-                sink,
-            )
-        } else {
-            let mut lists = vec![SpanList::One(tuple); m];
-            let mut pos: Vec<&[u32]> = vec![&[]; m];
-            Self::probe_columnar_into(cols, scratch, window, s, key, &mut pos, &mut lists, sink)
-        }
-    }
-
-    /// Vectorized columnar probe. Pass A checks every other stream for a
-    /// non-empty match list (hash computed once, one lookup per stream —
-    /// the position slices are kept for pass B) and bails before
-    /// touching any payload. Pass B then builds the span lists:
-    /// timestamp-only views for count-only sinks, materialized row
-    /// slices (into the reused scratch buffers) for sinks that
-    /// enumerate.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_columnar_into<'a>(
-        cols: &'a [ColumnarPartition],
-        scratch: &'a mut Vec<Vec<Tuple>>,
-        window: Option<VirtualDuration>,
-        s: usize,
-        key: &HashedKey,
-        pos: &mut [&'a [u32]],
-        lists: &mut [SpanList<'a>],
-        sink: &mut dyn ResultSink,
-    ) -> u64 {
-        let mut ts_sorted = true;
-        for (i, cp) in cols.iter().enumerate() {
-            if i == s {
-                continue;
-            }
-            let p = cp.matches(key);
-            if p.is_empty() {
-                return 0;
-            }
-            pos[i] = p;
-            ts_sorted &= cp.ts_sorted;
-        }
-        if sink.wants_rows() {
-            if scratch.len() < cols.len() {
-                scratch.resize_with(cols.len(), Vec::new);
-            }
-            for (i, cp) in cols.iter().enumerate() {
-                if i == s {
-                    continue;
-                }
-                let buf = &mut scratch[i];
-                buf.clear();
-                buf.extend(
-                    pos[i]
-                        .iter()
-                        .map(|&p| cp.materialize(StreamId(i as u8), p as usize)),
-                );
-            }
-            let scratch: &'a [Vec<Tuple>] = scratch;
-            for (i, rows) in scratch.iter().enumerate().take(cols.len()) {
-                if i == s {
-                    continue;
-                }
-                lists[i] = SpanList::Slice(rows);
-            }
-        } else {
-            for (i, cp) in cols.iter().enumerate() {
-                if i == s {
-                    continue;
-                }
-                lists[i] = SpanList::TsOnly {
-                    ts: &cp.ts,
-                    positions: pos[i],
-                };
-            }
-        }
-        sink.emit_product(&ProbeSpans::new(lists, window, ts_sorted))
+        tuple
+            .get(self.join_columns[s])
+            .ok_or_else(|| DcapeError::state("tuple lacks join column"))
     }
 
     /// Drop every tuple whose window has fully expired at the purge
@@ -847,7 +827,7 @@ impl PartitionGroup {
     ///
     /// Costs O(streams) when nothing expired and O(expired rows)
     /// amortised when the streams are in time order; see
-    /// [`ColumnarPartition::purge`].
+    /// [`ColumnarState::purge`].
     pub fn purge_expired(&mut self, horizon: VirtualTime) -> usize {
         let Some(window) = self.window else {
             return 0;
@@ -886,9 +866,9 @@ impl PartitionGroup {
                     }
                 }
             }
-            StateStore::Columnar(cols) => {
-                for (cp, &column) in cols.iter_mut().zip(self.join_columns.iter()) {
-                    let (bytes, touched) = cp.purge(cutoff, column);
+            StateStore::Columnar(st) => {
+                for (s, &column) in self.join_columns.iter().enumerate() {
+                    let (bytes, touched) = st.purge(s, cutoff, column);
                     freed += bytes;
                     self.purge_touched += touched;
                 }
@@ -915,7 +895,8 @@ impl PartitionGroup {
     pub fn into_snapshot(self) -> (SpilledGroup, u64) {
         let per_stream = match self.state {
             StateStore::Row(streams) => streams.into_iter().map(|s| s.tuples).collect(),
-            StateStore::Columnar(cols) => cols
+            StateStore::Columnar(st) => st
+                .cols
                 .iter()
                 .enumerate()
                 .map(|(s, cp)| {
@@ -954,17 +935,16 @@ impl PartitionGroup {
         let mut group = PartitionGroup::new(snapshot.partition, join_columns, window, layout);
         for (s, tuples) in snapshot.per_stream.into_iter().enumerate() {
             for t in tuples {
-                let key = HashedKey::new(
-                    t.get(group.join_columns[s])
-                        .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?
-                        .clone(),
-                );
+                let key = t
+                    .get(group.join_columns[s])
+                    .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
                 match &mut group.state {
                     StateStore::Row(streams) => {
                         group.bytes += t.heap_size() + PER_TUPLE_OVERHEAD;
+                        let key = HashedKey::new(key.clone());
                         streams[s].insert(key, t);
                     }
-                    StateStore::Columnar(cols) => {
+                    StateStore::Columnar(st) => {
                         // Columnar state regenerates stream IDs from the
                         // slot index at materialization; a mismatched
                         // snapshot would silently relabel rows, so refuse
@@ -975,9 +955,9 @@ impl PartitionGroup {
                                 t.stream()
                             )));
                         }
-                        cols[s].check_capacity(&t)?;
+                        st.check_capacity(s, &t)?;
                         group.bytes += t.heap_size() + PER_TUPLE_OVERHEAD;
-                        cols[s].insert(key, &t);
+                        st.insert(s, key, &t);
                     }
                 }
             }
@@ -991,7 +971,8 @@ impl PartitionGroup {
     pub fn snapshot(&self) -> SpilledGroup {
         let per_stream = match &self.state {
             StateStore::Row(streams) => streams.iter().map(|s| s.tuples.clone()).collect(),
-            StateStore::Columnar(cols) => cols
+            StateStore::Columnar(st) => st
+                .cols
                 .iter()
                 .enumerate()
                 .map(|(s, cp)| {
@@ -1017,7 +998,8 @@ impl PartitionGroup {
                 .flat_map(|s| s.tuples.iter())
                 .map(|t| t.heap_size() + PER_TUPLE_OVERHEAD)
                 .sum(),
-            StateStore::Columnar(cols) => cols
+            StateStore::Columnar(st) => st
+                .cols
                 .iter()
                 .enumerate()
                 .flat_map(|(s, cp)| {
@@ -1034,15 +1016,15 @@ impl PartitionGroup {
     fn ts_sorted_of(&self, s: usize) -> bool {
         match &self.state {
             StateStore::Row(streams) => streams[s].ts_sorted,
-            StateStore::Columnar(cols) => cols[s].ts_sorted,
+            StateStore::Columnar(st) => st.cols[s].ts_sorted,
         }
     }
 
-    /// Test-only: check every columnar stream's structural invariants.
+    /// Test-only: check the columnar state's structural invariants.
     #[cfg(test)]
     fn assert_invariants(&self) {
-        if let StateStore::Columnar(cols) = &self.state {
-            cols.iter().for_each(ColumnarPartition::assert_invariants);
+        if let StateStore::Columnar(st) = &self.state {
+            st.assert_invariants(&self.join_columns);
         }
     }
 
@@ -1051,7 +1033,7 @@ impl PartitionGroup {
     fn stream_len(&self, s: usize) -> usize {
         match &self.state {
             StateStore::Row(streams) => streams[s].tuples.len(),
-            StateStore::Columnar(cols) => cols[s].len(),
+            StateStore::Columnar(st) => st.cols[s].len(),
         }
     }
 }
@@ -1231,49 +1213,6 @@ mod tests {
             let mut sink = CountingSink::new();
             // Tuple has only one column; join column 2 is missing.
             assert!(g.insert(tpl(0, 0, 1), &mut sink).is_err());
-        }
-    }
-
-    #[test]
-    fn insert_run_matches_per_tuple_inserts() {
-        for layout in LAYOUTS {
-            let mut batched = group3(layout);
-            let mut single = group3(layout);
-            let mut bsink = CountingSink::new();
-            let mut ssink = CountingSink::new();
-            let tuples: Vec<Tuple> = (0..18u64)
-                .map(|i| tpl((i % 3) as u8, i, (i % 2) as i64))
-                .collect();
-            let mut run = tuples.clone();
-            let (emitted, added, status) = batched.insert_run(&mut run, &mut bsink);
-            assert!(status.is_ok());
-            assert!(run.is_empty(), "insert_run drains the batch");
-            let mut s_emitted = 0u64;
-            let mut s_added = 0usize;
-            for t in tuples {
-                let (e, a) = single.insert(t, &mut ssink).unwrap();
-                s_emitted += e;
-                s_added += a;
-            }
-            assert_eq!(emitted, s_emitted);
-            assert_eq!(added, s_added);
-            assert_eq!(bsink.count(), ssink.count());
-            assert_eq!(batched.bytes(), single.bytes());
-        }
-    }
-
-    #[test]
-    fn insert_run_inserts_valid_prefix_then_errors() {
-        for layout in LAYOUTS {
-            let mut g = group3(layout);
-            let mut sink = CountingSink::new();
-            let mut run = vec![tpl(0, 0, 1), tpl(1, 0, 1), tpl(7, 0, 1), tpl(2, 0, 1)];
-            let (_, added, status) = g.insert_run(&mut run, &mut sink);
-            assert!(status.is_err(), "out-of-range stream reported");
-            assert!(run.is_empty());
-            assert_eq!(g.tuple_count(), 2, "valid prefix inserted, tail dropped");
-            assert!(added > 0);
-            assert_eq!(g.bytes(), g.recompute_bytes());
         }
     }
 
@@ -1587,15 +1526,22 @@ mod tests {
         //! Random interleavings of in-order and late inserts, purges at
         //! arbitrary horizons and snapshot round trips, checked after
         //! every step against a naive `Vec<Tuple>` filter model — on
-        //! both layouts, so they are also checked against each other.
+        //! both layouts, so they are also checked against each other —
+        //! for 2-, 3- and 5-way joins and for integer and text keys.
 
         use super::*;
         use proptest::prelude::*;
 
         const WINDOW_MS: u64 = 120;
+        /// Most streams the properties join; ops draw a stream below it
+        /// and the run folds that into its own stream count.
+        const MAX_STREAMS: u8 = 5;
+
         /// Stream 1 keeps its key in column 1 so key recovery has to
         /// decode past a payload column.
-        const JOIN_COLUMNS: [usize; 3] = [0, 1, 0];
+        fn join_column(stream: usize) -> usize {
+            usize::from(stream == 1)
+        }
 
         #[derive(Debug, Clone)]
         enum Op {
@@ -1613,7 +1559,7 @@ mod tests {
         fn op_strategy() -> impl Strategy<Value = Op> {
             const W: u64 = WINDOW_MS;
             let insert = |offsets: std::ops::Range<i64>| {
-                (0u8..3, 0i64..4, offsets).prop_map(|(stream, key, offset)| Op::Insert {
+                (0..MAX_STREAMS, 0i64..4, offsets).prop_map(|(stream, key, offset)| Op::Insert {
                     stream,
                     key,
                     offset,
@@ -1642,26 +1588,41 @@ mod tests {
         /// The reference: live tuples per stream in arrival order, and
         /// the sortedness flag as the layouts define it.
         struct Model {
-            live: [Vec<Tuple>; 3],
-            sorted: [bool; 3],
+            live: Vec<Vec<Tuple>>,
+            sorted: Vec<bool>,
         }
 
         impl Model {
+            fn key(t: &Tuple) -> &Value {
+                t.get(join_column(t.stream().index()))
+                    .expect("built with it")
+            }
+
             /// Same-key combinations of `t` with one live tuple of each
             /// other stream whose timestamps all fit the window.
             fn matches(&self, t: &Tuple) -> u64 {
-                let key = |u: &Tuple| u.get(JOIN_COLUMNS[u.stream().index()]).cloned();
-                let s = t.stream().index();
-                let (a, b) = ((s + 1) % 3, (s + 2) % 3);
-                let mut n = 0;
-                for x in self.live[a].iter().filter(|x| key(x) == key(t)) {
-                    for y in self.live[b].iter().filter(|y| key(y) == key(t)) {
-                        let ts = [t, x, y].map(|u| u.ts().as_millis());
-                        let span = ts.iter().max().unwrap() - ts.iter().min().unwrap();
-                        n += u64::from(span <= WINDOW_MS);
+                /// Combinations over `sides` that keep `lo..=hi` within
+                /// the window.
+                fn count(sides: &[Vec<u64>], lo: u64, hi: u64) -> u64 {
+                    if hi - lo > WINDOW_MS {
+                        return 0;
+                    }
+                    match sides.split_first() {
+                        None => 1,
+                        Some((side, rest)) => side
+                            .iter()
+                            .map(|&ts| count(rest, lo.min(ts), hi.max(ts)))
+                            .sum(),
                     }
                 }
-                n
+                let sides: Vec<Vec<u64>> = (0..self.live.len())
+                    .filter(|&s| s != t.stream().index())
+                    .map(|s| {
+                        let same_key = self.live[s].iter().filter(|u| Self::key(u) == Self::key(t));
+                        same_key.map(|u| u.ts().as_millis()).collect()
+                    })
+                    .collect();
+                count(&sides, t.ts().as_millis(), t.ts().as_millis())
             }
 
             fn insert(&mut self, t: Tuple) {
@@ -1705,84 +1666,127 @@ mod tests {
             }
         }
 
-        fn tuple(stream: u8, seq: u64, ts: u64, key: i64) -> Tuple {
+        fn tuple(stream: u8, seq: u64, ts: u64, key: Value) -> Tuple {
             let payload = &"payload"[..(seq % 7) as usize];
             let b = TupleBuilder::new(StreamId(stream))
                 .seq(seq)
                 .ts(VirtualTime::from_millis(ts));
             // The trailing column makes every row's arena slice unique.
-            if JOIN_COLUMNS[stream as usize] == 0 {
+            if join_column(stream as usize) == 0 {
                 b.value(key).value(payload).value(seq as i64).build()
             } else {
                 b.value(payload).value(key).value(seq as i64).build()
             }
         }
 
+        /// Drive both layouts of an `m`-way join and the model through
+        /// `ops`.
+        fn run(m: usize, text_keys: bool, ops: Vec<Op>) -> Result<(), TestCaseError> {
+            let window = Some(VirtualDuration::from_millis(WINDOW_MS));
+            let join_columns: Vec<usize> = (0..m).map(join_column).collect();
+            let mut model = Model {
+                live: vec![Vec::new(); m],
+                sorted: vec![true; m],
+            };
+            let mut groups = LAYOUTS
+                .map(|l| PartitionGroup::new(PartitionId(5), join_columns.clone(), window, l));
+            let mut sink = CountingSink::new();
+            let (mut newest, mut last_horizon) = (0u64, 0u64);
+            for (seq, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Insert {
+                        stream,
+                        key,
+                        offset,
+                    } => {
+                        let ts = newest.saturating_add_signed(offset);
+                        newest = newest.max(ts);
+                        let key = if text_keys {
+                            Value::text(format!("key-{key}"))
+                        } else {
+                            Value::Int(key)
+                        };
+                        let t = tuple(stream % m as u8, seq as u64, ts, key);
+                        let expected = model.matches(&t);
+                        for g in &mut groups {
+                            let (emitted, _) = g.insert(t.clone(), &mut sink).unwrap();
+                            prop_assert_eq!(emitted, expected, "probe count at step {}", seq);
+                        }
+                        model.insert(t);
+                    }
+                    Op::Purge { offset } => {
+                        if let Some(offset) = offset {
+                            last_horizon = (newest + offset).saturating_sub(WINDOW_MS);
+                        }
+                        let horizon = VirtualTime::from_millis(last_horizon);
+                        let cutoff =
+                            VirtualTime::from_millis(last_horizon.saturating_sub(WINDOW_MS));
+                        let expected = model.purge(cutoff);
+                        for g in &mut groups {
+                            prop_assert_eq!(g.purge_expired(horizon), expected);
+                        }
+                    }
+                    Op::RoundTrip => {
+                        for g in &mut groups {
+                            *g = PartitionGroup::from_snapshot(
+                                g.snapshot(),
+                                join_columns.clone(),
+                                window,
+                                g.output_count(),
+                                g.layout(),
+                            )
+                            .unwrap();
+                        }
+                        for (live, sorted) in model.live.iter().zip(&mut model.sorted) {
+                            *sorted = Model::in_order(live);
+                        }
+                    }
+                }
+                for g in &groups {
+                    g.assert_invariants();
+                    prop_assert_eq!(&g.snapshot().per_stream[..], &model.live[..]);
+                    prop_assert_eq!(g.bytes(), model.bytes());
+                    prop_assert_eq!(g.bytes(), g.recompute_bytes());
+                    for s in 0..m {
+                        prop_assert_eq!(g.ts_sorted_of(s), model.sorted[s]);
+                    }
+                }
+            }
+            Ok(())
+        }
+
         proptest! {
+            #![proptest_config(ProptestConfig {
+                cases: crate::state::proptest_cases(64),
+                ..ProptestConfig::default()
+            })]
+
             #[test]
             fn purge_matches_naive_filter_model(
                 ops in proptest::collection::vec(op_strategy(), 50..600)
             ) {
-                let window = Some(VirtualDuration::from_millis(WINDOW_MS));
-                let mut model = Model {
-                    live: Default::default(),
-                    sorted: [true; 3],
-                };
-                let mut groups = LAYOUTS
-                    .map(|l| PartitionGroup::new(PartitionId(5), JOIN_COLUMNS.to_vec(), window, l));
-                let mut sink = CountingSink::new();
-                let (mut newest, mut last_horizon) = (0u64, 0u64);
-                for (seq, op) in ops.into_iter().enumerate() {
-                    match op {
-                        Op::Insert { stream, key, offset } => {
-                            let ts = newest.saturating_add_signed(offset);
-                            newest = newest.max(ts);
-                            let t = tuple(stream, seq as u64, ts, key);
-                            let expected = model.matches(&t);
-                            for g in &mut groups {
-                                let (emitted, _) = g.insert(t.clone(), &mut sink).unwrap();
-                                prop_assert_eq!(emitted, expected, "probe count at step {}", seq);
-                            }
-                            model.insert(t);
-                        }
-                        Op::Purge { offset } => {
-                            if let Some(offset) = offset {
-                                last_horizon = (newest + offset).saturating_sub(WINDOW_MS);
-                            }
-                            let horizon = VirtualTime::from_millis(last_horizon);
-                            let cutoff =
-                                VirtualTime::from_millis(last_horizon.saturating_sub(WINDOW_MS));
-                            let expected = model.purge(cutoff);
-                            for g in &mut groups {
-                                prop_assert_eq!(g.purge_expired(horizon), expected);
-                            }
-                        }
-                        Op::RoundTrip => {
-                            for g in &mut groups {
-                                *g = PartitionGroup::from_snapshot(
-                                    g.snapshot(),
-                                    JOIN_COLUMNS.to_vec(),
-                                    window,
-                                    g.output_count(),
-                                    g.layout(),
-                                )
-                                .unwrap();
-                            }
-                            for (live, sorted) in model.live.iter().zip(&mut model.sorted) {
-                                *sorted = Model::in_order(live);
-                            }
-                        }
-                    }
-                    for g in &groups {
-                        g.assert_invariants();
-                        prop_assert_eq!(&g.snapshot().per_stream[..], &model.live[..]);
-                        prop_assert_eq!(g.bytes(), model.bytes());
-                        prop_assert_eq!(g.bytes(), g.recompute_bytes());
-                        for s in 0..3 {
-                            prop_assert_eq!(g.ts_sorted_of(s), model.sorted[s]);
-                        }
-                    }
-                }
+                run(3, false, ops)?;
+            }
+
+            #[test]
+            fn purge_matches_model_with_text_keys(
+                ops in proptest::collection::vec(op_strategy(), 50..400)
+            ) {
+                run(3, true, ops)?;
+            }
+
+            #[test]
+            fn purge_matches_model_two_way(
+                ops in proptest::collection::vec(op_strategy(), 50..400)
+            ) {
+                run(2, false, ops)?;
+            }
+
+            #[test]
+            fn purge_matches_model_five_way(
+                ops in proptest::collection::vec(op_strategy(), 50..400)
+            ) {
+                run(5, true, ops)?;
             }
         }
     }

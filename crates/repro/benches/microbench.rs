@@ -257,6 +257,72 @@ fn bench_purge_steady_state(c: &mut Criterion) {
     group.finish();
 }
 
+/// Probe + insert into a full sliding window — the kernel of
+/// `dcape-bench`'s paced job, timed without the bench crate. A 600 s
+/// window is filled at the paper rate over 120 partitions (≈ 60 000 live
+/// rows, ≈ 10 000 keys); 100 s more input, pre-routed into 64-tick
+/// batches (192 tuples, the threaded driver's cap), is then fed to the
+/// one engine with a purge pulse once a virtual second has passed — a
+/// batch spans 1.92 of them, so after each, as in the paced job — which
+/// keeps state at its steady size. Only the batches and pulses are
+/// timed: the element rate is tuples per second.
+fn bench_probe_insert_steady_window(c: &mut Criterion) {
+    use dcape_common::batch::TupleBatch;
+    use dcape_engine::config::EngineConfig;
+    use dcape_engine::engine::QueryEngine;
+    const WINDOW_S: u64 = 600;
+    const STEADY_S: u64 = 100;
+    const BATCH_TICKS: usize = 64;
+    let spec = StreamSetSpec::uniform(120, 30_000, 3, VirtualDuration::from_millis(30))
+        .with_payload_pad(1024);
+    let streams = spec.num_streams;
+    let mut gen = StreamSetGenerator::new(spec).unwrap();
+    let partitioner = gen.partitioner();
+    let routed = |tuples: &[Tuple]| {
+        let mut batch = TupleBatch::with_capacity(tuples.len());
+        for t in tuples {
+            batch.push(partitioner.partition_of(t.get(0).unwrap()), t.clone());
+        }
+        batch
+    };
+    let fill = routed(&gen.generate_until(VirtualTime::from_secs(WINDOW_S)));
+    let steady = gen.generate_until(VirtualTime::from_secs(WINDOW_S + STEADY_S));
+    let batches: Vec<(VirtualTime, TupleBatch)> = steady
+        .chunks(BATCH_TICKS * streams)
+        .map(|chunk| (chunk[chunk.len() - 1].ts(), routed(chunk)))
+        .collect();
+    let mut cfg = EngineConfig::three_way(u64::MAX / 4, u64::MAX / 8);
+    cfg.join = cfg.join.with_window(VirtualDuration::from_secs(WINDOW_S));
+
+    let mut group = c.benchmark_group("join/probe_insert_steady_window");
+    group.throughput(Throughput::Elements(steady.len() as u64));
+    group.bench_function("100_s", |b| {
+        b.iter_batched(
+            || {
+                let mut engine = QueryEngine::in_memory(EngineId(0), cfg.clone()).unwrap();
+                engine
+                    .process_batch(fill.clone(), &mut CountingSink::new())
+                    .unwrap();
+                (engine, batches.clone())
+            },
+            |(mut engine, batches)| {
+                let mut sink = CountingSink::new();
+                let mut pulse = VirtualTime::from_secs(WINDOW_S + 1);
+                for (now, batch) in batches {
+                    engine.process_batch(batch, &mut sink).unwrap();
+                    if now >= pulse {
+                        engine.purge_at(now);
+                        pulse = now + VirtualDuration::from_secs(1);
+                    }
+                }
+                black_box((sink.count(), engine))
+            },
+            criterion::BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 /// Trace record + replay throughput.
 fn bench_trace_io(c: &mut Criterion) {
     use dcape_storage::{TraceReader, TraceWriter};
@@ -312,6 +378,7 @@ criterion_group!(
     bench_generator,
     bench_relocation_transfer,
     bench_purge_steady_state,
+    bench_probe_insert_steady_window,
     bench_trace_io,
     bench_per_input_join,
 );

@@ -54,12 +54,13 @@ pub enum ToEngine {
         /// The tuple.
         tuple: Tuple,
     },
-    /// A whole tick's worth of routed tuples for this engine — the
-    /// batched data path. Semantically identical to a sequence of
+    /// A batch of routed tuples for this engine — the batched data
+    /// path (up to 64 ticks' worth from the threaded and socket
+    /// drivers). Semantically identical to a sequence of
     /// [`ToEngine::Data`] messages in batch order, but one channel send
-    /// per engine per tick.
+    /// or one frame for all of them.
     DataBatch {
-        /// The routed tuples, in arrival order.
+        /// The routed tuples, in arrival order, held encoded.
         tuples: TupleBatch,
     },
     /// Step 1: compute partitions to vacate worth `amount` bytes.

@@ -739,7 +739,7 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
             if pending.is_empty() {
                 continue;
             }
-            let tuples = std::mem::replace(pending, TupleBatch::with_capacity(pending.len()));
+            let tuples = pending.take();
             net.send(EngineId(i as u16), ToEngine::DataBatch { tuples })?;
         }
         Ok(())

@@ -177,9 +177,9 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
                 if pending.is_empty() {
                     continue;
                 }
-                // Right-size the replacement so the next accumulation
-                // window fills it without growing from empty.
-                let tuples = std::mem::replace(pending, TupleBatch::with_capacity(pending.len()));
+                // The batch crosses the channel as one allocation;
+                // `take` leaves a buffer of the same byte size behind.
+                let tuples = pending.take();
                 txs[i]
                     .send(ToEngine::DataBatch { tuples })
                     .map_err(|_| DcapeError::Disconnected(format!("engine {i} channel closed")))?;

@@ -33,10 +33,10 @@ use std::io::{Read, Write};
 
 use bytes::Buf;
 
+use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
-use dcape_common::tuple::Tuple;
 use dcape_engine::config::{CostModel, EngineConfig, MJoinConfig, StateLayout};
 use dcape_engine::spill::policy::VictimPolicy;
 use dcape_engine::state::productivity::ProductivityEstimator;
@@ -321,14 +321,6 @@ fn get_static_str(buf: &mut &[u8]) -> Result<&'static str> {
 
 // ---------------------------------------------------------------------
 // Composite helpers.
-
-fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
-    encode_tuple(buf, t);
-}
-
-fn get_tuple(buf: &mut &[u8]) -> Result<Tuple> {
-    decode_tuple(buf)
-}
 
 fn put_group(buf: &mut Vec<u8>, g: &SpilledGroup) {
     let bytes = g.encode();
@@ -800,15 +792,13 @@ fn put_to_engine(buf: &mut Vec<u8>, msg: &ToEngine) {
         ToEngine::Data { pid, tuple } => {
             buf.push(K_DATA);
             put_pid(buf, *pid);
-            put_tuple(buf, tuple);
+            encode_tuple(buf, tuple);
         }
+        // A batch holds its rows already in this encoding.
         ToEngine::DataBatch { tuples } => {
             buf.push(K_DATA_BATCH);
             put_varint(buf, tuples.len() as u64);
-            for (pid, tuple) in tuples {
-                put_pid(buf, *pid);
-                put_tuple(buf, tuple);
-            }
+            buf.extend_from_slice(tuples.as_bytes());
         }
         ToEngine::Cptv {
             round,
@@ -899,17 +889,14 @@ fn get_to_engine(kind: u8, buf: &mut &[u8]) -> Result<ToEngine> {
     Ok(match kind {
         K_DATA => ToEngine::Data {
             pid: get_pid(buf)?,
-            tuple: get_tuple(buf)?,
+            tuple: decode_tuple(buf)?,
         },
+        // The rows are outside input: `decode` checks every one in its
+        // single walk, so the engine can read them without failing.
         K_DATA_BATCH => {
             let n = get_count(buf, "batch tuple")?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                let pid = get_pid(buf)?;
-                items.push((pid, get_tuple(buf)?));
-            }
             ToEngine::DataBatch {
-                tuples: items.into(),
+                tuples: TupleBatch::decode(n, buf)?,
             }
         }
         K_CPTV => ToEngine::Cptv {
@@ -1280,7 +1267,8 @@ pub fn msg_kind_name(msg: &WireMsg) -> &'static str {
 mod tests {
     use super::*;
     use dcape_common::ids::StreamId;
-    use dcape_common::tuple::TupleBuilder;
+    use dcape_common::tuple::{Tuple, TupleBuilder};
+    use dcape_common::value::Value;
 
     fn tuple(stream: u8, seq: u64) -> Tuple {
         TupleBuilder::new(StreamId(stream))
@@ -1310,7 +1298,7 @@ mod tests {
     }
 
     fn sample_to_engine() -> Vec<ToEngine> {
-        let mut batch = dcape_common::batch::TupleBatch::new();
+        let mut batch = TupleBatch::new();
         batch.push(PartitionId(1), tuple(0, 1));
         batch.push(PartitionId(2), tuple(1, 2));
         vec![
@@ -1380,6 +1368,109 @@ mod tests {
                 other => panic!("expected Engine, got {other:?}"),
             }
         }
+    }
+
+    /// Rows of every value kind, an empty row, a wide partition id.
+    fn mixed_rows() -> Vec<(PartitionId, Tuple)> {
+        let blob = Value::Blob(bytes::Bytes::from(vec![0xAB; 40]));
+        vec![
+            (PartitionId(1), tuple(0, 1)),
+            (
+                PartitionId(u32::MAX),
+                TupleBuilder::new(StreamId(2))
+                    .seq(u64::MAX)
+                    .ts(VirtualTime::from_millis(1 << 40))
+                    .value(-7i64)
+                    .value("bank1.offerCurrency-é")
+                    .value(blob)
+                    .build(),
+            ),
+            (PartitionId(300), TupleBuilder::new(StreamId(1)).build()),
+            (
+                PartitionId(0),
+                TupleBuilder::new(StreamId(0))
+                    .value(Value::Null)
+                    .value(2.5f64)
+                    .value(true)
+                    .pad(u32::MAX)
+                    .build(),
+            ),
+        ]
+    }
+
+    fn data_batch_frame(seq: u64, rows: &[(PartitionId, Tuple)]) -> Vec<u8> {
+        let mut batch = TupleBatch::new();
+        for (pid, t) in rows {
+            batch.push(*pid, t.clone());
+        }
+        frame_bytes(seq, &WireMsg::Engine(ToEngine::DataBatch { tuples: batch })).unwrap()
+    }
+
+    /// A `DataBatch` frame is byte for byte what the per-tuple encoder
+    /// wrote before batches held their rows encoded; that loop is kept
+    /// here as the reference for the wire format.
+    #[test]
+    fn data_batch_frame_matches_the_per_tuple_reference() {
+        for rows in [mixed_rows(), Vec::new()] {
+            let mut payload = Vec::new();
+            put_varint(&mut payload, 9);
+            payload.push(K_DATA_BATCH);
+            put_varint(&mut payload, rows.len() as u64);
+            for (pid, t) in &rows {
+                put_pid(&mut payload, *pid);
+                encode_tuple(&mut payload, t);
+            }
+            let len = payload.len() as u32;
+            let mut expected = len.to_le_bytes().to_vec();
+            expected.extend_from_slice(&payload);
+            expected.extend_from_slice(&(len ^ LEN_CHECK).to_le_bytes());
+            let frame = data_batch_frame(9, &rows);
+            assert_eq!(frame, expected);
+            // And it reads back as the rows that went in.
+            match read_frame(&mut frame.as_slice()).unwrap() {
+                Some((9, WireMsg::Engine(ToEngine::DataBatch { tuples }))) => {
+                    let got: Vec<(PartitionId, Tuple)> =
+                        tuples.rows().map(|r| (r.pid(), r.to_tuple())).collect();
+                    assert_eq!(got, rows);
+                }
+                other => panic!("expected a DataBatch, got {other:?}"),
+            }
+        }
+    }
+
+    /// Rows off a socket are outside input. Cut a `DataBatch` frame at
+    /// every offset and flip every bit of it: `read_frame` answers
+    /// `Err` (or, for a flip that happens to leave well-formed rows, a
+    /// batch) and never panics — and a batch it hands out can be read
+    /// to the end, which is all the engine does with one.
+    #[test]
+    fn damaged_data_batch_frames_error_and_never_panic() {
+        let frame = data_batch_frame(3, &mixed_rows());
+        assert!(read_frame(&mut &frame[..0]).unwrap().is_none());
+        for cut in 1..frame.len() {
+            assert!(read_frame(&mut &frame[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut survived = 0;
+        for idx in 0..frame.len() {
+            for bit in 0..8 {
+                let mut bytes = frame.clone();
+                bytes[idx] ^= 1 << bit;
+                match read_frame(&mut bytes.as_slice()) {
+                    Ok(Some((_, WireMsg::Engine(ToEngine::DataBatch { tuples })))) => {
+                        survived += 1;
+                        assert_eq!(tuples.rows().len(), tuples.len());
+                        for row in tuples.rows() {
+                            assert_eq!(row.to_tuple().arity(), row.arity());
+                            let _ = row.value(0);
+                        }
+                    }
+                    Ok(other) => panic!("flip {idx}.{bit} decoded to {other:?}"),
+                    Err(_) => {}
+                }
+            }
+        }
+        // Flips in a sequence number or a blob's bytes leave valid rows.
+        assert!(survived > 0 && survived < frame.len() * 8);
     }
 
     #[test]

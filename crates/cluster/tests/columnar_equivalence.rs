@@ -18,19 +18,11 @@ use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::ids::PartitionId;
+use dcape_common::testing::proptest_cases as cases;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::{EngineConfig, StateLayout};
 use dcape_storage::SegmentCodec;
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
-
-/// Proptest case count, overridable for CI stress runs (see
-/// `count_equivalence.rs` for why the env var is read by hand).
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The knobs a single equivalence case explores.
 #[derive(Debug, Clone)]

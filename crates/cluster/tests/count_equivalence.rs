@@ -24,19 +24,10 @@ use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::ids::PartitionId;
+use dcape_common::testing::proptest_cases as cases;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
-
-/// Proptest case count, overridable for CI stress runs: an explicit
-/// `cases:` in `ProptestConfig` takes precedence over the
-/// `PROPTEST_CASES` env var, so read the var ourselves.
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// When `DCAPE_JOURNAL_DUMP` names a directory, write a run's journal
 /// there as JSONL (CI uploads the directory as an artifact on failure).

@@ -1,20 +1,51 @@
 //! Batched tuple transport.
 //!
-//! A [`TupleBatch`] carries one generator tick's worth of routed tuples —
-//! `(PartitionId, Tuple)` pairs in arrival order — so the dataflow pays
-//! one channel send / one dispatch per engine per tick instead of one per
-//! tuple. The batch boundary is purely a transport grouping: consumers
-//! must preserve the contained order (or any stable reordering by
-//! partition, which keeps intra-stream, intra-partition order intact).
+//! A [`TupleBatch`] carries routed tuples — rows of `(PartitionId,
+//! Tuple)` in arrival order — from a split to one engine, so the
+//! dataflow pays one channel send / one frame / one dispatch per batch
+//! instead of one per tuple (the sim delivers a batch per generator
+//! tick; the threaded and socket drivers coalesce up to 64 ticks). The
+//! batch boundary is purely a transport grouping: consumers must
+//! preserve the contained order.
+//!
+//! The batch is **one flat byte buffer plus a row count**. Its bytes are
+//! exactly the body of a `DataBatch` wire frame:
+//!
+//! ```text
+//! row  := pid:varint tuple          (tuple as in [`crate::codec`])
+//!       = pid:varint stream:u8 seq:varint ts:varint arity:varint value*
+//! ```
+//!
+//! [`push`](TupleBatch::push) encodes the tuple once, on the thread that
+//! made it, and drops it there; the batch then crosses a channel as one
+//! allocation, is framed onto a socket by a bulk copy, and the columnar
+//! join state copies each row's `arity value*` tail — already its arena
+//! row format — without ever rebuilding a [`Tuple`]. Rows that arrive
+//! from outside the program enter through [`TupleBatch::decode`], whose
+//! one walk checks everything the row readers rely on.
 
-use crate::ids::PartitionId;
-use crate::tuple::Tuple;
+use bytes::Buf;
+
+use crate::codec::{decode_value, encode_tuple, get_varint, put_varint, skip_value};
+use crate::error::{DcapeError, Result};
+use crate::ids::{PartitionId, StreamId};
+use crate::time::VirtualTime;
+use crate::tuple::{heap_size, Tuple};
+use crate::value::Value;
+
+/// Bytes [`TupleBatch::with_capacity`] reserves per expected row: what a
+/// paper-spec row (integer key plus a `Pad` column) encodes to. Rows
+/// with real payloads outgrow it by doubling.
+const ROW_BYTES_HINT: usize = 16;
 
 /// An ordered batch of routed tuples, the unit of inter-operator
 /// transfer in the batched dataflow.
 #[derive(Debug, Clone, Default)]
 pub struct TupleBatch {
-    items: Vec<(PartitionId, Tuple)>,
+    /// The encoded rows, back to back; always a whole number of valid
+    /// rows (only `push` and `decode` write it).
+    buf: Vec<u8>,
+    rows: usize,
 }
 
 impl TupleBatch {
@@ -23,92 +54,246 @@ impl TupleBatch {
         TupleBatch::default()
     }
 
-    /// New empty batch with room for `n` tuples.
+    /// New empty batch with room for about `n` small rows.
     pub fn with_capacity(n: usize) -> Self {
         TupleBatch {
-            items: Vec::with_capacity(n),
+            buf: Vec::with_capacity(n * ROW_BYTES_HINT),
+            rows: 0,
         }
     }
 
-    /// Append one routed tuple, preserving arrival order.
+    /// Append one routed tuple, preserving arrival order. The tuple is
+    /// encoded here and dropped.
     #[inline]
     pub fn push(&mut self, pid: PartitionId, tuple: Tuple) {
-        self.items.push((pid, tuple));
+        put_varint(&mut self.buf, pid.0 as u64);
+        encode_tuple(&mut self.buf, &tuple);
+        self.rows += 1;
     }
 
     /// Number of tuples in the batch.
     #[inline]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.rows
     }
 
     /// True if the batch holds no tuples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.rows == 0
     }
 
     /// Drop all tuples, keeping the allocation for reuse.
     #[inline]
     pub fn clear(&mut self) {
-        self.items.clear();
+        self.buf.clear();
+        self.rows = 0;
     }
 
-    /// Iterate over `(pid, tuple)` pairs in batch order.
-    pub fn iter(&self) -> std::slice::Iter<'_, (PartitionId, Tuple)> {
-        self.items.iter()
+    /// Hand the contents off, leaving an empty batch with room for as
+    /// many bytes again — the next accumulation window fills it without
+    /// growing from empty.
+    pub fn take(&mut self) -> TupleBatch {
+        let next = TupleBatch {
+            buf: Vec::with_capacity(self.buf.len()),
+            rows: 0,
+        };
+        std::mem::replace(self, next)
     }
 
-    /// The batch contents as a slice, in batch order.
+    /// The encoded rows: the body of a `DataBatch` frame after its row
+    /// count.
     #[inline]
-    pub fn as_slice(&self) -> &[(PartitionId, Tuple)] {
-        &self.items
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
-    /// Stable sort by partition ID: tuples for the same partition keep
-    /// their relative (arrival) order, so per-partition processing after
-    /// the sort is indistinguishable from per-tuple processing.
-    pub fn sort_by_pid(&mut self) {
-        self.items.sort_by_key(|(pid, _)| *pid);
+    /// Take `rows` encoded rows off the front of `buf` — the inverse of
+    /// [`as_bytes`](Self::as_bytes) for bytes from outside the program.
+    /// One walk checks every row (partition id in range, known value
+    /// tags, lengths inside `buf`, UTF-8 text, `Pad` within `u32`), so
+    /// reading the batch's rows afterwards cannot fail; then the rows
+    /// are copied in bulk.
+    pub fn decode(rows: usize, buf: &mut &[u8]) -> Result<Self> {
+        let all = *buf;
+        let mut rest = all;
+        for _ in 0..rows {
+            parse_row(&mut rest, true)?;
+        }
+        *buf = rest;
+        Ok(TupleBatch {
+            buf: all[..all.len() - rest.len()].to_vec(),
+            rows,
+        })
     }
-}
 
-impl From<Vec<(PartitionId, Tuple)>> for TupleBatch {
-    fn from(items: Vec<(PartitionId, Tuple)>) -> Self {
-        TupleBatch { items }
-    }
-}
-
-impl IntoIterator for TupleBatch {
-    type Item = (PartitionId, Tuple);
-    type IntoIter = std::vec::IntoIter<(PartitionId, Tuple)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a TupleBatch {
-    type Item = &'a (PartitionId, Tuple);
-    type IntoIter = std::slice::Iter<'a, (PartitionId, Tuple)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
+    /// Iterate over the rows in batch order.
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            buf: &self.buf,
+            left: self.rows,
+        }
     }
 }
 
-impl Extend<(PartitionId, Tuple)> for TupleBatch {
-    fn extend<T: IntoIterator<Item = (PartitionId, Tuple)>>(&mut self, iter: T) {
-        self.items.extend(iter);
+/// One row of a [`TupleBatch`], borrowed from its buffer: the routing
+/// header decoded, the column values still encoded.
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a> {
+    pid: PartitionId,
+    stream: StreamId,
+    seq: u64,
+    ts: VirtualTime,
+    arity: usize,
+    /// Sum of the values' [`Value::payload_bytes`].
+    payload: usize,
+    body: &'a [u8],
+}
+
+impl<'a> RowRef<'a> {
+    /// The partition the split routed the tuple to.
+    #[inline]
+    pub fn pid(&self) -> PartitionId {
+        self.pid
     }
+
+    /// Origin stream.
+    #[inline]
+    pub fn stream(&self) -> StreamId {
+        self.stream
+    }
+
+    /// Per-stream arrival sequence number.
+    #[inline]
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Virtual arrival timestamp.
+    #[inline]
+    pub fn ts(&self) -> VirtualTime {
+        self.ts
+    }
+
+    /// Column count.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The encoded columns, `arity:varint value*` — byte for byte the
+    /// columnar state's arena row.
+    #[inline]
+    pub fn body(&self) -> &'a [u8] {
+        self.body
+    }
+
+    /// What [`HeapSize::heap_size`](crate::mem::HeapSize::heap_size)
+    /// reports for the tuple this row encodes.
+    #[inline]
+    pub fn heap_size(&self) -> usize {
+        heap_size(self.arity, self.payload)
+    }
+
+    /// Decode the value in column `idx`, if present, stepping over the
+    /// columns before it.
+    #[inline]
+    pub fn value(&self, idx: usize) -> Option<Value> {
+        if idx >= self.arity {
+            return None;
+        }
+        let mut buf = self.body;
+        get_varint(&mut buf).expect(CHECKED);
+        for _ in 0..idx {
+            skip_value(&mut buf, false).expect(CHECKED);
+        }
+        Some(decode_value(&mut buf).expect(CHECKED))
+    }
+
+    /// Rebuild the tuple.
+    pub fn to_tuple(&self) -> Tuple {
+        let mut buf = self.body;
+        get_varint(&mut buf).expect(CHECKED);
+        let values = (0..self.arity)
+            .map(|_| decode_value(&mut buf).expect(CHECKED))
+            .collect();
+        Tuple::new(self.stream, self.seq, self.ts, values)
+    }
+}
+
+/// Why reading a [`RowRef`]'s body cannot fail.
+const CHECKED: &str = "batch rows are encoded by push or checked by decode";
+
+/// Iterator over the rows of a [`TupleBatch`].
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    buf: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = RowRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<RowRef<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(parse_row(&mut self.buf, false).expect(CHECKED))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+/// Read one row off the front of `buf`: decode the header, step over
+/// the values. The single definition of a well-formed row — `decode`
+/// runs it with `check_utf8` on bytes from outside, [`Rows`] runs it
+/// again without on bytes that passed.
+#[inline]
+fn parse_row<'a>(buf: &mut &'a [u8], check_utf8: bool) -> Result<RowRef<'a>> {
+    let pid = u32::try_from(get_varint(buf)?)
+        .map_err(|_| DcapeError::codec("row: partition id out of range"))?;
+    if buf.is_empty() {
+        return Err(DcapeError::codec("row: unexpected end of input"));
+    }
+    let stream = StreamId(buf.get_u8());
+    let seq = get_varint(buf)?;
+    let ts = VirtualTime::from_millis(get_varint(buf)?);
+    let body_start = *buf;
+    // Every value encodes to at least one byte, which bounds the arity
+    // (and with it the payload sum) by the bytes at hand.
+    let arity = match usize::try_from(get_varint(buf)?) {
+        Ok(n) if n <= buf.len() => n,
+        _ => return Err(DcapeError::codec("row: implausible arity")),
+    };
+    let mut payload = 0usize;
+    for _ in 0..arity {
+        payload = payload.saturating_add(skip_value(buf, check_utf8)?);
+    }
+    Ok(RowRef {
+        pid: PartitionId(pid),
+        stream,
+        seq,
+        ts,
+        arity,
+        payload,
+        body: &body_start[..body_start.len() - buf.len()],
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::StreamId;
-    use crate::time::VirtualTime;
+    use crate::mem::HeapSize;
+    use crate::testing::proptest_cases;
     use crate::tuple::TupleBuilder;
+    use bytes::Bytes;
+    use proptest::prelude::*;
 
     fn tpl(stream: u8, seq: u64) -> Tuple {
         TupleBuilder::new(StreamId(stream))
@@ -125,32 +310,153 @@ mod tests {
         b.push(PartitionId(1), tpl(1, 0));
         b.push(PartitionId(2), tpl(0, 1));
         assert_eq!(b.len(), 3);
-        let seqs: Vec<u64> = b.iter().map(|(_, t)| t.seq()).collect();
-        assert_eq!(seqs, vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn sort_by_pid_is_stable() {
-        let mut b = TupleBatch::new();
-        b.push(PartitionId(2), tpl(0, 0));
-        b.push(PartitionId(1), tpl(1, 0));
-        b.push(PartitionId(2), tpl(0, 1));
-        b.push(PartitionId(1), tpl(1, 1));
-        b.sort_by_pid();
-        let order: Vec<(u32, u8, u64)> = b
-            .iter()
-            .map(|(p, t)| (p.0, t.stream().0, t.seq()))
+        assert_eq!(b.rows().len(), 3);
+        let rows: Vec<(u32, u8, u64)> = b
+            .rows()
+            .map(|r| (r.pid().0, r.stream().0, r.seq()))
             .collect();
-        // Same-pid tuples keep arrival order.
-        assert_eq!(order, vec![(1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 0, 1)]);
+        assert_eq!(rows, vec![(2, 0, 0), (1, 1, 0), (2, 0, 1)]);
     }
 
     #[test]
-    fn clear_keeps_capacity() {
+    fn clear_and_take_leave_an_empty_batch() {
         let mut b = TupleBatch::with_capacity(8);
         b.push(PartitionId(0), tpl(0, 0));
-        b.clear();
-        assert!(b.is_empty());
-        assert!(b.as_slice().is_empty());
+        let bytes = b.as_bytes().len();
+        let taken = b.take();
+        assert_eq!(taken.len(), 1);
+        assert!(b.is_empty() && b.as_bytes().is_empty());
+        assert!(b.buf.capacity() >= bytes);
+        let mut taken = taken;
+        taken.clear();
+        assert!(taken.is_empty());
+        assert!(taken.rows().next().is_none());
+        assert!(taken.buf.capacity() >= bytes, "clear keeps the buffer");
+    }
+
+    #[test]
+    fn value_reads_one_column_and_none_past_the_arity() {
+        let t = TupleBuilder::new(StreamId(1))
+            .value("skipped")
+            .pad(9)
+            .value(7i64)
+            .build();
+        let mut b = TupleBatch::new();
+        b.push(PartitionId(4), t.clone());
+        let row = b.rows().next().unwrap();
+        assert_eq!(row.arity(), 3);
+        for c in 0..3 {
+            assert_eq!(row.value(c).as_ref(), t.get(c));
+        }
+        assert_eq!(row.value(3), None);
+    }
+
+    #[test]
+    fn decode_takes_exactly_its_rows_and_rejects_damage() {
+        let mut b = TupleBatch::new();
+        b.push(PartitionId(300), tpl(0, 1));
+        b.push(
+            PartitionId(1),
+            TupleBuilder::new(StreamId(2)).value("añb").build(),
+        );
+        let mut wire = b.as_bytes().to_vec();
+        wire.extend_from_slice(b"next");
+        let mut cursor = wire.as_slice();
+        let got = TupleBatch::decode(2, &mut cursor).unwrap();
+        assert_eq!(cursor, b"next");
+        assert_eq!(got.as_bytes(), b.as_bytes());
+        assert_eq!(got.len(), 2);
+        // One row more than there is, a cut anywhere, broken UTF-8.
+        assert!(TupleBatch::decode(3, &mut b.as_bytes()).is_err());
+        for cut in 0..b.as_bytes().len() {
+            assert!(TupleBatch::decode(2, &mut &b.as_bytes()[..cut]).is_err());
+        }
+        let mut bad = b.as_bytes().to_vec();
+        let n = bad.len();
+        bad[n - 2] = 0xFF;
+        assert!(TupleBatch::decode(2, &mut bad.as_slice()).is_err());
+        // A partition id past u32.
+        let mut wide = Vec::new();
+        put_varint(&mut wide, u32::MAX as u64 + 1);
+        encode_tuple(&mut wide, &tpl(0, 0));
+        assert!(TupleBatch::decode(1, &mut wide.as_slice()).is_err());
+    }
+
+    fn value_strategy() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0u8..1).prop_map(|_| Value::Null),
+            any::<i64>().prop_map(Value::Int),
+            any::<u64>().prop_map(|b| Value::Double(f64::from_bits(b))),
+            any::<bool>().prop_map(Value::Bool),
+            ".{0,12}".prop_map(Value::text),
+            proptest::collection::vec(any::<u8>(), 0..40).prop_map(|b| Value::Blob(Bytes::from(b))),
+            any::<u32>().prop_map(Value::Pad),
+        ]
+    }
+
+    fn tuple_strategy() -> impl Strategy<Value = (u32, Tuple)> {
+        (
+            (any::<u32>(), any::<u8>()),
+            (any::<u64>(), any::<u64>()),
+            proptest::collection::vec(value_strategy(), 0..6),
+        )
+            .prop_map(|((pid, stream), (seq, ts), values)| {
+                let ts = VirtualTime::from_millis(ts);
+                (pid, Tuple::new(StreamId(stream), seq, ts, values))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: proptest_cases(64),
+            ..ProptestConfig::default()
+        })]
+
+        /// `push` → rows → materialize returns the input (every value
+        /// variant, arity 0…5, the empty batch included), each row is
+        /// accounted at its tuple's `heap_size`, its body is the arena
+        /// row, and the bytes survive `decode`.
+        #[test]
+        fn rows_return_what_was_pushed(
+            input in proptest::collection::vec(tuple_strategy(), 0..12)
+        ) {
+            let mut batch = TupleBatch::new();
+            for (pid, t) in &input {
+                batch.push(PartitionId(*pid), t.clone());
+            }
+            prop_assert_eq!(batch.len(), input.len());
+            prop_assert_eq!(batch.is_empty(), input.is_empty());
+            let decoded = TupleBatch::decode(input.len(), &mut batch.as_bytes()).unwrap();
+            prop_assert_eq!(decoded.as_bytes(), batch.as_bytes());
+            let mut rows = batch.rows();
+            for (pid, t) in &input {
+                let row = rows.next().unwrap();
+                prop_assert_eq!(row.pid(), PartitionId(*pid));
+                prop_assert_eq!((row.stream(), row.seq(), row.ts()), (t.stream(), t.seq(), t.ts()));
+                prop_assert_eq!(row.arity(), t.arity());
+                prop_assert_eq!(row.heap_size(), t.heap_size());
+                prop_assert_eq!(&row.to_tuple(), t);
+                let mut arena_row = Vec::new();
+                put_varint(&mut arena_row, t.arity() as u64);
+                t.values().iter().for_each(|v| crate::codec::encode_value(&mut arena_row, v));
+                prop_assert_eq!(row.body(), arena_row.as_slice());
+            }
+            prop_assert!(rows.next().is_none());
+        }
+
+        /// Arbitrary bytes never panic `decode`, and whatever it accepts
+        /// reads back without panicking.
+        #[test]
+        fn decode_never_panics(
+            rows in 0usize..4,
+            data in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            if let Ok(batch) = TupleBatch::decode(rows, &mut data.as_slice()) {
+                for row in batch.rows() {
+                    let t = row.to_tuple();
+                    prop_assert_eq!(row.heap_size(), t.heap_size());
+                }
+            }
+        }
     }
 }

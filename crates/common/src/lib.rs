@@ -9,21 +9,26 @@
 //!
 //! * [`ids`] — strongly typed identifiers (partitions, engines, streams).
 //! * [`value`] / [`tuple`] — the row model flowing through operators.
+//! * [`codec`] — the one byte encoding of values and tuples (batches,
+//!   wire frames, columnar arena rows, spill segments).
 //! * [`batch`] — the routed-tuple batch, the unit of inter-operator
-//!   transfer in the batched dataflow.
+//!   transfer in the batched dataflow: rows held encoded.
 //! * [`time`] — virtual time, the clock abstraction that lets hour-long
 //!   paper experiments replay deterministically in seconds.
 //! * [`mem`] — explicit heap-size accounting, the substitute for the
 //!   paper's per-machine physical memory observations.
 //! * [`hash`] — a fast, deterministic hasher used for partitioning.
 //! * [`error`] — the workspace error type.
+//! * [`testing`] — the little the workspace's tests share.
 
 pub mod batch;
+pub mod codec;
 pub mod error;
 pub mod hash;
 pub mod ids;
 pub mod mem;
 pub mod partition;
+pub mod testing;
 pub mod time;
 pub mod tuple;
 pub mod value;

@@ -44,15 +44,20 @@ pub struct Tuple {
     heap: usize,
 }
 
-/// Heap estimate of a tuple payload (see [`HeapSize for Tuple`]).
-fn compute_heap_size(data: &TupleData) -> usize {
-    // Fixed per-tuple overhead: Arc control block + TupleData inline
-    // fields + per-value enum slots; then variable payloads.
+/// Accounted heap bytes of a tuple with `arity` columns whose values'
+/// [`Value::payload_bytes`] sum to `payload`: `Arc` control block,
+/// [`TupleData`] inline fields and per-value enum slots, then the
+/// variable payloads. The one formula behind [`Tuple::heap_size`] and
+/// behind the size a [`TupleBatch`](crate::batch::TupleBatch) row is
+/// accounted at, so a row and the tuple it encodes always agree.
+pub fn heap_size(arity: usize, payload: usize) -> usize {
     const ARC_OVERHEAD: usize = 16;
-    let inline = std::mem::size_of::<TupleData>();
-    let slots = data.values.len() * std::mem::size_of::<Value>();
-    let payload: usize = data.values.iter().map(Value::payload_bytes).sum();
-    ARC_OVERHEAD + inline + slots + payload
+    ARC_OVERHEAD + std::mem::size_of::<TupleData>() + arity * std::mem::size_of::<Value>() + payload
+}
+
+fn compute_heap_size(data: &TupleData) -> usize {
+    let payload = data.values.iter().map(Value::payload_bytes).sum();
+    heap_size(data.values.len(), payload)
 }
 
 impl Tuple {

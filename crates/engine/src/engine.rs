@@ -18,6 +18,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashSet;
 use dcape_common::ids::{EngineId, PartitionId};
@@ -209,15 +210,20 @@ impl QueryEngine {
         self.join.process(pid, tuple, sink)
     }
 
-    /// Process a whole batch of routed tuples (one tick's worth from one
-    /// split operator). Returns the number of results emitted. Counter
-    /// updates are amortized to one per batch; results and state are
-    /// identical to calling [`QueryEngine::process`] per tuple.
+    /// Process a whole batch of routed tuples. Returns the number of
+    /// results emitted. Counter updates are amortized to one per batch;
+    /// results and state are identical to calling
+    /// [`QueryEngine::process`] per tuple.
+    ///
+    /// The batch is only read, so it is taken by value or by reference:
+    /// a driver that refills the same buffers every tick passes
+    /// `&batch` and clears it afterwards.
     pub fn process_batch(
         &mut self,
-        batch: dcape_common::batch::TupleBatch,
+        batch: impl std::borrow::Borrow<TupleBatch>,
         sink: &mut dyn ResultSink,
     ) -> Result<u64> {
+        let batch = batch.borrow();
         self.journal.add_tuples_routed(batch.len() as u64);
         self.join.process_batch(batch, sink)
     }

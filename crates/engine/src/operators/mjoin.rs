@@ -97,22 +97,23 @@ impl MJoinOperator {
     /// Process a whole batch of routed tuples; results go to `sink`.
     /// Returns the number of results emitted.
     ///
-    /// Tuples are inserted one by one, in arrival order; what the batch
-    /// saves is the tracker/window update, paid once per batch. There is
-    /// no per-partition regrouping: the generator samples a partition
-    /// per stream per tick, so consecutive tuples of one batch almost
-    /// never share a partition, and tuples of different partitions never
-    /// interact — results and state are identical to calling
-    /// [`process`](Self::process) per tuple.
+    /// Rows are inserted one by one, in arrival order, straight from the
+    /// batch's encoded bytes ([`PartitionGroup::insert_row`]); what the
+    /// batch saves is the tracker/window update, paid once per batch.
+    /// There is no per-partition regrouping: the generator samples a
+    /// partition per stream per tick, so consecutive tuples of one batch
+    /// almost never share a partition, and tuples of different
+    /// partitions never interact — results and state are identical to
+    /// calling [`process`](Self::process) per tuple.
     ///
-    /// An invalid tuple ends the batch: the tuples before it stay
-    /// inserted (and accounted), the rest are dropped.
-    pub fn process_batch(&mut self, batch: TupleBatch, sink: &mut dyn ResultSink) -> Result<u64> {
+    /// An invalid row ends the batch: the rows before it stay inserted
+    /// (and accounted), the rest are dropped.
+    pub fn process_batch(&mut self, batch: &TupleBatch, sink: &mut dyn ResultSink) -> Result<u64> {
         let mut emitted_total = 0u64;
         let mut added_total = 0usize;
         let mut failed = None;
-        for (pid, tuple) in batch {
-            match self.group_mut(pid).insert(tuple, sink) {
+        for row in batch.rows() {
+            match self.group_mut(row.pid()).insert_row(&row, sink) {
                 Ok((emitted, added)) => {
                     emitted_total += emitted;
                     added_total += added;
@@ -123,7 +124,7 @@ impl MJoinOperator {
                 }
             }
         }
-        // Account for everything inserted even when a mid-batch tuple
+        // Account for everything inserted even when a mid-batch row
         // failed, so the incremental totals never drift from the state.
         self.tracker.allocate(added_total);
         self.window.record(emitted_total);
@@ -341,6 +342,16 @@ mod tests {
             .build()
     }
 
+    /// A two-column row whose join key (column 1) is always 1.
+    fn tpl2(stream: u8, seq: u64) -> Tuple {
+        TupleBuilder::new(StreamId(stream))
+            .seq(seq)
+            .ts(VirtualTime::from_millis(seq))
+            .value(seq as i64)
+            .value(1i64)
+            .build()
+    }
+
     #[test]
     fn processes_and_tracks_memory() {
         let tracker = MemoryTracker::new(10 << 20);
@@ -445,79 +456,121 @@ mod tests {
         assert!(op.extract_group(PartitionId(9)).is_none());
     }
 
+    /// `process_batch` over the encoded rows equals per-tuple `process`
+    /// on both layouts, for a sink that enumerates (results compared as
+    /// a multiset of whole tuples, so every row was rebuilt intact) and
+    /// one that only counts.
     #[test]
     fn batch_matches_per_tuple_path() {
+        let rows = || {
+            // Two interleaved partitions, then a same-partition run;
+            // the key sits behind a text column of varying length.
+            (0..30u64).map(|seq| {
+                let pid = PartitionId(if seq < 12 { (seq % 2) as u32 } else { 1 });
+                let t = TupleBuilder::new(StreamId((seq % 3) as u8))
+                    .seq(seq)
+                    .ts(VirtualTime::from_millis(seq))
+                    .value(&"payload"[..(seq % 7) as usize])
+                    .value((seq % 4) as i64)
+                    .pad(100)
+                    .build();
+                (pid, t)
+            })
+        };
+        let op_on = |layout, tracker| {
+            let cfg = MJoinConfig::same_column(3, 1).with_layout(layout);
+            MJoinOperator::new(cfg, tracker).unwrap()
+        };
         for layout in LAYOUTS {
             let tracker = MemoryTracker::new(10 << 20);
-            let mut per_tuple = op_with(layout, MemoryTracker::new(10 << 20));
-            let mut batched = op_with(layout, Arc::clone(&tracker));
+            let mut per_tuple = op_on(layout, MemoryTracker::new(10 << 20));
+            let mut batched = op_on(layout, Arc::clone(&tracker));
+            let mut counted = op_on(layout, MemoryTracker::new(10 << 20));
             let mut sink_a = CollectingSink::new();
             let mut sink_b = CollectingSink::new();
+            let mut sink_c = CountingSink::new();
             let mut batch = TupleBatch::new();
             let mut per_tuple_emitted = 0;
-            // Two interleaved partitions, then a same-partition run.
-            for seq in 0..30u64 {
-                let pid = PartitionId(if seq < 12 { (seq % 2) as u32 } else { 1 });
-                let t = tpl((seq % 3) as u8, seq, (seq % 4) as i64);
+            for (pid, t) in rows() {
                 per_tuple_emitted += per_tuple.process(pid, t.clone(), &mut sink_a).unwrap();
                 batch.push(pid, t);
             }
-            let emitted = batched.process_batch(batch, &mut sink_b).unwrap();
+            let emitted = batched.process_batch(&batch, &mut sink_b).unwrap();
             assert_eq!(emitted, per_tuple_emitted);
             assert_eq!(emitted as usize, sink_b.len());
             assert!(emitted > 0);
+            assert_eq!(counted.process_batch(&batch, &mut sink_c).unwrap(), emitted);
+            assert_eq!(sink_c.count(), emitted);
             // Same result multiset (order may differ across partitions).
-            let ids = |sink: &CollectingSink| {
-                let mut v: Vec<Vec<(u8, u64)>> = sink
+            let sorted = |sink: &CollectingSink| {
+                let mut v: Vec<String> = sink
                     .results()
                     .iter()
-                    .map(|r| r.iter().map(|t| (t.stream().0, t.seq())).collect())
+                    .map(|r| r.iter().map(|t| t.to_string()).collect())
                     .collect();
                 v.sort();
                 v
             };
-            assert_eq!(ids(&sink_a), ids(&sink_b));
+            assert_eq!(sorted(&sink_a), sorted(&sink_b));
             // Same state, and the incremental totals never drift.
-            assert_eq!(per_tuple.state_bytes(), batched.state_bytes());
-            assert_eq!(batched.state_bytes(), batched.recompute_state_bytes());
+            for op in [&batched, &counted] {
+                assert_eq!(per_tuple.state_bytes(), op.state_bytes());
+                assert_eq!(op.state_bytes(), op.recompute_state_bytes());
+                assert_eq!(per_tuple.total_output(), op.total_output());
+            }
             assert_eq!(tracker.used() as usize, batched.state_bytes());
-            assert_eq!(per_tuple.total_output(), batched.total_output());
+            for pid in [PartitionId(0), PartitionId(1)] {
+                let (expected, _) = per_tuple.drain_group(pid).unwrap();
+                assert_eq!(batched.drain_group(pid).unwrap().0, expected);
+                assert_eq!(counted.drain_group(pid).unwrap().0, expected);
+            }
         }
     }
 
     #[test]
     fn batch_inserts_valid_prefix_then_errors() {
+        // Two ways a row can be refused: a stream the join does not
+        // have, and (the join column being 1) a row with one column.
+        let bad_stream = |i: u64| tpl2(7, i);
+        let no_join_column = |i: u64| tpl(1, i, 1);
         for layout in LAYOUTS {
-            // The reference: the valid prefix alone.
-            let mut prefix = op_with(layout, MemoryTracker::new(10 << 20));
-            let mut prefix_sink = CountingSink::new();
-            let tracker = MemoryTracker::new(10 << 20);
-            let mut op = op_with(layout, Arc::clone(&tracker));
-            let mut sink = CountingSink::new();
-            let mut batch = TupleBatch::new();
-            let pid = PartitionId(3);
-            for (i, stream) in [0u8, 1, 2, 0, 7, 1, 2].into_iter().enumerate() {
-                let t = tpl(stream, i as u64, 1);
-                if i < 4 {
-                    prefix.process(pid, t.clone(), &mut prefix_sink).unwrap();
+            for bad in [bad_stream, no_join_column] {
+                let op_on = |tracker| {
+                    let cfg = MJoinConfig::same_column(3, 1).with_layout(layout);
+                    MJoinOperator::new(cfg, tracker).unwrap()
+                };
+                // The reference: the valid prefix alone.
+                let mut prefix = op_on(MemoryTracker::new(10 << 20));
+                let mut prefix_sink = CountingSink::new();
+                let tracker = MemoryTracker::new(10 << 20);
+                let mut op = op_on(Arc::clone(&tracker));
+                let mut sink = CountingSink::new();
+                let mut batch = TupleBatch::new();
+                let pid = PartitionId(3);
+                for (i, stream) in [0u8, 1, 2, 0, 9, 1, 2].into_iter().enumerate() {
+                    let i = i as u64;
+                    let t = if i == 4 { bad(i) } else { tpl2(stream, i) };
+                    if i < 4 {
+                        prefix.process(pid, t.clone(), &mut prefix_sink).unwrap();
+                    }
+                    batch.push(pid, t);
                 }
-                batch.push(pid, t);
+                assert!(
+                    op.process_batch(&batch, &mut sink).is_err(),
+                    "bad row reported"
+                );
+                // Valid prefix inserted, tail dropped, and state bytes,
+                // tracker and productivity window account exactly that.
+                let (snap, _) = op.drain_group(pid).unwrap();
+                assert_eq!(snap.tuple_count(), 4);
+                op.install_group(snap, 0).unwrap();
+                assert_eq!(sink.count(), prefix_sink.count());
+                assert!(sink.count() > 0);
+                assert_eq!(op.total_output(), prefix.total_output());
+                assert_eq!(op.state_bytes(), prefix.state_bytes());
+                assert_eq!(op.state_bytes(), op.recompute_state_bytes());
+                assert_eq!(tracker.used() as usize, op.state_bytes());
             }
-            assert!(
-                op.process_batch(batch, &mut sink).is_err(),
-                "out-of-range stream reported"
-            );
-            // Valid prefix inserted, tail dropped, and state bytes,
-            // tracker and productivity window account exactly that.
-            let (snap, _) = op.drain_group(pid).unwrap();
-            assert_eq!(snap.tuple_count(), 4);
-            op.install_group(snap, 0).unwrap();
-            assert_eq!(sink.count(), prefix_sink.count());
-            assert!(sink.count() > 0);
-            assert_eq!(op.total_output(), prefix.total_output());
-            assert_eq!(op.state_bytes(), prefix.state_bytes());
-            assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-            assert_eq!(tracker.used() as usize, op.state_bytes());
         }
     }
 
@@ -560,8 +613,8 @@ mod tests {
                 seq += 1;
             }
         }
-        let er = row.process_batch(batch_r, &mut sink_r).unwrap();
-        let ec = col.process_batch(batch_c, &mut sink_c).unwrap();
+        let er = row.process_batch(&batch_r, &mut sink_r).unwrap();
+        let ec = col.process_batch(&batch_c, &mut sink_c).unwrap();
         assert_eq!(er, ec);
         assert_eq!(sink_r.identities(), sink_c.identities());
         assert_eq!(row.state_bytes(), col.state_bytes());

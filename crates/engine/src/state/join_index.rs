@@ -557,7 +557,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig {
-            cases: crate::state::proptest_cases(64),
+            cases: dcape_common::testing::proptest_cases(64),
             ..ProptestConfig::default()
         })]
 

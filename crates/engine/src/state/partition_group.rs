@@ -20,7 +20,8 @@
 //! * **Columnar** — struct-of-arrays per stream: a contiguous timestamp
 //!   column, a packed per-row bookkeeping column (sequence number,
 //!   accounted size, arena end offset) and one payload arena of encoded
-//!   values; and **one** [`JoinIndex`] for the whole group, whose entry
+//!   values — a [`TupleBatch`] row's `arity value*` tail, copied in as it
+//!   arrives; and **one** [`JoinIndex`] for the whole group, whose entry
 //!   for a key holds a position list per stream — so an insert pays one
 //!   lookup, not one per stream. Join keys live only in that index. The
 //!   probe path touches only the index entry and the columns (a
@@ -29,6 +30,7 @@
 //!   spill boundary. Window purge retires a prefix of a time-ordered
 //!   partition in O(expired rows) — see [`ColumnarState::purge`].
 
+use dcape_common::batch::{RowRef, TupleBatch};
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::{fx_hash, FxHashMap};
 use dcape_common::ids::{PartitionId, StreamId};
@@ -36,9 +38,7 @@ use dcape_common::mem::HeapSize;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_common::value::Value;
-use dcape_storage::codec::{
-    decode_value, encode_value, encoded_value_len, get_varint, put_varint, varint_len,
-};
+use dcape_storage::codec::{decode_value, get_varint};
 use dcape_storage::SpilledGroup;
 use std::sync::Arc;
 
@@ -153,7 +153,8 @@ struct RowMeta {
 /// count-only sinks read it directly through [`SpanList::TsOnly`]),
 /// the packed [`RowMeta`] record `meta[i]`, and the payload arena slice
 /// `meta[i-1].end..meta[i].end` holding the codec-encoded column
-/// values (arity varint + one [`encode_value`] per column). The join
+/// values (arity varint + one encoded value per column — a
+/// [`RowRef::body`], byte for byte). The join
 /// key lives only in the group's [`JoinIndex`]; purge recovers an
 /// expiring row's key from its own arena slice, so no per-row key copy
 /// is ever stored.
@@ -227,36 +228,27 @@ impl ColumnarPartition {
         &self.arena[self.row_start(i)..self.meta[i].end as usize]
     }
 
-    /// Arena bytes one tuple's payload will occupy (exact; walks every
-    /// value).
-    fn payload_len(tuple: &Tuple) -> usize {
-        varint_len(tuple.arity() as u64)
-            + tuple.values().iter().map(encoded_value_len).sum::<usize>()
-    }
-
     /// Append one row and return its position. Infallible: callers run
     /// [`ColumnarState::check_capacity`] first.
-    fn append(&mut self, tuple: &Tuple) -> u32 {
+    fn append(&mut self, row: &RowRef<'_>) -> u32 {
         if let Some(&last) = self.ts.last() {
-            self.ts_sorted &= tuple.ts() >= last;
+            self.ts_sorted &= row.ts() >= last;
         }
-        self.min_ts = self.min_ts.min(tuple.ts());
+        self.min_ts = self.min_ts.min(row.ts());
         let pos = self.meta.len() as u32;
-        self.ts.push(tuple.ts());
-        put_varint(&mut self.arena, tuple.arity() as u64);
-        for v in tuple.values() {
-            encode_value(&mut self.arena, v);
-        }
+        self.ts.push(row.ts());
+        self.arena.extend_from_slice(row.body());
         self.meta.push(RowMeta {
-            seq: tuple.seq(),
-            acct: tuple.heap_size() as u64,
+            seq: row.seq(),
+            acct: row.heap_size() as u64,
             end: self.arena.len() as u32,
         });
         pos
     }
 
-    /// Rebuild row `i` from its columns and arena slice. The arena is
-    /// self-encoded at insert, so decode failures are impossible.
+    /// Rebuild row `i` from its columns and arena slice. The arena
+    /// holds only bodies of well-formed batch rows, so decode failures
+    /// are impossible.
     fn materialize(&self, stream: StreamId, i: usize) -> Tuple {
         let mut buf = self.row_bytes(i);
         let arity = get_varint(&mut buf).expect("arena: self-encoded") as usize;
@@ -314,20 +306,15 @@ impl ColumnarState {
         }
     }
 
-    /// Reject an insert into stream `s` whose payload would push its
-    /// arena past the `u32` offset range. Checked before the probe so no
-    /// results are emitted for a tuple that is then refused. The fast
-    /// path is an O(1) over-estimate from the tuple's cached heap size
-    /// (which bounds every Text/Blob content length; fixed-width values
-    /// encode in ≤ 11 bytes each); only near the 4 GiB edge is the
-    /// retired prefix reclaimed — the cap is on live bytes — and the
-    /// exact per-value walk run.
-    fn check_capacity(&mut self, s: usize, tuple: &Tuple) -> Result<()> {
-        let bound = 10 + 11 * tuple.arity() + tuple.heap_size();
-        if self.cols[s].arena.len() + bound > u32::MAX as usize {
+    /// Reject an insert into stream `s` whose `row_len` arena bytes
+    /// would push its arena past the `u32` offset range. Checked before
+    /// the probe so no results are emitted for a row that is then
+    /// refused. Near the 4 GiB edge the retired prefix is reclaimed
+    /// first — the cap is on live bytes.
+    fn check_capacity(&mut self, s: usize, row_len: usize) -> Result<()> {
+        if self.cols[s].arena.len() + row_len > u32::MAX as usize {
             self.compact(s);
-            let exact = ColumnarPartition::payload_len(tuple);
-            if self.cols[s].arena.len() + exact > u32::MAX as usize {
+            if self.cols[s].arena.len() + row_len > u32::MAX as usize {
                 return Err(DcapeError::state(
                     "columnar arena exceeds 4 GiB for one stream partition",
                 ));
@@ -338,10 +325,12 @@ impl ColumnarState {
 
     /// Store and index one row of stream `s` under `key` without probing
     /// (snapshot restore).
-    fn insert(&mut self, s: usize, key: &Value, tuple: &Tuple) {
+    fn insert(&mut self, s: usize, key: &Value, row: &RowRef<'_>) -> Result<()> {
+        self.check_capacity(s, row.body().len())?;
         let slot = self.index.find_or_insert(fx_hash(key), key);
-        let pos = self.cols[s].append(tuple);
+        let pos = self.cols[s].append(row);
         self.index.list_mut(slot, s).push(pos);
+        Ok(())
     }
 
     /// Symmetric-join step for one row of stream `s`: **one** index
@@ -353,33 +342,35 @@ impl ColumnarState {
         &mut self,
         s: usize,
         key: &Value,
-        tuple: &Tuple,
+        row: &RowRef<'_>,
         scratch: &mut Vec<Vec<Tuple>>,
         window: Option<VirtualDuration>,
         sink: &mut dyn ResultSink,
     ) -> Result<u64> {
-        self.check_capacity(s, tuple)?;
+        self.check_capacity(s, row.body().len())?;
         let slot = self.index.find_or_insert(fx_hash(key), key);
         let matches = self.index.lists(slot);
-        let emitted = Self::probe(&self.cols, matches, scratch, window, s, tuple, sink);
-        let pos = self.cols[s].append(tuple);
+        let emitted = Self::probe(&self.cols, matches, scratch, window, s, row, sink);
+        let pos = self.cols[s].append(row);
         self.index.list_mut(slot, s).push(pos);
         Ok(emitted)
     }
 
-    /// Deliver the product of `tuple` (slot `s`) with the `matches` of
+    /// Deliver the product of `row` (slot `s`) with the `matches` of
     /// every other stream. First checks every other list for emptiness
     /// and bails before touching any column; then builds the span lists:
-    /// timestamp-only views for count-only sinks, materialized row
-    /// slices (into the reused `scratch` buffers) for sinks that
-    /// enumerate.
-    fn probe<'a>(
-        cols: &'a [ColumnarPartition],
-        matches: &'a [PosList],
-        scratch: &'a mut Vec<Vec<Tuple>>,
+    /// timestamp-only views for count-only sinks (the probing slot is a
+    /// one-row view of `row`'s timestamp), materialized row slices (into
+    /// the reused `scratch` buffers) for sinks that enumerate — only
+    /// then, with a product to deliver, is `row` itself rebuilt as a
+    /// [`Tuple`].
+    fn probe(
+        cols: &[ColumnarPartition],
+        matches: &[PosList],
+        scratch: &mut Vec<Vec<Tuple>>,
         window: Option<VirtualDuration>,
         s: usize,
-        tuple: &'a Tuple,
+        row: &RowRef<'_>,
         sink: &mut dyn ResultSink,
     ) -> u64 {
         let m = cols.len();
@@ -396,15 +387,19 @@ impl ColumnarState {
             }
             ts_sorted &= cp.ts_sorted;
         }
-        let mut inline = [SpanList::One(tuple); INLINE_STREAMS];
+        let probing_ts = [row.ts()];
+        let probing;
+        let mut inline = [SpanList::Slice(&[]); INLINE_STREAMS];
         let mut spilled = Vec::new();
         let lists = if m <= INLINE_STREAMS {
             &mut inline[..m]
         } else {
-            spilled.resize(m, SpanList::One(tuple));
+            spilled.resize(m, SpanList::Slice(&[]));
             &mut spilled[..]
         };
         if sink.wants_rows() {
+            probing = row.to_tuple();
+            lists[s] = SpanList::One(&probing);
             if scratch.len() < m {
                 scratch.resize_with(m, Vec::new);
             }
@@ -421,13 +416,16 @@ impl ColumnarState {
                         .map(|&p| cp.materialize(StreamId(i as u8), p as usize)),
                 );
             }
-            let scratch: &'a [Vec<Tuple>] = scratch;
             for (i, rows) in scratch.iter().enumerate().take(m) {
                 if i != s {
                     lists[i] = SpanList::Slice(rows);
                 }
             }
         } else {
+            lists[s] = SpanList::TsOnly {
+                ts: &probing_ts,
+                positions: &[0],
+            };
             for (i, cp) in cols.iter().enumerate() {
                 if i != s {
                     lists[i] = SpanList::TsOnly {
@@ -679,6 +677,10 @@ pub struct PartitionGroup {
     /// probes feeding row-wanting sinks (no per-probe allocation once
     /// warm).
     scratch: Vec<Vec<Tuple>>,
+    /// Reused one-row batch a [`Tuple`] handed to
+    /// [`insert`](Self::insert) is encoded into on its way to the
+    /// columnar row path.
+    row_scratch: TupleBatch,
     /// See [`purge_rows_touched`](Self::purge_rows_touched).
     purge_touched: u64,
 }
@@ -710,6 +712,7 @@ impl PartitionGroup {
             output_count: 0,
             decay: DecayState::default(),
             scratch: Vec::new(),
+            row_scratch: TupleBatch::new(),
             purge_touched: 0,
         }
     }
@@ -768,54 +771,84 @@ impl PartitionGroup {
     }
 
     /// Symmetric-hash-join step: emit all new results formed with
-    /// `tuple` (one per combination of matching tuples in every other
-    /// stream), then store and index the tuple. Returns the number of
-    /// results emitted and the bytes newly accounted.
+    /// `row` (one per combination of matching tuples in every other
+    /// stream), then store and index it. Returns the number of results
+    /// emitted and the bytes newly accounted.
     ///
     /// The whole probe product reaches the sink as **one**
     /// [`ResultSink::emit_product`] call over borrowed span lists — no
     /// per-insert allocation (the span array lives on the stack for up
     /// to [`INLINE_STREAMS`] streams) and no per-combination virtual
-    /// dispatch for count-only sinks. Under the columnar layout a sink
-    /// answering [`ResultSink::wants_rows`]` == false` is served
+    /// dispatch for count-only sinks. Under the columnar layout only the
+    /// join key is decoded and the row's encoded columns are copied
+    /// into the arena as they are; a sink answering
+    /// [`ResultSink::wants_rows`]` == false` is served
     /// [`SpanList::TsOnly`] lists straight off the timestamp columns —
-    /// no row is materialized at all.
-    pub fn insert(&mut self, tuple: Tuple, sink: &mut dyn ResultSink) -> Result<(u64, usize)> {
-        let s = tuple.stream().index();
-        let key = self.key_of(&tuple)?;
-        let added = tuple.heap_size() + PER_TUPLE_OVERHEAD;
+    /// no row is materialized at all. The row layout stores tuples, so
+    /// it rebuilds one.
+    pub fn insert_row(
+        &mut self,
+        row: &RowRef<'_>,
+        sink: &mut dyn ResultSink,
+    ) -> Result<(u64, usize)> {
+        let s = self.stream_slot(row.stream())?;
         let window = self.window;
         let emitted = match &mut self.state {
             StateStore::Columnar(st) => {
-                st.probe_insert(s, key, &tuple, &mut self.scratch, window, sink)?
+                let key = row
+                    .value(self.join_columns[s])
+                    .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
+                st.probe_insert(s, &key, row, &mut self.scratch, window, sink)?
             }
-            StateStore::Row(streams) => {
-                let key = HashedKey::new(key.clone());
-                let emitted = probe_row(streams, window, s, &key, &tuple, sink);
-                streams[s].insert(key, tuple);
-                emitted
-            }
+            StateStore::Row(_) => return self.insert(row.to_tuple(), sink),
         };
-        self.bytes += added;
-        self.output_count += emitted;
-        self.decay.window_output += emitted;
-        Ok((emitted, added))
+        Ok(self.account(emitted, row.heap_size()))
     }
 
-    /// Validate stream range and join-column presence, returning the
-    /// tuple's join key.
-    fn key_of<'t>(&self, tuple: &'t Tuple) -> Result<&'t Value> {
-        let s = tuple.stream().index();
+    /// [`insert_row`](Self::insert_row) for a caller holding a
+    /// [`Tuple`]: the row layout stores it; the columnar layout encodes
+    /// it into a scratch row and takes the row path, its one insert
+    /// implementation.
+    pub fn insert(&mut self, tuple: Tuple, sink: &mut dyn ResultSink) -> Result<(u64, usize)> {
+        let s = self.stream_slot(tuple.stream())?;
+        let StateStore::Row(streams) = &mut self.state else {
+            let mut one = std::mem::take(&mut self.row_scratch);
+            one.clear();
+            one.push(self.pid, tuple);
+            let result = self.insert_row(&one.rows().next().expect("just pushed"), sink);
+            self.row_scratch = one;
+            return result;
+        };
+        let key = tuple
+            .get(self.join_columns[s])
+            .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
+        let key = HashedKey::new(key.clone());
+        let size = tuple.heap_size();
+        let emitted = probe_row(streams, self.window, s, &key, &tuple, sink);
+        streams[s].insert(key, tuple);
+        Ok(self.account(emitted, size))
+    }
+
+    /// The slot of `stream` in this join, or an error if it has none.
+    fn stream_slot(&self, stream: StreamId) -> Result<usize> {
+        let s = stream.index();
         if s >= self.join_columns.len() {
             return Err(DcapeError::state(format!(
-                "stream {} out of range for {}-way join",
-                tuple.stream(),
+                "stream {stream} out of range for {}-way join",
                 self.join_columns.len()
             )));
         }
-        tuple
-            .get(self.join_columns[s])
-            .ok_or_else(|| DcapeError::state("tuple lacks join column"))
+        Ok(s)
+    }
+
+    /// Book one stored tuple of accounted size `heap_size` and the
+    /// `emitted` results it produced; returns what the insert reports.
+    fn account(&mut self, emitted: u64, heap_size: usize) -> (u64, usize) {
+        let added = heap_size + PER_TUPLE_OVERHEAD;
+        self.bytes += added;
+        self.output_count += emitted;
+        self.decay.window_output += emitted;
+        (emitted, added)
     }
 
     /// Drop every tuple whose window has fully expired at the purge
@@ -933,13 +966,15 @@ impl PartitionGroup {
             )));
         }
         let mut group = PartitionGroup::new(snapshot.partition, join_columns, window, layout);
+        let mut one = TupleBatch::new();
         for (s, tuples) in snapshot.per_stream.into_iter().enumerate() {
+            let column = group.join_columns[s];
             for t in tuples {
-                let key = t
-                    .get(group.join_columns[s])
-                    .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
                 match &mut group.state {
                     StateStore::Row(streams) => {
+                        let key = t
+                            .get(column)
+                            .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
                         group.bytes += t.heap_size() + PER_TUPLE_OVERHEAD;
                         let key = HashedKey::new(key.clone());
                         streams[s].insert(key, t);
@@ -955,9 +990,14 @@ impl PartitionGroup {
                                 t.stream()
                             )));
                         }
-                        st.check_capacity(s, &t)?;
-                        group.bytes += t.heap_size() + PER_TUPLE_OVERHEAD;
-                        st.insert(s, key, &t);
+                        one.clear();
+                        one.push(group.pid, t);
+                        let row = one.rows().next().expect("just pushed");
+                        let key = row
+                            .value(column)
+                            .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
+                        st.insert(s, &key, &row)?;
+                        group.bytes += row.heap_size() + PER_TUPLE_OVERHEAD;
                     }
                 }
             }
@@ -1757,7 +1797,7 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig {
-                cases: crate::state::proptest_cases(64),
+                cases: dcape_common::testing::proptest_cases(64),
                 ..ProptestConfig::default()
             })]
 

@@ -1,8 +1,8 @@
 //! Batched vs per-tuple dataflow: the microbenchmarks behind the
 //! `BENCH_pr2.json` trajectory. Each pair runs the same tuples through
 //! the per-tuple entry point and the batched one, so the reported
-//! ns/iter difference is the amortization win (sorted partition runs,
-//! one map lookup per run, precomputed join-key hashes).
+//! ns/iter difference is the amortization win (one tracker/window
+//! update per batch, rows inserted straight from their encoding).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -66,10 +66,15 @@ fn bench_join_paths(c: &mut Criterion) {
             b.iter(|| {
                 let mut op = fresh_join();
                 let mut sink = CountingSink::new();
-                // One tick's worth of tuples per batch, as the drivers send.
+                // 32 ticks' worth of tuples per batch; the buffer is
+                // reused as the sim driver reuses its own.
+                let mut batch = TupleBatch::new();
                 for chunk in tuples.chunks(96) {
-                    let batch = TupleBatch::from(chunk.to_vec());
-                    op.process_batch(batch, &mut sink).unwrap();
+                    batch.clear();
+                    for (pid, t) in chunk {
+                        batch.push(*pid, t.clone());
+                    }
+                    op.process_batch(&batch, &mut sink).unwrap();
                 }
                 black_box(sink.count())
             });

@@ -301,24 +301,55 @@ fn bench_probe_insert_steady_window(c: &mut Criterion) {
             || {
                 let mut engine = QueryEngine::in_memory(EngineId(0), cfg.clone()).unwrap();
                 engine
-                    .process_batch(fill.clone(), &mut CountingSink::new())
+                    .process_batch(&fill, &mut CountingSink::new())
                     .unwrap();
-                (engine, batches.clone())
+                engine
             },
-            |(mut engine, batches)| {
+            |mut engine| {
                 let mut sink = CountingSink::new();
                 let mut pulse = VirtualTime::from_secs(WINDOW_S + 1);
-                for (now, batch) in batches {
+                for (now, batch) in &batches {
                     engine.process_batch(batch, &mut sink).unwrap();
-                    if now >= pulse {
-                        engine.purge_at(now);
-                        pulse = now + VirtualDuration::from_secs(1);
+                    if *now >= pulse {
+                        engine.purge_at(*now);
+                        pulse = *now + VirtualDuration::from_secs(1);
                     }
                 }
                 black_box((sink.count(), engine))
             },
             criterion::BatchSize::LargeInput,
         );
+    });
+    group.finish();
+}
+
+/// One `DataBatch` frame through `frame_bytes` / `read_frame`, as the
+/// socket runtime's coordinator and worker do per flush: a 64-tick batch
+/// (192 rows) of the paper spec with a 128 B blob — the shape
+/// `skew_window_socket` sends. Framing is a bulk copy of the batch's
+/// bytes; un-framing is the one validating walk plus a bulk copy.
+fn bench_data_batch_frame(c: &mut Criterion) {
+    use dcape_cluster::messages::ToEngine;
+    use dcape_cluster::wire::{frame_bytes, read_frame, WireMsg};
+    use dcape_common::batch::TupleBatch;
+    let spec = StreamSetSpec::uniform(120, 30_000, 3, VirtualDuration::from_millis(30))
+        .with_payload_pad(1024)
+        .with_payload_blob(128);
+    let mut gen = StreamSetGenerator::new(spec).unwrap();
+    let partitioner = gen.partitioner();
+    let tuples = gen.generate_ticks(64);
+    let mut batch = TupleBatch::with_capacity(tuples.len());
+    for t in tuples {
+        batch.push(partitioner.partition_of(t.get(0).unwrap()), t);
+    }
+    let msg = WireMsg::Engine(ToEngine::DataBatch { tuples: batch });
+    let mut group = c.benchmark_group("wire/data_batch_frame_roundtrip");
+    group.throughput(Throughput::Bytes(frame_bytes(1, &msg).unwrap().len() as u64));
+    group.bench_function("64_ticks_blob128", |b| {
+        b.iter(|| {
+            let frame = frame_bytes(1, black_box(&msg)).unwrap();
+            black_box(read_frame(&mut frame.as_slice()).unwrap())
+        });
     });
     group.finish();
 }
@@ -379,6 +410,7 @@ criterion_group!(
     bench_relocation_transfer,
     bench_purge_steady_state,
     bench_probe_insert_steady_window,
+    bench_data_batch_frame,
     bench_trace_io,
     bench_per_input_join,
 );

@@ -1,224 +1,25 @@
-//! Compact binary encoding for tuples and values.
+//! Compact binary encoding for tuples and values, and the column
+//! blocks of a spill segment.
 //!
-//! Hand-rolled on top of the `bytes` crate so the workspace needs no
-//! external serialization format. The format is little-endian with
-//! LEB128-style varints for lengths and sequence numbers:
-//!
-//! ```text
-//! value  := tag:u8 payload
-//!   0x00 Null
-//!   0x01 Int      zigzag varint
-//!   0x02 Double   8 bytes LE bits
-//!   0x03 Bool     u8
-//!   0x04 Text     varint len + utf8 bytes
-//!   0x05 Blob     varint len + bytes
-//!   0x06 Pad      varint virtual-length       (no payload bytes!)
-//! tuple  := stream:u8 seq:varint ts:varint arity:varint value*
-//! ```
-//!
-//! `Pad` encodes its *virtual* length only — the whole point of `Pad` is
-//! to model large state without materializing it; the disk cost model
-//! charges for the virtual bytes separately (see [`crate::diskmodel`]).
+//! The value and tuple encoding itself — tags, varints, the `tuple`
+//! row — is defined in [`dcape_common::codec`] (routed batches and the
+//! engine's arena rows use it below this crate) and re-exported here
+//! unchanged. `Pad` encodes its *virtual* length only; the disk cost
+//! model charges for the virtual bytes separately (see
+//! [`crate::diskmodel`]).
 
 use bytes::{Buf, BufMut};
 
+pub use dcape_common::codec::{
+    decode_tuple, decode_value, encode_tuple, encode_value, encoded_tuple_len, encoded_value_len,
+    get_varint, put_varint, varint_len,
+};
+use dcape_common::codec::{unzigzag, zigzag};
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::StreamId;
 use dcape_common::time::VirtualTime;
 use dcape_common::tuple::Tuple;
 use dcape_common::value::Value;
-
-const TAG_NULL: u8 = 0x00;
-const TAG_INT: u8 = 0x01;
-const TAG_DOUBLE: u8 = 0x02;
-const TAG_BOOL: u8 = 0x03;
-const TAG_TEXT: u8 = 0x04;
-const TAG_BLOB: u8 = 0x05;
-const TAG_PAD: u8 = 0x06;
-
-/// Append an unsigned varint (LEB128).
-pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-/// Read an unsigned varint (LEB128).
-pub fn get_varint(buf: &mut impl Buf) -> Result<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(DcapeError::codec("varint: unexpected end of input"));
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 {
-            return Err(DcapeError::codec("varint: overflow"));
-        }
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Exact encoded length of an unsigned varint (LEB128), in bytes.
-#[inline]
-pub fn varint_len(v: u64) -> usize {
-    // ceil(bits/7), with 0 encoding as one byte.
-    (9 * (64 - v.leading_zeros()) as usize + 64) / 64
-}
-
-/// Exact encoded length of one value, in bytes.
-pub fn encoded_value_len(v: &Value) -> usize {
-    1 + match v {
-        Value::Null => 0,
-        Value::Int(i) => varint_len(zigzag(*i)),
-        Value::Double(_) => 8,
-        Value::Bool(_) => 1,
-        Value::Text(s) => varint_len(s.len() as u64) + s.len(),
-        Value::Blob(b) => varint_len(b.len() as u64) + b.len(),
-        Value::Pad(n) => varint_len(*n as u64),
-    }
-}
-
-/// Exact encoded length of one tuple, in bytes.
-pub fn encoded_tuple_len(t: &Tuple) -> usize {
-    1 + varint_len(t.seq())
-        + varint_len(t.ts().as_millis())
-        + varint_len(t.arity() as u64)
-        + t.values().iter().map(encoded_value_len).sum::<usize>()
-}
-
-#[inline]
-pub(crate) fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-pub(crate) fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Encode one value.
-pub fn encode_value(buf: &mut impl BufMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            put_varint(buf, zigzag(*i));
-        }
-        Value::Double(d) => {
-            buf.put_u8(TAG_DOUBLE);
-            buf.put_u64_le(d.to_bits());
-        }
-        Value::Bool(b) => {
-            buf.put_u8(TAG_BOOL);
-            buf.put_u8(*b as u8);
-        }
-        Value::Text(s) => {
-            buf.put_u8(TAG_TEXT);
-            put_varint(buf, s.len() as u64);
-            buf.put_slice(s.as_bytes());
-        }
-        Value::Blob(b) => {
-            buf.put_u8(TAG_BLOB);
-            put_varint(buf, b.len() as u64);
-            buf.put_slice(b);
-        }
-        Value::Pad(n) => {
-            buf.put_u8(TAG_PAD);
-            put_varint(buf, *n as u64);
-        }
-    }
-}
-
-/// Decode one value.
-pub fn decode_value(buf: &mut impl Buf) -> Result<Value> {
-    if !buf.has_remaining() {
-        return Err(DcapeError::codec("value: unexpected end of input"));
-    }
-    match buf.get_u8() {
-        TAG_NULL => Ok(Value::Null),
-        TAG_INT => Ok(Value::Int(unzigzag(get_varint(buf)?))),
-        TAG_DOUBLE => {
-            if buf.remaining() < 8 {
-                return Err(DcapeError::codec("double: short input"));
-            }
-            Ok(Value::Double(f64::from_bits(buf.get_u64_le())))
-        }
-        TAG_BOOL => {
-            if !buf.has_remaining() {
-                return Err(DcapeError::codec("bool: short input"));
-            }
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        TAG_TEXT => {
-            let len = get_varint(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(DcapeError::codec("text: short input"));
-            }
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            let s = String::from_utf8(bytes)
-                .map_err(|e| DcapeError::codec(format!("text: invalid utf8: {e}")))?;
-            Ok(Value::text(s))
-        }
-        TAG_BLOB => {
-            let len = get_varint(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(DcapeError::codec("blob: short input"));
-            }
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            Ok(Value::Blob(bytes.into()))
-        }
-        TAG_PAD => {
-            let n = get_varint(buf)?;
-            u32::try_from(n)
-                .map(Value::Pad)
-                .map_err(|_| DcapeError::codec("pad: length exceeds u32"))
-        }
-        tag => Err(DcapeError::codec(format!("unknown value tag 0x{tag:02x}"))),
-    }
-}
-
-/// Encode one tuple.
-pub fn encode_tuple(buf: &mut impl BufMut, t: &Tuple) {
-    buf.put_u8(t.stream().0);
-    put_varint(buf, t.seq());
-    put_varint(buf, t.ts().as_millis());
-    put_varint(buf, t.arity() as u64);
-    for v in t.values() {
-        encode_value(buf, v);
-    }
-}
-
-/// Decode one tuple.
-pub fn decode_tuple(buf: &mut impl Buf) -> Result<Tuple> {
-    if !buf.has_remaining() {
-        return Err(DcapeError::codec("tuple: unexpected end of input"));
-    }
-    let stream = StreamId(buf.get_u8());
-    let seq = get_varint(buf)?;
-    let ts = VirtualTime::from_millis(get_varint(buf)?);
-    let arity = get_varint(buf)? as usize;
-    if arity > 1 << 20 {
-        return Err(DcapeError::codec("tuple: implausible arity"));
-    }
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(decode_value(buf)?);
-    }
-    Ok(Tuple::new(stream, seq, ts, values))
-}
 
 // ---------------------------------------------------------------------
 // Column blocks.
@@ -451,15 +252,15 @@ fn decode_column(buf: &mut impl Buf, count: usize) -> Result<Vec<Value>> {
                 if buf.remaining() < len {
                     return Err(DcapeError::codec("column dict entry: short input"));
                 }
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
+                let bytes = &buf.chunk()[..len];
                 dict.push(if tag == CT_TEXT_DICT {
-                    let s = String::from_utf8(bytes)
+                    let s = std::str::from_utf8(bytes)
                         .map_err(|e| DcapeError::codec(format!("dict text: invalid utf8: {e}")))?;
                     Value::text(s)
                 } else {
                     Value::Blob(bytes.into())
                 });
+                buf.advance(len);
             }
             for _ in 0..count {
                 let id = get_varint(buf)? as usize;
@@ -561,166 +362,6 @@ mod tests {
     use bytes::{Bytes, BytesMut};
     use dcape_common::tuple::TupleBuilder;
     use proptest::prelude::*;
-
-    fn round_trip_value(v: &Value) -> Value {
-        let mut buf = BytesMut::new();
-        encode_value(&mut buf, v);
-        let mut bytes = buf.freeze();
-        let out = decode_value(&mut bytes).unwrap();
-        assert!(!bytes.has_remaining(), "trailing bytes after decode");
-        out
-    }
-
-    #[test]
-    fn value_round_trips() {
-        for v in [
-            Value::Null,
-            Value::Int(0),
-            Value::Int(i64::MAX),
-            Value::Int(i64::MIN),
-            Value::Int(-1),
-            Value::Double(3.25),
-            Value::Double(f64::NAN),
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::text(""),
-            Value::text("bank1.offerCurrency"),
-            Value::Blob(Bytes::from_static(b"\x00\x01\x02")),
-            Value::Pad(0),
-            Value::Pad(u32::MAX),
-        ] {
-            assert_eq!(round_trip_value(&v), v);
-        }
-    }
-
-    #[test]
-    fn encoded_lens_are_exact() {
-        for v in [
-            Value::Null,
-            Value::Int(0),
-            Value::Int(i64::MAX),
-            Value::Int(i64::MIN),
-            Value::Int(-64),
-            Value::Double(3.25),
-            Value::Bool(true),
-            Value::text(""),
-            Value::text("bank1.offerCurrency"),
-            Value::Blob(Bytes::from_static(b"\x00\x01\x02")),
-            Value::Pad(0),
-            Value::Pad(u32::MAX),
-        ] {
-            let mut buf = BytesMut::new();
-            encode_value(&mut buf, &v);
-            assert_eq!(buf.len(), encoded_value_len(&v), "{v:?}");
-        }
-        let t = TupleBuilder::new(StreamId(2))
-            .seq(u64::MAX)
-            .ts(VirtualTime::from_millis(98765))
-            .value(42i64)
-            .value("EUR")
-            .pad(512)
-            .build();
-        let mut buf = BytesMut::new();
-        encode_tuple(&mut buf, &t);
-        assert_eq!(buf.len(), encoded_tuple_len(&t));
-    }
-
-    #[test]
-    fn varint_len_matches_encoding() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            16_383,
-            16_384,
-            (1 << 21) - 1,
-            1 << 21,
-            (1 << 63) - 1,
-            u64::MAX,
-        ] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v), "v={v}");
-        }
-    }
-
-    #[test]
-    fn pad_encodes_virtually_not_physically() {
-        let mut buf = BytesMut::new();
-        encode_value(&mut buf, &Value::Pad(1_000_000));
-        assert!(buf.len() < 8, "pad must not materialize payload bytes");
-    }
-
-    #[test]
-    fn tuple_round_trips() {
-        let t = TupleBuilder::new(StreamId(2))
-            .seq(12345)
-            .ts(VirtualTime::from_millis(98765))
-            .value(42i64)
-            .value("EUR")
-            .value(1.5f64)
-            .pad(512)
-            .build();
-        let mut buf = BytesMut::new();
-        encode_tuple(&mut buf, &t);
-        let mut bytes = buf.freeze();
-        let out = decode_tuple(&mut bytes).unwrap();
-        assert_eq!(out, t);
-        assert!(!bytes.has_remaining());
-    }
-
-    #[test]
-    fn truncated_inputs_error_not_panic() {
-        let t = TupleBuilder::new(StreamId(0))
-            .value(7i64)
-            .value("abc")
-            .build();
-        let mut buf = BytesMut::new();
-        encode_tuple(&mut buf, &t);
-        let full = buf.freeze();
-        for cut in 0..full.len() {
-            let mut partial = full.slice(..cut);
-            assert!(
-                decode_tuple(&mut partial).is_err(),
-                "decode of {cut}/{} bytes should fail",
-                full.len()
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_tag_rejected() {
-        let mut b = Bytes::from_static(&[0xFF]);
-        assert!(decode_value(&mut b).is_err());
-    }
-
-    #[test]
-    fn invalid_utf8_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0x04); // TEXT
-        put_varint(&mut buf, 2);
-        buf.put_slice(&[0xC3, 0x28]); // invalid utf8
-        let mut bytes = buf.freeze();
-        assert!(decode_value(&mut bytes).is_err());
-    }
-
-    #[test]
-    fn varint_boundaries() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, v);
-            let mut bytes = buf.freeze();
-            assert_eq!(get_varint(&mut bytes).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn varint_overflow_rejected() {
-        // 11 bytes of continuation => > 64 bits.
-        let mut b = Bytes::from_static(&[0x80; 11]);
-        assert!(get_varint(&mut b).is_err());
-    }
 
     fn block_round_trip(tuples: &[Tuple]) {
         let mut buf = BytesMut::new();
@@ -890,11 +531,6 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_int_round_trip(v in any::<i64>()) {
-            prop_assert_eq!(round_trip_value(&Value::Int(v)), Value::Int(v));
-        }
-
-        #[test]
         fn prop_stream_block_round_trip(
             seqs in proptest::collection::vec(any::<u64>(), 0..40),
             key_mod in 1i64..10,
@@ -918,32 +554,6 @@ mod tests {
             prop_assert_eq!(decode_stream_block(&mut bytes).unwrap(), tuples);
             prop_assert!(!bytes.has_remaining());
         }
-
-        #[test]
-        fn prop_text_round_trip(s in ".{0,64}") {
-            let v = Value::text(&s);
-            prop_assert_eq!(round_trip_value(&v), v);
-        }
-
-        #[test]
-        fn prop_tuple_round_trip(
-            stream in 0u8..4,
-            seq in any::<u64>(),
-            ts in any::<u64>(),
-            ints in proptest::collection::vec(any::<i64>(), 0..8),
-        ) {
-            let values: Vec<Value> = ints.into_iter().map(Value::Int).collect();
-            let t = Tuple::new(StreamId(stream), seq, VirtualTime::from_millis(ts), values);
-            let mut buf = BytesMut::new();
-            encode_tuple(&mut buf, &t);
-            let mut bytes = buf.freeze();
-            prop_assert_eq!(decode_tuple(&mut bytes).unwrap(), t);
-        }
-
-        #[test]
-        fn prop_zigzag_round_trip(v in any::<i64>()) {
-            prop_assert_eq!(unzigzag(zigzag(v)), v);
-        }
     }
 }
 
@@ -954,20 +564,6 @@ mod fuzz_tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Decoding arbitrary bytes must never panic — it returns a
-        /// value (when the bytes happen to parse) or an error.
-        #[test]
-        fn decode_value_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let mut b = Bytes::from(data);
-            let _ = decode_value(&mut b);
-        }
-
-        #[test]
-        fn decode_tuple_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let mut b = Bytes::from(data);
-            let _ = decode_tuple(&mut b);
-        }
-
         /// Column-block decoding of arbitrary bytes must never panic.
         #[test]
         fn decode_stream_block_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {

@@ -214,7 +214,12 @@ impl StreamSetGenerator {
             let local = self.schedules[s][pid.index()].next_value();
             // Craft the value so `value mod n == pid`.
             let join_value = (local * n + pid.0 as u64) as i64;
-            let mut values = Vec::with_capacity(2);
+            // Exact, so `Tuple::new`'s boxed slice takes the buffer over
+            // without reallocating, whatever the spec's arity.
+            let arity = 1
+                + usize::from(self.spec.payload_pad > 0)
+                + usize::from(!self.blob_templates.is_empty());
+            let mut values = Vec::with_capacity(arity);
             values.push(Value::Int(join_value));
             if self.spec.payload_pad > 0 {
                 values.push(Value::Pad(self.spec.payload_pad));

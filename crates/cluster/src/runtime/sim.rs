@@ -20,7 +20,7 @@ use dcape_common::tuple::Tuple;
 use dcape_engine::config::EngineConfig;
 use dcape_engine::engine::QueryEngine;
 use dcape_engine::sink::{CollectingSink, ResultSink};
-use dcape_engine::spill::cleanup::merge_segments_windowed;
+use dcape_engine::spill::cleanup::SegmentMerger;
 use dcape_metrics::journal::{
     merge_journals, AdaptEvent, CountersSnapshot, JournalEntry, JournalHandle,
 };
@@ -1533,7 +1533,7 @@ impl SimDriver {
 
         for pid in spilled_pids {
             let owner = self.placement.owner(pid)?;
-            let mut segments: Vec<SpilledGroup> = Vec::new();
+            let mut merger = SegmentMerger::new(&join_columns, self.cfg.engine.join.window, false);
             let mut io_ms = 0u64;
             let mut disk_bytes = 0u64;
             // Chaos: a stalled segment shipment slows this partition's
@@ -1561,17 +1561,14 @@ impl SimDriver {
                     io_ms += cost_model.disk.io_cost(meta.state_bytes).as_millis();
                     disk_bytes += meta.state_bytes;
                 }
-                segments.extend(e.take_spilled_segments(pid)?);
+                while let Some(segment) = e.take_spilled_segment(pid)? {
+                    merger.push(segment, &mut cleanup_sink)?;
+                }
             }
             if let Some((resident, _)) = self.engines[owner.index()].extract_resident_group(pid) {
-                segments.push(resident);
+                merger.push(resident, &mut cleanup_sink)?;
             }
-            let outcome = merge_segments_windowed(
-                &join_columns,
-                self.cfg.engine.join.window,
-                segments,
-                &mut cleanup_sink,
-            )?;
+            let outcome = merger.outcome();
             self.journal.record(
                 self.now,
                 AdaptEvent::CleanupPhase {

@@ -330,7 +330,7 @@ fn put_group(buf: &mut Vec<u8>, g: &SpilledGroup) {
 
 fn get_group(buf: &mut &[u8]) -> Result<SpilledGroup> {
     let n = get_count(buf, "segment byte")?;
-    let g = SpilledGroup::decode(bytes::Bytes::copy_from_slice(&buf[..n]))?;
+    let g = SpilledGroup::decode_slice(&buf[..n])?;
     buf.advance(n);
     Ok(g)
 }
@@ -1283,7 +1283,7 @@ mod tests {
         let mut g = SpilledGroup::empty(PartitionId(7), 3);
         for s in 0..3u8 {
             for i in 0..4u64 {
-                g.per_stream[s as usize].push(tuple(s, i));
+                g.push(&tuple(s, i)).unwrap();
             }
         }
         g

@@ -26,7 +26,7 @@
 
 use bytes::Buf;
 
-use crate::codec::{decode_value, encode_tuple, get_varint, put_varint, skip_value};
+use crate::codec::{body_value, decode_value, encode_tuple, get_varint, put_varint, skip_value};
 use crate::error::{DcapeError, Result};
 use crate::ids::{PartitionId, StreamId};
 use crate::time::VirtualTime;
@@ -151,6 +151,42 @@ pub struct RowRef<'a> {
 }
 
 impl<'a> RowRef<'a> {
+    /// Read one `arity value*` body off the front of `buf` as the row
+    /// with the given header: the tail of a batch row, and how a stored
+    /// row whose header lives in columns (a snapshot's arena row, a
+    /// segment's row block) becomes a row again — one definition of a
+    /// well-formed body for all of them.
+    #[inline]
+    pub fn from_body(
+        pid: PartitionId,
+        stream: StreamId,
+        seq: u64,
+        ts: VirtualTime,
+        buf: &mut &'a [u8],
+        check_utf8: bool,
+    ) -> Result<Self> {
+        let body_start = *buf;
+        // Every value encodes to at least one byte, which bounds the
+        // arity (and with it the payload sum) by the bytes at hand.
+        let arity = match usize::try_from(get_varint(buf)?) {
+            Ok(n) if n <= buf.len() => n,
+            _ => return Err(DcapeError::codec("row: implausible arity")),
+        };
+        let mut payload = 0usize;
+        for _ in 0..arity {
+            payload = payload.saturating_add(skip_value(buf, check_utf8)?);
+        }
+        Ok(RowRef {
+            pid,
+            stream,
+            seq,
+            ts,
+            arity,
+            payload,
+            body: &body_start[..body_start.len() - buf.len()],
+        })
+    }
+
     /// The partition the split routed the tuple to.
     #[inline]
     pub fn pid(&self) -> PartitionId {
@@ -199,15 +235,7 @@ impl<'a> RowRef<'a> {
     /// columns before it.
     #[inline]
     pub fn value(&self, idx: usize) -> Option<Value> {
-        if idx >= self.arity {
-            return None;
-        }
-        let mut buf = self.body;
-        get_varint(&mut buf).expect(CHECKED);
-        for _ in 0..idx {
-            skip_value(&mut buf, false).expect(CHECKED);
-        }
-        Some(decode_value(&mut buf).expect(CHECKED))
+        body_value(self.body, idx).expect(CHECKED)
     }
 
     /// Rebuild the tuple.
@@ -264,26 +292,7 @@ fn parse_row<'a>(buf: &mut &'a [u8], check_utf8: bool) -> Result<RowRef<'a>> {
     let stream = StreamId(buf.get_u8());
     let seq = get_varint(buf)?;
     let ts = VirtualTime::from_millis(get_varint(buf)?);
-    let body_start = *buf;
-    // Every value encodes to at least one byte, which bounds the arity
-    // (and with it the payload sum) by the bytes at hand.
-    let arity = match usize::try_from(get_varint(buf)?) {
-        Ok(n) if n <= buf.len() => n,
-        _ => return Err(DcapeError::codec("row: implausible arity")),
-    };
-    let mut payload = 0usize;
-    for _ in 0..arity {
-        payload = payload.saturating_add(skip_value(buf, check_utf8)?);
-    }
-    Ok(RowRef {
-        pid: PartitionId(pid),
-        stream,
-        seq,
-        ts,
-        arity,
-        payload,
-        body: &body_start[..body_start.len() - buf.len()],
-    })
+    RowRef::from_body(PartitionId(pid), stream, seq, ts, buf, check_utf8)
 }
 
 #[cfg(test)]

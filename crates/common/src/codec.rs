@@ -229,6 +229,94 @@ pub fn decode_value(buf: &mut impl Buf) -> Result<Value> {
     }
 }
 
+/// One encoded value read in place: scalars decoded, text and blob
+/// payloads borrowed from the input (text not yet checked for UTF-8).
+/// What the spill block codec walks arena rows with, so a stored row is
+/// re-encoded without ever becoming a [`Value`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RawValue<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float, as its bit pattern.
+    Double(u64),
+    /// Boolean.
+    Bool(bool),
+    /// Text payload bytes.
+    Text(&'a [u8]),
+    /// Blob payload bytes.
+    Blob(&'a [u8]),
+    /// Accounting-only payload length.
+    Pad(u32),
+}
+
+/// Read one encoded value off the front of `buf` without allocating.
+/// Refuses what [`decode_value`] refuses, except that text bytes are
+/// returned unchecked.
+#[inline]
+pub fn raw_value<'a>(buf: &mut &'a [u8]) -> Result<RawValue<'a>> {
+    let Some((&tag, rest)) = buf.split_first() else {
+        return Err(DcapeError::codec("value: unexpected end of input"));
+    };
+    *buf = rest;
+    match tag {
+        TAG_NULL => Ok(RawValue::Null),
+        TAG_INT => Ok(RawValue::Int(unzigzag(get_varint(buf)?))),
+        TAG_DOUBLE if buf.len() >= 8 => Ok(RawValue::Double(buf.get_u64_le())),
+        TAG_BOOL if !buf.is_empty() => Ok(RawValue::Bool(buf.get_u8() != 0)),
+        TAG_DOUBLE | TAG_BOOL => Err(DcapeError::codec("value: short input")),
+        TAG_TEXT | TAG_BLOB => {
+            let len = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
+            let rest: &'a [u8] = buf;
+            if len > rest.len() {
+                return Err(DcapeError::codec("text or blob: short input"));
+            }
+            let (bytes, tail) = rest.split_at(len);
+            *buf = tail;
+            Ok(if tag == TAG_TEXT {
+                RawValue::Text(bytes)
+            } else {
+                RawValue::Blob(bytes)
+            })
+        }
+        TAG_PAD => u32::try_from(get_varint(buf)?)
+            .map(RawValue::Pad)
+            .map_err(|_| DcapeError::codec("pad: length exceeds u32")),
+        tag => Err(DcapeError::codec(format!("unknown value tag 0x{tag:02x}"))),
+    }
+}
+
+/// Append `v` in the value encoding: the inverse of [`raw_value`].
+#[inline]
+pub fn encode_raw_value(buf: &mut impl BufMut, v: RawValue<'_>) {
+    match v {
+        RawValue::Null => buf.put_u8(TAG_NULL),
+        RawValue::Int(i) => {
+            buf.put_u8(TAG_INT);
+            put_varint(buf, zigzag(i));
+        }
+        RawValue::Double(bits) => {
+            buf.put_u8(TAG_DOUBLE);
+            buf.put_u64_le(bits);
+        }
+        RawValue::Bool(b) => {
+            buf.put_u8(TAG_BOOL);
+            buf.put_u8(b as u8);
+        }
+        RawValue::Text(bytes) | RawValue::Blob(bytes) => {
+            let text = matches!(v, RawValue::Text(_));
+            buf.put_u8(if text { TAG_TEXT } else { TAG_BLOB });
+            put_varint(buf, bytes.len() as u64);
+            buf.put_slice(bytes);
+        }
+        RawValue::Pad(n) => {
+            buf.put_u8(TAG_PAD);
+            put_varint(buf, n as u64);
+        }
+    }
+}
+
 /// Step over one encoded value without building it, returning the bytes
 /// it accounts for in operator state ([`Value::payload_bytes`]). Refuses
 /// exactly what [`decode_value`] refuses; the UTF-8 check of a text
@@ -236,37 +324,32 @@ pub fn decode_value(buf: &mut impl Buf) -> Result<Value> {
 /// none).
 #[inline]
 pub fn skip_value(buf: &mut &[u8], check_utf8: bool) -> Result<usize> {
-    fn skip_fixed(buf: &mut &[u8], n: usize) -> Result<usize> {
-        if buf.len() < n {
-            return Err(DcapeError::codec("value: short input"));
-        }
-        buf.advance(n);
-        Ok(0)
-    }
-    let Some((&tag, rest)) = buf.split_first() else {
-        return Err(DcapeError::codec("value: unexpected end of input"));
-    };
-    *buf = rest;
-    match tag {
-        TAG_NULL => Ok(0),
-        TAG_INT => get_varint(buf).map(|_| 0),
-        TAG_DOUBLE => skip_fixed(buf, 8),
-        TAG_BOOL => skip_fixed(buf, 1),
-        TAG_TEXT | TAG_BLOB => {
-            let bytes = get_len_prefixed(buf, "text or blob")?;
-            let len = bytes.len();
-            if tag == TAG_TEXT && check_utf8 {
+    Ok(match raw_value(buf)? {
+        RawValue::Text(bytes) => {
+            if check_utf8 {
                 std::str::from_utf8(bytes)
                     .map_err(|e| DcapeError::codec(format!("text: invalid utf8: {e}")))?;
             }
-            buf.advance(len);
-            Ok(len)
+            bytes.len()
         }
-        TAG_PAD => u32::try_from(get_varint(buf)?)
-            .map(|n| n as usize)
-            .map_err(|_| DcapeError::codec("pad: length exceeds u32")),
-        tag => Err(DcapeError::codec(format!("unknown value tag 0x{tag:02x}"))),
+        RawValue::Blob(bytes) => bytes.len(),
+        RawValue::Pad(n) => n as usize,
+        _ => 0,
+    })
+}
+
+/// Decode the value in column `idx` of a row body (`arity:varint
+/// value*`, the tail of `tuple`), stepping over the columns before it;
+/// `None` if the row has no such column.
+#[inline]
+pub fn body_value(mut body: &[u8], idx: usize) -> Result<Option<Value>> {
+    if idx as u64 >= get_varint(&mut body)? {
+        return Ok(None);
     }
+    for _ in 0..idx {
+        skip_value(&mut body, false)?;
+    }
+    decode_value(&mut body).map(Some)
 }
 
 /// Encode one tuple.
@@ -383,6 +466,32 @@ mod tests {
         let mut wide_pad = vec![TAG_PAD];
         put_varint(&mut wide_pad, u32::MAX as u64 + 1);
         assert!(skip_value(&mut wide_pad.as_slice(), false).is_err());
+    }
+
+    #[test]
+    fn raw_value_reads_in_place_and_encodes_back() {
+        for v in sample_values() {
+            let mut buf = Vec::new();
+            encode_value(&mut buf, &v);
+            let encoded = buf.len();
+            buf.push(0xEE);
+            let mut rest = buf.as_slice();
+            let raw = raw_value(&mut rest).unwrap();
+            assert_eq!(rest, [0xEE], "{v:?}");
+            match (raw, &v) {
+                (RawValue::Text(b), Value::Text(s)) => assert_eq!(b, s.as_bytes()),
+                (RawValue::Blob(b), Value::Blob(bytes)) => assert_eq!(b, &bytes[..]),
+                (RawValue::Int(i), Value::Int(j)) => assert_eq!(i, *j),
+                _ => {}
+            }
+            let mut again = Vec::new();
+            encode_raw_value(&mut again, raw);
+            assert_eq!(again, buf[..encoded], "{v:?}");
+            for cut in 0..encoded {
+                assert!(raw_value(&mut &buf[..cut]).is_err(), "{v:?} cut {cut}");
+            }
+        }
+        assert!(raw_value(&mut &[0xFFu8][..]).is_err());
     }
 
     #[test]

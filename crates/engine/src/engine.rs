@@ -32,7 +32,7 @@ use crate::config::EngineConfig;
 use crate::controller::{LocalController, Mode};
 use crate::operators::mjoin::MJoinOperator;
 use crate::sink::ResultSink;
-use crate::spill::cleanup::merge_segments_windowed;
+use crate::spill::cleanup::SegmentMerger;
 use crate::stats::EngineStatsReport;
 
 /// Result of one spill adaptation on one engine.
@@ -556,21 +556,28 @@ impl QueryEngine {
     }
 
     /// Take (read + remove) all disk-resident segments of one partition,
-    /// in spill order — used by cluster-wide cleanup, where a partition's
-    /// segments may live on a different engine than its current owner
-    /// after relocations.
+    /// in spill order — a partition's segments may live on a different
+    /// engine than its current owner after relocations, and this is how
+    /// they are gathered to be forwarded.
     pub fn take_spilled_segments(&mut self, pid: PartitionId) -> Result<Vec<SpilledGroup>> {
-        self.take_segments_journaled(pid)
+        self.journal_reads(|store| store.take_segments(pid))
     }
 
-    /// [`SpillStore::take_segments`] with the physically read encoded
+    /// Take (read + remove) the oldest disk-resident segment of one
+    /// partition, `None` once it has none left: what a cleanup merge
+    /// pulls, so that one decoded segment is held at a time.
+    pub fn take_spilled_segment(&mut self, pid: PartitionId) -> Result<Option<SpilledGroup>> {
+        self.journal_reads(|store| store.take_segment(pid))
+    }
+
+    /// Run a read-back on the store with the physically read encoded
     /// bytes journaled (every disk read-back path funnels through here).
-    fn take_segments_journaled(&mut self, pid: PartitionId) -> Result<Vec<SpilledGroup>> {
+    fn journal_reads<T>(&mut self, read: impl FnOnce(&mut SpillStore) -> Result<T>) -> Result<T> {
         let before = self.store.stats().encoded_bytes_read;
-        let groups = self.store.take_segments(pid)?;
+        let taken = read(&mut self.store);
         self.journal
             .add_spill_bytes_read(self.store.stats().encoded_bytes_read - before);
-        Ok(groups)
+        taken
     }
 
     /// Read access to a partition's segment metadata (cost accounting).
@@ -602,43 +609,77 @@ impl QueryEngine {
     /// emitting the missing results into `sink`.
     pub fn cleanup(&mut self, sink: &mut dyn ResultSink) -> Result<CleanupReport> {
         let mut report = CleanupReport::default();
-        let cost = self.cfg.cost;
         for pid in self.store.partitions_with_segments() {
-            // Disk I/O cost, from metadata (before consuming them).
-            let mut pid_disk_bytes = 0u64;
-            for meta in self.store.segments_of(pid) {
-                report.virtual_cost = report.virtual_cost + cost.disk.io_cost(meta.state_bytes);
-                pid_disk_bytes += meta.state_bytes;
-            }
-            report.disk_state_bytes_read += pid_disk_bytes;
-            let mut segments = self.take_segments_journaled(pid)?;
-            if let Some((resident, _output)) = self.join.extract_group(pid) {
-                segments.push(resident);
-            }
-            let outcome = merge_segments_windowed(
-                &self.cfg.join.join_columns,
-                self.cfg.join.window,
-                segments,
-                sink,
-            )?;
+            let (partition, _) = self.merge_partition(pid, false, sink)?;
             report.partitions += 1;
-            report.missing_results += outcome.missing_results;
-            report.scanned_tuples += outcome.scanned_tuples;
-            self.journal.record(
-                self.clock,
-                AdaptEvent::CleanupPhase {
-                    engine: self.id,
-                    group: pid,
-                    missing_results: outcome.missing_results,
-                    scanned_tuples: outcome.scanned_tuples,
-                    disk_bytes_read: pid_disk_bytes,
-                },
-            );
+            report.missing_results += partition.missing_results;
+            report.scanned_tuples += partition.scanned_tuples;
+            report.disk_state_bytes_read += partition.disk_state_bytes_read;
+            report.virtual_cost = report.virtual_cost + partition.virtual_cost;
         }
+        report.virtual_cost = report.virtual_cost + self.merge_compute_cost(&report);
+        Ok(report)
+    }
+
+    /// Modeled compute time of the merges `report` sums up.
+    fn merge_compute_cost(&self, report: &CleanupReport) -> VirtualDuration {
+        let cost = self.cfg.cost;
         let compute_us = report.scanned_tuples * cost.cleanup_scan_us_per_tuple
             + report.missing_results * cost.cleanup_emit_us_per_result;
-        report.virtual_cost = report.virtual_cost + VirtualDuration::from_millis(compute_us / 1000);
-        Ok(report)
+        VirtualDuration::from_millis(compute_us / 1000)
+    }
+
+    /// Merge partition `pid`'s disk-resident segments, pulled one at a
+    /// time, with its memory-resident group (which leaves memory), emit
+    /// the missing results into `sink`, and journal the merge. The
+    /// report's cost covers the I/O only. With `keep_state` also returns
+    /// everything merged as one group, and the resident group's output
+    /// count.
+    fn merge_partition(
+        &mut self,
+        pid: PartitionId,
+        keep_state: bool,
+        sink: &mut dyn ResultSink,
+    ) -> Result<(CleanupReport, Option<(SpilledGroup, u64)>)> {
+        let cost = self.cfg.cost;
+        let mut report = CleanupReport {
+            partitions: 1,
+            ..CleanupReport::default()
+        };
+        // Disk I/O cost, from metadata (before consuming them).
+        for meta in self.store.segments_of(pid) {
+            report.virtual_cost = report.virtual_cost + cost.disk.io_cost(meta.state_bytes);
+            report.disk_state_bytes_read += meta.state_bytes;
+        }
+        let join_columns = self.cfg.join.join_columns.clone();
+        let mut merger = SegmentMerger::new(&join_columns, self.cfg.join.window, keep_state);
+        while let Some(segment) = self.take_spilled_segment(pid)? {
+            merger.push(segment, sink)?;
+        }
+        let mut carried_output = 0;
+        if let Some((resident, output)) = self.join.extract_group(pid) {
+            carried_output = output;
+            merger.push(resident, sink)?;
+        }
+        let outcome = merger.outcome();
+        report.missing_results = outcome.missing_results;
+        report.scanned_tuples = outcome.scanned_tuples;
+        self.journal.record(
+            self.clock,
+            AdaptEvent::CleanupPhase {
+                engine: self.id,
+                group: pid,
+                missing_results: outcome.missing_results,
+                scanned_tuples: outcome.scanned_tuples,
+                disk_bytes_read: report.disk_state_bytes_read,
+            },
+        );
+        let merged = if keep_state {
+            merger.into_group()?.map(|group| (group, carried_output))
+        } else {
+            None
+        };
+        Ok((report, merged))
     }
 
     /// Run-time reactivation of one spilled partition (§3: "this state
@@ -655,53 +696,15 @@ impl QueryEngine {
         pid: PartitionId,
         sink: &mut dyn ResultSink,
     ) -> Result<Option<CleanupReport>> {
-        let mut report = CleanupReport::default();
-        let cost = self.cfg.cost;
         if self.store.segments_of(pid).is_empty() {
             return Ok(None);
         }
-        for meta in self.store.segments_of(pid) {
-            report.virtual_cost = report.virtual_cost + cost.disk.io_cost(meta.state_bytes);
-            report.disk_state_bytes_read += meta.state_bytes;
-        }
-        let mut segments = self.take_segments_journaled(pid)?;
-        let mut carried_output = 0;
-        if let Some((resident, output)) = self.join.extract_group(pid) {
-            carried_output = output;
-            segments.push(resident);
-        }
-        let outcome = merge_segments_windowed(
-            &self.cfg.join.join_columns,
-            self.cfg.join.window,
-            segments.clone(),
-            sink,
-        )?;
-        report.partitions = 1;
-        report.missing_results = outcome.missing_results;
-        report.scanned_tuples = outcome.scanned_tuples;
-        let compute_us = report.scanned_tuples * cost.cleanup_scan_us_per_tuple
-            + report.missing_results * cost.cleanup_emit_us_per_result;
-        report.virtual_cost = report.virtual_cost + VirtualDuration::from_millis(compute_us / 1000);
-        self.journal.record(
-            self.clock,
-            AdaptEvent::CleanupPhase {
-                engine: self.id,
-                group: pid,
-                missing_results: outcome.missing_results,
-                scanned_tuples: outcome.scanned_tuples,
-                disk_bytes_read: report.disk_state_bytes_read,
-            },
-        );
-
-        // Rebuild the merged in-memory group from all slices.
-        let mut merged = SpilledGroup::empty(pid, self.cfg.join.num_streams);
-        for segment in segments {
-            for (s, mut tuples) in segment.per_stream.into_iter().enumerate() {
-                merged.per_stream[s].append(&mut tuples);
-            }
-        }
+        // What the merge accumulated is the partition's whole state.
+        let (mut report, merged) = self.merge_partition(pid, true, sink)?;
+        report.virtual_cost = report.virtual_cost + self.merge_compute_cost(&report);
+        let (merged, carried_output) = merged.expect("the partition had segments");
         self.join
-            .install_group(merged, carried_output + outcome.missing_results)?;
+            .install_group(merged, carried_output + report.missing_results)?;
         Ok(Some(report))
     }
 

@@ -4,6 +4,6 @@ pub mod cleanup;
 pub mod per_input;
 pub mod policy;
 
-pub use cleanup::{merge_segments, CleanupOutcome};
+pub use cleanup::{merge_segments, CleanupOutcome, SegmentMerger};
 pub use per_input::{PerInputCleanupReport, PerInputJoin};
 pub use policy::VictimPolicy;

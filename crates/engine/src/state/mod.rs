@@ -1,6 +1,6 @@
 //! Operator state: partition groups and productivity statistics.
 
-mod join_index;
+pub(crate) mod join_index;
 pub mod partition_group;
 pub mod productivity;
 

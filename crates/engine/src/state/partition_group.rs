@@ -31,6 +31,7 @@
 //!   partition in O(expired rows) — see [`ColumnarState::purge`].
 
 use dcape_common::batch::{RowRef, TupleBatch};
+use dcape_common::codec::{body_value, decode_value, get_varint};
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::{fx_hash, FxHashMap};
 use dcape_common::ids::{PartitionId, StreamId};
@@ -38,8 +39,7 @@ use dcape_common::mem::HeapSize;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_common::value::Value;
-use dcape_storage::codec::{decode_value, get_varint};
-use dcape_storage::SpilledGroup;
+use dcape_storage::{SpilledGroup, StreamColumns};
 use std::sync::Arc;
 
 use crate::config::StateLayout;
@@ -165,7 +165,7 @@ struct RowMeta {
 /// no position below `head`, and every reader walks `head..` only.
 /// `end` is `u32`: one stream partition's arena is capped at 4 GiB of
 /// live bytes, enforced *before* any result is emitted.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ColumnarPartition {
     ts: Vec<VirtualTime>,
     meta: Vec<RowMeta>,
@@ -246,6 +246,32 @@ impl ColumnarPartition {
         pos
     }
 
+    /// Physically drop the retired prefix from every store and re-base
+    /// the arena offsets. Returns how many rows went — index positions
+    /// above them are the caller's to shift.
+    fn drop_retired(&mut self) -> usize {
+        let head = std::mem::take(&mut self.head);
+        if head > 0 {
+            let base = self.meta[head - 1].end;
+            self.ts.drain(..head);
+            self.meta.drain(..head);
+            self.arena.drain(..base as usize);
+            for m in &mut self.meta {
+                m.end -= base;
+            }
+        }
+        head
+    }
+
+    /// Hand the live rows over as snapshot columns: the timestamp column
+    /// and the arena move, the bookkeeping column splits in two.
+    fn into_columns(mut self) -> StreamColumns {
+        self.drop_retired();
+        let acct = self.meta.iter().map(|m| m.acct).sum();
+        let (seq, ends) = self.meta.iter().map(|m| (m.seq, m.end)).unzip();
+        StreamColumns::from_parts(self.ts, seq, ends, self.arena, acct)
+    }
+
     /// Rebuild row `i` from its columns and arena slice. The arena
     /// holds only bodies of well-formed batch rows, so decode failures
     /// are impossible.
@@ -262,12 +288,9 @@ impl ColumnarPartition {
     /// Recover row `i`'s join key from its arena slice, decoding only as
     /// far as the join `column` (validated present at insert).
     fn key_at(&self, i: usize, column: usize) -> Value {
-        let mut buf = self.row_bytes(i);
-        get_varint(&mut buf).expect("arena: self-encoded");
-        for _ in 0..column {
-            decode_value(&mut buf).expect("arena: self-encoded");
-        }
-        decode_value(&mut buf).expect("arena: self-encoded")
+        body_value(self.row_bytes(i), column)
+            .expect("arena: self-encoded")
+            .expect("join column validated at insert")
     }
 
     /// Test-only: the structural invariants of the column stores.
@@ -306,6 +329,56 @@ impl ColumnarState {
         }
     }
 
+    /// Take snapshot columns in as live state: the timestamp column and
+    /// the arena move, and one walk over the rows rebuilds the
+    /// bookkeeping column and the join index. Also returns the bytes the
+    /// rows account for.
+    fn from_columns(
+        pid: PartitionId,
+        streams: Vec<StreamColumns>,
+        join_columns: &[usize],
+    ) -> Result<(Self, usize)> {
+        let mut st = ColumnarState::new(streams.len());
+        let mut bytes = 0usize;
+        for (s, columns) in streams.into_iter().enumerate() {
+            let (ts, seq, ends, arena) = columns.into_parts();
+            let mut meta = Vec::with_capacity(ends.len());
+            let mut start = 0usize;
+            for (i, (&seq, &end)) in seq.iter().zip(&ends).enumerate() {
+                let mut body = &arena[start..end as usize];
+                let row = RowRef::from_body(pid, StreamId(s as u8), seq, ts[i], &mut body, false)?;
+                let key = row
+                    .value(join_columns[s])
+                    .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
+                let slot = st.index.find_or_insert(fx_hash(&key), &key);
+                st.index.list_mut(slot, s).push(i as u32);
+                let acct = row.heap_size();
+                bytes += acct + PER_TUPLE_OVERHEAD;
+                meta.push(RowMeta {
+                    seq,
+                    acct: acct as u64,
+                    end,
+                });
+                start = end as usize;
+            }
+            st.cols[s] = ColumnarPartition {
+                ts_sorted: ts.windows(2).all(|w| w[0] <= w[1]),
+                min_ts: ts.iter().min().copied().unwrap_or(NO_ROWS),
+                ts,
+                meta,
+                arena,
+                head: 0,
+            };
+        }
+        Ok((st, bytes))
+    }
+
+    /// Hand the live rows over as snapshot columns, one per stream.
+    fn into_columns(self) -> Vec<StreamColumns> {
+        let cols = self.cols.into_iter();
+        cols.map(ColumnarPartition::into_columns).collect()
+    }
+
     /// Reject an insert into stream `s` whose `row_len` arena bytes
     /// would push its arena past the `u32` offset range. Checked before
     /// the probe so no results are emitted for a row that is then
@@ -320,16 +393,6 @@ impl ColumnarState {
                 ));
             }
         }
-        Ok(())
-    }
-
-    /// Store and index one row of stream `s` under `key` without probing
-    /// (snapshot restore).
-    fn insert(&mut self, s: usize, key: &Value, row: &RowRef<'_>) -> Result<()> {
-        self.check_capacity(s, row.body().len())?;
-        let slot = self.index.find_or_insert(fx_hash(key), key);
-        let pos = self.cols[s].append(row);
-        self.index.list_mut(slot, s).push(pos);
         Ok(())
     }
 
@@ -490,19 +553,10 @@ impl ColumnarState {
     /// rows to the front of every store and re-base arena offsets and
     /// the stream's index positions. O(live rows + index slots).
     fn compact(&mut self, s: usize) {
-        let cp = &mut self.cols[s];
-        let head = cp.head;
+        let head = self.cols[s].drop_retired();
         if head == 0 {
             return;
         }
-        let base = cp.meta[head - 1].end;
-        cp.ts.drain(..head);
-        cp.meta.drain(..head);
-        cp.arena.drain(..base as usize);
-        for m in &mut cp.meta {
-            m.end -= base;
-        }
-        cp.head = 0;
         self.index.for_each_list_mut(s, |list| {
             list.retain_mut(|p| {
                 *p -= head as u32;
@@ -652,6 +706,16 @@ fn probe_row(
         ts_sorted &= sp.ts_sorted;
     }
     sink.emit_product(&ProbeSpans::new(lists, window, ts_sorted))
+}
+
+/// The row layout's way into a snapshot: encode every tuple.
+fn rows_to_columns(sp: &StreamPartition) -> StreamColumns {
+    let mut cols = StreamColumns::default();
+    for t in &sp.tuples {
+        cols.push_tuple(t)
+            .expect("a stream partition's rows encode to under 4 GiB");
+    }
+    cols
 }
 
 /// The layout-selected per-stream state of one group.
@@ -922,34 +986,24 @@ impl PartitionGroup {
 
     /// Consume the group into a serializable snapshot plus its output
     /// count (relocation carries the count; spill discards it because a
-    /// fresh group restarts its productivity history). Columnar state is
-    /// materialized in insertion order, so both layouts snapshot to the
-    /// same rows in the same order.
+    /// fresh group restarts its productivity history). Columnar state
+    /// hands its columns over as they are; the row layout encodes its
+    /// tuples — both snapshot to the same rows in the same order.
     pub fn into_snapshot(self) -> (SpilledGroup, u64) {
-        let per_stream = match self.state {
-            StateStore::Row(streams) => streams.into_iter().map(|s| s.tuples).collect(),
-            StateStore::Columnar(st) => st
-                .cols
-                .iter()
-                .enumerate()
-                .map(|(s, cp)| {
-                    cp.live()
-                        .map(|i| cp.materialize(StreamId(s as u8), i))
-                        .collect()
-                })
-                .collect(),
+        let streams = match self.state {
+            StateStore::Row(streams) => streams.iter().map(rows_to_columns).collect(),
+            StateStore::Columnar(st) => st.into_columns(),
         };
         (
-            SpilledGroup {
-                partition: self.pid,
-                per_stream,
-            },
+            SpilledGroup::from_streams(self.pid, streams),
             self.output_count,
         )
     }
 
     /// Rebuild a group from a snapshot (relocation receive / tests),
     /// restoring indexes, byte accounting, and the carried output count.
+    /// The columnar layout takes the snapshot's columns in as they are
+    /// (copying them only if a clone of the snapshot is still alive).
     pub fn from_snapshot(
         snapshot: SpilledGroup,
         join_columns: impl Into<Arc<[usize]>>,
@@ -958,48 +1012,30 @@ impl PartitionGroup {
         layout: StateLayout,
     ) -> Result<Self> {
         let join_columns = join_columns.into();
-        if snapshot.per_stream.len() != join_columns.len() {
+        if snapshot.num_streams() != join_columns.len() {
             return Err(DcapeError::state(format!(
                 "snapshot has {} streams, join configured for {}",
-                snapshot.per_stream.len(),
+                snapshot.num_streams(),
                 join_columns.len()
             )));
         }
         let mut group = PartitionGroup::new(snapshot.partition, join_columns, window, layout);
-        let mut one = TupleBatch::new();
-        for (s, tuples) in snapshot.per_stream.into_iter().enumerate() {
-            let column = group.join_columns[s];
-            for t in tuples {
-                match &mut group.state {
-                    StateStore::Row(streams) => {
+        match &mut group.state {
+            StateStore::Row(streams) => {
+                for (s, sp) in streams.iter_mut().enumerate() {
+                    for t in snapshot.tuples(s) {
                         let key = t
-                            .get(column)
+                            .get(group.join_columns[s])
                             .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
                         group.bytes += t.heap_size() + PER_TUPLE_OVERHEAD;
-                        let key = HashedKey::new(key.clone());
-                        streams[s].insert(key, t);
-                    }
-                    StateStore::Columnar(st) => {
-                        // Columnar state regenerates stream IDs from the
-                        // slot index at materialization; a mismatched
-                        // snapshot would silently relabel rows, so refuse
-                        // it instead.
-                        if t.stream().index() != s {
-                            return Err(DcapeError::state(format!(
-                                "snapshot slot {s} holds a tuple from stream {}",
-                                t.stream()
-                            )));
-                        }
-                        one.clear();
-                        one.push(group.pid, t);
-                        let row = one.rows().next().expect("just pushed");
-                        let key = row
-                            .value(column)
-                            .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
-                        st.insert(s, &key, &row)?;
-                        group.bytes += row.heap_size() + PER_TUPLE_OVERHEAD;
+                        sp.insert(HashedKey::new(key.clone()), t);
                     }
                 }
+            }
+            StateStore::Columnar(st) => {
+                let pid = snapshot.partition;
+                (*st, group.bytes) =
+                    ColumnarState::from_columns(pid, snapshot.into_streams(), &group.join_columns)?;
             }
         }
         group.output_count = output_count;
@@ -1009,23 +1045,14 @@ impl PartitionGroup {
     /// Clone the group's content as a snapshot without consuming it
     /// (used by tests and the drift checker).
     pub fn snapshot(&self) -> SpilledGroup {
-        let per_stream = match &self.state {
-            StateStore::Row(streams) => streams.iter().map(|s| s.tuples.clone()).collect(),
-            StateStore::Columnar(st) => st
-                .cols
-                .iter()
-                .enumerate()
-                .map(|(s, cp)| {
-                    cp.live()
-                        .map(|i| cp.materialize(StreamId(s as u8), i))
-                        .collect()
-                })
-                .collect(),
+        let streams = match &self.state {
+            StateStore::Row(streams) => streams.iter().map(rows_to_columns).collect(),
+            StateStore::Columnar(st) => {
+                let cols = st.cols.iter().cloned();
+                cols.map(ColumnarPartition::into_columns).collect()
+            }
         };
-        SpilledGroup {
-            partition: self.pid,
-            per_stream,
-        }
+        SpilledGroup::from_streams(self.pid, streams)
     }
 
     /// Recompute accounted bytes from scratch (drift detection).
@@ -1228,13 +1255,12 @@ mod tests {
     }
 
     #[test]
-    fn columnar_from_snapshot_rejects_misfiled_stream() {
-        let mut snap = SpilledGroup::empty(PartitionId(0), 3);
-        snap.per_stream[1].push(tpl(0, 0, 1)); // stream-0 tuple in slot 1
-        assert!(
-            PartitionGroup::from_snapshot(snap, vec![0, 0, 0], None, 0, StateLayout::Columnar)
-                .is_err()
-        );
+    fn from_snapshot_rejects_a_row_without_the_join_column() {
+        for layout in LAYOUTS {
+            let mut snap = SpilledGroup::empty(PartitionId(0), 3);
+            snap.push(&tpl(1, 0, 1)).unwrap(); // one column; the join wants column 2
+            assert!(PartitionGroup::from_snapshot(snap, vec![2, 2, 2], None, 0, layout).is_err());
+        }
     }
 
     #[test]
@@ -1360,7 +1386,7 @@ mod tests {
             assert_eq!(freed, row_of(3).heap_size() + PER_TUPLE_OVERHEAD);
             assert!(g.ts_sorted_of(0));
             assert_eq!(
-                g.snapshot().per_stream[0],
+                g.snapshot().tuples(0),
                 (5..40).map(row_of).collect::<Vec<_>>()
             );
             assert_eq!(g.bytes(), g.recompute_bytes());
@@ -1784,7 +1810,10 @@ mod tests {
                 }
                 for g in &groups {
                     g.assert_invariants();
-                    prop_assert_eq!(&g.snapshot().per_stream[..], &model.live[..]);
+                    let snapshot = g.snapshot();
+                    for (s, live) in model.live.iter().enumerate() {
+                        prop_assert_eq!(&snapshot.tuples(s), live);
+                    }
                     prop_assert_eq!(g.bytes(), model.bytes());
                     prop_assert_eq!(g.bytes(), g.recompute_bytes());
                     for s in 0..m {

@@ -79,6 +79,21 @@ fn retried_send_states_reships_the_same_copy() {
     let second = sender.begin_outbound(3, &parts);
     assert_eq!(first.len(), second.len());
     assert_eq!(sender.memory_used(), freed);
+    // The retained copy and every shipped one are the same buffers: a
+    // snapshot clone shares its columns, it does not copy rows.
+    assert!(first.iter().any(|(group, _, _)| !group.is_empty()));
+    for ((shipped, ..), (reshipped, ..)) in first.iter().zip(&second) {
+        assert_eq!(shipped, reshipped);
+        for (a, b) in shipped.streams().iter().zip(reshipped.streams()) {
+            assert_eq!(a.arena().as_ptr(), b.arena().as_ptr());
+            assert_eq!(a.ts().as_ptr(), b.ts().as_ptr());
+        }
+    }
+    // Installing one of them elsewhere leaves the retained copy whole.
+    let mut receiver = engine(1);
+    assert!(receiver.install_groups_for_round(3, first).unwrap());
+    assert_eq!(sender.abort_outbound(3).unwrap(), second.len());
+    assert_eq!(sender.begin_outbound(4, &parts), second);
 }
 
 #[test]

@@ -80,7 +80,7 @@ fn group_with(tuples_per_stream: u64, pad: u32) -> SpilledGroup {
     let mut g = SpilledGroup::empty(PartitionId(0), 3);
     for s in 0..3u8 {
         for i in 0..tuples_per_stream {
-            g.per_stream[s as usize].push(tpl(s, i, i as i64 % 50, pad));
+            g.push(&tpl(s, i, i as i64 % 50, pad)).unwrap();
         }
     }
     g
@@ -106,6 +106,60 @@ fn bench_spill_store(c: &mut Criterion) {
         });
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One partition group across every state boundary, the life of a spill
+/// victim or a relocated group: extract (`into_snapshot`) → encode →
+/// decode → install (`from_snapshot`). 3 streams × 2 000 rows, each an
+/// integer key and a 1 KiB blob drawn from 8 templates — the shape
+/// `spill_cleanup_sim` moves.
+fn bench_snapshot_roundtrip(c: &mut Criterion) {
+    use dcape_common::value::Value;
+    use dcape_engine::config::StateLayout;
+    use dcape_engine::state::PartitionGroup;
+    const ROWS: u64 = 2000;
+    let templates: Vec<bytes::Bytes> = (0..8u8)
+        .map(|v| bytes::Bytes::from(vec![b'a' + v; 1024]))
+        .collect();
+    let mut group = c.benchmark_group("spill/snapshot_roundtrip");
+    group.throughput(Throughput::Elements(3 * ROWS));
+    group.bench_function("3x2000_rows_blob1024", |b| {
+        b.iter_batched(
+            || {
+                let mut g =
+                    PartitionGroup::new(PartitionId(0), vec![0, 0, 0], None, StateLayout::Columnar);
+                let mut sink = CountingSink::new();
+                for seq in 0..ROWS {
+                    for s in 0..3u8 {
+                        let t = TupleBuilder::new(StreamId(s))
+                            .seq(seq)
+                            .ts(VirtualTime::from_millis(seq * 30))
+                            .value((seq % 1000) as i64)
+                            .value(Value::Blob(templates[(seq % 8) as usize].clone()))
+                            .build();
+                        g.insert(t, &mut sink).unwrap();
+                    }
+                }
+                g
+            },
+            |g| {
+                let (snapshot, output) = g.into_snapshot();
+                let segment = snapshot.encode();
+                drop(snapshot);
+                let decoded = SpilledGroup::decode(segment).unwrap();
+                let layout = StateLayout::Columnar;
+                black_box(PartitionGroup::from_snapshot(
+                    decoded,
+                    vec![0, 0, 0],
+                    None,
+                    output,
+                    layout,
+                ))
+            },
+            criterion::BatchSize::LargeInput,
+        );
+    });
+    group.finish();
 }
 
 /// Victim selection over 1 000 candidate groups.
@@ -404,6 +458,7 @@ criterion_group!(
     bench_join_insert,
     bench_codec,
     bench_spill_store,
+    bench_snapshot_roundtrip,
     bench_victim_selection,
     bench_cleanup_merge,
     bench_generator,

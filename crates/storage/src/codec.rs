@@ -10,16 +10,19 @@
 
 use bytes::{Buf, BufMut};
 
+use dcape_common::batch::RowRef;
 pub use dcape_common::codec::{
     decode_tuple, decode_value, encode_tuple, encode_value, encoded_tuple_len, encoded_value_len,
     get_varint, put_varint, varint_len,
 };
-use dcape_common::codec::{unzigzag, zigzag};
+use dcape_common::codec::{encode_raw_value, raw_value, unzigzag, zigzag, RawValue};
 use dcape_common::error::{DcapeError, Result};
-use dcape_common::ids::StreamId;
+use dcape_common::hash::{fx_hash, FxHashMap};
+use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::time::VirtualTime;
-use dcape_common::tuple::Tuple;
-use dcape_common::value::Value;
+use dcape_common::tuple::heap_size;
+
+use crate::segment::StreamColumns;
 
 // ---------------------------------------------------------------------
 // Column blocks.
@@ -45,9 +48,9 @@ use dcape_common::value::Value;
 //   0x08 Mixed       value* (tagged per-row fallback)
 // ```
 //
-// The columnar layout requires a uniform stream ID and arity across the
-// block (true for any block a partition group produces); anything else
-// falls back to the row layout. Monotone timestamps and dense sequence
+// The columnar layout requires a uniform arity across the block (true
+// for any block a partition group produces); anything else falls back
+// to the row layout. A block holds rows of one stream, its slot's. Monotone timestamps and dense sequence
 // numbers delta-code to one or two bytes per row, and low-cardinality
 // text/blob columns store each distinct payload once.
 
@@ -64,6 +67,9 @@ const CT_PAD_CONST: u8 = 0x06;
 const CT_PAD: u8 = 0x07;
 const CT_MIXED: u8 = 0x08;
 
+/// Why reading a [`StreamColumns`] arena cannot fail.
+const ARENA: &str = "arena rows are well-formed (StreamColumns invariant)";
+
 /// Delta-code a u64 column: first value verbatim, then zigzag-varint
 /// differences (wrapping, so arbitrary jumps still round-trip).
 fn put_delta_column(buf: &mut impl BufMut, values: impl Iterator<Item = u64>) {
@@ -77,299 +83,575 @@ fn put_delta_column(buf: &mut impl BufMut, values: impl Iterator<Item = u64>) {
     }
 }
 
-fn get_delta_column(buf: &mut impl Buf, count: usize) -> Result<Vec<u64>> {
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+fn get_delta_column(buf: &mut &[u8], count: usize) -> Result<Vec<u64>> {
+    let mut out = Vec::with_capacity(count);
+    let mut prev = 0u64;
     for i in 0..count {
-        let v = if i == 0 {
-            get_varint(buf)?
+        let v = get_varint(buf)?;
+        prev = if i == 0 {
+            v
         } else {
-            let prev = *out.last().expect("i > 0");
-            (prev as i64).wrapping_add(unzigzag(get_varint(buf)?)) as u64
+            (prev as i64).wrapping_add(unzigzag(v)) as u64
         };
-        out.push(v);
+        out.push(prev);
     }
     Ok(out)
 }
 
-/// Pick the column encoding for value column `c` of a uniform block.
-fn column_tag(tuples: &[Tuple], c: usize) -> u8 {
-    let uniform = |f: fn(&Value) -> bool| tuples.iter().all(|t| f(&t.values()[c]));
-    match &tuples[0].values()[c] {
-        Value::Null if uniform(|v| matches!(v, Value::Null)) => CT_NULL,
-        Value::Int(_) if uniform(|v| matches!(v, Value::Int(_))) => CT_INT,
-        Value::Double(_) if uniform(|v| matches!(v, Value::Double(_))) => CT_DOUBLE,
-        Value::Bool(_) if uniform(|v| matches!(v, Value::Bool(_))) => CT_BOOL,
-        Value::Text(_) if uniform(|v| matches!(v, Value::Text(_))) => CT_TEXT_DICT,
-        Value::Blob(_) if uniform(|v| matches!(v, Value::Blob(_))) => CT_BLOB_DICT,
-        Value::Pad(n) if uniform(|v| matches!(v, Value::Pad(_))) => {
-            if tuples.iter().all(|t| t.values()[c] == Value::Pad(*n)) {
-                CT_PAD_CONST
-            } else {
-                CT_PAD
-            }
-        }
-        _ => CT_MIXED,
+/// The block tag of a column whose rows all hold `v`'s kind of value.
+fn uniform_tag(v: &RawValue<'_>) -> u8 {
+    match v {
+        RawValue::Null => CT_NULL,
+        RawValue::Int(_) => CT_INT,
+        RawValue::Double(_) => CT_DOUBLE,
+        RawValue::Bool(_) => CT_BOOL,
+        RawValue::Text(_) => CT_TEXT_DICT,
+        RawValue::Blob(_) => CT_BLOB_DICT,
+        RawValue::Pad(_) => CT_PAD_CONST,
     }
 }
 
-fn encode_column(buf: &mut impl BufMut, tuples: &[Tuple], c: usize) {
-    let tag = column_tag(tuples, c);
-    buf.put_u8(tag);
-    let col = tuples.iter().map(|t| &t.values()[c]);
-    match tag {
-        CT_NULL => {}
-        CT_INT => {
-            for v in col {
-                let Value::Int(i) = v else { unreachable!() };
-                put_varint(buf, zigzag(*i));
-            }
+/// Distinct text/blob payloads of one column in first-occurrence order.
+///
+/// A payload is found by hashing a bounded sample of it — 48 bytes of a
+/// 1 KiB blob, not all of it — and confirmed by comparing
+/// the bytes, so entries are exactly the distinct payloads, in the order
+/// a full-value hash map would have met them.
+#[derive(Default)]
+struct Dict<'a> {
+    entries: Vec<&'a [u8]>,
+    /// `chain[id]`: the next entry with the same sample hash.
+    chain: Vec<u32>,
+    heads: FxHashMap<u64, u32>,
+}
+
+const NO_ENTRY: u32 = u32::MAX;
+
+impl<'a> Dict<'a> {
+    fn sample_hash(bytes: &[u8]) -> u64 {
+        const EDGE: usize = 16;
+        if bytes.len() <= 3 * EDGE {
+            return fx_hash(bytes);
         }
-        CT_DOUBLE => {
-            for v in col {
-                let Value::Double(d) = v else { unreachable!() };
-                buf.put_u64_le(d.to_bits());
+        let mid = bytes.len() / 2 - EDGE / 2;
+        fx_hash(&(
+            bytes.len(),
+            &bytes[..EDGE],
+            &bytes[mid..mid + EDGE],
+            &bytes[bytes.len() - EDGE..],
+        ))
+    }
+
+    fn id_of(&mut self, bytes: &'a [u8]) -> u32 {
+        let new_id = self.entries.len() as u32;
+        let mut at = *self.heads.entry(Self::sample_hash(bytes)).or_insert(new_id);
+        while at != new_id {
+            if self.entries[at as usize] == bytes {
+                return at;
             }
-        }
-        CT_BOOL => {
-            for v in col {
-                let Value::Bool(b) = v else { unreachable!() };
-                buf.put_u8(*b as u8);
+            let next = self.chain[at as usize];
+            if next == NO_ENTRY {
+                self.chain[at as usize] = new_id;
+                break;
             }
+            at = next;
         }
-        CT_PAD_CONST => {
-            let Value::Pad(n) = tuples[0].values()[c] else {
-                unreachable!()
+        self.entries.push(bytes);
+        self.chain.push(NO_ENTRY);
+        new_id
+    }
+}
+
+/// Encode one stream's rows as a column block, reading the arena rows in
+/// place.
+///
+/// One pass over the rows checks that they share an arity and picks each
+/// column's tag; then each column is written by walking a per-row cursor
+/// through the arena. Rows of differing arity take the row layout.
+pub(crate) fn encode_stream_block(buf: &mut Vec<u8>, stream: StreamId, cols: &StreamColumns) {
+    let n = cols.len();
+    put_varint(buf, n as u64);
+    if n == 0 {
+        return;
+    }
+    let arena = cols.arena();
+    // Per row: the arena offset of its next unwritten value.
+    let mut cursors: Vec<u32> = Vec::with_capacity(n);
+    // Per column: its tag so far and, for a pad column, the first length.
+    let mut tags: Vec<(u8, u32)> = Vec::new();
+    let mut start = 0usize;
+    for (i, &end) in cols.ends().iter().enumerate() {
+        let mut row = &arena[start..end as usize];
+        let arity = get_varint(&mut row).expect(ARENA) as usize;
+        if i > 0 && arity != tags.len() {
+            buf.push(LAYOUT_ROWS);
+            return put_rows(buf, stream, cols);
+        }
+        cursors.push((end as usize - row.len()) as u32);
+        for c in 0..arity {
+            let v = raw_value(&mut row).expect(ARENA);
+            let pad = if let RawValue::Pad(n) = v { n } else { 0 };
+            if i == 0 {
+                tags.push((uniform_tag(&v), pad));
+                continue;
+            }
+            let (tag, first_pad) = &mut tags[c];
+            *tag = match (*tag, uniform_tag(&v)) {
+                (CT_PAD_CONST, CT_PAD_CONST) if pad != *first_pad => CT_PAD,
+                (CT_PAD, CT_PAD_CONST) => CT_PAD,
+                (held, seen) if held == seen => held,
+                _ => CT_MIXED,
             };
-            put_varint(buf, n as u64);
         }
-        CT_PAD => {
-            for v in col {
-                let Value::Pad(n) = v else { unreachable!() };
-                put_varint(buf, *n as u64);
-            }
-        }
-        CT_TEXT_DICT => {
-            let mut dict: Vec<&str> = Vec::new();
-            let mut map: dcape_common::hash::FxHashMap<&str, u64> =
-                dcape_common::hash::FxHashMap::default();
-            let mut indexes: Vec<u64> = Vec::with_capacity(tuples.len());
-            for v in col {
-                let Value::Text(s) = v else { unreachable!() };
-                let id = *map.entry(s.as_ref()).or_insert_with(|| {
-                    dict.push(s);
-                    (dict.len() - 1) as u64
-                });
-                indexes.push(id);
-            }
-            put_varint(buf, dict.len() as u64);
-            for s in dict {
-                put_varint(buf, s.len() as u64);
-                buf.put_slice(s.as_bytes());
-            }
-            for id in indexes {
-                put_varint(buf, id);
-            }
-        }
-        CT_BLOB_DICT => {
-            let mut dict: Vec<&[u8]> = Vec::new();
-            let mut map: dcape_common::hash::FxHashMap<&[u8], u64> =
-                dcape_common::hash::FxHashMap::default();
-            let mut indexes: Vec<u64> = Vec::with_capacity(tuples.len());
-            for v in col {
-                let Value::Blob(b) = v else { unreachable!() };
-                let id = *map.entry(b.as_ref()).or_insert_with(|| {
-                    dict.push(b);
-                    (dict.len() - 1) as u64
-                });
-                indexes.push(id);
-            }
-            put_varint(buf, dict.len() as u64);
-            for b in dict {
-                put_varint(buf, b.len() as u64);
-                buf.put_slice(b);
-            }
-            for id in indexes {
-                put_varint(buf, id);
+        start = end as usize;
+    }
+    buf.push(LAYOUT_COLUMNAR);
+    buf.push(stream.0);
+    put_varint(buf, tags.len() as u64);
+    put_delta_column(buf, cols.seqs().iter().copied());
+    put_delta_column(buf, cols.ts().iter().map(|t| t.as_millis()));
+    let mut ids: Vec<u32> = Vec::new();
+    for (tag, first_pad) in tags {
+        buf.push(tag);
+        let mut dict = Dict::default();
+        ids.clear();
+        for cursor in &mut cursors {
+            let from = &arena[*cursor as usize..];
+            let mut rest = from;
+            let v = raw_value(&mut rest).expect(ARENA);
+            let len = from.len() - rest.len();
+            *cursor += len as u32;
+            match (tag, v) {
+                (CT_NULL | CT_PAD_CONST, _) => {}
+                (CT_INT, RawValue::Int(i)) => put_varint(buf, zigzag(i)),
+                (CT_DOUBLE, RawValue::Double(bits)) => buf.put_u64_le(bits),
+                (CT_BOOL, RawValue::Bool(b)) => buf.push(b as u8),
+                (CT_PAD, RawValue::Pad(n)) => put_varint(buf, n as u64),
+                (CT_TEXT_DICT, RawValue::Text(b)) | (CT_BLOB_DICT, RawValue::Blob(b)) => {
+                    ids.push(dict.id_of(b))
+                }
+                (CT_MIXED, _) => buf.extend_from_slice(&from[..len]),
+                _ => unreachable!("column tag {tag:#x} was picked from these values"),
             }
         }
-        _ => {
-            for v in col {
-                encode_value(buf, v);
+        match tag {
+            CT_PAD_CONST => put_varint(buf, first_pad as u64),
+            CT_TEXT_DICT | CT_BLOB_DICT => {
+                put_varint(buf, dict.entries.len() as u64);
+                for entry in &dict.entries {
+                    put_varint(buf, entry.len() as u64);
+                    buf.extend_from_slice(entry);
+                }
+                for &id in &ids {
+                    put_varint(buf, id as u64);
+                }
             }
+            _ => {}
         }
     }
 }
 
-fn decode_column(buf: &mut impl Buf, count: usize) -> Result<Vec<Value>> {
-    if !buf.has_remaining() {
-        return Err(DcapeError::codec("column: unexpected end of input"));
+/// Write `cols` as row-encoded tuples, each its header from the columns
+/// and its arena row as it is: the body of a column block's row fallback
+/// and of a version-1 segment's stream.
+pub(crate) fn put_rows(buf: &mut Vec<u8>, stream: StreamId, cols: &StreamColumns) {
+    for i in 0..cols.len() {
+        buf.push(stream.0);
+        put_varint(buf, cols.seqs()[i]);
+        put_varint(buf, cols.ts()[i].as_millis());
+        buf.extend_from_slice(cols.row(i));
     }
-    let tag = buf.get_u8();
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+}
+
+/// Exact byte length [`put_rows`] writes.
+pub(crate) fn rows_len(cols: &StreamColumns) -> usize {
+    let headers: usize = (cols.seqs().iter())
+        .zip(cols.ts())
+        .map(|(&seq, ts)| 1 + varint_len(seq) + varint_len(ts.as_millis()))
+        .sum();
+    headers + cols.arena().len()
+}
+
+/// Decode `count` row-encoded tuples into the columns of slot `stream`,
+/// each checked as [`TupleBatch::decode`](dcape_common::batch::TupleBatch::decode)
+/// checks a batch row and refused if it names another stream.
+pub(crate) fn decode_row_block(
+    buf: &mut &[u8],
+    count: usize,
+    stream: StreamId,
+) -> Result<StreamColumns> {
+    // A tuple encodes to at least four bytes.
+    if count > buf.len() / 4 {
+        return Err(DcapeError::codec("block: more rows than bytes"));
+    }
+    let mut cols = StreamColumns::with_capacity(count);
+    for _ in 0..count {
+        check_stream(buf, stream)?;
+        let seq = get_varint(buf)?;
+        let ts = VirtualTime::from_millis(get_varint(buf)?);
+        let row = RowRef::from_body(PartitionId(0), stream, seq, ts, buf, true)?;
+        cols.push_row(&row)?;
+    }
+    Ok(cols)
+}
+
+/// Take the stream byte off `buf`; a partition group files stream `s`'s
+/// rows in slot `s`, so any other value is refused.
+fn check_stream(buf: &mut &[u8], slot: StreamId) -> Result<()> {
+    match buf.split_first() {
+        Some((&id, rest)) if id == slot.0 => {
+            *buf = rest;
+            Ok(())
+        }
+        Some((&id, _)) => Err(DcapeError::codec(format!(
+            "block: slot {} holds a row of stream {id}",
+            slot.0
+        ))),
+        None => Err(DcapeError::codec("block: missing stream id")),
+    }
+}
+
+/// One decoded value column: a value per row, or one for all rows.
+enum Column<'a> {
+    Const(RawValue<'a>),
+    PerRow(Vec<RawValue<'a>>),
+}
+
+/// Decode one value column of `count` rows, borrowing text and blob
+/// payloads from `buf`. Adds what the column's values take in the row
+/// encoding to `arena_len` and what they account for in operator state
+/// to `payload`.
+fn decode_column<'a>(
+    buf: &mut &'a [u8],
+    count: usize,
+    arena_len: &mut u64,
+    payload: &mut u64,
+) -> Result<Column<'a>> {
+    let Some((&tag, rest)) = buf.split_first() else {
+        return Err(DcapeError::codec("column: unexpected end of input"));
+    };
+    *buf = rest;
+    let rows = count as u64;
+    let pad =
+        |n: u64| u32::try_from(n).map_err(|_| DcapeError::codec("pad column: length exceeds u32"));
+    let mut out = Vec::new();
     match tag {
-        CT_NULL => out.resize(count, Value::Null),
-        CT_INT => {
-            for _ in 0..count {
-                out.push(Value::Int(unzigzag(get_varint(buf)?)));
-            }
-        }
-        CT_DOUBLE => {
-            for _ in 0..count {
-                if buf.remaining() < 8 {
-                    return Err(DcapeError::codec("double column: short input"));
-                }
-                out.push(Value::Double(f64::from_bits(buf.get_u64_le())));
-            }
-        }
-        CT_BOOL => {
-            for _ in 0..count {
-                if !buf.has_remaining() {
-                    return Err(DcapeError::codec("bool column: short input"));
-                }
-                out.push(Value::Bool(buf.get_u8() != 0));
-            }
+        CT_NULL => {
+            *arena_len += rows;
+            return Ok(Column::Const(RawValue::Null));
         }
         CT_PAD_CONST => {
-            let n = u32::try_from(get_varint(buf)?)
-                .map_err(|_| DcapeError::codec("pad column: length exceeds u32"))?;
-            out.resize(count, Value::Pad(n));
+            let n = get_varint(buf)?;
+            *arena_len += rows * (1 + varint_len(n) as u64);
+            *payload = payload.saturating_add(rows.saturating_mul(n));
+            return Ok(Column::Const(RawValue::Pad(pad(n)?)));
         }
-        CT_PAD => {
+        CT_INT | CT_PAD | CT_MIXED => {
+            out.reserve(count);
+            let before = buf.len();
             for _ in 0..count {
-                let n = u32::try_from(get_varint(buf)?)
-                    .map_err(|_| DcapeError::codec("pad column: length exceeds u32"))?;
-                out.push(Value::Pad(n));
+                out.push(match tag {
+                    CT_INT => RawValue::Int(unzigzag(get_varint(buf)?)),
+                    CT_PAD => RawValue::Pad(pad(get_varint(buf)?)?),
+                    _ => {
+                        let v = raw_value(buf)?;
+                        if let RawValue::Text(bytes) = v {
+                            check_utf8(bytes)?;
+                        }
+                        v
+                    }
+                });
             }
+            // A mixed column is stored in the row encoding; the other
+            // two lack only the tag byte.
+            *arena_len += (before - buf.len()) as u64 + if tag == CT_MIXED { 0 } else { rows };
+            for v in &out {
+                *payload = payload.saturating_add(match *v {
+                    RawValue::Pad(n) => n as u64,
+                    RawValue::Text(b) | RawValue::Blob(b) => b.len() as u64,
+                    _ => 0,
+                });
+            }
+        }
+        CT_DOUBLE | CT_BOOL => {
+            let width = if tag == CT_DOUBLE { 8 } else { 1 };
+            if buf.len() / width < count {
+                return Err(DcapeError::codec("fixed-width column: short input"));
+            }
+            out.reserve(count);
+            for _ in 0..count {
+                out.push(if tag == CT_DOUBLE {
+                    RawValue::Double(buf.get_u64_le())
+                } else {
+                    RawValue::Bool(buf.get_u8() != 0)
+                });
+            }
+            *arena_len += rows * (1 + width as u64);
         }
         CT_TEXT_DICT | CT_BLOB_DICT => {
-            let ndict = get_varint(buf)? as usize;
-            if ndict > count {
+            let ndict = get_varint(buf)?;
+            if ndict > rows {
                 return Err(DcapeError::codec("column dict larger than column"));
             }
-            let mut dict: Vec<Value> = Vec::with_capacity(ndict);
+            let mut dict: Vec<&'a [u8]> = Vec::with_capacity(ndict as usize);
             for _ in 0..ndict {
-                let len = get_varint(buf)? as usize;
-                if buf.remaining() < len {
+                let len = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
+                let all: &'a [u8] = buf;
+                if len > all.len() {
                     return Err(DcapeError::codec("column dict entry: short input"));
                 }
-                let bytes = &buf.chunk()[..len];
-                dict.push(if tag == CT_TEXT_DICT {
-                    let s = std::str::from_utf8(bytes)
-                        .map_err(|e| DcapeError::codec(format!("dict text: invalid utf8: {e}")))?;
-                    Value::text(s)
-                } else {
-                    Value::Blob(bytes.into())
-                });
-                buf.advance(len);
+                let (entry, rest) = all.split_at(len);
+                if tag == CT_TEXT_DICT {
+                    check_utf8(entry)?;
+                }
+                dict.push(entry);
+                *buf = rest;
             }
+            out.reserve(count);
             for _ in 0..count {
-                let id = get_varint(buf)? as usize;
-                let v = dict
-                    .get(id)
+                let entry = usize::try_from(get_varint(buf)?)
+                    .ok()
+                    .and_then(|id| dict.get(id))
                     .ok_or_else(|| DcapeError::codec("column dict index out of range"))?;
-                out.push(v.clone());
-            }
-        }
-        CT_MIXED => {
-            for _ in 0..count {
-                out.push(decode_value(buf)?);
+                *arena_len += (1 + varint_len(entry.len() as u64) + entry.len()) as u64;
+                *payload = payload.saturating_add(entry.len() as u64);
+                out.push(if tag == CT_TEXT_DICT {
+                    RawValue::Text(entry)
+                } else {
+                    RawValue::Blob(entry)
+                });
             }
         }
         tag => return Err(DcapeError::codec(format!("unknown column tag 0x{tag:02x}"))),
     }
-    Ok(out)
+    Ok(Column::PerRow(out))
 }
 
-/// Encode one stream's tuple list as a column block.
-pub fn encode_stream_block(buf: &mut impl BufMut, tuples: &[Tuple]) {
-    put_varint(buf, tuples.len() as u64);
-    if tuples.is_empty() {
-        return;
-    }
-    let stream = tuples[0].stream();
-    let arity = tuples[0].arity();
-    if !tuples
-        .iter()
-        .all(|t| t.stream() == stream && t.arity() == arity)
-    {
-        buf.put_u8(LAYOUT_ROWS);
-        for t in tuples {
-            encode_tuple(buf, t);
-        }
-        return;
-    }
-    buf.put_u8(LAYOUT_COLUMNAR);
-    buf.put_u8(stream.0);
-    put_varint(buf, arity as u64);
-    put_delta_column(buf, tuples.iter().map(Tuple::seq));
-    put_delta_column(buf, tuples.iter().map(|t| t.ts().as_millis()));
-    for c in 0..arity {
-        encode_column(buf, tuples, c);
-    }
+fn check_utf8(bytes: &[u8]) -> Result<()> {
+    std::str::from_utf8(bytes)
+        .map(|_| ())
+        .map_err(|e| DcapeError::codec(format!("text: invalid utf8: {e}")))
 }
 
-/// Decode one stream's column block back into its tuple list.
-pub fn decode_stream_block(buf: &mut impl Buf) -> Result<Vec<Tuple>> {
-    let count = get_varint(buf)? as usize;
+/// Decode one stream's column block straight into the columns of slot
+/// `stream`: the values are interleaved back into arena rows without a
+/// [`Tuple`](dcape_common::tuple::Tuple) in between. Everything a reader
+/// of the arena relies on is checked here — known tags, lengths inside
+/// `buf`, UTF-8 text, `Pad` within `u32`, an arena within its `u32`
+/// offsets — since segment bytes also arrive off a socket.
+pub(crate) fn decode_stream_block(buf: &mut &[u8], stream: StreamId) -> Result<StreamColumns> {
+    let count = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
     if count == 0 {
-        return Ok(Vec::new());
+        return Ok(StreamColumns::default());
     }
-    if !buf.has_remaining() {
+    let Some((&layout, rest)) = buf.split_first() else {
         return Err(DcapeError::codec("block: unexpected end of input"));
-    }
-    match buf.get_u8() {
-        LAYOUT_ROWS => {
-            let mut tuples = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                tuples.push(decode_tuple(buf)?);
-            }
-            Ok(tuples)
-        }
+    };
+    *buf = rest;
+    match layout {
+        LAYOUT_ROWS => decode_row_block(buf, count, stream),
         LAYOUT_COLUMNAR => {
-            if !buf.has_remaining() {
-                return Err(DcapeError::codec("block: missing stream id"));
-            }
-            let stream = StreamId(buf.get_u8());
-            let arity = get_varint(buf)? as usize;
-            if arity > 1 << 20 {
-                return Err(DcapeError::codec("block: implausible arity"));
+            check_stream(buf, stream)?;
+            let arity = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
+            // Every row costs a byte in the seq column and every column
+            // a tag byte, which bounds both by the bytes at hand.
+            if count > buf.len() || arity > buf.len() {
+                return Err(DcapeError::codec("block: more rows or columns than bytes"));
             }
             let seqs = get_delta_column(buf, count)?;
-            let tss = get_delta_column(buf, count)?;
-            let mut columns: Vec<Vec<Value>> = Vec::with_capacity(arity.min(1 << 10));
+            let ts = get_delta_column(buf, count)?;
+            let mut arena_len = (count * varint_len(arity as u64)) as u64;
+            let mut payload = 0u64;
+            let mut columns = Vec::with_capacity(arity);
             for _ in 0..arity {
-                columns.push(decode_column(buf, count)?);
+                columns.push(decode_column(buf, count, &mut arena_len, &mut payload)?);
             }
-            let mut tuples = Vec::with_capacity(count.min(1 << 20));
+            if arena_len > u32::MAX as u64 {
+                return Err(DcapeError::codec("block: rows exceed the 4 GiB arena"));
+            }
+            let mut arena = Vec::with_capacity(arena_len as usize);
+            let mut ends = Vec::with_capacity(count);
             for i in 0..count {
-                let values: Vec<Value> = columns.iter().map(|col| col[i].clone()).collect();
-                tuples.push(Tuple::new(
-                    stream,
-                    seqs[i],
-                    VirtualTime::from_millis(tss[i]),
-                    values,
-                ));
+                put_varint(&mut arena, arity as u64);
+                for column in &columns {
+                    encode_raw_value(
+                        &mut arena,
+                        match column {
+                            Column::Const(v) => *v,
+                            Column::PerRow(values) => values[i],
+                        },
+                    );
+                }
+                ends.push(arena.len() as u32);
             }
-            Ok(tuples)
+            // Short of `arena_len` only where the input spelled a varint
+            // longer than it had to.
+            debug_assert!(arena.len() as u64 <= arena_len);
+            let acct = (count as u64 * heap_size(arity, 0) as u64).saturating_add(payload);
+            Ok(StreamColumns::from_parts(
+                ts.into_iter().map(VirtualTime::from_millis).collect(),
+                seqs,
+                ends,
+                arena,
+                acct,
+            ))
         }
         b => Err(DcapeError::codec(format!("unknown block layout 0x{b:02x}"))),
+    }
+}
+
+/// The block encoder this module had while a snapshot was a
+/// `Vec<Vec<Tuple>>`, kept as the reference the arena-walking encoder
+/// must match byte for byte. It also shows what a slot holding another
+/// stream's tuple used to encode to, which decoding now refuses.
+#[cfg(test)]
+pub(crate) mod golden {
+    use super::*;
+    use dcape_common::tuple::Tuple;
+    use dcape_common::value::Value;
+
+    fn column_tag(tuples: &[Tuple], c: usize) -> u8 {
+        let uniform = |f: fn(&Value) -> bool| tuples.iter().all(|t| f(&t.values()[c]));
+        match &tuples[0].values()[c] {
+            Value::Null if uniform(|v| matches!(v, Value::Null)) => CT_NULL,
+            Value::Int(_) if uniform(|v| matches!(v, Value::Int(_))) => CT_INT,
+            Value::Double(_) if uniform(|v| matches!(v, Value::Double(_))) => CT_DOUBLE,
+            Value::Bool(_) if uniform(|v| matches!(v, Value::Bool(_))) => CT_BOOL,
+            Value::Text(_) if uniform(|v| matches!(v, Value::Text(_))) => CT_TEXT_DICT,
+            Value::Blob(_) if uniform(|v| matches!(v, Value::Blob(_))) => CT_BLOB_DICT,
+            Value::Pad(n) if uniform(|v| matches!(v, Value::Pad(_))) => {
+                if tuples.iter().all(|t| t.values()[c] == Value::Pad(*n)) {
+                    CT_PAD_CONST
+                } else {
+                    CT_PAD
+                }
+            }
+            _ => CT_MIXED,
+        }
+    }
+
+    fn encode_dict_column<'t>(buf: &mut Vec<u8>, payloads: impl Iterator<Item = &'t [u8]>) {
+        let mut dict: Vec<&[u8]> = Vec::new();
+        let mut map: FxHashMap<&[u8], u64> = FxHashMap::default();
+        let mut indexes: Vec<u64> = Vec::new();
+        for b in payloads {
+            let id = *map.entry(b).or_insert_with(|| {
+                dict.push(b);
+                (dict.len() - 1) as u64
+            });
+            indexes.push(id);
+        }
+        put_varint(buf, dict.len() as u64);
+        for b in dict {
+            put_varint(buf, b.len() as u64);
+            buf.put_slice(b);
+        }
+        for id in indexes {
+            put_varint(buf, id);
+        }
+    }
+
+    fn encode_column(buf: &mut Vec<u8>, tuples: &[Tuple], c: usize) {
+        let tag = column_tag(tuples, c);
+        buf.put_u8(tag);
+        let col = tuples.iter().map(|t| &t.values()[c]);
+        match tag {
+            CT_NULL => {}
+            CT_PAD_CONST => {
+                let Value::Pad(n) = tuples[0].values()[c] else {
+                    unreachable!()
+                };
+                put_varint(buf, n as u64);
+            }
+            CT_TEXT_DICT => encode_dict_column(
+                buf,
+                col.map(|v| v.as_text().expect("text column").as_bytes()),
+            ),
+            CT_BLOB_DICT => encode_dict_column(
+                buf,
+                col.map(|v| match v {
+                    Value::Blob(b) => &b[..],
+                    _ => unreachable!(),
+                }),
+            ),
+            _ => {
+                for v in col {
+                    match (tag, v) {
+                        (CT_INT, Value::Int(i)) => put_varint(buf, zigzag(*i)),
+                        (CT_DOUBLE, Value::Double(d)) => buf.put_u64_le(d.to_bits()),
+                        (CT_BOOL, Value::Bool(b)) => buf.put_u8(*b as u8),
+                        (CT_PAD, Value::Pad(n)) => put_varint(buf, *n as u64),
+                        (CT_MIXED, v) => encode_value(buf, v),
+                        _ => unreachable!(),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Encode one stream's tuple list as a column block.
+    pub(crate) fn encode_stream_block(buf: &mut Vec<u8>, tuples: &[Tuple]) {
+        put_varint(buf, tuples.len() as u64);
+        if tuples.is_empty() {
+            return;
+        }
+        let stream = tuples[0].stream();
+        let arity = tuples[0].arity();
+        if !tuples
+            .iter()
+            .all(|t| t.stream() == stream && t.arity() == arity)
+        {
+            buf.put_u8(LAYOUT_ROWS);
+            for t in tuples {
+                encode_tuple(buf, t);
+            }
+            return;
+        }
+        buf.put_u8(LAYOUT_COLUMNAR);
+        buf.put_u8(stream.0);
+        put_varint(buf, arity as u64);
+        put_delta_column(buf, tuples.iter().map(Tuple::seq));
+        put_delta_column(buf, tuples.iter().map(|t| t.ts().as_millis()));
+        for c in 0..arity {
+            encode_column(buf, tuples, c);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::{Bytes, BytesMut};
-    use dcape_common::tuple::TupleBuilder;
+    use bytes::Bytes;
+    use dcape_common::tuple::{Tuple, TupleBuilder};
+    use dcape_common::value::Value;
     use proptest::prelude::*;
 
-    fn block_round_trip(tuples: &[Tuple]) {
-        let mut buf = BytesMut::new();
-        encode_stream_block(&mut buf, tuples);
-        let mut bytes = buf.freeze();
-        let out = decode_stream_block(&mut bytes).unwrap();
-        assert_eq!(out, tuples);
-        assert!(!bytes.has_remaining(), "trailing bytes after block decode");
+    fn columns_of(tuples: &[Tuple]) -> StreamColumns {
+        let mut cols = StreamColumns::default();
+        for t in tuples {
+            cols.push_tuple(t).unwrap();
+        }
+        cols
+    }
+
+    /// Encode `tuples` (all of one stream) from their columnar form,
+    /// check the bytes against the tuple-based reference encoder, decode
+    /// them and check columns and tuples against the input.
+    fn block_round_trip(tuples: &[Tuple]) -> Vec<u8> {
+        let stream = tuples.first().map_or(StreamId(0), Tuple::stream);
+        let cols = columns_of(tuples);
+        let mut buf = Vec::new();
+        encode_stream_block(&mut buf, stream, &cols);
+        let mut reference = Vec::new();
+        golden::encode_stream_block(&mut reference, tuples);
+        assert_eq!(buf, reference, "bytes differ from the tuple-based encoder");
+        let mut bytes = buf.as_slice();
+        let out = decode_stream_block(&mut bytes, stream).unwrap();
+        assert!(bytes.is_empty(), "trailing bytes after block decode");
+        assert_eq!(out, cols);
+        let rebuilt: Vec<Tuple> = (0..out.len()).map(|i| out.tuple(stream, i)).collect();
+        assert_eq!(rebuilt, tuples);
+        buf
     }
 
     #[test]
@@ -426,7 +708,7 @@ mod tests {
 
     #[test]
     fn stream_block_ragged_arity_falls_back_to_rows() {
-        let mut tuples = vec![
+        let tuples = vec![
             TupleBuilder::new(StreamId(0)).seq(0).value(1i64).build(),
             TupleBuilder::new(StreamId(0))
                 .seq(1)
@@ -434,15 +716,51 @@ mod tests {
                 .value("extra")
                 .build(),
         ];
-        block_round_trip(&tuples);
-        // Mixed stream IDs too.
-        tuples[1] = TupleBuilder::new(StreamId(1)).seq(1).value(2i64).build();
-        block_round_trip(&tuples);
+        let bytes = block_round_trip(&tuples);
+        assert_eq!(bytes[1], LAYOUT_ROWS);
+    }
+
+    #[test]
+    fn another_streams_row_in_a_slot_is_refused() {
+        // What the tuple-based encoder wrote for a slot holding tuples
+        // of two streams (row layout) and of one wrong stream (columnar
+        // layout): a group files stream `s` in slot `s`, so neither
+        // decodes into slot 0.
+        let stray = TupleBuilder::new(StreamId(1)).seq(1).value(2i64).build();
+        let home = TupleBuilder::new(StreamId(0)).seq(0).value(1i64).build();
+        for tuples in [vec![home, stray.clone()], vec![stray]] {
+            let mut bytes = Vec::new();
+            golden::encode_stream_block(&mut bytes, &tuples);
+            assert!(decode_stream_block(&mut bytes.as_slice(), StreamId(0)).is_err());
+        }
     }
 
     #[test]
     fn empty_block_round_trips() {
         block_round_trip(&[]);
+    }
+
+    #[test]
+    fn dictionary_keeps_first_occurrence_order_when_samples_collide() {
+        // Long payloads that agree in every sampled byte (both ends and
+        // the middle) and differ elsewhere: the byte comparison, not the
+        // sample, decides what is a distinct entry.
+        let variant = |v: u8| {
+            let mut b = vec![7u8; 200];
+            b[30] = v;
+            Value::Blob(Bytes::from(b))
+        };
+        let tuples: Vec<Tuple> = [2u8, 0, 2, 1, 0, 1, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                TupleBuilder::new(StreamId(0))
+                    .seq(i as u64)
+                    .value(variant(v))
+                    .build()
+            })
+            .collect();
+        block_round_trip(&tuples);
     }
 
     #[test]
@@ -460,9 +778,9 @@ mod tests {
                     .build()
             })
             .collect();
-        let mut cols = BytesMut::new();
-        encode_stream_block(&mut cols, &tuples);
-        let rows: usize = tuples.iter().map(encoded_tuple_len).sum();
+        let cols = block_round_trip(&tuples);
+        let rows = rows_len(&columns_of(&tuples));
+        assert_eq!(rows, tuples.iter().map(encoded_tuple_len).sum::<usize>());
         assert!(
             cols.len() * 2 < rows,
             "columnar {} should be well under half of row {}",
@@ -483,50 +801,72 @@ mod tests {
                     .build()
             })
             .collect();
-        let mut buf = BytesMut::new();
-        encode_stream_block(&mut buf, &tuples);
-        let full = buf.freeze();
+        let full = block_round_trip(&tuples);
         for cut in 0..full.len() {
-            let mut partial = full.slice(..cut);
             assert!(
-                decode_stream_block(&mut partial).is_err(),
+                decode_stream_block(&mut &full[..cut], StreamId(1)).is_err(),
                 "decode of {cut}/{} bytes should fail",
                 full.len()
             );
         }
     }
 
-    #[test]
-    fn dict_index_out_of_range_rejected() {
-        let mut buf = BytesMut::new();
+    /// The head of a one-row, one-column columnar block of stream 0.
+    fn one_cell_block(column_tag: u8) -> Vec<u8> {
+        let mut buf = Vec::new();
         put_varint(&mut buf, 1); // count
         buf.put_u8(LAYOUT_COLUMNAR);
         buf.put_u8(0); // stream
         put_varint(&mut buf, 1); // arity
         put_varint(&mut buf, 0); // seq
         put_varint(&mut buf, 0); // ts
-        buf.put_u8(CT_TEXT_DICT);
+        buf.put_u8(column_tag);
+        buf
+    }
+
+    #[test]
+    fn dict_index_out_of_range_rejected() {
+        let mut buf = one_cell_block(CT_TEXT_DICT);
         put_varint(&mut buf, 1); // ndict
         put_varint(&mut buf, 1); // entry len
         buf.put_u8(b'x');
         put_varint(&mut buf, 5); // index out of range
-        let mut bytes = buf.freeze();
-        assert!(decode_stream_block(&mut bytes).is_err());
+        assert!(decode_stream_block(&mut buf.as_slice(), StreamId(0)).is_err());
     }
 
     #[test]
     fn oversized_dict_rejected() {
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, 1); // count
-        buf.put_u8(LAYOUT_COLUMNAR);
-        buf.put_u8(0);
-        put_varint(&mut buf, 1); // arity
-        put_varint(&mut buf, 0); // seq
-        put_varint(&mut buf, 0); // ts
-        buf.put_u8(CT_BLOB_DICT);
+        let mut buf = one_cell_block(CT_BLOB_DICT);
         put_varint(&mut buf, 9); // ndict > count
-        let mut bytes = buf.freeze();
-        assert!(decode_stream_block(&mut bytes).is_err());
+        assert!(decode_stream_block(&mut buf.as_slice(), StreamId(0)).is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_text_dictionary_rejected() {
+        let mut buf = one_cell_block(CT_TEXT_DICT);
+        put_varint(&mut buf, 1); // ndict
+        put_varint(&mut buf, 2); // entry len
+        buf.put_slice(&[0xC3, 0x28]);
+        put_varint(&mut buf, 0); // index
+        assert!(decode_stream_block(&mut buf.as_slice(), StreamId(0)).is_err());
+    }
+
+    #[test]
+    fn counts_past_the_input_are_refused_before_allocating() {
+        for layout in [LAYOUT_ROWS, LAYOUT_COLUMNAR] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, u64::MAX); // count
+            buf.put_u8(layout);
+            buf.put_u8(0); // stream
+            put_varint(&mut buf, 1); // arity, or a tuple's seq
+            assert!(decode_stream_block(&mut buf.as_slice(), StreamId(0)).is_err());
+        }
+        let mut wide = Vec::new();
+        put_varint(&mut wide, 1); // count
+        wide.put_u8(LAYOUT_COLUMNAR);
+        wide.put_u8(0);
+        put_varint(&mut wide, u64::MAX); // arity
+        assert!(decode_stream_block(&mut wide.as_slice(), StreamId(0)).is_err());
     }
 
     proptest! {
@@ -548,54 +888,17 @@ mod tests {
                         .build()
                 })
                 .collect();
-            let mut buf = BytesMut::new();
-            encode_stream_block(&mut buf, &tuples);
-            let mut bytes = buf.freeze();
-            prop_assert_eq!(decode_stream_block(&mut bytes).unwrap(), tuples);
-            prop_assert!(!bytes.has_remaining());
+            block_round_trip(&tuples);
         }
-    }
-}
 
-#[cfg(test)]
-mod fuzz_tests {
-    use super::*;
-    use bytes::Bytes;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Column-block decoding of arbitrary bytes must never panic.
+        /// Column-block decoding of arbitrary bytes must never panic,
+        /// and whatever it accepts re-encodes and rebuilds as tuples.
         #[test]
         fn decode_stream_block_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let mut b = Bytes::from(data);
-            let _ = decode_stream_block(&mut b);
-        }
-
-        /// Corrupting any single byte of a valid column block either
-        /// still decodes or errors — never panics.
-        #[test]
-        fn block_bit_flips_never_panic(idx in 0usize..4096, flip in 1u8..255) {
-            let templates: Vec<Bytes> = (0..3u8).map(|t| Bytes::from(vec![t; 32])).collect();
-            let tuples: Vec<dcape_common::tuple::Tuple> = (0..16u64)
-                .map(|i| {
-                    dcape_common::tuple::TupleBuilder::new(dcape_common::ids::StreamId(1))
-                        .seq(i)
-                        .ts(dcape_common::time::VirtualTime::from_millis(i * 30))
-                        .value(i as i64 % 5)
-                        .value(dcape_common::value::Value::Blob(
-                            templates[(i % 3) as usize].clone(),
-                        ))
-                        .pad(100)
-                        .build()
-                })
-                .collect();
-            let mut buf = bytes::BytesMut::new();
-            encode_stream_block(&mut buf, &tuples);
-            let mut bytes = buf.to_vec();
-            let idx = idx % bytes.len();
-            bytes[idx] ^= flip;
-            let mut b = Bytes::from(bytes);
-            let _ = decode_stream_block(&mut b);
+            if let Ok(cols) = decode_stream_block(&mut data.as_slice(), StreamId(0)) {
+                encode_stream_block(&mut Vec::new(), StreamId(0), &cols);
+                (0..cols.len()).for_each(|i| drop(cols.tuple(StreamId(0), i)));
+            }
         }
     }
 }

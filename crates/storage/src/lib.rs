@@ -4,10 +4,11 @@
 //! disk and bring them back (§3 of the paper, "State Spill Adaptation").
 //!
 //! * [`codec`] — compact hand-rolled binary encoding of tuples (no
-//!   external format crates).
-//! * [`segment`] — a *spill segment*: the serialized snapshot of one
-//!   partition group (all of its per-stream partitions together, per the
-//!   partition-group granularity argument of §2/Figure 3(b)).
+//!   external format crates) and the column blocks of a segment.
+//! * [`segment`] — the snapshot of one partition group (all of its
+//!   per-stream partitions together, per the partition-group
+//!   granularity argument of §2/Figure 3(b)), held as columns, and the
+//!   *spill segment* it serializes to.
 //! * [`backend`] — where segment bytes live: real files
 //!   ([`backend::FileBackend`]) or memory ([`backend::MemBackend`] for
 //!   tests and pure simulations).
@@ -27,6 +28,6 @@ pub mod trace;
 
 pub use backend::{FileBackend, MemBackend, SegmentHandle, SpillBackend};
 pub use diskmodel::DiskModel;
-pub use segment::{SegmentCodec, SpilledGroup};
+pub use segment::{SegmentCodec, SpilledGroup, StreamColumns};
 pub use store::{SegmentMeta, SpillStats, SpillStore};
 pub use trace::{TraceReader, TraceWriter};

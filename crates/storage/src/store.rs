@@ -144,21 +144,59 @@ impl SpillStore {
             .sum()
     }
 
-    /// Read back and remove all segments of `pid`, in spill order
-    /// (consumed by the cleanup phase).
+    /// Read back and remove the oldest segment of `pid` — the cleanup
+    /// phase drains a partition this way, one decoded segment at a time.
+    /// `None` once the partition has no segment left.
+    ///
+    /// The segment is forgotten only once it is in hand and its bytes
+    /// are deleted: on an error it and the later ones stay registered.
+    pub fn take_segment(&mut self, pid: PartitionId) -> Result<Option<SpilledGroup>> {
+        let Some(&meta) = self.segments_of(pid).first() else {
+            return Ok(None);
+        };
+        let group = self.read(&meta)?;
+        self.backend.delete_segment(meta.handle)?;
+        self.forget_oldest(pid, 1);
+        Ok(Some(group))
+    }
+
+    /// Read back and remove all segments of `pid`, in spill order.
+    ///
+    /// All or nothing on the way in: a read or decode error leaves every
+    /// segment of `pid` registered and stored, since the ones already
+    /// read could not be handed over with the error. A segment's entry
+    /// then goes as its bytes are deleted.
     pub fn take_segments(&mut self, pid: PartitionId) -> Result<Vec<SpilledGroup>> {
-        let metas = self.segments.remove(&pid).unwrap_or_default();
-        let mut groups = Vec::with_capacity(metas.len());
-        for meta in metas {
-            let bytes: Bytes = self.backend.read_segment(meta.handle)?;
-            self.stats.segments_read += 1;
-            self.stats.encoded_bytes_read += bytes.len() as u64;
-            self.stats.state_bytes_read += meta.state_bytes;
-            let group = SpilledGroup::decode(bytes)?;
+        let metas = self.segments_of(pid).to_vec();
+        let groups = (metas.iter().map(|meta| self.read(meta))).collect::<Result<Vec<_>>>()?;
+        let mut deleted = 0;
+        let all_deleted = metas.iter().try_for_each(|meta| {
             self.backend.delete_segment(meta.handle)?;
-            groups.push(group);
+            deleted += 1;
+            Ok(())
+        });
+        self.forget_oldest(pid, deleted);
+        all_deleted.map(|()| groups)
+    }
+
+    /// Read and decode one registered segment.
+    fn read(&mut self, meta: &SegmentMeta) -> Result<SpilledGroup> {
+        let bytes: Bytes = self.backend.read_segment(meta.handle)?;
+        self.stats.segments_read += 1;
+        self.stats.encoded_bytes_read += bytes.len() as u64;
+        self.stats.state_bytes_read += meta.state_bytes;
+        SpilledGroup::decode(bytes)
+    }
+
+    /// Drop the `n` oldest entries of `pid` (a partition holds a few
+    /// dozen at most).
+    fn forget_oldest(&mut self, pid: PartitionId, n: usize) {
+        if let Some(list) = self.segments.get_mut(&pid) {
+            list.drain(..n);
+            if list.is_empty() {
+                self.segments.remove(&pid);
+            }
         }
-        Ok(groups)
     }
 
     /// Cumulative statistics.
@@ -170,6 +208,7 @@ impl SpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SpillBackend;
     use dcape_common::ids::StreamId;
     use dcape_common::time::VirtualTime;
     use dcape_common::tuple::TupleBuilder;
@@ -178,14 +217,15 @@ mod tests {
         let mut g = SpilledGroup::empty(PartitionId(pid), 2);
         for s in 0..2u8 {
             for i in 0..n {
-                g.per_stream[s as usize].push(
-                    TupleBuilder::new(StreamId(s))
+                g.push(
+                    &TupleBuilder::new(StreamId(s))
                         .seq(i)
                         .ts(VirtualTime::from_millis(i))
                         .value(i as i64)
                         .pad(100)
                         .build(),
-                );
+                )
+                .unwrap();
             }
         }
         g
@@ -203,6 +243,94 @@ mod tests {
         assert_eq!(back, vec![g1, g2]);
         assert_eq!(store.segment_count(), 0);
         assert!(store.take_segments(PartitionId(5)).unwrap().is_empty());
+    }
+
+    /// A memory backend whose `fail_on`-th read fails, or returns bytes
+    /// that are no segment.
+    #[derive(Debug)]
+    struct FaultyReads {
+        inner: crate::backend::MemBackend,
+        reads: u32,
+        fail_on: u32,
+        corrupt: bool,
+    }
+
+    impl SpillBackend for FaultyReads {
+        fn write_segment(&mut self, bytes: &Bytes) -> Result<SegmentHandle> {
+            self.inner.write_segment(bytes)
+        }
+
+        fn read_segment(&mut self, handle: SegmentHandle) -> Result<Bytes> {
+            self.reads += 1;
+            match (self.reads == self.fail_on, self.corrupt) {
+                (false, _) => self.inner.read_segment(handle),
+                (true, true) => Ok(Bytes::from_static(b"not a segment")),
+                (true, false) => Err(dcape_common::error::DcapeError::state(
+                    "injected read fault",
+                )),
+            }
+        }
+
+        fn delete_segment(&mut self, handle: SegmentHandle) -> Result<()> {
+            self.inner.delete_segment(handle)
+        }
+    }
+
+    #[test]
+    fn a_failed_read_forgets_no_segment() {
+        for (fail_on, corrupt) in [(1, false), (2, false), (3, false), (2, true)] {
+            let mut store = SpillStore::new(Box::new(FaultyReads {
+                inner: Default::default(),
+                reads: 0,
+                fail_on,
+                corrupt,
+            }));
+            let groups = [group(5, 1), group(5, 2), group(5, 3)];
+            for g in &groups {
+                store.spill_group(g).unwrap();
+            }
+            store.spill_group(&group(6, 1)).unwrap();
+            let on_disk = store.state_bytes_on_disk();
+            assert!(store.take_segments(PartitionId(5)).is_err());
+            // Everything is still registered and still stored: the next
+            // attempt (the fault has passed) returns all three, in order.
+            assert_eq!(store.segments_of(PartitionId(5)).len(), 3);
+            assert_eq!(store.state_bytes_on_disk(), on_disk);
+            assert_eq!(store.take_segments(PartitionId(5)).unwrap(), groups);
+            assert_eq!(store.partitions_with_segments(), vec![PartitionId(6)]);
+        }
+    }
+
+    #[test]
+    fn take_segment_pops_the_oldest_and_keeps_the_rest_on_an_error() {
+        for corrupt in [false, true] {
+            let mut store = SpillStore::new(Box::new(FaultyReads {
+                inner: Default::default(),
+                reads: 0,
+                fail_on: 2,
+                corrupt,
+            }));
+            let groups = [group(5, 1), group(5, 2), group(5, 3)];
+            for g in &groups {
+                store.spill_group(g).unwrap();
+            }
+            let pid = PartitionId(5);
+            assert_eq!(store.take_segment(pid).unwrap().as_ref(), Some(&groups[0]));
+            let left = store.state_bytes_on_disk();
+            assert!(store.take_segment(pid).is_err());
+            assert_eq!(
+                store.segments_of(pid).len(),
+                2,
+                "the failed one and its successor"
+            );
+            assert_eq!(store.state_bytes_on_disk(), left);
+            assert_eq!(store.take_segment(pid).unwrap().as_ref(), Some(&groups[1]));
+            assert_eq!(store.take_segment(pid).unwrap().as_ref(), Some(&groups[2]));
+            assert_eq!(store.take_segment(pid).unwrap(), None);
+            assert!(store.partitions_with_segments().is_empty());
+            // A read that returned bytes counts, decodable or not.
+            assert_eq!(store.stats().segments_read, 3 + u64::from(corrupt));
+        }
     }
 
     #[test]

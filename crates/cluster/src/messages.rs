@@ -15,7 +15,8 @@
 //!    ([`crate::placement::PlacementMap::remap_and_release`]);
 //! 8. GC → sender &amp; receiver: [`ToEngine::Resume`] — exit `sr_mode`.
 //!
-//! The same enums carry the data path ([`ToEngine::Data`]), the periodic
+//! The same enums carry the data path ([`ToEngine::DataBatch`] — routed
+//! tuples reach an engine in batches and in no other way), the periodic
 //! statistics ([`FromEngine::Stats`]) and the active-disk strategy's
 //! forced-spill command ([`ToEngine::StartSpill`]), so the threaded
 //! runtime runs the entire system over two channel types.
@@ -23,7 +24,6 @@
 use dcape_common::batch::TupleBatch;
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::VirtualTime;
-use dcape_common::tuple::Tuple;
 use dcape_engine::stats::EngineStatsReport;
 use dcape_metrics::journal::{CountersSnapshot, JournalEntry};
 use dcape_storage::SpilledGroup;
@@ -47,18 +47,10 @@ pub struct GroupTransfer {
 /// Messages delivered *to* a query engine.
 #[derive(Debug)]
 pub enum ToEngine {
-    /// One routed data tuple for the given partition.
-    Data {
-        /// Target partition.
-        pid: PartitionId,
-        /// The tuple.
-        tuple: Tuple,
-    },
-    /// A batch of routed tuples for this engine — the batched data
-    /// path (up to 64 ticks' worth from the threaded and socket
-    /// drivers). Semantically identical to a sequence of
-    /// [`ToEngine::Data`] messages in batch order, but one channel send
-    /// or one frame for all of them.
+    /// A batch of routed tuples for this engine, processed in batch
+    /// order — the data path (up to 64 ticks' worth from the threaded
+    /// and socket drivers, or the tuples a relocation round released):
+    /// one channel send or one frame for all of them.
     DataBatch {
         /// The routed tuples, in arrival order, held encoded.
         tuples: TupleBatch,

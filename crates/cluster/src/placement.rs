@@ -9,6 +9,7 @@
 //! redirected to the stateful operators based on the new partition group
 //! mapping" (§4.1). [`PlacementMap`] implements exactly that contract.
 
+use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashMap;
 use dcape_common::ids::{EngineId, PartitionId};
@@ -337,6 +338,20 @@ impl PlacementMap {
         }
         counts
     }
+}
+
+/// The tuples a pause released ([`PlacementMap::remap_and_release`],
+/// [`PlacementMap::release_paused`]) as the one batch they travel in:
+/// per-partition lists in arrival order, so the batch is a stable
+/// reordering by partition.
+pub(crate) fn released_batch(released: Vec<(PartitionId, Vec<Tuple>)>) -> TupleBatch {
+    let mut batch = TupleBatch::new();
+    for (pid, tuples) in released {
+        for tuple in tuples {
+            batch.push(pid, tuple);
+        }
+    }
+    batch
 }
 
 #[cfg(test)]

@@ -9,18 +9,16 @@
 //! the coordinator's half of the relocation state machine live on this
 //! side of that seam.
 
-use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
-use dcape_common::ids::EngineId;
+use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
+use dcape_common::tuple::Tuple;
 use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, JournalHandle};
-
-use dcape_common::ids::PartitionId;
 
 use crate::coordinator::{DrainStep, EngineState, GlobalCoordinator, TimeoutAction};
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, ToEngine};
-use crate::placement::PlacementMap;
+use crate::placement::{released_batch, PlacementMap};
 use crate::relocation::Action;
 use crate::stats::ClusterStats;
 use crate::strategy::Decision;
@@ -232,6 +230,23 @@ pub(crate) fn drain_continue(
     Ok(())
 }
 
+/// Send the tuples a pause released to `target` as one
+/// [`ToEngine::DataBatch`] (none when nothing was buffered), ahead of
+/// whatever the caller sends next on the same FIFO transport. Returns
+/// how many tuples went.
+pub(crate) fn send_released(
+    released: Vec<(PartitionId, Vec<Tuple>)>,
+    target: EngineId,
+    send: &mut SendFn,
+) -> Result<u64> {
+    let tuples = released_batch(released);
+    let sent = tuples.len() as u64;
+    if sent > 0 {
+        send(target, ToEngine::DataBatch { tuples })?;
+    }
+    Ok(sent)
+}
+
 /// Execute [`DrainStep::FinalizeRemap`]: move the draining engine's
 /// remaining (zero-state) partitions straight to `receiver` — pause and
 /// remap back-to-back, so nothing can buffer in between — then start
@@ -249,11 +264,7 @@ pub(crate) fn finalize_drain_remap(
     if !parts.is_empty() {
         placement.pause(&parts)?;
         let released = placement.remap_and_release(&parts, receiver)?;
-        for (pid, tuples) in released {
-            for tuple in tuples {
-                send(receiver, ToEngine::Data { pid, tuple })?;
-            }
-        }
+        send_released(released, receiver, send)?;
     }
     gc.drain_finalized(engine, parts.len(), now);
     send(engine, ToEngine::StartSpill { amount: u64::MAX })?;
@@ -322,7 +333,6 @@ pub(crate) fn handle_timeout_action(
     send: &mut SendFn,
     journal: &JournalHandle,
     now: VirtualTime,
-    batch_mode: bool,
     plan: &FaultPlan,
     held: &mut HeldSends,
 ) -> Result<()> {
@@ -396,26 +406,7 @@ pub(crate) fn handle_timeout_action(
                 // Release without remapping: ownership never changed,
                 // so the buffered tuples replay to the original owner.
                 let released = placement.release_paused(&parts)?;
-                let mut buffered = 0u64;
-                if batch_mode {
-                    let mut flush = TupleBatch::new();
-                    for (pid, tuples) in released {
-                        buffered += tuples.len() as u64;
-                        for tuple in tuples {
-                            flush.push(pid, tuple);
-                        }
-                    }
-                    if !flush.is_empty() {
-                        send(sender, ToEngine::DataBatch { tuples: flush })?;
-                    }
-                } else {
-                    for (pid, tuples) in released {
-                        buffered += tuples.len() as u64;
-                        for tuple in tuples {
-                            send(sender, ToEngine::Data { pid, tuple })?;
-                        }
-                    }
-                }
+                let buffered = send_released(released, sender, send)?;
                 journal.sub_buffered_in_flight(buffered);
                 journal.add_replayed_in_order(buffered);
                 if let Some(held_at) = held_since {
@@ -444,7 +435,6 @@ pub(crate) fn handle_coordinator_msg(
     journal: &JournalHandle,
     now: VirtualTime,
     watermark: VirtualTime,
-    batch_mode: bool,
     plan: &FaultPlan,
     held: &mut HeldSends,
 ) -> Result<()> {
@@ -584,29 +574,10 @@ pub(crate) fn handle_coordinator_msg(
                 }) => {
                     journal.add_relocation_bytes(bytes);
                     // Step 7: flush the split-side buffers to the new
-                    // owner — as one batch in batch mode (per-pid lists
-                    // arrive in order; batching is a stable reordering).
+                    // owner as one batch (per-pid lists arrive in order;
+                    // batching is a stable reordering).
                     let released = placement.remap_and_release(&parts, receiver)?;
-                    let mut buffered = 0u64;
-                    if batch_mode {
-                        let mut flush = TupleBatch::new();
-                        for (pid, tuples) in released {
-                            buffered += tuples.len() as u64;
-                            for tuple in tuples {
-                                flush.push(pid, tuple);
-                            }
-                        }
-                        if !flush.is_empty() {
-                            send(receiver, ToEngine::DataBatch { tuples: flush })?;
-                        }
-                    } else {
-                        for (pid, tuples) in released {
-                            buffered += tuples.len() as u64;
-                            for tuple in tuples {
-                                send(receiver, ToEngine::Data { pid, tuple })?;
-                            }
-                        }
-                    }
+                    let buffered = send_released(released, receiver, send)?;
                     journal.record(
                         now,
                         AdaptEvent::RelocationStep {

@@ -22,8 +22,7 @@ use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_engine::controller::Mode;
 use dcape_engine::engine::QueryEngine;
-use dcape_engine::probe::ProbeSpans;
-use dcape_engine::sink::{CountingSink, EnumeratingSink, ResultSink};
+use dcape_engine::sink::CountingSink;
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
 
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
@@ -56,59 +55,6 @@ pub(crate) enum EngineFlow {
     Finished,
 }
 
-/// The engine's counting sink, honoring `SimConfig::count_first`:
-/// either the span-based fast path (product counting / window pruning)
-/// or the per-combination enumerating baseline, so the two arms can be
-/// benchmarked and proven equivalent on the concurrent drivers too.
-#[derive(Debug)]
-pub(crate) enum EngineSink {
-    CountFirst(CountingSink),
-    PerCombination(EnumeratingSink<CountingSink>),
-}
-
-impl EngineSink {
-    pub(crate) fn new(count_first: bool) -> Self {
-        if count_first {
-            EngineSink::CountFirst(CountingSink::new())
-        } else {
-            EngineSink::PerCombination(EnumeratingSink(CountingSink::new()))
-        }
-    }
-
-    pub(crate) fn count(&self) -> u64 {
-        match self {
-            EngineSink::CountFirst(s) => s.count(),
-            EngineSink::PerCombination(s) => s.0.count(),
-        }
-    }
-}
-
-impl ResultSink for EngineSink {
-    #[inline]
-    fn wants_rows(&self) -> bool {
-        match self {
-            EngineSink::CountFirst(s) => s.wants_rows(),
-            EngineSink::PerCombination(s) => s.wants_rows(),
-        }
-    }
-
-    #[inline]
-    fn emit(&mut self, parts: &[&dcape_common::tuple::Tuple]) {
-        match self {
-            EngineSink::CountFirst(s) => s.emit(parts),
-            EngineSink::PerCombination(s) => s.emit(parts),
-        }
-    }
-
-    #[inline]
-    fn emit_product(&mut self, spans: &ProbeSpans<'_, '_>) -> u64 {
-        match self {
-            EngineSink::CountFirst(s) => s.emit_product(spans),
-            EngineSink::PerCombination(s) => s.emit_product(spans),
-        }
-    }
-}
-
 /// An engine-held message the chaos layer delayed; released once a
 /// `Tick` advances the engine's virtual clock past the due time.
 enum Held {
@@ -120,22 +66,16 @@ enum Held {
 pub(crate) struct EngineCore {
     pub(crate) id: EngineId,
     pub(crate) qe: QueryEngine,
-    pub(crate) sink: EngineSink,
+    pub(crate) sink: CountingSink,
     pub(crate) last_now: VirtualTime,
     held: Vec<(VirtualTime, Held)>,
-    count_first: bool,
     /// Peers announced as fenced (draining/drained): relocation state
     /// must never be shipped toward them, however stale the command.
     fenced_peers: Vec<EngineId>,
 }
 
 impl EngineCore {
-    pub(crate) fn new(
-        id: EngineId,
-        cfg: EngineConfig,
-        journal_on: bool,
-        count_first: bool,
-    ) -> Result<Self> {
+    pub(crate) fn new(id: EngineId, cfg: EngineConfig, journal_on: bool) -> Result<Self> {
         let mut qe = QueryEngine::in_memory(id, cfg)?;
         if journal_on {
             qe.set_journal(JournalHandle::enabled());
@@ -143,10 +83,9 @@ impl EngineCore {
         Ok(EngineCore {
             id,
             qe,
-            sink: EngineSink::new(count_first),
+            sink: CountingSink::new(),
             last_now: VirtualTime::ZERO,
             held: Vec::new(),
-            count_first,
             fenced_peers: Vec::new(),
         })
     }
@@ -182,9 +121,6 @@ impl EngineCore {
     ) -> Result<EngineFlow> {
         let id = self.id;
         match msg {
-            ToEngine::Data { pid, tuple } => {
-                self.qe.process(pid, tuple, &mut self.sink)?;
-            }
             ToEngine::DataBatch { tuples } => {
                 self.qe.process_batch(tuples, &mut self.sink)?;
             }
@@ -570,7 +506,7 @@ impl EngineCore {
             }
             ToEngine::StartCleanup => {
                 // Local parallel merge over owned partitions.
-                let mut sink = EngineSink::new(self.count_first);
+                let mut sink = CountingSink::new();
                 let report = self.qe.cleanup(&mut sink)?;
                 tx.to_gc(FromEngine::CleanupDone {
                     engine: id,

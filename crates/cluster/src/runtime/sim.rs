@@ -33,7 +33,7 @@ use crate::split::SplitOperator;
 use crate::coordinator::{DrainStep, GlobalCoordinator, RetryPolicy, TimeoutAction};
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::netmodel::NetworkModel;
-use crate::placement::{PlacementMap, PlacementSpec, Route};
+use crate::placement::{released_batch, PlacementMap, PlacementSpec, Route};
 use crate::relocation::Action;
 use crate::strategy::{Decision, StrategyConfig};
 
@@ -107,23 +107,13 @@ pub struct SimConfig {
     pub sample_interval: VirtualDuration,
     /// Network model for relocation transfers.
     pub network: NetworkModel,
-    /// Collect full results (tests); otherwise results are only counted.
+    /// Collect full results (tests): every probe product is enumerated
+    /// into a [`CollectingSink`]. Otherwise results are only counted —
+    /// whole products at a time, no row materialized.
     pub collect_results: bool,
     /// Record a structured adaptation-event journal (merged into the
     /// report); off by default.
     pub journal: bool,
-    /// Use the batched dataflow (one routed batch per engine per tick)
-    /// instead of per-tuple delivery. On by default; results, state and
-    /// journal totals are identical either way — the flag exists so the
-    /// equivalence can be tested and benchmarked.
-    pub batch: bool,
-    /// Resolve whole probe products without enumeration when results
-    /// are only being counted (product counting + window pruning). On
-    /// by default; counts, state and journal totals are identical
-    /// either way — the flag exists so the equivalence can be tested
-    /// and benchmarked. Ignored when `collect_results` is set (full
-    /// results force enumeration).
-    pub count_first: bool,
     /// Deterministic fault injection over the relocation protocol's
     /// message edges (see [`crate::faults`]). Disabled by default; an
     /// active plan also arms the coordinator's per-phase
@@ -155,8 +145,6 @@ impl SimConfig {
             network: NetworkModel::gigabit(),
             collect_results: false,
             journal: false,
-            batch: true,
-            count_first: true,
             faults: FaultPlan::disabled(),
             scale_events: Vec::new(),
         }
@@ -165,18 +153,6 @@ impl SimConfig {
     /// Builder-style: inject deterministic faults from the given plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Builder-style: enable or disable the batched dataflow.
-    pub fn with_batching(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Builder-style: enable or disable count-first result delivery.
-    pub fn with_count_first(mut self, count_first: bool) -> Self {
-        self.count_first = count_first;
         self
     }
 
@@ -374,22 +350,26 @@ enum DelayedEvent {
     },
 }
 
-/// Counting/collecting output sink.
+/// Output sink: counts whole probe products, or — when the run collects
+/// results — enumerates them into a [`CollectingSink`] as well.
 #[derive(Debug, Default)]
 struct SimSink {
     count: u64,
     collect: Option<CollectingSink>,
-    /// Take the count-only fast path for whole probe products. Forced
-    /// off while collecting (materializing results needs enumeration).
-    count_first: bool,
+}
+
+impl SimSink {
+    fn new(collect_results: bool) -> Self {
+        SimSink {
+            count: 0,
+            collect: collect_results.then(CollectingSink::new),
+        }
+    }
 }
 
 impl ResultSink for SimSink {
     fn wants_rows(&self) -> bool {
-        // Mirror of the count-fast-path condition in `emit_product`:
-        // when whole products are only counted, columnar state may skip
-        // materializing rows entirely.
-        !(self.count_first && self.collect.is_none())
+        self.collect.is_some()
     }
 
     fn emit(&mut self, parts: &[&Tuple]) {
@@ -400,7 +380,7 @@ impl ResultSink for SimSink {
     }
 
     fn emit_product(&mut self, spans: &dcape_engine::probe::ProbeSpans<'_, '_>) -> u64 {
-        if self.count_first && self.collect.is_none() {
+        if self.collect.is_none() {
             let n = spans.count_valid();
             self.count += n;
             n
@@ -441,9 +421,9 @@ pub struct SimDriver {
     mirrored_spill_written: u64,
     /// Encoded spill read-back volume already mirrored (see above).
     mirrored_spill_read: u64,
-    /// Reusable one-tick generator buffer (batched dataflow).
+    /// Reusable one-tick generator buffer.
     tick_buf: Vec<Tuple>,
-    /// Reusable per-engine routed batches (batched dataflow).
+    /// Reusable per-engine routed batches.
     engine_batches: Vec<TupleBatch>,
     /// Scheduled membership changes, sorted by time; `next_scale`
     /// indexes the first not-yet-applied one.
@@ -495,16 +475,11 @@ impl SimDriver {
         if cfg.faults.is_active() {
             gc.set_retry_policy(RetryPolicy::default());
         }
-        let collect = cfg.collect_results.then(CollectingSink::new);
         Ok(SimDriver {
             stats_timer: PeriodicTimer::new(cfg.stats_interval, VirtualTime::ZERO),
             sample_timer: PeriodicTimer::new(cfg.sample_interval, VirtualTime::ZERO),
             recorder: Recorder::new(),
-            sink: SimSink {
-                count: 0,
-                collect,
-                count_first: cfg.count_first,
-            },
+            sink: SimSink::new(cfg.collect_results),
             in_flight: Vec::new(),
             pending: Vec::new(),
             relocations: Vec::new(),
@@ -556,33 +531,12 @@ impl SimDriver {
         &self.gc
     }
 
-    /// Run until the virtual deadline.
+    /// Run until the virtual deadline: per generator tick, the clock's
+    /// work, then the tick's tuples routed into one batch per engine
+    /// and one `process_batch` call per engine. The tick buffer and the
+    /// batches are reused — a tick's batch is a few rows that would
+    /// otherwise regrow a buffer from empty every tick.
     pub fn run_until(&mut self, deadline: VirtualTime) -> Result<()> {
-        if self.cfg.batch {
-            return self.run_until_batched(deadline);
-        }
-        while self.gen.now() < deadline {
-            let batch = self.gen.generate_ticks(1);
-            self.now = batch.first().map(Tuple::ts).unwrap_or(self.now);
-            self.on_clock()?;
-            for tuple in batch {
-                self.route_and_process(tuple)?;
-            }
-        }
-        self.now = deadline;
-        self.on_clock()?;
-        Ok(())
-    }
-
-    /// Batched variant of [`SimDriver::run_until`]: one reused tick
-    /// buffer, tuples routed into per-engine batches — reused too, a
-    /// tick's batch being a few rows that would otherwise regrow a
-    /// buffer from empty every tick — and one `process_batch` call per
-    /// engine per tick. Bit-identical results:
-    /// the clock/pulse ordering is unchanged, engines are independent of
-    /// each other, and within one engine the batch preserves arrival
-    /// order per partition.
-    fn run_until_batched(&mut self, deadline: VirtualTime) -> Result<()> {
         while self.gen.now() < deadline {
             let mut tick = std::mem::take(&mut self.tick_buf);
             self.now = self.gen.tick_batch(&mut tick);
@@ -659,21 +613,6 @@ impl SimDriver {
             }
         }
         Ok(())
-    }
-
-    fn route_and_process(&mut self, tuple: Tuple) -> Result<()> {
-        let pid = self.split.classify(&tuple)?;
-        self.journal.add_tuples_routed(1);
-        match self.placement.route(pid, tuple)? {
-            Route::Buffered => {
-                self.journal.add_buffered_in_flight(1);
-                Ok(())
-            }
-            Route::Deliver(engine, tuple) => {
-                self.engines[engine.index()].process(pid, tuple, &mut self.sink)?;
-                Ok(())
-            }
-        }
     }
 
     /// Apply scheduled membership changes whose time has come.
@@ -760,18 +699,29 @@ impl SimDriver {
         if !parts.is_empty() {
             self.placement.pause(&parts)?;
             let released = self.placement.remap_and_release(&parts, receiver)?;
-            for (pid, tuples) in released {
-                for tuple in tuples {
-                    self.journal.sub_buffered_in_flight(1);
-                    self.journal.add_replayed_in_order(1);
-                    self.engines[receiver.index()].process(pid, tuple, &mut self.sink)?;
-                }
-            }
+            self.replay_released(released, receiver)?;
         }
         self.gc.drain_finalized(engine, parts.len(), self.now);
         self.engines[engine.index()].force_spill(u64::MAX, self.now)?;
         self.gc.finish_drain(engine, self.now);
         Ok(())
+    }
+
+    /// Deliver the tuples a pause released to `target` as one batch and
+    /// book them as replayed. Returns how many there were.
+    fn replay_released(
+        &mut self,
+        released: Vec<(PartitionId, Vec<Tuple>)>,
+        target: EngineId,
+    ) -> Result<u64> {
+        let flush = released_batch(released);
+        let buffered = flush.len() as u64;
+        if buffered > 0 {
+            self.engines[target.index()].process_batch(flush, &mut self.sink)?;
+        }
+        self.journal.sub_buffered_in_flight(buffered);
+        self.journal.add_replayed_in_order(buffered);
+        Ok(buffered)
     }
 
     /// Mirror engine spill volume into the shared driver journal so the
@@ -1307,32 +1257,10 @@ impl SimDriver {
     ) -> Result<()> {
         // Step 7: remap and flush buffered tuples to the new owner.
         // `remap_and_release` yields per-pid lists in arrival order, so
-        // the batched flush is a stable reordering by pid — identical
-        // results to the per-tuple flush.
+        // the one-batch flush is a stable reordering by pid.
         let released = self.placement.remap_and_release(&parts, receiver)?;
-        let mut buffered = 0usize;
-        if self.cfg.batch {
-            let mut flush = TupleBatch::new();
-            for (pid, tuples) in released {
-                buffered += tuples.len();
-                for tuple in tuples {
-                    flush.push(pid, tuple);
-                }
-            }
-            if !flush.is_empty() {
-                self.engines[receiver.index()].process_batch(flush, &mut self.sink)?;
-            }
-        } else {
-            for (pid, tuples) in released {
-                buffered += tuples.len();
-                for tuple in tuples {
-                    self.engines[receiver.index()].process(pid, tuple, &mut self.sink)?;
-                }
-            }
-        }
-        self.record_step(round, 7, sender, receiver, &parts, 0, buffered as u64);
-        self.journal.sub_buffered_in_flight(buffered as u64);
-        self.journal.add_replayed_in_order(buffered as u64);
+        let buffered = self.replay_released(released, receiver)?;
+        self.record_step(round, 7, sender, receiver, &parts, 0, buffered);
         self.journal
             .add_watermark_held_ms(self.now.as_millis().saturating_sub(held_since.as_millis()));
         // Step 8: resume; the round commits on both ends (the sender
@@ -1353,7 +1281,7 @@ impl SimDriver {
             receiver,
             parts: parts.len(),
             bytes,
-            buffered_tuples: buffered,
+            buffered_tuples: buffered as usize,
         });
         Ok(())
     }
@@ -1379,28 +1307,7 @@ impl SimDriver {
         self.warn("round_unwound", sender, round, reinstalled as u64);
         if !parts.is_empty() {
             let released = self.placement.release_paused(parts)?;
-            let mut buffered = 0usize;
-            if self.cfg.batch {
-                let mut flush = TupleBatch::new();
-                for (pid, tuples) in released {
-                    buffered += tuples.len();
-                    for tuple in tuples {
-                        flush.push(pid, tuple);
-                    }
-                }
-                if !flush.is_empty() {
-                    self.engines[sender.index()].process_batch(flush, &mut self.sink)?;
-                }
-            } else {
-                for (pid, tuples) in released {
-                    buffered += tuples.len();
-                    for tuple in tuples {
-                        self.engines[sender.index()].process(pid, tuple, &mut self.sink)?;
-                    }
-                }
-            }
-            self.journal.sub_buffered_in_flight(buffered as u64);
-            self.journal.add_replayed_in_order(buffered as u64);
+            self.replay_released(released, sender)?;
             if let Some(held) = held_since {
                 self.journal
                     .add_watermark_held_ms(self.now.as_millis().saturating_sub(held.as_millis()));
@@ -1514,11 +1421,7 @@ impl SimDriver {
         // from ALL engines plus the memory-resident group from the
         // current owner, and merge. Costs are attributed to the owner
         // engine (work is executed where the partition lives).
-        let mut cleanup_sink = SimSink {
-            count: 0,
-            collect: self.cfg.collect_results.then(CollectingSink::new),
-            count_first: self.cfg.count_first,
-        };
+        let mut cleanup_sink = SimSink::new(self.cfg.collect_results);
         let cost_model = self.cfg.engine.cost;
         let mut cost_ms = vec![0u64; self.engines.len()];
         let join_columns = self.cfg.engine.join.join_columns.clone();

@@ -280,7 +280,6 @@ struct WelcomeTemplate {
     num_engines: u16,
     config: dcape_engine::config::EngineConfig,
     journal: bool,
-    count_first: bool,
     fault_seed: u64,
     faults: FaultConfig,
 }
@@ -321,7 +320,6 @@ fn acceptor_thread(
             num_engines: tmpl.num_engines,
             config: tmpl.config.clone(),
             journal: tmpl.journal,
-            count_first: tmpl.count_first,
             fault_seed: tmpl.fault_seed,
             faults: tmpl.faults,
             replay_until,
@@ -666,7 +664,6 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
         num_engines: capacity as u16,
         config: sim.engine.clone(),
         journal: sim.journal,
-        count_first: sim.count_first,
         fault_seed: sim.faults.seed(),
         faults: *sim.faults.config(),
     });
@@ -780,41 +777,22 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
                 }
             }
         }
-        if sim.batch {
-            gen.tick_batch(&mut tick_buf);
-            journal.add_tuples_routed(tick_buf.len() as u64);
-            for tuple in tick_buf.drain(..) {
-                let pid = split.classify(&tuple)?;
-                match placement.route(pid, tuple)? {
-                    Route::Buffered => {
-                        journal.add_buffered_in_flight(1);
-                    }
-                    Route::Deliver(engine, tuple) => {
-                        engine_batches[engine.index()].push(pid, tuple);
-                    }
+        gen.tick_batch(&mut tick_buf);
+        journal.add_tuples_routed(tick_buf.len() as u64);
+        for tuple in tick_buf.drain(..) {
+            let pid = split.classify(&tuple)?;
+            match placement.route(pid, tuple)? {
+                Route::Buffered => {
+                    journal.add_buffered_in_flight(1);
+                }
+                Route::Deliver(engine, tuple) => {
+                    engine_batches[engine.index()].push(pid, tuple);
                 }
             }
-            pending_ticks += 1;
-            if pending_ticks >= MAX_BATCH_TICKS
-                || tick_timer.expired(now)
-                || stats_timer.expired(now)
-            {
-                flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
-            }
-        } else {
-            let batch = gen.generate_ticks(1);
-            for tuple in batch {
-                let pid = split.classify(&tuple)?;
-                journal.add_tuples_routed(1);
-                match placement.route(pid, tuple)? {
-                    Route::Buffered => {
-                        journal.add_buffered_in_flight(1);
-                    }
-                    Route::Deliver(engine, tuple) => {
-                        cluster.net.send(engine, ToEngine::Data { pid, tuple })?;
-                    }
-                }
-            }
+        }
+        pending_ticks += 1;
+        if pending_ticks >= MAX_BATCH_TICKS || tick_timer.expired(now) || stats_timer.expired(now) {
+            flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
         }
         if tick_timer.expired(now) {
             tick_timer.reset(now);
@@ -843,9 +821,7 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
             };
             // Deliver already-routed tuples before acting on anything
             // that might pause or re-home their partitions.
-            if sim.batch {
-                flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
-            }
+            flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
             // A drained worker exits cleanly right after its mid-run
             // CleanupDone: mark it done *before* the disconnect event
             // lands, so the exit is not treated as a crash.
@@ -871,7 +847,6 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
                 &journal,
                 now,
                 split.admitted_watermark(),
-                sim.batch,
                 &sim.faults,
                 &mut held_sends,
             )?;
@@ -884,9 +859,7 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
                 release_due(&mut held_sends, now, &mut send)?;
             }
             while let Some(action) = gc.check_timeout(now) {
-                if sim.batch {
-                    flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
-                }
+                flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
                 let net = &cluster.net;
                 let mut send = |e: EngineId, m: ToEngine| net.send(e, m);
                 handle_timeout_action(
@@ -896,7 +869,6 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
                     &mut send,
                     &journal,
                     now,
-                    sim.batch,
                     &sim.faults,
                     &mut held_sends,
                 )?;
@@ -904,9 +876,7 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
         }
     }
 
-    if sim.batch {
-        flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
-    }
+    flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
 
     // Quiesce (see run_threaded): virtual time keeps advancing on
     // receive timeouts so phase deadlines and held messages fire.
@@ -947,7 +917,6 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
                         &journal,
                         vnow,
                         split.admitted_watermark(),
-                        sim.batch,
                         &sim.faults,
                         &mut held_sends,
                     )?;
@@ -965,7 +934,6 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
                         &mut send,
                         &journal,
                         vnow,
-                        sim.batch,
                         &sim.faults,
                         &mut held_sends,
                     )?;
@@ -1312,7 +1280,7 @@ fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
         _ => None,
     };
 
-    let mut core = EngineCore::new(engine, welcome.config, welcome.journal, welcome.count_first)?;
+    let mut core = EngineCore::new(engine, welcome.config, welcome.journal)?;
     // Announce liveness: a late joiner's rebalancing is deferred until
     // this arrives; announcements from the initial engines are absorbed
     // quietly. Resent on respawn, which is how a joiner that crashed

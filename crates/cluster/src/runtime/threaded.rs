@@ -158,7 +158,7 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
             .map_err(|_| DcapeError::Disconnected(format!("engine {e} channel closed")))
     };
 
-    // Batched dataflow: one reused tick buffer and one routed batch per
+    // The data path: one reused tick buffer and one routed batch per
     // engine. Batches coalesce across generator ticks — the channel
     // send is the per-message cost being amortized — and flush (a)
     // every `MAX_BATCH_TICKS` ticks, (b) before any `Tick`/
@@ -219,41 +219,22 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
                 }
             }
         }
-        if cfg.batch {
-            gen.tick_batch(&mut tick_buf);
-            journal.add_tuples_routed(tick_buf.len() as u64);
-            for tuple in tick_buf.drain(..) {
-                let pid = split.classify(&tuple)?;
-                match placement.route(pid, tuple)? {
-                    Route::Buffered => {
-                        journal.add_buffered_in_flight(1);
-                    }
-                    Route::Deliver(engine, tuple) => {
-                        engine_batches[engine.index()].push(pid, tuple);
-                    }
+        gen.tick_batch(&mut tick_buf);
+        journal.add_tuples_routed(tick_buf.len() as u64);
+        for tuple in tick_buf.drain(..) {
+            let pid = split.classify(&tuple)?;
+            match placement.route(pid, tuple)? {
+                Route::Buffered => {
+                    journal.add_buffered_in_flight(1);
+                }
+                Route::Deliver(engine, tuple) => {
+                    engine_batches[engine.index()].push(pid, tuple);
                 }
             }
-            pending_ticks += 1;
-            if pending_ticks >= MAX_BATCH_TICKS
-                || tick_timer.expired(now)
-                || stats_timer.expired(now)
-            {
-                flush_pending(&mut engine_batches, &to_engines, &mut pending_ticks)?;
-            }
-        } else {
-            let batch = gen.generate_ticks(1);
-            for tuple in batch {
-                let pid = split.classify(&tuple)?;
-                journal.add_tuples_routed(1);
-                match placement.route(pid, tuple)? {
-                    Route::Buffered => {
-                        journal.add_buffered_in_flight(1);
-                    }
-                    Route::Deliver(engine, tuple) => {
-                        send(engine, ToEngine::Data { pid, tuple })?;
-                    }
-                }
-            }
+        }
+        pending_ticks += 1;
+        if pending_ticks >= MAX_BATCH_TICKS || tick_timer.expired(now) || stats_timer.expired(now) {
+            flush_pending(&mut engine_batches, &to_engines, &mut pending_ticks)?;
         }
         if tick_timer.expired(now) {
             tick_timer.reset(now);
@@ -283,9 +264,7 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
         while let Ok(msg) = from_engines.try_recv() {
             // Deliver already-routed tuples before acting on anything
             // that might pause or re-home their partitions.
-            if cfg.batch {
-                flush_pending(&mut engine_batches, &to_engines, &mut pending_ticks)?;
-            }
+            flush_pending(&mut engine_batches, &to_engines, &mut pending_ticks)?;
             let Some(msg) = intercept_drain_cleanup(msg, &mut gc, &mut send, &mut drain_fold, now)?
             else {
                 continue;
@@ -301,7 +280,6 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
                 &journal,
                 now,
                 split.admitted_watermark(),
-                cfg.batch,
                 &cfg.faults,
                 &mut held_sends,
             )?;
@@ -313,9 +291,7 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
         if cfg.faults.is_active() {
             release_due(&mut held_sends, now, &mut send)?;
             while let Some(action) = gc.check_timeout(now) {
-                if cfg.batch {
-                    flush_pending(&mut engine_batches, &to_engines, &mut pending_ticks)?;
-                }
+                flush_pending(&mut engine_batches, &to_engines, &mut pending_ticks)?;
                 handle_timeout_action(
                     action,
                     &mut gc,
@@ -323,7 +299,6 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
                     &mut send,
                     &journal,
                     now,
-                    cfg.batch,
                     &cfg.faults,
                     &mut held_sends,
                 )?;
@@ -337,9 +312,7 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
 
     // The deadline passed: deliver any coalesced batches before the
     // quiesce/cleanup phases.
-    if cfg.batch {
-        flush_pending(&mut engine_batches, &to_engines, &mut pending_ticks)?;
-    }
+    flush_pending(&mut engine_batches, &to_engines, &mut pending_ticks)?;
 
     // Quiesce: finish (or abort) any in-flight relocation before
     // shutdown so no state is lost mid-transfer. Under chaos, messages
@@ -372,7 +345,6 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
                     &journal,
                     vnow,
                     split.admitted_watermark(),
-                    cfg.batch,
                     &cfg.faults,
                     &mut held_sends,
                 )?
@@ -387,7 +359,6 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
                         &mut send,
                         &journal,
                         vnow,
-                        cfg.batch,
                         &cfg.faults,
                         &mut held_sends,
                     )?;
@@ -586,22 +557,10 @@ fn spawn_engine(
     let to_gc = to_gc.clone();
     let peers = to_engines.to_vec();
     let journal_on = cfg.journal;
-    let count_first = cfg.count_first;
     let plan = cfg.faults;
     thread::Builder::new()
         .name(format!("dcape-qe{i}"))
-        .spawn(move || {
-            engine_main(
-                id,
-                engine_cfg,
-                rx,
-                to_gc,
-                peers,
-                journal_on,
-                count_first,
-                plan,
-            )
-        })
+        .spawn(move || engine_main(id, engine_cfg, rx, to_gc, peers, journal_on, plan))
         .expect("spawn engine thread")
 }
 
@@ -627,7 +586,6 @@ impl EngineTx for ChannelTx {
 }
 
 /// The engine thread body: a thin receive loop around [`EngineCore`].
-#[allow(clippy::too_many_arguments)]
 fn engine_main(
     id: EngineId,
     cfg: dcape_engine::config::EngineConfig,
@@ -635,10 +593,9 @@ fn engine_main(
     to_gc: Sender<FromEngine>,
     peers: Vec<Sender<ToEngine>>,
     journal_on: bool,
-    count_first: bool,
     plan: FaultPlan,
 ) {
-    let mut core = match EngineCore::new(id, cfg, journal_on, count_first) {
+    let mut core = match EngineCore::new(id, cfg, journal_on) {
         Ok(core) => core,
         Err(e) => panic!("engine {id} failed to start: {e}"),
     };

@@ -37,12 +37,12 @@ use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
-use dcape_engine::config::{CostModel, EngineConfig, MJoinConfig, StateLayout};
+use dcape_engine::config::{CostModel, EngineConfig, MJoinConfig};
 use dcape_engine::spill::policy::VictimPolicy;
 use dcape_engine::state::productivity::ProductivityEstimator;
 use dcape_engine::stats::EngineStatsReport;
 use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, SpillTrigger};
-use dcape_storage::codec::{decode_tuple, encode_tuple, get_varint, put_varint};
+use dcape_storage::codec::{get_varint, put_varint};
 use dcape_storage::{DiskModel, SegmentCodec, SpilledGroup};
 
 use crate::faults::FaultConfig;
@@ -61,8 +61,8 @@ pub const MAX_FRAME_LEN: u32 = 1 << 30;
 /// fails the run on anything else but a clean exit.
 pub const CRASH_EXIT: i32 = 86;
 
-// Frame kind tags. Coordinator → worker (sequenced):
-const K_DATA: u8 = 0x01;
+// Frame kind tags. Coordinator → worker (sequenced); 0x01 carried the
+// retired one-tuple data message and is not reused:
 const K_DATA_BATCH: u8 = 0x02;
 const K_CPTV: u8 = 0x03;
 const K_SEND_STATES: u8 = 0x04;
@@ -115,8 +115,6 @@ pub struct Welcome {
     pub config: EngineConfig,
     /// Whether to keep an adaptation-event journal.
     pub journal: bool,
-    /// Whether results are counted span-wise (count-first sink).
-    pub count_first: bool,
     /// Seed of the deterministic fault plan.
     pub fault_seed: u64,
     /// Rates of the deterministic fault plan.
@@ -679,10 +677,6 @@ fn put_engine_config(buf: &mut Vec<u8>, c: &EngineConfig) {
             put_f64(buf, w);
         }
     }
-    buf.push(match c.join.layout {
-        StateLayout::Row => 0,
-        StateLayout::Columnar => 1,
-    });
     buf.push(match c.spill_codec {
         SegmentCodec::Rows => 0,
         SegmentCodec::Columns => 1,
@@ -733,11 +727,6 @@ fn get_engine_config(buf: &mut &[u8]) -> Result<EngineConfig> {
     } else {
         None
     };
-    let layout = match get_u8(buf)? {
-        0 => StateLayout::Row,
-        1 => StateLayout::Columnar,
-        t => return Err(DcapeError::codec(format!("wire: bad state layout {t}"))),
-    };
     let spill_codec = match get_u8(buf)? {
         0 => SegmentCodec::Rows,
         1 => SegmentCodec::Columns,
@@ -748,7 +737,6 @@ fn get_engine_config(buf: &mut &[u8]) -> Result<EngineConfig> {
             num_streams,
             join_columns,
             window,
-            layout,
         },
         memory_budget,
         spill_threshold,
@@ -789,11 +777,6 @@ fn get_fault_config(buf: &mut &[u8]) -> Result<FaultConfig> {
 
 fn put_to_engine(buf: &mut Vec<u8>, msg: &ToEngine) {
     match msg {
-        ToEngine::Data { pid, tuple } => {
-            buf.push(K_DATA);
-            put_pid(buf, *pid);
-            encode_tuple(buf, tuple);
-        }
         // A batch holds its rows already in this encoding.
         ToEngine::DataBatch { tuples } => {
             buf.push(K_DATA_BATCH);
@@ -887,10 +870,6 @@ fn put_to_engine(buf: &mut Vec<u8>, msg: &ToEngine) {
 
 fn get_to_engine(kind: u8, buf: &mut &[u8]) -> Result<ToEngine> {
     Ok(match kind {
-        K_DATA => ToEngine::Data {
-            pid: get_pid(buf)?,
-            tuple: decode_tuple(buf)?,
-        },
         // The rows are outside input: `decode` checks every one in its
         // single walk, so the engine can read them without failing.
         K_DATA_BATCH => {
@@ -1090,7 +1069,6 @@ pub fn encode_msg(msg: &WireMsg, buf: &mut Vec<u8>) {
             put_varint(buf, w.num_engines as u64);
             put_engine_config(buf, &w.config);
             put_bool(buf, w.journal);
-            put_bool(buf, w.count_first);
             buf.extend_from_slice(&w.fault_seed.to_le_bytes());
             put_fault_config(buf, &w.faults);
             put_varint(buf, w.replay_until);
@@ -1107,7 +1085,7 @@ pub fn encode_msg(msg: &WireMsg, buf: &mut Vec<u8>) {
 pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
     let kind = get_u8(buf)?;
     Ok(match kind {
-        K_DATA..=K_FENCE_NOTICE => WireMsg::Engine(get_to_engine(kind, buf)?),
+        K_DATA_BATCH..=K_FENCE_NOTICE => WireMsg::Engine(get_to_engine(kind, buf)?),
         K_PTV..=K_JOIN_READY => WireMsg::Coord(get_from_engine(kind, buf)?),
         K_HELLO => WireMsg::Hello(Hello {
             engine: get_engine(buf)?,
@@ -1119,7 +1097,6 @@ pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
                 .map_err(|_| DcapeError::codec("wire: engine count out of range"))?;
             let config = get_engine_config(buf)?;
             let journal = get_bool(buf)?;
-            let count_first = get_bool(buf)?;
             if buf.len() < 8 {
                 return Err(DcapeError::codec("wire: unexpected end of input"));
             }
@@ -1134,7 +1111,6 @@ pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
                 num_engines,
                 config,
                 journal,
-                count_first,
                 fault_seed,
                 faults,
                 replay_until,
@@ -1143,7 +1119,7 @@ pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
         K_RELAY => {
             let to = get_engine(buf)?;
             let inner_kind = get_u8(buf)?;
-            if !(K_DATA..=K_FENCE_NOTICE).contains(&inner_kind) {
+            if !(K_DATA_BATCH..=K_FENCE_NOTICE).contains(&inner_kind) {
                 return Err(DcapeError::codec(format!(
                     "wire: bad relayed kind {inner_kind:#x}"
                 )));
@@ -1232,7 +1208,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, WireMsg)>> {
 pub fn msg_kind_name(msg: &WireMsg) -> &'static str {
     match msg {
         WireMsg::Engine(m) => match m {
-            ToEngine::Data { .. } => "data",
             ToEngine::DataBatch { .. } => "data_batch",
             ToEngine::Cptv { .. } => "cptv",
             ToEngine::SendStates { .. } => "send_states",
@@ -1269,6 +1244,7 @@ mod tests {
     use dcape_common::ids::StreamId;
     use dcape_common::tuple::{Tuple, TupleBuilder};
     use dcape_common::value::Value;
+    use dcape_storage::codec::encode_tuple;
 
     fn tuple(stream: u8, seq: u64) -> Tuple {
         TupleBuilder::new(StreamId(stream))
@@ -1289,6 +1265,15 @@ mod tests {
         g
     }
 
+    /// Frame a hand-built payload (`seq kind body`).
+    fn raw_frame(payload: &[u8]) -> Vec<u8> {
+        let len = payload.len() as u32;
+        let mut bytes = len.to_le_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&(len ^ LEN_CHECK).to_le_bytes());
+        bytes
+    }
+
     fn round_trip(msg: &WireMsg, seq: u64) -> (u64, WireMsg) {
         let bytes = frame_bytes(seq, msg).unwrap();
         let mut cursor = bytes.as_slice();
@@ -1302,10 +1287,6 @@ mod tests {
         batch.push(PartitionId(1), tuple(0, 1));
         batch.push(PartitionId(2), tuple(1, 2));
         vec![
-            ToEngine::Data {
-                pid: PartitionId(3),
-                tuple: tuple(2, 9),
-            },
             ToEngine::DataBatch { tuples: batch },
             ToEngine::Cptv {
                 round: 5,
@@ -1420,12 +1401,8 @@ mod tests {
                 put_pid(&mut payload, *pid);
                 encode_tuple(&mut payload, t);
             }
-            let len = payload.len() as u32;
-            let mut expected = len.to_le_bytes().to_vec();
-            expected.extend_from_slice(&payload);
-            expected.extend_from_slice(&(len ^ LEN_CHECK).to_le_bytes());
             let frame = data_batch_frame(9, &rows);
-            assert_eq!(frame, expected);
+            assert_eq!(frame, raw_frame(&payload));
             // And it reads back as the rows that went in.
             match read_frame(&mut frame.as_slice()).unwrap() {
                 Some((9, WireMsg::Engine(ToEngine::DataBatch { tuples }))) => {
@@ -1718,7 +1695,6 @@ mod tests {
                 .with_estimator(ProductivityEstimator::Decaying { alpha: 0.5 })
                 .with_reactivation(0.25),
             journal: true,
-            count_first: false,
             fault_seed: 0xDEAD_BEEF,
             faults: FaultConfig::uniform(0.2),
             replay_until: 417,
@@ -1774,12 +1750,67 @@ mod tests {
         put_varint(&mut payload, 1u64);
         encode_msg(&WireMsg::Engine(ToEngine::StartCleanup), &mut payload);
         payload.push(0xEE);
-        let len = payload.len() as u32;
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&len.to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&(len ^ LEN_CHECK).to_le_bytes());
-        assert!(read_frame(&mut bytes.as_slice()).is_err());
+        assert!(read_frame(&mut raw_frame(&payload).as_slice()).is_err());
+    }
+
+    /// Kind 0x01 carried one routed tuple per frame until the batch
+    /// became the only data path. The tag is retired, not reused: such
+    /// a frame, bare or relayed, is a codec error.
+    #[test]
+    fn retired_per_tuple_data_kind_is_refused() {
+        let mut body = vec![0x01];
+        put_pid(&mut body, PartitionId(3));
+        encode_tuple(&mut body, &tuple(2, 9));
+        let mut bare = Vec::new();
+        put_varint(&mut bare, 1);
+        bare.extend_from_slice(&body);
+        let mut relayed = Vec::new();
+        put_varint(&mut relayed, 0);
+        relayed.push(K_RELAY);
+        put_engine(&mut relayed, EngineId(1));
+        relayed.extend_from_slice(&body);
+        for payload in [bare, relayed] {
+            match read_frame(&mut raw_frame(&payload).as_slice()) {
+                Err(DcapeError::Codec(_)) => {}
+                other => panic!("expected a codec error, got {other:?}"),
+            }
+        }
+    }
+
+    /// An engine configuration used to end `layout:u8 spill_codec:u8`.
+    /// A `Welcome` still carrying the layout byte does not decode into
+    /// some other configuration: it is a codec error.
+    #[test]
+    fn welcome_with_the_retired_layout_byte_is_refused() {
+        let config = EngineConfig::three_way(1 << 22, 600 << 10);
+        let welcome = |config_bytes: &[u8]| {
+            let mut payload = Vec::new();
+            put_varint(&mut payload, 0);
+            payload.push(K_WELCOME);
+            put_engine(&mut payload, EngineId(1));
+            put_varint(&mut payload, 2);
+            payload.extend_from_slice(config_bytes);
+            put_bool(&mut payload, true);
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            put_fault_config(&mut payload, &FaultConfig::uniform(0.2));
+            put_varint(&mut payload, 0);
+            raw_frame(&payload)
+        };
+        let mut tail = Vec::new();
+        put_engine_config(&mut tail, &config);
+        assert!(matches!(
+            read_frame(&mut welcome(&tail).as_slice()),
+            Ok(Some((0, WireMsg::Welcome(_))))
+        ));
+        let spill_codec = tail.pop().expect("the config ends in its codec byte");
+        for layout in [0, 1] {
+            let mut old = tail.clone();
+            old.extend_from_slice(&[layout, spill_codec]);
+            match read_frame(&mut welcome(&old).as_slice()) {
+                Err(DcapeError::Codec(_)) => {}
+                other => panic!("layout byte {layout}: expected a codec error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! 8-seed matrix plus one randomized seed); without it a built-in
 //! 3-seed list keeps local runs fast.
 
-use std::collections::HashMap;
-
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
 use dcape_cluster::runtime::threaded::run_threaded;
@@ -25,7 +23,8 @@ use dcape_common::ids::PartitionId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::AdaptEvent;
-use dcape_streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
+use dcape_streamgen::testing::reference_join;
+use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
 /// Seeds to sweep: the CI matrix passes one per job via
 /// `DCAPE_CHAOS_SEED`; locally a fixed short list.
@@ -37,27 +36,6 @@ fn seeds() -> Vec<u64> {
             .expect("DCAPE_CHAOS_SEED must be an unsigned integer")],
         Err(_) => vec![7, 42, 0x00C0_FFEE],
     }
-}
-
-/// Reference join count for a spec consumed up to `deadline`.
-fn reference_result_count(spec: &StreamSetSpec, deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(spec.clone()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        let key = t.values()[0].as_int().unwrap();
-        *counts.entry((t.stream().0, key)).or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    let mut total = 0u64;
-    for key in keys {
-        let mut product = 1u64;
-        for s in 0..spec.num_streams as u8 {
-            product *= counts.get(&(s, key)).copied().unwrap_or(0);
-        }
-        total += product;
-    }
-    total
 }
 
 /// Alternating skew on roomy engines: a relocation-heavy, spill-free
@@ -198,7 +176,7 @@ fn assert_chaos_invariants(
 fn sim_relocation_totals_survive_chaos() {
     let deadline = VirtualTime::from_mins(6);
     let spec = relocation_workload(23);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let baseline = run_sim(
         relocation_cfg(spec.clone(), 2),
@@ -234,7 +212,7 @@ fn sim_relocation_totals_survive_chaos() {
 fn sim_spill_cleanup_multisets_survive_chaos() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(55).with_pattern(ArrivalPattern::Uniform);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let baseline = run_sim(
         mixed_cfg(spec.clone(), 3).collecting(),
@@ -329,7 +307,7 @@ fn different_seeds_give_different_schedules() {
 fn threaded_totals_survive_chaos() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(77);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let baseline = run_threaded(relocation_cfg(spec.clone(), 2), deadline).unwrap();
     assert!(baseline.relocations > 0, "baseline must relocate");
@@ -352,7 +330,7 @@ fn threaded_totals_survive_chaos() {
 fn threaded_spill_cleanup_survives_chaos() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(91).with_pattern(ArrivalPattern::Uniform);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let baseline = run_threaded(mixed_cfg(spec.clone(), 3), deadline).unwrap();
     assert!(baseline.spill_counts.iter().sum::<u64>() > 0);

@@ -6,38 +6,14 @@
 //! of the full input, no matter how many spills and relocations happened
 //! in between, on both the simulated and the threaded driver.
 
-use std::collections::HashMap;
-
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
-use dcape_streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
-
-/// Count the reference-join results for a spec consumed up to `deadline`:
-/// for every (partition-respecting) join value, the product of the
-/// per-stream multiplicities.
-fn reference_result_count(spec: &StreamSetSpec, deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(spec.clone()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        let key = t.values()[0].as_int().unwrap();
-        *counts.entry((t.stream().0, key)).or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    let mut total = 0u64;
-    for key in keys {
-        let mut product = 1u64;
-        for s in 0..spec.num_streams as u8 {
-            product *= counts.get(&(s, key)).copied().unwrap_or(0);
-        }
-        total += product;
-    }
-    total
-}
+use dcape_streamgen::testing::reference_join;
+use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
 fn small_workload(seed: u64) -> StreamSetSpec {
     StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
@@ -54,7 +30,7 @@ fn tight_engine() -> EngineConfig {
 fn sim_lazy_disk_no_loss_no_duplication() {
     let deadline = VirtualTime::from_mins(5);
     let spec = small_workload(11);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
     assert!(reference > 0);
 
     let cfg = SimConfig::new(
@@ -104,7 +80,7 @@ fn sim_relocations_happen_under_skew_and_preserve_results() {
         ratio: 10.0,
         period: VirtualDuration::from_mins(2),
     });
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     // Roomy memory: relocation-only regime (no spill).
     let engine = EngineConfig::three_way(1 << 30, 1 << 29);
@@ -148,7 +124,7 @@ fn sim_active_disk_preserves_results_with_force_spills() {
             tuple_range: 2400,
         },
     ];
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let cfg = SimConfig::new(
         3,
@@ -196,7 +172,7 @@ fn sim_is_deterministic() {
 fn threaded_driver_matches_reference_and_sim_total() {
     let deadline = VirtualTime::from_mins(5);
     let spec = small_workload(42);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let make_cfg = || {
         SimConfig::new(
@@ -239,7 +215,7 @@ fn threaded_driver_relocates_under_skew() {
         ratio: 10.0,
         period: VirtualDuration::from_mins(2),
     });
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
     let cfg = SimConfig::new(
         2,
         EngineConfig::three_way(1 << 30, 1 << 29),
@@ -260,7 +236,7 @@ fn threaded_driver_relocates_under_skew() {
 fn global_rebalance_scheme_preserves_results_across_four_engines() {
     let deadline = VirtualTime::from_mins(6);
     let spec = small_workload(91);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
     // Heavily skewed four-engine placement; global rebalance plans
     // multiple pair moves per trigger.
     let cfg = SimConfig::new(
@@ -308,7 +284,7 @@ fn driver_mems(report: &dcape_cluster::runtime::sim::SimReport) -> Vec<u64> {
 fn threaded_active_disk_preserves_results() {
     let deadline = VirtualTime::from_mins(5);
     let spec = small_workload(123);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
     let cfg = SimConfig::new(
         3,
         tight_engine(),
@@ -334,7 +310,7 @@ fn threaded_active_disk_preserves_results() {
 fn runtime_reactivation_reduces_cleanup_debt_and_stays_exact() {
     let deadline = VirtualTime::from_mins(6);
     let spec = small_workload(55);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let run = |reactivate: bool| {
         let mut engine = tight_engine();

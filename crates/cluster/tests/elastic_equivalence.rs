@@ -12,8 +12,6 @@
 //! smoke-level socket run is gated on `DCAPE_NODE_BIN` pointing at a
 //! prebuilt worker (CI sets it; local runs without it skip the arm).
 
-use std::collections::HashMap;
-
 use dcape_cluster::coordinator::EngineState;
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
 use dcape_cluster::runtime::sim::{ScaleEvent, SimConfig, SimDriver, SimReport};
@@ -25,7 +23,8 @@ use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::AdaptEvent;
-use dcape_streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
+use dcape_streamgen::testing::reference_join;
+use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
 /// Seeds to sweep: CI passes one per job via `DCAPE_CHAOS_SEED`;
 /// locally a fixed short list keeps the suite fast.
@@ -37,27 +36,6 @@ fn seeds() -> Vec<u64> {
             .expect("DCAPE_CHAOS_SEED must be an unsigned integer")],
         Err(_) => vec![7, 42, 0x00C0_FFEE],
     }
-}
-
-/// Reference join count for a spec consumed up to `deadline`.
-fn reference_result_count(spec: &StreamSetSpec, deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(spec.clone()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        let key = t.values()[0].as_int().unwrap();
-        *counts.entry((t.stream().0, key)).or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    let mut total = 0u64;
-    for key in keys {
-        let mut product = 1u64;
-        for s in 0..spec.num_streams as u8 {
-            product *= counts.get(&(s, key)).copied().unwrap_or(0);
-        }
-        total += product;
-    }
-    total
 }
 
 /// Alternating skew: relocation pressure for the drain/join rounds to
@@ -201,7 +179,7 @@ fn run_elastic_sim(
 fn sim_join_keeps_totals_and_takes_load() {
     let deadline = VirtualTime::from_mins(5);
     let spec = skewed_workload(23).with_pattern(ArrivalPattern::Uniform);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let static_run = {
         let mut d = SimDriver::new(overloaded_cfg(spec.clone(), 2).collecting()).unwrap();
@@ -256,11 +234,50 @@ fn sim_join_keeps_totals_and_takes_load() {
     );
 }
 
+/// What a scale-out is for: on the spill-heavy workload (1 KiB blob
+/// payloads, two 4 MiB engines, lazy-disk) a third engine joining at
+/// the two-minute mark must spill measurably fewer encoded bytes than
+/// the static overloaded run, via real rebalance moves, at a relocation
+/// cost below the spill traffic it displaces. Deterministic, so a
+/// regression in the planner or the join path fails here rather than
+/// silently eroding the benefit.
+#[test]
+fn elastic_join_reduces_spill_writes() {
+    let deadline = VirtualTime::from_mins(6);
+    let arm = |events: Vec<ScaleEvent>| {
+        let spec = StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
+            .with_payload_blob(1024)
+            .with_seed(7);
+        let cfg = overloaded_cfg(spec, 2)
+            .with_placement(PlacementSpec::RoundRobin)
+            .with_scale_events(events);
+        let mut driver = SimDriver::new(cfg).unwrap();
+        driver.run_until(deadline).unwrap();
+        driver.finish().unwrap().journal_counters
+    };
+    let fixed = arm(Vec::new());
+    let joined = arm(vec![ScaleEvent::add(VirtualTime::from_mins(2))]);
+    assert!(fixed.spill_bytes_written > 0 && joined.spill_bytes_written > 0);
+    assert!(joined.rebalance_moves > 0, "join arm must rebalance state");
+    assert!(
+        fixed.spill_bytes_written as f64 >= 1.1 * joined.spill_bytes_written as f64,
+        "mid-run join must cut spill writes by >= 10%: static {} vs elastic {}",
+        fixed.spill_bytes_written,
+        joined.spill_bytes_written
+    );
+    assert!(
+        joined.transfer_bytes < fixed.spill_bytes_written,
+        "relocation traffic must stay below the static spill volume: {} transfer vs {} spill",
+        joined.transfer_bytes,
+        fixed.spill_bytes_written
+    );
+}
+
 #[test]
 fn sim_drain_retires_engine_empty_and_keeps_totals() {
     let deadline = VirtualTime::from_mins(6);
     let spec = skewed_workload(55);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let static_run = {
         let mut d = SimDriver::new(roomy_cfg(spec.clone(), 3).collecting()).unwrap();
@@ -310,7 +327,7 @@ fn sim_drain_retires_engine_empty_and_keeps_totals() {
 fn sim_elastic_totals_survive_chaos() {
     let deadline = VirtualTime::from_mins(6);
     let spec = skewed_workload(77);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
     let events = vec![
         ScaleEvent::add(VirtualTime::from_secs(60)),
         ScaleEvent::drain_engine(VirtualTime::from_mins(3), EngineId(1)),
@@ -358,7 +375,7 @@ fn sim_elastic_totals_survive_chaos() {
 fn threaded_join_and_drain_keep_totals() {
     let deadline = VirtualTime::from_mins(5);
     let spec = skewed_workload(91);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let static_run = run_threaded(roomy_cfg(spec.clone(), 2), deadline).unwrap();
     assert_eq!(static_run.total_output(), reference);
@@ -398,7 +415,7 @@ fn threaded_join_and_drain_keep_totals() {
 fn threaded_elastic_survives_chaos() {
     let deadline = VirtualTime::from_mins(5);
     let spec = skewed_workload(42);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
     let seed = seeds()[0];
     let plan = FaultPlan::new(seed, FaultConfig::uniform(0.2));
 
@@ -434,7 +451,7 @@ fn socket_elastic_smoke() {
     };
     let deadline = VirtualTime::from_mins(4);
     let spec = skewed_workload(7);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let report = run_socket(
         SocketConfig {

@@ -19,7 +19,8 @@
 //!   paper's per-machine physical memory observations.
 //! * [`hash`] — a fast, deterministic hasher used for partitioning.
 //! * [`error`] — the workspace error type.
-//! * [`testing`] — the little the workspace's tests share.
+//! * [`testing`] — what the workspace's tests share, the reference join
+//!   first of all.
 
 pub mod batch;
 pub mod codec;

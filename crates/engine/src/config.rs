@@ -7,19 +7,6 @@ use dcape_storage::{DiskModel, SegmentCodec};
 use crate::spill::policy::VictimPolicy;
 use crate::state::productivity::ProductivityEstimator;
 
-/// How a partition group stores its per-stream state in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StateLayout {
-    /// Row-oriented `Vec<Tuple>` per stream — the baseline layout, kept
-    /// as the equivalence reference.
-    Row,
-    /// Struct-of-arrays columns (timestamps, hashed keys, join-key
-    /// values, payload arena); rows are materialized only at the
-    /// sink/spill boundary. The default.
-    #[default]
-    Columnar,
-}
-
 /// Configuration of one symmetric m-way hash join operator instance.
 #[derive(Debug, Clone)]
 pub struct MJoinConfig {
@@ -35,8 +22,6 @@ pub struct MJoinConfig {
     /// intro's infinite-stream regime ("as long as operators have
     /// finite window sizes").
     pub window: Option<dcape_common::time::VirtualDuration>,
-    /// In-memory state layout of every partition group.
-    pub layout: StateLayout,
 }
 
 impl MJoinConfig {
@@ -46,19 +31,12 @@ impl MJoinConfig {
             num_streams,
             join_columns: vec![column; num_streams],
             window: None,
-            layout: StateLayout::default(),
         }
     }
 
     /// Builder-style: set a sliding window.
     pub fn with_window(mut self, window: dcape_common::time::VirtualDuration) -> Self {
         self.window = Some(window);
-        self
-    }
-
-    /// Builder-style: set the in-memory state layout.
-    pub fn with_layout(mut self, layout: StateLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -212,12 +190,6 @@ impl EngineConfig {
         self.spill_codec = codec;
         self
     }
-
-    /// Builder-style: set the in-memory state layout of the join.
-    pub fn with_layout(mut self, layout: StateLayout) -> Self {
-        self.join.layout = layout;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +210,6 @@ mod tests {
             num_streams: 3,
             join_columns: vec![0, 0],
             window: None,
-            layout: StateLayout::default(),
         };
         assert!(c.validate().is_err());
     }

@@ -67,6 +67,6 @@ pub use engine::QueryEngine;
 pub use operators::mjoin::MJoinOperator;
 pub use plan::{PlanExecutor, QueryPlan};
 pub use probe::{ProbeSpans, SpanList};
-pub use sink::{CollectingSink, CountingSink, EnumeratingSink, ResultSink};
+pub use sink::{CollectingSink, CountingSink, ResultSink};
 pub use spill::policy::VictimPolicy;
 pub use stats::EngineStatsReport;

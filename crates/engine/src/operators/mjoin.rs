@@ -70,12 +70,7 @@ impl MJoinOperator {
     /// The resident group of `pid`, created empty on first arrival.
     fn group_mut(&mut self, pid: PartitionId) -> &mut PartitionGroup {
         self.groups.entry(pid).or_insert_with(|| {
-            PartitionGroup::new(
-                pid,
-                Arc::clone(&self.join_columns),
-                self.cfg.window,
-                self.cfg.layout,
-            )
+            PartitionGroup::new(pid, Arc::clone(&self.join_columns), self.cfg.window)
         })
     }
 
@@ -245,7 +240,6 @@ impl MJoinOperator {
             Arc::clone(&self.join_columns),
             self.cfg.window,
             output_count,
-            self.cfg.layout,
         )?;
         self.tracker.allocate(group.bytes());
         self.state_bytes += group.bytes();
@@ -318,20 +312,13 @@ impl MJoinOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StateLayout;
     use crate::sink::{CollectingSink, CountingSink};
     use dcape_common::ids::StreamId;
     use dcape_common::time::VirtualTime;
     use dcape_common::tuple::TupleBuilder;
 
-    const LAYOUTS: [StateLayout; 2] = [StateLayout::Row, StateLayout::Columnar];
-
     fn op() -> MJoinOperator {
-        op_with(StateLayout::Columnar, MemoryTracker::new(10 << 20))
-    }
-
-    fn op_with(layout: StateLayout, tracker: Arc<MemoryTracker>) -> MJoinOperator {
-        MJoinOperator::new(MJoinConfig::same_column(3, 0).with_layout(layout), tracker).unwrap()
+        MJoinOperator::new(MJoinConfig::same_column(3, 0), MemoryTracker::new(10 << 20)).unwrap()
     }
 
     fn tpl(stream: u8, seq: u64, key: i64) -> Tuple {
@@ -456,10 +443,10 @@ mod tests {
         assert!(op.extract_group(PartitionId(9)).is_none());
     }
 
-    /// `process_batch` over the encoded rows equals per-tuple `process`
-    /// on both layouts, for a sink that enumerates (results compared as
-    /// a multiset of whole tuples, so every row was rebuilt intact) and
-    /// one that only counts.
+    /// `process_batch` over the encoded rows equals per-tuple `process`,
+    /// for a sink that enumerates (results compared as a multiset of
+    /// whole tuples, so every row was rebuilt intact) and one that only
+    /// counts.
     #[test]
     fn batch_matches_per_tuple_path() {
         let rows = || {
@@ -477,53 +464,48 @@ mod tests {
                 (pid, t)
             })
         };
-        let op_on = |layout, tracker| {
-            let cfg = MJoinConfig::same_column(3, 1).with_layout(layout);
-            MJoinOperator::new(cfg, tracker).unwrap()
+        let op_on = |tracker| MJoinOperator::new(MJoinConfig::same_column(3, 1), tracker).unwrap();
+        let tracker = MemoryTracker::new(10 << 20);
+        let mut per_tuple = op_on(MemoryTracker::new(10 << 20));
+        let mut batched = op_on(Arc::clone(&tracker));
+        let mut counted = op_on(MemoryTracker::new(10 << 20));
+        let mut sink_a = CollectingSink::new();
+        let mut sink_b = CollectingSink::new();
+        let mut sink_c = CountingSink::new();
+        let mut batch = TupleBatch::new();
+        let mut per_tuple_emitted = 0;
+        for (pid, t) in rows() {
+            per_tuple_emitted += per_tuple.process(pid, t.clone(), &mut sink_a).unwrap();
+            batch.push(pid, t);
+        }
+        let emitted = batched.process_batch(&batch, &mut sink_b).unwrap();
+        assert_eq!(emitted, per_tuple_emitted);
+        assert_eq!(emitted as usize, sink_b.len());
+        assert!(emitted > 0);
+        assert_eq!(counted.process_batch(&batch, &mut sink_c).unwrap(), emitted);
+        assert_eq!(sink_c.count(), emitted);
+        // Same result multiset (order may differ across partitions).
+        let sorted = |sink: &CollectingSink| {
+            let mut v: Vec<String> = sink
+                .results()
+                .iter()
+                .map(|r| r.iter().map(|t| t.to_string()).collect())
+                .collect();
+            v.sort();
+            v
         };
-        for layout in LAYOUTS {
-            let tracker = MemoryTracker::new(10 << 20);
-            let mut per_tuple = op_on(layout, MemoryTracker::new(10 << 20));
-            let mut batched = op_on(layout, Arc::clone(&tracker));
-            let mut counted = op_on(layout, MemoryTracker::new(10 << 20));
-            let mut sink_a = CollectingSink::new();
-            let mut sink_b = CollectingSink::new();
-            let mut sink_c = CountingSink::new();
-            let mut batch = TupleBatch::new();
-            let mut per_tuple_emitted = 0;
-            for (pid, t) in rows() {
-                per_tuple_emitted += per_tuple.process(pid, t.clone(), &mut sink_a).unwrap();
-                batch.push(pid, t);
-            }
-            let emitted = batched.process_batch(&batch, &mut sink_b).unwrap();
-            assert_eq!(emitted, per_tuple_emitted);
-            assert_eq!(emitted as usize, sink_b.len());
-            assert!(emitted > 0);
-            assert_eq!(counted.process_batch(&batch, &mut sink_c).unwrap(), emitted);
-            assert_eq!(sink_c.count(), emitted);
-            // Same result multiset (order may differ across partitions).
-            let sorted = |sink: &CollectingSink| {
-                let mut v: Vec<String> = sink
-                    .results()
-                    .iter()
-                    .map(|r| r.iter().map(|t| t.to_string()).collect())
-                    .collect();
-                v.sort();
-                v
-            };
-            assert_eq!(sorted(&sink_a), sorted(&sink_b));
-            // Same state, and the incremental totals never drift.
-            for op in [&batched, &counted] {
-                assert_eq!(per_tuple.state_bytes(), op.state_bytes());
-                assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-                assert_eq!(per_tuple.total_output(), op.total_output());
-            }
-            assert_eq!(tracker.used() as usize, batched.state_bytes());
-            for pid in [PartitionId(0), PartitionId(1)] {
-                let (expected, _) = per_tuple.drain_group(pid).unwrap();
-                assert_eq!(batched.drain_group(pid).unwrap().0, expected);
-                assert_eq!(counted.drain_group(pid).unwrap().0, expected);
-            }
+        assert_eq!(sorted(&sink_a), sorted(&sink_b));
+        // Same state, and the incremental totals never drift.
+        for op in [&batched, &counted] {
+            assert_eq!(per_tuple.state_bytes(), op.state_bytes());
+            assert_eq!(op.state_bytes(), op.recompute_state_bytes());
+            assert_eq!(per_tuple.total_output(), op.total_output());
+        }
+        assert_eq!(tracker.used() as usize, batched.state_bytes());
+        for pid in [PartitionId(0), PartitionId(1)] {
+            let (expected, _) = per_tuple.drain_group(pid).unwrap();
+            assert_eq!(batched.drain_group(pid).unwrap().0, expected);
+            assert_eq!(counted.drain_group(pid).unwrap().0, expected);
         }
     }
 
@@ -533,44 +515,40 @@ mod tests {
         // have, and (the join column being 1) a row with one column.
         let bad_stream = |i: u64| tpl2(7, i);
         let no_join_column = |i: u64| tpl(1, i, 1);
-        for layout in LAYOUTS {
-            for bad in [bad_stream, no_join_column] {
-                let op_on = |tracker| {
-                    let cfg = MJoinConfig::same_column(3, 1).with_layout(layout);
-                    MJoinOperator::new(cfg, tracker).unwrap()
-                };
-                // The reference: the valid prefix alone.
-                let mut prefix = op_on(MemoryTracker::new(10 << 20));
-                let mut prefix_sink = CountingSink::new();
-                let tracker = MemoryTracker::new(10 << 20);
-                let mut op = op_on(Arc::clone(&tracker));
-                let mut sink = CountingSink::new();
-                let mut batch = TupleBatch::new();
-                let pid = PartitionId(3);
-                for (i, stream) in [0u8, 1, 2, 0, 9, 1, 2].into_iter().enumerate() {
-                    let i = i as u64;
-                    let t = if i == 4 { bad(i) } else { tpl2(stream, i) };
-                    if i < 4 {
-                        prefix.process(pid, t.clone(), &mut prefix_sink).unwrap();
-                    }
-                    batch.push(pid, t);
+        for bad in [bad_stream, no_join_column] {
+            let op_on =
+                |tracker| MJoinOperator::new(MJoinConfig::same_column(3, 1), tracker).unwrap();
+            // The reference: the valid prefix alone.
+            let mut prefix = op_on(MemoryTracker::new(10 << 20));
+            let mut prefix_sink = CountingSink::new();
+            let tracker = MemoryTracker::new(10 << 20);
+            let mut op = op_on(Arc::clone(&tracker));
+            let mut sink = CountingSink::new();
+            let mut batch = TupleBatch::new();
+            let pid = PartitionId(3);
+            for (i, stream) in [0u8, 1, 2, 0, 9, 1, 2].into_iter().enumerate() {
+                let i = i as u64;
+                let t = if i == 4 { bad(i) } else { tpl2(stream, i) };
+                if i < 4 {
+                    prefix.process(pid, t.clone(), &mut prefix_sink).unwrap();
                 }
-                assert!(
-                    op.process_batch(&batch, &mut sink).is_err(),
-                    "bad row reported"
-                );
-                // Valid prefix inserted, tail dropped, and state bytes,
-                // tracker and productivity window account exactly that.
-                let (snap, _) = op.drain_group(pid).unwrap();
-                assert_eq!(snap.tuple_count(), 4);
-                op.install_group(snap, 0).unwrap();
-                assert_eq!(sink.count(), prefix_sink.count());
-                assert!(sink.count() > 0);
-                assert_eq!(op.total_output(), prefix.total_output());
-                assert_eq!(op.state_bytes(), prefix.state_bytes());
-                assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-                assert_eq!(tracker.used() as usize, op.state_bytes());
+                batch.push(pid, t);
             }
+            assert!(
+                op.process_batch(&batch, &mut sink).is_err(),
+                "bad row reported"
+            );
+            // Valid prefix inserted, tail dropped, and state bytes,
+            // tracker and productivity window account exactly that.
+            let (snap, _) = op.drain_group(pid).unwrap();
+            assert_eq!(snap.tuple_count(), 4);
+            op.install_group(snap, 0).unwrap();
+            assert_eq!(sink.count(), prefix_sink.count());
+            assert!(sink.count() > 0);
+            assert_eq!(op.total_output(), prefix.total_output());
+            assert_eq!(op.state_bytes(), prefix.state_bytes());
+            assert_eq!(op.state_bytes(), op.recompute_state_bytes());
+            assert_eq!(tracker.used() as usize, op.state_bytes());
         }
     }
 
@@ -593,39 +571,6 @@ mod tests {
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
         op.install_group(snap2, carried).unwrap();
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-    }
-
-    #[test]
-    fn layouts_produce_identical_operator_behavior() {
-        let mut row = op_with(StateLayout::Row, MemoryTracker::new(10 << 20));
-        let mut col = op_with(StateLayout::Columnar, MemoryTracker::new(10 << 20));
-        let mut sink_r = CollectingSink::new();
-        let mut sink_c = CollectingSink::new();
-        let mut batch_r = TupleBatch::new();
-        let mut batch_c = TupleBatch::new();
-        let mut seq = 0u64;
-        for s in 0..3u8 {
-            for k in 0..6i64 {
-                let pid = PartitionId((k % 2) as u32);
-                let t = tpl(s, seq, k % 3);
-                batch_r.push(pid, t.clone());
-                batch_c.push(pid, t);
-                seq += 1;
-            }
-        }
-        let er = row.process_batch(&batch_r, &mut sink_r).unwrap();
-        let ec = col.process_batch(&batch_c, &mut sink_c).unwrap();
-        assert_eq!(er, ec);
-        assert_eq!(sink_r.identities(), sink_c.identities());
-        assert_eq!(row.state_bytes(), col.state_bytes());
-        assert_eq!(col.state_bytes(), col.recompute_state_bytes());
-        // Drained snapshots are identical rows in identical order.
-        for pid in [PartitionId(0), PartitionId(1)] {
-            let (sr, fr) = row.drain_group(pid).unwrap();
-            let (sc, fc) = col.drain_group(pid).unwrap();
-            assert_eq!(sr, sc);
-            assert_eq!(fr, fc);
-        }
     }
 
     #[test]

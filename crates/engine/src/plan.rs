@@ -170,7 +170,6 @@ impl PlanExecutor {
                     num_streams: stage.arity,
                     join_columns: stage.join_columns.clone(),
                     window: None,
-                    layout: crate::config::StateLayout::default(),
                 },
                 std::sync::Arc::clone(&tracker),
             )?);

@@ -31,18 +31,11 @@ pub enum SpanList<'a> {
     One(&'a Tuple),
     /// A contiguous run of tuples (cleanup segments).
     Slice(&'a [Tuple]),
-    /// Match positions into a stream partition's tuple store.
-    Indexed {
-        /// The stream's tuple storage.
-        tuples: &'a [Tuple],
-        /// Positions of the matching tuples, in arrival order.
-        positions: &'a [u32],
-    },
-    /// Match positions into a columnar partition's timestamp column —
-    /// no row storage behind it. Producers hand this to sinks that
+    /// Match positions into a stream partition's timestamp column — no
+    /// row storage behind it. Producers hand this to sinks that
     /// answered [`wants_rows() == false`](crate::sink::ResultSink::wants_rows):
-    /// counting needs only lengths and timestamps, so the columnar
-    /// state never materializes rows. Calling [`SpanList::get`] on it
+    /// counting needs only lengths and timestamps, so the join state
+    /// never materializes rows. Calling [`SpanList::get`] on it
     /// is a contract violation and panics.
     TsOnly {
         /// The stream's full timestamp column.
@@ -59,9 +52,7 @@ impl<'a> SpanList<'a> {
         match self {
             SpanList::One(_) => 1,
             SpanList::Slice(s) => s.len(),
-            SpanList::Indexed { positions, .. } | SpanList::TsOnly { positions, .. } => {
-                positions.len()
-            }
+            SpanList::TsOnly { positions, .. } => positions.len(),
         }
     }
 
@@ -80,7 +71,6 @@ impl<'a> SpanList<'a> {
         match self {
             SpanList::One(t) => t,
             SpanList::Slice(s) => &s[i],
-            SpanList::Indexed { tuples, positions } => &tuples[positions[i] as usize],
             SpanList::TsOnly { .. } => {
                 panic!("SpanList::TsOnly has no rows: sink broke its wants_rows() == false promise")
             }
@@ -526,9 +516,9 @@ mod tests {
 
     #[test]
     fn ts_only_counts_match_row_spans() {
-        // The same candidate sets expressed as row-backed Indexed lists
-        // and as rowless TsOnly lists must count identically, windowed
-        // and not, sorted and not.
+        // The same candidate sets expressed as row-backed lists and as
+        // rowless TsOnly lists must count identically, windowed and
+        // not, sorted and not.
         for (tss, window, sorted) in [
             (vec![vec![0u64, 5, 10, 20], vec![8, 15, 30]], Some(10), true),
             (vec![vec![1, 2, 3], vec![2, 3, 4]], Some(2), true),

@@ -39,8 +39,9 @@ pub trait ResultSink {
     }
 
     /// Does this sink ever dereference result tuples? Count-only sinks
-    /// return `false`, letting a columnar state probe deliver
-    /// timestamp-only span lists without materializing rows. A sink
+    /// return `false`, letting a probe deliver timestamp-only span
+    /// lists without materializing rows — what decides whether a product
+    /// is counted or enumerated is the sink, never an option. A sink
     /// answering `false` must not call [`crate::probe::SpanList::get`]
     /// (i.e. must not enumerate through `emit`).
     fn wants_rows(&self) -> bool {
@@ -84,19 +85,6 @@ impl ResultSink for CountingSink {
     #[inline]
     fn wants_rows(&self) -> bool {
         false
-    }
-}
-
-/// Forces the per-combination delivery path regardless of the inner
-/// sink's fast paths: `emit_product` keeps the enumerating default.
-/// This is the benchmark baseline and the equivalence-test reference.
-#[derive(Debug, Default)]
-pub struct EnumeratingSink<S>(pub S);
-
-impl<S: ResultSink> ResultSink for EnumeratingSink<S> {
-    #[inline]
-    fn emit(&mut self, parts: &[&Tuple]) {
-        self.0.emit(parts);
     }
 }
 
@@ -218,10 +206,10 @@ mod tests {
         let lists = [SpanList::Slice(&a), SpanList::Slice(&b)];
         let spans = ProbeSpans::new(&lists, None, true);
         let mut fast = CountingSink::new();
-        let mut slow = EnumeratingSink(CountingSink::new());
+        let mut slow = CollectingSink::new();
         assert_eq!(fast.emit_product(&spans), 9);
         assert_eq!(slow.emit_product(&spans), 9);
-        assert_eq!(fast.count(), slow.0.count());
+        assert_eq!(fast.count(), slow.len() as u64);
     }
 
     #[test]

@@ -12,28 +12,23 @@
 //! tuple's join key up, emit the full cartesian combination of the other
 //! streams' matches, then index the tuple.
 //!
-//! Two in-memory layouts implement that contract
-//! ([`StateLayout`](crate::config::StateLayout)):
-//!
-//! * **Row** — `Vec<Tuple>` and a hash index per stream, the original
-//!   layout, kept as the equivalence reference;
-//! * **Columnar** — struct-of-arrays per stream: a contiguous timestamp
-//!   column, a packed per-row bookkeeping column (sequence number,
-//!   accounted size, arena end offset) and one payload arena of encoded
-//!   values — a [`TupleBatch`] row's `arity value*` tail, copied in as it
-//!   arrives; and **one** [`JoinIndex`] for the whole group, whose entry
-//!   for a key holds a position list per stream — so an insert pays one
-//!   lookup, not one per stream. Join keys live only in that index. The
-//!   probe path touches only the index entry and the columns (a
-//!   count-only sink gets [`SpanList::TsOnly`] lists and never sees a
-//!   row); rows are materialized from the arena only at the sink or
-//!   spill boundary. Window purge retires a prefix of a time-ordered
-//!   partition in O(expired rows) — see [`ColumnarState::purge`].
+//! The state is **columnar** — struct-of-arrays per stream: a contiguous
+//! timestamp column, a packed per-row bookkeeping column (sequence
+//! number, accounted size, arena end offset) and one payload arena of
+//! encoded values — a [`TupleBatch`] row's `arity value*` tail, copied in
+//! as it arrives; and **one** [`JoinIndex`] for the whole group, whose
+//! entry for a key holds a position list per stream — so an insert pays
+//! one lookup, not one per stream. Join keys live only in that index. The
+//! probe path touches only the index entry and the columns (a count-only
+//! sink gets [`SpanList::TsOnly`] lists and never sees a row); rows are
+//! materialized from the arena only at the sink or spill boundary. Window
+//! purge retires a prefix of a time-ordered partition in O(expired rows)
+//! — see [`ColumnarState::purge`].
 
 use dcape_common::batch::{RowRef, TupleBatch};
 use dcape_common::codec::{body_value, decode_value, get_varint};
 use dcape_common::error::{DcapeError, Result};
-use dcape_common::hash::{fx_hash, FxHashMap};
+use dcape_common::hash::fx_hash;
 use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::mem::HeapSize;
 use dcape_common::time::{VirtualDuration, VirtualTime};
@@ -42,7 +37,6 @@ use dcape_common::value::Value;
 use dcape_storage::{SpilledGroup, StreamColumns};
 use std::sync::Arc;
 
-use crate::config::StateLayout;
 use crate::probe::{ProbeSpans, SpanList, INLINE_STREAMS};
 use crate::sink::ResultSink;
 use crate::state::join_index::{JoinIndex, PosList};
@@ -51,83 +45,6 @@ use crate::state::productivity::DecayState;
 /// Estimated per-tuple bookkeeping bytes beyond the tuple itself
 /// (vector slot + hash-index entry share).
 pub const PER_TUPLE_OVERHEAD: usize = 24;
-
-/// A row-layout join key carrying its precomputed [`fx_hash`].
-///
-/// The row layout indexes each stream apart, so inserting one tuple into
-/// an m-way join probes m-1 maps plus its own: hashing the full `Value`
-/// (a text key walks every byte) once instead of m times is a measurable
-/// hot-path win. `Hash` forwards only the cached hash; `Eq` still
-/// compares the real key, so buckets stay exact. (The columnar layout
-/// has one index per group and passes `fx_hash` straight to it.)
-#[derive(Debug, Clone)]
-struct HashedKey {
-    hash: u64,
-    key: Value,
-}
-
-impl HashedKey {
-    #[inline]
-    fn new(key: Value) -> Self {
-        let hash = fx_hash(&key);
-        HashedKey { hash, key }
-    }
-}
-
-impl PartialEq for HashedKey {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.key == other.key
-    }
-}
-
-impl Eq for HashedKey {}
-
-impl std::hash::Hash for HashedKey {
-    #[inline]
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-#[derive(Debug)]
-struct StreamPartition {
-    tuples: Vec<Tuple>,
-    /// join key (with precomputed hash) -> positions in `tuples`.
-    index: FxHashMap<HashedKey, Vec<u32>>,
-    /// True while `tuples` is ts-nondecreasing in storage order — then
-    /// every match-position list is too, which unlocks binary-search
-    /// window pruning in [`ProbeSpans::count_valid`]. Live streams
-    /// arrive in timestamp order so this normally stays `true`;
-    /// replayed or merged state may clear it, which only costs the
-    /// pruning shortcut, never correctness.
-    ts_sorted: bool,
-}
-
-impl Default for StreamPartition {
-    fn default() -> Self {
-        StreamPartition {
-            tuples: Vec::new(),
-            index: FxHashMap::default(),
-            ts_sorted: true,
-        }
-    }
-}
-
-impl StreamPartition {
-    fn insert(&mut self, key: HashedKey, tuple: Tuple) {
-        if let Some(last) = self.tuples.last() {
-            self.ts_sorted &= tuple.ts() >= last.ts();
-        }
-        let pos = self.tuples.len() as u32;
-        self.tuples.push(tuple);
-        self.index.entry(key).or_default().push(pos);
-    }
-
-    fn matches(&self, key: &HashedKey) -> &[u32] {
-        self.index.get(key).map_or(&[], Vec::as_slice)
-    }
-}
 
 /// Per-row bookkeeping that is only read at materialization, purge, or
 /// accounting time — packed into one vector so the insert hot path
@@ -138,8 +55,8 @@ impl StreamPartition {
 struct RowMeta {
     /// Arrival sequence number.
     seq: u64,
-    /// Accounted heap size captured at insert, so byte accounting is
-    /// bit-identical to the row layout.
+    /// Accounted heap size captured at insert: what the row costs as a
+    /// [`Tuple`], the unit every memory decision is made in.
     acct: u64,
     /// End offset (exclusive) of the row's arena slice; the start is
     /// the previous row's `end` (0 for the first row).
@@ -171,7 +88,12 @@ struct ColumnarPartition {
     meta: Vec<RowMeta>,
     /// Packed encoded payloads of all rows, in insertion order.
     arena: Vec<u8>,
-    /// Same meaning as [`StreamPartition::ts_sorted`].
+    /// True while `ts` is nondecreasing in storage order — then every
+    /// match-position list is too, which unlocks binary-search window
+    /// pruning in [`ProbeSpans::count_valid`]. Live streams arrive in
+    /// timestamp order so this normally stays `true`; replayed or
+    /// merged state may clear it, which only costs the pruning
+    /// shortcut, never correctness.
     ts_sorted: bool,
     /// Physical index of the first live row.
     head: usize,
@@ -666,70 +588,11 @@ fn expired_prefix(live: &[VirtualTime], cutoff: VirtualTime) -> usize {
     lo + live[lo..hi.min(live.len())].partition_point(|&t| t < cutoff)
 }
 
-/// Row-layout probe: look `key` up in every stream's index other than
-/// `s` and deliver the product with `tuple` in slot `s`. Bails early on
-/// any empty side. The span lists borrow the stream state directly; all
-/// borrows end before the caller stores the tuple.
-fn probe_row(
-    streams: &[StreamPartition],
-    window: Option<VirtualDuration>,
-    s: usize,
-    key: &HashedKey,
-    tuple: &Tuple,
-    sink: &mut dyn ResultSink,
-) -> u64 {
-    let m = streams.len();
-    if m < 2 {
-        return 0;
-    }
-    let mut inline = [SpanList::One(tuple); INLINE_STREAMS];
-    let mut spilled = Vec::new();
-    let lists = if m <= INLINE_STREAMS {
-        &mut inline[..m]
-    } else {
-        spilled.resize(m, SpanList::One(tuple));
-        &mut spilled[..]
-    };
-    let mut ts_sorted = true;
-    for (i, sp) in streams.iter().enumerate() {
-        if i == s {
-            continue;
-        }
-        let positions = sp.matches(key);
-        if positions.is_empty() {
-            return 0;
-        }
-        lists[i] = SpanList::Indexed {
-            tuples: &sp.tuples,
-            positions,
-        };
-        ts_sorted &= sp.ts_sorted;
-    }
-    sink.emit_product(&ProbeSpans::new(lists, window, ts_sorted))
-}
-
-/// The row layout's way into a snapshot: encode every tuple.
-fn rows_to_columns(sp: &StreamPartition) -> StreamColumns {
-    let mut cols = StreamColumns::default();
-    for t in &sp.tuples {
-        cols.push_tuple(t)
-            .expect("a stream partition's rows encode to under 4 GiB");
-    }
-    cols
-}
-
-/// The layout-selected per-stream state of one group.
-#[derive(Debug)]
-enum StateStore {
-    Row(Vec<StreamPartition>),
-    Columnar(ColumnarState),
-}
-
 /// In-memory join state for one partition ID across all input streams.
 #[derive(Debug)]
 pub struct PartitionGroup {
     pid: PartitionId,
-    state: StateStore,
+    state: ColumnarState,
     /// Shared across all groups of one operator — creating a group is
     /// an `Arc` bump, not a `Vec` clone.
     join_columns: Arc<[usize]>,
@@ -737,13 +600,12 @@ pub struct PartitionGroup {
     bytes: usize,
     output_count: u64,
     decay: DecayState,
-    /// Reused per-stream row-materialization buffers for columnar
-    /// probes feeding row-wanting sinks (no per-probe allocation once
-    /// warm).
+    /// Reused per-stream row-materialization buffers for probes feeding
+    /// row-wanting sinks (no per-probe allocation once warm).
     scratch: Vec<Vec<Tuple>>,
     /// Reused one-row batch a [`Tuple`] handed to
-    /// [`insert`](Self::insert) is encoded into on its way to the
-    /// columnar row path.
+    /// [`insert`](Self::insert) is encoded into on its way to
+    /// [`insert_row`](Self::insert_row).
     row_scratch: TupleBatch,
     /// See [`purge_rows_touched`](Self::purge_rows_touched).
     purge_touched: u64,
@@ -751,25 +613,16 @@ pub struct PartitionGroup {
 
 impl PartitionGroup {
     /// New empty group. `join_columns[s]` is the join-column index of
-    /// stream `s`; `window` enables sliding-window semantics; `layout`
-    /// selects the in-memory representation.
+    /// stream `s`; `window` enables sliding-window semantics.
     pub fn new(
         pid: PartitionId,
         join_columns: impl Into<Arc<[usize]>>,
         window: Option<VirtualDuration>,
-        layout: StateLayout,
     ) -> Self {
         let join_columns = join_columns.into();
-        let n = join_columns.len();
-        let state = match layout {
-            StateLayout::Row => {
-                StateStore::Row((0..n).map(|_| StreamPartition::default()).collect())
-            }
-            StateLayout::Columnar => StateStore::Columnar(ColumnarState::new(n)),
-        };
         PartitionGroup {
             pid,
-            state,
+            state: ColumnarState::new(join_columns.len()),
             join_columns,
             window,
             bytes: 0,
@@ -813,20 +666,9 @@ impl PartitionGroup {
         self.output_count as f64 / self.bytes.max(1) as f64
     }
 
-    /// The group's in-memory layout.
-    pub fn layout(&self) -> StateLayout {
-        match self.state {
-            StateStore::Row(_) => StateLayout::Row,
-            StateStore::Columnar(_) => StateLayout::Columnar,
-        }
-    }
-
     /// Total tuples across all streams.
     pub fn tuple_count(&self) -> usize {
-        match &self.state {
-            StateStore::Row(streams) => streams.iter().map(|s| s.tuples.len()).sum(),
-            StateStore::Columnar(st) => st.cols.iter().map(ColumnarPartition::len).sum(),
-        }
+        self.state.cols.iter().map(ColumnarPartition::len).sum()
     }
 
     /// True if no tuples are stored.
@@ -843,54 +685,35 @@ impl PartitionGroup {
     /// [`ResultSink::emit_product`] call over borrowed span lists — no
     /// per-insert allocation (the span array lives on the stack for up
     /// to [`INLINE_STREAMS`] streams) and no per-combination virtual
-    /// dispatch for count-only sinks. Under the columnar layout only the
-    /// join key is decoded and the row's encoded columns are copied
-    /// into the arena as they are; a sink answering
-    /// [`ResultSink::wants_rows`]` == false` is served
+    /// dispatch for count-only sinks. Only the join key is decoded and
+    /// the row's encoded columns are copied into the arena as they are;
+    /// a sink answering [`ResultSink::wants_rows`]` == false` is served
     /// [`SpanList::TsOnly`] lists straight off the timestamp columns —
-    /// no row is materialized at all. The row layout stores tuples, so
-    /// it rebuilds one.
+    /// no row is materialized at all.
     pub fn insert_row(
         &mut self,
         row: &RowRef<'_>,
         sink: &mut dyn ResultSink,
     ) -> Result<(u64, usize)> {
         let s = self.stream_slot(row.stream())?;
-        let window = self.window;
-        let emitted = match &mut self.state {
-            StateStore::Columnar(st) => {
-                let key = row
-                    .value(self.join_columns[s])
-                    .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
-                st.probe_insert(s, &key, row, &mut self.scratch, window, sink)?
-            }
-            StateStore::Row(_) => return self.insert(row.to_tuple(), sink),
-        };
+        let key = row
+            .value(self.join_columns[s])
+            .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
+        let (state, scratch) = (&mut self.state, &mut self.scratch);
+        let emitted = state.probe_insert(s, &key, row, scratch, self.window, sink)?;
         Ok(self.account(emitted, row.heap_size()))
     }
 
     /// [`insert_row`](Self::insert_row) for a caller holding a
-    /// [`Tuple`]: the row layout stores it; the columnar layout encodes
-    /// it into a scratch row and takes the row path, its one insert
-    /// implementation.
+    /// [`Tuple`]: it is encoded into a scratch row and takes the row
+    /// path, the one insert implementation.
     pub fn insert(&mut self, tuple: Tuple, sink: &mut dyn ResultSink) -> Result<(u64, usize)> {
-        let s = self.stream_slot(tuple.stream())?;
-        let StateStore::Row(streams) = &mut self.state else {
-            let mut one = std::mem::take(&mut self.row_scratch);
-            one.clear();
-            one.push(self.pid, tuple);
-            let result = self.insert_row(&one.rows().next().expect("just pushed"), sink);
-            self.row_scratch = one;
-            return result;
-        };
-        let key = tuple
-            .get(self.join_columns[s])
-            .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
-        let key = HashedKey::new(key.clone());
-        let size = tuple.heap_size();
-        let emitted = probe_row(streams, self.window, s, &key, &tuple, sink);
-        streams[s].insert(key, tuple);
-        Ok(self.account(emitted, size))
+        let mut one = std::mem::take(&mut self.row_scratch);
+        one.clear();
+        one.push(self.pid, tuple);
+        let result = self.insert_row(&one.rows().next().expect("just pushed"), sink);
+        self.row_scratch = one;
+        result
     }
 
     /// The slot of `stream` in this join, or an error if it has none.
@@ -932,44 +755,10 @@ impl PartitionGroup {
         let cutoff =
             VirtualTime::from_millis(horizon.as_millis().saturating_sub(window.as_millis()));
         let mut freed = 0usize;
-        match &mut self.state {
-            StateStore::Row(streams) => {
-                for (stream_index, sp) in streams.iter_mut().enumerate() {
-                    // In time order the first tuple is the oldest.
-                    let nothing_expired = if sp.ts_sorted {
-                        sp.tuples.first().is_none_or(|t| t.ts() >= cutoff)
-                    } else {
-                        sp.tuples.iter().all(|t| t.ts() >= cutoff)
-                    };
-                    if nothing_expired {
-                        continue;
-                    }
-                    self.purge_touched += sp.tuples.len() as u64;
-                    let old = std::mem::take(&mut sp.tuples);
-                    sp.index.clear();
-                    // Re-inserting recomputes sortedness from scratch, so a
-                    // group that went unsorted can recover the pruning
-                    // shortcut once the offending tuples expire.
-                    sp.ts_sorted = true;
-                    let column = self.join_columns[stream_index];
-                    for t in old {
-                        if t.ts() >= cutoff {
-                            let key =
-                                HashedKey::new(t.get(column).expect("validated at insert").clone());
-                            sp.insert(key, t);
-                        } else {
-                            freed += t.heap_size() + PER_TUPLE_OVERHEAD;
-                        }
-                    }
-                }
-            }
-            StateStore::Columnar(st) => {
-                for (s, &column) in self.join_columns.iter().enumerate() {
-                    let (bytes, touched) = st.purge(s, cutoff, column);
-                    freed += bytes;
-                    self.purge_touched += touched;
-                }
-            }
+        for (s, &column) in self.join_columns.iter().enumerate() {
+            let (bytes, touched) = self.state.purge(s, cutoff, column);
+            freed += bytes;
+            self.purge_touched += touched;
         }
         self.bytes -= freed;
         freed
@@ -986,14 +775,10 @@ impl PartitionGroup {
 
     /// Consume the group into a serializable snapshot plus its output
     /// count (relocation carries the count; spill discards it because a
-    /// fresh group restarts its productivity history). Columnar state
-    /// hands its columns over as they are; the row layout encodes its
-    /// tuples — both snapshot to the same rows in the same order.
+    /// fresh group restarts its productivity history). The columns are
+    /// handed over as they are.
     pub fn into_snapshot(self) -> (SpilledGroup, u64) {
-        let streams = match self.state {
-            StateStore::Row(streams) => streams.iter().map(rows_to_columns).collect(),
-            StateStore::Columnar(st) => st.into_columns(),
-        };
+        let streams = self.state.into_columns();
         (
             SpilledGroup::from_streams(self.pid, streams),
             self.output_count,
@@ -1002,14 +787,13 @@ impl PartitionGroup {
 
     /// Rebuild a group from a snapshot (relocation receive / tests),
     /// restoring indexes, byte accounting, and the carried output count.
-    /// The columnar layout takes the snapshot's columns in as they are
-    /// (copying them only if a clone of the snapshot is still alive).
+    /// The snapshot's columns are taken in as they are (copied only if a
+    /// clone of the snapshot is still alive).
     pub fn from_snapshot(
         snapshot: SpilledGroup,
         join_columns: impl Into<Arc<[usize]>>,
         window: Option<VirtualDuration>,
         output_count: u64,
-        layout: StateLayout,
     ) -> Result<Self> {
         let join_columns = join_columns.into();
         if snapshot.num_streams() != join_columns.len() {
@@ -1019,25 +803,10 @@ impl PartitionGroup {
                 join_columns.len()
             )));
         }
-        let mut group = PartitionGroup::new(snapshot.partition, join_columns, window, layout);
-        match &mut group.state {
-            StateStore::Row(streams) => {
-                for (s, sp) in streams.iter_mut().enumerate() {
-                    for t in snapshot.tuples(s) {
-                        let key = t
-                            .get(group.join_columns[s])
-                            .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
-                        group.bytes += t.heap_size() + PER_TUPLE_OVERHEAD;
-                        sp.insert(HashedKey::new(key.clone()), t);
-                    }
-                }
-            }
-            StateStore::Columnar(st) => {
-                let pid = snapshot.partition;
-                (*st, group.bytes) =
-                    ColumnarState::from_columns(pid, snapshot.into_streams(), &group.join_columns)?;
-            }
-        }
+        let pid = snapshot.partition;
+        let mut group = PartitionGroup::new(pid, join_columns, window);
+        (group.state, group.bytes) =
+            ColumnarState::from_columns(pid, snapshot.into_streams(), &group.join_columns)?;
         group.output_count = output_count;
         Ok(group)
     }
@@ -1045,63 +814,39 @@ impl PartitionGroup {
     /// Clone the group's content as a snapshot without consuming it
     /// (used by tests and the drift checker).
     pub fn snapshot(&self) -> SpilledGroup {
-        let streams = match &self.state {
-            StateStore::Row(streams) => streams.iter().map(rows_to_columns).collect(),
-            StateStore::Columnar(st) => {
-                let cols = st.cols.iter().cloned();
-                cols.map(ColumnarPartition::into_columns).collect()
-            }
-        };
+        let cols = self.state.cols.iter().cloned();
+        let streams = cols.map(ColumnarPartition::into_columns).collect();
         SpilledGroup::from_streams(self.pid, streams)
     }
 
-    /// Recompute accounted bytes from scratch (drift detection).
-    /// Columnar rows are re-materialized from the arena, so this checks
-    /// the stored `acct` column against ground truth too.
+    /// Recompute accounted bytes from scratch (drift detection). Rows
+    /// are re-materialized from the arena, so this checks the stored
+    /// `acct` column against ground truth too.
     pub fn recompute_bytes(&self) -> usize {
-        match &self.state {
-            StateStore::Row(streams) => streams
-                .iter()
-                .flat_map(|s| s.tuples.iter())
-                .map(|t| t.heap_size() + PER_TUPLE_OVERHEAD)
-                .sum(),
-            StateStore::Columnar(st) => st
-                .cols
-                .iter()
-                .enumerate()
-                .flat_map(|(s, cp)| {
-                    cp.live().map(move |i| {
-                        cp.materialize(StreamId(s as u8), i).heap_size() + PER_TUPLE_OVERHEAD
-                    })
-                })
-                .sum(),
-        }
+        let cols = self.state.cols.iter().enumerate();
+        cols.flat_map(|(s, cp)| {
+            cp.live()
+                .map(move |i| cp.materialize(StreamId(s as u8), i).heap_size() + PER_TUPLE_OVERHEAD)
+        })
+        .sum()
     }
 
     /// Test-only: the ts-sorted flag of stream `s`.
     #[cfg(test)]
     fn ts_sorted_of(&self, s: usize) -> bool {
-        match &self.state {
-            StateStore::Row(streams) => streams[s].ts_sorted,
-            StateStore::Columnar(st) => st.cols[s].ts_sorted,
-        }
+        self.state.cols[s].ts_sorted
     }
 
-    /// Test-only: check the columnar state's structural invariants.
+    /// Test-only: check the state's structural invariants.
     #[cfg(test)]
     fn assert_invariants(&self) {
-        if let StateStore::Columnar(st) = &self.state {
-            st.assert_invariants(&self.join_columns);
-        }
+        self.state.assert_invariants(&self.join_columns);
     }
 
     /// Test-only: tuple count of stream `s`.
     #[cfg(test)]
     fn stream_len(&self, s: usize) -> usize {
-        match &self.state {
-            StateStore::Row(streams) => streams[s].tuples.len(),
-            StateStore::Columnar(st) => st.cols[s].len(),
-        }
+        self.state.cols[s].len()
     }
 }
 
@@ -1113,8 +858,6 @@ mod tests {
     use dcape_common::time::VirtualTime;
     use dcape_common::tuple::TupleBuilder;
 
-    const LAYOUTS: [StateLayout; 2] = [StateLayout::Row, StateLayout::Columnar];
-
     fn tpl(stream: u8, seq: u64, key: i64) -> Tuple {
         TupleBuilder::new(StreamId(stream))
             .seq(seq)
@@ -1123,32 +866,30 @@ mod tests {
             .build()
     }
 
-    fn group3(layout: StateLayout) -> PartitionGroup {
-        PartitionGroup::new(PartitionId(0), vec![0, 0, 0], None, layout)
+    fn group3() -> PartitionGroup {
+        PartitionGroup::new(PartitionId(0), vec![0, 0, 0], None)
     }
 
     #[test]
     fn three_way_join_produces_cartesian_results() {
-        for layout in LAYOUTS {
-            let mut g = group3(layout);
-            let mut sink = CollectingSink::new();
-            // 2 tuples on stream 0, 2 on stream 1, then 1 on stream 2: the
-            // stream-2 insert sees 2x2 combinations.
-            g.insert(tpl(0, 0, 7), &mut sink).unwrap();
-            g.insert(tpl(0, 1, 7), &mut sink).unwrap();
-            g.insert(tpl(1, 0, 7), &mut sink).unwrap();
-            g.insert(tpl(1, 1, 7), &mut sink).unwrap();
-            assert!(sink.is_empty(), "no stream-2 tuple yet, no results");
-            let (n, _) = g.insert(tpl(2, 0, 7), &mut sink).unwrap();
-            assert_eq!(n, 4);
-            assert_eq!(sink.len(), 4);
-            assert_eq!(g.output_count(), 4);
-            // Every result has one tuple per stream, in stream order.
-            for r in sink.results() {
-                assert_eq!(r.len(), 3);
-                for (s, t) in r.iter().enumerate() {
-                    assert_eq!(t.stream().index(), s);
-                }
+        let mut g = group3();
+        let mut sink = CollectingSink::new();
+        // 2 tuples on stream 0, 2 on stream 1, then 1 on stream 2: the
+        // stream-2 insert sees 2x2 combinations.
+        g.insert(tpl(0, 0, 7), &mut sink).unwrap();
+        g.insert(tpl(0, 1, 7), &mut sink).unwrap();
+        g.insert(tpl(1, 0, 7), &mut sink).unwrap();
+        g.insert(tpl(1, 1, 7), &mut sink).unwrap();
+        assert!(sink.is_empty(), "no stream-2 tuple yet, no results");
+        let (n, _) = g.insert(tpl(2, 0, 7), &mut sink).unwrap();
+        assert_eq!(n, 4);
+        assert_eq!(sink.len(), 4);
+        assert_eq!(g.output_count(), 4);
+        // Every result has one tuple per stream, in stream order.
+        for r in sink.results() {
+            assert_eq!(r.len(), 3);
+            for (s, t) in r.iter().enumerate() {
+                assert_eq!(t.stream().index(), s);
             }
         }
     }
@@ -1156,130 +897,103 @@ mod tests {
     #[test]
     fn results_match_multiplicity_cube() {
         // f tuples per stream with one shared key => f^3 total results.
-        for layout in LAYOUTS {
-            let f = 4u64;
-            let mut g = group3(layout);
-            let mut sink = CountingSink::new();
-            for rep in 0..f {
-                for s in 0..3u8 {
-                    g.insert(tpl(s, rep, 1), &mut sink).unwrap();
-                }
+        let f = 4u64;
+        let mut g = group3();
+        let mut sink = CountingSink::new();
+        for rep in 0..f {
+            for s in 0..3u8 {
+                g.insert(tpl(s, rep, 1), &mut sink).unwrap();
             }
-            assert_eq!(sink.count(), f * f * f);
-            assert_eq!(g.output_count(), f * f * f);
-            assert_eq!(g.tuple_count(), (3 * f) as usize);
         }
+        assert_eq!(sink.count(), f * f * f);
+        assert_eq!(g.output_count(), f * f * f);
+        assert_eq!(g.tuple_count(), (3 * f) as usize);
     }
 
     #[test]
     fn different_keys_do_not_join() {
-        for layout in LAYOUTS {
-            let mut g = group3(layout);
-            let mut sink = CountingSink::new();
-            g.insert(tpl(0, 0, 1), &mut sink).unwrap();
-            g.insert(tpl(1, 0, 2), &mut sink).unwrap();
-            g.insert(tpl(2, 0, 3), &mut sink).unwrap();
-            assert_eq!(sink.count(), 0);
-            assert_eq!(g.productivity(), 0.0);
-        }
+        let mut g = group3();
+        let mut sink = CountingSink::new();
+        g.insert(tpl(0, 0, 1), &mut sink).unwrap();
+        g.insert(tpl(1, 0, 2), &mut sink).unwrap();
+        g.insert(tpl(2, 0, 3), &mut sink).unwrap();
+        assert_eq!(sink.count(), 0);
+        assert_eq!(g.productivity(), 0.0);
     }
 
     #[test]
     fn two_way_join_works() {
-        for layout in LAYOUTS {
-            let mut g = PartitionGroup::new(PartitionId(1), vec![0, 0], None, layout);
-            let mut sink = CountingSink::new();
-            g.insert(tpl(0, 0, 5), &mut sink).unwrap();
-            g.insert(tpl(1, 0, 5), &mut sink).unwrap();
-            g.insert(tpl(1, 1, 5), &mut sink).unwrap();
-            assert_eq!(sink.count(), 2);
-        }
+        let mut g = PartitionGroup::new(PartitionId(1), vec![0, 0], None);
+        let mut sink = CountingSink::new();
+        g.insert(tpl(0, 0, 5), &mut sink).unwrap();
+        g.insert(tpl(1, 0, 5), &mut sink).unwrap();
+        g.insert(tpl(1, 1, 5), &mut sink).unwrap();
+        assert_eq!(sink.count(), 2);
     }
 
     #[test]
     fn bytes_accounting_matches_recompute() {
-        for layout in LAYOUTS {
-            let mut g = group3(layout);
-            let mut sink = CountingSink::new();
-            for s in 0..3u8 {
-                for i in 0..10 {
-                    g.insert(tpl(s, i, (i % 3) as i64), &mut sink).unwrap();
-                }
+        let mut g = group3();
+        let mut sink = CountingSink::new();
+        for s in 0..3u8 {
+            for i in 0..10 {
+                g.insert(tpl(s, i, (i % 3) as i64), &mut sink).unwrap();
             }
-            assert_eq!(g.bytes(), g.recompute_bytes());
-            assert!(g.bytes() > 0);
         }
+        assert_eq!(g.bytes(), g.recompute_bytes());
+        assert!(g.bytes() > 0);
     }
 
     #[test]
     fn snapshot_round_trip_preserves_state_and_stats() {
-        for layout in LAYOUTS {
-            for restore_layout in LAYOUTS {
-                let mut g = group3(layout);
-                let mut sink = CountingSink::new();
-                for s in 0..3u8 {
-                    for i in 0..5 {
-                        g.insert(tpl(s, i, 1), &mut sink).unwrap();
-                    }
-                }
-                let bytes_before = g.bytes();
-                let output_before = g.output_count();
-                let (snap, carried) = g.into_snapshot();
-                assert_eq!(carried, output_before);
-                let g2 = PartitionGroup::from_snapshot(
-                    snap,
-                    vec![0, 0, 0],
-                    None,
-                    carried,
-                    restore_layout,
-                )
-                .unwrap();
-                assert_eq!(g2.bytes(), bytes_before);
-                assert_eq!(g2.output_count(), output_before);
-                // Restored group continues joining correctly.
-                let mut g2 = g2;
-                let mut sink2 = CountingSink::new();
-                g2.insert(tpl(0, 99, 1), &mut sink2).unwrap();
-                // 5 on stream 1 x 5 on stream 2.
-                assert_eq!(sink2.count(), 25);
+        let mut g = group3();
+        let mut sink = CountingSink::new();
+        for s in 0..3u8 {
+            for i in 0..5 {
+                g.insert(tpl(s, i, 1), &mut sink).unwrap();
             }
         }
+        let bytes_before = g.bytes();
+        let output_before = g.output_count();
+        let (snap, carried) = g.into_snapshot();
+        assert_eq!(carried, output_before);
+        let g2 = PartitionGroup::from_snapshot(snap, vec![0, 0, 0], None, carried).unwrap();
+        assert_eq!(g2.bytes(), bytes_before);
+        assert_eq!(g2.output_count(), output_before);
+        // Restored group continues joining correctly.
+        let mut g2 = g2;
+        let mut sink2 = CountingSink::new();
+        g2.insert(tpl(0, 99, 1), &mut sink2).unwrap();
+        // 5 on stream 1 x 5 on stream 2.
+        assert_eq!(sink2.count(), 25);
     }
 
     #[test]
     fn from_snapshot_validates_stream_count() {
-        for layout in LAYOUTS {
-            let snap = SpilledGroup::empty(PartitionId(0), 2);
-            assert!(PartitionGroup::from_snapshot(snap, vec![0, 0, 0], None, 0, layout).is_err());
-        }
+        let snap = SpilledGroup::empty(PartitionId(0), 2);
+        assert!(PartitionGroup::from_snapshot(snap, vec![0, 0, 0], None, 0).is_err());
     }
 
     #[test]
     fn from_snapshot_rejects_a_row_without_the_join_column() {
-        for layout in LAYOUTS {
-            let mut snap = SpilledGroup::empty(PartitionId(0), 3);
-            snap.push(&tpl(1, 0, 1)).unwrap(); // one column; the join wants column 2
-            assert!(PartitionGroup::from_snapshot(snap, vec![2, 2, 2], None, 0, layout).is_err());
-        }
+        let mut snap = SpilledGroup::empty(PartitionId(0), 3);
+        snap.push(&tpl(1, 0, 1)).unwrap(); // one column; the join wants column 2
+        assert!(PartitionGroup::from_snapshot(snap, vec![2, 2, 2], None, 0).is_err());
     }
 
     #[test]
     fn insert_rejects_out_of_range_stream() {
-        for layout in LAYOUTS {
-            let mut g = group3(layout);
-            let mut sink = CountingSink::new();
-            assert!(g.insert(tpl(7, 0, 1), &mut sink).is_err());
-        }
+        let mut g = group3();
+        let mut sink = CountingSink::new();
+        assert!(g.insert(tpl(7, 0, 1), &mut sink).is_err());
     }
 
     #[test]
     fn insert_rejects_missing_join_column() {
-        for layout in LAYOUTS {
-            let mut g = PartitionGroup::new(PartitionId(0), vec![2, 2, 2], None, layout);
-            let mut sink = CountingSink::new();
-            // Tuple has only one column; join column 2 is missing.
-            assert!(g.insert(tpl(0, 0, 1), &mut sink).is_err());
-        }
+        let mut g = PartitionGroup::new(PartitionId(0), vec![2, 2, 2], None);
+        let mut sink = CountingSink::new();
+        // Tuple has only one column; join column 2 is missing.
+        assert!(g.insert(tpl(0, 0, 1), &mut sink).is_err());
     }
 
     #[test]
@@ -1287,72 +1001,66 @@ mod tests {
         // Same inserts into two groups: the CountingSink takes the
         // product/window-pruned path, the CollectingSink enumerates.
         // Timestamps arrive in order (the live-stream case).
-        for layout in LAYOUTS {
-            let window = Some(VirtualDuration::from_millis(3));
-            let mut fast = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, layout);
-            let mut slow = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, layout);
-            let mut count = CountingSink::new();
-            let mut collect = CollectingSink::new();
-            for i in 0..24u64 {
-                let t = tpl((i % 3) as u8, i, 1);
-                let (nf, _) = fast.insert(t.clone(), &mut count).unwrap();
-                let before = collect.len();
-                let (ns, _) = slow.insert(t, &mut collect).unwrap();
-                assert_eq!(nf, ns, "per-insert emitted counts diverge at {i}");
-                assert_eq!(collect.len() - before, ns as usize);
-            }
-            assert_eq!(count.count(), collect.len() as u64);
-            assert_eq!(fast.output_count(), slow.output_count());
-            assert!(count.count() > 0);
+        let window = Some(VirtualDuration::from_millis(3));
+        let mut fast = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut slow = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut count = CountingSink::new();
+        let mut collect = CollectingSink::new();
+        for i in 0..24u64 {
+            let t = tpl((i % 3) as u8, i, 1);
+            let (nf, _) = fast.insert(t.clone(), &mut count).unwrap();
+            let before = collect.len();
+            let (ns, _) = slow.insert(t, &mut collect).unwrap();
+            assert_eq!(nf, ns, "per-insert emitted counts diverge at {i}");
+            assert_eq!(collect.len() - before, ns as usize);
         }
+        assert_eq!(count.count(), collect.len() as u64);
+        assert_eq!(fast.output_count(), slow.output_count());
+        assert!(count.count() > 0);
     }
 
     #[test]
     fn out_of_order_arrivals_fall_back_and_stay_exact() {
         // Shuffled timestamps break the ts-sorted promise; the count
         // path must detect it and still match enumeration.
-        for layout in LAYOUTS {
-            let window = Some(VirtualDuration::from_millis(4));
-            let mut fast = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, layout);
-            let mut slow = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, layout);
-            let mut count = CountingSink::new();
-            let mut collect = CollectingSink::new();
-            let ts_order = [9u64, 2, 14, 0, 7, 7, 3, 11, 1, 5, 13, 4];
-            for (i, &ts) in ts_order.iter().enumerate() {
-                let t = TupleBuilder::new(StreamId((i % 3) as u8))
-                    .seq(i as u64)
-                    .ts(VirtualTime::from_millis(ts))
-                    .value(1i64)
-                    .build();
-                let (nf, _) = fast.insert(t.clone(), &mut count).unwrap();
-                let (ns, _) = slow.insert(t, &mut collect).unwrap();
-                assert_eq!(nf, ns, "per-insert emitted counts diverge at {i}");
-            }
-            assert_eq!(count.count(), collect.len() as u64);
-            assert!(count.count() > 0);
+        let window = Some(VirtualDuration::from_millis(4));
+        let mut fast = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut slow = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut count = CountingSink::new();
+        let mut collect = CollectingSink::new();
+        let ts_order = [9u64, 2, 14, 0, 7, 7, 3, 11, 1, 5, 13, 4];
+        for (i, &ts) in ts_order.iter().enumerate() {
+            let t = TupleBuilder::new(StreamId((i % 3) as u8))
+                .seq(i as u64)
+                .ts(VirtualTime::from_millis(ts))
+                .value(1i64)
+                .build();
+            let (nf, _) = fast.insert(t.clone(), &mut count).unwrap();
+            let (ns, _) = slow.insert(t, &mut collect).unwrap();
+            assert_eq!(nf, ns, "per-insert emitted counts diverge at {i}");
         }
+        assert_eq!(count.count(), collect.len() as u64);
+        assert!(count.count() > 0);
     }
 
     #[test]
     fn purge_restores_sorted_flag() {
-        for layout in LAYOUTS {
-            let window = Some(VirtualDuration::from_millis(5));
-            let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, layout);
-            let mut sink = CountingSink::new();
-            // An out-of-order early tuple, then in-order late ones.
-            for (seq, ts) in [(0u64, 50u64), (1, 1), (2, 100), (3, 101)] {
-                let t = TupleBuilder::new(StreamId(0))
-                    .seq(seq)
-                    .ts(VirtualTime::from_millis(ts))
-                    .value(1i64)
-                    .build();
-                g.insert(t, &mut sink).unwrap();
-            }
-            assert!(!g.ts_sorted_of(0));
-            g.purge_expired(VirtualTime::from_millis(103));
-            assert!(g.ts_sorted_of(0), "rebuild recomputes sortedness");
-            assert_eq!(g.stream_len(0), 2);
+        let window = Some(VirtualDuration::from_millis(5));
+        let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut sink = CountingSink::new();
+        // An out-of-order early tuple, then in-order late ones.
+        for (seq, ts) in [(0u64, 50u64), (1, 1), (2, 100), (3, 101)] {
+            let t = TupleBuilder::new(StreamId(0))
+                .seq(seq)
+                .ts(VirtualTime::from_millis(ts))
+                .value(1i64)
+                .build();
+            g.insert(t, &mut sink).unwrap();
         }
+        assert!(!g.ts_sorted_of(0));
+        g.purge_expired(VirtualTime::from_millis(103));
+        assert!(g.ts_sorted_of(0), "rebuild recomputes sortedness");
+        assert_eq!(g.stream_len(0), 2);
     }
 
     #[test]
@@ -1370,154 +1078,42 @@ mod tests {
                 .value(ts as i64) // rows must differ, or a misread arena slice hides
                 .build()
         };
-        for layout in LAYOUTS {
-            let window = Some(VirtualDuration::from_millis(5));
-            let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, layout);
-            let mut sink = CountingSink::new();
-            for ts in 0..40 {
-                g.insert(row_of(ts), &mut sink).unwrap();
-            }
-            let horizon = VirtualTime::from_millis(10);
-            assert!(g.purge_expired(horizon) > 0);
-            assert_eq!(g.stream_len(0), 35);
-            g.insert(row_of(3), &mut sink).unwrap();
-            assert!(!g.ts_sorted_of(0));
-            let freed = g.purge_expired(horizon);
-            assert_eq!(freed, row_of(3).heap_size() + PER_TUPLE_OVERHEAD);
-            assert!(g.ts_sorted_of(0));
-            assert_eq!(
-                g.snapshot().tuples(0),
-                (5..40).map(row_of).collect::<Vec<_>>()
-            );
-            assert_eq!(g.bytes(), g.recompute_bytes());
-            g.assert_invariants();
-        }
-    }
-
-    #[test]
-    fn purge_keeps_layouts_equivalent() {
         let window = Some(VirtualDuration::from_millis(5));
-        let mut row = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, StateLayout::Row);
-        let mut col =
-            PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, StateLayout::Columnar);
-        let mut s1 = CountingSink::new();
-        let mut s2 = CountingSink::new();
-        // A sliding run: every few inserts a purge at the newest
-        // timestamp, a no-op repeat of it, and a late (out-of-order)
-        // arrival now and then — prefix drops, several compactions and
-        // the unsorted fallback all have to agree with the row layout.
-        for i in 0..300u64 {
-            let ts = if i % 41 == 40 { i - 4 } else { i };
-            let t = TupleBuilder::new(StreamId((i % 3) as u8))
-                .seq(i)
-                .ts(VirtualTime::from_millis(ts))
-                .value((i % 2) as i64)
-                .build();
-            let (er, _) = row.insert(t.clone(), &mut s1).unwrap();
-            let (ec, _) = col.insert(t, &mut s2).unwrap();
-            assert_eq!(er, ec, "emitted diverges at {i}");
-            if i % 7 == 6 {
-                let horizon = VirtualTime::from_millis(i);
-                let fr = row.purge_expired(horizon);
-                let fc = col.purge_expired(horizon);
-                assert_eq!(fr, fc, "purge frees the same accounted bytes at {i}");
-                assert!(fr > 0 || i < 12);
-                assert_eq!(
-                    row.purge_expired(horizon),
-                    0,
-                    "same horizon again is a no-op"
-                );
-                assert_eq!(
-                    col.purge_expired(horizon),
-                    0,
-                    "same horizon again is a no-op"
-                );
-                assert_eq!(row.bytes(), col.bytes());
-                assert_eq!(row.snapshot(), col.snapshot());
-                assert_eq!(col.bytes(), col.recompute_bytes());
-                for s in 0..3 {
-                    assert_eq!(row.ts_sorted_of(s), col.ts_sorted_of(s));
-                }
-                col.assert_invariants();
-            }
+        let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut sink = CountingSink::new();
+        for ts in 0..40 {
+            g.insert(row_of(ts), &mut sink).unwrap();
         }
-        assert_eq!(s1.count(), s2.count());
-        // Whole-partition expiry empties both.
-        let end = VirtualTime::from_millis(10_000);
-        assert_eq!(row.purge_expired(end), col.purge_expired(end));
-        assert!(row.is_empty() && col.is_empty());
-        assert_eq!(col.bytes(), 0);
-        col.assert_invariants();
-    }
-
-    #[test]
-    fn columnar_matches_row_reference() {
-        // The central equivalence claim: both layouts produce identical
-        // results, accounting, and snapshots under both sink kinds.
-        let window = Some(VirtualDuration::from_millis(7));
-        let mut row = PartitionGroup::new(PartitionId(3), vec![0, 0, 0], window, StateLayout::Row);
-        let mut col =
-            PartitionGroup::new(PartitionId(3), vec![0, 0, 0], window, StateLayout::Columnar);
-        let mut row_collect = CollectingSink::new();
-        let mut col_collect = CollectingSink::new();
-        let mut row_count = CountingSink::new();
-        let mut col_count = CountingSink::new();
-        // Mixed-type tuples: int key plus a text payload column.
-        for i in 0..36u64 {
-            let t = TupleBuilder::new(StreamId((i % 3) as u8))
-                .seq(i)
-                .ts(VirtualTime::from_millis(i / 2))
-                .value((i % 2) as i64)
-                .value(["alpha", "beta", "gamma", "delta"][(i % 4) as usize])
-                .build();
-            let (re, ra) = row.insert(t.clone(), &mut row_collect).unwrap();
-            let (ce, ca) = col.insert(t, &mut col_collect).unwrap();
-            assert_eq!(re, ce, "emitted diverges at {i}");
-            assert_eq!(ra, ca, "added bytes diverge at {i}");
-            assert_eq!(row.snapshot(), col.snapshot(), "snapshots diverge at {i}");
-        }
-        assert_eq!(row_collect.identities(), col_collect.identities());
-        assert_eq!(row.bytes(), col.bytes());
-        assert_eq!(row.output_count(), col.output_count());
-        // Counting sinks on replicas agree with enumeration.
-        let (snap_r, out_r) = row.into_snapshot();
-        let rr =
-            PartitionGroup::from_snapshot(snap_r, vec![0, 0, 0], window, out_r, StateLayout::Row)
-                .unwrap();
-        let (snap_c, out_c) = col.into_snapshot();
-        let cc = PartitionGroup::from_snapshot(
-            snap_c,
-            vec![0, 0, 0],
-            window,
-            out_c,
-            StateLayout::Columnar,
-        )
-        .unwrap();
-        let mut rr = rr;
-        let mut cc = cc;
-        let t = tpl(0, 999, 0);
-        let (nr, _) = rr.insert(t.clone(), &mut row_count).unwrap();
-        let (nc, _) = cc.insert(t, &mut col_count).unwrap();
-        assert_eq!(nr, nc);
-        assert_eq!(row_count.count(), col_count.count());
+        let horizon = VirtualTime::from_millis(10);
+        assert!(g.purge_expired(horizon) > 0);
+        assert_eq!(g.stream_len(0), 35);
+        g.insert(row_of(3), &mut sink).unwrap();
+        assert!(!g.ts_sorted_of(0));
+        let freed = g.purge_expired(horizon);
+        assert_eq!(freed, row_of(3).heap_size() + PER_TUPLE_OVERHEAD);
+        assert!(g.ts_sorted_of(0));
+        assert_eq!(
+            g.snapshot().tuples(0),
+            (5..40).map(row_of).collect::<Vec<_>>()
+        );
+        assert_eq!(g.bytes(), g.recompute_bytes());
+        g.assert_invariants();
     }
 
     #[test]
     fn productivity_reflects_output_per_byte() {
-        for layout in LAYOUTS {
-            let mut hot = group3(layout);
-            let mut cold = group3(layout);
-            let mut sink = CountingSink::new();
-            for s in 0..3u8 {
-                for i in 0..6 {
-                    hot.insert(tpl(s, i, 1), &mut sink).unwrap(); // all same key
-                    cold.insert(tpl(s, i, i as i64 * 3 + s as i64), &mut sink)
-                        .unwrap(); // no joins
-                }
+        let mut hot = group3();
+        let mut cold = group3();
+        let mut sink = CountingSink::new();
+        for s in 0..3u8 {
+            for i in 0..6 {
+                hot.insert(tpl(s, i, 1), &mut sink).unwrap(); // all same key
+                cold.insert(tpl(s, i, i as i64 * 3 + s as i64), &mut sink)
+                    .unwrap(); // no joins
             }
-            assert!(hot.productivity() > cold.productivity());
-            assert_eq!(cold.output_count(), 0);
         }
+        assert!(hot.productivity() > cold.productivity());
+        assert_eq!(cold.output_count(), 0);
     }
     /// Steady-state sliding run over several groups: `N` live rows,
     /// `k` expiring per pulse, `P` pulses. The rows purge visits must
@@ -1530,14 +1126,7 @@ mod tests {
         const PULSES: u64 = 400;
         let window = Some(VirtualDuration::from_millis(PER_STREAM - 1));
         let mut groups: Vec<PartitionGroup> = (0..GROUPS)
-            .map(|g| {
-                PartitionGroup::new(
-                    PartitionId(g as u32),
-                    vec![0, 0, 0],
-                    window,
-                    StateLayout::Columnar,
-                )
-            })
+            .map(|g| PartitionGroup::new(PartitionId(g as u32), vec![0, 0, 0], window))
             .collect();
         let mut sink = CountingSink::new();
         // One tick = one row into every stream of every group.
@@ -1591,9 +1180,8 @@ mod tests {
     mod purge_model {
         //! Random interleavings of in-order and late inserts, purges at
         //! arbitrary horizons and snapshot round trips, checked after
-        //! every step against a naive `Vec<Tuple>` filter model — on
-        //! both layouts, so they are also checked against each other —
-        //! for 2-, 3- and 5-way joins and for integer and text keys.
+        //! every step against a naive `Vec<Tuple>` filter model, for 2-,
+        //! 3- and 5-way joins and for integer and text keys.
 
         use super::*;
         use proptest::prelude::*;
@@ -1652,7 +1240,7 @@ mod tests {
         }
 
         /// The reference: live tuples per stream in arrival order, and
-        /// the sortedness flag as the layouts define it.
+        /// the sortedness flag as the state defines it.
         struct Model {
             live: Vec<Vec<Tuple>>,
             sorted: Vec<bool>,
@@ -1745,8 +1333,7 @@ mod tests {
             }
         }
 
-        /// Drive both layouts of an `m`-way join and the model through
-        /// `ops`.
+        /// Drive an `m`-way join and the model through `ops`.
         fn run(m: usize, text_keys: bool, ops: Vec<Op>) -> Result<(), TestCaseError> {
             let window = Some(VirtualDuration::from_millis(WINDOW_MS));
             let join_columns: Vec<usize> = (0..m).map(join_column).collect();
@@ -1754,8 +1341,7 @@ mod tests {
                 live: vec![Vec::new(); m],
                 sorted: vec![true; m],
             };
-            let mut groups = LAYOUTS
-                .map(|l| PartitionGroup::new(PartitionId(5), join_columns.clone(), window, l));
+            let mut g = PartitionGroup::new(PartitionId(5), join_columns.clone(), window);
             let mut sink = CountingSink::new();
             let (mut newest, mut last_horizon) = (0u64, 0u64);
             for (seq, op) in ops.into_iter().enumerate() {
@@ -1774,10 +1360,8 @@ mod tests {
                         };
                         let t = tuple(stream % m as u8, seq as u64, ts, key);
                         let expected = model.matches(&t);
-                        for g in &mut groups {
-                            let (emitted, _) = g.insert(t.clone(), &mut sink).unwrap();
-                            prop_assert_eq!(emitted, expected, "probe count at step {}", seq);
-                        }
+                        let (emitted, _) = g.insert(t.clone(), &mut sink).unwrap();
+                        prop_assert_eq!(emitted, expected, "probe count at step {}", seq);
                         model.insert(t);
                     }
                     Op::Purge { offset } => {
@@ -1788,37 +1372,30 @@ mod tests {
                         let cutoff =
                             VirtualTime::from_millis(last_horizon.saturating_sub(WINDOW_MS));
                         let expected = model.purge(cutoff);
-                        for g in &mut groups {
-                            prop_assert_eq!(g.purge_expired(horizon), expected);
-                        }
+                        prop_assert_eq!(g.purge_expired(horizon), expected);
                     }
                     Op::RoundTrip => {
-                        for g in &mut groups {
-                            *g = PartitionGroup::from_snapshot(
-                                g.snapshot(),
-                                join_columns.clone(),
-                                window,
-                                g.output_count(),
-                                g.layout(),
-                            )
-                            .unwrap();
-                        }
+                        g = PartitionGroup::from_snapshot(
+                            g.snapshot(),
+                            join_columns.clone(),
+                            window,
+                            g.output_count(),
+                        )
+                        .unwrap();
                         for (live, sorted) in model.live.iter().zip(&mut model.sorted) {
                             *sorted = Model::in_order(live);
                         }
                     }
                 }
-                for g in &groups {
-                    g.assert_invariants();
-                    let snapshot = g.snapshot();
-                    for (s, live) in model.live.iter().enumerate() {
-                        prop_assert_eq!(&snapshot.tuples(s), live);
-                    }
-                    prop_assert_eq!(g.bytes(), model.bytes());
-                    prop_assert_eq!(g.bytes(), g.recompute_bytes());
-                    for s in 0..m {
-                        prop_assert_eq!(g.ts_sorted_of(s), model.sorted[s]);
-                    }
+                g.assert_invariants();
+                let snapshot = g.snapshot();
+                for (s, live) in model.live.iter().enumerate() {
+                    prop_assert_eq!(&snapshot.tuples(s), live);
+                }
+                prop_assert_eq!(g.bytes(), model.bytes());
+                prop_assert_eq!(g.bytes(), g.recompute_bytes());
+                for s in 0..m {
+                    prop_assert_eq!(g.ts_sorted_of(s), model.sorted[s]);
                 }
             }
             Ok(())
@@ -1856,6 +1433,141 @@ mod tests {
                 ops in proptest::collection::vec(op_strategy(), 50..400)
             ) {
                 run(5, true, ops)?;
+            }
+        }
+    }
+
+    mod reference_model {
+        //! Random in-order and late inserts, purges at horizons no later
+        //! arrival precedes, and snapshot round trips, fed alike to one
+        //! group whose sink enumerates and one whose sink counts: what
+        //! they deliver is the [`ReferenceJoin`] of the input — its
+        //! identity multiset and its count.
+
+        use super::*;
+        use dcape_common::testing::ReferenceJoin;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Arrival `ahead` ms past the newest timestamp, then `late`
+            /// ms back from there — never behind the last purge horizon.
+            Insert {
+                stream: u8,
+                key: i64,
+                ahead: u64,
+                late: u64,
+            },
+            /// Purge at the horizon `back` ms before the newest
+            /// timestamp — never behind the last one.
+            Purge { back: u64 },
+            /// `snapshot` → `from_snapshot`, output count carried.
+            RoundTrip,
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            let insert = |late: std::ops::Range<u64>| {
+                (0u8..4, 0i64..3, 0u64..4, late).prop_map(|(stream, key, ahead, late)| Op::Insert {
+                    stream,
+                    key,
+                    ahead,
+                    late,
+                })
+            };
+            // Arms are unweighted: in-order arrivals are listed more
+            // than once so that windows fill between purges.
+            prop_oneof![
+                insert(0..1),
+                insert(0..1),
+                insert(0..1),
+                insert(0..1),
+                insert(1..30),
+                (0u64..40).prop_map(|back| Op::Purge { back }),
+                (0u64..1).prop_map(|_| Op::RoundTrip),
+            ]
+        }
+
+        fn run(m: usize, window_ms: Option<u64>, ops: Vec<Op>) -> Result<(), TestCaseError> {
+            let window = window_ms.map(VirtualDuration::from_millis);
+            let join_columns = vec![0; m];
+            let group = || PartitionGroup::new(PartitionId(5), join_columns.clone(), window);
+            let (mut enumerating, mut counting) = (group(), group());
+            let (mut collect, mut count) = (CollectingSink::new(), CountingSink::new());
+            let mut reference = ReferenceJoin::new(&join_columns, window);
+            // `floor`: the last purge horizon, which no arrival precedes.
+            let (mut newest, mut floor) = (0u64, 0u64);
+            for (seq, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Insert {
+                        stream,
+                        key,
+                        ahead,
+                        late,
+                    } => {
+                        let ts = (newest + ahead).saturating_sub(late).max(floor);
+                        newest = newest.max(ts);
+                        let t = TupleBuilder::new(StreamId(stream % m as u8))
+                            .seq(seq as u64)
+                            .ts(VirtualTime::from_millis(ts))
+                            .value(key)
+                            .value(&"payload"[..seq % 7])
+                            .build();
+                        reference.push(&t);
+                        let (enumerated, _) = enumerating.insert(t.clone(), &mut collect).unwrap();
+                        let (counted, _) = counting.insert(t, &mut count).unwrap();
+                        prop_assert_eq!(enumerated, counted, "emitted at step {}", seq);
+                    }
+                    Op::Purge { back } => {
+                        floor = newest.saturating_sub(back).max(floor);
+                        let horizon = VirtualTime::from_millis(floor);
+                        let freed = enumerating.purge_expired(horizon);
+                        prop_assert_eq!(counting.purge_expired(horizon), freed);
+                    }
+                    Op::RoundTrip => {
+                        for g in [&mut enumerating, &mut counting] {
+                            *g = PartitionGroup::from_snapshot(
+                                g.snapshot(),
+                                join_columns.clone(),
+                                window,
+                                g.output_count(),
+                            )
+                            .unwrap();
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(collect.identities(), reference.identities());
+            prop_assert_eq!(count.count(), reference.count());
+            prop_assert_eq!(counting.output_count(), reference.count());
+            prop_assert_eq!(enumerating.snapshot(), counting.snapshot());
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig {
+                cases: dcape_common::testing::proptest_cases(64),
+                ..ProptestConfig::default()
+            })]
+
+            #[test]
+            fn windowed_three_way_equals_the_reference_join(
+                ops in proptest::collection::vec(op_strategy(), 50..400)
+            ) {
+                run(3, Some(12), ops)?;
+            }
+
+            #[test]
+            fn zero_width_window_two_way_equals_the_reference_join(
+                ops in proptest::collection::vec(op_strategy(), 50..400)
+            ) {
+                run(2, Some(0), ops)?;
+            }
+
+            #[test]
+            fn unwindowed_four_way_equals_the_reference_join(
+                ops in proptest::collection::vec(op_strategy(), 20..120)
+            ) {
+                run(4, None, ops)?;
             }
         }
     }

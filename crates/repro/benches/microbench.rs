@@ -115,7 +115,6 @@ fn bench_spill_store(c: &mut Criterion) {
 /// `spill_cleanup_sim` moves.
 fn bench_snapshot_roundtrip(c: &mut Criterion) {
     use dcape_common::value::Value;
-    use dcape_engine::config::StateLayout;
     use dcape_engine::state::PartitionGroup;
     const ROWS: u64 = 2000;
     let templates: Vec<bytes::Bytes> = (0..8u8)
@@ -126,8 +125,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     group.bench_function("3x2000_rows_blob1024", |b| {
         b.iter_batched(
             || {
-                let mut g =
-                    PartitionGroup::new(PartitionId(0), vec![0, 0, 0], None, StateLayout::Columnar);
+                let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], None);
                 let mut sink = CountingSink::new();
                 for seq in 0..ROWS {
                     for s in 0..3u8 {
@@ -147,13 +145,11 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
                 let segment = snapshot.encode();
                 drop(snapshot);
                 let decoded = SpilledGroup::decode(segment).unwrap();
-                let layout = StateLayout::Columnar;
                 black_box(PartitionGroup::from_snapshot(
                     decoded,
                     vec![0, 0, 0],
                     None,
                     output,
-                    layout,
                 ))
             },
             criterion::BatchSize::LargeInput,

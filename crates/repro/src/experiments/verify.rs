@@ -5,8 +5,6 @@
 //! run-time results + cleanup results = the reference join, exactly.
 //! Prints one PASS/FAIL row per configuration.
 
-use std::collections::HashMap;
-
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
@@ -15,7 +13,8 @@ use dcape_common::error::Result;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::Table;
-use dcape_streamgen::{StreamSetGenerator, StreamSetSpec};
+use dcape_streamgen::testing::reference_join;
+use dcape_streamgen::StreamSetSpec;
 
 use crate::opts::RunOpts;
 
@@ -37,26 +36,6 @@ impl VerifyRow {
     }
 }
 
-fn reference_count(spec: &StreamSetSpec, deadline: VirtualTime) -> Result<u64> {
-    let mut gen = StreamSetGenerator::new(spec.clone())?;
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        *counts
-            .entry((t.stream().0, t.values()[0].as_int().unwrap()))
-            .or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    Ok(keys
-        .into_iter()
-        .map(|k| {
-            (0..spec.num_streams as u8)
-                .map(|s| counts.get(&(s, k)).copied().unwrap_or(0))
-                .product::<u64>()
-        })
-        .sum())
-}
-
 /// Run the verification matrix; returns the rows (all must pass).
 pub fn run(opts: &RunOpts) -> Result<Vec<VerifyRow>> {
     let deadline = if opts.fast {
@@ -67,7 +46,7 @@ pub fn run(opts: &RunOpts) -> Result<Vec<VerifyRow>> {
     let spec = StreamSetSpec::uniform(24, 2_400, 1, VirtualDuration::from_millis(30))
         .with_payload_pad(200)
         .with_seed(0xFEED);
-    let reference = reference_count(&spec, deadline)?;
+    let reference = reference_join(&spec, deadline, None)?.count();
     let engine = EngineConfig::three_way(1 << 22, 600 << 10);
 
     let strategies: Vec<(&str, StrategyConfig)> = vec![

@@ -17,7 +17,6 @@
 //!
 //! Run everything with `cargo run -p dcape-repro --release -- all`.
 
-pub mod bench_json;
 pub mod experiments;
 pub mod opts;
 pub mod scale;

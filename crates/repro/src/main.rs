@@ -46,7 +46,7 @@ use dcape_repro::experiments::{
 };
 use dcape_repro::RunOpts;
 
-const USAGE: &str = "usage: repro [fig5|fig6|fig7|cleanup1|fig9|fig10|fig11|fig12|cleanup2|fig13|fig14|ablations|verify|all ...] [--fast] [--out DIR] [--journal PATH] [--bench-json PATH] [--chaos-seed N] [--fault-rate R] [--runtime sim|threaded|socket] [--listen ADDR] [--scale-event add@T|drain@T ...]";
+const USAGE: &str = "usage: repro [fig5|fig6|fig7|cleanup1|fig9|fig10|fig11|fig12|cleanup2|fig13|fig14|ablations|verify|all ...] [--fast] [--out DIR] [--journal PATH] [--chaos-seed N] [--fault-rate R] [--runtime sim|threaded|socket] [--listen ADDR] [--scale-event add@T|drain@T ...]";
 
 fn main() -> ExitCode {
     let mut opts = RunOpts::default();
@@ -109,23 +109,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--bench-json" => match args.next() {
-                Some(path) => {
-                    // A measurement mode of its own: run the batched
-                    // dataflow trajectory and exit.
-                    return match dcape_repro::bench_json::run(std::path::Path::new(&path)) {
-                        Ok(()) => ExitCode::SUCCESS,
-                        Err(e) => {
-                            eprintln!("bench-json failed: {e}");
-                            ExitCode::FAILURE
-                        }
-                    };
-                }
-                None => {
-                    eprintln!("--bench-json requires a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "fig5" | "fig6" => {
                 picks.insert("k-sweep");
             }

@@ -12,7 +12,6 @@
 //! deterministic ones: `events_recorded`/`events_dropped` depend on how
 //! many wall-clock stats samples each run took and are never compared.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
@@ -25,7 +24,8 @@ use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::AdaptEvent;
-use dcape_streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
+use dcape_streamgen::testing::reference_join;
+use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
 /// The worker binary cargo built alongside this test.
 fn node_bin() -> PathBuf {
@@ -52,27 +52,6 @@ fn seeds() -> Vec<u64> {
             .expect("DCAPE_CHAOS_SEED must be an unsigned integer")],
         Err(_) => vec![7, 42, 0x00C0_FFEE],
     }
-}
-
-/// Reference join count for a spec consumed up to `deadline`.
-fn reference_result_count(spec: &StreamSetSpec, deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(spec.clone()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        let key = t.values()[0].as_int().unwrap();
-        *counts.entry((t.stream().0, key)).or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    let mut total = 0u64;
-    for key in keys {
-        let mut product = 1u64;
-        for s in 0..spec.num_streams as u8 {
-            product *= counts.get(&(s, key)).copied().unwrap_or(0);
-        }
-        total += product;
-    }
-    total
 }
 
 /// Alternating skew on roomy engines: relocation-heavy, spill-free.
@@ -225,7 +204,7 @@ fn spill_run_is_equivalent_across_runtimes() {
     );
     assert_eq!(
         threaded.total_output(),
-        reference_result_count(&spec, deadline)
+        reference_join(&spec, deadline, None).unwrap().count()
     );
 
     let socket = run_socket(socket_cfg(spill_cfg(spec, 2)), deadline).unwrap();
@@ -258,7 +237,7 @@ fn windowed_run_is_equivalent_across_runtimes() {
 fn relocation_run_matches_threaded_and_reference() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(77);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let threaded = run_threaded(relocation_cfg(spec.clone(), 2), deadline).unwrap();
     dump_journal("socketeq-reloc-threaded", &threaded.journal);
@@ -285,7 +264,7 @@ fn relocation_run_matches_threaded_and_reference() {
 fn chaos_totals_survive_real_sockets() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(77);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     for seed in seeds() {
         let plan = FaultPlan::new(seed, FaultConfig::uniform(0.2));
@@ -308,7 +287,7 @@ fn chaos_totals_survive_real_sockets() {
 fn kill_nine_and_respawn_is_exactly_once() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(42);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let mut cfg = socket_cfg(relocation_cfg(spec, 2));
     cfg.kill = Some(KillPlan {
@@ -354,7 +333,7 @@ fn count_events(
 fn elastic_join_and_drain_match_threaded_and_reference() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(13);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
     let elastic = |spec: StreamSetSpec| {
         relocation_cfg(spec, 2).with_scale_events(vec![
             ScaleEvent::add(VirtualTime::from_secs(60)),
@@ -401,7 +380,7 @@ fn elastic_join_and_drain_match_threaded_and_reference() {
 fn kill_nine_mid_drain_is_exactly_once() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(42);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let mut cfg =
         socket_cfg(
@@ -474,7 +453,7 @@ fn kill_nine_mid_drain_is_exactly_once() {
 fn joiner_crash_restart_mid_admission_is_exactly_once() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(23);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let mut cfg = socket_cfg(
         relocation_cfg(spec, 2)

@@ -14,7 +14,7 @@
 //! into a snapshot and back in; the block codec reads and writes arena
 //! rows in place; cleanup merges slices on their timestamp columns. No
 //! boundary rebuilds a [`Tuple`] — [`StreamColumns::tuple`] exists for
-//! the row layout, enumerating sinks and tests. Slot `s` holds rows of
+//! enumerating sinks and tests. Slot `s` holds rows of
 //! stream `s` only, so rows carry no stream ID. A clone shares the
 //! buffers.
 //!
@@ -182,9 +182,8 @@ impl StreamColumns {
         self.end_row(start, row.seq(), row.ts(), row.heap_size())
     }
 
-    /// Append `tuple`, encoding it: the way in for state that is held as
-    /// tuples (the row layout, tests), not a path the columnar state
-    /// takes. The tuple's stream ID is not kept — the slot says it.
+    /// Append `tuple`, encoding it: the way in for callers that hold
+    /// tuples (tests, tools), not a path the join state takes. The tuple's stream ID is not kept — the slot says it.
     pub fn push_tuple(&mut self, tuple: &Tuple) -> Result<()> {
         let start = self.arena.len();
         put_varint(&mut self.arena, tuple.arity() as u64);

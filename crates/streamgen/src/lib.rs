@@ -49,6 +49,7 @@ pub mod partitioner;
 pub mod pattern;
 pub mod schedule;
 pub mod spec;
+pub mod testing;
 
 pub use generator::StreamSetGenerator;
 pub use partitioner::Partitioner;

@@ -7,8 +7,6 @@
 //! cargo run --release --example skewed_workload
 //! ```
 
-use std::collections::HashMap;
-
 use dcape::cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape::cluster::runtime::threaded::run_threaded;
 use dcape::cluster::strategy::StrategyConfig;
@@ -16,7 +14,8 @@ use dcape::cluster::PlacementSpec;
 use dcape::common::ids::PartitionId;
 use dcape::common::time::{VirtualDuration, VirtualTime};
 use dcape::engine::config::EngineConfig;
-use dcape::streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
+use dcape::streamgen::testing::reference_join;
+use dcape::streamgen::{ArrivalPattern, StreamSetSpec};
 
 fn workload() -> StreamSetSpec {
     let group_a: Vec<PartitionId> = (0..16).map(PartitionId).collect();
@@ -27,26 +26,6 @@ fn workload() -> StreamSetSpec {
             ratio: 10.0,
             period: VirtualDuration::from_mins(5),
         })
-}
-
-/// Reference join count, independent of any engine code path.
-fn reference_count(deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(workload()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        *counts
-            .entry((t.stream().0, t.values()[0].as_int().unwrap()))
-            .or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    keys.into_iter()
-        .map(|k| {
-            (0..3u8)
-                .map(|s| counts.get(&(s, k)).copied().unwrap_or(0))
-                .product::<u64>()
-        })
-        .sum()
 }
 
 fn config() -> SimConfig {
@@ -69,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dcape::VERSION
     );
     let deadline = VirtualTime::from_mins(25);
-    let reference = reference_count(deadline);
+    // The reference join shares no code with either runtime.
+    let reference = reference_join(&workload(), deadline, None)?.count();
 
     println!("running on real threads (full Figure 8 protocol over channels) ...");
     let threaded = run_threaded(config(), deadline)?;

@@ -6,8 +6,6 @@
 //! choice, placement skew — none of it may change the answer, only its
 //! timing.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 
 use dcape::cluster::faults::{FaultConfig, FaultPlan};
@@ -17,26 +15,8 @@ use dcape::cluster::PlacementSpec;
 use dcape::common::ids::PartitionId;
 use dcape::common::time::{VirtualDuration, VirtualTime};
 use dcape::engine::config::EngineConfig;
-use dcape::streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
-
-fn reference_count(spec: &StreamSetSpec, deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(spec.clone()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        *counts
-            .entry((t.stream().0, t.values()[0].as_int().unwrap()))
-            .or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    keys.into_iter()
-        .map(|k| {
-            (0..spec.num_streams as u8)
-                .map(|s| counts.get(&(s, k)).copied().unwrap_or(0))
-                .product::<u64>()
-        })
-        .sum()
-}
+use dcape::streamgen::testing::reference_join;
+use dcape::streamgen::{ArrivalPattern, StreamSetSpec};
 
 fn strategy_from(idx: u8) -> StrategyConfig {
     match idx % 3 {
@@ -69,7 +49,7 @@ fn run_with_certain_install_crash(seed: u64) -> (dcape::cluster::runtime::sim::S
             period: VirtualDuration::from_mins(2),
         });
     let deadline = VirtualTime::from_mins(5);
-    let reference = reference_count(&spec, deadline);
+    let reference = reference_join(&spec, deadline, None).unwrap().count();
     let crash_always = FaultConfig {
         crash_rate: 1.0,
         ..FaultConfig::none()
@@ -138,7 +118,7 @@ proptest! {
             .with_payload_pad(128)
             .with_seed(seed);
         let deadline = VirtualTime::from_mins(minutes);
-        let reference = reference_count(&spec, deadline);
+        let reference = reference_join(&spec, deadline, None).unwrap().count();
 
         let engine = EngineConfig::three_way(64 << 20, threshold_kb << 10);
         let placement = match (skew, num_engines) {

@@ -11,9 +11,9 @@
 //! * the lifecycle of at most one in-flight [`RelocationRound`],
 //! * adaptation counters for reporting.
 //!
-//! It is runtime-agnostic: both the simulated and the threaded driver
-//! feed it statistics and protocol events and execute the actions it
-//! returns.
+//! It knows nothing of transports: the one coordinator loop
+//! ([`crate::runtime::driver`]) feeds it statistics and protocol events
+//! and executes the actions it returns, on every runtime.
 
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashMap;
@@ -731,13 +731,6 @@ impl GlobalCoordinator {
     /// decisions key on it.
     pub fn current_attempt(&self) -> u32 {
         self.attempt
-    }
-
-    /// The active phase's deadline, if a retry policy armed one.
-    /// Drivers use it to know how far to advance the clock when
-    /// draining the protocol at end of input.
-    pub fn phase_deadline(&self) -> Option<VirtualTime> {
-        self.phase_deadline
     }
 
     /// Poll the phase deadline. Returns the recovery action the driver

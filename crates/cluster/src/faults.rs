@@ -2,14 +2,15 @@
 //! spill-cleanup protocols.
 //!
 //! A [`FaultPlan`] is built from a `u64` seed plus [`FaultConfig`]
-//! rates. Both runtimes consult it at every protocol message edge and
-//! ask: what happens to *this* message on *this* delivery attempt?
+//! rates. The coordinator loop and the engine handler — hence every
+//! runtime — consult it at every protocol message edge and ask: what
+//! happens to *this* message on *this* delivery attempt?
 //! The answer — deliver, drop, duplicate, delay, corrupt the declared
 //! length — is a **pure function** of `(seed, edge, round, attempt)`:
 //! each decision seeds its own [`StdRng`] from a hash of that identity,
 //! so the schedule cannot depend on thread interleaving, wall-clock
 //! time, or the order in which the runtimes happen to consult the plan.
-//! Same seed ⇒ same fault schedule, bit for bit, on both runtimes.
+//! Same seed ⇒ same fault schedule, bit for bit, on every runtime.
 //!
 //! ## Fault-model boundary
 //!
@@ -34,7 +35,9 @@ use rand::{Rng, SeedableRng};
 ///
 /// `CleanupSegments` is stall-only: cleanup forwarding rides the
 /// reliable channel (see the module docs), but an engine can still be
-/// frozen while it merges spilled segments.
+/// frozen while it ships a partition's spilled segments to their owner
+/// (keyed by partition id; the stall is added to the engine's reported
+/// cleanup cost).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEdge {
     /// Step 1: coordinator asks the sender to choose partitions.

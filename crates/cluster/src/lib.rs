@@ -2,15 +2,17 @@
 //!
 //! The distributed half of the reproduction: the global coordinator, the
 //! 8-step state-relocation protocol, the integrated adaptation
-//! strategies (lazy-disk / active-disk, §5), and two drivers that
-//! execute a partitioned query over a set of engines:
+//! strategies (lazy-disk / active-disk, §5), and three runtimes that
+//! execute a partitioned query over a set of engines. The protocol is
+//! implemented once ([`runtime::driver`] on the coordinator side,
+//! [`runtime::engine_core`] on the engine side); the runtimes differ in
+//! how its messages travel:
 //!
-//! * [`runtime::sim`] — deterministic virtual-time driver used by the
-//!   experiment harness (hour-long paper runs in seconds, identical
-//!   engine/strategy code);
+//! * [`runtime::sim`] — deterministic virtual-time runtime used by the
+//!   experiment harness (hour-long paper runs in seconds): engines are
+//!   stepped in place, transfers take modeled network time;
 //! * [`runtime::threaded`] — one OS thread per query engine connected by
-//!   crossbeam channels, exercising the full asynchronous message
-//!   protocol, standing in for the paper's PC cluster;
+//!   crossbeam channels, standing in for the paper's PC cluster;
 //! * [`runtime::socket`] — one OS *process* per query engine, exchanging
 //!   the same protocol as length-framed binary messages over TCP
 //!   ([`wire`]), with crash-restart as real process kill + respawn.

@@ -18,8 +18,8 @@
 //! The same enums carry the data path ([`ToEngine::DataBatch`] — routed
 //! tuples reach an engine in batches and in no other way), the periodic
 //! statistics ([`FromEngine::Stats`]) and the active-disk strategy's
-//! forced-spill command ([`ToEngine::StartSpill`]), so the threaded
-//! runtime runs the entire system over two channel types.
+//! forced-spill command ([`ToEngine::StartSpill`]), so every runtime
+//! runs the entire system over two message types.
 
 use dcape_common::batch::TupleBatch;
 use dcape_common::ids::{EngineId, PartitionId};
@@ -48,9 +48,9 @@ pub struct GroupTransfer {
 #[derive(Debug)]
 pub enum ToEngine {
     /// A batch of routed tuples for this engine, processed in batch
-    /// order — the data path (up to 64 ticks' worth from the threaded
-    /// and socket drivers, or the tuples a relocation round released):
-    /// one channel send or one frame for all of them.
+    /// order — the data path (up to 64 generator ticks' worth, or the
+    /// tuples a relocation round released): one engine step, one channel
+    /// send or one frame for all of them.
     DataBatch {
         /// The routed tuples, in arrival order, held encoded.
         tuples: TupleBatch,
@@ -122,12 +122,13 @@ pub enum ToEngine {
         /// Bytes to spill.
         amount: u64,
     },
-    /// Ask for a statistics report (the threaded runtime's `sr_timer`).
+    /// Ask for a statistics report (the `sr_timer`).
     ReportStats {
         /// Virtual timestamp to stamp the report with.
         now: VirtualTime,
     },
-    /// Drive the engine's local `ss_timer` (threaded runtime pulse).
+    /// The clock pulse, once a virtual second: drives the engine's local
+    /// `ss_timer`, its window purge and run-time reactivation.
     Tick {
         /// Current virtual time (drives spill checks and stats).
         now: VirtualTime,
@@ -241,6 +242,21 @@ pub enum FromEngine {
         /// The joining engine.
         engine: EngineId,
     },
+}
+
+impl FromEngine {
+    /// The reporting engine (every variant carries one).
+    pub(crate) fn engine(&self) -> EngineId {
+        match self {
+            FromEngine::Ptv { engine, .. }
+            | FromEngine::TransferAck { engine, .. }
+            | FromEngine::CleanupReady { engine, .. }
+            | FromEngine::CleanupDone { engine, .. }
+            | FromEngine::DrainState { engine, .. }
+            | FromEngine::JoinReady { engine } => *engine,
+            FromEngine::Stats(r) => r.engine,
+        }
+    }
 }
 
 #[cfg(test)]

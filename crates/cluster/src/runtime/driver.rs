@@ -1,48 +1,117 @@
-//! Coordinator-side protocol logic shared by the [`super::threaded`] and
-//! [`super::socket`] drivers.
+//! The coordinator side of the protocol: one run, generic over a
+//! transport.
 //!
-//! Both drivers run the same loop — source, splits, global coordinator —
-//! and differ only in how a `ToEngine` message reaches its engine (a
-//! crossbeam channel vs. a framed TCP connection). Everything here is
-//! therefore generic over a `send(engine, msg)` function; the chaos
-//! layer (fault decisions, held/delayed messages, timeout recovery) and
-//! the coordinator's half of the relocation state machine live on this
-//! side of that seam.
+//! [`CoordinatorRun`] is the stream source, the split operators, the
+//! global coordinator and the coordinator's half of every protocol —
+//! the 8-step relocation, elastic join and drain, the chaos layer
+//! (fault decisions, held messages, timeout recovery), quiesce and the
+//! two-phase distributed cleanup. It exists once; what differs between
+//! the runtimes is only the [`Transport`] underneath it: how a
+//! [`ToEngine`] reaches an engine and how a [`FromEngine`] comes back
+//! (stepped inline on a virtual clock in [`super::sim`], a crossbeam
+//! channel per engine thread in [`super::threaded`], a framed TCP
+//! connection per worker process in [`super::socket`]).
+//!
+//! ## Batch boundaries and ordering — one rule for every transport
+//!
+//! Routed tuples coalesce into one [`TupleBatch`] per engine across
+//! generator ticks (the send is the per-message cost being amortized)
+//! and are flushed
+//!
+//! * every [`MAX_BATCH_TICKS`] ticks,
+//! * before any `Tick`/`ReportStats` send, so no data trails a pulse it
+//!   preceded in virtual time,
+//! * before the coordinator acts on any [`FromEngine`] message or phase
+//!   timeout, so every already-routed tuple reaches its engine ahead of
+//!   a `SendStates`/remap that could re-home its partition.
+//!
+//! Every transport delivers one engine's messages in send order, so the
+//! tuples a pause released precede the `Resume` (or follow the
+//! `AbortRound`) sent after them.
 
+use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::{EngineId, PartitionId};
-use dcape_common::time::{VirtualDuration, VirtualTime};
+use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
-use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, JournalHandle};
+use dcape_engine::stats::EngineStatsReport;
+use dcape_metrics::journal::{
+    merge_journals, AdaptEvent, CountersSnapshot, JournalEntry, JournalHandle,
+};
+use dcape_streamgen::StreamSetGenerator;
 
-use crate::coordinator::{DrainStep, EngineState, GlobalCoordinator, TimeoutAction};
+use crate::coordinator::{DrainStep, EngineState, GlobalCoordinator, RetryPolicy, TimeoutAction};
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, ToEngine};
-use crate::placement::{released_batch, PlacementMap};
+use crate::placement::{released_batch, PlacementMap, Route};
 use crate::relocation::Action;
+use crate::runtime::sim::{RelocationEvent, ScaleAction, ScaleEvent, SimConfig};
+use crate::split::SplitOperator;
 use crate::stats::ClusterStats;
 use crate::strategy::Decision;
 
-/// How a driver puts a message on the wire to one engine.
-pub(crate) type SendFn<'a> = dyn FnMut(EngineId, ToEngine) -> Result<()> + 'a;
+/// Generator ticks one data batch may span before it is sent.
+const MAX_BATCH_TICKS: u32 = 64;
 
-/// Results folded out of engines that drained and exited *mid-run*
-/// (their `CleanupDone` arrives long before the final shutdown merge).
-#[derive(Debug, Default)]
-pub(crate) struct DrainFold {
-    pub(crate) runtime_output: u64,
-    pub(crate) cleanup_output: u64,
-    pub(crate) cleanup_wall_ms: u64,
-    pub(crate) spill_counts: Vec<(EngineId, u64)>,
-    pub(crate) journals: Vec<Vec<JournalEntry>>,
-    pub(crate) counters: CountersSnapshot,
+/// Consecutive idle receives tolerated while waiting for a cleanup
+/// reply: about two minutes at the live transports' 5 ms receive
+/// timeout. The deterministic transport never blocks, so there an
+/// engine that owes a reply and has not sent it fails the run at once.
+const CLEANUP_IDLE_LIMIT: u32 = 24_000;
+
+/// How messages travel between the coordinator and the engines — all a
+/// runtime has to supply. Messages to one engine arrive in send order.
+pub(crate) trait Transport {
+    /// Bring engine `engine` up: a thread, a process, or a value stepped
+    /// in place. It announces itself with [`FromEngine::JoinReady`].
+    fn start_engine(&mut self, engine: EngineId) -> Result<()>;
+
+    /// Send `msg` to `engine`. A send to an engine that has already sent
+    /// [`FromEngine::CleanupDone`] is `Ok(())` — the coordinator may not
+    /// have read that message yet when it broadcasts a pulse.
+    fn send(&mut self, engine: EngineId, msg: ToEngine) -> Result<()>;
+
+    /// The next engine message, if one is there, without blocking. `now`
+    /// is the coordinator's clock: what the virtual-time transport
+    /// delivers engine-to-engine traffic by.
+    fn try_recv(&mut self, now: VirtualTime) -> Result<Option<FromEngine>>;
+
+    /// The next engine message, or `None` when the transport considers
+    /// itself idle (nothing arrived within its receive timeout; nothing
+    /// deliverable at `now` for the virtual-time transport).
+    fn recv_or_idle(&mut self, now: VirtualTime) -> Result<Option<FromEngine>>;
+
+    /// Every engine has sent `CleanupDone`: release threads, processes
+    /// and connections.
+    fn shutdown(&mut self) -> Result<()>;
 }
 
-/// Fold one engine's shutdown counters into a cluster-wide snapshot.
-/// Spills happen engine-side in the live runtimes (unlike the sim's
-/// mirror); the chaos counters fold too: engines inject faults on the
-/// edges they send (Ptv, InstallStates, TransferAck).
-pub(crate) fn fold_engine_counters(dst: &mut CountersSnapshot, src: &CountersSnapshot) {
+/// What a run produced, in the shape every runtime's report is cut from.
+/// It accumulates over the run: a relocation when its round completes,
+/// an engine's share when its `CleanupDone` arrives — mid-run for one
+/// that drained, at shutdown for the rest.
+#[derive(Debug, Default)]
+pub(crate) struct RunReport {
+    pub(crate) runtime_output: u64,
+    pub(crate) cleanup_output: u64,
+    /// Modeled cleanup cost per engine slot (ms of virtual time).
+    pub(crate) cleanup_cost_ms: Vec<u64>,
+    /// Spill adaptations per engine slot.
+    pub(crate) spill_counts: Vec<u64>,
+    pub(crate) relocations: Vec<RelocationEvent>,
+    pub(crate) force_spills: u64,
+    /// Every engine's journal plus the coordinator's, merged by virtual
+    /// time (empty unless the run journals).
+    pub(crate) journal: Vec<JournalEntry>,
+    pub(crate) journal_counters: CountersSnapshot,
+}
+
+/// Fold one engine's shutdown counters into a cluster-wide snapshot:
+/// what only engines count (spill volume, encoded transfer volume, ring
+/// accounting) and the chaos counters of the edges engines send (Ptv,
+/// InstallStates, TransferAck). Routed tuples and relocation volume are
+/// counted once, at the coordinator.
+fn fold_engine_counters(dst: &mut CountersSnapshot, src: &CountersSnapshot) {
     dst.spill_bytes += src.spill_bytes;
     dst.spill_bytes_written += src.spill_bytes_written;
     dst.spill_bytes_read += src.spill_bytes_read;
@@ -55,53 +124,8 @@ pub(crate) fn fold_engine_counters(dst: &mut CountersSnapshot, src: &CountersSna
     dst.watermark_released_on_abort += src.watermark_released_on_abort;
 }
 
-/// Intercept the drain-shutdown handshake of an engine in
-/// `DrainCleanup`: its `CleanupReady`/`CleanupDone` arrive mid-run,
-/// where the shared coordinator handler treats them as protocol errors.
-/// Returns the message back when it is not part of a drain shutdown.
-pub(crate) fn intercept_drain_cleanup(
-    msg: FromEngine,
-    gc: &mut GlobalCoordinator,
-    send: &mut impl FnMut(EngineId, ToEngine) -> Result<()>,
-    fold: &mut DrainFold,
-    now: VirtualTime,
-) -> Result<Option<FromEngine>> {
-    match msg {
-        FromEngine::CleanupReady { engine, .. }
-            if gc.engine_state(engine) == EngineState::DrainCleanup =>
-        {
-            send(engine, ToEngine::StartCleanup)?;
-            Ok(None)
-        }
-        FromEngine::CleanupDone {
-            engine,
-            runtime_output,
-            cleanup_output,
-            spill_count,
-            cleanup_cost_ms,
-            journal,
-            journal_counters,
-        } if gc.engine_state(engine) == EngineState::DrainCleanup => {
-            fold.runtime_output += runtime_output;
-            fold.cleanup_output += cleanup_output;
-            fold.cleanup_wall_ms = fold.cleanup_wall_ms.max(cleanup_cost_ms);
-            fold.spill_counts.push((engine, spill_count));
-            fold.journals.push(journal);
-            fold_engine_counters(&mut fold.counters, &journal_counters);
-            gc.finish_drain(engine, now);
-            Ok(None)
-        }
-        other => Ok(Some(other)),
-    }
-}
-
-/// Driver-held control messages the chaos layer delayed (`Cptv`,
-/// `SendStates`); released into the transport once the virtual clock
-/// passes the due time.
-pub(crate) type HeldSends = Vec<(VirtualTime, EngineId, ToEngine)>;
-
 /// Consult the fault plan for one message edge, journaling any injected
-/// fault (shared by the driver and the engines — both count into
+/// fault (shared by the coordinator and the engines — both count into
 /// `faults_injected`, folded together at shutdown).
 pub(crate) fn edge_decision(
     plan: &FaultPlan,
@@ -127,536 +151,1072 @@ pub(crate) fn edge_decision(
     decision
 }
 
-/// Release driver-held delayed control messages whose due time passed
-/// (insertion order among equal due times — FIFO per transport does the
-/// rest).
-pub(crate) fn release_due(held: &mut HeldSends, now: VirtualTime, send: &mut SendFn) -> Result<()> {
-    while let Some(idx) = held
+/// Take the entry of `queue` that is due at `now` and was due first
+/// (insertion order among equal due times), if there is one — how every
+/// delayed message in a run is released, which keeps a chaos schedule
+/// reproducible.
+pub(crate) fn pop_due<T>(queue: &mut Vec<(VirtualTime, T)>, now: VirtualTime) -> Option<T> {
+    let idx = queue
         .iter()
         .enumerate()
-        .filter(|(_, (due, _, _))| now >= *due)
-        .min_by_key(|(i, (due, _, _))| (*due, *i))
-        .map(|(i, _)| i)
-    {
-        let (_, engine, msg) = held.remove(idx);
-        send(engine, msg)?;
-    }
-    Ok(())
+        .filter(|(_, (due, _))| *due <= now)
+        .min_by_key(|(i, (due, _))| (*due, *i))
+        .map(|(i, _)| i)?;
+    Some(queue.remove(idx).1)
 }
 
-/// Put a coordinator-originated control message (`Cptv`, `SendStates`)
-/// on the wire through the fault plan: deliver, drop, duplicate, delay
-/// or garble it per the seeded schedule.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn chaos_send(
-    plan: &FaultPlan,
-    journal: &JournalHandle,
+/// One run of the coordinator side over transport `T`: the state the
+/// loop carries and the protocol handlers that act on it.
+pub(crate) struct CoordinatorRun<T: Transport> {
+    transport: T,
+    gen: StreamSetGenerator,
+    split: SplitOperator,
+    placement: PlacementMap,
+    gc: GlobalCoordinator,
+    /// The coordinator's own journal (the global coordinator and the
+    /// strategy record into it too).
+    journal: JournalHandle,
+    plan: FaultPlan,
+    /// A retry policy is armed (something can lose a message): poll
+    /// phase deadlines and held sends every generator tick.
+    patient: bool,
+    windowed: bool,
+    tick_timer: PeriodicTimer,
+    stats_timer: PeriodicTimer,
+    pending_stats: Vec<Option<EngineStatsReport>>,
+    awaiting_stats: bool,
+    /// Control messages (`Cptv`, `SendStates`) the chaos layer delayed,
+    /// released once the clock passes their due time.
+    held: Vec<(VirtualTime, (EngineId, ToEngine))>,
+    tick_buf: Vec<Tuple>,
+    /// Routed, not yet sent: one batch per engine slot.
+    batches: Vec<TupleBatch>,
+    pending_ticks: u32,
+    /// Scheduled membership changes, sorted by time; `next_scale` is the
+    /// first one not yet applied.
+    scale_events: Vec<ScaleEvent>,
+    next_scale: usize,
+    report: RunReport,
+    /// The journals the engines shipped with `CleanupDone`.
+    engine_journals: Vec<Vec<JournalEntry>>,
+    /// The coordinator's clock: the current generator tick while
+    /// running, the deadline after it, the quiesce clock from then on.
     now: VirtualTime,
-    edge: FaultEdge,
-    round: u64,
-    attempt: u32,
-    target: EngineId,
-    make: impl Fn() -> ToEngine,
-    send: &mut SendFn,
-    held: &mut HeldSends,
-) -> Result<()> {
-    match edge_decision(plan, journal, now, edge, round, attempt) {
-        FaultDecision::Deliver => send(target, make()),
-        // A garbled control message is discarded on receipt — same
-        // outcome as a drop; the phase timeout re-sends it.
-        FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
-        FaultDecision::Duplicate => {
-            send(target, make())?;
-            send(target, make())
+}
+
+impl<T: Transport> CoordinatorRun<T> {
+    /// Set the run up and start the initial engines. `journal` is the
+    /// coordinator's journal (disabled when the run keeps none);
+    /// `patient` arms bounded retry-then-abort on every protocol phase —
+    /// without it a single lost message would wedge quiesce forever, so
+    /// every caller whose transport or fault plan can lose one sets it.
+    pub(crate) fn new(
+        cfg: &SimConfig,
+        journal: JournalHandle,
+        patient: bool,
+        mut transport: T,
+    ) -> Result<Self> {
+        if cfg.num_engines == 0 {
+            return Err(DcapeError::config("need at least one engine"));
         }
-        FaultDecision::Delay(ms) => {
-            held.push((now + VirtualDuration::from_millis(ms), target, make()));
-            Ok(())
+        if cfg.workload.num_streams != cfg.engine.join.num_streams {
+            return Err(DcapeError::config(
+                "workload stream count must match the join's",
+            ));
         }
-    }
-}
-
-/// Fence a draining engine: mark it in the placement map, tell every
-/// other participant (so stale relocations toward it are dropped), and
-/// start the `BeginDrain`/`DrainState` poll loop.
-pub(crate) fn start_drain_fencing(
-    gc: &mut GlobalCoordinator,
-    placement: &mut PlacementMap,
-    send: &mut SendFn,
-    engine: EngineId,
-) -> Result<()> {
-    placement.fence_engine(engine)?;
-    for peer in gc.participating_engines() {
-        if peer != engine {
-            send(peer, ToEngine::FenceNotice { engine })?;
+        let gen = StreamSetGenerator::new(cfg.workload.clone())?;
+        let split = SplitOperator::new(
+            gen.partitioner(),
+            vec![StreamSetGenerator::JOIN_COLUMN; cfg.workload.num_streams],
+        )?;
+        let placement =
+            PlacementMap::new(&cfg.placement, cfg.workload.num_partitions, cfg.num_engines)?;
+        // Everything indexed by engine is provisioned at peak capacity
+        // up front, so a join never reshapes shared structures mid-run.
+        let capacity = cfg.capacity();
+        let mut gc = GlobalCoordinator::new(&cfg.strategy);
+        gc.init_membership(cfg.num_engines, capacity);
+        gc.set_journal(journal.clone());
+        if patient {
+            gc.set_retry_policy(RetryPolicy::default());
         }
-    }
-    send(engine, ToEngine::BeginDrain)
-}
-
-/// Process a scale-in event: request the drain and, unless it was
-/// deferred behind an in-flight round targeting the engine, fence it
-/// immediately.
-pub(crate) fn begin_drain_event(
-    gc: &mut GlobalCoordinator,
-    placement: &mut PlacementMap,
-    send: &mut SendFn,
-    engine: EngineId,
-    now: VirtualTime,
-) -> Result<()> {
-    if gc.request_drain(engine, now)? {
-        start_drain_fencing(gc, placement, send, engine)?;
-    }
-    Ok(())
-}
-
-/// Keep a drain moving after a relocation round ended (completed or
-/// aborted): start a deferred drain, or re-poll the draining engine
-/// with `BeginDrain` now that the round slot is free.
-pub(crate) fn drain_continue(
-    gc: &mut GlobalCoordinator,
-    placement: &mut PlacementMap,
-    send: &mut SendFn,
-    now: VirtualTime,
-) -> Result<()> {
-    if let Some(engine) = gc.poll_pending_drain(now) {
-        return start_drain_fencing(gc, placement, send, engine);
-    }
-    if !gc.relocation_active() {
-        if let Some(engine) = gc.draining_engine() {
-            send(engine, ToEngine::BeginDrain)?;
+        let mut scale_events = cfg.scale_events.clone();
+        scale_events.sort_by_key(|e| e.at);
+        for i in 0..cfg.num_engines {
+            transport.start_engine(EngineId(i as u16))?;
         }
-    }
-    Ok(())
-}
-
-/// Send the tuples a pause released to `target` as one
-/// [`ToEngine::DataBatch`] (none when nothing was buffered), ahead of
-/// whatever the caller sends next on the same FIFO transport. Returns
-/// how many tuples went.
-pub(crate) fn send_released(
-    released: Vec<(PartitionId, Vec<Tuple>)>,
-    target: EngineId,
-    send: &mut SendFn,
-) -> Result<u64> {
-    let tuples = released_batch(released);
-    let sent = tuples.len() as u64;
-    if sent > 0 {
-        send(target, ToEngine::DataBatch { tuples })?;
-    }
-    Ok(sent)
-}
-
-/// Execute [`DrainStep::FinalizeRemap`]: move the draining engine's
-/// remaining (zero-state) partitions straight to `receiver` — pause and
-/// remap back-to-back, so nothing can buffer in between — then start
-/// the cleanup hand-off: flush any residual resident state to disk and
-/// have the engine forward every spilled segment to the new owners.
-pub(crate) fn finalize_drain_remap(
-    gc: &mut GlobalCoordinator,
-    placement: &mut PlacementMap,
-    send: &mut SendFn,
-    engine: EngineId,
-    receiver: EngineId,
-    now: VirtualTime,
-) -> Result<()> {
-    let parts = placement.partitions_of(engine);
-    if !parts.is_empty() {
-        placement.pause(&parts)?;
-        let released = placement.remap_and_release(&parts, receiver)?;
-        send_released(released, receiver, send)?;
-    }
-    gc.drain_finalized(engine, parts.len(), now);
-    send(engine, ToEngine::StartSpill { amount: u64::MAX })?;
-    let owners: Vec<EngineId> = (0..placement.num_partitions())
-        .map(|p| placement.owner(PartitionId(p)))
-        .collect::<Result<_>>()?;
-    send(engine, ToEngine::PrepareCleanup { owners })
-}
-
-/// Execute a drain step returned by
-/// [`GlobalCoordinator::on_drain_state`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn handle_drain_step(
-    step: DrainStep,
-    gc: &mut GlobalCoordinator,
-    placement: &mut PlacementMap,
-    send: &mut SendFn,
-    journal: &JournalHandle,
-    now: VirtualTime,
-    plan: &FaultPlan,
-    held: &mut HeldSends,
-) -> Result<()> {
-    match step {
-        DrainStep::Wait => Ok(()),
-        DrainStep::ForceSpill { engine, amount } => {
-            // The spill and the re-poll ride the reliable channel in
-            // order, so the next DrainState reflects the spill.
-            send(engine, ToEngine::StartSpill { amount })?;
-            send(engine, ToEngine::BeginDrain)
-        }
-        DrainStep::Relocate {
-            round,
-            sender,
-            amount,
-            ..
-        } => chaos_send(
-            plan,
+        Ok(CoordinatorRun {
+            transport,
+            gen,
+            split,
+            placement,
+            gc,
             journal,
-            now,
-            FaultEdge::Cptv,
-            round,
-            0,
-            sender,
-            || ToEngine::Cptv {
-                round,
-                amount,
-                attempt: 0,
+            plan: cfg.faults,
+            patient,
+            windowed: cfg.engine.join.window.is_some(),
+            tick_timer: PeriodicTimer::new(VirtualDuration::from_secs(1), VirtualTime::ZERO),
+            stats_timer: PeriodicTimer::new(cfg.stats_interval, VirtualTime::ZERO),
+            pending_stats: vec![None; capacity],
+            awaiting_stats: false,
+            held: Vec::new(),
+            tick_buf: Vec::new(),
+            batches: (0..capacity).map(|_| TupleBatch::new()).collect(),
+            pending_ticks: 0,
+            scale_events,
+            next_scale: 0,
+            report: RunReport {
+                cleanup_cost_ms: vec![0; capacity],
+                spill_counts: vec![0; capacity],
+                ..RunReport::default()
             },
-            send,
-            held,
-        ),
-        DrainStep::FinalizeRemap { engine, receiver } => {
-            finalize_drain_remap(gc, placement, send, engine, receiver, now)
+            engine_journals: Vec::new(),
+            now: VirtualTime::ZERO,
+        })
+    }
+
+    pub(crate) fn now(&self) -> VirtualTime {
+        self.now
+    }
+
+    pub(crate) fn placement(&self) -> &PlacementMap {
+        &self.placement
+    }
+
+    pub(crate) fn coordinator(&self) -> &GlobalCoordinator {
+        &self.gc
+    }
+
+    /// Relocation rounds completed so far.
+    pub(crate) fn relocations(&self) -> &[RelocationEvent] {
+        &self.report.relocations
+    }
+
+    pub(crate) fn transport(&self) -> &T {
+        &self.transport
+    }
+
+    pub(crate) fn transport_mut(&mut self) -> &mut T {
+        &mut self.transport
+    }
+
+    // ---- the loop -------------------------------------------------------
+
+    /// Generate, route and deliver input up to `deadline` of virtual
+    /// time, pulsing the engines once a virtual second, collecting
+    /// statistics every stats interval and acting on whatever the
+    /// engines send back. Ends with every routed tuple delivered.
+    pub(crate) fn run_until(&mut self, deadline: VirtualTime) -> Result<()> {
+        while self.gen.now() < deadline {
+            let now = self.gen.now();
+            self.now = now;
+            self.apply_scale_events()?;
+            self.gen.tick_batch(&mut self.tick_buf);
+            self.journal.add_tuples_routed(self.tick_buf.len() as u64);
+            for tuple in self.tick_buf.drain(..) {
+                let pid = self.split.classify(&tuple)?;
+                match self.placement.route(pid, tuple)? {
+                    Route::Buffered => self.journal.add_buffered_in_flight(1),
+                    Route::Deliver(engine, tuple) => self.batches[engine.index()].push(pid, tuple),
+                }
+            }
+            self.pending_ticks += 1;
+            let tick_due = self.tick_timer.expired(now);
+            let stats_due = self.stats_timer.expired(now);
+            if self.pending_ticks >= MAX_BATCH_TICKS || tick_due || stats_due {
+                self.flush_pending()?;
+            }
+            if tick_due {
+                self.tick_timer.reset(now);
+                self.pulse()?;
+            }
+            if stats_due && !self.awaiting_stats && !self.gc.relocation_active() {
+                self.stats_timer.reset(now);
+                self.awaiting_stats = true;
+                self.pending_stats.iter_mut().for_each(|s| *s = None);
+                for e in self.gc.active_engines() {
+                    self.transport.send(e, ToEngine::ReportStats { now })?;
+                }
+            }
+            while let Some(msg) = self.transport.try_recv(now)? {
+                self.flush_pending()?;
+                self.handle_msg(msg)?;
+            }
+            if self.patient {
+                self.release_due()?;
+                self.poll_timeouts()?;
+            }
+        }
+        self.now = self.now.max(deadline);
+        self.flush_pending()
+    }
+
+    /// Finish (or abort) whatever the protocol still has in flight — a
+    /// relocation round, a drain, a statistics collection, held
+    /// messages — so no state is lost mid-transfer. Messages may have
+    /// been lost, so the loop never waits on one: whenever the transport
+    /// is idle the clock advances 200 virtual ms, phase deadlines fire
+    /// (retry, then abort) and a pulse lets the engines release what
+    /// they hold.
+    pub(crate) fn quiesce(&mut self) -> Result<()> {
+        // The closing pulse: the engines' clocks reach the deadline, so
+        // whatever they journal from here on is stamped at or after it.
+        self.pulse()?;
+        while self.gc.relocation_active()
+            || self.gc.drain_in_progress()
+            || self.awaiting_stats
+            || !self.held.is_empty()
+        {
+            self.release_due()?;
+            match self.transport.recv_or_idle(self.now)? {
+                Some(msg) => self.handle_msg(msg)?,
+                None => {
+                    self.now += VirtualDuration::from_millis(200);
+                    self.poll_timeouts()?;
+                    self.pulse()?;
+                }
+            }
+        }
+        // Closing the last round released every pause and with it the
+        // held watermark: nothing may remain buffered at the splits.
+        debug_assert!(self.placement.paused_partitions().is_empty());
+        debug_assert!(self.placement.oldest_buffered_ts().is_none());
+        Ok(())
+    }
+
+    /// The distributed cleanup over the surviving engines (drained ones
+    /// already handed their segments over and reported; never-joined
+    /// slots have no engine), then shut the transport down and fold the
+    /// report. Phase 1: every engine forwards the spilled segments of
+    /// partitions it does not own to their owners. Phase 2: each merges
+    /// its owned partitions locally, in parallel — every forward sits
+    /// ahead of `StartCleanup` in its target's inbox, because each
+    /// engine forwards before it reports ready and `StartCleanup` goes
+    /// out only after every ready.
+    pub(crate) fn cleanup(&mut self) -> Result<RunReport> {
+        let owners = self.owners()?;
+        let survivors = self.gc.active_engines();
+        for e in &survivors {
+            self.transport.send(
+                *e,
+                ToEngine::PrepareCleanup {
+                    owners: owners.clone(),
+                },
+            )?;
+        }
+        let mut waiting = survivors.clone();
+        while !waiting.is_empty() {
+            match self.next_cleanup_msg("CleanupReady")? {
+                // A respawned worker's replay can repeat it: harmless.
+                FromEngine::CleanupReady { engine, .. } => waiting.retain(|e| *e != engine),
+                other => {
+                    return Err(DcapeError::protocol(format!(
+                        "unexpected message during cleanup prepare: {other:?}"
+                    )))
+                }
+            }
+        }
+        for e in &survivors {
+            self.transport.send(*e, ToEngine::StartCleanup)?;
+        }
+        let mut waiting = survivors;
+        while !waiting.is_empty() {
+            match self.next_cleanup_msg("CleanupDone")? {
+                msg @ FromEngine::CleanupDone { .. } => {
+                    let before = waiting.len();
+                    waiting.retain(|e| *e != msg.engine());
+                    // Anything else is a duplicate from a late replay.
+                    if waiting.len() < before {
+                        self.absorb(msg);
+                    }
+                }
+                other => {
+                    return Err(DcapeError::protocol(format!(
+                        "unexpected message during merge: {other:?}"
+                    )))
+                }
+            }
+        }
+        self.transport.shutdown()?;
+
+        let mut report = std::mem::take(&mut self.report);
+        report.force_spills = self.gc.force_spills_issued();
+        if self.journal.is_enabled() {
+            let mut rings = std::mem::take(&mut self.engine_journals);
+            rings.push(self.journal.snapshot());
+            report.journal = merge_journals(rings);
+        }
+        if let Some(c) = self.journal.counters() {
+            report.journal_counters.absorb(&c.snapshot());
+        }
+        Ok(report)
+    }
+
+    /// The next `CleanupReady`/`CleanupDone`. No round can be live after
+    /// quiesce, so any protocol message still queued — a duplicated or
+    /// delayed copy, the replayed history of a worker respawned late —
+    /// is stale by construction: journaled (or ignored) and skipped.
+    fn next_cleanup_msg(&mut self, awaited: &str) -> Result<FromEngine> {
+        let mut idle = 0u32;
+        loop {
+            let Some(msg) = self.transport.recv_or_idle(self.now)? else {
+                idle += 1;
+                if idle > CLEANUP_IDLE_LIMIT {
+                    return Err(DcapeError::Disconnected(format!(
+                        "timed out awaiting {awaited}"
+                    )));
+                }
+                continue;
+            };
+            idle = 0;
+            let (code, engine, round, detail) = match msg {
+                FromEngine::CleanupReady { .. } | FromEngine::CleanupDone { .. } => return Ok(msg),
+                FromEngine::Ptv { round, engine, .. } => {
+                    ("stale_ptv_after_quiesce", engine, round, 2)
+                }
+                FromEngine::TransferAck { round, engine, .. } => {
+                    ("stale_ack_after_quiesce", engine, round, 6)
+                }
+                FromEngine::Stats(_)
+                | FromEngine::DrainState { .. }
+                | FromEngine::JoinReady { .. } => continue,
+            };
+            self.journal.record(
+                self.now,
+                AdaptEvent::ProtocolWarning {
+                    code,
+                    engine,
+                    round,
+                    detail,
+                },
+            );
         }
     }
-}
 
-/// Execute a phase-timeout recovery decision: re-send the phase's
-/// message (again through the fault plan — a retry can be unlucky
-/// twice) or unwind the round.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn handle_timeout_action(
-    action: TimeoutAction,
-    gc: &mut GlobalCoordinator,
-    placement: &mut PlacementMap,
-    send: &mut SendFn,
-    journal: &JournalHandle,
-    now: VirtualTime,
-    plan: &FaultPlan,
-    held: &mut HeldSends,
-) -> Result<()> {
-    match action {
-        TimeoutAction::RetryCptv {
+    /// Send every routed-but-unsent tuple, one batch per engine. The
+    /// batch crosses as one allocation; `take` leaves a buffer of the
+    /// same byte size behind.
+    fn flush_pending(&mut self) -> Result<()> {
+        self.pending_ticks = 0;
+        for (i, pending) in self.batches.iter_mut().enumerate() {
+            if !pending.is_empty() {
+                let tuples = pending.take();
+                self.transport
+                    .send(EngineId(i as u16), ToEngine::DataBatch { tuples })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The clock pulse to every participating engine. The purge horizon
+    /// is watermark-driven: while a relocation holds tuples buffered at
+    /// the splits it stays at the oldest buffered timestamp, so no
+    /// engine can purge the join partners of a tuple yet to replay.
+    fn pulse(&mut self) -> Result<()> {
+        let watermark = self.split.admitted_watermark();
+        let horizon = self.placement.purge_horizon(watermark);
+        if self.windowed && horizon < watermark {
+            self.journal.add_purges_deferred(1);
+        }
+        let now = self.now;
+        for e in self.gc.participating_engines() {
+            self.transport.send(e, ToEngine::Tick { now, horizon })?;
+        }
+        Ok(())
+    }
+
+    /// Apply the elastic membership changes whose time has come.
+    fn apply_scale_events(&mut self) -> Result<()> {
+        while let Some(event) = self.scale_events.get(self.next_scale).copied() {
+            if event.at > self.now {
+                break;
+            }
+            self.next_scale += 1;
+            match event.action {
+                ScaleAction::AddEngine => {
+                    let id = self.placement.add_engine()?;
+                    self.transport.start_engine(id)?;
+                    self.gc.admit_engine(id, self.now)?;
+                    // A stats collection begun against the old
+                    // membership can never complete against the new
+                    // one; restart it at the next timer expiry.
+                    self.awaiting_stats = false;
+                }
+                ScaleAction::DrainEngine(target) => {
+                    let engine = match target {
+                        Some(e) => e,
+                        None => self
+                            .gc
+                            .active_engines()
+                            .into_iter()
+                            .max()
+                            .ok_or_else(|| DcapeError::config("no active engine to drain"))?,
+                    };
+                    // Deferred while an in-flight round targets the
+                    // engine; `drain_continue` picks it up afterwards.
+                    if self.gc.request_drain(engine, self.now)? {
+                        self.start_drain_fencing(engine)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    // ---- the chaos layer ------------------------------------------------
+
+    /// Put a coordinator-originated control message (`Cptv`,
+    /// `SendStates`) on the wire through the fault plan: deliver, drop,
+    /// duplicate, delay or garble it per the seeded schedule.
+    fn chaos_send(
+        &mut self,
+        edge: FaultEdge,
+        round: u64,
+        attempt: u32,
+        target: EngineId,
+        make: impl Fn() -> ToEngine,
+    ) -> Result<()> {
+        match edge_decision(&self.plan, &self.journal, self.now, edge, round, attempt) {
+            FaultDecision::Deliver => self.transport.send(target, make()),
+            // A garbled control message is discarded on receipt — same
+            // outcome as a drop; the phase timeout re-sends it.
+            FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
+            FaultDecision::Duplicate => {
+                self.transport.send(target, make())?;
+                self.transport.send(target, make())
+            }
+            FaultDecision::Delay(ms) => {
+                let due = self.now + VirtualDuration::from_millis(ms);
+                self.held.push((due, (target, make())));
+                Ok(())
+            }
+        }
+    }
+
+    fn issue_cptv(
+        &mut self,
+        round: u64,
+        sender: EngineId,
+        amount: u64,
+        attempt: u32,
+    ) -> Result<()> {
+        self.chaos_send(FaultEdge::Cptv, round, attempt, sender, || ToEngine::Cptv {
             round,
-            sender,
             amount,
             attempt,
-        } => chaos_send(
-            plan,
-            journal,
-            now,
-            FaultEdge::Cptv,
-            round,
-            attempt,
-            sender,
-            || ToEngine::Cptv {
-                round,
-                amount,
-                attempt,
-            },
-            send,
-            held,
-        ),
-        TimeoutAction::RetrySendStates {
-            round,
-            sender,
-            receiver,
-            parts,
-            attempt,
-        } => chaos_send(
-            plan,
-            journal,
-            now,
-            FaultEdge::SendStates,
-            round,
-            attempt,
-            sender,
-            || ToEngine::SendStates {
+        })
+    }
+
+    fn issue_send_states(
+        &mut self,
+        round: u64,
+        sender: EngineId,
+        receiver: EngineId,
+        parts: Vec<PartitionId>,
+        attempt: u32,
+    ) -> Result<()> {
+        self.chaos_send(FaultEdge::SendStates, round, attempt, sender, || {
+            ToEngine::SendStates {
                 round,
                 parts: parts.clone(),
                 receiver,
                 attempt,
-            },
-            send,
-            held,
-        ),
-        TimeoutAction::AbortRound {
-            round,
-            sender,
-            receiver,
-            parts,
-            held_since,
-        } => {
-            // Any delayed copies of this round's control messages are
-            // moot — the engines treat them as stale if they do land,
-            // but don't even bother releasing them.
-            held.retain(|(_, _, m)| {
-                !matches!(m,
-                    ToEngine::Cptv { round: r, .. } | ToEngine::SendStates { round: r, .. }
-                    if *r == round)
-            });
-            // Abort notifications ride the reliable channel (an abort
-            // that can be lost is not an abort protocol). FIFO order:
-            // the sender reinstalls its retained copy before any
-            // replayed tuple reaches it.
-            send(receiver, ToEngine::AbortRound { round })?;
-            send(sender, ToEngine::AbortRound { round })?;
-            if !parts.is_empty() {
-                // Release without remapping: ownership never changed,
-                // so the buffered tuples replay to the original owner.
-                let released = placement.release_paused(&parts)?;
-                let buffered = send_released(released, sender, send)?;
-                journal.sub_buffered_in_flight(buffered);
-                journal.add_replayed_in_order(buffered);
-                if let Some(held_at) = held_since {
-                    journal
-                        .add_watermark_held_ms(now.as_millis().saturating_sub(held_at.as_millis()));
-                }
-                journal.add_watermark_released_on_abort(1);
             }
-            // The round slot is free again — keep any drain moving.
-            drain_continue(gc, placement, send, now)
+        })
+    }
+
+    /// Release held control messages whose due time passed (the
+    /// transport's per-engine order does the rest).
+    fn release_due(&mut self) -> Result<()> {
+        while let Some((engine, msg)) = pop_due(&mut self.held, self.now) {
+            self.transport.send(engine, msg)?;
+        }
+        Ok(())
+    }
+
+    /// Poll the coordinator's phase deadline: re-send the phase's
+    /// message (again through the fault plan — a retry can be unlucky
+    /// twice) or, retries exhausted, unwind the round. Each poll either
+    /// re-arms the deadline in the future or closes the round, so the
+    /// loop terminates.
+    fn poll_timeouts(&mut self) -> Result<()> {
+        while let Some(action) = self.gc.check_timeout(self.now) {
+            self.flush_pending()?;
+            match action {
+                TimeoutAction::RetryCptv {
+                    round,
+                    sender,
+                    amount,
+                    attempt,
+                } => self.issue_cptv(round, sender, amount, attempt)?,
+                TimeoutAction::RetrySendStates {
+                    round,
+                    sender,
+                    receiver,
+                    parts,
+                    attempt,
+                } => self.issue_send_states(round, sender, receiver, parts, attempt)?,
+                TimeoutAction::AbortRound {
+                    round,
+                    sender,
+                    receiver,
+                    parts,
+                    held_since,
+                } => self.abort_round(round, sender, receiver, parts, held_since)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Unwind a round whose retries are exhausted.
+    fn abort_round(
+        &mut self,
+        round: u64,
+        sender: EngineId,
+        receiver: EngineId,
+        parts: Vec<PartitionId>,
+        held_since: Option<VirtualTime>,
+    ) -> Result<()> {
+        // Delayed copies of this round's control messages are moot — the
+        // engines would treat them as stale — so don't release them.
+        self.held.retain(|(_, (_, m))| {
+            !matches!(m,
+                ToEngine::Cptv { round: r, .. } | ToEngine::SendStates { round: r, .. }
+                if *r == round)
+        });
+        // Abort notifications ride the reliable channel (an abort that
+        // can be lost is not an abort protocol). In send order: the
+        // sender reinstalls its retained copy before any replayed tuple
+        // reaches it.
+        self.transport
+            .send(receiver, ToEngine::AbortRound { round })?;
+        self.transport
+            .send(sender, ToEngine::AbortRound { round })?;
+        if !parts.is_empty() {
+            // Release without remapping: ownership never changed, so the
+            // buffered tuples replay to the original owner.
+            let released = self.placement.release_paused(&parts)?;
+            self.replay_released(released, sender)?;
+            if let Some(held_at) = held_since {
+                self.journal.add_watermark_held_ms(
+                    self.now.as_millis().saturating_sub(held_at.as_millis()),
+                );
+            }
+            self.journal.add_watermark_released_on_abort(1);
+        }
+        // The round slot is free again — keep any drain moving.
+        self.drain_continue()
+    }
+
+    /// Send the tuples a pause released to `target` as one
+    /// [`ToEngine::DataBatch`] (none when nothing was buffered), ahead
+    /// of whatever goes to that engine next, and book them as replayed.
+    /// Per-partition lists arrive in order, so the one batch is a stable
+    /// reordering. Returns how many tuples went.
+    fn replay_released(
+        &mut self,
+        released: Vec<(PartitionId, Vec<Tuple>)>,
+        target: EngineId,
+    ) -> Result<u64> {
+        let tuples = released_batch(released);
+        let sent = tuples.len() as u64;
+        if sent > 0 {
+            self.transport
+                .send(target, ToEngine::DataBatch { tuples })?;
+        }
+        self.journal.sub_buffered_in_flight(sent);
+        self.journal.add_replayed_in_order(sent);
+        Ok(sent)
+    }
+
+    // ---- elastic drain --------------------------------------------------
+
+    /// Fence a draining engine: mark it in the placement map, tell every
+    /// other participant (so stale relocations toward it are dropped),
+    /// and start the `BeginDrain`/`DrainState` poll loop.
+    fn start_drain_fencing(&mut self, engine: EngineId) -> Result<()> {
+        self.placement.fence_engine(engine)?;
+        for peer in self.gc.participating_engines() {
+            if peer != engine {
+                self.transport
+                    .send(peer, ToEngine::FenceNotice { engine })?;
+            }
+        }
+        self.transport.send(engine, ToEngine::BeginDrain)
+    }
+
+    /// Keep a drain moving after a relocation round ended (completed or
+    /// aborted): start a deferred drain, or re-poll the draining engine
+    /// with `BeginDrain` now that the round slot is free.
+    fn drain_continue(&mut self) -> Result<()> {
+        if let Some(engine) = self.gc.poll_pending_drain(self.now) {
+            return self.start_drain_fencing(engine);
+        }
+        if !self.gc.relocation_active() {
+            if let Some(engine) = self.gc.draining_engine() {
+                self.transport.send(engine, ToEngine::BeginDrain)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The final owner of every partition (index = partition id).
+    fn owners(&self) -> Result<Vec<EngineId>> {
+        (0..self.placement.num_partitions())
+            .map(|p| self.placement.owner(PartitionId(p)))
+            .collect()
+    }
+
+    /// Execute a drain step returned by
+    /// [`GlobalCoordinator::on_drain_state`].
+    fn handle_drain_step(&mut self, step: DrainStep) -> Result<()> {
+        match step {
+            DrainStep::Wait => Ok(()),
+            DrainStep::ForceSpill { engine, amount } => {
+                // The spill and the re-poll ride the reliable channel in
+                // order, so the next DrainState reflects the spill.
+                self.transport
+                    .send(engine, ToEngine::StartSpill { amount })?;
+                self.transport.send(engine, ToEngine::BeginDrain)
+            }
+            DrainStep::Relocate {
+                round,
+                sender,
+                amount,
+                ..
+            } => self.issue_cptv(round, sender, amount, 0),
+            // Move the engine's remaining (zero-state) partitions
+            // straight to `receiver` — pause and remap back-to-back, so
+            // nothing can buffer in between — then start the cleanup
+            // hand-off: flush any residual resident state to disk and
+            // have the engine forward every spilled segment to the new
+            // owners.
+            DrainStep::FinalizeRemap { engine, receiver } => {
+                let parts = self.placement.partitions_of(engine);
+                if !parts.is_empty() {
+                    self.placement.pause(&parts)?;
+                    let released = self.placement.remap_and_release(&parts, receiver)?;
+                    self.replay_released(released, receiver)?;
+                }
+                self.gc.drain_finalized(engine, parts.len(), self.now);
+                self.transport
+                    .send(engine, ToEngine::StartSpill { amount: u64::MAX })?;
+                let owners = self.owners()?;
+                self.transport
+                    .send(engine, ToEngine::PrepareCleanup { owners })
+            }
         }
     }
-}
 
-/// Coordinator-side message handling (shared by the run loop and the
-/// quiesce loop of both drivers).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn handle_coordinator_msg(
-    msg: FromEngine,
-    gc: &mut GlobalCoordinator,
-    placement: &mut PlacementMap,
-    send: &mut SendFn,
-    pending_stats: &mut [Option<dcape_engine::stats::EngineStatsReport>],
-    awaiting_stats: &mut bool,
-    relocations: &mut u64,
-    journal: &JournalHandle,
-    now: VirtualTime,
-    watermark: VirtualTime,
-    plan: &FaultPlan,
-    held: &mut HeldSends,
-) -> Result<()> {
-    match msg {
-        FromEngine::Stats(report) => {
-            let idx = report.engine.index();
-            pending_stats[idx] = Some(report);
-            // Completeness over the *active* set: draining engines may
-            // exit mid-cycle, and the strategy must not pick them as
-            // sender or receiver anyway.
-            let active = gc.active_engines();
-            let complete = if active.is_empty() {
-                pending_stats.iter().all(Option::is_some)
-            } else {
-                active.iter().all(|e| pending_stats[e.index()].is_some())
-            };
-            if *awaiting_stats && complete {
-                *awaiting_stats = false;
-                let reports = if active.is_empty() {
-                    pending_stats.iter().flatten().copied().collect()
-                } else {
-                    active
-                        .iter()
-                        .filter_map(|e| pending_stats[e.index()])
-                        .collect()
-                };
-                let stats = ClusterStats::new(reports);
-                match gc.evaluate(&stats, now)? {
-                    Decision::None => {}
+    // ---- engine messages ------------------------------------------------
+
+    /// Journal a relocation step the coordinator executes itself (3, 7
+    /// and 8; the global coordinator records 1, 2 and 6, the engines 4
+    /// and 5).
+    fn record_step(
+        &self,
+        round: u64,
+        step: u8,
+        sender: EngineId,
+        receiver: EngineId,
+        parts: Vec<PartitionId>,
+        buffered_tuples: u64,
+    ) {
+        self.journal.record(
+            self.now,
+            AdaptEvent::RelocationStep {
+                round,
+                step,
+                sender,
+                receiver,
+                parts,
+                bytes: 0,
+                buffered_tuples,
+                load_ratio: 0.0,
+            },
+        );
+    }
+
+    /// Fold one engine's `CleanupDone` into the report.
+    fn absorb(&mut self, done: FromEngine) {
+        let FromEngine::CleanupDone {
+            engine,
+            runtime_output,
+            cleanup_output,
+            spill_count,
+            cleanup_cost_ms,
+            journal,
+            journal_counters,
+        } = done
+        else {
+            unreachable!("callers match CleanupDone");
+        };
+        let report = &mut self.report;
+        report.runtime_output += runtime_output;
+        report.cleanup_output += cleanup_output;
+        report.cleanup_cost_ms[engine.index()] = cleanup_cost_ms;
+        report.spill_counts[engine.index()] = spill_count;
+        self.engine_journals.push(journal);
+        fold_engine_counters(&mut report.journal_counters, &journal_counters);
+    }
+
+    /// Act on one engine message (the run loop and the quiesce loop).
+    fn handle_msg(&mut self, msg: FromEngine) -> Result<()> {
+        let now = self.now;
+        match msg {
+            FromEngine::Stats(report) => {
+                self.pending_stats[report.engine.index()] = Some(report);
+                // Completeness over the *active* set: draining engines
+                // may exit mid-cycle, and the strategy must not pick
+                // them as sender or receiver anyway.
+                let active = self.gc.active_engines();
+                let reports: Vec<EngineStatsReport> = active
+                    .iter()
+                    .filter_map(|e| self.pending_stats[e.index()])
+                    .collect();
+                if !self.awaiting_stats || reports.len() < active.len() {
+                    return Ok(());
+                }
+                self.awaiting_stats = false;
+                match self.gc.evaluate(&ClusterStats::new(reports), now)? {
+                    Decision::None => Ok(()),
                     Decision::ForceSpill { engine, amount } => {
-                        send(engine, ToEngine::StartSpill { amount })?;
+                        self.transport.send(engine, ToEngine::StartSpill { amount })
                     }
                     Decision::Relocate { sender, .. } => {
                         let (round, s, _r, amount) =
-                            gc.active_round_info().expect("round just opened");
+                            self.gc.active_round_info().expect("round just opened");
                         debug_assert_eq!(s, sender);
-                        chaos_send(
-                            plan,
-                            journal,
-                            now,
-                            FaultEdge::Cptv,
-                            round,
-                            0,
-                            sender,
-                            || ToEngine::Cptv {
-                                round,
-                                amount,
-                                attempt: 0,
-                            },
-                            send,
-                            held,
-                        )?;
+                        self.issue_cptv(round, sender, amount, 0)
                     }
                 }
             }
-            Ok(())
-        }
-        FromEngine::Ptv {
-            round,
-            engine,
-            parts,
-        } => match gc.on_ptv(engine, round, parts, now)? {
-            // Stale or duplicated Ptv: already journaled. If its round
-            // is gone and the engine is not the sender of a live one, a
-            // Resume stops it idling in relocation mode after a late
-            // Cptv re-entered it.
-            None => {
-                let active_sender = gc.active_round_info().map(|(_, s, _, _)| s);
-                if active_sender != Some(engine) {
-                    send(engine, ToEngine::Resume { round, watermark })?;
-                }
-                Ok(())
-            }
-            // Aborted rounds paused nothing, so the full admitted
-            // watermark is already safe to release.
-            Some(Action::Abort) => {
-                send(engine, ToEngine::Resume { round, watermark })?;
-                drain_continue(gc, placement, send, now)
-            }
-            Some(Action::PauseAndTransfer {
+            FromEngine::Ptv {
+                round,
+                engine,
                 parts,
-                sender,
-                receiver,
-            }) => {
-                placement.pause(&parts)?;
-                journal.record(
-                    now,
-                    AdaptEvent::RelocationStep {
-                        round,
-                        step: 3,
+            } => {
+                let watermark = self.split.admitted_watermark();
+                match self.gc.on_ptv(engine, round, parts, now)? {
+                    // Stale or duplicated Ptv: already journaled. If its
+                    // round is gone and the engine is not the sender of
+                    // a live one, a Resume stops it idling in relocation
+                    // mode after a late Cptv re-entered it.
+                    None => {
+                        let active_sender = self.gc.active_round_info().map(|(_, s, _, _)| s);
+                        if active_sender != Some(engine) {
+                            self.transport
+                                .send(engine, ToEngine::Resume { round, watermark })?;
+                        }
+                        Ok(())
+                    }
+                    // Aborted rounds paused nothing, so the full
+                    // admitted watermark is already safe to release.
+                    Some(Action::Abort) => {
+                        self.transport
+                            .send(engine, ToEngine::Resume { round, watermark })?;
+                        self.drain_continue()
+                    }
+                    Some(Action::PauseAndTransfer {
+                        parts,
                         sender,
                         receiver,
-                        parts: parts.clone(),
-                        bytes: 0,
-                        buffered_tuples: 0,
-                        load_ratio: 0.0,
-                    },
-                );
-                let attempt = gc.current_attempt();
-                chaos_send(
-                    plan,
-                    journal,
-                    now,
-                    FaultEdge::SendStates,
-                    round,
-                    attempt,
-                    sender,
-                    || ToEngine::SendStates {
-                        round,
-                        parts: parts.clone(),
-                        receiver,
-                        attempt,
-                    },
-                    send,
-                    held,
-                )
-            }
-            Some(Action::RemapAndResume { .. }) => {
-                Err(DcapeError::protocol("remap action out of order"))
-            }
-        },
-        FromEngine::TransferAck {
-            round,
-            engine,
-            bytes,
-        } => {
-            // Capture the pair before the ack closes the round.
-            let sender = gc.active_round_info().map(|(_, s, ..)| s).unwrap_or(engine);
-            match gc.on_transfer_ack(engine, round, now)? {
-                // Stale or duplicated ack: already journaled; nothing
-                // to execute (and nothing to double-count).
-                None => Ok(()),
-                Some(Action::RemapAndResume {
-                    parts,
-                    receiver,
-                    held_since,
-                }) => {
-                    journal.add_relocation_bytes(bytes);
-                    // Step 7: flush the split-side buffers to the new
-                    // owner as one batch (per-pid lists arrive in order;
-                    // batching is a stable reordering).
-                    let released = placement.remap_and_release(&parts, receiver)?;
-                    let buffered = send_released(released, receiver, send)?;
-                    journal.record(
-                        now,
-                        AdaptEvent::RelocationStep {
-                            round,
-                            step: 7,
-                            sender,
-                            receiver,
-                            parts,
-                            bytes: 0,
-                            buffered_tuples: buffered,
-                            load_ratio: 0.0,
-                        },
-                    );
-                    journal.sub_buffered_in_flight(buffered);
-                    journal.add_replayed_in_order(buffered);
-                    journal.add_watermark_held_ms(
-                        now.as_millis().saturating_sub(held_since.as_millis()),
-                    );
-                    *relocations += 1;
-                    // Step 8: resume both parties, releasing the held
-                    // purge watermark. Every replayed tuple was sent
-                    // (FIFO) before this Resume and every later arrival
-                    // carries `ts >= watermark`, so engines may catch
-                    // their window purge up to `watermark` on receipt.
-                    // The sender is derivable from the completed
-                    // round's parts' previous owner; we broadcast
-                    // Resume — engines ignore stale rounds.
-                    for peer in broadcast_set(gc, pending_stats.len()) {
-                        send(peer, ToEngine::Resume { round, watermark })?;
+                    }) => {
+                        self.placement.pause(&parts)?;
+                        self.record_step(round, 3, sender, receiver, parts.clone(), 0);
+                        // Step 4 starts its own attempt ladder (the
+                        // WaitAck phase was just armed).
+                        let attempt = self.gc.current_attempt();
+                        self.issue_send_states(round, sender, receiver, parts, attempt)
                     }
-                    journal.record(
-                        now,
-                        AdaptEvent::RelocationStep {
-                            round,
-                            step: 8,
+                    Some(Action::RemapAndResume { .. }) => {
+                        Err(DcapeError::protocol("remap action out of order"))
+                    }
+                }
+            }
+            FromEngine::TransferAck {
+                round,
+                engine,
+                bytes,
+            } => {
+                // Capture the pair before the ack closes the round.
+                let sender = self.gc.active_round_info().map_or(engine, |(_, s, ..)| s);
+                match self.gc.on_transfer_ack(engine, round, now)? {
+                    // Stale or duplicated ack: already journaled;
+                    // nothing to execute (and nothing to double-count).
+                    None => Ok(()),
+                    Some(Action::RemapAndResume {
+                        parts,
+                        receiver,
+                        held_since,
+                    }) => {
+                        self.journal.add_relocation_bytes(bytes);
+                        // Step 7: flush the split-side buffers to the
+                        // new owner.
+                        let released = self.placement.remap_and_release(&parts, receiver)?;
+                        let buffered = self.replay_released(released, receiver)?;
+                        self.report.relocations.push(RelocationEvent {
+                            at: now,
                             sender,
                             receiver,
-                            parts: Vec::new(),
-                            bytes: 0,
-                            buffered_tuples: 0,
-                            load_ratio: 0.0,
-                        },
-                    );
-                    // The round slot is free again — keep any drain
-                    // moving.
-                    drain_continue(gc, placement, send, now)
+                            parts: parts.len(),
+                            bytes,
+                            buffered_tuples: buffered as usize,
+                        });
+                        self.record_step(round, 7, sender, receiver, parts, buffered);
+                        self.journal.add_watermark_held_ms(
+                            now.as_millis().saturating_sub(held_since.as_millis()),
+                        );
+                        // Step 8: resume, releasing the held purge
+                        // watermark. Every replayed tuple was sent
+                        // before this Resume and every later arrival
+                        // carries `ts >= watermark`, so engines may
+                        // catch their window purge up to `watermark` on
+                        // receipt. Broadcast: sender and receiver commit
+                        // the round, everyone else ignores it as stale.
+                        let watermark = self.split.admitted_watermark();
+                        for peer in self.gc.participating_engines() {
+                            self.transport
+                                .send(peer, ToEngine::Resume { round, watermark })?;
+                        }
+                        self.record_step(round, 8, sender, receiver, Vec::new(), 0);
+                        // The round slot is free again — keep any drain
+                        // moving.
+                        self.drain_continue()
+                    }
+                    other => Err(DcapeError::protocol(format!(
+                        "unexpected action after ack: {other:?}"
+                    ))),
                 }
-                other => Err(DcapeError::protocol(format!(
-                    "unexpected action after ack: {other:?}"
-                ))),
             }
-        }
-        FromEngine::DrainState {
-            engine,
-            resident_bytes,
-        } => {
-            let step = gc.on_drain_state(engine, resident_bytes, now)?;
-            handle_drain_step(step, gc, placement, send, journal, now, plan, held)
-        }
-        FromEngine::JoinReady { engine } => {
-            gc.on_join_ready(engine, now);
-            Ok(())
-        }
-        // Mid-run cleanup traffic belongs to a drain hand-off; the
-        // drivers intercept it (they own the counter accumulators) and
-        // only a misrouted message lands here.
-        FromEngine::CleanupReady { .. } | FromEngine::CleanupDone { .. } => {
-            Err(DcapeError::protocol("cleanup message before shutdown"))
+            FromEngine::DrainState {
+                engine,
+                resident_bytes,
+            } => {
+                let step = self.gc.on_drain_state(engine, resident_bytes, now)?;
+                self.handle_drain_step(step)
+            }
+            FromEngine::JoinReady { engine } => {
+                self.gc.on_join_ready(engine, now);
+                Ok(())
+            }
+            // Mid-run cleanup traffic is the hand-off of an engine that
+            // drained: it forwarded its segments, so let it merge (it
+            // owns nothing) and fold its report.
+            FromEngine::CleanupReady { engine, .. }
+                if self.gc.engine_state(engine) == EngineState::DrainCleanup =>
+            {
+                self.transport.send(engine, ToEngine::StartCleanup)
+            }
+            msg @ FromEngine::CleanupDone { .. }
+                if self.gc.engine_state(msg.engine()) == EngineState::DrainCleanup =>
+            {
+                self.gc.finish_drain(msg.engine(), now);
+                self.absorb(msg);
+                Ok(())
+            }
+            FromEngine::CleanupReady { .. } | FromEngine::CleanupDone { .. } => {
+                Err(DcapeError::protocol("cleanup message before shutdown"))
+            }
         }
     }
 }
 
-/// The engines a protocol broadcast must reach: the participating
-/// membership, or every provisioned slot in legacy mode.
-pub(crate) fn broadcast_set(gc: &GlobalCoordinator, capacity: usize) -> Vec<EngineId> {
-    let members = gc.participating_engines();
-    if members.is_empty() {
-        (0..capacity).map(|i| EngineId(i as u16)).collect()
-    } else {
-        members
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::FaultConfig;
+    use crate::netmodel::NetworkModel;
+    use crate::placement::PlacementSpec;
+    use crate::runtime::sim::SimTransport;
+    use crate::strategy::StrategyConfig;
+    use dcape_engine::config::EngineConfig;
+    use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
+
+    /// One thing the coordinator did at the seam.
+    #[derive(Debug)]
+    enum Seen {
+        /// A `DataBatch` went out; the timestamp of its oldest row.
+        Data(VirtualTime),
+        /// `Tick` or `ReportStats`, and its stamp.
+        Pulse(VirtualTime),
+        /// `Resume`, and the watermark it released.
+        Resume(VirtualTime),
+        AbortRound,
+        OtherSend,
+        /// An engine message was handed over at this coordinator clock.
+        Received(VirtualTime),
+    }
+
+    /// Records every send (with the tuples accounted for at that moment:
+    /// sent so far plus buffered at paused splits) and every receive,
+    /// over in-place engines that answer like real ones.
+    struct Recording {
+        inner: SimTransport,
+        journal: JournalHandle,
+        rows_sent: u64,
+        log: Vec<(Option<EngineId>, u64, Seen)>,
+    }
+
+    impl Recording {
+        fn note(&mut self, engine: Option<EngineId>, seen: Seen) {
+            let buffered = self
+                .journal
+                .counters()
+                .map_or(0, |c| c.buffered_in_flight());
+            self.log.push((engine, self.rows_sent + buffered, seen));
+        }
+
+        fn received(&mut self, now: VirtualTime, msg: Option<FromEngine>) -> Option<FromEngine> {
+            if msg.is_some() {
+                self.note(None, Seen::Received(now));
+            }
+            msg
+        }
+    }
+
+    impl Transport for Recording {
+        fn start_engine(&mut self, engine: EngineId) -> Result<()> {
+            self.inner.start_engine(engine)
+        }
+
+        fn send(&mut self, engine: EngineId, msg: ToEngine) -> Result<()> {
+            let seen = match &msg {
+                ToEngine::DataBatch { tuples } => {
+                    self.rows_sent += tuples.len() as u64;
+                    Seen::Data(tuples.rows().map(|r| r.ts()).min().expect("no empty batch"))
+                }
+                ToEngine::Tick { now, .. } | ToEngine::ReportStats { now } => Seen::Pulse(*now),
+                ToEngine::Resume { watermark, .. } => Seen::Resume(*watermark),
+                ToEngine::AbortRound { .. } => Seen::AbortRound,
+                _ => Seen::OtherSend,
+            };
+            self.note(Some(engine), seen);
+            self.inner.send(engine, msg)
+        }
+
+        fn try_recv(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+            let msg = self.inner.try_recv(now)?;
+            Ok(self.received(now, msg))
+        }
+
+        fn recv_or_idle(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+            let msg = self.inner.recv_or_idle(now)?;
+            Ok(self.received(now, msg))
+        }
+
+        fn shutdown(&mut self) -> Result<()> {
+            self.inner.shutdown()
+        }
+    }
+
+    /// The ordering rules of the module docs, read off what a relocating
+    /// run — slow network, every other install crashing, so rounds both
+    /// complete and abort with tuples buffered — sent through the seam.
+    #[test]
+    fn sends_follow_the_flush_and_replay_rules() {
+        let period = VirtualDuration::from_millis(30);
+        let deadline = VirtualTime::from_mins(5);
+        let spec = StreamSetSpec::uniform(24, 2400, 1, period)
+            .with_payload_pad(200)
+            .with_seed(23)
+            .with_pattern(ArrivalPattern::AlternatingSkew {
+                group_a: (0..6).map(PartitionId).collect(),
+                ratio: 10.0,
+                period: VirtualDuration::from_mins(2),
+            });
+        let streams = spec.num_streams as u64;
+        let crashes = FaultConfig {
+            crash_rate: 0.7,
+            ..FaultConfig::none()
+        };
+        let mut cfg = SimConfig::new(
+            2,
+            EngineConfig::three_way(1 << 30, 1 << 29),
+            spec,
+            StrategyConfig::LazyDisk {
+                theta_r: 0.9,
+                tau_m: VirtualDuration::from_secs(45),
+            },
+        )
+        .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
+        .with_stats_interval(VirtualDuration::from_secs(20))
+        .with_faults(FaultPlan::new(6, crashes));
+        cfg.network = NetworkModel::slow_wan();
+        let journal = JournalHandle::enabled();
+        let transport = Recording {
+            inner: SimTransport::new(&cfg, journal.clone()),
+            journal: journal.clone(),
+            rows_sent: 0,
+            log: Vec::new(),
+        };
+        let mut run = CoordinatorRun::new(&cfg, journal, true, transport).unwrap();
+        run.run_until(deadline).unwrap();
+        run.quiesce().unwrap();
+        let report = run.cleanup().unwrap();
+        let log = &run.transport().log;
+
+        let total_ticks = deadline.as_millis() / period.as_millis();
+        let generated_by = |now: VirtualTime| {
+            (now.as_millis() / period.as_millis() + 1).min(total_ticks) * streams
+        };
+        assert_eq!(run.transport().rows_sent, total_ticks * streams);
+
+        // Every tuple routed so far is sent (or still buffered at a
+        // paused split) before a pulse goes out and before the
+        // coordinator acts on an engine message.
+        let mut acting_at = None;
+        for (engine, accounted, seen) in log {
+            match seen {
+                Seen::Received(now) => acting_at = Some(*now),
+                Seen::Data(_) => {}
+                Seen::Pulse(at) => {
+                    assert_eq!(*accounted, generated_by(*at), "{seen:?} to {engine:?}")
+                }
+                _ => {
+                    if let Some(now) = acting_at.take() {
+                        assert!(*accounted >= generated_by(now), "{seen:?} to {engine:?}");
+                    }
+                }
+            }
+        }
+
+        let (mut replays_before_resume, mut replays_after_abort) = (0, 0);
+        for e in [EngineId(0), EngineId(1)] {
+            let sends: Vec<&Seen> = log
+                .iter()
+                .filter(|(to, _, _)| *to == Some(e))
+                .map(|(_, _, seen)| seen)
+                .collect();
+            let (mut pulsed, mut resumed) = (VirtualTime::ZERO, VirtualTime::ZERO);
+            for (i, seen) in sends.iter().enumerate() {
+                match seen {
+                    Seen::Pulse(at) => pulsed = *at,
+                    Seen::Resume(watermark) => resumed = *watermark,
+                    Seen::Data(oldest) => {
+                        // Nothing trails the watermark a Resume released.
+                        assert!(*oldest >= resumed, "{e}: {seen:?} after Resume({resumed})");
+                        // Data never trails a pulse it preceded — except
+                        // the replay of what a pause buffered, which
+                        // follows the AbortRound to the sender or
+                        // precedes the Resume to the receiver.
+                        if *oldest < pulsed {
+                            let after_abort = matches!(sends[i - 1], Seen::AbortRound);
+                            let before_resume = matches!(sends.get(i + 1), Some(Seen::Resume(_)));
+                            assert!(
+                                after_abort || before_resume,
+                                "{e}: {seen:?} trails the pulse at {pulsed}"
+                            );
+                            replays_after_abort += usize::from(after_abort);
+                            replays_before_resume += usize::from(before_resume);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let aborted = report.journal_counters.watermark_released_on_abort;
+        assert!(replays_before_resume > 0 && !report.relocations.is_empty());
+        assert!(replays_after_abort > 0 && aborted > 0);
     }
 }

@@ -1,15 +1,18 @@
-//! Engine-side protocol logic shared by the [`super::threaded`] and
-//! [`super::socket`] drivers.
+//! The engine side of the protocol: the one handler every runtime
+//! steps.
 //!
 //! An [`EngineCore`] wraps one [`QueryEngine`] plus the message-handling
-//! state machine of the Figure 8 protocol: data processing, the
+//! state machine of the Figure 8 protocol: data processing, the clock
+//! pulse (window purge, spill check, run-time reactivation), the
 //! engine-side relocation steps (`Ptv`, state extraction,
-//! `InstallStates`, `TransferAck`, abort/commit), spill commands, and
-//! the two-phase distributed cleanup. The driver-specific part — how a
-//! reply reaches the coordinator or a peer engine — is abstracted behind
-//! [`EngineTx`], so the same `handle` body runs on a crossbeam channel
-//! (threaded driver) and on a framed TCP connection (`dcape-node`
-//! worker process).
+//! `InstallStates`, `TransferAck`, abort/commit), spill commands, the
+//! drain poll and the two-phase distributed cleanup. It is the only
+//! place a runtime builds an engine. The transport-specific part — how
+//! a reply reaches the coordinator or a peer engine — is abstracted
+//! behind [`EngineTx`], so the same `handle` body runs inline under the
+//! virtual-time transport ([`super::sim`]), on a crossbeam channel
+//! ([`super::threaded`]) and on a framed TCP connection (the
+//! `dcape-node` worker process of [`super::socket`]).
 //!
 //! The fault plan is passed per message, not stored: the socket worker
 //! substitutes an inactive plan while replaying history after a
@@ -19,15 +22,17 @@
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
+use dcape_common::tuple::Tuple;
 use dcape_engine::config::EngineConfig;
 use dcape_engine::controller::Mode;
 use dcape_engine::engine::QueryEngine;
-use dcape_engine::sink::CountingSink;
+use dcape_engine::probe::ProbeSpans;
+use dcape_engine::sink::{CollectingSink, ResultSink};
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
 
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, GroupTransfer, ToEngine};
-use crate::runtime::driver::edge_decision;
+use crate::runtime::driver::{edge_decision, pop_due};
 
 /// How an engine sends its replies: to the global coordinator or to a
 /// peer engine (`InstallStates`, `ForwardedSegments`).
@@ -62,46 +67,102 @@ enum Held {
     ToPeer(EngineId, ToEngine),
 }
 
+/// An engine's output sink: counts whole probe products, or — when the
+/// run collects results — enumerates them into a [`CollectingSink`] as
+/// well.
+#[derive(Debug, Default)]
+pub(crate) struct OutputSink {
+    pub(crate) count: u64,
+    pub(crate) collect: Option<CollectingSink>,
+}
+
+impl OutputSink {
+    fn new(collect_results: bool) -> Self {
+        OutputSink {
+            count: 0,
+            collect: collect_results.then(CollectingSink::new),
+        }
+    }
+}
+
+impl ResultSink for OutputSink {
+    fn wants_rows(&self) -> bool {
+        self.collect.is_some()
+    }
+
+    fn emit(&mut self, parts: &[&Tuple]) {
+        self.count += 1;
+        if let Some(c) = &mut self.collect {
+            c.emit(parts);
+        }
+    }
+
+    fn emit_product(&mut self, spans: &ProbeSpans<'_, '_>) -> u64 {
+        if self.collect.is_none() {
+            let n = spans.count_valid();
+            self.count += n;
+            n
+        } else {
+            let mut n = 0u64;
+            spans.for_each_valid(|parts| {
+                self.emit(parts);
+                n += 1;
+            });
+            n
+        }
+    }
+}
+
 /// One query engine plus its protocol state, independent of transport.
 pub(crate) struct EngineCore {
     pub(crate) id: EngineId,
     pub(crate) qe: QueryEngine,
-    pub(crate) sink: CountingSink,
+    /// Run-time results (probe products and reactivation merges).
+    pub(crate) sink: OutputSink,
+    /// Missing results of the final cleanup merge.
+    pub(crate) cleanup_sink: OutputSink,
     pub(crate) last_now: VirtualTime,
     held: Vec<(VirtualTime, Held)>,
     /// Peers announced as fenced (draining/drained): relocation state
     /// must never be shipped toward them, however stale the command.
     fenced_peers: Vec<EngineId>,
+    /// `BeginDrain` arrived: this engine is being emptied, so it stops
+    /// reactivating spilled state back into memory.
+    draining: bool,
+    /// Chaos stalls on the segments this engine forwarded, added to its
+    /// reported cleanup cost.
+    cleanup_stall_ms: u64,
 }
 
 impl EngineCore {
-    pub(crate) fn new(id: EngineId, cfg: EngineConfig, journal_on: bool) -> Result<Self> {
+    /// Build the engine — the one place a runtime does. `journal` is
+    /// the engine's own journal (disabled when the run keeps none);
+    /// `collect_results` makes both sinks materialize their results.
+    pub(crate) fn new(
+        id: EngineId,
+        cfg: EngineConfig,
+        journal: JournalHandle,
+        collect_results: bool,
+    ) -> Result<Self> {
         let mut qe = QueryEngine::in_memory(id, cfg)?;
-        if journal_on {
-            qe.set_journal(JournalHandle::enabled());
-        }
+        qe.set_journal(journal);
         Ok(EngineCore {
             id,
             qe,
-            sink: CountingSink::new(),
+            sink: OutputSink::new(collect_results),
+            cleanup_sink: OutputSink::new(collect_results),
             last_now: VirtualTime::ZERO,
             held: Vec::new(),
             fenced_peers: Vec::new(),
+            draining: false,
+            cleanup_stall_ms: 0,
         })
     }
 
-    /// Release engine-held delayed messages that are due (insertion
-    /// order among equal due times).
+    /// Release engine-held delayed messages that are due.
     fn release_held(&mut self, now: VirtualTime, tx: &mut dyn EngineTx) -> Result<()> {
-        while let Some(idx) = self
-            .held
-            .iter()
-            .enumerate()
-            .filter(|(_, (due, _))| now >= *due)
-            .min_by_key(|(i, (due, _))| (*due, *i))
-            .map(|(i, _)| i)
-        {
-            match self.held.remove(idx).1 {
+        while let Some(held) = pop_due(&mut self.held, now) {
+            match held {
                 Held::ToGc(m) => tx.to_gc(m)?,
                 Held::ToPeer(target, m) => tx.to_peer(target, m)?,
             }
@@ -109,10 +170,65 @@ impl EngineCore {
         Ok(())
     }
 
+    /// Journal a tolerated protocol anomaly.
+    fn warn(&self, code: &'static str, engine: EngineId, round: u64, detail: u64) {
+        self.qe.journal().record(
+            self.last_now,
+            AdaptEvent::ProtocolWarning {
+                code,
+                engine,
+                round,
+                detail,
+            },
+        );
+    }
+
+    /// Journal and count a fault injected outside the per-message
+    /// decisions (a stall, a crash-restart).
+    fn note_fault(&self, fault: &'static str, edge: FaultEdge, round: u64, attempt: u32) {
+        self.qe.journal().add_faults_injected(1);
+        self.qe.journal().record(
+            self.last_now,
+            AdaptEvent::FaultInjected {
+                fault,
+                edge: edge.name(),
+                round,
+                attempt,
+            },
+        );
+    }
+
+    /// Put a reply to the coordinator (`Ptv`, `TransferAck`) on the wire
+    /// through the fault plan: deliver, drop, duplicate or delay it (a
+    /// garbled reply is discarded on receipt — same outcome as a drop).
+    fn chaos_reply(
+        &mut self,
+        plan: &FaultPlan,
+        edge: FaultEdge,
+        round: u64,
+        attempt: u32,
+        tx: &mut dyn EngineTx,
+        reply: impl Fn() -> FromEngine,
+    ) -> Result<()> {
+        match edge_decision(plan, self.qe.journal(), self.last_now, edge, round, attempt) {
+            FaultDecision::Deliver => tx.to_gc(reply()),
+            FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
+            FaultDecision::Duplicate => {
+                tx.to_gc(reply())?;
+                tx.to_gc(reply())
+            }
+            FaultDecision::Delay(ms) => {
+                let due = self.last_now + VirtualDuration::from_millis(ms);
+                self.held.push((due, Held::ToGc(reply())));
+                Ok(())
+            }
+        }
+    }
+
     /// Handle one protocol message. `plan` decides the chaos faults on
     /// the edges this engine sends (`Ptv`, `InstallStates`,
-    /// `TransferAck`); pass [`FaultPlan::disabled`] to replay history
-    /// fault-free.
+    /// `TransferAck`, the `CleanupSegments` stall); pass
+    /// [`FaultPlan::disabled`] to replay history fault-free.
     pub(crate) fn handle(
         &mut self,
         msg: ToEngine,
@@ -128,6 +244,13 @@ impl EngineCore {
                 self.last_now = now;
                 self.release_held(now, tx)?;
                 self.qe.tick_with_horizon(now, horizon)?;
+                // Opportunistic reactivation (at most one partition per
+                // pulse). Not while draining: merging spilled state
+                // back into memory would race the drain, and after the
+                // final remap strand it outside the owners' cleanup.
+                if !self.draining {
+                    self.qe.maybe_reactivate(&mut self.sink)?;
+                }
             }
             ToEngine::ReportStats { now } => {
                 self.last_now = now;
@@ -140,58 +263,20 @@ impl EngineCore {
                 attempt,
             } => {
                 if self.qe.is_stale_round(round) {
-                    self.qe.journal().record(
-                        self.last_now,
-                        AdaptEvent::ProtocolWarning {
-                            code: "stale_cptv",
-                            engine: id,
-                            round,
-                            detail: 1,
-                        },
-                    );
+                    self.warn("stale_cptv", id, round, 1);
                 } else {
                     self.qe.set_mode(Mode::Relocation);
                     let parts = self.qe.select_parts_to_move(amount);
                     // Step 2 rides the faultable Ptv edge: the
                     // coordinator's phase timeout covers a lost
                     // reply by re-issuing Cptv with a new attempt.
-                    match edge_decision(
-                        plan,
-                        self.qe.journal(),
-                        self.last_now,
-                        FaultEdge::Ptv,
-                        round,
-                        attempt,
-                    ) {
-                        FaultDecision::Deliver => {
-                            tx.to_gc(FromEngine::Ptv {
-                                round,
-                                engine: id,
-                                parts,
-                            })?;
+                    self.chaos_reply(plan, FaultEdge::Ptv, round, attempt, tx, || {
+                        FromEngine::Ptv {
+                            round,
+                            engine: id,
+                            parts: parts.clone(),
                         }
-                        FaultDecision::Drop | FaultDecision::CorruptLength => {}
-                        FaultDecision::Duplicate => {
-                            tx.to_gc(FromEngine::Ptv {
-                                round,
-                                engine: id,
-                                parts: parts.clone(),
-                            })?;
-                            tx.to_gc(FromEngine::Ptv {
-                                round,
-                                engine: id,
-                                parts,
-                            })?;
-                        }
-                        FaultDecision::Delay(ms) => self.held.push((
-                            self.last_now + VirtualDuration::from_millis(ms),
-                            Held::ToGc(FromEngine::Ptv {
-                                round,
-                                engine: id,
-                                parts,
-                            }),
-                        )),
-                    }
+                    })?;
                 }
             }
             ToEngine::SendStates {
@@ -201,30 +286,14 @@ impl EngineCore {
                 attempt,
             } => {
                 if self.qe.is_stale_round(round) {
-                    self.qe.journal().record(
-                        self.last_now,
-                        AdaptEvent::ProtocolWarning {
-                            code: "stale_send_states",
-                            engine: id,
-                            round,
-                            detail: 4,
-                        },
-                    );
+                    self.warn("stale_send_states", id, round, 4);
                     return Ok(EngineFlow::Continue);
                 }
                 if self.fenced_peers.contains(&receiver) {
                     // A chaos-delayed copy naming a now-fenced receiver
                     // must not re-populate a draining engine; the
                     // coordinator's phase timeout aborts the round.
-                    self.qe.journal().record(
-                        self.last_now,
-                        AdaptEvent::ProtocolWarning {
-                            code: "send_to_fenced_dropped",
-                            engine: receiver,
-                            round,
-                            detail: 4,
-                        },
-                    );
+                    self.warn("send_to_fenced_dropped", receiver, round, 4);
                     return Ok(EngineFlow::Continue);
                 }
                 let fresh = !self.qe.outbound_pending(round);
@@ -265,16 +334,7 @@ impl EngineCore {
                 let mut declared_bytes = bytes;
                 let mut delay_ms = plan.stall_ms(FaultEdge::InstallStates, round, attempt);
                 if delay_ms > 0 {
-                    self.qe.journal().add_faults_injected(1);
-                    self.qe.journal().record(
-                        self.last_now,
-                        AdaptEvent::FaultInjected {
-                            fault: "stall",
-                            edge: FaultEdge::InstallStates.name(),
-                            round,
-                            attempt,
-                        },
-                    );
+                    self.note_fault("stall", FaultEdge::InstallStates, round, attempt);
                 }
                 let mut copies = 1u32;
                 match edge_decision(
@@ -332,28 +392,11 @@ impl EngineCore {
                 // size, discard on mismatch and send no ack — the
                 // sender's phase timeout re-sends the transfer.
                 if declared_bytes != bytes {
-                    self.qe.journal().record(
-                        self.last_now,
-                        AdaptEvent::ProtocolWarning {
-                            code: "corrupt_transfer_discarded",
-                            engine: id,
-                            round,
-                            detail: declared_bytes,
-                        },
-                    );
+                    self.warn("corrupt_transfer_discarded", id, round, declared_bytes);
                     return Ok(EngineFlow::Continue);
                 }
                 if plan.crash_during_install(round, attempt) {
-                    self.qe.journal().add_faults_injected(1);
-                    self.qe.journal().record(
-                        self.last_now,
-                        AdaptEvent::FaultInjected {
-                            fault: "crash_restart",
-                            edge: FaultEdge::InstallStates.name(),
-                            round,
-                            attempt,
-                        },
-                    );
+                    self.note_fault("crash_restart", FaultEdge::InstallStates, round, attempt);
                     return Ok(EngineFlow::CrashRequested);
                 }
                 self.qe.set_mode(Mode::Relocation);
@@ -383,53 +426,18 @@ impl EngineCore {
                     // Duplicate (or stale) install: a no-op, but
                     // the ack must still go out — the first one
                     // may have been lost.
-                    self.qe.journal().record(
-                        self.last_now,
-                        AdaptEvent::ProtocolWarning {
-                            code: "duplicate_install",
-                            engine: id,
-                            round,
-                            detail: 5,
-                        },
-                    );
+                    self.warn("duplicate_install", id, round, 5);
                     if self.qe.is_stale_round(round) {
                         self.qe.set_mode(Mode::Normal);
                     }
                 }
-                match edge_decision(
-                    plan,
-                    self.qe.journal(),
-                    self.last_now,
-                    FaultEdge::TransferAck,
-                    round,
-                    attempt,
-                ) {
-                    FaultDecision::Deliver => {
-                        tx.to_gc(FromEngine::TransferAck {
-                            round,
-                            engine: id,
-                            bytes,
-                        })?;
+                self.chaos_reply(plan, FaultEdge::TransferAck, round, attempt, tx, || {
+                    FromEngine::TransferAck {
+                        round,
+                        engine: id,
+                        bytes,
                     }
-                    FaultDecision::Drop | FaultDecision::CorruptLength => {}
-                    FaultDecision::Duplicate => {
-                        for _ in 0..2 {
-                            tx.to_gc(FromEngine::TransferAck {
-                                round,
-                                engine: id,
-                                bytes,
-                            })?;
-                        }
-                    }
-                    FaultDecision::Delay(ms) => self.held.push((
-                        self.last_now + VirtualDuration::from_millis(ms),
-                        Held::ToGc(FromEngine::TransferAck {
-                            round,
-                            engine: id,
-                            bytes,
-                        }),
-                    )),
-                }
+                })?;
             }
             ToEngine::AbortRound { round } => {
                 // Retries exhausted: unwind whichever side of the
@@ -439,15 +447,7 @@ impl EngineCore {
                 // receiver discards the uncommitted installation.
                 let discarded = self.qe.abort_inbound(round)?;
                 let reinstalled = self.qe.abort_outbound(round)?;
-                self.qe.journal().record(
-                    self.last_now,
-                    AdaptEvent::ProtocolWarning {
-                        code: "round_unwound",
-                        engine: id,
-                        round,
-                        detail: (discarded + reinstalled) as u64,
-                    },
-                );
+                self.warn("round_unwound", id, round, (discarded + reinstalled) as u64);
                 self.qe.set_mode(Mode::Normal);
             }
             ToEngine::Resume { round, watermark } => {
@@ -471,6 +471,7 @@ impl EngineCore {
             ToEngine::BeginDrain => {
                 // Reliable-channel drain poll: report how much movable
                 // state is still resident. Idempotent by construction.
+                self.draining = true;
                 tx.to_gc(FromEngine::DrainState {
                     engine: id,
                     resident_bytes: self.qe.memory_used(),
@@ -492,6 +493,14 @@ impl EngineCore {
                     if owner == id {
                         continue;
                     }
+                    // Stall-only edge: the shipment rides the reliable
+                    // channel, so content is never lost — a stall only
+                    // makes this engine's share of the cleanup slower.
+                    let stall = plan.stall_ms(FaultEdge::CleanupSegments, u64::from(pid.0), 0);
+                    if stall > 0 {
+                        self.note_fault("stall", FaultEdge::CleanupSegments, u64::from(pid.0), 0);
+                        self.cleanup_stall_ms += stall;
+                    }
                     let segments = self.qe.take_spilled_segments(pid)?;
                     forwarded += segments.len();
                     tx.to_peer(owner, ToEngine::ForwardedSegments { pid, segments })?;
@@ -506,14 +515,13 @@ impl EngineCore {
             }
             ToEngine::StartCleanup => {
                 // Local parallel merge over owned partitions.
-                let mut sink = CountingSink::new();
-                let report = self.qe.cleanup(&mut sink)?;
+                let report = self.qe.cleanup(&mut self.cleanup_sink)?;
                 tx.to_gc(FromEngine::CleanupDone {
                     engine: id,
-                    runtime_output: self.qe.total_output(),
-                    cleanup_output: sink.count(),
+                    runtime_output: self.sink.count,
+                    cleanup_output: self.cleanup_sink.count,
                     spill_count: self.qe.spill_history().len() as u64,
-                    cleanup_cost_ms: report.virtual_cost.as_millis(),
+                    cleanup_cost_ms: report.virtual_cost.as_millis() + self.cleanup_stall_ms,
                     journal: self.qe.journal().snapshot(),
                     journal_counters: self
                         .qe

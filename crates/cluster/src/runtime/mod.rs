@@ -1,16 +1,17 @@
-//! Cluster drivers.
+//! Cluster runtimes.
 //!
-//! Two executions of the same engine/coordinator code:
+//! One protocol implementation — [`driver`] is the coordinator side (the
+//! loop, quiesce, cleanup and every protocol handler, generic over a
+//! transport), [`engine_core`] the engine side (one message handler
+//! around one query engine) — and three transports that carry its
+//! messages:
 //!
-//! * [`sim`] — deterministic, virtual-time, single-threaded; used by the
-//!   experiment harness to replay the paper's hour-long runs in seconds;
-//! * [`threaded`] — one OS thread per engine over crossbeam channels,
-//!   running the full asynchronous protocol of Figure 8;
+//! * [`sim`] — deterministic, virtual-time, single-threaded: engines
+//!   are stepped in place; used by the experiment harness to replay the
+//!   paper's hour-long runs in seconds;
+//! * [`threaded`] — one OS thread per engine over crossbeam channels;
 //! * [`socket`] — one OS process per engine over loopback (or real) TCP,
-//!   the same protocol as length-framed binary messages.
-//!
-//! [`driver`] and [`engine_core`] hold the coordinator-side and
-//! engine-side protocol logic shared by the threaded and socket drivers.
+//!   the same messages as length-framed binary frames.
 
 pub mod driver;
 pub mod engine_core;

@@ -1,43 +1,43 @@
-//! The deterministic virtual-time cluster driver.
+//! The deterministic virtual-time cluster runtime.
 //!
 //! Replays a whole experiment — stream generation, routing through the
 //! split operators' placement map, per-engine symmetric joins, the
 //! `ss_timer` spill pulse, the coordinator's periodic evaluation, and
 //! the full relocation protocol with tuple buffering — on a single
-//! thread against the virtual clock. Relocation transfers take modeled
-//! network time: tuples arriving for the affected partitions while the
-//! transfer is in flight are buffered at the splits and redelivered to
-//! the new owner afterwards, exactly as §4.1 describes.
+//! thread against the virtual clock. It runs the same coordinator loop
+//! ([`super::driver`]) and the same engine handler
+//! ([`super::engine_core`]) as the live runtimes; this module is their
+//! third transport: engines are values stepped in place the moment a
+//! message is sent to them, their replies wait in a FIFO inbox, and
+//! engine-to-engine state transfers take modeled network time — tuples
+//! arriving for the affected partitions while a transfer is in flight
+//! are buffered at the splits and redelivered to the new owner
+//! afterwards, exactly as §4.1 describes.
 //!
-//! Determinism: same [`SimConfig`] ⇒ bit-identical run. That is what
-//! lets the repro harness regenerate the paper's figures reproducibly.
+//! Determinism: same [`SimConfig`] ⇒ bit-identical run — no thread, no
+//! wall clock, every queue drained in a fixed order. That is what lets
+//! the repro harness regenerate the paper's figures reproducibly.
 
-use dcape_common::batch::TupleBatch;
+use std::collections::VecDeque;
+
 use dcape_common::error::{DcapeError, Result};
-use dcape_common::ids::{EngineId, PartitionId};
-use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
-use dcape_common::tuple::Tuple;
+use dcape_common::ids::EngineId;
+use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_engine::engine::QueryEngine;
-use dcape_engine::sink::{CollectingSink, ResultSink};
-use dcape_engine::spill::cleanup::SegmentMerger;
-use dcape_metrics::journal::{
-    merge_journals, AdaptEvent, CountersSnapshot, JournalEntry, JournalHandle,
-};
+use dcape_engine::sink::CollectingSink;
+use dcape_metrics::journal::{CountersSnapshot, JournalEntry, JournalHandle};
 use dcape_metrics::Recorder;
-use dcape_storage::SpilledGroup;
-use dcape_streamgen::{StreamSetGenerator, StreamSetSpec};
+use dcape_streamgen::StreamSetSpec;
 
-use crate::split::SplitOperator;
-
-use crate::coordinator::{DrainStep, GlobalCoordinator, RetryPolicy, TimeoutAction};
-use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
+use crate::coordinator::GlobalCoordinator;
+use crate::faults::FaultPlan;
+use crate::messages::{FromEngine, ToEngine};
 use crate::netmodel::NetworkModel;
-use crate::placement::{released_batch, PlacementMap, PlacementSpec, Route};
-use crate::relocation::Action;
-use crate::strategy::{Decision, StrategyConfig};
-
-use dcape_engine::controller::Mode;
+use crate::placement::{PlacementMap, PlacementSpec};
+use crate::runtime::driver::{pop_due, CoordinatorRun, Transport};
+use crate::runtime::engine_core::{EngineCore, EngineFlow, EngineTx};
+use crate::strategy::StrategyConfig;
 
 /// An elastic membership change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,25 +230,28 @@ pub struct SimReport {
     pub runtime_output: u64,
     /// Missing results produced by the cleanup phase.
     pub cleanup_output: u64,
-    /// Per-engine modeled cleanup costs (ms of virtual time).
+    /// Modeled cleanup cost per engine slot (ms of virtual time), as
+    /// each engine reported it with `CleanupDone`.
     pub cleanup_cost_ms: Vec<u64>,
     /// Completed relocations.
     pub relocations: Vec<RelocationEvent>,
     /// Forced spills issued by the coordinator.
     pub force_spills: u64,
-    /// Local spill adaptations per engine.
+    /// Local spill adaptations per engine slot.
     pub spill_counts: Vec<u64>,
     /// Recorded time series (throughput, memory, …).
     pub recorder: Recorder,
-    /// Collected results, if `collect_results` was set: run-time phase.
+    /// Collected results, if `collect_results` was set: what the
+    /// engines emitted during the run-time phase, engine by engine.
     pub runtime_results: Option<CollectingSink>,
-    /// Collected results, if `collect_results` was set: cleanup phase.
+    /// Collected results, if `collect_results` was set: what the
+    /// engines' cleanup merges emitted.
     pub cleanup_results: Option<CollectingSink>,
-    /// Adaptation-event journal, merged across the driver and every
+    /// Adaptation-event journal, merged across the coordinator and every
     /// engine by virtual time (empty unless `journal` was set).
     pub journal: Vec<JournalEntry>,
-    /// Final counter values (driver-level tallies plus per-engine ring
-    /// accounting; zeros unless `journal` was set).
+    /// Final counter values (the coordinator's tallies plus what every
+    /// engine reported; zeros unless `journal` was set).
     pub journal_counters: CountersSnapshot,
 }
 
@@ -297,213 +300,197 @@ impl SimReport {
     }
 }
 
-/// A relocation transfer in flight (between steps 5 and 6). With the
-/// chaos layer there can be several at once (a duplicated
-/// `InstallStates` is two copies of the same payload in flight).
-#[derive(Debug)]
-struct InFlightTransfer {
-    round: u64,
-    receiver: EngineId,
-    parts: Vec<PartitionId>,
-    groups: Vec<(SpilledGroup, u64, bool)>,
-    sender: EngineId,
-    bytes: u64,
-    /// Byte length the sender declared; differs from `bytes` when the
-    /// corrupt-length fault hit this copy — the receiver discards it.
-    declared_bytes: u64,
-    /// Delivery attempt the driving `SendStates` carried.
-    attempt: u32,
-    complete_at: VirtualTime,
-}
-
-/// A control message the chaos layer delayed: redelivered from
-/// [`SimDriver::on_clock`] once the virtual clock passes its due time.
-#[derive(Debug)]
-enum DelayedEvent {
-    /// Step 1 toward the sender.
-    Cptv {
-        round: u64,
-        sender: EngineId,
-        amount: u64,
-        attempt: u32,
-    },
-    /// Step 2 toward the coordinator.
-    Ptv {
-        round: u64,
-        sender: EngineId,
-        parts: Vec<PartitionId>,
-    },
-    /// Step 4 toward the sender.
-    SendStates {
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        parts: Vec<PartitionId>,
-        attempt: u32,
-    },
-    /// Step 6 toward the coordinator.
-    TransferAck {
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        bytes: u64,
-    },
-}
-
-/// Output sink: counts whole probe products, or — when the run collects
-/// results — enumerates them into a [`CollectingSink`] as well.
-#[derive(Debug, Default)]
-struct SimSink {
-    count: u64,
-    collect: Option<CollectingSink>,
-}
-
-impl SimSink {
-    fn new(collect_results: bool) -> Self {
-        SimSink {
-            count: 0,
-            collect: collect_results.then(CollectingSink::new),
-        }
-    }
-}
-
-impl ResultSink for SimSink {
-    fn wants_rows(&self) -> bool {
-        self.collect.is_some()
-    }
-
-    fn emit(&mut self, parts: &[&Tuple]) {
-        self.count += 1;
-        if let Some(c) = &mut self.collect {
-            c.emit(parts);
-        }
-    }
-
-    fn emit_product(&mut self, spans: &dcape_engine::probe::ProbeSpans<'_, '_>) -> u64 {
-        if self.collect.is_none() {
-            let n = spans.count_valid();
-            self.count += n;
-            n
-        } else {
-            let mut n = 0u64;
-            spans.for_each_valid(|parts| {
-                self.emit(parts);
-                n += 1;
-            });
-            n
-        }
-    }
-}
-
-/// The simulated cluster.
-#[derive(Debug)]
-pub struct SimDriver {
-    cfg: SimConfig,
-    engines: Vec<QueryEngine>,
-    placement: PlacementMap,
-    split: SplitOperator,
-    gc: GlobalCoordinator,
-    gen: StreamSetGenerator,
-    stats_timer: PeriodicTimer,
-    sample_timer: PeriodicTimer,
-    recorder: Recorder,
-    sink: SimSink,
-    in_flight: Vec<InFlightTransfer>,
-    /// Chaos-delayed control messages, delivered once due (insertion
-    /// order among equal due times — deterministic).
-    pending: Vec<(VirtualTime, DelayedEvent)>,
-    relocations: Vec<RelocationEvent>,
+/// The virtual-time transport: every engine lives here, by value.
+pub(crate) struct SimTransport {
+    engine_cfg: EngineConfig,
+    collect_results: bool,
+    /// The coordinator's journal; every engine records into a sibling
+    /// of it, so the merged journal keeps, among events with one
+    /// timestamp, the order this one thread recorded them in.
     journal: JournalHandle,
-    /// Engine spill bytes already mirrored into the driver journal's
-    /// counters (strategies read cluster-wide totals mid-run).
-    mirrored_spill_bytes: u64,
-    /// Encoded spill write volume already mirrored (see above).
-    mirrored_spill_written: u64,
-    /// Encoded spill read-back volume already mirrored (see above).
-    mirrored_spill_read: u64,
-    /// Reusable one-tick generator buffer.
-    tick_buf: Vec<Tuple>,
-    /// Reusable per-engine routed batches.
-    engine_batches: Vec<TupleBatch>,
-    /// Scheduled membership changes, sorted by time; `next_scale`
-    /// indexes the first not-yet-applied one.
-    scale_events: Vec<ScaleEvent>,
-    next_scale: usize,
+    plan: FaultPlan,
+    network: NetworkModel,
+    /// Engines in id order; a slot is empty only while its engine is
+    /// being stepped. One that finished stays: its state and sinks are
+    /// what tests and the report read.
+    cores: Vec<Option<EngineCore>>,
+    finished: Vec<bool>,
+    /// Engine replies, in the order they were sent.
+    inbox: VecDeque<FromEngine>,
+    /// State transfers on the modeled network, in send order, each with
+    /// its due time; landed by `(due, position)`.
+    in_flight: Vec<(VirtualTime, (EngineId, ToEngine))>,
+    /// The cluster's one clock: the coordinator's at its latest receive
+    /// or pulse. Engines stepped in place read it — a simulated cluster
+    /// has no clock skew — so an engine's journal entry is never
+    /// stamped before its cause.
     now: VirtualTime,
+}
+
+impl SimTransport {
+    /// An empty cluster; `journal` is the coordinator's journal.
+    pub(crate) fn new(cfg: &SimConfig, journal: JournalHandle) -> Self {
+        SimTransport {
+            engine_cfg: cfg.engine.clone(),
+            collect_results: cfg.collect_results,
+            journal,
+            plan: cfg.faults,
+            network: cfg.network,
+            cores: Vec::new(),
+            finished: Vec::new(),
+            inbox: VecDeque::new(),
+            in_flight: Vec::new(),
+            now: VirtualTime::ZERO,
+        }
+    }
+
+    /// The engines started so far, in id order.
+    fn cores(&self) -> impl Iterator<Item = &EngineCore> {
+        self.cores
+            .iter()
+            .map(|c| c.as_ref().expect("no engine step in progress"))
+    }
+
+    /// Step `engine` through `msg`, in place. Whatever it sends while
+    /// handling the message goes through this transport's [`EngineTx`].
+    fn step(&mut self, engine: EngineId, msg: ToEngine) -> Result<()> {
+        if let ToEngine::Tick { now, .. } | ToEngine::ReportStats { now } = &msg {
+            self.now = self.now.max(*now);
+        }
+        let idx = engine.index();
+        let slot = self
+            .cores
+            .get_mut(idx)
+            .ok_or_else(|| DcapeError::state(format!("message for unstarted engine {engine}")))?;
+        if self.finished[idx] {
+            return Ok(());
+        }
+        let mut core = slot.take().ok_or_else(|| {
+            DcapeError::state(format!("message for {engine} while it is stepped"))
+        })?;
+        core.last_now = core.last_now.max(self.now);
+        let plan = self.plan;
+        let flow = core.handle(msg, &plan, self).and_then(|flow| {
+            if flow == EngineFlow::CrashRequested {
+                core.qe.crash_restart()?;
+            }
+            Ok(flow)
+        });
+        self.cores[idx] = Some(core);
+        self.finished[idx] = flow? == EngineFlow::Finished;
+        Ok(())
+    }
+
+    /// Advance to `now`, land the state transfers that are due, and hand
+    /// out the oldest engine reply.
+    fn next(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+        self.now = self.now.max(now);
+        while let Some((target, msg)) = pop_due(&mut self.in_flight, self.now) {
+            self.step(target, msg)?;
+        }
+        Ok(self.inbox.pop_front())
+    }
+}
+
+/// What the engine being stepped sends.
+impl EngineTx for SimTransport {
+    fn to_gc(&mut self, m: FromEngine) -> Result<()> {
+        self.inbox.push_back(m);
+        Ok(())
+    }
+
+    /// A state transfer takes modeled network time (the whole round's
+    /// control chatter is charged to it — see
+    /// [`NetworkModel::relocation_round_cost`]). Everything else — the
+    /// cleanup forwards, whose cost is the owner's modeled merge cost,
+    /// and a transfer over a free network — steps the peer on the spot,
+    /// one segment shipment in memory at a time.
+    fn to_peer(&mut self, target: EngineId, m: ToEngine) -> Result<()> {
+        let cost = match &m {
+            ToEngine::InstallStates { groups, .. } => {
+                let bytes = groups.iter().map(|g| g.snapshot.state_bytes() as u64).sum();
+                self.network.relocation_round_cost(bytes)
+            }
+            _ => VirtualDuration::ZERO,
+        };
+        if cost == VirtualDuration::ZERO {
+            self.step(target, m)
+        } else {
+            self.in_flight.push((self.now + cost, (target, m)));
+            Ok(())
+        }
+    }
+}
+
+impl Transport for SimTransport {
+    fn start_engine(&mut self, engine: EngineId) -> Result<()> {
+        if engine.index() != self.cores.len() {
+            return Err(DcapeError::state(format!(
+                "engine {engine} started out of order"
+            )));
+        }
+        self.cores.push(Some(EngineCore::new(
+            engine,
+            self.engine_cfg.clone(),
+            self.journal.sibling(),
+            self.collect_results,
+        )?));
+        self.finished.push(false);
+        self.inbox.push_back(FromEngine::JoinReady { engine });
+        Ok(())
+    }
+
+    fn send(&mut self, engine: EngineId, msg: ToEngine) -> Result<()> {
+        self.step(engine, msg)
+    }
+
+    fn try_recv(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+        self.next(now)
+    }
+
+    /// Never blocks: with nothing queued and nothing due the transport
+    /// is idle, and only the coordinator's clock can change that.
+    fn recv_or_idle(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+        self.next(now)
+    }
+
+    fn shutdown(&mut self) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The simulated cluster: the shared coordinator run over the
+/// virtual-time transport, plus what only the simulation has — the
+/// recorded series and the debug accounting check.
+pub struct SimDriver {
+    run: CoordinatorRun<SimTransport>,
+    sample_interval: VirtualDuration,
+    next_sample: VirtualTime,
+    recorder: Recorder,
 }
 
 impl SimDriver {
     /// Build a driver; validates the whole configuration.
     pub fn new(cfg: SimConfig) -> Result<Self> {
-        if cfg.num_engines == 0 {
-            return Err(DcapeError::config("need at least one engine"));
+        if cfg.sample_interval == VirtualDuration::ZERO {
+            return Err(DcapeError::config("sample interval must be positive"));
         }
-        if cfg.workload.num_streams != cfg.engine.join.num_streams {
-            return Err(DcapeError::config(
-                "workload stream count must match the join's",
-            ));
-        }
-        let gen = StreamSetGenerator::new(cfg.workload.clone())?;
-        let split = SplitOperator::new(
-            gen.partitioner(),
-            vec![StreamSetGenerator::JOIN_COLUMN; cfg.workload.num_streams],
-        )?;
-        let placement =
-            PlacementMap::new(&cfg.placement, cfg.workload.num_partitions, cfg.num_engines)?;
-        let mut engines = (0..cfg.num_engines)
-            .map(|i| QueryEngine::in_memory(EngineId(i as u16), cfg.engine.clone()))
-            .collect::<Result<Vec<_>>>()?;
-        let mut gc = GlobalCoordinator::new(&cfg.strategy);
-        gc.init_membership(cfg.num_engines, cfg.capacity());
-        let mut scale_events = cfg.scale_events.clone();
-        scale_events.sort_by_key(|e| e.at);
-        // Each engine keeps its own journal; the driver, coordinator and
-        // strategy share one more. `finish` merges them by virtual time.
-        let journal = if cfg.journal {
-            for e in &mut engines {
-                e.set_journal(JournalHandle::enabled());
-            }
-            let handle = JournalHandle::enabled();
-            gc.set_journal(handle.clone());
-            handle
-        } else {
-            JournalHandle::disabled()
-        };
-        // An active fault plan implies bounded patience: arm the
-        // per-phase timeout/retry/abort ladder so dropped messages
-        // cannot wedge a round forever.
-        if cfg.faults.is_active() {
-            gc.set_retry_policy(RetryPolicy::default());
-        }
+        let journal = JournalHandle::when(cfg.journal);
+        let transport = SimTransport::new(&cfg, journal.clone());
+        // An active fault plan implies bounded patience: dropped
+        // messages must not wedge a round forever.
+        let patient = cfg.faults.is_active();
         Ok(SimDriver {
-            stats_timer: PeriodicTimer::new(cfg.stats_interval, VirtualTime::ZERO),
-            sample_timer: PeriodicTimer::new(cfg.sample_interval, VirtualTime::ZERO),
+            run: CoordinatorRun::new(&cfg, journal, patient, transport)?,
+            sample_interval: cfg.sample_interval,
+            next_sample: VirtualTime::ZERO + cfg.sample_interval,
             recorder: Recorder::new(),
-            sink: SimSink::new(cfg.collect_results),
-            in_flight: Vec::new(),
-            pending: Vec::new(),
-            relocations: Vec::new(),
-            journal,
-            mirrored_spill_bytes: 0,
-            mirrored_spill_written: 0,
-            mirrored_spill_read: 0,
-            tick_buf: Vec::new(),
-            engine_batches: (0..cfg.num_engines).map(|_| TupleBatch::new()).collect(),
-            scale_events,
-            next_scale: 0,
-            now: VirtualTime::ZERO,
-            cfg,
-            engines,
-            placement,
-            split,
-            gc,
-            gen,
         })
     }
 
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
-        self.now
+        self.run.now()
     }
 
     /// The recorder (read access while running).
@@ -513,1018 +500,118 @@ impl SimDriver {
 
     /// The placement map (read access for tests).
     pub fn placement(&self) -> &PlacementMap {
-        &self.placement
+        self.run.placement()
     }
 
-    /// The engines (read access for tests).
-    pub fn engines(&self) -> &[QueryEngine] {
-        &self.engines
+    /// The engines started so far, in id order (read access for tests).
+    pub fn engines(&self) -> Vec<&QueryEngine> {
+        self.run.transport().cores().map(|c| &c.qe).collect()
     }
 
     /// Completed relocations so far.
     pub fn relocations(&self) -> &[RelocationEvent] {
-        &self.relocations
+        self.run.relocations()
     }
 
     /// The global coordinator (read access for tests).
     pub fn coordinator(&self) -> &GlobalCoordinator {
-        &self.gc
+        self.run.coordinator()
     }
 
-    /// Run until the virtual deadline: per generator tick, the clock's
-    /// work, then the tick's tuples routed into one batch per engine
-    /// and one `process_batch` call per engine. The tick buffer and the
-    /// batches are reused — a tick's batch is a few rows that would
-    /// otherwise regrow a buffer from empty every tick.
+    /// Run until the virtual deadline, sampling the series at every
+    /// `sample_interval` boundary on the way.
     pub fn run_until(&mut self, deadline: VirtualTime) -> Result<()> {
-        while self.gen.now() < deadline {
-            let mut tick = std::mem::take(&mut self.tick_buf);
-            self.now = self.gen.tick_batch(&mut tick);
-            self.on_clock()?;
-            self.journal.add_tuples_routed(tick.len() as u64);
-            for tuple in tick.drain(..) {
-                let pid = self.split.classify(&tuple)?;
-                match self.placement.route(pid, tuple)? {
-                    Route::Buffered => {
-                        self.journal.add_buffered_in_flight(1);
-                    }
-                    Route::Deliver(engine, tuple) => {
-                        self.engine_batches[engine.index()].push(pid, tuple);
-                    }
-                }
-            }
-            self.tick_buf = tick;
-            for i in 0..self.engines.len() {
-                if self.engine_batches[i].is_empty() {
-                    continue;
-                }
-                self.engines[i].process_batch(&self.engine_batches[i], &mut self.sink)?;
-                self.engine_batches[i].clear();
-            }
+        while self.next_sample <= deadline {
+            self.run.run_until(self.next_sample)?;
+            self.sample_series()?;
+            self.next_sample += self.sample_interval;
         }
-        self.now = deadline;
-        self.on_clock()?;
-        Ok(())
+        self.run.run_until(deadline)
     }
 
-    /// Everything that reacts to the clock, independent of data:
-    /// transfer completion, engine `ss_timer`s, coordinator evaluation,
-    /// series sampling.
-    fn on_clock(&mut self) -> Result<()> {
-        self.process_scale_events()?;
-        self.pump_protocol()?;
-        self.pump_drain()?;
-        // Local spill pulses + opportunistic reactivation. Window
-        // purges run at the watermark-driven horizon, not the clock:
-        // tuples buffered at paused splits hold the horizon back, so a
-        // relocation can never purge the partners of tuples it is
-        // holding.
-        let watermark = self.split.admitted_watermark();
-        let horizon = self.placement.purge_horizon(watermark);
-        if self.cfg.engine.join.window.is_some() && horizon < watermark {
-            self.journal.add_purges_deferred(1);
-        }
-        for e in &mut self.engines {
-            e.tick_with_horizon(self.now, horizon)?;
-            // A fenced engine is being emptied: reactivating spilled
-            // state back into memory would race the drain (and after
-            // the final remap would strand tuples outside the cleanup
-            // gather). Its segments stay on disk instead.
-            if !self.placement.is_fenced(e.id()) {
-                e.maybe_reactivate(&mut self.sink)?;
-            }
-        }
-        self.mirror_engine_spills();
-        // Coordinator evaluation.
-        if self.stats_timer.expired(self.now) {
-            self.stats_timer.reset(self.now);
-            self.evaluate_coordinator()?;
-        }
-        // Series sampling.
-        if self.sample_timer.expired(self.now) {
-            self.sample_timer.reset(self.now);
-            self.sample_series();
-            // Debug builds recompute memory accounting from scratch at
-            // every sample — any drift in the incremental bookkeeping
-            // fails the run immediately instead of skewing decisions.
+    /// Record output and memory per engine at the current clock. Debug
+    /// builds also recompute every engine's memory accounting from
+    /// scratch — any drift in the incremental bookkeeping fails the run
+    /// immediately instead of skewing decisions.
+    fn sample_series(&mut self) -> Result<()> {
+        let now = self.run.now();
+        let transport = self.run.transport();
+        let total: u64 = transport.cores().map(|c| c.sink.count).sum();
+        self.recorder.record("output/total", now, total as f64);
+        for core in transport.cores() {
+            let id = core.id;
+            self.recorder
+                .record(&format!("mem/{id}"), now, core.qe.memory_used() as f64);
+            self.recorder
+                .record(&format!("output/{id}"), now, core.sink.count as f64);
             #[cfg(debug_assertions)]
-            for e in &self.engines {
-                e.assert_accounting_consistent()?;
-            }
+            core.qe.assert_accounting_consistent()?;
         }
         Ok(())
     }
 
-    /// Apply scheduled membership changes whose time has come.
-    fn process_scale_events(&mut self) -> Result<()> {
-        while self.next_scale < self.scale_events.len()
-            && self.scale_events[self.next_scale].at <= self.now
-        {
-            let event = self.scale_events[self.next_scale];
-            self.next_scale += 1;
-            match event.action {
-                ScaleAction::AddEngine => {
-                    let id = self.placement.add_engine()?;
-                    let mut qe = QueryEngine::in_memory(id, self.cfg.engine.clone())?;
-                    if self.journal.is_enabled() {
-                        qe.set_journal(JournalHandle::enabled());
-                    }
-                    self.engines.push(qe);
-                    self.engine_batches.push(TupleBatch::new());
-                    self.gc.admit_engine(id, self.now)?;
-                    // In-process joiners are ready the instant they
-                    // exist — the rebalance planner may target them
-                    // from the next evaluation on.
-                    self.gc.on_join_ready(id, self.now);
-                }
-                ScaleAction::DrainEngine(target) => {
-                    let engine = match target {
-                        Some(e) => e,
-                        None => self
-                            .gc
-                            .active_engines()
-                            .into_iter()
-                            .max()
-                            .ok_or_else(|| DcapeError::config("no active engine to drain"))?,
-                    };
-                    if self.gc.request_drain(engine, self.now)? {
-                        self.placement.fence_engine(engine)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Advance an in-progress drain: promote a deferred drain once the
-    /// round blocking it closed, then poll the draining engine's
-    /// resident state and execute the resulting step. The socket and
-    /// threaded runtimes do the same over `BeginDrain`/`DrainState`
-    /// messages; here the poll is a direct call.
-    fn pump_drain(&mut self) -> Result<()> {
-        if let Some(engine) = self.gc.poll_pending_drain(self.now) {
-            self.placement.fence_engine(engine)?;
-        }
-        let Some(engine) = self.gc.draining_engine() else {
-            return Ok(());
-        };
-        if self.gc.relocation_active() {
-            return Ok(());
-        }
-        let resident = self.engines[engine.index()].memory_used();
-        match self.gc.on_drain_state(engine, resident, self.now)? {
-            DrainStep::Wait => Ok(()),
-            DrainStep::Relocate {
-                round,
-                sender,
-                amount,
-                ..
-            } => self.send_cptv(round, sender, amount, 0),
-            DrainStep::ForceSpill { engine, amount } => {
-                self.engines[engine.index()].force_spill(amount, self.now)?;
-                Ok(())
-            }
-            DrainStep::FinalizeRemap { engine, receiver } => self.finalize_drain(engine, receiver),
-        }
-    }
-
-    /// The draining engine's resident state hit zero: remap whatever
-    /// zero-state partitions it still owns straight to `receiver`
-    /// (nothing to ship — no 8-step round needed), spill any residual
-    /// state to disk and retire the engine. Its segments stay in the
-    /// engine vector, so the finish-time cleanup gathers them exactly
-    /// like the live runtimes' segment forwarding does.
-    fn finalize_drain(&mut self, engine: EngineId, receiver: EngineId) -> Result<()> {
-        let parts = self.placement.partitions_of(engine);
-        if !parts.is_empty() {
-            self.placement.pause(&parts)?;
-            let released = self.placement.remap_and_release(&parts, receiver)?;
-            self.replay_released(released, receiver)?;
-        }
-        self.gc.drain_finalized(engine, parts.len(), self.now);
-        self.engines[engine.index()].force_spill(u64::MAX, self.now)?;
-        self.gc.finish_drain(engine, self.now);
-        Ok(())
-    }
-
-    /// Deliver the tuples a pause released to `target` as one batch and
-    /// book them as replayed. Returns how many there were.
-    fn replay_released(
-        &mut self,
-        released: Vec<(PartitionId, Vec<Tuple>)>,
-        target: EngineId,
-    ) -> Result<u64> {
-        let flush = released_batch(released);
-        let buffered = flush.len() as u64;
-        if buffered > 0 {
-            self.engines[target.index()].process_batch(flush, &mut self.sink)?;
-        }
-        self.journal.sub_buffered_in_flight(buffered);
-        self.journal.add_replayed_in_order(buffered);
-        Ok(buffered)
-    }
-
-    /// Mirror engine spill volume into the shared driver journal so the
-    /// strategies' counter view is cluster-wide.
-    fn mirror_engine_spills(&mut self) {
-        if !self.journal.is_enabled() {
-            return;
-        }
-        let (mut total, mut written, mut read) = (0u64, 0u64, 0u64);
-        for c in self.engines.iter().filter_map(|e| e.journal().counters()) {
-            total += c.spill_bytes();
-            written += c.spill_bytes_written();
-            read += c.spill_bytes_read();
-        }
-        let delta = total - self.mirrored_spill_bytes;
-        if delta > 0 {
-            self.journal.add_spill_bytes(delta);
-            self.mirrored_spill_bytes = total;
-        }
-        let delta = written - self.mirrored_spill_written;
-        if delta > 0 {
-            self.journal.add_spill_bytes_written(delta);
-            self.mirrored_spill_written = written;
-        }
-        let delta = read - self.mirrored_spill_read;
-        if delta > 0 {
-            self.journal.add_spill_bytes_read(delta);
-            self.mirrored_spill_read = read;
-        }
-    }
-
-    /// Record a relocation protocol step the driver itself executes
-    /// (3–5, 7, 8; the coordinator records 1, 2 and 6).
-    #[allow(clippy::too_many_arguments)] // mirrors the event's fields
-    fn record_step(
-        &self,
-        round: u64,
-        step: u8,
-        sender: EngineId,
-        receiver: EngineId,
-        parts: &[PartitionId],
-        bytes: u64,
-        buffered_tuples: u64,
-    ) {
-        self.journal.record(
-            self.now,
-            AdaptEvent::RelocationStep {
-                round,
-                step,
-                sender,
-                receiver,
-                parts: parts.to_vec(),
-                bytes,
-                buffered_tuples,
-                load_ratio: 0.0,
-            },
-        );
-    }
-
-    /// Everything protocol-related the clock drives: due transfers
-    /// complete, chaos-delayed control messages deliver, and the
-    /// coordinator's phase deadline is polled (retry or abort).
-    fn pump_protocol(&mut self) -> Result<()> {
-        // Complete due in-flight transfers, in (complete_at, insertion)
-        // order — deterministic regardless of how they were queued.
-        while let Some(idx) = self
-            .in_flight
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| self.now >= t.complete_at)
-            .min_by_key(|(i, t)| (t.complete_at, *i))
-            .map(|(i, _)| i)
-        {
-            let t = self.in_flight.remove(idx);
-            self.complete_transfer(t)?;
-        }
-        // Deliver due delayed control messages, same ordering rule.
-        while let Some(idx) = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter(|(_, (due, _))| self.now >= *due)
-            .min_by_key(|(i, (due, _))| (*due, *i))
-            .map(|(i, _)| i)
-        {
-            let (_, event) = self.pending.remove(idx);
-            self.deliver_delayed(event)?;
-        }
-        // Phase deadline: bounded retry, then abort. Each poll either
-        // re-arms the deadline in the future or closes the round, so
-        // this loop terminates.
-        while let Some(action) = self.gc.check_timeout(self.now) {
-            self.handle_timeout(action)?;
-        }
-        Ok(())
-    }
-
-    /// Consult the fault plan for one message edge and journal any
-    /// injected fault (the `faults_injected` accounting).
-    fn edge_decision(&mut self, edge: FaultEdge, round: u64, attempt: u32) -> FaultDecision {
-        let decision = self.cfg.faults.decide(edge, round, attempt);
-        if let Some(fault) = decision.fault_name() {
-            self.journal.add_faults_injected(1);
-            self.journal.record(
-                self.now,
-                AdaptEvent::FaultInjected {
-                    fault,
-                    edge: edge.name(),
-                    round,
-                    attempt,
-                },
-            );
-        }
-        decision
-    }
-
-    fn warn(&self, code: &'static str, engine: EngineId, round: u64, detail: u64) {
-        self.journal.record(
-            self.now,
-            AdaptEvent::ProtocolWarning {
-                code,
-                engine,
-                round,
-                detail,
-            },
-        );
-    }
-
-    fn deliver_delayed(&mut self, event: DelayedEvent) -> Result<()> {
-        match event {
-            DelayedEvent::Cptv {
-                round,
-                sender,
-                amount,
-                attempt,
-            } => self.deliver_cptv(round, sender, amount, attempt),
-            DelayedEvent::Ptv {
-                round,
-                sender,
-                parts,
-            } => self.deliver_ptv(round, sender, parts),
-            DelayedEvent::SendStates {
-                round,
-                sender,
-                receiver,
-                parts,
-                attempt,
-            } => self.deliver_send_states(round, sender, receiver, parts, attempt),
-            DelayedEvent::TransferAck {
-                round,
-                sender,
-                receiver,
-                bytes,
-            } => self.deliver_transfer_ack(round, sender, receiver, bytes),
-        }
-    }
-
-    fn handle_timeout(&mut self, action: TimeoutAction) -> Result<()> {
-        match action {
-            TimeoutAction::RetryCptv {
-                round,
-                sender,
-                amount,
-                attempt,
-            } => self.send_cptv(round, sender, amount, attempt),
-            TimeoutAction::RetrySendStates {
-                round,
-                sender,
-                receiver,
-                parts,
-                attempt,
-            } => self.send_send_states(round, sender, receiver, parts, attempt),
-            TimeoutAction::AbortRound {
-                round,
-                sender,
-                receiver,
-                parts,
-                held_since,
-            } => self.abort_round(round, sender, receiver, &parts, held_since),
-        }
-    }
-
-    /// Step 1 across the faultable channel.
-    fn send_cptv(&mut self, round: u64, sender: EngineId, amount: u64, attempt: u32) -> Result<()> {
-        match self.edge_decision(FaultEdge::Cptv, round, attempt) {
-            FaultDecision::Deliver => self.deliver_cptv(round, sender, amount, attempt),
-            // A garbled control message is discarded on receipt — same
-            // outcome as a drop; the phase timeout re-sends it.
-            FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
-            FaultDecision::Duplicate => {
-                self.deliver_cptv(round, sender, amount, attempt)?;
-                self.deliver_cptv(round, sender, amount, attempt)
-            }
-            FaultDecision::Delay(ms) => {
-                self.pending.push((
-                    self.now + VirtualDuration::from_millis(ms),
-                    DelayedEvent::Cptv {
-                        round,
-                        sender,
-                        amount,
-                        attempt,
-                    },
-                ));
-                Ok(())
-            }
-        }
-    }
-
-    /// Step 1 lands at the sender: compute the partition list and answer
-    /// with step 2.
-    fn deliver_cptv(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        amount: u64,
-        attempt: u32,
-    ) -> Result<()> {
-        if self.engines[sender.index()].is_stale_round(round) {
-            self.warn("stale_cptv", sender, round, 1);
-            return Ok(());
-        }
-        self.engines[sender.index()].set_mode(Mode::Relocation);
-        let parts = self.engines[sender.index()].select_parts_to_move(amount);
-        self.send_ptv(round, sender, parts, attempt)
-    }
-
-    /// Step 2 across the faultable channel (the attempt follows the
-    /// `Cptv` that prompted it).
-    fn send_ptv(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        parts: Vec<PartitionId>,
-        attempt: u32,
-    ) -> Result<()> {
-        match self.edge_decision(FaultEdge::Ptv, round, attempt) {
-            FaultDecision::Deliver => self.deliver_ptv(round, sender, parts),
-            FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
-            FaultDecision::Duplicate => {
-                self.deliver_ptv(round, sender, parts.clone())?;
-                self.deliver_ptv(round, sender, parts)
-            }
-            FaultDecision::Delay(ms) => {
-                self.pending.push((
-                    self.now + VirtualDuration::from_millis(ms),
-                    DelayedEvent::Ptv {
-                        round,
-                        sender,
-                        parts,
-                    },
-                ));
-                Ok(())
-            }
-        }
-    }
-
-    /// Step 2 lands at the coordinator.
-    fn deliver_ptv(&mut self, round: u64, sender: EngineId, parts: Vec<PartitionId>) -> Result<()> {
-        match self.gc.on_ptv(sender, round, parts, self.now)? {
-            None => {
-                // Stale or duplicated. If the round it belonged to is
-                // gone, the sender must not stay wedged in relocation
-                // mode because a late Cptv re-entered it.
-                let active_sender = self.gc.active_round_info().map(|(_, s, _, _)| s);
-                if active_sender != Some(sender) {
-                    self.engines[sender.index()].set_mode(Mode::Normal);
-                }
-                Ok(())
-            }
-            Some(Action::Abort) => {
-                self.engines[sender.index()].set_mode(Mode::Normal);
-                Ok(())
-            }
-            Some(Action::PauseAndTransfer {
-                parts,
-                sender,
-                receiver,
-            }) => {
-                // Step 3: pause at the splits.
-                self.placement.pause(&parts)?;
-                self.record_step(round, 3, sender, receiver, &parts, 0, 0);
-                self.engines[receiver.index()].set_mode(Mode::Relocation);
-                // Step 4 starts its own attempt ladder (the WaitAck
-                // phase was just armed).
-                let attempt = self.gc.current_attempt();
-                self.send_send_states(round, sender, receiver, parts, attempt)
-            }
-            Some(Action::RemapAndResume { .. }) => {
-                Err(DcapeError::protocol("remap before transfer completed"))
-            }
-        }
-    }
-
-    /// Step 4 across the faultable channel.
-    fn send_send_states(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        parts: Vec<PartitionId>,
-        attempt: u32,
-    ) -> Result<()> {
-        match self.edge_decision(FaultEdge::SendStates, round, attempt) {
-            FaultDecision::Deliver => {
-                self.deliver_send_states(round, sender, receiver, parts, attempt)
-            }
-            FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
-            FaultDecision::Duplicate => {
-                self.deliver_send_states(round, sender, receiver, parts.clone(), attempt)?;
-                self.deliver_send_states(round, sender, receiver, parts, attempt)
-            }
-            FaultDecision::Delay(ms) => {
-                self.pending.push((
-                    self.now + VirtualDuration::from_millis(ms),
-                    DelayedEvent::SendStates {
-                        round,
-                        sender,
-                        receiver,
-                        parts,
-                        attempt,
-                    },
-                ));
-                Ok(())
-            }
-        }
-    }
-
-    /// Step 4 lands at the sender: extract (first time) or re-ship the
-    /// retained copy, then put step 5 on the wire.
-    fn deliver_send_states(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        parts: Vec<PartitionId>,
-        attempt: u32,
-    ) -> Result<()> {
-        if self.engines[sender.index()].is_stale_round(round) {
-            self.warn("stale_send_states", sender, round, 4);
-            return Ok(());
-        }
-        // A chaos-delayed SendStates can name a receiver that was
-        // fenced for draining after the round opened; shipping state to
-        // it would repopulate an engine being emptied. Drop it — the
-        // phase timeout aborts the round.
-        if self.placement.is_fenced(receiver) {
-            self.warn("send_to_fenced_dropped", receiver, round, 4);
-            return Ok(());
-        }
-        let fresh = !self.engines[sender.index()].outbound_pending(round);
-        let groups = self.engines[sender.index()].begin_outbound(round, &parts);
-        let bytes: u64 = groups.iter().map(|(g, _, _)| g.state_bytes() as u64).sum();
-        if fresh {
-            // Journal the extraction once; retries re-ship the same
-            // copy and must not inflate the relocation volume.
-            self.record_step(round, 4, sender, receiver, &parts, bytes, 0);
-            self.journal.add_relocation_bytes(bytes);
-            // Wire volume: what the transfer costs in encoded form
-            // (the column-block codec typically shrinks this well
-            // below the accounted state bytes).
-            let encoded: u64 = groups
-                .iter()
-                .map(|(g, _, _)| g.encode_with(self.cfg.engine.spill_codec).len() as u64)
-                .sum();
-            self.journal.add_transfer_bytes(encoded);
-        }
-        // Step 5: the state transfer itself, over modeled network time
-        // (the whole round's control chatter is charged here — see
-        // `NetworkModel::relocation_round_cost`). A stall fault keeps
-        // the receiver unresponsive for a while on top.
-        let mut declared_bytes = bytes;
-        let mut cost = self.cfg.network.relocation_round_cost(bytes);
-        let stall = self
-            .cfg
-            .faults
-            .stall_ms(FaultEdge::InstallStates, round, attempt);
-        if stall > 0 {
-            self.journal.add_faults_injected(1);
-            self.journal.record(
-                self.now,
-                AdaptEvent::FaultInjected {
-                    fault: "stall",
-                    edge: FaultEdge::InstallStates.name(),
-                    round,
-                    attempt,
-                },
-            );
-            cost = cost + VirtualDuration::from_millis(stall);
-        }
-        let mut copies = 1u32;
-        match self.edge_decision(FaultEdge::InstallStates, round, attempt) {
-            FaultDecision::Deliver => {}
-            FaultDecision::Drop => return Ok(()),
-            FaultDecision::CorruptLength => {
-                declared_bytes = FaultPlan::corrupt_length(bytes);
-            }
-            FaultDecision::Delay(ms) => {
-                cost = cost + VirtualDuration::from_millis(ms);
-            }
-            FaultDecision::Duplicate => copies = 2,
-        }
-        for _ in 0..copies {
-            self.in_flight.push(InFlightTransfer {
-                round,
-                receiver,
-                parts: parts.clone(),
-                groups: groups.clone(),
-                sender,
-                bytes,
-                declared_bytes,
-                attempt,
-                complete_at: self.now + cost,
-            });
-        }
-        Ok(())
-    }
-
-    /// Step 5 lands at the receiver (transfer completed): verify,
-    /// maybe crash, install idempotently, then ack (step 6).
-    fn complete_transfer(&mut self, t: InFlightTransfer) -> Result<()> {
-        // Corrupt-length detection: the receiver recomputes the payload
-        // length and discards on mismatch — equivalent to a drop, healed
-        // by the phase timeout re-sending `SendStates`.
-        if t.declared_bytes != t.bytes {
-            self.warn(
-                "corrupt_transfer_discarded",
-                t.receiver,
-                t.round,
-                t.declared_bytes,
-            );
-            return Ok(());
-        }
-        // Fenced mid-flight: the receiver started draining while the
-        // transfer was on the wire. Discard without acking; the sender's
-        // retained copy is reinstalled when the round aborts.
-        if self.placement.is_fenced(t.receiver) {
-            self.warn("send_to_fenced_dropped", t.receiver, t.round, 5);
-            return Ok(());
-        }
-        // Crash-restart mid-install: the uncommitted installation is
-        // lost, no ack goes out; the sender's retained copy stays
-        // authoritative and the round retries or aborts.
-        if self.cfg.faults.crash_during_install(t.round, t.attempt) {
-            self.journal.add_faults_injected(1);
-            self.journal.record(
-                self.now,
-                AdaptEvent::FaultInjected {
-                    fault: "crash_restart",
-                    edge: FaultEdge::InstallStates.name(),
-                    round: t.round,
-                    attempt: t.attempt,
-                },
-            );
-            self.engines[t.receiver.index()].crash_restart()?;
-            return Ok(());
-        }
-        let installed =
-            self.engines[t.receiver.index()].install_groups_for_round(t.round, t.groups)?;
-        if installed {
-            self.record_step(t.round, 5, t.sender, t.receiver, &t.parts, t.bytes, 0);
-        } else {
-            // Duplicate (or stale) install: a no-op, but the ack must
-            // still go out — the first one may have been lost.
-            self.warn("duplicate_install", t.receiver, t.round, 5);
-        }
-        self.send_transfer_ack(t.round, t.sender, t.receiver, t.bytes, t.attempt)
-    }
-
-    /// Step 6 across the faultable channel.
-    fn send_transfer_ack(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        bytes: u64,
-        attempt: u32,
-    ) -> Result<()> {
-        match self.edge_decision(FaultEdge::TransferAck, round, attempt) {
-            FaultDecision::Deliver => self.deliver_transfer_ack(round, sender, receiver, bytes),
-            FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
-            FaultDecision::Duplicate => {
-                self.deliver_transfer_ack(round, sender, receiver, bytes)?;
-                self.deliver_transfer_ack(round, sender, receiver, bytes)
-            }
-            FaultDecision::Delay(ms) => {
-                self.pending.push((
-                    self.now + VirtualDuration::from_millis(ms),
-                    DelayedEvent::TransferAck {
-                        round,
-                        sender,
-                        receiver,
-                        bytes,
-                    },
-                ));
-                Ok(())
-            }
-        }
-    }
-
-    /// Step 6 lands at the coordinator: close the round (steps 7–8).
-    fn deliver_transfer_ack(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        bytes: u64,
-    ) -> Result<()> {
-        match self.gc.on_transfer_ack(receiver, round, self.now)? {
-            // Stale or duplicated ack: already journaled by the
-            // coordinator; nothing to execute.
-            None => Ok(()),
-            Some(Action::RemapAndResume {
-                parts,
-                receiver,
-                held_since,
-            }) => self.finish_round(round, sender, receiver, parts, held_since, bytes),
-            Some(other) => Err(DcapeError::protocol(format!(
-                "unexpected action after ack: {other:?}"
-            ))),
-        }
-    }
-
-    /// Steps 7–8: remap, flush buffered tuples to the new owner, commit
-    /// both ends, resume.
-    fn finish_round(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        parts: Vec<PartitionId>,
-        held_since: VirtualTime,
-        bytes: u64,
-    ) -> Result<()> {
-        // Step 7: remap and flush buffered tuples to the new owner.
-        // `remap_and_release` yields per-pid lists in arrival order, so
-        // the one-batch flush is a stable reordering by pid.
-        let released = self.placement.remap_and_release(&parts, receiver)?;
-        let buffered = self.replay_released(released, receiver)?;
-        self.record_step(round, 7, sender, receiver, &parts, 0, buffered);
-        self.journal
-            .add_watermark_held_ms(self.now.as_millis().saturating_sub(held_since.as_millis()));
-        // Step 8: resume; the round commits on both ends (the sender
-        // drops its retained copy, the receiver's installation becomes
-        // permanent, late messages for this round turn stale).
-        self.engines[sender.index()].commit_outbound(round);
-        self.engines[receiver.index()].commit_inbound(round);
-        self.engines[sender.index()].set_mode(Mode::Normal);
-        self.engines[receiver.index()].set_mode(Mode::Normal);
-        self.record_step(round, 8, sender, receiver, &[], 0, 0);
-        // Copies of this round still in flight are moot: the receiver
-        // would treat them as duplicates anyway; drop them to keep the
-        // in-flight set small.
-        self.in_flight.retain(|t| t.round != round);
-        self.relocations.push(RelocationEvent {
-            at: self.now,
-            sender,
-            receiver,
-            parts: parts.len(),
-            bytes,
-            buffered_tuples: buffered as usize,
-        });
-        Ok(())
-    }
-
-    /// Retries exhausted: unwind the round. The sender reinstalls its
-    /// retained outbound copy, the receiver discards any uncommitted
-    /// installation, the paused partitions release **without** an owner
-    /// change (their buffered tuples replay to the original owner), and
-    /// the held purge watermark is freed.
-    fn abort_round(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        parts: &[PartitionId],
-        held_since: Option<VirtualTime>,
-    ) -> Result<()> {
-        self.in_flight.retain(|t| t.round != round);
-        self.engines[receiver.index()].abort_inbound(round)?;
-        self.engines[receiver.index()].set_mode(Mode::Normal);
-        let reinstalled = self.engines[sender.index()].abort_outbound(round)?;
-        self.engines[sender.index()].set_mode(Mode::Normal);
-        self.warn("round_unwound", sender, round, reinstalled as u64);
-        if !parts.is_empty() {
-            let released = self.placement.release_paused(parts)?;
-            self.replay_released(released, sender)?;
-            if let Some(held) = held_since {
-                self.journal
-                    .add_watermark_held_ms(self.now.as_millis().saturating_sub(held.as_millis()));
-            }
-            self.journal.add_watermark_released_on_abort(1);
-        }
-        Ok(())
-    }
-
-    fn evaluate_coordinator(&mut self) -> Result<()> {
-        // Statistics come from active members only — a draining engine
-        // must not be picked as a relocation receiver, and a drained
-        // one is gone.
-        let mut reports = Vec::new();
-        for e in self.gc.active_engines() {
-            reports.push(self.engines[e.index()].report(self.now));
-        }
-        let stats = crate::stats::ClusterStats::new(reports);
-        match self.gc.evaluate(&stats, self.now)? {
-            Decision::None => Ok(()),
-            Decision::ForceSpill { engine, amount } => {
-                self.engines[engine.index()].force_spill(amount, self.now)?;
-                Ok(())
-            }
-            Decision::Relocate { sender, .. } => {
-                // Step 1: Cptv toward the sender, across the (possibly
-                // faulty) control channel.
-                let (round, s, _r, amount) =
-                    self.gc.active_round_info().expect("relocation just opened");
-                debug_assert_eq!(s, sender);
-                self.send_cptv(round, sender, amount, 0)
-            }
-        }
-    }
-
-    fn sample_series(&mut self) {
-        let total: u64 = self.sink.count;
-        self.recorder.record("output/total", self.now, total as f64);
-        for e in &self.engines {
-            let id = e.id();
-            self.recorder
-                .record(&format!("mem/{id}"), self.now, e.memory_used() as f64);
-            self.recorder
-                .record(&format!("output/{id}"), self.now, e.total_output() as f64);
-        }
-    }
-
-    /// Advance virtual time through whatever the protocol still has in
-    /// flight — pending transfers, delayed messages, retry ladders —
-    /// until every relocation round has committed or aborted. Bounded:
-    /// each pass either delivers an event or fires a deadline, and the
-    /// retry ladder is finite.
-    fn drain_protocol(&mut self) -> Result<()> {
-        let mut passes = 0u32;
-        while !self.in_flight.is_empty() || !self.pending.is_empty() || self.gc.relocation_active()
-        {
-            passes += 1;
-            if passes > 100_000 {
-                return Err(DcapeError::protocol(
-                    "relocation protocol failed to quiesce at finish",
-                ));
-            }
-            let next = self
-                .in_flight
-                .iter()
-                .map(|t| t.complete_at)
-                .chain(self.pending.iter().map(|(due, _)| *due))
-                .chain(self.gc.phase_deadline())
-                .min();
-            let Some(next) = next else {
-                // A round is open but nothing can ever advance it (no
-                // retry policy and nothing in flight) — the pre-chaos
-                // degenerate case; leave it open.
-                break;
-            };
-            self.now = self.now.max(next);
-            self.pump_protocol()?;
-        }
-        Ok(())
-    }
-
-    /// Input ended mid-drain: keep alternating drain polls with
-    /// protocol quiescence until the engine is empty and retired. Each
-    /// pass either completes a round (moving resident state off), hits
-    /// the abort ladder (which bounds to the forced-spill degrade) or
-    /// finalizes, so this terminates.
-    fn complete_elastic_drain(&mut self) -> Result<()> {
-        let mut passes = 0u32;
-        while self.gc.drain_in_progress() {
-            passes += 1;
-            if passes > 10_000 {
-                return Err(DcapeError::protocol("drain failed to complete at finish"));
-            }
-            self.pump_drain()?;
-            self.drain_protocol()?;
-        }
-        Ok(())
-    }
-
-    /// Finish the run: drain the relocation protocol, then perform the
-    /// cluster-wide cleanup phase and assemble the report.
+    /// Finish the run: quiesce the protocol, then run the distributed
+    /// cleanup phase and assemble the report.
     pub fn finish(mut self) -> Result<SimReport> {
-        self.drain_protocol()?;
-        self.complete_elastic_drain()?;
-        self.sample_series();
-        self.mirror_engine_spills();
-        let runtime_output = self.sink.count;
-        let runtime_results = self.sink.collect.take();
-
-        // Cluster-wide cleanup: for every partition, gather segments
-        // from ALL engines plus the memory-resident group from the
-        // current owner, and merge. Costs are attributed to the owner
-        // engine (work is executed where the partition lives).
-        let mut cleanup_sink = SimSink::new(self.cfg.collect_results);
-        let cost_model = self.cfg.engine.cost;
-        let mut cost_ms = vec![0u64; self.engines.len()];
-        let join_columns = self.cfg.engine.join.join_columns.clone();
-
-        let mut spilled_pids: Vec<PartitionId> = self
-            .engines
-            .iter()
-            .flat_map(|e| e.spilled_partitions())
-            .collect();
-        spilled_pids.sort_unstable();
-        spilled_pids.dedup();
-
-        for pid in spilled_pids {
-            let owner = self.placement.owner(pid)?;
-            let mut merger = SegmentMerger::new(&join_columns, self.cfg.engine.join.window, false);
-            let mut io_ms = 0u64;
-            let mut disk_bytes = 0u64;
-            // Chaos: a stalled segment shipment slows this partition's
-            // cleanup down (stall-only edge — cleanup messages ride the
-            // reliable channel, so content is never lost).
-            let stall = self
-                .cfg
-                .faults
-                .stall_ms(FaultEdge::CleanupSegments, u64::from(pid.0), 0);
-            if stall > 0 {
-                self.journal.add_faults_injected(1);
-                self.journal.record(
-                    self.now,
-                    AdaptEvent::FaultInjected {
-                        fault: "stall",
-                        edge: FaultEdge::CleanupSegments.name(),
-                        round: u64::from(pid.0),
-                        attempt: 0,
-                    },
-                );
-                io_ms += stall;
-            }
-            for e in &mut self.engines {
-                for meta in e.spilled_segment_metas(pid) {
-                    io_ms += cost_model.disk.io_cost(meta.state_bytes).as_millis();
-                    disk_bytes += meta.state_bytes;
-                }
-                while let Some(segment) = e.take_spilled_segment(pid)? {
-                    merger.push(segment, &mut cleanup_sink)?;
-                }
-            }
-            if let Some((resident, _)) = self.engines[owner.index()].extract_resident_group(pid) {
-                merger.push(resident, &mut cleanup_sink)?;
-            }
-            let outcome = merger.outcome();
-            self.journal.record(
-                self.now,
-                AdaptEvent::CleanupPhase {
-                    engine: owner,
-                    group: pid,
-                    missing_results: outcome.missing_results,
-                    scanned_tuples: outcome.scanned_tuples,
-                    disk_bytes_read: disk_bytes,
-                },
-            );
-            let compute_us = outcome.scanned_tuples * cost_model.cleanup_scan_us_per_tuple
-                + outcome.missing_results * cost_model.cleanup_emit_us_per_result;
-            cost_ms[owner.index()] += io_ms + compute_us / 1000;
-        }
-
-        // Cleanup read the spilled segments back through the engines'
-        // journaled spill paths — mirror the final byte volumes.
-        self.mirror_engine_spills();
-
-        let journal = if self.journal.is_enabled() {
-            let mut rings = vec![self.journal.snapshot()];
-            rings.extend(self.engines.iter().map(|e| e.journal().snapshot()));
-            merge_journals(rings)
-        } else {
-            Vec::new()
+        self.run.quiesce()?;
+        self.sample_series()?;
+        let report = self.run.cleanup()?;
+        let collect = |pick: fn(&mut EngineCore) -> Option<CollectingSink>,
+                       cores: &mut [Option<EngineCore>]| {
+            let mut sinks = cores.iter_mut().flatten().filter_map(pick);
+            let mut all = sinks.next()?;
+            sinks.for_each(|s| all.append(s));
+            Some(all)
         };
-        let mut journal_counters = self
-            .journal
-            .counters()
-            .map(|c| c.snapshot())
-            .unwrap_or_default();
-        // Ring accounting is per journal; fold the engines' in.
-        for c in self.engines.iter().filter_map(|e| e.journal().counters()) {
-            journal_counters.events_recorded += c.events_recorded();
-            journal_counters.events_dropped += c.events_dropped();
-        }
-
+        let cores = &mut self.run.transport_mut().cores;
         Ok(SimReport {
-            runtime_output,
-            cleanup_output: cleanup_sink.count,
-            cleanup_cost_ms: cost_ms,
-            relocations: std::mem::take(&mut self.relocations),
-            force_spills: self.gc.force_spills_issued(),
-            spill_counts: self
-                .engines
-                .iter()
-                .map(|e| e.spill_history().len() as u64)
-                .collect(),
-            recorder: std::mem::take(&mut self.recorder),
-            runtime_results,
-            cleanup_results: cleanup_sink.collect,
-            journal,
-            journal_counters,
+            runtime_output: report.runtime_output,
+            cleanup_output: report.cleanup_output,
+            cleanup_cost_ms: report.cleanup_cost_ms,
+            relocations: report.relocations,
+            force_spills: report.force_spills,
+            spill_counts: report.spill_counts,
+            recorder: self.recorder,
+            runtime_results: collect(|c| c.sink.collect.take(), cores),
+            cleanup_results: collect(|c| c.cleanup_sink.collect.take(), cores),
+            journal: report.journal,
+            journal_counters: report.journal_counters,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The seam's contract, where it is deterministic: an engine that
+    /// has sent `CleanupDone` swallows whatever is sent to it next.
+    #[test]
+    fn send_to_a_finished_engine_is_ok() {
+        let cfg = SimConfig::new(
+            1,
+            EngineConfig::three_way(1 << 20, 1 << 19),
+            StreamSetSpec::uniform(4, 100, 1, VirtualDuration::from_millis(30)),
+            StrategyConfig::NoAdaptation,
+        );
+        let mut t = SimTransport::new(&cfg, JournalHandle::disabled());
+        let e = EngineId(0);
+        t.start_engine(e).unwrap();
+        let owners = vec![e; 4];
+        t.send(e, ToEngine::PrepareCleanup { owners }).unwrap();
+        t.send(e, ToEngine::StartCleanup).unwrap();
+        let now = VirtualTime::ZERO;
+        let replies: Vec<FromEngine> = std::iter::from_fn(|| t.try_recv(now).unwrap()).collect();
+        assert!(matches!(
+            replies[..],
+            [
+                FromEngine::JoinReady { .. },
+                FromEngine::CleanupReady { .. },
+                FromEngine::CleanupDone { .. }
+            ]
+        ));
+        t.send(e, ToEngine::Tick { now, horizon: now }).unwrap();
+        t.send(e, ToEngine::BeginDrain).unwrap();
+        assert!(t.recv_or_idle(now).unwrap().is_none(), "it answers nothing");
     }
 }

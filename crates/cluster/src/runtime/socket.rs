@@ -1,21 +1,23 @@
 //! The socket cluster runtime: one OS **process** per query engine.
 //!
-//! This is the closest driver to the paper's deployment: the
+//! This is the closest runtime to the paper's deployment: the
 //! coordinator process runs the source, splits, and global coordinator
-//! (exactly the loop of [`super::threaded`], via [`super::driver`]),
-//! while each engine lives in its own `dcape-node` worker process and
-//! exchanges the [`crate::messages`] protocol as length-framed binary
-//! messages ([`crate::wire`]) over TCP.
+//! (the one loop of [`super::driver`]), while each engine lives in its
+//! own `dcape-node` worker process — [`super::engine_core`] behind a
+//! socket — and exchanges the [`crate::messages`] protocol as
+//! length-framed binary messages ([`crate::wire`]) over TCP. This module
+//! is the TCP [`Transport`] (acceptor, outbox and reader threads,
+//! respawn, the kill plan, frame logs) and the worker's session loop.
 //!
 //! ## Topology and ordering
 //!
 //! Star: every worker holds exactly one connection to the coordinator.
 //! Engine-to-engine messages (`InstallStates`, `ForwardedSegments`) are
 //! wrapped in [`WireMsg::Relay`] and re-framed by the coordinator's main
-//! loop onto the target's sequenced stream. A single FIFO connection
-//! per worker is strictly stronger than the threaded driver's
-//! per-channel FIFO, so every ordering argument (replay-before-Resume,
-//! forwards-before-StartCleanup) carries over.
+//! loop onto the target's sequenced stream. One FIFO connection per
+//! worker delivers an engine's messages in send order, which is all the
+//! ordering arguments of [`super::driver`] (replay-before-Resume,
+//! forwards-before-StartCleanup) ask of a transport.
 //!
 //! ## Crash-restart and replay
 //!
@@ -47,23 +49,14 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
-use dcape_common::ids::{EngineId, PartitionId};
-use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
-use dcape_metrics::journal::{
-    merge_journals, AdaptEvent, CountersSnapshot, JournalEntry, JournalHandle,
-};
-use dcape_streamgen::StreamSetGenerator;
+use dcape_common::ids::EngineId;
+use dcape_common::time::VirtualTime;
+use dcape_metrics::journal::{AdaptEvent, JournalHandle};
 
-use crate::coordinator::{EngineState, GlobalCoordinator, RetryPolicy};
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::messages::{FromEngine, ToEngine};
-use crate::placement::{PlacementMap, Route};
-use crate::runtime::driver::{
-    begin_drain_event, fold_engine_counters, handle_coordinator_msg, handle_timeout_action,
-    intercept_drain_cleanup, release_due, DrainFold, HeldSends,
-};
+use crate::runtime::driver::{CoordinatorRun, Transport};
 use crate::runtime::engine_core::{EngineCore, EngineFlow, EngineTx};
 use crate::runtime::sim::{ScaleAction, SimConfig};
 use crate::runtime::threaded::ThreadedReport;
@@ -418,19 +411,26 @@ impl SpawnCtl {
     }
 }
 
-/// The coordinator's view of the cluster: transport + worker processes
-/// + crash bookkeeping.
-struct Cluster {
+/// The coordinator's TCP transport: connection fabric + worker
+/// processes + crash bookkeeping.
+struct TcpTransport {
     net: Net,
+    events: Receiver<Event>,
     spawn: Option<SpawnCtl>,
+    /// `CleanupDone` seen: the worker exits cleanly right after, so its
+    /// disconnect is not a crash.
     done: Vec<bool>,
     journal: JournalHandle,
     kill: Option<KillPlan>,
     kill_stats_seen: u32,
     kill_fired: bool,
+    outbox_handles: Vec<thread::JoinHandle<()>>,
+    acceptor: Option<thread::JoinHandle<()>>,
+    shutdown: Arc<AtomicBool>,
+    local_addr: String,
 }
 
-impl Cluster {
+impl TcpTransport {
     /// Classify one event. Returns the protocol message the caller
     /// should feed to the coordinator logic, if any; relays, respawns
     /// and the kill hook are handled here.
@@ -457,6 +457,11 @@ impl Cluster {
                             }
                         }
                     }
+                }
+                // Marked before the worker's disconnect event can land,
+                // so the exit is not treated as a crash.
+                if let FromEngine::CleanupDone { engine, .. } = &m {
+                    self.done[engine.index()] = true;
                 }
                 Ok(Some(m))
             }
@@ -548,23 +553,172 @@ fn from_engine_kind(m: &FromEngine) -> &'static str {
     }
 }
 
-impl FromEngine {
-    /// The reporting engine (every variant carries one).
-    fn engine(&self) -> EngineId {
-        match self {
-            FromEngine::Ptv { engine, .. }
-            | FromEngine::TransferAck { engine, .. }
-            | FromEngine::CleanupReady { engine, .. }
-            | FromEngine::CleanupDone { engine, .. }
-            | FromEngine::DrainState { engine, .. }
-            | FromEngine::JoinReady { engine } => *engine,
-            FromEngine::Stats(r) => r.engine,
+// ---------------------------------------------------------------------
+// The coordinator side: set-up, the transport seam, teardown.
+
+impl TcpTransport {
+    /// Bind the listener and start the outbox and acceptor threads;
+    /// worker processes start with [`Transport::start_engine`].
+    fn new(cfg: &SocketConfig, journal: JournalHandle) -> Result<Self> {
+        let sim = &cfg.sim;
+        let capacity = sim.capacity();
+        let listen_addr = match &cfg.mode {
+            SocketMode::Spawn { .. } => "127.0.0.1:0".to_string(),
+            SocketMode::Listen { addr } => addr.clone(),
+        };
+        let listener = TcpListener::bind(&listen_addr).map_err(DcapeError::Io)?;
+        let local_addr = listener.local_addr().map_err(DcapeError::Io)?.to_string();
+
+        // Slots, outboxes and logs are provisioned at peak capacity: a
+        // joiner's connection slot exists before its process does, so
+        // its late `Hello` lands in the ordinary acceptor path.
+        let slots: Vec<Arc<ConnSlot>> = (0..capacity).map(|_| Arc::new(ConnSlot::new())).collect();
+        let mut outboxes = Vec::with_capacity(capacity);
+        let mut outbox_handles = Vec::with_capacity(capacity);
+        for (i, slot) in slots.iter().enumerate() {
+            let (tx, rx) = unbounded::<Vec<u8>>();
+            outboxes.push(tx);
+            let slot = Arc::clone(slot);
+            outbox_handles.push(
+                thread::Builder::new()
+                    .name(format!("dcape-tx-e{i}"))
+                    .spawn(move || outbox_thread(slot, rx))
+                    .map_err(DcapeError::Io)?,
+            );
         }
+        let logs = match std::env::var("DCAPE_FRAME_LOG_DIR") {
+            Ok(dir) if !dir.is_empty() => {
+                let dir = PathBuf::from(dir);
+                std::fs::create_dir_all(&dir).map_err(DcapeError::Io)?;
+                let files: Vec<std::fs::File> = (0..capacity)
+                    .map(|i| std::fs::File::create(dir.join(format!("frames-coord-e{i}.log"))))
+                    .collect::<std::io::Result<_>>()
+                    .map_err(DcapeError::Io)?;
+                Some(files)
+            }
+            _ => None,
+        };
+
+        let (events_tx, events) = unbounded::<Event>();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let tmpl = Arc::new(WelcomeTemplate {
+            num_engines: capacity as u16,
+            config: sim.engine.clone(),
+            journal: sim.journal,
+            fault_seed: sim.faults.seed(),
+            faults: *sim.faults.config(),
+        });
+        let acceptor = {
+            let slots = slots.clone();
+            let shutdown = Arc::clone(&shutdown);
+            thread::Builder::new()
+                .name("dcape-accept".into())
+                .spawn(move || acceptor_thread(listener, slots, tmpl, events_tx, shutdown))
+                .map_err(DcapeError::Io)?
+        };
+
+        let spawn = match &cfg.mode {
+            SocketMode::Spawn { node_bin } => Some(SpawnCtl {
+                node_bin: node_bin.clone(),
+                addr: local_addr.clone(),
+                children: (0..capacity).map(|_| None).collect(),
+                respawns: vec![0; capacity],
+            }),
+            SocketMode::Listen { .. } => {
+                eprintln!(
+                    "dcape coordinator listening on {local_addr}; waiting for {} worker(s)",
+                    sim.num_engines
+                );
+                None
+            }
+        };
+        Ok(TcpTransport {
+            net: Net {
+                slots,
+                outboxes,
+                logs,
+            },
+            events,
+            spawn,
+            done: vec![false; capacity],
+            journal,
+            kill: cfg.kill,
+            kill_stats_seen: 0,
+            kill_fired: false,
+            outbox_handles,
+            acceptor: Some(acceptor),
+            shutdown,
+            local_addr,
+        })
     }
 }
 
-// ---------------------------------------------------------------------
-// The coordinator run loop.
+impl Transport for TcpTransport {
+    /// Spawn mode starts the worker process; in listen mode the workers
+    /// are started by hand and connect on their own.
+    fn start_engine(&mut self, engine: EngineId) -> Result<()> {
+        match self.spawn.as_mut() {
+            Some(ctl) => ctl.spawn_worker(engine),
+            None => Ok(()),
+        }
+    }
+
+    fn send(&mut self, engine: EngineId, msg: ToEngine) -> Result<()> {
+        self.net.send(engine, msg)
+    }
+
+    fn try_recv(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+        while let Ok(ev) = self.events.try_recv() {
+            if let Some(msg) = self.triage(ev, now)? {
+                return Ok(Some(msg));
+            }
+        }
+        Ok(None)
+    }
+
+    fn recv_or_idle(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+        loop {
+            match self.events.recv_timeout(Duration::from_millis(5)) {
+                Ok(ev) => {
+                    if let Some(msg) = self.triage(ev, now)? {
+                        return Ok(Some(msg));
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(DcapeError::Disconnected("event channel closed".into()))
+                }
+            }
+        }
+    }
+
+    /// Stop the outboxes (they drain whatever is still deliverable),
+    /// wake the acceptor, reap the children.
+    fn shutdown(&mut self) -> Result<()> {
+        self.net.outboxes.clear();
+        for h in self.outbox_handles.drain(..) {
+            let _ = h.join();
+        }
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(&self.local_addr); // unblock accept()
+        if let Some(h) = self.acceptor.take() {
+            let _ = h.join();
+        }
+        if let Some(ctl) = self.spawn.as_mut() {
+            for (i, child) in ctl.children.iter_mut().enumerate() {
+                if let Some(mut c) = child.take() {
+                    let status = c.wait().map_err(DcapeError::Io)?;
+                    if !status.success() {
+                        return Err(DcapeError::Disconnected(format!(
+                            "worker {i} exited with {status} after cleanup"
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Run a complete experiment across worker processes until `deadline`
 /// of virtual time, then quiesce, run the distributed cleanup, and fold
@@ -572,11 +726,7 @@ impl FromEngine {
 /// [`super::threaded::run_threaded`].
 pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedReport> {
     let sim = &cfg.sim;
-    if sim.num_engines == 0 {
-        return Err(DcapeError::config("need at least one engine"));
-    }
-    let capacity = sim.capacity();
-    if capacity > u16::MAX as usize {
+    if sim.capacity() > u16::MAX as usize {
         return Err(DcapeError::config("too many engines for the wire format"));
     }
     if cfg.kill.is_some() && !matches!(cfg.mode, SocketMode::Spawn { .. }) {
@@ -592,553 +742,16 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
             "scale-out events need spawn mode (cannot start workers in --listen mode)",
         ));
     }
-    let mut scale_events = sim.scale_events.clone();
-    scale_events.sort_by_key(|e| e.at);
-    let mut next_scale = 0usize;
-
-    let mut gen = StreamSetGenerator::new(sim.workload.clone())?;
-    let mut split = crate::split::SplitOperator::new(
-        gen.partitioner(),
-        vec![StreamSetGenerator::JOIN_COLUMN; sim.workload.num_streams],
-    )?;
-    let mut placement =
-        PlacementMap::new(&sim.placement, sim.workload.num_partitions, sim.num_engines)?;
-    let mut gc = GlobalCoordinator::new(&sim.strategy);
-    gc.init_membership(sim.num_engines, capacity);
-    let journal = if sim.journal {
-        let handle = JournalHandle::enabled();
-        gc.set_journal(handle.clone());
-        handle
-    } else {
-        JournalHandle::disabled()
-    };
+    let journal = JournalHandle::when(sim.journal);
     // Bounded patience when anything can kill or lose a message: chaos
     // faults, or the kill plan (a worker dying mid-round needs the
     // phase timeout to re-drive the round against its respawn).
-    if sim.faults.is_active() || cfg.kill.is_some() {
-        gc.set_retry_policy(RetryPolicy::default());
-    }
-    let mut held_sends: HeldSends = Vec::new();
-
-    // Transport fabric.
-    let listen_addr = match &cfg.mode {
-        SocketMode::Spawn { .. } => "127.0.0.1:0".to_string(),
-        SocketMode::Listen { addr } => addr.clone(),
-    };
-    let listener = TcpListener::bind(&listen_addr).map_err(DcapeError::Io)?;
-    let local_addr = listener.local_addr().map_err(DcapeError::Io)?.to_string();
-
-    // Slots, outboxes and logs are provisioned at peak capacity: a
-    // joiner's connection slot exists before its process does, so its
-    // late `Hello` lands in the ordinary acceptor path.
-    let slots: Vec<Arc<ConnSlot>> = (0..capacity).map(|_| Arc::new(ConnSlot::new())).collect();
-    let mut outbox_txs = Vec::with_capacity(capacity);
-    let mut outbox_handles = Vec::with_capacity(capacity);
-    for (i, slot) in slots.iter().enumerate() {
-        let (tx, rx) = unbounded::<Vec<u8>>();
-        outbox_txs.push(tx);
-        let slot = Arc::clone(slot);
-        outbox_handles.push(
-            thread::Builder::new()
-                .name(format!("dcape-tx-e{i}"))
-                .spawn(move || outbox_thread(slot, rx))
-                .expect("spawn outbox thread"),
-        );
-    }
-    let logs = match std::env::var("DCAPE_FRAME_LOG_DIR") {
-        Ok(dir) if !dir.is_empty() => {
-            let dir = PathBuf::from(dir);
-            std::fs::create_dir_all(&dir).map_err(DcapeError::Io)?;
-            let files: Vec<std::fs::File> = (0..capacity)
-                .map(|i| std::fs::File::create(dir.join(format!("frames-coord-e{i}.log"))))
-                .collect::<std::io::Result<_>>()
-                .map_err(DcapeError::Io)?;
-            Some(files)
-        }
-        _ => None,
-    };
-
-    let (events_tx, events) = unbounded::<Event>();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let tmpl = Arc::new(WelcomeTemplate {
-        num_engines: capacity as u16,
-        config: sim.engine.clone(),
-        journal: sim.journal,
-        fault_seed: sim.faults.seed(),
-        faults: *sim.faults.config(),
-    });
-    let acceptor = {
-        let slots = slots.clone();
-        let tmpl = Arc::clone(&tmpl);
-        let events_tx = events_tx.clone();
-        let shutdown = Arc::clone(&shutdown);
-        thread::Builder::new()
-            .name("dcape-accept".into())
-            .spawn(move || acceptor_thread(listener, slots, tmpl, events_tx, shutdown))
-            .expect("spawn acceptor thread")
-    };
-
-    // Workers.
-    let spawn_ctl = match &cfg.mode {
-        SocketMode::Spawn { node_bin } => {
-            let mut ctl = SpawnCtl {
-                node_bin: node_bin.clone(),
-                addr: local_addr.clone(),
-                children: (0..capacity).map(|_| None).collect(),
-                respawns: vec![0; capacity],
-            };
-            // Initial engines only; joiner processes start when their
-            // scale event fires.
-            for i in 0..sim.num_engines {
-                ctl.spawn_worker(EngineId(i as u16))?;
-            }
-            Some(ctl)
-        }
-        SocketMode::Listen { .. } => {
-            eprintln!(
-                "dcape coordinator listening on {local_addr}; waiting for {} worker(s)",
-                sim.num_engines
-            );
-            None
-        }
-    };
-    let mut cluster = Cluster {
-        net: Net {
-            slots,
-            outboxes: outbox_txs,
-            logs,
-        },
-        spawn: spawn_ctl,
-        done: vec![false; capacity],
-        journal: journal.clone(),
-        kill: cfg.kill,
-        kill_stats_seen: 0,
-        kill_fired: false,
-    };
-
-    // Driver loop — mirrors run_threaded statement for statement; the
-    // only structural difference is event triage (relays, respawns).
-    let mut stats_timer = PeriodicTimer::new(sim.stats_interval, VirtualTime::ZERO);
-    let mut tick_timer = PeriodicTimer::new(VirtualDuration::from_secs(1), VirtualTime::ZERO);
-    let mut pending_stats: Vec<Option<dcape_engine::stats::EngineStatsReport>> =
-        vec![None; capacity];
-    let mut awaiting_stats = false;
-    let mut relocations = 0u64;
-    let mut drain_fold = DrainFold::default();
-
-    const MAX_BATCH_TICKS: u32 = 64;
-    let mut tick_buf: Vec<dcape_common::tuple::Tuple> = Vec::new();
-    let mut engine_batches: Vec<TupleBatch> = (0..capacity).map(|_| TupleBatch::new()).collect();
-    let mut pending_ticks = 0u32;
-    let flush_pending = |batches: &mut Vec<TupleBatch>, net: &Net, ticks: &mut u32| -> Result<()> {
-        *ticks = 0;
-        for (i, pending) in batches.iter_mut().enumerate() {
-            if pending.is_empty() {
-                continue;
-            }
-            let tuples = pending.take();
-            net.send(EngineId(i as u16), ToEngine::DataBatch { tuples })?;
-        }
-        Ok(())
-    };
-
-    while gen.now() < deadline {
-        let now = gen.now();
-        // Elastic membership changes whose time has come.
-        while next_scale < scale_events.len() && scale_events[next_scale].at <= now {
-            let event = scale_events[next_scale];
-            next_scale += 1;
-            match event.action {
-                ScaleAction::AddEngine => {
-                    let id = placement.add_engine()?;
-                    cluster
-                        .spawn
-                        .as_mut()
-                        .expect("scale-out validated to spawn mode")
-                        .spawn_worker(id)?;
-                    gc.admit_engine(id, now)?;
-                    // A stats collection begun against the old
-                    // membership can never complete against the new
-                    // one; restart it at the next timer expiry.
-                    awaiting_stats = false;
-                }
-                ScaleAction::DrainEngine(target) => {
-                    let engine = match target {
-                        Some(e) => e,
-                        None => gc
-                            .active_engines()
-                            .into_iter()
-                            .max()
-                            .ok_or_else(|| DcapeError::config("no active engine to drain"))?,
-                    };
-                    let net = &cluster.net;
-                    let mut send = |e: EngineId, m: ToEngine| net.send(e, m);
-                    begin_drain_event(&mut gc, &mut placement, &mut send, engine, now)?;
-                }
-            }
-        }
-        gen.tick_batch(&mut tick_buf);
-        journal.add_tuples_routed(tick_buf.len() as u64);
-        for tuple in tick_buf.drain(..) {
-            let pid = split.classify(&tuple)?;
-            match placement.route(pid, tuple)? {
-                Route::Buffered => {
-                    journal.add_buffered_in_flight(1);
-                }
-                Route::Deliver(engine, tuple) => {
-                    engine_batches[engine.index()].push(pid, tuple);
-                }
-            }
-        }
-        pending_ticks += 1;
-        if pending_ticks >= MAX_BATCH_TICKS || tick_timer.expired(now) || stats_timer.expired(now) {
-            flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
-        }
-        if tick_timer.expired(now) {
-            tick_timer.reset(now);
-            let watermark = split.admitted_watermark();
-            let horizon = placement.purge_horizon(watermark);
-            if sim.engine.join.window.is_some() && horizon < watermark {
-                journal.add_purges_deferred(1);
-            }
-            for e in gc.participating_engines() {
-                cluster.net.send(e, ToEngine::Tick { now, horizon })?;
-            }
-        }
-        if stats_timer.expired(now) && !awaiting_stats && !gc.relocation_active() {
-            stats_timer.reset(now);
-            awaiting_stats = true;
-            pending_stats.iter_mut().for_each(|s| *s = None);
-            for e in gc.active_engines() {
-                cluster.net.send(e, ToEngine::ReportStats { now })?;
-            }
-        }
-
-        // Drain the event inbox without blocking the data path.
-        while let Ok(ev) = events.try_recv() {
-            let Some(msg) = cluster.triage(ev, now)? else {
-                continue;
-            };
-            // Deliver already-routed tuples before acting on anything
-            // that might pause or re-home their partitions.
-            flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
-            // A drained worker exits cleanly right after its mid-run
-            // CleanupDone: mark it done *before* the disconnect event
-            // lands, so the exit is not treated as a crash.
-            if let FromEngine::CleanupDone { engine, .. } = &msg {
-                if gc.engine_state(*engine) == EngineState::DrainCleanup {
-                    cluster.done[engine.index()] = true;
-                }
-            }
-            let net = &cluster.net;
-            let mut send = |e: EngineId, m: ToEngine| net.send(e, m);
-            let Some(msg) = intercept_drain_cleanup(msg, &mut gc, &mut send, &mut drain_fold, now)?
-            else {
-                continue;
-            };
-            handle_coordinator_msg(
-                msg,
-                &mut gc,
-                &mut placement,
-                &mut send,
-                &mut pending_stats,
-                &mut awaiting_stats,
-                &mut relocations,
-                &journal,
-                now,
-                split.admitted_watermark(),
-                &sim.faults,
-                &mut held_sends,
-            )?;
-        }
-
-        if sim.faults.is_active() || cluster.kill.is_some() {
-            {
-                let net = &cluster.net;
-                let mut send = |e: EngineId, m: ToEngine| net.send(e, m);
-                release_due(&mut held_sends, now, &mut send)?;
-            }
-            while let Some(action) = gc.check_timeout(now) {
-                flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
-                let net = &cluster.net;
-                let mut send = |e: EngineId, m: ToEngine| net.send(e, m);
-                handle_timeout_action(
-                    action,
-                    &mut gc,
-                    &mut placement,
-                    &mut send,
-                    &journal,
-                    now,
-                    &sim.faults,
-                    &mut held_sends,
-                )?;
-            }
-        }
-    }
-
-    flush_pending(&mut engine_batches, &cluster.net, &mut pending_ticks)?;
-
-    // Quiesce (see run_threaded): virtual time keeps advancing on
-    // receive timeouts so phase deadlines and held messages fire.
-    let mut vnow = deadline;
-    while gc.relocation_active()
-        || gc.drain_in_progress()
-        || awaiting_stats
-        || !held_sends.is_empty()
-    {
-        {
-            let net = &cluster.net;
-            let mut send = |e: EngineId, m: ToEngine| net.send(e, m);
-            release_due(&mut held_sends, vnow, &mut send)?;
-        }
-        match events.recv_timeout(Duration::from_millis(5)) {
-            Ok(ev) => {
-                if let Some(msg) = cluster.triage(ev, vnow)? {
-                    if let FromEngine::CleanupDone { engine, .. } = &msg {
-                        if gc.engine_state(*engine) == EngineState::DrainCleanup {
-                            cluster.done[engine.index()] = true;
-                        }
-                    }
-                    let net = &cluster.net;
-                    let mut send = |e: EngineId, m: ToEngine| net.send(e, m);
-                    let Some(msg) =
-                        intercept_drain_cleanup(msg, &mut gc, &mut send, &mut drain_fold, vnow)?
-                    else {
-                        continue;
-                    };
-                    handle_coordinator_msg(
-                        msg,
-                        &mut gc,
-                        &mut placement,
-                        &mut send,
-                        &mut pending_stats,
-                        &mut awaiting_stats,
-                        &mut relocations,
-                        &journal,
-                        vnow,
-                        split.admitted_watermark(),
-                        &sim.faults,
-                        &mut held_sends,
-                    )?;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                vnow += VirtualDuration::from_millis(200);
-                while let Some(action) = gc.check_timeout(vnow) {
-                    let net = &cluster.net;
-                    let mut send = |e: EngineId, m: ToEngine| net.send(e, m);
-                    handle_timeout_action(
-                        action,
-                        &mut gc,
-                        &mut placement,
-                        &mut send,
-                        &journal,
-                        vnow,
-                        &sim.faults,
-                        &mut held_sends,
-                    )?;
-                }
-                let watermark = split.admitted_watermark();
-                let horizon = placement.purge_horizon(watermark);
-                for e in gc.participating_engines() {
-                    cluster.net.send(e, ToEngine::Tick { now: vnow, horizon })?;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(DcapeError::Disconnected("event channel closed".into()))
-            }
-        }
-    }
-
-    debug_assert!(placement.paused_partitions().is_empty());
-    debug_assert!(placement.oldest_buffered_ts().is_none());
-
-    // Distributed cleanup, phase 1 (see run_threaded). Forwarded
-    // segments arrive here as Relay events and are re-framed to their
-    // owners strictly before the StartCleanup broadcast below: each
-    // worker sends its relays before CleanupReady on its FIFO
-    // connection, and the event channel preserves that order.
-    let owners: Vec<EngineId> = (0..placement.num_partitions())
-        .map(|i| placement.owner(PartitionId(i)))
-        .collect::<Result<_>>()?;
-    // Cleanup runs over the *final* membership: drained engines already
-    // exited after their mid-run CleanupDone, and capacity slots whose
-    // AddEngine event never fired were never spawned at all.
-    let final_engines = gc.active_engines();
-    let mut ready = vec![true; capacity];
-    for e in &final_engines {
-        ready[e.index()] = false;
-    }
-    for (i, done) in cluster.done.iter_mut().enumerate() {
-        if !final_engines.iter().any(|e| e.index() == i) {
-            *done = true;
-        }
-    }
-    for e in &final_engines {
-        cluster.net.send(
-            *e,
-            ToEngine::PrepareCleanup {
-                owners: owners.clone(),
-            },
-        )?;
-    }
-    while ready.iter().any(|r| !r) {
-        let ev = events
-            .recv_timeout(Duration::from_secs(120))
-            .map_err(|_| DcapeError::Disconnected("timed out awaiting CleanupReady".into()))?;
-        match cluster.triage(ev, vnow)? {
-            None => {}
-            // A respawned worker's replay can repeat CleanupReady;
-            // setting the flag twice is harmless.
-            Some(FromEngine::CleanupReady { engine, .. }) => {
-                ready[engine.index()] = true;
-            }
-            // Chaos stragglers, as in run_threaded's prepare loop.
-            Some(FromEngine::Ptv { round, engine, .. }) => journal.record(
-                vnow,
-                AdaptEvent::ProtocolWarning {
-                    code: "stale_ptv_after_quiesce",
-                    engine,
-                    round,
-                    detail: 2,
-                },
-            ),
-            Some(FromEngine::TransferAck { round, engine, .. }) => journal.record(
-                vnow,
-                AdaptEvent::ProtocolWarning {
-                    code: "stale_ack_after_quiesce",
-                    engine,
-                    round,
-                    detail: 6,
-                },
-            ),
-            Some(FromEngine::Stats(_))
-            | Some(FromEngine::DrainState { .. })
-            | Some(FromEngine::JoinReady { .. }) => {}
-            Some(other) => {
-                return Err(DcapeError::protocol(format!(
-                    "unexpected message during cleanup prepare: {other:?}"
-                )))
-            }
-        }
-    }
-    for e in &final_engines {
-        cluster.net.send(*e, ToEngine::StartCleanup)?;
-    }
-
-    // Seed the totals with the contributions folded in when drained
-    // engines completed their mid-run cleanup.
-    let mut runtime_output = drain_fold.runtime_output;
-    let mut cleanup_output = drain_fold.cleanup_output;
-    let mut cleanup_wall_ms = drain_fold.cleanup_wall_ms;
-    let mut spill_counts = vec![0u64; capacity];
-    for (e, n) in &drain_fold.spill_counts {
-        spill_counts[e.index()] = *n;
-    }
-    let mut engine_journals: Vec<Vec<JournalEntry>> = std::mem::take(&mut drain_fold.journals);
-    let mut journal_counters = CountersSnapshot::default();
-    fold_engine_counters(&mut journal_counters, &drain_fold.counters);
-    while cluster.done.iter().any(|d| !d) {
-        let ev = events
-            .recv_timeout(Duration::from_secs(120))
-            .map_err(|_| DcapeError::Disconnected("timed out awaiting CleanupDone".into()))?;
-        match cluster.triage(ev, vnow)? {
-            None => {}
-            Some(FromEngine::CleanupDone {
-                engine,
-                runtime_output: out,
-                cleanup_output: missed,
-                spill_count,
-                cleanup_cost_ms,
-                journal: engine_journal,
-                journal_counters: engine_counters,
-            }) => {
-                if cluster.done[engine.index()] {
-                    continue; // duplicate from an implausibly late replay
-                }
-                cluster.done[engine.index()] = true;
-                runtime_output += out;
-                cleanup_output += missed;
-                cleanup_wall_ms = cleanup_wall_ms.max(cleanup_cost_ms);
-                spill_counts[engine.index()] = spill_count;
-                engine_journals.push(engine_journal);
-                fold_engine_counters(&mut journal_counters, &engine_counters);
-            }
-            // A worker respawned late in the run (e.g. a joiner killed
-            // mid-admission) replays its whole outbound history, so the
-            // closing messages of already-settled rounds can trail into
-            // the merge — stale by construction, like the prepare loop.
-            Some(FromEngine::Ptv { round, engine, .. }) => journal.record(
-                vnow,
-                AdaptEvent::ProtocolWarning {
-                    code: "stale_ptv_after_quiesce",
-                    engine,
-                    round,
-                    detail: 2,
-                },
-            ),
-            Some(FromEngine::TransferAck { round, engine, .. }) => journal.record(
-                vnow,
-                AdaptEvent::ProtocolWarning {
-                    code: "stale_ack_after_quiesce",
-                    engine,
-                    round,
-                    detail: 6,
-                },
-            ),
-            Some(FromEngine::Stats(_))
-            | Some(FromEngine::DrainState { .. })
-            | Some(FromEngine::JoinReady { .. }) => {}
-            Some(other) => {
-                return Err(DcapeError::protocol(format!(
-                    "unexpected message during merge: {other:?}"
-                )))
-            }
-        }
-    }
-
-    // Teardown: stop the outboxes (they drain whatever is still
-    // deliverable), wake the acceptor, reap the children.
-    drop(cluster.net.outboxes);
-    for h in outbox_handles {
-        let _ = h.join();
-    }
-    shutdown.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(&local_addr); // unblock accept()
-    let _ = acceptor.join();
-    if let Some(ctl) = cluster.spawn.as_mut() {
-        for (i, child) in ctl.children.iter_mut().enumerate() {
-            if let Some(mut c) = child.take() {
-                let status = c.wait().map_err(DcapeError::Io)?;
-                if !status.success() {
-                    return Err(DcapeError::Disconnected(format!(
-                        "worker {i} exited with {status} after cleanup"
-                    )));
-                }
-            }
-        }
-    }
-
-    let merged = if sim.journal {
-        engine_journals.push(journal.snapshot());
-        merge_journals(engine_journals)
-    } else {
-        Vec::new()
-    };
-    if let Some(c) = journal.counters() {
-        journal_counters.absorb(&c.snapshot());
-    }
-
-    Ok(ThreadedReport {
-        runtime_output,
-        cleanup_output,
-        relocations,
-        spill_counts,
-        force_spills: gc.force_spills_issued(),
-        cleanup_wall_ms,
-        journal: merged,
-        journal_counters,
-    })
+    let patient = sim.faults.is_active() || cfg.kill.is_some();
+    let transport = TcpTransport::new(&cfg, journal.clone())?;
+    let mut run = CoordinatorRun::new(sim, journal, patient, transport)?;
+    run.run_until(deadline)?;
+    run.quiesce()?;
+    Ok(run.cleanup()?.into())
 }
 
 // ---------------------------------------------------------------------
@@ -1280,7 +893,8 @@ fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
         _ => None,
     };
 
-    let mut core = EngineCore::new(engine, welcome.config, welcome.journal)?;
+    let journal = JournalHandle::when(welcome.journal);
+    let mut core = EngineCore::new(engine, welcome.config, journal, false)?;
     // Announce liveness: a late joiner's rebalancing is deferred until
     // this arrives; announcements from the initial engines are absorbed
     // quietly. Resent on respawn, which is how a joiner that crashed

@@ -145,27 +145,81 @@ fn sim_active_disk_preserves_results_with_force_spills() {
     assert_eq!(report.total_output(), reference);
 }
 
+/// Same `SimConfig` ⇒ bit-identical run, on the busiest configuration
+/// there is: relocating under alternating skew, tight memory, the chaos
+/// layer armed, an engine joining and another draining. Two runs agree
+/// on the whole merged journal, every recorded series, every relocation
+/// and every counter.
 #[test]
 fn sim_is_deterministic() {
+    use dcape_cluster::faults::{FaultConfig, FaultPlan};
+    use dcape_cluster::runtime::sim::ScaleEvent;
     let deadline = VirtualTime::from_mins(4);
     let run = || {
+        let spec = small_workload(5).with_pattern(ArrivalPattern::AlternatingSkew {
+            group_a: (0..6).map(dcape_common::ids::PartitionId).collect(),
+            ratio: 10.0,
+            period: VirtualDuration::from_mins(1),
+        });
         let cfg = SimConfig::new(
             2,
             tight_engine(),
-            small_workload(5),
-            StrategyConfig::lazy_default(),
-        );
+            spec,
+            StrategyConfig::LazyDisk {
+                theta_r: 0.8,
+                tau_m: VirtualDuration::from_secs(20),
+            },
+        )
+        .with_stats_interval(VirtualDuration::from_secs(15))
+        .with_sample_interval(VirtualDuration::from_secs(20))
+        .with_journal()
+        .with_faults(FaultPlan::new(13, FaultConfig::uniform(0.2)))
+        .with_scale_events(vec![
+            ScaleEvent::add(VirtualTime::from_secs(40)),
+            ScaleEvent::drain_engine(VirtualTime::from_secs(150), dcape_common::ids::EngineId(0)),
+        ]);
         let mut d = SimDriver::new(cfg).unwrap();
         d.run_until(deadline).unwrap();
-        let r = d.finish().unwrap();
-        (
-            r.runtime_output,
-            r.cleanup_output,
-            r.relocations.len(),
-            r.spill_counts.clone(),
-        )
+        d.finish().unwrap()
     };
-    assert_eq!(run(), run());
+    let (a, b) = (run(), run());
+    assert!(!a.relocations.is_empty(), "the run must relocate");
+    assert!(a.journal_counters.faults_injected > 0, "and inject faults");
+    assert!(a.spill_counts.iter().sum::<u64>() > 0, "and spill");
+    assert_eq!(
+        a.journal_counters.rebalance_moves,
+        b.journal_counters.rebalance_moves
+    );
+    assert!(
+        a.journal_counters.rebalance_moves > 0,
+        "and move state for the join and the drain"
+    );
+    assert_eq!(a.journal, b.journal);
+    assert_eq!(a.journal_counters, b.journal_counters);
+    assert_eq!(a.relocations, b.relocations);
+    let names = a.recorder.names();
+    assert_eq!(names, b.recorder.names());
+    assert!(
+        names.contains(&"mem/QE2"),
+        "the joiner is sampled: {names:?}"
+    );
+    for name in names {
+        assert_eq!(a.recorder.series(name), b.recorder.series(name), "{name}");
+    }
+    assert_eq!(
+        (
+            a.runtime_output,
+            a.cleanup_output,
+            &a.spill_counts,
+            &a.cleanup_cost_ms
+        ),
+        (
+            b.runtime_output,
+            b.cleanup_output,
+            &b.spill_counts,
+            &b.cleanup_cost_ms
+        )
+    );
 }
 
 #[test]
@@ -306,18 +360,26 @@ fn threaded_active_disk_preserves_results() {
     );
 }
 
+/// `reactivate_watermark` means the same thing on every runtime: the
+/// engines merge spilled partitions back during the run, on their clock
+/// pulse. Exactness holds with and without it, and with it the merged
+/// journal holds cleanup merges stamped before the deadline — a
+/// reactivation journals through the same merge as the final cleanup,
+/// at the engine's clock, and the final cleanup runs at or after the
+/// deadline.
 #[test]
 fn runtime_reactivation_reduces_cleanup_debt_and_stays_exact() {
+    use dcape_metrics::journal::{AdaptEvent, JournalEntry};
     let deadline = VirtualTime::from_mins(6);
     let spec = small_workload(55);
     let reference = reference_join(&spec, deadline, None).unwrap().count();
 
-    let run = |reactivate: bool| {
+    let cfg = |reactivate: bool| {
         let mut engine = tight_engine();
         if reactivate {
             engine = engine.with_reactivation(0.5);
         }
-        let cfg = SimConfig::new(
+        SimConfig::new(
             3,
             engine,
             spec.clone(),
@@ -327,18 +389,29 @@ fn runtime_reactivation_reduces_cleanup_debt_and_stays_exact() {
             },
         )
         .with_placement(PlacementSpec::Fractions(vec![0.6, 0.2, 0.2]))
-        .with_stats_interval(VirtualDuration::from_secs(30));
-        let mut driver = SimDriver::new(cfg).unwrap();
+        .with_stats_interval(VirtualDuration::from_secs(30))
+        .with_journal()
+    };
+    let run_sim = |reactivate: bool| {
+        let mut driver = SimDriver::new(cfg(reactivate)).unwrap();
         driver.run_until(deadline).unwrap();
         driver.finish().unwrap()
     };
+    let merges_during_the_run = |journal: &[JournalEntry]| {
+        journal
+            .iter()
+            .filter(|e| matches!(e.event, AdaptEvent::CleanupPhase { .. }) && e.at < deadline)
+            .count()
+    };
 
-    let plain = run(false);
-    let reactivating = run(true);
+    let plain = run_sim(false);
+    let reactivating = run_sim(true);
     assert!(plain.spill_counts.iter().sum::<u64>() > 0);
     // Exactness holds either way.
     assert_eq!(plain.total_output(), reference);
     assert_eq!(reactivating.total_output(), reference);
+    assert_eq!(merges_during_the_run(&plain.journal), 0);
+    assert!(merges_during_the_run(&reactivating.journal) > 0);
     // Reactivation pays the merge during the run, leaving less (or at
     // most equal) debt for the post-run cleanup phase.
     assert!(
@@ -346,5 +419,15 @@ fn runtime_reactivation_reduces_cleanup_debt_and_stays_exact() {
         "reactivation should shrink post-run cleanup: {} vs {}",
         reactivating.cleanup_output,
         plain.cleanup_output
+    );
+
+    let plain = run_threaded(cfg(false), deadline).unwrap();
+    let reactivating = run_threaded(cfg(true), deadline).unwrap();
+    assert_eq!(plain.total_output(), reference);
+    assert_eq!(reactivating.total_output(), reference);
+    assert_eq!(merges_during_the_run(&plain.journal), 0);
+    assert!(
+        merges_during_the_run(&reactivating.journal) > 0,
+        "the threaded engines must reactivate too"
     );
 }

@@ -517,3 +517,49 @@ fn quiesce_drains_buffer_and_releases_watermark() {
         );
     }
 }
+
+/// One protocol implementation: on a run whose engines see a
+/// deterministic message sequence — tight memory, no adaptation, so
+/// only data, pulses and statistics requests — the deterministic runtime
+/// and the threaded one are the same program to the digit: per-phase
+/// outputs, per-engine spills, every spill counter. Unwindowed and with
+/// a 60 s window; both totals are the oracle's count.
+#[test]
+fn sim_equals_threaded_on_a_deterministic_run() {
+    let deadline = VirtualTime::from_mins(4);
+    for window in [None, Some(VirtualDuration::from_secs(60))] {
+        for seed in [55u64, 91, 7] {
+            let spec = StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
+                .with_payload_pad(200)
+                .with_seed(seed);
+            let spill_cfg = || {
+                let mut engine =
+                    EngineConfig::three_way(1 << 22, 600 << 10).with_spill_fraction(0.4);
+                if let Some(w) = window {
+                    engine.join = engine.join.with_window(w);
+                }
+                SimConfig::new(2, engine, spec.clone(), StrategyConfig::NoAdaptation)
+                    .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
+                    .with_stats_interval(VirtualDuration::from_secs(30))
+                    .with_journal()
+            };
+            let what = format!("seed {seed}, window {window:?}");
+            let (sim, _) = run_sim(spill_cfg(), deadline);
+            let threaded = run_threaded(spill_cfg(), deadline).unwrap();
+            let expected = reference_join(&spec, deadline, window).unwrap().count();
+            assert!(
+                sim.spill_counts.iter().sum::<u64>() > 0,
+                "{what}: must spill"
+            );
+            assert_eq!(sim.total_output(), expected, "{what}: sim total");
+            assert_eq!(threaded.total_output(), expected, "{what}: threaded total");
+            assert_eq!(sim.runtime_output, threaded.runtime_output, "{what}");
+            assert_eq!(sim.cleanup_output, threaded.cleanup_output, "{what}");
+            assert_eq!(sim.spill_counts, threaded.spill_counts, "{what}");
+            let (s, t) = (sim.journal_counters, threaded.journal_counters);
+            assert_eq!(s.tuples_routed, t.tuples_routed, "{what}");
+            assert_eq!(s.spill_bytes, t.spill_bytes, "{what}");
+            assert_eq!(s.spill_bytes_written, t.spill_bytes_written, "{what}");
+        }
+    }
+}

@@ -3,9 +3,8 @@
 //! A [`TupleBatch`] carries routed tuples — rows of `(PartitionId,
 //! Tuple)` in arrival order — from a split to one engine, so the
 //! dataflow pays one channel send / one frame / one dispatch per batch
-//! instead of one per tuple (the sim delivers a batch per generator
-//! tick; the threaded and socket drivers coalesce up to 64 ticks). The
-//! batch boundary is purely a transport grouping: consumers must
+//! instead of one per tuple (every runtime coalesces up to 64 generator
+//! ticks). The batch boundary is purely a transport grouping: consumers must
 //! preserve the contained order.
 //!
 //! The batch is **one flat byte buffer plus a row count**. Its bytes are

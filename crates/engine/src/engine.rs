@@ -93,6 +93,12 @@ pub struct QueryEngine {
     /// cleanup results, so the window purge must skip them just as it
     /// skips locally-spilled partitions.
     purge_protect: FxHashSet<PartitionId>,
+    /// Partitions whose memory state this engine shipped away in a
+    /// committed relocation round and has not received back: it may
+    /// still hold their spill segments, but it no longer owns them, so
+    /// it must not reactivate them into memory — the owner's cleanup
+    /// merge would never see the reactivated group.
+    relocated_out: FxHashSet<PartitionId>,
     /// Relocation rounds below this id are closed; re-delivered protocol
     /// messages for them are stale no-ops (chaos-layer idempotency).
     min_live_round: u64,
@@ -131,6 +137,7 @@ impl QueryEngine {
             journal: JournalHandle::disabled(),
             clock: VirtualTime::ZERO,
             purge_protect: FxHashSet::default(),
+            relocated_out: FxHashSet::default(),
             min_live_round: 0,
             pending_outbound: None,
             inbound_round: None,
@@ -381,6 +388,7 @@ impl QueryEngine {
             if protect {
                 self.purge_protect.insert(snapshot.partition);
             }
+            self.relocated_out.remove(&snapshot.partition);
             self.join.install_group(snapshot, output)?;
         }
         Ok(())
@@ -434,8 +442,9 @@ impl QueryEngine {
     /// Sender side of step 7/8: the round committed — drop the retained
     /// outbound copy and close the round.
     pub fn commit_outbound(&mut self, round: u64) {
-        if matches!(&self.pending_outbound, Some((r, _)) if *r == round) {
-            self.pending_outbound = None;
+        if let Some((_, groups)) = self.pending_outbound.take_if(|(r, _)| *r == round) {
+            self.relocated_out
+                .extend(groups.iter().map(|(g, _, _)| g.partition));
         }
         self.note_round_closed(round);
     }
@@ -585,21 +594,20 @@ impl QueryEngine {
         self.store.segments_of(pid)
     }
 
-    /// Extract the memory-resident group of `pid`, if present (cleanup
-    /// and relocation use; releases its memory).
-    pub fn extract_resident_group(&mut self, pid: PartitionId) -> Option<(SpilledGroup, u64)> {
-        self.join.extract_group(pid)
-    }
-
     /// Import segments that another engine spilled for a partition this
     /// engine owns (distributed cleanup: segments are forwarded to the
     /// owner before the parallel merge). Order among slices does not
     /// affect the merge's correctness — slices are disjoint
     /// co-residency epochs.
+    ///
+    /// Storing a forwarded segment is not a spill: `spill_bytes_written`
+    /// stays what spill adaptations wrote (the denominator of the
+    /// compression ratio), and the hand-off shows as the segment's two
+    /// read-backs — one to forward it, one to merge it — in
+    /// `spill_bytes_read`.
     pub fn import_segments(&mut self, segments: Vec<SpilledGroup>) -> Result<()> {
         for segment in segments {
-            let meta = self.store.spill_group(&segment)?;
-            self.journal.add_spill_bytes_written(meta.encoded_bytes);
+            self.store.spill_group(&segment)?;
         }
         Ok(())
     }
@@ -709,25 +717,32 @@ impl QueryEngine {
     }
 
     /// Opportunistic run-time reactivation: when the configured
-    /// watermark is set and memory is comfortably below the spill
-    /// threshold, pick the smallest spilled partition whose merged
+    /// watermark is set, the engine is in normal mode (like the spill
+    /// check, it does not adapt locally while a relocation round holds
+    /// groups of it in flight) and memory is comfortably below the
+    /// spill threshold, pick the smallest spilled partition whose merged
     /// state fits under the threshold and reactivate it. At most one
-    /// partition per call (drivers call this on their clock pulse).
+    /// partition per call (the runtimes call this on the clock pulse).
     pub fn maybe_reactivate(&mut self, sink: &mut dyn ResultSink) -> Result<Option<CleanupReport>> {
         let Some(watermark) = self.cfg.reactivate_watermark else {
             return Ok(None);
         };
+        if self.controller.mode() != Mode::Normal {
+            return Ok(None);
+        }
         let threshold = self.cfg.spill_threshold;
         let used = self.tracker.used();
         if used as f64 >= threshold as f64 * watermark {
             return Ok(None);
         }
         // Smallest spilled partition (by accounted disk bytes) that
-        // fits back under the threshold.
+        // fits back under the threshold — among those this engine still
+        // owns.
         let candidate = self
             .store
             .partitions_with_segments()
             .into_iter()
+            .filter(|pid| !self.relocated_out.contains(pid))
             .map(|pid| {
                 let bytes: u64 = self
                     .store
@@ -1127,6 +1142,43 @@ mod reactivation_tests {
             .unwrap();
         assert!(e.memory_used() > (32 << 10) / 10);
         assert!(e.maybe_reactivate(&mut sink).unwrap().is_none());
+    }
+
+    /// Segments stay behind when a partition's memory state relocates;
+    /// reactivating them here would strand a group on a non-owner, out
+    /// of the owner's cleanup merge.
+    #[test]
+    fn relocated_out_partitions_are_not_reactivated_until_they_return() {
+        let cfg = EngineConfig::three_way(1 << 20, 64 << 10).with_reactivation(0.5);
+        let mut e = QueryEngine::in_memory(EngineId(0), cfg).unwrap();
+        let mut sink = CountingSink::new();
+        let pid = PartitionId(0);
+        for s in 0..3u8 {
+            e.process(pid, tpl(s, 0, 0), &mut sink).unwrap();
+        }
+        e.force_spill(u64::MAX / 2, VirtualTime::from_secs(1))
+            .unwrap();
+        for s in 0..3u8 {
+            e.process(pid, tpl(s, 1, 0), &mut sink).unwrap();
+        }
+        // The resident remainder relocates away; the segment stays.
+        // While the round is open (relocation mode) nothing reactivates:
+        // an abort has to find the partition as the extraction left it.
+        e.set_mode(Mode::Relocation);
+        let shipped = e.begin_outbound(0, &[pid]);
+        assert_eq!(shipped.len(), 1);
+        assert!(e.maybe_reactivate(&mut sink).unwrap().is_none());
+        e.commit_outbound(0);
+        e.set_mode(Mode::Normal);
+        assert_eq!(e.memory_used(), 0);
+        assert!(e.store().segment_count() > 0);
+        assert!(e.maybe_reactivate(&mut sink).unwrap().is_none());
+        assert_eq!(e.memory_used(), 0, "nothing reactivated on a non-owner");
+        // Ownership returns with a later round: eligible again.
+        e.install_groups_for_round(1, shipped).unwrap();
+        e.commit_inbound(1);
+        assert!(e.maybe_reactivate(&mut sink).unwrap().is_some());
+        assert_eq!(e.store().segment_count(), 0);
     }
 
     #[test]

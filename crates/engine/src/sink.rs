@@ -110,6 +110,12 @@ impl CollectingSink {
         self.results
     }
 
+    /// Move every result of `other` to the end of this sink (one
+    /// multiset out of per-engine sinks).
+    pub fn append(&mut self, other: CollectingSink) {
+        self.results.extend(other.results);
+    }
+
     /// Result count.
     pub fn len(&self) -> usize {
         self.results.len()

@@ -199,8 +199,8 @@ impl AdaptEvent {
 pub struct JournalEntry {
     /// Virtual time of the event.
     pub at: VirtualTime,
-    /// Per-journal sequence number (total order within one journal even
-    /// when many events share a timestamp).
+    /// Sequence number: a total order within one journal (and across
+    /// sibling journals) even when many events share a timestamp.
     pub seq: u64,
     /// The event payload.
     pub event: AdaptEvent,
@@ -462,7 +462,9 @@ impl Ring {
 #[derive(Debug)]
 pub struct EventJournal {
     ring: Mutex<Ring>,
-    seq: AtomicU64,
+    /// Source of sequence numbers; shared between sibling journals
+    /// (see [`JournalHandle::sibling`]).
+    seq: Arc<AtomicU64>,
     counters: JournalCounters,
 }
 
@@ -470,6 +472,10 @@ impl EventJournal {
     /// A journal holding at most `capacity` events (oldest dropped
     /// first on overflow).
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::numbered_by(capacity, Arc::new(AtomicU64::new(0)))
+    }
+
+    fn numbered_by(capacity: usize, seq: Arc<AtomicU64>) -> Self {
         assert!(capacity > 0, "journal capacity must be positive");
         EventJournal {
             ring: Mutex::new(Ring {
@@ -477,7 +483,7 @@ impl EventJournal {
                 capacity,
                 head: 0,
             }),
-            seq: AtomicU64::new(0),
+            seq,
             counters: JournalCounters::default(),
         }
     }
@@ -530,6 +536,33 @@ impl JournalHandle {
     /// A no-op handle.
     pub fn disabled() -> Self {
         JournalHandle::default()
+    }
+
+    /// [`enabled`](Self::enabled) when `on`, else
+    /// [`disabled`](Self::disabled) — a run's `journal` flag as a handle.
+    pub fn when(on: bool) -> Self {
+        if on {
+            Self::enabled()
+        } else {
+            Self::disabled()
+        }
+    }
+
+    /// A new journal — its own ring and counters — that draws sequence
+    /// numbers from the same source as this one (disabled if this one
+    /// is). Whatever one thread records into siblings keeps its order
+    /// when [`merge_journals`] breaks timestamp ties by `seq`; the
+    /// deterministic runtime gives every in-place engine a sibling of
+    /// the coordinator's journal for that reason.
+    pub fn sibling(&self) -> Self {
+        JournalHandle {
+            inner: self.inner.as_ref().map(|j| {
+                Arc::new(EventJournal::numbered_by(
+                    DEFAULT_JOURNAL_CAPACITY,
+                    Arc::clone(&j.seq),
+                ))
+            }),
+        }
     }
 
     /// Whether events are being kept.
@@ -889,5 +922,28 @@ mod tests {
         assert_eq!(times, vec![10, 20, 20, 30]);
         // The two t=20 events keep engine-a's internal order.
         assert!(merged[1].seq < merged[2].seq);
+    }
+
+    #[test]
+    fn siblings_keep_recording_order_across_journals_on_timestamp_ties() {
+        let a = JournalHandle::with_capacity(8);
+        let b = a.sibling();
+        let t = VirtualTime::from_millis(20);
+        b.record(t, pressure(1, 1));
+        a.record(t, pressure(0, 2));
+        b.record(t, pressure(1, 3));
+        // Own ring, own counters.
+        assert_eq!(a.snapshot().len(), 1);
+        assert_eq!(b.counters().unwrap().events_recorded(), 2);
+        let merged = merge_journals([a.snapshot(), b.snapshot()]);
+        let used: Vec<u64> = merged
+            .iter()
+            .map(|e| match e.event {
+                AdaptEvent::MemoryPressure { used, .. } => used,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(used, vec![1, 2, 3]);
+        assert!(!JournalHandle::disabled().sibling().is_enabled());
     }
 }

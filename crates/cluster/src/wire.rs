@@ -1471,9 +1471,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_engine_round_trips() {
-        let msgs = vec![
+    fn sample_from_engine() -> Vec<FromEngine> {
+        vec![
             FromEngine::Ptv {
                 round: 3,
                 engine: EngineId(1),
@@ -1631,8 +1630,12 @@ mod tests {
             FromEngine::JoinReady {
                 engine: EngineId(2),
             },
-        ];
-        for msg in msgs {
+        ]
+    }
+
+    #[test]
+    fn from_engine_round_trips() {
+        for msg in sample_from_engine() {
             let debug = format!("{msg:?}");
             let (seq, got) = round_trip(&WireMsg::Coord(msg), 0);
             assert_eq!(seq, 0);
@@ -1641,6 +1644,27 @@ mod tests {
                 other => panic!("expected Coord, got {other:?}"),
             }
         }
+    }
+
+    /// The frame bytes of every protocol message, reduced to one number
+    /// taken with the hand-written encoder of commit c7c469c: whatever
+    /// produces the bytes must keep producing these. (Handshake frames
+    /// are not part of it.)
+    #[test]
+    fn protocol_frame_bytes_are_pinned() {
+        let mut all = Vec::new();
+        let msgs = sample_to_engine()
+            .into_iter()
+            .map(WireMsg::Engine)
+            .chain(sample_from_engine().into_iter().map(WireMsg::Coord));
+        for (i, msg) in msgs.enumerate() {
+            all.extend_from_slice(&frame_bytes(i as u64, &msg).unwrap());
+        }
+        assert_eq!(all.len(), 634);
+        assert_eq!(
+            dcape_common::hash::fx_hash(all.as_slice()),
+            0x6D0C_89BF_F938_5726
+        );
     }
 
     #[test]

@@ -1184,9 +1184,9 @@ mod tests {
         ));
         assert!(!gc.relocation_active());
         assert_eq!(gc.relocations_aborted(), 1);
-        let c = gc.journal.counters().unwrap();
-        assert_eq!(c.msgs_retried(), 2);
-        assert_eq!(c.rounds_aborted(), 1);
+        let c = gc.journal.counters().unwrap().snapshot();
+        assert_eq!(c.msgs_retried, 2);
+        assert_eq!(c.rounds_aborted, 1);
         // No round anymore: the poll goes quiet.
         assert_eq!(gc.check_timeout(VirtualTime::from_secs(5)), None);
     }

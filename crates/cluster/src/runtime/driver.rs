@@ -106,24 +106,6 @@ pub(crate) struct RunReport {
     pub(crate) journal_counters: CountersSnapshot,
 }
 
-/// Fold one engine's shutdown counters into a cluster-wide snapshot:
-/// what only engines count (spill volume, encoded transfer volume, ring
-/// accounting) and the chaos counters of the edges engines send (Ptv,
-/// InstallStates, TransferAck). Routed tuples and relocation volume are
-/// counted once, at the coordinator.
-fn fold_engine_counters(dst: &mut CountersSnapshot, src: &CountersSnapshot) {
-    dst.spill_bytes += src.spill_bytes;
-    dst.spill_bytes_written += src.spill_bytes_written;
-    dst.spill_bytes_read += src.spill_bytes_read;
-    dst.transfer_bytes += src.transfer_bytes;
-    dst.events_recorded += src.events_recorded;
-    dst.events_dropped += src.events_dropped;
-    dst.faults_injected += src.faults_injected;
-    dst.msgs_retried += src.msgs_retried;
-    dst.rounds_aborted += src.rounds_aborted;
-    dst.watermark_released_on_abort += src.watermark_released_on_abort;
-}
-
 /// Consult the fault plan for one message edge, journaling any injected
 /// fault (shared by the coordinator and the engines — both count into
 /// `faults_injected`, folded together at shutdown).
@@ -857,7 +839,7 @@ impl<T: Transport> CoordinatorRun<T> {
         report.cleanup_cost_ms[engine.index()] = cleanup_cost_ms;
         report.spill_counts[engine.index()] = spill_count;
         self.engine_journals.push(journal);
-        fold_engine_counters(&mut report.journal_counters, &journal_counters);
+        report.journal_counters.absorb_engine(&journal_counters);
     }
 
     /// Act on one engine message (the run loop and the quiesce loop).
@@ -1063,7 +1045,7 @@ mod tests {
             let buffered = self
                 .journal
                 .counters()
-                .map_or(0, |c| c.buffered_in_flight());
+                .map_or(0, |c| c.snapshot().buffered_in_flight);
             self.log.push((engine, self.rows_sent + buffered, seen));
         }
 

@@ -270,7 +270,6 @@ fn outbox_thread(slot: Arc<ConnSlot>, rx: Receiver<Vec<u8>>) {
 
 /// Everything the acceptor needs to answer a `Hello`.
 struct WelcomeTemplate {
-    num_engines: u16,
     config: dcape_engine::config::EngineConfig,
     journal: bool,
     fault_seed: u64,
@@ -310,7 +309,6 @@ fn acceptor_thread(
         let replay_until = slot.next_seq.load(Ordering::SeqCst).saturating_sub(1);
         let welcome = Welcome {
             engine: hello.engine,
-            num_engines: tmpl.num_engines,
             config: tmpl.config.clone(),
             journal: tmpl.journal,
             fault_seed: tmpl.fault_seed,
@@ -437,7 +435,7 @@ impl TcpTransport {
     fn triage(&mut self, ev: Event, now: VirtualTime) -> Result<Option<FromEngine>> {
         match ev {
             Event::Msg(m) => {
-                self.net.log_rx(m.engine(), from_engine_kind(&m));
+                self.net.log_rx(m.engine(), m.kind_name());
                 if let (Some(kp), false) = (self.kill, self.kill_fired) {
                     // Drain polls count like stats reports: a kill plan
                     // aimed at a draining engine fires mid-drain, which
@@ -541,18 +539,6 @@ impl TcpTransport {
     }
 }
 
-fn from_engine_kind(m: &FromEngine) -> &'static str {
-    match m {
-        FromEngine::Ptv { .. } => "ptv",
-        FromEngine::TransferAck { .. } => "transfer_ack",
-        FromEngine::Stats(_) => "stats",
-        FromEngine::CleanupReady { .. } => "cleanup_ready",
-        FromEngine::CleanupDone { .. } => "cleanup_done",
-        FromEngine::DrainState { .. } => "drain_state",
-        FromEngine::JoinReady { .. } => "join_ready",
-    }
-}
-
 // ---------------------------------------------------------------------
 // The coordinator side: set-up, the transport seam, teardown.
 
@@ -602,7 +588,6 @@ impl TcpTransport {
         let (events_tx, events) = unbounded::<Event>();
         let shutdown = Arc::new(AtomicBool::new(false));
         let tmpl = Arc::new(WelcomeTemplate {
-            num_engines: capacity as u16,
             config: sim.engine.clone(),
             journal: sim.journal,
             fault_seed: sim.faults.seed(),

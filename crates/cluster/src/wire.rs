@@ -1,10 +1,27 @@
 //! Binary wire format for the socket runtime.
 //!
 //! Every protocol message of [`crate::messages`] — plus the session
-//! frames the socket runtime adds (`Hello`, `Welcome`, `Relay`) — has a
-//! hand-rolled encoding built from the same primitives as the spill
-//! segment format (`dcape-storage::codec`): little-endian scalars and
-//! LEB128 varints, no external serialization dependency.
+//! frames the socket runtime adds (`Hello`, `Welcome`, `Relay`) — is
+//! encoded from the same primitives as the spill segment format
+//! (`dcape-storage::codec`): little-endian scalars and LEB128 varints,
+//! no external serialization dependency.
+//!
+//! ## Bodies
+//!
+//! A private trait, `Wire`, is one type's encoding in both directions.
+//! It is written by hand once per leaf type — integers (varints,
+//! narrowed on decode with `try_from`), `u8`, `bool`, `f64`, ids,
+//! times, `Vec`, `Option`, interned `&'static str`, and the three types
+//! that own a format of their own (`SpilledGroup`, `TupleBatch`,
+//! `CountersSnapshot`). Every record above the leaves is one
+//! declaration: `wire_struct!` takes a struct's field names and
+//! `wire_enum!` an enum's tags, variants and field names, and each
+//! emits the encoder and the decoder from that single list. The
+//! encoder's pattern is exhaustive and the decoder builds a struct
+//! literal, so a field or variant missing from a list does not compile:
+//! adding one to a message is an edit to its type and to its list,
+//! nowhere else. A message's kind byte and its frame-log name live in
+//! the `ToEngine` / `FromEngine` lists.
 //!
 //! ## Framing
 //!
@@ -30,8 +47,6 @@
 //! [`crate::runtime::socket`].
 
 use std::io::{Read, Write};
-
-use bytes::Buf;
 
 use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
@@ -61,35 +76,6 @@ pub const MAX_FRAME_LEN: u32 = 1 << 30;
 /// fails the run on anything else but a clean exit.
 pub const CRASH_EXIT: i32 = 86;
 
-// Frame kind tags. Coordinator → worker (sequenced); 0x01 carried the
-// retired one-tuple data message and is not reused:
-const K_DATA_BATCH: u8 = 0x02;
-const K_CPTV: u8 = 0x03;
-const K_SEND_STATES: u8 = 0x04;
-const K_INSTALL_STATES: u8 = 0x05;
-const K_ABORT_ROUND: u8 = 0x06;
-const K_RESUME: u8 = 0x07;
-const K_START_SPILL: u8 = 0x08;
-const K_REPORT_STATS: u8 = 0x09;
-const K_TICK: u8 = 0x0A;
-const K_PREPARE_CLEANUP: u8 = 0x0B;
-const K_FORWARDED_SEGMENTS: u8 = 0x0C;
-const K_START_CLEANUP: u8 = 0x0D;
-const K_BEGIN_DRAIN: u8 = 0x0E;
-const K_FENCE_NOTICE: u8 = 0x0F;
-// Worker → coordinator (unsequenced):
-const K_PTV: u8 = 0x20;
-const K_TRANSFER_ACK: u8 = 0x21;
-const K_STATS: u8 = 0x22;
-const K_CLEANUP_READY: u8 = 0x23;
-const K_CLEANUP_DONE: u8 = 0x24;
-const K_DRAIN_STATE: u8 = 0x25;
-const K_JOIN_READY: u8 = 0x26;
-// Session:
-const K_HELLO: u8 = 0x30;
-const K_WELCOME: u8 = 0x31;
-const K_RELAY: u8 = 0x32;
-
 /// Worker → coordinator handshake, first frame on every connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
@@ -108,9 +94,6 @@ pub struct Hello {
 pub struct Welcome {
     /// The engine id the coordinator expects on this connection.
     pub engine: EngineId,
-    /// Cluster size (diagnostics only — relayed peer messages carry
-    /// explicit targets).
-    pub num_engines: u16,
     /// The engine configuration to instantiate.
     pub config: EngineConfig,
     /// Whether to keep an adaptation-event journal.
@@ -149,126 +132,238 @@ pub enum WireMsg {
 }
 
 // ---------------------------------------------------------------------
-// Primitive helpers.
+// The encoding of one type, both directions.
 
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
+trait Wire: Sized {
+    /// Append `self` to `buf`.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Take one value off the front of `buf`, checking it.
+    fn get(buf: &mut &[u8]) -> Result<Self>;
 }
 
-fn get_bool(buf: &mut &[u8]) -> Result<bool> {
-    if buf.is_empty() {
-        return Err(DcapeError::codec("wire: unexpected end of input"));
+/// A struct is its fields in the order listed.
+macro_rules! wire_struct {
+    ($( $ty:ident { $($field:ident),+ } )+) => { $(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let $ty { $($field),+ } = self;
+                $( $field.put(buf); )+
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                Ok($ty { $( $field: Wire::get(buf)? ),+ })
+            }
+        }
+    )+ };
+}
+
+/// An enum is a tag byte, then the variant's fields in the order listed.
+/// A tag missing from the list — retired, or not assigned yet — is a
+/// codec error. Variants listed with a name also get `kind_name`.
+macro_rules! wire_enum {
+    ($ty:ident { $(
+        $tag:literal $name:literal = $variant:ident $({ $($field:ident),+ })? $(( $inner:ident ))?
+    ),+ }) => {
+        wire_enum!($ty { $( $tag = $variant $({ $($field),+ })? $(( $inner ))? ),+ });
+
+        impl $ty {
+            /// Short lowercase name for frame logs and diagnostics.
+            pub(crate) fn kind_name(&self) -> &'static str {
+                match self {
+                    $( $ty::$variant { .. } => $name, )+
+                }
+            }
+        }
+    };
+    ($ty:ident { $(
+        $tag:literal = $variant:ident $({ $($field:ident),+ })? $(( $inner:ident ))?
+    ),+ }) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $( $ty::$variant $({ $($field),+ })? $(( $inner ))? => {
+                        buf.push($tag);
+                        $($( $field.put(buf); )+)?
+                        $( $inner.put(buf); )?
+                    } )+
+                }
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                Ok(match u8::get(buf)? {
+                    $( $tag => $ty::$variant
+                        $({ $( $field: Wire::get(buf)? ),+ })?
+                        $(( wire_enum!(@get $inner, buf) ))?, )+
+                    tag => {
+                        return Err(DcapeError::codec(format!(
+                            concat!("wire: bad ", stringify!($ty), " tag {:#x}"),
+                            tag
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    (@get $inner:ident, $buf:ident) => { Wire::get($buf)? };
+}
+
+// ---------------------------------------------------------------------
+// Leaf types.
+
+/// Take `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| DcapeError::codec("wire: unexpected end of input"))?;
+    *buf = rest;
+    Ok(*head)
+}
+
+impl Wire for u8 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
     }
-    let b = buf[0];
-    buf.advance(1);
-    Ok(b != 0)
-}
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.is_empty() {
-        return Err(DcapeError::codec("wire: unexpected end of input"));
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        take::<1>(buf).map(|[b]| b)
     }
-    let b = buf[0];
-    buf.advance(1);
-    Ok(b)
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn get_f64(buf: &mut &[u8]) -> Result<f64> {
-    if buf.len() < 8 {
-        return Err(DcapeError::codec("wire: unexpected end of input"));
+impl Wire for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
     }
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[..8]);
-    buf.advance(8);
-    Ok(f64::from_bits(u64::from_le_bytes(b)))
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Ok(u8::get(buf)? != 0)
+    }
 }
 
-fn put_time(buf: &mut Vec<u8>, t: VirtualTime) {
-    put_varint(buf, t.as_millis());
+impl Wire for f64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Ok(f64::from_bits(u64::from_le_bytes(take(buf)?)))
+    }
 }
 
-fn get_time(buf: &mut &[u8]) -> Result<VirtualTime> {
-    Ok(VirtualTime::from_millis(get_varint(buf)?))
+/// Integers travel as varints. Decode narrows with `try_from`: a value
+/// the field cannot hold is a codec error, never a wrapped number.
+macro_rules! wire_varint {
+    ($($int:ident),+) => { $(
+        impl Wire for $int {
+            fn put(&self, buf: &mut Vec<u8>) {
+                put_varint(buf, *self as u64);
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                $int::try_from(get_varint(buf)?).map_err(|_| {
+                    DcapeError::codec(concat!("wire: value out of range for ", stringify!($int)))
+                })
+            }
+        }
+    )+ };
 }
 
-fn put_dur(buf: &mut Vec<u8>, d: VirtualDuration) {
-    put_varint(buf, d.as_millis());
+wire_varint!(u16, u32, u64, usize);
+
+impl Wire for EngineId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Wire::get(buf).map(EngineId)
+    }
 }
 
-fn get_dur(buf: &mut &[u8]) -> Result<VirtualDuration> {
-    Ok(VirtualDuration::from_millis(get_varint(buf)?))
+impl Wire for PartitionId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Wire::get(buf).map(PartitionId)
+    }
 }
 
-fn put_engine(buf: &mut Vec<u8>, e: EngineId) {
-    put_varint(buf, e.0 as u64);
+impl Wire for VirtualTime {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.as_millis().put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Wire::get(buf).map(VirtualTime::from_millis)
+    }
 }
 
-fn get_engine(buf: &mut &[u8]) -> Result<EngineId> {
-    let v = get_varint(buf)?;
-    u16::try_from(v)
-        .map(EngineId)
-        .map_err(|_| DcapeError::codec("wire: engine id out of range"))
+impl Wire for VirtualDuration {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.as_millis().put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Wire::get(buf).map(VirtualDuration::from_millis)
+    }
 }
 
-fn put_pid(buf: &mut Vec<u8>, p: PartitionId) {
-    put_varint(buf, p.0 as u64);
-}
-
-fn get_pid(buf: &mut &[u8]) -> Result<PartitionId> {
-    let v = get_varint(buf)?;
-    u32::try_from(v)
-        .map(PartitionId)
-        .map_err(|_| DcapeError::codec("wire: partition id out of range"))
-}
-
+/// An element count. Every counted element encodes to at least one
+/// byte; a count that exceeds the remaining payload is garbage, not a
+/// huge message.
 fn get_count(buf: &mut &[u8], what: &str) -> Result<usize> {
-    let n = get_varint(buf)? as usize;
-    // Every counted element encodes to at least one byte; a count that
-    // exceeds the remaining payload is garbage, not a huge message.
+    let n = usize::get(buf)?;
     if n > buf.len() {
         return Err(DcapeError::codec(format!("wire: implausible {what} count")));
     }
     Ok(n)
 }
 
-fn put_parts(buf: &mut Vec<u8>, parts: &[PartitionId]) {
-    put_varint(buf, parts.len() as u64);
-    for p in parts {
-        put_pid(buf, *p);
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.len().put(buf);
+        for item in self {
+            item.put(buf);
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let n = get_count(buf, std::any::type_name::<T>())?;
+        (0..n).map(|_| T::get(buf)).collect()
     }
 }
 
-fn get_parts(buf: &mut &[u8]) -> Result<Vec<PartitionId>> {
-    let n = get_count(buf, "partition")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_pid(buf)?);
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
     }
-    Ok(out)
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        bool::get(buf)?.then(|| T::get(buf)).transpose()
+    }
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
+/// `len:varint` then that many bytes.
+fn push_prefixed(buf: &mut Vec<u8>, bytes: &[u8]) {
+    bytes.len().put(buf);
+    buf.extend_from_slice(bytes);
 }
 
-fn get_str(buf: &mut &[u8]) -> Result<String> {
-    let n = get_count(buf, "string byte")?;
-    let s = std::str::from_utf8(&buf[..n])
-        .map_err(|_| DcapeError::codec("wire: invalid utf-8 string"))?
-        .to_owned();
-    buf.advance(n);
-    Ok(s)
+fn take_prefixed<'a>(buf: &mut &'a [u8], what: &str) -> Result<&'a [u8]> {
+    let n = get_count(buf, what)?;
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
 /// Journal events carry `&'static str` codes; known codes decode to the
 /// program's own literals (pointer-stable, allocation-free), unknown
 /// ones — a newer peer, a fuzzer — are leaked once and kept.
-fn intern(s: String) -> &'static str {
+fn intern(s: &str) -> &'static str {
     const KNOWN: &[&str] = &[
         // Fault names (FaultDecision::fault_name + stall/crash).
         "drop",
@@ -305,831 +400,190 @@ fn intern(s: String) -> &'static str {
         "stale_transfer_ack",
         "worker_respawned",
     ];
-    for k in KNOWN {
-        if *k == s {
-            return k;
-        }
+    match KNOWN.iter().find(|k| **k == s) {
+        Some(k) => k,
+        None => Box::leak(s.into()),
     }
-    Box::leak(s.into_boxed_str())
 }
 
-fn get_static_str(buf: &mut &[u8]) -> Result<&'static str> {
-    Ok(intern(get_str(buf)?))
+impl Wire for &'static str {
+    fn put(&self, buf: &mut Vec<u8>) {
+        push_prefixed(buf, self.as_bytes());
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        std::str::from_utf8(take_prefixed(buf, "string byte")?)
+            .map(intern)
+            .map_err(|_| DcapeError::codec("wire: invalid utf-8 string"))
+    }
+}
+
+/// A group travels as its own segment encoding, length-prefixed.
+impl Wire for SpilledGroup {
+    fn put(&self, buf: &mut Vec<u8>) {
+        push_prefixed(buf, &self.encode());
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        SpilledGroup::decode_slice(take_prefixed(buf, "segment byte")?)
+    }
+}
+
+impl Wire for TupleBatch {
+    /// A batch holds its rows already in this encoding.
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.len().put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+
+    /// The rows are outside input: `decode` checks every one in its
+    /// single walk, so the engine can read them without failing.
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let rows = get_count(buf, "batch tuple")?;
+        TupleBatch::decode(rows, buf)
+    }
+}
+
+/// Every counter of the table, in table order.
+impl Wire for CountersSnapshot {
+    fn put(&self, buf: &mut Vec<u8>) {
+        for v in self.values() {
+            v.put(buf);
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let mut values = [0; CountersSnapshot::COUNT];
+        for v in &mut values {
+            *v = Wire::get(buf)?;
+        }
+        Ok(CountersSnapshot::from_values(values))
+    }
 }
 
 // ---------------------------------------------------------------------
-// Composite helpers.
+// Records: one field list each, in wire order.
 
-fn put_group(buf: &mut Vec<u8>, g: &SpilledGroup) {
-    let bytes = g.encode();
-    put_varint(buf, bytes.len() as u64);
-    buf.extend_from_slice(&bytes);
-}
-
-fn get_group(buf: &mut &[u8]) -> Result<SpilledGroup> {
-    let n = get_count(buf, "segment byte")?;
-    let g = SpilledGroup::decode_slice(&buf[..n])?;
-    buf.advance(n);
-    Ok(g)
-}
-
-fn put_transfer(buf: &mut Vec<u8>, g: &GroupTransfer) {
-    put_group(buf, &g.snapshot);
-    put_varint(buf, g.output_count);
-    put_bool(buf, g.purge_protect);
-}
-
-fn get_transfer(buf: &mut &[u8]) -> Result<GroupTransfer> {
-    Ok(GroupTransfer {
-        snapshot: get_group(buf)?,
-        output_count: get_varint(buf)?,
-        purge_protect: get_bool(buf)?,
-    })
-}
-
-fn put_stats_report(buf: &mut Vec<u8>, r: &EngineStatsReport) {
-    put_engine(buf, r.engine);
-    put_time(buf, r.at);
-    put_varint(buf, r.memory_used);
-    put_varint(buf, r.memory_budget);
-    put_varint(buf, r.num_groups as u64);
-    put_varint(buf, r.window_output);
-    put_varint(buf, r.total_output);
-    put_f64(buf, r.avg_productivity_rate);
-    put_varint(buf, r.spilled_bytes);
-    put_varint(buf, r.spill_count);
-}
-
-fn get_stats_report(buf: &mut &[u8]) -> Result<EngineStatsReport> {
-    Ok(EngineStatsReport {
-        engine: get_engine(buf)?,
-        at: get_time(buf)?,
-        memory_used: get_varint(buf)?,
-        memory_budget: get_varint(buf)?,
-        num_groups: get_varint(buf)? as usize,
-        window_output: get_varint(buf)?,
-        total_output: get_varint(buf)?,
-        avg_productivity_rate: get_f64(buf)?,
-        spilled_bytes: get_varint(buf)?,
-        spill_count: get_varint(buf)?,
-    })
-}
-
-fn put_counters(buf: &mut Vec<u8>, c: &CountersSnapshot) {
-    for v in [
-        c.tuples_routed,
-        c.spill_bytes,
-        c.spill_bytes_written,
-        c.spill_bytes_read,
-        c.relocation_bytes,
-        c.transfer_bytes,
-        c.buffered_in_flight,
-        c.purges_deferred,
-        c.watermark_held_ms,
-        c.replayed_in_order,
-        c.faults_injected,
-        c.msgs_retried,
-        c.rounds_aborted,
-        c.watermark_released_on_abort,
-        c.rebalance_moves,
-        c.events_recorded,
-        c.events_dropped,
-    ] {
-        put_varint(buf, v);
+wire_struct! {
+    GroupTransfer { snapshot, output_count, purge_protect }
+    EngineStatsReport {
+        engine, at, memory_used, memory_budget, num_groups, window_output, total_output,
+        avg_productivity_rate, spilled_bytes, spill_count
     }
-}
-
-fn get_counters(buf: &mut &[u8]) -> Result<CountersSnapshot> {
-    Ok(CountersSnapshot {
-        tuples_routed: get_varint(buf)?,
-        spill_bytes: get_varint(buf)?,
-        spill_bytes_written: get_varint(buf)?,
-        spill_bytes_read: get_varint(buf)?,
-        relocation_bytes: get_varint(buf)?,
-        transfer_bytes: get_varint(buf)?,
-        buffered_in_flight: get_varint(buf)?,
-        purges_deferred: get_varint(buf)?,
-        watermark_held_ms: get_varint(buf)?,
-        replayed_in_order: get_varint(buf)?,
-        faults_injected: get_varint(buf)?,
-        msgs_retried: get_varint(buf)?,
-        rounds_aborted: get_varint(buf)?,
-        watermark_released_on_abort: get_varint(buf)?,
-        rebalance_moves: get_varint(buf)?,
-        events_recorded: get_varint(buf)?,
-        events_dropped: get_varint(buf)?,
-    })
-}
-
-fn put_event(buf: &mut Vec<u8>, e: &AdaptEvent) {
-    match e {
-        AdaptEvent::SpillDecision {
-            engine,
-            trigger,
-            groups,
-            state_bytes,
-            encoded_bytes,
-            memory_used,
-            memory_budget,
-        } => {
-            buf.push(0);
-            put_engine(buf, *engine);
-            buf.push(match trigger {
-                SpillTrigger::MemoryThreshold => 0,
-                SpillTrigger::Forced => 1,
-            });
-            put_parts(buf, groups);
-            put_varint(buf, *state_bytes);
-            put_varint(buf, *encoded_bytes);
-            put_varint(buf, *memory_used);
-            put_varint(buf, *memory_budget);
-        }
-        AdaptEvent::RelocationStep {
-            round,
-            step,
-            sender,
-            receiver,
-            parts,
-            bytes,
-            buffered_tuples,
-            load_ratio,
-        } => {
-            buf.push(1);
-            put_varint(buf, *round);
-            buf.push(*step);
-            put_engine(buf, *sender);
-            put_engine(buf, *receiver);
-            put_parts(buf, parts);
-            put_varint(buf, *bytes);
-            put_varint(buf, *buffered_tuples);
-            put_f64(buf, *load_ratio);
-        }
-        AdaptEvent::CleanupPhase {
-            engine,
-            group,
-            missing_results,
-            scanned_tuples,
-            disk_bytes_read,
-        } => {
-            buf.push(2);
-            put_engine(buf, *engine);
-            put_pid(buf, *group);
-            put_varint(buf, *missing_results);
-            put_varint(buf, *scanned_tuples);
-            put_varint(buf, *disk_bytes_read);
-        }
-        AdaptEvent::StatsSample {
-            engines,
-            max_load,
-            min_load,
-            load_ratio,
-            productivity_ratio,
-            memory_used,
-            memory_budget,
-        } => {
-            buf.push(3);
-            put_varint(buf, *engines as u64);
-            put_f64(buf, *max_load);
-            put_f64(buf, *min_load);
-            put_f64(buf, *load_ratio);
-            put_f64(buf, *productivity_ratio);
-            put_varint(buf, *memory_used);
-            put_varint(buf, *memory_budget);
-        }
-        AdaptEvent::MemoryPressure {
-            engine,
-            used,
-            budget,
-        } => {
-            buf.push(4);
-            put_engine(buf, *engine);
-            put_varint(buf, *used);
-            put_varint(buf, *budget);
-        }
-        AdaptEvent::FaultInjected {
-            fault,
-            edge,
-            round,
-            attempt,
-        } => {
-            buf.push(5);
-            put_str(buf, fault);
-            put_str(buf, edge);
-            put_varint(buf, *round);
-            put_varint(buf, *attempt as u64);
-        }
-        AdaptEvent::ProtocolWarning {
-            code,
-            engine,
-            round,
-            detail,
-        } => {
-            buf.push(6);
-            put_str(buf, code);
-            put_engine(buf, *engine);
-            put_varint(buf, *round);
-            put_varint(buf, *detail);
-        }
-        AdaptEvent::EngineJoined { engine, members } => {
-            buf.push(7);
-            put_engine(buf, *engine);
-            put_varint(buf, *members as u64);
-        }
-        AdaptEvent::EngineDrained { engine, moves } => {
-            buf.push(8);
-            put_engine(buf, *engine);
-            put_varint(buf, *moves);
-        }
+    JournalEntry { at, seq, event }
+    MJoinConfig { num_streams, join_columns, window }
+    DiskModel { seek_ms, bytes_per_ms }
+    CostModel { cleanup_scan_us_per_tuple, cleanup_emit_us_per_result, disk }
+    EngineConfig {
+        join, memory_budget, spill_threshold, spill_fraction, victim_policy, ss_timer, cost,
+        estimator, reactivate_watermark, spill_codec
     }
+    FaultConfig {
+        drop_rate, duplicate_rate, delay_rate, corrupt_rate, crash_rate, stall_rate, max_delay_ms
+    }
+    Hello { engine, resume_from }
+    Welcome { engine, config, journal, fault_seed, faults, replay_until }
 }
 
-fn get_event(buf: &mut &[u8]) -> Result<AdaptEvent> {
-    Ok(match get_u8(buf)? {
-        0 => AdaptEvent::SpillDecision {
-            engine: get_engine(buf)?,
-            trigger: match get_u8(buf)? {
-                0 => SpillTrigger::MemoryThreshold,
-                1 => SpillTrigger::Forced,
-                t => return Err(DcapeError::codec(format!("wire: bad spill trigger {t}"))),
-            },
-            groups: get_parts(buf)?,
-            state_bytes: get_varint(buf)?,
-            encoded_bytes: get_varint(buf)?,
-            memory_used: get_varint(buf)?,
-            memory_budget: get_varint(buf)?,
-        },
-        1 => AdaptEvent::RelocationStep {
-            round: get_varint(buf)?,
-            step: get_u8(buf)?,
-            sender: get_engine(buf)?,
-            receiver: get_engine(buf)?,
-            parts: get_parts(buf)?,
-            bytes: get_varint(buf)?,
-            buffered_tuples: get_varint(buf)?,
-            load_ratio: get_f64(buf)?,
-        },
-        2 => AdaptEvent::CleanupPhase {
-            engine: get_engine(buf)?,
-            group: get_pid(buf)?,
-            missing_results: get_varint(buf)?,
-            scanned_tuples: get_varint(buf)?,
-            disk_bytes_read: get_varint(buf)?,
-        },
-        3 => AdaptEvent::StatsSample {
-            engines: get_varint(buf)? as u32,
-            max_load: get_f64(buf)?,
-            min_load: get_f64(buf)?,
-            load_ratio: get_f64(buf)?,
-            productivity_ratio: get_f64(buf)?,
-            memory_used: get_varint(buf)?,
-            memory_budget: get_varint(buf)?,
-        },
-        4 => AdaptEvent::MemoryPressure {
-            engine: get_engine(buf)?,
-            used: get_varint(buf)?,
-            budget: get_varint(buf)?,
-        },
-        5 => AdaptEvent::FaultInjected {
-            fault: get_static_str(buf)?,
-            edge: get_static_str(buf)?,
-            round: get_varint(buf)?,
-            attempt: get_varint(buf)? as u32,
-        },
-        6 => AdaptEvent::ProtocolWarning {
-            code: get_static_str(buf)?,
-            engine: get_engine(buf)?,
-            round: get_varint(buf)?,
-            detail: get_varint(buf)?,
-        },
-        7 => AdaptEvent::EngineJoined {
-            engine: get_engine(buf)?,
-            members: get_varint(buf)? as u32,
-        },
-        8 => AdaptEvent::EngineDrained {
-            engine: get_engine(buf)?,
-            moves: get_varint(buf)?,
-        },
-        t => return Err(DcapeError::codec(format!("wire: bad event tag {t}"))),
-    })
-}
-
-fn put_journal(buf: &mut Vec<u8>, entries: &[JournalEntry]) {
-    put_varint(buf, entries.len() as u64);
-    for e in entries {
-        put_time(buf, e.at);
-        put_varint(buf, e.seq);
-        put_event(buf, &e.event);
-    }
-}
-
-fn get_journal(buf: &mut &[u8]) -> Result<Vec<JournalEntry>> {
-    let n = get_count(buf, "journal entry")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(JournalEntry {
-            at: get_time(buf)?,
-            seq: get_varint(buf)?,
-            event: get_event(buf)?,
-        });
-    }
-    Ok(out)
-}
-
-fn put_engine_config(buf: &mut Vec<u8>, c: &EngineConfig) {
-    put_varint(buf, c.join.num_streams as u64);
-    put_varint(buf, c.join.join_columns.len() as u64);
-    for col in &c.join.join_columns {
-        put_varint(buf, *col as u64);
-    }
-    match c.join.window {
-        None => put_bool(buf, false),
-        Some(w) => {
-            put_bool(buf, true);
-            put_dur(buf, w);
-        }
-    }
-    put_varint(buf, c.memory_budget);
-    put_varint(buf, c.spill_threshold);
-    put_f64(buf, c.spill_fraction);
-    buf.push(match c.victim_policy {
-        VictimPolicy::Random => 0,
-        VictimPolicy::LargestFirst => 1,
-        VictimPolicy::SmallestFirst => 2,
-        VictimPolicy::LeastProductive => 3,
-        VictimPolicy::MostProductive => 4,
-    });
-    put_dur(buf, c.ss_timer);
-    put_varint(buf, c.cost.cleanup_scan_us_per_tuple);
-    put_varint(buf, c.cost.cleanup_emit_us_per_result);
-    put_varint(buf, c.cost.disk.seek_ms);
-    put_varint(buf, c.cost.disk.bytes_per_ms);
-    match c.estimator {
-        ProductivityEstimator::Cumulative => buf.push(0),
-        ProductivityEstimator::Decaying { alpha } => {
-            buf.push(1);
-            put_f64(buf, alpha);
-        }
-    }
-    match c.reactivate_watermark {
-        None => put_bool(buf, false),
-        Some(w) => {
-            put_bool(buf, true);
-            put_f64(buf, w);
-        }
-    }
-    buf.push(match c.spill_codec {
-        SegmentCodec::Rows => 0,
-        SegmentCodec::Columns => 1,
-    });
-}
-
-fn get_engine_config(buf: &mut &[u8]) -> Result<EngineConfig> {
-    let num_streams = get_varint(buf)? as usize;
-    let ncols = get_count(buf, "join column")?;
-    let mut join_columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        join_columns.push(get_varint(buf)? as usize);
-    }
-    let window = if get_bool(buf)? {
-        Some(get_dur(buf)?)
-    } else {
-        None
-    };
-    let memory_budget = get_varint(buf)?;
-    let spill_threshold = get_varint(buf)?;
-    let spill_fraction = get_f64(buf)?;
-    let victim_policy = match get_u8(buf)? {
-        0 => VictimPolicy::Random,
-        1 => VictimPolicy::LargestFirst,
-        2 => VictimPolicy::SmallestFirst,
-        3 => VictimPolicy::LeastProductive,
-        4 => VictimPolicy::MostProductive,
-        t => return Err(DcapeError::codec(format!("wire: bad victim policy {t}"))),
-    };
-    let ss_timer = get_dur(buf)?;
-    let cost = CostModel {
-        cleanup_scan_us_per_tuple: get_varint(buf)?,
-        cleanup_emit_us_per_result: get_varint(buf)?,
-        disk: DiskModel {
-            seek_ms: get_varint(buf)?,
-            bytes_per_ms: get_varint(buf)?,
-        },
-    };
-    let estimator = match get_u8(buf)? {
-        0 => ProductivityEstimator::Cumulative,
-        1 => ProductivityEstimator::Decaying {
-            alpha: get_f64(buf)?,
-        },
-        t => return Err(DcapeError::codec(format!("wire: bad estimator tag {t}"))),
-    };
-    let reactivate_watermark = if get_bool(buf)? {
-        Some(get_f64(buf)?)
-    } else {
-        None
-    };
-    let spill_codec = match get_u8(buf)? {
-        0 => SegmentCodec::Rows,
-        1 => SegmentCodec::Columns,
-        t => return Err(DcapeError::codec(format!("wire: bad spill codec {t}"))),
-    };
-    Ok(EngineConfig {
-        join: MJoinConfig {
-            num_streams,
-            join_columns,
-            window,
-        },
-        memory_budget,
-        spill_threshold,
-        spill_fraction,
-        victim_policy,
-        ss_timer,
-        cost,
-        estimator,
-        reactivate_watermark,
-        spill_codec,
-    })
-}
-
-fn put_fault_config(buf: &mut Vec<u8>, c: &FaultConfig) {
-    put_f64(buf, c.drop_rate);
-    put_f64(buf, c.duplicate_rate);
-    put_f64(buf, c.delay_rate);
-    put_f64(buf, c.corrupt_rate);
-    put_f64(buf, c.crash_rate);
-    put_f64(buf, c.stall_rate);
-    put_varint(buf, c.max_delay_ms);
-}
-
-fn get_fault_config(buf: &mut &[u8]) -> Result<FaultConfig> {
-    Ok(FaultConfig {
-        drop_rate: get_f64(buf)?,
-        duplicate_rate: get_f64(buf)?,
-        delay_rate: get_f64(buf)?,
-        corrupt_rate: get_f64(buf)?,
-        crash_rate: get_f64(buf)?,
-        stall_rate: get_f64(buf)?,
-        max_delay_ms: get_varint(buf)?,
-    })
-}
+wire_enum!(SpillTrigger { 0 = MemoryThreshold, 1 = Forced });
+wire_enum!(VictimPolicy {
+    0 = Random, 1 = LargestFirst, 2 = SmallestFirst, 3 = LeastProductive, 4 = MostProductive
+});
+wire_enum!(ProductivityEstimator { 0 = Cumulative, 1 = Decaying { alpha } });
+wire_enum!(SegmentCodec { 0 = Rows, 1 = Columns });
+wire_enum!(AdaptEvent {
+    0 = SpillDecision {
+        engine, trigger, groups, state_bytes, encoded_bytes, memory_used, memory_budget
+    },
+    1 = RelocationStep { round, step, sender, receiver, parts, bytes, buffered_tuples, load_ratio },
+    2 = CleanupPhase { engine, group, missing_results, scanned_tuples, disk_bytes_read },
+    3 = StatsSample {
+        engines, max_load, min_load, load_ratio, productivity_ratio, memory_used, memory_budget
+    },
+    4 = MemoryPressure { engine, used, budget },
+    5 = FaultInjected { fault, edge, round, attempt },
+    6 = ProtocolWarning { code, engine, round, detail },
+    7 = EngineJoined { engine, members },
+    8 = EngineDrained { engine, moves }
+});
 
 // ---------------------------------------------------------------------
-// Message bodies.
+// Messages. A message's tag is its frame's kind byte: coordinator →
+// worker kinds sit below 0x20 (0x01 carried the retired one-tuple data
+// message and is not reused), worker → coordinator kinds from 0x20,
+// session kinds from 0x30.
 
-fn put_to_engine(buf: &mut Vec<u8>, msg: &ToEngine) {
-    match msg {
-        // A batch holds its rows already in this encoding.
-        ToEngine::DataBatch { tuples } => {
-            buf.push(K_DATA_BATCH);
-            put_varint(buf, tuples.len() as u64);
-            buf.extend_from_slice(tuples.as_bytes());
-        }
-        ToEngine::Cptv {
-            round,
-            amount,
-            attempt,
-        } => {
-            buf.push(K_CPTV);
-            put_varint(buf, *round);
-            put_varint(buf, *amount);
-            put_varint(buf, *attempt as u64);
-        }
-        ToEngine::SendStates {
-            round,
-            parts,
-            receiver,
-            attempt,
-        } => {
-            buf.push(K_SEND_STATES);
-            put_varint(buf, *round);
-            put_parts(buf, parts);
-            put_engine(buf, *receiver);
-            put_varint(buf, *attempt as u64);
-        }
-        ToEngine::InstallStates {
-            round,
-            sender,
-            groups,
-            attempt,
-            declared_bytes,
-        } => {
-            buf.push(K_INSTALL_STATES);
-            put_varint(buf, *round);
-            put_engine(buf, *sender);
-            put_varint(buf, groups.len() as u64);
-            for g in groups {
-                put_transfer(buf, g);
-            }
-            put_varint(buf, *attempt as u64);
-            put_varint(buf, *declared_bytes);
-        }
-        ToEngine::AbortRound { round } => {
-            buf.push(K_ABORT_ROUND);
-            put_varint(buf, *round);
-        }
-        ToEngine::Resume { round, watermark } => {
-            buf.push(K_RESUME);
-            put_varint(buf, *round);
-            put_time(buf, *watermark);
-        }
-        ToEngine::StartSpill { amount } => {
-            buf.push(K_START_SPILL);
-            put_varint(buf, *amount);
-        }
-        ToEngine::ReportStats { now } => {
-            buf.push(K_REPORT_STATS);
-            put_time(buf, *now);
-        }
-        ToEngine::Tick { now, horizon } => {
-            buf.push(K_TICK);
-            put_time(buf, *now);
-            put_time(buf, *horizon);
-        }
-        ToEngine::PrepareCleanup { owners } => {
-            buf.push(K_PREPARE_CLEANUP);
-            put_varint(buf, owners.len() as u64);
-            for o in owners {
-                put_engine(buf, *o);
-            }
-        }
-        ToEngine::ForwardedSegments { pid, segments } => {
-            buf.push(K_FORWARDED_SEGMENTS);
-            put_pid(buf, *pid);
-            put_varint(buf, segments.len() as u64);
-            for s in segments {
-                put_group(buf, s);
-            }
-        }
-        ToEngine::StartCleanup => buf.push(K_START_CLEANUP),
-        ToEngine::BeginDrain => buf.push(K_BEGIN_DRAIN),
-        ToEngine::FenceNotice { engine } => {
-            buf.push(K_FENCE_NOTICE);
-            put_engine(buf, *engine);
-        }
-    }
-}
+wire_enum!(ToEngine {
+    0x02 "data_batch" = DataBatch { tuples },
+    0x03 "cptv" = Cptv { round, amount, attempt },
+    0x04 "send_states" = SendStates { round, parts, receiver, attempt },
+    0x05 "install_states" = InstallStates { round, sender, groups, attempt, declared_bytes },
+    0x06 "abort_round" = AbortRound { round },
+    0x07 "resume" = Resume { round, watermark },
+    0x08 "start_spill" = StartSpill { amount },
+    0x09 "report_stats" = ReportStats { now },
+    0x0A "tick" = Tick { now, horizon },
+    0x0B "prepare_cleanup" = PrepareCleanup { owners },
+    0x0C "forwarded_segments" = ForwardedSegments { pid, segments },
+    0x0D "start_cleanup" = StartCleanup,
+    0x0E "begin_drain" = BeginDrain,
+    0x0F "fence_notice" = FenceNotice { engine }
+});
 
-fn get_to_engine(kind: u8, buf: &mut &[u8]) -> Result<ToEngine> {
-    Ok(match kind {
-        // The rows are outside input: `decode` checks every one in its
-        // single walk, so the engine can read them without failing.
-        K_DATA_BATCH => {
-            let n = get_count(buf, "batch tuple")?;
-            ToEngine::DataBatch {
-                tuples: TupleBatch::decode(n, buf)?,
-            }
-        }
-        K_CPTV => ToEngine::Cptv {
-            round: get_varint(buf)?,
-            amount: get_varint(buf)?,
-            attempt: get_varint(buf)? as u32,
-        },
-        K_SEND_STATES => ToEngine::SendStates {
-            round: get_varint(buf)?,
-            parts: get_parts(buf)?,
-            receiver: get_engine(buf)?,
-            attempt: get_varint(buf)? as u32,
-        },
-        K_INSTALL_STATES => {
-            let round = get_varint(buf)?;
-            let sender = get_engine(buf)?;
-            let n = get_count(buf, "group transfer")?;
-            let mut groups = Vec::with_capacity(n);
-            for _ in 0..n {
-                groups.push(get_transfer(buf)?);
-            }
-            ToEngine::InstallStates {
-                round,
-                sender,
-                groups,
-                attempt: get_varint(buf)? as u32,
-                declared_bytes: get_varint(buf)?,
-            }
-        }
-        K_ABORT_ROUND => ToEngine::AbortRound {
-            round: get_varint(buf)?,
-        },
-        K_RESUME => ToEngine::Resume {
-            round: get_varint(buf)?,
-            watermark: get_time(buf)?,
-        },
-        K_START_SPILL => ToEngine::StartSpill {
-            amount: get_varint(buf)?,
-        },
-        K_REPORT_STATS => ToEngine::ReportStats {
-            now: get_time(buf)?,
-        },
-        K_TICK => ToEngine::Tick {
-            now: get_time(buf)?,
-            horizon: get_time(buf)?,
-        },
-        K_PREPARE_CLEANUP => {
-            let n = get_count(buf, "owner")?;
-            let mut owners = Vec::with_capacity(n);
-            for _ in 0..n {
-                owners.push(get_engine(buf)?);
-            }
-            ToEngine::PrepareCleanup { owners }
-        }
-        K_FORWARDED_SEGMENTS => {
-            let pid = get_pid(buf)?;
-            let n = get_count(buf, "segment")?;
-            let mut segments = Vec::with_capacity(n);
-            for _ in 0..n {
-                segments.push(get_group(buf)?);
-            }
-            ToEngine::ForwardedSegments { pid, segments }
-        }
-        K_START_CLEANUP => ToEngine::StartCleanup,
-        K_BEGIN_DRAIN => ToEngine::BeginDrain,
-        K_FENCE_NOTICE => ToEngine::FenceNotice {
-            engine: get_engine(buf)?,
-        },
-        t => return Err(DcapeError::codec(format!("wire: bad ToEngine kind {t:#x}"))),
-    })
-}
+wire_enum!(FromEngine {
+    0x20 "ptv" = Ptv { round, engine, parts },
+    0x21 "transfer_ack" = TransferAck { round, engine, bytes },
+    0x22 "stats" = Stats(report),
+    0x23 "cleanup_ready" = CleanupReady { engine, forwarded },
+    0x24 "cleanup_done" = CleanupDone {
+        engine, runtime_output, cleanup_output, spill_count, cleanup_cost_ms, journal,
+        journal_counters
+    },
+    0x25 "drain_state" = DrainState { engine, resident_bytes },
+    0x26 "join_ready" = JoinReady { engine }
+});
 
-fn put_from_engine(buf: &mut Vec<u8>, msg: &FromEngine) {
-    match msg {
-        FromEngine::Ptv {
-            round,
-            engine,
-            parts,
-        } => {
-            buf.push(K_PTV);
-            put_varint(buf, *round);
-            put_engine(buf, *engine);
-            put_parts(buf, parts);
-        }
-        FromEngine::TransferAck {
-            round,
-            engine,
-            bytes,
-        } => {
-            buf.push(K_TRANSFER_ACK);
-            put_varint(buf, *round);
-            put_engine(buf, *engine);
-            put_varint(buf, *bytes);
-        }
-        FromEngine::Stats(report) => {
-            buf.push(K_STATS);
-            put_stats_report(buf, report);
-        }
-        FromEngine::CleanupReady { engine, forwarded } => {
-            buf.push(K_CLEANUP_READY);
-            put_engine(buf, *engine);
-            put_varint(buf, *forwarded as u64);
-        }
-        FromEngine::CleanupDone {
-            engine,
-            runtime_output,
-            cleanup_output,
-            spill_count,
-            cleanup_cost_ms,
-            journal,
-            journal_counters,
-        } => {
-            buf.push(K_CLEANUP_DONE);
-            put_engine(buf, *engine);
-            put_varint(buf, *runtime_output);
-            put_varint(buf, *cleanup_output);
-            put_varint(buf, *spill_count);
-            put_varint(buf, *cleanup_cost_ms);
-            put_journal(buf, journal);
-            put_counters(buf, journal_counters);
-        }
-        FromEngine::DrainState {
-            engine,
-            resident_bytes,
-        } => {
-            buf.push(K_DRAIN_STATE);
-            put_engine(buf, *engine);
-            put_varint(buf, *resident_bytes);
-        }
-        FromEngine::JoinReady { engine } => {
-            buf.push(K_JOIN_READY);
-            put_engine(buf, *engine);
-        }
-    }
-}
-
-fn get_from_engine(kind: u8, buf: &mut &[u8]) -> Result<FromEngine> {
-    Ok(match kind {
-        K_PTV => FromEngine::Ptv {
-            round: get_varint(buf)?,
-            engine: get_engine(buf)?,
-            parts: get_parts(buf)?,
-        },
-        K_TRANSFER_ACK => FromEngine::TransferAck {
-            round: get_varint(buf)?,
-            engine: get_engine(buf)?,
-            bytes: get_varint(buf)?,
-        },
-        K_STATS => FromEngine::Stats(get_stats_report(buf)?),
-        K_CLEANUP_READY => FromEngine::CleanupReady {
-            engine: get_engine(buf)?,
-            forwarded: get_varint(buf)? as usize,
-        },
-        K_CLEANUP_DONE => FromEngine::CleanupDone {
-            engine: get_engine(buf)?,
-            runtime_output: get_varint(buf)?,
-            cleanup_output: get_varint(buf)?,
-            spill_count: get_varint(buf)?,
-            cleanup_cost_ms: get_varint(buf)?,
-            journal: get_journal(buf)?,
-            journal_counters: get_counters(buf)?,
-        },
-        K_DRAIN_STATE => FromEngine::DrainState {
-            engine: get_engine(buf)?,
-            resident_bytes: get_varint(buf)?,
-        },
-        K_JOIN_READY => FromEngine::JoinReady {
-            engine: get_engine(buf)?,
-        },
-        t => {
-            return Err(DcapeError::codec(format!(
-                "wire: bad FromEngine kind {t:#x}"
-            )))
-        }
-    })
-}
+const K_HELLO: u8 = 0x30;
+const K_WELCOME: u8 = 0x31;
+const K_RELAY: u8 = 0x32;
 
 /// Encode one message (kind byte + body) into `buf`.
 pub fn encode_msg(msg: &WireMsg, buf: &mut Vec<u8>) {
     match msg {
-        WireMsg::Engine(m) => put_to_engine(buf, m),
-        WireMsg::Coord(m) => put_from_engine(buf, m),
+        WireMsg::Engine(m) => m.put(buf),
+        WireMsg::Coord(m) => m.put(buf),
         WireMsg::Hello(h) => {
             buf.push(K_HELLO);
-            put_engine(buf, h.engine);
-            put_varint(buf, h.resume_from);
+            h.put(buf);
         }
         WireMsg::Welcome(w) => {
             buf.push(K_WELCOME);
-            put_engine(buf, w.engine);
-            put_varint(buf, w.num_engines as u64);
-            put_engine_config(buf, &w.config);
-            put_bool(buf, w.journal);
-            buf.extend_from_slice(&w.fault_seed.to_le_bytes());
-            put_fault_config(buf, &w.faults);
-            put_varint(buf, w.replay_until);
+            w.put(buf);
         }
         WireMsg::Relay { to, msg } => {
             buf.push(K_RELAY);
-            put_engine(buf, *to);
-            put_to_engine(buf, msg);
+            to.put(buf);
+            msg.put(buf);
         }
     }
 }
 
 /// Decode one message (kind byte + body) from `buf`, advancing it.
 pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
-    let kind = get_u8(buf)?;
-    Ok(match kind {
-        K_DATA_BATCH..=K_FENCE_NOTICE => WireMsg::Engine(get_to_engine(kind, buf)?),
-        K_PTV..=K_JOIN_READY => WireMsg::Coord(get_from_engine(kind, buf)?),
-        K_HELLO => WireMsg::Hello(Hello {
-            engine: get_engine(buf)?,
-            resume_from: get_varint(buf)?,
-        }),
-        K_WELCOME => {
-            let engine = get_engine(buf)?;
-            let num_engines = u16::try_from(get_varint(buf)?)
-                .map_err(|_| DcapeError::codec("wire: engine count out of range"))?;
-            let config = get_engine_config(buf)?;
-            let journal = get_bool(buf)?;
-            if buf.len() < 8 {
-                return Err(DcapeError::codec("wire: unexpected end of input"));
-            }
-            let mut seed = [0u8; 8];
-            seed.copy_from_slice(&buf[..8]);
-            buf.advance(8);
-            let fault_seed = u64::from_le_bytes(seed);
-            let faults = get_fault_config(buf)?;
-            let replay_until = get_varint(buf)?;
-            WireMsg::Welcome(Box::new(Welcome {
-                engine,
-                num_engines,
-                config,
-                journal,
-                fault_seed,
-                faults,
-                replay_until,
-            }))
-        }
-        K_RELAY => {
-            let to = get_engine(buf)?;
-            let inner_kind = get_u8(buf)?;
-            if !(K_DATA_BATCH..=K_FENCE_NOTICE).contains(&inner_kind) {
-                return Err(DcapeError::codec(format!(
-                    "wire: bad relayed kind {inner_kind:#x}"
-                )));
-            }
-            WireMsg::Relay {
-                to,
-                msg: get_to_engine(inner_kind, buf)?,
-            }
-        }
-        t => return Err(DcapeError::codec(format!("wire: bad frame kind {t:#x}"))),
+    // A protocol message's kind byte is its own tag: look at it, and
+    // leave it for the message to take.
+    Ok(match buf.first() {
+        Some(0..=0x1F) => WireMsg::Engine(Wire::get(buf)?),
+        Some(0x20..=0x2F) => WireMsg::Coord(Wire::get(buf)?),
+        _ => match u8::get(buf)? {
+            K_HELLO => WireMsg::Hello(Wire::get(buf)?),
+            K_WELCOME => WireMsg::Welcome(Box::new(Wire::get(buf)?)),
+            K_RELAY => WireMsg::Relay {
+                to: Wire::get(buf)?,
+                msg: Wire::get(buf)?,
+            },
+            t => return Err(DcapeError::codec(format!("wire: bad frame kind {t:#x}"))),
+        },
     })
 }
 
@@ -1207,31 +661,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, WireMsg)>> {
 /// Short lowercase tag for frame logs (`DCAPE_FRAME_LOG` artifacts).
 pub fn msg_kind_name(msg: &WireMsg) -> &'static str {
     match msg {
-        WireMsg::Engine(m) => match m {
-            ToEngine::DataBatch { .. } => "data_batch",
-            ToEngine::Cptv { .. } => "cptv",
-            ToEngine::SendStates { .. } => "send_states",
-            ToEngine::InstallStates { .. } => "install_states",
-            ToEngine::AbortRound { .. } => "abort_round",
-            ToEngine::Resume { .. } => "resume",
-            ToEngine::StartSpill { .. } => "start_spill",
-            ToEngine::ReportStats { .. } => "report_stats",
-            ToEngine::Tick { .. } => "tick",
-            ToEngine::PrepareCleanup { .. } => "prepare_cleanup",
-            ToEngine::ForwardedSegments { .. } => "forwarded_segments",
-            ToEngine::StartCleanup => "start_cleanup",
-            ToEngine::BeginDrain => "begin_drain",
-            ToEngine::FenceNotice { .. } => "fence_notice",
-        },
-        WireMsg::Coord(m) => match m {
-            FromEngine::Ptv { .. } => "ptv",
-            FromEngine::TransferAck { .. } => "transfer_ack",
-            FromEngine::Stats(_) => "stats",
-            FromEngine::CleanupReady { .. } => "cleanup_ready",
-            FromEngine::CleanupDone { .. } => "cleanup_done",
-            FromEngine::DrainState { .. } => "drain_state",
-            FromEngine::JoinReady { .. } => "join_ready",
-        },
+        WireMsg::Engine(m) => m.kind_name(),
+        WireMsg::Coord(m) => m.kind_name(),
         WireMsg::Hello(_) => "hello",
         WireMsg::Welcome(_) => "welcome",
         WireMsg::Relay { .. } => "relay",
@@ -1395,10 +826,10 @@ mod tests {
         for rows in [mixed_rows(), Vec::new()] {
             let mut payload = Vec::new();
             put_varint(&mut payload, 9);
-            payload.push(K_DATA_BATCH);
+            payload.push(0x02);
             put_varint(&mut payload, rows.len() as u64);
             for (pid, t) in &rows {
-                put_pid(&mut payload, *pid);
+                pid.put(&mut payload);
                 encode_tuple(&mut payload, t);
             }
             let frame = data_batch_frame(9, &rows);
@@ -1680,15 +1111,15 @@ mod tests {
             },
         };
         let mut buf = Vec::new();
-        put_journal(&mut buf, &[entry]);
-        let got = get_journal(&mut buf.as_slice()).unwrap();
+        vec![entry].put(&mut buf);
+        let got = Vec::<JournalEntry>::get(&mut buf.as_slice()).unwrap();
         match &got[0].event {
             AdaptEvent::FaultInjected { fault, edge, .. } => {
                 assert_eq!(*fault, "crash_restart");
                 assert_eq!(*edge, "install_states");
                 // Known codes come back pointer-stable (no per-decode leak).
-                assert!(std::ptr::eq(*fault, intern("crash_restart".into())));
-                assert!(std::ptr::eq(*edge, intern("install_states".into())));
+                assert!(std::ptr::eq(*fault, intern("crash_restart")));
+                assert!(std::ptr::eq(*edge, intern("install_states")));
             }
             other => panic!("unexpected event {other:?}"),
         }
@@ -1713,7 +1144,6 @@ mod tests {
 
         let welcome = Welcome {
             engine: EngineId(1),
-            num_engines: 3,
             config: EngineConfig::three_way(1 << 22, 600 << 10)
                 .with_spill_fraction(0.4)
                 .with_estimator(ProductivityEstimator::Decaying { alpha: 0.5 })
@@ -1783,7 +1213,7 @@ mod tests {
     #[test]
     fn retired_per_tuple_data_kind_is_refused() {
         let mut body = vec![0x01];
-        put_pid(&mut body, PartitionId(3));
+        PartitionId(3).put(&mut body);
         encode_tuple(&mut body, &tuple(2, 9));
         let mut bare = Vec::new();
         put_varint(&mut bare, 1);
@@ -1791,7 +1221,7 @@ mod tests {
         let mut relayed = Vec::new();
         put_varint(&mut relayed, 0);
         relayed.push(K_RELAY);
-        put_engine(&mut relayed, EngineId(1));
+        EngineId(1).put(&mut relayed);
         relayed.extend_from_slice(&body);
         for payload in [bare, relayed] {
             match read_frame(&mut raw_frame(&payload).as_slice()) {
@@ -1811,17 +1241,16 @@ mod tests {
             let mut payload = Vec::new();
             put_varint(&mut payload, 0);
             payload.push(K_WELCOME);
-            put_engine(&mut payload, EngineId(1));
-            put_varint(&mut payload, 2);
+            EngineId(1).put(&mut payload);
             payload.extend_from_slice(config_bytes);
-            put_bool(&mut payload, true);
-            payload.extend_from_slice(&7u64.to_le_bytes());
-            put_fault_config(&mut payload, &FaultConfig::uniform(0.2));
+            true.put(&mut payload);
+            put_varint(&mut payload, 7);
+            FaultConfig::uniform(0.2).put(&mut payload);
             put_varint(&mut payload, 0);
             raw_frame(&payload)
         };
         let mut tail = Vec::new();
-        put_engine_config(&mut tail, &config);
+        config.put(&mut tail);
         assert!(matches!(
             read_frame(&mut welcome(&tail).as_slice()),
             Ok(Some((0, WireMsg::Welcome(_))))
@@ -1833,6 +1262,140 @@ mod tests {
             match read_frame(&mut welcome(&old).as_slice()) {
                 Err(DcapeError::Codec(_)) => {}
                 other => panic!("layout byte {layout}: expected a codec error, got {other:?}"),
+            }
+        }
+    }
+
+    /// A varint wider than its field is refused, not wrapped: `attempt`
+    /// keys the fault plan and the retry logic, and `1 << 32` must not
+    /// arrive as attempt 0.
+    #[test]
+    fn varints_wider_than_their_field_are_refused() {
+        const WIDE: u64 = 1 << 32;
+        let varints = |kind: u8, body: &[u64]| {
+            let mut payload = vec![1, kind];
+            for v in body {
+                put_varint(&mut payload, *v);
+            }
+            payload
+        };
+        // One journal entry inside a `CleanupDone`, then the counters.
+        let cleanup_done = |event: &[u8]| {
+            let mut payload = varints(0x24, &[0, 100, 20, 3, 4_200, 1, 10_000, 1]);
+            payload.extend_from_slice(event);
+            payload.extend_from_slice(&[0; CountersSnapshot::COUNT]);
+            payload
+        };
+        let fault_injected = |attempt: u64| {
+            let mut event = vec![5, 4];
+            event.extend_from_slice(b"drop");
+            event.push(3);
+            event.extend_from_slice(b"ptv");
+            put_varint(&mut event, 2);
+            put_varint(&mut event, attempt);
+            cleanup_done(&event)
+        };
+        let stats_sample = |engines: u64| {
+            let mut event = vec![3];
+            put_varint(&mut event, engines);
+            event.extend_from_slice(&[0; 4 * 8]);
+            event.extend_from_slice(&[10, 20]);
+            cleanup_done(&event)
+        };
+        let engine_joined = |members: u64| {
+            let mut event = vec![7, 2];
+            put_varint(&mut event, members);
+            cleanup_done(&event)
+        };
+        let welcome = |engine: u64| {
+            let mut payload = varints(0x31, &[engine]);
+            EngineConfig::three_way(1 << 22, 600 << 10).put(&mut payload);
+            true.put(&mut payload);
+            put_varint(&mut payload, 7);
+            FaultConfig::uniform(0.2).put(&mut payload);
+            put_varint(&mut payload, 0);
+            payload
+        };
+        type Build<'a> = &'a dyn Fn(u64) -> Vec<u8>;
+        let cases: [(&str, Build, u64); 7] = [
+            ("Cptv.attempt", &|v| varints(0x03, &[5, 1024, v]), WIDE),
+            (
+                "SendStates.attempt",
+                &|v| varints(0x04, &[5, 1, 9, 1, v]),
+                WIDE,
+            ),
+            (
+                "InstallStates.attempt",
+                &|v| varints(0x05, &[5, 0, 0, v, 9999]),
+                WIDE,
+            ),
+            ("FaultInjected.attempt", &fault_injected, WIDE),
+            ("StatsSample.engines", &stats_sample, WIDE),
+            ("EngineJoined.members", &engine_joined, WIDE),
+            ("Welcome.engine", &welcome, 1 << 16),
+        ];
+        for (what, build, wide) in cases {
+            // The frame is well-formed: the widest value that fits decodes.
+            let fits = raw_frame(&build(wide - 1));
+            assert!(
+                matches!(read_frame(&mut fits.as_slice()), Ok(Some(_))),
+                "{what}: the control frame must decode"
+            );
+            match read_frame(&mut raw_frame(&build(wide)).as_slice()) {
+                Err(DcapeError::Codec(_)) => {}
+                other => panic!("{what} = {wide:#x}: expected a codec error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Every message the protocol has, bare and relayed, and the
+    /// handshake: no strict prefix of a frame decodes, and no single
+    /// flipped bit makes the decoder panic — it errors, or it decodes
+    /// some other well-formed message.
+    #[test]
+    fn every_damaged_frame_errors_or_decodes_and_never_panics() {
+        let relayed = sample_to_engine().into_iter().map(|msg| WireMsg::Relay {
+            to: EngineId(2),
+            msg,
+        });
+        let session = [
+            WireMsg::Hello(Hello {
+                engine: EngineId(3),
+                resume_from: 0,
+            }),
+            WireMsg::Welcome(Box::new(Welcome {
+                engine: EngineId(1),
+                config: EngineConfig::three_way(1 << 22, 600 << 10)
+                    .with_estimator(ProductivityEstimator::Decaying { alpha: 0.5 })
+                    .with_reactivation(0.25),
+                journal: true,
+                fault_seed: 0xDEAD_BEEF,
+                faults: FaultConfig::uniform(0.2),
+                replay_until: 417,
+            })),
+        ];
+        let msgs = sample_to_engine()
+            .into_iter()
+            .map(WireMsg::Engine)
+            .chain(relayed)
+            .chain(sample_from_engine().into_iter().map(WireMsg::Coord))
+            .chain(session);
+        for msg in msgs {
+            let kind = msg_kind_name(&msg);
+            let frame = frame_bytes(3, &msg).unwrap();
+            assert!(read_frame(&mut &frame[..0]).unwrap().is_none());
+            for cut in 1..frame.len() {
+                assert!(
+                    read_frame(&mut &frame[..cut]).is_err(),
+                    "{kind}: cut at {cut}"
+                );
+            }
+            for idx in 0..frame.len() {
+                for bit in 0..8 {
+                    let mut bytes = frame.clone();
+                    bytes[idx] ^= 1 << bit;
+                    let _ = read_frame(&mut bytes.as_slice());
+                }
             }
         }
     }
@@ -1859,6 +1422,11 @@ mod fuzz_tests {
     use proptest::prelude::*;
 
     proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: dcape_common::testing::proptest_cases(64),
+            ..ProptestConfig::default()
+        })]
+
         /// Decoding arbitrary bytes must never panic.
         #[test]
         fn decode_msg_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {

@@ -206,218 +206,154 @@ pub struct JournalEntry {
     pub event: AdaptEvent,
 }
 
-/// Monotonic counters and gauges kept beside the event ring. All are
-/// plain atomics so strategies and exporters can read them without
-/// touching the ring's lock.
-#[derive(Debug, Default)]
-pub struct JournalCounters {
-    tuples_routed: AtomicU64,
-    spill_bytes: AtomicU64,
-    spill_bytes_written: AtomicU64,
-    spill_bytes_read: AtomicU64,
-    relocation_bytes: AtomicU64,
-    transfer_bytes: AtomicU64,
-    buffered_in_flight: AtomicU64,
-    purges_deferred: AtomicU64,
-    watermark_held_ms: AtomicU64,
-    replayed_in_order: AtomicU64,
-    faults_injected: AtomicU64,
-    msgs_retried: AtomicU64,
-    rounds_aborted: AtomicU64,
-    watermark_released_on_abort: AtomicU64,
-    rebalance_moves: AtomicU64,
-    events_recorded: AtomicU64,
-    events_dropped: AtomicU64,
+/// The counter table: one row per counter, and the only place one is
+/// spelled. A row is the counter's doc comment, whose count makes the
+/// run's total, its name, and the [`JournalHandle`] method that adds to
+/// it (`macro_rules!` cannot build an identifier; the ring's own
+/// accounting is counted by [`EventJournal::record`] and has none).
+/// `engine` rows are summed over every engine's shutdown snapshot and
+/// the coordinator's own; `coordinator` rows take the coordinator's
+/// count alone, because an engine's would count the same thing a second
+/// time (a tuple it was handed, state bytes it installed).
+///
+/// From the rows come [`JournalCounters`] (the atomics) and its
+/// `snapshot`, [`CountersSnapshot`] with `absorb`, `absorb_engine` and
+/// the ordered `NAMES` / `values` / `from_values` listing that the wire
+/// format and the JSON exporter walk, and the `add_*` methods.
+macro_rules! counter_table {
+    ($( $(#[$doc:meta])+ $side:ident $name:ident $(=> $add:ident)? ; )+) => {
+        /// Monotonic counters and one gauge kept beside the event ring.
+        /// All are plain atomics, so taking a [`snapshot`](Self::snapshot)
+        /// never touches the ring's lock.
+        #[derive(Debug, Default)]
+        pub struct JournalCounters {
+            $( $name: AtomicU64, )+
+        }
+
+        impl JournalCounters {
+            /// Plain-data copy of the current values.
+            pub fn snapshot(&self) -> CountersSnapshot {
+                CountersSnapshot {
+                    $( $name: self.$name.load(Ordering::Relaxed), )+
+                }
+            }
+        }
+
+        /// Point-in-time copy of [`JournalCounters`], for reports.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CountersSnapshot {
+            $( $(#[$doc])+ pub $name: u64, )+
+        }
+
+        impl CountersSnapshot {
+            /// How many counters there are.
+            pub const COUNT: usize = Self::NAMES.len();
+
+            /// Every counter's name, in the order of
+            /// [`values`](Self::values).
+            pub const NAMES: &'static [&'static str] = &[$( stringify!($name) ),+];
+
+            /// Every counter's value, in table order.
+            pub fn values(&self) -> [u64; Self::COUNT] {
+                [$( self.$name ),+]
+            }
+
+            /// The snapshot holding `values`, in table order.
+            pub fn from_values(values: [u64; Self::COUNT]) -> Self {
+                let [$( $name ),+] = values;
+                CountersSnapshot { $( $name ),+ }
+            }
+
+            /// Fold another snapshot into this one (summing every
+            /// counter).
+            pub fn absorb(&mut self, other: &CountersSnapshot) {
+                $( self.$name += other.$name; )+
+            }
+
+            /// Fold one engine's shutdown snapshot into a run's total:
+            /// the `engine` rows of the table are summed, the
+            /// `coordinator` rows are left to the coordinator's count.
+            pub fn absorb_engine(&mut self, engine: &CountersSnapshot) {
+                $( if counter_table!(@summed $side) { self.$name += engine.$name; } )+
+            }
+        }
+
+        impl JournalHandle {
+            $($(
+                #[doc = concat!("Add `n` to `", stringify!($name), "` (no-op when disabled).")]
+                #[inline]
+                pub fn $add(&self, n: u64) {
+                    if let Some(j) = &self.inner {
+                        j.counters.$name.fetch_add(n, Ordering::Relaxed);
+                    }
+                }
+            )?)+
+        }
+
+        /// Every row that has an `add_*` method, with it.
+        #[cfg(test)]
+        const ADDERS: &[(&str, fn(&JournalHandle, u64))] =
+            &[$($( (stringify!($name), JournalHandle::$add), )?)+];
+    };
+    (@summed engine) => { true };
+    (@summed coordinator) => { false };
 }
 
-impl JournalCounters {
-    /// Tuples routed through splits/engines so far.
-    pub fn tuples_routed(&self) -> u64 {
-        self.tuples_routed.load(Ordering::Relaxed)
-    }
-
-    /// Total state bytes pushed to disk by spills.
-    pub fn spill_bytes(&self) -> u64 {
-        self.spill_bytes.load(Ordering::Relaxed)
-    }
-
+counter_table! {
+    /// Tuples routed through splits/engines.
+    coordinator tuples_routed => add_tuples_routed;
+    /// Accounted state bytes pushed to disk by spills.
+    engine spill_bytes => add_spill_bytes;
     /// Physically encoded bytes written to disk by spills (what hit the
     /// backend, after segment-codec compression; compare with
-    /// [`spill_bytes`](Self::spill_bytes), the accounted state volume).
-    pub fn spill_bytes_written(&self) -> u64 {
-        self.spill_bytes_written.load(Ordering::Relaxed)
-    }
-
+    /// `spill_bytes`, the accounted state volume).
+    engine spill_bytes_written => add_spill_bytes_written;
     /// Physically encoded bytes read back from disk (cleanup merges,
     /// run-time reactivation, segment forwarding).
-    pub fn spill_bytes_read(&self) -> u64 {
-        self.spill_bytes_read.load(Ordering::Relaxed)
-    }
-
-    /// Total state bytes shipped between engines by relocation.
-    pub fn relocation_bytes(&self) -> u64 {
-        self.relocation_bytes.load(Ordering::Relaxed)
-    }
-
+    engine spill_bytes_read => add_spill_bytes_read;
+    /// Accounted state bytes shipped between engines by relocation.
+    coordinator relocation_bytes => add_relocation_bytes;
     /// Physically encoded bytes shipped between engines by relocation
     /// `SendStates` transfers (wire volume after segment-codec
-    /// compression; compare with
-    /// [`relocation_bytes`](Self::relocation_bytes)).
-    pub fn transfer_bytes(&self) -> u64 {
-        self.transfer_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Tuples currently buffered at paused splits (steps 4–7 of the
-    /// protocol); returns to zero once step 7 flushes them.
-    pub fn buffered_in_flight(&self) -> u64 {
-        self.buffered_in_flight.load(Ordering::Relaxed)
-    }
-
+    /// compression; compare with `relocation_bytes`).
+    engine transfer_bytes => add_transfer_bytes;
+    /// Gauge: tuples buffered at paused splits right now (steps 4–7 of
+    /// the protocol); [`JournalHandle::sub_buffered_in_flight`] lowers
+    /// it when step 7 flushes them.
+    coordinator buffered_in_flight => add_buffered_in_flight;
     /// Purge pulses that ran with a held-back horizon: tuples were
     /// buffered at paused splits, so the purge horizon was clamped to
     /// the oldest buffered timestamp instead of the current clock.
-    pub fn purges_deferred(&self) -> u64 {
-        self.purges_deferred.load(Ordering::Relaxed)
-    }
-
-    /// Total virtual milliseconds the purge watermark spent held back
-    /// by relocations (summed over rounds, accumulated at release).
-    pub fn watermark_held_ms(&self) -> u64 {
-        self.watermark_held_ms.load(Ordering::Relaxed)
-    }
-
+    coordinator purges_deferred => add_purges_deferred;
+    /// Virtual milliseconds the purge watermark spent held back by
+    /// relocations (summed over rounds, accumulated at release).
+    coordinator watermark_held_ms => add_watermark_held_ms;
     /// Tuples replayed in timestamp order at step 7 of the relocation
     /// protocol (buffered during the pause, flushed ahead of every
     /// post-resume arrival).
-    pub fn replayed_in_order(&self) -> u64 {
-        self.replayed_in_order.load(Ordering::Relaxed)
-    }
-
+    coordinator replayed_in_order => add_replayed_in_order;
     /// Faults the chaos layer injected (drops, duplicates, delays,
     /// corruptions, stalls, crashes), summed across all edges.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected.load(Ordering::Relaxed)
-    }
-
+    engine faults_injected => add_faults_injected;
     /// Protocol messages re-sent after a phase timeout.
-    pub fn msgs_retried(&self) -> u64 {
-        self.msgs_retried.load(Ordering::Relaxed)
-    }
-
+    engine msgs_retried => add_msgs_retried;
     /// Relocation rounds abandoned after retries were exhausted (the
     /// sender resumed its paused partitions locally).
-    pub fn rounds_aborted(&self) -> u64 {
-        self.rounds_aborted.load(Ordering::Relaxed)
-    }
-
+    engine rounds_aborted => add_rounds_aborted;
     /// Held purge watermarks released by the abort path rather than a
     /// step-7 Resume (one per aborted round that was holding one).
-    pub fn watermark_released_on_abort(&self) -> u64 {
-        self.watermark_released_on_abort.load(Ordering::Relaxed)
-    }
-
-    /// Relocation moves issued by the elastic rebalancing planner
-    /// (join rebalances plus drain rounds), as opposed to moves chosen
-    /// by the load-balancing strategies.
-    pub fn rebalance_moves(&self) -> u64 {
-        self.rebalance_moves.load(Ordering::Relaxed)
-    }
-
+    engine watermark_released_on_abort => add_watermark_released_on_abort;
+    /// Relocation moves issued by the elastic rebalancing planner (join
+    /// rebalances plus drain rounds), as opposed to moves chosen by the
+    /// load-balancing strategies.
+    coordinator rebalance_moves => add_rebalance_moves;
     /// Events accepted into the ring.
-    pub fn events_recorded(&self) -> u64 {
-        self.events_recorded.load(Ordering::Relaxed)
-    }
-
+    engine events_recorded;
     /// Events overwritten after the ring filled.
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Plain-data copy of the current values.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            tuples_routed: self.tuples_routed(),
-            spill_bytes: self.spill_bytes(),
-            spill_bytes_written: self.spill_bytes_written(),
-            spill_bytes_read: self.spill_bytes_read(),
-            relocation_bytes: self.relocation_bytes(),
-            transfer_bytes: self.transfer_bytes(),
-            buffered_in_flight: self.buffered_in_flight(),
-            purges_deferred: self.purges_deferred(),
-            watermark_held_ms: self.watermark_held_ms(),
-            replayed_in_order: self.replayed_in_order(),
-            faults_injected: self.faults_injected(),
-            msgs_retried: self.msgs_retried(),
-            rounds_aborted: self.rounds_aborted(),
-            watermark_released_on_abort: self.watermark_released_on_abort(),
-            rebalance_moves: self.rebalance_moves(),
-            events_recorded: self.events_recorded(),
-            events_dropped: self.events_dropped(),
-        }
-    }
-}
-
-/// Point-in-time copy of [`JournalCounters`], for reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    /// Tuples routed through splits/engines.
-    pub tuples_routed: u64,
-    /// Total state bytes pushed to disk by spills.
-    pub spill_bytes: u64,
-    /// Physically encoded bytes written to disk by spills.
-    pub spill_bytes_written: u64,
-    /// Physically encoded bytes read back from disk.
-    pub spill_bytes_read: u64,
-    /// Total state bytes shipped between engines by relocation.
-    pub relocation_bytes: u64,
-    /// Physically encoded bytes shipped by relocation transfers.
-    pub transfer_bytes: u64,
-    /// Tuples still buffered at paused splits when sampled.
-    pub buffered_in_flight: u64,
-    /// Purge pulses that ran with a relocation-held horizon.
-    pub purges_deferred: u64,
-    /// Virtual milliseconds the purge watermark was held back, total.
-    pub watermark_held_ms: u64,
-    /// Tuples replayed in timestamp order at step-7 flushes.
-    pub replayed_in_order: u64,
-    /// Faults injected by the chaos layer.
-    pub faults_injected: u64,
-    /// Protocol messages re-sent after phase timeouts.
-    pub msgs_retried: u64,
-    /// Relocation rounds abandoned after retry exhaustion.
-    pub rounds_aborted: u64,
-    /// Held watermarks released by the abort path.
-    pub watermark_released_on_abort: u64,
-    /// Relocation moves issued by the elastic rebalancing planner.
-    pub rebalance_moves: u64,
-    /// Events accepted into the ring.
-    pub events_recorded: u64,
-    /// Events overwritten after the ring filled.
-    pub events_dropped: u64,
+    engine events_dropped;
 }
 
 impl CountersSnapshot {
-    /// Fold another snapshot into this one (summing every counter).
-    pub fn absorb(&mut self, other: &CountersSnapshot) {
-        self.tuples_routed += other.tuples_routed;
-        self.spill_bytes += other.spill_bytes;
-        self.spill_bytes_written += other.spill_bytes_written;
-        self.spill_bytes_read += other.spill_bytes_read;
-        self.relocation_bytes += other.relocation_bytes;
-        self.transfer_bytes += other.transfer_bytes;
-        self.buffered_in_flight += other.buffered_in_flight;
-        self.purges_deferred += other.purges_deferred;
-        self.watermark_held_ms += other.watermark_held_ms;
-        self.replayed_in_order += other.replayed_in_order;
-        self.faults_injected += other.faults_injected;
-        self.msgs_retried += other.msgs_retried;
-        self.rounds_aborted += other.rounds_aborted;
-        self.watermark_released_on_abort += other.watermark_released_on_abort;
-        self.rebalance_moves += other.rebalance_moves;
-        self.events_recorded += other.events_recorded;
-        self.events_dropped += other.events_dropped;
-    }
-
     /// Spill compression ratio: accounted state bytes spilled per
     /// encoded byte physically written (`None` before any encoded
     /// write). A row-codec run of plain-payload tuples sits near 1; the
@@ -578,146 +514,9 @@ impl JournalHandle {
         }
     }
 
-    /// Counters, if enabled. Strategies use this to fold observed I/O
-    /// volume into their decisions without touching the event ring.
+    /// Counters, if enabled.
     pub fn counters(&self) -> Option<&JournalCounters> {
         self.inner.as_deref().map(EventJournal::counters)
-    }
-
-    /// Add routed tuples to the counter (no-op when disabled).
-    #[inline]
-    pub fn add_tuples_routed(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.tuples_routed.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Add spilled bytes to the counter (no-op when disabled).
-    #[inline]
-    pub fn add_spill_bytes(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.spill_bytes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Add physically encoded spill-write bytes (no-op when disabled).
-    #[inline]
-    pub fn add_spill_bytes_written(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters
-                .spill_bytes_written
-                .fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Add physically encoded spill-read bytes (no-op when disabled).
-    #[inline]
-    pub fn add_spill_bytes_read(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.spill_bytes_read.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Add relocated state bytes to the counter (no-op when disabled).
-    #[inline]
-    pub fn add_relocation_bytes(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.relocation_bytes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Add physically encoded relocation-transfer bytes (no-op when
-    /// disabled).
-    #[inline]
-    pub fn add_transfer_bytes(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.transfer_bytes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Raise the in-flight buffered-tuple gauge (steps 4–7).
-    #[inline]
-    pub fn add_buffered_in_flight(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters
-                .buffered_in_flight
-                .fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Count a purge pulse that ran with a held-back horizon (no-op
-    /// when disabled).
-    #[inline]
-    pub fn add_purges_deferred(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.purges_deferred.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Accumulate virtual milliseconds the purge watermark was held
-    /// back by a relocation round (no-op when disabled).
-    #[inline]
-    pub fn add_watermark_held_ms(&self, ms: u64) {
-        if let Some(j) = &self.inner {
-            j.counters
-                .watermark_held_ms
-                .fetch_add(ms, Ordering::Relaxed);
-        }
-    }
-
-    /// Count tuples replayed in timestamp order at a step-7 flush
-    /// (no-op when disabled).
-    #[inline]
-    pub fn add_replayed_in_order(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.replayed_in_order.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Count faults injected by the chaos layer (no-op when disabled).
-    #[inline]
-    pub fn add_faults_injected(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.faults_injected.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Count protocol messages re-sent after a phase timeout (no-op
-    /// when disabled).
-    #[inline]
-    pub fn add_msgs_retried(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.msgs_retried.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Count relocation rounds abandoned after retry exhaustion (no-op
-    /// when disabled).
-    #[inline]
-    pub fn add_rounds_aborted(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.rounds_aborted.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Count a held watermark released by the abort path instead of a
-    /// step-7 Resume (no-op when disabled).
-    #[inline]
-    pub fn add_watermark_released_on_abort(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters
-                .watermark_released_on_abort
-                .fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Count relocation moves issued by the elastic rebalancing planner
-    /// (no-op when disabled).
-    #[inline]
-    pub fn add_rebalance_moves(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            j.counters.rebalance_moves.fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     /// Lower the in-flight buffered-tuple gauge (step 7 flush).
@@ -791,9 +590,9 @@ mod tests {
         // Oldest six were overwritten; sequence numbers keep climbing.
         let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
-        let counters = handle.counters().unwrap();
-        assert_eq!(counters.events_recorded(), 10);
-        assert_eq!(counters.events_dropped(), 6);
+        let counters = handle.counters().unwrap().snapshot();
+        assert_eq!(counters.events_recorded, 10);
+        assert_eq!(counters.events_dropped, 6);
     }
 
     #[test]
@@ -820,93 +619,93 @@ mod tests {
     #[test]
     fn buffered_gauge_rises_and_falls() {
         let handle = JournalHandle::with_capacity(8);
+        let buffered = || handle.counters().unwrap().snapshot().buffered_in_flight;
         handle.add_buffered_in_flight(7);
         handle.add_buffered_in_flight(3);
-        assert_eq!(handle.counters().unwrap().buffered_in_flight(), 10);
+        assert_eq!(buffered(), 10);
         handle.sub_buffered_in_flight(10);
-        assert_eq!(handle.counters().unwrap().buffered_in_flight(), 0);
+        assert_eq!(buffered(), 0);
         // Saturates rather than wrapping.
         handle.sub_buffered_in_flight(5);
-        assert_eq!(handle.counters().unwrap().buffered_in_flight(), 0);
+        assert_eq!(buffered(), 0);
+    }
+
+    /// Every row of the counter table, through everything generated
+    /// from it.
+    #[test]
+    fn every_counter_row_adds_absorbs_and_lists() {
+        const N: usize = CountersSnapshot::COUNT;
+        let names = CountersSnapshot::NAMES;
+        let mut added = Vec::new();
+        for (name, add) in ADDERS {
+            let row = names.iter().position(|n| n == name).expect("a table row");
+            added.push(name);
+            let handle = JournalHandle::with_capacity(8);
+            add(&handle, 5);
+            add(&handle, 2);
+            let snap = handle.counters().unwrap().snapshot();
+            let mut want = [0; N];
+            want[row] = 7;
+            assert_eq!(snap.values(), want, "{name}: its own field and no other");
+            let mut total = snap;
+            total.absorb(&snap);
+            want[row] = 14;
+            assert_eq!(total.values(), want, "{name}: absorb sums");
+            let off = JournalHandle::disabled();
+            add(&off, 1);
+            assert!(off.counters().is_none(), "{name}: ignored when disabled");
+        }
+        // Only the ring's own accounting has no method
+        // (`ring_overflow_keeps_newest_and_counts_drops` counts it).
+        let unnamed: Vec<_> = names.iter().filter(|n| !added.contains(n)).collect();
+        assert_eq!(unnamed, [&"events_recorded", &"events_dropped"]);
+
+        // The listing is the struct: distinct values sit under their own
+        // names and survive the trip.
+        let distinct: [u64; N] = std::array::from_fn(|i| 100 + i as u64);
+        let all = CountersSnapshot::from_values(distinct);
+        assert_eq!(all.values(), distinct);
+        assert_eq!(CountersSnapshot::from_values(all.values()), all);
+        assert_eq!((names[0], all.tuples_routed), ("tuples_routed", 100));
+        assert_eq!(names[N - 1], "events_dropped");
+        assert_eq!(all.events_dropped, 99 + N as u64);
+
+        // `absorb_engine` sums what engines count and leaves the rest to
+        // the coordinator's own count.
+        let engine_side = [
+            "spill_bytes",
+            "spill_bytes_written",
+            "spill_bytes_read",
+            "transfer_bytes",
+            "events_recorded",
+            "events_dropped",
+            "faults_injected",
+            "msgs_retried",
+            "rounds_aborted",
+            "watermark_released_on_abort",
+        ];
+        let mut folded = all;
+        folded.absorb_engine(&all);
+        for ((name, got), one) in names.iter().zip(folded.values()).zip(distinct) {
+            let want = if engine_side.contains(name) {
+                2 * one
+            } else {
+                one
+            };
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]
-    fn watermark_counters_accumulate_and_absorb() {
-        let handle = JournalHandle::with_capacity(8);
-        handle.add_purges_deferred(3);
-        handle.add_watermark_held_ms(250);
-        handle.add_watermark_held_ms(50);
-        handle.add_replayed_in_order(17);
-        let c = handle.counters().unwrap();
-        assert_eq!(c.purges_deferred(), 3);
-        assert_eq!(c.watermark_held_ms(), 300);
-        assert_eq!(c.replayed_in_order(), 17);
-        let mut total = c.snapshot();
-        total.absorb(&c.snapshot());
-        assert_eq!(total.purges_deferred, 6);
-        assert_eq!(total.watermark_held_ms, 600);
-        assert_eq!(total.replayed_in_order, 34);
-        // Disabled handles stay no-ops.
-        let off = JournalHandle::disabled();
-        off.add_purges_deferred(1);
-        off.add_watermark_held_ms(1);
-        off.add_replayed_in_order(1);
-        assert!(off.counters().is_none());
-    }
-
-    #[test]
-    fn chaos_counters_accumulate_and_absorb() {
-        let handle = JournalHandle::with_capacity(8);
-        handle.add_faults_injected(4);
-        handle.add_msgs_retried(2);
-        handle.add_rounds_aborted(1);
-        handle.add_watermark_released_on_abort(1);
-        let c = handle.counters().unwrap();
-        assert_eq!(c.faults_injected(), 4);
-        assert_eq!(c.msgs_retried(), 2);
-        assert_eq!(c.rounds_aborted(), 1);
-        assert_eq!(c.watermark_released_on_abort(), 1);
-        let mut total = c.snapshot();
-        total.absorb(&c.snapshot());
-        assert_eq!(total.faults_injected, 8);
-        assert_eq!(total.msgs_retried, 4);
-        assert_eq!(total.rounds_aborted, 2);
-        assert_eq!(total.watermark_released_on_abort, 2);
-        // Disabled handles stay no-ops.
-        let off = JournalHandle::disabled();
-        off.add_faults_injected(1);
-        off.add_msgs_retried(1);
-        off.add_rounds_aborted(1);
-        off.add_watermark_released_on_abort(1);
-        assert!(off.counters().is_none());
-    }
-
-    #[test]
-    fn byte_volume_counters_accumulate_and_derive_ratio() {
-        let handle = JournalHandle::with_capacity(8);
-        handle.add_spill_bytes(1000);
-        handle.add_spill_bytes_written(250);
-        handle.add_spill_bytes_read(250);
-        handle.add_relocation_bytes(600);
-        handle.add_transfer_bytes(150);
-        let c = handle.counters().unwrap();
-        assert_eq!(c.spill_bytes_written(), 250);
-        assert_eq!(c.spill_bytes_read(), 250);
-        assert_eq!(c.transfer_bytes(), 150);
-        let snap = c.snapshot();
+    fn spill_compression_ratio_is_state_bytes_per_written_byte() {
+        let snap = CountersSnapshot {
+            spill_bytes: 1000,
+            spill_bytes_written: 250,
+            ..CountersSnapshot::default()
+        };
         assert_eq!(snap.spill_compression_ratio(), Some(4.0));
-        let mut total = snap;
-        total.absorb(&snap);
-        assert_eq!(total.spill_bytes_written, 500);
-        assert_eq!(total.spill_bytes_read, 500);
-        assert_eq!(total.transfer_bytes, 300);
         // No encoded writes yet => no ratio (never a division by zero).
         assert_eq!(CountersSnapshot::default().spill_compression_ratio(), None);
-        let off = JournalHandle::disabled();
-        off.add_spill_bytes_written(1);
-        off.add_spill_bytes_read(1);
-        off.add_transfer_bytes(1);
-        assert!(off.counters().is_none());
     }
 
     #[test]
@@ -934,7 +733,7 @@ mod tests {
         b.record(t, pressure(1, 3));
         // Own ring, own counters.
         assert_eq!(a.snapshot().len(), 1);
-        assert_eq!(b.counters().unwrap().events_recorded(), 2);
+        assert_eq!(b.counters().unwrap().snapshot().events_recorded, 2);
         let merged = merge_journals([a.snapshot(), b.snapshot()]);
         let used: Vec<u64> = merged
             .iter()

@@ -16,7 +16,8 @@ pub use journal::{
 };
 pub use recorder::Recorder;
 pub use report::{
-    journal_to_jsonl, render_journal, render_series_table, write_journal_jsonl, Table,
+    journal_to_jsonl, render_journal, render_series_table, write_journal_jsonl, write_run_jsonl,
+    Table,
 };
 pub use series::TimeSeries;
 pub use summary::Summary;

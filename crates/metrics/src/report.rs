@@ -7,7 +7,7 @@ use std::path::Path;
 
 use dcape_common::time::VirtualDuration;
 
-use crate::journal::{AdaptEvent, JournalEntry};
+use crate::journal::{AdaptEvent, CountersSnapshot, JournalEntry};
 use crate::series::TimeSeries;
 
 /// A simple column-aligned text table.
@@ -95,11 +95,15 @@ impl Table {
         for r in &self.rows {
             line(&mut s, r);
         }
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, s)
+        write_creating_dirs(path, s)
     }
+}
+
+fn write_creating_dirs(path: &Path, text: String) -> io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    std::fs::write(path, text)
 }
 
 /// Render several series side by side, resampled at `step`: the first
@@ -296,10 +300,31 @@ pub fn journal_to_jsonl(entries: &[JournalEntry]) -> String {
 
 /// Write a journal as JSON-lines to `path`, creating parent dirs.
 pub fn write_journal_jsonl(path: &Path, entries: &[JournalEntry]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
+    write_creating_dirs(path, journal_to_jsonl(entries))
+}
+
+/// A run's counters as a single-line JSON object: `"kind":"counters"`,
+/// then one key per row of the counter table, in table order.
+fn counters_to_json(counters: &CountersSnapshot) -> String {
+    let mut s = String::from("{\"kind\":\"counters\"");
+    for (name, value) in CountersSnapshot::NAMES.iter().zip(counters.values()) {
+        let _ = write!(s, ",\"{name}\":{value}");
     }
-    std::fs::write(path, journal_to_jsonl(entries))
+    s.push('}');
+    s
+}
+
+/// Write a whole run as JSON-lines to `path`, creating parent dirs: its
+/// journal, then its counters as the last line.
+pub fn write_run_jsonl(
+    path: &Path,
+    entries: &[JournalEntry],
+    counters: &CountersSnapshot,
+) -> io::Result<()> {
+    let mut text = journal_to_jsonl(entries);
+    text.push_str(&counters_to_json(counters));
+    text.push('\n');
+    write_creating_dirs(path, text)
 }
 
 /// Human-readable journal rendering, one event per line.
@@ -630,5 +655,33 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("\"kind\":\"memory_pressure\""));
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// A run file ends with the counters: one key per row of the
+    /// counter table, each holding its own value.
+    #[test]
+    fn run_jsonl_ends_with_one_counters_key_per_table_row() {
+        let counters = CountersSnapshot {
+            rebalance_moves: 3,
+            spill_bytes_written: 41,
+            ..CountersSnapshot::default()
+        };
+        let path = std::env::temp_dir().join(format!("dcape-run-{}/run.jsonl", std::process::id()));
+        write_run_jsonl(&path, &[], &counters).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        let line = content.lines().last().unwrap();
+        let body = line
+            .strip_prefix("{\"kind\":\"counters\",")
+            .and_then(|l| l.strip_suffix('}'))
+            .expect("a counters object");
+        let keys: Vec<&str> = body
+            .split(',')
+            .map(|kv| kv.split(':').next().unwrap().trim_matches('"'))
+            .collect();
+        assert_eq!(keys, CountersSnapshot::NAMES);
+        assert!(line.contains("\"rebalance_moves\":3,"));
+        assert!(line.contains("\"spill_bytes_written\":41,"));
+        assert!(line.contains("\"tuples_routed\":0,"));
     }
 }

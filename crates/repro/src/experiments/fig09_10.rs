@@ -90,7 +90,11 @@ fn run_theta(
     } else {
         format!("theta={theta_pct}%")
     };
-    opts.write_journal(&format!("fig09-{label}"), &report.journal);
+    opts.write_journal(
+        &format!("fig09-{label}"),
+        &report.journal,
+        &report.journal_counters,
+    );
     if let Some(s) = report.recorder.series("output/total") {
         for (t, v) in s.points() {
             recorder.record(&format!("throughput/{label}"), *t, *v);

@@ -73,7 +73,11 @@ fn run_one(
     driver.run_until(duration)?;
     let relocations = driver.relocations().len();
     let report = driver.finish()?;
-    opts.write_journal(&format!("fig11-{label}"), &report.journal);
+    opts.write_journal(
+        &format!("fig11-{label}"),
+        &report.journal,
+        &report.journal_counters,
+    );
     if let Some(s) = report.recorder.series("output/total") {
         for (t, v) in s.points() {
             recorder.record(&format!("throughput/{label}"), *t, *v);

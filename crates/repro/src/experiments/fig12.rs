@@ -89,7 +89,11 @@ fn run_one(
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
     let report = driver.finish()?;
-    opts.write_journal(&format!("fig12-{label}"), &report.journal);
+    opts.write_journal(
+        &format!("fig12-{label}"),
+        &report.journal,
+        &report.journal_counters,
+    );
     if let Some(s) = report.recorder.series("output/total") {
         for (t, v) in s.points() {
             recorder.record(&format!("throughput/{label}"), *t, *v);

@@ -138,12 +138,17 @@ impl RunOpts {
         }
     }
 
-    /// Write one run's journal as JSON lines (no-op without
-    /// `--journal`). The file lands next to the `--journal` path with
-    /// the run label folded into the name: `--journal out.jsonl` plus
-    /// label `fig11/with-relocation` writes
+    /// Write one run's journal as JSON lines, ending with its counters
+    /// (no-op without `--journal`). The file lands next to the
+    /// `--journal` path with the run label folded into the name:
+    /// `--journal out.jsonl` plus label `fig11/with-relocation` writes
     /// `out-fig11-with-relocation.jsonl`.
-    pub fn write_journal(&self, label: &str, entries: &[dcape_metrics::JournalEntry]) {
+    pub fn write_journal(
+        &self,
+        label: &str,
+        entries: &[dcape_metrics::JournalEntry],
+        counters: &dcape_metrics::CountersSnapshot,
+    ) {
         let Some(base) = &self.journal else {
             return;
         };
@@ -157,7 +162,7 @@ impl RunOpts {
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .collect();
         let path = base.with_file_name(format!("{stem}-{tag}.{ext}"));
-        match dcape_metrics::write_journal_jsonl(&path, entries) {
+        match dcape_metrics::write_run_jsonl(&path, entries, counters) {
             Ok(()) if !self.quiet => {
                 println!(
                     "journal: wrote {} events to {}",

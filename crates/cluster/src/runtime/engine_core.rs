@@ -29,6 +29,7 @@ use dcape_engine::engine::QueryEngine;
 use dcape_engine::probe::ProbeSpans;
 use dcape_engine::sink::{CollectingSink, ResultSink};
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
+use dcape_storage::FileBackend;
 
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, GroupTransfer, ToEngine};
@@ -138,13 +139,18 @@ impl EngineCore {
     /// Build the engine — the one place a runtime does. `journal` is
     /// the engine's own journal (disabled when the run keeps none);
     /// `collect_results` makes both sinks materialize their results.
+    ///
+    /// The engine spills to an unlinked log in the system's temporary
+    /// directory (`TMPDIR` moves it), under every transport: the virtual
+    /// clock charges the `DiskModel` and never sees the real I/O.
     pub(crate) fn new(
         id: EngineId,
         cfg: EngineConfig,
         journal: JournalHandle,
         collect_results: bool,
     ) -> Result<Self> {
-        let mut qe = QueryEngine::in_memory(id, cfg)?;
+        let spill_log = FileBackend::new(std::env::temp_dir())?;
+        let mut qe = QueryEngine::new(id, cfg, Box::new(spill_log))?;
         qe.set_journal(journal);
         Ok(EngineCore {
             id,

@@ -144,7 +144,9 @@ impl QueryEngine {
         })
     }
 
-    /// Convenience: engine with an in-memory spill backend.
+    /// Convenience: engine with an in-memory spill backend — for unit
+    /// tests, examples and the benchmark's walk; a runtime's engines
+    /// spill to a [`dcape_storage::FileBackend`].
     pub fn in_memory(id: EngineId, cfg: EngineConfig) -> Result<Self> {
         Self::new(id, cfg, Box::new(dcape_storage::MemBackend::new()))
     }
@@ -322,17 +324,34 @@ impl QueryEngine {
             encoded_bytes: 0,
             io_cost: VirtualDuration::ZERO,
         };
+        // A write that fails (a full disk, an unusable temp directory)
+        // ends the spill: that victim goes back into memory (rows,
+        // `P_output`, accounting; `undrain_group` says what does not),
+        // the victims before it stay spilled and are journaled as the
+        // spill that happened — nothing is, if there were none — and
+        // the caller gets the error.
+        let mut failed = None;
         for pid in victims {
-            let Some((snapshot, freed)) = self.join.drain_group(pid) else {
+            let Some((snapshot, output, freed)) = self.join.drain_group(pid) else {
                 continue;
             };
-            let meta = self.store.spill_group(&snapshot)?;
+            let meta = match self.store.spill_group(&snapshot) {
+                Ok(meta) => meta,
+                Err(e) => {
+                    self.join.undrain_group(snapshot, output)?;
+                    failed = Some(e);
+                    break;
+                }
+            };
             outcome.groups.push(pid);
             outcome.state_bytes += freed as u64;
             outcome.encoded_bytes += meta.encoded_bytes;
             outcome.io_cost = outcome.io_cost + self.cfg.cost.disk.io_cost(meta.state_bytes);
         }
         self.controller.set_mode(Mode::Normal);
+        if let Some(e) = failed.take_if(|_| outcome.groups.is_empty()) {
+            return Err(e);
+        }
         self.journal.add_spill_bytes(outcome.state_bytes);
         self.journal.add_spill_bytes_written(outcome.encoded_bytes);
         self.journal.record(
@@ -348,7 +367,7 @@ impl QueryEngine {
             },
         );
         self.spill_history.push(outcome.clone());
-        Ok(outcome)
+        failed.map_or(Ok(outcome), Err)
     }
 
     /// `computePartsToMove`: the most productive groups up to `amount`
@@ -789,6 +808,7 @@ mod tests {
     use crate::sink::{CollectingSink, CountingSink};
     use crate::spill::policy::VictimPolicy;
     use dcape_common::ids::StreamId;
+    use dcape_common::testing::ReferenceJoin;
     use dcape_common::tuple::TupleBuilder;
     use dcape_storage::DiskModel;
 
@@ -1050,6 +1070,161 @@ mod tests {
     fn invalid_config_rejected_at_construction() {
         let cfg = EngineConfig::three_way(100, 200); // threshold > budget
         assert!(QueryEngine::in_memory(EngineId(0), cfg).is_err());
+    }
+
+    /// A memory backend whose `fail_on`-th write fails.
+    #[derive(Debug)]
+    struct FailingWrite {
+        inner: dcape_storage::MemBackend,
+        writes: u32,
+        fail_on: u32,
+    }
+
+    impl SpillBackend for FailingWrite {
+        fn write_segment(&mut self, bytes: &[u8]) -> Result<dcape_storage::SegmentHandle> {
+            self.writes += 1;
+            if self.writes == self.fail_on {
+                return Err(std::io::Error::other("injected: no space left on device").into());
+            }
+            self.inner.write_segment(bytes)
+        }
+
+        fn read_segment(
+            &mut self,
+            handle: dcape_storage::SegmentHandle,
+            buf: &mut Vec<u8>,
+        ) -> Result<()> {
+            self.inner.read_segment(handle, buf)
+        }
+
+        fn delete_segment(&mut self, handle: dcape_storage::SegmentHandle) -> Result<()> {
+            self.inner.delete_segment(handle)
+        }
+    }
+
+    /// One tuple per stream and key into 16 equal groups, `reps` times.
+    fn feed_groups(
+        e: &mut QueryEngine,
+        reps: std::ops::Range<u64>,
+        reference: &mut ReferenceJoin,
+        sink: &mut dyn ResultSink,
+    ) {
+        for rep in reps {
+            for key in 0..16i64 {
+                for s in 0..3u8 {
+                    let t = tpl(s, rep * 16 + key as u64, key);
+                    reference.push(&t);
+                    e.process(PartitionId(key as u32), t, sink).unwrap();
+                }
+            }
+        }
+    }
+
+    /// A spill whose first, or third, write fails leaves that victim in
+    /// memory with its rows, `P_output` and accounting, keeps the
+    /// victims before it spilled, and loses no result.
+    #[test]
+    fn a_failed_spill_write_puts_the_victim_back() {
+        for fail_on in [1u32, 3] {
+            let backend = FailingWrite {
+                inner: Default::default(),
+                writes: 0,
+                fail_on,
+            };
+            let cfg = EngineConfig::three_way(1 << 20, 512);
+            let mut e = QueryEngine::new(EngineId(0), cfg, Box::new(backend)).unwrap();
+            let mut reference = ReferenceJoin::new(&[0, 0, 0], None);
+            let mut runtime = CountingSink::new();
+            feed_groups(&mut e, 0..3, &mut reference, &mut runtime);
+            let (used, stats) = (e.memory_used(), e.join().group_stats());
+            assert!(stats.iter().all(|s| s.output > 0));
+
+            // 30 % of 16 equal groups: five victims, so the third is a
+            // middle one.
+            let failed = e.tick(VirtualTime::from_secs(10));
+            assert!(matches!(failed, Err(DcapeError::Io(_))), "{failed:?}");
+            let written = (fail_on - 1) as usize;
+            assert_eq!(e.mode(), Mode::Normal);
+            assert_eq!(e.store().segment_count(), written);
+            assert_eq!(e.join().group_count(), 16 - written);
+            assert_eq!(e.join().drain_count(), written as u64);
+            e.assert_accounting_consistent().unwrap();
+            // Journaled as spilled: what was written, and nothing else.
+            assert_eq!(e.spill_history().len(), usize::from(written > 0));
+            let spilled: Vec<PartitionId> = (e.spill_history().iter())
+                .flat_map(|outcome| outcome.groups.clone())
+                .collect();
+            assert_eq!(spilled, e.spilled_partitions());
+            let freed: u64 = e.spill_history().iter().map(|o| o.state_bytes).sum();
+            assert_eq!(e.memory_used(), used - freed);
+            assert_eq!(freed == 0, written == 0);
+            // Every group still resident, the failed victim among them,
+            // has the size and `P_output` it had.
+            let resident: Vec<_> = (stats.iter().copied())
+                .filter(|s| e.join().has_group(s.pid))
+                .collect();
+            assert_eq!(e.join().group_stats(), resident);
+
+            // The fault has passed: the next pulse spills, and the run
+            // as a whole owes exactly the reference join.
+            let outcome = e.tick(VirtualTime::from_secs(20)).unwrap();
+            let outcome = outcome.expect("still over the threshold");
+            assert!(!outcome.groups.is_empty());
+            feed_groups(&mut e, 3..5, &mut reference, &mut runtime);
+            let mut cleanup = CountingSink::new();
+            e.cleanup(&mut cleanup).unwrap();
+            assert_eq!(runtime.count() + cleanup.count(), reference.count());
+        }
+    }
+
+    /// The file-backed engine every runtime builds and the memory-backed
+    /// one of the unit tests are the same engine to the digit: same
+    /// spills, same store statistics, same results in the same order,
+    /// same cleanup report — with forced spills, threshold spills and a
+    /// run-time reactivation on the way.
+    #[test]
+    fn a_file_backed_engine_equals_a_memory_backed_one_to_the_digit() {
+        let run = |backend: Box<dyn SpillBackend>| {
+            let cfg = EngineConfig::three_way(1 << 20, 24 << 10).with_reactivation(0.5);
+            let mut e = QueryEngine::new(EngineId(0), cfg, backend).unwrap();
+            let (mut runtime, mut cleanup) = (CollectingSink::new(), CollectingSink::new());
+            let mut batch = TupleBatch::new();
+            for round in 0..12u64 {
+                for i in 0..48u64 {
+                    let (seq, key) = (round * 48 + i, (i % 16) as i64);
+                    let stream = ((i / 16) % 3) as u8;
+                    batch.push(PartitionId(key as u32 % 8), tpl(stream, seq, key));
+                }
+                e.process_batch(&batch, &mut runtime).unwrap();
+                batch.clear();
+                let now = VirtualTime::from_secs(round * 5);
+                e.tick(now).unwrap();
+                match round {
+                    4 => drop(e.force_spill(e.memory_used() / 2, now).unwrap()),
+                    7 => {
+                        e.force_spill(u64::MAX / 2, now).unwrap();
+                        let back = e.maybe_reactivate(&mut runtime).unwrap();
+                        assert!(back.is_some(), "an empty memory has room");
+                    }
+                    _ => {}
+                }
+            }
+            assert!(e.spill_history().len() > 3);
+            let report = e.cleanup(&mut cleanup).unwrap();
+            assert!(report.missing_results > 0);
+            (
+                e.spill_history().to_vec(),
+                e.store().stats(),
+                runtime.identities(),
+                cleanup.identities(),
+                report,
+            )
+        };
+        let files = dcape_storage::FileBackend::new(std::env::temp_dir()).unwrap();
+        assert_eq!(
+            run(Box::new(files)),
+            run(Box::new(dcape_storage::MemBackend::new()))
+        );
     }
 }
 

@@ -203,17 +203,29 @@ impl MJoinOperator {
     /// memory is released, and its productivity history is discarded —
     /// a future group under the same ID starts fresh (§3: "new tuples
     /// with the same partition ID may continue to accumulate to form a
-    /// new partition group"). Returns the snapshot and the accounted
-    /// bytes freed (which exceed the snapshot's own tuple bytes by the
-    /// per-tuple index overhead).
-    pub fn drain_group(&mut self, pid: PartitionId) -> Option<(SpilledGroup, usize)> {
+    /// new partition group"). Returns the snapshot, the group's
+    /// `P_output` — which only [`MJoinOperator::undrain_group`] wants —
+    /// and the accounted bytes freed (which exceed the snapshot's own
+    /// tuple bytes by the per-tuple index overhead).
+    pub fn drain_group(&mut self, pid: PartitionId) -> Option<(SpilledGroup, u64, usize)> {
         let group = self.groups.remove(&pid)?;
         let freed = group.bytes();
         self.tracker.release(freed);
         self.state_bytes -= freed;
         self.drain_count += 1;
-        let (snapshot, _output) = group.into_snapshot();
-        Some((snapshot, freed))
+        let (snapshot, output) = group.into_snapshot();
+        Some((snapshot, output, freed))
+    }
+
+    /// Take back a drain whose snapshot could not be written: the group
+    /// is resident again with its rows, its `P_output` and its
+    /// accounting, and the drain is not counted. As on a relocation
+    /// install, the decaying productivity estimate is not restored: the
+    /// group ranks by its cumulative value until its next window closes.
+    pub fn undrain_group(&mut self, snapshot: SpilledGroup, output_count: u64) -> Result<()> {
+        self.install_group(snapshot, output_count)?;
+        self.drain_count -= 1;
+        Ok(())
     }
 
     /// Remove a group for **relocation**: snapshot plus carried
@@ -384,7 +396,7 @@ mod tests {
         }
         let used_before = tracker.used();
         assert!(used_before > 0);
-        let (snap, freed) = op.drain_group(PartitionId(7)).unwrap();
+        let (snap, _, freed) = op.drain_group(PartitionId(7)).unwrap();
         assert_eq!(freed as u64, used_before);
         assert_eq!(snap.tuple_count(), 12);
         assert_eq!(tracker.used(), 0);
@@ -503,7 +515,7 @@ mod tests {
         }
         assert_eq!(tracker.used() as usize, batched.state_bytes());
         for pid in [PartitionId(0), PartitionId(1)] {
-            let (expected, _) = per_tuple.drain_group(pid).unwrap();
+            let (expected, ..) = per_tuple.drain_group(pid).unwrap();
             assert_eq!(batched.drain_group(pid).unwrap().0, expected);
             assert_eq!(counted.drain_group(pid).unwrap().0, expected);
         }
@@ -540,7 +552,7 @@ mod tests {
             );
             // Valid prefix inserted, tail dropped, and state bytes,
             // tracker and productivity window account exactly that.
-            let (snap, _) = op.drain_group(pid).unwrap();
+            let (snap, ..) = op.drain_group(pid).unwrap();
             assert_eq!(snap.tuple_count(), 4);
             op.install_group(snap, 0).unwrap();
             assert_eq!(sink.count(), prefix_sink.count());
@@ -563,7 +575,7 @@ mod tests {
             }
         }
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-        let (snap, _) = op.drain_group(PartitionId(1)).unwrap();
+        let (snap, ..) = op.drain_group(PartitionId(1)).unwrap();
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
         op.install_group(snap, 0).unwrap();
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());

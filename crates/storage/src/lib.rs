@@ -9,13 +9,14 @@
 //!   per-stream partitions together, per the partition-group
 //!   granularity argument of §2/Figure 3(b)), held as columns, and the
 //!   *spill segment* it serializes to.
-//! * [`backend`] — where segment bytes live: real files
-//!   ([`backend::FileBackend`]) or memory ([`backend::MemBackend`] for
-//!   tests and pure simulations).
+//! * [`backend`] — where segment bytes live: an append-only, unlinked
+//!   spill log in the temp directory ([`backend::FileBackend`], what
+//!   every runtime's engines use) or memory ([`backend::MemBackend`],
+//!   for unit tests, examples and the benchmark's layer walk).
 //! * [`store`] — the [`store::SpillStore`]: per-partition segment
 //!   registry plus I/O statistics.
-//! * [`diskmodel`] — virtual-time cost model for spill I/O, used by the
-//!   simulated cluster driver to charge for disk activity.
+//! * [`diskmodel`] — virtual-time cost model for spill I/O: what an
+//!   engine charges for disk activity, whatever the backend really took.
 //! * [`trace`] — record/replay tuple streams as portable workload
 //!   artifacts.
 

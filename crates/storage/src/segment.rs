@@ -297,13 +297,6 @@ impl SpilledGroup {
         self.streams.iter().all(StreamColumns::is_empty)
     }
 
-    fn put_header(&self, buf: &mut Vec<u8>, version: u8) {
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.push(version);
-        put_varint(buf, self.partition.0 as u64);
-        put_varint(buf, self.streams.len() as u64);
-    }
-
     /// Exact byte length [`SpilledGroup::encode_rows`] will produce, so
     /// the encode buffer is allocated once with no growth reallocations.
     pub fn encoded_rows_len(&self) -> usize {
@@ -321,11 +314,7 @@ impl SpilledGroup {
     /// uncompressed baseline; [`SpilledGroup::encode`] is the default).
     pub fn encode_rows(&self) -> Bytes {
         let mut buf = Vec::with_capacity(self.encoded_rows_len());
-        self.put_header(&mut buf, VERSION_ROWS);
-        for (s, cols) in self.streams.iter().enumerate() {
-            put_varint(&mut buf, cols.len() as u64);
-            put_rows(&mut buf, StreamId(s as u8), cols);
-        }
+        self.encode_into(SegmentCodec::Rows, &mut buf);
         buf.into()
     }
 
@@ -344,10 +333,7 @@ impl SpilledGroup {
             .map(|c| c.arena.len() / 8 + 8 * c.len())
             .sum();
         let mut buf = Vec::with_capacity(32 + rows);
-        self.put_header(&mut buf, VERSION_COLUMNS);
-        for (s, cols) in self.streams.iter().enumerate() {
-            encode_stream_block(&mut buf, StreamId(s as u8), cols);
-        }
+        self.encode_into(SegmentCodec::Columns, &mut buf);
         buf.into()
     }
 
@@ -356,6 +342,29 @@ impl SpilledGroup {
         match codec {
             SegmentCodec::Rows => self.encode_rows(),
             SegmentCodec::Columns => self.encode(),
+        }
+    }
+
+    /// Append the segment's bytes in `codec`'s format to `buf` — what
+    /// the spill store calls, over one buffer it keeps.
+    pub fn encode_into(&self, codec: SegmentCodec, buf: &mut Vec<u8>) {
+        let version = match codec {
+            SegmentCodec::Rows => VERSION_ROWS,
+            SegmentCodec::Columns => VERSION_COLUMNS,
+        };
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.push(version);
+        put_varint(buf, self.partition.0 as u64);
+        put_varint(buf, self.streams.len() as u64);
+        for (s, cols) in self.streams.iter().enumerate() {
+            let stream = StreamId(s as u8);
+            match codec {
+                SegmentCodec::Rows => {
+                    put_varint(buf, cols.len() as u64);
+                    put_rows(buf, stream, cols);
+                }
+                SegmentCodec::Columns => encode_stream_block(buf, stream, cols),
+            }
         }
     }
 

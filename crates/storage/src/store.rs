@@ -12,8 +12,6 @@
 //! accumulate into a fresh in-memory group which may be spilled again —
 //! hence a *list* of segments per partition.
 
-use bytes::Bytes;
-
 use dcape_common::error::Result;
 use dcape_common::hash::FxHashMap;
 use dcape_common::ids::PartitionId;
@@ -63,6 +61,9 @@ pub struct SpillStore {
     segments: FxHashMap<PartitionId, Vec<SegmentMeta>>,
     /// Segment format used for writes (reads accept both).
     codec: SegmentCodec,
+    /// The encoded bytes of the segment being written or read: every
+    /// spill encodes into it and every read-back decodes out of it.
+    buf: Vec<u8>,
     stats: SpillStats,
 }
 
@@ -79,6 +80,7 @@ impl SpillStore {
             backend,
             segments: FxHashMap::default(),
             codec,
+            buf: Vec::new(),
             stats: SpillStats::default(),
         }
     }
@@ -95,13 +97,12 @@ impl SpillStore {
 
     /// Spill one partition group; returns its segment metadata.
     pub fn spill_group(&mut self, group: &SpilledGroup) -> Result<SegmentMeta> {
-        let bytes = group.encode_with(self.codec);
-        let state_bytes = group.state_bytes() as u64;
-        let handle = self.backend.write_segment(&bytes)?;
+        self.buf.clear();
+        group.encode_into(self.codec, &mut self.buf);
         let meta = SegmentMeta {
-            handle,
-            encoded_bytes: bytes.len() as u64,
-            state_bytes,
+            handle: self.backend.write_segment(&self.buf)?,
+            encoded_bytes: self.buf.len() as u64,
+            state_bytes: group.state_bytes() as u64,
             tuples: group.tuple_count() as u64,
         };
         self.segments.entry(group.partition).or_default().push(meta);
@@ -181,11 +182,11 @@ impl SpillStore {
 
     /// Read and decode one registered segment.
     fn read(&mut self, meta: &SegmentMeta) -> Result<SpilledGroup> {
-        let bytes: Bytes = self.backend.read_segment(meta.handle)?;
+        self.backend.read_segment(meta.handle, &mut self.buf)?;
         self.stats.segments_read += 1;
-        self.stats.encoded_bytes_read += bytes.len() as u64;
+        self.stats.encoded_bytes_read += self.buf.len() as u64;
         self.stats.state_bytes_read += meta.state_bytes;
-        SpilledGroup::decode(bytes)
+        SpilledGroup::decode_slice(&self.buf)
     }
 
     /// Drop the `n` oldest entries of `pid` (a partition holds a few
@@ -256,15 +257,19 @@ mod tests {
     }
 
     impl SpillBackend for FaultyReads {
-        fn write_segment(&mut self, bytes: &Bytes) -> Result<SegmentHandle> {
+        fn write_segment(&mut self, bytes: &[u8]) -> Result<SegmentHandle> {
             self.inner.write_segment(bytes)
         }
 
-        fn read_segment(&mut self, handle: SegmentHandle) -> Result<Bytes> {
+        fn read_segment(&mut self, handle: SegmentHandle, buf: &mut Vec<u8>) -> Result<()> {
             self.reads += 1;
             match (self.reads == self.fail_on, self.corrupt) {
-                (false, _) => self.inner.read_segment(handle),
-                (true, true) => Ok(Bytes::from_static(b"not a segment")),
+                (false, _) => self.inner.read_segment(handle, buf),
+                (true, true) => {
+                    buf.clear();
+                    buf.extend_from_slice(b"not a segment");
+                    Ok(())
+                }
                 (true, false) => Err(dcape_common::error::DcapeError::state(
                     "injected read fault",
                 )),
@@ -411,12 +416,11 @@ mod tests {
 
     #[test]
     fn file_backend_store_round_trips() {
-        let dir = std::env::temp_dir().join(format!("dcape-store-{}", std::process::id()));
-        let mut store = SpillStore::new(Box::new(crate::backend::FileBackend::new(&dir).unwrap()));
+        let backend = crate::backend::FileBackend::new(std::env::temp_dir()).unwrap();
+        let mut store = SpillStore::new(Box::new(backend));
         let g = group(11, 5);
         store.spill_group(&g).unwrap();
         let back = store.take_segments(PartitionId(11)).unwrap();
         assert_eq!(back, vec![g]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,7 +12,7 @@
 //!   experiment harness (hour-long paper runs in seconds): engines are
 //!   stepped in place, transfers take modeled network time;
 //! * [`runtime::threaded`] — one OS thread per query engine connected by
-//!   crossbeam channels, standing in for the paper's PC cluster;
+//!   channels, standing in for the paper's PC cluster;
 //! * [`runtime::socket`] — one OS *process* per query engine, exchanging
 //!   the same protocol as length-framed binary messages over TCP
 //!   ([`wire`]), with crash-restart as real process kill + respawn.

@@ -8,7 +8,7 @@
 //! two-phase distributed cleanup. It exists once; what differs between
 //! the runtimes is only the [`Transport`] underneath it: how a
 //! [`ToEngine`] reaches an engine and how a [`FromEngine`] comes back
-//! (stepped inline on a virtual clock in [`super::sim`], a crossbeam
+//! (stepped inline on a virtual clock in [`super::sim`], a
 //! channel per engine thread in [`super::threaded`], a framed TCP
 //! connection per worker process in [`super::socket`]).
 //!
@@ -1200,5 +1200,8 @@ mod tests {
         let aborted = report.journal_counters.watermark_released_on_abort;
         assert!(replays_before_resume > 0 && !report.relocations.is_empty());
         assert!(replays_after_abort > 0 && aborted > 0);
+        // Pinned: a journaled run's wire volume, to the byte (the encode
+        // behind it is skipped only where no journal keeps the count).
+        assert_eq!(report.journal_counters.transfer_bytes, 44_549);
     }
 }

@@ -10,7 +10,7 @@
 //! place a runtime builds an engine. The transport-specific part — how
 //! a reply reaches the coordinator or a peer engine — is abstracted
 //! behind [`EngineTx`], so the same `handle` body runs inline under the
-//! virtual-time transport ([`super::sim`]), on a crossbeam channel
+//! virtual-time transport ([`super::sim`]), on a channel
 //! ([`super::threaded`]) and on a framed TCP connection (the
 //! `dcape-node` worker process of [`super::socket`]).
 //!
@@ -327,13 +327,16 @@ impl EngineCore {
                     );
                     self.qe.journal().add_relocation_bytes(bytes);
                     // Wire volume in encoded (column-block) form — what
-                    // the transfer actually costs on the network.
-                    let codec = self.qe.config().spill_codec;
-                    let encoded: u64 = groups_raw
-                        .iter()
-                        .map(|(g, _, _)| g.encode_with(codec).len() as u64)
-                        .sum();
-                    self.qe.journal().add_transfer_bytes(encoded);
+                    // the transfer actually costs on the network. Only
+                    // a kept journal has a counter to add it to.
+                    if self.qe.journal().is_enabled() {
+                        let codec = self.qe.config().spill_codec;
+                        let encoded: u64 = groups_raw
+                            .iter()
+                            .map(|(g, _, _)| g.encode_with(codec).len() as u64)
+                            .sum();
+                        self.qe.journal().add_transfer_bytes(encoded);
+                    }
                 }
                 // A stall keeps the transfer from landing for a
                 // while; a delay fault adds on top of it.
@@ -540,5 +543,72 @@ impl EngineCore {
             }
         }
         Ok(EngineFlow::Continue)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcape_common::batch::TupleBatch;
+    use dcape_common::ids::StreamId;
+    use dcape_common::tuple::TupleBuilder;
+
+    /// Keeps what the engine sent to its peers.
+    struct Peers(Vec<ToEngine>);
+
+    impl EngineTx for Peers {
+        fn to_gc(&mut self, _: FromEngine) -> Result<()> {
+            Ok(())
+        }
+
+        fn to_peer(&mut self, _: EngineId, m: ToEngine) -> Result<()> {
+            self.0.push(m);
+            Ok(())
+        }
+    }
+
+    /// `transfer_bytes` is the encoded size of the groups `SendStates`
+    /// shipped; a run that keeps no journal ships the same groups and
+    /// has no counter to add them to.
+    #[test]
+    fn transfer_bytes_is_the_encoded_size_of_what_send_states_shipped() {
+        let sizes = [true, false].map(|journaled| {
+            let cfg = EngineConfig::three_way(1 << 20, 1 << 19);
+            let codec = cfg.spill_codec;
+            let journal = JournalHandle::when(journaled);
+            let mut core = EngineCore::new(EngineId(0), cfg, journal, false).unwrap();
+            let mut tuples = TupleBatch::new();
+            for seq in 0..60u64 {
+                let t = TupleBuilder::new(StreamId((seq % 3) as u8))
+                    .seq(seq)
+                    .value((seq % 5) as i64)
+                    .pad(64);
+                tuples.push(PartitionId((seq % 2) as u32), t.build());
+            }
+            let (plan, mut tx) = (FaultPlan::disabled(), Peers(Vec::new()));
+            core.handle(ToEngine::DataBatch { tuples }, &plan, &mut tx)
+                .unwrap();
+            let send = ToEngine::SendStates {
+                round: 1,
+                parts: vec![PartitionId(0), PartitionId(1)],
+                receiver: EngineId(1),
+                attempt: 0,
+            };
+            core.handle(send, &plan, &mut tx).unwrap();
+            let [ToEngine::InstallStates { groups, .. }] = &tx.0[..] else {
+                panic!("expected one InstallStates, got {:?}", tx.0);
+            };
+            let encoded: u64 = groups
+                .iter()
+                .map(|g| g.snapshot.encode_with(codec).len() as u64)
+                .sum();
+            let counted = core.qe.journal().counters().map(|c| c.snapshot());
+            assert_eq!(
+                counted.map(|c| c.transfer_bytes),
+                journaled.then_some(encoded)
+            );
+            encoded
+        });
+        assert!(sizes[0] > 0 && sizes[0] == sizes[1]);
     }
 }

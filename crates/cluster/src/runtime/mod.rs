@@ -9,7 +9,7 @@
 //! * [`sim`] — deterministic, virtual-time, single-threaded: engines
 //!   are stepped in place; used by the experiment harness to replay the
 //!   paper's hour-long runs in seconds;
-//! * [`threaded`] — one OS thread per engine over crossbeam channels;
+//! * [`threaded`] — one OS thread per engine over `std` channels;
 //! * [`socket`] — one OS process per engine over loopback (or real) TCP,
 //!   the same messages as length-framed binary frames.
 

@@ -6,7 +6,7 @@
 //! own `dcape-node` worker process — [`super::engine_core`] behind a
 //! socket — and exchanges the [`crate::messages`] protocol as
 //! length-framed binary messages ([`crate::wire`]) over TCP. This module
-//! is the TCP [`Transport`] (acceptor, outbox and reader threads,
+//! is the TCP [`Transport`] (acceptor, link and reader threads,
 //! respawn, the kill plan, frame logs) and the worker's session loop.
 //!
 //! ## Topology and ordering
@@ -22,7 +22,8 @@
 //! ## Crash-restart and replay
 //!
 //! Every coordinator→worker frame carries a sequence number and is
-//! retained for the lifetime of the run. A worker that dies (a
+//! retained for the lifetime of the run by its engine's link thread,
+//! the only writer a worker connection has. A worker that dies (a
 //! chaos-injected `std::process::exit(86)`, or a real `kill -9` from a
 //! [`KillPlan`]) is respawned and replays its **entire** history: the
 //! fresh process rebuilds join state, sink counts, and protocol state
@@ -42,19 +43,18 @@ use std::io::{BufReader, Write as IoWrite};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::EngineId;
 use dcape_common::time::VirtualTime;
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
 
-use crate::faults::{FaultConfig, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::messages::{FromEngine, ToEngine};
 use crate::runtime::driver::{CoordinatorRun, Transport};
 use crate::runtime::engine_core::{EngineCore, EngineFlow, EngineTx};
@@ -129,39 +129,19 @@ pub fn default_node_bin() -> PathBuf {
 // ---------------------------------------------------------------------
 // Connection fabric (coordinator side).
 
-/// Mutable connection state of one worker, shared between the acceptor
-/// thread (attach on handshake) and the outbox thread (writes).
-struct SlotState {
-    /// Live stream, if connected.
-    stream: Option<TcpStream>,
-    /// Bumped on every (re)attach; guards stale disconnect events.
-    epoch: u64,
-    /// Frame index the outbox must rewind to for this epoch.
-    resume_from: u64,
-}
-
-struct ConnSlot {
-    state: Mutex<SlotState>,
-    /// Next frame sequence number (1-based) — assigned by the main
-    /// thread at enqueue, so retention order equals seq order.
-    next_seq: AtomicU64,
-}
-
-impl ConnSlot {
-    fn new() -> Self {
-        ConnSlot {
-            state: Mutex::new(SlotState {
-                stream: None,
-                epoch: 0,
-                resume_from: 0,
-            }),
-            next_seq: AtomicU64::new(1),
-        }
-    }
+/// What the link thread of one engine slot is fed.
+enum LinkCmd {
+    /// The next frame of the worker's stream, sequenced and encoded.
+    Frame(Vec<u8>),
+    /// The write half of a connection whose `Hello` named this engine.
+    Attach(TcpStream),
 }
 
 /// What reader/acceptor threads post to the coordinator main loop.
 enum Event {
+    /// The acceptor handed connection number `epoch` of `engine` to its
+    /// link; posted ahead of everything that connection's reader posts.
+    Connected { engine: EngineId, epoch: u64 },
     /// A protocol message from a worker.
     Msg(FromEngine),
     /// A worker-originated peer message to forward.
@@ -172,121 +152,60 @@ enum Event {
     Fatal { engine: EngineId, error: String },
 }
 
-/// The coordinator's transport: per-engine outbox channels feeding
-/// writer threads, with full frame retention for crash replay.
-struct Net {
-    slots: Vec<Arc<ConnSlot>>,
-    outboxes: Vec<Sender<Vec<u8>>>,
-    /// Per-engine frame logs (`DCAPE_FRAME_LOG_DIR`), if enabled.
-    logs: Option<Vec<std::fs::File>>,
-}
-
-impl Net {
-    /// Frame, sequence, log and enqueue one engine-bound message.
-    /// Never fails on a dead connection — frames accumulate in
-    /// retention and reach the worker (or its respawn) when it is back.
-    fn send(&self, e: EngineId, msg: ToEngine) -> Result<()> {
-        let slot = &self.slots[e.index()];
-        let seq = slot.next_seq.fetch_add(1, Ordering::SeqCst);
-        let wire = WireMsg::Engine(msg);
-        let frame = frame_bytes(seq, &wire)?;
-        if let Some(logs) = &self.logs {
-            let mut f = &logs[e.index()];
-            let _ = writeln!(
-                f,
-                "tx seq={seq} kind={} len={}",
-                msg_kind_name(&wire),
-                frame.len()
-            );
+/// `<DCAPE_FRAME_LOG_DIR>/<name>`, created; `None` when the variable
+/// is unset or empty.
+fn frame_log(name: String) -> Result<Option<std::fs::File>> {
+    match std::env::var("DCAPE_FRAME_LOG_DIR") {
+        Ok(dir) if !dir.is_empty() => {
+            let dir = PathBuf::from(dir);
+            std::fs::create_dir_all(&dir).map_err(DcapeError::Io)?;
+            let file = std::fs::File::create(dir.join(name)).map_err(DcapeError::Io)?;
+            Ok(Some(file))
         }
-        self.outboxes[e.index()]
-            .send(frame)
-            .map_err(|_| DcapeError::Disconnected(format!("outbox for engine {e} closed")))
-    }
-
-    fn log_rx(&self, e: EngineId, kind: &str) {
-        if let Some(logs) = &self.logs {
-            let mut f = &logs[e.index()];
-            let _ = writeln!(f, "rx kind={kind}");
-        }
+        _ => Ok(None),
     }
 }
 
-/// Outbox writer for one worker: drains the channel into the retention
-/// log and writes every retained frame, in order, to whatever stream
-/// the slot currently holds — rewinding to `resume_from` when the
-/// acceptor attaches a new epoch. Write errors only detach the local
-/// stream copy; the reader thread's EOF drives the actual respawn.
-fn outbox_thread(slot: Arc<ConnSlot>, rx: Receiver<Vec<u8>>) {
-    let mut retention: Vec<Vec<u8>> = Vec::new();
-    let mut sent_idx = 0usize;
-    let mut cur: Option<TcpStream> = None;
-    let mut cur_epoch = 0u64;
-    let mut closed = false;
-    loop {
-        match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(f) => {
-                retention.push(f);
-                while let Ok(f) = rx.try_recv() {
-                    retention.push(f);
+/// The one owner of a worker's stream. Retains every frame it is fed
+/// and writes each to the live connection as it arrives; a new
+/// connection is greeted with `welcome` — `replay_until` exactly the
+/// number of frames about to be replayed — and then the whole retained
+/// stream. A write error only drops the connection: the reader thread's
+/// EOF drives the actual respawn. Ends once every sender has hung up,
+/// with everything deliverable written.
+fn link_thread(mut welcome: Welcome, rx: Receiver<LinkCmd>) {
+    let mut retained: Vec<Vec<u8>> = Vec::new();
+    let mut conn: Option<TcpStream> = None;
+    for cmd in rx {
+        match cmd {
+            LinkCmd::Frame(frame) => {
+                if conn.as_mut().is_some_and(|s| s.write_all(&frame).is_err()) {
+                    conn = None;
                 }
+                retained.push(frame);
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => closed = true,
-        }
-        {
-            let st = slot.state.lock().expect("slot lock");
-            if st.epoch != cur_epoch {
-                cur_epoch = st.epoch;
-                cur = st.stream.as_ref().and_then(|s| s.try_clone().ok());
-                sent_idx = st.resume_from as usize;
-            } else if st.stream.is_none() {
-                cur = None;
+            LinkCmd::Attach(mut stream) => {
+                welcome.replay_until = retained.len() as u64;
+                let greeting = WireMsg::Welcome(Box::new(welcome.clone()));
+                let replayed = write_frame(&mut stream, 0, &greeting).is_ok()
+                    && retained.iter().all(|f| stream.write_all(f).is_ok());
+                conn = replayed.then_some(stream);
             }
-        }
-        if let Some(s) = cur.as_mut() {
-            let mut broken = false;
-            while sent_idx < retention.len() {
-                if s.write_all(&retention[sent_idx]).is_err() {
-                    broken = true;
-                    break;
-                }
-                sent_idx += 1;
-            }
-            if broken {
-                cur = None;
-            } else {
-                let _ = s.flush();
-            }
-        }
-        if closed && (sent_idx >= retention.len() || cur.is_none()) {
-            // The main loop hung up and everything deliverable was
-            // delivered (a worker that already exited cleanly does not
-            // need the rest).
-            return;
         }
     }
 }
 
-/// Everything the acceptor needs to answer a `Hello`.
-struct WelcomeTemplate {
-    config: dcape_engine::config::EngineConfig,
-    journal: bool,
-    fault_seed: u64,
-    faults: FaultConfig,
-}
-
-/// Accept loop: handshake (`Hello` in, `Welcome` out — written
-/// synchronously on the new stream *before* it is attached to the
-/// outbox, so the worker always sees `Welcome` first), then attach the
-/// stream and spawn its reader thread.
+/// Accept loop: read `Hello`, number the connection, announce it to the
+/// main loop, hand its write half to the engine's link — the link writes
+/// `Welcome`, so the worker always sees that first — and start its
+/// reader. A connection without a `Hello` for a known engine is dropped.
 fn acceptor_thread(
     listener: TcpListener,
-    slots: Vec<Arc<ConnSlot>>,
-    tmpl: Arc<WelcomeTemplate>,
+    links: Vec<Sender<LinkCmd>>,
     events: Sender<Event>,
     shutdown: Arc<AtomicBool>,
 ) {
+    let mut epochs = vec![0u64; links.len()];
     loop {
         let (stream, _) = match listener.accept() {
             Ok(conn) => conn,
@@ -298,34 +217,18 @@ fn acceptor_thread(
         let _ = stream.set_nodelay(true);
         // A wedged client must not block the acceptor forever.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let hello = match read_frame(&mut (&stream)) {
-            Ok(Some((_, WireMsg::Hello(h)))) => h,
+        let engine = match read_frame(&mut (&stream)) {
+            Ok(Some((_, WireMsg::Hello(h)))) => h.engine,
             _ => continue, // not one of ours; drop it
         };
         let _ = stream.set_read_timeout(None);
-        let Some(slot) = slots.get(hello.engine.index()) else {
+        let (Some(link), Ok(write_half)) = (links.get(engine.index()), stream.try_clone()) else {
             continue;
         };
-        let replay_until = slot.next_seq.load(Ordering::SeqCst).saturating_sub(1);
-        let welcome = Welcome {
-            engine: hello.engine,
-            config: tmpl.config.clone(),
-            journal: tmpl.journal,
-            fault_seed: tmpl.fault_seed,
-            faults: tmpl.faults,
-            replay_until,
-        };
-        if write_frame(&mut (&stream), 0, &WireMsg::Welcome(Box::new(welcome))).is_err() {
-            continue;
-        }
-        let epoch = {
-            let mut st = slot.state.lock().expect("slot lock");
-            st.epoch += 1;
-            st.resume_from = hello.resume_from;
-            st.stream = stream.try_clone().ok();
-            st.epoch
-        };
-        let engine = hello.engine;
+        epochs[engine.index()] += 1;
+        let epoch = epochs[engine.index()];
+        let _ = events.send(Event::Connected { engine, epoch });
+        let _ = link.send(LinkCmd::Attach(write_half));
         let tx = events.clone();
         let _ = thread::Builder::new()
             .name(format!("dcape-rx-e{}", engine.index()))
@@ -412,7 +315,17 @@ impl SpawnCtl {
 /// The coordinator's TCP transport: connection fabric + worker
 /// processes + crash bookkeeping.
 struct TcpTransport {
-    net: Net,
+    /// The feed of each engine's link thread.
+    links: Vec<Sender<LinkCmd>>,
+    /// Next frame sequence number (1-based) per engine: the main
+    /// thread numbers frames as it feeds them, so a link's retention
+    /// order is seq order.
+    next_seq: Vec<u64>,
+    /// The connection the acceptor last announced per engine; a
+    /// `Disconnected` that names an older one is stale.
+    live_epoch: Vec<u64>,
+    /// Per-engine frame logs (`DCAPE_FRAME_LOG_DIR`), if enabled.
+    logs: Vec<Option<std::fs::File>>,
     events: Receiver<Event>,
     spawn: Option<SpawnCtl>,
     /// `CleanupDone` seen: the worker exits cleanly right after, so its
@@ -422,7 +335,7 @@ struct TcpTransport {
     kill: Option<KillPlan>,
     kill_stats_seen: u32,
     kill_fired: bool,
-    outbox_handles: Vec<thread::JoinHandle<()>>,
+    link_handles: Vec<thread::JoinHandle<()>>,
     acceptor: Option<thread::JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
     local_addr: String,
@@ -434,8 +347,14 @@ impl TcpTransport {
     /// and the kill hook are handled here.
     fn triage(&mut self, ev: Event, now: VirtualTime) -> Result<Option<FromEngine>> {
         match ev {
+            Event::Connected { engine, epoch } => {
+                self.live_epoch[engine.index()] = epoch;
+                Ok(None)
+            }
             Event::Msg(m) => {
-                self.net.log_rx(m.engine(), m.kind_name());
+                if let Some(f) = &mut self.logs[m.engine().index()] {
+                    let _ = writeln!(f, "rx kind={}", m.kind_name());
+                }
                 if let (Some(kp), false) = (self.kill, self.kill_fired) {
                     // Drain polls count like stats reports: a kill plan
                     // aimed at a draining engine fires mid-drain, which
@@ -464,7 +383,7 @@ impl TcpTransport {
                 Ok(Some(m))
             }
             Event::Relay { to, msg } => {
-                self.net.send(to, msg)?;
+                self.send(to, msg)?;
                 Ok(None)
             }
             Event::Disconnected { engine, epoch } => {
@@ -478,14 +397,9 @@ impl TcpTransport {
     }
 
     fn on_disconnect(&mut self, engine: EngineId, epoch: u64, now: VirtualTime) -> Result<()> {
-        {
-            let slot = &self.net.slots[engine.index()];
-            let mut st = slot.state.lock().expect("slot lock");
-            if st.epoch != epoch {
-                // A newer connection already replaced this one.
-                return Ok(());
-            }
-            st.stream = None;
+        if self.live_epoch[engine.index()] != epoch {
+            // A newer connection already replaced this one.
+            return Ok(());
         }
         if self.done[engine.index()] {
             // Normal exit after CleanupDone.
@@ -543,7 +457,7 @@ impl TcpTransport {
 // The coordinator side: set-up, the transport seam, teardown.
 
 impl TcpTransport {
-    /// Bind the listener and start the outbox and acceptor threads;
+    /// Bind the listener and start the link and acceptor threads;
     /// worker processes start with [`Transport::start_engine`].
     fn new(cfg: &SocketConfig, journal: JournalHandle) -> Result<Self> {
         let sim = &cfg.sim;
@@ -555,50 +469,40 @@ impl TcpTransport {
         let listener = TcpListener::bind(&listen_addr).map_err(DcapeError::Io)?;
         let local_addr = listener.local_addr().map_err(DcapeError::Io)?.to_string();
 
-        // Slots, outboxes and logs are provisioned at peak capacity: a
-        // joiner's connection slot exists before its process does, so
-        // its late `Hello` lands in the ordinary acceptor path.
-        let slots: Vec<Arc<ConnSlot>> = (0..capacity).map(|_| Arc::new(ConnSlot::new())).collect();
-        let mut outboxes = Vec::with_capacity(capacity);
-        let mut outbox_handles = Vec::with_capacity(capacity);
-        for (i, slot) in slots.iter().enumerate() {
-            let (tx, rx) = unbounded::<Vec<u8>>();
-            outboxes.push(tx);
-            let slot = Arc::clone(slot);
-            outbox_handles.push(
+        // Links and logs are provisioned at peak capacity: a joiner's
+        // link exists before its process does, so its late `Hello`
+        // lands in the ordinary acceptor path.
+        let mut links = Vec::with_capacity(capacity);
+        let mut link_handles = Vec::with_capacity(capacity);
+        let mut logs = Vec::with_capacity(capacity);
+        for i in 0..capacity {
+            let (tx, rx) = channel();
+            links.push(tx);
+            let welcome = Welcome {
+                engine: EngineId(i as u16),
+                config: sim.engine.clone(),
+                journal: sim.journal,
+                fault_seed: sim.faults.seed(),
+                faults: *sim.faults.config(),
+                replay_until: 0,
+            };
+            link_handles.push(
                 thread::Builder::new()
                     .name(format!("dcape-tx-e{i}"))
-                    .spawn(move || outbox_thread(slot, rx))
+                    .spawn(move || link_thread(welcome, rx))
                     .map_err(DcapeError::Io)?,
             );
+            logs.push(frame_log(format!("frames-coord-e{i}.log"))?);
         }
-        let logs = match std::env::var("DCAPE_FRAME_LOG_DIR") {
-            Ok(dir) if !dir.is_empty() => {
-                let dir = PathBuf::from(dir);
-                std::fs::create_dir_all(&dir).map_err(DcapeError::Io)?;
-                let files: Vec<std::fs::File> = (0..capacity)
-                    .map(|i| std::fs::File::create(dir.join(format!("frames-coord-e{i}.log"))))
-                    .collect::<std::io::Result<_>>()
-                    .map_err(DcapeError::Io)?;
-                Some(files)
-            }
-            _ => None,
-        };
 
-        let (events_tx, events) = unbounded::<Event>();
+        let (events_tx, events) = channel();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let tmpl = Arc::new(WelcomeTemplate {
-            config: sim.engine.clone(),
-            journal: sim.journal,
-            fault_seed: sim.faults.seed(),
-            faults: *sim.faults.config(),
-        });
         let acceptor = {
-            let slots = slots.clone();
+            let links = links.clone();
             let shutdown = Arc::clone(&shutdown);
             thread::Builder::new()
                 .name("dcape-accept".into())
-                .spawn(move || acceptor_thread(listener, slots, tmpl, events_tx, shutdown))
+                .spawn(move || acceptor_thread(listener, links, events_tx, shutdown))
                 .map_err(DcapeError::Io)?
         };
 
@@ -618,11 +522,10 @@ impl TcpTransport {
             }
         };
         Ok(TcpTransport {
-            net: Net {
-                slots,
-                outboxes,
-                logs,
-            },
+            links,
+            next_seq: vec![1; capacity],
+            live_epoch: vec![0; capacity],
+            logs,
             events,
             spawn,
             done: vec![false; capacity],
@@ -630,7 +533,7 @@ impl TcpTransport {
             kill: cfg.kill,
             kill_stats_seen: 0,
             kill_fired: false,
-            outbox_handles,
+            link_handles,
             acceptor: Some(acceptor),
             shutdown,
             local_addr,
@@ -648,8 +551,23 @@ impl Transport for TcpTransport {
         }
     }
 
+    /// Frame, sequence, log and feed one engine-bound message to the
+    /// engine's link. Never fails on a dead connection — the link
+    /// retains the frame and the worker (or its respawn) gets it when
+    /// it is back.
     fn send(&mut self, engine: EngineId, msg: ToEngine) -> Result<()> {
-        self.net.send(engine, msg)
+        let i = engine.index();
+        let seq = self.next_seq[i];
+        self.next_seq[i] += 1;
+        let wire = WireMsg::Engine(msg);
+        let frame = frame_bytes(seq, &wire)?;
+        if let Some(f) = &mut self.logs[i] {
+            let kind = msg_kind_name(&wire);
+            let _ = writeln!(f, "tx seq={seq} kind={kind} len={}", frame.len());
+        }
+        self.links[i]
+            .send(LinkCmd::Frame(frame))
+            .map_err(|_| DcapeError::Disconnected(format!("link for engine {engine} closed")))
     }
 
     fn try_recv(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
@@ -677,16 +595,17 @@ impl Transport for TcpTransport {
         }
     }
 
-    /// Stop the outboxes (they drain whatever is still deliverable),
-    /// wake the acceptor, reap the children.
+    /// Stop the acceptor (it holds a sender into every link), hang up
+    /// on the links (each ends with everything deliverable written),
+    /// reap the children.
     fn shutdown(&mut self) -> Result<()> {
-        self.net.outboxes.clear();
-        for h in self.outbox_handles.drain(..) {
-            let _ = h.join();
-        }
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(&self.local_addr); // unblock accept()
         if let Some(h) = self.acceptor.take() {
+            let _ = h.join();
+        }
+        self.links.clear();
+        for h in self.link_handles.drain(..) {
             let _ = h.join();
         }
         if let Some(ctl) = self.spawn.as_mut() {
@@ -834,16 +753,7 @@ pub fn worker_serve(addr: &str, engine: EngineId) -> Result<u32> {
 /// then the engine loop until the run finishes.
 fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
     stream.set_nodelay(true).map_err(DcapeError::Io)?;
-    if write_frame(
-        &mut (&stream),
-        0,
-        &WireMsg::Hello(Hello {
-            engine,
-            resume_from: 0,
-        }),
-    )
-    .is_err()
-    {
+    if write_frame(&mut (&stream), 0, &WireMsg::Hello(Hello { engine })).is_err() {
         // The accepted connection was already dead (listener teardown
         // race): no Welcome was ever coming.
         return Ok(SessionEnd::HandshakeLost);
@@ -862,21 +772,11 @@ fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
     if welcome.engine != engine {
         return Err(DcapeError::protocol("welcome for a different engine"));
     }
-    let log_file = match std::env::var("DCAPE_FRAME_LOG_DIR") {
-        Ok(dir) if !dir.is_empty() => {
-            let dir = PathBuf::from(dir);
-            std::fs::create_dir_all(&dir).map_err(DcapeError::Io)?;
-            Some(
-                std::fs::File::create(dir.join(format!(
-                    "frames-worker-e{}-pid{}.log",
-                    engine.index(),
-                    std::process::id()
-                )))
-                .map_err(DcapeError::Io)?,
-            )
-        }
-        _ => None,
-    };
+    let log_file = frame_log(format!(
+        "frames-worker-e{}-pid{}.log",
+        engine.index(),
+        std::process::id()
+    ))?;
 
     let journal = JournalHandle::when(welcome.journal);
     let mut core = EngineCore::new(engine, welcome.config, journal, false)?;
@@ -959,5 +859,77 @@ fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
                 return Ok(SessionEnd::Finished);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::FaultConfig;
+    use dcape_engine::config::EngineConfig;
+
+    /// The link's contract, read off a loopback peer: frames fed before
+    /// any connection wait; every connection gets `Welcome` with
+    /// `replay_until` = the frames fed so far, then the whole stream
+    /// from `seq = 1`, then live frames as they are fed; a hang-up ends
+    /// the thread once the last frame is readable.
+    #[test]
+    fn link_greets_every_connection_and_replays_from_seq_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let welcome = Welcome {
+            engine: EngineId(0),
+            config: EngineConfig::three_way(1 << 20, 1 << 19),
+            journal: false,
+            fault_seed: 0,
+            faults: FaultConfig::none(),
+            replay_until: 0,
+        };
+        let (tx, rx) = channel();
+        let link = thread::spawn(move || link_thread(welcome, rx));
+        let feed = |seqs: std::ops::RangeInclusive<u64>| {
+            for seq in seqs {
+                let frame = frame_bytes(seq, &WireMsg::Engine(ToEngine::StartCleanup)).unwrap();
+                tx.send(LinkCmd::Frame(frame)).unwrap();
+            }
+        };
+        let attach = || {
+            let peer = TcpStream::connect(addr).unwrap();
+            tx.send(LinkCmd::Attach(listener.accept().unwrap().0))
+                .unwrap();
+            BufReader::new(peer)
+        };
+        let expect = |peer: &mut BufReader<TcpStream>, replay_until, seqs| {
+            if let Some(n) = replay_until {
+                match read_frame(peer).unwrap() {
+                    Some((0, WireMsg::Welcome(w))) => assert_eq!(w.replay_until, n),
+                    other => panic!("expected Welcome, got {other:?}"),
+                }
+            }
+            for seq in seqs {
+                match read_frame(peer).unwrap() {
+                    Some((got, WireMsg::Engine(ToEngine::StartCleanup))) => assert_eq!(got, seq),
+                    other => panic!("expected frame {seq}, got {other:?}"),
+                }
+            }
+        };
+
+        feed(1..=3);
+        let mut peer = attach();
+        expect(&mut peer, Some(3), 1..=3);
+        feed(4..=4);
+        expect(&mut peer, None, 4..=4);
+        drop(peer);
+        feed(5..=6);
+        let mut peer = attach();
+        expect(&mut peer, Some(6), 1..=6);
+        feed(7..=7);
+        drop(tx);
+        expect(&mut peer, None, 7..=7);
+        assert!(
+            read_frame(&mut peer).unwrap().is_none(),
+            "EOF after the last frame"
+        );
+        link.join().unwrap();
     }
 }

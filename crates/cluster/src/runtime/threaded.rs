@@ -9,7 +9,7 @@
 //!
 //! The protocol itself lives in [`super::driver`] (coordinator side)
 //! and [`super::engine_core`] (engine side), shared with the other two
-//! runtimes; this module supplies the crossbeam-channel [`Transport`]
+//! runtimes; this module supplies the channel [`Transport`]
 //! and the thread lifecycle.
 //!
 //! Virtual time still paces the timers. Thread interleaving varies, so
@@ -18,10 +18,9 @@
 //! run without adaptation is equal to the deterministic runtime's to
 //! the digit.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::EngineId;
@@ -119,11 +118,11 @@ impl ChannelTransport {
     fn new(cfg: &SimConfig) -> Self {
         let (to_engines, unstarted) = (0..cfg.capacity())
             .map(|_| {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 (tx, Some(rx))
             })
             .unzip();
-        let (to_gc, from_engines) = unbounded();
+        let (to_gc, from_engines) = channel();
         ChannelTransport {
             engine_cfg: cfg.engine.clone(),
             journal_on: cfg.journal,

@@ -81,10 +81,6 @@ pub const CRASH_EXIT: i32 = 86;
 pub struct Hello {
     /// The engine this worker hosts.
     pub engine: EngineId,
-    /// Highest frame sequence number the worker has already applied
-    /// (always 0 today: a respawned worker starts from scratch and the
-    /// coordinator replays its full history).
-    pub resume_from: u64,
 }
 
 /// Coordinator → worker handshake reply: the full engine configuration,
@@ -481,7 +477,7 @@ wire_struct! {
     FaultConfig {
         drop_rate, duplicate_rate, delay_rate, corrupt_rate, crash_rate, stall_rate, max_delay_ms
     }
-    Hello { engine, resume_from }
+    Hello { engine }
     Welcome { engine, config, journal, fault_seed, faults, replay_until }
 }
 
@@ -1130,15 +1126,11 @@ mod tests {
         let (_, got) = round_trip(
             &WireMsg::Hello(Hello {
                 engine: EngineId(3),
-                resume_from: 0,
             }),
             0,
         );
         match got {
-            WireMsg::Hello(h) => {
-                assert_eq!(h.engine, EngineId(3));
-                assert_eq!(h.resume_from, 0);
-            }
+            WireMsg::Hello(h) => assert_eq!(h.engine, EngineId(3)),
             other => panic!("expected Hello, got {other:?}"),
         }
 
@@ -1361,7 +1353,6 @@ mod tests {
         let session = [
             WireMsg::Hello(Hello {
                 engine: EngineId(3),
-                resume_from: 0,
             }),
             WireMsg::Welcome(Box::new(Welcome {
                 engine: EngineId(1),
@@ -1408,8 +1399,7 @@ mod tests {
         );
         assert_eq!(
             msg_kind_name(&WireMsg::Hello(Hello {
-                engine: EngineId(0),
-                resume_from: 0
+                engine: EngineId(0)
             })),
             "hello"
         );

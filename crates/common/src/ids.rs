@@ -8,27 +8,19 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of one partition (equivalently: one *partition group*, since
 /// the group is formed by the partitions sharing this ID across all input
 /// streams — §2, Figure 3(b)).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PartitionId(pub u32);
 
 /// Identifier of a query engine ("machine" in the paper).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EngineId(pub u16);
 
 /// Identifier of one input stream of a multi-input operator
 /// (e.g. `A`, `B`, `C` of the three-way join in Figure 2).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId(pub u8);
 
 impl PartitionId {

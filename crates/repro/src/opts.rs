@@ -19,11 +19,11 @@ pub enum RuntimeKind {
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Scale the run down (~6 virtual minutes instead of the paper's
-    /// 40–60) — used by tests and criterion benches.
+    /// 40–60) — used by tests.
     pub fast: bool,
     /// Where CSV outputs land (`results/` by default).
     pub out_dir: PathBuf,
-    /// Suppress stdout tables (benches).
+    /// Suppress stdout tables (tests).
     pub quiet: bool,
     /// Base path for adaptation-event journals (`--journal`). When set,
     /// instrumented experiments record an event journal and write it as
@@ -68,7 +68,7 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Fast, quiet options for tests/benches.
+    /// Fast, quiet options for tests.
     pub fn fast_quiet() -> Self {
         RunOpts {
             fast: true,

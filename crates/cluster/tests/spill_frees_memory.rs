@@ -88,6 +88,7 @@ const ENGINES: u64 = 2;
 /// Per engine; the spill threshold is two thirds of it, as in the
 /// benchmark's `spill_cleanup_sim`, whose budgets are four times these.
 const BUDGET: u64 = 12 * MIB;
+const BUDGETS: u64 = ENGINES * BUDGET;
 
 /// Files in the temp directory that carry this process's log name.
 fn named_logs() -> Vec<std::ffi::OsString> {
@@ -99,9 +100,23 @@ fn named_logs() -> Vec<std::ffi::OsString> {
         .collect()
 }
 
-#[test]
-fn spilled_state_is_not_held_in_the_heap() {
-    let spec = StreamSetSpec::uniform(120, 12_000, 1, VirtualDuration::from_millis(30))
+/// What one run read, in bytes.
+struct Peaks {
+    on_disk: u64,
+    /// Most the allocator had handed out and not got back.
+    live: u64,
+    /// Most the engines accounted for (`memory_used`), and the most
+    /// their resident columns and arena pages occupied at one of those
+    /// samples.
+    accounted: u64,
+    reserved: u64,
+}
+
+/// Two engines under lazy-disk over `partitions` partition IDs until
+/// four times their budgets are on disk, then cleanup, checked against
+/// the reference join.
+fn spill_run(partitions: u32) -> Peaks {
+    let spec = StreamSetSpec::uniform(partitions, 12_000, 1, VirtualDuration::from_millis(30))
         .with_payload_blob(1024)
         .with_seed(20070415);
     let engine = EngineConfig::three_way(BUDGET, BUDGET * 2 / 3).with_spill_fraction(0.3);
@@ -111,13 +126,12 @@ fn spilled_state_is_not_held_in_the_heap() {
     };
     let cfg = SimConfig::new(ENGINES as usize, engine, spec.clone(), strategy)
         .with_stats_interval(VirtualDuration::from_secs(30));
-    let budgets = ENGINES * BUDGET;
 
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let mut driver = SimDriver::new(cfg).unwrap();
-    let (mut on_disk, mut peak_accounted) = (0, 0);
-    while on_disk < 4 * budgets {
+    let (mut on_disk, mut accounted, mut reserved) = (0, 0, 0);
+    while on_disk < 4 * BUDGETS {
         driver
             .run_until(driver.now() + VirtualDuration::from_secs(10))
             .unwrap();
@@ -125,8 +139,8 @@ fn spilled_state_is_not_held_in_the_heap() {
         on_disk = (engines.iter())
             .map(|e| e.store().state_bytes_on_disk())
             .sum();
-        let accounted: u64 = engines.iter().map(|e| e.memory_used()).sum();
-        peak_accounted = peak_accounted.max(accounted);
+        accounted = accounted.max(engines.iter().map(|e| e.memory_used()).sum());
+        reserved = reserved.max(engines.iter().map(|e| e.state_reserved_bytes()).sum());
         assert!(
             driver.now() < VirtualTime::from_mins(600),
             "{on_disk} bytes spilled by {}",
@@ -138,7 +152,7 @@ fn spilled_state_is_not_held_in_the_heap() {
     assert_eq!(named_logs(), Vec::<std::ffi::OsString>::new());
     let deadline = driver.now();
     let report = driver.finish().unwrap();
-    let peak_live = (PEAK.load(Ordering::Relaxed) - before) as u64;
+    let live = (PEAK.load(Ordering::Relaxed) - before) as u64;
     assert_eq!(named_logs(), Vec::<std::ffi::OsString>::new());
 
     // Only now the oracle, whose own memory is not the run's.
@@ -148,19 +162,47 @@ fn spilled_state_is_not_held_in_the_heap() {
 
     let mib = |bytes: u64| bytes as f64 / MIB as f64;
     println!(
-        "spilled {:.1} MiB over {:.1} MiB of budgets by {deadline}: peak live heap {:.1} MiB, \
-         peak accounted {:.1} MiB, live/accounted {:.2}",
+        "{partitions} partitions: spilled {:.1} MiB over {:.1} MiB of budgets by {deadline}: \
+         peak live heap {:.1} MiB, peak accounted {:.1} MiB (its columns and pages reserved \
+         {:.1} MiB), live/accounted {:.2}",
         mib(on_disk),
-        mib(budgets),
-        mib(peak_live),
-        mib(peak_accounted),
-        peak_live as f64 / peak_accounted as f64,
+        mib(BUDGETS),
+        mib(live),
+        mib(accounted),
+        mib(reserved),
+        live as f64 / accounted as f64,
     );
+    Peaks {
+        on_disk,
+        live,
+        accounted,
+        reserved,
+    }
+}
+
+#[test]
+fn spilled_state_is_not_held_in_the_heap() {
+    let mib = |bytes: u64| bytes as f64 / MIB as f64;
+    let run = spill_run(120);
     assert!(
-        peak_live <= budgets * 5 / 4,
+        run.live <= BUDGETS * 5 / 4,
         "peak live heap {:.1} MiB against {:.1} MiB of budgets with {:.1} MiB spilled",
-        mib(peak_live),
-        mib(budgets),
-        mib(on_disk),
+        mib(run.live),
+        mib(BUDGETS),
+        mib(run.on_disk),
+    );
+
+    // A quarter of the partitions under the same budgets: each stream
+    // partition's arena grows to the ~180 KiB it has in the benchmark's
+    // `spill_cleanup_sim`, and the heap must follow what the engines
+    // account for, not a multiple of it — with one doubling buffer per
+    // arena it read 1.6 times that.
+    let run = spill_run(30);
+    assert!(
+        run.reserved * 4 <= run.accounted * 5 && run.live * 4 <= run.accounted * 5,
+        "peak live heap {:.1} MiB and {:.1} MiB of columns and pages against {:.1} MiB accounted",
+        mib(run.live),
+        mib(run.reserved),
+        mib(run.accounted),
     );
 }

@@ -317,6 +317,21 @@ pub fn encode_raw_value(buf: &mut impl BufMut, v: RawValue<'_>) {
     }
 }
 
+/// Exact length [`encode_raw_value`] writes for `v`, in bytes.
+#[inline]
+pub fn encoded_raw_value_len(v: RawValue<'_>) -> usize {
+    1 + match v {
+        RawValue::Null => 0,
+        RawValue::Int(i) => varint_len(zigzag(i)),
+        RawValue::Double(_) => 8,
+        RawValue::Bool(_) => 1,
+        RawValue::Text(bytes) | RawValue::Blob(bytes) => {
+            varint_len(bytes.len() as u64) + bytes.len()
+        }
+        RawValue::Pad(n) => varint_len(n as u64),
+    }
+}
+
 /// Step over one encoded value without building it, returning the bytes
 /// it accounts for in operator state ([`Value::payload_bytes`]). Refuses
 /// exactly what [`decode_value`] refuses; the UTF-8 check of a text

@@ -13,6 +13,8 @@
 //!   wire frames, columnar arena rows, spill segments).
 //! * [`batch`] — the routed-tuple batch, the unit of inter-operator
 //!   transfer in the batched dataflow: rows held encoded.
+//! * [`pages`] — the paged arena encoded rows rest in, from the join
+//!   state to a decoded segment.
 //! * [`time`] — virtual time, the clock abstraction that lets hour-long
 //!   paper experiments replay deterministically in seconds.
 //! * [`mem`] — explicit heap-size accounting, the substitute for the
@@ -28,6 +30,7 @@ pub mod error;
 pub mod hash;
 pub mod ids;
 pub mod mem;
+pub mod pages;
 pub mod partition;
 pub mod testing;
 pub mod time;

@@ -176,6 +176,14 @@ impl QueryEngine {
         self.tracker.used()
     }
 
+    /// What the resident state's columns and arena pages occupy in the
+    /// heap, slack included — to hold against
+    /// [`memory_used`](Self::memory_used), which is what the engine acts
+    /// on.
+    pub fn state_reserved_bytes(&self) -> u64 {
+        self.join.state_reserved_bytes() as u64
+    }
+
     /// Total results produced.
     pub fn total_output(&self) -> u64 {
         self.join.total_output()

@@ -141,6 +141,13 @@ impl MJoinOperator {
         self.state_bytes
     }
 
+    /// What the resident groups' columns and arena pages occupy
+    /// ([`PartitionGroup::reserved_bytes`]); an O(#groups) walk.
+    pub fn state_reserved_bytes(&self) -> usize {
+        let groups = self.groups.values();
+        groups.map(PartitionGroup::reserved_bytes).sum()
+    }
+
     /// Total results produced by this operator instance.
     pub fn total_output(&self) -> u64 {
         self.window.total_output()

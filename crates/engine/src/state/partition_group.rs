@@ -14,9 +14,10 @@
 //!
 //! The state is **columnar** — struct-of-arrays per stream: a contiguous
 //! timestamp column, a packed per-row bookkeeping column (sequence
-//! number, accounted size, arena end offset) and one payload arena of
-//! encoded values — a [`TupleBatch`] row's `arity value*` tail, copied in
-//! as it arrives; and **one** [`JoinIndex`] for the whole group, whose
+//! number, accounted size, arena address) and one payload arena of
+//! encoded values, in pages ([`RowPages`]) — a [`TupleBatch`] row's
+//! `arity value*` tail, copied in as it arrives and never moved by a
+//! later append; and **one** [`JoinIndex`] for the whole group, whose
 //! entry for a key holds a position list per stream — so an insert pays
 //! one lookup, not one per stream. Join keys live only in that index. The
 //! probe path touches only the index entry and the columns (a count-only
@@ -31,6 +32,7 @@ use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::fx_hash;
 use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::mem::HeapSize;
+use dcape_common::pages::{RowAt, RowPages};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_common::value::Value;
@@ -58,9 +60,22 @@ struct RowMeta {
     /// Accounted heap size captured at insert: what the row costs as a
     /// [`Tuple`], the unit every memory decision is made in.
     acct: u64,
-    /// End offset (exclusive) of the row's arena slice; the start is
-    /// the previous row's `end` (0 for the first row).
+    /// End offset (exclusive) of the row's slice of its arena page; the
+    /// start is the previous row's `end` if that row shares the page,
+    /// else 0.
     end: u32,
+    /// Number of the arena page the row lies in.
+    page: u32,
+}
+
+// `page` lies in what was padding behind `end`.
+const _: () = assert!(std::mem::size_of::<RowMeta>() == 24);
+
+impl RowMeta {
+    /// The row's arena address.
+    fn at(&self) -> RowAt {
+        (self.page, self.end)
+    }
 }
 
 /// Struct-of-arrays state of one stream inside one partition group.
@@ -68,8 +83,8 @@ struct RowMeta {
 /// Row `i` is scattered across parallel stores: the dense timestamp
 /// column `ts[i]` (probes window-filter by binary search over it, and
 /// count-only sinks read it directly through [`SpanList::TsOnly`]),
-/// the packed [`RowMeta`] record `meta[i]`, and the payload arena slice
-/// `meta[i-1].end..meta[i].end` holding the codec-encoded column
+/// the packed [`RowMeta`] record `meta[i]`, and the payload arena row at
+/// `meta[i]`'s address holding the codec-encoded column
 /// values (arity varint + one encoded value per column — a
 /// [`RowRef::body`], byte for byte). The join
 /// key lives only in the group's [`JoinIndex`]; purge recovers an
@@ -79,15 +94,15 @@ struct RowMeta {
 /// Rows `..head` are a retired (window-expired) prefix: still
 /// physically present in `ts`/`meta`/`arena` so that index positions
 /// stay physical indices into `ts`, but unreachable — the index holds
-/// no position below `head`, and every reader walks `head..` only.
-/// `end` is `u32`: one stream partition's arena is capped at 4 GiB of
-/// live bytes, enforced *before* any result is emitted.
+/// no position below `head`, and every reader walks `head..` only. One
+/// stream partition's arena is capped at 4 GiB of live bytes, enforced
+/// *before* any result is emitted.
 #[derive(Debug, Clone)]
 struct ColumnarPartition {
     ts: Vec<VirtualTime>,
     meta: Vec<RowMeta>,
-    /// Packed encoded payloads of all rows, in insertion order.
-    arena: Vec<u8>,
+    /// Encoded payloads of all rows, in insertion order.
+    arena: RowPages,
     /// True while `ts` is nondecreasing in storage order — then every
     /// match-position list is too, which unlocks binary-search window
     /// pruning in [`ProbeSpans::count_valid`]. Live streams arrive in
@@ -117,7 +132,7 @@ impl Default for ColumnarPartition {
         ColumnarPartition {
             ts: Vec::new(),
             meta: Vec::new(),
-            arena: Vec::new(),
+            arena: RowPages::default(),
             ts_sorted: true,
             head: 0,
             min_ts: NO_ROWS,
@@ -136,18 +151,10 @@ impl ColumnarPartition {
         self.head..self.meta.len()
     }
 
-    /// Arena offset where row `i`'s slice starts.
-    fn row_start(&self, i: usize) -> usize {
-        if i == 0 {
-            0
-        } else {
-            self.meta[i - 1].end as usize
-        }
-    }
-
     /// Row `i`'s encoded slice of the arena.
     fn row_bytes(&self, i: usize) -> &[u8] {
-        &self.arena[self.row_start(i)..self.meta[i].end as usize]
+        let prev = i.checked_sub(1).map(|before| self.meta[before].at());
+        self.arena.row(prev, self.meta[i].at())
     }
 
     /// Append one row and return its position. Infallible: callers run
@@ -159,30 +166,48 @@ impl ColumnarPartition {
         self.min_ts = self.min_ts.min(row.ts());
         let pos = self.meta.len() as u32;
         self.ts.push(row.ts());
-        self.arena.extend_from_slice(row.body());
+        let (page, end) = self.arena.push(row.body());
         self.meta.push(RowMeta {
             seq: row.seq(),
             acct: row.heap_size() as u64,
-            end: self.arena.len() as u32,
+            end,
+            page,
         });
         pos
     }
 
-    /// Physically drop the retired prefix from every store and re-base
-    /// the arena offsets. Returns how many rows went — index positions
-    /// above them are the caller's to shift.
+    /// Physically drop the retired prefix from every store: the arena
+    /// frees the pages it filled, and only the live rows that share the
+    /// first live row's page have their offsets re-based. Returns how
+    /// many rows went — index positions above them are the caller's to
+    /// shift.
     fn drop_retired(&mut self) -> usize {
         let head = std::mem::take(&mut self.head);
-        if head > 0 {
-            let base = self.meta[head - 1].end;
-            self.ts.drain(..head);
-            self.meta.drain(..head);
-            self.arena.drain(..base as usize);
-            for m in &mut self.meta {
-                m.end -= base;
+        if head == 0 {
+            return 0;
+        }
+        if head == self.meta.len() {
+            self.arena.clear();
+        } else {
+            let (gone, first) = (self.meta[head - 1], self.meta[head].page);
+            let cut = if gone.page == first { gone.end } else { 0 };
+            self.arena.drop_before(first, cut);
+            let shared = self.meta[head..].iter_mut();
+            for m in shared.take_while(|m| m.page == first) {
+                m.end -= cut;
             }
         }
+        self.ts.drain(..head);
+        self.meta.drain(..head);
         head
+    }
+
+    /// Bytes the stores occupy: the columns' capacities and the arena's
+    /// pages.
+    fn reserved_bytes(&self) -> usize {
+        self.ts.capacity() * std::mem::size_of::<VirtualTime>()
+            + self.meta.capacity() * std::mem::size_of::<RowMeta>()
+            + self.arena.reserved()
     }
 
     /// Hand the live rows over as snapshot columns: the timestamp column
@@ -190,7 +215,7 @@ impl ColumnarPartition {
     fn into_columns(mut self) -> StreamColumns {
         self.drop_retired();
         let acct = self.meta.iter().map(|m| m.acct).sum();
-        let (seq, ends) = self.meta.iter().map(|m| (m.seq, m.end)).unzip();
+        let (seq, ends) = self.meta.iter().map(|m| (m.seq, m.at())).unzip();
         StreamColumns::from_parts(self.ts, seq, ends, self.arena, acct)
     }
 
@@ -224,9 +249,12 @@ impl ColumnarPartition {
             self.meta.is_empty() || self.head < self.meta.len(),
             "a fully retired partition is compacted to empty"
         );
-        let ends: Vec<u32> = self.meta.iter().map(|m| m.end).collect();
-        assert!(ends.windows(2).all(|w| w[0] < w[1]), "arena offsets ascend");
-        assert_eq!(ends.last().map_or(0, |&e| e as usize), self.arena.len());
+        let rows = (0..self.meta.len()).map(|i| self.row_bytes(i).len());
+        assert_eq!(
+            rows.sum::<usize>(),
+            self.arena.len(),
+            "the arena is its rows"
+        );
         let oldest = self.ts[self.head..].iter().min().copied();
         assert_eq!(self.min_ts, oldest.unwrap_or(NO_ROWS));
     }
@@ -265,9 +293,10 @@ impl ColumnarState {
         for (s, columns) in streams.into_iter().enumerate() {
             let (ts, seq, ends, arena) = columns.into_parts();
             let mut meta = Vec::with_capacity(ends.len());
-            let mut start = 0usize;
-            for (i, (&seq, &end)) in seq.iter().zip(&ends).enumerate() {
-                let mut body = &arena[start..end as usize];
+            let mut prev = None;
+            for (i, (&seq, &(page, end))) in seq.iter().zip(&ends).enumerate() {
+                let mut body = arena.row(prev, (page, end));
+                prev = Some((page, end));
                 let row = RowRef::from_body(pid, StreamId(s as u8), seq, ts[i], &mut body, false)?;
                 let key = row
                     .value(join_columns[s])
@@ -280,8 +309,8 @@ impl ColumnarState {
                     seq,
                     acct: acct as u64,
                     end,
+                    page,
                 });
-                start = end as usize;
             }
             st.cols[s] = ColumnarPartition {
                 ts_sorted: ts.windows(2).all(|w| w[0] <= w[1]),
@@ -302,7 +331,7 @@ impl ColumnarState {
     }
 
     /// Reject an insert into stream `s` whose `row_len` arena bytes
-    /// would push its arena past the `u32` offset range. Checked before
+    /// would push its arena past 4 GiB of row bytes. Checked before
     /// the probe so no results are emitted for a row that is then
     /// refused. Near the 4 GiB edge the retired prefix is reclaimed
     /// first — the cap is on live bytes.
@@ -489,37 +518,37 @@ impl ColumnarState {
 
     /// Purge of a partition whose rows are not in time order (replayed
     /// or installed state): scan every live row, compact the survivors
-    /// to the front of every store **in place** and remap the stream's
-    /// index positions through a survivor table — no re-hashing of rows,
-    /// no row materialization — then sweep out the entries that lost
-    /// their last position. Recomputes `ts_sorted` over the survivors,
-    /// so the partition returns to the prefix-drop path once the
-    /// offending rows expire.
+    /// to the front of the columns in place, push their arena rows into
+    /// fresh pages, and remap the stream's index positions through a
+    /// survivor table — no re-hashing of rows, no row materialization —
+    /// then sweep out the entries that lost their last position.
+    /// Recomputes `ts_sorted` over the survivors, so the partition
+    /// returns to the prefix-drop path once the offending rows expire.
     fn purge_unsorted(&mut self, s: usize, cutoff: VirtualTime) -> (usize, u64) {
         const DEAD: u32 = u32::MAX;
         let cp = &mut self.cols[s];
         let mut remap = vec![DEAD; cp.meta.len()];
         let mut freed = 0usize;
         let mut kept = 0usize;
-        let mut arena_w = 0usize;
-        let mut prev_end = cp.row_start(cp.head);
+        let mut arena = RowPages::default();
+        let mut prev = cp.head.checked_sub(1).map(|retired| cp.meta[retired].at());
         let mut sorted = true;
         let mut prev_ts = VirtualTime::from_millis(0);
         let mut min_ts = NO_ROWS;
         for i in cp.live() {
-            let start = prev_end;
-            let end = cp.meta[i].end as usize;
-            prev_end = end;
+            let at = cp.meta[i].at();
+            let row = cp.arena.row(prev, at);
+            prev = Some(at);
             if cp.ts[i] < cutoff {
                 freed += cp.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
                 continue;
             }
             remap[i] = kept as u32;
             cp.ts[kept] = cp.ts[i];
-            cp.arena.copy_within(start..end, arena_w);
-            arena_w += end - start;
+            let (page, end) = arena.push(row);
             cp.meta[kept] = RowMeta {
-                end: arena_w as u32,
+                end,
+                page,
                 ..cp.meta[i]
             };
             sorted &= kept == 0 || cp.ts[kept] >= prev_ts;
@@ -530,7 +559,7 @@ impl ColumnarState {
         let touched = cp.len() as u64;
         cp.ts.truncate(kept);
         cp.meta.truncate(kept);
-        cp.arena.truncate(arena_w);
+        cp.arena = arena;
         cp.ts_sorted = sorted;
         cp.head = 0;
         cp.min_ts = min_ts;
@@ -654,6 +683,14 @@ impl PartitionGroup {
     /// Accounted state bytes (`P_size`).
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// Bytes the streams' columns and arena pages occupy, used or not:
+    /// what [`bytes`](Self::bytes) accounts for, as the allocator sees
+    /// it (the join index is in neither figure).
+    pub fn reserved_bytes(&self) -> usize {
+        let cols = self.state.cols.iter();
+        cols.map(ColumnarPartition::reserved_bytes).sum()
     }
 
     /// Results generated from this group so far (`P_output`).
@@ -1175,6 +1212,43 @@ mod tests {
             g.assert_invariants();
             assert_eq!(g.bytes(), g.recompute_bytes());
         }
+    }
+
+    /// A window sliding over ~50 times what it holds: the pages the
+    /// expired rows filled are freed as compaction passes them, so what
+    /// the group occupies follows what is live, not what has gone by.
+    #[test]
+    fn a_sliding_windows_arena_pages_are_freed_behind_it() {
+        const LIVE: u64 = 400; // rows per stream partition, ~3 pages' worth
+        let row_of = |s: u8, now: u64| {
+            TupleBuilder::new(StreamId(s))
+                .seq(now)
+                .ts(VirtualTime::from_millis(now))
+                .value((now % 50) as i64)
+                .value("sixteen bytes...")
+                .build()
+        };
+        let window = Some(VirtualDuration::from_millis(LIVE - 1));
+        let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut sink = CountingSink::new();
+        let mut most = 0;
+        for now in 0..50 * LIVE {
+            for s in 0..3u8 {
+                g.insert(row_of(s, now), &mut sink).unwrap();
+            }
+            g.purge_expired(VirtualTime::from_millis(now));
+            if now == LIVE {
+                most = g.reserved_bytes();
+            }
+            // The retired quarter, a page of slack, columns that doubled.
+            assert!(
+                g.reserved_bytes() <= 2 * most || now < LIVE,
+                "{} bytes reserved at {now}, {most} when the window first filled",
+                g.reserved_bytes()
+            );
+        }
+        assert_eq!(g.tuple_count(), 3 * LIVE as usize);
+        g.assert_invariants();
     }
 
     mod purge_model {

@@ -85,7 +85,10 @@ fn retried_send_states_reships_the_same_copy() {
     for ((shipped, ..), (reshipped, ..)) in first.iter().zip(&second) {
         assert_eq!(shipped, reshipped);
         for (a, b) in shipped.streams().iter().zip(reshipped.streams()) {
-            assert_eq!(a.arena().as_ptr(), b.arena().as_ptr());
+            // An empty stream has no row to point at.
+            if !a.is_empty() {
+                assert_eq!(a.row(0).as_ptr(), b.row(0).as_ptr());
+            }
             assert_eq!(a.ts().as_ptr(), b.ts().as_ptr());
         }
     }

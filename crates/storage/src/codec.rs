@@ -15,10 +15,13 @@ pub use dcape_common::codec::{
     decode_tuple, decode_value, encode_tuple, encode_value, encoded_tuple_len, encoded_value_len,
     get_varint, put_varint, varint_len,
 };
-use dcape_common::codec::{encode_raw_value, raw_value, unzigzag, zigzag, RawValue};
+use dcape_common::codec::{
+    encode_raw_value, encoded_raw_value_len, raw_value, unzigzag, zigzag, RawValue,
+};
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::{fx_hash, FxHashMap};
 use dcape_common::ids::{PartitionId, StreamId};
+use dcape_common::pages::RowPages;
 use dcape_common::time::VirtualTime;
 use dcape_common::tuple::heap_size;
 
@@ -167,27 +170,25 @@ impl<'a> Dict<'a> {
 ///
 /// One pass over the rows checks that they share an arity and picks each
 /// column's tag; then each column is written by walking a per-row cursor
-/// through the arena. Rows of differing arity take the row layout.
+/// through the rows. Rows of differing arity take the row layout.
 pub(crate) fn encode_stream_block(buf: &mut Vec<u8>, stream: StreamId, cols: &StreamColumns) {
     let n = cols.len();
     put_varint(buf, n as u64);
     if n == 0 {
         return;
     }
-    let arena = cols.arena();
-    // Per row: the arena offset of its next unwritten value.
-    let mut cursors: Vec<u32> = Vec::with_capacity(n);
+    // Per row: what is left of it from its next unwritten value on.
+    let mut cursors: Vec<&[u8]> = Vec::with_capacity(n);
     // Per column: its tag so far and, for a pad column, the first length.
     let mut tags: Vec<(u8, u32)> = Vec::new();
-    let mut start = 0usize;
-    for (i, &end) in cols.ends().iter().enumerate() {
-        let mut row = &arena[start..end as usize];
+    for i in 0..n {
+        let mut row = cols.row(i);
         let arity = get_varint(&mut row).expect(ARENA) as usize;
         if i > 0 && arity != tags.len() {
             buf.push(LAYOUT_ROWS);
             return put_rows(buf, stream, cols);
         }
-        cursors.push((end as usize - row.len()) as u32);
+        cursors.push(row);
         for c in 0..arity {
             let v = raw_value(&mut row).expect(ARENA);
             let pad = if let RawValue::Pad(n) = v { n } else { 0 };
@@ -203,7 +204,6 @@ pub(crate) fn encode_stream_block(buf: &mut Vec<u8>, stream: StreamId, cols: &St
                 _ => CT_MIXED,
             };
         }
-        start = end as usize;
     }
     buf.push(LAYOUT_COLUMNAR);
     buf.push(stream.0);
@@ -216,11 +216,9 @@ pub(crate) fn encode_stream_block(buf: &mut Vec<u8>, stream: StreamId, cols: &St
         let mut dict = Dict::default();
         ids.clear();
         for cursor in &mut cursors {
-            let from = &arena[*cursor as usize..];
-            let mut rest = from;
-            let v = raw_value(&mut rest).expect(ARENA);
-            let len = from.len() - rest.len();
-            *cursor += len as u32;
+            let from = *cursor;
+            let v = raw_value(cursor).expect(ARENA);
+            let len = from.len() - cursor.len();
             match (tag, v) {
                 (CT_NULL | CT_PAD_CONST, _) => {}
                 (CT_INT, RawValue::Int(i)) => put_varint(buf, zigzag(i)),
@@ -269,7 +267,7 @@ pub(crate) fn rows_len(cols: &StreamColumns) -> usize {
         .zip(cols.ts())
         .map(|(&seq, ts)| 1 + varint_len(seq) + varint_len(ts.as_millis()))
         .sum();
-    headers + cols.arena().len()
+    headers + cols.arena_len()
 }
 
 /// Decode `count` row-encoded tuples into the columns of slot `stream`,
@@ -315,6 +313,16 @@ fn check_stream(buf: &mut &[u8], slot: StreamId) -> Result<()> {
 enum Column<'a> {
     Const(RawValue<'a>),
     PerRow(Vec<RawValue<'a>>),
+}
+
+impl<'a> Column<'a> {
+    /// Row `i`'s value.
+    fn value(&self, i: usize) -> RawValue<'a> {
+        match self {
+            Column::Const(v) => *v,
+            Column::PerRow(values) => values[i],
+        }
+    }
 }
 
 /// Decode one value column of `count` rows, borrowing text and blob
@@ -469,20 +477,17 @@ pub(crate) fn decode_stream_block(buf: &mut &[u8], stream: StreamId) -> Result<S
             if arena_len > u32::MAX as u64 {
                 return Err(DcapeError::codec("block: rows exceed the 4 GiB arena"));
             }
-            let mut arena = Vec::with_capacity(arena_len as usize);
+            let mut arena = RowPages::default();
             let mut ends = Vec::with_capacity(count);
             for i in 0..count {
-                put_varint(&mut arena, arity as u64);
-                for column in &columns {
-                    encode_raw_value(
-                        &mut arena,
-                        match column {
-                            Column::Const(v) => *v,
-                            Column::PerRow(values) => values[i],
-                        },
-                    );
-                }
-                ends.push(arena.len() as u32);
+                let values = columns.iter().map(|c| encoded_raw_value_len(c.value(i)));
+                let len = varint_len(arity as u64) + values.sum::<usize>();
+                ends.push(arena.push_with(len, |page| {
+                    put_varint(page, arity as u64);
+                    for column in &columns {
+                        encode_raw_value(page, column.value(i));
+                    }
+                }));
             }
             // Short of `arena_len` only where the input spelled a varint
             // longer than it had to.

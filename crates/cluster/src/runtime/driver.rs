@@ -18,9 +18,13 @@
 //! generator ticks (the send is the per-message cost being amortized)
 //! and are flushed
 //!
-//! * every [`MAX_BATCH_TICKS`] ticks,
-//! * before any `Tick`/`ReportStats` send, so no data trails a pulse it
-//!   preceded in virtual time,
+//! * every [`MAX_BATCH_TICKS`] ticks — at the bench's 30 ms
+//!   inter-arrival the 1-s pulse cuts a batch at ~33 ticks first, so the
+//!   cap binds only below ~16 ms,
+//! * before a `Tick` send and before a `ReportStats` *send*, so no data
+//!   trails a pulse it preceded in virtual time — a collection that
+//!   falls due while a stats reply or a relocation round is outstanding
+//!   is not sent yet, and flushes nothing until it is,
 //! * before the coordinator acts on any [`FromEngine`] message or phase
 //!   timeout, so every already-routed tuple reaches its engine ahead of
 //!   a `SendStates`/remap that could re-home its partition.
@@ -304,7 +308,11 @@ impl<T: Transport> CoordinatorRun<T> {
             }
             self.pending_ticks += 1;
             let tick_due = self.tick_timer.expired(now);
-            let stats_due = self.stats_timer.expired(now);
+            // A collection the coordinator cannot start yet (a reply or
+            // a round outstanding) is not due: it must not flush either.
+            let stats_due = self.stats_timer.expired(now)
+                && !self.awaiting_stats
+                && !self.gc.relocation_active();
             if self.pending_ticks >= MAX_BATCH_TICKS || tick_due || stats_due {
                 self.flush_pending()?;
             }
@@ -312,7 +320,7 @@ impl<T: Transport> CoordinatorRun<T> {
                 self.tick_timer.reset(now);
                 self.pulse()?;
             }
-            if stats_due && !self.awaiting_stats && !self.gc.relocation_active() {
+            if stats_due {
                 self.stats_timer.reset(now);
                 self.awaiting_stats = true;
                 self.pending_stats.iter_mut().for_each(|s| *s = None);
@@ -1018,8 +1026,12 @@ mod tests {
     /// One thing the coordinator did at the seam.
     #[derive(Debug)]
     enum Seen {
-        /// A `DataBatch` went out; the timestamp of its oldest row.
-        Data(VirtualTime),
+        /// A `DataBatch` went out: the timestamp of its oldest row, and
+        /// the coordinator clock of the last receive poll before it.
+        Data {
+            oldest: VirtualTime,
+            polled: VirtualTime,
+        },
         /// `Tick` or `ReportStats`, and its stamp.
         Pulse(VirtualTime),
         /// `Resume`, and the watermark it released.
@@ -1037,6 +1049,9 @@ mod tests {
         inner: SimTransport,
         journal: JournalHandle,
         rows_sent: u64,
+        /// The clock the coordinator last polled for engine messages
+        /// with: a send in the loop happens at it or one tick after.
+        polled: VirtualTime,
         log: Vec<(Option<EngineId>, u64, Seen)>,
     }
 
@@ -1050,6 +1065,7 @@ mod tests {
         }
 
         fn received(&mut self, now: VirtualTime, msg: Option<FromEngine>) -> Option<FromEngine> {
+            self.polled = now;
             if msg.is_some() {
                 self.note(None, Seen::Received(now));
             }
@@ -1066,7 +1082,10 @@ mod tests {
             let seen = match &msg {
                 ToEngine::DataBatch { tuples } => {
                     self.rows_sent += tuples.len() as u64;
-                    Seen::Data(tuples.rows().map(|r| r.ts()).min().expect("no empty batch"))
+                    Seen::Data {
+                        oldest: tuples.rows().map(|r| r.ts()).min().expect("no empty batch"),
+                        polled: self.polled,
+                    }
                 }
                 ToEngine::Tick { now, .. } | ToEngine::ReportStats { now } => Seen::Pulse(*now),
                 ToEngine::Resume { watermark, .. } => Seen::Resume(*watermark),
@@ -1095,8 +1114,19 @@ mod tests {
     /// The ordering rules of the module docs, read off what a relocating
     /// run — slow network, every other install crashing, so rounds both
     /// complete and abort with tuples buffered — sent through the seam.
+    /// A round lasts 5–8 virtual seconds here: at the 5-s stats interval
+    /// collections fall due while one is open and have to wait.
     #[test]
     fn sends_follow_the_flush_and_replay_rules() {
+        // Pinned: a journaled run's wire volume, to the byte (the encode
+        // behind it is skipped only where no journal keeps the count).
+        let report = run_checking_the_seam(VirtualDuration::from_secs(20));
+        assert_eq!(report.journal_counters.transfer_bytes, 44_549);
+        let report = run_checking_the_seam(VirtualDuration::from_secs(5));
+        assert_eq!(report.journal_counters.transfer_bytes, 66_365);
+    }
+
+    fn run_checking_the_seam(stats_interval: VirtualDuration) -> RunReport {
         let period = VirtualDuration::from_millis(30);
         let deadline = VirtualTime::from_mins(5);
         let spec = StreamSetSpec::uniform(24, 2400, 1, period)
@@ -1122,7 +1152,7 @@ mod tests {
             },
         )
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
-        .with_stats_interval(VirtualDuration::from_secs(20))
+        .with_stats_interval(stats_interval)
         .with_faults(FaultPlan::new(6, crashes));
         cfg.network = NetworkModel::slow_wan();
         let journal = JournalHandle::enabled();
@@ -1130,6 +1160,7 @@ mod tests {
             inner: SimTransport::new(&cfg, journal.clone()),
             journal: journal.clone(),
             rows_sent: 0,
+            polled: VirtualTime::ZERO,
             log: Vec::new(),
         };
         let mut run = CoordinatorRun::new(&cfg, journal, true, transport).unwrap();
@@ -1151,7 +1182,7 @@ mod tests {
         for (engine, accounted, seen) in log {
             match seen {
                 Seen::Received(now) => acting_at = Some(*now),
-                Seen::Data(_) => {}
+                Seen::Data { .. } => {}
                 Seen::Pulse(at) => {
                     assert_eq!(*accounted, generated_by(*at), "{seen:?} to {engine:?}")
                 }
@@ -1160,6 +1191,49 @@ mod tests {
                         assert!(*accounted >= generated_by(now), "{seen:?} to {engine:?}");
                     }
                 }
+            }
+        }
+
+        // A batch waits for its pulse: every `DataBatch` is cut by an
+        // engine message the coordinator is about to act on (received
+        // just ahead of the flush), by a send that needs the data ahead
+        // of it (a pulse, `ReportStats`, a timeout's retry or abort,
+        // the `Resume` after a replay, all logged just after), follows
+        // the `AbortRound` it replays behind, or ends `MAX_BATCH_TICKS`
+        // ticks after the last batch to its engine. A flush goes to
+        // every engine at once, so the other engines' batches are not
+        // neighbours.
+        let cap_ms = u64::from(MAX_BATCH_TICKS - 1) * period.as_millis();
+        for e in [EngineId(0), EngineId(1)] {
+            let is_neighbour = |(to, _, seen): &&(Option<EngineId>, u64, Seen)| {
+                *to == Some(e) || !matches!(seen, Seen::Data { .. })
+            };
+            let mut last_polled: Option<VirtualTime> = None;
+            for (k, (to, _, seen)) in log.iter().enumerate() {
+                let Seen::Data { polled, .. } = seen else {
+                    continue;
+                };
+                if *to != Some(e) {
+                    continue;
+                }
+                let before = log[..k].iter().rev().find(is_neighbour);
+                let after = log[k + 1..].iter().find(is_neighbour);
+                let cut_by_message = matches!(before, Some((_, _, Seen::Received(_))));
+                let replays_abort =
+                    matches!(before, Some((to, _, Seen::AbortRound)) if *to == Some(e));
+                let cut_by_send =
+                    matches!(after, Some((Some(_), _, s)) if !matches!(s, Seen::Data { .. }));
+                // The cap flushes before the tick's poll, the previous
+                // batch went out at or before the poll `MAX_BATCH_TICKS`
+                // ticks earlier.
+                let cut_by_cap =
+                    last_polled.is_some_and(|p| polled.as_millis() >= p.as_millis() + cap_ms);
+                assert!(
+                    cut_by_message || replays_abort || cut_by_send || cut_by_cap,
+                    "{e}: {seen:?} (log entry {k}) was cut by nothing: \
+                     after {before:?}, before {after:?}"
+                );
+                last_polled = Some(*polled);
             }
         }
 
@@ -1175,7 +1249,7 @@ mod tests {
                 match seen {
                     Seen::Pulse(at) => pulsed = *at,
                     Seen::Resume(watermark) => resumed = *watermark,
-                    Seen::Data(oldest) => {
+                    Seen::Data { oldest, .. } => {
                         // Nothing trails the watermark a Resume released.
                         assert!(*oldest >= resumed, "{e}: {seen:?} after Resume({resumed})");
                         // Data never trails a pulse it preceded — except
@@ -1200,8 +1274,6 @@ mod tests {
         let aborted = report.journal_counters.watermark_released_on_abort;
         assert!(replays_before_resume > 0 && !report.relocations.is_empty());
         assert!(replays_after_abort > 0 && aborted > 0);
-        // Pinned: a journaled run's wire volume, to the byte (the encode
-        // behind it is skipped only where no journal keeps the count).
-        assert_eq!(report.journal_counters.transfer_bytes, 44_549);
+        report
     }
 }

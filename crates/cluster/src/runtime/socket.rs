@@ -36,14 +36,18 @@
 //! by the replay (`Ptv`, `TransferAck`, `Stats`) are exactly the
 //! stale/duplicate cases the hardened coordinator already tolerates.
 //!
-//! Retention is unbounded by design (a run's full frame history); the
-//! test-scale workloads this driver serves keep it tens of megabytes.
+//! Retention is unbounded by design (a run's full frame history): the
+//! bench's `skew_window_socket` job, 720 k tuples with 128-byte
+//! payloads, retains ~104 MB in ~28 k frames — one `DataBatch` of ~50
+//! tuples per engine per pulse. Data dominates, so the bytes follow the
+//! input; the frame count follows the batch rule of [`super::driver`]
+//! (a flush every tick would make it ~180 k).
 
 use std::io::{BufReader, Write as IoWrite};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
@@ -152,18 +156,28 @@ enum Event {
     Fatal { engine: EngineId, error: String },
 }
 
-/// `<DCAPE_FRAME_LOG_DIR>/<name>`, created; `None` when the variable
-/// is unset or empty.
-fn frame_log(name: String) -> Result<Option<std::fs::File>> {
-    match std::env::var("DCAPE_FRAME_LOG_DIR") {
-        Ok(dir) if !dir.is_empty() => {
-            let dir = PathBuf::from(dir);
-            std::fs::create_dir_all(&dir).map_err(DcapeError::Io)?;
-            let file = std::fs::File::create(dir.join(name)).map_err(DcapeError::Io)?;
-            Ok(Some(file))
-        }
-        _ => Ok(None),
-    }
+/// Socket sessions begun in this process, coordinator runs and worker
+/// sessions alike: numbers their frame logs, so a later one (the job
+/// after a bench warm-up, the next figure configuration, a
+/// serve-looping worker's next session) does not truncate an earlier
+/// one's.
+static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
+
+/// Where frame logs go: `DCAPE_FRAME_LOG_DIR`, unless unset or empty.
+fn frame_log_dir() -> Option<PathBuf> {
+    std::env::var_os("DCAPE_FRAME_LOG_DIR")
+        .filter(|dir| !dir.is_empty())
+        .map(PathBuf::from)
+}
+
+/// `<dir>/<name>`, created with its directory; `None` without one.
+fn frame_log(dir: Option<&Path>, name: String) -> Result<Option<std::fs::File>> {
+    let Some(dir) = dir else {
+        return Ok(None);
+    };
+    std::fs::create_dir_all(dir).map_err(DcapeError::Io)?;
+    let file = std::fs::File::create(dir.join(name)).map_err(DcapeError::Io)?;
+    Ok(Some(file))
 }
 
 /// The one owner of a worker's stream. Retains every frame it is fed
@@ -458,8 +472,9 @@ impl TcpTransport {
 
 impl TcpTransport {
     /// Bind the listener and start the link and acceptor threads;
-    /// worker processes start with [`Transport::start_engine`].
-    fn new(cfg: &SocketConfig, journal: JournalHandle) -> Result<Self> {
+    /// worker processes start with [`Transport::start_engine`]. Frames
+    /// sent are logged under `log_dir`, if given, one file per engine.
+    fn new(cfg: &SocketConfig, journal: JournalHandle, log_dir: Option<&Path>) -> Result<Self> {
         let sim = &cfg.sim;
         let capacity = sim.capacity();
         let listen_addr = match &cfg.mode {
@@ -475,6 +490,7 @@ impl TcpTransport {
         let mut links = Vec::with_capacity(capacity);
         let mut link_handles = Vec::with_capacity(capacity);
         let mut logs = Vec::with_capacity(capacity);
+        let (pid, run) = (std::process::id(), NEXT_RUN.fetch_add(1, Ordering::Relaxed));
         for i in 0..capacity {
             let (tx, rx) = channel();
             links.push(tx);
@@ -492,7 +508,8 @@ impl TcpTransport {
                     .spawn(move || link_thread(welcome, rx))
                     .map_err(DcapeError::Io)?,
             );
-            logs.push(frame_log(format!("frames-coord-e{i}.log"))?);
+            let name = format!("frames-coord-e{i}-pid{pid}-run{run}.log");
+            logs.push(frame_log(log_dir, name)?);
         }
 
         let (events_tx, events) = channel();
@@ -651,7 +668,7 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
     // faults, or the kill plan (a worker dying mid-round needs the
     // phase timeout to re-drive the round against its respawn).
     let patient = sim.faults.is_active() || cfg.kill.is_some();
-    let transport = TcpTransport::new(&cfg, journal.clone())?;
+    let transport = TcpTransport::new(&cfg, journal.clone(), frame_log_dir().as_deref())?;
     let mut run = CoordinatorRun::new(sim, journal, patient, transport)?;
     run.run_until(deadline)?;
     run.quiesce()?;
@@ -772,11 +789,15 @@ fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
     if welcome.engine != engine {
         return Err(DcapeError::protocol("welcome for a different engine"));
     }
-    let log_file = frame_log(format!(
-        "frames-worker-e{}-pid{}.log",
-        engine.index(),
-        std::process::id()
-    ))?;
+    let log_file = frame_log(
+        frame_log_dir().as_deref(),
+        format!(
+            "frames-worker-e{}-pid{}-run{}.log",
+            engine.index(),
+            std::process::id(),
+            NEXT_RUN.fetch_add(1, Ordering::Relaxed)
+        ),
+    )?;
 
     let journal = JournalHandle::when(welcome.journal);
     let mut core = EngineCore::new(engine, welcome.config, journal, false)?;
@@ -866,7 +887,10 @@ fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
 mod tests {
     use super::*;
     use crate::faults::FaultConfig;
+    use crate::strategy::StrategyConfig;
+    use dcape_common::time::VirtualDuration;
     use dcape_engine::config::EngineConfig;
+    use dcape_streamgen::StreamSetSpec;
 
     /// The link's contract, read off a loopback peer: frames fed before
     /// any connection wait; every connection gets `Welcome` with
@@ -931,5 +955,50 @@ mod tests {
             "EOF after the last frame"
         );
         link.join().unwrap();
+    }
+
+    /// Each run's coordinator writes frame logs of its own: a second run
+    /// in the same process leaves the first one's logs as they were.
+    #[test]
+    fn two_runs_in_one_process_leave_two_sets_of_frame_logs() {
+        let dir = std::env::temp_dir().join(format!("dcape-frame-logs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SocketConfig {
+            sim: SimConfig::new(
+                2,
+                EngineConfig::three_way(1 << 20, 1 << 19),
+                StreamSetSpec::uniform(4, 100, 1, VirtualDuration::from_millis(30)),
+                StrategyConfig::NoAdaptation,
+            ),
+            mode: SocketMode::Spawn {
+                node_bin: PathBuf::from("never-started"),
+            },
+            kill: None,
+        };
+        for _ in 0..2 {
+            let mut t = TcpTransport::new(&cfg, JournalHandle::disabled(), Some(&dir)).unwrap();
+            t.send(EngineId(0), ToEngine::StartCleanup).unwrap();
+            t.shutdown().unwrap();
+        }
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names.len(), 4, "two engines, two runs: {names:?}");
+        let first_engine: Vec<&String> = names
+            .iter()
+            .filter(|n| n.starts_with("frames-coord-e0-"))
+            .collect();
+        assert_eq!(first_engine.len(), 2, "{names:?}");
+        for name in first_engine {
+            let log = std::fs::read_to_string(dir.join(name)).unwrap();
+            assert!(
+                log.starts_with("tx seq=1 kind=start_cleanup len="),
+                "{name}: {log}"
+            );
+            assert_eq!(log.lines().count(), 1, "{name}: {log}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

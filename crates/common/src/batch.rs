@@ -3,9 +3,11 @@
 //! A [`TupleBatch`] carries routed tuples — rows of `(PartitionId,
 //! Tuple)` in arrival order — from a split to one engine, so the
 //! dataflow pays one channel send / one frame / one dispatch per batch
-//! instead of one per tuple (every runtime coalesces up to 64 generator
-//! ticks). The batch boundary is purely a transport grouping: consumers must
-//! preserve the contained order.
+//! instead of one per tuple (every runtime's coordinator loop coalesces
+//! the ticks between two pulses — up to 64, ~33 at a 30 ms
+//! inter-arrival — unless an engine message or a timeout cuts the batch
+//! first). The batch boundary is purely a transport grouping: consumers
+//! must preserve the contained order.
 //!
 //! The batch is **one flat byte buffer plus a row count**. Its bytes are
 //! exactly the body of a `DataBatch` wire frame:

@@ -22,8 +22,9 @@
 //! ## Crash-restart and replay
 //!
 //! Every coordinator→worker frame carries a sequence number and is
-//! retained for the lifetime of the run by its engine's link thread,
-//! the only writer a worker connection has. A worker that dies (a
+//! kept for the lifetime of the run in its engine's replay log, from
+//! which the engine's link thread — the only writer a worker connection
+//! has — feeds the connection. A worker that dies (a
 //! chaos-injected `std::process::exit(86)`, or a real `kill -9` from a
 //! [`KillPlan`]) is respawned and replays its **entire** history: the
 //! fresh process rebuilds join state, sink counts, and protocol state
@@ -36,19 +37,36 @@
 //! by the replay (`Ptv`, `TransferAck`, `Stats`) are exactly the
 //! stale/duplicate cases the hardened coordinator already tolerates.
 //!
-//! Retention is unbounded by design (a run's full frame history): the
-//! bench's `skew_window_socket` job, 720 k tuples with 128-byte
-//! payloads, retains ~104 MB in ~28 k frames — one `DataBatch` of ~50
-//! tuples per engine per pulse. Data dominates, so the bytes follow the
-//! input; the frame count follows the batch rule of [`super::driver`]
-//! (a flush every tick would make it ~180 k).
+//! ## The replay log
+//!
+//! The history lives on disk, not in the coordinator's heap: each
+//! engine slot has one append-only file under the directory
+//! [`run_socket`] names (the temp directory, which `TMPDIR` moves),
+//! unlinked the moment it is created — with the transport, so an
+//! unusable directory fails the run before it starts. `send` encodes a
+//! frame into one reused buffer, appends it with one positioned write
+//! and tells the link only the new tail; the link copies the live
+//! connection's share, or a new connection's whole history, out of the
+//! log through a fixed 64 KiB buffer. So no frame stays in memory once
+//! `send` returns, neither as history nor queued behind a worker slower
+//! than the coordinator.
+//!
+//! The disk held is unbounded by design (a run's full frame history,
+//! returned to the filesystem when the transport goes): the bench's
+//! `skew_window_socket` job, 720 k tuples with 128-byte payloads,
+//! appends ~104 MB in ~28 k frames to its two engines' logs — one
+//! `DataBatch` of ~50 tuples and one `Tick` per engine per pulse. Data dominates, so the bytes follow the input; the
+//! frame count follows the batch rule of [`super::driver`] (a flush
+//! every tick would make it ~180 k).
 
+use std::fs::File;
 use std::io::{BufReader, Write as IoWrite};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -57,6 +75,7 @@ use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::EngineId;
 use dcape_common::time::VirtualTime;
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
+use dcape_storage::backend::create_unlinked;
 
 use crate::faults::FaultPlan;
 use crate::messages::{FromEngine, ToEngine};
@@ -65,7 +84,7 @@ use crate::runtime::engine_core::{EngineCore, EngineFlow, EngineTx};
 use crate::runtime::sim::{ScaleAction, SimConfig};
 use crate::runtime::threaded::ThreadedReport;
 use crate::wire::{
-    frame_bytes, msg_kind_name, read_frame, write_frame, Hello, Welcome, WireMsg, CRASH_EXIT,
+    msg_kind_name, put_frame, read_frame, write_frame, Hello, Welcome, WireMsg, CRASH_EXIT,
 };
 
 /// Respawn budget per engine; beyond this the run fails (a worker
@@ -135,10 +154,50 @@ pub fn default_node_bin() -> PathBuf {
 
 /// What the link thread of one engine slot is fed.
 enum LinkCmd {
-    /// The next frame of the worker's stream, sequenced and encoded.
-    Frame(Vec<u8>),
+    /// The replay log now holds `frames` frames in its first `bytes`
+    /// bytes.
+    Frame { bytes: u64, frames: u64 },
     /// The write half of a connection whose `Hello` named this engine.
     Attach(TcpStream),
+}
+
+/// A replay log is named `dcape-replay-<pid>-<n>` for the instant it
+/// has a name at all.
+const REPLAY_NAME_PREFIX: &str = "dcape-replay-";
+
+/// What the link copies out of the log per positioned read.
+const COPY_CHUNK: usize = 64 << 10;
+
+/// The appending end of one engine's replay log (see the [module
+/// documentation](self)).
+struct ReplayLog {
+    file: File,
+    /// Bytes appended so far: where the next frame goes.
+    bytes: u64,
+    /// Frames appended so far: the last sequence number used.
+    frames: u64,
+}
+
+impl ReplayLog {
+    fn create(dir: &Path) -> Result<Self> {
+        Ok(ReplayLog {
+            file: create_unlinked(dir, REPLAY_NAME_PREFIX)?,
+            bytes: 0,
+            frames: 0,
+        })
+    }
+
+    /// Append the next frame and return what to tell the link. A failed
+    /// append moves nothing.
+    fn append(&mut self, frame: &[u8]) -> Result<LinkCmd> {
+        self.file.write_all_at(frame, self.bytes)?;
+        self.bytes += frame.len() as u64;
+        self.frames += 1;
+        Ok(LinkCmd::Frame {
+            bytes: self.bytes,
+            frames: self.frames,
+        })
+    }
 }
 
 /// What reader/acceptor threads post to the coordinator main loop.
@@ -180,30 +239,70 @@ fn frame_log(dir: Option<&Path>, name: String) -> Result<Option<std::fs::File>> 
     Ok(Some(file))
 }
 
-/// The one owner of a worker's stream. Retains every frame it is fed
-/// and writes each to the live connection as it arrives; a new
-/// connection is greeted with `welcome` — `replay_until` exactly the
-/// number of frames about to be replayed — and then the whole retained
-/// stream. A write error only drops the connection: the reader thread's
-/// EOF drives the actual respawn. Ends once every sender has hung up,
-/// with everything deliverable written.
-fn link_thread(mut welcome: Welcome, rx: Receiver<LinkCmd>) {
-    let mut retained: Vec<Vec<u8>> = Vec::new();
-    let mut conn: Option<TcpStream> = None;
-    for cmd in rx {
-        match cmd {
-            LinkCmd::Frame(frame) => {
-                if conn.as_mut().is_some_and(|s| s.write_all(&frame).is_err()) {
-                    conn = None;
-                }
-                retained.push(frame);
+/// A worker connection and how much of the replay log it has been sent.
+struct Conn {
+    stream: TcpStream,
+    sent: u64,
+}
+
+impl Conn {
+    /// Copy `log[sent..tail]` to the stream through `chunk`.
+    fn catch_up(&mut self, log: &File, chunk: &mut [u8], tail: u64) -> std::io::Result<()> {
+        while self.sent < tail {
+            // No wider than `chunk`, so the cast keeps every bit.
+            let n = (tail - self.sent).min(chunk.len() as u64) as usize;
+            log.read_exact_at(&mut chunk[..n], self.sent)?;
+            self.stream.write_all(&chunk[..n])?;
+            self.sent += n as u64;
+        }
+        Ok(())
+    }
+}
+
+/// The one owner of a worker's stream, fed from the engine's replay log
+/// (`log`, a clone of the appending end's descriptor): it sends the live
+/// connection every frame up to the tail it was last told, and greets a
+/// new connection with `welcome` — `replay_until` exactly the number of
+/// frames about to be replayed — and then the log from its first byte.
+/// A failure drops the connection, shut down so that its reader thread's
+/// EOF drives the respawn. Ends once every sender has hung up, with
+/// everything deliverable written.
+fn link_thread(mut welcome: Welcome, log: File, rx: Receiver<LinkCmd>) {
+    let mut chunk = vec![0u8; COPY_CHUNK];
+    let (mut tail, mut frames) = (0u64, 0u64);
+    let mut conn: Option<Conn> = None;
+    let mut catch_up = |conn: &mut Option<Conn>, tail| {
+        if let Some(c) = conn {
+            if c.catch_up(&log, &mut chunk, tail).is_err() {
+                let _ = c.stream.shutdown(Shutdown::Both);
+                *conn = None;
             }
+        }
+    };
+    loop {
+        // The connection catches up only once no command is waiting, so
+        // a backlog goes out in whole chunks rather than frame by frame.
+        let cmd = match rx.try_recv() {
+            Ok(cmd) => cmd,
+            Err(TryRecvError::Empty) => {
+                catch_up(&mut conn, tail);
+                match rx.recv() {
+                    Ok(cmd) => cmd,
+                    Err(_) => return,
+                }
+            }
+            Err(TryRecvError::Disconnected) => {
+                catch_up(&mut conn, tail);
+                return;
+            }
+        };
+        match cmd {
+            LinkCmd::Frame { bytes, frames: n } => (tail, frames) = (bytes, n),
             LinkCmd::Attach(mut stream) => {
-                welcome.replay_until = retained.len() as u64;
+                welcome.replay_until = frames;
                 let greeting = WireMsg::Welcome(Box::new(welcome.clone()));
-                let replayed = write_frame(&mut stream, 0, &greeting).is_ok()
-                    && retained.iter().all(|f| stream.write_all(f).is_ok());
-                conn = replayed.then_some(stream);
+                conn = (write_frame(&mut stream, 0, &greeting).is_ok())
+                    .then_some(Conn { stream, sent: 0 });
             }
         }
     }
@@ -331,10 +430,11 @@ impl SpawnCtl {
 struct TcpTransport {
     /// The feed of each engine's link thread.
     links: Vec<Sender<LinkCmd>>,
-    /// Next frame sequence number (1-based) per engine: the main
-    /// thread numbers frames as it feeds them, so a link's retention
-    /// order is seq order.
-    next_seq: Vec<u64>,
+    /// Each engine's replay log; the main thread numbers frames as it
+    /// appends them (1-based), so the log's order is seq order.
+    replay: Vec<ReplayLog>,
+    /// The one buffer every frame is encoded into.
+    frame: Vec<u8>,
     /// The connection the acceptor last announced per engine; a
     /// `Disconnected` that names an older one is stale.
     live_epoch: Vec<u64>,
@@ -471,12 +571,24 @@ impl TcpTransport {
 // The coordinator side: set-up, the transport seam, teardown.
 
 impl TcpTransport {
-    /// Bind the listener and start the link and acceptor threads;
-    /// worker processes start with [`Transport::start_engine`]. Frames
-    /// sent are logged under `log_dir`, if given, one file per engine.
-    fn new(cfg: &SocketConfig, journal: JournalHandle, log_dir: Option<&Path>) -> Result<Self> {
+    /// Create the replay logs under `replay_dir`, bind the listener and
+    /// start the link and acceptor threads; worker processes start with
+    /// [`Transport::start_engine`]. Frames sent are logged under
+    /// `log_dir`, if given, one file per engine.
+    fn new(
+        cfg: &SocketConfig,
+        journal: JournalHandle,
+        replay_dir: &Path,
+        log_dir: Option<&Path>,
+    ) -> Result<Self> {
         let sim = &cfg.sim;
         let capacity = sim.capacity();
+        // Links and logs are provisioned at peak capacity: a joiner's
+        // link exists before its process does, so its late `Hello`
+        // lands in the ordinary acceptor path.
+        let replay = (0..capacity)
+            .map(|_| ReplayLog::create(replay_dir))
+            .collect::<Result<Vec<_>>>()?;
         let listen_addr = match &cfg.mode {
             SocketMode::Spawn { .. } => "127.0.0.1:0".to_string(),
             SocketMode::Listen { addr } => addr.clone(),
@@ -484,14 +596,11 @@ impl TcpTransport {
         let listener = TcpListener::bind(&listen_addr).map_err(DcapeError::Io)?;
         let local_addr = listener.local_addr().map_err(DcapeError::Io)?.to_string();
 
-        // Links and logs are provisioned at peak capacity: a joiner's
-        // link exists before its process does, so its late `Hello`
-        // lands in the ordinary acceptor path.
         let mut links = Vec::with_capacity(capacity);
         let mut link_handles = Vec::with_capacity(capacity);
         let mut logs = Vec::with_capacity(capacity);
         let (pid, run) = (std::process::id(), NEXT_RUN.fetch_add(1, Ordering::Relaxed));
-        for i in 0..capacity {
+        for (i, log) in replay.iter().enumerate() {
             let (tx, rx) = channel();
             links.push(tx);
             let welcome = Welcome {
@@ -502,10 +611,11 @@ impl TcpTransport {
                 faults: *sim.faults.config(),
                 replay_until: 0,
             };
+            let log = log.file.try_clone()?;
             link_handles.push(
                 thread::Builder::new()
                     .name(format!("dcape-tx-e{i}"))
-                    .spawn(move || link_thread(welcome, rx))
+                    .spawn(move || link_thread(welcome, log, rx))
                     .map_err(DcapeError::Io)?,
             );
             let name = format!("frames-coord-e{i}-pid{pid}-run{run}.log");
@@ -540,7 +650,8 @@ impl TcpTransport {
         };
         Ok(TcpTransport {
             links,
-            next_seq: vec![1; capacity],
+            replay,
+            frame: Vec::new(),
             live_epoch: vec![0; capacity],
             logs,
             events,
@@ -568,22 +679,25 @@ impl Transport for TcpTransport {
         }
     }
 
-    /// Frame, sequence, log and feed one engine-bound message to the
-    /// engine's link. Never fails on a dead connection — the link
-    /// retains the frame and the worker (or its respawn) gets it when
-    /// it is back.
+    /// Frame and sequence one engine-bound message, append it to the
+    /// engine's replay log, log it, and tell the engine's link the new
+    /// tail. Never fails on a dead connection — the frame is in the
+    /// replay log and the worker (or its respawn) gets it when it is
+    /// back; a failed append fails the send, so the history has no gap.
     fn send(&mut self, engine: EngineId, msg: ToEngine) -> Result<()> {
         let i = engine.index();
-        let seq = self.next_seq[i];
-        self.next_seq[i] += 1;
+        let replay = &mut self.replay[i];
+        let seq = replay.frames + 1;
         let wire = WireMsg::Engine(msg);
-        let frame = frame_bytes(seq, &wire)?;
+        self.frame.clear();
+        put_frame(seq, &wire, &mut self.frame)?;
+        let cmd = replay.append(&self.frame)?;
         if let Some(f) = &mut self.logs[i] {
             let kind = msg_kind_name(&wire);
-            let _ = writeln!(f, "tx seq={seq} kind={kind} len={}", frame.len());
+            let _ = writeln!(f, "tx seq={seq} kind={kind} len={}", self.frame.len());
         }
         self.links[i]
-            .send(LinkCmd::Frame(frame))
+            .send(cmd)
             .map_err(|_| DcapeError::Disconnected(format!("link for engine {engine} closed")))
     }
 
@@ -668,7 +782,12 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
     // faults, or the kill plan (a worker dying mid-round needs the
     // phase timeout to re-drive the round against its respawn).
     let patient = sim.faults.is_active() || cfg.kill.is_some();
-    let transport = TcpTransport::new(&cfg, journal.clone(), frame_log_dir().as_deref())?;
+    let transport = TcpTransport::new(
+        &cfg,
+        journal.clone(),
+        &std::env::temp_dir(),
+        frame_log_dir().as_deref(),
+    )?;
     let mut run = CoordinatorRun::new(sim, journal, patient, transport)?;
     run.run_until(deadline)?;
     run.quiesce()?;
@@ -888,19 +1007,20 @@ mod tests {
     use super::*;
     use crate::faults::FaultConfig;
     use crate::strategy::StrategyConfig;
+    use crate::wire::frame_bytes;
+    use dcape_common::batch::TupleBatch;
+    use dcape_common::ids::{PartitionId, StreamId};
     use dcape_common::time::VirtualDuration;
+    use dcape_common::tuple::TupleBuilder;
+    use dcape_common::value::Value;
     use dcape_engine::config::EngineConfig;
     use dcape_streamgen::StreamSetSpec;
+    use std::io::Read;
 
-    /// The link's contract, read off a loopback peer: frames fed before
-    /// any connection wait; every connection gets `Welcome` with
-    /// `replay_until` = the frames fed so far, then the whole stream
-    /// from `seq = 1`, then live frames as they are fed; a hang-up ends
-    /// the thread once the last frame is readable.
-    #[test]
-    fn link_greets_every_connection_and_replays_from_seq_one() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+    /// A link thread over a fresh replay log in the temp directory, the
+    /// log's appending end, and the link's feed.
+    fn start_link() -> (ReplayLog, Sender<LinkCmd>, thread::JoinHandle<()>) {
+        let log = ReplayLog::create(&std::env::temp_dir()).unwrap();
         let welcome = Welcome {
             engine: EngineId(0),
             config: EngineConfig::three_way(1 << 20, 1 << 19),
@@ -910,18 +1030,33 @@ mod tests {
             replay_until: 0,
         };
         let (tx, rx) = channel();
-        let link = thread::spawn(move || link_thread(welcome, rx));
-        let feed = |seqs: std::ops::RangeInclusive<u64>| {
+        let file = log.file.try_clone().unwrap();
+        let link = thread::spawn(move || link_thread(welcome, file, rx));
+        (log, tx, link)
+    }
+
+    /// A connected peer whose other end is handed to the link.
+    fn attach(listener: &TcpListener, tx: &Sender<LinkCmd>) -> BufReader<TcpStream> {
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        tx.send(LinkCmd::Attach(listener.accept().unwrap().0))
+            .unwrap();
+        BufReader::new(peer)
+    }
+
+    /// The link's contract, read off a loopback peer: frames appended
+    /// before any connection wait; every connection gets `Welcome` with
+    /// `replay_until` = the frames appended so far, then the whole log
+    /// from `seq = 1`, then live frames as they are appended; a hang-up
+    /// ends the thread once the last frame is readable.
+    #[test]
+    fn link_greets_every_connection_and_replays_from_seq_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut log, tx, link) = start_link();
+        let mut feed = |seqs: std::ops::RangeInclusive<u64>| {
             for seq in seqs {
                 let frame = frame_bytes(seq, &WireMsg::Engine(ToEngine::StartCleanup)).unwrap();
-                tx.send(LinkCmd::Frame(frame)).unwrap();
+                tx.send(log.append(&frame).unwrap()).unwrap();
             }
-        };
-        let attach = || {
-            let peer = TcpStream::connect(addr).unwrap();
-            tx.send(LinkCmd::Attach(listener.accept().unwrap().0))
-                .unwrap();
-            BufReader::new(peer)
         };
         let expect = |peer: &mut BufReader<TcpStream>, replay_until, seqs| {
             if let Some(n) = replay_until {
@@ -939,13 +1074,13 @@ mod tests {
         };
 
         feed(1..=3);
-        let mut peer = attach();
+        let mut peer = attach(&listener, &tx);
         expect(&mut peer, Some(3), 1..=3);
         feed(4..=4);
         expect(&mut peer, None, 4..=4);
         drop(peer);
         feed(5..=6);
-        let mut peer = attach();
+        let mut peer = attach(&listener, &tx);
         expect(&mut peer, Some(6), 1..=6);
         feed(7..=7);
         drop(tx);
@@ -957,13 +1092,67 @@ mod tests {
         link.join().unwrap();
     }
 
-    /// Each run's coordinator writes frame logs of its own: a second run
-    /// in the same process leaves the first one's logs as they were.
+    /// Frame `seq` of a stream of `DataBatch`es of uneven sizes: one to
+    /// five rows of 3–23 KB blobs, so frames straddle copy-buffer
+    /// boundaries at ever different offsets and some are wider than the
+    /// buffer itself.
+    fn odd_data_batch(seq: u64) -> Vec<u8> {
+        let mut batch = TupleBatch::new();
+        for row in 0..1 + seq % 5 {
+            let blob = vec![seq as u8; 3001 + (seq * 131 % 20_000) as usize];
+            let tuple = TupleBuilder::new(StreamId((row % 3) as u8))
+                .seq(seq)
+                .ts(VirtualTime::from_millis(seq))
+                .value(Value::Blob(bytes::Bytes::from(blob)))
+                .build();
+            batch.push(PartitionId(row as u32), tuple);
+        }
+        frame_bytes(seq, &WireMsg::Engine(ToEngine::DataBatch { tuples: batch })).unwrap()
+    }
+
+    /// A history larger than the link's copy buffer and the socket's
+    /// buffers reaches a new connection byte for byte and in sequence,
+    /// and a live frame appended during the replay follows it.
     #[test]
-    fn two_runs_in_one_process_leave_two_sets_of_frame_logs() {
-        let dir = std::env::temp_dir().join(format!("dcape-frame-logs-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = SocketConfig {
+    fn a_replay_larger_than_every_buffer_arrives_byte_identical() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut log, tx, link) = start_link();
+        let mut history = Vec::new();
+        let mut seq = 0;
+        while history.len() < 8 << 20 {
+            seq += 1;
+            let frame = odd_data_batch(seq);
+            tx.send(log.append(&frame).unwrap()).unwrap();
+            history.extend_from_slice(&frame);
+        }
+        let mut peer = attach(&listener, &tx);
+        let live = odd_data_batch(seq + 1);
+        tx.send(log.append(&live).unwrap()).unwrap();
+        history.extend_from_slice(&live);
+        drop(tx);
+
+        match read_frame(&mut peer).unwrap() {
+            Some((0, WireMsg::Welcome(w))) => assert_eq!(w.replay_until, seq),
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        link.join().unwrap();
+        assert_eq!(got.len(), history.len());
+        assert!(got == history, "the replay differs from what was appended");
+        let mut stream = got.as_slice();
+        for want in 1..=seq + 1 {
+            match read_frame(&mut stream).unwrap() {
+                Some((got, WireMsg::Engine(ToEngine::DataBatch { .. }))) => assert_eq!(got, want),
+                other => panic!("expected frame {want}, got {other:?}"),
+            }
+        }
+        assert!(stream.is_empty());
+    }
+
+    /// A two-engine socket configuration whose workers are never started.
+    fn unstarted_cfg() -> SocketConfig {
+        SocketConfig {
             sim: SimConfig::new(
                 2,
                 EngineConfig::three_way(1 << 20, 1 << 19),
@@ -974,17 +1163,38 @@ mod tests {
                 node_bin: PathBuf::from("never-started"),
             },
             kill: None,
-        };
-        for _ in 0..2 {
-            let mut t = TcpTransport::new(&cfg, JournalHandle::disabled(), Some(&dir)).unwrap();
-            t.send(EngineId(0), ToEngine::StartCleanup).unwrap();
-            t.shutdown().unwrap();
         }
-        let mut names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
+    }
+
+    fn names_in(dir: &Path) -> Vec<String> {
+        let entries = std::fs::read_dir(dir).unwrap();
+        let mut names: Vec<String> = entries
             .map(|entry| entry.unwrap().file_name().into_string().unwrap())
             .collect();
         names.sort();
+        names
+    }
+
+    /// Each run's coordinator writes frame logs of its own: a second run
+    /// in the same process leaves the first one's logs as they were. The
+    /// replay logs beside them have no name even while they are open.
+    #[test]
+    fn two_runs_in_one_process_leave_two_sets_of_frame_logs() {
+        let dir = std::env::temp_dir().join(format!("dcape-frame-logs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = unstarted_cfg();
+        for _ in 0..2 {
+            let mut t =
+                TcpTransport::new(&cfg, JournalHandle::disabled(), &dir, Some(&dir)).unwrap();
+            t.send(EngineId(0), ToEngine::StartCleanup).unwrap();
+            let named = names_in(&dir);
+            assert!(
+                !named.iter().any(|n| n.starts_with(REPLAY_NAME_PREFIX)),
+                "{named:?}"
+            );
+            t.shutdown().unwrap();
+        }
+        let names = names_in(&dir);
         assert_eq!(names.len(), 4, "two engines, two runs: {names:?}");
         let first_engine: Vec<&String> = names
             .iter()
@@ -1000,5 +1210,26 @@ mod tests {
             assert_eq!(log.lines().count(), 1, "{name}: {log}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A replay directory that cannot hold a file fails the transport
+    /// before the run starts, not at its first send.
+    #[test]
+    fn an_unusable_replay_directory_fails_the_transport_up_front() {
+        let file =
+            std::env::temp_dir().join(format!("dcape-not-a-replay-dir-{}", std::process::id()));
+        std::fs::write(&file, b"in the way").unwrap();
+        let refused = TcpTransport::new(
+            &unstarted_cfg(),
+            JournalHandle::disabled(),
+            &file.join("replay"),
+            None,
+        );
+        std::fs::remove_file(&file).unwrap();
+        assert!(
+            matches!(refused, Err(DcapeError::Io(_))),
+            "{:?}",
+            refused.err()
+        );
     }
 }

@@ -42,9 +42,9 @@
 //!
 //! `seq` is the coordinator's per-engine frame sequence number (1-based;
 //! `0` marks unsequenced worker→coordinator traffic). The coordinator
-//! retains every sequenced frame it ever sent, so a respawned worker can
-//! be replayed deterministically from the beginning — see
-//! [`crate::runtime::socket`].
+//! keeps every sequenced frame it ever sent in a replay log on disk, so a
+//! respawned worker can be replayed deterministically from the beginning
+//! — see [`crate::runtime::socket`].
 
 use std::io::{Read, Write};
 
@@ -586,20 +586,31 @@ pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
 // ---------------------------------------------------------------------
 // Framing.
 
-/// Encode a complete frame — header, `seq`-prefixed payload, trailer —
-/// ready to be written to a stream in one `write_all`.
-pub fn frame_bytes(seq: u64, msg: &WireMsg) -> Result<Vec<u8>> {
-    let mut payload = Vec::with_capacity(64);
-    put_varint(&mut payload, seq);
-    encode_msg(msg, &mut payload);
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
+/// Append a complete frame — header, `seq`-prefixed payload, trailer —
+/// to `out`, encoding the payload in place behind a reserved header. A
+/// frame over [`MAX_FRAME_LEN`] is refused and leaves `out` as it was.
+pub fn put_frame(seq: u64, msg: &WireMsg, out: &mut Vec<u8>) -> Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    put_varint(out, seq);
+    encode_msg(msg, out);
+    let len = u32::try_from(out.len() - start - 4)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_LEN);
+    let Some(len) = len else {
+        out.truncate(start);
         return Err(DcapeError::codec("wire: frame exceeds MAX_FRAME_LEN"));
-    }
-    let len = payload.len() as u32;
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&payload);
+    };
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&(len ^ LEN_CHECK).to_le_bytes());
+    Ok(())
+}
+
+/// Encode a complete frame, ready to be written to a stream in one
+/// `write_all`.
+pub fn frame_bytes(seq: u64, msg: &WireMsg) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(64);
+    put_frame(seq, msg, &mut out)?;
     Ok(out)
 }
 
@@ -776,6 +787,27 @@ mod tests {
                 other => panic!("expected Engine, got {other:?}"),
             }
         }
+    }
+
+    /// `put_frame` appends behind what the buffer already holds, so one
+    /// buffer carries a stream that reads back frame by frame.
+    #[test]
+    fn frames_put_into_one_buffer_read_back_in_order() {
+        let mut buf = Vec::new();
+        for (i, msg) in sample_to_engine().into_iter().enumerate() {
+            put_frame(i as u64 + 1, &WireMsg::Engine(msg), &mut buf).unwrap();
+        }
+        let mut cursor = buf.as_slice();
+        for (i, msg) in sample_to_engine().into_iter().enumerate() {
+            match read_frame(&mut cursor).unwrap() {
+                Some((seq, WireMsg::Engine(m))) => {
+                    assert_eq!(seq, i as u64 + 1);
+                    assert_eq!(format!("{m:?}"), format!("{msg:?}"));
+                }
+                other => panic!("expected frame {}, got {other:?}", i + 1),
+            }
+        }
+        assert!(cursor.is_empty());
     }
 
     /// Rows of every value kind, an empty row, a wide partition id.

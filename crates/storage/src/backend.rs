@@ -40,7 +40,7 @@ compile_error!("the spill log unlinks an open file and reads it by position: Uni
 
 use std::fs::{self, File, OpenOptions};
 use std::os::unix::fs::FileExt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dcape_common::error::{DcapeError, Result};
@@ -71,6 +71,25 @@ pub const LOG_NAME_PREFIX: &str = "dcape-spill-";
 /// Numbers the logs of this process: a test process runs dozens of
 /// backends at once, several of them "engine 0".
 static NEXT_LOG: AtomicU64 = AtomicU64::new(0);
+
+/// Create `dir` if need be, then a file in it named `<prefix><pid>-<n>`
+/// that no other caller of any process can pick, and unlink it at once:
+/// the returned descriptor (read and write) is its only reference, so
+/// the bytes go back to the filesystem when the last clone of it closes,
+/// however the process ends.
+pub fn create_unlinked(dir: &Path, prefix: &str) -> Result<File> {
+    fs::create_dir_all(dir)?;
+    // Relaxed: the number only has to differ from every other one.
+    let n = NEXT_LOG.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("{prefix}{}-{n}", std::process::id()));
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(&path)?;
+    fs::remove_file(&path)?;
+    Ok(file)
+}
 
 /// Where one segment sits in the log.
 #[derive(Debug, Clone, Copy)]
@@ -105,28 +124,12 @@ impl FileBackend {
             next_id: 0,
         })
     }
-
-    /// Create the log and unlink it.
-    fn open_log(&self) -> Result<File> {
-        fs::create_dir_all(&self.dir)?;
-        // Relaxed: the number only has to differ from every other one.
-        let n = NEXT_LOG.fetch_add(1, Ordering::Relaxed);
-        let name = format!("{LOG_NAME_PREFIX}{}-{n}", std::process::id());
-        let path = self.dir.join(name);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        fs::remove_file(&path)?;
-        Ok(file)
-    }
 }
 
 impl SpillBackend for FileBackend {
     fn write_segment(&mut self, bytes: &[u8]) -> Result<SegmentHandle> {
         if self.log.is_none() {
-            self.log = Some(self.open_log()?);
+            self.log = Some(create_unlinked(&self.dir, LOG_NAME_PREFIX)?);
         }
         let log = self.log.as_ref().expect("just opened");
         // A failed write moves nothing: the next one starts at the same

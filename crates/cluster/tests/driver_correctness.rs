@@ -222,6 +222,120 @@ fn sim_is_deterministic() {
     );
 }
 
+/// What the coordinator did over a whole run, to the bit: one hash of
+/// the merged journal (as JSON lines), every counter and every completed
+/// relocation. Pinned for three deterministic runs that reach every
+/// coordinator path — chaos retries and aborts, join and drain moves, a
+/// completed drain, forced spills — so a refactor of the coordinator or
+/// its driver that changes any decision, message or record fails here.
+/// The constants were taken before such a refactor and must not be
+/// regenerated by one.
+#[test]
+fn coordinator_runs_are_pinned() {
+    use dcape_cluster::faults::{FaultConfig, FaultPlan};
+    use dcape_cluster::runtime::sim::{ScaleEvent, SimReport};
+    use dcape_common::hash::fx_hash;
+    use dcape_common::ids::{EngineId, PartitionId};
+    use dcape_metrics::journal::AdaptEvent;
+    use dcape_metrics::report::journal_to_jsonl;
+    use dcape_streamgen::{ClassAssignment, PartitionClass};
+
+    // Lazy-disk on roomy engines under a skew that flips every minute,
+    // evaluated every 15 s: a round every few stats intervals, each a
+    // target for the chaos layer.
+    let lazy_chaos = |fault_seed: u64| {
+        let spec = small_workload(23).with_pattern(ArrivalPattern::AlternatingSkew {
+            group_a: (0..6).map(PartitionId).collect(),
+            ratio: 10.0,
+            period: VirtualDuration::from_mins(1),
+        });
+        SimConfig::new(
+            2,
+            EngineConfig::three_way(1 << 30, 1 << 29),
+            spec,
+            StrategyConfig::LazyDisk {
+                theta_r: 0.9,
+                tau_m: VirtualDuration::from_secs(15),
+            },
+        )
+        .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
+        .with_stats_interval(VirtualDuration::from_secs(15))
+        .with_journal()
+        .with_faults(FaultPlan::new(fault_seed, FaultConfig::uniform(0.3)))
+    };
+    let elastic_chaos = lazy_chaos(1).with_scale_events(vec![
+        ScaleEvent::add(VirtualTime::from_secs(60)),
+        ScaleEvent::drain_engine(VirtualTime::from_mins(3), EngineId(1)),
+    ]);
+    let mut productive = small_workload(37);
+    productive.classes = [4, 1]
+        .map(|join_rate| PartitionClass {
+            assignment: ClassAssignment::Fraction(0.5),
+            join_rate,
+            tuple_range: 2400,
+        })
+        .to_vec();
+    let active_disk = SimConfig::new(
+        3,
+        tight_engine(),
+        productive,
+        StrategyConfig::ActiveDisk {
+            theta_r: 0.8,
+            tau_m: VirtualDuration::from_secs(45),
+            lambda: 1.5,
+            spill_fraction: 0.3,
+            force_spill_cap: 1 << 20,
+        },
+    )
+    .with_stats_interval(VirtualDuration::from_secs(30))
+    .with_journal();
+
+    let run = |cfg: SimConfig| -> SimReport {
+        let mut driver = SimDriver::new(cfg).unwrap();
+        driver.run_until(VirtualTime::from_mins(6)).unwrap();
+        driver.finish().unwrap()
+    };
+    let reports = [run(lazy_chaos(2)), run(elastic_chaos), run(active_disk)];
+    let hashes = reports.each_ref().map(|r| {
+        let relocations: Vec<_> = r
+            .relocations
+            .iter()
+            .map(|e| {
+                let (s, t) = (e.sender.0, e.receiver.0);
+                (e.at.as_millis(), s, t, e.parts, e.bytes, e.buffered_tuples)
+            })
+            .collect();
+        fx_hash(&(
+            journal_to_jsonl(&r.journal),
+            r.journal_counters.values(),
+            relocations,
+        ))
+    });
+
+    // Not vacuous: between them the runs take every coordinator path.
+    let sum = |f: fn(&SimReport) -> u64| reports.iter().map(f).sum::<u64>();
+    assert!(sum(|r| r.journal_counters.msgs_retried) > 0, "a retry");
+    assert!(sum(|r| r.journal_counters.rounds_aborted) > 0, "an abort");
+    assert!(sum(|r| r.journal_counters.rebalance_moves) > 0, "a move");
+    assert!(sum(|r| r.force_spills) > 0, "a forced spill");
+    assert!(
+        reports[1]
+            .journal
+            .iter()
+            .any(|e| matches!(e.event, AdaptEvent::EngineDrained { .. })),
+        "a completed drain"
+    );
+    assert_eq!(
+        hashes,
+        [
+            0x0FBD_F1B1_3265_5628,
+            0xB624_6E3F_B091_7BA6,
+            0xB443_2C89_51FA_94DD
+        ],
+        "coordinator behaviour changed: {hashes:#018x?}"
+    );
+}
+
 #[test]
 fn threaded_driver_matches_reference_and_sim_total() {
     let deadline = VirtualTime::from_mins(5);

@@ -8,12 +8,17 @@
 //!
 //! * the pluggable [`AdaptationStrategy`] (lazy-disk / active-disk /
 //!   none),
-//! * the lifecycle of at most one in-flight [`RelocationRound`],
-//! * adaptation counters for reporting.
+//! * the elastic membership and the drain in progress,
+//! * the one relocation round in flight (Figure 8), opened in one place
+//!   (`open`) and closed in one place (`close`); every out-of-order
+//!   event is a protocol error — what the paper's protocol exists to
+//!   guarantee ("no operator states should be missing or corrupted in
+//!   the relocation process", §4.1).
 //!
 //! It knows nothing of transports: the one coordinator loop
-//! ([`crate::runtime::driver`]) feeds it statistics and protocol events
-//! and executes the actions it returns, on every runtime.
+//! ([`crate::runtime::driver`]) feeds it statistics, protocol events and
+//! the clock, and executes the [`Command`] each of them returns, on
+//! every runtime.
 
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashMap;
@@ -21,7 +26,6 @@ use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
 
-use crate::relocation::{Action, Phase, RelocationRound, RoundPurpose};
 use crate::stats::ClusterStats;
 use crate::strategy::{AdaptationStrategy, Decision, RebalancePlanner, StrategyConfig};
 
@@ -30,6 +34,18 @@ use crate::strategy::{AdaptationStrategy, Decision, RebalancePlanner, StrategyCo
 /// (the segments still reach their new owners through the cleanup
 /// hand-off, so the drain terminates under any chaos schedule).
 const DRAIN_ABORTS_TO_DEGRADE: u32 = 3;
+
+/// Virtual time a patient coordinator allows each phase attempt of a
+/// round before it re-sends the phase's message.
+const PHASE_TIMEOUT: VirtualDuration = VirtualDuration::from_secs(2);
+
+/// Re-sends per phase before a patient coordinator abandons the round.
+const MAX_RETRIES: u32 = 3;
+
+/// Consecutive aborted rounds toward one receiver before the coordinator
+/// declares the peer dead and degrades relocations toward it to local
+/// spills.
+const PEER_DEATH_THRESHOLD: u32 = 3;
 
 /// Lifecycle of one engine in the elastic membership.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +62,125 @@ pub enum EngineState {
     DrainCleanup,
     /// Gone: counters folded, clean exit.
     Drained,
+}
+
+/// What the driver must do next: the one output of every
+/// [`GlobalCoordinator`] input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Command {
+    /// Step 1: send `Cptv(amount)` to the sender — for a round just
+    /// opened (`attempt` 0), or again because its partition list is
+    /// overdue.
+    Cptv {
+        /// Round id.
+        round: u64,
+        /// The sender engine.
+        sender: EngineId,
+        /// Bytes to vacate.
+        amount: u64,
+        /// Delivery attempt.
+        attempt: u32,
+    },
+    /// Step 2 arrived: pause `parts` at the splits (step 3), then tell
+    /// the sender to ship them to the receiver (steps 4–5, attempt 0).
+    Pause {
+        /// Round id.
+        round: u64,
+        /// The sender engine.
+        sender: EngineId,
+        /// The receiver engine.
+        receiver: EngineId,
+        /// Partitions to pause and move.
+        parts: Vec<PartitionId>,
+    },
+    /// Step 4 again: the receiver's ack is overdue, so the sender
+    /// re-ships its retained outbound copy.
+    SendStates {
+        /// Round id.
+        round: u64,
+        /// The sender engine.
+        sender: EngineId,
+        /// The receiver engine.
+        receiver: EngineId,
+        /// Partitions being moved.
+        parts: Vec<PartitionId>,
+        /// Delivery attempt.
+        attempt: u32,
+    },
+    /// Step 6 arrived and closed the round: remap `parts` to the
+    /// receiver and flush the tuples their pause buffered (step 7),
+    /// then resume every engine (step 8).
+    Remap {
+        /// Round id.
+        round: u64,
+        /// The sender engine.
+        sender: EngineId,
+        /// The new owner.
+        receiver: EngineId,
+        /// Moved partitions.
+        parts: Vec<PartitionId>,
+        /// What the receiver reported installing.
+        bytes: u64,
+        /// When the partitions were paused (step 3) — since when the
+        /// purge watermark has been held back for this round.
+        held_since: VirtualTime,
+    },
+    /// The sender had nothing to move: the round is closed; resume the
+    /// sender.
+    Empty {
+        /// Round id.
+        round: u64,
+        /// The sender engine.
+        sender: EngineId,
+    },
+    /// Retries exhausted: the round is abandoned. Send `AbortRound` to
+    /// sender and receiver, release the paused partitions *without*
+    /// remapping, replay their buffered tuples to the sender, and
+    /// release the held watermark.
+    Abort {
+        /// Round id.
+        round: u64,
+        /// The sender engine.
+        sender: EngineId,
+        /// The receiver engine.
+        receiver: EngineId,
+        /// The partitions paused and since when, if the round got that
+        /// far (it died waiting for its partition list otherwise).
+        paused: Option<(Vec<PartitionId>, VirtualTime)>,
+    },
+    /// Resume `engine`, which a late `Cptv` of a closed round may have
+    /// put back in relocation mode.
+    Resume {
+        /// The closed round.
+        round: u64,
+        /// The engine to resume.
+        engine: EngineId,
+    },
+    /// Force `engine` to spill `amount` bytes (active-disk, or a
+    /// relocation toward a peer declared dead).
+    Spill {
+        /// The engine to relieve.
+        engine: EngineId,
+        /// Bytes to spill.
+        amount: u64,
+    },
+    /// Drain rounds keep aborting: force the draining engine to spill
+    /// everything, then ask it for its state again. The segments reach
+    /// their owners in the cleanup hand-off after the final remap.
+    DrainSpill {
+        /// The draining engine.
+        engine: EngineId,
+    },
+    /// The draining engine holds no state: pause and remap its remaining
+    /// (zero-state) partitions straight to `receiver`, report back
+    /// through [`GlobalCoordinator::drain_finalized`], then start the
+    /// cleanup hand-off (`StartSpill(MAX)` + `PrepareCleanup`).
+    FinalizeDrain {
+        /// The draining engine.
+        engine: EngineId,
+        /// New owner for its remaining partitions.
+        receiver: EngineId,
+    },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -70,150 +205,86 @@ struct DrainCtl {
     degrade_warned: bool,
 }
 
-/// What the driver must do after feeding a [`FromEngine::DrainState`]
-/// report into [`GlobalCoordinator::on_drain_state`].
-///
-/// [`FromEngine::DrainState`]: crate::messages::FromEngine
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DrainStep {
-    /// Nothing right now (a relocation round is still in flight, or the
-    /// report was stale). The driver re-polls with `BeginDrain` when
-    /// the round ends.
-    Wait,
-    /// A drain relocation round was opened: send `Cptv(amount)` to the
-    /// draining engine (step 1).
-    Relocate {
-        /// Round id.
-        round: u64,
-        /// The draining engine (sender).
-        sender: EngineId,
-        /// Target engine for the shed state.
-        receiver: EngineId,
-        /// Bytes to vacate (all resident state).
-        amount: u64,
-    },
-    /// Drain rounds keep aborting: force the engine to spill everything
-    /// to disk instead. The segments reach their owners in the cleanup
-    /// hand-off after the final remap.
-    ForceSpill {
-        /// The draining engine.
-        engine: EngineId,
-        /// Bytes to spill (`u64::MAX` = everything).
-        amount: u64,
-    },
-    /// No resident state left: pause + remap the engine's remaining
-    /// (zero-state) partitions straight to `receiver`, then start the
-    /// cleanup hand-off (`StartSpill(MAX)` + `PrepareCleanup` to the
-    /// draining engine). The driver reports back via
-    /// [`GlobalCoordinator::drain_finalized`].
-    FinalizeRemap {
-        /// The draining engine.
-        engine: EngineId,
-        /// New owner for its remaining partitions.
-        receiver: EngineId,
-    },
-}
-
-/// Per-phase timeout and bounded-retry policy for relocation rounds.
-///
-/// Without a policy the coordinator waits forever — correct on a
-/// reliable fabric and exactly the pre-chaos behaviour. With one, each
-/// protocol phase (WaitPtv, WaitAck) gets a deadline; on expiry the
-/// coordinator re-issues the phase's message up to `max_retries` times
-/// and then **aborts** the round.
+/// Why a round was opened. The 8-step protocol is the same for all
+/// three; the purpose only changes the accounting when it closes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Virtual time allowed per phase attempt.
-    pub phase_timeout: VirtualDuration,
-    /// Re-sends per phase before the round is abandoned.
-    pub max_retries: u32,
-    /// Consecutive aborted rounds toward one receiver before the
-    /// coordinator declares the peer dead and degrades relocations to
-    /// local spills.
-    pub peer_death_threshold: u32,
+enum Purpose {
+    /// Chosen by the adaptation strategy.
+    Balance,
+    /// Shedding state off a draining engine.
+    Drain,
+    /// Moving state toward a freshly admitted engine.
+    JoinRebalance,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            phase_timeout: VirtualDuration::from_secs(2),
-            max_retries: 3,
-            peer_death_threshold: 3,
+/// Where a round stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Step 1 sent; waiting for the sender's partition list (step 2).
+    WaitPtv,
+    /// Steps 3–5 issued: partitions paused, transfer under way; waiting
+    /// for the receiver's ack (step 6).
+    WaitAck,
+}
+
+impl Phase {
+    /// The step a timeout in this phase re-sends.
+    fn resent_step(self) -> u64 {
+        match self {
+            Phase::WaitPtv => 1,
+            Phase::WaitAck => 4,
         }
     }
 }
 
-/// What the driver must do after a phase deadline expired.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TimeoutAction {
-    /// Re-send step 1 (`Cptv`) to the sender with the new attempt.
-    RetryCptv {
-        /// Round id.
-        round: u64,
-        /// The sender engine.
-        sender: EngineId,
-        /// Bytes to vacate.
-        amount: u64,
-        /// New delivery attempt number.
-        attempt: u32,
-    },
-    /// Re-send step 4 (`SendStates`) to the sender with the new
-    /// attempt; the sender re-ships its retained outbound copy.
-    RetrySendStates {
-        /// Round id.
-        round: u64,
-        /// The sender engine.
-        sender: EngineId,
-        /// The receiver engine.
-        receiver: EngineId,
-        /// Partitions being moved.
-        parts: Vec<PartitionId>,
-        /// New delivery attempt number.
-        attempt: u32,
-    },
-    /// Retries exhausted: abandon the round. The driver must send
-    /// `AbortRound` to sender and receiver, release the paused
-    /// partitions *without* remapping (`parts` is empty when the round
-    /// died in WaitPtv, before anything paused), replay their buffered
-    /// tuples to the original owner, and release the held watermark.
-    AbortRound {
-        /// Round id.
-        round: u64,
-        /// The sender engine.
-        sender: EngineId,
-        /// The receiver engine.
-        receiver: EngineId,
-        /// Paused partitions to release (empty if none were paused).
-        parts: Vec<PartitionId>,
-        /// When the partitions were paused (watermark-held accounting);
-        /// `None` if the round never reached the pause.
-        held_since: Option<VirtualTime>,
-    },
+/// How a round ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// The receiver installed the state.
+    Moved,
+    /// The sender had nothing to move.
+    Empty,
+    /// A phase ran out of retries.
+    TimedOut,
+}
+
+/// The relocation round in flight, from step 1 until it closes.
+#[derive(Debug)]
+struct Round {
+    id: u64,
+    sender: EngineId,
+    receiver: EngineId,
+    amount: u64,
+    purpose: Purpose,
+    phase: Phase,
+    /// The partitions being moved (empty before step 2).
+    parts: Vec<PartitionId>,
+    /// Virtual time of step 3 (partitions paused at the splits).
+    paused_at: VirtualTime,
+    /// Delivery attempt within the current phase (0 = first send).
+    attempt: u32,
+    /// When the current attempt times out (acted on only by a patient
+    /// coordinator).
+    deadline: VirtualTime,
 }
 
 /// The global adaptation controller.
 #[derive(Debug)]
 pub struct GlobalCoordinator {
     strategy: Box<dyn AdaptationStrategy>,
-    active_round: Option<RelocationRound>,
+    round: Option<Round>,
     next_round: u64,
-    relocations_completed: u64,
-    relocations_aborted: u64,
     force_spills_issued: u64,
     journal: JournalHandle,
-    /// Per-phase timeout policy; `None` waits forever (default).
-    retry: Option<RetryPolicy>,
-    /// Deadline for the current phase attempt, when a policy is set.
-    phase_deadline: Option<VirtualTime>,
-    /// Delivery attempt within the current phase (0 = first send).
-    attempt: u32,
+    /// Phases time out: re-sent up to [`MAX_RETRIES`] times, then the
+    /// round is aborted.
+    patient: bool,
     /// Consecutive aborted rounds per receiver (reset on success).
     consecutive_aborts: FxHashMap<EngineId, u32>,
     /// Receivers declared dead: relocations toward them degrade to
     /// local force-spills at the sender.
     dead_peers: Vec<EngineId>,
-    /// Elastic membership, indexed by engine id. Empty = legacy mode
-    /// (fixed engine set, every engine implicitly active).
+    /// Elastic membership, indexed by engine id.
     members: Vec<Member>,
     /// Last known memory load per engine (from the stats feed); drain
     /// rounds pick the least-loaded active engine as receiver.
@@ -228,49 +299,21 @@ pub struct GlobalCoordinator {
 }
 
 impl GlobalCoordinator {
-    /// Build a coordinator running the given strategy.
-    pub fn new(strategy: &StrategyConfig) -> Self {
-        GlobalCoordinator {
-            strategy: strategy.build(),
-            active_round: None,
-            next_round: 0,
-            relocations_completed: 0,
-            relocations_aborted: 0,
-            force_spills_issued: 0,
-            journal: JournalHandle::disabled(),
-            retry: None,
-            phase_deadline: None,
-            attempt: 0,
-            consecutive_aborts: FxHashMap::default(),
-            dead_peers: Vec::new(),
-            members: Vec::new(),
-            last_loads: Vec::new(),
-            rebalance: RebalancePlanner::default(),
-            drain: None,
-            pending_drain: None,
-        }
-    }
-
-    /// Arm per-phase timeouts with bounded retry then abort. Without
-    /// this call phases never time out (the pre-chaos behaviour).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = Some(policy);
-    }
-
-    /// Receivers declared dead after repeated aborted rounds.
-    pub fn dead_peers(&self) -> &[EngineId] {
-        &self.dead_peers
-    }
-
-    // ---- elastic membership -------------------------------------------
-
-    /// Enable the elastic membership: `initial` engines start active,
-    /// slots up to `capacity` (initial + scheduled joins) are
-    /// provisioned but not joined. Without this call the coordinator
-    /// runs in the legacy fixed-set mode.
-    pub fn init_membership(&mut self, initial: usize, capacity: usize) {
+    /// A coordinator running `strategy` over `initial` active engines,
+    /// with slots up to `capacity` (initial + scheduled joins)
+    /// provisioned but not joined. The strategy shares `journal`
+    /// (recording a `StatsSample` per evaluation); the coordinator
+    /// records the protocol steps it observes (1, 2 and 6). `patient`
+    /// arms bounded retry-then-abort on every protocol phase.
+    pub fn new(
+        strategy: &StrategyConfig,
+        initial: usize,
+        capacity: usize,
+        journal: JournalHandle,
+        patient: bool,
+    ) -> Self {
         let capacity = capacity.max(initial);
-        self.members = (0..capacity)
+        let members = (0..capacity)
             .map(|i| Member {
                 state: if i < initial {
                     EngineState::Active
@@ -281,15 +324,29 @@ impl GlobalCoordinator {
                 mid_run_joiner: false,
             })
             .collect();
-        self.last_loads = vec![None; capacity];
+        let mut strategy = strategy.build();
+        strategy.attach_journal(journal.clone());
+        GlobalCoordinator {
+            strategy,
+            round: None,
+            next_round: 0,
+            force_spills_issued: 0,
+            journal,
+            patient,
+            consecutive_aborts: FxHashMap::default(),
+            dead_peers: Vec::new(),
+            members,
+            last_loads: vec![None; capacity],
+            rebalance: RebalancePlanner::default(),
+            drain: None,
+            pending_drain: None,
+        }
     }
 
-    /// Lifecycle state of `engine`. Legacy mode (no membership) reports
-    /// every engine active.
+    // ---- elastic membership -------------------------------------------
+
+    /// Lifecycle state of `engine`.
     pub fn engine_state(&self, engine: EngineId) -> EngineState {
-        if self.members.is_empty() {
-            return EngineState::Active;
-        }
         self.members
             .get(engine.index())
             .map_or(EngineState::NotJoined, |m| m.state)
@@ -389,9 +446,6 @@ impl GlobalCoordinator {
     /// [`GlobalCoordinator::poll_pending_drain`] hands it back once the
     /// round ends.
     pub fn request_drain(&mut self, engine: EngineId, now: VirtualTime) -> Result<bool> {
-        if self.members.is_empty() {
-            return Err(DcapeError::state("drain requires elastic membership"));
-        }
         if self.drain_in_progress() {
             return Err(DcapeError::protocol(format!(
                 "drain of {engine} requested while another drain is in progress"
@@ -405,11 +459,7 @@ impl GlobalCoordinator {
         if self.active_engines().len() < 2 {
             return Err(DcapeError::state("cannot drain the last active engine"));
         }
-        let deferred = self
-            .active_round
-            .as_ref()
-            .is_some_and(|r| r.receiver() == engine);
-        if deferred {
+        if self.round.as_ref().is_some_and(|r| r.receiver == engine) {
             self.pending_drain = Some(engine);
             return Ok(false);
         }
@@ -452,13 +502,14 @@ impl GlobalCoordinator {
             .min_by_key(|e| (self.last_loads[e.index()].unwrap_or(0), *e))
     }
 
-    /// A `DrainState` report arrived: decide the next drain step.
+    /// A `DrainState` report arrived: decide the next drain step —
+    /// nothing while a round is in flight or the report is stale.
     pub fn on_drain_state(
         &mut self,
         engine: EngineId,
         resident_bytes: u64,
         now: VirtualTime,
-    ) -> Result<DrainStep> {
+    ) -> Result<Option<Command>> {
         if self.engine_state(engine) != EngineState::Draining
             || self.drain.as_ref().is_none_or(|d| d.engine != engine)
         {
@@ -469,10 +520,10 @@ impl GlobalCoordinator {
                 resident_bytes,
                 now,
             );
-            return Ok(DrainStep::Wait);
+            return Ok(None);
         }
         if self.relocation_active() {
-            return Ok(DrainStep::Wait);
+            return Ok(None);
         }
         let Some(receiver) = self.min_load_receiver(engine) else {
             return Err(DcapeError::state(format!(
@@ -480,12 +531,10 @@ impl GlobalCoordinator {
             )));
         };
         if resident_bytes == 0 {
-            return Ok(DrainStep::FinalizeRemap { engine, receiver });
+            return Ok(Some(Command::FinalizeDrain { engine, receiver }));
         }
-        let ctl = self.drain.as_mut().expect("checked above");
-        if ctl.degraded {
-            if !ctl.degrade_warned {
-                ctl.degrade_warned = true;
+        if let Some(ctl) = self.drain.as_mut().filter(|d| d.degraded) {
+            if !std::mem::replace(&mut ctl.degrade_warned, true) {
                 self.warn(
                     "drain_degraded_to_spill",
                     engine,
@@ -495,44 +544,13 @@ impl GlobalCoordinator {
                 );
             }
             self.force_spills_issued += 1;
-            return Ok(DrainStep::ForceSpill {
-                engine,
-                amount: u64::MAX,
-            });
+            return Ok(Some(Command::DrainSpill { engine }));
         }
-        let round = RelocationRound::begin_with_purpose(
-            self.next_round,
-            engine,
-            receiver,
-            resident_bytes,
-            RoundPurpose::Drain,
-        )?;
-        self.journal.record(
-            now,
-            AdaptEvent::RelocationStep {
-                round: round.round(),
-                step: 1,
-                sender: engine,
-                receiver,
-                parts: Vec::new(),
-                bytes: resident_bytes,
-                buffered_tuples: 0,
-                load_ratio: 0.0,
-            },
-        );
-        let id = round.round();
-        self.next_round += 1;
-        self.active_round = Some(round);
-        self.arm_phase(now);
-        Ok(DrainStep::Relocate {
-            round: id,
-            sender: engine,
-            receiver,
-            amount: resident_bytes,
-        })
+        self.open(engine, receiver, resident_bytes, Purpose::Drain, 0.0, now)
+            .map(Some)
     }
 
-    /// The driver executed [`DrainStep::FinalizeRemap`], remapping
+    /// The driver executed [`Command::FinalizeDrain`], remapping
     /// `remapped_parts` partitions (possibly zero). The drain enters
     /// the cleanup hand-off; the driver follows with `StartSpill(MAX)`
     /// and `PrepareCleanup` to the engine and routes its `CleanupReady`
@@ -577,53 +595,38 @@ impl GlobalCoordinator {
 
     // ---- end elastic membership ---------------------------------------
 
-    /// Attach a journal; the strategy shares it (recording a
-    /// `StatsSample` per evaluation), and the coordinator records the
-    /// protocol steps it observes directly (1, 2 and 6).
-    pub fn set_journal(&mut self, journal: JournalHandle) {
-        self.strategy.attach_journal(journal.clone());
-        self.journal = journal;
-    }
-
     /// The strategy's name (for reports).
     pub fn strategy_name(&self) -> &'static str {
         self.strategy.name()
     }
 
+    /// Does a phase time out (retry, then abort)? Without patience the
+    /// coordinator waits forever — correct on a fabric that loses
+    /// nothing.
+    pub fn is_patient(&self) -> bool {
+        self.patient
+    }
+
     /// Is a relocation round in flight?
     pub fn relocation_active(&self) -> bool {
-        self.active_round.is_some()
+        self.round.is_some()
     }
 
-    /// Completed relocation rounds.
-    pub fn relocations_completed(&self) -> u64 {
-        self.relocations_completed
-    }
-
-    /// Aborted relocation rounds (sender had nothing to move).
-    pub fn relocations_aborted(&self) -> u64 {
-        self.relocations_aborted
-    }
-
-    /// Forced spills issued (active-disk).
+    /// Forced spills issued (active-disk, degraded relocations and
+    /// drains).
     pub fn force_spills_issued(&self) -> u64 {
         self.force_spills_issued
     }
 
     /// Evaluate fresh statistics (the `sr_timer`/`lb_timer` expiry of
-    /// Algorithms 1–2) and return the decision the driver must execute.
-    ///
-    /// When the decision is [`Decision::Relocate`], the coordinator has
-    /// already opened the relocation round — the driver must send
-    /// `Cptv(amount)` (step 1) to the sender and later feed
-    /// [`GlobalCoordinator::on_ptv`] / \
-    /// [`GlobalCoordinator::on_transfer_ack`].
-    pub fn evaluate(&mut self, stats: &ClusterStats, now: VirtualTime) -> Result<Decision> {
+    /// Algorithms 1–2): join-time rebalancing first, then the strategy's
+    /// [`Decision`]. A relocation opens a round.
+    pub fn evaluate(&mut self, stats: &ClusterStats, now: VirtualTime) -> Result<Option<Command>> {
         self.note_loads(stats);
         // A drain owns the single round slot until it completes; the
         // strategy and the join planner stay quiet meanwhile.
         if self.drain_in_progress() {
-            return Ok(Decision::None);
+            return Ok(None);
         }
         // Join-time rebalancing outranks the strategy: a fresh engine
         // is idle capacity, and the planner's hysteresis band keeps it
@@ -631,222 +634,210 @@ impl GlobalCoordinator {
         if !self.relocation_active() {
             let joiners = self.ready_joiners();
             if let Some(mv) = self.rebalance.plan(stats, &joiners, now) {
-                let round = RelocationRound::begin_with_purpose(
-                    self.next_round,
-                    mv.sender,
-                    mv.receiver,
-                    mv.amount,
-                    RoundPurpose::JoinRebalance,
-                )?;
-                self.journal.record(
-                    now,
-                    AdaptEvent::RelocationStep {
-                        round: round.round(),
-                        step: 1,
-                        sender: mv.sender,
-                        receiver: mv.receiver,
-                        parts: Vec::new(),
-                        bytes: mv.amount,
-                        buffered_tuples: 0,
-                        load_ratio: stats.load_ratio(),
-                    },
-                );
-                self.next_round += 1;
-                self.active_round = Some(round);
-                self.arm_phase(now);
-                return Ok(Decision::Relocate {
-                    sender: mv.sender,
-                    receiver: mv.receiver,
-                    amount: mv.amount,
-                });
+                let purpose = Purpose::JoinRebalance;
+                let (ratio, amount) = (stats.load_ratio(), mv.amount);
+                return self
+                    .open(mv.sender, mv.receiver, amount, purpose, ratio, now)
+                    .map(Some);
             }
         }
-        let mut decision = self.strategy.decide(stats, now, self.relocation_active());
-        // Graceful degradation: relocating toward a peer declared dead
-        // would just burn another timeout ladder — shed the memory
-        // pressure locally instead.
-        if let Decision::Relocate {
-            sender,
-            receiver,
-            amount,
-        } = decision
-        {
-            if self.dead_peers.contains(&receiver) {
-                self.journal.record(
+        match self.strategy.decide(stats, now, self.relocation_active()) {
+            Decision::None => Ok(None),
+            // Graceful degradation: relocating toward a peer declared
+            // dead would just burn another timeout ladder — shed the
+            // memory pressure locally instead.
+            Decision::Relocate {
+                sender,
+                receiver,
+                amount,
+            } if self.dead_peers.contains(&receiver) => {
+                self.warn(
+                    "relocation_degraded_to_spill",
+                    receiver,
+                    self.next_round,
+                    amount,
                     now,
-                    AdaptEvent::ProtocolWarning {
-                        code: "relocation_degraded_to_spill",
-                        engine: receiver,
-                        round: self.next_round,
-                        detail: amount,
-                    },
                 );
-                decision = Decision::ForceSpill {
+                self.force_spills_issued += 1;
+                Ok(Some(Command::Spill {
                     engine: sender,
                     amount,
-                };
+                }))
             }
-        }
-        match &decision {
             Decision::Relocate {
                 sender,
                 receiver,
                 amount,
             } => {
-                let round = RelocationRound::begin(self.next_round, *sender, *receiver, *amount)?;
-                self.journal.record(
-                    now,
-                    AdaptEvent::RelocationStep {
-                        round: round.round(),
-                        step: 1,
-                        sender: *sender,
-                        receiver: *receiver,
-                        parts: Vec::new(),
-                        bytes: *amount,
-                        buffered_tuples: 0,
-                        load_ratio: stats.load_ratio(),
-                    },
-                );
-                self.next_round += 1;
-                self.active_round = Some(round);
-                self.arm_phase(now);
+                let ratio = stats.load_ratio();
+                self.open(sender, receiver, amount, Purpose::Balance, ratio, now)
+                    .map(Some)
             }
-            Decision::ForceSpill { .. } => {
+            Decision::ForceSpill { engine, amount } => {
                 self.force_spills_issued += 1;
+                Ok(Some(Command::Spill { engine, amount }))
             }
-            Decision::None => {}
         }
-        Ok(decision)
     }
 
-    /// Start a fresh deadline/attempt ladder for the phase that just
-    /// began (no-op without a retry policy).
-    fn arm_phase(&mut self, now: VirtualTime) {
-        self.attempt = 0;
-        self.phase_deadline = self.retry.map(|p| now + p.phase_timeout);
+    /// Open a round: journal step 1 and have the driver send `Cptv`.
+    fn open(
+        &mut self,
+        sender: EngineId,
+        receiver: EngineId,
+        amount: u64,
+        purpose: Purpose,
+        load_ratio: f64,
+        now: VirtualTime,
+    ) -> Result<Command> {
+        debug_assert!(self.round.is_none(), "one round at a time");
+        if sender == receiver {
+            return Err(DcapeError::protocol(
+                "relocation sender and receiver must differ",
+            ));
+        }
+        let id = self.next_round;
+        self.journal.record(
+            now,
+            AdaptEvent::RelocationStep {
+                round: id,
+                step: 1,
+                sender,
+                receiver,
+                parts: Vec::new(),
+                bytes: amount,
+                buffered_tuples: 0,
+                load_ratio,
+            },
+        );
+        self.next_round += 1;
+        self.round = Some(Round {
+            id,
+            sender,
+            receiver,
+            amount,
+            purpose,
+            phase: Phase::WaitPtv,
+            parts: Vec::new(),
+            paused_at: VirtualTime::ZERO,
+            attempt: 0,
+            deadline: now + PHASE_TIMEOUT,
+        });
+        Ok(Command::Cptv {
+            round: id,
+            sender,
+            amount,
+            attempt: 0,
+        })
     }
 
-    /// The current phase's delivery attempt (0 = first send). Drivers
-    /// stamp outgoing protocol messages with this so the chaos layer's
-    /// decisions key on it.
-    pub fn current_attempt(&self) -> u32 {
-        self.attempt
+    /// Close the round in flight and account for how it ended: the
+    /// receiver's liveness, the drain's progress and degradation, the
+    /// rebalance-move and abort counters.
+    fn close(&mut self, outcome: Outcome, now: VirtualTime) -> Round {
+        let round = self.round.take().expect("a round is in flight");
+        let drain = round.purpose == Purpose::Drain;
+        match outcome {
+            Outcome::Moved => {
+                // A completed round proves the receiver is alive.
+                self.consecutive_aborts.insert(round.receiver, 0);
+                if let Some(ctl) = self.drain.as_mut().filter(|_| drain) {
+                    ctl.moves += 1;
+                    ctl.consecutive_aborts = 0;
+                }
+                if round.purpose != Purpose::Balance {
+                    self.journal.add_rebalance_moves(1);
+                }
+            }
+            Outcome::Empty if drain => self.note_drain_abort(),
+            Outcome::Empty => {}
+            Outcome::TimedOut => {
+                let step = round.phase.resent_step();
+                self.warn("round_aborted", round.receiver, round.id, step, now);
+                self.journal.add_rounds_aborted(1);
+                if drain {
+                    // Drain-round aborts almost always mean the *sender*
+                    // (the draining engine) is sick, not the receiver —
+                    // count them toward the spill degradation instead of
+                    // peer death.
+                    self.note_drain_abort();
+                } else {
+                    let receiver = round.receiver;
+                    let aborts = self.consecutive_aborts.entry(receiver).or_insert(0);
+                    *aborts += 1;
+                    let aborts = *aborts;
+                    if aborts >= PEER_DEATH_THRESHOLD && !self.dead_peers.contains(&receiver) {
+                        self.dead_peers.push(receiver);
+                        self.warn(
+                            "peer_declared_dead",
+                            receiver,
+                            round.id,
+                            u64::from(aborts),
+                            now,
+                        );
+                    }
+                }
+            }
+        }
+        round
     }
 
-    /// Poll the phase deadline. Returns the recovery action the driver
-    /// must execute if the current phase has timed out at `now`:
-    /// re-send the phase message (bounded) or abort the round. `None`
-    /// when no round is active, no policy is set, or the deadline has
-    /// not passed.
-    pub fn check_timeout(&mut self, now: VirtualTime) -> Option<TimeoutAction> {
-        let policy = self.retry?;
-        let deadline = self.phase_deadline?;
-        if now < deadline {
+    /// Poll the phase deadline of a patient coordinator's round: once it
+    /// passed, re-send the phase's message with the next attempt, or —
+    /// retries exhausted — abandon the round. `None` when nothing is
+    /// due.
+    pub fn check_timeout(&mut self, now: VirtualTime) -> Option<Command> {
+        if !self.patient {
             return None;
         }
-        let active = self.active_round.as_ref()?;
-        let round = active.round();
-        let (sender, receiver) = (active.sender(), active.receiver());
-        let step: u64 = match active.phase() {
-            Phase::WaitPtv => 1,
-            Phase::WaitAck => 4,
-            Phase::Done => return None,
-        };
-        if self.attempt < policy.max_retries {
-            self.attempt += 1;
-            self.phase_deadline = Some(now + policy.phase_timeout);
+        let r = self.round.as_mut().filter(|r| now >= r.deadline)?;
+        if r.attempt < MAX_RETRIES {
+            r.attempt += 1;
+            r.deadline = now + PHASE_TIMEOUT;
             self.journal.record(
                 now,
                 AdaptEvent::ProtocolWarning {
                     code: "phase_timeout_retry",
-                    engine: sender,
-                    round,
-                    detail: step,
+                    engine: r.sender,
+                    round: r.id,
+                    detail: r.phase.resent_step(),
                 },
             );
             self.journal.add_msgs_retried(1);
-            let attempt = self.attempt;
-            return Some(match active.phase() {
-                Phase::WaitPtv => TimeoutAction::RetryCptv {
-                    round,
-                    sender,
-                    amount: active.amount(),
-                    attempt,
+            return Some(match r.phase {
+                Phase::WaitPtv => Command::Cptv {
+                    round: r.id,
+                    sender: r.sender,
+                    amount: r.amount,
+                    attempt: r.attempt,
                 },
-                Phase::WaitAck => TimeoutAction::RetrySendStates {
-                    round,
-                    sender,
-                    receiver,
-                    parts: active.parts().to_vec(),
-                    attempt,
+                Phase::WaitAck => Command::SendStates {
+                    round: r.id,
+                    sender: r.sender,
+                    receiver: r.receiver,
+                    parts: r.parts.clone(),
+                    attempt: r.attempt,
                 },
-                Phase::Done => unreachable!("filtered above"),
             });
         }
-        // Retries exhausted: abandon the round.
-        let purpose = active.purpose();
-        let (parts, held_since) = match active.phase() {
-            Phase::WaitAck => (active.parts().to_vec(), Some(active.paused_at())),
-            _ => (Vec::new(), None),
-        };
-        self.journal.record(
-            now,
-            AdaptEvent::ProtocolWarning {
-                code: "round_aborted",
-                engine: receiver,
-                round,
-                detail: step,
-            },
-        );
-        self.journal.add_rounds_aborted(1);
-        self.active_round = None;
-        self.phase_deadline = None;
-        self.relocations_aborted += 1;
-        if purpose == RoundPurpose::Drain {
-            // Drain-round aborts almost always mean the *sender* (the
-            // draining engine) is sick, not the receiver — count them
-            // toward the spill degradation instead of peer death.
-            self.note_drain_abort();
-        } else {
-            let aborts = self.consecutive_aborts.entry(receiver).or_insert(0);
-            *aborts += 1;
-            if *aborts >= policy.peer_death_threshold && !self.dead_peers.contains(&receiver) {
-                self.dead_peers.push(receiver);
-                self.journal.record(
-                    now,
-                    AdaptEvent::ProtocolWarning {
-                        code: "peer_declared_dead",
-                        engine: receiver,
-                        round,
-                        detail: u64::from(*aborts),
-                    },
-                );
-            }
-        }
-        Some(TimeoutAction::AbortRound {
-            round,
-            sender,
-            receiver,
-            parts,
-            held_since,
+        let r = self.close(Outcome::TimedOut, now);
+        Some(Command::Abort {
+            round: r.id,
+            sender: r.sender,
+            receiver: r.receiver,
+            paused: (r.phase == Phase::WaitAck).then_some((r.parts, r.paused_at)),
         })
     }
 
-    /// The id and amount of the active round (for issuing `Cptv`).
-    pub fn active_round_info(&self) -> Option<(u64, EngineId, EngineId, u64)> {
-        self.active_round
-            .as_ref()
-            .map(|r| (r.round(), r.sender(), r.receiver(), r.amount()))
-    }
-
-    /// True if `round` names a round that already finished (completed
-    /// or aborted) — the signature of a late or duplicated message.
-    fn is_stale_round(&self, round: u64) -> bool {
-        round < self.next_round
-            && self
-                .active_round
-                .as_ref()
-                .is_none_or(|active| round != active.round())
+    /// Engines only echo round ids the coordinator sent them: one it
+    /// never opened is a protocol error.
+    fn check_opened(&self, round: u64, event: &str) -> Result<()> {
+        if round >= self.next_round {
+            return Err(DcapeError::protocol(format!(
+                "{event} for round {round}, which was never opened"
+            )));
+        }
+        Ok(())
     }
 
     /// Journal a tolerated protocol anomaly.
@@ -870,33 +861,43 @@ impl GlobalCoordinator {
     }
 
     /// Step 2: the sender's partition list arrived at virtual time
-    /// `now`.
+    /// `now`. Step 3 follows at once, so the receiver's ack is awaited
+    /// from `now`.
     ///
-    /// Returns `Ok(None)` for a late or duplicated message — a `Ptv`
-    /// for a round that already finished, or a re-delivered `Ptv` for
-    /// the active round — journaled as a warning instead of poisoning
-    /// the coordinator (a retried message must never wedge adaptation).
+    /// A late or duplicated `Ptv` — for a round that already closed, or
+    /// a second copy for the round in flight — is journaled as a warning
+    /// instead of poisoning the coordinator (a retried message must
+    /// never wedge adaptation).
     pub fn on_ptv(
         &mut self,
         from: EngineId,
         round: u64,
         parts: Vec<PartitionId>,
         now: VirtualTime,
-    ) -> Result<Option<Action>> {
-        if self.is_stale_round(round) || self.active_round.is_none() {
+    ) -> Result<Option<Command>> {
+        self.check_opened(round, "ptv")?;
+        let Some(r) = self.round.as_mut().filter(|r| r.id == round) else {
             self.warn("stale_ptv", from, round, 2, now);
-            return Ok(None);
+            // Unless it is sending the round in flight, resume the engine
+            // a late `Cptv` may have put back in relocation mode.
+            let sending = self.round.as_ref().is_some_and(|r| r.sender == from);
+            return Ok((!sending).then_some(Command::Resume {
+                round,
+                engine: from,
+            }));
+        };
+        if from != r.sender {
+            return Err(DcapeError::protocol(format!(
+                "ptv from {from}, expected sender {}",
+                r.sender
+            )));
         }
-        let active = self.active_round.as_mut().expect("checked above");
-        if *active.phase() != Phase::WaitPtv && from == active.sender() {
-            // Re-delivered Ptv for the round in flight: the first copy
-            // already advanced the phase; this one is a no-op.
+        if r.phase != Phase::WaitPtv {
+            // The first copy already advanced the round.
             self.warn("duplicate_ptv", from, round, 2, now);
             return Ok(None);
         }
-        let (sender, receiver) = (active.sender(), active.receiver());
-        let event_parts = parts.clone();
-        let action = active.on_ptv(from, round, parts, now)?;
+        let (sender, receiver) = (r.sender, r.receiver);
         self.journal.record(
             now,
             AdaptEvent::RelocationStep {
@@ -904,82 +905,80 @@ impl GlobalCoordinator {
                 step: 2,
                 sender,
                 receiver,
-                parts: event_parts,
+                parts: parts.clone(),
                 bytes: 0,
                 buffered_tuples: 0,
                 load_ratio: 0.0,
             },
         );
-        if matches!(action, Action::Abort) {
-            let purpose = self
-                .active_round
-                .as_ref()
-                .map_or(RoundPurpose::Balance, RelocationRound::purpose);
-            self.active_round = None;
-            self.phase_deadline = None;
-            self.relocations_aborted += 1;
-            if purpose == RoundPurpose::Drain {
-                self.note_drain_abort();
-            }
-        } else {
-            // Step 3 pauses immediately; the WaitAck phase starts now.
-            self.arm_phase(now);
+        if parts.is_empty() {
+            self.close(Outcome::Empty, now);
+            return Ok(Some(Command::Empty { round, sender }));
         }
-        Ok(Some(action))
+        r.phase = Phase::WaitAck;
+        r.parts = parts.clone();
+        r.paused_at = now;
+        r.attempt = 0;
+        r.deadline = now + PHASE_TIMEOUT;
+        Ok(Some(Command::Pause {
+            round,
+            sender,
+            receiver,
+            parts,
+        }))
     }
 
-    /// Step 6: the receiver's transfer ack arrived at virtual time
-    /// `now`. Returns the final remap-and-resume action and closes the
-    /// round.
+    /// Step 6: the receiver's transfer ack — it installed `bytes` —
+    /// arrived at virtual time `now`; the round closes.
     ///
-    /// Returns `Ok(None)` for a late or duplicated ack (a retried
-    /// transfer can deliver the same ack twice; the round may have
-    /// completed — or aborted — by the time the second copy lands).
+    /// A late or duplicated ack (a retried transfer can deliver the same
+    /// ack twice; the round may have completed — or aborted — by the
+    /// time the second copy lands) is journaled as a warning.
     pub fn on_transfer_ack(
         &mut self,
         from: EngineId,
         round: u64,
+        bytes: u64,
         now: VirtualTime,
-    ) -> Result<Option<Action>> {
-        if self.is_stale_round(round) || self.active_round.is_none() {
+    ) -> Result<Option<Command>> {
+        self.check_opened(round, "transfer_ack")?;
+        let Some(r) = self.round.as_ref().filter(|r| r.id == round) else {
             self.warn("stale_transfer_ack", from, round, 6, now);
             return Ok(None);
+        };
+        if from != r.receiver {
+            return Err(DcapeError::protocol(format!(
+                "transfer_ack from {from}, expected receiver {}",
+                r.receiver
+            )));
         }
-        let active = self.active_round.as_mut().expect("checked above");
-        let (sender, receiver) = (active.sender(), active.receiver());
-        let purpose = active.purpose();
-        let action = active.on_transfer_ack(from, round)?;
-        debug_assert!(active.is_done());
+        if r.phase != Phase::WaitAck {
+            return Err(DcapeError::protocol(format!(
+                "transfer_ack for round {round} before its ptv"
+            )));
+        }
         self.journal.record(
             now,
             AdaptEvent::RelocationStep {
                 round,
                 step: 6,
-                sender,
-                receiver,
+                sender: r.sender,
+                receiver: r.receiver,
                 parts: Vec::new(),
                 bytes: 0,
                 buffered_tuples: 0,
                 load_ratio: 0.0,
             },
         );
-        self.active_round = None;
-        self.phase_deadline = None;
-        self.relocations_completed += 1;
-        // A completed round proves the receiver is alive.
-        self.consecutive_aborts.insert(receiver, 0);
-        match purpose {
-            RoundPurpose::Drain => {
-                if let Some(ctl) = self.drain.as_mut() {
-                    ctl.moves += 1;
-                    ctl.consecutive_aborts = 0;
-                }
-                self.journal.add_rebalance_moves(1);
-            }
-            RoundPurpose::JoinRebalance => self.journal.add_rebalance_moves(1),
-            RoundPurpose::Balance => {}
-        }
-        Ok(Some(action))
+        let r = self.close(Outcome::Moved, now);
+        Ok(Some(Command::Remap {
+            round,
+            sender: r.sender,
+            receiver: r.receiver,
+            parts: r.parts,
+            bytes,
+            held_since: r.paused_at,
+        }))
     }
 
     /// Count a drain-round abort toward the forced-spill degradation.
@@ -997,283 +996,308 @@ impl GlobalCoordinator {
 mod tests {
     use super::*;
     use crate::strategy::test_support::report;
-    use dcape_common::time::VirtualDuration;
 
     fn imbalanced() -> ClusterStats {
         ClusterStats::new(vec![report(0, 1000, 1.0), report(1, 100, 1.0)])
     }
 
-    fn lazy() -> GlobalCoordinator {
-        GlobalCoordinator::new(&StrategyConfig::LazyDisk {
+    /// Lazy-disk over two engines, relocating on every imbalance.
+    fn lazy(patient: bool) -> GlobalCoordinator {
+        let strategy = StrategyConfig::LazyDisk {
             theta_r: 0.8,
             tau_m: VirtualDuration::ZERO,
-        })
+        };
+        GlobalCoordinator::new(&strategy, 2, 2, JournalHandle::with_capacity(256), patient)
     }
+
+    /// Let the strategy open a round at `now`: its id and amount.
+    fn open_round(gc: &mut GlobalCoordinator, now: VirtualTime) -> (u64, u64) {
+        match gc.evaluate(&imbalanced(), now).unwrap() {
+            Some(Command::Cptv {
+                round,
+                sender: EngineId(0),
+                amount,
+                attempt: 0,
+            }) => (round, amount),
+            other => panic!("expected a round from QE0, got {other:?}"),
+        }
+    }
+
+    /// Poll the deadline once a phase timeout from `now` until the round
+    /// is abandoned; the retries on the way and the abort.
+    fn time_out(gc: &mut GlobalCoordinator, mut now: VirtualTime) -> (Vec<Command>, Command) {
+        let mut retries = Vec::new();
+        loop {
+            now += PHASE_TIMEOUT;
+            match gc.check_timeout(now).expect("a deadline passed") {
+                abort @ Command::Abort { .. } => return (retries, abort),
+                retry => retries.push(retry),
+            }
+        }
+    }
+
+    fn warnings(gc: &GlobalCoordinator) -> Vec<&'static str> {
+        gc.journal
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                AdaptEvent::ProtocolWarning { code, .. } => Some(code),
+                _ => None,
+            })
+            .collect()
+    }
+
+    const E0: EngineId = EngineId(0);
+    const E1: EngineId = EngineId(1);
 
     #[test]
     fn full_relocation_lifecycle() {
-        let mut gc = lazy();
+        let mut gc = lazy(false);
         assert!(!gc.relocation_active());
-        let d = gc
-            .evaluate(&imbalanced(), VirtualTime::from_secs(1))
-            .unwrap();
-        let Decision::Relocate {
-            sender,
-            receiver,
-            amount,
-        } = d
-        else {
-            panic!("expected relocation, got {d:?}");
-        };
+        let (round, _) = open_round(&mut gc, VirtualTime::from_secs(1));
         assert!(gc.relocation_active());
-        let (round, s, r, a) = gc.active_round_info().unwrap();
-        assert_eq!((s, r, a), (sender, receiver, amount));
-
-        // While active, further evaluations do nothing.
-        let d2 = gc
-            .evaluate(&imbalanced(), VirtualTime::from_secs(2))
-            .unwrap();
-        assert_eq!(d2, Decision::None);
-
-        let action = gc
-            .on_ptv(
-                sender,
+        // While a round is in flight, further evaluations do nothing.
+        assert_eq!(
+            gc.evaluate(&imbalanced(), VirtualTime::from_secs(2))
+                .unwrap(),
+            None
+        );
+        let parts = vec![PartitionId(1), PartitionId(2)];
+        assert_eq!(
+            gc.on_ptv(E0, round, parts.clone(), VirtualTime::from_secs(3))
+                .unwrap(),
+            Some(Command::Pause {
                 round,
-                vec![PartitionId(1), PartitionId(2)],
-                VirtualTime::from_secs(3),
-            )
-            .unwrap();
-        assert!(matches!(action, Some(Action::PauseAndTransfer { .. })));
-        let action = gc
-            .on_transfer_ack(receiver, round, VirtualTime::from_secs(4))
-            .unwrap();
-        assert!(matches!(action, Some(Action::RemapAndResume { .. })));
+                sender: E0,
+                receiver: E1,
+                parts: parts.clone(),
+            })
+        );
+        assert_eq!(
+            gc.on_transfer_ack(E1, round, 500, VirtualTime::from_secs(4))
+                .unwrap(),
+            Some(Command::Remap {
+                round,
+                sender: E0,
+                receiver: E1,
+                parts,
+                bytes: 500,
+                held_since: VirtualTime::from_secs(3),
+            })
+        );
         assert!(!gc.relocation_active());
-        assert_eq!(gc.relocations_completed(), 1);
-        assert_eq!(gc.relocations_aborted(), 0);
+        let steps: Vec<u8> = gc
+            .journal
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                AdaptEvent::RelocationStep { step, .. } => Some(step),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps, [1, 2, 6]);
     }
 
     #[test]
-    fn abort_on_empty_ptv() {
-        let mut gc = lazy();
-        let Decision::Relocate { sender, .. } = gc
-            .evaluate(&imbalanced(), VirtualTime::from_secs(1))
-            .unwrap()
-        else {
-            panic!()
-        };
-        let (round, ..) = gc.active_round_info().unwrap();
-        let action = gc
-            .on_ptv(sender, round, vec![], VirtualTime::from_secs(2))
-            .unwrap();
-        assert_eq!(action, Some(Action::Abort));
+    fn empty_ptv_closes_the_round() {
+        let mut gc = lazy(false);
+        let (round, _) = open_round(&mut gc, VirtualTime::from_secs(1));
+        assert_eq!(
+            gc.on_ptv(E0, round, vec![], VirtualTime::from_secs(2))
+                .unwrap(),
+            Some(Command::Empty { round, sender: E0 })
+        );
         assert!(!gc.relocation_active());
-        assert_eq!(gc.relocations_aborted(), 1);
-        assert_eq!(gc.relocations_completed(), 0);
+        // The next imbalance opens the next round.
+        assert_eq!(open_round(&mut gc, VirtualTime::from_secs(3)).0, round + 1);
     }
 
     #[test]
     fn stale_and_duplicate_messages_are_warnings_not_errors() {
-        let mut gc = lazy();
-        gc.set_journal(JournalHandle::with_capacity(64));
-        // No round at all: late messages are tolerated.
+        let mut gc = lazy(false);
+        let (round, _) = open_round(&mut gc, VirtualTime::from_secs(1));
+        let t = VirtualTime::from_secs(2);
+        let parts = vec![PartitionId(1)];
+        assert!(gc.on_ptv(E0, round, parts.clone(), t).unwrap().is_some());
+        // The Ptv again, while the round waits for its ack: a no-op.
+        assert_eq!(gc.on_ptv(E0, round, parts.clone(), t).unwrap(), None);
+        assert!(gc.on_transfer_ack(E1, round, 0, t).unwrap().is_some());
+        // A retried ack for the closed round: tolerated, still closed.
+        assert_eq!(gc.on_transfer_ack(E1, round, 0, t).unwrap(), None);
+        // A late Ptv of the closed round: its sender may be idling in
+        // relocation mode, so it is resumed…
         assert_eq!(
-            gc.on_ptv(EngineId(0), 0, vec![], VirtualTime::ZERO)
-                .unwrap(),
-            None
+            gc.on_ptv(E0, round, parts.clone(), t).unwrap(),
+            Some(Command::Resume { round, engine: E0 })
         );
+        // …unless it is the sender of the round now in flight.
+        open_round(&mut gc, VirtualTime::from_secs(3));
+        assert_eq!(gc.on_ptv(E0, round, parts, t).unwrap(), None);
         assert_eq!(
-            gc.on_transfer_ack(EngineId(0), 0, VirtualTime::ZERO)
-                .unwrap(),
-            None
+            warnings(&gc),
+            [
+                "duplicate_ptv",
+                "stale_transfer_ack",
+                "stale_ptv",
+                "stale_ptv"
+            ]
         );
-        // Run a full round, then replay its messages: both are stale.
-        let Decision::Relocate {
-            sender, receiver, ..
-        } = gc
-            .evaluate(&imbalanced(), VirtualTime::from_secs(1))
-            .unwrap()
-        else {
-            panic!()
-        };
-        let (round, ..) = gc.active_round_info().unwrap();
-        // Duplicate Ptv while the round is in WaitAck: no-op.
-        gc.on_ptv(
-            sender,
-            round,
-            vec![PartitionId(1)],
-            VirtualTime::from_secs(2),
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(
-            gc.on_ptv(
-                sender,
-                round,
-                vec![PartitionId(1)],
-                VirtualTime::from_secs(2)
-            )
-            .unwrap(),
-            None
+    }
+
+    #[test]
+    fn wrong_party_wrong_phase_and_future_rounds_are_errors() {
+        let mut gc = lazy(false);
+        let t = VirtualTime::from_secs(1);
+        assert!(gc.on_ptv(E0, 0, vec![], t).is_err(), "no round opened yet");
+        assert!(gc.on_transfer_ack(E1, 0, 0, t).is_err());
+        let (round, _) = open_round(&mut gc, t);
+        assert!(gc.on_ptv(E0, round + 1, vec![], t).is_err(), "future round");
+        assert!(
+            gc.on_transfer_ack(E1, round, 0, t).is_err(),
+            "ack before ptv"
         );
-        gc.on_transfer_ack(receiver, round, VirtualTime::from_secs(3))
+        assert!(
+            gc.on_ptv(E1, round, vec![], t).is_err(),
+            "ptv from receiver"
+        );
+        gc.on_ptv(E0, round, vec![PartitionId(1)], t)
             .unwrap()
             .unwrap();
-        // Retried ack for the completed round: tolerated, still closed.
-        assert_eq!(
-            gc.on_transfer_ack(receiver, round, VirtualTime::from_secs(4))
-                .unwrap(),
-            None
+        assert!(
+            gc.on_transfer_ack(E0, round, 0, t).is_err(),
+            "ack from sender"
         );
-        assert_eq!(gc.relocations_completed(), 1);
-        let warnings: Vec<_> = gc
-            .journal
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.event.kind() == "protocol_warning")
-            .collect();
-        assert_eq!(warnings.len(), 4);
+        // None of them disturbed the round.
+        assert!(matches!(
+            gc.on_transfer_ack(E1, round, 0, t).unwrap(),
+            Some(Command::Remap { .. })
+        ));
+    }
+
+    #[test]
+    fn a_round_never_relocates_onto_its_sender() {
+        let mut gc = lazy(false);
+        let t = VirtualTime::ZERO;
+        assert!(gc.open(E0, E0, 10, Purpose::Balance, 0.0, t).is_err());
+        assert!(!gc.relocation_active());
+    }
+
+    #[test]
+    fn an_impatient_coordinator_waits_forever() {
+        let mut gc = lazy(false);
+        open_round(&mut gc, VirtualTime::from_secs(1));
+        assert_eq!(gc.check_timeout(VirtualTime::from_mins(60)), None);
+        assert!(gc.relocation_active());
     }
 
     #[test]
     fn phase_timeout_retries_then_aborts() {
-        let mut gc = lazy();
-        gc.set_journal(JournalHandle::with_capacity(64));
-        gc.set_retry_policy(RetryPolicy {
-            phase_timeout: VirtualDuration::from_secs(1),
-            max_retries: 2,
-            peer_death_threshold: 2,
-        });
-        // Without an active round, no timeout fires.
+        let mut gc = lazy(true);
+        // Without a round, no timeout fires.
         assert_eq!(gc.check_timeout(VirtualTime::from_secs(100)), None);
-        let Decision::Relocate { sender, amount, .. } = gc
-            .evaluate(&imbalanced(), VirtualTime::from_secs(1))
-            .unwrap()
-        else {
-            panic!()
-        };
-        let (round, ..) = gc.active_round_info().unwrap();
+        let start = VirtualTime::from_secs(100);
+        let (round, amount) = open_round(&mut gc, start);
         // Before the deadline: nothing.
-        assert_eq!(gc.check_timeout(VirtualTime::from_millis(1500)), None);
-        // First expiry: retry Cptv with attempt 1.
         assert_eq!(
-            gc.check_timeout(VirtualTime::from_secs(2)),
-            Some(TimeoutAction::RetryCptv {
-                round,
-                sender,
-                amount,
-                attempt: 1,
-            })
+            gc.check_timeout(start + VirtualDuration::from_secs(1)),
+            None
         );
-        assert_eq!(gc.current_attempt(), 1);
-        // Second expiry: retry with attempt 2 (the cap).
-        assert!(matches!(
-            gc.check_timeout(VirtualTime::from_secs(3)),
-            Some(TimeoutAction::RetryCptv { attempt: 2, .. })
-        ));
-        // Third expiry: retries exhausted, round aborts in WaitPtv
-        // (nothing was paused).
-        let abort = gc.check_timeout(VirtualTime::from_secs(4)).unwrap();
-        assert!(matches!(
-            &abort,
-            TimeoutAction::AbortRound {
-                parts,
-                held_since: None,
-                ..
-            } if parts.is_empty()
-        ));
+        let (retries, abort) = time_out(&mut gc, start);
+        let expected: Vec<Command> = (1..=MAX_RETRIES)
+            .map(|attempt| Command::Cptv {
+                round,
+                sender: E0,
+                amount,
+                attempt,
+            })
+            .collect();
+        assert_eq!(retries, expected);
+        // It died waiting for its partition list: nothing was paused.
+        assert_eq!(
+            abort,
+            Command::Abort {
+                round,
+                sender: E0,
+                receiver: E1,
+                paused: None,
+            }
+        );
         assert!(!gc.relocation_active());
-        assert_eq!(gc.relocations_aborted(), 1);
         let c = gc.journal.counters().unwrap().snapshot();
-        assert_eq!(c.msgs_retried, 2);
+        assert_eq!(c.msgs_retried, u64::from(MAX_RETRIES));
         assert_eq!(c.rounds_aborted, 1);
         // No round anymore: the poll goes quiet.
-        assert_eq!(gc.check_timeout(VirtualTime::from_secs(5)), None);
+        assert_eq!(gc.check_timeout(VirtualTime::from_mins(60)), None);
     }
 
     #[test]
     fn wait_ack_timeout_aborts_with_paused_parts() {
-        let mut gc = lazy();
-        gc.set_retry_policy(RetryPolicy {
-            phase_timeout: VirtualDuration::from_secs(1),
-            max_retries: 0,
-            peer_death_threshold: 99,
-        });
-        let Decision::Relocate {
-            sender, receiver, ..
-        } = gc
-            .evaluate(&imbalanced(), VirtualTime::from_secs(1))
+        let mut gc = lazy(true);
+        let (round, _) = open_round(&mut gc, VirtualTime::from_secs(1));
+        let paused_at = VirtualTime::from_secs(2);
+        gc.on_ptv(E0, round, vec![PartitionId(4)], paused_at)
             .unwrap()
-        else {
-            panic!()
-        };
-        let (round, ..) = gc.active_round_info().unwrap();
-        gc.on_ptv(
-            sender,
-            round,
-            vec![PartitionId(4)],
-            VirtualTime::from_secs(2),
-        )
-        .unwrap()
-        .unwrap();
-        // The WaitAck phase re-armed at the Ptv; zero retries allowed,
-        // so the first expiry aborts and carries the paused parts.
-        let abort = gc.check_timeout(VirtualTime::from_secs(3)).unwrap();
+            .unwrap();
+        // The WaitAck phase armed at the Ptv: its retries re-send step 4.
+        assert_eq!(gc.check_timeout(VirtualTime::from_millis(3999)), None);
+        let (retries, abort) = time_out(&mut gc, paused_at);
+        assert!(retries.iter().enumerate().all(|(i, c)| *c
+            == Command::SendStates {
+                round,
+                sender: E0,
+                receiver: E1,
+                parts: vec![PartitionId(4)],
+                attempt: i as u32 + 1,
+            }));
+        assert_eq!(retries.len(), MAX_RETRIES as usize);
         assert_eq!(
             abort,
-            TimeoutAction::AbortRound {
+            Command::Abort {
                 round,
-                sender,
-                receiver,
-                parts: vec![PartitionId(4)],
-                held_since: Some(VirtualTime::from_secs(2)),
+                sender: E0,
+                receiver: E1,
+                paused: Some((vec![PartitionId(4)], paused_at)),
             }
         );
     }
 
     #[test]
     fn repeated_aborts_declare_peer_dead_and_degrade_to_spill() {
-        let mut gc = lazy();
-        gc.set_retry_policy(RetryPolicy {
-            phase_timeout: VirtualDuration::from_secs(1),
-            max_retries: 0,
-            peer_death_threshold: 2,
-        });
+        let mut gc = lazy(true);
         let mut now = VirtualTime::from_secs(1);
-        for _ in 0..2 {
-            let Decision::Relocate { .. } = gc.evaluate(&imbalanced(), now).unwrap() else {
-                panic!()
-            };
-            now += VirtualDuration::from_secs(10);
-            assert!(matches!(
-                gc.check_timeout(now),
-                Some(TimeoutAction::AbortRound { .. })
-            ));
-            now += VirtualDuration::from_secs(10);
+        for _ in 0..PEER_DEATH_THRESHOLD {
+            open_round(&mut gc, now);
+            time_out(&mut gc, now);
+            now += VirtualDuration::from_secs(60);
         }
-        assert_eq!(gc.dead_peers().len(), 1);
-        // The same imbalance now degrades to a local force-spill at
-        // the overloaded sender.
-        let d = gc.evaluate(&imbalanced(), now).unwrap();
-        assert!(
-            matches!(d, Decision::ForceSpill { engine, .. } if engine == EngineId(0)),
-            "expected degraded spill, got {d:?}"
+        assert_eq!(gc.dead_peers, [E1]);
+        // The same imbalance now degrades to a local force-spill at the
+        // overloaded sender.
+        assert_eq!(
+            gc.evaluate(&imbalanced(), now).unwrap(),
+            Some(Command::Spill {
+                engine: E0,
+                amount: 450,
+            })
         );
         assert_eq!(gc.force_spills_issued(), 1);
+        let w = warnings(&gc);
+        assert!(w.contains(&"peer_declared_dead") && w.contains(&"relocation_degraded_to_spill"));
     }
 
     #[test]
     fn force_spill_counter() {
-        let mut gc = GlobalCoordinator::new(&StrategyConfig::ActiveDisk {
+        let strategy = StrategyConfig::ActiveDisk {
             theta_r: 0.8,
             tau_m: VirtualDuration::ZERO,
             lambda: 2.0,
             spill_fraction: 0.3,
             force_spill_cap: 1 << 30,
-        });
+        };
+        let mut gc = GlobalCoordinator::new(&strategy, 2, 2, JournalHandle::disabled(), false);
         let stats = ClusterStats::new(vec![report(0, 1000, 10.0), report(1, 950, 1.0)]);
-        let d = gc.evaluate(&stats, VirtualTime::from_secs(1)).unwrap();
-        assert!(matches!(d, Decision::ForceSpill { .. }));
+        let cmd = gc.evaluate(&stats, VirtualTime::from_secs(1)).unwrap();
+        assert!(matches!(cmd, Some(Command::Spill { .. })), "{cmd:?}");
         assert_eq!(gc.force_spills_issued(), 1);
         assert_eq!(gc.strategy_name(), "active-disk");
     }

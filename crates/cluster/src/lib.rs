@@ -20,20 +20,21 @@
 //! Supporting modules: [`placement`] (partition → engine map with the
 //! split operator's pause/buffer behaviour), [`netmodel`] (virtual-time
 //! transfer costs), [`stats`] (cluster-wide view of engine reports),
-//! [`messages`] (the protocol vocabulary), [`relocation`] (the
-//! coordinator-side protocol state machine), [`strategy`] and
-//! [`coordinator`].
+//! [`messages`] (the protocol vocabulary), [`strategy`] and
+//! [`coordinator`] (the adaptation decisions and the coordinator's side
+//! of each relocation round); [`testing`] is what the cluster suites
+//! share.
 
 pub mod coordinator;
 pub mod faults;
 pub mod messages;
 pub mod netmodel;
 pub mod placement;
-pub mod relocation;
 pub mod runtime;
 pub mod split;
 pub mod stats;
 pub mod strategy;
+pub mod testing;
 pub mod wire;
 
 pub use coordinator::GlobalCoordinator;

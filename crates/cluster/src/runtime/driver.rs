@@ -44,15 +44,13 @@ use dcape_metrics::journal::{
 };
 use dcape_streamgen::StreamSetGenerator;
 
-use crate::coordinator::{DrainStep, EngineState, GlobalCoordinator, RetryPolicy, TimeoutAction};
+use crate::coordinator::{Command, EngineState, GlobalCoordinator};
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, ToEngine};
 use crate::placement::{released_batch, PlacementMap, Route};
-use crate::relocation::Action;
 use crate::runtime::sim::{RelocationEvent, ScaleAction, ScaleEvent, SimConfig};
 use crate::split::SplitOperator;
 use crate::stats::ClusterStats;
-use crate::strategy::Decision;
 
 /// Generator ticks one data batch may span before it is sent.
 const MAX_BATCH_TICKS: u32 = 64;
@@ -163,9 +161,6 @@ pub(crate) struct CoordinatorRun<T: Transport> {
     /// strategy record into it too).
     journal: JournalHandle,
     plan: FaultPlan,
-    /// A retry policy is armed (something can lose a message): poll
-    /// phase deadlines and held sends every generator tick.
-    patient: bool,
     windowed: bool,
     tick_timer: PeriodicTimer,
     stats_timer: PeriodicTimer,
@@ -220,12 +215,13 @@ impl<T: Transport> CoordinatorRun<T> {
         // Everything indexed by engine is provisioned at peak capacity
         // up front, so a join never reshapes shared structures mid-run.
         let capacity = cfg.capacity();
-        let mut gc = GlobalCoordinator::new(&cfg.strategy);
-        gc.init_membership(cfg.num_engines, capacity);
-        gc.set_journal(journal.clone());
-        if patient {
-            gc.set_retry_policy(RetryPolicy::default());
-        }
+        let gc = GlobalCoordinator::new(
+            &cfg.strategy,
+            cfg.num_engines,
+            capacity,
+            journal.clone(),
+            patient,
+        );
         let mut scale_events = cfg.scale_events.clone();
         scale_events.sort_by_key(|e| e.at);
         for i in 0..cfg.num_engines {
@@ -239,7 +235,6 @@ impl<T: Transport> CoordinatorRun<T> {
             gc,
             journal,
             plan: cfg.faults,
-            patient,
             windowed: cfg.engine.join.window.is_some(),
             tick_timer: PeriodicTimer::new(VirtualDuration::from_secs(1), VirtualTime::ZERO),
             stats_timer: PeriodicTimer::new(cfg.stats_interval, VirtualTime::ZERO),
@@ -332,7 +327,9 @@ impl<T: Transport> CoordinatorRun<T> {
                 self.flush_pending()?;
                 self.handle_msg(msg)?;
             }
-            if self.patient {
+            // Only a fault plan holds messages, and only a patient
+            // coordinator times a phase out: skip both per tick otherwise.
+            if self.gc.is_patient() {
                 self.release_due()?;
                 self.poll_timeouts()?;
             }
@@ -583,21 +580,7 @@ impl<T: Transport> CoordinatorRun<T> {
         }
     }
 
-    fn issue_cptv(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        amount: u64,
-        attempt: u32,
-    ) -> Result<()> {
-        self.chaos_send(FaultEdge::Cptv, round, attempt, sender, || ToEngine::Cptv {
-            round,
-            amount,
-            attempt,
-        })
-    }
-
-    fn issue_send_states(
+    fn send_states(
         &mut self,
         round: u64,
         sender: EngineId,
@@ -630,72 +613,11 @@ impl<T: Transport> CoordinatorRun<T> {
     /// re-arms the deadline in the future or closes the round, so the
     /// loop terminates.
     fn poll_timeouts(&mut self) -> Result<()> {
-        while let Some(action) = self.gc.check_timeout(self.now) {
+        while let Some(cmd) = self.gc.check_timeout(self.now) {
             self.flush_pending()?;
-            match action {
-                TimeoutAction::RetryCptv {
-                    round,
-                    sender,
-                    amount,
-                    attempt,
-                } => self.issue_cptv(round, sender, amount, attempt)?,
-                TimeoutAction::RetrySendStates {
-                    round,
-                    sender,
-                    receiver,
-                    parts,
-                    attempt,
-                } => self.issue_send_states(round, sender, receiver, parts, attempt)?,
-                TimeoutAction::AbortRound {
-                    round,
-                    sender,
-                    receiver,
-                    parts,
-                    held_since,
-                } => self.abort_round(round, sender, receiver, parts, held_since)?,
-            }
+            self.execute(cmd)?;
         }
         Ok(())
-    }
-
-    /// Unwind a round whose retries are exhausted.
-    fn abort_round(
-        &mut self,
-        round: u64,
-        sender: EngineId,
-        receiver: EngineId,
-        parts: Vec<PartitionId>,
-        held_since: Option<VirtualTime>,
-    ) -> Result<()> {
-        // Delayed copies of this round's control messages are moot — the
-        // engines would treat them as stale — so don't release them.
-        self.held.retain(|(_, (_, m))| {
-            !matches!(m,
-                ToEngine::Cptv { round: r, .. } | ToEngine::SendStates { round: r, .. }
-                if *r == round)
-        });
-        // Abort notifications ride the reliable channel (an abort that
-        // can be lost is not an abort protocol). In send order: the
-        // sender reinstalls its retained copy before any replayed tuple
-        // reaches it.
-        self.transport
-            .send(receiver, ToEngine::AbortRound { round })?;
-        self.transport
-            .send(sender, ToEngine::AbortRound { round })?;
-        if !parts.is_empty() {
-            // Release without remapping: ownership never changed, so the
-            // buffered tuples replay to the original owner.
-            let released = self.placement.release_paused(&parts)?;
-            self.replay_released(released, sender)?;
-            if let Some(held_at) = held_since {
-                self.journal.add_watermark_held_ms(
-                    self.now.as_millis().saturating_sub(held_at.as_millis()),
-                );
-            }
-            self.journal.add_watermark_released_on_abort(1);
-        }
-        // The round slot is free again — keep any drain moving.
-        self.drain_continue()
     }
 
     /// Send the tuples a pause released to `target` as one
@@ -757,47 +679,6 @@ impl<T: Transport> CoordinatorRun<T> {
             .collect()
     }
 
-    /// Execute a drain step returned by
-    /// [`GlobalCoordinator::on_drain_state`].
-    fn handle_drain_step(&mut self, step: DrainStep) -> Result<()> {
-        match step {
-            DrainStep::Wait => Ok(()),
-            DrainStep::ForceSpill { engine, amount } => {
-                // The spill and the re-poll ride the reliable channel in
-                // order, so the next DrainState reflects the spill.
-                self.transport
-                    .send(engine, ToEngine::StartSpill { amount })?;
-                self.transport.send(engine, ToEngine::BeginDrain)
-            }
-            DrainStep::Relocate {
-                round,
-                sender,
-                amount,
-                ..
-            } => self.issue_cptv(round, sender, amount, 0),
-            // Move the engine's remaining (zero-state) partitions
-            // straight to `receiver` — pause and remap back-to-back, so
-            // nothing can buffer in between — then start the cleanup
-            // hand-off: flush any residual resident state to disk and
-            // have the engine forward every spilled segment to the new
-            // owners.
-            DrainStep::FinalizeRemap { engine, receiver } => {
-                let parts = self.placement.partitions_of(engine);
-                if !parts.is_empty() {
-                    self.placement.pause(&parts)?;
-                    let released = self.placement.remap_and_release(&parts, receiver)?;
-                    self.replay_released(released, receiver)?;
-                }
-                self.gc.drain_finalized(engine, parts.len(), self.now);
-                self.transport
-                    .send(engine, ToEngine::StartSpill { amount: u64::MAX })?;
-                let owners = self.owners()?;
-                self.transport
-                    .send(engine, ToEngine::PrepareCleanup { owners })
-            }
-        }
-    }
-
     // ---- engine messages ------------------------------------------------
 
     /// Journal a relocation step the coordinator executes itself (3, 7
@@ -853,7 +734,7 @@ impl<T: Transport> CoordinatorRun<T> {
     /// Act on one engine message (the run loop and the quiesce loop).
     fn handle_msg(&mut self, msg: FromEngine) -> Result<()> {
         let now = self.now;
-        match msg {
+        let cmd = match msg {
             FromEngine::Stats(report) => {
                 self.pending_stats[report.engine.index()] = Some(report);
                 // Completeness over the *active* set: draining engines
@@ -868,127 +749,25 @@ impl<T: Transport> CoordinatorRun<T> {
                     return Ok(());
                 }
                 self.awaiting_stats = false;
-                match self.gc.evaluate(&ClusterStats::new(reports), now)? {
-                    Decision::None => Ok(()),
-                    Decision::ForceSpill { engine, amount } => {
-                        self.transport.send(engine, ToEngine::StartSpill { amount })
-                    }
-                    Decision::Relocate { sender, .. } => {
-                        let (round, s, _r, amount) =
-                            self.gc.active_round_info().expect("round just opened");
-                        debug_assert_eq!(s, sender);
-                        self.issue_cptv(round, sender, amount, 0)
-                    }
-                }
+                self.gc.evaluate(&ClusterStats::new(reports), now)?
             }
             FromEngine::Ptv {
                 round,
                 engine,
                 parts,
-            } => {
-                let watermark = self.split.admitted_watermark();
-                match self.gc.on_ptv(engine, round, parts, now)? {
-                    // Stale or duplicated Ptv: already journaled. If its
-                    // round is gone and the engine is not the sender of
-                    // a live one, a Resume stops it idling in relocation
-                    // mode after a late Cptv re-entered it.
-                    None => {
-                        let active_sender = self.gc.active_round_info().map(|(_, s, _, _)| s);
-                        if active_sender != Some(engine) {
-                            self.transport
-                                .send(engine, ToEngine::Resume { round, watermark })?;
-                        }
-                        Ok(())
-                    }
-                    // Aborted rounds paused nothing, so the full
-                    // admitted watermark is already safe to release.
-                    Some(Action::Abort) => {
-                        self.transport
-                            .send(engine, ToEngine::Resume { round, watermark })?;
-                        self.drain_continue()
-                    }
-                    Some(Action::PauseAndTransfer {
-                        parts,
-                        sender,
-                        receiver,
-                    }) => {
-                        self.placement.pause(&parts)?;
-                        self.record_step(round, 3, sender, receiver, parts.clone(), 0);
-                        // Step 4 starts its own attempt ladder (the
-                        // WaitAck phase was just armed).
-                        let attempt = self.gc.current_attempt();
-                        self.issue_send_states(round, sender, receiver, parts, attempt)
-                    }
-                    Some(Action::RemapAndResume { .. }) => {
-                        Err(DcapeError::protocol("remap action out of order"))
-                    }
-                }
-            }
+            } => self.gc.on_ptv(engine, round, parts, now)?,
             FromEngine::TransferAck {
                 round,
                 engine,
                 bytes,
-            } => {
-                // Capture the pair before the ack closes the round.
-                let sender = self.gc.active_round_info().map_or(engine, |(_, s, ..)| s);
-                match self.gc.on_transfer_ack(engine, round, now)? {
-                    // Stale or duplicated ack: already journaled;
-                    // nothing to execute (and nothing to double-count).
-                    None => Ok(()),
-                    Some(Action::RemapAndResume {
-                        parts,
-                        receiver,
-                        held_since,
-                    }) => {
-                        self.journal.add_relocation_bytes(bytes);
-                        // Step 7: flush the split-side buffers to the
-                        // new owner.
-                        let released = self.placement.remap_and_release(&parts, receiver)?;
-                        let buffered = self.replay_released(released, receiver)?;
-                        self.report.relocations.push(RelocationEvent {
-                            at: now,
-                            sender,
-                            receiver,
-                            parts: parts.len(),
-                            bytes,
-                            buffered_tuples: buffered as usize,
-                        });
-                        self.record_step(round, 7, sender, receiver, parts, buffered);
-                        self.journal.add_watermark_held_ms(
-                            now.as_millis().saturating_sub(held_since.as_millis()),
-                        );
-                        // Step 8: resume, releasing the held purge
-                        // watermark. Every replayed tuple was sent
-                        // before this Resume and every later arrival
-                        // carries `ts >= watermark`, so engines may
-                        // catch their window purge up to `watermark` on
-                        // receipt. Broadcast: sender and receiver commit
-                        // the round, everyone else ignores it as stale.
-                        let watermark = self.split.admitted_watermark();
-                        for peer in self.gc.participating_engines() {
-                            self.transport
-                                .send(peer, ToEngine::Resume { round, watermark })?;
-                        }
-                        self.record_step(round, 8, sender, receiver, Vec::new(), 0);
-                        // The round slot is free again — keep any drain
-                        // moving.
-                        self.drain_continue()
-                    }
-                    other => Err(DcapeError::protocol(format!(
-                        "unexpected action after ack: {other:?}"
-                    ))),
-                }
-            }
+            } => self.gc.on_transfer_ack(engine, round, bytes, now)?,
             FromEngine::DrainState {
                 engine,
                 resident_bytes,
-            } => {
-                let step = self.gc.on_drain_state(engine, resident_bytes, now)?;
-                self.handle_drain_step(step)
-            }
+            } => self.gc.on_drain_state(engine, resident_bytes, now)?,
             FromEngine::JoinReady { engine } => {
                 self.gc.on_join_ready(engine, now);
-                Ok(())
+                None
             }
             // Mid-run cleanup traffic is the hand-off of an engine that
             // drained: it forwarded its segments, so let it merge (it
@@ -996,19 +775,172 @@ impl<T: Transport> CoordinatorRun<T> {
             FromEngine::CleanupReady { engine, .. }
                 if self.gc.engine_state(engine) == EngineState::DrainCleanup =>
             {
-                self.transport.send(engine, ToEngine::StartCleanup)
+                return self.transport.send(engine, ToEngine::StartCleanup);
             }
             msg @ FromEngine::CleanupDone { .. }
                 if self.gc.engine_state(msg.engine()) == EngineState::DrainCleanup =>
             {
                 self.gc.finish_drain(msg.engine(), now);
                 self.absorb(msg);
-                Ok(())
+                None
             }
             FromEngine::CleanupReady { .. } | FromEngine::CleanupDone { .. } => {
-                Err(DcapeError::protocol("cleanup message before shutdown"))
+                return Err(DcapeError::protocol("cleanup message before shutdown"))
+            }
+        };
+        match cmd {
+            Some(cmd) => self.execute(cmd),
+            None => Ok(()),
+        }
+    }
+
+    /// Carry out what the global coordinator decided.
+    fn execute(&mut self, cmd: Command) -> Result<()> {
+        let now = self.now;
+        match cmd {
+            Command::Cptv {
+                round,
+                sender,
+                amount,
+                attempt,
+            } => self.chaos_send(FaultEdge::Cptv, round, attempt, sender, || ToEngine::Cptv {
+                round,
+                amount,
+                attempt,
+            }),
+            Command::Pause {
+                round,
+                sender,
+                receiver,
+                parts,
+            } => {
+                self.placement.pause(&parts)?;
+                self.record_step(round, 3, sender, receiver, parts.clone(), 0);
+                self.send_states(round, sender, receiver, parts, 0)
+            }
+            Command::SendStates {
+                round,
+                sender,
+                receiver,
+                parts,
+                attempt,
+            } => self.send_states(round, sender, receiver, parts, attempt),
+            Command::Remap {
+                round,
+                sender,
+                receiver,
+                parts,
+                bytes,
+                held_since,
+            } => {
+                self.journal.add_relocation_bytes(bytes);
+                // Step 7: flush the split-side buffers to the new owner.
+                let released = self.placement.remap_and_release(&parts, receiver)?;
+                let buffered = self.replay_released(released, receiver)?;
+                self.report.relocations.push(RelocationEvent {
+                    at: now,
+                    sender,
+                    receiver,
+                    parts: parts.len(),
+                    bytes,
+                    buffered_tuples: buffered as usize,
+                });
+                self.record_step(round, 7, sender, receiver, parts, buffered);
+                self.journal
+                    .add_watermark_held_ms(now.as_millis().saturating_sub(held_since.as_millis()));
+                // Step 8: resume, releasing the held purge watermark.
+                // Every replayed tuple was sent before this Resume and
+                // every later arrival carries `ts >= watermark`, so
+                // engines may catch their window purge up to `watermark`
+                // on receipt. Broadcast: sender and receiver commit the
+                // round, everyone else ignores it as stale.
+                for peer in self.gc.participating_engines() {
+                    self.resume(peer, round)?;
+                }
+                self.record_step(round, 8, sender, receiver, Vec::new(), 0);
+                self.drain_continue()
+            }
+            // Nothing was paused, so the full admitted watermark is
+            // already safe to release.
+            Command::Empty { round, sender } => {
+                self.resume(sender, round)?;
+                self.drain_continue()
+            }
+            Command::Abort {
+                round,
+                sender,
+                receiver,
+                paused,
+            } => {
+                // Delayed copies of this round's control messages are
+                // moot — the engines would treat them as stale — so
+                // don't release them.
+                self.held.retain(|(_, (_, m))| {
+                    !matches!(m,
+                        ToEngine::Cptv { round: r, .. } | ToEngine::SendStates { round: r, .. }
+                        if *r == round)
+                });
+                // Abort notifications ride the reliable channel (an
+                // abort that can be lost is not an abort protocol). In
+                // send order: the sender reinstalls its retained copy
+                // before any replayed tuple reaches it.
+                self.transport
+                    .send(receiver, ToEngine::AbortRound { round })?;
+                self.transport
+                    .send(sender, ToEngine::AbortRound { round })?;
+                if let Some((parts, held_since)) = paused {
+                    // Release without remapping: ownership never
+                    // changed, so the buffered tuples replay to the
+                    // original owner.
+                    let released = self.placement.release_paused(&parts)?;
+                    self.replay_released(released, sender)?;
+                    self.journal.add_watermark_held_ms(
+                        now.as_millis().saturating_sub(held_since.as_millis()),
+                    );
+                    self.journal.add_watermark_released_on_abort(1);
+                }
+                self.drain_continue()
+            }
+            Command::Resume { round, engine } => self.resume(engine, round),
+            Command::Spill { engine, amount } => {
+                self.transport.send(engine, ToEngine::StartSpill { amount })
+            }
+            Command::DrainSpill { engine } => {
+                // The spill and the re-poll ride the reliable channel in
+                // order, so the next DrainState reflects the spill.
+                self.transport
+                    .send(engine, ToEngine::StartSpill { amount: u64::MAX })?;
+                self.transport.send(engine, ToEngine::BeginDrain)
+            }
+            // Move the engine's remaining (zero-state) partitions
+            // straight to `receiver` — pause and remap back-to-back, so
+            // nothing can buffer in between — then start the cleanup
+            // hand-off: flush any residual resident state to disk and
+            // have the engine forward every spilled segment to the new
+            // owners.
+            Command::FinalizeDrain { engine, receiver } => {
+                let parts = self.placement.partitions_of(engine);
+                if !parts.is_empty() {
+                    self.placement.pause(&parts)?;
+                    let released = self.placement.remap_and_release(&parts, receiver)?;
+                    self.replay_released(released, receiver)?;
+                }
+                self.gc.drain_finalized(engine, parts.len(), now);
+                self.transport
+                    .send(engine, ToEngine::StartSpill { amount: u64::MAX })?;
+                let owners = self.owners()?;
+                self.transport
+                    .send(engine, ToEngine::PrepareCleanup { owners })
             }
         }
+    }
+
+    /// Take `engine` out of relocation mode for `round`, releasing the
+    /// admitted watermark.
+    fn resume(&mut self, engine: EngineId, round: u64) -> Result<()> {
+        let watermark = self.split.admitted_watermark();
+        self.transport
+            .send(engine, ToEngine::Resume { round, watermark })
     }
 }
 

@@ -151,7 +151,7 @@ impl EngineCore {
     ) -> Result<Self> {
         let spill_log = FileBackend::new(std::env::temp_dir())?;
         let mut qe = QueryEngine::new(id, cfg, Box::new(spill_log))?;
-        qe.set_journal(journal);
+        qe.attach_journal(journal);
         Ok(EngineCore {
             id,
             qe,

@@ -18,10 +18,8 @@ use dcape_common::time::{VirtualDuration, VirtualTime};
 
 use crate::stats::ClusterStats;
 
-/// One planned elastic move (executed as a normal 8-step relocation
-/// round with [`RoundPurpose::JoinRebalance`]).
-///
-/// [`RoundPurpose::JoinRebalance`]: crate::relocation::RoundPurpose
+/// One planned elastic move, executed as a normal 8-step relocation
+/// round whose completion counts as a rebalance move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebalanceMove {
     /// Overloaded engine shedding state.

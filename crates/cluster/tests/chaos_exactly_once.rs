@@ -18,57 +18,15 @@ use dcape_cluster::faults::{FaultConfig, FaultPlan};
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
+use dcape_cluster::testing::{
+    assert_chaos_invariants, dump_journal, relocation_cfg, relocation_workload, seeds,
+};
 use dcape_cluster::PlacementSpec;
-use dcape_common::ids::PartitionId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::AdaptEvent;
 use dcape_streamgen::testing::reference_join;
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
-
-/// Seeds to sweep: the CI matrix passes one per job via
-/// `DCAPE_CHAOS_SEED`; locally a fixed short list.
-fn seeds() -> Vec<u64> {
-    match std::env::var("DCAPE_CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DCAPE_CHAOS_SEED must be an unsigned integer")],
-        Err(_) => vec![7, 42, 0x00C0_FFEE],
-    }
-}
-
-/// Alternating skew on roomy engines: a relocation-heavy, spill-free
-/// regime — the protocol under attack is the 8-step relocation.
-fn relocation_workload(seed: u64) -> StreamSetSpec {
-    let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
-    StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
-        .with_payload_pad(200)
-        .with_seed(seed)
-        .with_pattern(ArrivalPattern::AlternatingSkew {
-            group_a,
-            ratio: 10.0,
-            period: VirtualDuration::from_mins(2),
-        })
-}
-
-fn relocation_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
-    SimConfig::new(
-        engines,
-        EngineConfig::three_way(1 << 30, 1 << 29),
-        spec,
-        StrategyConfig::LazyDisk {
-            theta_r: 0.9,
-            tau_m: VirtualDuration::from_secs(45),
-        },
-    )
-    .with_placement(PlacementSpec::Fractions(vec![
-        1.0 / engines as f64;
-        engines
-    ]))
-    .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal()
-}
 
 /// Tight memory on a skewed cluster: spills, relocations, and a real
 /// cleanup phase — the regime where the multiset oracle bites. The
@@ -91,20 +49,6 @@ fn mixed_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     .with_placement(PlacementSpec::Fractions(fractions))
     .with_stats_interval(VirtualDuration::from_secs(30))
     .with_journal()
-}
-
-/// When `DCAPE_JOURNAL_DUMP` names a directory, write a run's journal
-/// there as JSONL (CI uploads the directory as an artifact on failure).
-/// Pid-qualified: socket-runtime workers share the directory, and two
-/// test binaries running in parallel must not clobber each other.
-fn dump_journal(name: &str, entries: &[dcape_metrics::journal::JournalEntry]) {
-    if let Ok(dir) = std::env::var("DCAPE_JOURNAL_DUMP") {
-        let path =
-            std::path::Path::new(&dir).join(format!("{name}-pid{}.jsonl", std::process::id()));
-        if let Err(e) = dcape_metrics::report::write_journal_jsonl(&path, entries) {
-            eprintln!("journal dump to {} failed: {e}", path.display());
-        }
-    }
 }
 
 fn run_sim(cfg: SimConfig, deadline: VirtualTime, label: &str) -> SimReport {
@@ -131,45 +75,6 @@ fn fault_schedule(report: &SimReport) -> Vec<(u64, &'static str, &'static str, u
             _ => None,
         })
         .collect()
-}
-
-/// Shared journal invariants for a chaos run (either runtime):
-/// every fault journaled is counted, retries/aborts tie out, and
-/// nothing is left buffered.
-fn assert_chaos_invariants(
-    journal: &[dcape_metrics::journal::JournalEntry],
-    counters: &dcape_metrics::journal::CountersSnapshot,
-) {
-    let journaled_faults = journal
-        .iter()
-        .filter(|e| matches!(e.event, AdaptEvent::FaultInjected { .. }))
-        .count() as u64;
-    assert_eq!(
-        counters.faults_injected, journaled_faults,
-        "every injected fault must be journaled exactly once"
-    );
-    let retries = journal
-        .iter()
-        .filter(
-            |e| matches!(e.event, AdaptEvent::ProtocolWarning { code, .. } if code == "phase_timeout_retry"),
-        )
-        .count() as u64;
-    assert_eq!(counters.msgs_retried, retries, "retry accounting");
-    let aborts = journal
-        .iter()
-        .filter(
-            |e| matches!(e.event, AdaptEvent::ProtocolWarning { code, .. } if code == "round_aborted"),
-        )
-        .count() as u64;
-    assert_eq!(counters.rounds_aborted, aborts, "abort accounting");
-    assert!(
-        counters.watermark_released_on_abort <= counters.rounds_aborted,
-        "a watermark release needs an abort"
-    );
-    assert_eq!(
-        counters.buffered_in_flight, 0,
-        "no tuple may stay buffered at a paused split after shutdown"
-    );
 }
 
 #[test]

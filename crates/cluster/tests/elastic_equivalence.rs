@@ -18,39 +18,16 @@ use dcape_cluster::runtime::sim::{ScaleEvent, SimConfig, SimDriver, SimReport};
 use dcape_cluster::runtime::socket::{run_socket, SocketConfig, SocketMode};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
+use dcape_cluster::testing::{
+    assert_chaos_invariants, count_events, dump_journal, relocation_cfg, relocation_workload, seeds,
+};
 use dcape_cluster::PlacementSpec;
-use dcape_common::ids::{EngineId, PartitionId};
+use dcape_common::ids::EngineId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::AdaptEvent;
 use dcape_streamgen::testing::reference_join;
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
-
-/// Seeds to sweep: CI passes one per job via `DCAPE_CHAOS_SEED`;
-/// locally a fixed short list keeps the suite fast.
-fn seeds() -> Vec<u64> {
-    match std::env::var("DCAPE_CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DCAPE_CHAOS_SEED must be an unsigned integer")],
-        Err(_) => vec![7, 42, 0x00C0_FFEE],
-    }
-}
-
-/// Alternating skew: relocation pressure for the drain/join rounds to
-/// contend with.
-fn skewed_workload(seed: u64) -> StreamSetSpec {
-    let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
-    StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
-        .with_payload_pad(200)
-        .with_seed(seed)
-        .with_pattern(ArrivalPattern::AlternatingSkew {
-            group_a,
-            ratio: 10.0,
-            period: VirtualDuration::from_mins(2),
-        })
-}
 
 /// Overloaded two-engine start: tight memory, spill-heavy — the regime
 /// a scale-out is for.
@@ -72,60 +49,6 @@ fn overloaded_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     .with_placement(PlacementSpec::Fractions(fractions))
     .with_stats_interval(VirtualDuration::from_secs(30))
     .with_journal()
-}
-
-/// Roomy engines: relocation-capable but spill-free, so drains finish
-/// through relocation rounds rather than forced spills.
-fn roomy_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
-    let fractions = vec![1.0 / engines as f64; engines];
-    SimConfig::new(
-        engines,
-        EngineConfig::three_way(1 << 30, 1 << 29),
-        spec,
-        StrategyConfig::LazyDisk {
-            theta_r: 0.9,
-            tau_m: VirtualDuration::from_secs(45),
-        },
-    )
-    .with_placement(PlacementSpec::Fractions(fractions))
-    .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal()
-}
-
-/// When `DCAPE_JOURNAL_DUMP` names a directory, write a run's journal
-/// there as JSONL (CI uploads the directory as an artifact on failure).
-/// Pid-qualified so parallel test binaries never clobber each other.
-fn dump_journal(name: &str, entries: &[dcape_metrics::journal::JournalEntry]) {
-    if let Ok(dir) = std::env::var("DCAPE_JOURNAL_DUMP") {
-        let path =
-            std::path::Path::new(&dir).join(format!("{name}-pid{}.jsonl", std::process::id()));
-        if let Err(e) = dcape_metrics::report::write_journal_jsonl(&path, entries) {
-            eprintln!("journal dump to {} failed: {e}", path.display());
-        }
-    }
-}
-
-fn count_events(
-    journal: &[dcape_metrics::journal::JournalEntry],
-    pred: impl Fn(&AdaptEvent) -> bool,
-) -> usize {
-    journal.iter().filter(|e| pred(&e.event)).count()
-}
-
-/// The chaos suite's journal invariants (see `chaos_exactly_once.rs`).
-fn assert_chaos_invariants(
-    journal: &[dcape_metrics::journal::JournalEntry],
-    counters: &dcape_metrics::journal::CountersSnapshot,
-) {
-    let journaled_faults = count_events(journal, |e| matches!(e, AdaptEvent::FaultInjected { .. }));
-    assert_eq!(
-        counters.faults_injected, journaled_faults as u64,
-        "every injected fault must be journaled exactly once"
-    );
-    assert_eq!(
-        counters.buffered_in_flight, 0,
-        "no tuple may stay buffered at a paused split after shutdown"
-    );
 }
 
 /// Drive an elastic sim run to `deadline`, assert the mid-run membership
@@ -178,7 +101,7 @@ fn run_elastic_sim(
 #[test]
 fn sim_join_keeps_totals_and_takes_load() {
     let deadline = VirtualTime::from_mins(5);
-    let spec = skewed_workload(23).with_pattern(ArrivalPattern::Uniform);
+    let spec = relocation_workload(23).with_pattern(ArrivalPattern::Uniform);
     let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let static_run = {
@@ -276,18 +199,18 @@ fn elastic_join_reduces_spill_writes() {
 #[test]
 fn sim_drain_retires_engine_empty_and_keeps_totals() {
     let deadline = VirtualTime::from_mins(6);
-    let spec = skewed_workload(55);
+    let spec = relocation_workload(55);
     let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let static_run = {
-        let mut d = SimDriver::new(roomy_cfg(spec.clone(), 3).collecting()).unwrap();
+        let mut d = SimDriver::new(relocation_cfg(spec.clone(), 3).collecting()).unwrap();
         d.run_until(deadline).unwrap();
         d.finish().unwrap()
     };
     assert_eq!(static_run.total_output(), reference);
 
     let elastic = run_elastic_sim(
-        roomy_cfg(spec, 3)
+        relocation_cfg(spec, 3)
             .collecting()
             .with_scale_events(vec![ScaleEvent::drain(VirtualTime::from_mins(2))]),
         deadline,
@@ -326,7 +249,7 @@ fn sim_drain_retires_engine_empty_and_keeps_totals() {
 #[test]
 fn sim_elastic_totals_survive_chaos() {
     let deadline = VirtualTime::from_mins(6);
-    let spec = skewed_workload(77);
+    let spec = relocation_workload(77);
     let reference = reference_join(&spec, deadline, None).unwrap().count();
     let events = vec![
         ScaleEvent::add(VirtualTime::from_secs(60)),
@@ -336,7 +259,7 @@ fn sim_elastic_totals_survive_chaos() {
     for seed in seeds() {
         let plan = FaultPlan::new(seed, FaultConfig::uniform(0.2));
         let report = run_elastic_sim(
-            roomy_cfg(spec.clone(), 2)
+            relocation_cfg(spec.clone(), 2)
                 .with_scale_events(events.clone())
                 .with_faults(plan),
             deadline,
@@ -374,14 +297,14 @@ fn sim_elastic_totals_survive_chaos() {
 #[test]
 fn threaded_join_and_drain_keep_totals() {
     let deadline = VirtualTime::from_mins(5);
-    let spec = skewed_workload(91);
+    let spec = relocation_workload(91);
     let reference = reference_join(&spec, deadline, None).unwrap().count();
 
-    let static_run = run_threaded(roomy_cfg(spec.clone(), 2), deadline).unwrap();
+    let static_run = run_threaded(relocation_cfg(spec.clone(), 2), deadline).unwrap();
     assert_eq!(static_run.total_output(), reference);
 
     let elastic = run_threaded(
-        roomy_cfg(spec, 2).with_scale_events(vec![
+        relocation_cfg(spec, 2).with_scale_events(vec![
             ScaleEvent::add(VirtualTime::from_secs(60)),
             ScaleEvent::drain_engine(VirtualTime::from_mins(3), EngineId(0)),
         ]),
@@ -414,13 +337,13 @@ fn threaded_join_and_drain_keep_totals() {
 #[test]
 fn threaded_elastic_survives_chaos() {
     let deadline = VirtualTime::from_mins(5);
-    let spec = skewed_workload(42);
+    let spec = relocation_workload(42);
     let reference = reference_join(&spec, deadline, None).unwrap().count();
     let seed = seeds()[0];
     let plan = FaultPlan::new(seed, FaultConfig::uniform(0.2));
 
     let report = run_threaded(
-        roomy_cfg(spec, 2)
+        relocation_cfg(spec, 2)
             .with_scale_events(vec![
                 ScaleEvent::add(VirtualTime::from_secs(60)),
                 ScaleEvent::drain_engine(VirtualTime::from_mins(3), EngineId(1)),
@@ -450,12 +373,12 @@ fn socket_elastic_smoke() {
         return;
     };
     let deadline = VirtualTime::from_mins(4);
-    let spec = skewed_workload(7);
+    let spec = relocation_workload(7);
     let reference = reference_join(&spec, deadline, None).unwrap().count();
 
     let report = run_socket(
         SocketConfig {
-            sim: roomy_cfg(spec, 2).with_scale_events(vec![
+            sim: relocation_cfg(spec, 2).with_scale_events(vec![
                 ScaleEvent::add(VirtualTime::from_secs(60)),
                 ScaleEvent::drain_engine(VirtualTime::from_mins(2), EngineId(0)),
             ]),

@@ -7,12 +7,12 @@
 
 use proptest::prelude::*;
 
-use dcape_cluster::coordinator::{DrainStep, EngineState, GlobalCoordinator};
+use dcape_cluster::coordinator::{Command, EngineState, GlobalCoordinator};
 use dcape_cluster::placement::{PlacementMap, PlacementSpec};
-use dcape_cluster::relocation::Action;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::VirtualTime;
+use dcape_metrics::journal::JournalHandle;
 
 const PARTS: u32 = 16;
 
@@ -21,9 +21,13 @@ fn fresh_map(engines: usize) -> PlacementMap {
 }
 
 fn elastic_gc(initial: usize, capacity: usize) -> GlobalCoordinator {
-    let mut gc = GlobalCoordinator::new(&StrategyConfig::NoAdaptation);
-    gc.init_membership(initial, capacity);
-    gc
+    GlobalCoordinator::new(
+        &StrategyConfig::NoAdaptation,
+        initial,
+        capacity,
+        JournalHandle::disabled(),
+        false,
+    )
 }
 
 // ---- placement map unit tests ------------------------------------------
@@ -230,12 +234,6 @@ fn drain_refuses_the_last_engine_and_concurrent_drains() {
         solo.request_drain(EngineId(0), t).is_err(),
         "the last active engine must never drain"
     );
-
-    let mut legacy = GlobalCoordinator::new(&StrategyConfig::NoAdaptation);
-    assert!(
-        legacy.request_drain(EngineId(0), t).is_err(),
-        "drain requires elastic membership"
-    );
 }
 
 /// A drain whose relocation rounds complete terminates: each round
@@ -254,30 +252,38 @@ fn drain_terminates_when_rounds_complete() {
         steps += 1;
         assert!(steps < 16, "drain must terminate");
         match gc.on_drain_state(EngineId(1), resident, t).unwrap() {
-            DrainStep::Relocate {
+            Some(Command::Cptv {
                 round,
                 sender,
-                receiver,
                 amount,
-            } => {
+                attempt: 0,
+            }) => {
                 assert_eq!(sender, EngineId(1));
-                assert_eq!(receiver, EngineId(0), "only unfenced receiver");
                 assert_eq!(amount, resident, "a drain round asks for everything");
                 // Sender answers Ptv with the partitions it picked
                 // (step 2), receiver acks the transfer (step 6).
-                let action = gc
+                let cmd = gc
                     .on_ptv(EngineId(1), round, vec![PartitionId(0)], t)
                     .unwrap();
-                assert!(matches!(action, Some(Action::PauseAndTransfer { .. })));
-                let action = gc.on_transfer_ack(EngineId(0), round, t).unwrap();
-                assert!(matches!(action, Some(Action::RemapAndResume { .. })));
+                assert!(
+                    matches!(
+                        cmd,
+                        Some(Command::Pause {
+                            receiver: EngineId(0),
+                            ..
+                        })
+                    ),
+                    "only unfenced receiver: {cmd:?}"
+                );
+                let cmd = gc.on_transfer_ack(EngineId(0), round, 0, t).unwrap();
+                assert!(matches!(cmd, Some(Command::Remap { .. })));
                 resident /= 2;
             }
             other => panic!("expected a drain relocation round, got {other:?}"),
         }
     }
     match gc.on_drain_state(EngineId(1), 0, t).unwrap() {
-        DrainStep::FinalizeRemap { engine, receiver } => {
+        Some(Command::FinalizeDrain { engine, receiver }) => {
             assert_eq!(engine, EngineId(1));
             assert_eq!(receiver, EngineId(0));
         }
@@ -304,26 +310,26 @@ fn drain_terminates_by_forced_spill_when_rounds_keep_aborting() {
 
     // Three consecutive aborted drain rounds (empty Ptv → abort).
     for _ in 0..3 {
-        let DrainStep::Relocate { round, .. } = gc.on_drain_state(EngineId(1), 4096, t).unwrap()
+        let Some(Command::Cptv { round, .. }) = gc.on_drain_state(EngineId(1), 4096, t).unwrap()
         else {
             panic!("expected a drain round before degradation");
         };
-        let action = gc.on_ptv(EngineId(1), round, vec![], t).unwrap();
-        assert!(matches!(action, Some(Action::Abort)));
+        let cmd = gc.on_ptv(EngineId(1), round, vec![], t).unwrap();
+        assert!(matches!(cmd, Some(Command::Empty { .. })));
     }
     // The ladder is exhausted: every further report degrades to a
     // forced spill of everything.
-    match gc.on_drain_state(EngineId(1), 4096, t).unwrap() {
-        DrainStep::ForceSpill { engine, amount } => {
-            assert_eq!(engine, EngineId(1));
-            assert_eq!(amount, u64::MAX);
-        }
-        other => panic!("exhausted abort ladder must force-spill, got {other:?}"),
-    }
+    assert_eq!(
+        gc.on_drain_state(EngineId(1), 4096, t).unwrap(),
+        Some(Command::DrainSpill {
+            engine: EngineId(1)
+        }),
+        "exhausted abort ladder must force-spill everything"
+    );
     // Spilling empties the store; the drain finalizes as usual.
     assert!(matches!(
         gc.on_drain_state(EngineId(1), 0, t).unwrap(),
-        DrainStep::FinalizeRemap { .. }
+        Some(Command::FinalizeDrain { .. })
     ));
     gc.drain_finalized(EngineId(1), 3, t);
     gc.finish_drain(EngineId(1), t);
@@ -338,9 +344,6 @@ fn stale_drain_state_is_ignored() {
     let t = VirtualTime::ZERO;
     let mut gc = elastic_gc(3, 3);
     assert!(gc.request_drain(EngineId(2), t).unwrap());
-    assert!(matches!(
-        gc.on_drain_state(EngineId(0), 777, t).unwrap(),
-        DrainStep::Wait
-    ));
+    assert_eq!(gc.on_drain_state(EngineId(0), 777, t).unwrap(), None);
     assert_eq!(gc.draining_engine(), Some(EngineId(2)));
 }

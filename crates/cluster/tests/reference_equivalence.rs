@@ -25,6 +25,7 @@ use dcape_cluster::faults::{FaultConfig, FaultPlan};
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
+use dcape_cluster::testing::dump_journal;
 use dcape_cluster::PlacementSpec;
 use dcape_common::ids::PartitionId;
 use dcape_common::testing::{proptest_cases as cases, ReferenceJoin};
@@ -33,18 +34,6 @@ use dcape_engine::config::EngineConfig;
 use dcape_storage::SegmentCodec;
 use dcape_streamgen::testing::reference_join;
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
-
-/// When `DCAPE_JOURNAL_DUMP` names a directory, write a run's journal
-/// there as JSONL (CI uploads the directory as an artifact on failure).
-fn dump_journal(name: &str, entries: &[dcape_metrics::journal::JournalEntry]) {
-    if let Ok(dir) = std::env::var("DCAPE_JOURNAL_DUMP") {
-        let path =
-            std::path::Path::new(&dir).join(format!("{name}-pid{}.jsonl", std::process::id()));
-        if let Err(e) = dcape_metrics::report::write_journal_jsonl(&path, entries) {
-            eprintln!("journal dump to {} failed: {e}", path.display());
-        }
-    }
-}
 
 /// What a single case varies.
 #[derive(Debug, Clone)]

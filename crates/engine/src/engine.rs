@@ -207,7 +207,7 @@ impl QueryEngine {
     /// Attach an adaptation-event journal. Engines start with a
     /// disabled handle; drivers install a real one per engine so the
     /// runtimes can merge per-engine timelines afterwards.
-    pub fn set_journal(&mut self, journal: JournalHandle) {
+    pub fn attach_journal(&mut self, journal: JournalHandle) {
         self.journal = journal;
     }
 

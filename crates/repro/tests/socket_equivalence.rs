@@ -19,8 +19,11 @@ use dcape_cluster::runtime::sim::{ScaleEvent, SimConfig};
 use dcape_cluster::runtime::socket::{run_socket, KillPlan, SocketConfig, SocketMode};
 use dcape_cluster::runtime::threaded::{run_threaded, ThreadedReport};
 use dcape_cluster::strategy::StrategyConfig;
+use dcape_cluster::testing::{
+    assert_chaos_invariants, count_events, dump_journal, relocation_cfg, relocation_workload, seeds,
+};
 use dcape_cluster::PlacementSpec;
-use dcape_common::ids::{EngineId, PartitionId};
+use dcape_common::ids::EngineId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::AdaptEvent;
@@ -42,49 +45,6 @@ fn socket_cfg(sim: SimConfig) -> SocketConfig {
     }
 }
 
-/// Seeds to sweep: CI passes one per job via `DCAPE_CHAOS_SEED`;
-/// locally a fixed short list keeps the suite fast.
-fn seeds() -> Vec<u64> {
-    match std::env::var("DCAPE_CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DCAPE_CHAOS_SEED must be an unsigned integer")],
-        Err(_) => vec![7, 42, 0x00C0_FFEE],
-    }
-}
-
-/// Alternating skew on roomy engines: relocation-heavy, spill-free.
-fn relocation_workload(seed: u64) -> StreamSetSpec {
-    let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
-    StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
-        .with_payload_pad(200)
-        .with_seed(seed)
-        .with_pattern(ArrivalPattern::AlternatingSkew {
-            group_a,
-            ratio: 10.0,
-            period: VirtualDuration::from_mins(2),
-        })
-}
-
-fn relocation_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
-    SimConfig::new(
-        engines,
-        EngineConfig::three_way(1 << 30, 1 << 29),
-        spec,
-        StrategyConfig::LazyDisk {
-            theta_r: 0.9,
-            tau_m: VirtualDuration::from_secs(45),
-        },
-    )
-    .with_placement(PlacementSpec::Fractions(vec![
-        1.0 / engines as f64;
-        engines
-    ]))
-    .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal()
-}
-
 /// Tight memory, no adaptation strategy: pure spill + cleanup — the
 /// regime where both runtimes are fully deterministic, down to the
 /// per-engine spill counts and routed-tuple counters.
@@ -101,57 +61,6 @@ fn spill_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     ]))
     .with_stats_interval(VirtualDuration::from_secs(30))
     .with_journal()
-}
-
-/// When `DCAPE_JOURNAL_DUMP` names a directory, write a run's journal
-/// there as JSONL (CI uploads the directory as an artifact on failure).
-/// Pid-qualified: socket-runtime workers dump their own journals from
-/// their own processes into the same directory.
-fn dump_journal(name: &str, entries: &[dcape_metrics::journal::JournalEntry]) {
-    if let Ok(dir) = std::env::var("DCAPE_JOURNAL_DUMP") {
-        let path =
-            std::path::Path::new(&dir).join(format!("{name}-pid{}.jsonl", std::process::id()));
-        if let Err(e) = dcape_metrics::report::write_journal_jsonl(&path, entries) {
-            eprintln!("journal dump to {} failed: {e}", path.display());
-        }
-    }
-}
-
-/// The chaos suite's journal invariants, applied to a socket run.
-fn assert_chaos_invariants(
-    journal: &[dcape_metrics::journal::JournalEntry],
-    counters: &dcape_metrics::journal::CountersSnapshot,
-) {
-    let journaled_faults = journal
-        .iter()
-        .filter(|e| matches!(e.event, AdaptEvent::FaultInjected { .. }))
-        .count() as u64;
-    assert_eq!(
-        counters.faults_injected, journaled_faults,
-        "every injected fault must be journaled exactly once"
-    );
-    let retries = journal
-        .iter()
-        .filter(
-            |e| matches!(e.event, AdaptEvent::ProtocolWarning { code, .. } if code == "phase_timeout_retry"),
-        )
-        .count() as u64;
-    assert_eq!(counters.msgs_retried, retries, "retry accounting");
-    let aborts = journal
-        .iter()
-        .filter(
-            |e| matches!(e.event, AdaptEvent::ProtocolWarning { code, .. } if code == "round_aborted"),
-        )
-        .count() as u64;
-    assert_eq!(counters.rounds_aborted, aborts, "abort accounting");
-    assert!(
-        counters.watermark_released_on_abort <= counters.rounds_aborted,
-        "a watermark release needs an abort"
-    );
-    assert_eq!(
-        counters.buffered_in_flight, 0,
-        "no tuple may stay buffered at a paused split after shutdown"
-    );
 }
 
 /// Equality of everything that is deterministic across the two
@@ -317,13 +226,6 @@ fn kill_nine_and_respawn_is_exactly_once() {
 }
 
 // ---- elasticity over real sockets ---------------------------------------
-
-fn count_events(
-    journal: &[dcape_metrics::journal::JournalEntry],
-    pred: impl Fn(&AdaptEvent) -> bool,
-) -> usize {
-    journal.iter().filter(|e| pred(&e.event)).count()
-}
 
 /// A worker process joins mid-run (late `Hello` on the live acceptor),
 /// takes state through rebalancing rounds, and another drains out and

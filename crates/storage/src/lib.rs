@@ -17,18 +17,14 @@
 //!   registry plus I/O statistics.
 //! * [`diskmodel`] — virtual-time cost model for spill I/O: what an
 //!   engine charges for disk activity, whatever the backend really took.
-//! * [`trace`] — record/replay tuple streams as portable workload
-//!   artifacts.
 
 pub mod backend;
 pub mod codec;
 pub mod diskmodel;
 pub mod segment;
 pub mod store;
-pub mod trace;
 
 pub use backend::{FileBackend, MemBackend, SegmentHandle, SpillBackend};
 pub use diskmodel::DiskModel;
 pub use segment::{SegmentCodec, SpilledGroup, StreamColumns};
 pub use store::{SegmentMeta, SpillStats, SpillStore};
-pub use trace::{TraceReader, TraceWriter};

@@ -18,9 +18,11 @@
 //!   partition-group state, productivity metrics, spill policies and the
 //!   cleanup phase, the local adaptation controller.
 //! * [`cluster`] — the global coordinator, the 8-step relocation
-//!   protocol, adaptation strategies, and the simulated + threaded
-//!   cluster runtimes.
-//! * [`metrics`] — time-series recording and report tables.
+//!   protocol, adaptation strategies, and three cluster runtimes over one
+//!   protocol implementation: deterministic virtual time, threads, and
+//!   worker processes over TCP.
+//! * [`metrics`] — the adaptation journal and its counters, time-series
+//!   recording and report tables.
 //!
 //! ## Quickstart
 //!

@@ -5,7 +5,9 @@
 //! strategies (lazy-disk / active-disk, §5), and three runtimes that
 //! execute a partitioned query over a set of engines. The protocol is
 //! implemented once ([`runtime::driver`] on the coordinator side,
-//! [`runtime::engine_core`] on the engine side); the runtimes differ in
+//! [`runtime::engine_core`] on the engine side; a relocation round's
+//! two halves are one private struct each, in [`coordinator`] and in
+//! `engine_core`); the runtimes differ in
 //! how its messages travel:
 //!
 //! * [`runtime::sim`] — deterministic virtual-time runtime used by the

@@ -7,8 +7,14 @@
 //! engine-side relocation steps (`Ptv`, state extraction,
 //! `InstallStates`, `TransferAck`, abort/commit), spill commands, the
 //! drain poll and the two-phase distributed cleanup. It is the only
-//! place a runtime builds an engine. The transport-specific part — how
-//! a reply reaches the coordinator or a peer engine — is abstracted
+//! place a runtime builds an engine.
+//!
+//! The engine's side of a relocation round — closed rounds, the copy
+//! kept until commit, the uncommitted install, the partitions given
+//! away, the relocation-mode flips — is one private `EngineRound`,
+//! consulted once per protocol message; the [`QueryEngine`] only hands
+//! state over and knows nothing of rounds. The transport-specific part
+//! — how a reply reaches the coordinator or a peer engine — is abstracted
 //! behind [`EngineTx`], so the same `handle` body runs inline under the
 //! virtual-time transport ([`super::sim`]), on a channel
 //! ([`super::threaded`]) and on a framed TCP connection (the
@@ -20,12 +26,13 @@
 //! on every respawn.
 
 use dcape_common::error::{DcapeError, Result};
+use dcape_common::hash::FxHashSet;
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_engine::config::EngineConfig;
 use dcape_engine::controller::Mode;
-use dcape_engine::engine::QueryEngine;
+use dcape_engine::engine::{ExtractedGroup, QueryEngine};
 use dcape_engine::probe::ProbeSpans;
 use dcape_engine::sink::{CollectingSink, ResultSink};
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
@@ -53,9 +60,10 @@ pub(crate) trait EngineTx {
 pub(crate) enum EngineFlow {
     /// Keep receiving.
     Continue,
-    /// A chaos crash-restart fired (already journaled): the threaded
-    /// driver warm-restarts the in-process engine, the socket worker
-    /// exits the OS process and is respawned by the coordinator.
+    /// A chaos crash-restart fired (already journaled): the virtual-time
+    /// and channel transports restart the engine in place
+    /// ([`EngineCore::crash_restart`]), the socket worker exits the OS
+    /// process and is respawned by the coordinator.
     CrashRequested,
     /// `CleanupDone` was sent; the engine is finished.
     Finished,
@@ -114,6 +122,156 @@ impl ResultSink for OutputSink {
     }
 }
 
+/// This engine's side of the relocation rounds, the only place it
+/// lives. A message for a closed round is a stale no-op, a duplicate
+/// install is re-acked without reinstalling, an abort restores both
+/// ends as they were. The sender's kept copy survives an in-process
+/// crash, the receiver's install does not until the round commits.
+/// Ownership moves only at commit: an abort or a crash gives nothing back.
+#[derive(Default)]
+struct EngineRound {
+    /// Rounds below this id are closed.
+    min_live: u64,
+    /// What a round shipped, kept until it ends: an abort reinstalls
+    /// it, a retried `SendStates` re-ships it.
+    outbound: Option<(u64, Vec<ExtractedGroup>)>,
+    /// What an uncommitted round installed here.
+    inbound: Option<(u64, Vec<PartitionId>)>,
+    /// Shipped away in a committed round and not received back in one:
+    /// their segments here are the new owner's, never reactivated here.
+    shipped_away: FxHashSet<PartitionId>,
+    /// Peers announced as fenced (draining/drained): nothing is shipped
+    /// toward them, however stale the command — a chaos-delayed copy must
+    /// not re-populate a draining engine; the round times out instead.
+    fenced: FxHashSet<EngineId>,
+}
+
+/// What a `SendStates` ships.
+enum Outbound {
+    Stale,
+    Fenced,
+    /// The groups, and whether they were extracted now rather than
+    /// re-shipped from the kept copy.
+    Ship(Vec<ExtractedGroup>, bool),
+}
+
+impl EngineRound {
+    fn is_stale(&self, round: u64) -> bool {
+        round < self.min_live
+    }
+
+    /// End `round` here: later copies of its messages are stale.
+    fn close(&mut self, qe: &mut QueryEngine, round: u64) {
+        self.min_live = self.min_live.max(round + 1);
+        self.settle(qe);
+    }
+
+    /// Leave relocation mode unless a kept copy or an uncommitted install
+    /// remains, which no spill or reactivation may touch (a partition
+    /// reactivated while its copy is in flight would be resident twice).
+    fn settle(&self, qe: &mut QueryEngine) {
+        if self.outbound.is_none() && self.inbound.is_none() {
+            qe.set_mode(Mode::Normal);
+        }
+    }
+
+    /// `Cptv`: false for a closed round, else the engine enters
+    /// relocation mode.
+    fn on_cptv(&self, qe: &mut QueryEngine, round: u64) -> bool {
+        let live = !self.is_stale(round);
+        if live {
+            qe.set_mode(Mode::Relocation);
+        }
+        live
+    }
+
+    /// `SendStates`: extract `parts` and keep them until the round ends
+    /// — or re-ship what a first copy of this command extracted — in
+    /// relocation mode.
+    fn on_send_states(
+        &mut self,
+        qe: &mut QueryEngine,
+        round: u64,
+        parts: &[PartitionId],
+        receiver: EngineId,
+    ) -> Outbound {
+        if self.is_stale(round) {
+            return Outbound::Stale;
+        }
+        if self.fenced.contains(&receiver) {
+            return Outbound::Fenced;
+        }
+        qe.set_mode(Mode::Relocation);
+        if let Some((_, kept)) = self.outbound.as_ref().filter(|(r, _)| *r == round) {
+            return Outbound::Ship(kept.clone(), false);
+        }
+        let groups = qe.extract_groups(parts);
+        self.outbound = Some((round, groups.clone()));
+        Outbound::Ship(groups, true)
+    }
+
+    /// `InstallStates`: install `groups` in relocation mode. False (the
+    /// caller still acks) when already installed or the round is closed.
+    fn on_install_states(
+        &mut self,
+        qe: &mut QueryEngine,
+        round: u64,
+        groups: Vec<ExtractedGroup>,
+    ) -> Result<bool> {
+        if self.is_stale(round) {
+            self.settle(qe);
+            return Ok(false);
+        }
+        qe.set_mode(Mode::Relocation);
+        if matches!(&self.inbound, Some((r, _)) if *r == round) {
+            return Ok(false);
+        }
+        let pids = groups.iter().map(|(g, _, _)| g.partition).collect();
+        qe.install_groups(groups)?;
+        self.inbound = Some((round, pids));
+        Ok(true)
+    }
+
+    /// `Resume`: the round committed. The sender drops its copy and no
+    /// longer owns what it shipped; the receiver's install is permanent
+    /// and what it received is its own again.
+    fn on_resume(&mut self, qe: &mut QueryEngine, round: u64) {
+        if let Some((_, shipped)) = self.outbound.take_if(|(r, _)| *r == round) {
+            (self.shipped_away).extend(shipped.iter().map(|(g, _, _)| g.partition));
+        }
+        if let Some((_, received)) = self.inbound.take_if(|(r, _)| *r == round) {
+            for pid in &received {
+                self.shipped_away.remove(pid);
+            }
+        }
+        self.close(qe, round);
+    }
+
+    /// `AbortRound`: the receiver uninstalls, the sender reinstalls its
+    /// copy. Returns the number of groups unwound.
+    fn on_abort(&mut self, qe: &mut QueryEngine, round: u64) -> Result<usize> {
+        let mut unwound = 0;
+        if let Some((_, received)) = self.inbound.take_if(|(r, _)| *r == round) {
+            unwound += qe.extract_groups(&received).len();
+        }
+        if let Some((_, shipped)) = self.outbound.take_if(|(r, _)| *r == round) {
+            unwound += shipped.len();
+            qe.install_groups(shipped)?;
+        }
+        self.close(qe, round);
+        Ok(unwound)
+    }
+
+    /// An in-process crash loses the uncommitted install (the sender's
+    /// copy is the truth; the round retries or aborts), not the kept copy.
+    fn on_crash(&mut self, qe: &mut QueryEngine) {
+        if let Some((_, received)) = self.inbound.take() {
+            qe.extract_groups(&received);
+        }
+        self.settle(qe);
+    }
+}
+
 /// One query engine plus its protocol state, independent of transport.
 pub(crate) struct EngineCore {
     pub(crate) id: EngineId,
@@ -124,9 +282,7 @@ pub(crate) struct EngineCore {
     pub(crate) cleanup_sink: OutputSink,
     pub(crate) last_now: VirtualTime,
     held: Vec<(VirtualTime, Held)>,
-    /// Peers announced as fenced (draining/drained): relocation state
-    /// must never be shipped toward them, however stale the command.
-    fenced_peers: Vec<EngineId>,
+    round: EngineRound,
     /// `BeginDrain` arrived: this engine is being emptied, so it stops
     /// reactivating spilled state back into memory.
     draining: bool,
@@ -159,10 +315,17 @@ impl EngineCore {
             cleanup_sink: OutputSink::new(collect_results),
             last_now: VirtualTime::ZERO,
             held: Vec::new(),
-            fenced_peers: Vec::new(),
+            round: EngineRound::default(),
             draining: false,
             cleanup_stall_ms: 0,
         })
+    }
+
+    /// The in-process crash after [`EngineFlow::CrashRequested`] (the
+    /// socket worker exits instead and is replayed): it loses a round's
+    /// uncommitted install and nothing else.
+    pub(crate) fn crash_restart(&mut self) {
+        self.round.on_crash(&mut self.qe);
     }
 
     /// Release engine-held delayed messages that are due.
@@ -255,7 +418,8 @@ impl EngineCore {
                 // back into memory would race the drain, and after the
                 // final remap strand it outside the owners' cleanup.
                 if !self.draining {
-                    self.qe.maybe_reactivate(&mut self.sink)?;
+                    let away = &self.round.shipped_away;
+                    (self.qe).maybe_reactivate(|pid| !away.contains(&pid), &mut self.sink)?;
                 }
             }
             ToEngine::ReportStats { now } => {
@@ -268,10 +432,7 @@ impl EngineCore {
                 amount,
                 attempt,
             } => {
-                if self.qe.is_stale_round(round) {
-                    self.warn("stale_cptv", id, round, 1);
-                } else {
-                    self.qe.set_mode(Mode::Relocation);
+                if self.round.on_cptv(&mut self.qe, round) {
                     let parts = self.qe.select_parts_to_move(amount);
                     // Step 2 rides the faultable Ptv edge: the
                     // coordinator's phase timeout covers a lost
@@ -283,6 +444,8 @@ impl EngineCore {
                             parts: parts.clone(),
                         }
                     })?;
+                } else {
+                    self.warn("stale_cptv", id, round, 1);
                 }
             }
             ToEngine::SendStates {
@@ -291,19 +454,18 @@ impl EngineCore {
                 receiver,
                 attempt,
             } => {
-                if self.qe.is_stale_round(round) {
-                    self.warn("stale_send_states", id, round, 4);
-                    return Ok(EngineFlow::Continue);
-                }
-                if self.fenced_peers.contains(&receiver) {
-                    // A chaos-delayed copy naming a now-fenced receiver
-                    // must not re-populate a draining engine; the
-                    // coordinator's phase timeout aborts the round.
-                    self.warn("send_to_fenced_dropped", receiver, round, 4);
-                    return Ok(EngineFlow::Continue);
-                }
-                let fresh = !self.qe.outbound_pending(round);
-                let groups_raw = self.qe.begin_outbound(round, &parts);
+                let (groups_raw, fresh) =
+                    match (self.round).on_send_states(&mut self.qe, round, &parts, receiver) {
+                        Outbound::Ship(groups, fresh) => (groups, fresh),
+                        Outbound::Stale => {
+                            self.warn("stale_send_states", id, round, 4);
+                            return Ok(EngineFlow::Continue);
+                        }
+                        Outbound::Fenced => {
+                            self.warn("send_to_fenced_dropped", receiver, round, 4);
+                            return Ok(EngineFlow::Continue);
+                        }
+                    };
                 let bytes: u64 = groups_raw
                     .iter()
                     .map(|(g, _, _)| g.state_bytes() as u64)
@@ -408,16 +570,11 @@ impl EngineCore {
                     self.note_fault("crash_restart", FaultEdge::InstallStates, round, attempt);
                     return Ok(EngineFlow::CrashRequested);
                 }
-                self.qe.set_mode(Mode::Relocation);
                 let parts: Vec<PartitionId> = groups.iter().map(|g| g.snapshot.partition).collect();
-                let installed = self.qe.install_groups_for_round(
-                    round,
-                    groups
-                        .into_iter()
-                        .map(|g| (g.snapshot, g.output_count, g.purge_protect))
-                        .collect(),
-                )?;
-                if installed {
+                let groups = (groups.into_iter())
+                    .map(|g| (g.snapshot, g.output_count, g.purge_protect))
+                    .collect();
+                if self.round.on_install_states(&mut self.qe, round, groups)? {
                     self.qe.journal().record(
                         self.last_now,
                         AdaptEvent::RelocationStep {
@@ -436,9 +593,6 @@ impl EngineCore {
                     // the ack must still go out — the first one
                     // may have been lost.
                     self.warn("duplicate_install", id, round, 5);
-                    if self.qe.is_stale_round(round) {
-                        self.qe.set_mode(Mode::Normal);
-                    }
                 }
                 self.chaos_reply(plan, FaultEdge::TransferAck, round, attempt, tx, || {
                     FromEngine::TransferAck {
@@ -454,19 +608,15 @@ impl EngineCore {
                 // its retained copy (this message precedes any
                 // replayed tuples on the same FIFO channel); the
                 // receiver discards the uncommitted installation.
-                let discarded = self.qe.abort_inbound(round)?;
-                let reinstalled = self.qe.abort_outbound(round)?;
-                self.warn("round_unwound", id, round, (discarded + reinstalled) as u64);
-                self.qe.set_mode(Mode::Normal);
+                let unwound = self.round.on_abort(&mut self.qe, round)?;
+                self.warn("round_unwound", id, round, unwound as u64);
             }
             ToEngine::Resume { round, watermark } => {
                 // The round completed: the sender drops its
                 // retained copy, the receiver makes the
-                // installation permanent, and both close the round
-                // so stragglers become stale no-ops.
-                self.qe.commit_outbound(round);
-                self.qe.commit_inbound(round);
-                self.qe.set_mode(Mode::Normal);
+                // installation permanent, ownership moves, and both
+                // close the round so stragglers become stale no-ops.
+                self.round.on_resume(&mut self.qe, round);
                 // Catch-up purge: the round's replay (if any) sits
                 // earlier in this FIFO inbox, so it has been
                 // processed; everything arriving later carries
@@ -487,9 +637,7 @@ impl EngineCore {
                 })?;
             }
             ToEngine::FenceNotice { engine } => {
-                if !self.fenced_peers.contains(&engine) {
-                    self.fenced_peers.push(engine);
-                }
+                self.round.fenced.insert(engine);
             }
             ToEngine::PrepareCleanup { owners } => {
                 // Forward segments of partitions owned elsewhere.
@@ -549,22 +697,260 @@ impl EngineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
     use dcape_common::batch::TupleBatch;
     use dcape_common::ids::StreamId;
     use dcape_common::tuple::TupleBuilder;
 
-    /// Keeps what the engine sent to its peers.
-    struct Peers(Vec<ToEngine>);
+    use crate::faults::FaultConfig;
+    use proptest::prelude::*;
 
-    impl EngineTx for Peers {
-        fn to_gc(&mut self, _: FromEngine) -> Result<()> {
+    /// What the engines sent: to the coordinator in `gc`; to a peer on
+    /// `wire`, until the test delivers, drops or duplicates it.
+    #[derive(Default)]
+    struct Recorder {
+        gc: Vec<FromEngine>,
+        wire: VecDeque<(EngineId, ToEngine)>,
+    }
+
+    impl EngineTx for Recorder {
+        fn to_gc(&mut self, m: FromEngine) -> Result<()> {
+            self.gc.push(m);
             Ok(())
         }
 
-        fn to_peer(&mut self, _: EngineId, m: ToEngine) -> Result<()> {
-            self.0.push(m);
+        fn to_peer(&mut self, target: EngineId, m: ToEngine) -> Result<()> {
+            self.wire.push_back((target, m));
             Ok(())
         }
+    }
+
+    /// A second copy of a transfer on the wire.
+    fn copy(m: &ToEngine) -> ToEngine {
+        let ToEngine::InstallStates {
+            round,
+            sender,
+            groups,
+            attempt,
+            declared_bytes,
+        } = m
+        else {
+            panic!("only transfers travel between engines here, got {m:?}");
+        };
+        ToEngine::InstallStates {
+            round: *round,
+            sender: *sender,
+            groups: groups.clone(),
+            attempt: *attempt,
+            declared_bytes: *declared_bytes,
+        }
+    }
+
+    /// A plan under which every install crashes its receiver.
+    fn crashing() -> FaultPlan {
+        FaultPlan::new(
+            0,
+            FaultConfig {
+                crash_rate: 1.0,
+                ..FaultConfig::none()
+            },
+        )
+    }
+
+    /// Roomy engines that reactivate spilled partitions once memory is
+    /// below half the spill threshold.
+    fn reactivating() -> EngineConfig {
+        EngineConfig::three_way(1 << 20, 64 << 10).with_reactivation(0.5)
+    }
+
+    /// Two engines joined by a [`Recorder`], stepped message by message
+    /// as a coordinator would.
+    struct Pair {
+        cores: [EngineCore; 2],
+        tx: Recorder,
+        seq: u64,
+    }
+
+    impl Pair {
+        fn new(cfg: EngineConfig) -> Self {
+            let core = |id| {
+                let journal = JournalHandle::with_capacity(1 << 14);
+                EngineCore::new(EngineId(id), cfg.clone(), journal, false).unwrap()
+            };
+            Pair {
+                cores: [core(0), core(1)],
+                tx: Recorder::default(),
+                seq: 0,
+            }
+        }
+
+        fn step_under(&mut self, e: usize, msg: ToEngine, plan: &FaultPlan) -> Result<EngineFlow> {
+            self.cores[e].handle(msg, plan, &mut self.tx)
+        }
+
+        fn step(&mut self, e: usize, msg: ToEngine) {
+            let flow = self.step_under(e, msg, &FaultPlan::disabled()).unwrap();
+            assert_eq!(flow, EngineFlow::Continue);
+        }
+
+        /// Deliver the oldest transfer on the wire.
+        fn deliver(&mut self) {
+            let (to, m) = self.tx.wire.pop_front().expect("a transfer on the wire");
+            self.step(to.index(), m);
+        }
+
+        /// Deliver the oldest transfer to a receiver that crashes on it,
+        /// and restart that receiver in place.
+        fn crash_on_delivery(&mut self) {
+            let (to, m) = self.tx.wire.pop_front().expect("a transfer on the wire");
+            let flow = self.step_under(to.index(), m, &crashing()).unwrap();
+            assert_eq!(flow, EngineFlow::CrashRequested);
+            self.cores[to.index()].crash_restart();
+        }
+
+        /// Three joining tuples per partition of `pids`, `reps` times,
+        /// into engine `e`.
+        fn load(&mut self, e: usize, pids: &[u32], reps: u64) {
+            let mut tuples = TupleBatch::new();
+            for _ in 0..reps {
+                for &pid in pids {
+                    for stream in 0..3u8 {
+                        let t = TupleBuilder::new(StreamId(stream))
+                            .seq(self.seq)
+                            .ts(VirtualTime::from_millis(self.seq * 10))
+                            .value(i64::from(pid))
+                            .pad(64);
+                        tuples.push(PartitionId(pid), t.build());
+                        self.seq += 1;
+                    }
+                }
+            }
+            self.step(e, ToEngine::DataBatch { tuples });
+        }
+
+        /// Spill all of engine `e`'s resident state.
+        fn spill_all(&mut self, e: usize) {
+            self.step(e, ToEngine::StartSpill { amount: u64::MAX });
+        }
+
+        fn cptv(&mut self, round: u64, from: usize) {
+            let cptv = ToEngine::Cptv {
+                round,
+                amount: u64::MAX,
+                attempt: 0,
+            };
+            self.step(from, cptv);
+        }
+
+        fn send_states(&mut self, round: u64, from: usize, parts: &[PartitionId], attempt: u32) {
+            let send = ToEngine::SendStates {
+                round,
+                parts: parts.to_vec(),
+                receiver: EngineId(1 - from as u16),
+                attempt,
+            };
+            self.step(from, send);
+        }
+
+        /// Steps 1–5 of a round shipping `parts` from `from` to the
+        /// other engine: the receiver has installed them and acked.
+        fn ship(&mut self, round: u64, from: usize, parts: &[PartitionId]) {
+            self.cptv(round, from);
+            self.send_states(round, from, parts, 0);
+            self.deliver();
+        }
+
+        /// The coordinator commits `round` (its `Resume` is a broadcast).
+        fn resume(&mut self, round: u64) {
+            for e in 0..2 {
+                let watermark = VirtualTime::ZERO;
+                self.step(e, ToEngine::Resume { round, watermark });
+            }
+        }
+
+        /// The coordinator aborts `round`: receiver, then sender.
+        fn abort(&mut self, round: u64, from: usize) {
+            self.step(1 - from, ToEngine::AbortRound { round });
+            self.step(from, ToEngine::AbortRound { round });
+        }
+
+        fn tick(&mut self, e: usize, secs: u64) {
+            let now = VirtualTime::from_secs(secs);
+            self.step(e, ToEngine::Tick { now, horizon: now });
+        }
+
+        fn mem(&self, e: usize) -> u64 {
+            self.cores[e].qe.memory_used()
+        }
+
+        fn events(&self, e: usize) -> Vec<AdaptEvent> {
+            let journal = self.cores[e].qe.journal().snapshot();
+            journal.into_iter().map(|entry| entry.event).collect()
+        }
+
+        /// Engine `e`'s run-time merges of spilled partitions, in order.
+        fn reactivated(&self, e: usize) -> Vec<PartitionId> {
+            (self.events(e).into_iter())
+                .filter_map(|event| match event {
+                    AdaptEvent::CleanupPhase { group, .. } => Some(group),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        /// The `detail` of each warning `code` engine `e` journaled.
+        fn warnings(&self, e: usize, code: &str) -> Vec<u64> {
+            (self.events(e).into_iter())
+                .filter_map(|event| match event {
+                    AdaptEvent::ProtocolWarning {
+                        code: c, detail, ..
+                    } if c == code => Some(detail),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        /// Step-`step` records engine `e` journaled.
+        fn steps(&self, e: usize, step: u8) -> usize {
+            (self.events(e).iter())
+                .filter(|event| matches!(event, AdaptEvent::RelocationStep { step: s, .. } if *s == step))
+                .count()
+        }
+
+        /// Acks engine `e` sent for `round`.
+        fn acks(&self, e: usize, round: u64) -> usize {
+            (self.tx.gc.iter())
+                .filter(|m| {
+                    matches!(m, FromEngine::TransferAck { round: r, engine, .. }
+                        if *r == round && engine.index() == e)
+                })
+                .count()
+        }
+
+        fn resident(&self, e: usize) -> Vec<PartitionId> {
+            let join = self.cores[e].qe.join();
+            (0..PARTITIONS)
+                .map(PartitionId)
+                .filter(|&p| join.has_group(p))
+                .collect()
+        }
+
+        fn assert_accounting(&self) {
+            for core in &self.cores {
+                core.qe.assert_accounting_consistent().unwrap();
+            }
+        }
+    }
+
+    /// Partitions the tests load: engine 0 owns the first half, engine 1
+    /// the second.
+    const PARTITIONS: u32 = 8;
+    const P0: [u32; 4] = [0, 1, 2, 3];
+    const P1: [u32; 4] = [4, 5, 6, 7];
+
+    fn pids(raw: &[u32]) -> Vec<PartitionId> {
+        raw.iter().copied().map(PartitionId).collect()
     }
 
     /// `transfer_bytes` is the encoded size of the groups `SendStates`
@@ -585,7 +971,7 @@ mod tests {
                     .pad(64);
                 tuples.push(PartitionId((seq % 2) as u32), t.build());
             }
-            let (plan, mut tx) = (FaultPlan::disabled(), Peers(Vec::new()));
+            let (plan, mut tx) = (FaultPlan::disabled(), Recorder::default());
             core.handle(ToEngine::DataBatch { tuples }, &plan, &mut tx)
                 .unwrap();
             let send = ToEngine::SendStates {
@@ -595,8 +981,8 @@ mod tests {
                 attempt: 0,
             };
             core.handle(send, &plan, &mut tx).unwrap();
-            let [ToEngine::InstallStates { groups, .. }] = &tx.0[..] else {
-                panic!("expected one InstallStates, got {:?}", tx.0);
+            let [(_, ToEngine::InstallStates { groups, .. })] = tx.wire.make_contiguous() else {
+                panic!("expected one InstallStates, got {:?}", tx.wire);
             };
             let encoded: u64 = groups
                 .iter()
@@ -610,5 +996,742 @@ mod tests {
             encoded
         });
         assert!(sizes[0] > 0 && sizes[0] == sizes[1]);
+    }
+
+    /// A duplicated `InstallStates` is re-acked without installing twice.
+    #[test]
+    fn a_duplicated_install_is_reacked_without_doubling_state() {
+        let mut pair = Pair::new(EngineConfig::three_way(1 << 30, 1 << 29));
+        pair.load(0, &P0, 5);
+        pair.cptv(7, 0);
+        pair.send_states(7, 0, &pids(&P0), 0);
+        let duplicate = copy(&pair.tx.wire[0].1);
+        pair.deliver();
+        let after_first = pair.mem(1);
+        assert!(after_first > 0);
+        pair.tx.wire.push_back((EngineId(1), duplicate));
+        pair.deliver();
+        assert_eq!(
+            pair.mem(1),
+            after_first,
+            "a duplicate must not double state"
+        );
+        assert_eq!(pair.acks(1, 7), 2, "the first ack may have been lost");
+        assert_eq!(pair.warnings(1, "duplicate_install"), [5]);
+        assert_eq!(pair.steps(1, 5), 1);
+        pair.assert_accounting();
+    }
+
+    /// A retried `SendStates` re-ships the copy the first one extracted
+    /// — the same buffers, not a second extraction — and an abort after
+    /// one copy was installed still finds that copy whole.
+    #[test]
+    fn a_retried_send_states_reships_the_same_buffers() {
+        let mut pair = Pair::new(EngineConfig::three_way(1 << 30, 1 << 29));
+        pair.load(0, &P0, 5);
+        let before = pair.mem(0);
+        pair.cptv(3, 0);
+        pair.send_states(3, 0, &pids(&P0), 0);
+        let freed = pair.mem(0);
+        pair.send_states(3, 0, &pids(&P0), 1);
+        assert_eq!(pair.mem(0), freed, "a retry must not extract again");
+        assert_eq!(pair.steps(0, 4), 1, "the extraction is journaled once");
+        let groups = |m: &ToEngine| match m {
+            ToEngine::InstallStates { groups, .. } => groups.clone(),
+            other => panic!("expected a transfer, got {other:?}"),
+        };
+        let (first, second) = (groups(&pair.tx.wire[0].1), groups(&pair.tx.wire[1].1));
+        assert_eq!(first.len(), P0.len());
+        // A snapshot clone shares its columns, it does not copy rows.
+        for (shipped, reshipped) in first.iter().zip(&second) {
+            let (a, b) = (&shipped.snapshot, &reshipped.snapshot);
+            assert_eq!(a, b);
+            assert_eq!(shipped.output_count, reshipped.output_count);
+            for (a, b) in a.streams().iter().zip(b.streams()) {
+                assert!(!a.is_empty());
+                assert_eq!(a.row(0).as_ptr(), b.row(0).as_ptr());
+                assert_eq!(a.ts().as_ptr(), b.ts().as_ptr());
+            }
+        }
+        // One copy lands; the round aborts; the sender's copy is whole,
+        // and a later round extracts the same groups again.
+        pair.deliver();
+        pair.tx.wire.clear();
+        pair.abort(3, 0);
+        assert_eq!((pair.mem(0), pair.mem(1)), (before, 0));
+        pair.cptv(4, 0);
+        pair.send_states(4, 0, &pids(&P0), 0);
+        let again = groups(&pair.tx.wire[0].1);
+        let snapshots =
+            |g: &[GroupTransfer]| g.iter().map(|g| g.snapshot.clone()).collect::<Vec<_>>();
+        assert_eq!(snapshots(&again), snapshots(&second));
+    }
+
+    /// `AbortRound` restores memory, output and accounting on both ends:
+    /// the receiver uninstalls, the sender reinstalls its copy.
+    #[test]
+    fn an_abort_restores_memory_output_and_accounting_on_both_ends() {
+        let mut pair = Pair::new(EngineConfig::three_way(1 << 30, 1 << 29));
+        pair.load(0, &P0, 6);
+        let before = [0, 1].map(|e| (pair.mem(e), pair.cores[e].qe.total_output()));
+        assert!(before[0].1 > 0);
+        pair.ship(1, 0, &pids(&P0));
+        assert_eq!(pair.mem(0), 0);
+        assert!(pair.mem(1) > 0);
+        pair.abort(1, 0);
+        let after = [0, 1].map(|e| (pair.mem(e), pair.cores[e].qe.total_output()));
+        assert_eq!(after, before);
+        assert_eq!(pair.resident(0), pids(&P0));
+        assert_eq!(pair.resident(1), []);
+        for e in 0..2 {
+            assert_eq!(pair.warnings(e, "round_unwound"), [P0.len() as u64]);
+            assert_eq!(pair.cores[e].qe.mode(), Mode::Normal);
+        }
+        pair.assert_accounting();
+    }
+
+    /// A crash between install and ack — the receiver crashes on the
+    /// retried transfer — wipes the uncommitted install and nothing of
+    /// the receiver's own; the sender's copy brings the state home.
+    #[test]
+    fn a_crash_between_install_and_ack_wipes_only_the_uncommitted_install() {
+        let mut pair = Pair::new(EngineConfig::three_way(1 << 30, 1 << 29));
+        pair.load(0, &P0, 5);
+        pair.load(1, &P1, 3);
+        let before = [pair.mem(0), pair.mem(1)];
+        pair.ship(5, 0, &pids(&P0));
+        assert!(pair.mem(1) > before[1]);
+        pair.send_states(5, 0, &pids(&P0), 1);
+        pair.crash_on_delivery();
+        assert_eq!(pair.mem(1), before[1]);
+        assert_eq!(pair.resident(1), pids(&P1));
+        assert_eq!(pair.cores[1].qe.mode(), Mode::Normal);
+        assert_eq!(pair.acks(1, 5), 1, "the crash sent no ack");
+        pair.abort(5, 0);
+        assert_eq!([pair.mem(0), pair.mem(1)], before);
+        assert_eq!(pair.warnings(1, "round_unwound"), [0]);
+        pair.assert_accounting();
+    }
+
+    /// `Resume` closes the round on both ends: its stragglers are
+    /// `stale_*` warnings that move nothing, a late transfer is re-acked
+    /// without installing, and an abort after the commit unwinds
+    /// nothing.
+    #[test]
+    fn resume_closes_the_round_so_stragglers_are_stale_warnings() {
+        let mut pair = Pair::new(EngineConfig::three_way(1 << 30, 1 << 29));
+        pair.load(0, &P0, 5);
+        pair.cptv(2, 0);
+        pair.send_states(2, 0, &pids(&P0), 0);
+        let late = copy(&pair.tx.wire[0].1);
+        pair.deliver();
+        pair.resume(2);
+        let held = pair.mem(1);
+        assert_eq!(pair.mem(0), 0);
+        pair.cptv(2, 0);
+        pair.send_states(2, 0, &pids(&P0), 1);
+        assert!(pair.tx.wire.is_empty(), "nothing re-shipped");
+        assert_eq!(pair.warnings(0, "stale_cptv"), [1]);
+        assert_eq!(pair.warnings(0, "stale_send_states"), [4]);
+        pair.tx.wire.push_back((EngineId(1), late));
+        pair.deliver();
+        assert_eq!(pair.warnings(1, "duplicate_install"), [5]);
+        assert_eq!(pair.acks(1, 2), 2);
+        pair.abort(2, 0);
+        assert_eq!((pair.mem(0), pair.mem(1)), (0, held));
+        assert_eq!(pair.warnings(0, "round_unwound"), [0]);
+        assert_eq!(pair.resident(1), pids(&P0));
+        pair.assert_accounting();
+    }
+
+    /// Engine 0 holds partition 0 with a spilled segment behind its
+    /// resident remainder; round 1 ships the remainder to engine 1 and
+    /// commits. Returns the pair and the partition.
+    fn shipped_away() -> (Pair, PartitionId) {
+        let mut pair = Pair::new(reactivating());
+        let p = PartitionId(0);
+        pair.load(0, &[0], 2);
+        pair.spill_all(0);
+        pair.load(0, &[0], 2);
+        assert_eq!(pair.cores[0].qe.spilled_partitions(), [p]);
+        pair.ship(1, 0, &[p]);
+        pair.resume(1);
+        (pair, p)
+    }
+
+    /// Segments stay behind when a partition's memory state relocates:
+    /// the engine that shipped it away does not reactivate them, until
+    /// a later round brings the partition back and commits.
+    #[test]
+    fn shipped_away_partitions_are_not_reactivated_until_they_return() {
+        let (mut pair, p) = shipped_away();
+        pair.tick(0, 1);
+        assert_eq!(pair.mem(0), 0, "nothing reactivated on a non-owner");
+        assert_eq!(pair.cores[0].qe.spilled_partitions(), [p]);
+        // Back it comes; while the round is open nothing reactivates.
+        pair.ship(2, 1, &[p]);
+        pair.tick(0, 2);
+        assert_eq!(pair.reactivated(0), []);
+        pair.resume(2);
+        pair.tick(0, 3);
+        assert_eq!(pair.reactivated(0), [p]);
+        assert_eq!(pair.cores[0].qe.spilled_partitions(), []);
+        pair.assert_accounting();
+    }
+
+    /// Round 2 brings the partition back to the engine that shipped it
+    /// away in round 1, and `undo` takes the install away again before
+    /// the round commits: that engine still does not own the partition,
+    /// so the next pulse, with all the memory it wants, must leave its
+    /// segment alone.
+    fn receiver_still_a_non_owner_after(undo: impl FnOnce(&mut Pair)) {
+        let (mut pair, p) = shipped_away();
+        pair.ship(2, 1, &[p]);
+        assert!(pair.mem(0) > 0);
+        undo(&mut pair);
+        pair.tick(0, 10);
+        assert_eq!(
+            pair.cores[0].qe.spilled_partitions(),
+            [p],
+            "engine 0 reactivated the segments of a partition engine 1 owns"
+        );
+        assert_eq!(pair.mem(0), 0);
+        assert_eq!(pair.reactivated(0), []);
+    }
+
+    #[test]
+    fn an_aborted_install_leaves_its_receiver_a_non_owner() {
+        receiver_still_a_non_owner_after(|pair| pair.abort(2, 1));
+    }
+
+    #[test]
+    fn an_install_wiped_by_a_crash_leaves_its_receiver_a_non_owner() {
+        receiver_still_a_non_owner_after(|pair| {
+            pair.send_states(2, 1, &[PartitionId(0)], 1);
+            pair.crash_on_delivery();
+        });
+    }
+
+    /// Engine 1 sends its partition 4 — a spilled segment behind a
+    /// resident remainder — in round 2, and a late copy of round 1's
+    /// transfer reaches it before or after the extraction: handled as a
+    /// stale duplicate, or crashing it. Once the copy is in flight the
+    /// engine is in relocation mode whatever arrived, so the next pulse
+    /// does not reactivate partition 4 beside it, and the abort puts it
+    /// back once.
+    #[test]
+    fn a_sender_stays_in_relocation_mode_while_its_copy_is_in_flight() {
+        for plan in [FaultPlan::disabled(), crashing()] {
+            for late_first in [false, true] {
+                let mut pair = Pair::new(reactivating());
+                let (p0, p4) = (PartitionId(0), PartitionId(4));
+                pair.load(0, &[0], 2);
+                pair.load(1, &[4], 2);
+                pair.spill_all(1);
+                pair.load(1, &[4], 1);
+                pair.cptv(1, 0);
+                pair.send_states(1, 0, &[p0], 0);
+                let late = copy(&pair.tx.wire[0].1);
+                pair.deliver();
+                pair.resume(1);
+                let before = pair.mem(1);
+                pair.cptv(2, 1);
+                let mut late = Some(late);
+                for step in 0..2 {
+                    if (step == 0) == late_first {
+                        let late = late.take().unwrap();
+                        if pair.step_under(1, late, &plan).unwrap() == EngineFlow::CrashRequested {
+                            pair.cores[1].crash_restart();
+                        }
+                    } else {
+                        pair.send_states(2, 1, &[p4], 0);
+                    }
+                }
+                assert_eq!(pair.cores[1].qe.mode(), Mode::Relocation);
+                pair.tick(1, 1);
+                assert_eq!(pair.reactivated(1), []);
+                pair.abort(2, 1);
+                assert_eq!(pair.mem(1), before);
+            }
+        }
+    }
+
+    /// What the fuzz does next.
+    #[derive(Debug, Clone, Copy)]
+    enum Input {
+        /// Open a round (`Cptv`) from engine `from` for `halves` halves
+        /// of its memory, `gap` ids past the last one opened: a future
+        /// round for an engine that saw none of the ones between.
+        Open { from: usize, halves: u64, gap: u64 },
+        /// The live round's `SendStates`; a retry after the first.
+        Send,
+        /// A copy of it naming a fenced receiver.
+        SendFenced,
+        /// The oldest transfer on the wire meets its fate.
+        Wire(Fate),
+        /// The coordinator commits the live round, once its receiver
+        /// acked.
+        Commit,
+        /// The coordinator aborts the live round.
+        Abort,
+        /// A clock pulse at engine `e`.
+        Tick { e: usize },
+        /// A message of the last round closed reaches its sender late.
+        Stale(Late),
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Late {
+        Cptv,
+        SendStates,
+        /// What the coordinator sends the sender of a late `Ptv` —
+        /// unless it is sending the round in flight.
+        Resume,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Fate {
+        Deliver,
+        /// Delivered, and a second copy stays at the front of the wire.
+        Duplicate,
+        Drop,
+        /// Sent to the back of the wire: late, perhaps stale by then.
+        Hold,
+        /// Its receiver crashes on it and restarts in place.
+        Crash,
+    }
+
+    /// Inputs weighted so that most rounds get their transfer through
+    /// and commit — partitions travel back and forth — while every
+    /// fault still shows up in most schedules.
+    fn input() -> impl Strategy<Value = Input> {
+        let fates = [
+            Fate::Deliver,
+            Fate::Deliver,
+            Fate::Deliver,
+            Fate::Duplicate,
+            Fate::Drop,
+            Fate::Hold,
+            Fate::Crash,
+        ];
+        let open = (0usize..2, 0u64..3, 0u64..3).prop_map(|(from, halves, gap)| Input::Open {
+            from,
+            halves,
+            gap,
+        });
+        let wire = (0usize..fates.len()).prop_map(move |i| Input::Wire(fates[i]));
+        let tick = (0usize..2).prop_map(|e| Input::Tick { e });
+        prop_oneof![
+            open.clone(),
+            open,
+            (0u8..1).prop_map(|_| Input::Send),
+            (0u8..1).prop_map(|_| Input::Send),
+            (0u8..1).prop_map(|_| Input::SendFenced),
+            wire.clone(),
+            wire.clone(),
+            wire,
+            (0u8..1).prop_map(|_| Input::Commit),
+            (0u8..1).prop_map(|_| Input::Commit),
+            (0u8..1).prop_map(|_| Input::Commit),
+            (0u8..1).prop_map(|_| Input::Abort),
+            tick.clone(),
+            tick,
+            (0usize..3).prop_map(|i| Input::Stale([Late::Cptv, Late::SendStates, Late::Resume][i])),
+        ]
+    }
+
+    /// The round the fuzz's coordinator has open.
+    struct Live {
+        id: u64,
+        from: usize,
+        to: usize,
+        parts: Vec<PartitionId>,
+        /// `SendStates` went out (to the real receiver) this often.
+        sends: u32,
+        /// The receiver acked since it last crashed. A crash wipes the
+        /// install an earlier ack promised, so the model's coordinator
+        /// forgets that ack too.
+        acked: bool,
+        /// Each engine's resident partitions and memory when the round
+        /// opened, plus what it reactivated since: an abort must land
+        /// exactly here.
+        before: [(Vec<PartitionId>, u64); 2],
+    }
+
+    type Check = std::result::Result<(), TestCaseError>;
+
+    /// The fuzz's coordinator, and what it knows the engines must hold.
+    struct Model {
+        pair: Pair,
+        /// Each partition's owner; it changes only when a round commits.
+        owner: Vec<usize>,
+        /// What the two engines hold between them while no round is
+        /// open: the load, plus whatever reactivation merged back in.
+        loaded: u64,
+        next_round: u64,
+        clock: u64,
+        live: Option<Live>,
+        ptv: Option<Vec<PartitionId>>,
+        /// The last round closed: id, sender, parts.
+        closed: Option<(u64, usize, Vec<PartitionId>)>,
+    }
+
+    impl Model {
+        /// Each engine holds its half of the partitions, each partition
+        /// a spilled segment behind a resident remainder.
+        fn new() -> Self {
+            let mut pair = Pair::new(reactivating());
+            for (e, own) in [(0, P0), (1, P1)] {
+                pair.load(e, &own, 2);
+                pair.spill_all(e);
+                pair.load(e, &own, 1);
+            }
+            Model {
+                loaded: pair.mem(0) + pair.mem(1),
+                pair,
+                owner: (0..PARTITIONS).map(|p| usize::from(p >= 4)).collect(),
+                next_round: 0,
+                clock: 0,
+                live: None,
+                ptv: None,
+                closed: None,
+            }
+        }
+
+        /// Engine `e` handles `msg`; the coordinator reads its replies.
+        fn step(
+            &mut self,
+            e: usize,
+            msg: ToEngine,
+            plan: &FaultPlan,
+        ) -> std::result::Result<EngineFlow, TestCaseError> {
+            let flow = (self.pair.step_under(e, msg, plan))
+                .map_err(|err| TestCaseError::fail(format!("engine {e} refused: {err}")))?;
+            for reply in self.pair.tx.gc.drain(..) {
+                match reply {
+                    FromEngine::Ptv { parts, .. } => self.ptv = Some(parts),
+                    FromEngine::TransferAck { round, engine, .. } => {
+                        if let Some(live) = self.live.as_mut() {
+                            live.acked |= live.id == round && live.to == engine.index();
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            Ok(flow)
+        }
+
+        fn run(&mut self, e: usize, msg: ToEngine) -> Check {
+            let flow = self.step(e, msg, &FaultPlan::disabled())?;
+            prop_assert_eq!(flow, EngineFlow::Continue);
+            Ok(())
+        }
+
+        fn apply(&mut self, input: Input) -> Check {
+            match input {
+                Input::Open { from, halves, gap } => {
+                    if self.live.is_some() {
+                        return Ok(());
+                    }
+                    let id = self.next_round + gap;
+                    self.next_round = id + 1;
+                    let before = [0, 1].map(|e| (self.pair.resident(e), self.pair.mem(e)));
+                    let amount = self.pair.mem(from) * halves / 2;
+                    self.run(
+                        from,
+                        ToEngine::Cptv {
+                            round: id,
+                            amount,
+                            attempt: 0,
+                        },
+                    )?;
+                    let parts = self.ptv.take().expect("a live Cptv is answered");
+                    if parts.is_empty() {
+                        // Nothing to move: the coordinator resumes the
+                        // sender alone.
+                        let resume = ToEngine::Resume {
+                            round: id,
+                            watermark: VirtualTime::ZERO,
+                        };
+                        self.run(from, resume)?;
+                        self.closed = Some((id, from, parts));
+                    } else {
+                        self.live = Some(Live {
+                            id,
+                            from,
+                            to: 1 - from,
+                            parts,
+                            sends: 0,
+                            acked: false,
+                            before,
+                        });
+                    }
+                }
+                Input::Send => {
+                    let Some(live) = self.live.as_mut() else {
+                        return Ok(());
+                    };
+                    let (from, attempt) = (live.from, live.sends);
+                    live.sends += 1;
+                    let parts = live.parts.clone();
+                    let send = ToEngine::SendStates {
+                        round: live.id,
+                        parts: parts.clone(),
+                        receiver: EngineId(live.to as u16),
+                        attempt,
+                    };
+                    let mem = self.pair.mem(from);
+                    self.run(from, send)?;
+                    let Some((_, ToEngine::InstallStates { groups, .. })) =
+                        self.pair.tx.wire.back()
+                    else {
+                        prop_assert!(false, "SendStates shipped nothing");
+                        unreachable!()
+                    };
+                    let shipped: Vec<PartitionId> =
+                        groups.iter().map(|g| g.snapshot.partition).collect();
+                    prop_assert_eq!(shipped, parts, "every part is shipped, every time");
+                    if attempt > 0 {
+                        prop_assert_eq!(self.pair.mem(from), mem, "a retry extracted again");
+                    }
+                }
+                Input::SendFenced => {
+                    let Some(live) = self.live.as_ref() else {
+                        return Ok(());
+                    };
+                    let (from, fenced) = (live.from, EngineId(2));
+                    let send = ToEngine::SendStates {
+                        round: live.id,
+                        parts: live.parts.clone(),
+                        receiver: fenced,
+                        attempt: live.sends,
+                    };
+                    let (mem, wire) = (self.pair.mem(from), self.pair.tx.wire.len());
+                    let dropped = self.pair.warnings(from, "send_to_fenced_dropped").len();
+                    self.run(from, ToEngine::FenceNotice { engine: fenced })?;
+                    self.run(from, send)?;
+                    prop_assert_eq!(
+                        self.pair.warnings(from, "send_to_fenced_dropped").len(),
+                        dropped + 1
+                    );
+                    prop_assert_eq!((self.pair.mem(from), self.pair.tx.wire.len()), (mem, wire));
+                }
+                Input::Wire(fate) => {
+                    let Some((to, m)) = self.pair.tx.wire.pop_front() else {
+                        return Ok(());
+                    };
+                    match fate {
+                        Fate::Deliver => self.run(to.index(), m)?,
+                        Fate::Duplicate => {
+                            let again = copy(&m);
+                            self.run(to.index(), m)?;
+                            self.pair.tx.wire.push_front((to, again));
+                        }
+                        Fate::Drop => {}
+                        Fate::Hold => self.pair.tx.wire.push_back((to, m)),
+                        Fate::Crash => {
+                            let flow = self.step(to.index(), m, &crashing())?;
+                            prop_assert_eq!(flow, EngineFlow::CrashRequested);
+                            self.pair.cores[to.index()].crash_restart();
+                            if let Some(live) = self.live.as_mut() {
+                                live.acked &= live.to != to.index();
+                            }
+                        }
+                    }
+                }
+                Input::Commit => {
+                    let Some(live) = self.live.take_if(|live| live.acked) else {
+                        return Ok(());
+                    };
+                    for e in 0..2 {
+                        let resume = ToEngine::Resume {
+                            round: live.id,
+                            watermark: VirtualTime::ZERO,
+                        };
+                        self.run(e, resume)?;
+                    }
+                    for p in &live.parts {
+                        self.owner[p.index()] = live.to;
+                    }
+                    self.closed = Some((live.id, live.from, live.parts));
+                }
+                Input::Abort => {
+                    let Some(live) = self.live.take() else {
+                        return Ok(());
+                    };
+                    self.run(live.to, ToEngine::AbortRound { round: live.id })?;
+                    self.run(live.from, ToEngine::AbortRound { round: live.id })?;
+                    for (e, (resident, mem)) in live.before.iter().enumerate() {
+                        prop_assert_eq!(
+                            &self.pair.resident(e),
+                            resident,
+                            "engine {} after an abort",
+                            e
+                        );
+                        prop_assert_eq!(self.pair.mem(e), *mem, "engine {} after an abort", e);
+                    }
+                    self.closed = Some((live.id, live.from, live.parts));
+                }
+                Input::Tick { e } => {
+                    self.clock += 1;
+                    let now = VirtualTime::from_secs(self.clock);
+                    let (mem, merged) = (self.pair.mem(e), self.pair.reactivated(e).len());
+                    self.run(e, ToEngine::Tick { now, horizon: now })?;
+                    let grown = self.pair.mem(e).checked_sub(mem);
+                    let Some(grown) = grown else {
+                        return Err(TestCaseError::fail(format!("a pulse shrank engine {e}")));
+                    };
+                    match self.pair.reactivated(e)[merged..] {
+                        [] => prop_assert_eq!(grown, 0, "a pulse without a merge moved memory"),
+                        [p] => {
+                            prop_assert_eq!(
+                                self.owner[p.index()],
+                                e,
+                                "engine {} reactivated {}, which it does not own",
+                                e,
+                                p
+                            );
+                            if let Some(live) = self.live.as_mut() {
+                                // Before the extraction a merge only adds to
+                                // what will ship; after it, the partition
+                                // would be resident twice.
+                                let shipping =
+                                    live.from == e && live.sends > 0 && live.parts.contains(&p);
+                                prop_assert!(
+                                    !shipping,
+                                    "engine {} reactivated {} while shipping it",
+                                    e,
+                                    p
+                                );
+                                let (resident, mem) = &mut live.before[e];
+                                if !resident.contains(&p) {
+                                    resident.push(p);
+                                    resident.sort();
+                                }
+                                *mem += grown;
+                            }
+                            self.loaded += grown;
+                        }
+                        ref more => prop_assert!(false, "one pulse merged {:?}", more),
+                    }
+                }
+                Input::Stale(late) => {
+                    let Some((round, from, parts)) = self.closed.clone() else {
+                        return Ok(());
+                    };
+                    let (msg, warning) = match late {
+                        Late::Cptv => (
+                            ToEngine::Cptv {
+                                round,
+                                amount: u64::MAX,
+                                attempt: 9,
+                            },
+                            Some("stale_cptv"),
+                        ),
+                        Late::SendStates => {
+                            let receiver = EngineId(1 - from as u16);
+                            let send = ToEngine::SendStates {
+                                round,
+                                parts,
+                                receiver,
+                                attempt: 9,
+                            };
+                            (send, Some("stale_send_states"))
+                        }
+                        Late::Resume => {
+                            if self.live.as_ref().is_some_and(|live| live.from == from) {
+                                return Ok(());
+                            }
+                            (
+                                ToEngine::Resume {
+                                    round,
+                                    watermark: VirtualTime::ZERO,
+                                },
+                                None,
+                            )
+                        }
+                    };
+                    let warned =
+                        |pair: &Pair| warning.map_or(0, |code| pair.warnings(from, code).len());
+                    let (before, held) = (
+                        warned(&self.pair),
+                        (
+                            [self.pair.mem(0), self.pair.mem(1)],
+                            self.pair.tx.wire.len(),
+                        ),
+                    );
+                    self.run(from, msg)?;
+                    prop_assert_eq!(warned(&self.pair), before + usize::from(warning.is_some()));
+                    prop_assert_eq!(
+                        (
+                            [self.pair.mem(0), self.pair.mem(1)],
+                            self.pair.tx.wire.len()
+                        ),
+                        held
+                    );
+                }
+            }
+            self.check()
+        }
+
+        /// What holds after every input: consistent accounting, an
+        /// engine holding a round's state in relocation mode, and with no
+        /// round open, each partition resident on its owner alone and
+        /// nothing gained or lost in memory.
+        fn check(&self) -> Check {
+            for core in &self.pair.cores {
+                let consistent = core.qe.assert_accounting_consistent();
+                prop_assert!(consistent.is_ok(), "{:?}", consistent);
+                let holds = core.round.outbound.is_some() || core.round.inbound.is_some();
+                if holds {
+                    prop_assert_eq!(
+                        core.qe.mode(),
+                        Mode::Relocation,
+                        "{} holds a round's state",
+                        core.id
+                    );
+                }
+            }
+            if self.live.is_none() {
+                for e in 0..2 {
+                    let owned: Vec<PartitionId> = (0..PARTITIONS)
+                        .filter(|p| self.owner[*p as usize] == e)
+                        .map(PartitionId)
+                        .collect();
+                    prop_assert_eq!(self.pair.resident(e), owned, "engine {} between rounds", e);
+                }
+                prop_assert_eq!(self.pair.mem(0) + self.pair.mem(1), self.loaded);
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 1024,
+            ..ProptestConfig::default()
+        })]
+
+        /// Two engines under a coordinator that opens rounds with gaps
+        /// in their ids, retries `SendStates` and names fenced
+        /// receivers, over a wire that delivers, duplicates, drops,
+        /// reorders or crashes the receiver on a transfer, with commits,
+        /// aborts, pulses and stale copies in between. No input is
+        /// refused; an abort restores both engines as they were; a
+        /// commit leaves the parts resident on the receiver alone; with
+        /// no round open, each partition is resident on its owner and
+        /// memory sums to the load; no engine reactivates a partition
+        /// it does not own or is shipping.
+        #[test]
+        fn the_engine_side_of_a_round_survives_any_schedule(
+            inputs in proptest::collection::vec(input(), 1..80)
+        ) {
+            let mut model = Model::new();
+            for (i, input) in inputs.iter().enumerate() {
+                if let Err(e) = model.apply(*input) {
+                    prop_assert!(false, "{} at input {} of {:?}", e, i, inputs);
+                }
+            }
+        }
     }
 }

@@ -370,12 +370,10 @@ impl SimTransport {
         })?;
         core.last_now = core.last_now.max(self.now);
         let plan = self.plan;
-        let flow = core.handle(msg, &plan, self).and_then(|flow| {
-            if flow == EngineFlow::CrashRequested {
-                core.qe.crash_restart()?;
-            }
-            Ok(flow)
-        });
+        let flow = core.handle(msg, &plan, self);
+        if matches!(flow, Ok(EngineFlow::CrashRequested)) {
+            core.crash_restart();
+        }
         self.cores[idx] = Some(core);
         self.finished[idx] = flow? == EngineFlow::Finished;
         Ok(())

@@ -223,14 +223,10 @@ fn engine_main(
     for msg in rx.iter() {
         match core.handle(msg, &plan, &mut tx) {
             Ok(EngineFlow::Continue) => {}
-            // In-process crash-restart: drop all transient state, keep
-            // the thread alive — the socket runtime's worker exits the
-            // real OS process here instead.
-            Ok(EngineFlow::CrashRequested) => {
-                if let Err(e) = core.qe.crash_restart() {
-                    panic!("engine {id} failed to crash-restart: {e}");
-                }
-            }
+            // In-process crash-restart: keep the thread alive — the
+            // socket runtime's worker exits the real OS process here
+            // instead.
+            Ok(EngineFlow::CrashRequested) => core.crash_restart(),
             Ok(EngineFlow::Finished) => break,
             Err(e) => panic!("engine {id} failed: {e}"),
         }

@@ -23,7 +23,10 @@ pub enum Mode {
     /// A state-spill process is running on this engine (`ss_mode`).
     Spill,
     /// This engine participates in a state-relocation protocol round
-    /// (`sr_mode`).
+    /// (`sr_mode`): no spill check and no reactivation touch its state
+    /// until the round is over. The cluster's engine handler sets it
+    /// at `Cptv`, `SendStates` and `InstallStates` and clears it once
+    /// the engine keeps no copy and no uncommitted install of a round.
     Relocation,
 }
 

@@ -10,7 +10,9 @@
 //!   active-disk strategy (Algorithm 2);
 //! * [`QueryEngine::select_parts_to_move`] /
 //!   [`QueryEngine::extract_groups`] / [`QueryEngine::install_groups`] —
-//!   the engine-side legs of the relocation protocol;
+//!   the state hand-off of a relocation; the round around it (its id,
+//!   the retained copy, the uncommitted install, who owns a partition
+//!   afterwards) is the cluster's engine handler's, not the engine's;
 //! * [`QueryEngine::cleanup`] — the post-run cleanup phase.
 
 use std::sync::Arc;
@@ -93,23 +95,6 @@ pub struct QueryEngine {
     /// cleanup results, so the window purge must skip them just as it
     /// skips locally-spilled partitions.
     purge_protect: FxHashSet<PartitionId>,
-    /// Partitions whose memory state this engine shipped away in a
-    /// committed relocation round and has not received back: it may
-    /// still hold their spill segments, but it no longer owns them, so
-    /// it must not reactivate them into memory — the owner's cleanup
-    /// merge would never see the reactivated group.
-    relocated_out: FxHashSet<PartitionId>,
-    /// Relocation rounds below this id are closed; re-delivered protocol
-    /// messages for them are stale no-ops (chaos-layer idempotency).
-    min_live_round: u64,
-    /// Outbound relocation copy retained until the round commits, so an
-    /// abort (retries exhausted, peer dead) can reinstall the shipped
-    /// state — losing an `InstallStates` must never lose operator state.
-    pending_outbound: Option<(u64, Vec<ExtractedGroup>)>,
-    /// Uncommitted inbound installation: round id plus the partitions it
-    /// installed, so a duplicate install is detected (re-ack, no-op) and
-    /// an abort or crash can uninstall exactly what arrived.
-    inbound_round: Option<(u64, Vec<PartitionId>)>,
 }
 
 impl QueryEngine {
@@ -137,10 +122,6 @@ impl QueryEngine {
             journal: JournalHandle::disabled(),
             clock: VirtualTime::ZERO,
             purge_protect: FxHashSet::default(),
-            relocated_out: FxHashSet::default(),
-            min_live_round: 0,
-            pending_outbound: None,
-            inbound_round: None,
         })
     }
 
@@ -415,147 +396,9 @@ impl QueryEngine {
             if protect {
                 self.purge_protect.insert(snapshot.partition);
             }
-            self.relocated_out.remove(&snapshot.partition);
             self.join.install_group(snapshot, output)?;
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Relocation idempotency & crash recovery (chaos hardening).
-    //
-    // Every protocol step keys on a round id; a re-delivered message for
-    // a closed round is a no-op, a duplicate install for the live round
-    // re-acks without reinstalling, and an abort restores the exact
-    // pre-round state on both ends. The sender's shipped copy counts as
-    // stable (it survives a crash), the receiver's installation does not
-    // until committed.
-    // ------------------------------------------------------------------
-
-    /// Is `round` already closed on this engine? Stale (delayed or
-    /// duplicated) protocol messages for closed rounds must be ignored.
-    pub fn is_stale_round(&self, round: u64) -> bool {
-        round < self.min_live_round
-    }
-
-    /// Mark `round` closed (committed or aborted): later re-deliveries
-    /// of its messages become stale no-ops.
-    pub fn note_round_closed(&mut self, round: u64) {
-        self.min_live_round = self.min_live_round.max(round + 1);
-    }
-
-    /// Does this engine hold a retained outbound copy for `round`?
-    /// Drivers use it to journal the extraction exactly once — retries
-    /// re-ship the same copy.
-    pub fn outbound_pending(&self, round: u64) -> bool {
-        matches!(&self.pending_outbound, Some((r, _)) if *r == round)
-    }
-
-    /// Sender side of step 4: extract `pids` for shipment and retain a
-    /// copy until the round commits. Returns the groups to ship.
-    /// Re-invocations for the same round (a retried `SendStates`) re-ship
-    /// the retained copy instead of extracting again.
-    pub fn begin_outbound(&mut self, round: u64, pids: &[PartitionId]) -> Vec<ExtractedGroup> {
-        if let Some((r, groups)) = &self.pending_outbound {
-            if *r == round {
-                return groups.clone();
-            }
-        }
-        let groups = self.extract_groups(pids);
-        self.pending_outbound = Some((round, groups.clone()));
-        groups
-    }
-
-    /// Sender side of step 7/8: the round committed — drop the retained
-    /// outbound copy and close the round.
-    pub fn commit_outbound(&mut self, round: u64) {
-        if let Some((_, groups)) = self.pending_outbound.take_if(|(r, _)| *r == round) {
-            self.relocated_out
-                .extend(groups.iter().map(|(g, _, _)| g.partition));
-        }
-        self.note_round_closed(round);
-    }
-
-    /// Sender side of an abort: reinstall the retained outbound copy —
-    /// the partitions never changed owner, so their state must be back
-    /// here before buffered tuples replay. Returns the number of groups
-    /// reinstalled (0 if nothing was pending for `round`).
-    pub fn abort_outbound(&mut self, round: u64) -> Result<usize> {
-        let reinstalled = match self.pending_outbound.take() {
-            Some((r, groups)) if r == round => {
-                let n = groups.len();
-                self.install_groups(groups)?;
-                n
-            }
-            other => {
-                self.pending_outbound = other;
-                0
-            }
-        };
-        self.note_round_closed(round);
-        Ok(reinstalled)
-    }
-
-    /// Receiver side of step 5, idempotent: install `groups` for
-    /// `round`. Returns `Ok(false)` — a no-op that should still be
-    /// re-acked — when the round is stale or the same round was already
-    /// installed (a duplicated `InstallStates`); `Ok(true)` on first
-    /// installation.
-    pub fn install_groups_for_round(
-        &mut self,
-        round: u64,
-        groups: Vec<ExtractedGroup>,
-    ) -> Result<bool> {
-        if self.is_stale_round(round) {
-            return Ok(false);
-        }
-        if matches!(&self.inbound_round, Some((r, _)) if *r == round) {
-            return Ok(false);
-        }
-        let pids: Vec<PartitionId> = groups.iter().map(|(g, _, _)| g.partition).collect();
-        self.install_groups(groups)?;
-        self.inbound_round = Some((round, pids));
-        Ok(true)
-    }
-
-    /// Receiver side of step 7/8: the round committed — the installed
-    /// groups are now permanently this engine's; close the round.
-    pub fn commit_inbound(&mut self, round: u64) {
-        if matches!(&self.inbound_round, Some((r, _)) if *r == round) {
-            self.inbound_round = None;
-        }
-        self.note_round_closed(round);
-    }
-
-    /// Receiver side of an abort: uninstall whatever `round` installed
-    /// (the sender reinstalls its retained copy; keeping both would
-    /// double state and double outputs). Returns the number of groups
-    /// discarded.
-    pub fn abort_inbound(&mut self, round: u64) -> Result<usize> {
-        let discarded = match self.inbound_round.take() {
-            Some((r, pids)) if r == round => self.extract_groups(&pids).len(),
-            other => {
-                self.inbound_round = other;
-                0
-            }
-        };
-        self.note_round_closed(round);
-        Ok(discarded)
-    }
-
-    /// Crash-restart this engine mid-protocol: an uncommitted inbound
-    /// installation is lost (it never reached stable storage — the
-    /// sender's retained copy is the source of truth and the round will
-    /// abort or retry), the retained outbound copy survives (stable),
-    /// and the engine restarts in normal mode. Returns the number of
-    /// inbound groups the crash wiped.
-    pub fn crash_restart(&mut self) -> Result<usize> {
-        let wiped = match self.inbound_round.take() {
-            Some((_, pids)) => self.extract_groups(&pids).len(),
-            None => 0,
-        };
-        self.controller.set_mode(Mode::Normal);
-        Ok(wiped)
     }
 
     /// Produce the periodic statistics report for the coordinator and
@@ -750,7 +593,16 @@ impl QueryEngine {
     /// spill threshold, pick the smallest spilled partition whose merged
     /// state fits under the threshold and reactivate it. At most one
     /// partition per call (the runtimes call this on the clock pulse).
-    pub fn maybe_reactivate(&mut self, sink: &mut dyn ResultSink) -> Result<Option<CleanupReport>> {
+    ///
+    /// Only partitions `owns` accepts are candidates: segments stay
+    /// behind when a partition's memory state relocates, and merging
+    /// them here would strand a group on a non-owner, out of the
+    /// owner's cleanup merge.
+    pub fn maybe_reactivate(
+        &mut self,
+        owns: impl Fn(PartitionId) -> bool,
+        sink: &mut dyn ResultSink,
+    ) -> Result<Option<CleanupReport>> {
         let Some(watermark) = self.cfg.reactivate_watermark else {
             return Ok(None);
         };
@@ -763,13 +615,12 @@ impl QueryEngine {
             return Ok(None);
         }
         // Smallest spilled partition (by accounted disk bytes) that
-        // fits back under the threshold — among those this engine still
-        // owns.
+        // fits back under the threshold — among those this engine owns.
         let candidate = self
             .store
             .partitions_with_segments()
             .into_iter()
-            .filter(|pid| !self.relocated_out.contains(pid))
+            .filter(|pid| owns(*pid))
             .map(|pid| {
                 let bytes: u64 = self
                     .store
@@ -1211,7 +1062,7 @@ mod tests {
                     4 => drop(e.force_spill(e.memory_used() / 2, now).unwrap()),
                     7 => {
                         e.force_spill(u64::MAX / 2, now).unwrap();
-                        let back = e.maybe_reactivate(&mut runtime).unwrap();
+                        let back = e.maybe_reactivate(|_| true, &mut runtime).unwrap();
                         assert!(back.is_some(), "an empty memory has room");
                     }
                     _ => {}
@@ -1275,14 +1126,14 @@ mod reactivation_tests {
         assert_eq!(e.memory_used(), 0);
         // Memory is far below the watermark: reactivation fires.
         let before = sink.count();
-        let report = e.maybe_reactivate(&mut sink).unwrap();
+        let report = e.maybe_reactivate(|_| true, &mut sink).unwrap();
         assert!(report.is_some());
         assert!(e.memory_used() > 0, "state back in memory");
         // Single spilled slice per pid => nothing was missing.
         assert_eq!(sink.count(), before);
         // Repeated calls drain the remaining partitions one at a time.
         let mut rounds = 0;
-        while e.maybe_reactivate(&mut sink).unwrap().is_some() {
+        while e.maybe_reactivate(|_| true, &mut sink).unwrap().is_some() {
             rounds += 1;
             assert!(rounds < 100, "must terminate");
         }
@@ -1300,7 +1151,7 @@ mod reactivation_tests {
         }
         e.force_spill(u64::MAX / 2, VirtualTime::from_secs(1))
             .unwrap();
-        assert!(e.maybe_reactivate(&mut sink).unwrap().is_none());
+        assert!(e.maybe_reactivate(|_| true, &mut sink).unwrap().is_none());
         assert!(e.store().segment_count() > 0);
     }
 
@@ -1324,44 +1175,31 @@ mod reactivation_tests {
         e.force_spill(e.memory_used() / 2, VirtualTime::from_secs(1))
             .unwrap();
         assert!(e.memory_used() > (32 << 10) / 10);
-        assert!(e.maybe_reactivate(&mut sink).unwrap().is_none());
+        assert!(e.maybe_reactivate(|_| true, &mut sink).unwrap().is_none());
     }
 
-    /// Segments stay behind when a partition's memory state relocates;
-    /// reactivating them here would strand a group on a non-owner, out
-    /// of the owner's cleanup merge.
+    /// Only what `owns` accepts is reactivated, and nothing while a
+    /// relocation round holds the engine in relocation mode.
     #[test]
-    fn relocated_out_partitions_are_not_reactivated_until_they_return() {
+    fn reactivation_takes_only_owned_partitions_and_waits_out_a_round() {
         let cfg = EngineConfig::three_way(1 << 20, 64 << 10).with_reactivation(0.5);
         let mut e = QueryEngine::in_memory(EngineId(0), cfg).unwrap();
         let mut sink = CountingSink::new();
-        let pid = PartitionId(0);
         for s in 0..3u8 {
-            e.process(pid, tpl(s, 0, 0), &mut sink).unwrap();
+            e.process(PartitionId(0), tpl(s, 0, 0), &mut sink).unwrap();
+            e.process(PartitionId(1), tpl(s, 1, 1), &mut sink).unwrap();
         }
         e.force_spill(u64::MAX / 2, VirtualTime::from_secs(1))
             .unwrap();
-        for s in 0..3u8 {
-            e.process(pid, tpl(s, 1, 0), &mut sink).unwrap();
-        }
-        // The resident remainder relocates away; the segment stays.
-        // While the round is open (relocation mode) nothing reactivates:
-        // an abort has to find the partition as the extraction left it.
+        assert_eq!(e.spilled_partitions(), [PartitionId(0), PartitionId(1)]);
         e.set_mode(Mode::Relocation);
-        let shipped = e.begin_outbound(0, &[pid]);
-        assert_eq!(shipped.len(), 1);
-        assert!(e.maybe_reactivate(&mut sink).unwrap().is_none());
-        e.commit_outbound(0);
+        assert!(e.maybe_reactivate(|_| true, &mut sink).unwrap().is_none());
         e.set_mode(Mode::Normal);
-        assert_eq!(e.memory_used(), 0);
-        assert!(e.store().segment_count() > 0);
-        assert!(e.maybe_reactivate(&mut sink).unwrap().is_none());
-        assert_eq!(e.memory_used(), 0, "nothing reactivated on a non-owner");
-        // Ownership returns with a later round: eligible again.
-        e.install_groups_for_round(1, shipped).unwrap();
-        e.commit_inbound(1);
-        assert!(e.maybe_reactivate(&mut sink).unwrap().is_some());
-        assert_eq!(e.store().segment_count(), 0);
+        let not_zero = |pid: PartitionId| pid != PartitionId(0);
+        assert!(e.maybe_reactivate(not_zero, &mut sink).unwrap().is_some());
+        assert!(e.maybe_reactivate(not_zero, &mut sink).unwrap().is_none());
+        assert_eq!(e.spilled_partitions(), [PartitionId(0)]);
+        assert!(e.join().has_group(PartitionId(1)));
     }
 
     #[test]

@@ -224,10 +224,11 @@ fn sim_is_deterministic() {
 
 /// What the coordinator did over a whole run, to the bit: one hash of
 /// the merged journal (as JSON lines), every counter and every completed
-/// relocation. Pinned for three deterministic runs that reach every
+/// relocation. Pinned for four deterministic runs that reach every
 /// coordinator path — chaos retries and aborts, join and drain moves, a
-/// completed drain, forced spills — so a refactor of the coordinator or
-/// its driver that changes any decision, message or record fails here.
+/// completed drain, forced spills, the queued moves of a global
+/// rebalance — so a refactor of the coordinator, its strategy or its
+/// driver that changes any decision, message or record fails here.
 /// The constants were taken before such a refactor and must not be
 /// regenerated by one.
 #[test]
@@ -289,13 +290,34 @@ fn coordinator_runs_are_pinned() {
     )
     .with_stats_interval(VirtualDuration::from_secs(30))
     .with_journal();
+    // Global rebalance over four engines placed far from the mean: one
+    // trigger plans several moves, the later ones popped from the queue
+    // at the next evaluations.
+    let tau_m = VirtualDuration::from_secs(45);
+    let rebalance = SimConfig::new(
+        4,
+        EngineConfig::three_way(1 << 30, 1 << 29),
+        small_workload(91),
+        StrategyConfig::LazyDiskRebalance {
+            theta_r: 0.8,
+            tau_m,
+        },
+    )
+    .with_placement(PlacementSpec::Fractions(vec![0.55, 0.25, 0.15, 0.05]))
+    .with_stats_interval(VirtualDuration::from_secs(15))
+    .with_journal();
 
     let run = |cfg: SimConfig| -> SimReport {
         let mut driver = SimDriver::new(cfg).unwrap();
         driver.run_until(VirtualTime::from_mins(6)).unwrap();
         driver.finish().unwrap()
     };
-    let reports = [run(lazy_chaos(2)), run(elastic_chaos), run(active_disk)];
+    let reports = [
+        run(lazy_chaos(2)),
+        run(elastic_chaos),
+        run(active_disk),
+        run(rebalance),
+    ];
     let hashes = reports.each_ref().map(|r| {
         let relocations: Vec<_> = r
             .relocations
@@ -325,12 +347,23 @@ fn coordinator_runs_are_pinned() {
             .any(|e| matches!(e.event, AdaptEvent::EngineDrained { .. })),
         "a completed drain"
     );
+    // Fresh triggers are at least τ_m apart, so a round opened sooner
+    // after the one before it is a queued move of a global plan.
+    let opened: Vec<VirtualTime> = (reports[3].journal.iter())
+        .filter(|e| matches!(e.event, AdaptEvent::RelocationStep { step: 1, .. }))
+        .map(|e| e.at)
+        .collect();
+    assert!(
+        opened.windows(2).any(|w| w[1].since(w[0]) < tau_m),
+        "a queued move: rounds opened at {opened:?}"
+    );
     assert_eq!(
         hashes,
         [
             0x0FBD_F1B1_3265_5628,
             0xB624_6E3F_B091_7BA6,
-            0xB443_2C89_51FA_94DD
+            0xB443_2C89_51FA_94DD,
+            0x0ED1_1427_0FCD_AEAD
         ],
         "coordinator behaviour changed: {hashes:#018x?}"
     );

@@ -6,8 +6,9 @@
 //! many states to relocate from one processor to the other but *not
 //! which partition groups*". The coordinator therefore owns:
 //!
-//! * the pluggable [`AdaptationStrategy`] (lazy-disk / active-disk /
-//!   none),
+//! * the adaptation strategy (none / lazy-disk / active-disk, and the
+//!   join-time rebalancing every configuration does), one decision per
+//!   evaluation of the statistics,
 //! * the elastic membership and the drain in progress,
 //! * the one relocation round in flight (Figure 8), opened in one place
 //!   (`open`) and closed in one place (`close`); every out-of-order
@@ -27,7 +28,7 @@ use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
 
 use crate::stats::ClusterStats;
-use crate::strategy::{AdaptationStrategy, Decision, RebalancePlanner, StrategyConfig};
+use crate::strategy::{Decision, Strategy, StrategyConfig};
 
 /// Consecutive aborted drain rounds before the coordinator stops trying
 /// to relocate off the draining engine and degrades to a forced spill
@@ -187,7 +188,7 @@ pub enum Command {
 struct Member {
     state: EngineState,
     /// `JoinReady` received — the engine is up and reachable, so the
-    /// rebalance planner may move state toward it.
+    /// strategy may move state toward it.
     ready: bool,
     /// Admitted after the run started (journal/report bookkeeping).
     mid_run_joiner: bool,
@@ -271,7 +272,7 @@ struct Round {
 /// The global adaptation controller.
 #[derive(Debug)]
 pub struct GlobalCoordinator {
-    strategy: Box<dyn AdaptationStrategy>,
+    strategy: Strategy,
     round: Option<Round>,
     next_round: u64,
     force_spills_issued: u64,
@@ -289,8 +290,6 @@ pub struct GlobalCoordinator {
     /// Last known memory load per engine (from the stats feed); drain
     /// rounds pick the least-loaded active engine as receiver.
     last_loads: Vec<Option<u64>>,
-    /// Join-time rebalancing planner.
-    rebalance: RebalancePlanner,
     /// The drain in progress, if any (at most one at a time).
     drain: Option<DrainCtl>,
     /// Drain requested while a relocation round targeted the engine;
@@ -324,10 +323,8 @@ impl GlobalCoordinator {
                 mid_run_joiner: false,
             })
             .collect();
-        let mut strategy = strategy.build();
-        strategy.attach_journal(journal.clone());
         GlobalCoordinator {
-            strategy,
+            strategy: Strategy::new(strategy, journal.clone()),
             round: None,
             next_round: 0,
             force_spills_issued: 0,
@@ -337,7 +334,6 @@ impl GlobalCoordinator {
             dead_peers: Vec::new(),
             members,
             last_loads: vec![None; capacity],
-            rebalance: RebalancePlanner::default(),
             drain: None,
             pending_drain: None,
         }
@@ -413,8 +409,8 @@ impl GlobalCoordinator {
         }
     }
 
-    /// Mid-run joiners that are active and ready — the rebalance
-    /// planner's receiver candidates.
+    /// Mid-run joiners that are active and ready — the receiver
+    /// candidates of a join-rebalance move.
     fn ready_joiners(&self) -> Vec<EngineId> {
         self.members
             .iter()
@@ -595,11 +591,6 @@ impl GlobalCoordinator {
 
     // ---- end elastic membership ---------------------------------------
 
-    /// The strategy's name (for reports).
-    pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
-    }
-
     /// Does a phase time out (retry, then abort)? Without patience the
     /// coordinator waits forever — correct on a fabric that loses
     /// nothing.
@@ -619,38 +610,34 @@ impl GlobalCoordinator {
     }
 
     /// Evaluate fresh statistics (the `sr_timer`/`lb_timer` expiry of
-    /// Algorithms 1–2): join-time rebalancing first, then the strategy's
-    /// [`Decision`]. A relocation opens a round.
+    /// Algorithms 1–2): the strategy decides, a relocation opens a round.
     pub fn evaluate(&mut self, stats: &ClusterStats, now: VirtualTime) -> Result<Option<Command>> {
         self.note_loads(stats);
         // A drain owns the single round slot until it completes; the
-        // strategy and the join planner stay quiet meanwhile.
+        // strategy stays quiet meanwhile.
         if self.drain_in_progress() {
             return Ok(None);
         }
-        // Join-time rebalancing outranks the strategy: a fresh engine
-        // is idle capacity, and the planner's hysteresis band keeps it
-        // from fighting the strategy's own moves.
-        if !self.relocation_active() {
-            let joiners = self.ready_joiners();
-            if let Some(mv) = self.rebalance.plan(stats, &joiners, now) {
-                let purpose = Purpose::JoinRebalance;
-                let (ratio, amount) = (stats.load_ratio(), mv.amount);
-                return self
-                    .open(mv.sender, mv.receiver, amount, purpose, ratio, now)
-                    .map(Some);
-            }
-        }
-        match self.strategy.decide(stats, now, self.relocation_active()) {
-            Decision::None => Ok(None),
-            // Graceful degradation: relocating toward a peer declared
-            // dead would just burn another timeout ladder — shed the
-            // memory pressure locally instead.
-            Decision::Relocate {
+        let joiners = self.ready_joiners();
+        match (self.strategy).decide(stats, &joiners, self.relocation_active(), now) {
+            None => Ok(None),
+            Some(Decision::JoinRebalance {
                 sender,
                 receiver,
                 amount,
-            } if self.dead_peers.contains(&receiver) => {
+            }) => {
+                let (purpose, ratio) = (Purpose::JoinRebalance, stats.load_ratio());
+                self.open(sender, receiver, amount, purpose, ratio, now)
+                    .map(Some)
+            }
+            // Graceful degradation: relocating toward a peer declared
+            // dead would just burn another timeout ladder — shed the
+            // memory pressure locally instead.
+            Some(Decision::Relocate {
+                sender,
+                receiver,
+                amount,
+            }) if self.dead_peers.contains(&receiver) => {
                 self.warn(
                     "relocation_degraded_to_spill",
                     receiver,
@@ -664,16 +651,16 @@ impl GlobalCoordinator {
                     amount,
                 }))
             }
-            Decision::Relocate {
+            Some(Decision::Relocate {
                 sender,
                 receiver,
                 amount,
-            } => {
+            }) => {
                 let ratio = stats.load_ratio();
                 self.open(sender, receiver, amount, Purpose::Balance, ratio, now)
                     .map(Some)
             }
-            Decision::ForceSpill { engine, amount } => {
+            Some(Decision::ForceSpill { engine, amount }) => {
                 self.force_spills_issued += 1;
                 Ok(Some(Command::Spill { engine, amount }))
             }
@@ -995,7 +982,7 @@ impl GlobalCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::test_support::report;
+    use crate::stats::tests::report;
 
     fn imbalanced() -> ClusterStats {
         ClusterStats::new(vec![report(0, 1000, 1.0), report(1, 100, 1.0)])
@@ -1299,6 +1286,5 @@ mod tests {
         let cmd = gc.evaluate(&stats, VirtualTime::from_secs(1)).unwrap();
         assert!(matches!(cmd, Some(Command::Spill { .. })), "{cmd:?}");
         assert_eq!(gc.force_spills_issued(), 1);
-        assert_eq!(gc.strategy_name(), "active-disk");
     }
 }

@@ -46,4 +46,4 @@ pub use placement::{PlacementMap, PlacementSpec};
 pub use runtime::sim::{SimConfig, SimDriver, SimReport};
 pub use split::SplitOperator;
 pub use stats::ClusterStats;
-pub use strategy::{Decision, StrategyConfig};
+pub use strategy::StrategyConfig;

@@ -123,8 +123,8 @@ impl PlacementMap {
     }
 
     /// Admit a new engine: it gets the next dense id, owns nothing, and
-    /// is unfenced. The rebalancing planner moves state toward it via
-    /// ordinary relocation rounds.
+    /// is unfenced. Join-rebalance moves bring state to it via ordinary
+    /// relocation rounds.
     pub fn add_engine(&mut self) -> Result<EngineId> {
         if self.fenced.len() >= u16::MAX as usize {
             return Err(DcapeError::config("too many engines"));

@@ -323,9 +323,12 @@ impl EngineCore {
 
     /// The in-process crash after [`EngineFlow::CrashRequested`] (the
     /// socket worker exits instead and is replayed): it loses a round's
-    /// uncommitted install and nothing else.
+    /// uncommitted install and the messages it was holding — a dead
+    /// process's outbox dies with it, and a held ack would promise the
+    /// install just wiped.
     pub(crate) fn crash_restart(&mut self) {
         self.round.on_crash(&mut self.qe);
+        self.held.clear();
     }
 
     /// Release engine-held delayed messages that are due.
@@ -1111,6 +1114,35 @@ mod tests {
         assert_eq!([pair.mem(0), pair.mem(1)], before);
         assert_eq!(pair.warnings(1, "round_unwound"), [0]);
         pair.assert_accounting();
+    }
+
+    /// The chaos layer delays the ack of attempt 0's install, and the
+    /// retried transfer crashes the receiver, wiping that install. The
+    /// held ack promised state that no longer exists: it dies with the
+    /// crash instead of reaching the coordinator at the next pulse.
+    #[test]
+    fn a_crash_drops_the_acks_its_engine_was_holding() {
+        let delaying = FaultPlan::new(
+            0,
+            FaultConfig {
+                delay_rate: 1.0,
+                max_delay_ms: 500,
+                ..FaultConfig::none()
+            },
+        );
+        let mut pair = Pair::new(EngineConfig::three_way(1 << 30, 1 << 29));
+        pair.load(0, &P0, 5);
+        pair.cptv(6, 0);
+        pair.send_states(6, 0, &pids(&P0), 0);
+        let (to, install) = pair.tx.wire.pop_front().expect("a transfer on the wire");
+        pair.step_under(to.index(), install, &delaying).unwrap();
+        assert!(pair.mem(1) > 0, "attempt 0 installed");
+        assert_eq!(pair.acks(1, 6), 0, "and its ack is held");
+        pair.send_states(6, 0, &pids(&P0), 1);
+        pair.crash_on_delivery();
+        assert_eq!(pair.mem(1), 0, "the crash wiped the install");
+        pair.tick(1, 1);
+        assert_eq!(pair.acks(1, 6), 0, "an ack for the wiped install went out");
     }
 
     /// `Resume` closes the round on both ends: its stragglers are

@@ -42,8 +42,8 @@ use crate::strategy::StrategyConfig;
 /// An elastic membership change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleAction {
-    /// Admit a new engine (scale-out). It gets the next dense id; the
-    /// rebalance planner moves state toward it.
+    /// Admit a new engine (scale-out). It gets the next dense id;
+    /// join-rebalance moves bring state to it.
     AddEngine,
     /// Drain an engine (scale-in): fence it and relocate its state away
     /// until it owns nothing, then let it exit. `None` picks the

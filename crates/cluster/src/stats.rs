@@ -108,18 +108,8 @@ impl ClusterStats {
         self.reports.iter().map(|r| r.memory_used).sum()
     }
 
-    /// Total memory budget across the cluster (`M_cluster`).
-    pub fn total_memory_budget(&self) -> u64 {
-        self.reports.iter().map(|r| r.memory_budget).sum()
-    }
-
-    /// Total output across the cluster.
-    pub fn total_output(&self) -> u64 {
-        self.reports.iter().map(|r| r.total_output).sum()
-    }
-
-    /// Snapshot of the reductions the strategies read, as a journal
-    /// event (recorded once per coordinator evaluation).
+    /// Snapshot of the reductions the strategy reads, as a journal
+    /// event (recorded once per lazy- or active-disk evaluation).
     pub fn sample_event(&self) -> AdaptEvent {
         AdaptEvent::StatsSample {
             engines: self.len() as u32,
@@ -139,19 +129,20 @@ impl ClusterStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dcape_common::time::VirtualTime;
 
-    fn report(engine: u16, mem: u64, rate: f64) -> EngineStatsReport {
+    /// A report with the fields the coordinator's decisions read.
+    pub(crate) fn report(engine: u16, mem: u64, rate: f64) -> EngineStatsReport {
         EngineStatsReport {
             engine: EngineId(engine),
             at: VirtualTime::ZERO,
             memory_used: mem,
-            memory_budget: 1000,
+            memory_budget: 10_000,
             num_groups: 10,
-            window_output: 0,
-            total_output: mem * 2,
+            window_output: (rate * 10.0) as u64,
+            total_output: 0,
             avg_productivity_rate: rate,
             spilled_bytes: 0,
             spill_count: 0,
@@ -169,8 +160,6 @@ mod tests {
         assert_eq!(s.min_load().unwrap().engine, EngineId(1));
         assert!((s.load_ratio() - 0.25).abs() < 1e-12);
         assert_eq!(s.total_memory_used(), 1500);
-        assert_eq!(s.total_memory_budget(), 3000);
-        assert_eq!(s.total_output(), 3000);
         assert_eq!(s.len(), 3);
     }
 

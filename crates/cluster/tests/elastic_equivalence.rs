@@ -139,7 +139,7 @@ fn sim_join_keeps_totals_and_takes_load() {
     );
     assert!(
         elastic.journal_counters.rebalance_moves > 0,
-        "the rebalancing planner must move state toward the joiner"
+        "join-rebalance moves must bring state to the joiner"
     );
 
     // Same input, same answers: the union multiset of runtime + cleanup
@@ -162,7 +162,7 @@ fn sim_join_keeps_totals_and_takes_load() {
 /// the two-minute mark must spill measurably fewer encoded bytes than
 /// the static overloaded run, via real rebalance moves, at a relocation
 /// cost below the spill traffic it displaces. Deterministic, so a
-/// regression in the planner or the join path fails here rather than
+/// regression in the join moves or the join path fails here rather than
 /// silently eroding the benefit.
 #[test]
 fn elastic_join_reduces_spill_writes() {

@@ -156,8 +156,8 @@ pub enum AdaptEvent {
         detail: u64,
     },
     /// An engine was admitted into the live membership: it now
-    /// participates in placement and the rebalancing planner may drain
-    /// partition groups toward it.
+    /// participates in placement and the coordinator's join-rebalance
+    /// moves may drain partition groups toward it.
     EngineJoined {
         /// The admitted engine.
         engine: EngineId,
@@ -343,9 +343,8 @@ counter_table! {
     /// Held purge watermarks released by the abort path rather than a
     /// step-7 Resume (one per aborted round that was holding one).
     engine watermark_released_on_abort => add_watermark_released_on_abort;
-    /// Relocation moves issued by the elastic rebalancing planner (join
-    /// rebalances plus drain rounds), as opposed to moves chosen by the
-    /// load-balancing strategies.
+    /// Elastic relocation moves (join rebalances plus drain rounds), as
+    /// opposed to moves chosen by the load-balancing trigger.
     coordinator rebalance_moves => add_rebalance_moves;
     /// Events accepted into the ring.
     engine events_recorded;

@@ -2,7 +2,7 @@
 //!
 //! §2: "a dedicated global coordinator is in charge of a set of query
 //! engines … it collects and analyzes running statistics of each
-//! processor [and] makes coarse-grained adaptation decisions such as how
+//! processor \[and\] makes coarse-grained adaptation decisions such as how
 //! many states to relocate from one processor to the other but *not
 //! which partition groups*". The coordinator therefore owns:
 //!

@@ -1,12 +1,12 @@
 //! The coordinator side of the protocol: one run, generic over a
 //! transport.
 //!
-//! [`CoordinatorRun`] is the stream source, the split operators, the
+//! `CoordinatorRun` is the stream source, the split operators, the
 //! global coordinator and the coordinator's half of every protocol —
 //! the 8-step relocation, elastic join and drain, the chaos layer
 //! (fault decisions, held messages, timeout recovery), quiesce and the
 //! two-phase distributed cleanup. It exists once; what differs between
-//! the runtimes is only the [`Transport`] underneath it: how a
+//! the runtimes is only the `Transport` underneath it: how a
 //! [`ToEngine`] reaches an engine and how a [`FromEngine`] comes back
 //! (stepped inline on a virtual clock in [`super::sim`], a
 //! channel per engine thread in [`super::threaded`], a framed TCP
@@ -18,7 +18,7 @@
 //! generator ticks (the send is the per-message cost being amortized)
 //! and are flushed
 //!
-//! * every [`MAX_BATCH_TICKS`] ticks — at the bench's 30 ms
+//! * every `MAX_BATCH_TICKS` ticks — at the bench's 30 ms
 //!   inter-arrival the 1-s pulse cuts a batch at ~33 ticks first, so the
 //!   cap binds only below ~16 ms,
 //! * before a `Tick` send and before a `ReportStats` *send*, so no data

@@ -1,7 +1,7 @@
 //! The engine side of the protocol: the one handler every runtime
 //! steps.
 //!
-//! An [`EngineCore`] wraps one [`QueryEngine`] plus the message-handling
+//! An `EngineCore` wraps one [`QueryEngine`] plus the message-handling
 //! state machine of the Figure 8 protocol: data processing, the clock
 //! pulse (window purge, spill check, run-time reactivation), the
 //! engine-side relocation steps (`Ptv`, state extraction,
@@ -15,7 +15,7 @@
 //! consulted once per protocol message; the [`QueryEngine`] only hands
 //! state over and knows nothing of rounds. The transport-specific part
 //! — how a reply reaches the coordinator or a peer engine — is abstracted
-//! behind [`EngineTx`], so the same `handle` body runs inline under the
+//! behind `EngineTx`, so the same `handle` body runs inline under the
 //! virtual-time transport ([`super::sim`]), on a channel
 //! ([`super::threaded`]) and on a framed TCP connection (the
 //! `dcape-node` worker process of [`super::socket`]).

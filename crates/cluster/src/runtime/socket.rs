@@ -6,7 +6,7 @@
 //! own `dcape-node` worker process — [`super::engine_core`] behind a
 //! socket — and exchanges the [`crate::messages`] protocol as
 //! length-framed binary messages ([`crate::wire`]) over TCP. This module
-//! is the TCP [`Transport`] (acceptor, link and reader threads,
+//! is the TCP `Transport` (acceptor, link and reader threads,
 //! respawn, the kill plan, frame logs) and the worker's session loop.
 //!
 //! ## Topology and ordering

@@ -9,7 +9,7 @@
 //!
 //! The protocol itself lives in [`super::driver`] (coordinator side)
 //! and [`super::engine_core`] (engine side), shared with the other two
-//! runtimes; this module supplies the channel [`Transport`]
+//! runtimes; this module supplies the channel `Transport`
 //! and the thread lifecycle.
 //!
 //! Virtual time still paces the timers. Thread interleaving varies, so

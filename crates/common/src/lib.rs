@@ -8,7 +8,7 @@
 //! crate needs:
 //!
 //! * [`ids`] — strongly typed identifiers (partitions, engines, streams).
-//! * [`value`] / [`tuple`] — the row model flowing through operators.
+//! * [`value`] / [`tuple`](mod@tuple) — the row model flowing through operators.
 //! * [`codec`] — the one byte encoding of values and tuples (batches,
 //!   wire frames, columnar arena rows, spill segments).
 //! * [`batch`] — the routed-tuple batch, the unit of inter-operator

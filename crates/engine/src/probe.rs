@@ -38,9 +38,12 @@ pub enum SpanList<'a> {
     /// never materializes rows. Calling [`SpanList::get`] on it
     /// is a contract violation and panics.
     TsOnly {
-        /// The stream's full timestamp column.
+        /// The stream's timestamp column.
         ts: &'a [VirtualTime],
-        /// Positions of the matching tuples, in arrival order.
+        /// The position of `ts[0]`: position `p` is `ts[p - base]`.
+        base: u32,
+        /// Positions of the matching tuples, in arrival order, none
+        /// below `base`.
         positions: &'a [u32],
     },
 }
@@ -80,7 +83,11 @@ impl<'a> SpanList<'a> {
     #[inline]
     fn ts_at(&self, i: usize) -> u64 {
         match self {
-            SpanList::TsOnly { ts, positions } => ts[positions[i] as usize].as_millis(),
+            SpanList::TsOnly {
+                ts,
+                base,
+                positions,
+            } => ts[(positions[i] - base) as usize].as_millis(),
             _ => self.get(i).ts().as_millis(),
         }
     }
@@ -530,13 +537,18 @@ mod tests {
                 .iter()
                 .map(|l| l.iter().map(|&t| VirtualTime::from_millis(t)).collect())
                 .collect();
-            let positions: Vec<Vec<u32>> =
-                tss.iter().map(|l| (0..l.len() as u32).collect()).collect();
+            // Stream `s`'s positions start at `7 * s`: the base is
+            // subtracted, never ignored.
+            let positions: Vec<Vec<u32>> = (tss.iter().enumerate())
+                .map(|(s, l)| (0..l.len() as u32).map(|i| 7 * s as u32 + i).collect())
+                .collect();
             let row_spans: Vec<SpanList> = lists.iter().map(|l| SpanList::Slice(l)).collect();
-            let ts_spans: Vec<SpanList> = cols
-                .iter()
-                .zip(&positions)
-                .map(|(ts, pos)| SpanList::TsOnly { ts, positions: pos })
+            let ts_spans: Vec<SpanList> = (cols.iter().zip(&positions).enumerate())
+                .map(|(s, (ts, pos))| SpanList::TsOnly {
+                    ts,
+                    base: 7 * s as u32,
+                    positions: pos,
+                })
                 .collect();
             let window = window.map(VirtualDuration::from_millis);
             assert_eq!(
@@ -554,6 +566,7 @@ mod tests {
         let positions = [0u32];
         let list = SpanList::TsOnly {
             ts: &ts,
+            base: 0,
             positions: &positions,
         };
         let _ = list.get(0);

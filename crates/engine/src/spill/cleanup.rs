@@ -97,6 +97,7 @@ fn emit_key(
                 Some(rows) => SpanList::Slice(&rows[s][pick]),
                 None => SpanList::TsOnly {
                     ts: side.ts,
+                    base: 0,
                     positions: side.positions,
                 },
             };
@@ -116,7 +117,7 @@ fn emit_key(
 ///
 /// A slice's columns are taken in as they are and nothing is copied to
 /// grow the merge. What a product reads is kept joined up across the
-/// slices: per stream one timestamp column, and one [`JoinIndex`] from
+/// slices: per stream one timestamp column, and one `JoinIndex` from
 /// join key to positions in it — the run-time state's own index. The
 /// newest slice's rows sit at the end of each column, so one entry's
 /// lists split into the cumulative candidates and the fresh ones, and a
@@ -239,7 +240,7 @@ impl<'j> SegmentMerger<'j> {
                 let key = body_value(cols.row(i), self.join_columns[s])?
                     .ok_or_else(|| DcapeError::state("cleanup tuple lacks join column"))?;
                 let hash = fx_hash(&key);
-                let slot = self.index.find_or_insert(hash, &key);
+                let slot = self.index.find_or_insert(hash, &key, |_| 0);
                 // Positions ascend: a key this slice has already met
                 // ends one of its lists in this slice.
                 let mut lists = self.index.lists(slot).iter().enumerate();

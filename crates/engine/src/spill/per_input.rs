@@ -2,7 +2,7 @@
 //!
 //! The paper contrasts its partition-group granularity with the
 //! alternative of spilling partitions of *individual inputs*
-//! independently, as XJoin [25] and Hash-Merge Join [17] do. That
+//! independently, as XJoin \[25\] and Hash-Merge Join \[17\] do. That
 //! alternative forces two costs the partition-group design avoids:
 //!
 //! 1. **Timestamp bookkeeping.** When only input A's partition is pushed

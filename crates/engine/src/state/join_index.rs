@@ -3,11 +3,10 @@
 //!
 //! The adaptation unit keeps every input's partition for one ID
 //! together, so one key lookup can serve all of them: an entry is a join
-//! key plus `m` position lists, list `s` holding the physical row
-//! positions of stream `s`'s rows with that key, ascending. Inserting a
-//! tuple pays one [`find_or_insert`](JoinIndex::find_or_insert); the
-//! entry it yields carries the `m - 1` lists to probe and the list to
-//! append to.
+//! key plus `m` position lists, list `s` holding the row positions of
+//! stream `s`'s rows with that key, ascending. Inserting a tuple pays one
+//! [`find_or_insert`](JoinIndex::find_or_insert); the entry it yields
+//! carries the `m - 1` lists to probe and the list to append to.
 //!
 //! * **Slot** — a `hash | 1` tag (0 marks an empty slot) and the key
 //!   `Value`, in one array; the position lists sit beside it in a flat
@@ -16,11 +15,17 @@
 //!   the **high** bits of the hash: keys within one partition are
 //!   congruent modulo the partition count, and Fx's low bits are
 //!   constant across such keys.
-//! * **Deletion** — backward shift: the entries after the removed one
-//!   move up while that keeps them reachable from their home slots, so
-//!   a sliding window's churn never leaves tombstones.
-//! * **Growth** — doubling at 5/8 load; the table never shrinks (an
-//!   emptied group is dropped whole by the operator).
+//! * **Dead positions** — the index never deletes in place. The caller
+//!   knows, per stream, a *floor* below which every position is dead
+//!   (a window purge retires rows by raising it), and lists lose their
+//!   dead prefix when the caller trims the entry it reaches
+//!   ([`trim`](JoinIndex::trim)) or when the table is swept.
+//! * **Growth** — at 5/8 load the table is swept
+//!   ([`sweep`](JoinIndex::sweep)): dead prefixes go, entries left with
+//!   no position go, and the survivors are placed in a table sized for
+//!   them — larger, the same or smaller — so a sliding window over keys
+//!   that never repeat keeps the table within a constant of its live
+//!   keys.
 //!
 //! The caller passes the hash in, so tests can force collisions and home
 //! slots at the table's end.
@@ -86,14 +91,31 @@ impl PosList {
         }
     }
 
-    /// Drop the prefix of positions below `cut`. A spilled list keeps
-    /// its allocation: a key that was busy once is likely to be again.
+    /// Drop the prefix of positions below `cut`. A list whose first
+    /// position is at or above `cut` is left as it is after one
+    /// comparison. A spilled list left with at most [`INLINE`]
+    /// positions moves back inline: entries outlive their rows, so a
+    /// list that spilled once would otherwise stay on the heap, and a
+    /// probe would read it there.
+    #[inline]
     pub(crate) fn drop_below(&mut self, cut: u32) {
-        let dead = self.as_slice().partition_point(|&p| p < cut);
+        let held = self.as_slice();
+        if held.first().is_none_or(|&p| p >= cut) {
+            return;
+        }
+        let dead = held.partition_point(|&p| p < cut);
         match self {
             PosList::Inline { len, pos } => {
                 pos.copy_within(dead..*len as usize, 0);
                 *len -= dead as u8;
+            }
+            PosList::Heap(v) if v.len() - dead <= INLINE => {
+                let mut pos = [0; INLINE];
+                pos[..v.len() - dead].copy_from_slice(&v[dead..]);
+                *self = PosList::Inline {
+                    len: (v.len() - dead) as u8,
+                    pos,
+                };
             }
             PosList::Heap(v) => {
                 v.drain(..dead);
@@ -138,11 +160,11 @@ impl Slot {
 
 /// Join key → `m` position lists, for one partition group.
 ///
-/// Between calls every entry has at least one non-empty list: the caller
-/// fills the list it asked the entry for, and removes an entry through
-/// [`remove_if_empty`](Self::remove_if_empty) or
-/// [`drop_empty_entries`](Self::drop_empty_entries) once its last list
-/// drains.
+/// Between calls every entry holds at least one position, live or dead:
+/// the caller fills the list it asked the entry for, and a sweep removes
+/// the entries it leaves with none. What is live is the caller's to say,
+/// as a floor per stream (`floor(s)`: list `s`'s positions below it are
+/// dead); the index only drops what lies below it, never what lies above.
 #[derive(Debug)]
 pub(crate) struct JoinIndex {
     /// Lists per entry (the join's stream count).
@@ -171,6 +193,12 @@ impl JoinIndex {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Slots allocated.
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     #[inline]
@@ -207,10 +235,16 @@ impl JoinIndex {
     }
 
     /// The slot of `key`, entered with `m` empty lists (and `key`
-    /// cloned) if it was absent. The slot is good until the next
-    /// insertion or removal.
+    /// cloned) if it was absent. When a new entry would pass the load
+    /// limit the table is [swept](Self::sweep) under `floor` first. The
+    /// slot is good until the next insertion or sweep.
     #[inline]
-    pub(crate) fn find_or_insert(&mut self, hash: u64, key: &Value) -> usize {
+    pub(crate) fn find_or_insert(
+        &mut self,
+        hash: u64,
+        key: &Value,
+        floor: impl Fn(usize) -> u32,
+    ) -> usize {
         let tag = hash | 1;
         if !self.slots.is_empty() {
             match self.probe(tag, key) {
@@ -221,8 +255,8 @@ impl JoinIndex {
                 Err(_) => {}
             }
         }
-        self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
-        let i = self.probe(tag, key).expect_err("absent before the rehash");
+        self.sweep(floor);
+        let i = self.probe(tag, key).expect_err("absent before the sweep");
         self.fill(i, tag, key)
     }
 
@@ -248,44 +282,23 @@ impl JoinIndex {
         &mut self.lists[slot * self.m + s]
     }
 
-    /// Remove the entry at `slot` if all its lists are empty.
-    pub(crate) fn remove_if_empty(&mut self, slot: usize) {
-        if self.lists(slot).iter().all(PosList::is_empty) {
-            self.remove(slot);
-        }
-    }
-
-    /// Backward-shift deletion: each later entry of the cluster moves
-    /// into the hole unless its home slot lies past the hole, in which
-    /// case the hole would cut it off from its probe sequence.
-    fn remove(&mut self, mut hole: usize) {
-        let (m, mask) = (self.m, self.slots.len() - 1);
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let tag = self.slots[j].tag;
-            if tag == 0 {
-                break;
-            }
-            let from_home = j.wrapping_sub(self.home(tag)) & mask;
-            let from_hole = j.wrapping_sub(hole) & mask;
-            if from_home >= from_hole {
-                self.slots.swap(hole, j);
-                for s in 0..m {
-                    self.lists.swap(hole * m + s, j * m + s);
-                }
-                hole = j;
+    /// Drop the dead prefix of each list of the entry at `slot`. A
+    /// stream whose floor is 0 has no dead positions, and its list is
+    /// not read.
+    #[inline]
+    pub(crate) fn trim(&mut self, slot: usize, floor: impl Fn(usize) -> u32) {
+        let lists = &mut self.lists[slot * self.m..(slot + 1) * self.m];
+        for (s, list) in lists.iter_mut().enumerate() {
+            let f = floor(s);
+            if f > 0 {
+                list.drop_below(f);
             }
         }
-        self.slots[hole] = Slot::empty();
-        self.lists[hole * m..(hole + 1) * m].fill_with(PosList::default);
-        self.len -= 1;
     }
 
     /// Apply `f` to stream `s`'s list of every entry. May leave entries
-    /// with no positions: follow with
-    /// [`drop_empty_entries`](Self::drop_empty_entries) if `f` removes
-    /// any.
+    /// with no positions: follow with [`sweep`](Self::sweep) if `f`
+    /// removes any.
     pub(crate) fn for_each_list_mut(&mut self, s: usize, mut f: impl FnMut(&mut PosList)) {
         debug_assert!(s < self.m);
         for (slot, lists) in self.slots.iter().zip(self.lists.chunks_mut(self.m)) {
@@ -295,27 +308,41 @@ impl JoinIndex {
         }
     }
 
-    /// Remove every entry whose lists are all empty. O(slots).
-    pub(crate) fn drop_empty_entries(&mut self) {
-        if !self.slots.is_empty() {
-            self.rehash(self.slots.len());
-        }
-    }
-
-    /// Re-place every entry that holds a position into a fresh table of
-    /// `slots` slots.
-    fn rehash(&mut self, slots: usize) {
-        debug_assert!(slots.is_power_of_two() && slots >= MIN_SLOTS);
+    /// Drop every list's positions below `floor` of its stream, then
+    /// re-place the entries that still hold one into a fresh table with
+    /// room for twice as many: the smallest power of two at which they
+    /// fill at most half the load limit. Growth, a shrink after a
+    /// window has slid past most keys, and the removal of emptied
+    /// entries are all this one pass. O(slots + positions dropped).
+    pub(crate) fn sweep(&mut self, floor: impl Fn(usize) -> u32) {
         let m = self.m;
+        let mut survivors = 0;
+        for (slot, lists) in self.slots.iter_mut().zip(self.lists.chunks_mut(m)) {
+            if slot.tag == 0 {
+                continue;
+            }
+            for (s, list) in lists.iter_mut().enumerate() {
+                list.drop_below(floor(s));
+            }
+            if lists.iter().all(PosList::is_empty) {
+                slot.tag = 0;
+            } else {
+                survivors += 1;
+            }
+        }
+        let mut slots = MIN_SLOTS;
+        while 2 * survivors * LOAD_DEN > slots * LOAD_NUM {
+            slots *= 2;
+        }
         let old_slots = std::mem::take(&mut self.slots);
         let mut old_lists = std::mem::take(&mut self.lists);
         self.slots.resize_with(slots, Slot::empty);
         self.lists.resize_with(slots * m, PosList::default);
         self.shift = 64 - slots.trailing_zeros();
-        self.len = 0;
+        self.len = survivors;
         let mask = slots - 1;
         for (slot, lists) in old_slots.into_iter().zip(old_lists.chunks_mut(m)) {
-            if slot.tag == 0 || lists.iter().all(PosList::is_empty) {
+            if slot.tag == 0 {
                 continue;
             }
             let mut i = self.home(slot.tag);
@@ -324,7 +351,6 @@ impl JoinIndex {
             }
             self.slots[i] = slot;
             self.lists[i * m..(i + 1) * m].swap_with_slice(lists);
-            self.len += 1;
         }
     }
 
@@ -389,7 +415,13 @@ mod tests {
         l.push(9);
         assert!(matches!(l, PosList::Heap(_)));
         assert_eq!(l.as_slice(), [0, 2, 4, 9]);
+        l.drop_below(0);
+        assert!(
+            matches!(l, PosList::Heap(_)),
+            "nothing dropped, nothing moves"
+        );
         l.drop_below(3);
+        assert!(matches!(l, PosList::Inline { len: 2, .. }), "back inline");
         assert_eq!(l.as_slice(), [4, 9]);
         l.retain_mut(|p| {
             *p -= 4;
@@ -433,7 +465,7 @@ mod tests {
         let mut idx = JoinIndex::new(1);
         for local in 0..40i64 {
             let key = Value::Int(local * 120 + 17);
-            let slot = idx.find_or_insert(fx_hash(&key), &key);
+            let slot = idx.find_or_insert(fx_hash(&key), &key, |_| 0);
             idx.list_mut(slot, 0).push(local as u32);
         }
         let homes: std::collections::HashSet<usize> = idx
@@ -441,6 +473,23 @@ mod tests {
             .map(|(k, _)| idx.home(fx_hash(k) | 1))
             .collect();
         assert!(homes.len() > 20, "only {} distinct home slots", homes.len());
+        idx.assert_invariants();
+    }
+
+    #[test]
+    fn without_a_floor_growth_doubles_and_keeps_every_entry() {
+        let mut idx = JoinIndex::new(2);
+        let mut sizes = Vec::new();
+        for k in 0..200i64 {
+            let key = Value::Int(k);
+            let slot = idx.find_or_insert(fx_hash(&key), &key, |_| 0);
+            idx.list_mut(slot, (k % 2) as usize).push(k as u32);
+            if sizes.last() != Some(&idx.slot_count()) {
+                sizes.push(idx.slot_count());
+            }
+        }
+        assert_eq!(sizes, [8, 16, 32, 64, 128, 256, 512]);
+        assert_eq!(idx.len(), 200);
         idx.assert_invariants();
     }
 
@@ -468,26 +517,31 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        /// Append the next position to list `s` of `key`.
+        /// Reach `key`'s entry, trim it, and append the next position to
+        /// its list `s`.
         Push { key: u16, s: usize },
-        /// Drop the oldest `n` positions of list `s` of `key`, removing
-        /// the entry when that empties it.
-        Drop { key: u16, s: usize, n: usize },
+        /// Raise stream `s`'s floor by `n` positions (never past the
+        /// next position).
+        Raise { s: usize, n: u32 },
+        /// Sweep the table.
+        Sweep,
         /// Empty list `s` of every key, then sweep.
         Clear { s: usize },
     }
 
     fn op_strategy(keys: u16) -> impl Strategy<Value = Op> {
-        // Arms are unweighted: pushes outnumber drops so tables fill
-        // and grow, and one push in 40 is a sweep instead.
+        // Arms are unweighted: pushes outnumber floor raises so tables
+        // fill and grow, and one push in 40 is a sweep, one in 40 a
+        // clear.
         let push = || {
             (0..keys, 0..M, 0..40u8).prop_map(|(key, s, roll)| match roll {
                 0 => Op::Clear { s },
+                1 => Op::Sweep,
                 _ => Op::Push { key, s },
             })
         };
-        let drop = || (0..keys, 0..M, 1usize..6).prop_map(|(key, s, n)| Op::Drop { key, s, n });
-        prop_oneof![push(), push(), push(), drop(), drop()]
+        let raise = || (0..M, 1u32..12).prop_map(|(s, n)| Op::Raise { s, n });
+        prop_oneof![push(), push(), push(), raise(), raise()]
     }
 
     fn key_of(k: u16) -> Value {
@@ -499,59 +553,81 @@ mod tests {
         }
     }
 
-    /// Every model key is found with its lists; nothing else is held.
-    fn check(idx: &JoinIndex, model: &HashMap<Value, Vec<Vec<u32>>>, hashing: Hashing) {
+    /// The model holds each key's live positions: every model key is
+    /// found with them above the floors; any other entry holds only
+    /// dead positions; a trimmed or swept list holds no dead one.
+    fn check(
+        idx: &JoinIndex,
+        model: &HashMap<Value, Vec<Vec<u32>>>,
+        floors: &[u32; M],
+        hashing: Hashing,
+    ) {
         idx.assert_invariants();
-        assert_eq!(idx.len(), model.len());
         for (key, lists) in model {
             let slot = idx
                 .find(hashing.hash(key), key)
                 .unwrap_or_else(|| panic!("{key} lost"));
-            let held: Vec<&[u32]> = idx.lists(slot).iter().map(PosList::as_slice).collect();
-            assert_eq!(held, lists.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            let live: Vec<&[u32]> = (idx.lists(slot).iter().zip(floors))
+                .map(|(l, &f)| {
+                    let held = l.as_slice();
+                    &held[held.partition_point(|&p| p < f)..]
+                })
+                .collect();
+            assert_eq!(live, lists.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        }
+        for (key, lists) in idx.entries() {
+            if !model.contains_key(key) {
+                let mut held = lists.iter().zip(floors);
+                let dead = held.all(|(l, &f)| l.as_slice().iter().all(|&p| p < f));
+                assert!(dead, "{key} holds a live position the model lacks");
+            }
         }
     }
 
     fn run_model(ops: Vec<Op>, hashing: Hashing) {
         let mut idx = JoinIndex::new(M);
         let mut model: HashMap<Value, Vec<Vec<u32>>> = HashMap::new();
+        let mut floors = [0u32; M];
         let mut next = 0u32;
         for op in ops {
+            let floor = |s: usize| floors[s];
             match op {
                 Op::Push { key, s } => {
                     let key = key_of(key);
-                    let slot = idx.find_or_insert(hashing.hash(&key), &key);
+                    let slot = idx.find_or_insert(hashing.hash(&key), &key, floor);
+                    idx.trim(slot, floor);
+                    for (l, &f) in idx.lists(slot).iter().zip(&floors) {
+                        assert!(l.as_slice().iter().all(|&p| p >= f), "trimmed");
+                    }
                     idx.list_mut(slot, s).push(next);
                     model.entry(key).or_insert_with(|| vec![Vec::new(); M])[s].push(next);
                     next += 1;
                 }
-                Op::Drop { key, s, n } => {
-                    let key = key_of(key);
-                    let slot = idx.find(hashing.hash(&key), &key);
-                    assert_eq!(slot.is_some(), model.contains_key(&key));
-                    let Some(slot) = slot else { continue };
-                    let lists = model.get_mut(&key).expect("found in both");
-                    let n = n.min(lists[s].len());
-                    let cut = lists[s].get(n).copied().unwrap_or(u32::MAX);
-                    lists[s].drain(..n);
-                    idx.list_mut(slot, s).drop_below(cut);
-                    idx.remove_if_empty(slot);
-                    if lists.iter().all(Vec::is_empty) {
-                        model.remove(&key);
-                    }
+                Op::Raise { s, n } => {
+                    floors[s] = (floors[s] + n).min(next);
+                    let f = floors[s];
+                    model.retain(|_, lists| {
+                        lists[s].retain(|&p| p >= f);
+                        lists.iter().any(|l| !l.is_empty())
+                    });
+                }
+                Op::Sweep => {
+                    idx.sweep(floor);
+                    assert_eq!(idx.len(), model.len(), "a sweep keeps the live keys only");
                 }
                 Op::Clear { s } => {
                     idx.for_each_list_mut(s, |l| l.retain_mut(|_| false));
-                    idx.drop_empty_entries();
+                    idx.sweep(floor);
                     model.retain(|_, lists| {
                         lists[s].clear();
                         lists.iter().any(|l| !l.is_empty())
                     });
+                    assert_eq!(idx.len(), model.len());
                 }
             }
-            // After every step — a removal above all — each remaining
-            // key is still reachable.
-            check(&idx, &model, hashing);
+            // After every step — a sweep above all — each live key is
+            // still reachable.
+            check(&idx, &model, &floors, hashing);
         }
     }
 

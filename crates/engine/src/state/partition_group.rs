@@ -17,17 +17,27 @@
 //! number, accounted size, arena address) and one payload arena of
 //! encoded values, in pages ([`RowPages`]) — a [`TupleBatch`] row's
 //! `arity value*` tail, copied in as it arrives and never moved by a
-//! later append; and **one** [`JoinIndex`] for the whole group, whose
+//! later append; and **one** `JoinIndex` for the whole group, whose
 //! entry for a key holds a position list per stream — so an insert pays
 //! one lookup, not one per stream. Join keys live only in that index. The
 //! probe path touches only the index entry and the columns (a count-only
 //! sink gets [`SpanList::TsOnly`] lists and never sees a row); rows are
-//! materialized from the arena only at the sink or spill boundary. Window
-//! purge retires a prefix of a time-ordered partition in O(expired rows)
-//! — see [`ColumnarState::purge`].
+//! materialized from the arena only at the sink or spill boundary.
+//!
+//! Index positions are *logical*: a stream partition counts the rows it
+//! has physically dropped (`base`), and row `i` of its columns is
+//! position `base + i`, so dropping rows moves no position. A window
+//! purge of a time-ordered partition finds the expired prefix by a
+//! galloping search, sums its accounted bytes and retires it — the join
+//! index is not touched. The retired positions stay in the index as a
+//! dead prefix of their lists, below the stream's *floor*; the next
+//! insert that reaches an entry trims them off before it probes, and a
+//! growing index sweeps out the entries left with nothing live.
 
 use dcape_common::batch::{RowRef, TupleBatch};
-use dcape_common::codec::{body_value, decode_value, get_varint};
+#[cfg(test)]
+use dcape_common::codec::body_value;
+use dcape_common::codec::{decode_value, get_varint};
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::fx_hash;
 use dcape_common::ids::{PartitionId, StreamId};
@@ -87,16 +97,15 @@ impl RowMeta {
 /// `meta[i]`'s address holding the codec-encoded column
 /// values (arity varint + one encoded value per column — a
 /// [`RowRef::body`], byte for byte). The join
-/// key lives only in the group's [`JoinIndex`]; purge recovers an
-/// expiring row's key from its own arena slice, so no per-row key copy
+/// key lives only in the group's [`JoinIndex`], and no per-row key copy
 /// is ever stored.
 ///
-/// Rows `..head` are a retired (window-expired) prefix: still
-/// physically present in `ts`/`meta`/`arena` so that index positions
-/// stay physical indices into `ts`, but unreachable — the index holds
-/// no position below `head`, and every reader walks `head..` only. One
-/// stream partition's arena is capped at 4 GiB of live bytes, enforced
-/// *before* any result is emitted.
+/// Row `i` is index position `base + i`. Rows `..head` are a retired
+/// (window-expired) prefix: still physically present in
+/// `ts`/`meta`/`arena`, but dead — every reader walks `head..` only, and
+/// index positions below the [`floor`](Self::floor) `base + head` are
+/// never probed. One stream partition's arena is capped at 4 GiB of live
+/// bytes, enforced *before* any result is emitted.
 #[derive(Debug, Clone)]
 struct ColumnarPartition {
     ts: Vec<VirtualTime>,
@@ -112,6 +121,10 @@ struct ColumnarPartition {
     ts_sorted: bool,
     /// Physical index of the first live row.
     head: usize,
+    /// Rows physically dropped so far: the index position of row 0.
+    /// `base + meta.len()` stays within `u32`
+    /// ([`ColumnarState::check_capacity`] rebases before it would not).
+    base: u32,
     /// Oldest live timestamp ([`NO_ROWS`] when empty): one comparison
     /// rejects a purge pulse that expires nothing here.
     min_ts: VirtualTime,
@@ -123,8 +136,8 @@ const NO_ROWS: VirtualTime = VirtualTime::from_millis(u64::MAX);
 /// The retired prefix is physically reclaimed once fewer than this
 /// many live rows remain per retired row (`head > live / 4`). A
 /// constant, not a setting: it only trades ≤ 25 % transient column
-/// memory against how often the O(live rows) re-base runs, and any
-/// fixed ratio keeps the amortised cost at O(1) per expired row.
+/// memory against how often the O(live rows) shift of the columns runs,
+/// and any fixed ratio keeps the amortised cost at O(1) per expired row.
 const COMPACT_LIVE_PER_DEAD: usize = 4;
 
 impl Default for ColumnarPartition {
@@ -135,6 +148,7 @@ impl Default for ColumnarPartition {
             arena: RowPages::default(),
             ts_sorted: true,
             head: 0,
+            base: 0,
             min_ts: NO_ROWS,
         }
     }
@@ -151,6 +165,13 @@ impl ColumnarPartition {
         self.head..self.meta.len()
     }
 
+    /// Index position of the first live row: every position of this
+    /// stream below it is dead.
+    #[inline]
+    fn floor(&self) -> u32 {
+        self.base + self.head as u32
+    }
+
     /// Row `i`'s encoded slice of the arena.
     fn row_bytes(&self, i: usize) -> &[u8] {
         let prev = i.checked_sub(1).map(|before| self.meta[before].at());
@@ -164,7 +185,7 @@ impl ColumnarPartition {
             self.ts_sorted &= row.ts() >= last;
         }
         self.min_ts = self.min_ts.min(row.ts());
-        let pos = self.meta.len() as u32;
+        let pos = self.base + self.meta.len() as u32;
         self.ts.push(row.ts());
         let (page, end) = self.arena.push(row.body());
         self.meta.push(RowMeta {
@@ -178,14 +199,14 @@ impl ColumnarPartition {
 
     /// Physically drop the retired prefix from every store: the arena
     /// frees the pages it filled, and only the live rows that share the
-    /// first live row's page have their offsets re-based. Returns how
-    /// many rows went — index positions above them are the caller's to
-    /// shift.
-    fn drop_retired(&mut self) -> usize {
+    /// first live row's page have their offsets re-based. `base` grows
+    /// by the rows dropped, so no index position moves.
+    fn drop_retired(&mut self) {
         let head = std::mem::take(&mut self.head);
         if head == 0 {
-            return 0;
+            return;
         }
+        self.base += head as u32;
         if head == self.meta.len() {
             self.arena.clear();
         } else {
@@ -199,7 +220,6 @@ impl ColumnarPartition {
         }
         self.ts.drain(..head);
         self.meta.drain(..head);
-        head
     }
 
     /// Bytes the stores occupy: the columns' capacities and the arena's
@@ -234,6 +254,7 @@ impl ColumnarPartition {
 
     /// Recover row `i`'s join key from its arena slice, decoding only as
     /// far as the join `column` (validated present at insert).
+    #[cfg(test)]
     fn key_at(&self, i: usize, column: usize) -> Value {
         body_value(self.row_bytes(i), column)
             .expect("arena: self-encoded")
@@ -245,6 +266,10 @@ impl ColumnarPartition {
     fn assert_invariants(&self) {
         assert_eq!(self.ts.len(), self.meta.len());
         assert!(self.head <= self.meta.len());
+        assert!(
+            u32::try_from(self.base as usize + self.meta.len()).is_ok(),
+            "every row has a u32 position"
+        );
         assert!(
             self.meta.is_empty() || self.head < self.meta.len(),
             "a fully retired partition is compacted to empty"
@@ -261,10 +286,13 @@ impl ColumnarPartition {
 }
 
 /// The columnar state of one group: a [`ColumnarPartition`] per stream
-/// and the one [`JoinIndex`] over all of them. List `s` of a key's index
-/// entry holds exactly the live positions of stream `s`'s rows with that
-/// key, ascending; whatever moves rows (`compact`, `purge_unsorted`) or
-/// retires them (`purge`) therefore lives here, beside the index.
+/// and the one [`JoinIndex`] over all of them. Above stream `s`'s floor,
+/// list `s` of a key's index entry holds exactly the positions of stream
+/// `s`'s live rows with that key, ascending; below it, only a dead
+/// prefix; and every live key has an entry. A purge only raises the
+/// floor; the dead prefixes go when an insert reaches the entry or the
+/// index is swept, and whatever re-numbers positions (`rebase`,
+/// `purge_unsorted`) lives here, beside the index.
 #[derive(Debug)]
 struct ColumnarState {
     cols: Vec<ColumnarPartition>,
@@ -301,7 +329,7 @@ impl ColumnarState {
                 let key = row
                     .value(join_columns[s])
                     .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
-                let slot = st.index.find_or_insert(fx_hash(&key), &key);
+                let slot = st.index.find_or_insert(fx_hash(&key), &key, |_| 0);
                 st.index.list_mut(slot, s).push(i as u32);
                 let acct = row.heap_size();
                 bytes += acct + PER_TUPLE_OVERHEAD;
@@ -319,6 +347,7 @@ impl ColumnarState {
                 meta,
                 arena,
                 head: 0,
+                base: 0,
             };
         }
         Ok((st, bytes))
@@ -334,23 +363,53 @@ impl ColumnarState {
     /// would push its arena past 4 GiB of row bytes. Checked before
     /// the probe so no results are emitted for a row that is then
     /// refused. Near the 4 GiB edge the retired prefix is reclaimed
-    /// first — the cap is on live bytes.
+    /// first — the cap is on live bytes. A stream whose next position
+    /// would not fit in a `u32` is [rebased](Self::rebase) first.
     fn check_capacity(&mut self, s: usize, row_len: usize) -> Result<()> {
-        if self.cols[s].arena.len() + row_len > u32::MAX as usize {
-            self.compact(s);
-            if self.cols[s].arena.len() + row_len > u32::MAX as usize {
+        let cp = &mut self.cols[s];
+        if cp.arena.len() + row_len > u32::MAX as usize {
+            cp.drop_retired();
+            if cp.arena.len() + row_len > u32::MAX as usize {
                 return Err(DcapeError::state(
                     "columnar arena exceeds 4 GiB for one stream partition",
                 ));
             }
         }
+        if cp.base as usize + cp.meta.len() >= u32::MAX as usize {
+            self.rebase(s);
+        }
         Ok(())
+    }
+
+    /// Re-number stream `s`'s positions from 0: drop the retired prefix,
+    /// then walk list `s` of every entry, dropping its dead prefix and
+    /// shifting the rest down by the old `base`, and sweep the entries
+    /// that leaves empty. O(index slots + live rows), once per 2³² rows
+    /// the stream takes in.
+    #[cold]
+    fn rebase(&mut self, s: usize) {
+        let cp = &mut self.cols[s];
+        cp.drop_retired();
+        let base = std::mem::take(&mut cp.base);
+        self.index.for_each_list_mut(s, |list| {
+            list.retain_mut(|p| match p.checked_sub(base) {
+                Some(live) => {
+                    *p = live;
+                    true
+                }
+                None => false,
+            })
+        });
+        let cols = &self.cols;
+        self.index.sweep(|s| cols[s].floor());
     }
 
     /// Symmetric-join step for one row of stream `s`: **one** index
     /// lookup yields the key's entry, whose lists are the `m - 1` match
     /// lists to probe and the list the new row's position is appended to
-    /// (the key is cloned only when the entry is new). Returns the
+    /// (the key is cloned only when the entry is new). The entry's lists
+    /// lose their dead prefixes first, so the probe sees exactly the live
+    /// rows; a stream that has never purged is not read. Returns the
     /// results emitted.
     fn probe_insert(
         &mut self,
@@ -362,7 +421,10 @@ impl ColumnarState {
         sink: &mut dyn ResultSink,
     ) -> Result<u64> {
         self.check_capacity(s, row.body().len())?;
-        let slot = self.index.find_or_insert(fx_hash(key), key);
+        let cols = &self.cols;
+        let floor = |s: usize| cols[s].floor();
+        let slot = self.index.find_or_insert(fx_hash(key), key, floor);
+        self.index.trim(slot, floor);
         let matches = self.index.lists(slot);
         let emitted = Self::probe(&self.cols, matches, scratch, window, s, row, sink);
         let pos = self.cols[s].append(row);
@@ -427,7 +489,7 @@ impl ColumnarState {
                     matches[i]
                         .as_slice()
                         .iter()
-                        .map(|&p| cp.materialize(StreamId(i as u8), p as usize)),
+                        .map(|&p| cp.materialize(StreamId(i as u8), (p - cp.base) as usize)),
                 );
             }
             for (i, rows) in scratch.iter().enumerate().take(m) {
@@ -438,12 +500,14 @@ impl ColumnarState {
         } else {
             lists[s] = SpanList::TsOnly {
                 ts: &probing_ts,
+                base: 0,
                 positions: &[0],
             };
             for (i, cp) in cols.iter().enumerate() {
                 if i != s {
                     lists[i] = SpanList::TsOnly {
                         ts: &cp.ts,
+                        base: cp.base,
                         positions: matches[i].as_slice(),
                     };
                 }
@@ -458,15 +522,15 @@ impl ColumnarState {
     ///
     /// A pulse that expires nothing here is rejected by one comparison
     /// against `min_ts`. In a `ts_sorted` partition the expired rows are
-    /// a prefix: a galloping binary search finds the cut, each expired
-    /// row's key is recovered from the arena and looked up in the index
-    /// to drop the `< cut` front of its (ascending) list `s` — removing
-    /// the entry if that emptied its last list — and the prefix is
-    /// retired by advancing `head`: O(expired rows), nothing moves.
-    /// [`compact`](Self::compact) reclaims the prefix once it outgrows a
-    /// quarter of the live rows. An unsorted partition takes the full
-    /// compaction of [`purge_unsorted`](Self::purge_unsorted).
-    fn purge(&mut self, s: usize, cutoff: VirtualTime, column: usize) -> (usize, u64) {
+    /// a prefix: a galloping binary search finds the cut, their accounted
+    /// sizes are summed from `meta`, and the prefix is retired by
+    /// advancing `head` — which raises the stream's floor, so their index
+    /// positions are dead where they stand. No key is decoded and the
+    /// index is not read. Once the retired prefix outgrows a quarter of
+    /// the live rows it is physically dropped (`base` grows by it, so no
+    /// position moves). An unsorted partition takes the full rebuild of
+    /// [`purge_unsorted`](Self::purge_unsorted).
+    fn purge(&mut self, s: usize, cutoff: VirtualTime) -> (usize, u64) {
         let cp = &mut self.cols[s];
         if cp.min_ts >= cutoff {
             return (0, 0);
@@ -475,59 +539,35 @@ impl ColumnarState {
             return self.purge_unsorted(s, cutoff);
         }
         let cut = cp.head + expired_prefix(&cp.ts[cp.head..], cutoff);
-        let mut freed = 0usize;
-        for i in cp.head..cut {
-            freed += cp.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
-            // An earlier expired row with the same key already dropped
-            // every position below `cut`, this row's included (and with
-            // them, perhaps, the entry).
-            let key = cp.key_at(i, column);
-            if let Some(slot) = self.index.find(fx_hash(&key), &key) {
-                let list = self.index.list_mut(slot, s);
-                list.drop_below(cut as u32);
-                if list.is_empty() {
-                    self.index.remove_if_empty(slot);
-                }
-            }
-        }
-        let mut touched = (cut - cp.head) as u64;
+        let expired = &cp.meta[cp.head..cut];
+        let acct: u64 = expired.iter().map(|m| m.acct).sum();
+        let freed = acct as usize + expired.len() * PER_TUPLE_OVERHEAD;
+        let mut touched = expired.len() as u64;
         cp.head = cut;
         cp.min_ts = cp.ts.get(cut).copied().unwrap_or(NO_ROWS);
         if cp.len() < COMPACT_LIVE_PER_DEAD * cp.head {
             touched += cp.len() as u64;
-            self.compact(s);
+            cp.drop_retired();
         }
         (freed, touched)
-    }
-
-    /// Physically reclaim stream `s`'s retired prefix: shift the live
-    /// rows to the front of every store and re-base arena offsets and
-    /// the stream's index positions. O(live rows + index slots).
-    fn compact(&mut self, s: usize) {
-        let head = self.cols[s].drop_retired();
-        if head == 0 {
-            return;
-        }
-        self.index.for_each_list_mut(s, |list| {
-            list.retain_mut(|p| {
-                *p -= head as u32;
-                true
-            })
-        });
     }
 
     /// Purge of a partition whose rows are not in time order (replayed
     /// or installed state): scan every live row, compact the survivors
     /// to the front of the columns in place, push their arena rows into
-    /// fresh pages, and remap the stream's index positions through a
-    /// survivor table — no re-hashing of rows, no row materialization —
-    /// then sweep out the entries that lost their last position.
-    /// Recomputes `ts_sorted` over the survivors, so the partition
-    /// returns to the prefix-drop path once the offending rows expire.
+    /// fresh pages, and re-number the stream's index positions from 0
+    /// through a survivor table — no re-hashing of rows, no row
+    /// materialization; positions below the floor and those of expired
+    /// rows map to `DEAD` and are dropped — then sweep out the entries
+    /// that lost their last position. Recomputes `ts_sorted` over the
+    /// survivors, so the partition returns to the prefix-drop path once
+    /// the offending rows expire.
     fn purge_unsorted(&mut self, s: usize, cutoff: VirtualTime) -> (usize, u64) {
         const DEAD: u32 = u32::MAX;
         let cp = &mut self.cols[s];
-        let mut remap = vec![DEAD; cp.meta.len()];
+        let floor = cp.floor();
+        // `remap[p - floor]`: the new position of the row at position `p`.
+        let mut remap = vec![DEAD; cp.len()];
         let mut freed = 0usize;
         let mut kept = 0usize;
         let mut arena = RowPages::default();
@@ -543,7 +583,7 @@ impl ColumnarState {
                 freed += cp.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
                 continue;
             }
-            remap[i] = kept as u32;
+            remap[i - cp.head] = kept as u32;
             cp.ts[kept] = cp.ts[i];
             let (page, end) = arena.push(row);
             cp.meta[kept] = RowMeta {
@@ -562,21 +602,26 @@ impl ColumnarState {
         cp.arena = arena;
         cp.ts_sorted = sorted;
         cp.head = 0;
+        cp.base = 0;
         cp.min_ts = min_ts;
         self.index.for_each_list_mut(s, |list| {
             list.retain_mut(|p| {
-                *p = remap[*p as usize];
+                *p = p
+                    .checked_sub(floor)
+                    .map_or(DEAD, |live| remap[live as usize]);
                 *p != DEAD
             })
         });
-        self.index.drop_empty_entries();
+        let cols = &self.cols;
+        self.index.sweep(|s| cols[s].floor());
         (freed, touched)
     }
 
     /// Test-only: the column stores' invariants, the index's own, and
-    /// the tie between them — each live row of stream `s` appears
-    /// exactly once, ascending, in list `s` of its key's entry, and the
-    /// index holds nothing else.
+    /// the tie between them — above stream `s`'s floor, list `s` of a
+    /// key's entry holds each live row of stream `s` with that key
+    /// exactly once, ascending, and nothing else; below it, only a dead
+    /// prefix; and every live key has an entry.
     #[cfg(test)]
     fn assert_invariants(&self, join_columns: &[usize]) {
         self.cols
@@ -589,20 +634,27 @@ impl ColumnarState {
                 expected
                     .entry(cp.key_at(i, join_columns[s]))
                     .or_insert_with(|| vec![Vec::new(); self.cols.len()])[s]
-                    .push(i as u32);
+                    .push(cp.base + i as u32);
             }
         }
-        assert_eq!(self.index.len(), expected.len(), "one entry per live key");
         for (key, lists) in self.index.entries() {
-            let held: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-            let rows = expected
-                .get(key)
-                .unwrap_or_else(|| panic!("{key} has no live row"));
-            assert_eq!(held, rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            let live: Vec<&[u32]> = (lists.iter().zip(&self.cols))
+                .map(|(list, cp)| {
+                    let held = list.as_slice();
+                    let end = cp.base as usize + cp.meta.len();
+                    assert!(held.iter().all(|&p| (p as usize) < end), "a row holds it");
+                    &held[held.partition_point(|&p| p < cp.floor())..]
+                })
+                .collect();
+            match expected.remove(key) {
+                Some(rows) => assert_eq!(live, rows.iter().map(Vec::as_slice).collect::<Vec<_>>()),
+                None => assert!(live.iter().all(|l| l.is_empty()), "{key} has no live row"),
+            }
         }
+        let lost: Vec<&Value> = expected.keys().collect();
+        assert!(lost.is_empty(), "live keys without an entry: {lost:?}");
     }
 }
-
 /// Length of the `< cutoff` prefix of a ts-nondecreasing column whose
 /// first element is below `cutoff`. Gallops from the front before
 /// bisecting, so a pulse that expires `k` rows costs O(log k) and reads
@@ -777,14 +829,15 @@ impl PartitionGroup {
 
     /// Drop every tuple whose window has fully expired at the purge
     /// `horizon` (i.e. it can no longer join with any arrival carrying
-    /// `ts >= horizon`) and unindex it. Callers pass a watermark-driven
+    /// `ts >= horizon`) and retire it. Callers pass a watermark-driven
     /// horizon — never ahead of the oldest tuple still in flight — so
     /// expiry is judged against data progress, not the wall clock.
     /// Returns the accounted bytes freed. No-op for unwindowed groups.
     ///
     /// Costs O(streams) when nothing expired and O(expired rows)
-    /// amortised when the streams are in time order; see
-    /// [`ColumnarState::purge`].
+    /// amortised when the streams are in time order — a search for the
+    /// cut and a sum over the expired rows' accounted sizes; the join
+    /// index is not touched.
     pub fn purge_expired(&mut self, horizon: VirtualTime) -> usize {
         let Some(window) = self.window else {
             return 0;
@@ -792,8 +845,8 @@ impl PartitionGroup {
         let cutoff =
             VirtualTime::from_millis(horizon.as_millis().saturating_sub(window.as_millis()));
         let mut freed = 0usize;
-        for (s, &column) in self.join_columns.iter().enumerate() {
-            let (bytes, touched) = self.state.purge(s, cutoff, column);
+        for s in 0..self.join_columns.len() {
+            let (bytes, touched) = self.state.purge(s, cutoff);
             freed += bytes;
             self.purge_touched += touched;
         }
@@ -802,7 +855,7 @@ impl PartitionGroup {
     }
 
     /// Rows the purge path has visited over this group's lifetime:
-    /// expired rows unindexed, plus live rows moved by a compaction or
+    /// expired rows retired, plus live rows moved by a compaction or
     /// scanned by the out-of-order fallback. The purge-cost counter —
     /// in a steady sliding window it grows with the rows that expire,
     /// not with the rows that are live.
@@ -872,6 +925,22 @@ impl PartitionGroup {
     #[cfg(test)]
     fn ts_sorted_of(&self, s: usize) -> bool {
         self.state.cols[s].ts_sorted
+    }
+
+    /// Test-only: a group whose streams' positions start at `base`, as
+    /// if that many rows had come and gone.
+    #[cfg(test)]
+    fn with_base(
+        pid: PartitionId,
+        join_columns: Vec<usize>,
+        window: Option<VirtualDuration>,
+        base: u32,
+    ) -> Self {
+        let mut group = PartitionGroup::new(pid, join_columns, window);
+        for cp in &mut group.state.cols {
+            cp.base = base;
+        }
+        group
     }
 
     /// Test-only: check the state's structural invariants.
@@ -1214,6 +1283,87 @@ mod tests {
         }
     }
 
+    /// Every index entry's key and lists, as plain vectors.
+    fn index_contents(g: &PartitionGroup) -> std::collections::HashMap<Value, Vec<Vec<u32>>> {
+        let entries = g.state.index.entries();
+        entries
+            .map(|(key, lists)| {
+                (
+                    key.clone(),
+                    lists.iter().map(|l| l.as_slice().to_vec()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// A pulse retires rows by raising the streams' floors: until a
+    /// compaction it reads and writes nothing of the join index.
+    #[test]
+    fn a_pulse_that_does_not_compact_leaves_the_index_as_it_was() {
+        let window = Some(VirtualDuration::from_millis(99));
+        let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut sink = CountingSink::new();
+        for now in 0..100 {
+            for s in 0..3u8 {
+                g.insert(tpl(s, now, (now % 7) as i64), &mut sink).unwrap();
+            }
+        }
+        let (before, slots) = (index_contents(&g), g.state.index.slot_count());
+        // Cutoff 11: 11 rows of each stream expire, 89 stay — too few
+        // retired rows to compact.
+        let freed = g.purge_expired(VirtualTime::from_millis(110));
+        assert_eq!(
+            freed,
+            3 * 11 * (tpl(0, 0, 0).heap_size() + PER_TUPLE_OVERHEAD)
+        );
+        for cp in &g.state.cols {
+            assert_eq!(
+                (cp.base, cp.head, cp.len()),
+                (0, 11, 89),
+                "retired, not compacted"
+            );
+        }
+        assert_eq!(index_contents(&g), before);
+        assert_eq!(g.state.index.slot_count(), slots);
+        g.assert_invariants();
+        // The next insert of a key trims that key's entry only.
+        g.insert(tpl(0, 100, 2), &mut sink).unwrap();
+        let after = index_contents(&g);
+        let trimmed = Value::Int(2);
+        assert!(after[&trimmed].iter().all(|l| l.iter().all(|&p| p >= 11)));
+        assert!(after
+            .iter()
+            .filter(|(key, _)| **key != trimmed)
+            .all(|(key, lists)| *lists == before[key]));
+        g.assert_invariants();
+    }
+
+    /// A window sliding over keys that never repeat leaves an entry
+    /// behind for every key it passes; the index's growth sweeps them
+    /// out and sizes the table by what is left, so its slot count
+    /// follows the live keys, not the keys that went by.
+    #[test]
+    fn an_index_over_keys_that_never_repeat_stays_sized_by_the_live_keys() {
+        const LIVE: u64 = 64; // live keys (= ticks) in the window
+        let window = Some(VirtualDuration::from_millis(LIVE - 1));
+        let mut g = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window);
+        let mut sink = CountingSink::new();
+        for now in 0..60 * LIVE {
+            for s in 0..3u8 {
+                g.insert(tpl(s, now, now as i64), &mut sink).unwrap();
+            }
+            g.purge_expired(VirtualTime::from_millis(now));
+            let slots = g.state.index.slot_count();
+            assert!(
+                slots <= 8 * LIVE as usize,
+                "{slots} slots at tick {now} for {LIVE} live keys"
+            );
+        }
+        assert_eq!(sink.count(), 60 * LIVE, "each tick's rows join once");
+        assert_eq!(g.tuple_count(), 3 * LIVE as usize);
+        g.assert_invariants();
+    }
+
     /// A window sliding over ~50 times what it holds: the pages the
     /// expired rows filled are freed as compaction passes them, so what
     /// the group occupies follows what is live, not what has gone by.
@@ -1409,13 +1559,24 @@ mod tests {
 
         /// Drive an `m`-way join and the model through `ops`.
         fn run(m: usize, text_keys: bool, ops: Vec<Op>) -> Result<(), TestCaseError> {
+            run_from(0, m, text_keys, ops)
+        }
+
+        /// [`run`] on a group whose positions start at `base`.
+        fn run_from(
+            base: u32,
+            m: usize,
+            text_keys: bool,
+            ops: Vec<Op>,
+        ) -> Result<(), TestCaseError> {
             let window = Some(VirtualDuration::from_millis(WINDOW_MS));
             let join_columns: Vec<usize> = (0..m).map(join_column).collect();
             let mut model = Model {
                 live: vec![Vec::new(); m],
                 sorted: vec![true; m],
             };
-            let mut g = PartitionGroup::new(PartitionId(5), join_columns.clone(), window);
+            let mut g =
+                PartitionGroup::with_base(PartitionId(5), join_columns.clone(), window, base);
             let mut sink = CountingSink::new();
             let (mut newest, mut last_horizon) = (0u64, 0u64);
             for (seq, op) in ops.into_iter().enumerate() {
@@ -1473,6 +1634,28 @@ mod tests {
                 }
             }
             Ok(())
+        }
+
+        /// A window slides across the end of the `u32` position space:
+        /// every stream starts 300 positions short of it and takes in
+        /// ~630 rows in time order (a late row would send the stream
+        /// down the unsorted path, which re-numbers it from 0) under
+        /// pulses that retire and compact. The stream is rebased on the
+        /// way; counts, freed bytes and the invariants hold against the
+        /// model throughout.
+        #[test]
+        fn a_window_slides_across_the_end_of_the_position_space() {
+            let ops = (0..2100u32).map(|i| match i % 10 {
+                9 => Op::Purge {
+                    offset: Some(2 * WINDOW_MS - 60),
+                },
+                _ => Op::Insert {
+                    stream: (i % 3) as u8,
+                    key: (i / 3 % 4) as i64,
+                    offset: i64::from(i % 2),
+                },
+            });
+            run_from(u32::MAX - 300, 3, false, ops.collect()).unwrap();
         }
 
         proptest! {

@@ -6,7 +6,7 @@
 //! paper's "input rate is set to 30 ms per input stream". The tuple's
 //! join value is drawn from the owning partition's [`ValueSchedule`], and
 //! the partition itself is sampled under the (possibly time-varying)
-//! [`ArrivalPattern`] weights.
+//! [`ArrivalPattern`](crate::pattern::ArrivalPattern) weights.
 //!
 //! Join values are crafted so that `value mod num_partitions` equals the
 //! partition ID, which is exactly what [`Partitioner::Modulo`] computes —

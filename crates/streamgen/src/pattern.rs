@@ -48,7 +48,7 @@ impl ArrivalPattern {
     /// Static Zipf-distributed weights over `n` partitions with exponent
     /// `s` (partition 0 hottest): the classic data-skew shape from the
     /// parallel-join skew-handling literature the paper builds on
-    /// (DeWitt et al. [7]).
+    /// (DeWitt et al. \[7\]).
     pub fn zipf(n: u32, s: f64) -> ArrivalPattern {
         assert!(n > 0, "need at least one partition");
         assert!(s >= 0.0, "zipf exponent must be non-negative");

@@ -27,7 +27,10 @@
 //!   is not sent yet, and flushes nothing until it is,
 //! * before the coordinator acts on any [`FromEngine`] message or phase
 //!   timeout, so every already-routed tuple reaches its engine ahead of
-//!   a `SendStates`/remap that could re-home its partition.
+//!   a `SendStates`/remap that could re-home its partition,
+//! * before a scale event's sends — a joiner's start, `FenceNotice` and
+//!   `BeginDrain` — so a membership change finds every tuple routed
+//!   before it already at its engine.
 //!
 //! Every transport delivers one engine's messages in send order, so the
 //! tuples a pause released precede the `Resume` (or follow the
@@ -519,6 +522,7 @@ impl<T: Transport> CoordinatorRun<T> {
                 break;
             }
             self.next_scale += 1;
+            self.flush_pending()?;
             match event.action {
                 ScaleAction::AddEngine => {
                     let id = self.placement.add_engine()?;
@@ -749,6 +753,22 @@ impl<T: Transport> CoordinatorRun<T> {
                     return Ok(());
                 }
                 self.awaiting_stats = false;
+                // The decision's inputs, one record per engine, stamped
+                // with the instant the engine took it: also what the
+                // figures plot.
+                for r in &reports {
+                    self.journal.record(
+                        r.at,
+                        AdaptEvent::EngineSample {
+                            engine: r.engine,
+                            memory_used: r.memory_used,
+                            memory_budget: r.memory_budget,
+                            groups: r.num_groups as u64,
+                            window_output: r.window_output,
+                            total_output: r.total_output,
+                        },
+                    );
+                }
                 self.gc.evaluate(&ClusterStats::new(reports), now)?
             }
             FromEngine::Ptv {
@@ -950,7 +970,7 @@ mod tests {
     use crate::faults::FaultConfig;
     use crate::netmodel::NetworkModel;
     use crate::placement::PlacementSpec;
-    use crate::runtime::sim::SimTransport;
+    use crate::runtime::sim::{ScaleEvent, SimTransport};
     use crate::strategy::StrategyConfig;
     use dcape_engine::config::EngineConfig;
     use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
@@ -969,6 +989,8 @@ mod tests {
         /// `Resume`, and the watermark it released.
         Resume(VirtualTime),
         AbortRound,
+        /// `FenceNotice` or `BeginDrain`: a drain's first sends.
+        Fence,
         OtherSend,
         /// An engine message was handed over at this coordinator clock.
         Received(VirtualTime),
@@ -988,6 +1010,16 @@ mod tests {
     }
 
     impl Recording {
+        fn new(cfg: &SimConfig, journal: JournalHandle) -> Self {
+            Recording {
+                inner: SimTransport::new(cfg, journal.clone()),
+                journal,
+                rows_sent: 0,
+                polled: VirtualTime::ZERO,
+                log: Vec::new(),
+            }
+        }
+
         fn note(&mut self, engine: Option<EngineId>, seen: Seen) {
             let buffered = self
                 .journal
@@ -1022,6 +1054,7 @@ mod tests {
                 ToEngine::Tick { now, .. } | ToEngine::ReportStats { now } => Seen::Pulse(*now),
                 ToEngine::Resume { watermark, .. } => Seen::Resume(*watermark),
                 ToEngine::AbortRound { .. } => Seen::AbortRound,
+                ToEngine::FenceNotice { .. } | ToEngine::BeginDrain => Seen::Fence,
                 _ => Seen::OtherSend,
             };
             self.note(Some(engine), seen);
@@ -1058,6 +1091,43 @@ mod tests {
         assert_eq!(report.journal_counters.transfer_bytes, 66_365);
     }
 
+    /// A scale event flushes first: off the pulse grid, the tuples routed
+    /// before a drain fires reach their engines ahead of its
+    /// `FenceNotice` and `BeginDrain`.
+    #[test]
+    fn a_drain_follows_the_data_routed_before_it() {
+        let period = VirtualDuration::from_millis(30);
+        // Half a second after a pulse: half a second of data is pending.
+        let at = VirtualTime::from_millis(90_510);
+        let spec = StreamSetSpec::uniform(24, 2400, 1, period).with_seed(23);
+        let streams = spec.num_streams as u64;
+        let cfg = SimConfig::new(
+            2,
+            EngineConfig::three_way(1 << 30, 1 << 29),
+            spec,
+            StrategyConfig::NoAdaptation,
+        )
+        .with_scale_events(vec![ScaleEvent::drain(at)]);
+        let journal = JournalHandle::disabled();
+        let transport = Recording::new(&cfg, journal.clone());
+        let mut run = CoordinatorRun::new(&cfg, journal, false, transport).unwrap();
+        run.run_until(VirtualTime::from_mins(2)).unwrap();
+        let log = &run.transport().log;
+        let fence = (log.iter())
+            .position(|(_, _, seen)| matches!(seen, Seen::Fence))
+            .expect("the drain fences its engine");
+        let routed_before = at.as_millis() / period.as_millis() * streams;
+        assert_eq!(
+            log[fence].1, routed_before,
+            "every tuple routed before the drain is sent"
+        );
+        assert!(
+            matches!(log[fence - 1].2, Seen::Data { .. }),
+            "the flush goes right ahead of the fence: {:?}",
+            &log[fence - 1]
+        );
+    }
+
     fn run_checking_the_seam(stats_interval: VirtualDuration) -> RunReport {
         let period = VirtualDuration::from_millis(30);
         let deadline = VirtualTime::from_mins(5);
@@ -1088,13 +1158,7 @@ mod tests {
         .with_faults(FaultPlan::new(6, crashes));
         cfg.network = NetworkModel::slow_wan();
         let journal = JournalHandle::enabled();
-        let transport = Recording {
-            inner: SimTransport::new(&cfg, journal.clone()),
-            journal: journal.clone(),
-            rows_sent: 0,
-            polled: VirtualTime::ZERO,
-            log: Vec::new(),
-        };
+        let transport = Recording::new(&cfg, journal.clone());
         let mut run = CoordinatorRun::new(&cfg, journal, true, transport).unwrap();
         run.run_until(deadline).unwrap();
         run.quiesce().unwrap();

@@ -427,6 +427,11 @@ impl EngineCore {
             }
             ToEngine::ReportStats { now } => {
                 self.last_now = now;
+                // Recompute the memory accounting from scratch once per
+                // collection: drift in the incremental bookkeeping fails
+                // the run instead of skewing the decision it feeds.
+                #[cfg(debug_assertions)]
+                self.qe.assert_accounting_consistent()?;
                 let report = self.qe.report(now);
                 tx.to_gc(FromEngine::Stats(report))?;
             }

@@ -27,7 +27,6 @@ use dcape_engine::config::EngineConfig;
 use dcape_engine::engine::QueryEngine;
 use dcape_engine::sink::CollectingSink;
 use dcape_metrics::journal::{CountersSnapshot, JournalEntry, JournalHandle};
-use dcape_metrics::Recorder;
 use dcape_streamgen::StreamSetSpec;
 
 use crate::coordinator::GlobalCoordinator;
@@ -103,8 +102,6 @@ pub struct SimConfig {
     /// How often engines report statistics and the coordinator
     /// evaluates (`sr_timer` / `lb_timer`).
     pub stats_interval: VirtualDuration,
-    /// How often the recorder samples throughput/memory series.
-    pub sample_interval: VirtualDuration,
     /// Network model for relocation transfers.
     pub network: NetworkModel,
     /// Collect full results (tests): every probe product is enumerated
@@ -126,8 +123,8 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Sensible defaults around a workload: 45 s stats interval, 60 s
-    /// sampling, gigabit network, round-robin placement.
+    /// Sensible defaults around a workload: 45 s stats interval,
+    /// gigabit network, round-robin placement.
     pub fn new(
         num_engines: usize,
         engine: EngineConfig,
@@ -141,7 +138,6 @@ impl SimConfig {
             placement: PlacementSpec::RoundRobin,
             strategy,
             stats_interval: VirtualDuration::from_secs(45),
-            sample_interval: VirtualDuration::from_secs(60),
             network: NetworkModel::gigabit(),
             collect_results: false,
             journal: false,
@@ -165,12 +161,6 @@ impl SimConfig {
     /// Builder-style: set the stats interval.
     pub fn with_stats_interval(mut self, interval: VirtualDuration) -> Self {
         self.stats_interval = interval;
-        self
-    }
-
-    /// Builder-style: set the sample interval.
-    pub fn with_sample_interval(mut self, interval: VirtualDuration) -> Self {
-        self.sample_interval = interval;
         self
     }
 
@@ -239,8 +229,6 @@ pub struct SimReport {
     pub force_spills: u64,
     /// Local spill adaptations per engine slot.
     pub spill_counts: Vec<u64>,
-    /// Recorded time series (throughput, memory, …).
-    pub recorder: Recorder,
     /// Collected results, if `collect_results` was set: what the
     /// engines emitted during the run-time phase, engine by engine.
     pub runtime_results: Option<CollectingSink>,
@@ -265,38 +253,6 @@ impl SimReport {
     /// maximum per-engine cost (the paper's Figure 12 comparison).
     pub fn cleanup_wall_ms(&self) -> u64 {
         self.cleanup_cost_ms.iter().copied().max().unwrap_or(0)
-    }
-
-    /// A ready-to-print run summary: one row per engine plus totals.
-    pub fn summary_table(&self) -> dcape_metrics::Table {
-        let mut table =
-            dcape_metrics::Table::new(&["engine", "final output", "spills", "cleanup cost (ms)"]);
-        for (i, (spills, cost)) in self
-            .spill_counts
-            .iter()
-            .zip(&self.cleanup_cost_ms)
-            .enumerate()
-        {
-            let out = self
-                .recorder
-                .series(&format!("output/QE{i}"))
-                .and_then(|s| s.last())
-                .map(|(_, v)| v as u64)
-                .unwrap_or(0);
-            table.row(vec![
-                format!("QE{i}"),
-                format!("{out}"),
-                format!("{spills}"),
-                format!("{cost}"),
-            ]);
-        }
-        table.row(vec![
-            "total".into(),
-            format!("{}", self.runtime_output),
-            format!("{}", self.spill_counts.iter().sum::<u64>()),
-            format!("{} (wall)", self.cleanup_wall_ms()),
-        ]);
-        table
     }
 }
 
@@ -458,21 +414,15 @@ impl Transport for SimTransport {
 }
 
 /// The simulated cluster: the shared coordinator run over the
-/// virtual-time transport, plus what only the simulation has — the
-/// recorded series and the debug accounting check.
+/// virtual-time transport, plus what only the simulation can offer —
+/// read access to the engines mid-run and the collected results.
 pub struct SimDriver {
     run: CoordinatorRun<SimTransport>,
-    sample_interval: VirtualDuration,
-    next_sample: VirtualTime,
-    recorder: Recorder,
 }
 
 impl SimDriver {
     /// Build a driver; validates the whole configuration.
     pub fn new(cfg: SimConfig) -> Result<Self> {
-        if cfg.sample_interval == VirtualDuration::ZERO {
-            return Err(DcapeError::config("sample interval must be positive"));
-        }
         let journal = JournalHandle::when(cfg.journal);
         let transport = SimTransport::new(&cfg, journal.clone());
         // An active fault plan implies bounded patience: dropped
@@ -480,20 +430,12 @@ impl SimDriver {
         let patient = cfg.faults.is_active();
         Ok(SimDriver {
             run: CoordinatorRun::new(&cfg, journal, patient, transport)?,
-            sample_interval: cfg.sample_interval,
-            next_sample: VirtualTime::ZERO + cfg.sample_interval,
-            recorder: Recorder::new(),
         })
     }
 
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
         self.run.now()
-    }
-
-    /// The recorder (read access while running).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// The placement map (read access for tests).
@@ -516,43 +458,15 @@ impl SimDriver {
         self.run.coordinator()
     }
 
-    /// Run until the virtual deadline, sampling the series at every
-    /// `sample_interval` boundary on the way.
+    /// Run until the virtual deadline.
     pub fn run_until(&mut self, deadline: VirtualTime) -> Result<()> {
-        while self.next_sample <= deadline {
-            self.run.run_until(self.next_sample)?;
-            self.sample_series()?;
-            self.next_sample += self.sample_interval;
-        }
         self.run.run_until(deadline)
-    }
-
-    /// Record output and memory per engine at the current clock. Debug
-    /// builds also recompute every engine's memory accounting from
-    /// scratch — any drift in the incremental bookkeeping fails the run
-    /// immediately instead of skewing decisions.
-    fn sample_series(&mut self) -> Result<()> {
-        let now = self.run.now();
-        let transport = self.run.transport();
-        let total: u64 = transport.cores().map(|c| c.sink.count).sum();
-        self.recorder.record("output/total", now, total as f64);
-        for core in transport.cores() {
-            let id = core.id;
-            self.recorder
-                .record(&format!("mem/{id}"), now, core.qe.memory_used() as f64);
-            self.recorder
-                .record(&format!("output/{id}"), now, core.sink.count as f64);
-            #[cfg(debug_assertions)]
-            core.qe.assert_accounting_consistent()?;
-        }
-        Ok(())
     }
 
     /// Finish the run: quiesce the protocol, then run the distributed
     /// cleanup phase and assemble the report.
     pub fn finish(mut self) -> Result<SimReport> {
         self.run.quiesce()?;
-        self.sample_series()?;
         let report = self.run.cleanup()?;
         let collect = |pick: fn(&mut EngineCore) -> Option<CollectingSink>,
                        cores: &mut [Option<EngineCore>]| {
@@ -569,7 +483,6 @@ impl SimDriver {
             relocations: report.relocations,
             force_spills: report.force_spills,
             spill_counts: report.spill_counts,
-            recorder: self.recorder,
             runtime_results: collect(|c| c.sink.collect.take(), cores),
             cleanup_results: collect(|c| c.cleanup_sink.collect.take(), cores),
             journal: report.journal,

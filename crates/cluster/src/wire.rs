@@ -500,7 +500,8 @@ wire_enum!(AdaptEvent {
     5 = FaultInjected { fault, edge, round, attempt },
     6 = ProtocolWarning { code, engine, round, detail },
     7 = EngineJoined { engine, members },
-    8 = EngineDrained { engine, moves }
+    8 = EngineDrained { engine, moves },
+    9 = EngineSample { engine, memory_used, memory_budget, groups, window_output, total_output }
 });
 
 // ---------------------------------------------------------------------
@@ -1092,9 +1093,35 @@ mod tests {
         ]
     }
 
+    /// Messages carrying what the wire learned after the pin of
+    /// [`protocol_frame_bytes_are_pinned`] was taken: they round-trip
+    /// and survive damage like the rest, outside the pin.
+    fn newer_from_engine() -> Vec<FromEngine> {
+        vec![FromEngine::CleanupDone {
+            engine: EngineId(1),
+            runtime_output: 70,
+            cleanup_output: 0,
+            spill_count: 0,
+            cleanup_cost_ms: 0,
+            journal: vec![JournalEntry {
+                at: VirtualTime::from_secs(45),
+                seq: 10,
+                event: AdaptEvent::EngineSample {
+                    engine: EngineId(1),
+                    memory_used: 1 << 21,
+                    memory_budget: 1 << 22,
+                    groups: 12,
+                    window_output: 400,
+                    total_output: 9_000,
+                },
+            }],
+            journal_counters: CountersSnapshot::default(),
+        }]
+    }
+
     #[test]
     fn from_engine_round_trips() {
-        for msg in sample_from_engine() {
+        for msg in sample_from_engine().into_iter().chain(newer_from_engine()) {
             let debug = format!("{msg:?}");
             let (seq, got) = round_trip(&WireMsg::Coord(msg), 0);
             assert_eq!(seq, 0);
@@ -1402,6 +1429,7 @@ mod tests {
             .map(WireMsg::Engine)
             .chain(relayed)
             .chain(sample_from_engine().into_iter().map(WireMsg::Coord))
+            .chain(newer_from_engine().into_iter().map(WireMsg::Coord))
             .chain(session);
         for msg in msgs {
             let kind = msg_kind_name(&msg);

@@ -10,8 +10,10 @@ use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
+use dcape_common::ids::EngineId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
+use dcape_metrics::journal::AdaptEvent;
 use dcape_streamgen::testing::reference_join;
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
@@ -148,8 +150,8 @@ fn sim_active_disk_preserves_results_with_force_spills() {
 /// Same `SimConfig` ⇒ bit-identical run, on the busiest configuration
 /// there is: relocating under alternating skew, tight memory, the chaos
 /// layer armed, an engine joining and another draining. Two runs agree
-/// on the whole merged journal, every recorded series, every relocation
-/// and every counter.
+/// on the whole merged journal (every engine's samples included), every
+/// relocation and every counter.
 #[test]
 fn sim_is_deterministic() {
     use dcape_cluster::faults::{FaultConfig, FaultPlan};
@@ -171,7 +173,6 @@ fn sim_is_deterministic() {
             },
         )
         .with_stats_interval(VirtualDuration::from_secs(15))
-        .with_sample_interval(VirtualDuration::from_secs(20))
         .with_journal()
         .with_faults(FaultPlan::new(13, FaultConfig::uniform(0.2)))
         .with_scale_events(vec![
@@ -197,15 +198,16 @@ fn sim_is_deterministic() {
     assert_eq!(a.journal, b.journal);
     assert_eq!(a.journal_counters, b.journal_counters);
     assert_eq!(a.relocations, b.relocations);
-    let names = a.recorder.names();
-    assert_eq!(names, b.recorder.names());
     assert!(
-        names.contains(&"mem/QE2"),
-        "the joiner is sampled: {names:?}"
+        a.journal.iter().any(|e| matches!(
+            e.event,
+            AdaptEvent::EngineSample {
+                engine: EngineId(2),
+                ..
+            }
+        )),
+        "the joiner is sampled"
     );
-    for name in names {
-        assert_eq!(a.recorder.series(name), b.recorder.series(name), "{name}");
-    }
     assert_eq!(
         (
             a.runtime_output,
@@ -236,8 +238,7 @@ fn coordinator_runs_are_pinned() {
     use dcape_cluster::faults::{FaultConfig, FaultPlan};
     use dcape_cluster::runtime::sim::{ScaleEvent, SimReport};
     use dcape_common::hash::fx_hash;
-    use dcape_common::ids::{EngineId, PartitionId};
-    use dcape_metrics::journal::AdaptEvent;
+    use dcape_common::ids::PartitionId;
     use dcape_metrics::report::journal_to_jsonl;
     use dcape_streamgen::{ClassAssignment, PartitionClass};
 
@@ -360,10 +361,10 @@ fn coordinator_runs_are_pinned() {
     assert_eq!(
         hashes,
         [
-            0x0FBD_F1B1_3265_5628,
-            0xB624_6E3F_B091_7BA6,
-            0xB443_2C89_51FA_94DD,
-            0x0ED1_1427_0FCD_AEAD
+            0x4737_110D_287B_046F,
+            0xDD22_9E09_C4FB_F6F2,
+            0xE8AA_2A9F_3E31_A0E3,
+            0x3DE6_85B1_714A_4451
         ],
         "coordinator behaviour changed: {hashes:#018x?}"
     );
@@ -450,7 +451,8 @@ fn global_rebalance_scheme_preserves_results_across_four_engines() {
         },
     )
     .with_placement(PlacementSpec::Fractions(vec![0.55, 0.25, 0.15, 0.05]))
-    .with_stats_interval(VirtualDuration::from_secs(30));
+    .with_stats_interval(VirtualDuration::from_secs(30))
+    .with_journal();
     let mut driver = SimDriver::new(cfg).unwrap();
     driver.run_until(deadline).unwrap();
     let relocations = driver.relocations().len();
@@ -468,17 +470,20 @@ fn global_rebalance_scheme_preserves_results_across_four_engines() {
     );
 }
 
-/// Final per-engine memory from the recorded series.
+/// Each engine's memory at its last statistics sample.
 fn driver_mems(report: &dcape_cluster::runtime::sim::SimReport) -> Vec<u64> {
-    (0..4u16)
-        .filter_map(|i| {
-            report
-                .recorder
-                .series(&format!("mem/QE{i}"))
-                .and_then(|s| s.last())
-                .map(|(_, v)| v as u64)
-        })
-        .collect()
+    let mut last = [None; 4];
+    for e in &report.journal {
+        if let AdaptEvent::EngineSample {
+            engine,
+            memory_used,
+            ..
+        } = e.event
+        {
+            last[engine.index()] = Some(memory_used);
+        }
+    }
+    last.into_iter().flatten().collect()
 }
 
 #[test]
@@ -516,7 +521,7 @@ fn threaded_active_disk_preserves_results() {
 /// deadline.
 #[test]
 fn runtime_reactivation_reduces_cleanup_debt_and_stays_exact() {
-    use dcape_metrics::journal::{AdaptEvent, JournalEntry};
+    use dcape_metrics::journal::JournalEntry;
     let deadline = VirtualTime::from_mins(6);
     let spec = small_workload(55);
     let reference = reference_join(&spec, deadline, None).unwrap().count();

@@ -175,6 +175,23 @@ pub enum AdaptEvent {
         /// to empty the engine.
         moves: u64,
     },
+    /// One engine's statistics report from a complete collection, as
+    /// the coordinator's decision saw it: what the figures plot over
+    /// time, on every runtime.
+    EngineSample {
+        /// Reporting engine.
+        engine: EngineId,
+        /// Accounted state bytes in memory.
+        memory_used: u64,
+        /// The engine's memory budget.
+        memory_budget: u64,
+        /// Resident partition groups.
+        groups: u64,
+        /// Results produced since the engine's previous report.
+        window_output: u64,
+        /// Results produced so far.
+        total_output: u64,
+    },
 }
 
 impl AdaptEvent {
@@ -190,6 +207,7 @@ impl AdaptEvent {
             AdaptEvent::ProtocolWarning { .. } => "protocol_warning",
             AdaptEvent::EngineJoined { .. } => "engine_joined",
             AdaptEvent::EngineDrained { .. } => "engine_drained",
+            AdaptEvent::EngineSample { .. } => "engine_sample",
         }
     }
 }

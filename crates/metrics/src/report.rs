@@ -1,11 +1,12 @@
 //! Plain-text tables, CSV output, and adaptation-journal exporters for
 //! experiment reports.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use dcape_common::time::VirtualDuration;
+use dcape_common::time::{VirtualDuration, VirtualTime};
 
 use crate::journal::{AdaptEvent, CountersSnapshot, JournalEntry};
 use crate::series::TimeSeries;
@@ -106,23 +107,24 @@ fn write_creating_dirs(path: &Path, text: String) -> io::Result<()> {
     std::fs::write(path, text)
 }
 
-/// Render several series side by side, resampled at `step`: the first
-/// column is time in minutes, then one column per series.
-pub fn render_series_table(series: &[(&str, &TimeSeries)], step: VirtualDuration) -> Table {
+/// Render named series side by side, in name order, resampled at
+/// `step`: the first column is time in minutes, then one column per
+/// series.
+pub fn render_series_table(series: &BTreeMap<String, TimeSeries>, step: VirtualDuration) -> Table {
     let mut header = vec!["t(min)"];
-    header.extend(series.iter().map(|(n, _)| *n));
+    header.extend(series.keys().map(String::as_str));
     let mut table = Table::new(&header);
     let end = series
-        .iter()
-        .filter_map(|(_, s)| s.last().map(|(t, _)| t))
+        .values()
+        .filter_map(|s| s.last().map(|(t, _)| t))
         .max();
     let Some(end) = end else {
         return table;
     };
-    let mut t = dcape_common::time::VirtualTime::ZERO;
+    let mut t = VirtualTime::ZERO;
     while t <= end {
         let mut row = vec![format!("{:.1}", t.as_mins_f64())];
-        for (_, s) in series {
+        for s in series.values() {
             row.push(match s.value_at(t) {
                 Some(v) => format!("{v:.0}"),
                 None => "0".to_string(),
@@ -132,6 +134,58 @@ pub fn render_series_table(series: &[(&str, &TimeSeries)], step: VirtualDuration
         t += step;
     }
     table
+}
+
+/// The curves a run's figures plot, read off its
+/// [`AdaptEvent::EngineSample`] records.
+#[derive(Debug, Default)]
+pub struct EngineCurves {
+    /// Results produced so far, summed over every engine that has
+    /// reported (an engine that stopped reporting keeps its last count).
+    pub output: TimeSeries,
+    /// Accounted memory per engine, indexed by engine id.
+    pub memory: Vec<TimeSeries>,
+}
+
+/// A run's curves from its journal. Both run through `end`: the output
+/// curve ends at `runtime_output` (the run's own count, which includes
+/// what was produced after the last collection) and every memory curve
+/// holds its last collected value.
+pub fn engine_curves(
+    entries: &[JournalEntry],
+    end: VirtualTime,
+    runtime_output: u64,
+) -> EngineCurves {
+    let mut curves = EngineCurves::default();
+    let mut totals: Vec<u64> = Vec::new();
+    for e in entries {
+        let AdaptEvent::EngineSample {
+            engine,
+            memory_used,
+            total_output,
+            ..
+        } = e.event
+        else {
+            continue;
+        };
+        let i = engine.index();
+        if i >= totals.len() {
+            totals.resize(i + 1, 0);
+            curves.memory.resize_with(i + 1, TimeSeries::default);
+        }
+        totals[i] = total_output;
+        curves.memory[i].push(e.at, memory_used as f64);
+        // The samples of one collection share a timestamp; the last
+        // point at an instant is its value.
+        curves.output.push(e.at, totals.iter().sum::<u64>() as f64);
+    }
+    curves.output.push(end, runtime_output as f64);
+    for memory in &mut curves.memory {
+        if let Some((_, v)) = memory.last() {
+            memory.push(end, v);
+        }
+    }
+    curves
 }
 
 /// One journal entry as a single-line JSON object. The encoder is
@@ -282,6 +336,22 @@ pub fn journal_entry_to_json(entry: &JournalEntry) -> String {
         }
         AdaptEvent::EngineDrained { engine, moves } => {
             let _ = write!(s, ",\"engine\":{},\"moves\":{moves}", engine.0);
+        }
+        AdaptEvent::EngineSample {
+            engine,
+            memory_used,
+            memory_budget,
+            groups,
+            window_output,
+            total_output,
+        } => {
+            let _ = write!(
+                s,
+                ",\"engine\":{},\"memory_used\":{memory_used},\"memory_budget\":{memory_budget},\
+                 \"groups\":{groups},\"window_output\":{window_output},\
+                 \"total_output\":{total_output}",
+                engine.0
+            );
         }
     }
     s.push('}');
@@ -448,6 +518,20 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
             AdaptEvent::EngineDrained { engine, moves } => {
                 let _ = writeln!(out, "drain     {engine} emptied after {moves} move(s)");
             }
+            AdaptEvent::EngineSample {
+                engine,
+                memory_used,
+                memory_budget,
+                groups,
+                window_output,
+                total_output,
+            } => {
+                let _ = writeln!(
+                    out,
+                    "sample    {engine}: mem={memory_used}/{memory_budget} groups={groups} \
+                     output={total_output} (+{window_output})"
+                );
+            }
         }
     }
     out
@@ -486,23 +570,83 @@ mod tests {
     }
 
     #[test]
-    fn series_table_resamples() {
-        let mut s1 = TimeSeries::new();
+    fn series_table_resamples_in_name_order() {
+        let mut s1 = TimeSeries::default();
         s1.push(VirtualTime::from_mins(0), 10.0);
         s1.push(VirtualTime::from_mins(2), 20.0);
-        let mut s2 = TimeSeries::new();
+        let mut s2 = TimeSeries::default();
         s2.push(VirtualTime::from_mins(1), 5.0);
-        let t = render_series_table(&[("a", &s1), ("b", &s2)], VirtualDuration::from_mins(1));
+        let series = BTreeMap::from([("b".to_string(), s1), ("a".to_string(), s2)]);
+        let t = render_series_table(&series, VirtualDuration::from_mins(1));
         let rendered = t.render();
-        assert!(rendered.contains("t(min)"));
         assert_eq!(t.len(), 3); // minutes 0, 1, 2
-        assert!(rendered.contains("20"));
+        let rows: Vec<Vec<&str>> = rendered
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows[0], ["t(min)", "a", "b"]);
+        assert_eq!(rows[2], ["0.0", "0", "10"]);
+        assert_eq!(rows[4], ["2.0", "5", "20"]);
     }
 
     #[test]
     fn empty_series_table() {
-        let t = render_series_table(&[], VirtualDuration::from_mins(1));
+        let t = render_series_table(&BTreeMap::new(), VirtualDuration::from_mins(1));
         assert!(t.is_empty());
+    }
+
+    fn sample(at_s: u64, engine: u16, memory_used: u64, total_output: u64) -> JournalEntry {
+        JournalEntry {
+            at: VirtualTime::from_secs(at_s),
+            seq: 0,
+            event: AdaptEvent::EngineSample {
+                engine: dcape_common::ids::EngineId(engine),
+                memory_used,
+                memory_budget: 1000,
+                groups: 4,
+                window_output: 1,
+                total_output,
+            },
+        }
+    }
+
+    /// The output curve sums each collection's engines (an engine that
+    /// stopped reporting keeps its last count) and ends at the run's
+    /// own count; memory curves are per engine and hold their last
+    /// value through the end.
+    #[test]
+    fn engine_curves_sum_output_and_split_memory() {
+        let entries = vec![
+            sample(30, 0, 100, 10),
+            sample(30, 1, 200, 20),
+            JournalEntry {
+                at: VirtualTime::from_secs(31),
+                seq: 0,
+                event: AdaptEvent::EngineJoined {
+                    engine: dcape_common::ids::EngineId(2),
+                    members: 3,
+                },
+            },
+            sample(60, 1, 250, 40),
+            sample(60, 0, 150, 30),
+            sample(90, 0, 120, 50),
+        ];
+        let end = VirtualTime::from_secs(120);
+        let curves = engine_curves(&entries, end, 95);
+        let at = |s: &TimeSeries, secs: u64| s.value_at(VirtualTime::from_secs(secs)).unwrap();
+        let output: Vec<f64> = [30, 59, 60, 90, 119, 120]
+            .map(|t| at(&curves.output, t))
+            .to_vec();
+        assert_eq!(output, [30.0, 30.0, 70.0, 90.0, 90.0, 95.0]);
+        assert_eq!(curves.memory.len(), 2);
+        let memory = |i: usize| [30, 60, 90, 120].map(|t| at(&curves.memory[i], t));
+        assert_eq!(memory(0), [100.0, 150.0, 120.0, 120.0]);
+        assert_eq!(memory(1), [200.0, 250.0, 250.0, 250.0]);
+        assert_eq!(curves.memory[1].last(), Some((end, 250.0)));
+        // No sample: a flat-zero output that still reaches the end.
+        let none = engine_curves(&[], end, 7);
+        assert_eq!(none.output.points(), [(end, 7.0)]);
+        assert!(none.memory.is_empty());
     }
 
     #[test]
@@ -634,6 +778,16 @@ mod tests {
         let text = render_journal(&entries);
         assert!(text.contains("fault     drop injected at install_states"));
         assert!(text.contains("warning   stale_transfer_ack from QE2"));
+
+        let engine_sample = [sample(45, 1, 300, 70)];
+        assert_eq!(
+            journal_to_jsonl(&engine_sample),
+            "{\"at_ms\":45000,\"seq\":0,\"kind\":\"engine_sample\",\"engine\":1,\
+             \"memory_used\":300,\"memory_budget\":1000,\"groups\":4,\"window_output\":1,\
+             \"total_output\":70}\n"
+        );
+        assert!(render_journal(&engine_sample)
+            .contains("sample    QE1: mem=300/1000 groups=4 output=70 (+1)"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use dcape_common::time::VirtualTime;
 
-/// A named series of `(virtual time, value)` samples, appended in
+/// A series of `(virtual time, value)` samples, appended in
 /// non-decreasing time order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
@@ -10,14 +10,8 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// New empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a sample. Samples must arrive in non-decreasing time
-    /// order; out-of-order samples are clamped to the last time (this
-    /// only matters for mixed-source recording and keeps plots sane).
+    /// order; an out-of-order sample is clamped to the last time.
     pub fn push(&mut self, t: VirtualTime, v: f64) {
         let t = match self.points.last() {
             Some(&(last, _)) if t < last => last,
@@ -29,16 +23,6 @@ impl TimeSeries {
     /// All samples.
     pub fn points(&self) -> &[(VirtualTime, f64)] {
         &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Last sample, if any.
@@ -57,66 +41,30 @@ impl TimeSeries {
 
     /// Maximum value.
     pub fn max(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, v)| v).fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(a) => a.max(v),
-            })
-        })
-    }
-
-    /// Resample at fixed `step` intervals from time zero through the
-    /// last sample (step interpolation), e.g. for table rendering.
-    pub fn resample(&self, step: dcape_common::time::VirtualDuration) -> Vec<(VirtualTime, f64)> {
-        let Some((end, _)) = self.last() else {
-            return Vec::new();
-        };
-        assert!(step.as_millis() > 0, "step must be positive");
-        let mut out = Vec::new();
-        let mut t = VirtualTime::ZERO;
-        while t <= end {
-            if let Some(v) = self.value_at(t) {
-                out.push((t, v));
-            } else {
-                out.push((t, 0.0));
-            }
-            t += step;
-        }
-        out
+        self.points.iter().map(|&(_, v)| v).reduce(f64::max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcape_common::time::VirtualDuration;
 
     fn t(ms: u64) -> VirtualTime {
         VirtualTime::from_millis(ms)
     }
 
     #[test]
-    fn push_and_read() {
-        let mut s = TimeSeries::new();
-        assert!(s.is_empty());
-        s.push(t(0), 1.0);
-        s.push(t(10), 2.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.last(), Some((t(10), 2.0)));
-        assert_eq!(s.points()[0], (t(0), 1.0));
-    }
-
-    #[test]
     fn out_of_order_clamped() {
-        let mut s = TimeSeries::new();
+        let mut s = TimeSeries::default();
         s.push(t(10), 1.0);
         s.push(t(5), 2.0);
-        assert_eq!(s.points()[1].0, t(10));
+        assert_eq!(s.points()[1], (t(10), 2.0));
+        assert_eq!(s.last(), Some((t(10), 2.0)));
     }
 
     #[test]
     fn value_at_step_interpolates() {
-        let mut s = TimeSeries::new();
+        let mut s = TimeSeries::default();
         s.push(t(10), 1.0);
         s.push(t(20), 2.0);
         assert_eq!(s.value_at(t(5)), None);
@@ -126,17 +74,12 @@ mod tests {
     }
 
     #[test]
-    fn max_and_resample() {
-        let mut s = TimeSeries::new();
+    fn max_of_samples() {
+        let mut s = TimeSeries::default();
+        assert_eq!(s.max(), None);
         s.push(t(0), 1.0);
         s.push(t(100), 5.0);
         s.push(t(200), 3.0);
         assert_eq!(s.max(), Some(5.0));
-        let r = s.resample(VirtualDuration::from_millis(100));
-        assert_eq!(r, vec![(t(0), 1.0), (t(100), 5.0), (t(200), 3.0)]);
-        assert!(TimeSeries::new()
-            .resample(VirtualDuration::from_millis(10))
-            .is_empty());
-        assert_eq!(TimeSeries::new().max(), None);
     }
 }

@@ -24,7 +24,7 @@ use dcape_cluster::{NetworkModel, PlacementSpec};
 use dcape_common::error::Result;
 use dcape_common::time::VirtualDuration;
 use dcape_engine::VictimPolicy;
-use dcape_metrics::Table;
+use dcape_metrics::{engine_curves, Table, TimeSeries};
 
 use crate::experiments::fig07::heterogeneous_workload;
 use crate::experiments::fig09_10::alternating_workload;
@@ -469,14 +469,15 @@ pub fn run_window_sizes(opts: &RunOpts) -> Result<WindowResult> {
             scale::paper_workload(),
             StrategyConfig::NoAdaptation,
         )
-        .with_sample_interval(VirtualDuration::from_secs(30));
+        .with_journal();
         let mut driver = SimDriver::new(cfg)?;
         driver.run_until(duration)?;
         let report = driver.finish()?;
-        let peak = report
-            .recorder
-            .series("mem/QE0")
-            .and_then(dcape_metrics::TimeSeries::max)
+        let curves = engine_curves(&report.journal, duration, report.runtime_output);
+        let peak = curves
+            .memory
+            .first()
+            .and_then(TimeSeries::max)
             .unwrap_or(0.0) as u64;
         rows.push((label.to_string(), peak, report.runtime_output));
     }

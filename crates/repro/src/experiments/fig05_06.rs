@@ -11,6 +11,8 @@
 //! * Figure 6 — sawtooth memory, bounded by the threshold; larger `k`
 //!   ⇒ fewer, deeper zags.
 
+use std::collections::BTreeMap;
+
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::runtime::socket::{run_socket, SocketConfig};
 use dcape_cluster::runtime::threaded::run_threaded;
@@ -18,7 +20,7 @@ use dcape_cluster::strategy::StrategyConfig;
 use dcape_common::error::Result;
 use dcape_common::time::VirtualDuration;
 use dcape_engine::VictimPolicy;
-use dcape_metrics::{render_series_table, Recorder, Table};
+use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 
 use crate::opts::{RunOpts, RuntimeKind};
 use crate::scale;
@@ -30,18 +32,19 @@ pub struct KSweepResult {
     pub rows: Vec<(u32, u64, u64, f64)>,
     /// All-Mem total output (upper bound).
     pub all_mem_output: u64,
-    /// Recorded series for both figures.
-    pub recorder: Recorder,
 }
 
-/// Run one single-engine configuration and record its series.
-fn run_one(
-    label: &str,
-    spill_fraction: f64,
-    threshold: Option<u64>,
-    opts: &RunOpts,
-    recorder: &mut Recorder,
-) -> Result<(u64, u64, f64)> {
+/// One single-engine configuration's totals and curves.
+#[derive(Debug)]
+struct KRun {
+    runtime_output: u64,
+    spills: u64,
+    throughput: TimeSeries,
+    memory: TimeSeries,
+}
+
+/// Run one single-engine configuration on the selected runtime.
+fn run_one(spill_fraction: f64, threshold: Option<u64>, opts: &RunOpts) -> Result<KRun> {
     let duration = scale::default_duration(opts.fast);
     let threshold = threshold.unwrap_or(u64::MAX / 4);
     let mut engine = scale::engine_with_threshold(scale::scale_bytes(threshold, opts.fast))
@@ -55,47 +58,22 @@ fn run_one(
         scale::paper_workload(),
         StrategyConfig::NoAdaptation,
     )
-    .with_sample_interval(VirtualDuration::from_secs(if opts.fast { 20 } else { 60 }))
-    .with_faults(opts.fault_plan());
+    .with_faults(opts.fault_plan())
+    .with_journal();
     let cfg = opts.with_scale_events(cfg);
-    match opts.runtime {
+    let (runtime_output, spill_counts, journal) = match opts.runtime {
         RuntimeKind::Sim => {
             let mut driver = SimDriver::new(cfg)?;
             driver.run_until(duration)?;
-            let report = driver.finish()?;
-            let throughput = report
-                .recorder
-                .series("output/total")
-                .cloned()
-                .unwrap_or_default();
-            let memory = report
-                .recorder
-                .series("mem/QE0")
-                .cloned()
-                .unwrap_or_default();
-            let peak_mem = memory.max().unwrap_or(0.0);
-            for (t, v) in throughput.points() {
-                recorder.record(&format!("throughput/{label}"), *t, *v);
-            }
-            for (t, v) in memory.points() {
-                recorder.record(&format!("mem/{label}"), *t, *v);
-            }
-            Ok((
-                report.runtime_output,
-                report.spill_counts.iter().sum(),
-                peak_mem,
-            ))
+            let r = driver.finish()?;
+            (r.runtime_output, r.spill_counts, r.journal)
         }
-        // The concurrent drivers produce totals, not time series: the
-        // figures keep their sim-recorded curves; the summary rows (and
-        // the cross-runtime equivalence checks) come from real
-        // execution.
         RuntimeKind::Threaded => {
-            let report = run_threaded(cfg, duration)?;
-            Ok((report.runtime_output, report.spill_counts.iter().sum(), 0.0))
+            let r = run_threaded(cfg, duration)?;
+            (r.runtime_output, r.spill_counts, r.journal)
         }
         RuntimeKind::Socket => {
-            let report = run_socket(
+            let r = run_socket(
                 SocketConfig {
                     sim: cfg,
                     mode: opts.socket_mode(),
@@ -103,43 +81,48 @@ fn run_one(
                 },
                 duration,
             )?;
-            Ok((report.runtime_output, report.spill_counts.iter().sum(), 0.0))
+            (r.runtime_output, r.spill_counts, r.journal)
         }
-    }
+    };
+    let curves = engine_curves(&journal, duration, runtime_output);
+    Ok(KRun {
+        runtime_output,
+        spills: spill_counts.iter().sum(),
+        throughput: curves.output,
+        memory: curves.memory.into_iter().next().unwrap_or_default(),
+    })
 }
 
 /// Run the sweep for both figures.
 pub fn run(opts: &RunOpts) -> Result<KSweepResult> {
-    let mut recorder = Recorder::new();
     let ks: &[u32] = if opts.fast {
         &[10, 50, 100]
     } else {
         &[10, 20, 30, 50, 100]
     };
+    let mut throughput = BTreeMap::new();
+    let mut memory = BTreeMap::new();
     let mut rows = Vec::new();
     for &k in ks {
-        let label = format!("k={k}%");
-        let (output, spills, peak) = run_one(
-            &label,
-            k as f64 / 100.0,
-            Some(scale::THRESHOLD_200MB),
-            opts,
-            &mut recorder,
-        )?;
-        rows.push((k, output, spills, peak));
+        let run = run_one(k as f64 / 100.0, Some(scale::THRESHOLD_200MB), opts)?;
+        let peak = run.memory.max().unwrap_or(0.0);
+        rows.push((k, run.runtime_output, run.spills, peak));
+        throughput.insert(format!("throughput/k={k}%"), run.throughput);
+        memory.insert(format!("mem/k={k}%"), run.memory);
     }
-    let (all_mem_output, _, _) = run_one("all-mem", 0.3, None, opts, &mut recorder)?;
+    let all_mem = run_one(0.3, None, opts)?;
+    let all_mem_output = all_mem.runtime_output;
+    throughput.insert("throughput/all-mem".to_string(), all_mem.throughput);
+    memory.insert("mem/all-mem".to_string(), all_mem.memory);
 
     // Figure 5: throughput over time per k.
-    let series = recorder.with_prefix("throughput/");
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
-    let fig5 = render_series_table(&series, step);
+    let fig5 = render_series_table(&throughput, step);
     opts.emit("Figure 5: run-time throughput vs spill fraction k%", &fig5);
     opts.csv("fig5_throughput.csv", &fig5);
 
     // Figure 6: memory over time per k.
-    let series = recorder.with_prefix("mem/");
-    let fig6 = render_series_table(&series, step);
+    let fig6 = render_series_table(&memory, step);
     opts.emit("Figure 6: memory usage vs spill fraction k%", &fig6);
     opts.csv("fig6_memory.csv", &fig6);
 
@@ -165,7 +148,6 @@ pub fn run(opts: &RunOpts) -> Result<KSweepResult> {
     Ok(KSweepResult {
         rows,
         all_mem_output,
-        recorder,
     })
 }
 
@@ -196,6 +178,25 @@ mod tests {
         assert!(
             outs.first().unwrap() > outs.last().unwrap(),
             "k=10% should out-produce k=100%: {outs:?}"
+        );
+    }
+
+    /// Every runtime draws the curves: the threaded run's memory curve
+    /// comes from the samples its coordinator collected.
+    #[test]
+    fn threaded_runs_draw_a_memory_curve() {
+        let opts = RunOpts {
+            runtime: RuntimeKind::Threaded,
+            ..RunOpts::fast_quiet()
+        };
+        let run = run_one(0.1, Some(scale::THRESHOLD_200MB), &opts).unwrap();
+        assert!(run.spills > 0, "the run must spill");
+        assert!(!run.memory.points().is_empty(), "a memory curve");
+        assert!(run.memory.max().unwrap() > 0.0, "with a non-zero peak");
+        let end = run.throughput.last().unwrap();
+        assert_eq!(
+            end,
+            (scale::default_duration(true), run.runtime_output as f64)
         );
     }
 }

@@ -13,12 +13,14 @@
 //!   for the cleanup phase (paper: 194 308 tuples in 26.9 s vs 992 893
 //!   in 359 s), so its cleanup is several times cheaper.
 
+use std::collections::BTreeMap;
+
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_common::error::Result;
 use dcape_common::time::VirtualDuration;
 use dcape_engine::VictimPolicy;
-use dcape_metrics::{render_series_table, Recorder, Table};
+use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 use dcape_streamgen::{ClassAssignment, PartitionClass, StreamSetSpec};
 
 use crate::opts::RunOpts;
@@ -44,8 +46,6 @@ pub struct Fig07Result {
     pub less: PolicyOutcome,
     /// push-more-productive outcome.
     pub more: PolicyOutcome,
-    /// Recorded throughput series.
-    pub recorder: Recorder,
 }
 
 /// The heterogeneous workload: ⅓ of partitions at join rate 4, ⅓ at 2,
@@ -76,7 +76,7 @@ fn run_policy(
     label: &'static str,
     policy: VictimPolicy,
     opts: &RunOpts,
-    recorder: &mut Recorder,
+    throughput: &mut BTreeMap<String, TimeSeries>,
 ) -> Result<PolicyOutcome> {
     let duration = scale::default_duration(opts.fast);
     let threshold = scale::scale_bytes(scale::THRESHOLD_200MB, opts.fast);
@@ -87,16 +87,13 @@ fn run_policy(
         heterogeneous_workload(),
         StrategyConfig::NoAdaptation,
     )
-    .with_sample_interval(VirtualDuration::from_secs(if opts.fast { 20 } else { 60 }))
-    .with_faults(opts.fault_plan());
+    .with_faults(opts.fault_plan())
+    .with_journal();
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
     let report = driver.finish()?;
-    if let Some(s) = report.recorder.series("output/total") {
-        for (t, v) in s.points() {
-            recorder.record(&format!("throughput/{label}"), *t, *v);
-        }
-    }
+    let curves = engine_curves(&report.journal, duration, report.runtime_output);
+    throughput.insert(format!("throughput/{label}"), curves.output);
     Ok(PolicyOutcome {
         label,
         runtime_output: report.runtime_output,
@@ -107,22 +104,22 @@ fn run_policy(
 
 /// Run Figure 7 and T-cleanup-1.
 pub fn run(opts: &RunOpts) -> Result<Fig07Result> {
-    let mut recorder = Recorder::new();
+    let mut throughput = BTreeMap::new();
     let less = run_policy(
         "push-less-productive",
         VictimPolicy::LeastProductive,
         opts,
-        &mut recorder,
+        &mut throughput,
     )?;
     let more = run_policy(
         "push-more-productive",
         VictimPolicy::MostProductive,
         opts,
-        &mut recorder,
+        &mut throughput,
     )?;
 
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
-    let fig7 = render_series_table(&recorder.with_prefix("throughput/"), step);
+    let fig7 = render_series_table(&throughput, step);
     opts.emit("Figure 7: throughput-oriented spill policies", &fig7);
     opts.csv("fig7_throughput.csv", &fig7);
 
@@ -146,11 +143,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig07Result> {
     );
     opts.csv("cleanup1.csv", &cleanup);
 
-    Ok(Fig07Result {
-        less,
-        more,
-        recorder,
-    })
+    Ok(Fig07Result { less, more })
 }
 
 #[cfg(test)]

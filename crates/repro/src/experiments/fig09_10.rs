@@ -14,13 +14,15 @@
 //! * Figure 10 — with relocation (θ_r = 90 %) the two machines' memory
 //!   stays balanced; without it, usage diverges with the skew phases.
 
+use std::collections::BTreeMap;
+
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::error::Result;
 use dcape_common::ids::PartitionId;
 use dcape_common::time::VirtualDuration;
-use dcape_metrics::{render_series_table, Recorder, Table};
+use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
 use crate::opts::RunOpts;
@@ -42,8 +44,9 @@ pub struct ThetaOutcome {
 pub struct Fig0910Result {
     /// Outcomes per θ_r plus the no-relocation baseline (theta = 0).
     pub outcomes: Vec<ThetaOutcome>,
-    /// Recorded series (throughput per θ, memory per machine).
-    pub recorder: Recorder,
+    /// Figure 10's per-machine memory curves, named
+    /// `mem/<config>/QE<i>`.
+    pub memory: BTreeMap<String, TimeSeries>,
 }
 
 /// Alternating-skew workload over two engine-sized partition halves.
@@ -59,8 +62,8 @@ pub fn alternating_workload(fast: bool) -> StreamSetSpec {
 fn run_theta(
     theta_pct: u32,
     opts: &RunOpts,
-    recorder: &mut Recorder,
-    record_memory: bool,
+    throughput: &mut BTreeMap<String, TimeSeries>,
+    memory: Option<&mut BTreeMap<String, TimeSeries>>,
 ) -> Result<ThetaOutcome> {
     let duration = scale::default_duration(opts.fast);
     // All-in-memory: budget far above any possible state.
@@ -73,14 +76,11 @@ fn run_theta(
             tau_m: VirtualDuration::from_secs(45),
         }
     };
-    let mut cfg = SimConfig::new(2, engine, alternating_workload(opts.fast), strategy)
+    let cfg = SimConfig::new(2, engine, alternating_workload(opts.fast), strategy)
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_sample_interval(VirtualDuration::from_secs(if opts.fast { 20 } else { 60 }))
-        .with_faults(opts.fault_plan());
-    if opts.journal_enabled() {
-        cfg = cfg.with_journal();
-    }
+        .with_faults(opts.fault_plan())
+        .with_journal();
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
     let relocations = driver.relocations().len();
@@ -95,18 +95,11 @@ fn run_theta(
         &report.journal,
         &report.journal_counters,
     );
-    if let Some(s) = report.recorder.series("output/total") {
-        for (t, v) in s.points() {
-            recorder.record(&format!("throughput/{label}"), *t, *v);
-        }
-    }
-    if record_memory {
-        for engine_label in ["QE0", "QE1"] {
-            if let Some(s) = report.recorder.series(&format!("mem/{engine_label}")) {
-                for (t, v) in s.points() {
-                    recorder.record(&format!("mem/{label}/{engine_label}"), *t, *v);
-                }
-            }
+    let curves = engine_curves(&report.journal, duration, report.runtime_output);
+    throughput.insert(format!("throughput/{label}"), curves.output);
+    if let Some(memory) = memory {
+        for (i, s) in curves.memory.into_iter().enumerate() {
+            memory.insert(format!("mem/{label}/QE{i}"), s);
         }
     }
     Ok(ThetaOutcome {
@@ -118,7 +111,8 @@ fn run_theta(
 
 /// Run Figures 9 and 10.
 pub fn run(opts: &RunOpts) -> Result<Fig0910Result> {
-    let mut recorder = Recorder::new();
+    let mut throughput = BTreeMap::new();
+    let mut memory = BTreeMap::new();
     let thetas: &[u32] = if opts.fast {
         &[50, 90]
     } else {
@@ -126,13 +120,14 @@ pub fn run(opts: &RunOpts) -> Result<Fig0910Result> {
     };
     let mut outcomes = Vec::new();
     // Baseline (also provides Figure 10's "no-relocation" memory lines).
-    outcomes.push(run_theta(0, opts, &mut recorder, true)?);
+    outcomes.push(run_theta(0, opts, &mut throughput, Some(&mut memory))?);
     for &t in thetas {
-        outcomes.push(run_theta(t, opts, &mut recorder, t == 90)?);
+        let memory = (t == 90).then_some(&mut memory);
+        outcomes.push(run_theta(t, opts, &mut throughput, memory)?);
     }
 
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
-    let fig9 = render_series_table(&recorder.with_prefix("throughput/"), step);
+    let fig9 = render_series_table(&throughput, step);
     opts.emit("Figure 9: throughput across relocation thresholds", &fig9);
     opts.csv("fig9_throughput.csv", &fig9);
 
@@ -151,20 +146,20 @@ pub fn run(opts: &RunOpts) -> Result<Fig0910Result> {
     opts.emit("Figure 9 (inset): relocation counts", &counts);
     opts.csv("fig9_counts.csv", &counts);
 
-    let fig10 = render_series_table(&recorder.with_prefix("mem/"), step);
+    let fig10 = render_series_table(&memory, step);
     opts.emit(
         "Figure 10: per-machine memory with vs without relocation",
         &fig10,
     );
     opts.csv("fig10_memory.csv", &fig10);
 
-    Ok(Fig0910Result { outcomes, recorder })
+    Ok(Fig0910Result { outcomes, memory })
 }
 
 /// Balance metric for tests: max |mem(QE0) − mem(QE1)| over samples.
-pub fn max_memory_gap(recorder: &Recorder, label: &str) -> f64 {
-    let a = recorder.series(&format!("mem/{label}/QE0"));
-    let b = recorder.series(&format!("mem/{label}/QE1"));
+pub fn max_memory_gap(memory: &BTreeMap<String, TimeSeries>, label: &str) -> f64 {
+    let a = memory.get(&format!("mem/{label}/QE0"));
+    let b = memory.get(&format!("mem/{label}/QE1"));
     match (a, b) {
         (Some(a), Some(b)) => a
             .points()
@@ -214,8 +209,8 @@ mod tests {
         }
 
         // Figure 10: relocation keeps memory more balanced.
-        let gap_with = max_memory_gap(&r.recorder, "theta=90%");
-        let gap_without = max_memory_gap(&r.recorder, "no-relocation");
+        let gap_with = max_memory_gap(&r.memory, "theta=90%");
+        let gap_without = max_memory_gap(&r.memory, "no-relocation");
         assert!(
             gap_with < gap_without,
             "relocation should shrink the memory gap: {gap_with} vs {gap_without}"

@@ -9,12 +9,14 @@
 //! while the with-relocation run moves states to the idle machines and
 //! keeps producing at the full rate.
 
+use std::collections::BTreeMap;
+
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::error::Result;
 use dcape_common::time::VirtualDuration;
-use dcape_metrics::{render_series_table, Recorder, Table};
+use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 
 use crate::opts::RunOpts;
 use crate::scale;
@@ -39,15 +41,13 @@ pub struct Fig11Result {
     pub baseline: Fig11Outcome,
     /// The with-relocation run.
     pub with_relocation: Fig11Outcome,
-    /// Throughput series.
-    pub recorder: Recorder,
 }
 
 fn run_one(
     label: &'static str,
     relocate: bool,
     opts: &RunOpts,
-    recorder: &mut Recorder,
+    throughput: &mut BTreeMap<String, TimeSeries>,
 ) -> Result<Fig11Outcome> {
     let duration = scale::default_duration(opts.fast);
     let threshold = scale::scale_bytes(scale::THRESHOLD_200MB, opts.fast);
@@ -60,14 +60,11 @@ fn run_one(
     } else {
         StrategyConfig::NoAdaptation
     };
-    let mut cfg = SimConfig::new(3, engine, scale::paper_workload(), strategy)
+    let cfg = SimConfig::new(3, engine, scale::paper_workload(), strategy)
         .with_placement(PlacementSpec::Fractions(vec![0.6, 0.2, 0.2]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_sample_interval(VirtualDuration::from_secs(if opts.fast { 20 } else { 60 }))
-        .with_faults(opts.fault_plan());
-    if opts.journal_enabled() {
-        cfg = cfg.with_journal();
-    }
+        .with_faults(opts.fault_plan())
+        .with_journal();
     let cfg = opts.with_scale_events(cfg);
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
@@ -78,11 +75,8 @@ fn run_one(
         &report.journal,
         &report.journal_counters,
     );
-    if let Some(s) = report.recorder.series("output/total") {
-        for (t, v) in s.points() {
-            recorder.record(&format!("throughput/{label}"), *t, *v);
-        }
-    }
+    let curves = engine_curves(&report.journal, duration, report.runtime_output);
+    throughput.insert(format!("throughput/{label}"), curves.output);
     Ok(Fig11Outcome {
         label,
         runtime_output: report.runtime_output,
@@ -93,12 +87,12 @@ fn run_one(
 
 /// Run Figure 11.
 pub fn run(opts: &RunOpts) -> Result<Fig11Result> {
-    let mut recorder = Recorder::new();
-    let baseline = run_one("no-relocation", false, opts, &mut recorder)?;
-    let with_relocation = run_one("with-relocation", true, opts, &mut recorder)?;
+    let mut throughput = BTreeMap::new();
+    let baseline = run_one("no-relocation", false, opts, &mut throughput)?;
+    let with_relocation = run_one("with-relocation", true, opts, &mut throughput)?;
 
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
-    let fig11 = render_series_table(&recorder.with_prefix("throughput/"), step);
+    let fig11 = render_series_table(&throughput, step);
     opts.emit("Figure 11: relocation vs spill", &fig11);
     opts.csv("fig11_throughput.csv", &fig11);
 
@@ -117,7 +111,6 @@ pub fn run(opts: &RunOpts) -> Result<Fig11Result> {
     Ok(Fig11Result {
         baseline,
         with_relocation,
-        recorder,
     })
 }
 

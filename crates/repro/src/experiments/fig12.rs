@@ -15,12 +15,14 @@
 //!   one machine (paper: >1600 s) while lazy-disk spread the state so
 //!   cleanup parallelizes (<400 s) — shape: ≈ #machines speedup.
 
+use std::collections::BTreeMap;
+
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::error::Result;
 use dcape_common::time::VirtualDuration;
-use dcape_metrics::{render_series_table, Recorder, Table};
+use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 
 use crate::opts::RunOpts;
 use crate::scale;
@@ -49,15 +51,13 @@ pub struct Fig12Result {
     pub baseline: Fig12Outcome,
     /// Lazy-disk run.
     pub lazy: Fig12Outcome,
-    /// Throughput series.
-    pub recorder: Recorder,
 }
 
 fn run_one(
     label: &'static str,
     relocate: bool,
     opts: &RunOpts,
-    recorder: &mut Recorder,
+    throughput: &mut BTreeMap<String, TimeSeries>,
 ) -> Result<Fig12Outcome> {
     let duration = scale::default_duration(opts.fast);
     // Tight budgets: the whole cluster cannot hold the state (§5.2's
@@ -73,18 +73,15 @@ fn run_one(
     } else {
         StrategyConfig::NoAdaptation
     };
-    let mut cfg = SimConfig::new(3, engine, scale::paper_workload(), strategy)
+    let cfg = SimConfig::new(3, engine, scale::paper_workload(), strategy)
         .with_placement(PlacementSpec::Fractions(vec![
             2.0 / 3.0,
             1.0 / 6.0,
             1.0 / 6.0,
         ]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_sample_interval(VirtualDuration::from_secs(if opts.fast { 20 } else { 60 }))
-        .with_faults(opts.fault_plan());
-    if opts.journal_enabled() {
-        cfg = cfg.with_journal();
-    }
+        .with_faults(opts.fault_plan())
+        .with_journal();
     let cfg = opts.with_scale_events(cfg);
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
@@ -94,11 +91,8 @@ fn run_one(
         &report.journal,
         &report.journal_counters,
     );
-    if let Some(s) = report.recorder.series("output/total") {
-        for (t, v) in s.points() {
-            recorder.record(&format!("throughput/{label}"), *t, *v);
-        }
-    }
+    let curves = engine_curves(&report.journal, duration, report.runtime_output);
+    throughput.insert(format!("throughput/{label}"), curves.output);
     Ok(Fig12Outcome {
         label,
         runtime_output: report.runtime_output,
@@ -111,12 +105,12 @@ fn run_one(
 
 /// Run Figure 12 and T-cleanup-2.
 pub fn run(opts: &RunOpts) -> Result<Fig12Result> {
-    let mut recorder = Recorder::new();
-    let baseline = run_one("no-relocation", false, opts, &mut recorder)?;
-    let lazy = run_one("lazy-disk", true, opts, &mut recorder)?;
+    let mut throughput = BTreeMap::new();
+    let baseline = run_one("no-relocation", false, opts, &mut throughput)?;
+    let lazy = run_one("lazy-disk", true, opts, &mut throughput)?;
 
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
-    let fig12 = render_series_table(&recorder.with_prefix("throughput/"), step);
+    let fig12 = render_series_table(&throughput, step);
     opts.emit("Figure 12: lazy-disk vs no-relocation", &fig12);
     opts.csv("fig12_throughput.csv", &fig12);
 
@@ -141,11 +135,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig12Result> {
     opts.emit("T-cleanup-2 (§5.2): cleanup-stage comparison", &cleanup);
     opts.csv("cleanup2.csv", &cleanup);
 
-    Ok(Fig12Result {
-        baseline,
-        lazy,
-        recorder,
-    })
+    Ok(Fig12Result { baseline, lazy })
 }
 
 #[cfg(test)]

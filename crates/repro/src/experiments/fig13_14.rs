@@ -13,13 +13,15 @@
 //! range (15 K ⇒ higher join factor) and the unproductive class a
 //! large one (45 K), so the active-disk advantage grows.
 
+use std::collections::BTreeMap;
+
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::error::Result;
 use dcape_common::ids::PartitionId;
 use dcape_common::time::VirtualDuration;
-use dcape_metrics::{render_series_table, Recorder, Table};
+use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 use dcape_streamgen::{ClassAssignment, PartitionClass, StreamSetSpec};
 
 use crate::opts::RunOpts;
@@ -45,8 +47,6 @@ pub struct FigLazyVsActiveResult {
     pub lazy: StrategyOutcome,
     /// Active-disk outcome.
     pub active: StrategyOutcome,
-    /// Throughput series.
-    pub recorder: Recorder,
 }
 
 /// The Figure 13 workload: m1's partitions (first third, matching the
@@ -76,8 +76,7 @@ fn run_one(
     active: bool,
     workload: StreamSetSpec,
     opts: &RunOpts,
-    recorder: &mut Recorder,
-    prefix: &str,
+    throughput: &mut BTreeMap<String, TimeSeries>,
 ) -> Result<StrategyOutcome> {
     // Fast mode compresses the paper's hour-long crossover: shorter
     // run, but spill pressure starts proportionally earlier (lower
@@ -117,17 +116,14 @@ fn run_one(
             1.0 / 3.0,
         ]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_sample_interval(VirtualDuration::from_secs(if opts.fast { 20 } else { 60 }))
-        .with_faults(opts.fault_plan());
+        .with_faults(opts.fault_plan())
+        .with_journal();
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
     let relocations = driver.relocations().len();
     let report = driver.finish()?;
-    if let Some(s) = report.recorder.series("output/total") {
-        for (t, v) in s.points() {
-            recorder.record(&format!("{prefix}/{label}"), *t, *v);
-        }
-    }
+    let curves = engine_curves(&report.journal, duration, report.runtime_output);
+    throughput.insert(format!("throughput/{label}"), curves.output);
     Ok(StrategyOutcome {
         label,
         runtime_output: report.runtime_output,
@@ -150,26 +146,24 @@ fn run_figure(
     } else {
         (hot_range, cold_range)
     };
-    let mut recorder = Recorder::new();
+    let mut throughput = BTreeMap::new();
     let lazy = run_one(
         "lazy-disk",
         false,
         gap_workload(hot_range, cold_range),
         opts,
-        &mut recorder,
-        "throughput",
+        &mut throughput,
     )?;
     let active = run_one(
         "active-disk",
         true,
         gap_workload(hot_range, cold_range),
         opts,
-        &mut recorder,
-        "throughput",
+        &mut throughput,
     )?;
 
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
-    let fig = render_series_table(&recorder.with_prefix("throughput/"), step);
+    let fig = render_series_table(&throughput, step);
     opts.emit(title, &fig);
     opts.csv(csv_name, &fig);
 
@@ -184,11 +178,7 @@ fn run_figure(
     }
     opts.emit(&format!("{title} — summary"), &summary);
 
-    Ok(FigLazyVsActiveResult {
-        lazy,
-        active,
-        recorder,
-    })
+    Ok(FigLazyVsActiveResult { lazy, active })
 }
 
 /// Run Figure 13 (uniform tuple ranges).

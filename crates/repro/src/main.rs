@@ -20,9 +20,10 @@
 //!                 virtual-time simulation), threaded (one OS thread
 //!                 per engine), or socket (one OS process per engine,
 //!                 framed TCP; spawns dcape-node workers on loopback).
-//!                 threaded/socket produce totals rather than time
-//!                 series and currently drive the fig5/fig6 k-sweep
-//!                 only; other figures require the sim driver
+//!                 Every runtime journals its engines' statistics
+//!                 samples, which is what the curves are drawn from;
+//!                 threaded/socket currently drive the fig5/fig6
+//!                 k-sweep only, other figures require the sim driver
 //! --listen ADDR   with --runtime socket: listen on ADDR and wait for
 //!                 externally started dcape-node workers instead of
 //!                 spawning them
@@ -185,9 +186,8 @@ fn main() -> ExitCode {
             "ablations",
         ]);
     }
-    // The concurrent runtimes produce totals, not the virtual-time
-    // series the other figures plot; refuse rather than silently fall
-    // back to the sim.
+    // Only the k-sweep is wired to the concurrent runtimes; refuse the
+    // other figures rather than silently fall back to the sim.
     if opts.runtime != dcape_repro::RuntimeKind::Sim && picks.iter().any(|p| *p != "k-sweep") {
         eprintln!("--runtime threaded|socket currently drives the fig5/fig6 k-sweep only\n{USAGE}");
         return ExitCode::FAILURE;

@@ -6,7 +6,8 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
     /// Deterministic virtual-time simulation (default; the only driver
-    /// that records time series for the figures).
+    /// of every figure — the concurrent ones drive the fig5/fig6
+    /// k-sweep, curves included).
     Sim,
     /// One OS thread per engine, real channel messages.
     Threaded,
@@ -26,8 +27,8 @@ pub struct RunOpts {
     /// Suppress stdout tables (tests).
     pub quiet: bool,
     /// Base path for adaptation-event journals (`--journal`). When set,
-    /// instrumented experiments record an event journal and write it as
-    /// JSON lines, one file per run, named after this path.
+    /// the instrumented experiments write the journal they keep as JSON
+    /// lines, one file per run, named after this path.
     pub journal: Option<PathBuf>,
     /// Seed for the deterministic fault-injection layer
     /// (`--chaos-seed`). When set, every experiment run consults a
@@ -121,11 +122,6 @@ impl RunOpts {
                 node_bin: default_node_bin(),
             },
         }
-    }
-
-    /// True when `--journal` was given.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
     }
 
     /// The fault plan the CLI flags describe: disabled without

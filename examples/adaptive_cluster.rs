@@ -67,14 +67,17 @@ fn run(strategy: StrategyConfig, label: &str) -> Result<u64, Box<dyn std::error:
         c.spill_bytes,
         c.relocation_bytes
     );
-    println!("{}", report.summary_table().render());
-    // Everything except the (noisy) periodic stats samples, last 12.
-    let adaptations: Vec<_> = report
+    // The three engines' last statistics samples: memory and output
+    // per machine.
+    let (samples, adaptations): (Vec<_>, Vec<_>) = report
         .journal
         .iter()
         .filter(|e| e.event.kind() != "stats_sample")
         .cloned()
-        .collect();
+        .partition(|e| e.event.kind() == "engine_sample");
+    let last = samples.len().saturating_sub(3);
+    println!("{}", dcape::metrics::render_journal(&samples[last..]));
+    // Every adaptation, last 12.
     let tail = adaptations.len().saturating_sub(12);
     println!("adaptation timeline (tail):");
     println!("{}", dcape::metrics::render_journal(&adaptations[tail..]));

@@ -21,8 +21,9 @@
 //!   protocol, adaptation strategies, and three cluster runtimes over one
 //!   protocol implementation: deterministic virtual time, threads, and
 //!   worker processes over TCP.
-//! * [`metrics`] — the adaptation journal and its counters, time-series
-//!   recording and report tables.
+//! * [`metrics`] — the adaptation journal (every engine's statistics
+//!   samples included) and its counters, the figure curves read off it,
+//!   report tables.
 //!
 //! ## Quickstart
 //!

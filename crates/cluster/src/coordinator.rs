@@ -300,10 +300,11 @@ pub struct GlobalCoordinator {
 impl GlobalCoordinator {
     /// A coordinator running `strategy` over `initial` active engines,
     /// with slots up to `capacity` (initial + scheduled joins)
-    /// provisioned but not joined. The strategy shares `journal`
-    /// (recording a `StatsSample` per evaluation); the coordinator
-    /// records the protocol steps it observes (1, 2 and 6). `patient`
-    /// arms bounded retry-then-abort on every protocol phase.
+    /// provisioned but not joined. The coordinator records the protocol
+    /// steps it observes (1, 2 and 6) into `journal`; the strategy
+    /// records nothing, since the `engine_sample` records it decides
+    /// from are its whole input. `patient` arms bounded
+    /// retry-then-abort on every protocol phase.
     pub fn new(
         strategy: &StrategyConfig,
         initial: usize,
@@ -324,7 +325,7 @@ impl GlobalCoordinator {
             })
             .collect();
         GlobalCoordinator {
-            strategy: Strategy::new(strategy, journal.clone()),
+            strategy: Strategy::new(strategy),
             round: None,
             next_round: 0,
             force_spills_issued: 0,
@@ -613,13 +614,13 @@ impl GlobalCoordinator {
     /// Algorithms 1–2): the strategy decides, a relocation opens a round.
     pub fn evaluate(&mut self, stats: &ClusterStats, now: VirtualTime) -> Result<Option<Command>> {
         self.note_loads(stats);
-        // A drain owns the single round slot until it completes; the
-        // strategy stays quiet meanwhile.
-        if self.drain_in_progress() {
+        // One round at a time, and a drain owns the round slot until it
+        // completes: the strategy is not consulted meanwhile.
+        if self.drain_in_progress() || self.relocation_active() {
             return Ok(None);
         }
         let joiners = self.ready_joiners();
-        match (self.strategy).decide(stats, &joiners, self.relocation_active(), now) {
+        match self.strategy.decide(stats, &joiners) {
             None => Ok(None),
             Some(Decision::JoinRebalance {
                 sender,
@@ -988,13 +989,14 @@ mod tests {
         ClusterStats::new(vec![report(0, 1000, 1.0), report(1, 100, 1.0)])
     }
 
-    /// Lazy-disk over two engines, relocating on every imbalance.
+    /// Lazy-disk over two engines and a slot for a third, relocating
+    /// on every imbalance.
     fn lazy(patient: bool) -> GlobalCoordinator {
         let strategy = StrategyConfig::LazyDisk {
             theta_r: 0.8,
             tau_m: VirtualDuration::ZERO,
         };
-        GlobalCoordinator::new(&strategy, 2, 2, JournalHandle::with_capacity(256), patient)
+        GlobalCoordinator::new(&strategy, 2, 3, JournalHandle::with_capacity(256), patient)
     }
 
     /// Let the strategy open a round at `now`: its id and amount.
@@ -1036,6 +1038,7 @@ mod tests {
 
     const E0: EngineId = EngineId(0);
     const E1: EngineId = EngineId(1);
+    const E2: EngineId = EngineId(2);
 
     #[test]
     fn full_relocation_lifecycle() {
@@ -1043,12 +1046,19 @@ mod tests {
         assert!(!gc.relocation_active());
         let (round, _) = open_round(&mut gc, VirtualTime::from_secs(1));
         assert!(gc.relocation_active());
-        // While a round is in flight, further evaluations do nothing.
-        assert_eq!(
-            gc.evaluate(&imbalanced(), VirtualTime::from_secs(2))
-                .unwrap(),
-            None
-        );
+        // While a round is in flight, further evaluations do nothing —
+        // not even a move toward a ready joiner.
+        let t = VirtualTime::from_secs(2);
+        gc.admit_engine(E2, t).unwrap();
+        gc.on_join_ready(E2, t);
+        let joiner_empty = ClusterStats::new(vec![
+            report(0, 100_000, 10.0),
+            report(1, 1000, 1.0),
+            report(2, 0, 0.0),
+        ]);
+        for stats in [imbalanced(), joiner_empty.clone()] {
+            assert_eq!(gc.evaluate(&stats, t).unwrap(), None);
+        }
         let parts = vec![PartitionId(1), PartitionId(2)];
         assert_eq!(
             gc.on_ptv(E0, round, parts.clone(), VirtualTime::from_secs(3))
@@ -1083,6 +1093,14 @@ mod tests {
             })
             .collect();
         assert_eq!(steps, [1, 2, 6]);
+        // With the round closed, the joiner gets its move.
+        let cmd = gc.evaluate(&joiner_empty, VirtualTime::from_secs(5));
+        assert!(
+            matches!(cmd, Ok(Some(Command::Cptv { sender: E0, .. }))),
+            "{cmd:?}"
+        );
+        let opened = gc.round.as_ref().map(|r| (r.receiver, r.purpose));
+        assert_eq!(opened, Some((E2, Purpose::JoinRebalance)));
     }
 
     #[test]

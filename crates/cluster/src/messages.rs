@@ -24,8 +24,7 @@
 use dcape_common::batch::TupleBatch;
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::VirtualTime;
-use dcape_engine::stats::EngineStatsReport;
-use dcape_metrics::journal::{CountersSnapshot, JournalEntry};
+use dcape_metrics::journal::{CountersSnapshot, EngineStatsReport, JournalEntry};
 use dcape_storage::SpilledGroup;
 
 /// A relocated partition group in flight: snapshot plus carried

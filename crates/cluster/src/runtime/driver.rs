@@ -41,9 +41,8 @@ use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
-use dcape_engine::stats::EngineStatsReport;
 use dcape_metrics::journal::{
-    merge_journals, AdaptEvent, CountersSnapshot, JournalEntry, JournalHandle,
+    merge_journals, AdaptEvent, CountersSnapshot, EngineStatsReport, JournalEntry, JournalHandle,
 };
 use dcape_streamgen::StreamSetGenerator;
 
@@ -168,7 +167,9 @@ pub(crate) struct CoordinatorRun<T: Transport> {
     tick_timer: PeriodicTimer,
     stats_timer: PeriodicTimer,
     pending_stats: Vec<Option<EngineStatsReport>>,
-    awaiting_stats: bool,
+    /// The instant of the statistics collection awaiting replies; a
+    /// reply stamped with any other is stale and ignored.
+    collecting: Option<VirtualTime>,
     /// Control messages (`Cptv`, `SendStates`) the chaos layer delayed,
     /// released once the clock passes their due time.
     held: Vec<(VirtualTime, (EngineId, ToEngine))>,
@@ -242,7 +243,7 @@ impl<T: Transport> CoordinatorRun<T> {
             tick_timer: PeriodicTimer::new(VirtualDuration::from_secs(1), VirtualTime::ZERO),
             stats_timer: PeriodicTimer::new(cfg.stats_interval, VirtualTime::ZERO),
             pending_stats: vec![None; capacity],
-            awaiting_stats: false,
+            collecting: None,
             held: Vec::new(),
             tick_buf: Vec::new(),
             batches: (0..capacity).map(|_| TupleBatch::new()).collect(),
@@ -309,7 +310,7 @@ impl<T: Transport> CoordinatorRun<T> {
             // A collection the coordinator cannot start yet (a reply or
             // a round outstanding) is not due: it must not flush either.
             let stats_due = self.stats_timer.expired(now)
-                && !self.awaiting_stats
+                && self.collecting.is_none()
                 && !self.gc.relocation_active();
             if self.pending_ticks >= MAX_BATCH_TICKS || tick_due || stats_due {
                 self.flush_pending()?;
@@ -320,7 +321,7 @@ impl<T: Transport> CoordinatorRun<T> {
             }
             if stats_due {
                 self.stats_timer.reset(now);
-                self.awaiting_stats = true;
+                self.collecting = Some(now);
                 self.pending_stats.iter_mut().for_each(|s| *s = None);
                 for e in self.gc.active_engines() {
                     self.transport.send(e, ToEngine::ReportStats { now })?;
@@ -354,7 +355,7 @@ impl<T: Transport> CoordinatorRun<T> {
         self.pulse()?;
         while self.gc.relocation_active()
             || self.gc.drain_in_progress()
-            || self.awaiting_stats
+            || self.collecting.is_some()
             || !self.held.is_empty()
         {
             self.release_due()?;
@@ -531,7 +532,7 @@ impl<T: Transport> CoordinatorRun<T> {
                     // A stats collection begun against the old
                     // membership can never complete against the new
                     // one; restart it at the next timer expiry.
-                    self.awaiting_stats = false;
+                    self.collecting = None;
                 }
                 ScaleAction::DrainEngine(target) => {
                     let engine = match target {
@@ -740,6 +741,9 @@ impl<T: Transport> CoordinatorRun<T> {
         let now = self.now;
         let cmd = match msg {
             FromEngine::Stats(report) => {
+                if self.collecting != Some(report.at) {
+                    return Ok(());
+                }
                 self.pending_stats[report.engine.index()] = Some(report);
                 // Completeness over the *active* set: draining engines
                 // may exit mid-cycle, and the strategy must not pick
@@ -749,25 +753,15 @@ impl<T: Transport> CoordinatorRun<T> {
                     .iter()
                     .filter_map(|e| self.pending_stats[e.index()])
                     .collect();
-                if !self.awaiting_stats || reports.len() < active.len() {
+                if reports.len() < active.len() {
                     return Ok(());
                 }
-                self.awaiting_stats = false;
+                self.collecting = None;
                 // The decision's inputs, one record per engine, stamped
-                // with the instant the engine took it: also what the
-                // figures plot.
+                // with the collection instant: also what the figures
+                // plot.
                 for r in &reports {
-                    self.journal.record(
-                        r.at,
-                        AdaptEvent::EngineSample {
-                            engine: r.engine,
-                            memory_used: r.memory_used,
-                            memory_budget: r.memory_budget,
-                            groups: r.num_groups as u64,
-                            window_output: r.window_output,
-                            total_output: r.total_output,
-                        },
-                    );
+                    self.journal.record(r.at, AdaptEvent::EngineSample(*r));
                 }
                 self.gc.evaluate(&ClusterStats::new(reports), now)?
             }
@@ -1126,6 +1120,110 @@ mod tests {
             "the flush goes right ahead of the fence: {:?}",
             &log[fence - 1]
         );
+    }
+
+    /// Hands engine 1's first stats reply over late: after its reply
+    /// to a later collection arrives, which in turn is held until
+    /// nothing else is pending — a slow engine on a live transport.
+    struct HoldsOneReply {
+        inner: SimTransport,
+        held_once: bool,
+        stale: Option<FromEngine>,
+        late: Option<FromEngine>,
+    }
+
+    impl HoldsOneReply {
+        /// What to hand over for `msg`; `None` asks the engines again.
+        fn reorder(&mut self, msg: Option<FromEngine>) -> Option<Option<FromEngine>> {
+            let from_e1 = matches!(&msg, Some(FromEngine::Stats(r)) if r.engine == EngineId(1));
+            match msg {
+                None => Some(self.late.take()),
+                Some(_) if from_e1 && !self.held_once => {
+                    self.held_once = true;
+                    self.stale = msg;
+                    None
+                }
+                Some(_) if from_e1 && self.stale.is_some() => {
+                    self.late = msg;
+                    Some(self.stale.take())
+                }
+                msg => Some(msg),
+            }
+        }
+    }
+
+    impl Transport for HoldsOneReply {
+        fn start_engine(&mut self, engine: EngineId) -> Result<()> {
+            self.inner.start_engine(engine)
+        }
+
+        fn send(&mut self, engine: EngineId, msg: ToEngine) -> Result<()> {
+            self.inner.send(engine, msg)
+        }
+
+        fn try_recv(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+            loop {
+                let msg = self.inner.try_recv(now)?;
+                if let Some(msg) = self.reorder(msg) {
+                    return Ok(msg);
+                }
+            }
+        }
+
+        fn recv_or_idle(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+            loop {
+                let msg = self.inner.recv_or_idle(now)?;
+                if let Some(msg) = self.reorder(msg) {
+                    return Ok(msg);
+                }
+            }
+        }
+
+        fn shutdown(&mut self) -> Result<()> {
+            self.inner.shutdown()
+        }
+    }
+
+    /// A collection abandoned by an admission stays abandoned: engine
+    /// 1's reply to it, arriving after the next collection went out,
+    /// does not stand in for its reply to that one, so every collection
+    /// samples each engine at the collection's own instant.
+    #[test]
+    fn a_stale_stats_reply_completes_no_collection() {
+        let spec = StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30));
+        let cfg = SimConfig::new(
+            2,
+            EngineConfig::three_way(1 << 30, 1 << 29),
+            spec,
+            StrategyConfig::NoAdaptation,
+        )
+        .with_stats_interval(VirtualDuration::from_secs(10))
+        .with_scale_events(vec![ScaleEvent::add(VirtualTime::from_secs(15))]);
+        let journal = JournalHandle::enabled();
+        let transport = HoldsOneReply {
+            inner: SimTransport::new(&cfg, journal.clone()),
+            held_once: false,
+            stale: None,
+            late: None,
+        };
+        let mut run = CoordinatorRun::new(&cfg, journal.clone(), false, transport).unwrap();
+        run.run_until(VirtualTime::from_secs(45)).unwrap();
+        assert!(run.transport().held_once && run.transport().stale.is_none());
+        let sampled = |engine: u16| -> Vec<VirtualTime> {
+            (journal.snapshot().iter())
+                .filter_map(|e| match e.event {
+                    AdaptEvent::EngineSample(r) if r.engine == EngineId(engine) => Some(e.at),
+                    _ => None,
+                })
+                .collect()
+        };
+        // The collection the admission abandoned (at 10 s) left no
+        // sample; the three after it sample every engine.
+        let after_admission = sampled(0);
+        assert_eq!(after_admission.len(), 3);
+        assert!(after_admission[0] > VirtualTime::from_secs(15));
+        assert_eq!(sampled(1), sampled(0));
+        assert_eq!(sampled(2), sampled(0));
     }
 
     fn run_checking_the_seam(stats_interval: VirtualDuration) -> RunReport {

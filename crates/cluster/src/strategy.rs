@@ -30,9 +30,8 @@
 
 use dcape_common::ids::EngineId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
-use dcape_metrics::journal::JournalHandle;
 
-use crate::stats::ClusterStats;
+use crate::stats::{productivity, ClusterStats};
 
 /// Half-width of the join-rebalance no-move band around the mean load
 /// (receivers below 85 % of the mean, senders above 115 %).
@@ -125,13 +124,12 @@ pub(crate) enum Decision {
 
 /// The coordinator's adaptation strategy: the configuration plus what
 /// its decisions remember — the last trigger, a global plan's remaining
-/// moves, the forced bytes so far, the last join move.
+/// moves, the forced bytes so far, the last join move. Those are all it
+/// remembers: fed the same collections and joiners, a fresh `Strategy`
+/// makes the same decisions, so a run's journal replays them.
 #[derive(Debug)]
 pub(crate) struct Strategy {
     config: StrategyConfig,
-    /// Records a `StatsSample` of the inputs of every lazy- or
-    /// active-disk evaluation.
-    journal: JournalHandle,
     last_trigger: Option<VirtualTime>,
     /// A global plan's moves still to execute, last first.
     queue: Vec<Decision>,
@@ -142,7 +140,7 @@ pub(crate) struct Strategy {
 impl Strategy {
     /// Build `config`'s strategy. Panics on an out-of-range θ_r, λ or
     /// spill fraction, before any run starts.
-    pub(crate) fn new(config: &StrategyConfig, journal: JournalHandle) -> Self {
+    pub(crate) fn new(config: &StrategyConfig) -> Self {
         match *config {
             StrategyConfig::NoAdaptation => {}
             StrategyConfig::LazyDisk { theta_r, .. }
@@ -163,7 +161,6 @@ impl Strategy {
         }
         Strategy {
             config: config.clone(),
-            journal,
             last_trigger: None,
             queue: Vec::new(),
             forced_bytes: 0,
@@ -171,22 +168,19 @@ impl Strategy {
         }
     }
 
-    /// Decide on fresh statistics (the `sr_timer`/`lb_timer` expiry).
-    /// With no round open, a move toward one of the ready `joiners`
-    /// comes first; then lazy- and active-disk record the stats they
-    /// saw and — still only with no round open — relocate, or
-    /// (active-disk) force a spill once relocation declines.
+    /// Decide on a complete collection (the `sr_timer`/`lb_timer`
+    /// expiry), with no round open, on the collection's clock: a move
+    /// toward one of the ready `joiners` comes first; then lazy- and
+    /// active-disk relocate, or (active-disk) force a spill once
+    /// relocation declines.
     pub(crate) fn decide(
         &mut self,
         stats: &ClusterStats,
         joiners: &[EngineId],
-        round_open: bool,
-        now: VirtualTime,
     ) -> Option<Decision> {
-        if !round_open {
-            if let Some(mv) = self.join_move(stats, joiners, now) {
-                return Some(mv);
-            }
+        let now = stats.at();
+        if let Some(mv) = self.join_move(stats, joiners, now) {
+            return Some(mv);
         }
         let (theta_r, tau_m) = match self.config {
             StrategyConfig::NoAdaptation => return None,
@@ -194,10 +188,6 @@ impl Strategy {
             | StrategyConfig::LazyDiskRebalance { theta_r, tau_m }
             | StrategyConfig::ActiveDisk { theta_r, tau_m, .. } => (theta_r, tau_m),
         };
-        self.journal.record(now, stats.sample_event());
-        if round_open {
-            return None;
-        }
         // Lines 5–11 of both algorithms: relocation has priority.
         if let Some(relocate) = self.relocation(stats, theta_r, tau_m, now) {
             return Some(relocate);
@@ -336,8 +326,8 @@ impl Strategy {
             .filter(|r| r.engine != receiver.engine)
             .filter(|r| (r.memory_used as f64) > high)
             .max_by(|a, b| {
-                a.avg_productivity_rate
-                    .partial_cmp(&b.avg_productivity_rate)
+                productivity(a)
+                    .partial_cmp(&productivity(b))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.memory_used.cmp(&b.memory_used))
                     .then(b.engine.cmp(&a.engine))
@@ -402,8 +392,10 @@ fn plan_rebalance(stats: &ClusterStats) -> Vec<Decision> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::sim::SimDriver;
     use crate::stats::tests::report;
-    use dcape_metrics::journal::AdaptEvent;
+    use crate::testing::{pinned_runs, PINNED_RUN_END};
+    use dcape_metrics::journal::{AdaptEvent, EngineStatsReport, JournalEntry, SpillTrigger};
 
     const E0: EngineId = EngineId(0);
     const E1: EngineId = EngineId(1);
@@ -425,7 +417,7 @@ mod tests {
             theta_r: 0.8,
             tau_m: VirtualDuration::from_secs(tau_m),
         };
-        Strategy::new(&config, JournalHandle::disabled())
+        Strategy::new(&config)
     }
 
     fn global(tau_m: u64) -> Strategy {
@@ -433,7 +425,7 @@ mod tests {
             theta_r: 0.8,
             tau_m: VirtualDuration::from_secs(tau_m),
         };
-        Strategy::new(&config, JournalHandle::disabled())
+        Strategy::new(&config)
     }
 
     fn active(tau_m: u64, spill_fraction: f64, force_spill_cap: u64) -> Strategy {
@@ -444,20 +436,28 @@ mod tests {
             spill_fraction,
             force_spill_cap,
         };
-        Strategy::new(&config, JournalHandle::disabled())
+        Strategy::new(&config)
     }
 
     fn none() -> Strategy {
-        Strategy::new(&StrategyConfig::NoAdaptation, JournalHandle::disabled())
+        Strategy::new(&StrategyConfig::NoAdaptation)
     }
 
-    fn at(secs: u64) -> VirtualTime {
-        VirtualTime::from_secs(secs)
+    /// `stats` as collected at `secs`.
+    fn at(stats: &ClusterStats, secs: u64) -> ClusterStats {
+        let at = VirtualTime::from_secs(secs);
+        ClusterStats::new(
+            stats
+                .reports()
+                .iter()
+                .map(|r| EngineStatsReport { at, ..*r })
+                .collect(),
+        )
     }
 
-    /// A decision with no joiners and no round open.
+    /// A decision with no joiners.
     fn decide(s: &mut Strategy, stats: &ClusterStats, secs: u64) -> Option<Decision> {
-        s.decide(stats, &[], false, at(secs))
+        s.decide(&at(stats, secs), &[])
     }
 
     fn relocate(sender: EngineId, receiver: EngineId, amount: u64) -> Option<Decision> {
@@ -568,36 +568,13 @@ mod tests {
         );
     }
 
-    /// While a round is open nothing is decided, but lazy- and
-    /// active-disk still record the stats they saw; no adaptation and a
-    /// join move record nothing.
-    #[test]
-    fn quiet_while_a_round_is_open_and_every_disk_evaluation_is_recorded() {
-        let samples = |config: StrategyConfig, joiners: &[EngineId]| {
-            let journal = JournalHandle::with_capacity(16);
-            let mut s = Strategy::new(&config, journal.clone());
-            let loads = stats(&[(100_000, 10.0), (1000, 1.0), (0, 0.0)]);
-            assert_eq!(s.decide(&loads, joiners, true, at(1)), None);
-            let open = s.decide(&loads, joiners, false, at(2)).is_some();
-            let recorded = (journal.snapshot().iter())
-                .filter(|e| matches!(e.event, AdaptEvent::StatsSample { .. }))
-                .count();
-            (recorded, open)
-        };
-        let active = StrategyConfig::active_default(1 << 30);
-        assert_eq!(samples(StrategyConfig::lazy_default(), &[]), (2, true));
-        assert_eq!(samples(active.clone(), &[]), (2, true));
-        assert_eq!(samples(StrategyConfig::NoAdaptation, &[]), (0, false));
-        assert_eq!(samples(active, &[E2]), (1, true), "the join move");
-    }
-
     /// QE1 is above the band and the most productive sender.
     #[test]
     fn a_join_move_fills_the_joiner_from_the_most_productive_engine() {
         let mut s = none();
         let loads = stats(&[(80_000, 2.0), (60_000, 9.0), (0, 0.0)]);
         assert_eq!(
-            s.decide(&loads, &[E2], false, at(1)),
+            s.decide(&at(&loads, 1), &[E2]),
             Some(Decision::JoinRebalance {
                 sender: E1,
                 receiver: E2,
@@ -611,12 +588,9 @@ mod tests {
     fn a_join_move_comes_before_relocation() {
         let mut s = lazy(0);
         let loads = stats(&[(90_000, 1.0), (0, 1.0)]);
-        let d = s.decide(&loads, &[E1], false, at(1));
+        let d = s.decide(&at(&loads, 1), &[E1]);
         assert!(matches!(d, Some(Decision::JoinRebalance { .. })), "{d:?}");
-        assert_eq!(
-            s.decide(&loads, &[], false, at(2)),
-            relocate(E0, E1, 45_000)
-        );
+        assert_eq!(s.decide(&at(&loads, 2), &[]), relocate(E0, E1, 45_000));
     }
 
     /// Inside the band the joiner is left alone — however far the
@@ -626,37 +600,31 @@ mod tests {
     fn a_joiner_inside_the_band_gets_nothing() {
         let mut s = none();
         let even = stats(&[(50_000, 1.0), (51_000, 1.0), (49_000, 1.0)]);
-        assert_eq!(s.decide(&even, &[E2], false, at(1)), None);
+        assert_eq!(s.decide(&at(&even, 1), &[E2]), None);
         let close = stats(&[(55_000, 2.0), (45_000, 1.0)]);
-        assert_eq!(s.decide(&close, &[E1], false, at(1)), None);
+        assert_eq!(s.decide(&at(&close, 1), &[E1]), None);
     }
 
     #[test]
     fn join_moves_are_a_cooldown_apart() {
         let mut s = none();
         let loads = stats(&[(9000, 2.0), (0, 0.0)]);
-        assert!(s.decide(&loads, &[E1], false, at(1)).is_some());
-        assert_eq!(s.decide(&loads, &[E1], false, at(3)), None);
-        assert!(s.decide(&loads, &[E1], false, at(7)).is_some());
+        assert!(s.decide(&at(&loads, 1), &[E1]).is_some());
+        assert_eq!(s.decide(&at(&loads, 3), &[E1]), None);
+        assert!(s.decide(&at(&loads, 7), &[E1]).is_some());
     }
 
     #[test]
     fn a_join_move_below_the_minimum_is_skipped() {
         let mut s = none();
         // Half the gap: 4000 bytes, under the 4 KiB minimum.
-        assert_eq!(
-            s.decide(&stats(&[(8000, 2.0), (0, 0.0)]), &[E1], false, at(1)),
-            None
-        );
+        assert_eq!(s.decide(&stats(&[(8000, 2.0), (0, 0.0)]), &[E1]), None);
     }
 
     #[test]
     fn no_joiner_no_join_move() {
         let mut s = none();
-        assert_eq!(
-            s.decide(&stats(&[(90_000, 2.0), (0, 0.0)]), &[], false, at(1)),
-            None
-        );
+        assert_eq!(s.decide(&stats(&[(90_000, 2.0), (0, 0.0)]), &[]), None);
     }
 
     #[test]
@@ -666,7 +634,7 @@ mod tests {
             theta_r: 1.5,
             tau_m: VirtualDuration::ZERO,
         };
-        Strategy::new(&config, JournalHandle::disabled());
+        Strategy::new(&config);
     }
 
     #[test]
@@ -679,6 +647,198 @@ mod tests {
             spill_fraction: 0.3,
             force_spill_cap: 100,
         };
-        Strategy::new(&config, JournalHandle::disabled());
+        Strategy::new(&config);
+    }
+
+    /// What a decision leaves in the journal.
+    #[derive(Debug, PartialEq)]
+    enum Shown {
+        /// Step 1 of the round it opened.
+        Opened {
+            sender: EngineId,
+            receiver: EngineId,
+            amount: u64,
+        },
+        /// A relocation toward a peer declared dead, degraded to a spill
+        /// at its sender.
+        Degraded { receiver: EngineId, amount: u64 },
+        /// A forced spill outside a drain.
+        Forced { engine: EngineId },
+    }
+
+    /// Decisions, each at its collection instant.
+    type Timeline = Vec<(VirtualTime, Shown)>;
+
+    /// The decisions replayed over all pinned runs, by kind.
+    #[derive(Debug, Default)]
+    struct Tally {
+        pair_wise: usize,
+        join: usize,
+        forced: usize,
+        queued: usize,
+    }
+
+    /// One run replayed from its journal alone: the decisions a fresh
+    /// `Strategy` makes and what the journal shows, each at its
+    /// instant, and how many forced spills the replay issued.
+    ///
+    /// A collection is the consecutive `engine_sample` records of one
+    /// instant. The strategy is consulted unless a drain runs
+    /// (`drain_started` to `engine_drained`) or a round is open (step 1
+    /// to step 6, an empty step 2 or `round_aborted`); the joiners are
+    /// the engines of `engine_joined` that have not started draining.
+    fn replay(
+        config: &StrategyConfig,
+        journal: &[JournalEntry],
+        tally: &mut Tally,
+    ) -> (Timeline, Timeline, u64) {
+        let mut strategy = Strategy::new(config);
+        let (mut replayed, mut shown, mut forced) = (Vec::new(), Vec::new(), 0);
+        let (mut joiners, mut dead) = (Vec::new(), Vec::new());
+        let (mut draining, mut round) = (false, None);
+        let mut collection = Vec::new();
+        for (i, e) in journal.iter().enumerate() {
+            match e.event {
+                AdaptEvent::EngineSample(r) => {
+                    collection.push(r);
+                    let next = journal.get(i + 1).map(|n| &n.event);
+                    if matches!(next, Some(AdaptEvent::EngineSample(n)) if n.at == r.at) {
+                        continue;
+                    }
+                    let stats = ClusterStats::new(std::mem::take(&mut collection));
+                    if draining || round.is_some() {
+                        continue;
+                    }
+                    let queued = strategy.queue.len();
+                    let at = stats.at();
+                    match strategy.decide(&stats, &joiners) {
+                        None => {}
+                        Some(Decision::JoinRebalance {
+                            sender,
+                            receiver,
+                            amount,
+                        }) => {
+                            tally.join += 1;
+                            let opened = Shown::Opened {
+                                sender,
+                                receiver,
+                                amount,
+                            };
+                            replayed.push((at, opened));
+                        }
+                        Some(Decision::Relocate {
+                            sender,
+                            receiver,
+                            amount,
+                        }) => {
+                            if strategy.queue.len() < queued {
+                                tally.queued += 1;
+                            } else if !matches!(config, StrategyConfig::LazyDiskRebalance { .. }) {
+                                tally.pair_wise += 1;
+                            }
+                            if dead.contains(&receiver) {
+                                forced += 1;
+                                replayed.push((at, Shown::Degraded { receiver, amount }));
+                                replayed.push((at, Shown::Forced { engine: sender }));
+                            } else {
+                                let opened = Shown::Opened {
+                                    sender,
+                                    receiver,
+                                    amount,
+                                };
+                                replayed.push((at, opened));
+                            }
+                        }
+                        Some(Decision::ForceSpill { engine, .. }) => {
+                            tally.forced += 1;
+                            forced += 1;
+                            replayed.push((at, Shown::Forced { engine }));
+                        }
+                    }
+                }
+                AdaptEvent::EngineJoined { engine, .. } => joiners.push(engine),
+                AdaptEvent::EngineDrained { .. } => draining = false,
+                AdaptEvent::ProtocolWarning {
+                    code,
+                    engine,
+                    round: id,
+                    detail,
+                } => match code {
+                    "drain_started" => {
+                        draining = true;
+                        joiners.retain(|j| *j != engine);
+                    }
+                    "peer_declared_dead" => dead.push(engine),
+                    "relocation_degraded_to_spill" => {
+                        let degraded = Shown::Degraded {
+                            receiver: engine,
+                            amount: detail,
+                        };
+                        shown.push((e.at, degraded));
+                    }
+                    "round_aborted" if round == Some(id) => round = None,
+                    _ => {}
+                },
+                AdaptEvent::RelocationStep {
+                    round: id,
+                    step,
+                    sender,
+                    receiver,
+                    ref parts,
+                    bytes,
+                    ..
+                } => match step {
+                    1 => {
+                        round = Some(id);
+                        if !draining {
+                            let opened = Shown::Opened {
+                                sender,
+                                receiver,
+                                amount: bytes,
+                            };
+                            shown.push((e.at, opened));
+                        }
+                    }
+                    2 if parts.is_empty() && round == Some(id) => round = None,
+                    6 if round == Some(id) => round = None,
+                    _ => {}
+                },
+                AdaptEvent::SpillDecision {
+                    engine,
+                    trigger: SpillTrigger::Forced,
+                    ..
+                } if !draining => shown.push((e.at, Shown::Forced { engine })),
+                _ => {}
+            }
+        }
+        (replayed, shown, forced)
+    }
+
+    /// `decide` reads nothing the journal lacks: on every pinned run, a
+    /// fresh `Strategy` fed each collection rebuilt from its
+    /// `engine_sample` records makes the decisions the run made — each
+    /// one matched to its step 1, its degraded-relocation warning or
+    /// its forced spill at the collection instant, and the forced ones
+    /// counted against the run's own tally.
+    #[test]
+    fn every_pinned_decision_replays_from_the_journal() {
+        let mut tally = Tally::default();
+        for cfg in pinned_runs() {
+            let config = cfg.strategy.clone();
+            let mut driver = SimDriver::new(cfg).unwrap();
+            driver.run_until(PINNED_RUN_END).unwrap();
+            let report = driver.finish().unwrap();
+            let (replayed, shown, forced) = replay(&config, &report.journal, &mut tally);
+            assert_eq!(replayed, shown, "{config:?}");
+            assert_eq!(forced, report.force_spills, "{config:?}");
+        }
+        // Not vacuous: every kind of decision is replayed.
+        let Tally {
+            pair_wise,
+            join,
+            forced,
+            queued,
+        } = tally;
+        assert!(pair_wise * join * forced * queued > 0, "{tally:?}");
     }
 }

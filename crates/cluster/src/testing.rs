@@ -1,18 +1,20 @@
 //! Support shared by the cluster suites — the chaos, elastic and
 //! reference-equivalence suites here and the socket suite of the repro
 //! crate: the chaos seed sweep, the journal dump CI uploads, the
-//! exactly-once journal invariants and the relocation-heavy workload.
+//! exactly-once journal invariants, the relocation-heavy workload and
+//! the four runs the coordinator pin holds.
 
 use std::path::Path;
 
-use dcape_common::ids::PartitionId;
-use dcape_common::time::VirtualDuration;
+use dcape_common::ids::{EngineId, PartitionId};
+use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry};
-use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
+use dcape_streamgen::{ArrivalPattern, ClassAssignment, PartitionClass, StreamSetSpec};
 
+use crate::faults::{FaultConfig, FaultPlan};
 use crate::placement::PlacementSpec;
-use crate::runtime::sim::SimConfig;
+use crate::runtime::sim::{ScaleEvent, SimConfig};
 use crate::strategy::StrategyConfig;
 
 /// Chaos seeds to sweep: the one `DCAPE_CHAOS_SEED` names (CI passes one
@@ -114,4 +116,87 @@ pub fn relocation_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     ]))
     .with_stats_interval(VirtualDuration::from_secs(30))
     .with_journal()
+}
+
+/// Where every pinned run ends.
+pub const PINNED_RUN_END: VirtualTime = VirtualTime::from_mins(6);
+
+/// The four deterministic, journaled sim runs the coordinator pin holds
+/// (each run to [`PINNED_RUN_END`]); between them they reach every
+/// coordinator path:
+///
+/// 1. lazy-disk on roomy engines under a skew that flips every minute,
+///    evaluated every 15 s, chaos at 0.3 — retries and aborts;
+/// 2. the same with an engine joining at 60 s and engine 1 draining at
+///    3 min — join moves and a completed drain;
+/// 3. active-disk on tight engines with a productivity gap — forced
+///    spills;
+/// 4. global rebalance over four engines placed far from the mean — one
+///    trigger plans several moves, the later ones popped from the queue
+///    at the next evaluations (τ_m = 45 s).
+pub fn pinned_runs() -> [SimConfig; 4] {
+    let workload = |seed| {
+        StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
+            .with_payload_pad(200)
+            .with_seed(seed)
+    };
+    let lazy_chaos = |fault_seed| {
+        let spec = workload(23).with_pattern(ArrivalPattern::AlternatingSkew {
+            group_a: (0..6).map(PartitionId).collect(),
+            ratio: 10.0,
+            period: VirtualDuration::from_mins(1),
+        });
+        SimConfig::new(
+            2,
+            EngineConfig::three_way(1 << 30, 1 << 29),
+            spec,
+            StrategyConfig::LazyDisk {
+                theta_r: 0.9,
+                tau_m: VirtualDuration::from_secs(15),
+            },
+        )
+        .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
+        .with_stats_interval(VirtualDuration::from_secs(15))
+        .with_journal()
+        .with_faults(FaultPlan::new(fault_seed, FaultConfig::uniform(0.3)))
+    };
+    let elastic_chaos = lazy_chaos(1).with_scale_events(vec![
+        ScaleEvent::add(VirtualTime::from_secs(60)),
+        ScaleEvent::drain_engine(VirtualTime::from_mins(3), EngineId(1)),
+    ]);
+    let mut productive = workload(37);
+    productive.classes = [4, 1]
+        .map(|join_rate| PartitionClass {
+            assignment: ClassAssignment::Fraction(0.5),
+            join_rate,
+            tuple_range: 2400,
+        })
+        .to_vec();
+    let active_disk = SimConfig::new(
+        3,
+        EngineConfig::three_way(1 << 22, 600 << 10).with_spill_fraction(0.4),
+        productive,
+        StrategyConfig::ActiveDisk {
+            theta_r: 0.8,
+            tau_m: VirtualDuration::from_secs(45),
+            lambda: 1.5,
+            spill_fraction: 0.3,
+            force_spill_cap: 1 << 20,
+        },
+    )
+    .with_stats_interval(VirtualDuration::from_secs(30))
+    .with_journal();
+    let rebalance = SimConfig::new(
+        4,
+        EngineConfig::three_way(1 << 30, 1 << 29),
+        workload(91),
+        StrategyConfig::LazyDiskRebalance {
+            theta_r: 0.8,
+            tau_m: VirtualDuration::from_secs(45),
+        },
+    )
+    .with_placement(PlacementSpec::Fractions(vec![0.55, 0.25, 0.15, 0.05]))
+    .with_stats_interval(VirtualDuration::from_secs(15))
+    .with_journal();
+    [lazy_chaos(2), elastic_chaos, active_disk, rebalance]
 }

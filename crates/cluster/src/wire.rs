@@ -55,8 +55,9 @@ use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::{CostModel, EngineConfig, MJoinConfig};
 use dcape_engine::spill::policy::VictimPolicy;
 use dcape_engine::state::productivity::ProductivityEstimator;
-use dcape_engine::stats::EngineStatsReport;
-use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, SpillTrigger};
+use dcape_metrics::journal::{
+    AdaptEvent, CountersSnapshot, EngineStatsReport, JournalEntry, SpillTrigger,
+};
 use dcape_storage::codec::{get_varint, put_varint};
 use dcape_storage::{DiskModel, SegmentCodec, SpilledGroup};
 
@@ -463,8 +464,7 @@ impl Wire for CountersSnapshot {
 wire_struct! {
     GroupTransfer { snapshot, output_count, purge_protect }
     EngineStatsReport {
-        engine, at, memory_used, memory_budget, num_groups, window_output, total_output,
-        avg_productivity_rate, spilled_bytes, spill_count
+        engine, at, memory_used, memory_budget, num_groups, window_output, total_output
     }
     JournalEntry { at, seq, event }
     MJoinConfig { num_streams, join_columns, window }
@@ -487,21 +487,19 @@ wire_enum!(VictimPolicy {
 });
 wire_enum!(ProductivityEstimator { 0 = Cumulative, 1 = Decaying { alpha } });
 wire_enum!(SegmentCodec { 0 = Rows, 1 = Columns });
+// Tag 3 carried the retired cluster-wide stats sample and is not reused.
 wire_enum!(AdaptEvent {
     0 = SpillDecision {
         engine, trigger, groups, state_bytes, encoded_bytes, memory_used, memory_budget
     },
     1 = RelocationStep { round, step, sender, receiver, parts, bytes, buffered_tuples, load_ratio },
     2 = CleanupPhase { engine, group, missing_results, scanned_tuples, disk_bytes_read },
-    3 = StatsSample {
-        engines, max_load, min_load, load_ratio, productivity_ratio, memory_used, memory_budget
-    },
     4 = MemoryPressure { engine, used, budget },
     5 = FaultInjected { fault, edge, round, attempt },
     6 = ProtocolWarning { code, engine, round, detail },
     7 = EngineJoined { engine, members },
     8 = EngineDrained { engine, moves },
-    9 = EngineSample { engine, memory_used, memory_budget, groups, window_output, total_output }
+    9 = EngineSample(report)
 });
 
 // ---------------------------------------------------------------------
@@ -951,9 +949,6 @@ mod tests {
                 num_groups: 12,
                 window_output: 400,
                 total_output: 9_000,
-                avg_productivity_rate: 3.75,
-                spilled_bytes: 512,
-                spill_count: 2,
             }),
             FromEngine::CleanupReady {
                 engine: EngineId(0),
@@ -997,19 +992,6 @@ mod tests {
                             encoded_bytes: 90,
                             memory_used: 1000,
                             memory_budget: 2000,
-                        },
-                    },
-                    JournalEntry {
-                        at: VirtualTime::from_secs(13),
-                        seq: 4,
-                        event: AdaptEvent::StatsSample {
-                            engines: 3,
-                            max_load: 0.9,
-                            min_load: 0.1,
-                            load_ratio: 0.111,
-                            productivity_ratio: 2.0,
-                            memory_used: 10,
-                            memory_budget: 20,
                         },
                     },
                     JournalEntry {
@@ -1106,14 +1088,15 @@ mod tests {
             journal: vec![JournalEntry {
                 at: VirtualTime::from_secs(45),
                 seq: 10,
-                event: AdaptEvent::EngineSample {
+                event: AdaptEvent::EngineSample(EngineStatsReport {
                     engine: EngineId(1),
+                    at: VirtualTime::from_secs(45),
                     memory_used: 1 << 21,
                     memory_budget: 1 << 22,
-                    groups: 12,
+                    num_groups: 12,
                     window_output: 400,
                     total_output: 9_000,
-                },
+                }),
             }],
             journal_counters: CountersSnapshot::default(),
         }]
@@ -1135,7 +1118,10 @@ mod tests {
     /// The frame bytes of every protocol message, reduced to one number
     /// taken with the hand-written encoder of commit c7c469c: whatever
     /// produces the bytes must keep producing these. (Handshake frames
-    /// are not part of it.)
+    /// are not part of it.) Re-taken once, when the stats report lost
+    /// three fields nothing read and the cluster-wide stats sample was
+    /// retired: frame by frame, only the `stats` frame and the
+    /// `cleanup_done` frame whose journal carried that sample moved.
     #[test]
     fn protocol_frame_bytes_are_pinned() {
         let mut all = Vec::new();
@@ -1146,10 +1132,10 @@ mod tests {
         for (i, msg) in msgs.enumerate() {
             all.extend_from_slice(&frame_bytes(i as u64, &msg).unwrap());
         }
-        assert_eq!(all.len(), 634);
+        assert_eq!(all.len(), 584);
         assert_eq!(
             dcape_common::hash::fx_hash(all.as_slice()),
-            0x6D0C_89BF_F938_5726
+            0x8BD2_EEA1_9687_0362
         );
     }
 
@@ -1282,6 +1268,20 @@ mod tests {
         }
     }
 
+    /// `AdaptEvent` tag 3 carried a cluster-wide stats sample until the
+    /// engine samples became the decision's only record. The tag is
+    /// retired, not reused: an entry carrying it is a codec error.
+    #[test]
+    fn retired_stats_sample_tag_is_refused() {
+        let mut entry = vec![13, 4, 3, 2];
+        entry.extend_from_slice(&[0; 4 * 8]);
+        entry.extend_from_slice(&[10, 20]);
+        match JournalEntry::get(&mut entry.as_slice()) {
+            Err(DcapeError::Codec(_)) => {}
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    }
+
     /// An engine configuration used to end `layout:u8 spill_codec:u8`.
     /// A `Welcome` still carrying the layout byte does not decode into
     /// some other configuration: it is a codec error.
@@ -1346,13 +1346,6 @@ mod tests {
             put_varint(&mut event, attempt);
             cleanup_done(&event)
         };
-        let stats_sample = |engines: u64| {
-            let mut event = vec![3];
-            put_varint(&mut event, engines);
-            event.extend_from_slice(&[0; 4 * 8]);
-            event.extend_from_slice(&[10, 20]);
-            cleanup_done(&event)
-        };
         let engine_joined = |members: u64| {
             let mut event = vec![7, 2];
             put_varint(&mut event, members);
@@ -1368,7 +1361,7 @@ mod tests {
             payload
         };
         type Build<'a> = &'a dyn Fn(u64) -> Vec<u8>;
-        let cases: [(&str, Build, u64); 7] = [
+        let cases: [(&str, Build, u64); 6] = [
             ("Cptv.attempt", &|v| varints(0x03, &[5, 1024, v]), WIDE),
             (
                 "SendStates.attempt",
@@ -1381,7 +1374,6 @@ mod tests {
                 WIDE,
             ),
             ("FaultInjected.attempt", &fault_injected, WIDE),
-            ("StatsSample.engines", &stats_sample, WIDE),
             ("EngineJoined.members", &engine_joined, WIDE),
             ("Welcome.engine", &welcome, 1 << 16),
         ];

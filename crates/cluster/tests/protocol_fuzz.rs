@@ -16,7 +16,7 @@ use dcape_common::testing::proptest_cases as cases;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::TupleBuilder;
 use dcape_engine::config::EngineConfig;
-use dcape_engine::stats::EngineStatsReport;
+use dcape_metrics::journal::EngineStatsReport;
 use dcape_metrics::journal::{AdaptEvent, JournalHandle};
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
@@ -60,9 +60,6 @@ fn load(engine: u16, memory_used: u64) -> EngineStatsReport {
         num_groups: 10,
         window_output: 10,
         total_output: 0,
-        avg_productivity_rate: 1.0,
-        spilled_bytes: 0,
-        spill_count: 0,
     }
 }
 

@@ -27,7 +27,7 @@ use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::mem::MemoryTracker;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
-use dcape_metrics::journal::{AdaptEvent, JournalHandle, SpillTrigger};
+use dcape_metrics::journal::{AdaptEvent, EngineStatsReport, JournalHandle, SpillTrigger};
 use dcape_storage::{SpillBackend, SpillStore, SpilledGroup};
 
 use crate::config::EngineConfig;
@@ -35,7 +35,6 @@ use crate::controller::{LocalController, Mode};
 use crate::operators::mjoin::MJoinOperator;
 use crate::sink::ResultSink;
 use crate::spill::cleanup::SegmentMerger;
-use crate::stats::EngineStatsReport;
 
 /// Result of one spill adaptation on one engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +83,6 @@ pub struct QueryEngine {
     controller: LocalController,
     rng: StdRng,
     spill_history: Vec<SpillOutcome>,
-    last_report_window: u64,
     journal: JournalHandle,
     /// Latest virtual time seen at a timed entry point; timestamps
     /// journal events from untimed paths (cleanup, reactivation).
@@ -118,7 +116,6 @@ impl QueryEngine {
             controller,
             cfg,
             spill_history: Vec::new(),
-            last_report_window: 0,
             journal: JournalHandle::disabled(),
             clock: VirtualTime::ZERO,
             purge_protect: FxHashSet::default(),
@@ -412,20 +409,14 @@ impl QueryEngine {
         {
             self.join.close_productivity_windows(alpha);
         }
-        let num_groups = self.join.group_count();
-        let (window_output, rate) = self.join.window_mut().take_window(num_groups);
-        self.last_report_window = window_output;
         EngineStatsReport {
             engine: self.id,
             at: now,
             memory_used: self.tracker.used(),
             memory_budget: self.cfg.memory_budget,
-            num_groups,
-            window_output,
+            num_groups: self.join.group_count(),
+            window_output: self.join.window_mut().take_window(),
             total_output: self.join.total_output(),
-            avg_productivity_rate: rate,
-            spilled_bytes: self.store.state_bytes_on_disk(),
-            spill_count: self.spill_history.len() as u64,
         }
     }
 
@@ -771,7 +762,6 @@ mod tests {
         let r1 = e.report(VirtualTime::from_secs(1));
         assert_eq!(r1.window_output, produced);
         assert_eq!(r1.total_output, produced);
-        assert!(r1.avg_productivity_rate > 0.0);
         assert_eq!(r1.engine, EngineId(0));
         // Fresh window is empty.
         let r2 = e.report(VirtualTime::from_secs(2));

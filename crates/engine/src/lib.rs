@@ -59,7 +59,6 @@ pub mod probe;
 pub mod sink;
 pub mod spill;
 pub mod state;
-pub mod stats;
 
 pub use config::{CostModel, EngineConfig, MJoinConfig};
 pub use controller::{LocalController, Mode};
@@ -69,4 +68,3 @@ pub use plan::{PlanExecutor, QueryPlan};
 pub use probe::{ProbeSpans, SpanList};
 pub use sink::{CollectingSink, CountingSink, ResultSink};
 pub use spill::policy::VictimPolicy;
-pub use stats::EngineStatsReport;

@@ -41,6 +41,30 @@ impl SpillTrigger {
     }
 }
 
+/// One engine's answer to a statistics collection: the "very
+/// light-weight running statistics" (§2/§4) the coordinator decides
+/// from. Only scalars, no per-partition detail — the per-partition
+/// ranking happens locally. The same value is the stats message, the
+/// [`AdaptEvent::EngineSample`] record and the decision's input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EngineStatsReport {
+    /// Reporting engine.
+    pub engine: EngineId,
+    /// The collection instant the engine answered (the `now` of the
+    /// request).
+    pub at: VirtualTime,
+    /// Accounted state bytes in memory (the coordinator's `load`).
+    pub memory_used: u64,
+    /// The engine's memory budget.
+    pub memory_budget: u64,
+    /// Resident partition groups.
+    pub num_groups: usize,
+    /// Results produced since the previous report (sampling window).
+    pub window_output: u64,
+    /// Cumulative results produced.
+    pub total_output: u64,
+}
+
 /// One adaptation event, with the numbers that triggered it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdaptEvent {
@@ -96,23 +120,6 @@ pub enum AdaptEvent {
         scanned_tuples: u64,
         /// Disk bytes read back.
         disk_bytes_read: u64,
-    },
-    /// Periodic cluster-wide statistics snapshot fed to the strategies.
-    StatsSample {
-        /// Number of engines reporting.
-        engines: u32,
-        /// Highest per-engine memory load.
-        max_load: f64,
-        /// Lowest per-engine memory load.
-        min_load: f64,
-        /// `min/max` memory-load ratio (Algorithm 1's trigger input).
-        load_ratio: f64,
-        /// `max/min` productivity ratio (Algorithm 2's trigger input).
-        productivity_ratio: f64,
-        /// Total memory in use across the cluster.
-        memory_used: u64,
-        /// Total memory budget across the cluster.
-        memory_budget: u64,
     },
     /// An engine crossed its memory threshold (emitted before the
     /// corresponding spill decision resolves victims).
@@ -177,21 +184,8 @@ pub enum AdaptEvent {
     },
     /// One engine's statistics report from a complete collection, as
     /// the coordinator's decision saw it: what the figures plot over
-    /// time, on every runtime.
-    EngineSample {
-        /// Reporting engine.
-        engine: EngineId,
-        /// Accounted state bytes in memory.
-        memory_used: u64,
-        /// The engine's memory budget.
-        memory_budget: u64,
-        /// Resident partition groups.
-        groups: u64,
-        /// Results produced since the engine's previous report.
-        window_output: u64,
-        /// Results produced so far.
-        total_output: u64,
-    },
+    /// time, and what a decision is replayed from, on every runtime.
+    EngineSample(EngineStatsReport),
 }
 
 impl AdaptEvent {
@@ -201,13 +195,12 @@ impl AdaptEvent {
             AdaptEvent::SpillDecision { .. } => "spill_decision",
             AdaptEvent::RelocationStep { .. } => "relocation_step",
             AdaptEvent::CleanupPhase { .. } => "cleanup_phase",
-            AdaptEvent::StatsSample { .. } => "stats_sample",
             AdaptEvent::MemoryPressure { .. } => "memory_pressure",
             AdaptEvent::FaultInjected { .. } => "fault_injected",
             AdaptEvent::ProtocolWarning { .. } => "protocol_warning",
             AdaptEvent::EngineJoined { .. } => "engine_joined",
             AdaptEvent::EngineDrained { .. } => "engine_drained",
-            AdaptEvent::EngineSample { .. } => "engine_sample",
+            AdaptEvent::EngineSample(_) => "engine_sample",
         }
     }
 }

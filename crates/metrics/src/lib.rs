@@ -11,8 +11,8 @@ pub mod series;
 pub mod summary;
 
 pub use journal::{
-    merge_journals, AdaptEvent, CountersSnapshot, EventJournal, JournalCounters, JournalEntry,
-    JournalHandle, SpillTrigger,
+    merge_journals, AdaptEvent, CountersSnapshot, EngineStatsReport, EventJournal, JournalCounters,
+    JournalEntry, JournalHandle, SpillTrigger,
 };
 pub use report::{
     engine_curves, journal_to_jsonl, render_journal, render_series_table, write_journal_jsonl,

@@ -159,22 +159,16 @@ pub fn engine_curves(
     let mut curves = EngineCurves::default();
     let mut totals: Vec<u64> = Vec::new();
     for e in entries {
-        let AdaptEvent::EngineSample {
-            engine,
-            memory_used,
-            total_output,
-            ..
-        } = e.event
-        else {
+        let AdaptEvent::EngineSample(r) = e.event else {
             continue;
         };
-        let i = engine.index();
+        let i = r.engine.index();
         if i >= totals.len() {
             totals.resize(i + 1, 0);
             curves.memory.resize_with(i + 1, TimeSeries::default);
         }
-        totals[i] = total_output;
-        curves.memory[i].push(e.at, memory_used as f64);
+        totals[i] = r.total_output;
+        curves.memory[i].push(e.at, r.memory_used as f64);
         // The samples of one collection share a timestamp; the last
         // point at an instant is its value.
         curves.output.push(e.at, totals.iter().sum::<u64>() as f64);
@@ -274,28 +268,6 @@ pub fn journal_entry_to_json(entry: &JournalEntry) -> String {
                 engine.0, group.0, missing_results, scanned_tuples, disk_bytes_read
             );
         }
-        AdaptEvent::StatsSample {
-            engines,
-            max_load,
-            min_load,
-            load_ratio,
-            productivity_ratio,
-            memory_used,
-            memory_budget,
-        } => {
-            let _ = write!(
-                s,
-                ",\"engines\":{},\"max_load\":{},\"min_load\":{},\"load_ratio\":{},\
-                 \"productivity_ratio\":{},\"memory_used\":{},\"memory_budget\":{}",
-                engines,
-                num(*max_load),
-                num(*min_load),
-                num(*load_ratio),
-                num(*productivity_ratio),
-                memory_used,
-                memory_budget
-            );
-        }
         AdaptEvent::MemoryPressure {
             engine,
             used,
@@ -337,20 +309,17 @@ pub fn journal_entry_to_json(entry: &JournalEntry) -> String {
         AdaptEvent::EngineDrained { engine, moves } => {
             let _ = write!(s, ",\"engine\":{},\"moves\":{moves}", engine.0);
         }
-        AdaptEvent::EngineSample {
-            engine,
-            memory_used,
-            memory_budget,
-            groups,
-            window_output,
-            total_output,
-        } => {
+        AdaptEvent::EngineSample(r) => {
             let _ = write!(
                 s,
-                ",\"engine\":{},\"memory_used\":{memory_used},\"memory_budget\":{memory_budget},\
-                 \"groups\":{groups},\"window_output\":{window_output},\
-                 \"total_output\":{total_output}",
-                engine.0
+                ",\"engine\":{},\"memory_used\":{},\"memory_budget\":{},\"groups\":{},\
+                 \"window_output\":{},\"total_output\":{}",
+                r.engine.0,
+                r.memory_used,
+                r.memory_budget,
+                r.num_groups,
+                r.window_output,
+                r.total_output
             );
         }
     }
@@ -465,20 +434,6 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
                      from {scanned_tuples} tuple(s), {disk_bytes_read} B read"
                 );
             }
-            AdaptEvent::StatsSample {
-                engines,
-                load_ratio,
-                productivity_ratio,
-                memory_used,
-                memory_budget,
-                ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "stats     {engines} engine(s): load_ratio={load_ratio:.3} \
-                     prod_ratio={productivity_ratio:.3} mem={memory_used}/{memory_budget}"
-                );
-            }
             AdaptEvent::MemoryPressure {
                 engine,
                 used,
@@ -518,18 +473,16 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
             AdaptEvent::EngineDrained { engine, moves } => {
                 let _ = writeln!(out, "drain     {engine} emptied after {moves} move(s)");
             }
-            AdaptEvent::EngineSample {
-                engine,
-                memory_used,
-                memory_budget,
-                groups,
-                window_output,
-                total_output,
-            } => {
+            AdaptEvent::EngineSample(r) => {
                 let _ = writeln!(
                     out,
-                    "sample    {engine}: mem={memory_used}/{memory_budget} groups={groups} \
-                     output={total_output} (+{window_output})"
+                    "sample    {}: mem={}/{} groups={} output={} (+{})",
+                    r.engine,
+                    r.memory_used,
+                    r.memory_budget,
+                    r.num_groups,
+                    r.total_output,
+                    r.window_output
                 );
             }
         }
@@ -540,6 +493,7 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::EngineStatsReport;
     use dcape_common::time::VirtualTime;
 
     #[test]
@@ -599,14 +553,15 @@ mod tests {
         JournalEntry {
             at: VirtualTime::from_secs(at_s),
             seq: 0,
-            event: AdaptEvent::EngineSample {
+            event: AdaptEvent::EngineSample(EngineStatsReport {
                 engine: dcape_common::ids::EngineId(engine),
+                at: VirtualTime::from_secs(at_s),
                 memory_used,
                 memory_budget: 1000,
-                groups: 4,
+                num_groups: 4,
                 window_output: 1,
                 total_output,
-            },
+            }),
         }
     }
 
@@ -698,21 +653,28 @@ mod tests {
         let entry = JournalEntry {
             at: VirtualTime::ZERO,
             seq: 0,
-            event: AdaptEvent::StatsSample {
-                engines: 2,
-                max_load: f64::INFINITY,
-                min_load: 0.0,
+            event: AdaptEvent::RelocationStep {
+                round: 1,
+                step: 1,
+                sender: dcape_common::ids::EngineId(0),
+                receiver: dcape_common::ids::EngineId(1),
+                parts: vec![],
+                bytes: 0,
+                buffered_tuples: 0,
                 load_ratio: f64::NAN,
-                productivity_ratio: 1.5,
-                memory_used: 10,
-                memory_budget: 20,
             },
         };
-        let json = journal_entry_to_json(&entry);
-        assert!(json.contains("\"max_load\":null"));
-        assert!(json.contains("\"load_ratio\":null"));
-        assert!(json.contains("\"productivity_ratio\":1.5"));
-        assert!(!json.contains("inf") && !json.contains("NaN"));
+        let json = |load_ratio| {
+            let mut entry = entry.clone();
+            if let AdaptEvent::RelocationStep { load_ratio: r, .. } = &mut entry.event {
+                *r = load_ratio;
+            }
+            journal_entry_to_json(&entry)
+        };
+        assert!(json(f64::NAN).contains("\"load_ratio\":null"));
+        assert!(json(f64::INFINITY).contains("\"load_ratio\":null"));
+        assert!(json(1.5).contains("\"load_ratio\":1.5"));
+        assert!(!json(f64::INFINITY).contains("inf") && !json(f64::NAN).contains("NaN"));
     }
 
     #[test]

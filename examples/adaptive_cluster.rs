@@ -72,7 +72,6 @@ fn run(strategy: StrategyConfig, label: &str) -> Result<u64, Box<dyn std::error:
     let (samples, adaptations): (Vec<_>, Vec<_>) = report
         .journal
         .iter()
-        .filter(|e| e.event.kind() != "stats_sample")
         .cloned()
         .partition(|e| e.event.kind() == "engine_sample");
     let last = samples.len().saturating_sub(3);

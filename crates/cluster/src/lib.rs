@@ -27,6 +27,8 @@
 //! of each relocation round); [`testing`] is what the cluster suites
 //! share.
 
+#![deny(unsafe_code)]
+
 pub mod coordinator;
 pub mod faults;
 pub mod messages;

@@ -20,9 +20,13 @@
 //! * [`mem`] — explicit heap-size accounting, the substitute for the
 //!   paper's per-machine physical memory observations.
 //! * [`hash`] — a fast, deterministic hasher used for partitioning.
+//! * [`prefetch`](mod@prefetch) — the cache prefetch hint, the
+//!   workspace's one `unsafe`.
 //! * [`error`] — the workspace error type.
 //! * [`testing`] — what the workspace's tests share, the reference join
 //!   first of all.
+
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod codec;
@@ -32,6 +36,7 @@ pub mod ids;
 pub mod mem;
 pub mod pages;
 pub mod partition;
+pub mod prefetch;
 pub mod testing;
 pub mod time;
 pub mod tuple;

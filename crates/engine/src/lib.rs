@@ -50,6 +50,8 @@
 //! # Ok::<(), dcape_common::DcapeError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod controller;
 pub mod engine;

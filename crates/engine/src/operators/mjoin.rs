@@ -24,8 +24,14 @@ use dcape_storage::SpilledGroup;
 
 use crate::config::MJoinConfig;
 use crate::sink::ResultSink;
-use crate::state::partition_group::PartitionGroup;
+use crate::state::partition_group::{KeyedRow, PartitionGroup};
 use crate::state::productivity::{GroupStats, ProductivityEstimator, ProductivityWindow};
+
+/// How many rows ahead of the insert loop [`MJoinOperator::process_batch`]
+/// prefetches what a row's insert reaches first: far enough for the
+/// lines to arrive while the rows in between are inserted, near enough
+/// that they are still in cache when its own insert comes.
+const PREFETCH_AHEAD: usize = 8;
 
 /// One machine's instance of the partitioned symmetric m-way hash join.
 #[derive(Debug)]
@@ -44,6 +50,12 @@ pub struct MJoinOperator {
     /// stats samples don't pay an O(#groups) walk. Checked against
     /// [`MJoinOperator::recompute_state_bytes`] in tests/debug asserts.
     state_bytes: usize,
+    /// The keyed rows of the batch in hand, empty between batches; kept
+    /// for its allocation (see [`recycle`]).
+    keyed: Vec<KeyedRow<'static>>,
+    /// The one-row batch [`process`](MJoinOperator::process) feeds
+    /// through [`process_batch`](MJoinOperator::process_batch).
+    one: TupleBatch,
 }
 
 impl MJoinOperator {
@@ -59,6 +71,8 @@ impl MJoinOperator {
             window: ProductivityWindow::new(),
             drain_count: 0,
             state_bytes: 0,
+            keyed: Vec::new(),
+            one: TupleBatch::new(),
         })
     }
 
@@ -74,41 +88,85 @@ impl MJoinOperator {
         })
     }
 
+    /// Prefetch what `keyed`'s insert reaches first in its group
+    /// ([`PartitionGroup::prefetch`]), if the group is resident. Looks
+    /// the group up without creating it: a row that is never inserted
+    /// creates nothing.
+    #[inline]
+    fn prefetch(&self, keyed: &KeyedRow<'_>) {
+        if let Some(group) = self.groups.get(&keyed.row().pid()) {
+            group.prefetch(keyed);
+        }
+    }
+
     /// Process one input tuple belonging to partition `pid`; results go
-    /// to `sink`. Returns the number of results emitted.
+    /// to `sink`. Returns the number of results emitted. The tuple is a
+    /// one-row [`process_batch`](Self::process_batch).
     pub fn process(
         &mut self,
         pid: PartitionId,
         tuple: Tuple,
         sink: &mut dyn ResultSink,
     ) -> Result<u64> {
-        let (emitted, added_bytes) = self.group_mut(pid).insert(tuple, sink)?;
-        self.tracker.allocate(added_bytes);
-        self.window.record(emitted);
-        self.state_bytes += added_bytes;
-        Ok(emitted)
+        let mut one = std::mem::take(&mut self.one);
+        one.clear();
+        one.push(pid, tuple);
+        let result = self.process_batch(&one, sink);
+        self.one = one;
+        result
     }
 
     /// Process a whole batch of routed tuples; results go to `sink`.
     /// Returns the number of results emitted.
     ///
-    /// Rows are inserted one by one, in arrival order, straight from the
-    /// batch's encoded bytes ([`PartitionGroup::insert_row`]); what the
-    /// batch saves is the tracker/window update, paid once per batch.
-    /// There is no per-partition regrouping: the generator samples a
-    /// partition per stream per tick, so consecutive tuples of one batch
-    /// almost never share a partition, and tuples of different
-    /// partitions never interact — results and state are identical to
-    /// calling [`process`](Self::process) per tuple.
+    /// Two steps:
     ///
-    /// An invalid row ends the batch: the rows before it stay inserted
-    /// (and accounted), the rest are dropped.
+    /// 1. **Key the batch.** One pass parses each row, checks it against
+    ///    the join and decodes and hashes its join key (`KeyedRow::new`),
+    ///    into a buffer the operator keeps across batches.
+    /// 2. **Insert, with the entries in flight.** Rows are inserted one
+    ///    by one, in arrival order, straight from the batch's encoded
+    ///    bytes (`PartitionGroup::insert_row`, which takes the key and
+    ///    hash of step 1). Before row `i` is inserted, what row `i + 8`'s
+    ///    insert reaches first — its index entry and the ends of its
+    ///    stream's columns — is prefetched in its group
+    ///    (`PartitionGroup::prefetch`), so the cache misses of
+    ///    consecutive rows overlap instead of being paid one after
+    ///    another. A prefetch is a hint: whatever the rows between
+    ///    change, it changes no result.
+    ///
+    /// The tracker/window update is paid once per batch. There is no
+    /// per-partition regrouping: the generator samples a partition per
+    /// stream per tick, so consecutive tuples of one batch almost never
+    /// share a partition, and tuples of different partitions never
+    /// interact — results and state are identical to calling
+    /// [`process`](Self::process) per tuple.
+    ///
+    /// An invalid row ends the batch: the rows before it are inserted
+    /// (and accounted), the rest are dropped, and no row from it on
+    /// creates a group.
     pub fn process_batch(&mut self, batch: &TupleBatch, sink: &mut dyn ResultSink) -> Result<u64> {
-        let mut emitted_total = 0u64;
-        let mut added_total = 0usize;
+        let mut keyed = recycle(std::mem::take(&mut self.keyed));
         let mut failed = None;
         for row in batch.rows() {
-            match self.group_mut(row.pid()).insert_row(&row, sink) {
+            match KeyedRow::new(row, &self.join_columns) {
+                Ok(row) => keyed.push(row),
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        for ahead in keyed.iter().take(PREFETCH_AHEAD) {
+            self.prefetch(ahead);
+        }
+        let mut emitted_total = 0u64;
+        let mut added_total = 0usize;
+        for (i, row) in keyed.iter().enumerate() {
+            if let Some(ahead) = keyed.get(i + PREFETCH_AHEAD) {
+                self.prefetch(ahead);
+            }
+            match self.group_mut(row.row().pid()).insert_row(row, sink) {
                 Ok((emitted, added)) => {
                     emitted_total += emitted;
                     added_total += added;
@@ -119,6 +177,7 @@ impl MJoinOperator {
                 }
             }
         }
+        self.keyed = recycle(keyed);
         // Account for everything inserted even when a mid-batch row
         // failed, so the incremental totals never drift from the state.
         self.tracker.allocate(added_total);
@@ -328,13 +387,26 @@ impl MJoinOperator {
     }
 }
 
+/// `v` emptied, for rows that borrow from another batch. Collecting a
+/// vector's own `into_iter` into a vector of an element of the same
+/// layout reuses its allocation, so the keyed pass allocates only while
+/// its buffer grows to the largest batch yet.
+fn recycle<'b>(mut v: Vec<KeyedRow<'_>>) -> Vec<KeyedRow<'b>> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::{CollectingSink, CountingSink};
+    use dcape_common::hash::fx_hash;
     use dcape_common::ids::StreamId;
-    use dcape_common::time::VirtualTime;
+    use dcape_common::time::{VirtualDuration, VirtualTime};
     use dcape_common::tuple::TupleBuilder;
+    use dcape_common::value::Value;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn op() -> MJoinOperator {
         MJoinOperator::new(MJoinConfig::same_column(3, 0), MemoryTracker::new(10 << 20)).unwrap()
@@ -462,112 +534,272 @@ mod tests {
         assert!(op.extract_group(PartitionId(9)).is_none());
     }
 
-    /// `process_batch` over the encoded rows equals per-tuple `process`,
-    /// for a sink that enumerates (results compared as a multiset of
-    /// whole tuples, so every row was rebuilt intact) and one that only
-    /// counts.
-    #[test]
-    fn batch_matches_per_tuple_path() {
-        let rows = || {
-            // Two interleaved partitions, then a same-partition run;
-            // the key sits behind a text column of varying length.
-            (0..30u64).map(|seq| {
-                let pid = PartitionId(if seq < 12 { (seq % 2) as u32 } else { 1 });
-                let t = TupleBuilder::new(StreamId((seq % 3) as u8))
-                    .seq(seq)
-                    .ts(VirtualTime::from_millis(seq))
-                    .value(&"payload"[..(seq % 7) as usize])
-                    .value((seq % 4) as i64)
-                    .pad(100)
-                    .build();
-                (pid, t)
-            })
+    /// Window of the windowed runs, in ms.
+    const WINDOW_MS: u64 = 40;
+
+    #[derive(Debug, Clone)]
+    enum Key {
+        /// The key and partition of the row before.
+        Again,
+        /// One of 24 integers whose hashes share their top 12 bits.
+        Colliding(usize),
+        /// One of 400 integers: tables fill and grow.
+        Wide(i64),
+        /// One of 12 text keys.
+        Text(u8),
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A row `ahead` ms past the newest, then `late` ms back.
+        Row {
+            stream: u8,
+            pid: u32,
+            key: Key,
+            ahead: u64,
+            late: u64,
+        },
+        /// End the batch; windowed, purge at `back` ms before the
+        /// newest timestamp.
+        Pulse { back: u64 },
+        /// End the batch, no pulse.
+        Cut,
+    }
+
+    /// 24 integer keys whose `fx_hash` agree in the top 12 bits, so
+    /// they share a home slot in every table of up to 4096 slots.
+    fn colliding() -> &'static [i64] {
+        static KEYS: OnceLock<Vec<i64>> = OnceLock::new();
+        KEYS.get_or_init(|| {
+            let top = |k: i64| fx_hash(&Value::Int(k)) >> 52;
+            let home = top(0);
+            (0..).filter(|&k| top(k) == home).take(24).collect()
+        })
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        let row = ((0u8..3, 0u32..6), (0u64..3, 0u64..25));
+        ((0u8..40, 0u16..400), row).prop_map(|((roll, k), ((stream, pid), (ahead, late)))| {
+            // One step in twenty ends the batch, so batches run to ~20
+            // rows, mostly past the prefetch distance.
+            let key = match roll {
+                0 => {
+                    return Step::Pulse {
+                        back: u64::from(k) % (2 * WINDOW_MS),
+                    }
+                }
+                1 => return Step::Cut,
+                2..=11 => Key::Again,
+                12..=21 => Key::Colliding(usize::from(k) % 24),
+                22..=35 => Key::Wide(i64::from(k)),
+                _ => Key::Text((k % 12) as u8),
+            };
+            Step::Row {
+                stream,
+                pid,
+                key,
+                ahead,
+                // One row in five is late.
+                late: if late < 20 { 0 } else { late },
+            }
+        })
+    }
+
+    /// Every result as its tuples' text, sorted.
+    fn multiset(sink: &CollectingSink) -> Vec<String> {
+        let results = sink.results().iter();
+        let mut v: Vec<String> = results
+            .map(|r| r.iter().map(|t| t.to_string()).collect())
+            .collect();
+        v.sort();
+        v
+    }
+
+    fn run(window: Option<u64>, steps: &[Step]) -> Result<(), TestCaseError> {
+        let op_on = |tracker| {
+            let cfg = MJoinConfig::same_column(3, 1);
+            let cfg = match window {
+                Some(ms) => cfg.with_window(VirtualDuration::from_millis(ms)),
+                None => cfg,
+            };
+            MJoinOperator::new(cfg, tracker).unwrap()
         };
-        let op_on = |tracker| MJoinOperator::new(MJoinConfig::same_column(3, 1), tracker).unwrap();
-        let tracker = MemoryTracker::new(10 << 20);
-        let mut per_tuple = op_on(MemoryTracker::new(10 << 20));
+        let tracker = MemoryTracker::new(1 << 30);
+        let mut rows = op_on(MemoryTracker::new(1 << 30));
         let mut batched = op_on(Arc::clone(&tracker));
-        let mut counted = op_on(MemoryTracker::new(10 << 20));
-        let mut sink_a = CollectingSink::new();
-        let mut sink_b = CollectingSink::new();
-        let mut sink_c = CountingSink::new();
+        let mut counted = op_on(MemoryTracker::new(1 << 30));
+        let (mut rows_sink, mut batch_sink) = (CollectingSink::new(), CollectingSink::new());
+        let mut count_sink = CountingSink::new();
         let mut batch = TupleBatch::new();
-        let mut per_tuple_emitted = 0;
-        for (pid, t) in rows() {
-            per_tuple_emitted += per_tuple.process(pid, t.clone(), &mut sink_a).unwrap();
-            batch.push(pid, t);
+        let (mut newest, mut key, mut last_pid) = (0u64, Value::Int(0), 0u32);
+        let end = [Step::Cut];
+        for (seq, step) in steps.iter().chain(&end).enumerate() {
+            match step {
+                Step::Row {
+                    stream,
+                    pid,
+                    key: pick,
+                    ahead,
+                    late,
+                } => {
+                    let pid = match pick {
+                        Key::Again => PartitionId(last_pid),
+                        _ => PartitionId(*pid),
+                    };
+                    last_pid = pid.0;
+                    key = match pick {
+                        Key::Again => key,
+                        Key::Colliding(i) => Value::Int(colliding()[*i]),
+                        Key::Wide(k) => Value::Int(*k),
+                        Key::Text(k) => Value::text(format!("key-{k}")),
+                    };
+                    let ts = (newest + ahead).saturating_sub(*late);
+                    newest = newest.max(ts);
+                    let t = TupleBuilder::new(StreamId(*stream))
+                        .seq(seq as u64)
+                        .ts(VirtualTime::from_millis(ts))
+                        .value(&"payload"[..seq % 7])
+                        .value(key.clone())
+                        .build();
+                    let one = rows.process(pid, t.clone(), &mut rows_sink);
+                    prop_assert!(one.is_ok());
+                    batch.push(pid, t);
+                }
+                Step::Pulse { .. } | Step::Cut => {
+                    let emitted = batched.process_batch(&batch, &mut batch_sink).unwrap();
+                    let counted_emitted = counted.process_batch(&batch, &mut count_sink);
+                    prop_assert_eq!(counted_emitted.unwrap(), emitted);
+                    batch.clear();
+                    prop_assert_eq!(rows.total_output(), batched.total_output());
+                    if let (Step::Pulse { back }, Some(_)) = (step, window) {
+                        let horizon = VirtualTime::from_millis(newest.saturating_sub(*back));
+                        let freed = rows.purge_expired(horizon, |_| false);
+                        prop_assert_eq!(batched.purge_expired(horizon, |_| false), freed);
+                        prop_assert_eq!(counted.purge_expired(horizon, |_| false), freed);
+                    }
+                    for op in [&batched, &counted] {
+                        prop_assert_eq!(op.state_bytes(), rows.state_bytes());
+                        prop_assert_eq!(op.state_bytes(), op.recompute_state_bytes());
+                        prop_assert_eq!(op.resident_partitions(), rows.resident_partitions());
+                    }
+                }
+            }
         }
-        let emitted = batched.process_batch(&batch, &mut sink_b).unwrap();
-        assert_eq!(emitted, per_tuple_emitted);
-        assert_eq!(emitted as usize, sink_b.len());
-        assert!(emitted > 0);
-        assert_eq!(counted.process_batch(&batch, &mut sink_c).unwrap(), emitted);
-        assert_eq!(sink_c.count(), emitted);
-        // Same result multiset (order may differ across partitions).
-        let sorted = |sink: &CollectingSink| {
-            let mut v: Vec<String> = sink
-                .results()
-                .iter()
-                .map(|r| r.iter().map(|t| t.to_string()).collect())
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(sorted(&sink_a), sorted(&sink_b));
-        // Same state, and the incremental totals never drift.
-        for op in [&batched, &counted] {
-            assert_eq!(per_tuple.state_bytes(), op.state_bytes());
-            assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-            assert_eq!(per_tuple.total_output(), op.total_output());
+        prop_assert_eq!(batch_sink.len(), rows_sink.len());
+        prop_assert_eq!(count_sink.count(), rows_sink.len() as u64);
+        prop_assert_eq!(multiset(&batch_sink), multiset(&rows_sink));
+        prop_assert_eq!(tracker.used() as usize, batched.state_bytes());
+        for pid in rows.resident_partitions() {
+            let (expected, ..) = rows.drain_group(pid).unwrap();
+            prop_assert_eq!(&batched.drain_group(pid).unwrap().0, &expected);
+            prop_assert_eq!(&counted.drain_group(pid).unwrap().0, &expected);
         }
-        assert_eq!(tracker.used() as usize, batched.state_bytes());
-        for pid in [PartitionId(0), PartitionId(1)] {
-            let (expected, ..) = per_tuple.drain_group(pid).unwrap();
-            assert_eq!(batched.drain_group(pid).unwrap().0, expected);
-            assert_eq!(counted.drain_group(pid).unwrap().0, expected);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: dcape_common::testing::proptest_cases(64),
+            ..ProptestConfig::default()
+        })]
+
+        /// A batch equals its rows fed one per batch: random batches
+        /// through `process_batch`, and the same rows one by one through
+        /// `process`, agree on every count, every result and every byte
+        /// of state. The batches hold same-key runs, keys whose hashes
+        /// share a home slot at every table size the cases reach, groups
+        /// that first arrive mid-batch (also after a pulse emptied them),
+        /// indexes that grow and sweep mid-batch, and — windowed — the
+        /// purge a `tick_with_horizon` pulse runs between two batches.
+        /// Each row's index entry and column ends are prefetched eight
+        /// rows ahead of its insert, while the rows in between move
+        /// slots, lists and columns about: a stale prefetch must change
+        /// nothing.
+        #[test]
+        fn batch_matches_per_tuple_path(
+            steps in proptest::collection::vec(step_strategy(), 20..300)
+        ) {
+            run(None, &steps)?;
+            run(Some(WINDOW_MS), &steps)?;
         }
     }
 
+    /// The keyed pass's buffer keeps its allocation from batch to batch.
+    #[test]
+    fn the_keyed_buffer_is_reused_across_batches() {
+        let mut op = op();
+        let mut sink = CountingSink::new();
+        let mut batch = TupleBatch::new();
+        for i in 0..20 {
+            batch.push(PartitionId(i as u32 % 4), tpl((i % 3) as u8, i, 1));
+        }
+        op.process_batch(&batch, &mut sink).unwrap();
+        let (ptr, cap) = (op.keyed.as_ptr(), op.keyed.capacity());
+        assert!(cap >= 20 && op.keyed.is_empty());
+        op.process_batch(&batch, &mut sink).unwrap();
+        op.process(PartitionId(1), tpl(0, 99, 1), &mut sink)
+            .unwrap();
+        assert_eq!((op.keyed.as_ptr(), op.keyed.capacity()), (ptr, cap));
+    }
+
+    /// An invalid row ends the batch wherever it sits: at its head,
+    /// inside the prefetch distance, past it. The rows before it are
+    /// inserted and accounted exactly as the same rows alone would be;
+    /// no row from it on is inserted, and none creates a group — the
+    /// lookahead only looks groups up.
     #[test]
     fn batch_inserts_valid_prefix_then_errors() {
         // Two ways a row can be refused: a stream the join does not
         // have, and (the join column being 1) a row with one column.
         let bad_stream = |i: u64| tpl2(7, i);
         let no_join_column = |i: u64| tpl(1, i, 1);
+        let op_on = |tracker| MJoinOperator::new(MJoinConfig::same_column(3, 1), tracker).unwrap();
         for bad in [bad_stream, no_join_column] {
-            let op_on =
-                |tracker| MJoinOperator::new(MJoinConfig::same_column(3, 1), tracker).unwrap();
-            // The reference: the valid prefix alone.
-            let mut prefix = op_on(MemoryTracker::new(10 << 20));
-            let mut prefix_sink = CountingSink::new();
-            let tracker = MemoryTracker::new(10 << 20);
-            let mut op = op_on(Arc::clone(&tracker));
-            let mut sink = CountingSink::new();
-            let mut batch = TupleBatch::new();
-            let pid = PartitionId(3);
-            for (i, stream) in [0u8, 1, 2, 0, 9, 1, 2].into_iter().enumerate() {
-                let i = i as u64;
-                let t = if i == 4 { bad(i) } else { tpl2(stream, i) };
-                if i < 4 {
-                    prefix.process(pid, t.clone(), &mut prefix_sink).unwrap();
+            for at in [0, 3, PREFETCH_AHEAD + 4] {
+                // The valid prefix alternates two groups; the bad row
+                // and every row behind it but one in four go to groups
+                // of their own.
+                let pid = |i: usize| match i {
+                    _ if i < at => PartitionId(3 + (i % 2) as u32),
+                    _ if i.is_multiple_of(4) => PartitionId(3),
+                    _ => PartitionId(100 + i as u32),
+                };
+                // The reference: the valid prefix alone.
+                let mut prefix = op_on(MemoryTracker::new(10 << 20));
+                let mut prefix_sink = CountingSink::new();
+                let tracker = MemoryTracker::new(10 << 20);
+                let mut op = op_on(Arc::clone(&tracker));
+                let mut sink = CountingSink::new();
+                let mut batch = TupleBatch::new();
+                for i in 0..at + 2 * PREFETCH_AHEAD {
+                    let t = if i == at {
+                        bad(i as u64)
+                    } else {
+                        tpl2((i % 3) as u8, i as u64)
+                    };
+                    if i < at {
+                        prefix.process(pid(i), t.clone(), &mut prefix_sink).unwrap();
+                    }
+                    batch.push(pid(i), t);
                 }
-                batch.push(pid, t);
+                assert!(
+                    op.process_batch(&batch, &mut sink).is_err(),
+                    "bad row at {at} reported"
+                );
+                assert_eq!(op.resident_partitions(), prefix.resident_partitions());
+                // Valid prefix inserted, tail dropped, and state bytes,
+                // tracker and productivity window account exactly that.
+                assert_eq!(sink.count(), prefix_sink.count());
+                assert_eq!(sink.count() > 0, at > 3, "the prefix joins");
+                assert_eq!(op.total_output(), prefix.total_output());
+                assert_eq!(op.state_bytes(), prefix.state_bytes());
+                assert_eq!(op.state_bytes(), op.recompute_state_bytes());
+                assert_eq!(tracker.used() as usize, op.state_bytes());
+                for pid in prefix.resident_partitions() {
+                    let (expected, ..) = prefix.drain_group(pid).unwrap();
+                    assert_eq!(op.drain_group(pid).unwrap().0, expected);
+                }
             }
-            assert!(
-                op.process_batch(&batch, &mut sink).is_err(),
-                "bad row reported"
-            );
-            // Valid prefix inserted, tail dropped, and state bytes,
-            // tracker and productivity window account exactly that.
-            let (snap, ..) = op.drain_group(pid).unwrap();
-            assert_eq!(snap.tuple_count(), 4);
-            op.install_group(snap, 0).unwrap();
-            assert_eq!(sink.count(), prefix_sink.count());
-            assert!(sink.count() > 0);
-            assert_eq!(op.total_output(), prefix.total_output());
-            assert_eq!(op.state_bytes(), prefix.state_bytes());
-            assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-            assert_eq!(tracker.used() as usize, op.state_bytes());
         }
     }
 

@@ -30,6 +30,7 @@
 //! The caller passes the hash in, so tests can force collisions and home
 //! slots at the table's end.
 
+use dcape_common::prefetch::prefetch;
 use dcape_common::value::Value;
 
 /// Positions a list holds inline before it spills to the heap.
@@ -142,6 +143,21 @@ impl PosList {
     }
 }
 
+/// Prefetch every cache line of the `n` values from `first` on: one
+/// hint per 64 bytes, and one for the last byte, which may lie a line
+/// further.
+#[inline]
+fn prefetch_lines<T>(first: *const T, n: usize) {
+    let bytes = n * std::mem::size_of::<T>();
+    let first = first.cast::<u8>();
+    let mut offset = 0;
+    while offset < bytes {
+        prefetch(first.wrapping_add(offset));
+        offset += 64;
+    }
+    prefetch(first.wrapping_add(bytes.saturating_sub(1)));
+}
+
 #[derive(Debug)]
 struct Slot {
     /// `hash | 1` of `key`; 0 when the slot is empty.
@@ -213,6 +229,20 @@ impl JoinIndex {
             return None;
         }
         self.probe(hash | 1, key).ok()
+    }
+
+    /// Start loading the home slot of a key whose hash is `hash`, and
+    /// that slot's `m` lists: the lines an insert of the key reads
+    /// first. A hint only — it reads nothing, so a slot that a later
+    /// insertion or sweep moves costs a wasted load, never a result.
+    #[inline]
+    pub(crate) fn prefetch(&self, hash: u64) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let home = self.home(hash | 1);
+        prefetch_lines(self.slots.as_ptr().wrapping_add(home), 1);
+        prefetch_lines(self.lists.as_ptr().wrapping_add(home * self.m), self.m);
     }
 
     /// Walk from `tag`'s home slot: `Ok(slot of key)` or `Err(the empty

@@ -15,11 +15,12 @@
 //! The state is **columnar** — struct-of-arrays per stream: a contiguous
 //! timestamp column, a packed per-row bookkeeping column (sequence
 //! number, accounted size, arena address) and one payload arena of
-//! encoded values, in pages ([`RowPages`]) — a [`TupleBatch`] row's
-//! `arity value*` tail, copied in as it arrives and never moved by a
-//! later append; and **one** `JoinIndex` for the whole group, whose
-//! entry for a key holds a position list per stream — so an insert pays
-//! one lookup, not one per stream. Join keys live only in that index. The
+//! encoded values, in pages ([`RowPages`]) — a
+//! [`TupleBatch`](dcape_common::batch::TupleBatch) row's `arity value*`
+//! tail, copied in as it arrives and never moved by a later append; and
+//! **one** `JoinIndex` for the whole group, whose entry for a key holds
+//! a position list per stream — so an insert pays one lookup, not one
+//! per stream. Join keys live only in that index. The
 //! probe path touches only the index entry and the columns (a count-only
 //! sink gets [`SpanList::TsOnly`] lists and never sees a row); rows are
 //! materialized from the arena only at the sink or spill boundary.
@@ -34,7 +35,9 @@
 //! insert that reaches an entry trims them off before it probes, and a
 //! growing index sweeps out the entries left with nothing live.
 
-use dcape_common::batch::{RowRef, TupleBatch};
+use dcape_common::batch::RowRef;
+#[cfg(test)]
+use dcape_common::batch::TupleBatch;
 #[cfg(test)]
 use dcape_common::codec::body_value;
 use dcape_common::codec::{decode_value, get_varint};
@@ -43,6 +46,7 @@ use dcape_common::hash::fx_hash;
 use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::mem::HeapSize;
 use dcape_common::pages::{RowAt, RowPages};
+use dcape_common::prefetch::prefetch;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_common::value::Value;
@@ -413,17 +417,16 @@ impl ColumnarState {
     /// results emitted.
     fn probe_insert(
         &mut self,
-        s: usize,
-        key: &Value,
-        row: &RowRef<'_>,
+        keyed: &KeyedRow<'_>,
         scratch: &mut Vec<Vec<Tuple>>,
         window: Option<VirtualDuration>,
         sink: &mut dyn ResultSink,
     ) -> Result<u64> {
+        let (s, row) = (keyed.slot, &keyed.row);
         self.check_capacity(s, row.body().len())?;
         let cols = &self.cols;
         let floor = |s: usize| cols[s].floor();
-        let slot = self.index.find_or_insert(fx_hash(key), key, floor);
+        let slot = self.index.find_or_insert(keyed.hash, &keyed.key, floor);
         self.index.trim(slot, floor);
         let matches = self.index.lists(slot);
         let emitted = Self::probe(&self.cols, matches, scratch, window, s, row, sink);
@@ -669,6 +672,51 @@ fn expired_prefix(live: &[VirtualTime], cutoff: VirtualTime) -> usize {
     lo + live[lo..hi.min(live.len())].partition_point(|&t| t < cutoff)
 }
 
+/// A batch row made ready for [`PartitionGroup::insert_row`]: checked
+/// against the join (its stream is one of the join's, and it has the
+/// stream's join column), its join key decoded and hashed — once.
+#[derive(Debug)]
+pub(crate) struct KeyedRow<'a> {
+    row: RowRef<'a>,
+    /// The row's stream, as a slot of the join.
+    slot: usize,
+    key: Value,
+    hash: u64,
+}
+
+impl<'a> KeyedRow<'a> {
+    /// Key `row` for a join whose stream `s` joins on column
+    /// `join_columns[s]`. Fails if the row's stream is not one of the
+    /// join's or lacks its join column.
+    #[inline]
+    pub(crate) fn new(row: RowRef<'a>, join_columns: &[usize]) -> Result<Self> {
+        let slot = row.stream().index();
+        let Some(&column) = join_columns.get(slot) else {
+            return Err(DcapeError::state(format!(
+                "stream {} out of range for {}-way join",
+                row.stream(),
+                join_columns.len()
+            )));
+        };
+        let key = row
+            .value(column)
+            .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
+        let hash = fx_hash(&key);
+        Ok(KeyedRow {
+            row,
+            slot,
+            key,
+            hash,
+        })
+    }
+
+    /// The row.
+    #[inline]
+    pub(crate) fn row(&self) -> &RowRef<'a> {
+        &self.row
+    }
+}
+
 /// In-memory join state for one partition ID across all input streams.
 #[derive(Debug)]
 pub struct PartitionGroup {
@@ -684,10 +732,6 @@ pub struct PartitionGroup {
     /// Reused per-stream row-materialization buffers for probes feeding
     /// row-wanting sinks (no per-probe allocation once warm).
     scratch: Vec<Vec<Tuple>>,
-    /// Reused one-row batch a [`Tuple`] handed to
-    /// [`insert`](Self::insert) is encoded into on its way to
-    /// [`insert_row`](Self::insert_row).
-    row_scratch: TupleBatch,
     /// See [`purge_rows_touched`](Self::purge_rows_touched).
     purge_touched: u64,
 }
@@ -710,7 +754,6 @@ impl PartitionGroup {
             output_count: 0,
             decay: DecayState::default(),
             scratch: Vec::new(),
-            row_scratch: TupleBatch::new(),
             purge_touched: 0,
         }
     }
@@ -766,55 +809,63 @@ impl PartitionGroup {
     }
 
     /// Symmetric-hash-join step: emit all new results formed with
-    /// `row` (one per combination of matching tuples in every other
-    /// stream), then store and index it. Returns the number of results
-    /// emitted and the bytes newly accounted.
+    /// `keyed`'s row (one per combination of matching tuples in every
+    /// other stream), then store and index it. Returns the number of
+    /// results emitted and the bytes newly accounted. `keyed` must have
+    /// been keyed for this group's join columns.
     ///
     /// The whole probe product reaches the sink as **one**
     /// [`ResultSink::emit_product`] call over borrowed span lists — no
     /// per-insert allocation (the span array lives on the stack for up
     /// to [`INLINE_STREAMS`] streams) and no per-combination virtual
-    /// dispatch for count-only sinks. Only the join key is decoded and
-    /// the row's encoded columns are copied into the arena as they are;
-    /// a sink answering [`ResultSink::wants_rows`]` == false` is served
-    /// [`SpanList::TsOnly`] lists straight off the timestamp columns —
-    /// no row is materialized at all.
-    pub fn insert_row(
+    /// dispatch for count-only sinks. The key comes decoded and hashed,
+    /// and the row's encoded columns are copied into the arena as they
+    /// are; a sink answering [`ResultSink::wants_rows`]` == false` is
+    /// served [`SpanList::TsOnly`] lists straight off the timestamp
+    /// columns — no row is materialized at all.
+    ///
+    /// Inlined into the batch loop, its one caller: returned through
+    /// memory, the two counts were written as two 8-byte stores and read
+    /// back as one 16-byte load, which the CPU cannot forward from two
+    /// stores, so every insert waited until all stores before it — its
+    /// appends to lines that missed the cache — had reached L1.
+    #[inline]
+    pub(crate) fn insert_row(
         &mut self,
-        row: &RowRef<'_>,
+        keyed: &KeyedRow<'_>,
         sink: &mut dyn ResultSink,
     ) -> Result<(u64, usize)> {
-        let s = self.stream_slot(row.stream())?;
-        let key = row
-            .value(self.join_columns[s])
-            .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
+        debug_assert_eq!(
+            keyed.row.value(self.join_columns[keyed.slot]).as_ref(),
+            Some(&keyed.key)
+        );
         let (state, scratch) = (&mut self.state, &mut self.scratch);
-        let emitted = state.probe_insert(s, &key, row, scratch, self.window, sink)?;
-        Ok(self.account(emitted, row.heap_size()))
+        let emitted = state.probe_insert(keyed, scratch, self.window, sink)?;
+        Ok(self.account(emitted, keyed.row.heap_size()))
     }
 
-    /// [`insert_row`](Self::insert_row) for a caller holding a
-    /// [`Tuple`]: it is encoded into a scratch row and takes the row
-    /// path, the one insert implementation.
-    pub fn insert(&mut self, tuple: Tuple, sink: &mut dyn ResultSink) -> Result<(u64, usize)> {
-        let mut one = std::mem::take(&mut self.row_scratch);
-        one.clear();
+    /// Start loading the lines an insert of `keyed` reaches first (see
+    /// [`insert_row`](Self::insert_row)): its key's home slot in the
+    /// join index and the slot's `m` lists, and the ends of its
+    /// stream's timestamp and bookkeeping columns, where the row is
+    /// appended. A hint: it changes nothing, whatever is inserted
+    /// before `keyed` is.
+    #[inline]
+    pub(crate) fn prefetch(&self, keyed: &KeyedRow<'_>) {
+        self.state.index.prefetch(keyed.hash);
+        let cp = &self.state.cols[keyed.slot];
+        prefetch(cp.ts.as_ptr().wrapping_add(cp.ts.len()));
+        prefetch(cp.meta.as_ptr().wrapping_add(cp.meta.len()));
+    }
+
+    /// Test-only: [`insert_row`](Self::insert_row) for a [`Tuple`],
+    /// through a one-row batch.
+    #[cfg(test)]
+    fn insert(&mut self, tuple: Tuple, sink: &mut dyn ResultSink) -> Result<(u64, usize)> {
+        let mut one = TupleBatch::new();
         one.push(self.pid, tuple);
-        let result = self.insert_row(&one.rows().next().expect("just pushed"), sink);
-        self.row_scratch = one;
-        result
-    }
-
-    /// The slot of `stream` in this join, or an error if it has none.
-    fn stream_slot(&self, stream: StreamId) -> Result<usize> {
-        let s = stream.index();
-        if s >= self.join_columns.len() {
-            return Err(DcapeError::state(format!(
-                "stream {stream} out of range for {}-way join",
-                self.join_columns.len()
-            )));
-        }
-        Ok(s)
+        let row = one.rows().next().expect("just pushed");
+        self.insert_row(&KeyedRow::new(row, &self.join_columns)?, sink)
     }
 
     /// Book one stored tuple of accounted size `heap_size` and the

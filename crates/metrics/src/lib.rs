@@ -5,6 +5,8 @@
 //! the figure curves read off it, and plain-text/CSV reporting used by
 //! the `repro` harness to regenerate the paper's figures and tables.
 
+#![deny(unsafe_code)]
+
 pub mod journal;
 pub mod report;
 pub mod series;

@@ -17,6 +17,8 @@
 //! crash-restart (the coordinator respawns the worker), 1 for
 //! everything else.
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 use dcape_common::ids::EngineId;

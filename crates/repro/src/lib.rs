@@ -17,6 +17,8 @@
 //!
 //! Run everything with `cargo run -p dcape-repro --release -- all`.
 
+#![deny(unsafe_code)]
+
 pub mod experiments;
 pub mod opts;
 pub mod scale;

@@ -39,6 +39,8 @@
 //! sweep; `fig7`/`cleanup1`, `fig9`/`fig10`, and `fig12`/`cleanup2`
 //! likewise.
 
+#![deny(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 

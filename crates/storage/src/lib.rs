@@ -18,6 +18,8 @@
 //! * [`diskmodel`] — virtual-time cost model for spill I/O: what an
 //!   engine charges for disk activity, whatever the backend really took.
 
+#![deny(unsafe_code)]
+
 pub mod backend;
 pub mod codec;
 pub mod diskmodel;

@@ -44,6 +44,8 @@
 //! # Ok::<(), dcape_common::DcapeError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod generator;
 pub mod partitioner;
 pub mod pattern;

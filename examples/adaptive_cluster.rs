@@ -10,6 +10,8 @@
 //! cargo run --release --example adaptive_cluster
 //! ```
 
+#![deny(unsafe_code)]
+
 use dcape::cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape::cluster::strategy::StrategyConfig;
 use dcape::cluster::PlacementSpec;

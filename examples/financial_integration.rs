@@ -20,6 +20,8 @@
 //! cargo run --release --example financial_integration
 //! ```
 
+#![deny(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

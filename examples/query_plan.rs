@@ -17,6 +17,8 @@
 //! cargo run --release --example query_plan
 //! ```
 
+#![deny(unsafe_code)]
+
 use dcape::common::ids::StreamId;
 use dcape::common::time::VirtualTime;
 use dcape::common::{Tuple, Value};

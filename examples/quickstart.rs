@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![deny(unsafe_code)]
+
 use dcape::common::ids::EngineId;
 use dcape::common::time::{VirtualDuration, VirtualTime};
 use dcape::engine::config::EngineConfig;

@@ -7,6 +7,8 @@
 //! cargo run --release --example skewed_workload
 //! ```
 
+#![deny(unsafe_code)]
+
 use dcape::cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape::cluster::runtime::threaded::run_threaded;
 use dcape::cluster::strategy::StrategyConfig;

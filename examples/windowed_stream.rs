@@ -9,6 +9,8 @@
 //! cargo run --release --example windowed_stream
 //! ```
 
+#![deny(unsafe_code)]
+
 use dcape::common::ids::{EngineId, PartitionId};
 use dcape::common::time::{VirtualDuration, VirtualTime};
 use dcape::engine::config::EngineConfig;

@@ -93,6 +93,8 @@
 //! # Ok::<(), dcape::common::DcapeError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use dcape_cluster as cluster;
 pub use dcape_common as common;
 pub use dcape_engine as engine;

@@ -752,6 +752,128 @@ mod tests {
             .contains("sample    QE1: mem=300/1000 groups=4 output=70 (+1)"));
     }
 
+    /// One golden line per event kind: every key, in order, and every
+    /// value's spelling. A non-finite `load_ratio` is `null`; an engine
+    /// sample's `num_groups` is `groups` and its `at` is left to the
+    /// entry's `at_ms`.
+    #[test]
+    fn every_event_kind_has_its_golden_json_line() {
+        use crate::journal::SpillTrigger;
+        use dcape_common::ids::{EngineId, PartitionId};
+        let events = [
+            AdaptEvent::SpillDecision {
+                engine: EngineId(1),
+                trigger: SpillTrigger::Forced,
+                groups: vec![PartitionId(3), PartitionId(70_000)],
+                state_bytes: 1000,
+                encoded_bytes: 800,
+                memory_used: 900,
+                memory_budget: 1000,
+            },
+            AdaptEvent::RelocationStep {
+                round: 4,
+                step: 1,
+                sender: EngineId(0),
+                receiver: EngineId(2),
+                parts: vec![],
+                bytes: 512,
+                buffered_tuples: 0,
+                load_ratio: 0.25,
+            },
+            AdaptEvent::RelocationStep {
+                round: 4,
+                step: 7,
+                sender: EngineId(0),
+                receiver: EngineId(2),
+                parts: vec![PartitionId(9)],
+                bytes: 0,
+                buffered_tuples: 33,
+                load_ratio: f64::NAN,
+            },
+            AdaptEvent::CleanupPhase {
+                engine: EngineId(2),
+                group: PartitionId(5),
+                missing_results: 6,
+                scanned_tuples: 60,
+                disk_bytes_read: 600,
+            },
+            AdaptEvent::MemoryPressure {
+                engine: EngineId(3),
+                used: 99,
+                budget: 100,
+            },
+            AdaptEvent::FaultInjected {
+                fault: "corrupt_length",
+                edge: "transfer_ack",
+                round: 8,
+                attempt: 2,
+            },
+            AdaptEvent::ProtocolWarning {
+                code: "phase_timeout_retry",
+                engine: EngineId(1),
+                round: 8,
+                detail: 1,
+            },
+            AdaptEvent::EngineJoined {
+                engine: EngineId(4),
+                members: 5,
+            },
+            AdaptEvent::EngineDrained {
+                engine: EngineId(4),
+                moves: 2,
+            },
+            AdaptEvent::EngineSample(EngineStatsReport {
+                engine: EngineId(1),
+                at: VirtualTime::from_secs(30),
+                memory_used: 300,
+                memory_budget: 1000,
+                num_groups: 4,
+                window_output: 1,
+                total_output: 70,
+            }),
+        ];
+        let entries: Vec<JournalEntry> = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| JournalEntry {
+                at: VirtualTime::from_millis(1500 + i as u64),
+                seq: 10 + i as u64,
+                event,
+            })
+            .collect();
+        let want = [
+            "{\"at_ms\":1500,\"seq\":10,\"kind\":\"spill_decision\",\"engine\":1,\
+             \"trigger\":\"forced\",\"groups\":[3,70000],\"state_bytes\":1000,\
+             \"encoded_bytes\":800,\"memory_used\":900,\"memory_budget\":1000}",
+            "{\"at_ms\":1501,\"seq\":11,\"kind\":\"relocation_step\",\"round\":4,\"step\":1,\
+             \"sender\":0,\"receiver\":2,\"parts\":[],\"bytes\":512,\"buffered_tuples\":0,\
+             \"load_ratio\":0.250000}",
+            "{\"at_ms\":1502,\"seq\":12,\"kind\":\"relocation_step\",\"round\":4,\"step\":7,\
+             \"sender\":0,\"receiver\":2,\"parts\":[9],\"bytes\":0,\"buffered_tuples\":33,\
+             \"load_ratio\":null}",
+            "{\"at_ms\":1503,\"seq\":13,\"kind\":\"cleanup_phase\",\"engine\":2,\"group\":5,\
+             \"missing_results\":6,\"scanned_tuples\":60,\"disk_bytes_read\":600}",
+            "{\"at_ms\":1504,\"seq\":14,\"kind\":\"memory_pressure\",\"engine\":3,\"used\":99,\
+             \"budget\":100}",
+            "{\"at_ms\":1505,\"seq\":15,\"kind\":\"fault_injected\",\"fault\":\"corrupt_length\",\
+             \"edge\":\"transfer_ack\",\"round\":8,\"attempt\":2}",
+            "{\"at_ms\":1506,\"seq\":16,\"kind\":\"protocol_warning\",\
+             \"code\":\"phase_timeout_retry\",\"engine\":1,\"round\":8,\"detail\":1}",
+            "{\"at_ms\":1507,\"seq\":17,\"kind\":\"engine_joined\",\"engine\":4,\"members\":5}",
+            "{\"at_ms\":1508,\"seq\":18,\"kind\":\"engine_drained\",\"engine\":4,\"moves\":2}",
+            "{\"at_ms\":1509,\"seq\":19,\"kind\":\"engine_sample\",\"engine\":1,\
+             \"memory_used\":300,\"memory_budget\":1000,\"groups\":4,\"window_output\":1,\
+             \"total_output\":70}",
+        ];
+        for (entry, want) in entries.iter().zip(want) {
+            assert_eq!(journal_entry_to_json(entry), want);
+        }
+        assert_eq!(
+            journal_to_jsonl(&entries),
+            want.map(|l| format!("{l}\n")).concat()
+        );
+    }
+
     #[test]
     fn journal_jsonl_writes_to_disk() {
         use crate::journal::{AdaptEvent, JournalHandle};

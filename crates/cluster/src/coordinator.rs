@@ -25,7 +25,7 @@ use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashMap;
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
-use dcape_metrics::journal::{AdaptEvent, JournalHandle};
+use dcape_metrics::journal::{AdaptEvent, JournalHandle, Warning};
 
 use crate::stats::ClusterStats;
 use crate::strategy::{Decision, Strategy, StrategyConfig};
@@ -404,7 +404,7 @@ impl GlobalCoordinator {
             return;
         };
         if m.ready {
-            self.warn("duplicate_join_ready", engine, self.next_round, 0, now);
+            self.warn(Warning::DuplicateJoinReady, engine, self.next_round, 0, now);
         } else {
             m.ready = true;
         }
@@ -479,7 +479,7 @@ impl GlobalCoordinator {
 
     fn start_drain(&mut self, engine: EngineId, now: VirtualTime) {
         self.members[engine.index()].state = EngineState::Draining;
-        self.warn("drain_started", engine, self.next_round, 0, now);
+        self.warn(Warning::DrainStarted, engine, self.next_round, 0, now);
         self.drain = Some(DrainCtl {
             engine,
             moves: 0,
@@ -511,7 +511,7 @@ impl GlobalCoordinator {
             || self.drain.as_ref().is_none_or(|d| d.engine != engine)
         {
             self.warn(
-                "stale_drain_state",
+                Warning::StaleDrainState,
                 engine,
                 self.next_round,
                 resident_bytes,
@@ -533,7 +533,7 @@ impl GlobalCoordinator {
         if let Some(ctl) = self.drain.as_mut().filter(|d| d.degraded) {
             if !std::mem::replace(&mut ctl.degrade_warned, true) {
                 self.warn(
-                    "drain_degraded_to_spill",
+                    Warning::DrainDegradedToSpill,
                     engine,
                     self.next_round,
                     resident_bytes,
@@ -560,7 +560,7 @@ impl GlobalCoordinator {
             }
             self.journal.add_rebalance_moves(1);
             self.warn(
-                "drain_remainder_remapped",
+                Warning::DrainRemainderRemapped,
                 engine,
                 self.next_round,
                 remapped_parts as u64,
@@ -640,7 +640,7 @@ impl GlobalCoordinator {
                 amount,
             }) if self.dead_peers.contains(&receiver) => {
                 self.warn(
-                    "relocation_degraded_to_spill",
+                    Warning::RelocationDegradedToSpill,
                     receiver,
                     self.next_round,
                     amount,
@@ -741,7 +741,7 @@ impl GlobalCoordinator {
             Outcome::Empty => {}
             Outcome::TimedOut => {
                 let step = round.phase.resent_step();
-                self.warn("round_aborted", round.receiver, round.id, step, now);
+                self.warn(Warning::RoundAborted, round.receiver, round.id, step, now);
                 self.journal.add_rounds_aborted(1);
                 if drain {
                     // Drain-round aborts almost always mean the *sender*
@@ -757,7 +757,7 @@ impl GlobalCoordinator {
                     if aborts >= PEER_DEATH_THRESHOLD && !self.dead_peers.contains(&receiver) {
                         self.dead_peers.push(receiver);
                         self.warn(
-                            "peer_declared_dead",
+                            Warning::PeerDeclaredDead,
                             receiver,
                             round.id,
                             u64::from(aborts),
@@ -785,7 +785,7 @@ impl GlobalCoordinator {
             self.journal.record(
                 now,
                 AdaptEvent::ProtocolWarning {
-                    code: "phase_timeout_retry",
+                    code: Warning::PhaseTimeoutRetry,
                     engine: r.sender,
                     round: r.id,
                     detail: r.phase.resent_step(),
@@ -829,14 +829,7 @@ impl GlobalCoordinator {
     }
 
     /// Journal a tolerated protocol anomaly.
-    fn warn(
-        &self,
-        code: &'static str,
-        engine: EngineId,
-        round: u64,
-        detail: u64,
-        now: VirtualTime,
-    ) {
+    fn warn(&self, code: Warning, engine: EngineId, round: u64, detail: u64, now: VirtualTime) {
         self.journal.record(
             now,
             AdaptEvent::ProtocolWarning {
@@ -865,7 +858,7 @@ impl GlobalCoordinator {
     ) -> Result<Option<Command>> {
         self.check_opened(round, "ptv")?;
         let Some(r) = self.round.as_mut().filter(|r| r.id == round) else {
-            self.warn("stale_ptv", from, round, 2, now);
+            self.warn(Warning::StalePtv, from, round, 2, now);
             // Unless it is sending the round in flight, resume the engine
             // a late `Cptv` may have put back in relocation mode.
             let sending = self.round.as_ref().is_some_and(|r| r.sender == from);
@@ -882,7 +875,7 @@ impl GlobalCoordinator {
         }
         if r.phase != Phase::WaitPtv {
             // The first copy already advanced the round.
-            self.warn("duplicate_ptv", from, round, 2, now);
+            self.warn(Warning::DuplicatePtv, from, round, 2, now);
             return Ok(None);
         }
         let (sender, receiver) = (r.sender, r.receiver);
@@ -931,7 +924,7 @@ impl GlobalCoordinator {
     ) -> Result<Option<Command>> {
         self.check_opened(round, "transfer_ack")?;
         let Some(r) = self.round.as_ref().filter(|r| r.id == round) else {
-            self.warn("stale_transfer_ack", from, round, 6, now);
+            self.warn(Warning::StaleTransferAck, from, round, 6, now);
             return Ok(None);
         };
         if from != r.receiver {
@@ -1025,7 +1018,7 @@ mod tests {
         }
     }
 
-    fn warnings(gc: &GlobalCoordinator) -> Vec<&'static str> {
+    fn warnings(gc: &GlobalCoordinator) -> Vec<Warning> {
         gc.journal
             .snapshot()
             .into_iter()
@@ -1141,10 +1134,10 @@ mod tests {
         assert_eq!(
             warnings(&gc),
             [
-                "duplicate_ptv",
-                "stale_transfer_ack",
-                "stale_ptv",
-                "stale_ptv"
+                Warning::DuplicatePtv,
+                Warning::StaleTransferAck,
+                Warning::StalePtv,
+                Warning::StalePtv
             ]
         );
     }
@@ -1287,7 +1280,10 @@ mod tests {
         );
         assert_eq!(gc.force_spills_issued(), 1);
         let w = warnings(&gc);
-        assert!(w.contains(&"peer_declared_dead") && w.contains(&"relocation_degraded_to_spill"));
+        assert!(
+            w.contains(&Warning::PeerDeclaredDead)
+                && w.contains(&Warning::RelocationDegradedToSpill)
+        );
     }
 
     #[test]

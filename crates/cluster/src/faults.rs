@@ -28,56 +28,21 @@
 //! and [`FaultPlan::stall_ms`] freezes an engine mid-relocation or
 //! mid-spill-cleanup for a bounded virtual duration.
 
+use dcape_metrics::journal::Fault;
+pub use dcape_metrics::journal::FaultEdge;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Protocol message edges the chaos layer can interfere with.
-///
-/// `CleanupSegments` is stall-only: cleanup forwarding rides the
-/// reliable channel (see the module docs), but an engine can still be
-/// frozen while it ships a partition's spilled segments to their owner
-/// (keyed by partition id; the stall is added to the engine's reported
-/// cleanup cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultEdge {
-    /// Step 1: coordinator asks the sender to choose partitions.
-    Cptv,
-    /// Step 2: sender reports its chosen partitions.
-    Ptv,
-    /// Step 3/4 trigger: coordinator tells the sender to extract/ship.
-    SendStates,
-    /// Step 5: the state transfer itself, sender → receiver.
-    InstallStates,
-    /// Step 6: receiver acknowledges the installed transfer.
-    TransferAck,
-    /// Spill-cleanup segment forwarding (stall-only edge).
-    CleanupSegments,
-}
-
-impl FaultEdge {
-    /// Stable snake_case name used in journal events.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultEdge::Cptv => "cptv",
-            FaultEdge::Ptv => "ptv",
-            FaultEdge::SendStates => "send_states",
-            FaultEdge::InstallStates => "install_states",
-            FaultEdge::TransferAck => "transfer_ack",
-            FaultEdge::CleanupSegments => "cleanup_segments",
-        }
-    }
-
-    /// Hash domain separating this edge's decision stream from every
-    /// other edge's.
-    fn domain(self) -> u64 {
-        match self {
-            FaultEdge::Cptv => 0x01,
-            FaultEdge::Ptv => 0x02,
-            FaultEdge::SendStates => 0x03,
-            FaultEdge::InstallStates => 0x04,
-            FaultEdge::TransferAck => 0x05,
-            FaultEdge::CleanupSegments => 0x06,
-        }
+/// Hash domain separating an edge's decision stream from every other
+/// edge's.
+fn domain(edge: FaultEdge) -> u64 {
+    match edge {
+        FaultEdge::Cptv => 0x01,
+        FaultEdge::Ptv => 0x02,
+        FaultEdge::SendStates => 0x03,
+        FaultEdge::InstallStates => 0x04,
+        FaultEdge::TransferAck => 0x05,
+        FaultEdge::CleanupSegments => 0x06,
     }
 }
 
@@ -99,14 +64,14 @@ pub enum FaultDecision {
 }
 
 impl FaultDecision {
-    /// Journal name for the injected fault (`Deliver` has none).
-    pub fn fault_name(self) -> Option<&'static str> {
+    /// The injected fault, for the journal (`Deliver` is none).
+    pub fn fault(self) -> Option<Fault> {
         match self {
             FaultDecision::Deliver => None,
-            FaultDecision::Drop => Some("drop"),
-            FaultDecision::Duplicate => Some("duplicate"),
-            FaultDecision::Delay(_) => Some("delay"),
-            FaultDecision::CorruptLength => Some("corrupt_length"),
+            FaultDecision::Drop => Some(Fault::Drop),
+            FaultDecision::Duplicate => Some(Fault::Duplicate),
+            FaultDecision::Delay(_) => Some(Fault::Delay),
+            FaultDecision::CorruptLength => Some(Fault::CorruptLength),
         }
     }
 }
@@ -243,7 +208,7 @@ impl FaultPlan {
         if !self.is_active() {
             return FaultDecision::Deliver;
         }
-        let mut rng = StdRng::seed_from_u64(edge_key(self.seed, edge.domain(), round, attempt));
+        let mut rng = StdRng::seed_from_u64(edge_key(self.seed, domain(edge), round, attempt));
         let x: f64 = rng.gen();
         let mut bound = self.cfg.drop_rate;
         if x < bound {
@@ -289,7 +254,7 @@ impl FaultPlan {
             return 0;
         }
         let mut rng =
-            StdRng::seed_from_u64(edge_key(self.seed, 0x20 ^ edge.domain(), round, attempt));
+            StdRng::seed_from_u64(edge_key(self.seed, 0x20 ^ domain(edge), round, attempt));
         if rng.gen_bool(self.cfg.stall_rate) {
             rng.gen_range(1..self.cfg.max_delay_ms + 1)
         } else {
@@ -425,10 +390,7 @@ mod tests {
     fn observed_fault_fraction_tracks_rate() {
         let plan = FaultPlan::new(11, FaultConfig::uniform(0.4));
         let decisions = schedule(&plan);
-        let faults = decisions
-            .iter()
-            .filter(|d| d.fault_name().is_some())
-            .count();
+        let faults = decisions.iter().filter(|d| d.fault().is_some()).count();
         let frac = faults as f64 / decisions.len() as f64;
         assert!(
             (0.25..0.55).contains(&frac),

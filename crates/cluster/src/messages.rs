@@ -95,8 +95,9 @@ pub enum ToEngine {
     /// exhausted: the sender reinstalls its retained outbound copy, the
     /// receiver discards any uncommitted installation, and both leave
     /// relocation mode. Ownership never changed, so the split's
-    /// buffered tuples replay to the original owner; a `Resume` follows
-    /// the replay to release the held watermark (commit/abort
+    /// buffered tuples replay to the original owner. No `Resume`
+    /// follows: the coordinator releases the purge watermark it held at
+    /// the splits, and the next `Tick`'s horizon carries it (commit/abort
     /// notifications ride the reliable channel — see
     /// `dcape-cluster::faults`).
     AbortRound {
@@ -201,8 +202,6 @@ pub enum FromEngine {
     CleanupReady {
         /// Reporting engine.
         engine: EngineId,
-        /// Segments forwarded to peers.
-        forwarded: usize,
     },
     /// Distributed cleanup: the engine's local merge finished; final
     /// counters.

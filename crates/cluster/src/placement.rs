@@ -253,10 +253,30 @@ impl PlacementMap {
         pids: &[PartitionId],
         new_owner: EngineId,
     ) -> Result<Vec<(PartitionId, Vec<Tuple>)>> {
+        self.release(pids, Some(new_owner))
+    }
+
+    /// Abort a relocation round: unpause the partitions **without**
+    /// changing ownership and return the buffered tuples (in arrival
+    /// order) for redelivery to the original owner.
+    pub fn release_paused(
+        &mut self,
+        pids: &[PartitionId],
+    ) -> Result<Vec<(PartitionId, Vec<Tuple>)>> {
+        self.release(pids, None)
+    }
+
+    /// Unpause `pids`, handing them to `new_owner` if there is one, and
+    /// re-derive the held watermark from what stays buffered.
+    fn release(
+        &mut self,
+        pids: &[PartitionId],
+        new_owner: Option<EngineId>,
+    ) -> Result<Vec<(PartitionId, Vec<Tuple>)>> {
         // Validate first so the map never ends half-updated.
-        if self.is_fenced(new_owner) {
+        if let Some(owner) = new_owner.filter(|e| self.is_fenced(*e)) {
             return Err(DcapeError::protocol(format!(
-                "remap targets fenced engine {new_owner}"
+                "remap targets fenced engine {owner}"
             )));
         }
         for pid in pids {
@@ -271,48 +291,14 @@ impl PlacementMap {
         }
         let mut released = Vec::with_capacity(pids.len());
         for pid in pids {
-            self.owners[pid.index()] = new_owner;
+            if let Some(owner) = new_owner {
+                self.owners[pid.index()] = owner;
+            }
             let buffered = self.paused.remove(pid).expect("validated above");
             released.push((*pid, buffered));
         }
-        // Recompute the held watermark over whatever remains buffered
-        // (buffers are arrival-ordered with nondecreasing timestamps,
-        // so each buffer's minimum is its first element).
-        self.oldest_buffered = self
-            .paused
-            .values()
-            .filter_map(|buf| buf.first())
-            .map(Tuple::ts)
-            .min();
-        self.version += 1;
-        Ok(released)
-    }
-
-    /// Abort a relocation round: unpause the partitions **without**
-    /// changing ownership and return the buffered tuples (in arrival
-    /// order) for redelivery to the original owner. The mirror of
-    /// [`PlacementMap::remap_and_release`] for the abort path — the
-    /// held watermark is re-derived and released exactly the same way,
-    /// only the owner reassignment is skipped.
-    pub fn release_paused(
-        &mut self,
-        pids: &[PartitionId],
-    ) -> Result<Vec<(PartitionId, Vec<Tuple>)>> {
-        for pid in pids {
-            if pid.index() >= self.owners.len() {
-                return Err(DcapeError::state(format!("unknown partition {pid}")));
-            }
-            if !self.paused.contains_key(pid) {
-                return Err(DcapeError::protocol(format!(
-                    "partition {pid} released without pause"
-                )));
-            }
-        }
-        let mut released = Vec::with_capacity(pids.len());
-        for pid in pids {
-            let buffered = self.paused.remove(pid).expect("validated above");
-            released.push((*pid, buffered));
-        }
+        // Buffers are arrival-ordered with nondecreasing timestamps, so
+        // each buffer's minimum is its first element.
         self.oldest_buffered = self
             .paused
             .values()

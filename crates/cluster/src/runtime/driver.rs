@@ -43,6 +43,7 @@ use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_metrics::journal::{
     merge_journals, AdaptEvent, CountersSnapshot, EngineStatsReport, JournalEntry, JournalHandle,
+    Warning,
 };
 use dcape_streamgen::StreamSetGenerator;
 
@@ -122,13 +123,13 @@ pub(crate) fn edge_decision(
     attempt: u32,
 ) -> FaultDecision {
     let decision = plan.decide(edge, round, attempt);
-    if let Some(fault) = decision.fault_name() {
+    if let Some(fault) = decision.fault() {
         journal.add_faults_injected(1);
         journal.record(
             now,
             AdaptEvent::FaultInjected {
                 fault,
-                edge: edge.name(),
+                edge,
                 round,
                 attempt,
             },
@@ -463,10 +464,10 @@ impl<T: Transport> CoordinatorRun<T> {
             let (code, engine, round, detail) = match msg {
                 FromEngine::CleanupReady { .. } | FromEngine::CleanupDone { .. } => return Ok(msg),
                 FromEngine::Ptv { round, engine, .. } => {
-                    ("stale_ptv_after_quiesce", engine, round, 2)
+                    (Warning::StalePtvAfterQuiesce, engine, round, 2)
                 }
                 FromEngine::TransferAck { round, engine, .. } => {
-                    ("stale_ack_after_quiesce", engine, round, 6)
+                    (Warning::StaleAckAfterQuiesce, engine, round, 6)
                 }
                 FromEngine::Stats(_)
                 | FromEngine::DrainState { .. }

@@ -35,7 +35,7 @@ use dcape_engine::controller::Mode;
 use dcape_engine::engine::{ExtractedGroup, QueryEngine};
 use dcape_engine::probe::ProbeSpans;
 use dcape_engine::sink::{CollectingSink, ResultSink};
-use dcape_metrics::journal::{AdaptEvent, JournalHandle};
+use dcape_metrics::journal::{AdaptEvent, Fault, JournalHandle, Warning};
 use dcape_storage::FileBackend;
 
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
@@ -343,7 +343,7 @@ impl EngineCore {
     }
 
     /// Journal a tolerated protocol anomaly.
-    fn warn(&self, code: &'static str, engine: EngineId, round: u64, detail: u64) {
+    fn warn(&self, code: Warning, engine: EngineId, round: u64, detail: u64) {
         self.qe.journal().record(
             self.last_now,
             AdaptEvent::ProtocolWarning {
@@ -357,13 +357,13 @@ impl EngineCore {
 
     /// Journal and count a fault injected outside the per-message
     /// decisions (a stall, a crash-restart).
-    fn note_fault(&self, fault: &'static str, edge: FaultEdge, round: u64, attempt: u32) {
+    fn note_fault(&self, fault: Fault, edge: FaultEdge, round: u64, attempt: u32) {
         self.qe.journal().add_faults_injected(1);
         self.qe.journal().record(
             self.last_now,
             AdaptEvent::FaultInjected {
                 fault,
-                edge: edge.name(),
+                edge,
                 round,
                 attempt,
             },
@@ -453,7 +453,7 @@ impl EngineCore {
                         }
                     })?;
                 } else {
-                    self.warn("stale_cptv", id, round, 1);
+                    self.warn(Warning::StaleCptv, id, round, 1);
                 }
             }
             ToEngine::SendStates {
@@ -466,11 +466,11 @@ impl EngineCore {
                     match (self.round).on_send_states(&mut self.qe, round, &parts, receiver) {
                         Outbound::Ship(groups, fresh) => (groups, fresh),
                         Outbound::Stale => {
-                            self.warn("stale_send_states", id, round, 4);
+                            self.warn(Warning::StaleSendStates, id, round, 4);
                             return Ok(EngineFlow::Continue);
                         }
                         Outbound::Fenced => {
-                            self.warn("send_to_fenced_dropped", receiver, round, 4);
+                            self.warn(Warning::SendToFencedDropped, receiver, round, 4);
                             return Ok(EngineFlow::Continue);
                         }
                     };
@@ -513,7 +513,7 @@ impl EngineCore {
                 let mut declared_bytes = bytes;
                 let mut delay_ms = plan.stall_ms(FaultEdge::InstallStates, round, attempt);
                 if delay_ms > 0 {
-                    self.note_fault("stall", FaultEdge::InstallStates, round, attempt);
+                    self.note_fault(Fault::Stall, FaultEdge::InstallStates, round, attempt);
                 }
                 let mut copies = 1u32;
                 match edge_decision(
@@ -571,11 +571,16 @@ impl EngineCore {
                 // size, discard on mismatch and send no ack — the
                 // sender's phase timeout re-sends the transfer.
                 if declared_bytes != bytes {
-                    self.warn("corrupt_transfer_discarded", id, round, declared_bytes);
+                    self.warn(Warning::CorruptTransferDiscarded, id, round, declared_bytes);
                     return Ok(EngineFlow::Continue);
                 }
                 if plan.crash_during_install(round, attempt) {
-                    self.note_fault("crash_restart", FaultEdge::InstallStates, round, attempt);
+                    self.note_fault(
+                        Fault::CrashRestart,
+                        FaultEdge::InstallStates,
+                        round,
+                        attempt,
+                    );
                     return Ok(EngineFlow::CrashRequested);
                 }
                 let parts: Vec<PartitionId> = groups.iter().map(|g| g.snapshot.partition).collect();
@@ -600,7 +605,7 @@ impl EngineCore {
                     // Duplicate (or stale) install: a no-op, but
                     // the ack must still go out — the first one
                     // may have been lost.
-                    self.warn("duplicate_install", id, round, 5);
+                    self.warn(Warning::DuplicateInstall, id, round, 5);
                 }
                 self.chaos_reply(plan, FaultEdge::TransferAck, round, attempt, tx, || {
                     FromEngine::TransferAck {
@@ -617,7 +622,7 @@ impl EngineCore {
                 // replayed tuples on the same FIFO channel); the
                 // receiver discards the uncommitted installation.
                 let unwound = self.round.on_abort(&mut self.qe, round)?;
-                self.warn("round_unwound", id, round, unwound as u64);
+                self.warn(Warning::RoundUnwound, id, round, unwound as u64);
             }
             ToEngine::Resume { round, watermark } => {
                 // The round completed: the sender drops its
@@ -649,7 +654,6 @@ impl EngineCore {
             }
             ToEngine::PrepareCleanup { owners } => {
                 // Forward segments of partitions owned elsewhere.
-                let mut forwarded = 0usize;
                 for pid in self.qe.spilled_partitions() {
                     let owner = owners
                         .get(pid.index())
@@ -663,17 +667,18 @@ impl EngineCore {
                     // makes this engine's share of the cleanup slower.
                     let stall = plan.stall_ms(FaultEdge::CleanupSegments, u64::from(pid.0), 0);
                     if stall > 0 {
-                        self.note_fault("stall", FaultEdge::CleanupSegments, u64::from(pid.0), 0);
+                        self.note_fault(
+                            Fault::Stall,
+                            FaultEdge::CleanupSegments,
+                            u64::from(pid.0),
+                            0,
+                        );
                         self.cleanup_stall_ms += stall;
                     }
                     let segments = self.qe.take_spilled_segments(pid)?;
-                    forwarded += segments.len();
                     tx.to_peer(owner, ToEngine::ForwardedSegments { pid, segments })?;
                 }
-                tx.to_gc(FromEngine::CleanupReady {
-                    engine: id,
-                    forwarded,
-                })?;
+                tx.to_gc(FromEngine::CleanupReady { engine: id })?;
             }
             ToEngine::ForwardedSegments { segments, .. } => {
                 self.qe.import_segments(segments)?;
@@ -908,7 +913,7 @@ mod tests {
         }
 
         /// The `detail` of each warning `code` engine `e` journaled.
-        fn warnings(&self, e: usize, code: &str) -> Vec<u64> {
+        fn warnings(&self, e: usize, code: Warning) -> Vec<u64> {
             (self.events(e).into_iter())
                 .filter_map(|event| match event {
                     AdaptEvent::ProtocolWarning {
@@ -1025,7 +1030,7 @@ mod tests {
             "a duplicate must not double state"
         );
         assert_eq!(pair.acks(1, 7), 2, "the first ack may have been lost");
-        assert_eq!(pair.warnings(1, "duplicate_install"), [5]);
+        assert_eq!(pair.warnings(1, Warning::DuplicateInstall), [5]);
         assert_eq!(pair.steps(1, 5), 1);
         pair.assert_accounting();
     }
@@ -1092,7 +1097,7 @@ mod tests {
         assert_eq!(pair.resident(0), pids(&P0));
         assert_eq!(pair.resident(1), []);
         for e in 0..2 {
-            assert_eq!(pair.warnings(e, "round_unwound"), [P0.len() as u64]);
+            assert_eq!(pair.warnings(e, Warning::RoundUnwound), [P0.len() as u64]);
             assert_eq!(pair.cores[e].qe.mode(), Mode::Normal);
         }
         pair.assert_accounting();
@@ -1117,7 +1122,7 @@ mod tests {
         assert_eq!(pair.acks(1, 5), 1, "the crash sent no ack");
         pair.abort(5, 0);
         assert_eq!([pair.mem(0), pair.mem(1)], before);
-        assert_eq!(pair.warnings(1, "round_unwound"), [0]);
+        assert_eq!(pair.warnings(1, Warning::RoundUnwound), [0]);
         pair.assert_accounting();
     }
 
@@ -1168,15 +1173,15 @@ mod tests {
         pair.cptv(2, 0);
         pair.send_states(2, 0, &pids(&P0), 1);
         assert!(pair.tx.wire.is_empty(), "nothing re-shipped");
-        assert_eq!(pair.warnings(0, "stale_cptv"), [1]);
-        assert_eq!(pair.warnings(0, "stale_send_states"), [4]);
+        assert_eq!(pair.warnings(0, Warning::StaleCptv), [1]);
+        assert_eq!(pair.warnings(0, Warning::StaleSendStates), [4]);
         pair.tx.wire.push_back((EngineId(1), late));
         pair.deliver();
-        assert_eq!(pair.warnings(1, "duplicate_install"), [5]);
+        assert_eq!(pair.warnings(1, Warning::DuplicateInstall), [5]);
         assert_eq!(pair.acks(1, 2), 2);
         pair.abort(2, 0);
         assert_eq!((pair.mem(0), pair.mem(1)), (0, held));
-        assert_eq!(pair.warnings(0, "round_unwound"), [0]);
+        assert_eq!(pair.warnings(0, Warning::RoundUnwound), [0]);
         assert_eq!(pair.resident(1), pids(&P0));
         pair.assert_accounting();
     }
@@ -1544,11 +1549,11 @@ mod tests {
                         attempt: live.sends,
                     };
                     let (mem, wire) = (self.pair.mem(from), self.pair.tx.wire.len());
-                    let dropped = self.pair.warnings(from, "send_to_fenced_dropped").len();
+                    let dropped = self.pair.warnings(from, Warning::SendToFencedDropped).len();
                     self.run(from, ToEngine::FenceNotice { engine: fenced })?;
                     self.run(from, send)?;
                     prop_assert_eq!(
-                        self.pair.warnings(from, "send_to_fenced_dropped").len(),
+                        self.pair.warnings(from, Warning::SendToFencedDropped).len(),
                         dropped + 1
                     );
                     prop_assert_eq!((self.pair.mem(from), self.pair.tx.wire.len()), (mem, wire));
@@ -1663,7 +1668,7 @@ mod tests {
                                 amount: u64::MAX,
                                 attempt: 9,
                             },
-                            Some("stale_cptv"),
+                            Some(Warning::StaleCptv),
                         ),
                         Late::SendStates => {
                             let receiver = EngineId(1 - from as u16);
@@ -1673,7 +1678,7 @@ mod tests {
                                 receiver,
                                 attempt: 9,
                             };
-                            (send, Some("stale_send_states"))
+                            (send, Some(Warning::StaleSendStates))
                         }
                         Late::Resume => {
                             if self.live.as_ref().is_some_and(|live| live.from == from) {

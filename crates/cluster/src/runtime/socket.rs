@@ -74,7 +74,7 @@ use std::time::Duration;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::EngineId;
 use dcape_common::time::VirtualTime;
-use dcape_metrics::journal::{AdaptEvent, JournalHandle};
+use dcape_metrics::journal::{AdaptEvent, JournalHandle, Warning};
 use dcape_storage::backend::create_unlinked;
 
 use crate::faults::FaultPlan;
@@ -557,7 +557,7 @@ impl TcpTransport {
         self.journal.record(
             now,
             AdaptEvent::ProtocolWarning {
-                code: "worker_respawned",
+                code: Warning::WorkerRespawned,
                 engine,
                 round: 0,
                 detail: count as u64,

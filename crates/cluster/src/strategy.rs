@@ -395,7 +395,9 @@ mod tests {
     use crate::runtime::sim::SimDriver;
     use crate::stats::tests::report;
     use crate::testing::{pinned_runs, PINNED_RUN_END};
-    use dcape_metrics::journal::{AdaptEvent, EngineStatsReport, JournalEntry, SpillTrigger};
+    use dcape_metrics::journal::{
+        AdaptEvent, EngineStatsReport, JournalEntry, SpillTrigger, Warning,
+    };
 
     const E0: EngineId = EngineId(0);
     const E1: EngineId = EngineId(1);
@@ -764,19 +766,19 @@ mod tests {
                     round: id,
                     detail,
                 } => match code {
-                    "drain_started" => {
+                    Warning::DrainStarted => {
                         draining = true;
                         joiners.retain(|j| *j != engine);
                     }
-                    "peer_declared_dead" => dead.push(engine),
-                    "relocation_degraded_to_spill" => {
+                    Warning::PeerDeclaredDead => dead.push(engine),
+                    Warning::RelocationDegradedToSpill => {
                         let degraded = Shown::Degraded {
                             receiver: engine,
                             amount: detail,
                         };
                         shown.push((e.at, degraded));
                     }
-                    "round_aborted" if round == Some(id) => round = None,
+                    Warning::RoundAborted if round == Some(id) => round = None,
                     _ => {}
                 },
                 AdaptEvent::RelocationStep {

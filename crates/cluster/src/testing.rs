@@ -9,7 +9,7 @@ use std::path::Path;
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
-use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry};
+use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, Warning};
 use dcape_streamgen::{ArrivalPattern, ClassAssignment, PartitionClass, StreamSetSpec};
 
 use crate::faults::{FaultConfig, FaultPlan};
@@ -57,7 +57,7 @@ pub fn assert_chaos_invariants(journal: &[JournalEntry], counters: &CountersSnap
         counters.faults_injected, journaled_faults as u64,
         "every injected fault must be journaled exactly once"
     );
-    let warned = |code: &str| {
+    let warned = |code: Warning| {
         count_events(
             journal,
             |e| matches!(e, AdaptEvent::ProtocolWarning { code: c, .. } if *c == code),
@@ -65,12 +65,12 @@ pub fn assert_chaos_invariants(journal: &[JournalEntry], counters: &CountersSnap
     };
     assert_eq!(
         counters.msgs_retried,
-        warned("phase_timeout_retry"),
+        warned(Warning::PhaseTimeoutRetry),
         "retry accounting"
     );
     assert_eq!(
         counters.rounds_aborted,
-        warned("round_aborted"),
+        warned(Warning::RoundAborted),
         "abort accounting"
     );
     assert!(

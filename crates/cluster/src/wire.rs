@@ -11,17 +11,19 @@
 //! A private trait, `Wire`, is one type's encoding in both directions.
 //! It is written by hand once per leaf type — integers (varints,
 //! narrowed on decode with `try_from`), `u8`, `bool`, `f64`, ids,
-//! times, `Vec`, `Option`, interned `&'static str`, and the three types
-//! that own a format of their own (`SpilledGroup`, `TupleBatch`,
-//! `CountersSnapshot`). Every record above the leaves is one
-//! declaration: `wire_struct!` takes a struct's field names and
-//! `wire_enum!` an enum's tags, variants and field names, and each
-//! emits the encoder and the decoder from that single list. The
-//! encoder's pattern is exhaustive and the decoder builds a struct
-//! literal, so a field or variant missing from a list does not compile:
-//! adding one to a message is an edit to its type and to its list,
-//! nowhere else. A message's kind byte and its frame-log name live in
-//! the `ToEngine` / `FromEngine` lists.
+//! times, `Vec`, `Option`, and the three types that own a format of
+//! their own (`SpilledGroup`, `TupleBatch`, `CountersSnapshot`). Every
+//! record above the leaves is one declaration: `wire_struct!` takes a
+//! struct's field names and `wire_enum!` an enum's tags, variants and
+//! field names, and each emits the encoder and the decoder from that
+//! single list. The encoder's pattern is exhaustive and the decoder
+//! builds a struct literal, so a field or variant missing from a list
+//! does not compile: adding one to a message is an edit to its type and
+//! to its list, nowhere else. A message's kind byte and its frame-log
+//! name live in the `ToEngine` / `FromEngine` lists. The journal's
+//! vocabularies — warning codes, faults, fault edges, spill triggers —
+//! are tag lists too: a code the receiver does not know is a codec
+//! error, never a string to keep.
 //!
 //! ## Framing
 //!
@@ -56,7 +58,8 @@ use dcape_engine::config::{CostModel, EngineConfig, MJoinConfig};
 use dcape_engine::spill::policy::VictimPolicy;
 use dcape_engine::state::productivity::ProductivityEstimator;
 use dcape_metrics::journal::{
-    AdaptEvent, CountersSnapshot, EngineStatsReport, JournalEntry, SpillTrigger,
+    AdaptEvent, CountersSnapshot, EngineStatsReport, Fault, FaultEdge, JournalEntry, SpillTrigger,
+    Warning,
 };
 use dcape_storage::codec::{get_varint, put_varint};
 use dcape_storage::{DiskModel, SegmentCodec, SpilledGroup};
@@ -357,64 +360,6 @@ fn take_prefixed<'a>(buf: &mut &'a [u8], what: &str) -> Result<&'a [u8]> {
     Ok(head)
 }
 
-/// Journal events carry `&'static str` codes; known codes decode to the
-/// program's own literals (pointer-stable, allocation-free), unknown
-/// ones — a newer peer, a fuzzer — are leaked once and kept.
-fn intern(s: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        // Fault names (FaultDecision::fault_name + stall/crash).
-        "drop",
-        "duplicate",
-        "delay",
-        "corrupt_length",
-        "stall",
-        "crash_restart",
-        // Edge names (FaultEdge::name).
-        "cptv",
-        "ptv",
-        "send_states",
-        "install_states",
-        "transfer_ack",
-        "cleanup_segments",
-        // Protocol warning codes.
-        "corrupt_transfer_discarded",
-        "drain_degraded_to_spill",
-        "drain_remainder_remapped",
-        "drain_started",
-        "duplicate_install",
-        "duplicate_join_ready",
-        "peer_declared_dead",
-        "phase_timeout_retry",
-        "relocation_degraded_to_spill",
-        "round_aborted",
-        "round_unwound",
-        "send_to_fenced_dropped",
-        "stale_ack_after_quiesce",
-        "stale_cptv",
-        "stale_drain_state",
-        "stale_ptv_after_quiesce",
-        "stale_send_states",
-        "stale_transfer_ack",
-        "worker_respawned",
-    ];
-    match KNOWN.iter().find(|k| **k == s) {
-        Some(k) => k,
-        None => Box::leak(s.into()),
-    }
-}
-
-impl Wire for &'static str {
-    fn put(&self, buf: &mut Vec<u8>) {
-        push_prefixed(buf, self.as_bytes());
-    }
-
-    fn get(buf: &mut &[u8]) -> Result<Self> {
-        std::str::from_utf8(take_prefixed(buf, "string byte")?)
-            .map(intern)
-            .map_err(|_| DcapeError::codec("wire: invalid utf-8 string"))
-    }
-}
-
 /// A group travels as its own segment encoding, length-prefixed.
 impl Wire for SpilledGroup {
     fn put(&self, buf: &mut Vec<u8>) {
@@ -482,6 +427,21 @@ wire_struct! {
 }
 
 wire_enum!(SpillTrigger { 0 = MemoryThreshold, 1 = Forced });
+wire_enum!(Warning {
+    0 = StalePtv, 1 = DuplicatePtv, 2 = StaleTransferAck, 3 = PhaseTimeoutRetry, 4 = RoundAborted,
+    5 = PeerDeclaredDead, 6 = RelocationDegradedToSpill, 7 = DuplicateJoinReady,
+    8 = DrainStarted, 9 = StaleDrainState, 10 = DrainDegradedToSpill,
+    11 = DrainRemainderRemapped, 12 = StalePtvAfterQuiesce, 13 = StaleAckAfterQuiesce,
+    14 = StaleCptv, 15 = StaleSendStates, 16 = SendToFencedDropped,
+    17 = CorruptTransferDiscarded, 18 = DuplicateInstall, 19 = RoundUnwound,
+    20 = WorkerRespawned
+});
+wire_enum!(Fault {
+    0 = Drop, 1 = Duplicate, 2 = Delay, 3 = CorruptLength, 4 = Stall, 5 = CrashRestart
+});
+wire_enum!(FaultEdge {
+    0 = Cptv, 1 = Ptv, 2 = SendStates, 3 = InstallStates, 4 = TransferAck, 5 = CleanupSegments
+});
 wire_enum!(VictimPolicy {
     0 = Random, 1 = LargestFirst, 2 = SmallestFirst, 3 = LeastProductive, 4 = MostProductive
 });
@@ -529,7 +489,7 @@ wire_enum!(FromEngine {
     0x20 "ptv" = Ptv { round, engine, parts },
     0x21 "transfer_ack" = TransferAck { round, engine, bytes },
     0x22 "stats" = Stats(report),
-    0x23 "cleanup_ready" = CleanupReady { engine, forwarded },
+    0x23 "cleanup_ready" = CleanupReady { engine },
     0x24 "cleanup_done" = CleanupDone {
         engine, runtime_output, cleanup_output, spill_count, cleanup_cost_ms, journal,
         journal_counters
@@ -952,7 +912,6 @@ mod tests {
             }),
             FromEngine::CleanupReady {
                 engine: EngineId(0),
-                forwarded: 4,
             },
             FromEngine::CleanupDone {
                 engine: EngineId(0),
@@ -965,8 +924,8 @@ mod tests {
                         at: VirtualTime::from_secs(10),
                         seq: 1,
                         event: AdaptEvent::FaultInjected {
-                            fault: "drop",
-                            edge: "ptv",
+                            fault: Fault::Drop,
+                            edge: FaultEdge::Ptv,
                             round: 2,
                             attempt: 0,
                         },
@@ -975,7 +934,7 @@ mod tests {
                         at: VirtualTime::from_secs(11),
                         seq: 2,
                         event: AdaptEvent::ProtocolWarning {
-                            code: "duplicate_install",
+                            code: Warning::DuplicateInstall,
                             engine: EngineId(0),
                             round: 2,
                             detail: 5,
@@ -1139,31 +1098,42 @@ mod tests {
         );
     }
 
+    /// Warning codes, faults and edges travel as tags of a closed
+    /// vocabulary: an entry whose tag lies past the last one is a codec
+    /// error, not a string to keep.
     #[test]
-    fn interned_codes_are_program_literals() {
-        let entry = JournalEntry {
-            at: VirtualTime::ZERO,
-            seq: 0,
-            event: AdaptEvent::FaultInjected {
-                fault: "crash_restart",
-                edge: "install_states",
-                round: 0,
-                attempt: 0,
-            },
+    fn journal_codes_outside_the_vocabulary_are_refused() {
+        // at=13 seq=4, then the event: protocol_warning code engine
+        // round detail, or fault_injected fault edge round attempt.
+        let entry = |event: [u8; 5]| {
+            let mut bytes = vec![13, 4];
+            bytes.extend_from_slice(&event);
+            JournalEntry::get(&mut bytes.as_slice())
         };
-        let mut buf = Vec::new();
-        vec![entry].put(&mut buf);
-        let got = Vec::<JournalEntry>::get(&mut buf.as_slice()).unwrap();
-        match &got[0].event {
-            AdaptEvent::FaultInjected { fault, edge, .. } => {
-                assert_eq!(*fault, "crash_restart");
-                assert_eq!(*edge, "install_states");
-                // Known codes come back pointer-stable (no per-decode leak).
-                assert!(std::ptr::eq(*fault, intern("crash_restart")));
-                assert!(std::ptr::eq(*edge, intern("install_states")));
+        let last = [[6, 20, 1, 2, 3], [5, 5, 0, 2, 3], [5, 0, 5, 2, 3]];
+        let past = [[6, 21, 1, 2, 3], [5, 6, 0, 2, 3], [5, 0, 6, 2, 3]];
+        for (last, past) in last.into_iter().zip(past) {
+            assert!(entry(last).is_ok(), "{last:?}");
+            match entry(past) {
+                Err(DcapeError::Codec(_)) => {}
+                other => panic!("{past:?}: expected a codec error, got {other:?}"),
             }
-            other => panic!("unexpected event {other:?}"),
         }
+        assert!(matches!(
+            entry(last[0]).unwrap().event,
+            AdaptEvent::ProtocolWarning {
+                code: Warning::WorkerRespawned,
+                ..
+            }
+        ));
+        assert!(matches!(
+            entry(last[1]).unwrap().event,
+            AdaptEvent::FaultInjected {
+                fault: Fault::CrashRestart,
+                edge: FaultEdge::Cptv,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1338,11 +1308,8 @@ mod tests {
             payload
         };
         let fault_injected = |attempt: u64| {
-            let mut event = vec![5, 4];
-            event.extend_from_slice(b"drop");
-            event.push(3);
-            event.extend_from_slice(b"ptv");
-            put_varint(&mut event, 2);
+            // fault_injected: drop at ptv, round 2.
+            let mut event = vec![5, 0, 1, 2];
             put_varint(&mut event, attempt);
             cleanup_done(&event)
         };

@@ -24,7 +24,7 @@ use dcape_cluster::testing::{
 use dcape_cluster::PlacementSpec;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
-use dcape_metrics::journal::AdaptEvent;
+use dcape_metrics::journal::{AdaptEvent, Fault, FaultEdge};
 use dcape_streamgen::testing::reference_join;
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
@@ -61,7 +61,7 @@ fn run_sim(cfg: SimConfig, deadline: VirtualTime, label: &str) -> SimReport {
 
 /// The journal's fault schedule: every injected fault in order, as
 /// recorded — the bit-for-bit reproducibility oracle.
-fn fault_schedule(report: &SimReport) -> Vec<(u64, &'static str, &'static str, u64, u32)> {
+fn fault_schedule(report: &SimReport) -> Vec<(u64, Fault, FaultEdge, u64, u32)> {
     report
         .journal
         .iter()

@@ -14,14 +14,14 @@ use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
 
 use crate::state::productivity::{sort_most_productive_first, GroupStats};
 
-/// Execution modes of a query engine (Table 2).
+/// Execution modes of a query engine (Table 2). A spill runs inside one
+/// synchronous call and leaves the mode as it found it, so the paper's
+/// `ss_mode` has no variant here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
     /// Normal query plan execution; no adaptation in progress.
     #[default]
     Normal,
-    /// A state-spill process is running on this engine (`ss_mode`).
-    Spill,
     /// This engine participates in a state-relocation protocol round
     /// (`sr_mode`): no spill check and no reactivation touch its state
     /// until the round is over. The cluster's engine handler sets it
@@ -173,8 +173,8 @@ mod tests {
     #[test]
     fn mode_round_trip() {
         let mut c = ctl();
-        c.set_mode(Mode::Spill);
-        assert_eq!(c.mode(), Mode::Spill);
+        c.set_mode(Mode::Relocation);
+        assert_eq!(c.mode(), Mode::Relocation);
         c.set_mode(Mode::Normal);
         assert_eq!(c.mode(), Mode::Normal);
     }

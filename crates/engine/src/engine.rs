@@ -297,7 +297,6 @@ impl QueryEngine {
         now: VirtualTime,
         trigger: SpillTrigger,
     ) -> Result<SpillOutcome> {
-        self.controller.set_mode(Mode::Spill);
         let victims = self.cfg.victim_policy.select_victims(
             self.join.group_stats_with(self.cfg.estimator),
             amount,
@@ -334,7 +333,6 @@ impl QueryEngine {
             outcome.encoded_bytes += meta.encoded_bytes;
             outcome.io_cost = outcome.io_cost + self.cfg.cost.disk.io_cost(meta.state_bytes);
         }
-        self.controller.set_mode(Mode::Normal);
         if let Some(e) = failed.take_if(|_| outcome.groups.is_empty()) {
             return Err(e);
         }
@@ -1190,6 +1188,24 @@ mod reactivation_tests {
         assert!(e.maybe_reactivate(not_zero, &mut sink).unwrap().is_none());
         assert_eq!(e.spilled_partitions(), [PartitionId(0)]);
         assert!(e.join().has_group(PartitionId(1)));
+    }
+
+    /// A spill forced while a relocation round holds the engine leaves
+    /// it in relocation mode: the spill does not end the round.
+    #[test]
+    fn a_spill_keeps_the_engine_in_relocation_mode() {
+        let cfg = EngineConfig::three_way(1 << 20, 64 << 10).with_reactivation(0.5);
+        let mut e = QueryEngine::in_memory(EngineId(0), cfg).unwrap();
+        let mut sink = CountingSink::new();
+        for s in 0..3u8 {
+            e.process(PartitionId(0), tpl(s, 0, 0), &mut sink).unwrap();
+        }
+        e.set_mode(Mode::Relocation);
+        let spilled = e.force_spill(u64::MAX / 2, VirtualTime::from_secs(1));
+        assert_eq!(spilled.unwrap().groups, [PartitionId(0)]);
+        assert_eq!(e.mode(), Mode::Relocation);
+        // So nothing comes back while the round lasts.
+        assert!(e.maybe_reactivate(|_| true, &mut sink).unwrap().is_none());
     }
 
     #[test]

@@ -147,22 +147,6 @@ impl ResultSink for CollectingSink {
     }
 }
 
-/// Forwards to two sinks (e.g. count + collect in one pass).
-#[derive(Debug)]
-pub struct TeeSink<'a, A: ResultSink, B: ResultSink> {
-    /// First target.
-    pub a: &'a mut A,
-    /// Second target.
-    pub b: &'a mut B,
-}
-
-impl<A: ResultSink, B: ResultSink> ResultSink for TeeSink<'_, A, B> {
-    fn emit(&mut self, parts: &[&Tuple]) {
-        self.a.emit(parts);
-        self.b.emit(parts);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,22 +215,5 @@ mod tests {
         for r in sink.results() {
             assert_eq!(r.len(), 2);
         }
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let ts = tuples();
-        let parts: Vec<&Tuple> = ts.iter().collect();
-        let mut count = CountingSink::new();
-        let mut collect = CollectingSink::new();
-        {
-            let mut tee = TeeSink {
-                a: &mut count,
-                b: &mut collect,
-            };
-            tee.emit(&parts);
-        }
-        assert_eq!(count.count(), 1);
-        assert_eq!(collect.len(), 1);
     }
 }

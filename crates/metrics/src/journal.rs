@@ -22,22 +22,120 @@ use dcape_common::time::VirtualTime;
 /// bounding memory to a few MB.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 
-/// What initiated a state spill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpillTrigger {
-    /// The local controller crossed its memory threshold (§4.1).
-    MemoryThreshold,
-    /// The global coordinator forced the spill (active-disk, §6.2).
-    Forced,
+/// A closed vocabulary: each type's variants with their stable
+/// snake_case names, declared once. The name is what exports and the
+/// human renderer write; the wire sends a tag of its own instead.
+macro_rules! vocabulary {
+    ($(
+        $(#[$doc:meta])+
+        $ty:ident { $( $(#[$vdoc:meta])+ $variant:ident = $name:literal, )+ }
+    )+) => { $(
+        $(#[$doc])+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $( $(#[$vdoc])+ $variant, )+
+        }
+
+        impl $ty {
+            /// Stable snake_case name used in exports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $ty::$variant => $name, )+
+                }
+            }
+        }
+    )+ };
 }
 
-impl SpillTrigger {
-    /// Stable lowercase name used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpillTrigger::MemoryThreshold => "memory_threshold",
-            SpillTrigger::Forced => "forced",
-        }
+vocabulary! {
+    /// What initiated a state spill.
+    SpillTrigger {
+        /// The local controller crossed its memory threshold (§4.1).
+        MemoryThreshold = "memory_threshold",
+        /// The global coordinator forced the spill (active-disk, §6.2).
+        Forced = "forced",
+    }
+
+    /// A tolerated protocol anomaly ([`AdaptEvent::ProtocolWarning`]): what
+    /// happened, and what the warning's `detail` holds. Its `engine` is
+    /// the message's sender, or the engine the anomaly concerns.
+    Warning {
+        /// A `Ptv` for a round that already closed (detail: step 2).
+        StalePtv = "stale_ptv",
+        /// A second `Ptv` for the round in flight (detail: step 2).
+        DuplicatePtv = "duplicate_ptv",
+        /// A `TransferAck` for a round that already closed (detail: step 6).
+        StaleTransferAck = "stale_transfer_ack",
+        /// A phase timed out and its message was re-sent (detail: the step).
+        PhaseTimeoutRetry = "phase_timeout_retry",
+        /// Retries ran out and the round was abandoned (detail: the step).
+        RoundAborted = "round_aborted",
+        /// A receiver aborted rounds until given up on (detail: the aborts).
+        PeerDeclaredDead = "peer_declared_dead",
+        /// A move toward a dead receiver became a forced spill (detail: bytes).
+        RelocationDegradedToSpill = "relocation_degraded_to_spill",
+        /// An admitted engine announced itself again (detail: 0).
+        DuplicateJoinReady = "duplicate_join_ready",
+        /// An engine began to drain (detail: 0).
+        DrainStarted = "drain_started",
+        /// A `DrainState` from an engine not draining (detail: its bytes).
+        StaleDrainState = "stale_drain_state",
+        /// A drain stopped relocating and spills the rest (detail: bytes).
+        DrainDegradedToSpill = "drain_degraded_to_spill",
+        /// A drain's stateless partitions were remapped (detail: how many).
+        DrainRemainderRemapped = "drain_remainder_remapped",
+        /// A `Ptv` after the run quiesced (detail: step 2).
+        StalePtvAfterQuiesce = "stale_ptv_after_quiesce",
+        /// A `TransferAck` after the run quiesced (detail: step 6).
+        StaleAckAfterQuiesce = "stale_ack_after_quiesce",
+        /// A `Cptv` for a round the engine closed (detail: step 1).
+        StaleCptv = "stale_cptv",
+        /// A `SendStates` for a round the engine closed (detail: step 4).
+        StaleSendStates = "stale_send_states",
+        /// A `SendStates` toward a fenced receiver was dropped (detail: step 4).
+        SendToFencedDropped = "send_to_fenced_dropped",
+        /// A transfer of the wrong length was discarded (detail: bytes declared).
+        CorruptTransferDiscarded = "corrupt_transfer_discarded",
+        /// An installed transfer arrived again and was only acked (detail: step 5).
+        DuplicateInstall = "duplicate_install",
+        /// An engine unwound an aborted round (detail: the groups it undid).
+        RoundUnwound = "round_unwound",
+        /// A socket worker died and was respawned (detail: its respawns).
+        WorkerRespawned = "worker_respawned",
+    }
+
+    /// A fault the chaos layer injected ([`AdaptEvent::FaultInjected`]).
+    Fault {
+        /// The message was lost.
+        Drop = "drop",
+        /// The message arrived twice.
+        Duplicate = "duplicate",
+        /// The message arrived late.
+        Delay = "delay",
+        /// The transfer's declared length was garbled.
+        CorruptLength = "corrupt_length",
+        /// The engine froze for a while.
+        Stall = "stall",
+        /// The receiving engine crashed mid-install and restarted.
+        CrashRestart = "crash_restart",
+    }
+
+    /// Protocol message edges the chaos layer can interfere with (see
+    /// `dcape_cluster::faults`).
+    FaultEdge {
+        /// Step 1: coordinator asks the sender to choose partitions.
+        Cptv = "cptv",
+        /// Step 2: sender reports its chosen partitions.
+        Ptv = "ptv",
+        /// Step 3/4 trigger: coordinator tells the sender to extract/ship.
+        SendStates = "send_states",
+        /// Step 5: the state transfer itself, sender → receiver.
+        InstallStates = "install_states",
+        /// Step 6: receiver acknowledges the installed transfer.
+        TransferAck = "transfer_ack",
+        /// Spill-cleanup segment forwarding: stall-only, keyed by partition
+        /// id, the stall added to the engine's reported cleanup cost.
+        CleanupSegments = "cleanup_segments",
     }
 }
 
@@ -65,7 +163,9 @@ pub struct EngineStatsReport {
     pub total_output: u64,
 }
 
-/// One adaptation event, with the numbers that triggered it.
+/// One adaptation event, with the numbers that triggered it. Its
+/// `kind` tag and its JSON keys come from one field list per variant,
+/// in [`crate::report`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdaptEvent {
     /// An engine pushed partition groups to disk (§4.1).
@@ -134,12 +234,10 @@ pub enum AdaptEvent {
     /// The chaos layer injected a fault at a message edge (deterministic
     /// seeded schedule; see `dcape-cluster::faults`).
     FaultInjected {
-        /// Which fault fired: `drop`, `duplicate`, `delay`,
-        /// `corrupt_length`, `stall`, or `crash`.
-        fault: &'static str,
-        /// Message edge the fault hit (stable snake_case, e.g.
-        /// `install_states`).
-        edge: &'static str,
+        /// Which fault fired.
+        fault: Fault,
+        /// Message edge the fault hit.
+        edge: FaultEdge,
         /// Relocation round the message belonged to (zero when the edge
         /// is not round-scoped).
         round: u64,
@@ -150,9 +248,8 @@ pub enum AdaptEvent {
     /// poisoning the coordinator: stale or duplicate round messages,
     /// phase timeouts, retries, aborts, peers declared dead.
     ProtocolWarning {
-        /// Stable snake_case warning code, e.g. `stale_ptv`,
-        /// `duplicate_transfer_ack`, `phase_timeout`, `round_aborted`.
-        code: &'static str,
+        /// What was tolerated.
+        code: Warning,
         /// Engine the anomalous message came from (for timeouts, the
         /// round's sender).
         engine: EngineId,
@@ -186,23 +283,6 @@ pub enum AdaptEvent {
     /// the coordinator's decision saw it: what the figures plot over
     /// time, and what a decision is replayed from, on every runtime.
     EngineSample(EngineStatsReport),
-}
-
-impl AdaptEvent {
-    /// Stable snake_case tag used in exports and filtering.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            AdaptEvent::SpillDecision { .. } => "spill_decision",
-            AdaptEvent::RelocationStep { .. } => "relocation_step",
-            AdaptEvent::CleanupPhase { .. } => "cleanup_phase",
-            AdaptEvent::MemoryPressure { .. } => "memory_pressure",
-            AdaptEvent::FaultInjected { .. } => "fault_injected",
-            AdaptEvent::ProtocolWarning { .. } => "protocol_warning",
-            AdaptEvent::EngineJoined { .. } => "engine_joined",
-            AdaptEvent::EngineDrained { .. } => "engine_drained",
-            AdaptEvent::EngineSample(_) => "engine_sample",
-        }
-    }
 }
 
 /// A journal record: when, in what order, and what happened.

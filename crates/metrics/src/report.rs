@@ -6,9 +6,13 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 
-use crate::journal::{AdaptEvent, CountersSnapshot, JournalEntry};
+use crate::journal::{
+    AdaptEvent, CountersSnapshot, EngineStatsReport, Fault, FaultEdge, JournalEntry, SpillTrigger,
+    Warning,
+};
 use crate::series::TimeSeries;
 
 /// A simple column-aligned text table.
@@ -182,10 +186,126 @@ pub fn engine_curves(
     curves
 }
 
-/// One journal entry as a single-line JSON object. The encoder is
-/// hand-rolled (the workspace carries no JSON dependency); every field
-/// is a number, a static tag, or an id array, so no string escaping is
-/// ever required.
+/// One value's JSON spelling. Every value is a number, a vocabulary
+/// name, or an id array, so no string escaping is ever required.
+trait Json {
+    fn put_json(&self, out: &mut String);
+}
+
+/// Leaves spelled by one expression of `v`, the value.
+macro_rules! json_leaf {
+    ($( $($ty:ty),+ => |$v:ident| $show:expr; )+) => { $($(
+        impl Json for $ty {
+            fn put_json(&self, out: &mut String) {
+                let $v = self;
+                let _ = write!(out, "{}", $show);
+            }
+        }
+    )+)+ };
+}
+
+json_leaf! {
+    u8, u16, u32, u64, usize => |v| v;
+    EngineId, PartitionId => |v| v.0;
+    SpillTrigger, Warning, Fault, FaultEdge => |v| format_args!("\"{}\"", v.name());
+}
+
+/// Six decimals; non-finite floats are not valid JSON and are `null`.
+impl Json for f64 {
+    fn put_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self:.6}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn put_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { "," });
+            item.put_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// Every event's `kind` and JSON body, from one field list per variant:
+/// the fields become `"key":value` pairs in the order listed. A field
+/// is its own key, `field = "key"` renames it, and `field = _` leaves it
+/// out. The pattern that binds the fields is exhaustive, so a field
+/// missing from a list does not compile; a variant holding a record
+/// names the record's type and lists its fields.
+macro_rules! json_events {
+    ($(
+        $kind:literal = $variant:ident $(($record:ident))? { $( $field:ident $(= $key:tt)? ),+ }
+    ),+ $(,)?) => {
+        impl AdaptEvent {
+            /// Stable snake_case tag used in exports and filtering.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( AdaptEvent::$variant { .. } => $kind, )+
+                }
+            }
+
+            /// Append the event's fields, each as `,"key":value`.
+            fn put_json_fields(&self, out: &mut String) {
+                match self {
+                    $( json_events!(@bind $variant $(($record))? { $($field),+ }) => {
+                        $( json_events!(@put out, $field $(= $key)?); )+
+                    } )+
+                }
+            }
+        }
+    };
+    (@bind $variant:ident ($record:ident) { $($field:ident),+ }) => {
+        AdaptEvent::$variant($record { $($field),+ })
+    };
+    (@bind $variant:ident { $($field:ident),+ }) => {
+        AdaptEvent::$variant { $($field),+ }
+    };
+    (@put $out:ident, $field:ident = _) => {
+        let _ = $field;
+    };
+    (@put $out:ident, $field:ident = $key:literal) => {
+        json_field($out, $key, $field)
+    };
+    (@put $out:ident, $field:ident) => {
+        json_field($out, stringify!($field), $field)
+    };
+}
+
+fn json_field(out: &mut String, key: &str, value: &impl Json) {
+    let _ = write!(out, ",\"{key}\":");
+    value.put_json(out);
+}
+
+json_events! {
+    "spill_decision" = SpillDecision {
+        engine, trigger, groups, state_bytes, encoded_bytes, memory_used, memory_budget
+    },
+    "relocation_step" = RelocationStep {
+        round, step, sender, receiver, parts, bytes, buffered_tuples, load_ratio
+    },
+    "cleanup_phase" = CleanupPhase {
+        engine, group, missing_results, scanned_tuples, disk_bytes_read
+    },
+    "memory_pressure" = MemoryPressure { engine, used, budget },
+    "fault_injected" = FaultInjected { fault, edge, round, attempt },
+    "protocol_warning" = ProtocolWarning { code, engine, round, detail },
+    "engine_joined" = EngineJoined { engine, members },
+    "engine_drained" = EngineDrained { engine, moves },
+    "engine_sample" = EngineSample(EngineStatsReport) {
+        engine, at = _, memory_used, memory_budget, num_groups = "groups", window_output,
+        total_output
+    },
+}
+
+/// One journal entry as a single-line JSON object: `at_ms`, `seq` and
+/// `kind`, then the event's fields. The encoder is hand-rolled (the
+/// workspace carries no JSON dependency).
 pub fn journal_entry_to_json(entry: &JournalEntry) -> String {
     let mut s = String::with_capacity(160);
     let _ = write!(
@@ -195,134 +315,7 @@ pub fn journal_entry_to_json(entry: &JournalEntry) -> String {
         entry.seq,
         entry.event.kind()
     );
-    let ids = |list: &[dcape_common::ids::PartitionId]| {
-        let cells: Vec<String> = list.iter().map(|p| p.0.to_string()).collect();
-        format!("[{}]", cells.join(","))
-    };
-    // Non-finite floats are not valid JSON; report them as null.
-    let num = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.6}")
-        } else {
-            "null".to_string()
-        }
-    };
-    match &entry.event {
-        AdaptEvent::SpillDecision {
-            engine,
-            trigger,
-            groups,
-            state_bytes,
-            encoded_bytes,
-            memory_used,
-            memory_budget,
-        } => {
-            let _ = write!(
-                s,
-                ",\"engine\":{},\"trigger\":\"{}\",\"groups\":{},\"state_bytes\":{},\
-                 \"encoded_bytes\":{},\"memory_used\":{},\"memory_budget\":{}",
-                engine.0,
-                trigger.name(),
-                ids(groups),
-                state_bytes,
-                encoded_bytes,
-                memory_used,
-                memory_budget
-            );
-        }
-        AdaptEvent::RelocationStep {
-            round,
-            step,
-            sender,
-            receiver,
-            parts,
-            bytes,
-            buffered_tuples,
-            load_ratio,
-        } => {
-            let _ = write!(
-                s,
-                ",\"round\":{},\"step\":{},\"sender\":{},\"receiver\":{},\"parts\":{},\
-                 \"bytes\":{},\"buffered_tuples\":{},\"load_ratio\":{}",
-                round,
-                step,
-                sender.0,
-                receiver.0,
-                ids(parts),
-                bytes,
-                buffered_tuples,
-                num(*load_ratio)
-            );
-        }
-        AdaptEvent::CleanupPhase {
-            engine,
-            group,
-            missing_results,
-            scanned_tuples,
-            disk_bytes_read,
-        } => {
-            let _ = write!(
-                s,
-                ",\"engine\":{},\"group\":{},\"missing_results\":{},\"scanned_tuples\":{},\
-                 \"disk_bytes_read\":{}",
-                engine.0, group.0, missing_results, scanned_tuples, disk_bytes_read
-            );
-        }
-        AdaptEvent::MemoryPressure {
-            engine,
-            used,
-            budget,
-        } => {
-            let _ = write!(
-                s,
-                ",\"engine\":{},\"used\":{},\"budget\":{}",
-                engine.0, used, budget
-            );
-        }
-        AdaptEvent::FaultInjected {
-            fault,
-            edge,
-            round,
-            attempt,
-        } => {
-            let _ = write!(
-                s,
-                ",\"fault\":\"{fault}\",\"edge\":\"{edge}\",\"round\":{round},\
-                 \"attempt\":{attempt}"
-            );
-        }
-        AdaptEvent::ProtocolWarning {
-            code,
-            engine,
-            round,
-            detail,
-        } => {
-            let _ = write!(
-                s,
-                ",\"code\":\"{code}\",\"engine\":{},\"round\":{round},\"detail\":{detail}",
-                engine.0
-            );
-        }
-        AdaptEvent::EngineJoined { engine, members } => {
-            let _ = write!(s, ",\"engine\":{},\"members\":{members}", engine.0);
-        }
-        AdaptEvent::EngineDrained { engine, moves } => {
-            let _ = write!(s, ",\"engine\":{},\"moves\":{moves}", engine.0);
-        }
-        AdaptEvent::EngineSample(r) => {
-            let _ = write!(
-                s,
-                ",\"engine\":{},\"memory_used\":{},\"memory_budget\":{},\"groups\":{},\
-                 \"window_output\":{},\"total_output\":{}",
-                r.engine.0,
-                r.memory_used,
-                r.memory_budget,
-                r.num_groups,
-                r.window_output,
-                r.total_output
-            );
-        }
-    }
+    entry.event.put_json_fields(&mut s);
     s.push('}');
     s
 }
@@ -453,7 +446,9 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
             } => {
                 let _ = writeln!(
                     out,
-                    "fault     {fault} injected at {edge} [round={round}, attempt={attempt}]"
+                    "fault     {} injected at {} [round={round}, attempt={attempt}]",
+                    fault.name(),
+                    edge.name()
                 );
             }
             AdaptEvent::ProtocolWarning {
@@ -464,7 +459,8 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
             } => {
                 let _ = writeln!(
                     out,
-                    "warning   {code} from {engine} [round={round}, detail={detail}]"
+                    "warning   {} from {engine} [round={round}, detail={detail}]",
+                    code.name()
                 );
             }
             AdaptEvent::EngineJoined { engine, members } => {
@@ -713,8 +709,8 @@ mod tests {
                 at: VirtualTime::from_millis(3),
                 seq: 0,
                 event: AdaptEvent::FaultInjected {
-                    fault: "drop",
-                    edge: "install_states",
+                    fault: Fault::Drop,
+                    edge: FaultEdge::InstallStates,
                     round: 4,
                     attempt: 1,
                 },
@@ -723,7 +719,7 @@ mod tests {
                 at: VirtualTime::from_millis(7),
                 seq: 1,
                 event: AdaptEvent::ProtocolWarning {
-                    code: "stale_transfer_ack",
+                    code: Warning::StaleTransferAck,
                     engine: EngineId(2),
                     round: 3,
                     detail: 6,
@@ -803,13 +799,13 @@ mod tests {
                 budget: 100,
             },
             AdaptEvent::FaultInjected {
-                fault: "corrupt_length",
-                edge: "transfer_ack",
+                fault: Fault::CorruptLength,
+                edge: FaultEdge::TransferAck,
                 round: 8,
                 attempt: 2,
             },
             AdaptEvent::ProtocolWarning {
-                code: "phase_timeout_retry",
+                code: Warning::PhaseTimeoutRetry,
                 engine: EngineId(1),
                 round: 8,
                 detail: 1,

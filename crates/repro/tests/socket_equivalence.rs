@@ -26,7 +26,7 @@ use dcape_cluster::PlacementSpec;
 use dcape_common::ids::EngineId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
-use dcape_metrics::journal::AdaptEvent;
+use dcape_metrics::journal::{AdaptEvent, JournalEntry, Warning};
 use dcape_streamgen::testing::reference_join;
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
@@ -61,6 +61,17 @@ fn spill_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     ]))
     .with_stats_interval(VirtualDuration::from_secs(30))
     .with_journal()
+}
+
+/// A journal entry recording a worker's respawn.
+fn respawned(e: &JournalEntry) -> bool {
+    matches!(
+        e.event,
+        AdaptEvent::ProtocolWarning {
+            code: Warning::WorkerRespawned,
+            ..
+        }
+    )
 }
 
 /// Equality of everything that is deterministic across the two
@@ -206,13 +217,7 @@ fn kill_nine_and_respawn_is_exactly_once() {
     let report = run_socket(cfg, deadline).unwrap();
     dump_journal("socketeq-kill9", &report.journal);
 
-    let respawns = report
-        .journal
-        .iter()
-        .filter(
-            |e| matches!(e.event, AdaptEvent::ProtocolWarning { code, .. } if code == "worker_respawned"),
-        )
-        .count();
+    let respawns = report.journal.iter().filter(|e| respawned(e)).count();
     assert!(
         respawns >= 1,
         "the kill plan must actually kill and respawn a worker"
@@ -302,13 +307,7 @@ fn kill_nine_mid_drain_is_exactly_once() {
     let report = run_socket(cfg, deadline).unwrap();
     dump_journal("socketeq-kill9-mid-drain", &report.journal);
 
-    let respawns = report
-        .journal
-        .iter()
-        .filter(
-            |e| matches!(e.event, AdaptEvent::ProtocolWarning { code, .. } if code == "worker_respawned"),
-        )
-        .count();
+    let respawns = report.journal.iter().filter(|e| respawned(e)).count();
     assert!(
         respawns >= 1,
         "the kill plan must kill and respawn a worker"
@@ -318,17 +317,17 @@ fn kill_nine_mid_drain_is_exactly_once() {
         .iter()
         .find_map(|e| match e.event {
             AdaptEvent::ProtocolWarning {
-                code: "drain_started",
+                code: Warning::DrainStarted,
                 ..
             } => Some(e.at),
             _ => None,
         })
         .expect("the drain must have started");
     assert!(
-        report.journal.iter().any(|e| matches!(
-            e.event,
-            AdaptEvent::ProtocolWarning { code, .. } if code == "worker_respawned"
-        ) && e.at >= drain_started_at),
+        report
+            .journal
+            .iter()
+            .any(|e| respawned(e) && e.at >= drain_started_at),
         "the kill must land after the drain began (mid-drain)"
     );
     assert_eq!(
@@ -371,13 +370,7 @@ fn joiner_crash_restart_mid_admission_is_exactly_once() {
     let report = run_socket(cfg, deadline).unwrap();
     dump_journal("socketeq-kill9-joiner", &report.journal);
 
-    let respawns = report
-        .journal
-        .iter()
-        .filter(
-            |e| matches!(e.event, AdaptEvent::ProtocolWarning { code, .. } if code == "worker_respawned"),
-        )
-        .count();
+    let respawns = report.journal.iter().filter(|e| respawned(e)).count();
     assert!(
         respawns >= 1,
         "the kill plan must kill and respawn the joiner"

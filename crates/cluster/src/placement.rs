@@ -8,8 +8,16 @@
 //! later, when the adaptation process is over, all buffered tuples are
 //! redirected to the stateful operators based on the new partition group
 //! mapping" (§4.1). [`PlacementMap`] implements exactly that contract.
+//!
+//! A paused partition's buffer is a [`TupleBatch`]: a buffered row is
+//! encoded once, as it would have been into its engine's batch, and a
+//! release hands the buffers back as they are — the one batch they
+//! replay in is their concatenation. [`route_raw`](PlacementMap::route_raw)
+//! routes a row given by its parts and never builds a [`Tuple`];
+//! [`route`](PlacementMap::route) keeps the tuple form for callers that
+//! hold one.
 
-use dcape_common::batch::TupleBatch;
+use dcape_common::batch::{RawRow, TupleBatch};
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashMap;
 use dcape_common::ids::{EngineId, PartitionId};
@@ -78,8 +86,8 @@ impl PlacementSpec {
 #[derive(Debug)]
 pub struct PlacementMap {
     owners: Vec<EngineId>,
-    /// Buffered tuples per paused partition, in arrival order.
-    paused: FxHashMap<PartitionId, Vec<Tuple>>,
+    /// Buffered rows per paused partition, encoded, in arrival order.
+    paused: FxHashMap<PartitionId, TupleBatch>,
     /// Oldest timestamp of any tuple currently buffered at a paused
     /// split — the split-side contribution to the purge watermark.
     /// `None` when nothing is buffered.
@@ -195,14 +203,30 @@ impl PlacementMap {
     pub fn route(&mut self, pid: PartitionId, tuple: Tuple) -> Result<Route> {
         let owner = self.owner(pid)?;
         if let Some(buf) = self.paused.get_mut(&pid) {
-            self.oldest_buffered = Some(match self.oldest_buffered {
-                Some(t) => t.min(tuple.ts()),
-                None => tuple.ts(),
-            });
-            buf.push(tuple);
+            let ts = tuple.ts();
+            buf.push(pid, tuple);
+            self.note_buffered(ts);
             return Ok(Route::Buffered);
         }
         Ok(Route::Deliver(owner, tuple))
+    }
+
+    /// [`route`](Self::route) for a row given by its parts: buffer it if
+    /// its partition is paused (`None`), otherwise return its owning
+    /// engine, for the caller to encode the row into that engine's batch.
+    #[inline]
+    pub fn route_raw(&mut self, pid: PartitionId, row: &RawRow<'_>) -> Result<Option<EngineId>> {
+        let owner = self.owner(pid)?;
+        let Some(buf) = self.paused.get_mut(&pid) else {
+            return Ok(Some(owner));
+        };
+        buf.push_raw(pid, row);
+        self.note_buffered(row.ts);
+        Ok(None)
+    }
+
+    fn note_buffered(&mut self, ts: VirtualTime) {
+        self.oldest_buffered = Some(self.oldest_buffered.map_or(ts, |t| t.min(ts)));
     }
 
     /// Oldest timestamp still buffered at any paused split, if any.
@@ -240,29 +264,29 @@ impl PlacementMap {
             }
         }
         for pid in pids {
-            self.paused.insert(*pid, Vec::new());
+            self.paused.insert(*pid, TupleBatch::new());
         }
         Ok(())
     }
 
     /// Finish a relocation round: reassign the partitions to
-    /// `new_owner`, unpause them, and return the buffered tuples (in
+    /// `new_owner`, unpause them, and return the buffered rows (in
     /// arrival order) for redelivery under the new mapping.
     pub fn remap_and_release(
         &mut self,
         pids: &[PartitionId],
         new_owner: EngineId,
-    ) -> Result<Vec<(PartitionId, Vec<Tuple>)>> {
+    ) -> Result<Vec<(PartitionId, TupleBatch)>> {
         self.release(pids, Some(new_owner))
     }
 
     /// Abort a relocation round: unpause the partitions **without**
-    /// changing ownership and return the buffered tuples (in arrival
+    /// changing ownership and return the buffered rows (in arrival
     /// order) for redelivery to the original owner.
     pub fn release_paused(
         &mut self,
         pids: &[PartitionId],
-    ) -> Result<Vec<(PartitionId, Vec<Tuple>)>> {
+    ) -> Result<Vec<(PartitionId, TupleBatch)>> {
         self.release(pids, None)
     }
 
@@ -272,7 +296,7 @@ impl PlacementMap {
         &mut self,
         pids: &[PartitionId],
         new_owner: Option<EngineId>,
-    ) -> Result<Vec<(PartitionId, Vec<Tuple>)>> {
+    ) -> Result<Vec<(PartitionId, TupleBatch)>> {
         // Validate first so the map never ends half-updated.
         if let Some(owner) = new_owner.filter(|e| self.is_fenced(*e)) {
             return Err(DcapeError::protocol(format!(
@@ -298,12 +322,12 @@ impl PlacementMap {
             released.push((*pid, buffered));
         }
         // Buffers are arrival-ordered with nondecreasing timestamps, so
-        // each buffer's minimum is its first element.
+        // each buffer's minimum is its first row's.
         self.oldest_buffered = self
             .paused
             .values()
-            .filter_map(|buf| buf.first())
-            .map(Tuple::ts)
+            .filter_map(|buf| buf.rows().next())
+            .map(|row| row.ts())
             .min();
         self.version += 1;
         Ok(released)
@@ -326,16 +350,15 @@ impl PlacementMap {
     }
 }
 
-/// The tuples a pause released ([`PlacementMap::remap_and_release`],
+/// The rows a pause released ([`PlacementMap::remap_and_release`],
 /// [`PlacementMap::release_paused`]) as the one batch they travel in:
-/// per-partition lists in arrival order, so the batch is a stable
-/// reordering by partition.
-pub(crate) fn released_batch(released: Vec<(PartitionId, Vec<Tuple>)>) -> TupleBatch {
-    let mut batch = TupleBatch::new();
-    for (pid, tuples) in released {
-        for tuple in tuples {
-            batch.push(pid, tuple);
-        }
+/// the per-partition buffers back to back, each in arrival order, so the
+/// batch is a stable reordering by partition.
+pub(crate) fn released_batch(released: Vec<(PartitionId, TupleBatch)>) -> TupleBatch {
+    let mut buffers = released.into_iter().map(|(_, rows)| rows);
+    let mut batch = buffers.next().unwrap_or_default();
+    for rows in buffers {
+        batch.append(&rows);
     }
     batch
 }
@@ -411,7 +434,7 @@ mod tests {
         assert_eq!(m.owner(PartitionId(3)).unwrap(), EngineId(0));
         let p1 = released.iter().find(|(p, _)| *p == PartitionId(1)).unwrap();
         assert_eq!(
-            p1.1.iter().map(|t| t.seq()).collect::<Vec<_>>(),
+            p1.1.rows().map(|r| r.seq()).collect::<Vec<_>>(),
             vec![10, 11]
         );
         assert!(m.paused_partitions().is_empty());
@@ -469,7 +492,7 @@ mod tests {
         // hold released, version bumped.
         assert_eq!(m.owner(PartitionId(1)).unwrap(), original);
         assert_eq!(
-            released[0].1.iter().map(|t| t.seq()).collect::<Vec<_>>(),
+            released[0].1.rows().map(|r| r.seq()).collect::<Vec<_>>(),
             vec![0, 1]
         );
         assert_eq!(m.oldest_buffered_ts(), None);

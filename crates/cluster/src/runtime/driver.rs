@@ -40,7 +40,6 @@ use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
-use dcape_common::tuple::Tuple;
 use dcape_metrics::journal::{
     merge_journals, AdaptEvent, CountersSnapshot, EngineStatsReport, JournalEntry, JournalHandle,
     Warning,
@@ -50,7 +49,7 @@ use dcape_streamgen::StreamSetGenerator;
 use crate::coordinator::{Command, EngineState, GlobalCoordinator};
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, ToEngine};
-use crate::placement::{released_batch, PlacementMap, Route};
+use crate::placement::{released_batch, PlacementMap};
 use crate::runtime::sim::{RelocationEvent, ScaleAction, ScaleEvent, SimConfig};
 use crate::split::SplitOperator;
 use crate::stats::ClusterStats;
@@ -174,7 +173,6 @@ pub(crate) struct CoordinatorRun<T: Transport> {
     /// Control messages (`Cptv`, `SendStates`) the chaos layer delayed,
     /// released once the clock passes their due time.
     held: Vec<(VirtualTime, (EngineId, ToEngine))>,
-    tick_buf: Vec<Tuple>,
     /// Routed, not yet sent: one batch per engine slot.
     batches: Vec<TupleBatch>,
     pending_ticks: u32,
@@ -246,7 +244,6 @@ impl<T: Transport> CoordinatorRun<T> {
             pending_stats: vec![None; capacity],
             collecting: None,
             held: Vec::new(),
-            tick_buf: Vec::new(),
             batches: (0..capacity).map(|_| TupleBatch::new()).collect(),
             pending_ticks: 0,
             scale_events,
@@ -297,15 +294,19 @@ impl<T: Transport> CoordinatorRun<T> {
             let now = self.gen.now();
             self.now = now;
             self.apply_scale_events()?;
-            self.gen.tick_batch(&mut self.tick_buf);
-            self.journal.add_tuples_routed(self.tick_buf.len() as u64);
-            for tuple in self.tick_buf.drain(..) {
-                let pid = self.split.classify(&tuple)?;
-                match self.placement.route(pid, tuple)? {
-                    Route::Buffered => self.journal.add_buffered_in_flight(1),
-                    Route::Deliver(engine, tuple) => self.batches[engine.index()].push(pid, tuple),
+            self.journal
+                .add_tuples_routed(self.gen.spec().num_streams as u64);
+            let (split, placement, batches) =
+                (&mut self.split, &mut self.placement, &mut self.batches);
+            let journal = &self.journal;
+            self.gen.tick_raw(|row| {
+                let pid = split.classify_raw(&row)?;
+                match placement.route_raw(pid, &row)? {
+                    Some(engine) => batches[engine.index()].push_raw(pid, &row),
+                    None => journal.add_buffered_in_flight(1),
                 }
-            }
+                Ok(())
+            })?;
             self.pending_ticks += 1;
             let tick_due = self.tick_timer.expired(now);
             // A collection the coordinator cannot start yet (a reply or
@@ -633,7 +634,7 @@ impl<T: Transport> CoordinatorRun<T> {
     /// reordering. Returns how many tuples went.
     fn replay_released(
         &mut self,
-        released: Vec<(PartitionId, Vec<Tuple>)>,
+        released: Vec<(PartitionId, TupleBatch)>,
         target: EngineId,
     ) -> Result<u64> {
         let tuples = released_batch(released);

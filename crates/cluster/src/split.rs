@@ -12,8 +12,10 @@
 //! relocations) lives in [`PlacementMap`](crate::placement::PlacementMap),
 //! which all splits of an operator share; both drivers compose the two.
 
+use dcape_common::batch::RawRow;
+use dcape_common::codec::RawValue;
 use dcape_common::error::{DcapeError, Result};
-use dcape_common::ids::PartitionId;
+use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::partition::Partitioner;
 use dcape_common::time::VirtualTime;
 use dcape_common::tuple::Tuple;
@@ -50,17 +52,32 @@ impl SplitOperator {
 
     /// The partition the tuple belongs to (by its stream's join column).
     pub fn classify(&mut self, tuple: &Tuple) -> Result<PartitionId> {
-        let s = tuple.stream().index();
-        let column = *self
-            .join_columns
-            .get(s)
-            .ok_or_else(|| DcapeError::state(format!("stream {} not in split", tuple.stream())))?;
-        let key = tuple
-            .get(column)
-            .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
+        let column = self.join_column(tuple.stream())?;
+        let key = tuple.get(column).ok_or_else(lacks_key)?;
+        Ok(self.admit(key.as_raw(), tuple.ts()))
+    }
+
+    /// [`classify`](Self::classify) for a row given by its parts: the
+    /// key is read where the generator left it.
+    pub fn classify_raw(&mut self, row: &RawRow<'_>) -> Result<PartitionId> {
+        let column = self.join_column(row.stream)?;
+        let key = *row.values.get(column).ok_or_else(lacks_key)?;
+        Ok(self.admit(key, row.ts))
+    }
+
+    #[inline]
+    fn join_column(&self, stream: StreamId) -> Result<usize> {
+        (self.join_columns.get(stream.index()).copied())
+            .ok_or_else(|| DcapeError::state(format!("stream {stream} not in split")))
+    }
+
+    /// Count a row with join value `key` and timestamp `ts` in, and
+    /// place it.
+    #[inline]
+    fn admit(&mut self, key: RawValue<'_>, ts: VirtualTime) -> PartitionId {
         self.classified += 1;
-        self.admitted_watermark = self.admitted_watermark.max(tuple.ts());
-        Ok(self.partitioner.partition_of(key))
+        self.admitted_watermark = self.admitted_watermark.max(ts);
+        self.partitioner.partition_of_raw(key)
     }
 
     /// Tuples classified so far.
@@ -83,10 +100,13 @@ impl SplitOperator {
     }
 }
 
+fn lacks_key() -> DcapeError {
+    DcapeError::state("tuple lacks join column")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcape_common::ids::StreamId;
     use dcape_common::tuple::TupleBuilder;
 
     #[test]

@@ -17,8 +17,12 @@
 //!       = pid:varint stream:u8 seq:varint ts:varint arity:varint value*
 //! ```
 //!
-//! [`push`](TupleBatch::push) encodes the tuple once, on the thread that
-//! made it, and drops it there; the batch then crosses a channel as one
+//! A row is encoded once, on the thread that made it, straight into the
+//! batch it travels in: [`push_raw`](TupleBatch::push_raw) takes a
+//! [`RawRow`] — the row's parts, borrowed from whoever generated them —
+//! so the driver's generated rows never become a [`Tuple`];
+//! [`push`](TupleBatch::push) writes the same bytes for a caller that
+//! holds a tuple, and drops it. The batch then crosses a channel as one
 //! allocation, is framed onto a socket by a bulk copy, and the columnar
 //! join state copies each row's `arity value*` tail — already its arena
 //! row format — without ever rebuilding a [`Tuple`]. Rows that arrive
@@ -27,7 +31,10 @@
 
 use bytes::Buf;
 
-use crate::codec::{body_value, decode_value, encode_tuple, get_varint, put_varint, skip_value};
+use crate::codec::{
+    body_value, decode_value, encode_raw_value, encode_tuple, get_varint, put_varint, skip_value,
+    RawValue,
+};
 use crate::error::{DcapeError, Result};
 use crate::ids::{PartitionId, StreamId};
 use crate::time::VirtualTime;
@@ -38,6 +45,20 @@ use crate::value::Value;
 /// paper-spec row (integer key plus a `Pad` column) encodes to. Rows
 /// with real payloads outgrow it by doubling.
 const ROW_BYTES_HINT: usize = 16;
+
+/// One row's parts, borrowed from the source that generated them: what
+/// [`TupleBatch::push_raw`] encodes, with no [`Tuple`] in between.
+#[derive(Debug, Clone, Copy)]
+pub struct RawRow<'a> {
+    /// Origin stream.
+    pub stream: StreamId,
+    /// Per-stream arrival sequence number.
+    pub seq: u64,
+    /// Virtual arrival timestamp.
+    pub ts: VirtualTime,
+    /// The column values, in column order.
+    pub values: &'a [RawValue<'a>],
+}
 
 /// An ordered batch of routed tuples, the unit of inter-operator
 /// transfer in the batched dataflow.
@@ -72,6 +93,28 @@ impl TupleBatch {
         self.rows += 1;
     }
 
+    /// Append one routed row given by its parts, preserving arrival
+    /// order: the bytes [`push`](Self::push) writes for the tuple with
+    /// those parts, encoded straight into the batch.
+    #[inline]
+    pub fn push_raw(&mut self, pid: PartitionId, row: &RawRow<'_>) {
+        put_varint(&mut self.buf, pid.0 as u64);
+        self.buf.push(row.stream.0);
+        put_varint(&mut self.buf, row.seq);
+        put_varint(&mut self.buf, row.ts.as_millis());
+        put_varint(&mut self.buf, row.values.len() as u64);
+        for &v in row.values {
+            encode_raw_value(&mut self.buf, v);
+        }
+        self.rows += 1;
+    }
+
+    /// Append `later`'s rows behind these, in their order.
+    pub fn append(&mut self, later: &TupleBatch) {
+        self.buf.extend_from_slice(&later.buf);
+        self.rows += later.rows;
+    }
+
     /// Number of tuples in the batch.
     #[inline]
     pub fn len(&self) -> usize {
@@ -91,12 +134,12 @@ impl TupleBatch {
         self.rows = 0;
     }
 
-    /// Hand the contents off, leaving an empty batch with room for as
-    /// many bytes again — the next accumulation window fills it without
-    /// growing from empty.
+    /// Hand the contents off, leaving an empty batch with the outgoing
+    /// buffer's capacity — what the windows before it grew to — so the
+    /// next accumulation window fills it without reallocating.
     pub fn take(&mut self) -> TupleBatch {
         let next = TupleBatch {
-            buf: Vec::with_capacity(self.buf.len()),
+            buf: Vec::with_capacity(self.buf.capacity()),
             rows: 0,
         };
         std::mem::replace(self, next)
@@ -333,10 +376,14 @@ mod tests {
         let mut b = TupleBatch::with_capacity(8);
         b.push(PartitionId(0), tpl(0, 0));
         let bytes = b.as_bytes().len();
+        let grown = b.buf.capacity();
         let taken = b.take();
         assert_eq!(taken.len(), 1);
         assert!(b.is_empty() && b.as_bytes().is_empty());
-        assert!(b.buf.capacity() >= bytes);
+        assert!(
+            b.buf.capacity() >= grown,
+            "take leaves what the buffer grew to, not what it held"
+        );
         let mut taken = taken;
         taken.clear();
         assert!(taken.is_empty());
@@ -452,6 +499,33 @@ mod tests {
                 prop_assert_eq!(row.body(), arena_row.as_slice());
             }
             prop_assert!(rows.next().is_none());
+        }
+
+        /// `push_raw` writes the bytes `push` writes for the tuple with
+        /// the same parts (every value variant, arity 0…5), and a batch
+        /// appended behind another reads as one batch of both.
+        #[test]
+        fn push_raw_writes_what_push_writes(
+            input in proptest::collection::vec(tuple_strategy(), 0..12),
+            cut in 0usize..12,
+        ) {
+            let (mut raw, mut built) = (TupleBatch::new(), TupleBatch::new());
+            for (pid, t) in &input {
+                let values: Vec<RawValue<'_>> = t.values().iter().map(Value::as_raw).collect();
+                let row = RawRow { stream: t.stream(), seq: t.seq(), ts: t.ts(), values: &values };
+                raw.push_raw(PartitionId(*pid), &row);
+                built.push(PartitionId(*pid), t.clone());
+            }
+            prop_assert_eq!(raw.len(), built.len());
+            prop_assert_eq!(raw.as_bytes(), built.as_bytes());
+            let (front, back) = input.split_at(cut.min(input.len()));
+            let mut joined = TupleBatch::new();
+            let mut later = TupleBatch::new();
+            front.iter().for_each(|(pid, t)| joined.push(PartitionId(*pid), t.clone()));
+            back.iter().for_each(|(pid, t)| later.push(PartitionId(*pid), t.clone()));
+            joined.append(&later);
+            prop_assert_eq!(joined.len(), built.len());
+            prop_assert_eq!(joined.as_bytes(), built.as_bytes());
         }
 
         /// Arbitrary bytes never panic `decode`, and whatever it accepts

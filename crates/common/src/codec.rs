@@ -107,16 +107,9 @@ pub fn varint_len(v: u64) -> usize {
 }
 
 /// Exact encoded length of one value, in bytes.
+#[inline]
 pub fn encoded_value_len(v: &Value) -> usize {
-    1 + match v {
-        Value::Null => 0,
-        Value::Int(i) => varint_len(zigzag(*i)),
-        Value::Double(_) => 8,
-        Value::Bool(_) => 1,
-        Value::Text(s) => varint_len(s.len() as u64) + s.len(),
-        Value::Blob(b) => varint_len(b.len() as u64) + b.len(),
-        Value::Pad(n) => varint_len(*n as u64),
-    }
+    encoded_raw_value_len(v.as_raw())
 }
 
 /// Exact encoded length of one tuple, in bytes.
@@ -141,36 +134,9 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 /// Encode one value.
+#[inline]
 pub fn encode_value(buf: &mut impl BufMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            put_varint(buf, zigzag(*i));
-        }
-        Value::Double(d) => {
-            buf.put_u8(TAG_DOUBLE);
-            buf.put_u64_le(d.to_bits());
-        }
-        Value::Bool(b) => {
-            buf.put_u8(TAG_BOOL);
-            buf.put_u8(*b as u8);
-        }
-        Value::Text(s) => {
-            buf.put_u8(TAG_TEXT);
-            put_varint(buf, s.len() as u64);
-            buf.put_slice(s.as_bytes());
-        }
-        Value::Blob(b) => {
-            buf.put_u8(TAG_BLOB);
-            put_varint(buf, b.len() as u64);
-            buf.put_slice(b);
-        }
-        Value::Pad(n) => {
-            buf.put_u8(TAG_PAD);
-            put_varint(buf, *n as u64);
-        }
-    }
+    encode_raw_value(buf, v.as_raw());
 }
 
 /// Consume a varint-prefixed byte string and return it borrowed from

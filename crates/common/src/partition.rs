@@ -12,6 +12,7 @@
 //! * [`Partitioner::Hash`] — deterministic Fx hash of the value, the
 //!   general-purpose choice for arbitrary key types.
 
+use crate::codec::RawValue;
 use crate::ids::PartitionId;
 use crate::value::Value;
 
@@ -53,22 +54,35 @@ impl Partitioner {
     }
 
     /// The partition the given join value belongs to.
+    #[inline]
     pub fn partition_of(&self, value: &Value) -> PartitionId {
-        match self {
-            Partitioner::Modulo { num_partitions } => match value {
-                Value::Int(i) => PartitionId((i.unsigned_abs() % *num_partitions as u64) as u32),
-                other => PartitionId((other.partition_hash() % *num_partitions as u64) as u32),
-            },
-            Partitioner::Hash { num_partitions } => {
-                PartitionId((value.partition_hash() % *num_partitions as u64) as u32)
+        self.partition_of_raw(value.as_raw())
+    }
+
+    /// [`partition_of`](Self::partition_of) for a value read in place
+    /// (or never built): the one definition both forms go through.
+    #[inline]
+    pub fn partition_of_raw(&self, value: RawValue<'_>) -> PartitionId {
+        let n = match *self {
+            Partitioner::Modulo { num_partitions } => {
+                if let RawValue::Int(i) = value {
+                    return PartitionId((i.unsigned_abs() % num_partitions as u64) as u32);
+                }
+                num_partitions
             }
-        }
+            Partitioner::Hash { num_partitions } => num_partitions,
+        };
+        PartitionId((value.partition_hash() % n as u64) as u32)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_value, encode_value, raw_value};
+    use crate::testing::proptest_cases;
+    use bytes::Bytes;
+    use proptest::prelude::*;
 
     #[test]
     fn modulo_places_crafted_values_predictably() {
@@ -120,5 +134,77 @@ mod tests {
     #[should_panic(expected = "at least one partition")]
     fn zero_partitions_rejected() {
         let _ = Partitioner::modulo(0);
+    }
+
+    /// Hashes and placements as `Value::partition_hash` computed them
+    /// before the value and its raw form shared one definition.
+    #[test]
+    fn partition_hashes_are_pinned() {
+        let pinned = [
+            (Value::Null, 0xafcc_c1b7_2722_0a95, 1, 1),
+            (Value::Int(-3), 0x0b89_bada_8a99_e041, 3, 2),
+            (Value::Int(1 << 40), 0x220a_9500_0000_0000, 2, 3),
+            (Value::Double(1.5), 0xeb58_0000_0000_0000, 6, 6),
+            (Value::Double(f64::NAN), 0x2b58_0000_0000_0000, 1, 1),
+            (Value::Bool(true), 0xfe1b_501f_a1b7_0a95, 6, 6),
+            (Value::Bool(false), 0xac9e_8e68_7a95_0000, 6, 6),
+            (Value::text("EUR"), 0xde22_4a92_a489_9845, 4, 4),
+            (Value::text(""), 0, 0, 0),
+            (
+                Value::Blob(Bytes::from_static(b"\x00\x01\xff")),
+                0x26e6_d6e7_2f17_facf,
+                3,
+                3,
+            ),
+            (Value::Pad(16), 0x52dc_1b72_7220_a950, 4, 4),
+        ];
+        for (v, hash, modulo, hashed) in pinned {
+            assert_eq!(v.partition_hash(), hash, "{v:?}");
+            assert_eq!(
+                Partitioner::modulo(7).partition_of(&v),
+                PartitionId(modulo),
+                "{v:?}"
+            );
+            assert_eq!(
+                Partitioner::hash(7).partition_of(&v),
+                PartitionId(hashed),
+                "{v:?}"
+            );
+        }
+    }
+
+    fn value_strategy() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0u8..1).prop_map(|_| Value::Null),
+            any::<i64>().prop_map(Value::Int),
+            any::<u64>().prop_map(|b| Value::Double(f64::from_bits(b))),
+            any::<bool>().prop_map(Value::Bool),
+            ".{0,12}".prop_map(Value::text),
+            proptest::collection::vec(any::<u8>(), 0..40).prop_map(|b| Value::Blob(Bytes::from(b))),
+            any::<u32>().prop_map(Value::Pad),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: proptest_cases(256),
+            ..ProptestConfig::default()
+        })]
+
+        /// A value read in place from its encoding — how the generator
+        /// hands the split a key — is placed where the value decoded
+        /// from the same bytes is, by either partitioner.
+        #[test]
+        fn raw_values_place_like_decoded_values(v in value_strategy(), n in 1u32..300) {
+            let mut buf = Vec::new();
+            encode_value(&mut buf, &v);
+            let raw = raw_value(&mut buf.as_slice()).unwrap();
+            let decoded = decode_value(&mut buf.as_slice()).unwrap();
+            prop_assert_eq!(raw, v.as_raw());
+            prop_assert_eq!(raw.partition_hash(), decoded.partition_hash());
+            for p in [Partitioner::modulo(n), Partitioner::hash(n)] {
+                prop_assert_eq!(p.partition_of_raw(raw), p.partition_of(&decoded));
+            }
+        }
     }
 }

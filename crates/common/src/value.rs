@@ -17,6 +17,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use crate::codec::RawValue;
 use crate::hash::fx_hash;
 use bytes::Bytes;
 
@@ -76,18 +77,27 @@ impl Value {
         matches!(self, Value::Null)
     }
 
+    /// The value as it is encoded, borrowing its text or blob bytes: the
+    /// one form the codec, the partitioner and a generator that never
+    /// builds a `Value` share.
+    #[inline]
+    pub fn as_raw(&self) -> RawValue<'_> {
+        match self {
+            Value::Null => RawValue::Null,
+            Value::Int(i) => RawValue::Int(*i),
+            Value::Double(d) => RawValue::Double(d.to_bits()),
+            Value::Bool(b) => RawValue::Bool(*b),
+            Value::Text(s) => RawValue::Text(s.as_bytes()),
+            Value::Blob(b) => RawValue::Blob(b),
+            Value::Pad(n) => RawValue::Pad(*n),
+        }
+    }
+
     /// Deterministic 64-bit hash of the value, used by split operators to
     /// derive partition IDs. Stable across runs and processes.
+    #[inline]
     pub fn partition_hash(&self) -> u64 {
-        match self {
-            Value::Null => fx_hash(&0xA110_0000_0000_0001u64),
-            Value::Int(i) => fx_hash(i),
-            Value::Double(d) => fx_hash(&d.to_bits()),
-            Value::Bool(b) => fx_hash(&(*b as u64 | 0xB001_0000)),
-            Value::Text(s) => fx_hash(s.as_bytes()),
-            Value::Blob(b) => fx_hash(&b[..]),
-            Value::Pad(n) => fx_hash(&(*n as u64 | 0x9AD0_0000_0000_0000)),
-        }
+        self.as_raw().partition_hash()
     }
 
     /// Estimated heap bytes attributable to this value *in operator
@@ -128,6 +138,38 @@ impl Value {
             (Pad(a), Pad(b)) => a.cmp(b),
             (a, b) => rank(a).cmp(&rank(b)),
         }
+    }
+}
+
+impl RawValue<'_> {
+    /// [`Value::partition_hash`] of the value this encodes, read in
+    /// place.
+    #[inline]
+    pub fn partition_hash(&self) -> u64 {
+        match *self {
+            RawValue::Null => fx_hash(&0xA110_0000_0000_0001u64),
+            RawValue::Int(i) => fx_hash(&i),
+            RawValue::Double(bits) => fx_hash(&bits),
+            RawValue::Bool(b) => fx_hash(&(b as u64 | 0xB001_0000)),
+            RawValue::Text(bytes) | RawValue::Blob(bytes) => fx_hash(bytes),
+            RawValue::Pad(n) => fx_hash(&(n as u64 | 0x9AD0_0000_0000_0000)),
+        }
+    }
+
+    /// Build the value: text and blob bytes are copied out, text is
+    /// checked for UTF-8 (raw text is not, see [`raw_value`](crate::codec::raw_value)).
+    pub fn to_value(self) -> crate::error::Result<Value> {
+        Ok(match self {
+            RawValue::Null => Value::Null,
+            RawValue::Int(i) => Value::Int(i),
+            RawValue::Double(bits) => Value::Double(f64::from_bits(bits)),
+            RawValue::Bool(b) => Value::Bool(b),
+            RawValue::Text(bytes) => std::str::from_utf8(bytes)
+                .map(Value::text)
+                .map_err(|e| crate::error::DcapeError::codec(format!("text: invalid utf8: {e}")))?,
+            RawValue::Blob(bytes) => Value::Blob(Bytes::copy_from_slice(bytes)),
+            RawValue::Pad(n) => Value::Pad(n),
+        })
     }
 }
 

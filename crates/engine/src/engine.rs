@@ -520,8 +520,17 @@ impl QueryEngine {
         }
         let join_columns = self.cfg.join.join_columns.clone();
         let mut merger = SegmentMerger::new(&join_columns, self.cfg.join.window, keep_state);
-        while let Some(segment) = self.take_spilled_segment(pid)? {
-            merger.push(segment, sink)?;
+        if keep_state || sink.wants_rows() {
+            while let Some(segment) = self.take_spilled_segment(pid)? {
+                merger.push(segment, sink)?;
+            }
+        } else {
+            // Nothing will read a row: decode only what a count reads.
+            while let Some(keys) =
+                self.journal_reads(|store| store.take_segment_keys(pid, &join_columns))?
+            {
+                merger.push_keys(keys, sink)?;
+            }
         }
         let mut carried_output = 0;
         if let Some((resident, output)) = self.join.extract_group(pid) {

@@ -26,7 +26,7 @@ use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_common::value::Value;
-use dcape_storage::{SpilledGroup, StreamColumns};
+use dcape_storage::{SegmentKeys, SpilledGroup, StreamColumns};
 
 use crate::probe::{ProbeSpans, SpanList, INLINE_STREAMS};
 use crate::sink::ResultSink;
@@ -183,33 +183,78 @@ impl<'j> SegmentMerger<'j> {
     /// Merge the next slice: index its rows behind those merged so far
     /// and emit the results that mix it with them into `sink`.
     pub fn push(&mut self, segment: SpilledGroup, sink: &mut dyn ResultSink) -> Result<()> {
-        let m = self.join_columns.len();
-        if segment.num_streams() != m {
+        self.begin_slice(
+            segment.partition,
+            segment.num_streams(),
+            segment.tuple_count(),
+            sink,
+        )?;
+        let slice = segment.into_streams();
+        let keys = slice.iter().zip(self.join_columns).map(|(cols, &c)| {
+            let key = move |i| {
+                body_value(cols.row(i), c)?
+                    .ok_or_else(|| DcapeError::state("cleanup tuple lacks join column"))
+            };
+            (cols.ts(), (0..cols.len()).map(key))
+        });
+        self.index_rows(keys.collect())?;
+        if self.keep_rows {
+            self.slices.push(slice);
+        }
+        self.end_slice(sink);
+        Ok(())
+    }
+
+    /// [`push`](Self::push) for a slice read as its timestamps and join
+    /// keys only ([`SegmentKeys`]): for a merge that keeps no rows.
+    pub fn push_keys(&mut self, segment: SegmentKeys, sink: &mut dyn ResultSink) -> Result<()> {
+        let m = segment.streams.len();
+        self.begin_slice(segment.partition, m, segment.tuple_count(), sink)?;
+        if self.keep_rows {
+            return Err(DcapeError::state(
+                "a merge that keeps rows was given keys only",
+            ));
+        }
+        let keys =
+            (segment.streams.iter()).map(|cols| (cols.ts(), cols.keys().iter().cloned().map(Ok)));
+        self.index_rows(keys.collect())?;
+        self.end_slice(sink);
+        Ok(())
+    }
+
+    /// Check a slice of `m` streams and `rows` rows of partition `pid`
+    /// against the merge, and count it in.
+    fn begin_slice(
+        &mut self,
+        pid: PartitionId,
+        m: usize,
+        rows: usize,
+        sink: &dyn ResultSink,
+    ) -> Result<()> {
+        if m != self.join_columns.len() {
             return Err(DcapeError::state(format!(
-                "segment for {} has {} streams, join configured for {m}",
-                segment.partition,
-                segment.num_streams(),
+                "segment for {pid} has {m} streams, join configured for {}",
+                self.join_columns.len(),
             )));
         }
-        self.outcome.scanned_tuples += segment.tuple_count() as u64;
+        self.outcome.scanned_tuples += rows as u64;
         self.outcome.segments_merged += 1;
         if self.pid.is_none() {
-            self.pid = Some(segment.partition);
+            self.pid = Some(pid);
             self.keep_rows |= sink.wants_rows();
         } else if sink.wants_rows() && !self.keep_rows {
             return Err(DcapeError::state(
                 "sink wants rows of slices merged for one that did not",
             ));
         }
-        let slice = segment.into_streams();
-        self.index_rows(&slice)?;
-        if self.keep_rows {
-            self.slices.push(slice);
-        }
+        Ok(())
+    }
+
+    /// Emit what the slice just indexed adds.
+    fn end_slice(&mut self, sink: &mut dyn ResultSink) {
         if self.outcome.segments_merged > 1 {
             self.emit_cross(sink);
         }
-        Ok(())
     }
 
     /// Where the newest slice's rows of stream `s` start in `ts[s]`.
@@ -217,28 +262,31 @@ impl<'j> SegmentMerger<'j> {
         self.starts[s].last().copied().unwrap_or(0)
     }
 
-    /// Append `slice`'s timestamps and index its rows by join key — one
-    /// lookup per row, each key read in place in the arena.
-    fn index_rows(&mut self, slice: &[StreamColumns]) -> Result<()> {
-        for (s, cols) in slice.iter().enumerate() {
+    /// Append a slice's timestamps and index its rows by join key — one
+    /// lookup per row. `slice[s]` is stream `s`'s timestamp column and
+    /// its rows' keys, in row order.
+    fn index_rows<K>(&mut self, slice: Vec<(&[VirtualTime], K)>) -> Result<()>
+    where
+        K: Iterator<Item = Result<Value>>,
+    {
+        for (s, (cols_ts, _)) in slice.iter().enumerate() {
             let before = self.fresh_start(s) as usize;
             let ts = &mut self.ts[s];
-            if ts.len() + cols.len() > u32::MAX as usize {
+            if ts.len() + cols_ts.len() > u32::MAX as usize {
                 return Err(DcapeError::state("merged segments exceed 2^32 rows"));
             }
             // What was the newest slice joins the older ones.
             let joined = before == 0 || before == ts.len() || ts[before - 1] <= ts[before];
             self.old_sorted[s] &= self.new_sorted[s] && joined;
-            self.new_sorted[s] = cols.ts().windows(2).all(|w| w[0] <= w[1]);
+            self.new_sorted[s] = cols_ts.windows(2).all(|w| w[0] <= w[1]);
             self.starts[s].push(ts.len() as u32);
-            ts.extend_from_slice(cols.ts());
+            ts.extend_from_slice(cols_ts);
         }
         self.fresh_keys.clear();
-        for (s, cols) in slice.iter().enumerate() {
+        for (s, (_, keys)) in slice.into_iter().enumerate() {
             let start = self.fresh_start(s);
-            for i in 0..cols.len() {
-                let key = body_value(cols.row(i), self.join_columns[s])?
-                    .ok_or_else(|| DcapeError::state("cleanup tuple lacks join column"))?;
+            for (i, key) in keys.enumerate() {
+                let key = key?;
                 let hash = fx_hash(&key);
                 let slot = self.index.find_or_insert(hash, &key, |_| 0);
                 // Positions ascend: a key this slice has already met

@@ -25,7 +25,7 @@ use dcape_common::pages::RowPages;
 use dcape_common::time::VirtualTime;
 use dcape_common::tuple::heap_size;
 
-use crate::segment::StreamColumns;
+use crate::segment::{KeyColumns, StreamColumns};
 
 // ---------------------------------------------------------------------
 // Column blocks.
@@ -441,6 +441,66 @@ fn check_utf8(bytes: &[u8]) -> Result<()> {
         .map_err(|e| DcapeError::codec(format!("text: invalid utf8: {e}")))
 }
 
+/// A column block's row count and layout byte, `None` for an empty
+/// block (which has no layout).
+fn block_head(buf: &mut &[u8]) -> Result<Option<(usize, u8)>> {
+    let count = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
+    if count == 0 {
+        return Ok(None);
+    }
+    let Some((&layout, rest)) = buf.split_first() else {
+        return Err(DcapeError::codec("block: unexpected end of input"));
+    };
+    *buf = rest;
+    Ok(Some((count, layout)))
+}
+
+/// The body of a columnar block, parsed and checked: what both block
+/// decoders build from.
+struct ColumnarBlock<'a> {
+    arity: usize,
+    seqs: Vec<u64>,
+    ts: Vec<VirtualTime>,
+    columns: Vec<Column<'a>>,
+    /// Bytes the rows take in the row encoding.
+    arena_len: u64,
+    /// What the rows' values account for in operator state.
+    payload: u64,
+}
+
+fn parse_columnar<'a>(
+    buf: &mut &'a [u8],
+    count: usize,
+    stream: StreamId,
+) -> Result<ColumnarBlock<'a>> {
+    check_stream(buf, stream)?;
+    let arity = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
+    // Every row costs a byte in the seq column and every column a tag
+    // byte, which bounds both by the bytes at hand.
+    if count > buf.len() || arity > buf.len() {
+        return Err(DcapeError::codec("block: more rows or columns than bytes"));
+    }
+    let seqs = get_delta_column(buf, count)?;
+    let ts = get_delta_column(buf, count)?;
+    let mut arena_len = (count * varint_len(arity as u64)) as u64;
+    let mut payload = 0u64;
+    let mut columns = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        columns.push(decode_column(buf, count, &mut arena_len, &mut payload)?);
+    }
+    if arena_len > u32::MAX as u64 {
+        return Err(DcapeError::codec("block: rows exceed the 4 GiB arena"));
+    }
+    Ok(ColumnarBlock {
+        arity,
+        seqs,
+        ts: ts.into_iter().map(VirtualTime::from_millis).collect(),
+        columns,
+        arena_len,
+        payload,
+    })
+}
+
 /// Decode one stream's column block straight into the columns of slot
 /// `stream`: the values are interleaved back into arena rows without a
 /// [`Tuple`](dcape_common::tuple::Tuple) in between. Everything a reader
@@ -448,35 +508,14 @@ fn check_utf8(bytes: &[u8]) -> Result<()> {
 /// `buf`, UTF-8 text, `Pad` within `u32`, an arena within its `u32`
 /// offsets — since segment bytes also arrive off a socket.
 pub(crate) fn decode_stream_block(buf: &mut &[u8], stream: StreamId) -> Result<StreamColumns> {
-    let count = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
-    if count == 0 {
+    let Some((count, layout)) = block_head(buf)? else {
         return Ok(StreamColumns::default());
-    }
-    let Some((&layout, rest)) = buf.split_first() else {
-        return Err(DcapeError::codec("block: unexpected end of input"));
     };
-    *buf = rest;
     match layout {
         LAYOUT_ROWS => decode_row_block(buf, count, stream),
         LAYOUT_COLUMNAR => {
-            check_stream(buf, stream)?;
-            let arity = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
-            // Every row costs a byte in the seq column and every column
-            // a tag byte, which bounds both by the bytes at hand.
-            if count > buf.len() || arity > buf.len() {
-                return Err(DcapeError::codec("block: more rows or columns than bytes"));
-            }
-            let seqs = get_delta_column(buf, count)?;
-            let ts = get_delta_column(buf, count)?;
-            let mut arena_len = (count * varint_len(arity as u64)) as u64;
-            let mut payload = 0u64;
-            let mut columns = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                columns.push(decode_column(buf, count, &mut arena_len, &mut payload)?);
-            }
-            if arena_len > u32::MAX as u64 {
-                return Err(DcapeError::codec("block: rows exceed the 4 GiB arena"));
-            }
+            let block = parse_columnar(buf, count, stream)?;
+            let (arity, columns) = (block.arity, &block.columns);
             let mut arena = RowPages::default();
             let mut ends = Vec::with_capacity(count);
             for i in 0..count {
@@ -484,25 +523,53 @@ pub(crate) fn decode_stream_block(buf: &mut &[u8], stream: StreamId) -> Result<S
                 let len = varint_len(arity as u64) + values.sum::<usize>();
                 ends.push(arena.push_with(len, |page| {
                     put_varint(page, arity as u64);
-                    for column in &columns {
+                    for column in columns {
                         encode_raw_value(page, column.value(i));
                     }
                 }));
             }
             // Short of `arena_len` only where the input spelled a varint
             // longer than it had to.
-            debug_assert!(arena.len() as u64 <= arena_len);
-            let acct = (count as u64 * heap_size(arity, 0) as u64).saturating_add(payload);
+            debug_assert!(arena.len() as u64 <= block.arena_len);
+            let acct = (count as u64 * heap_size(arity, 0) as u64).saturating_add(block.payload);
             Ok(StreamColumns::from_parts(
-                ts.into_iter().map(VirtualTime::from_millis).collect(),
-                seqs,
-                ends,
-                arena,
-                acct,
+                block.ts, block.seqs, ends, arena, acct,
             ))
         }
         b => Err(DcapeError::codec(format!("unknown block layout 0x{b:02x}"))),
     }
+}
+
+/// Decode one stream's block as only its timestamps and the values of
+/// column `key_column`: the block is parsed and checked as
+/// [`decode_stream_block`] checks it, but no arena row is rebuilt. A
+/// row-layout block is decoded whole and then cut.
+pub(crate) fn decode_stream_keys(
+    buf: &mut &[u8],
+    stream: StreamId,
+    key_column: usize,
+) -> Result<KeyColumns> {
+    let Some((count, layout)) = block_head(buf)? else {
+        return Ok(KeyColumns::default());
+    };
+    match layout {
+        LAYOUT_ROWS => KeyColumns::of_rows(&decode_row_block(buf, count, stream)?, key_column),
+        LAYOUT_COLUMNAR => {
+            let block = parse_columnar(buf, count, stream)?;
+            let column = block.columns.get(key_column).ok_or_else(lacks_key)?;
+            let keys = (0..count).map(|i| column.value(i).to_value());
+            Ok(KeyColumns::from_parts(
+                block.ts,
+                keys.collect::<Result<_>>()?,
+            ))
+        }
+        b => Err(DcapeError::codec(format!("unknown block layout 0x{b:02x}"))),
+    }
+}
+
+/// A row without the column its stream joins on.
+pub(crate) fn lacks_key() -> DcapeError {
+    DcapeError::state("cleanup tuple lacks join column")
 }
 
 /// The block encoder this module had while a snapshot was a

@@ -28,5 +28,5 @@ pub mod store;
 
 pub use backend::{FileBackend, MemBackend, SegmentHandle, SpillBackend};
 pub use diskmodel::DiskModel;
-pub use segment::{SegmentCodec, SpilledGroup, StreamColumns};
+pub use segment::{KeyColumns, SegmentCodec, SegmentKeys, SpilledGroup, StreamColumns};
 pub use store::{SegmentMeta, SpillStats, SpillStore};

@@ -17,7 +17,9 @@
 //! boundary rebuilds a [`Tuple`] — [`StreamColumns::tuple`] exists for
 //! enumerating sinks and tests. Slot `s` holds rows of
 //! stream `s` only, so rows carry no stream ID. A clone shares the
-//! buffers.
+//! buffers. A cleanup merge whose sink only counts reads a segment as
+//! [`SegmentKeys`] instead: per stream the timestamps and the join keys,
+//! checked as a full decode checks them, with no arena rebuilt.
 //!
 //! The binary layout is:
 //!
@@ -39,16 +41,18 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use dcape_common::batch::RowRef;
+use dcape_common::codec::body_value;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::mem::HeapSize;
 use dcape_common::pages::{RowAt, RowPages};
 use dcape_common::time::VirtualTime;
 use dcape_common::tuple::Tuple;
+use dcape_common::value::Value;
 
 use crate::codec::{
-    decode_row_block, decode_stream_block, encode_stream_block, encode_value, encoded_value_len,
-    get_varint, put_rows, put_varint, rows_len, varint_len,
+    decode_row_block, decode_stream_block, decode_stream_keys, encode_stream_block, encode_value,
+    encoded_value_len, get_varint, lacks_key, put_rows, put_varint, rows_len, varint_len,
 };
 
 const MAGIC: u32 = 0xDCA9_E501;
@@ -393,31 +397,8 @@ impl SpilledGroup {
     /// wire frame: the rows are copied into fresh arenas either way.
     pub fn decode_slice(mut bytes: &[u8]) -> Result<Self> {
         let buf = &mut bytes;
-        let Some((magic, rest)) = buf.split_first_chunk::<4>() else {
-            return Err(DcapeError::codec("segment: short header"));
-        };
-        let magic = u32::from_le_bytes(*magic);
-        if magic != MAGIC {
-            return Err(DcapeError::codec(format!(
-                "segment: bad magic 0x{magic:08x}"
-            )));
-        }
-        let Some((&version, rest)) = rest.split_first() else {
-            return Err(DcapeError::codec("segment: short header"));
-        };
-        if version != VERSION_ROWS && version != VERSION_COLUMNS {
-            return Err(DcapeError::codec(format!(
-                "segment: unsupported version {version}"
-            )));
-        }
-        *buf = rest;
-        let partition = u32::try_from(get_varint(buf)?)
-            .map_err(|_| DcapeError::codec("segment: partition id out of range"))?;
-        let nstreams = get_varint(buf)?;
-        if nstreams > 256 {
-            return Err(DcapeError::codec("segment: implausible stream count"));
-        }
-        let mut streams = Vec::with_capacity(nstreams as usize);
+        let (version, partition, nstreams) = decode_header(buf)?;
+        let mut streams = Vec::with_capacity(nstreams);
         for s in 0..nstreams {
             let stream = StreamId(s as u8);
             streams.push(if version == VERSION_ROWS {
@@ -427,10 +408,135 @@ impl SpilledGroup {
                 decode_stream_block(buf, stream)?
             });
         }
-        if !buf.is_empty() {
-            return Err(DcapeError::codec("segment: trailing bytes"));
+        decode_end(buf)?;
+        Ok(Self::from_streams(partition, streams))
+    }
+}
+
+/// Read a segment's header: its version, partition and stream count.
+fn decode_header(buf: &mut &[u8]) -> Result<(u8, PartitionId, usize)> {
+    let Some((magic, rest)) = buf.split_first_chunk::<4>() else {
+        return Err(DcapeError::codec("segment: short header"));
+    };
+    let magic = u32::from_le_bytes(*magic);
+    if magic != MAGIC {
+        return Err(DcapeError::codec(format!(
+            "segment: bad magic 0x{magic:08x}"
+        )));
+    }
+    let Some((&version, rest)) = rest.split_first() else {
+        return Err(DcapeError::codec("segment: short header"));
+    };
+    if version != VERSION_ROWS && version != VERSION_COLUMNS {
+        return Err(DcapeError::codec(format!(
+            "segment: unsupported version {version}"
+        )));
+    }
+    *buf = rest;
+    let partition = u32::try_from(get_varint(buf)?)
+        .map_err(|_| DcapeError::codec("segment: partition id out of range"))?;
+    let nstreams = get_varint(buf)?;
+    if nstreams > 256 {
+        return Err(DcapeError::codec("segment: implausible stream count"));
+    }
+    Ok((version, PartitionId(partition), nstreams as usize))
+}
+
+fn decode_end(buf: &[u8]) -> Result<()> {
+    if !buf.is_empty() {
+        return Err(DcapeError::codec("segment: trailing bytes"));
+    }
+    Ok(())
+}
+
+/// One stream's rows of a segment cut to what a merge that only counts
+/// reads: the timestamp column and each row's join key, in insertion
+/// order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeyColumns {
+    ts: Vec<VirtualTime>,
+    keys: Vec<Value>,
+}
+
+impl KeyColumns {
+    pub(crate) fn from_parts(ts: Vec<VirtualTime>, keys: Vec<Value>) -> Self {
+        assert_eq!(ts.len(), keys.len());
+        KeyColumns { ts, keys }
+    }
+
+    /// The timestamps and keys of `cols`' rows, each key the value in
+    /// column `key_column`.
+    pub(crate) fn of_rows(cols: &StreamColumns, key_column: usize) -> Result<Self> {
+        let keys =
+            (0..cols.len()).map(|i| body_value(cols.row(i), key_column)?.ok_or_else(lacks_key));
+        Ok(KeyColumns::from_parts(
+            cols.ts().to_vec(),
+            keys.collect::<Result<_>>()?,
+        ))
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ts.len()
+    }
+
+    /// True if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ts.is_empty()
+    }
+
+    /// The timestamp column.
+    pub fn ts(&self) -> &[VirtualTime] {
+        &self.ts
+    }
+
+    /// The key column.
+    pub fn keys(&self) -> &[Value] {
+        &self.keys
+    }
+}
+
+/// A segment read as [`KeyColumns`] only: what a count-only cleanup
+/// merge takes in. Its bytes are checked as [`SpilledGroup::decode`]
+/// checks them; no arena row is rebuilt.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegmentKeys {
+    /// The partition ID of the group.
+    pub partition: PartitionId,
+    /// `streams[s]`: stream `s`'s timestamps and keys.
+    pub streams: Vec<KeyColumns>,
+}
+
+impl SegmentKeys {
+    /// Decode segment bytes (either format version) keeping, of stream
+    /// `s`'s rows, the timestamp and column `key_columns[s]`. A segment
+    /// with another stream count than `key_columns` is refused.
+    pub fn decode_slice(mut bytes: &[u8], key_columns: &[usize]) -> Result<Self> {
+        let buf = &mut bytes;
+        let (version, partition, nstreams) = decode_header(buf)?;
+        if nstreams != key_columns.len() {
+            return Err(DcapeError::state(format!(
+                "segment for {partition} has {nstreams} streams, join configured for {}",
+                key_columns.len()
+            )));
         }
-        Ok(Self::from_streams(PartitionId(partition), streams))
+        let mut streams = Vec::with_capacity(nstreams);
+        for (s, &key_column) in key_columns.iter().enumerate() {
+            let stream = StreamId(s as u8);
+            streams.push(if version == VERSION_ROWS {
+                let count = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
+                KeyColumns::of_rows(&decode_row_block(buf, count, stream)?, key_column)?
+            } else {
+                decode_stream_keys(buf, stream, key_column)?
+            });
+        }
+        decode_end(buf)?;
+        Ok(SegmentKeys { partition, streams })
+    }
+
+    /// Total number of rows across all streams.
+    pub fn tuple_count(&self) -> usize {
+        self.streams.iter().map(KeyColumns::len).sum()
     }
 }
 

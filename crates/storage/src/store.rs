@@ -17,7 +17,7 @@ use dcape_common::hash::FxHashMap;
 use dcape_common::ids::PartitionId;
 
 use crate::backend::{SegmentHandle, SpillBackend};
-use crate::segment::{SegmentCodec, SpilledGroup};
+use crate::segment::{SegmentCodec, SegmentKeys, SpilledGroup};
 
 /// Metadata retained in memory for one spilled segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,13 +152,32 @@ impl SpillStore {
     /// The segment is forgotten only once it is in hand and its bytes
     /// are deleted: on an error it and the later ones stay registered.
     pub fn take_segment(&mut self, pid: PartitionId) -> Result<Option<SpilledGroup>> {
+        self.take_oldest(pid, SpilledGroup::decode_slice)
+    }
+
+    /// [`take_segment`](Self::take_segment) for a merge that only counts:
+    /// the same bytes read, decoded as their timestamps and the keys in
+    /// columns `key_columns` ([`SegmentKeys`]).
+    pub fn take_segment_keys(
+        &mut self,
+        pid: PartitionId,
+        key_columns: &[usize],
+    ) -> Result<Option<SegmentKeys>> {
+        self.take_oldest(pid, |bytes| SegmentKeys::decode_slice(bytes, key_columns))
+    }
+
+    fn take_oldest<T>(
+        &mut self,
+        pid: PartitionId,
+        decode: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<Option<T>> {
         let Some(&meta) = self.segments_of(pid).first() else {
             return Ok(None);
         };
-        let group = self.read(&meta)?;
+        let taken = decode(self.read(&meta)?)?;
         self.backend.delete_segment(meta.handle)?;
         self.forget_oldest(pid, 1);
-        Ok(Some(group))
+        Ok(Some(taken))
     }
 
     /// Read back and remove all segments of `pid`, in spill order.
@@ -169,7 +188,9 @@ impl SpillStore {
     /// then goes as its bytes are deleted.
     pub fn take_segments(&mut self, pid: PartitionId) -> Result<Vec<SpilledGroup>> {
         let metas = self.segments_of(pid).to_vec();
-        let groups = (metas.iter().map(|meta| self.read(meta))).collect::<Result<Vec<_>>>()?;
+        let groups = (metas.iter())
+            .map(|meta| SpilledGroup::decode_slice(self.read(meta)?))
+            .collect::<Result<Vec<_>>>()?;
         let mut deleted = 0;
         let all_deleted = metas.iter().try_for_each(|meta| {
             self.backend.delete_segment(meta.handle)?;
@@ -180,13 +201,13 @@ impl SpillStore {
         all_deleted.map(|()| groups)
     }
 
-    /// Read and decode one registered segment.
-    fn read(&mut self, meta: &SegmentMeta) -> Result<SpilledGroup> {
+    /// Read one registered segment's bytes.
+    fn read(&mut self, meta: &SegmentMeta) -> Result<&[u8]> {
         self.backend.read_segment(meta.handle, &mut self.buf)?;
         self.stats.segments_read += 1;
         self.stats.encoded_bytes_read += self.buf.len() as u64;
         self.stats.state_bytes_read += meta.state_bytes;
-        SpilledGroup::decode_slice(&self.buf)
+        Ok(&self.buf)
     }
 
     /// Drop the `n` oldest entries of `pid` (a partition holds a few

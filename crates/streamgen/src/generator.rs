@@ -12,12 +12,23 @@
 //! partition ID, which is exactly what [`Partitioner::Modulo`] computes —
 //! generator and split operators therefore agree on routing without any
 //! side channel.
+//!
+//! A tick's rows come in two forms from one draw routine, so the random
+//! stream and every value are the same in both:
+//! [`tick_raw`](StreamSetGenerator::tick_raw) lends each row's parts as a
+//! [`RawRow`] — the key, the pad and a blob that points at its template —
+//! to be classified, routed and encoded once into the batch it travels
+//! in, which is how the coordinator's loop feeds the engines; and
+//! [`tick_batch`](StreamSetGenerator::tick_batch) and the `Iterator` build
+//! [`Tuple`]s, for callers that hold rows as values.
 
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use dcape_common::batch::RawRow;
+use dcape_common::codec::RawValue;
 use dcape_common::error::Result;
 use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::time::VirtualTime;
@@ -180,6 +191,39 @@ impl StreamSetGenerator {
         ts
     }
 
+    /// Advance one tick without building a tuple: lend each stream's row,
+    /// in stream order, to `emit` as its parts — the rows
+    /// [`tick_batch`](Self::tick_batch) would have built, value for
+    /// value — and return the tick's timestamp. An error from `emit` is
+    /// returned at once and leaves the tick half drawn; it ends the run.
+    pub fn tick_raw(
+        &mut self,
+        mut emit: impl FnMut(RawRow<'_>) -> Result<()>,
+    ) -> Result<VirtualTime> {
+        let ts = self.begin_tick();
+        for s in 0..self.spec.num_streams {
+            let (seq, key, blob) = self.draw(s);
+            let mut values = [RawValue::Int(key), RawValue::Null, RawValue::Null];
+            let mut arity = 1;
+            if self.spec.payload_pad > 0 {
+                values[arity] = RawValue::Pad(self.spec.payload_pad);
+                arity += 1;
+            }
+            if let Some(i) = blob {
+                values[arity] = RawValue::Blob(&self.blob_templates[i]);
+                arity += 1;
+            }
+            emit(RawRow {
+                stream: StreamId(s as u8),
+                seq,
+                ts,
+                values: &values[..arity],
+            })?;
+        }
+        self.end_tick();
+        Ok(ts)
+    }
+
     fn rebuild_weights(&mut self) {
         self.cumulative.clear();
         let mut acc = 0.0;
@@ -201,41 +245,62 @@ impl StreamSetGenerator {
         self.profiles[idx].partition
     }
 
-    /// Advance one tick: one tuple per stream at the current timestamp.
-    fn tick_into(&mut self, out: &mut Vec<Tuple>) {
+    /// Start a tick: refresh the weight table if the pattern moved on,
+    /// and return the tick's timestamp.
+    #[inline]
+    fn begin_tick(&mut self) -> VirtualTime {
         if let Some(valid_until) = self.weights_valid_until {
             if self.now >= valid_until {
                 self.rebuild_weights();
             }
         }
+        self.now
+    }
+
+    /// Draw stream `s`'s row of the current tick — the one routine both
+    /// row forms come from: its sequence number, its join value (crafted
+    /// so `value mod n == pid`) and, with blob payloads, its template.
+    #[inline]
+    fn draw(&mut self, s: usize) -> (u64, i64, Option<usize>) {
         let n = self.spec.num_partitions as u64;
+        let pid = self.sample_partition();
+        let local = self.schedules[s][pid.index()].next_value();
+        let key = (local * n + pid.0 as u64) as i64;
+        let seq = self.seqs[s];
+        let blob = (!self.blob_templates.is_empty())
+            .then(|| (seq % self.blob_templates.len() as u64) as usize);
+        self.seqs[s] += 1;
+        self.arrivals[pid.index()] += 1;
+        (seq, key, blob)
+    }
+
+    #[inline]
+    fn end_tick(&mut self) {
+        self.ticks += 1;
+        self.now += self.spec.inter_arrival;
+    }
+
+    /// Advance one tick: one tuple per stream at the current timestamp.
+    fn tick_into(&mut self, out: &mut Vec<Tuple>) {
+        let ts = self.begin_tick();
+        // Exact, so `Tuple::new`'s boxed slice takes the buffer over
+        // without reallocating, whatever the spec's arity.
+        let arity = 1
+            + usize::from(self.spec.payload_pad > 0)
+            + usize::from(!self.blob_templates.is_empty());
         for s in 0..self.spec.num_streams {
-            let pid = self.sample_partition();
-            let local = self.schedules[s][pid.index()].next_value();
-            // Craft the value so `value mod n == pid`.
-            let join_value = (local * n + pid.0 as u64) as i64;
-            // Exact, so `Tuple::new`'s boxed slice takes the buffer over
-            // without reallocating, whatever the spec's arity.
-            let arity = 1
-                + usize::from(self.spec.payload_pad > 0)
-                + usize::from(!self.blob_templates.is_empty());
+            let (seq, key, blob) = self.draw(s);
             let mut values = Vec::with_capacity(arity);
-            values.push(Value::Int(join_value));
+            values.push(Value::Int(key));
             if self.spec.payload_pad > 0 {
                 values.push(Value::Pad(self.spec.payload_pad));
             }
-            if !self.blob_templates.is_empty() {
-                let i = (self.seqs[s] % self.blob_templates.len() as u64) as usize;
+            if let Some(i) = blob {
                 values.push(Value::Blob(self.blob_templates[i].clone()));
             }
-            let stream = StreamId(s as u8);
-            let tuple = Tuple::new(stream, self.seqs[s], self.now, values);
-            self.seqs[s] += 1;
-            self.arrivals[pid.index()] += 1;
-            out.push(tuple);
+            out.push(Tuple::new(StreamId(s as u8), seq, ts, values));
         }
-        self.ticks += 1;
-        self.now += self.spec.inter_arrival;
+        self.end_tick();
     }
 }
 

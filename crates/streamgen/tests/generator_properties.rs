@@ -5,6 +5,8 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use dcape_common::batch::TupleBatch;
+use dcape_common::ids::PartitionId;
 use dcape_common::time::VirtualDuration;
 use dcape_streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
 
@@ -103,6 +105,69 @@ proptest! {
             for t in chunk {
                 prop_assert_eq!(t.ts().as_millis(), i as u64 * gap_ms);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: dcape_common::testing::proptest_cases(32),
+        ..ProptestConfig::default()
+    })]
+
+    /// The rows `tick_raw` lends are `tick_batch`'s tuples: tick for
+    /// tick, each routes to the same partition and encodes into a batch
+    /// to the same bytes, and the two generators end in the same state —
+    /// with pad payloads, blob payloads, both, and a skew that flips
+    /// its favoured group during the run.
+    #[test]
+    fn raw_rows_encode_like_tick_batch(
+        partitions in 2u32..40,
+        streams in 2usize..5,
+        seed in any::<u64>(),
+        pad in prop_oneof![0u32..1, 1u32..2048],
+        blob in prop_oneof![0u32..1, 1u32..300],
+        skew in any::<bool>(),
+        ticks in 1u64..200,
+    ) {
+        let mut spec = StreamSetSpec::uniform(partitions, 400, 2, VirtualDuration::from_millis(30))
+            .with_streams(streams)
+            .with_seed(seed)
+            .with_payload_pad(pad)
+            .with_payload_blob(blob);
+        if skew {
+            spec = spec.with_pattern(ArrivalPattern::AlternatingSkew {
+                group_a: (0..partitions).step_by(2).map(PartitionId).collect(),
+                ratio: 10.0,
+                period: VirtualDuration::from_millis(900),
+            });
+        }
+        let mut raw = StreamSetGenerator::new(spec.clone()).unwrap();
+        let mut built = StreamSetGenerator::new(spec).unwrap();
+        let partitioner = raw.partitioner();
+        let mut tick = Vec::new();
+        for _ in 0..ticks {
+            let mut from_raw = TupleBatch::new();
+            let raw_ts = raw
+                .tick_raw(|row| {
+                    let pid = partitioner.partition_of_raw(row.values[StreamSetGenerator::JOIN_COLUMN]);
+                    from_raw.push_raw(pid, &row);
+                    Ok(())
+                })
+                .unwrap();
+            let mut from_tuples = TupleBatch::new();
+            let built_ts = built.tick_batch(&mut tick);
+            for tuple in tick.drain(..) {
+                let pid = partitioner.partition_of(&tuple.values()[StreamSetGenerator::JOIN_COLUMN]);
+                from_tuples.push(pid, tuple);
+            }
+            prop_assert_eq!(raw_ts, built_ts);
+            prop_assert_eq!(from_raw.len(), streams);
+            prop_assert_eq!(from_raw.as_bytes(), from_tuples.as_bytes());
+        }
+        prop_assert_eq!((raw.now(), raw.ticks()), (built.now(), built.ticks()));
+        for p in 0..partitions {
+            prop_assert_eq!(raw.arrivals_to(PartitionId(p)), built.arrivals_to(PartitionId(p)));
         }
     }
 }

@@ -543,7 +543,7 @@ impl GlobalCoordinator {
             self.force_spills_issued += 1;
             return Ok(Some(Command::DrainSpill { engine }));
         }
-        self.open(engine, receiver, resident_bytes, Purpose::Drain, 0.0, now)
+        self.open(engine, receiver, resident_bytes, Purpose::Drain, now)
             .map(Some)
     }
 
@@ -626,11 +626,9 @@ impl GlobalCoordinator {
                 sender,
                 receiver,
                 amount,
-            }) => {
-                let (purpose, ratio) = (Purpose::JoinRebalance, stats.load_ratio());
-                self.open(sender, receiver, amount, purpose, ratio, now)
-                    .map(Some)
-            }
+            }) => self
+                .open(sender, receiver, amount, Purpose::JoinRebalance, now)
+                .map(Some),
             // Graceful degradation: relocating toward a peer declared
             // dead would just burn another timeout ladder — shed the
             // memory pressure locally instead.
@@ -656,11 +654,9 @@ impl GlobalCoordinator {
                 sender,
                 receiver,
                 amount,
-            }) => {
-                let ratio = stats.load_ratio();
-                self.open(sender, receiver, amount, Purpose::Balance, ratio, now)
-                    .map(Some)
-            }
+            }) => self
+                .open(sender, receiver, amount, Purpose::Balance, now)
+                .map(Some),
             Some(Decision::ForceSpill { engine, amount }) => {
                 self.force_spills_issued += 1;
                 Ok(Some(Command::Spill { engine, amount }))
@@ -675,7 +671,6 @@ impl GlobalCoordinator {
         receiver: EngineId,
         amount: u64,
         purpose: Purpose,
-        load_ratio: f64,
         now: VirtualTime,
     ) -> Result<Command> {
         debug_assert!(self.round.is_none(), "one round at a time");
@@ -695,7 +690,6 @@ impl GlobalCoordinator {
                 parts: Vec::new(),
                 bytes: amount,
                 buffered_tuples: 0,
-                load_ratio,
             },
         );
         self.next_round += 1;
@@ -889,7 +883,6 @@ impl GlobalCoordinator {
                 parts: parts.clone(),
                 bytes: 0,
                 buffered_tuples: 0,
-                load_ratio: 0.0,
             },
         );
         if parts.is_empty() {
@@ -948,7 +941,6 @@ impl GlobalCoordinator {
                 parts: Vec::new(),
                 bytes: 0,
                 buffered_tuples: 0,
-                load_ratio: 0.0,
             },
         );
         let r = self.close(Outcome::Moved, now);
@@ -989,7 +981,7 @@ mod tests {
             theta_r: 0.8,
             tau_m: VirtualDuration::ZERO,
         };
-        GlobalCoordinator::new(&strategy, 2, 3, JournalHandle::with_capacity(256), patient)
+        GlobalCoordinator::new(&strategy, 2, 3, JournalHandle::enabled(), patient)
     }
 
     /// Let the strategy open a round at `now`: its id and amount.
@@ -1176,7 +1168,7 @@ mod tests {
     fn a_round_never_relocates_onto_its_sender() {
         let mut gc = lazy(false);
         let t = VirtualTime::ZERO;
-        assert!(gc.open(E0, E0, 10, Purpose::Balance, 0.0, t).is_err());
+        assert!(gc.open(E0, E0, 10, Purpose::Balance, t).is_err());
         assert!(!gc.relocation_active());
     }
 

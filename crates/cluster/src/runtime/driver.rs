@@ -435,9 +435,9 @@ impl<T: Transport> CoordinatorRun<T> {
         let mut report = std::mem::take(&mut self.report);
         report.force_spills = self.gc.force_spills_issued();
         if self.journal.is_enabled() {
-            let mut rings = std::mem::take(&mut self.engine_journals);
-            rings.push(self.journal.snapshot());
-            report.journal = merge_journals(rings);
+            let mut journals = std::mem::take(&mut self.engine_journals);
+            journals.push(self.journal.snapshot());
+            report.journal = merge_journals(journals);
         }
         if let Some(c) = self.journal.counters() {
             report.journal_counters.absorb(&c.snapshot());
@@ -710,7 +710,6 @@ impl<T: Transport> CoordinatorRun<T> {
                 parts,
                 bytes: 0,
                 buffered_tuples,
-                load_ratio: 0.0,
             },
         );
     }

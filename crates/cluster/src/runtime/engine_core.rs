@@ -492,7 +492,6 @@ impl EngineCore {
                             parts: parts.clone(),
                             bytes,
                             buffered_tuples: 0,
-                            load_ratio: 0.0,
                         },
                     );
                     self.qe.journal().add_relocation_bytes(bytes);
@@ -598,7 +597,6 @@ impl EngineCore {
                             parts,
                             bytes,
                             buffered_tuples: 0,
-                            load_ratio: 0.0,
                         },
                     );
                 } else {
@@ -788,7 +786,7 @@ mod tests {
     impl Pair {
         fn new(cfg: EngineConfig) -> Self {
             let core = |id| {
-                let journal = JournalHandle::with_capacity(1 << 14);
+                let journal = JournalHandle::enabled();
                 EngineCore::new(EngineId(id), cfg.clone(), journal, false).unwrap()
             };
             Pair {

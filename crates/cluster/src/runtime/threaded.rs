@@ -54,7 +54,7 @@ pub struct ThreadedReport {
     /// `SimConfig::journal` was set).
     pub journal: Vec<JournalEntry>,
     /// Final counter values (coordinator-side tallies plus per-engine
-    /// ring accounting; zeros unless `SimConfig::journal` was set).
+    /// counts; zeros unless `SimConfig::journal` was set).
     pub journal_counters: CountersSnapshot,
 }
 

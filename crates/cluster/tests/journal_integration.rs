@@ -12,7 +12,7 @@ use dcape_cluster::PlacementSpec;
 use dcape_common::ids::PartitionId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
-use dcape_metrics::journal::{AdaptEvent, JournalEntry, SpillTrigger};
+use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, SpillTrigger};
 use dcape_metrics::journal_to_jsonl;
 use dcape_streamgen::{ArrivalPattern, ClassAssignment, PartitionClass, StreamSetSpec};
 
@@ -112,8 +112,6 @@ fn sim_relocation_emits_all_eight_steps_in_order() {
         "relocations must journal encoded wire volume"
     );
     assert_eq!(c.buffered_in_flight, 0, "gauge must return to zero");
-    assert_eq!(c.events_recorded, report.journal.len() as u64);
-    assert_eq!(c.events_dropped, 0);
 }
 
 #[test]
@@ -230,8 +228,7 @@ fn sim_forced_spill_pairs_decision_with_cleanup_groups() {
     // Byte-volume counters: spills journal both the accounted state
     // volume and the encoded write volume; cleanup reads the segments
     // back; the column-block codec (the default) writes fewer bytes
-    // than the state it encodes, so the derived compression ratio is
-    // present and > 1.
+    // than the state it encodes.
     let c = report.journal_counters;
     assert!(c.spill_bytes > 0);
     assert!(
@@ -239,17 +236,16 @@ fn sim_forced_spill_pairs_decision_with_cleanup_groups() {
         "spills must journal encoded writes"
     );
     assert!(c.spill_bytes_read > 0, "cleanup must journal encoded reads");
-    let ratio = c
-        .spill_compression_ratio()
-        .expect("written > 0 must derive a ratio");
     assert!(
-        ratio > 1.0,
-        "column-block codec should compress: ratio {ratio}"
+        c.spill_bytes > c.spill_bytes_written,
+        "column-block codec should compress: {} state bytes, {} written",
+        c.spill_bytes,
+        c.spill_bytes_written
     );
 }
 
 #[test]
-fn threaded_journal_covers_relocations_and_merges_engine_rings() {
+fn threaded_journal_covers_relocations_and_merges_engine_journals() {
     let deadline = VirtualTime::from_mins(5);
     let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
     let spec = small_workload(77).with_pattern(ArrivalPattern::AlternatingSkew {
@@ -414,5 +410,5 @@ fn journal_off_by_default_keeps_reports_empty() {
     driver.run_until(VirtualTime::from_mins(4)).unwrap();
     let report = driver.finish().unwrap();
     assert!(report.journal.is_empty());
-    assert_eq!(report.journal_counters.events_recorded, 0);
+    assert_eq!(report.journal_counters, CountersSnapshot::default());
 }

@@ -105,7 +105,7 @@ proptest! {
             theta_r: 0.8,
             tau_m: VirtualDuration::ZERO,
         };
-        let journal = JournalHandle::with_capacity(4096);
+        let journal = JournalHandle::enabled();
         let mut gc = GlobalCoordinator::new(&strategy, 2, 2, journal.clone(), true);
         let warnings = || {
             journal

@@ -7,20 +7,17 @@
 //! at t=84s, which partitions moved in round 3, how many tuples were
 //! buffered while the split remapped.
 //!
-//! The journal is designed to sit on the hot path of both runtimes:
-//! recording is one short mutex acquisition on a fixed-size ring (no
-//! allocation beyond the event payload), counters are plain atomics,
-//! and a disabled [`JournalHandle`] is a no-op that costs one branch.
+//! The journal keeps every event of a run: it is the whole run record
+//! that figure curves are drawn from and decisions are replayed from.
+//! Recording is one short mutex acquisition and an append, counters are
+//! plain atomics, and a disabled [`JournalHandle`] is a no-op that costs
+//! one branch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::VirtualTime;
-
-/// Default ring capacity: generous for full paper-scale runs while
-/// bounding memory to a few MB.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 
 /// A closed vocabulary: each type's variants with their stable
 /// snake_case names, declared once. The name is what exports and the
@@ -204,9 +201,6 @@ pub enum AdaptEvent {
         /// Tuples buffered at the splits and flushed at step 7 (zero
         /// elsewhere).
         buffered_tuples: u64,
-        /// `M_least / M_max` load ratio that triggered the round
-        /// (meaningful at step 1; zero elsewhere).
-        load_ratio: f64,
     },
     /// Disk-resident state merged to emit missing results (§4.2).
     CleanupPhase {
@@ -300,8 +294,7 @@ pub struct JournalEntry {
 /// The counter table: one row per counter, and the only place one is
 /// spelled. A row is the counter's doc comment, whose count makes the
 /// run's total, its name, and the [`JournalHandle`] method that adds to
-/// it (`macro_rules!` cannot build an identifier; the ring's own
-/// accounting is counted by [`EventJournal::record`] and has none).
+/// it (`macro_rules!` cannot build an identifier).
 /// `engine` rows are summed over every engine's shutdown snapshot and
 /// the coordinator's own; `coordinator` rows take the coordinator's
 /// count alone, because an engine's would count the same thing a second
@@ -312,10 +305,10 @@ pub struct JournalEntry {
 /// the ordered `NAMES` / `values` / `from_values` listing that the wire
 /// format and the JSON exporter walk, and the `add_*` methods.
 macro_rules! counter_table {
-    ($( $(#[$doc:meta])+ $side:ident $name:ident $(=> $add:ident)? ; )+) => {
-        /// Monotonic counters and one gauge kept beside the event ring.
+    ($( $(#[$doc:meta])+ $side:ident $name:ident => $add:ident; )+) => {
+        /// Monotonic counters and one gauge kept beside the event log.
         /// All are plain atomics, so taking a [`snapshot`](Self::snapshot)
-        /// never touches the ring's lock.
+        /// never touches the log's lock.
         #[derive(Debug, Default)]
         pub struct JournalCounters {
             $( $name: AtomicU64, )+
@@ -370,7 +363,7 @@ macro_rules! counter_table {
         }
 
         impl JournalHandle {
-            $($(
+            $(
                 #[doc = concat!("Add `n` to `", stringify!($name), "` (no-op when disabled).")]
                 #[inline]
                 pub fn $add(&self, n: u64) {
@@ -378,13 +371,13 @@ macro_rules! counter_table {
                         j.counters.$name.fetch_add(n, Ordering::Relaxed);
                     }
                 }
-            )?)+
+            )+
         }
 
-        /// Every row that has an `add_*` method, with it.
+        /// Every row with its `add_*` method.
         #[cfg(test)]
         const ADDERS: &[(&str, fn(&JournalHandle, u64))] =
-            &[$($( (stringify!($name), JournalHandle::$add), )?)+];
+            &[$( (stringify!($name), JournalHandle::$add), )+];
     };
     (@summed engine) => { true };
     (@summed coordinator) => { false };
@@ -437,57 +430,12 @@ counter_table! {
     /// Elastic relocation moves (join rebalances plus drain rounds), as
     /// opposed to moves chosen by the load-balancing trigger.
     coordinator rebalance_moves => add_rebalance_moves;
-    /// Events accepted into the ring.
-    engine events_recorded;
-    /// Events overwritten after the ring filled.
-    engine events_dropped;
 }
 
-impl CountersSnapshot {
-    /// Spill compression ratio: accounted state bytes spilled per
-    /// encoded byte physically written (`None` before any encoded
-    /// write). A row-codec run of plain-payload tuples sits near 1; the
-    /// column-block codec on regular data pushes this well above 2.
-    pub fn spill_compression_ratio(&self) -> Option<f64> {
-        (self.spill_bytes_written > 0)
-            .then(|| self.spill_bytes as f64 / self.spill_bytes_written as f64)
-    }
-}
-
-/// Fixed-capacity overwrite-oldest ring of journal entries.
-#[derive(Debug)]
-struct Ring {
-    slots: Vec<JournalEntry>,
-    capacity: usize,
-    /// Index of the next write; wraps once `slots` is full.
-    head: usize,
-}
-
-impl Ring {
-    fn push(&mut self, entry: JournalEntry) -> bool {
-        if self.slots.len() < self.capacity {
-            self.slots.push(entry);
-            true
-        } else {
-            let dropped_head = self.head;
-            self.slots[dropped_head] = entry;
-            self.head = (self.head + 1) % self.capacity;
-            false
-        }
-    }
-
-    fn snapshot(&self) -> Vec<JournalEntry> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        out.extend_from_slice(&self.slots[self.head..]);
-        out.extend_from_slice(&self.slots[..self.head]);
-        out
-    }
-}
-
-/// The journal: an event ring plus counters.
-#[derive(Debug)]
+/// The journal: an append-only event log plus counters.
+#[derive(Debug, Default)]
 pub struct EventJournal {
-    ring: Mutex<Ring>,
+    entries: Mutex<Vec<JournalEntry>>,
     /// Source of sequence numbers; shared between sibling journals
     /// (see [`JournalHandle::sibling`]).
     seq: Arc<AtomicU64>,
@@ -495,36 +443,14 @@ pub struct EventJournal {
 }
 
 impl EventJournal {
-    /// A journal holding at most `capacity` events (oldest dropped
-    /// first on overflow).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::numbered_by(capacity, Arc::new(AtomicU64::new(0)))
-    }
-
-    fn numbered_by(capacity: usize, seq: Arc<AtomicU64>) -> Self {
-        assert!(capacity > 0, "journal capacity must be positive");
-        EventJournal {
-            ring: Mutex::new(Ring {
-                slots: Vec::new(),
-                capacity,
-                head: 0,
-            }),
-            seq,
-            counters: JournalCounters::default(),
-        }
-    }
-
     /// Record one event at virtual time `at`.
     pub fn record(&self, at: VirtualTime, event: AdaptEvent) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let entry = JournalEntry { at, seq, event };
-        let kept = self.ring.lock().expect("journal lock poisoned").push(entry);
-        self.counters
-            .events_recorded
-            .fetch_add(1, Ordering::Relaxed);
-        if !kept {
-            self.counters.events_dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        self.entries
+            .lock()
+            .expect("journal lock poisoned")
+            .push(entry);
     }
 
     /// The counters, readable lock-free.
@@ -532,9 +458,9 @@ impl EventJournal {
         &self.counters
     }
 
-    /// Copy of the retained entries, oldest first.
+    /// Copy of every entry, oldest first.
     pub fn snapshot(&self) -> Vec<JournalEntry> {
-        self.ring.lock().expect("journal lock poisoned").snapshot()
+        self.entries.lock().expect("journal lock poisoned").clone()
     }
 }
 
@@ -547,15 +473,10 @@ pub struct JournalHandle {
 }
 
 impl JournalHandle {
-    /// An active handle with the default ring capacity.
+    /// An active handle.
     pub fn enabled() -> Self {
-        Self::with_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// An active handle with an explicit ring capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
         JournalHandle {
-            inner: Some(Arc::new(EventJournal::with_capacity(capacity))),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -574,7 +495,7 @@ impl JournalHandle {
         }
     }
 
-    /// A new journal — its own ring and counters — that draws sequence
+    /// A new journal — its own log and counters — that draws sequence
     /// numbers from the same source as this one (disabled if this one
     /// is). Whatever one thread records into siblings keeps its order
     /// when [`merge_journals`] breaks timestamp ties by `seq`; the
@@ -583,10 +504,10 @@ impl JournalHandle {
     pub fn sibling(&self) -> Self {
         JournalHandle {
             inner: self.inner.as_ref().map(|j| {
-                Arc::new(EventJournal::numbered_by(
-                    DEFAULT_JOURNAL_CAPACITY,
-                    Arc::clone(&j.seq),
-                ))
+                Arc::new(EventJournal {
+                    seq: Arc::clone(&j.seq),
+                    ..EventJournal::default()
+                })
             }),
         }
     }
@@ -625,7 +546,7 @@ impl JournalHandle {
         }
     }
 
-    /// Copy of the retained entries, oldest first (empty when disabled).
+    /// Copy of every entry, oldest first (empty when disabled).
     pub fn snapshot(&self) -> Vec<JournalEntry> {
         self.inner
             .as_ref()
@@ -657,7 +578,7 @@ mod tests {
 
     #[test]
     fn records_in_order_with_sequence_numbers() {
-        let handle = JournalHandle::with_capacity(8);
+        let handle = JournalHandle::enabled();
         for i in 0..5u64 {
             handle.record(VirtualTime::from_millis(i * 10), pressure(0, i));
         }
@@ -669,20 +590,23 @@ mod tests {
         }
     }
 
+    /// Nothing is ever overwritten: a journal and its sibling each hold
+    /// every event recorded into them, in `seq` order — more events than
+    /// a 2^16-slot ring would keep.
     #[test]
-    fn ring_overflow_keeps_newest_and_counts_drops() {
-        let handle = JournalHandle::with_capacity(4);
-        for i in 0..10u64 {
+    fn a_journal_keeps_every_event() {
+        const N: u64 = 70_000;
+        let handle = JournalHandle::enabled();
+        let sibling = handle.sibling();
+        for i in 0..N {
             handle.record(VirtualTime::from_millis(i), pressure(0, i));
+            sibling.record(VirtualTime::from_millis(i), pressure(1, i));
         }
-        let snap = handle.snapshot();
-        assert_eq!(snap.len(), 4);
-        // Oldest six were overwritten; sequence numbers keep climbing.
-        let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        let counters = handle.counters().unwrap().snapshot();
-        assert_eq!(counters.events_recorded, 10);
-        assert_eq!(counters.events_dropped, 6);
+        for (journal, first) in [(&handle, 0), (&sibling, 1)] {
+            let seqs: Vec<u64> = journal.snapshot().iter().map(|e| e.seq).collect();
+            let want: Vec<u64> = (0..N).map(|i| 2 * i + first).collect();
+            assert_eq!(seqs, want);
+        }
     }
 
     #[test]
@@ -696,8 +620,8 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_ring() {
-        let handle = JournalHandle::with_capacity(8);
+    fn clones_share_one_log() {
+        let handle = JournalHandle::enabled();
         let clone = handle.clone();
         handle.record(VirtualTime::ZERO, pressure(0, 1));
         clone.record(VirtualTime::from_millis(1), pressure(1, 2));
@@ -708,7 +632,7 @@ mod tests {
 
     #[test]
     fn buffered_gauge_rises_and_falls() {
-        let handle = JournalHandle::with_capacity(8);
+        let handle = JournalHandle::enabled();
         let buffered = || handle.counters().unwrap().snapshot().buffered_in_flight;
         handle.add_buffered_in_flight(7);
         handle.add_buffered_in_flight(3);
@@ -726,11 +650,9 @@ mod tests {
     fn every_counter_row_adds_absorbs_and_lists() {
         const N: usize = CountersSnapshot::COUNT;
         let names = CountersSnapshot::NAMES;
-        let mut added = Vec::new();
         for (name, add) in ADDERS {
             let row = names.iter().position(|n| n == name).expect("a table row");
-            added.push(name);
-            let handle = JournalHandle::with_capacity(8);
+            let handle = JournalHandle::enabled();
             add(&handle, 5);
             add(&handle, 2);
             let snap = handle.counters().unwrap().snapshot();
@@ -745,10 +667,6 @@ mod tests {
             add(&off, 1);
             assert!(off.counters().is_none(), "{name}: ignored when disabled");
         }
-        // Only the ring's own accounting has no method
-        // (`ring_overflow_keeps_newest_and_counts_drops` counts it).
-        let unnamed: Vec<_> = names.iter().filter(|n| !added.contains(n)).collect();
-        assert_eq!(unnamed, [&"events_recorded", &"events_dropped"]);
 
         // The listing is the struct: distinct values sit under their own
         // names and survive the trip.
@@ -757,8 +675,8 @@ mod tests {
         assert_eq!(all.values(), distinct);
         assert_eq!(CountersSnapshot::from_values(all.values()), all);
         assert_eq!((names[0], all.tuples_routed), ("tuples_routed", 100));
-        assert_eq!(names[N - 1], "events_dropped");
-        assert_eq!(all.events_dropped, 99 + N as u64);
+        assert_eq!(names[N - 1], "rebalance_moves");
+        assert_eq!(all.rebalance_moves, 99 + N as u64);
 
         // `absorb_engine` sums what engines count and leaves the rest to
         // the coordinator's own count.
@@ -767,8 +685,6 @@ mod tests {
             "spill_bytes_written",
             "spill_bytes_read",
             "transfer_bytes",
-            "events_recorded",
-            "events_dropped",
             "faults_injected",
             "msgs_retried",
             "rounds_aborted",
@@ -787,21 +703,9 @@ mod tests {
     }
 
     #[test]
-    fn spill_compression_ratio_is_state_bytes_per_written_byte() {
-        let snap = CountersSnapshot {
-            spill_bytes: 1000,
-            spill_bytes_written: 250,
-            ..CountersSnapshot::default()
-        };
-        assert_eq!(snap.spill_compression_ratio(), Some(4.0));
-        // No encoded writes yet => no ratio (never a division by zero).
-        assert_eq!(CountersSnapshot::default().spill_compression_ratio(), None);
-    }
-
-    #[test]
     fn merge_orders_by_time_then_sequence() {
-        let a = JournalHandle::with_capacity(8);
-        let b = JournalHandle::with_capacity(8);
+        let a = JournalHandle::enabled();
+        let b = JournalHandle::enabled();
         a.record(VirtualTime::from_millis(20), pressure(0, 1));
         a.record(VirtualTime::from_millis(20), pressure(0, 2));
         b.record(VirtualTime::from_millis(10), pressure(1, 3));
@@ -815,15 +719,17 @@ mod tests {
 
     #[test]
     fn siblings_keep_recording_order_across_journals_on_timestamp_ties() {
-        let a = JournalHandle::with_capacity(8);
+        let a = JournalHandle::enabled();
         let b = a.sibling();
         let t = VirtualTime::from_millis(20);
         b.record(t, pressure(1, 1));
         a.record(t, pressure(0, 2));
         b.record(t, pressure(1, 3));
-        // Own ring, own counters.
+        // Own log, own counters.
         assert_eq!(a.snapshot().len(), 1);
-        assert_eq!(b.counters().unwrap().snapshot().events_recorded, 2);
+        assert_eq!(b.snapshot().len(), 2);
+        b.add_spill_bytes(3);
+        assert_eq!(a.counters().unwrap().snapshot().spill_bytes, 0);
         let merged = merge_journals([a.snapshot(), b.snapshot()]);
         let used: Vec<u64> = merged
             .iter()

@@ -210,17 +210,6 @@ json_leaf! {
     SpillTrigger, Warning, Fault, FaultEdge => |v| format_args!("\"{}\"", v.name());
 }
 
-/// Six decimals; non-finite floats are not valid JSON and are `null`.
-impl Json for f64 {
-    fn put_json(&self, out: &mut String) {
-        if self.is_finite() {
-            let _ = write!(out, "{self:.6}");
-        } else {
-            out.push_str("null");
-        }
-    }
-}
-
 impl<T: Json> Json for Vec<T> {
     fn put_json(&self, out: &mut String) {
         out.push('[');
@@ -287,7 +276,7 @@ json_events! {
         engine, trigger, groups, state_bytes, encoded_bytes, memory_used, memory_budget
     },
     "relocation_step" = RelocationStep {
-        round, step, sender, receiver, parts, bytes, buffered_tuples, load_ratio
+        round, step, sender, receiver, parts, bytes, buffered_tuples
     },
     "cleanup_phase" = CleanupPhase {
         engine, group, missing_results, scanned_tuples, disk_bytes_read
@@ -395,7 +384,6 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
                 parts,
                 bytes,
                 buffered_tuples,
-                load_ratio,
             } => {
                 let what = match step {
                     1 => "coordinator asks sender to pick partitions",
@@ -410,7 +398,7 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
                 let _ = writeln!(
                     out,
                     "reloc r{round} step {step}/8 {sender}->{receiver}: {what} \
-                     [parts={}, bytes={bytes}, buffered={buffered_tuples}, ratio={load_ratio:.3}]",
+                     [parts={}, bytes={bytes}, buffered={buffered_tuples}]",
                     parts.len()
                 );
             }
@@ -604,7 +592,7 @@ mod tests {
     fn journal_jsonl_is_one_object_per_line() {
         use crate::journal::{AdaptEvent, JournalHandle, SpillTrigger};
         use dcape_common::ids::{EngineId, PartitionId};
-        let handle = JournalHandle::with_capacity(8);
+        let handle = JournalHandle::enabled();
         handle.record(
             VirtualTime::from_millis(5),
             AdaptEvent::SpillDecision {
@@ -627,7 +615,6 @@ mod tests {
                 parts: vec![PartitionId(3)],
                 bytes: 512,
                 buffered_tuples: 0,
-                load_ratio: 0.0,
             },
         );
         let jsonl = journal_to_jsonl(&handle.snapshot());
@@ -641,36 +628,6 @@ mod tests {
         assert!(lines[0].contains("\"trigger\":\"memory_threshold\""));
         assert!(lines[1].contains("\"kind\":\"relocation_step\""));
         assert!(lines[1].contains("\"step\":4"));
-    }
-
-    #[test]
-    fn journal_json_rejects_non_finite_floats() {
-        use crate::journal::{AdaptEvent, JournalEntry};
-        let entry = JournalEntry {
-            at: VirtualTime::ZERO,
-            seq: 0,
-            event: AdaptEvent::RelocationStep {
-                round: 1,
-                step: 1,
-                sender: dcape_common::ids::EngineId(0),
-                receiver: dcape_common::ids::EngineId(1),
-                parts: vec![],
-                bytes: 0,
-                buffered_tuples: 0,
-                load_ratio: f64::NAN,
-            },
-        };
-        let json = |load_ratio| {
-            let mut entry = entry.clone();
-            if let AdaptEvent::RelocationStep { load_ratio: r, .. } = &mut entry.event {
-                *r = load_ratio;
-            }
-            journal_entry_to_json(&entry)
-        };
-        assert!(json(f64::NAN).contains("\"load_ratio\":null"));
-        assert!(json(f64::INFINITY).contains("\"load_ratio\":null"));
-        assert!(json(1.5).contains("\"load_ratio\":1.5"));
-        assert!(!json(f64::INFINITY).contains("inf") && !json(f64::NAN).contains("NaN"));
     }
 
     #[test]
@@ -689,7 +646,6 @@ mod tests {
                     parts: vec![],
                     bytes: 0,
                     buffered_tuples: 0,
-                    load_ratio: 0.4,
                 },
             })
             .collect();
@@ -749,9 +705,8 @@ mod tests {
     }
 
     /// One golden line per event kind: every key, in order, and every
-    /// value's spelling. A non-finite `load_ratio` is `null`; an engine
-    /// sample's `num_groups` is `groups` and its `at` is left to the
-    /// entry's `at_ms`.
+    /// value's spelling. An engine sample's `num_groups` is `groups` and
+    /// its `at` is left to the entry's `at_ms`.
     #[test]
     fn every_event_kind_has_its_golden_json_line() {
         use crate::journal::SpillTrigger;
@@ -774,7 +729,6 @@ mod tests {
                 parts: vec![],
                 bytes: 512,
                 buffered_tuples: 0,
-                load_ratio: 0.25,
             },
             AdaptEvent::RelocationStep {
                 round: 4,
@@ -784,7 +738,6 @@ mod tests {
                 parts: vec![PartitionId(9)],
                 bytes: 0,
                 buffered_tuples: 33,
-                load_ratio: f64::NAN,
             },
             AdaptEvent::CleanupPhase {
                 engine: EngineId(2),
@@ -842,11 +795,9 @@ mod tests {
              \"trigger\":\"forced\",\"groups\":[3,70000],\"state_bytes\":1000,\
              \"encoded_bytes\":800,\"memory_used\":900,\"memory_budget\":1000}",
             "{\"at_ms\":1501,\"seq\":11,\"kind\":\"relocation_step\",\"round\":4,\"step\":1,\
-             \"sender\":0,\"receiver\":2,\"parts\":[],\"bytes\":512,\"buffered_tuples\":0,\
-             \"load_ratio\":0.250000}",
+             \"sender\":0,\"receiver\":2,\"parts\":[],\"bytes\":512,\"buffered_tuples\":0}",
             "{\"at_ms\":1502,\"seq\":12,\"kind\":\"relocation_step\",\"round\":4,\"step\":7,\
-             \"sender\":0,\"receiver\":2,\"parts\":[9],\"bytes\":0,\"buffered_tuples\":33,\
-             \"load_ratio\":null}",
+             \"sender\":0,\"receiver\":2,\"parts\":[9],\"bytes\":0,\"buffered_tuples\":33}",
             "{\"at_ms\":1503,\"seq\":13,\"kind\":\"cleanup_phase\",\"engine\":2,\"group\":5,\
              \"missing_results\":6,\"scanned_tuples\":60,\"disk_bytes_read\":600}",
             "{\"at_ms\":1504,\"seq\":14,\"kind\":\"memory_pressure\",\"engine\":3,\"used\":99,\
@@ -874,7 +825,7 @@ mod tests {
     fn journal_jsonl_writes_to_disk() {
         use crate::journal::{AdaptEvent, JournalHandle};
         use dcape_common::ids::EngineId;
-        let handle = JournalHandle::with_capacity(4);
+        let handle = JournalHandle::enabled();
         handle.record(
             VirtualTime::ZERO,
             AdaptEvent::MemoryPressure {
@@ -914,7 +865,7 @@ mod tests {
             .map(|kv| kv.split(':').next().unwrap().trim_matches('"'))
             .collect();
         assert_eq!(keys, CountersSnapshot::NAMES);
-        assert!(line.contains("\"rebalance_moves\":3,"));
+        assert!(line.contains("\"rebalance_moves\":3}"));
         assert!(line.contains("\"spill_bytes_written\":41,"));
         assert!(line.contains("\"tuples_routed\":0,"));
     }

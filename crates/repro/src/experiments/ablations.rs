@@ -71,7 +71,7 @@ pub fn run_policy_ladder(opts: &RunOpts) -> Result<PolicyLadderResult> {
         ]);
     }
     opts.emit("Ablation: spill victim policies", &table);
-    opts.csv("ablation_policies.csv", &table);
+    opts.csv("ablation_policies.csv", &table)?;
     Ok(PolicyLadderResult { rows })
 }
 
@@ -121,7 +121,7 @@ pub fn run_relocation_amounts(opts: &RunOpts) -> Result<AmountResult> {
         format!("{}", eager.1),
     ]);
     opts.emit("Ablation: relocation aggressiveness", &table);
-    opts.csv("ablation_amounts.csv", &table);
+    opts.csv("ablation_amounts.csv", &table)?;
     Ok(AmountResult { halving, eager })
 }
 
@@ -175,7 +175,7 @@ pub fn run_network_sensitivity(opts: &RunOpts) -> Result<NetworkResult> {
         ]);
     }
     opts.emit("Ablation: network sensitivity of relocation", &table);
-    opts.csv("ablation_network.csv", &table);
+    opts.csv("ablation_network.csv", &table)?;
     Ok(NetworkResult { rows })
 }
 
@@ -299,7 +299,7 @@ pub fn run_spill_granularity(opts: &RunOpts) -> Result<GranularityResult> {
         "Ablation: spill granularity — partition-group vs per-input (Fig 3)",
         &table,
     );
-    opts.csv("ablation_granularity.csv", &table);
+    opts.csv("ablation_granularity.csv", &table)?;
 
     Ok(GranularityResult {
         group: (a_runtime.count(), a_cleanup.count()),
@@ -378,7 +378,7 @@ pub fn run_estimator_drift(opts: &RunOpts) -> Result<EstimatorResult> {
         format!("{}", cyclic.1),
     ]);
     opts.emit("Ablation: productivity estimator under drift", &table);
-    opts.csv("ablation_estimator.csv", &table);
+    opts.csv("ablation_estimator.csv", &table)?;
     Ok(EstimatorResult { one_shot, cyclic })
 }
 
@@ -431,7 +431,7 @@ pub fn run_relocation_schemes(opts: &RunOpts) -> Result<SchemeResult> {
         format!("{:.2}", rebalance.1),
     ]);
     opts.emit("Ablation: relocation schemes on 4 engines", &table);
-    opts.csv("ablation_schemes.csv", &table);
+    opts.csv("ablation_schemes.csv", &table)?;
     Ok(SchemeResult {
         pairwise,
         rebalance,
@@ -490,7 +490,7 @@ pub fn run_window_sizes(opts: &RunOpts) -> Result<WindowResult> {
         ]);
     }
     opts.emit("Ablation: window sizes vs steady-state memory", &table);
-    opts.csv("ablation_windows.csv", &table);
+    opts.csv("ablation_windows.csv", &table)?;
     Ok(WindowResult { rows })
 }
 

@@ -119,12 +119,12 @@ pub fn run(opts: &RunOpts) -> Result<KSweepResult> {
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
     let fig5 = render_series_table(&throughput, step);
     opts.emit("Figure 5: run-time throughput vs spill fraction k%", &fig5);
-    opts.csv("fig5_throughput.csv", &fig5);
+    opts.csv("fig5_throughput.csv", &fig5)?;
 
     // Figure 6: memory over time per k.
     let fig6 = render_series_table(&memory, step);
     opts.emit("Figure 6: memory usage vs spill fraction k%", &fig6);
-    opts.csv("fig6_memory.csv", &fig6);
+    opts.csv("fig6_memory.csv", &fig6)?;
 
     // Summary table.
     let mut summary = Table::new(&["k%", "runtime output", "spills", "peak mem (MB)"]);
@@ -143,7 +143,7 @@ pub fn run(opts: &RunOpts) -> Result<KSweepResult> {
         "-".into(),
     ]);
     opts.emit("Figures 5/6 summary", &summary);
-    opts.csv("fig5_6_summary.csv", &summary);
+    opts.csv("fig5_6_summary.csv", &summary)?;
 
     Ok(KSweepResult {
         rows,

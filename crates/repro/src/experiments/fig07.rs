@@ -121,7 +121,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig07Result> {
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
     let fig7 = render_series_table(&throughput, step);
     opts.emit("Figure 7: throughput-oriented spill policies", &fig7);
-    opts.csv("fig7_throughput.csv", &fig7);
+    opts.csv("fig7_throughput.csv", &fig7)?;
 
     let mut cleanup = Table::new(&[
         "policy",
@@ -141,7 +141,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig07Result> {
         "T-cleanup-1 (§3.2): cleanup effort after the Figure 7 runs",
         &cleanup,
     );
-    opts.csv("cleanup1.csv", &cleanup);
+    opts.csv("cleanup1.csv", &cleanup)?;
 
     Ok(Fig07Result { less, more })
 }

@@ -94,7 +94,7 @@ fn run_theta(
         &format!("fig09-{label}"),
         &report.journal,
         &report.journal_counters,
-    );
+    )?;
     let curves = engine_curves(&report.journal, duration, report.runtime_output);
     throughput.insert(format!("throughput/{label}"), curves.output);
     if let Some(memory) = memory {
@@ -129,7 +129,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig0910Result> {
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
     let fig9 = render_series_table(&throughput, step);
     opts.emit("Figure 9: throughput across relocation thresholds", &fig9);
-    opts.csv("fig9_throughput.csv", &fig9);
+    opts.csv("fig9_throughput.csv", &fig9)?;
 
     let mut counts = Table::new(&["theta_r", "relocations", "runtime output"]);
     for o in &outcomes {
@@ -144,14 +144,14 @@ pub fn run(opts: &RunOpts) -> Result<Fig0910Result> {
         ]);
     }
     opts.emit("Figure 9 (inset): relocation counts", &counts);
-    opts.csv("fig9_counts.csv", &counts);
+    opts.csv("fig9_counts.csv", &counts)?;
 
     let fig10 = render_series_table(&memory, step);
     opts.emit(
         "Figure 10: per-machine memory with vs without relocation",
         &fig10,
     );
-    opts.csv("fig10_memory.csv", &fig10);
+    opts.csv("fig10_memory.csv", &fig10)?;
 
     Ok(Fig0910Result { outcomes, memory })
 }

@@ -74,7 +74,7 @@ fn run_one(
         &format!("fig11-{label}"),
         &report.journal,
         &report.journal_counters,
-    );
+    )?;
     let curves = engine_curves(&report.journal, duration, report.runtime_output);
     throughput.insert(format!("throughput/{label}"), curves.output);
     Ok(Fig11Outcome {
@@ -94,7 +94,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig11Result> {
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
     let fig11 = render_series_table(&throughput, step);
     opts.emit("Figure 11: relocation vs spill", &fig11);
-    opts.csv("fig11_throughput.csv", &fig11);
+    opts.csv("fig11_throughput.csv", &fig11)?;
 
     let mut summary = Table::new(&["config", "runtime output", "spills", "relocations"]);
     for o in [&baseline, &with_relocation] {
@@ -106,7 +106,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig11Result> {
         ]);
     }
     opts.emit("Figure 11 summary", &summary);
-    opts.csv("fig11_summary.csv", &summary);
+    opts.csv("fig11_summary.csv", &summary)?;
 
     Ok(Fig11Result {
         baseline,

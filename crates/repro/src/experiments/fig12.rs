@@ -90,7 +90,7 @@ fn run_one(
         &format!("fig12-{label}"),
         &report.journal,
         &report.journal_counters,
-    );
+    )?;
     let curves = engine_curves(&report.journal, duration, report.runtime_output);
     throughput.insert(format!("throughput/{label}"), curves.output);
     Ok(Fig12Outcome {
@@ -112,7 +112,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig12Result> {
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
     let fig12 = render_series_table(&throughput, step);
     opts.emit("Figure 12: lazy-disk vs no-relocation", &fig12);
-    opts.csv("fig12_throughput.csv", &fig12);
+    opts.csv("fig12_throughput.csv", &fig12)?;
 
     let mut cleanup = Table::new(&[
         "config",
@@ -133,7 +133,7 @@ pub fn run(opts: &RunOpts) -> Result<Fig12Result> {
         ]);
     }
     opts.emit("T-cleanup-2 (§5.2): cleanup-stage comparison", &cleanup);
-    opts.csv("cleanup2.csv", &cleanup);
+    opts.csv("cleanup2.csv", &cleanup)?;
 
     Ok(Fig12Result { baseline, lazy })
 }

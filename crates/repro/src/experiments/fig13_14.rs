@@ -165,7 +165,7 @@ fn run_figure(
     let step = VirtualDuration::from_mins(if opts.fast { 1 } else { 5 });
     let fig = render_series_table(&throughput, step);
     opts.emit(title, &fig);
-    opts.csv(csv_name, &fig);
+    opts.csv(csv_name, &fig)?;
 
     let mut summary = Table::new(&["strategy", "runtime output", "force spills", "relocations"]);
     for o in [&lazy, &active] {

@@ -103,7 +103,7 @@ pub fn run(opts: &RunOpts) -> Result<Vec<VerifyRow>> {
         "Verification: exactness across strategies and drivers",
         &table,
     );
-    opts.csv("verify.csv", &table);
+    opts.csv("verify.csv", &table)?;
     Ok(rows)
 }
 

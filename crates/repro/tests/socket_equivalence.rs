@@ -7,10 +7,6 @@
 //!
 //! Workers are the actual `dcape-node` binary (cargo builds it for this
 //! test; `CARGO_BIN_EXE_dcape-node` points at it), spawned on loopback.
-//!
-//! Counters asserted for equality are only the cross-runtime
-//! deterministic ones: `events_recorded`/`events_dropped` depend on how
-//! many wall-clock stats samples each run took and are never compared.
 
 use std::path::PathBuf;
 

@@ -284,10 +284,10 @@ fn coordinator_runs_are_pinned() {
     assert_eq!(
         hashes,
         [
-            0x3F75_8A1F_5593_59DE,
-            0x16FC_9468_4A8C_A255,
-            0x7A90_144A_9939_8931,
-            0x45ED_9593_393F_3440
+            0x8386_93CC_1EBC_0E05,
+            0xA6AF_FC38_5930_8459,
+            0xCAB4_697F_1953_8787,
+            0x4659_F181_CAC6_8826
         ],
         "coordinator behaviour changed: {hashes:#018x?}"
     );

@@ -1,11 +1,13 @@
 //! `repro` — regenerate the paper's figures and tables.
 //!
 //! ```text
-//! repro [EXPERIMENT ...] [--fast] [--out DIR] [--journal PATH]
+//! repro [EXPERIMENT ...] [--fast] [--quiet] [--out DIR] [--journal PATH]
 //!
 //! EXPERIMENT: fig5 fig6 fig7 cleanup1 fig9 fig10 fig11 fig12 cleanup2
 //!             fig13 fig14 ablations all        (default: all)
 //! --fast      ~6 virtual minutes per run instead of the paper's 40–60
+//! --quiet     print no tables (a CSV or journal that cannot be
+//!             written still fails the run, naming its path)
 //! --out DIR   CSV output directory (default: results/)
 //! --journal PATH  record adaptation-event journals and write them as
 //!                 JSON lines, one file per instrumented run, named
@@ -49,7 +51,7 @@ use dcape_repro::experiments::{
 };
 use dcape_repro::RunOpts;
 
-const USAGE: &str = "usage: repro [fig5|fig6|fig7|cleanup1|fig9|fig10|fig11|fig12|cleanup2|fig13|fig14|ablations|verify|all ...] [--fast] [--out DIR] [--journal PATH] [--chaos-seed N] [--fault-rate R] [--runtime sim|threaded|socket] [--listen ADDR] [--scale-event add@T|drain@T ...]";
+const USAGE: &str = "usage: repro [fig5|fig6|fig7|cleanup1|fig9|fig10|fig11|fig12|cleanup2|fig13|fig14|ablations|verify|all ...] [--fast] [--quiet] [--out DIR] [--journal PATH] [--chaos-seed N] [--fault-rate R] [--runtime sim|threaded|socket] [--listen ADDR] [--scale-event add@T|drain@T ...]";
 
 fn main() -> ExitCode {
     let mut opts = RunOpts::default();

@@ -171,3 +171,70 @@ proptest! {
         }
     }
 }
+
+/// The raw path's bytes, pinned: `tick_raw` → `partition_of_raw` →
+/// `TupleBatch::push_raw` over 300 ticks of the three input specs the
+/// benchmark's jobs use (pad 1024: the all-memory and paced jobs; blob
+/// 1024: the spill job; alternating skew with blob 128: the skew job),
+/// at three seeds. Each case pins the encoded length and the `fx_hash`
+/// of every tick's batch bytes in order, so a change to the generator,
+/// the partitioner or the batch row layout shows here even once no
+/// second path is left to compare the raw rows with.
+#[test]
+fn raw_path_bytes_are_pinned() {
+    use std::hash::Hasher;
+
+    use dcape_common::hash::FxHasher;
+
+    let gap = VirtualDuration::from_millis(30);
+    let paper = StreamSetSpec::uniform(120, 30_000, 3, gap);
+    let specs = [
+        ("pad1024", paper.clone().with_payload_pad(1024)),
+        (
+            "blob1024",
+            StreamSetSpec::uniform(120, 12_000, 1, gap).with_payload_blob(1024),
+        ),
+        (
+            "skew_blob128",
+            paper
+                .with_payload_blob(128)
+                .with_pattern(ArrivalPattern::AlternatingSkew {
+                    group_a: (0..120).step_by(2).map(PartitionId).collect(),
+                    ratio: 10.0,
+                    period: VirtualDuration::from_secs(600),
+                }),
+        ),
+    ];
+    let pinned: [(&str, u64, usize, u64); 9] = [
+        ("pad1024", 20_070_415, 11_462, 0xd785_8a53_d09e_7b6d),
+        ("pad1024", 7, 11_449, 0x8a9e_a4fa_7c15_257c),
+        ("pad1024", 1, 11_458, 0x9615_5de8_cc84_6e50),
+        ("blob1024", 20_070_415, 933_195, 0xe3cb_be73_8456_0d69),
+        ("blob1024", 7, 933_197, 0xa2d1_5f87_0e6e_90ab),
+        ("blob1024", 1, 933_209, 0xba93_4138_7e40_ed90),
+        ("skew_blob128", 20_070_415, 126_657, 0x6a7d_6b38_3fa0_7f5c),
+        ("skew_blob128", 7, 126_649, 0x14a2_6fb7_4b0d_6f99),
+        ("skew_blob128", 1, 126_668, 0x7e48_5de4_7223_561b),
+    ];
+    let mut got = Vec::new();
+    for (name, spec) in &specs {
+        for seed in [20_070_415u64, 7, 1] {
+            let mut gen = StreamSetGenerator::new(spec.clone().with_seed(seed)).unwrap();
+            let partitioner = gen.partitioner();
+            let (mut len, mut hash) = (0usize, FxHasher::default());
+            for _ in 0..300 {
+                let mut batch = TupleBatch::new();
+                gen.tick_raw(|row| {
+                    let key = row.values[StreamSetGenerator::JOIN_COLUMN];
+                    batch.push_raw(partitioner.partition_of_raw(key), &row);
+                    Ok(())
+                })
+                .unwrap();
+                len += batch.as_bytes().len();
+                hash.write(batch.as_bytes());
+            }
+            got.push((*name, seed, len, hash.finish()));
+        }
+    }
+    assert_eq!(got, pinned, "the raw path's bytes moved");
+}

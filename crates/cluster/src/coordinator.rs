@@ -902,16 +902,20 @@ impl GlobalCoordinator {
         }))
     }
 
-    /// Step 6: the receiver's transfer ack — it installed `bytes` —
-    /// arrived at virtual time `now`; the round closes.
+    /// Step 6: the receiver's transfer ack — it installed `bytes` from
+    /// `SendStates` attempt `attempt` — arrived at virtual time `now`;
+    /// the round closes.
     ///
     /// A late or duplicated ack (a retried transfer can deliver the same
     /// ack twice; the round may have completed — or aborted — by the
-    /// time the second copy lands) is journaled as a warning.
+    /// time the second copy lands) is journaled as a warning. So is an
+    /// ack of an attempt other than the one in flight: a retry may have
+    /// crashed the receiver since, wiping the install that ack promised.
     pub fn on_transfer_ack(
         &mut self,
         from: EngineId,
         round: u64,
+        attempt: u32,
         bytes: u64,
         now: VirtualTime,
     ) -> Result<Option<Command>> {
@@ -930,6 +934,10 @@ impl GlobalCoordinator {
             return Err(DcapeError::protocol(format!(
                 "transfer_ack for round {round} before its ptv"
             )));
+        }
+        if attempt != r.attempt {
+            self.warn(Warning::StaleTransferAck, from, round, 6, now);
+            return Ok(None);
         }
         self.journal.record(
             now,
@@ -1056,7 +1064,7 @@ mod tests {
             })
         );
         assert_eq!(
-            gc.on_transfer_ack(E1, round, 500, VirtualTime::from_secs(4))
+            gc.on_transfer_ack(E1, round, 0, 500, VirtualTime::from_secs(4))
                 .unwrap(),
             Some(Command::Remap {
                 round,
@@ -1111,9 +1119,9 @@ mod tests {
         assert!(gc.on_ptv(E0, round, parts.clone(), t).unwrap().is_some());
         // The Ptv again, while the round waits for its ack: a no-op.
         assert_eq!(gc.on_ptv(E0, round, parts.clone(), t).unwrap(), None);
-        assert!(gc.on_transfer_ack(E1, round, 0, t).unwrap().is_some());
+        assert!(gc.on_transfer_ack(E1, round, 0, 0, t).unwrap().is_some());
         // A retried ack for the closed round: tolerated, still closed.
-        assert_eq!(gc.on_transfer_ack(E1, round, 0, t).unwrap(), None);
+        assert_eq!(gc.on_transfer_ack(E1, round, 0, 0, t).unwrap(), None);
         // A late Ptv of the closed round: its sender may be idling in
         // relocation mode, so it is resumed…
         assert_eq!(
@@ -1139,11 +1147,11 @@ mod tests {
         let mut gc = lazy(false);
         let t = VirtualTime::from_secs(1);
         assert!(gc.on_ptv(E0, 0, vec![], t).is_err(), "no round opened yet");
-        assert!(gc.on_transfer_ack(E1, 0, 0, t).is_err());
+        assert!(gc.on_transfer_ack(E1, 0, 0, 0, t).is_err());
         let (round, _) = open_round(&mut gc, t);
         assert!(gc.on_ptv(E0, round + 1, vec![], t).is_err(), "future round");
         assert!(
-            gc.on_transfer_ack(E1, round, 0, t).is_err(),
+            gc.on_transfer_ack(E1, round, 0, 0, t).is_err(),
             "ack before ptv"
         );
         assert!(
@@ -1154,12 +1162,12 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(
-            gc.on_transfer_ack(E0, round, 0, t).is_err(),
+            gc.on_transfer_ack(E0, round, 0, 0, t).is_err(),
             "ack from sender"
         );
         // None of them disturbed the round.
         assert!(matches!(
-            gc.on_transfer_ack(E1, round, 0, t).unwrap(),
+            gc.on_transfer_ack(E1, round, 0, 0, t).unwrap(),
             Some(Command::Remap { .. })
         ));
     }
@@ -1248,6 +1256,41 @@ mod tests {
                 receiver: E1,
                 paused: Some((vec![PartitionId(4)], paused_at)),
             }
+        );
+    }
+
+    /// Only an ack of the `SendStates` attempt in flight closes the
+    /// round: an earlier attempt's ack may promise an install that the
+    /// retry's crash has wiped since.
+    #[test]
+    fn an_ack_of_an_earlier_attempt_is_stale() {
+        let mut gc = lazy(true);
+        let (round, _) = open_round(&mut gc, VirtualTime::from_secs(1));
+        let paused_at = VirtualTime::from_secs(2);
+        gc.on_ptv(E0, round, vec![PartitionId(4)], paused_at)
+            .unwrap()
+            .unwrap();
+        let retry = gc.check_timeout(paused_at + PHASE_TIMEOUT);
+        assert!(matches!(
+            retry,
+            Some(Command::SendStates { attempt: 1, .. })
+        ));
+        let t = VirtualTime::from_secs(5);
+        for attempt in [0, 2] {
+            assert_eq!(gc.on_transfer_ack(E1, round, attempt, 0, t).unwrap(), None);
+            assert!(gc.relocation_active());
+        }
+        assert!(matches!(
+            gc.on_transfer_ack(E1, round, 1, 0, t).unwrap(),
+            Some(Command::Remap { .. })
+        ));
+        assert_eq!(
+            warnings(&gc),
+            [
+                Warning::PhaseTimeoutRetry,
+                Warning::StaleTransferAck,
+                Warning::StaleTransferAck
+            ]
         );
     }
 

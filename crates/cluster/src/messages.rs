@@ -194,6 +194,9 @@ pub enum FromEngine {
         engine: EngineId,
         /// Accounted bytes installed.
         bytes: u64,
+        /// The `InstallStates` attempt it acknowledges — the
+        /// `SendStates` attempt that shipped it.
+        attempt: u32,
     },
     /// Periodic statistics report.
     Stats(EngineStatsReport),

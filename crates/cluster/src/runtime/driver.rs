@@ -775,7 +775,10 @@ impl<T: Transport> CoordinatorRun<T> {
                 round,
                 engine,
                 bytes,
-            } => self.gc.on_transfer_ack(engine, round, bytes, now)?,
+                attempt,
+            } => self
+                .gc
+                .on_transfer_ack(engine, round, attempt, bytes, now)?,
             FromEngine::DrainState {
                 engine,
                 resident_bytes,
@@ -968,6 +971,7 @@ mod tests {
     use crate::runtime::sim::{ScaleEvent, SimTransport};
     use crate::strategy::StrategyConfig;
     use dcape_engine::config::EngineConfig;
+    use dcape_streamgen::testing::reference_join;
     use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
     /// One thing the coordinator did at the seam.
@@ -1225,6 +1229,159 @@ mod tests {
         assert!(after_admission[0] > VirtualTime::from_secs(15));
         assert_eq!(sampled(1), sampled(0));
         assert_eq!(sampled(2), sampled(0));
+    }
+
+    /// Hands each round's first `TransferAck` over only once the
+    /// coordinator has re-sent that round's `SendStates`: an ack slow
+    /// enough on a live transport that its phase timed out first. Over
+    /// a free network the retry reaches the receiver before the held
+    /// ack is handed over, so an install the retry crashed is already
+    /// wiped when the coordinator reads the ack.
+    struct HoldsFirstAck {
+        inner: SimTransport,
+        acked: Vec<u64>,
+        held: Option<(u64, FromEngine)>,
+        /// The held ack, due ahead of anything else.
+        due: Option<FromEngine>,
+        /// Rounds whose held ack was handed over after a retry.
+        late: Vec<u64>,
+    }
+
+    impl HoldsFirstAck {
+        /// What to hand over for `msg`; `None` asks the engines again.
+        fn reorder(&mut self, msg: Option<FromEngine>) -> Option<Option<FromEngine>> {
+            match msg {
+                Some(FromEngine::TransferAck { round, .. }) if !self.acked.contains(&round) => {
+                    self.acked.push(round);
+                    self.held = msg.map(|m| (round, m));
+                    None
+                }
+                msg => Some(msg),
+            }
+        }
+
+        fn recv(
+            &mut self,
+            mut poll: impl FnMut(&mut SimTransport) -> Result<Option<FromEngine>>,
+        ) -> Result<Option<FromEngine>> {
+            if let Some(m) = self.due.take() {
+                return Ok(Some(m));
+            }
+            loop {
+                let msg = poll(&mut self.inner)?;
+                if let Some(msg) = self.reorder(msg) {
+                    return Ok(msg);
+                }
+            }
+        }
+    }
+
+    impl Transport for HoldsFirstAck {
+        fn start_engine(&mut self, engine: EngineId) -> Result<()> {
+            self.inner.start_engine(engine)
+        }
+
+        fn send(&mut self, engine: EngineId, msg: ToEngine) -> Result<()> {
+            let retried = match &msg {
+                ToEngine::SendStates { round, .. } => Some(*round),
+                _ => None,
+            };
+            self.inner.send(engine, msg)?;
+            if let Some((round, ack)) = self.held.take_if(|(r, _)| Some(*r) == retried) {
+                self.late.push(round);
+                self.due = Some(ack);
+            }
+            Ok(())
+        }
+
+        fn try_recv(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+            self.recv(|t| t.try_recv(now))
+        }
+
+        fn recv_or_idle(&mut self, now: VirtualTime) -> Result<Option<FromEngine>> {
+            self.recv(|t| t.recv_or_idle(now))
+        }
+
+        fn shutdown(&mut self) -> Result<()> {
+            self.inner.shutdown()
+        }
+    }
+
+    /// Attempt 0 installs and acks; the ack is slow, so the coordinator
+    /// times out and re-sends `SendStates`; attempt 1 crashes the
+    /// receiver, which wipes the install; then the attempt-0 ack lands.
+    /// The coordinator must not commit on it — the state it promises is
+    /// gone — but wait for an ack of the attempt in flight: the run
+    /// stays exact, and the late ack is journaled as stale.
+    #[test]
+    fn an_ack_older_than_the_crash_that_wiped_its_install_commits_nothing() {
+        let period = VirtualDuration::from_millis(30);
+        let deadline = VirtualTime::from_mins(4);
+        let spec = StreamSetSpec::uniform(24, 2400, 1, period)
+            .with_seed(23)
+            .with_pattern(ArrivalPattern::AlternatingSkew {
+                group_a: (0..6).map(PartitionId).collect(),
+                ratio: 10.0,
+                period: VirtualDuration::from_mins(2),
+            });
+        let crashes = FaultConfig {
+            crash_rate: 0.5,
+            ..FaultConfig::none()
+        };
+        let plan = FaultPlan::new(3, crashes);
+        let mut cfg = SimConfig::new(
+            2,
+            EngineConfig::three_way(1 << 30, 1 << 29),
+            spec.clone(),
+            StrategyConfig::LazyDisk {
+                theta_r: 0.9,
+                tau_m: VirtualDuration::from_secs(20),
+            },
+        )
+        .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
+        .with_stats_interval(VirtualDuration::from_secs(5))
+        .with_faults(plan);
+        cfg.network = NetworkModel::free();
+        let journal = JournalHandle::enabled();
+        let transport = HoldsFirstAck {
+            inner: SimTransport::new(&cfg, journal.clone()),
+            acked: Vec::new(),
+            held: None,
+            due: None,
+            late: Vec::new(),
+        };
+        let mut run = CoordinatorRun::new(&cfg, journal, true, transport).unwrap();
+        run.run_until(deadline).unwrap();
+        run.quiesce().unwrap();
+        let report = run.cleanup().unwrap();
+
+        // The order happened: a held attempt-0 ack landed after the
+        // retry that crashed its receiver.
+        let wiped: Vec<u64> = (run.transport().late.iter().copied())
+            .filter(|&r| !plan.crash_during_install(r, 0) && plan.crash_during_install(r, 1))
+            .collect();
+        assert!(
+            !wiped.is_empty(),
+            "no round met the order: {:?}",
+            run.transport().late
+        );
+        for round in &wiped {
+            let stale = report.journal.iter().any(|e| {
+                matches!(e.event, AdaptEvent::ProtocolWarning {
+                    code: Warning::StaleTransferAck,
+                    round: r,
+                    ..
+                } if r == *round)
+            });
+            assert!(stale, "round {round}'s wiped ack was not refused");
+        }
+        assert!(!report.relocations.is_empty(), "a later attempt commits");
+        let oracle = reference_join(&spec, deadline, None).unwrap();
+        assert_eq!(
+            report.runtime_output + report.cleanup_output,
+            oracle.count(),
+            "a commit on a wiped install loses its state"
+        );
     }
 
     fn run_checking_the_seam(stats_interval: VirtualDuration) -> RunReport {

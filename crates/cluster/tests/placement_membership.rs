@@ -275,7 +275,7 @@ fn drain_terminates_when_rounds_complete() {
                     ),
                     "only unfenced receiver: {cmd:?}"
                 );
-                let cmd = gc.on_transfer_ack(EngineId(0), round, 0, t).unwrap();
+                let cmd = gc.on_transfer_ack(EngineId(0), round, 0, 0, t).unwrap();
                 assert!(matches!(cmd, Some(Command::Remap { .. })));
                 resident /= 2;
             }

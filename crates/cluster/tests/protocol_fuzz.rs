@@ -29,8 +29,8 @@ enum Event {
         round: u64,
         parts: Vec<u32>,
     },
-    /// Step 6 from any engine, for any round id.
-    Ack { from: u16, round: u64 },
+    /// Step 6 from any engine, for any round id and attempt.
+    Ack { from: u16, round: u64, attempt: u32 },
     /// The clock advances by `ms`; the driver polls the phase deadline.
     Poll { ms: u64 },
     /// Statistics arrive: QE0 holds ten times QE1's state.
@@ -40,7 +40,11 @@ enum Event {
 fn event_strategy() -> impl Strategy<Value = Event> {
     let ptv = (0u16..3, 0u64..3, proptest::collection::vec(0u32..16, 0..4))
         .prop_map(|(from, round, parts)| Event::Ptv { from, round, parts });
-    let ack = (0u16..3, 0u64..3).prop_map(|(from, round)| Event::Ack { from, round });
+    let ack = (0u16..3, 0u64..3, 0u32..3).prop_map(|(from, round, attempt)| Event::Ack {
+        from,
+        round,
+        attempt,
+    });
     prop_oneof![
         ptv.clone(),
         ptv,
@@ -95,7 +99,7 @@ proptest! {
     /// of the round in flight); a wrong party, a wrong phase or a round
     /// never opened is an error that leaves the round as it was; and a
     /// round completes only by a `Ptv` from its sender followed by an
-    /// ack from its receiver.
+    /// ack from its receiver of the `SendStates` attempt in flight.
     #[test]
     fn relocation_round_never_panics_and_orders_strictly(
         events in proptest::collection::vec(event_strategy(), 1..60)
@@ -173,13 +177,17 @@ proptest! {
                         }
                     }
                 }
-                Event::Ack { from, round } => {
-                    let res = gc.on_transfer_ack(EngineId(from), round, 7, now);
+                Event::Ack { from, round, attempt } => {
+                    let res = gc.on_transfer_ack(EngineId(from), round, attempt, 7, now);
                     refused = res.is_err();
                     match live.as_ref().filter(|l| l.id == round) {
                         _ if round >= opened => prop_assert!(res.is_err(), "never opened"),
                         Some(_) if from != 1 => prop_assert!(res.is_err(), "wrong party"),
                         Some(Live { paused: None, .. }) => prop_assert!(res.is_err(), "ack before ptv"),
+                        Some(l) if l.attempt != attempt => {
+                            prop_assert_eq!(res.unwrap(), None, "an earlier or later attempt");
+                            prop_assert_eq!(warnings(), warned + 1);
+                        }
                         Some(Live { paused: Some((parts, held_since)), .. }) => {
                             prop_assert_eq!(
                                 res.unwrap(),

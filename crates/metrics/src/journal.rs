@@ -61,7 +61,8 @@ vocabulary! {
         StalePtv = "stale_ptv",
         /// A second `Ptv` for the round in flight (detail: step 2).
         DuplicatePtv = "duplicate_ptv",
-        /// A `TransferAck` for a round that already closed (detail: step 6).
+        /// A `TransferAck` for a round that already closed, or of an
+        /// attempt other than the one in flight (detail: step 6).
         StaleTransferAck = "stale_transfer_ack",
         /// A phase timed out and its message was re-sent (detail: the step).
         PhaseTimeoutRetry = "phase_timeout_retry",

@@ -25,8 +25,8 @@
 //!   `computePartsToMove` half of the relocation protocol.
 //! * [`engine`] — [`engine::QueryEngine`], assembling all of the above
 //!   behind the interface the cluster layer drives.
-//! * [`operators`] — additional non-blocking operators (select, project,
-//!   group-by aggregate) used by the example queries.
+//! * [`operators`] — the m-way join, plus the group-by aggregate the
+//!   example queries apply to its results.
 //!
 //! # Example
 //!
@@ -56,7 +56,6 @@ pub mod config;
 pub mod controller;
 pub mod engine;
 pub mod operators;
-pub mod plan;
 pub mod probe;
 pub mod sink;
 pub mod spill;
@@ -66,7 +65,6 @@ pub use config::{CostModel, EngineConfig, MJoinConfig};
 pub use controller::{LocalController, Mode};
 pub use engine::QueryEngine;
 pub use operators::mjoin::MJoinOperator;
-pub use plan::{PlanExecutor, QueryPlan};
 pub use probe::{ProbeSpans, SpanList};
 pub use sink::{CollectingSink, CountingSink, ResultSink};
 pub use spill::policy::VictimPolicy;

@@ -1,18 +1,13 @@
 //! Query operators.
 //!
-//! [`mjoin`] is the state-intensive operator the paper studies; the
-//! stateless [`select`] / [`project`] and the stateful [`aggregate`]
-//! round out the algebra used by the example queries (e.g. the intro's
-//! Query 1: multi-join + `GROUP BY brokerName` + `min(price)`).
+//! [`mjoin`] is the state-intensive operator the paper studies, run
+//! inside [`QueryEngine`](crate::engine::QueryEngine); the stateful
+//! [`aggregate`] consumes its flattened results in the example queries
+//! (e.g. the intro's Query 1: multi-join + `GROUP BY brokerName` +
+//! `min(price)`).
 
 pub mod aggregate;
 pub mod mjoin;
-pub mod project;
-pub mod select;
-pub mod union;
 
 pub use aggregate::{AggregateFunction, GroupByAggregate};
 pub use mjoin::MJoinOperator;
-pub use project::Project;
-pub use select::Select;
-pub use union::Union;

@@ -105,11 +105,6 @@ impl CollectingSink {
         &self.results
     }
 
-    /// Consume the sink, returning the results.
-    pub fn into_results(self) -> Vec<Box<[Tuple]>> {
-        self.results
-    }
-
     /// Move every result of `other` to the end of this sink (one
     /// multiset out of per-engine sinks).
     pub fn append(&mut self, other: CollectingSink) {

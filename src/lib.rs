@@ -14,9 +14,9 @@
 //! * [`streamgen`] — the paper's synthetic workload model (join
 //!   multiplicative factor, tuple range, join rate, skew patterns).
 //! * [`storage`] — spill segments, binary codec, spill store.
-//! * [`engine`] — operators (split / m-way join / union / aggregates),
-//!   partition-group state, productivity metrics, spill policies and the
-//!   cleanup phase, the local adaptation controller.
+//! * [`engine`] — the m-way join and a group-by aggregate over its
+//!   results, partition-group state, productivity metrics, spill policies
+//!   and the cleanup phase, the local adaptation controller.
 //! * [`cluster`] — the global coordinator, the 8-step relocation
 //!   protocol, adaptation strategies, and three cluster runtimes over one
 //!   protocol implementation: deterministic virtual time, threads, and
@@ -68,7 +68,7 @@
 //! cleanup), `financial_integration.rs` (the intro's Query 1),
 //! `adaptive_cluster.rs` (lazy- vs active-disk on three engines),
 //! `skewed_workload.rs` (live relocation on the threaded runtime) and
-//! `query_plan.rs` (declarative join-chain plans).
+//! `windowed_stream.rs` (a sliding-window join).
 //!
 //! ## Simulated cluster in five lines
 //!

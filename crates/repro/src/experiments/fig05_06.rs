@@ -185,10 +185,8 @@ mod tests {
     /// comes from the samples its coordinator collected.
     #[test]
     fn threaded_runs_draw_a_memory_curve() {
-        let opts = RunOpts {
-            runtime: RuntimeKind::Threaded,
-            ..RunOpts::fast_quiet()
-        };
+        let mut opts = RunOpts::fast_quiet();
+        opts.runtime = RuntimeKind::Threaded;
         let run = run_one(0.1, Some(scale::THRESHOLD_200MB), &opts).unwrap();
         assert!(run.spills > 0, "the run must spill");
         assert!(!run.memory.points().is_empty(), "a memory curve");

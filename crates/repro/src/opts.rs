@@ -72,21 +72,6 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Fast, quiet options for tests.
-    pub fn fast_quiet() -> Self {
-        RunOpts {
-            fast: true,
-            quiet: true,
-            out_dir: std::env::temp_dir().join("dcape-repro-fast"),
-            journal: None,
-            chaos_seed: None,
-            fault_rate: 0.05,
-            runtime: RuntimeKind::Sim,
-            listen: None,
-            scale_events: Vec::new(),
-        }
-    }
-
     /// Parse one `--scale-event` value: `add@T` or `drain@T`, `T` in
     /// virtual seconds.
     pub fn parse_scale_event(s: &str) -> Option<dcape_cluster::runtime::sim::ScaleEvent> {
@@ -206,6 +191,65 @@ fn written(path: &Path, outcome: io::Result<()>) -> Result<()> {
 }
 
 #[cfg(test)]
+pub(crate) mod testing {
+    //! Run options for the experiments' tests.
+
+    use std::ops::{Deref, DerefMut};
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use super::RunOpts;
+
+    /// Fast, quiet options whose CSVs land in a directory of their own
+    /// under the temp directory. Dropping them removes that directory
+    /// with what the test wrote into it — when the test ends, passed or
+    /// failed, since a panic unwinds through the drop.
+    pub(crate) struct FastQuiet {
+        opts: RunOpts,
+        dir: PathBuf,
+    }
+
+    impl RunOpts {
+        /// Fast, quiet options for one test.
+        pub(crate) fn fast_quiet() -> FastQuiet {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("dcape-repro-{}-{n}", std::process::id()));
+            FastQuiet {
+                opts: RunOpts {
+                    fast: true,
+                    quiet: true,
+                    out_dir: dir.clone(),
+                    ..RunOpts::default()
+                },
+                dir,
+            }
+        }
+    }
+
+    impl Deref for FastQuiet {
+        type Target = RunOpts;
+
+        fn deref(&self) -> &RunOpts {
+            &self.opts
+        }
+    }
+
+    impl DerefMut for FastQuiet {
+        fn deref_mut(&mut self) -> &mut RunOpts {
+            &mut self.opts
+        }
+    }
+
+    impl Drop for FastQuiet {
+        fn drop(&mut self) {
+            // Absent when the test wrote nothing.
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -216,6 +260,29 @@ mod tests {
         assert_eq!(d.out_dir, PathBuf::from("results"));
         let f = RunOpts::fast_quiet();
         assert!(f.fast && f.quiet);
+    }
+
+    /// Each test writes into a directory of its own, and nothing of it
+    /// is left once the test's options are dropped — also when the
+    /// test panics.
+    #[test]
+    fn each_test_writes_into_its_own_directory_removed_at_its_end() {
+        let mut t = dcape_metrics::Table::new(&["a"]);
+        t.row(vec!["1".into()]);
+        let (a, b) = (RunOpts::fast_quiet(), RunOpts::fast_quiet());
+        assert_ne!(a.out_dir, b.out_dir);
+        let dir = a.out_dir.clone();
+        a.csv("x.csv", &t).unwrap();
+        assert!(dir.join("x.csv").is_file());
+        drop(a);
+        assert!(!dir.exists(), "{} was left behind", dir.display());
+        let dir = b.out_dir.clone();
+        let failed = std::panic::catch_unwind(move || {
+            b.csv("x.csv", &t).unwrap();
+            panic!("the test fails");
+        });
+        assert!(failed.is_err());
+        assert!(!dir.exists(), "{} was left behind", dir.display());
     }
 
     #[test]

@@ -198,6 +198,7 @@ pub struct GranularityResult {
 pub fn run_spill_granularity(opts: &RunOpts) -> Result<GranularityResult> {
     use dcape_common::ids::EngineId;
     use dcape_common::mem::MemoryTracker;
+    use dcape_common::testing::ReferenceJoin;
     use dcape_common::time::VirtualTime;
     use dcape_engine::engine::QueryEngine;
     use dcape_engine::sink::CountingSink;
@@ -215,22 +216,9 @@ pub fn run_spill_granularity(opts: &RunOpts) -> Result<GranularityResult> {
     let partitioner = gen.partitioner();
     let tuples = gen.generate_until(deadline);
 
-    // Reference count.
-    let mut counts: std::collections::HashMap<(u8, i64), u64> = std::collections::HashMap::new();
-    for t in &tuples {
-        *counts
-            .entry((t.stream().0, t.values()[0].as_int().unwrap()))
-            .or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    let reference: u64 = keys
-        .iter()
-        .map(|k| {
-            (0..3u8)
-                .map(|s| counts.get(&(s, *k)).copied().unwrap_or(0))
-                .product::<u64>()
-        })
-        .sum();
+    let mut reference = ReferenceJoin::new(&[0, 0, 0], None);
+    tuples.iter().for_each(|t| reference.push(t));
+    let reference = reference.count();
 
     // Variant A: partition-group spill (the paper's design).
     let engine_cfg = dcape_engine::config::EngineConfig::three_way(u64::MAX / 4, threshold);

@@ -31,10 +31,10 @@ use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_engine::config::EngineConfig;
-use dcape_engine::controller::Mode;
 use dcape_engine::engine::{ExtractedGroup, QueryEngine};
 use dcape_engine::probe::ProbeSpans;
 use dcape_engine::sink::{CollectingSink, ResultSink};
+use dcape_engine::Mode;
 use dcape_metrics::journal::{AdaptEvent, Fault, JournalHandle, Warning};
 use dcape_storage::FileBackend;
 

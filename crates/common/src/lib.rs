@@ -45,7 +45,7 @@ pub mod value;
 pub use batch::TupleBatch;
 pub use error::{DcapeError, Result};
 pub use ids::{EngineId, PartitionId, StreamId};
-pub use mem::{HeapSize, MemoryTracker};
+pub use mem::HeapSize;
 pub use partition::Partitioner;
 pub use time::{VirtualDuration, VirtualTime};
 pub use tuple::{Tuple, TupleBuilder};

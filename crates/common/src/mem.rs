@@ -5,16 +5,16 @@
 //! of the machine is over 200 MB" (§3.2), and relocation fires when
 //! `M_least / M_max < θ_r` (§4). On a real cluster those numbers come from
 //! the OS; in this reproduction every piece of operator state implements
-//! [`HeapSize`] and each query engine owns a [`MemoryTracker`] that the
-//! state manager debits and credits. The tracker is therefore the
-//! source of truth for *all* adaptation decisions, exactly replacing the
-//! paper's physical-memory observations at a configurable scale.
+//! [`HeapSize`], and each query engine keeps one running total of its
+//! resident join state (`MJoinOperator::state_bytes` in the engine
+//! crate), added to on every insert and install and subtracted from on
+//! every spill, relocation and purge. That one number is what every
+//! adaptation decision reads, in place of the paper's physical-memory
+//! observations, at a configurable scale.
 //!
-//! A `debug_assertions`-only recomputation hook in the engine crate guards
-//! against accounting drift.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! A `debug_assertions`-only check in the cluster's engine handler
+//! recomputes the total from the groups before every statistics report
+//! and fails the run on drift.
 
 /// Estimated heap footprint of a piece of operator state, in bytes.
 ///
@@ -39,117 +39,9 @@ impl<T: HeapSize> HeapSize for Option<T> {
     }
 }
 
-/// Thread-safe byte counter with a budget, owned by one query engine.
-///
-/// Shared (via `Arc`) between the engine's state manager (which updates
-/// it) and the statistics reporter (which reads it for the coordinator).
-#[derive(Debug)]
-pub struct MemoryTracker {
-    used: AtomicU64,
-    budget: u64,
-}
-
-impl MemoryTracker {
-    /// Create a tracker with the given budget in bytes. The budget is the
-    /// engine's "physical memory" for adaptation purposes; exceeding the
-    /// associated spill threshold triggers adaptation, not failure.
-    pub fn new(budget_bytes: u64) -> Arc<Self> {
-        Arc::new(MemoryTracker {
-            used: AtomicU64::new(0),
-            budget: budget_bytes,
-        })
-    }
-
-    /// Record `bytes` of new state.
-    #[inline]
-    pub fn allocate(&self, bytes: usize) {
-        self.used.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Record `bytes` of state released (spilled or relocated away).
-    /// Saturates at zero to stay robust against estimation asymmetries.
-    #[inline]
-    pub fn release(&self, bytes: usize) {
-        let mut cur = self.used.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes as u64);
-            match self
-                .used
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Bytes currently accounted.
-    #[inline]
-    pub fn used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
-    }
-
-    /// The configured budget.
-    #[inline]
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// `used / budget` as a fraction (0.0 when the budget is zero).
-    pub fn utilization(&self) -> f64 {
-        if self.budget == 0 {
-            0.0
-        } else {
-            self.used() as f64 / self.budget as f64
-        }
-    }
-
-    /// Force the counter to an exact value (used by the drift-check in
-    /// debug builds after recomputing state sizes from scratch).
-    pub fn set_used(&self, bytes: u64) {
-        self.used.store(bytes, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allocate_release_round_trip() {
-        let t = MemoryTracker::new(1000);
-        assert_eq!(t.used(), 0);
-        t.allocate(600);
-        t.allocate(100);
-        assert_eq!(t.used(), 700);
-        t.release(300);
-        assert_eq!(t.used(), 400);
-        assert_eq!(t.budget(), 1000);
-        assert!((t.utilization() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn release_saturates_at_zero() {
-        let t = MemoryTracker::new(10);
-        t.allocate(5);
-        t.release(50);
-        assert_eq!(t.used(), 0);
-    }
-
-    #[test]
-    fn zero_budget_utilization_is_zero() {
-        let t = MemoryTracker::new(0);
-        t.allocate(5);
-        assert_eq!(t.utilization(), 0.0);
-    }
-
-    #[test]
-    fn set_used_overrides() {
-        let t = MemoryTracker::new(100);
-        t.allocate(42);
-        t.set_used(7);
-        assert_eq!(t.used(), 7);
-    }
 
     #[test]
     fn vec_and_option_heap_size() {
@@ -166,25 +58,5 @@ mod tests {
         let none: Option<Fixed> = None;
         assert_eq!(some.heap_size(), 10);
         assert_eq!(none.heap_size(), 0);
-    }
-
-    #[test]
-    fn tracker_is_thread_safe() {
-        let t = MemoryTracker::new(1_000_000);
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        t.allocate(3);
-                        t.release(1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.used(), 8 * 1000 * 2);
     }
 }

@@ -1,21 +1,25 @@
 //! The query engine: one machine of the paper's distributed system.
 //!
-//! Wires together the m-way join instance, the memory tracker, the spill
-//! store, and the local adaptation controller. The cluster layer drives
-//! a [`QueryEngine`] through five entry points:
+//! Wires together the m-way join instance and the spill store, and is
+//! the paper's *local adaptation controller* (§2, Tables 1–2, the QE
+//! halves of Algorithms 1–2): it holds the engine's execution [`Mode`]
+//! and the `ss_timer`, and picks the groups to spill or move by itself,
+//! which keeps these local decisions out of the global coordinator. Its
+//! memory in use is the join's one running total of accounted state
+//! bytes ([`MJoinOperator::state_bytes`]). The cluster layer drives a
+//! [`QueryEngine`] through five entry points:
 //!
 //! * [`QueryEngine::process`] — data path;
-//! * [`QueryEngine::tick`] — the `ss_timer` pulse (local spill trigger);
+//! * [`QueryEngine::tick`] — the `ss_timer` pulse (local spill trigger,
+//!   `computeSpillAmount` and the victim policy);
 //! * [`QueryEngine::force_spill`] — the `start_ss` command of the
 //!   active-disk strategy (Algorithm 2);
-//! * [`QueryEngine::select_parts_to_move`] /
+//! * [`QueryEngine::select_parts_to_move`] (`computePartsToMove`) /
 //!   [`QueryEngine::extract_groups`] / [`QueryEngine::install_groups`] —
 //!   the state hand-off of a relocation; the round around it (its id,
 //!   the retained copy, the uncommitted install, who owns a partition
 //!   afterwards) is the cluster's engine handler's, not the engine's;
 //! * [`QueryEngine::cleanup`] — the post-run cleanup phase.
-
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,17 +28,34 @@ use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashSet;
 use dcape_common::ids::{EngineId, PartitionId};
-use dcape_common::mem::MemoryTracker;
-use dcape_common::time::{VirtualDuration, VirtualTime};
+use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
 use dcape_common::tuple::Tuple;
 use dcape_metrics::journal::{AdaptEvent, EngineStatsReport, JournalHandle, SpillTrigger};
 use dcape_storage::{SpillBackend, SpillStore, SpilledGroup};
 
 use crate::config::EngineConfig;
-use crate::controller::{LocalController, Mode};
 use crate::operators::mjoin::MJoinOperator;
 use crate::sink::ResultSink;
 use crate::spill::cleanup::SegmentMerger;
+use crate::spill::policy::take_until_bytes;
+use crate::state::partition_group::PER_TUPLE_OVERHEAD;
+use crate::state::productivity::sort_most_productive_first;
+
+/// Execution modes of a query engine (Table 2). A spill runs inside one
+/// synchronous call and leaves the mode as it found it, so the paper's
+/// `ss_mode` has no variant here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mode {
+    /// Normal query plan execution; no adaptation in progress.
+    #[default]
+    Normal,
+    /// This engine participates in a state-relocation protocol round
+    /// (`sr_mode`): no spill check and no reactivation touch its state
+    /// until the round is over. The cluster's engine handler sets it
+    /// at `Cptv`, `SendStates` and `InstallStates` and clears it once
+    /// the engine keeps no copy and no uncommitted install of a round.
+    Relocation,
+}
 
 /// Result of one spill adaptation on one engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,8 +100,9 @@ pub struct QueryEngine {
     cfg: EngineConfig,
     join: MJoinOperator,
     store: SpillStore,
-    tracker: Arc<MemoryTracker>,
-    controller: LocalController,
+    mode: Mode,
+    /// When the spill check next runs (Algorithm 1, `ss_timer_expired`).
+    ss_timer: PeriodicTimer,
     rng: StdRng,
     spill_history: Vec<SpillOutcome>,
     journal: JournalHandle,
@@ -99,21 +121,13 @@ impl QueryEngine {
     /// Build an engine over the given spill backend.
     pub fn new(id: EngineId, cfg: EngineConfig, backend: Box<dyn SpillBackend>) -> Result<Self> {
         cfg.validate()?;
-        let tracker = MemoryTracker::new(cfg.memory_budget);
-        let join = MJoinOperator::new(cfg.join.clone(), Arc::clone(&tracker))?;
-        let controller = LocalController::new(
-            cfg.ss_timer,
-            cfg.spill_threshold,
-            cfg.spill_fraction,
-            VirtualTime::ZERO,
-        );
         Ok(QueryEngine {
             rng: StdRng::seed_from_u64(0xE_0DD + id.0 as u64),
             id,
-            join,
+            join: MJoinOperator::new(cfg.join.clone())?,
             store: SpillStore::with_codec(backend, cfg.spill_codec),
-            tracker,
-            controller,
+            mode: Mode::Normal,
+            ss_timer: PeriodicTimer::new(cfg.ss_timer, VirtualTime::ZERO),
             cfg,
             spill_history: Vec::new(),
             journal: JournalHandle::disabled(),
@@ -141,17 +155,18 @@ impl QueryEngine {
 
     /// Current execution mode.
     pub fn mode(&self) -> Mode {
-        self.controller.mode()
+        self.mode
     }
 
-    /// Transition execution mode (driven by the relocation protocol).
+    /// Transition execution mode (driven by the relocation protocol,
+    /// Algorithm 1 lines 13–20, 27–31).
     pub fn set_mode(&mut self, mode: Mode) {
-        self.controller.set_mode(mode);
+        self.mode = mode;
     }
 
-    /// Accounted memory in use.
+    /// Accounted memory in use: the join's resident state bytes.
     pub fn memory_used(&self) -> u64 {
-        self.tracker.used()
+        self.join.state_bytes() as u64
     }
 
     /// What the resident state's columns and arena pages occupy in the
@@ -238,6 +253,12 @@ impl QueryEngine {
     /// while tuples sit buffered at paused splits), then run the spill
     /// check at `now`. `horizon == now` is the plain clock-driven
     /// behavior.
+    ///
+    /// The check is Algorithm 1's `ss_timer_expired` handler: once the
+    /// timer has expired it restarts, and the engine spills
+    /// `computeSpillAmount` — `spill_fraction` of the memory in use,
+    /// rounded up — if memory exceeds the threshold and it is in normal
+    /// mode ("else don't spill now, wait until next timer expires").
     pub fn tick_with_horizon(
         &mut self,
         now: VirtualTime,
@@ -245,27 +266,34 @@ impl QueryEngine {
     ) -> Result<Option<SpillOutcome>> {
         self.clock = self.clock.max(now);
         self.purge_at(horizon);
-        match self
-            .controller
-            .check_spill_trigger(now, self.tracker.used())
-        {
-            Some(amount) => {
-                self.journal.record(
-                    now,
-                    AdaptEvent::MemoryPressure {
-                        engine: self.id,
-                        used: self.tracker.used(),
-                        budget: self.cfg.memory_budget,
-                    },
-                );
-                Ok(Some(self.spill_bytes(
-                    amount,
-                    now,
-                    SpillTrigger::MemoryThreshold,
-                )?))
-            }
-            None => Ok(None),
+        if !self.ss_timer.expired(now) {
+            return Ok(None);
         }
+        self.ss_timer.reset(now);
+        let used = self.memory_used();
+        if used <= self.cfg.spill_threshold || self.mode != Mode::Normal {
+            return Ok(None);
+        }
+        self.journal.record(
+            now,
+            AdaptEvent::MemoryPressure {
+                engine: self.id,
+                used,
+                budget: self.cfg.memory_budget,
+            },
+        );
+        let amount = self.spill_amount(used);
+        Ok(Some(self.spill_bytes(
+            amount,
+            now,
+            SpillTrigger::MemoryThreshold,
+        )?))
+    }
+
+    /// `computeSpillAmount`: `spill_fraction` (the `k%` of Figures 5/6)
+    /// of the memory in use, rounded up.
+    fn spill_amount(&self, used: u64) -> u64 {
+        ((used as f64) * self.cfg.spill_fraction).ceil() as u64
     }
 
     /// Purge window-expired state up to `horizon` only — no spill
@@ -311,19 +339,19 @@ impl QueryEngine {
         };
         // A write that fails (a full disk, an unusable temp directory)
         // ends the spill: that victim goes back into memory (rows,
-        // `P_output`, accounting; `undrain_group` says what does not),
+        // `P_output`, accounting; `install_group` says what does not),
         // the victims before it stay spilled and are journaled as the
         // spill that happened — nothing is, if there were none — and
         // the caller gets the error.
         let mut failed = None;
         for pid in victims {
-            let Some((snapshot, output, freed)) = self.join.drain_group(pid) else {
+            let Some((snapshot, output, freed)) = self.join.extract_group(pid) else {
                 continue;
             };
             let meta = match self.store.spill_group(&snapshot) {
                 Ok(meta) => meta,
                 Err(e) => {
-                    self.join.undrain_group(snapshot, output)?;
+                    self.join.install_group(snapshot, output)?;
                     failed = Some(e);
                     break;
                 }
@@ -346,7 +374,7 @@ impl QueryEngine {
                 groups: outcome.groups.clone(),
                 state_bytes: outcome.state_bytes,
                 encoded_bytes: outcome.encoded_bytes,
-                memory_used: self.tracker.used(),
+                memory_used: self.memory_used(),
                 memory_budget: self.cfg.memory_budget,
             },
         );
@@ -355,10 +383,13 @@ impl QueryEngine {
     }
 
     /// `computePartsToMove`: the most productive groups up to `amount`
-    /// bytes (the local half of the relocation decision).
+    /// bytes (the local half of the relocation decision). Productive
+    /// partitions stay in (some machine's) main memory, per the
+    /// lazy-disk design (§5.1).
     pub fn select_parts_to_move(&self, amount: u64) -> Vec<PartitionId> {
-        self.controller
-            .compute_parts_to_move(self.join.group_stats_with(self.cfg.estimator), amount)
+        let mut stats = self.join.group_stats_with(self.cfg.estimator);
+        sort_most_productive_first(&mut stats);
+        take_until_bytes(&stats, amount)
     }
 
     /// Extract the given groups for relocation (releases their memory).
@@ -375,7 +406,7 @@ impl QueryEngine {
     pub fn extract_groups(&mut self, pids: &[PartitionId]) -> Vec<ExtractedGroup> {
         pids.iter()
             .filter_map(|pid| {
-                let (snapshot, output) = self.join.extract_group(*pid)?;
+                let (snapshot, output, _) = self.join.extract_group(*pid)?;
                 let protect =
                     !self.store.segments_of(*pid).is_empty() || self.purge_protect.remove(pid);
                 Some((snapshot, output, protect))
@@ -410,7 +441,7 @@ impl QueryEngine {
         EngineStatsReport {
             engine: self.id,
             at: now,
-            memory_used: self.tracker.used(),
+            memory_used: self.memory_used(),
             memory_budget: self.cfg.memory_budget,
             num_groups: self.join.group_count(),
             window_output: self.join.window_mut().take_window(),
@@ -533,7 +564,7 @@ impl QueryEngine {
             }
         }
         let mut carried_output = 0;
-        if let Some((resident, output)) = self.join.extract_group(pid) {
+        if let Some((resident, output, _)) = self.join.extract_group(pid) {
             carried_output = output;
             merger.push(resident, sink)?;
         }
@@ -592,6 +623,11 @@ impl QueryEngine {
     /// state fits under the threshold and reactivate it. At most one
     /// partition per call (the runtimes call this on the clock pulse).
     ///
+    /// A partition's segments come back at what an installed group is
+    /// charged: their tuples' accounted bytes plus the per-tuple index
+    /// overhead ([`PER_TUPLE_OVERHEAD`]) each. Its resident group, if
+    /// any, is already counted in the memory in use.
+    ///
     /// Only partitions `owns` accepts are candidates: segments stay
     /// behind when a partition's memory state relocates, and merging
     /// them here would strand a group on a non-owner, out of the
@@ -604,16 +640,16 @@ impl QueryEngine {
         let Some(watermark) = self.cfg.reactivate_watermark else {
             return Ok(None);
         };
-        if self.controller.mode() != Mode::Normal {
+        if self.mode != Mode::Normal {
             return Ok(None);
         }
         let threshold = self.cfg.spill_threshold;
-        let used = self.tracker.used();
+        let used = self.memory_used();
         if used as f64 >= threshold as f64 * watermark {
             return Ok(None);
         }
-        // Smallest spilled partition (by accounted disk bytes) that
-        // fits back under the threshold — among those this engine owns.
+        // Smallest spilled partition (by resident cost) that fits back
+        // under the threshold — among those this engine owns.
         let candidate = self
             .store
             .partitions_with_segments()
@@ -624,7 +660,7 @@ impl QueryEngine {
                     .store
                     .segments_of(pid)
                     .iter()
-                    .map(|m| m.state_bytes)
+                    .map(|m| m.state_bytes + m.tuples * PER_TUPLE_OVERHEAD as u64)
                     .sum();
                 (bytes, pid)
             })
@@ -637,17 +673,10 @@ impl QueryEngine {
     }
 
     /// Debug-only accounting drift check: recompute state bytes from
-    /// scratch and compare with the incremental tracker.
+    /// scratch and compare with the incremental total.
     pub fn assert_accounting_consistent(&self) -> Result<()> {
         let recomputed = self.join.recompute_state_bytes() as u64;
-        let tracked = self.tracker.used();
-        if recomputed != tracked {
-            return Err(DcapeError::state(format!(
-                "accounting drift on {}: tracked {tracked}, recomputed {recomputed}",
-                self.id
-            )));
-        }
-        let incremental = self.join.state_bytes() as u64;
+        let incremental = self.memory_used();
         if recomputed != incremental {
             return Err(DcapeError::state(format!(
                 "incremental state-bytes drift on {}: incremental {incremental}, recomputed {recomputed}",
@@ -729,6 +758,87 @@ mod tests {
         let mut quiet = engine(1 << 20, 1 << 19);
         fill(&mut quiet, 2, 1);
         assert!(quiet.tick(VirtualTime::from_secs(10)).unwrap().is_none());
+    }
+
+    /// The spill check runs only when the `ss_timer` has expired, and
+    /// an expiry restarts the timer whether or not it spills.
+    #[test]
+    fn the_ss_timer_gates_the_spill_check_and_restarts_on_expiry() {
+        // Over the threshold before the first expiry: no check yet.
+        let mut early = engine(1 << 20, 512);
+        fill(&mut early, 8, 4);
+        assert!(early.memory_used() > 512);
+        assert!(early.tick(VirtualTime::from_secs(1)).unwrap().is_none());
+        assert!(early.tick(VirtualTime::from_secs(5)).unwrap().is_some());
+
+        let mut e = engine(1 << 20, 8 << 10);
+        fill(&mut e, 4, 1);
+        assert!(e.memory_used() < 8 << 10);
+        // Expired at 5 s, under the threshold: no spill, timer restarts.
+        assert!(e.tick(VirtualTime::from_secs(5)).unwrap().is_none());
+        fill(&mut e, 8, 8);
+        assert!(e.memory_used() > 8 << 10);
+        // Restarted at 5 s, so not expired at 6 s or 9 s.
+        assert!(e.tick(VirtualTime::from_secs(6)).unwrap().is_none());
+        assert!(e.tick(VirtualTime::from_secs(9)).unwrap().is_none());
+        assert!(e.spill_history().is_empty());
+        // Expired again at 10 s and over the threshold.
+        assert!(e.tick(VirtualTime::from_secs(10)).unwrap().is_some());
+    }
+
+    /// A pulse over the threshold in relocation mode does not spill (it
+    /// waits for the next expiry); the next one in normal mode does.
+    #[test]
+    fn no_threshold_spill_while_relocating() {
+        let mut e = engine(1 << 20, 512);
+        fill(&mut e, 8, 4);
+        e.set_mode(Mode::Relocation);
+        assert!(e.tick(VirtualTime::from_secs(10)).unwrap().is_none());
+        assert!(e.spill_history().is_empty());
+        e.set_mode(Mode::Normal);
+        assert!(e.tick(VirtualTime::from_secs(20)).unwrap().is_some());
+    }
+
+    /// `computeSpillAmount` is `spill_fraction` of the memory in use,
+    /// rounded up.
+    #[test]
+    fn spill_amount_is_the_fraction_of_used_rounded_up() {
+        let e = engine(1 << 20, 1 << 19);
+        assert_eq!(e.config().spill_fraction, 0.3);
+        assert_eq!(e.spill_amount(1000), 300);
+        assert_eq!(e.spill_amount(1001), 301);
+        assert_eq!(e.spill_amount(1), 1);
+        assert_eq!(e.spill_amount(0), 0);
+    }
+
+    /// `computePartsToMove` takes the most productive groups first.
+    #[test]
+    fn parts_to_move_prefer_productive_groups() {
+        let mut e = engine(1 << 20, 1 << 19);
+        let mut sink = CountingSink::new();
+        // Three groups of equal size: partition 0's keys never match
+        // (no output), partition 1's always do (27 results), partition
+        // 2's once per key (3 results).
+        for i in 0..3u64 {
+            for s in 0..3u8 {
+                let seq = i * 3 + s as u64;
+                e.process(PartitionId(0), tpl(s, seq, 100 + seq as i64), &mut sink)
+                    .unwrap();
+                e.process(PartitionId(1), tpl(s, seq, 1), &mut sink)
+                    .unwrap();
+                e.process(PartitionId(2), tpl(s, seq, 10 + i as i64), &mut sink)
+                    .unwrap();
+            }
+        }
+        let stats = e.join().group_stats();
+        assert!(stats.iter().all(|g| g.bytes == stats[0].bytes));
+        let outputs: Vec<u64> = stats.iter().map(|g| g.output).collect();
+        assert_eq!(outputs, [0, 27, 3]);
+        let one_and_a_half = stats[0].bytes as u64 * 3 / 2;
+        assert_eq!(
+            e.select_parts_to_move(one_and_a_half),
+            [PartitionId(1), PartitionId(2)]
+        );
     }
 
     #[test]
@@ -1003,7 +1113,6 @@ mod tests {
             assert_eq!(e.mode(), Mode::Normal);
             assert_eq!(e.store().segment_count(), written);
             assert_eq!(e.join().group_count(), 16 - written);
-            assert_eq!(e.join().drain_count(), written as u64);
             e.assert_accounting_consistent().unwrap();
             // Journaled as spilled: what was written, and nothing else.
             assert_eq!(e.spill_history().len(), usize::from(written > 0));
@@ -1215,6 +1324,40 @@ mod reactivation_tests {
         assert_eq!(e.mode(), Mode::Relocation);
         // So nothing comes back while the round lasts.
         assert!(e.maybe_reactivate(|_| true, &mut sink).unwrap().is_none());
+    }
+
+    /// A spilled group comes back at its resident cost — its tuples'
+    /// accounted bytes plus the per-tuple index overhead — so a
+    /// reactivation never lifts memory over the threshold it checked.
+    #[test]
+    fn reactivation_counts_the_per_tuple_overhead() {
+        let run = |threshold: u64| {
+            let cfg = EngineConfig::three_way(1 << 20, threshold).with_reactivation(0.5);
+            let mut e = QueryEngine::in_memory(EngineId(0), cfg).unwrap();
+            let mut sink = CountingSink::new();
+            for seq in 0..200u64 {
+                for s in 0..3u8 {
+                    e.process(PartitionId(0), tpl(s, seq, (seq % 50) as i64), &mut sink)
+                        .unwrap();
+                }
+            }
+            let resident = e.memory_used();
+            e.force_spill(u64::MAX / 2, VirtualTime::from_secs(1))
+                .unwrap();
+            let back = e.maybe_reactivate(|_| true, &mut sink).unwrap();
+            (resident, e.store().stats().state_bytes_written, back, e)
+        };
+        // 600 rows: 141 600 B on disk, 156 000 B once resident.
+        let (resident, on_disk, back, e) = run(148_800);
+        assert_eq!((resident, on_disk), (156_000, 141_600));
+        assert!(back.is_none(), "156 000 B would not fit under 148 800 B");
+        assert_eq!(e.memory_used(), 0);
+        assert_eq!(e.spilled_partitions(), [PartitionId(0)]);
+        // One byte of room more than the group needs: it comes back.
+        let (_, _, back, e) = run(156_001);
+        assert!(back.is_some());
+        assert_eq!(e.memory_used(), 156_000);
+        e.assert_accounting_consistent().unwrap();
     }
 
     #[test]

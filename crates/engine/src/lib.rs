@@ -20,11 +20,14 @@
 //! * [`spill::cleanup`] — the cleanup phase: merging disk-resident
 //!   segments back, emitting exactly the missing results (incremental
 //!   view-maintenance expansion over spill segments).
-//! * [`controller`] — the local adaptation controller: `ss_timer`-driven
-//!   overflow detection, spill execution, and the
-//!   `computePartsToMove` half of the relocation protocol.
 //! * [`engine`] — [`engine::QueryEngine`], assembling all of the above
-//!   behind the interface the cluster layer drives.
+//!   behind the interface the cluster layer drives. It is also the
+//!   paper's local adaptation controller (Algorithms 1–2, QE side): it
+//!   holds the execution [`Mode`] and the `ss_timer`
+//!   ([`QueryEngine::tick`]), runs the active-disk `start_ss`
+//!   ([`QueryEngine::force_spill`]) and picks the groups a relocation
+//!   moves ([`QueryEngine::select_parts_to_move`]). Its memory in use is
+//!   one running total, [`MJoinOperator::state_bytes`].
 //! * [`operators`] — the m-way join, plus the group-by aggregate the
 //!   example queries apply to its results.
 //!
@@ -53,7 +56,6 @@
 #![deny(unsafe_code)]
 
 pub mod config;
-pub mod controller;
 pub mod engine;
 pub mod operators;
 pub mod probe;
@@ -62,8 +64,7 @@ pub mod spill;
 pub mod state;
 
 pub use config::{CostModel, EngineConfig, MJoinConfig};
-pub use controller::{LocalController, Mode};
-pub use engine::QueryEngine;
+pub use engine::{Mode, QueryEngine};
 pub use operators::mjoin::MJoinOperator;
 pub use probe::{ProbeSpans, SpanList};
 pub use sink::{CollectingSink, CountingSink, ResultSink};

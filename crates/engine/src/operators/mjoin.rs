@@ -2,15 +2,18 @@
 //!
 //! This is one *instance* of the partitioned operator of §2, i.e. the
 //! portion running on one machine. It owns a map from partition ID to
-//! [`PartitionGroup`] and keeps the engine's [`MemoryTracker`] and
-//! [`ProductivityWindow`] up to date on every insert. The adaptation
-//! controllers act through the extraction/installation API:
+//! [`PartitionGroup`] and keeps two running figures up to date on every
+//! insert: [`MJoinOperator::state_bytes`], the engine's one memory
+//! account (every spill, relocation and reactivation decision reads it),
+//! and the [`ProductivityWindow`]. The engine's adaptations act through
+//! one extraction/installation pair:
 //!
-//! * spill: [`MJoinOperator::drain_group`] hands a group's snapshot to
-//!   the spill store and frees its memory;
-//! * relocation: [`MJoinOperator::extract_group`] /
-//!   [`MJoinOperator::install_group`] move a group (with its carried
-//!   `P_output`) between machines.
+//! * [`MJoinOperator::extract_group`] takes a group out of memory — to
+//!   the spill store, to another machine, or into a cleanup merge — and
+//!   says how many accounted bytes left with it;
+//! * [`MJoinOperator::install_group`] puts a group in (a relocated one,
+//!   a reactivated one, or a spill victim whose write failed) with its
+//!   carried `P_output`.
 
 use std::sync::Arc;
 
@@ -18,7 +21,6 @@ use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashMap;
 use dcape_common::ids::PartitionId;
-use dcape_common::mem::MemoryTracker;
 use dcape_common::tuple::Tuple;
 use dcape_storage::SpilledGroup;
 
@@ -42,13 +44,11 @@ pub struct MJoinOperator {
     /// column vector.
     join_columns: Arc<[usize]>,
     groups: FxHashMap<PartitionId, PartitionGroup>,
-    tracker: Arc<MemoryTracker>,
     window: ProductivityWindow,
-    /// Groups spilled since the beginning (count of drain operations).
-    drain_count: u64,
-    /// Incrementally maintained sum of all resident groups' bytes, so
-    /// stats samples don't pay an O(#groups) walk. Checked against
-    /// [`MJoinOperator::recompute_state_bytes`] in tests/debug asserts.
+    /// Incrementally maintained sum of all resident groups' bytes: the
+    /// engine's memory in use, without an O(#groups) walk. Checked
+    /// against [`MJoinOperator::recompute_state_bytes`] in tests/debug
+    /// asserts.
     state_bytes: usize,
     /// The keyed rows of the batch in hand, empty between batches; kept
     /// for its allocation (see [`recycle`]).
@@ -60,16 +60,14 @@ pub struct MJoinOperator {
 
 impl MJoinOperator {
     /// Build an operator instance. Fails on invalid configuration.
-    pub fn new(cfg: MJoinConfig, tracker: Arc<MemoryTracker>) -> Result<Self> {
+    pub fn new(cfg: MJoinConfig) -> Result<Self> {
         cfg.validate()?;
         let join_columns: Arc<[usize]> = cfg.join_columns.as_slice().into();
         Ok(MJoinOperator {
             cfg,
             join_columns,
             groups: FxHashMap::default(),
-            tracker,
             window: ProductivityWindow::new(),
-            drain_count: 0,
             state_bytes: 0,
             keyed: Vec::new(),
             one: TupleBatch::new(),
@@ -135,7 +133,7 @@ impl MJoinOperator {
     ///    another. A prefetch is a hint: whatever the rows between
     ///    change, it changes no result.
     ///
-    /// The tracker/window update is paid once per batch. There is no
+    /// The state-bytes/window update is paid once per batch. There is no
     /// per-partition regrouping: the generator samples a partition per
     /// stream per tick, so consecutive tuples of one batch almost never
     /// share a partition, and tuples of different partitions never
@@ -180,7 +178,6 @@ impl MJoinOperator {
         self.keyed = recycle(keyed);
         // Account for everything inserted even when a mid-batch row
         // failed, so the incremental totals never drift from the state.
-        self.tracker.allocate(added_total);
         self.window.record(emitted_total);
         self.state_bytes += added_total;
         match failed {
@@ -265,47 +262,30 @@ impl MJoinOperator {
         self.groups.contains_key(&pid)
     }
 
-    /// Remove a group for **spilling**: its snapshot goes to disk, its
-    /// memory is released, and its productivity history is discarded —
-    /// a future group under the same ID starts fresh (§3: "new tuples
+    /// Remove a group from memory. Returns its snapshot, its carried
+    /// `P_output` and the accounted bytes freed (which exceed the
+    /// snapshot's own tuple bytes by the per-tuple index overhead).
+    ///
+    /// A relocation hands `P_output` to the receiver, so the group
+    /// resumes its productivity history there. A spill drops it: a
+    /// future group under the same ID starts fresh (§3: "new tuples
     /// with the same partition ID may continue to accumulate to form a
-    /// new partition group"). Returns the snapshot, the group's
-    /// `P_output` — which only [`MJoinOperator::undrain_group`] wants —
-    /// and the accounted bytes freed (which exceed the snapshot's own
-    /// tuple bytes by the per-tuple index overhead).
-    pub fn drain_group(&mut self, pid: PartitionId) -> Option<(SpilledGroup, u64, usize)> {
+    /// new partition group") — unless the write fails, and the victim
+    /// goes back through [`MJoinOperator::install_group`] with it.
+    pub fn extract_group(&mut self, pid: PartitionId) -> Option<(SpilledGroup, u64, usize)> {
         let group = self.groups.remove(&pid)?;
         let freed = group.bytes();
-        self.tracker.release(freed);
         self.state_bytes -= freed;
-        self.drain_count += 1;
         let (snapshot, output) = group.into_snapshot();
         Some((snapshot, output, freed))
     }
 
-    /// Take back a drain whose snapshot could not be written: the group
-    /// is resident again with its rows, its `P_output` and its
-    /// accounting, and the drain is not counted. As on a relocation
-    /// install, the decaying productivity estimate is not restored: the
-    /// group ranks by its cumulative value until its next window closes.
-    pub fn undrain_group(&mut self, snapshot: SpilledGroup, output_count: u64) -> Result<()> {
-        self.install_group(snapshot, output_count)?;
-        self.drain_count -= 1;
-        Ok(())
-    }
-
-    /// Remove a group for **relocation**: snapshot plus carried
-    /// `P_output`, so the receiver resumes its productivity history.
-    pub fn extract_group(&mut self, pid: PartitionId) -> Option<(SpilledGroup, u64)> {
-        let group = self.groups.remove(&pid)?;
-        self.tracker.release(group.bytes());
-        self.state_bytes -= group.bytes();
-        Some(group.into_snapshot())
-    }
-
-    /// Install a relocated group. Fails if a group for the partition is
-    /// already resident (the relocation protocol moves whole groups, so
-    /// a double-install indicates a protocol violation).
+    /// Install a group with its carried `P_output`. The decaying
+    /// productivity estimate is not carried: the group ranks by its
+    /// cumulative value until its next window closes. Fails if a group
+    /// for the partition is already resident (the relocation protocol
+    /// moves whole groups, so a double-install indicates a protocol
+    /// violation).
     pub fn install_group(&mut self, snapshot: SpilledGroup, output_count: u64) -> Result<()> {
         let pid = snapshot.partition;
         if self.groups.contains_key(&pid) {
@@ -319,7 +299,6 @@ impl MJoinOperator {
             self.cfg.window,
             output_count,
         )?;
-        self.tracker.allocate(group.bytes());
         self.state_bytes += group.bytes();
         self.groups.insert(pid, group);
         Ok(())
@@ -366,14 +345,8 @@ impl MJoinOperator {
             freed += g.purge_expired(horizon);
             !g.is_empty()
         });
-        self.tracker.release(freed);
         self.state_bytes -= freed;
         freed
-    }
-
-    /// Number of drain (spill) operations performed.
-    pub fn drain_count(&self) -> u64 {
-        self.drain_count
     }
 
     /// Recompute all accounted bytes from scratch and compare with the
@@ -409,7 +382,7 @@ mod tests {
     use std::sync::OnceLock;
 
     fn op() -> MJoinOperator {
-        MJoinOperator::new(MJoinConfig::same_column(3, 0), MemoryTracker::new(10 << 20)).unwrap()
+        MJoinOperator::new(MJoinConfig::same_column(3, 0)).unwrap()
     }
 
     fn tpl(stream: u8, seq: u64, key: i64) -> Tuple {
@@ -432,16 +405,14 @@ mod tests {
 
     #[test]
     fn processes_and_tracks_memory() {
-        let tracker = MemoryTracker::new(10 << 20);
-        let mut op =
-            MJoinOperator::new(MJoinConfig::same_column(3, 0), Arc::clone(&tracker)).unwrap();
+        let mut op = op();
         let mut sink = CountingSink::new();
         for s in 0..3u8 {
             op.process(PartitionId(1), tpl(s, 0, 1), &mut sink).unwrap();
         }
         assert_eq!(sink.count(), 1);
         assert_eq!(op.group_count(), 1);
-        assert_eq!(tracker.used() as usize, op.state_bytes());
+        assert!(op.state_bytes() > 0);
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
     }
 
@@ -464,23 +435,20 @@ mod tests {
 
     #[test]
     fn drain_releases_memory_and_discards_history() {
-        let tracker = MemoryTracker::new(10 << 20);
-        let mut op =
-            MJoinOperator::new(MJoinConfig::same_column(3, 0), Arc::clone(&tracker)).unwrap();
+        let mut op = op();
         let mut sink = CountingSink::new();
         for s in 0..3u8 {
             for i in 0..4 {
                 op.process(PartitionId(7), tpl(s, i, 1), &mut sink).unwrap();
             }
         }
-        let used_before = tracker.used();
+        let used_before = op.state_bytes();
         assert!(used_before > 0);
-        let (snap, _, freed) = op.drain_group(PartitionId(7)).unwrap();
-        assert_eq!(freed as u64, used_before);
+        let (snap, _, freed) = op.extract_group(PartitionId(7)).unwrap();
+        assert_eq!(freed, used_before);
         assert_eq!(snap.tuple_count(), 12);
-        assert_eq!(tracker.used(), 0);
+        assert_eq!(op.state_bytes(), 0);
         assert!(!op.has_group(PartitionId(7)));
-        assert_eq!(op.drain_count(), 1);
         // New tuples re-create the group with a fresh history.
         op.process(PartitionId(7), tpl(0, 99, 1), &mut sink)
             .unwrap();
@@ -491,12 +459,7 @@ mod tests {
 
     #[test]
     fn extract_install_round_trip_moves_state_and_stats() {
-        let tracker_a = MemoryTracker::new(10 << 20);
-        let tracker_b = MemoryTracker::new(10 << 20);
-        let mut a =
-            MJoinOperator::new(MJoinConfig::same_column(3, 0), Arc::clone(&tracker_a)).unwrap();
-        let mut b =
-            MJoinOperator::new(MJoinConfig::same_column(3, 0), Arc::clone(&tracker_b)).unwrap();
+        let (mut a, mut b) = (op(), op());
         let mut sink = CountingSink::new();
         for s in 0..3u8 {
             for i in 0..3 {
@@ -504,11 +467,12 @@ mod tests {
             }
         }
         let output_before = a.total_output();
-        let (snap, carried) = a.extract_group(PartitionId(4)).unwrap();
+        let (snap, carried, freed) = a.extract_group(PartitionId(4)).unwrap();
         assert_eq!(carried, output_before);
-        assert_eq!(tracker_a.used(), 0);
+        assert_eq!(a.state_bytes(), 0);
         b.install_group(snap, carried).unwrap();
-        assert_eq!(tracker_b.used() as usize, b.state_bytes());
+        assert_eq!(b.state_bytes(), freed);
+        assert_eq!(b.state_bytes(), b.recompute_state_bytes());
         // Continue joining on the receiver: 3x3 existing matches.
         let mut sink_b = CollectingSink::new();
         b.process(PartitionId(4), tpl(0, 50, 1), &mut sink_b)
@@ -530,7 +494,6 @@ mod tests {
     #[test]
     fn drain_missing_group_returns_none() {
         let mut op = op();
-        assert!(op.drain_group(PartitionId(9)).is_none());
         assert!(op.extract_group(PartitionId(9)).is_none());
     }
 
@@ -616,18 +579,15 @@ mod tests {
     }
 
     fn run(window: Option<u64>, steps: &[Step]) -> Result<(), TestCaseError> {
-        let op_on = |tracker| {
+        let op_on = || {
             let cfg = MJoinConfig::same_column(3, 1);
             let cfg = match window {
                 Some(ms) => cfg.with_window(VirtualDuration::from_millis(ms)),
                 None => cfg,
             };
-            MJoinOperator::new(cfg, tracker).unwrap()
+            MJoinOperator::new(cfg).unwrap()
         };
-        let tracker = MemoryTracker::new(1 << 30);
-        let mut rows = op_on(MemoryTracker::new(1 << 30));
-        let mut batched = op_on(Arc::clone(&tracker));
-        let mut counted = op_on(MemoryTracker::new(1 << 30));
+        let (mut rows, mut batched, mut counted) = (op_on(), op_on(), op_on());
         let (mut rows_sink, mut batch_sink) = (CollectingSink::new(), CollectingSink::new());
         let mut count_sink = CountingSink::new();
         let mut batch = TupleBatch::new();
@@ -688,11 +648,10 @@ mod tests {
         prop_assert_eq!(batch_sink.len(), rows_sink.len());
         prop_assert_eq!(count_sink.count(), rows_sink.len() as u64);
         prop_assert_eq!(multiset(&batch_sink), multiset(&rows_sink));
-        prop_assert_eq!(tracker.used() as usize, batched.state_bytes());
         for pid in rows.resident_partitions() {
-            let (expected, ..) = rows.drain_group(pid).unwrap();
-            prop_assert_eq!(&batched.drain_group(pid).unwrap().0, &expected);
-            prop_assert_eq!(&counted.drain_group(pid).unwrap().0, &expected);
+            let (expected, ..) = rows.extract_group(pid).unwrap();
+            prop_assert_eq!(&batched.extract_group(pid).unwrap().0, &expected);
+            prop_assert_eq!(&counted.extract_group(pid).unwrap().0, &expected);
         }
         Ok(())
     }
@@ -753,7 +712,7 @@ mod tests {
         // have, and (the join column being 1) a row with one column.
         let bad_stream = |i: u64| tpl2(7, i);
         let no_join_column = |i: u64| tpl(1, i, 1);
-        let op_on = |tracker| MJoinOperator::new(MJoinConfig::same_column(3, 1), tracker).unwrap();
+        let op_on = || MJoinOperator::new(MJoinConfig::same_column(3, 1)).unwrap();
         for bad in [bad_stream, no_join_column] {
             for at in [0, 3, PREFETCH_AHEAD + 4] {
                 // The valid prefix alternates two groups; the bad row
@@ -765,10 +724,9 @@ mod tests {
                     _ => PartitionId(100 + i as u32),
                 };
                 // The reference: the valid prefix alone.
-                let mut prefix = op_on(MemoryTracker::new(10 << 20));
+                let mut prefix = op_on();
                 let mut prefix_sink = CountingSink::new();
-                let tracker = MemoryTracker::new(10 << 20);
-                let mut op = op_on(Arc::clone(&tracker));
+                let mut op = op_on();
                 let mut sink = CountingSink::new();
                 let mut batch = TupleBatch::new();
                 for i in 0..at + 2 * PREFETCH_AHEAD {
@@ -787,17 +745,16 @@ mod tests {
                     "bad row at {at} reported"
                 );
                 assert_eq!(op.resident_partitions(), prefix.resident_partitions());
-                // Valid prefix inserted, tail dropped, and state bytes,
-                // tracker and productivity window account exactly that.
+                // Valid prefix inserted, tail dropped, and state bytes
+                // and productivity window account exactly that.
                 assert_eq!(sink.count(), prefix_sink.count());
                 assert_eq!(sink.count() > 0, at > 3, "the prefix joins");
                 assert_eq!(op.total_output(), prefix.total_output());
                 assert_eq!(op.state_bytes(), prefix.state_bytes());
                 assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-                assert_eq!(tracker.used() as usize, op.state_bytes());
                 for pid in prefix.resident_partitions() {
-                    let (expected, ..) = prefix.drain_group(pid).unwrap();
-                    assert_eq!(op.drain_group(pid).unwrap().0, expected);
+                    let (expected, ..) = prefix.extract_group(pid).unwrap();
+                    assert_eq!(op.extract_group(pid).unwrap().0, expected);
                 }
             }
         }
@@ -814,11 +771,11 @@ mod tests {
             }
         }
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-        let (snap, ..) = op.drain_group(PartitionId(1)).unwrap();
+        let (snap, ..) = op.extract_group(PartitionId(1)).unwrap();
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
         op.install_group(snap, 0).unwrap();
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
-        let (snap2, carried) = op.extract_group(PartitionId(2)).unwrap();
+        let (snap2, carried, _) = op.extract_group(PartitionId(2)).unwrap();
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());
         op.install_group(snap2, carried).unwrap();
         assert_eq!(op.state_bytes(), op.recompute_state_bytes());

@@ -36,7 +36,7 @@
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashMap;
 use dcape_common::ids::PartitionId;
-use dcape_common::mem::{HeapSize, MemoryTracker};
+use dcape_common::mem::HeapSize;
 use dcape_common::tuple::Tuple;
 use dcape_common::value::Value;
 
@@ -111,21 +111,22 @@ pub struct PerInputCleanupReport {
 pub struct PerInputJoin {
     join_columns: Vec<usize>,
     groups: FxHashMap<PartitionId, GroupState>,
-    tracker: std::sync::Arc<MemoryTracker>,
+    /// Running total of every input partition's `bytes`.
+    state_bytes: usize,
     next_stamp: Stamp,
     output: u64,
 }
 
 impl PerInputJoin {
     /// Create with one join column per input stream.
-    pub fn new(join_columns: Vec<usize>, tracker: std::sync::Arc<MemoryTracker>) -> Result<Self> {
+    pub fn new(join_columns: Vec<usize>) -> Result<Self> {
         if join_columns.len() < 2 {
             return Err(DcapeError::config("m-way join needs >= 2 inputs"));
         }
         Ok(PerInputJoin {
             join_columns,
             groups: FxHashMap::default(),
-            tracker,
+            state_bytes: 0,
             next_stamp: 0,
             output: 0,
         })
@@ -142,11 +143,7 @@ impl PerInputJoin {
 
     /// Memory-resident accounted bytes.
     pub fn state_bytes(&self) -> usize {
-        self.groups
-            .values()
-            .flat_map(|g| g.inputs.iter())
-            .map(|i| i.bytes)
-            .sum()
+        self.state_bytes
     }
 
     /// Process one tuple of partition `pid`; emits the results formed
@@ -217,7 +214,7 @@ impl PerInputJoin {
         drop(lists);
         let bytes = tuple.heap_size();
         group.inputs[s].insert(stamp, key, tuple);
-        self.tracker.allocate(bytes);
+        self.state_bytes += bytes;
         self.output += emitted;
         Ok(emitted)
     }
@@ -239,7 +236,7 @@ impl PerInputJoin {
         input.index.clear();
         let freed = input.bytes;
         input.bytes = 0;
-        self.tracker.release(freed);
+        self.state_bytes -= freed;
         group.segments.push(InputSegment {
             stream,
             pushed_at,
@@ -370,7 +367,7 @@ mod tests {
     }
 
     fn join3() -> PerInputJoin {
-        PerInputJoin::new(vec![0, 0, 0], MemoryTracker::new(u64::MAX)).unwrap()
+        PerInputJoin::new(vec![0, 0, 0]).unwrap()
     }
 
     /// Reference: all same-key triples over everything processed.
@@ -514,7 +511,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_config_and_inputs() {
-        assert!(PerInputJoin::new(vec![0], MemoryTracker::new(1)).is_err());
+        assert!(PerInputJoin::new(vec![0]).is_err());
         let mut j = join3();
         let mut sink = CountingSink::new();
         assert!(j.process(PartitionId(0), tpl(7, 0, 1), &mut sink).is_err());

@@ -36,10 +36,6 @@
 //! growing index sweeps out the entries left with nothing live.
 
 use dcape_common::batch::RowRef;
-#[cfg(test)]
-use dcape_common::batch::TupleBatch;
-#[cfg(test)]
-use dcape_common::codec::body_value;
 use dcape_common::codec::{decode_value, get_varint};
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::fx_hash;
@@ -260,7 +256,7 @@ impl ColumnarPartition {
     /// far as the join `column` (validated present at insert).
     #[cfg(test)]
     fn key_at(&self, i: usize, column: usize) -> Value {
-        body_value(self.row_bytes(i), column)
+        dcape_common::codec::body_value(self.row_bytes(i), column)
             .expect("arena: self-encoded")
             .expect("join column validated at insert")
     }
@@ -862,7 +858,7 @@ impl PartitionGroup {
     /// through a one-row batch.
     #[cfg(test)]
     fn insert(&mut self, tuple: Tuple, sink: &mut dyn ResultSink) -> Result<(u64, usize)> {
-        let mut one = TupleBatch::new();
+        let mut one = dcape_common::batch::TupleBatch::new();
         one.push(self.pid, tuple);
         let row = one.rows().next().expect("just pushed");
         self.insert_row(&KeyedRow::new(row, &self.join_columns)?, sink)

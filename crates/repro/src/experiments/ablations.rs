@@ -197,7 +197,6 @@ pub struct GranularityResult {
 /// is the cleanup-side bookkeeping the partition-group design removes.
 pub fn run_spill_granularity(opts: &RunOpts) -> Result<GranularityResult> {
     use dcape_common::ids::EngineId;
-    use dcape_common::mem::MemoryTracker;
     use dcape_common::testing::ReferenceJoin;
     use dcape_common::time::VirtualTime;
     use dcape_engine::engine::QueryEngine;
@@ -235,13 +234,12 @@ pub fn run_spill_granularity(opts: &RunOpts) -> Result<GranularityResult> {
     // Variant B: per-input spill with timestamp bookkeeping. To apply
     // comparable pressure, whenever total memory crosses the threshold
     // we push the largest single-input partition (XJoin's flush).
-    let tracker = MemoryTracker::new(u64::MAX / 4);
-    let mut pij = PerInputJoin::new(vec![0, 0, 0], std::sync::Arc::clone(&tracker))?;
+    let mut pij = PerInputJoin::new(vec![0, 0, 0])?;
     let mut b_runtime = CountingSink::new();
     for t in &tuples {
         let pid = partitioner.partition_of(&t.values()[0]);
         pij.process(pid, t.clone(), &mut b_runtime)?;
-        while tracker.used() > threshold {
+        while pij.state_bytes() as u64 > threshold {
             // Largest (pid, input) partition.
             let mut best: Option<(dcape_common::ids::PartitionId, usize, usize)> = None;
             for pid in pij.partitions() {

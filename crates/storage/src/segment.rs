@@ -305,8 +305,9 @@ impl SpilledGroup {
         self.streams.iter().map(StreamColumns::len).sum()
     }
 
-    /// Estimated in-memory state bytes of the group's tuples (what the
-    /// memory tracker had accounted before the spill).
+    /// Estimated in-memory state bytes of the group's tuples: the sum
+    /// of their accounted heap sizes, without the per-tuple index
+    /// overhead the engine charges a resident group.
     pub fn state_bytes(&self) -> usize {
         self.streams.iter().map(|c| c.acct as usize).sum()
     }

@@ -26,9 +26,12 @@ pub struct SegmentMeta {
     pub handle: SegmentHandle,
     /// Physically encoded bytes (what hit the backend).
     pub encoded_bytes: u64,
-    /// Accounted state bytes (including `Pad` virtual payloads) — the
-    /// amount the memory tracker was credited, and what the disk cost
-    /// model charges for.
+    /// Accounted state bytes (including `Pad` virtual payloads): the
+    /// sum of the tuples' accounted heap sizes, and what the disk cost
+    /// model charges for. The engine charges a resident group that much
+    /// plus a per-tuple index overhead for each of [`tuples`](Self::tuples),
+    /// so this is less than the memory the spill freed and the memory a
+    /// reactivation takes back.
     pub state_bytes: u64,
     /// Tuples in the segment.
     pub tuples: u64,

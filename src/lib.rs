@@ -16,7 +16,8 @@
 //! * [`storage`] — spill segments, binary codec, spill store.
 //! * [`engine`] — the m-way join and a group-by aggregate over its
 //!   results, partition-group state, productivity metrics, spill policies
-//!   and the cleanup phase, the local adaptation controller.
+//!   and the cleanup phase; `QueryEngine`, which is also the local
+//!   adaptation controller and keeps the engine's one memory account.
 //! * [`cluster`] — the global coordinator, the 8-step relocation
 //!   protocol, adaptation strategies, and three cluster runtimes over one
 //!   protocol implementation: deterministic virtual time, threads, and

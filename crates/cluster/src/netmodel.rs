@@ -56,11 +56,6 @@ impl NetworkModel {
         VirtualDuration::from_millis(self.latency_ms + transfer)
     }
 
-    /// Cost of one control message (latency only).
-    pub fn control_cost(&self) -> VirtualDuration {
-        VirtualDuration::from_millis(self.latency_ms)
-    }
-
     /// End-to-end cost of one relocation round moving `bytes`: the
     /// state transfer plus a control message for **every**
     /// message-bearing protocol step — Cptv (1), Ptv (2), SendStates
@@ -105,7 +100,6 @@ mod tests {
     fn free_network_costs_nothing() {
         let n = NetworkModel::free();
         assert_eq!(n.transfer_cost(u64::MAX).as_millis(), 0);
-        assert_eq!(n.control_cost().as_millis(), 0);
     }
 
     #[test]
@@ -115,7 +109,7 @@ mod tests {
         // exactly the gap the sim horizon used to be short by.
         let wan = NetworkModel::slow_wan();
         let round = wan.relocation_round_cost(1_000_000).as_millis();
-        let old = (wan.transfer_cost(1_000_000) + wan.control_cost()).as_millis();
+        let old = wan.transfer_cost(1_000_000).as_millis() + wan.latency_ms;
         assert_eq!(round, old + 4 * wan.latency_ms);
         // On a free network the round is still free.
         assert_eq!(

@@ -509,10 +509,9 @@ impl EngineCore {
                     // the transfer actually costs on the network. Only
                     // a kept journal has a counter to add it to.
                     if self.qe.journal().is_enabled() {
-                        let codec = self.qe.config().spill_codec;
                         let encoded: u64 = groups_raw
                             .iter()
-                            .map(|(g, _, _)| g.encode_with(codec).len() as u64)
+                            .map(|(g, _, _)| g.encode().len() as u64)
                             .sum();
                         self.qe.journal().add_transfer_bytes(encoded);
                     }

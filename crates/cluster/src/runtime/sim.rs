@@ -91,7 +91,7 @@ impl ScaleEvent {
 pub struct SimConfig {
     /// Number of query engines ("machines").
     pub num_engines: usize,
-    /// Per-engine configuration (memory budget, spill knobs, join).
+    /// Per-engine configuration (spill threshold and knobs, join).
     pub engine: EngineConfig,
     /// Input workload.
     pub workload: StreamSetSpec,

@@ -983,19 +983,10 @@ fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
                 std::process::exit(CRASH_EXIT);
             }
             EngineFlow::Finished => {
-                if let Ok(dir) = std::env::var("DCAPE_JOURNAL_DUMP") {
-                    if !dir.is_empty() {
-                        let path = PathBuf::from(dir).join(format!(
-                            "worker-e{}-pid{}.jsonl",
-                            engine.index(),
-                            std::process::id()
-                        ));
-                        let _ = dcape_metrics::report::write_journal_jsonl(
-                            &path,
-                            &core.qe.journal().snapshot(),
-                        );
-                    }
-                }
+                crate::testing::dump_journal(
+                    &format!("worker-e{}", engine.index()),
+                    &core.qe.journal().snapshot(),
+                );
                 return Ok(SessionEnd::Finished);
             }
         }

@@ -135,7 +135,6 @@ pub(crate) mod tests {
             engine: EngineId(engine),
             at: VirtualTime::ZERO,
             memory_used: mem,
-            memory_budget: 10_000,
             num_groups: 10,
             window_output: (rate * 10.0) as u64,
             total_output: 0,

@@ -1,10 +1,12 @@
 //! Support shared by the cluster suites — the chaos, elastic and
 //! reference-equivalence suites here and the socket suite of the repro
-//! crate: the chaos seed sweep, the journal dump CI uploads, the
-//! exactly-once journal invariants, the relocation-heavy workload and
-//! the four runs the coordinator pin holds.
+//! crate: the chaos seed sweep, the journal dump CI uploads (socket
+//! workers write theirs through it too), the exactly-once journal
+//! invariants, the relocation-heavy workload and the four runs the
+//! coordinator pin holds.
 
-use std::path::Path;
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
 
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
@@ -30,17 +32,27 @@ pub fn seeds() -> Vec<u64> {
 }
 
 /// When `DCAPE_JOURNAL_DUMP` names a directory, write a run's journal
-/// there as JSONL (CI uploads the directory as an artifact on failure).
-/// Pid-qualified: socket-runtime workers dump their own journals from
-/// their own processes into the same directory, and two test binaries
-/// running in parallel must not clobber each other.
+/// there as JSONL (CI uploads the directory as an artifact on failure);
+/// unset or empty, write nothing. Pid-qualified: socket-runtime workers
+/// dump their own journals from their own processes into the same
+/// directory, and two test binaries running in parallel must not
+/// clobber each other.
 pub fn dump_journal(name: &str, entries: &[JournalEntry]) {
-    if let Ok(dir) = std::env::var("DCAPE_JOURNAL_DUMP") {
-        let path = Path::new(&dir).join(format!("{name}-pid{}.jsonl", std::process::id()));
-        if let Err(e) = dcape_metrics::report::write_journal_jsonl(&path, entries) {
-            eprintln!("journal dump to {} failed: {e}", path.display());
-        }
+    let dir = std::env::var_os("DCAPE_JOURNAL_DUMP");
+    let Some(path) = journal_dump_path(dir.as_deref(), name, std::process::id()) else {
+        return;
+    };
+    if let Err(e) = dcape_metrics::report::write_journal_jsonl(&path, entries) {
+        eprintln!("journal dump to {} failed: {e}", path.display());
     }
+}
+
+/// Where [`dump_journal`] writes journal `name` of process `pid` when
+/// `DCAPE_JOURNAL_DUMP` is `dir`: `<dir>/<name>-pid<pid>.jsonl`, or
+/// nowhere when the variable is unset or empty.
+fn journal_dump_path(dir: Option<&OsStr>, name: &str, pid: u32) -> Option<PathBuf> {
+    let dir = dir.filter(|dir| !dir.is_empty())?;
+    Some(Path::new(dir).join(format!("{name}-pid{pid}.jsonl")))
 }
 
 /// How many journal entries satisfy `pred`.
@@ -199,4 +211,22 @@ pub fn pinned_runs() -> [SimConfig; 4] {
     .with_stats_interval(VirtualDuration::from_secs(15))
     .with_journal();
     [lazy_chaos(2), elastic_chaos, active_disk, rebalance]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An empty `DCAPE_JOURNAL_DUMP` is no directory: it must not turn
+    /// into a file in the working directory.
+    #[test]
+    fn a_journal_dump_goes_to_the_named_directory_or_nowhere() {
+        let path = |dir: Option<&str>| journal_dump_path(dir.map(OsStr::new), "worker-e1", 42);
+        assert_eq!(path(None), None);
+        assert_eq!(path(Some("")), None);
+        assert_eq!(
+            path(Some("dumps")),
+            Some(PathBuf::from("dumps/worker-e1-pid42.jsonl"))
+        );
+    }
 }

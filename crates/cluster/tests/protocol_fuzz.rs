@@ -60,7 +60,6 @@ fn load(engine: u16, memory_used: u64) -> EngineStatsReport {
         engine: EngineId(engine),
         at: VirtualTime::ZERO,
         memory_used,
-        memory_budget: 10_000,
         num_groups: 10,
         window_output: 10,
         total_output: 0,

@@ -2,7 +2,7 @@
 
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::time::VirtualDuration;
-use dcape_storage::{DiskModel, SegmentCodec};
+use dcape_storage::SegmentCodec;
 
 use crate::spill::policy::VictimPolicy;
 use crate::state::productivity::ProductivityEstimator;
@@ -54,43 +54,14 @@ impl MJoinConfig {
     }
 }
 
-/// Virtual-time processing cost model.
-///
-/// The run-time phase is input-paced (30 ms ≫ per-tuple work on the
-/// paper's hardware), so run-time processing is free in virtual time;
-/// the cleanup phase, however, is *compute*-paced — the paper reports
-/// its duration in seconds — so cleanup work is charged per scanned
-/// tuple and per produced result, alongside disk I/O from the
-/// [`DiskModel`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Microseconds of virtual time per tuple scanned during cleanup.
-    pub cleanup_scan_us_per_tuple: u64,
-    /// Microseconds of virtual time per missing result produced.
-    pub cleanup_emit_us_per_result: u64,
-    /// Disk device model (spill writes + cleanup reads).
-    pub disk: DiskModel,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            // Calibrated against §3.2's cleanup numbers: ~993 K missing
-            // results took ~359 s => ~360 µs/result end-to-end including
-            // merge scans; we split that between scan and emit terms.
-            cleanup_scan_us_per_tuple: 50,
-            cleanup_emit_us_per_result: 300,
-            disk: DiskModel::default_2006(),
-        }
-    }
-}
-
 /// Full configuration of one query engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The join instance this engine runs.
     pub join: MJoinConfig,
     /// Memory budget in accounted bytes (the paper's per-machine RAM).
+    /// No trigger reads it: it only bounds `spill_threshold` in
+    /// [`validate`](Self::validate).
     pub memory_budget: u64,
     /// Spill trigger threshold in accounted bytes (200 MB / 60 MB in the
     /// paper's runs, scaled here).
@@ -102,8 +73,6 @@ pub struct EngineConfig {
     pub victim_policy: VictimPolicy,
     /// How often the local controller checks memory (`ss_timer`).
     pub ss_timer: VirtualDuration,
-    /// Processing / disk cost model.
-    pub cost: CostModel,
     /// How partition-group productivity is estimated for ranking.
     pub estimator: ProductivityEstimator,
     /// Optional reactivation watermark: when set, and memory usage
@@ -113,7 +82,8 @@ pub struct EngineConfig {
     /// available"). `None` defers all cleanup to the post-run phase, as
     /// in the paper's monotonically-growing experiments.
     pub reactivate_watermark: Option<f64>,
-    /// Segment format for spill writes (decoding accepts both).
+    /// Segment format for spill writes. It has one value, the column
+    /// blocks of segment version 2.
     pub spill_codec: SegmentCodec,
 }
 
@@ -128,7 +98,6 @@ impl EngineConfig {
             spill_fraction: 0.3,
             victim_policy: VictimPolicy::LeastProductive,
             ss_timer: VirtualDuration::from_secs(5),
-            cost: CostModel::default(),
             estimator: ProductivityEstimator::Cumulative,
             reactivate_watermark: None,
             spill_codec: SegmentCodec::default(),
@@ -166,12 +135,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: set the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Builder-style: set the productivity estimator.
     pub fn with_estimator(mut self, estimator: ProductivityEstimator) -> Self {
         self.estimator = estimator;
@@ -182,12 +145,6 @@ impl EngineConfig {
     /// fraction of the spill threshold.
     pub fn with_reactivation(mut self, watermark: f64) -> Self {
         self.reactivate_watermark = Some(watermark);
-        self
-    }
-
-    /// Builder-style: set the spill segment codec.
-    pub fn with_spill_codec(mut self, codec: SegmentCodec) -> Self {
-        self.spill_codec = codec;
         self
     }
 }
@@ -237,14 +194,8 @@ mod tests {
     fn builders_apply() {
         let c = EngineConfig::three_way(100, 50)
             .with_spill_fraction(0.5)
-            .with_policy(VictimPolicy::LargestFirst)
-            .with_cost(CostModel {
-                cleanup_scan_us_per_tuple: 1,
-                cleanup_emit_us_per_result: 2,
-                disk: DiskModel::free(),
-            });
+            .with_policy(VictimPolicy::LargestFirst);
         assert_eq!(c.spill_fraction, 0.5);
         assert_eq!(c.victim_policy, VictimPolicy::LargestFirst);
-        assert_eq!(c.cost.cleanup_emit_us_per_result, 2);
     }
 }

@@ -63,7 +63,7 @@ pub mod sink;
 pub mod spill;
 pub mod state;
 
-pub use config::{CostModel, EngineConfig, MJoinConfig};
+pub use config::{EngineConfig, MJoinConfig};
 pub use engine::{Mode, QueryEngine};
 pub use operators::mjoin::MJoinOperator;
 pub use probe::{ProbeSpans, SpanList};

@@ -22,7 +22,6 @@ use dcape_common::value::Value;
 use dcape_engine::config::EngineConfig;
 use dcape_engine::engine::QueryEngine;
 use dcape_engine::sink::{CollectingSink, CountingSink, ResultSink};
-use dcape_storage::SegmentCodec;
 
 const JOIN_COLUMNS: [usize; 3] = [0, 2, 1];
 
@@ -61,8 +60,8 @@ fn row(stream: u8, seq: u64, ts: u64, key: Value, odd: bool) -> Tuple {
     Tuple::new(StreamId(stream), seq, VirtualTime::from_millis(ts), values)
 }
 
-fn engine(window: Option<VirtualDuration>, codec: SegmentCodec) -> QueryEngine {
-    let mut cfg = EngineConfig::three_way(1 << 30, 1 << 29).with_spill_codec(codec);
+fn engine(window: Option<VirtualDuration>) -> QueryEngine {
+    let mut cfg = EngineConfig::three_way(1 << 30, 1 << 29);
     cfg.join.join_columns = JOIN_COLUMNS.to_vec();
     if let Some(w) = window {
         cfg.join = cfg.join.with_window(w);
@@ -82,13 +81,11 @@ proptest! {
         spills in proptest::collection::vec((0usize..90, 1u64..4), 1..5),
         kind in 0u8..4,
         window_ms in 0u64..400,
-        row_codec in any::<bool>(),
     ) {
         // From 300 on the window never cuts: the unwindowed join.
         let window = (window_ms < 300).then(|| VirtualDuration::from_millis(window_ms));
-        let codec = if row_codec { SegmentCodec::Rows } else { SegmentCodec::Columns };
-        let mut counted = engine(window, codec);
-        let mut collected = engine(window, codec);
+        let mut counted = engine(window);
+        let mut collected = engine(window);
         let mut reference = ReferenceJoin::new(&JOIN_COLUMNS, window);
         let (mut runtime_count, mut runtime_rows) = (CountingSink::new(), CollectingSink::new());
         for (i, &(stream, k, odd)) in rows.iter().enumerate() {

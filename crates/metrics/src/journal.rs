@@ -151,8 +151,6 @@ pub struct EngineStatsReport {
     pub at: VirtualTime,
     /// Accounted state bytes in memory (the coordinator's `load`).
     pub memory_used: u64,
-    /// The engine's memory budget.
-    pub memory_budget: u64,
     /// Resident partition groups.
     pub num_groups: usize,
     /// Results produced since the previous report (sampling window).
@@ -178,10 +176,9 @@ pub enum AdaptEvent {
         state_bytes: u64,
         /// Bytes as encoded on disk.
         encoded_bytes: u64,
-        /// Memory in use when the decision fired.
+        /// Memory in use once the victims were pushed: a threshold
+        /// spill fired at `memory_used + state_bytes`.
         memory_used: u64,
-        /// The engine's memory budget.
-        memory_budget: u64,
     },
     /// One step of the 8-step relocation protocol (§5.2).
     RelocationStep {
@@ -215,16 +212,6 @@ pub enum AdaptEvent {
         scanned_tuples: u64,
         /// Disk bytes read back.
         disk_bytes_read: u64,
-    },
-    /// An engine crossed its memory threshold (emitted before the
-    /// corresponding spill decision resolves victims).
-    MemoryPressure {
-        /// Engine under pressure.
-        engine: EngineId,
-        /// Memory in use.
-        used: u64,
-        /// The engine's budget.
-        budget: u64,
     },
     /// The chaos layer injected a fault at a message edge (deterministic
     /// seeded schedule; see `dcape-cluster::faults`).
@@ -569,19 +556,22 @@ pub fn merge_journals(journals: impl IntoIterator<Item = Vec<JournalEntry>>) -> 
 mod tests {
     use super::*;
 
-    fn pressure(engine: u16, used: u64) -> AdaptEvent {
-        AdaptEvent::MemoryPressure {
+    fn sample(engine: u16, used: u64) -> AdaptEvent {
+        AdaptEvent::EngineSample(EngineStatsReport {
             engine: EngineId(engine),
-            used,
-            budget: 100,
-        }
+            at: VirtualTime::ZERO,
+            memory_used: used,
+            num_groups: 0,
+            window_output: 0,
+            total_output: 0,
+        })
     }
 
     #[test]
     fn records_in_order_with_sequence_numbers() {
         let handle = JournalHandle::enabled();
         for i in 0..5u64 {
-            handle.record(VirtualTime::from_millis(i * 10), pressure(0, i));
+            handle.record(VirtualTime::from_millis(i * 10), sample(0, i));
         }
         let snap = handle.snapshot();
         assert_eq!(snap.len(), 5);
@@ -600,8 +590,8 @@ mod tests {
         let handle = JournalHandle::enabled();
         let sibling = handle.sibling();
         for i in 0..N {
-            handle.record(VirtualTime::from_millis(i), pressure(0, i));
-            sibling.record(VirtualTime::from_millis(i), pressure(1, i));
+            handle.record(VirtualTime::from_millis(i), sample(0, i));
+            sibling.record(VirtualTime::from_millis(i), sample(1, i));
         }
         for (journal, first) in [(&handle, 0), (&sibling, 1)] {
             let seqs: Vec<u64> = journal.snapshot().iter().map(|e| e.seq).collect();
@@ -613,7 +603,7 @@ mod tests {
     #[test]
     fn disabled_handle_is_a_no_op() {
         let handle = JournalHandle::disabled();
-        handle.record(VirtualTime::ZERO, pressure(0, 1));
+        handle.record(VirtualTime::ZERO, sample(0, 1));
         handle.add_spill_bytes(10);
         assert!(!handle.is_enabled());
         assert!(handle.snapshot().is_empty());
@@ -624,8 +614,8 @@ mod tests {
     fn clones_share_one_log() {
         let handle = JournalHandle::enabled();
         let clone = handle.clone();
-        handle.record(VirtualTime::ZERO, pressure(0, 1));
-        clone.record(VirtualTime::from_millis(1), pressure(1, 2));
+        handle.record(VirtualTime::ZERO, sample(0, 1));
+        clone.record(VirtualTime::from_millis(1), sample(1, 2));
         assert_eq!(handle.snapshot().len(), 2);
         assert_eq!(clone.snapshot()[0].seq, 0);
         assert_eq!(clone.snapshot()[1].seq, 1);
@@ -707,10 +697,10 @@ mod tests {
     fn merge_orders_by_time_then_sequence() {
         let a = JournalHandle::enabled();
         let b = JournalHandle::enabled();
-        a.record(VirtualTime::from_millis(20), pressure(0, 1));
-        a.record(VirtualTime::from_millis(20), pressure(0, 2));
-        b.record(VirtualTime::from_millis(10), pressure(1, 3));
-        b.record(VirtualTime::from_millis(30), pressure(1, 4));
+        a.record(VirtualTime::from_millis(20), sample(0, 1));
+        a.record(VirtualTime::from_millis(20), sample(0, 2));
+        b.record(VirtualTime::from_millis(10), sample(1, 3));
+        b.record(VirtualTime::from_millis(30), sample(1, 4));
         let merged = merge_journals([a.snapshot(), b.snapshot()]);
         let times: Vec<u64> = merged.iter().map(|e| e.at.as_millis()).collect();
         assert_eq!(times, vec![10, 20, 20, 30]);
@@ -723,9 +713,9 @@ mod tests {
         let a = JournalHandle::enabled();
         let b = a.sibling();
         let t = VirtualTime::from_millis(20);
-        b.record(t, pressure(1, 1));
-        a.record(t, pressure(0, 2));
-        b.record(t, pressure(1, 3));
+        b.record(t, sample(1, 1));
+        a.record(t, sample(0, 2));
+        b.record(t, sample(1, 3));
         // Own log, own counters.
         assert_eq!(a.snapshot().len(), 1);
         assert_eq!(b.snapshot().len(), 2);
@@ -735,7 +725,7 @@ mod tests {
         let used: Vec<u64> = merged
             .iter()
             .map(|e| match e.event {
-                AdaptEvent::MemoryPressure { used, .. } => used,
+                AdaptEvent::EngineSample(r) => r.memory_used,
                 _ => unreachable!(),
             })
             .collect();

@@ -10,7 +10,6 @@
 pub mod journal;
 pub mod report;
 pub mod series;
-pub mod summary;
 
 pub use journal::{
     merge_journals, AdaptEvent, CountersSnapshot, EngineStatsReport, EventJournal, Fault,
@@ -21,4 +20,3 @@ pub use report::{
     write_run_jsonl, EngineCurves, Table,
 };
 pub use series::TimeSeries;
-pub use summary::Summary;

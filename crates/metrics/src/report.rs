@@ -273,7 +273,7 @@ fn json_field(out: &mut String, key: &str, value: &impl Json) {
 
 json_events! {
     "spill_decision" = SpillDecision {
-        engine, trigger, groups, state_bytes, encoded_bytes, memory_used, memory_budget
+        engine, trigger, groups, state_bytes, encoded_bytes, memory_used
     },
     "relocation_step" = RelocationStep {
         round, step, sender, receiver, parts, bytes, buffered_tuples
@@ -281,14 +281,12 @@ json_events! {
     "cleanup_phase" = CleanupPhase {
         engine, group, missing_results, scanned_tuples, disk_bytes_read
     },
-    "memory_pressure" = MemoryPressure { engine, used, budget },
     "fault_injected" = FaultInjected { fault, edge, round, attempt },
     "protocol_warning" = ProtocolWarning { code, engine, round, detail },
     "engine_joined" = EngineJoined { engine, members },
     "engine_drained" = EngineDrained { engine, moves },
     "engine_sample" = EngineSample(EngineStatsReport) {
-        engine, at = _, memory_used, memory_budget, num_groups = "groups", window_output,
-        total_output
+        engine, at = _, memory_used, num_groups = "groups", window_output, total_output
     },
 }
 
@@ -365,13 +363,12 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
                 groups,
                 state_bytes,
                 memory_used,
-                memory_budget,
                 ..
             } => {
                 let _ = writeln!(
                     out,
                     "spill     {engine} pushed {} group(s) ({state_bytes} B) to disk \
-                     [{}; mem {memory_used}/{memory_budget}]",
+                     [{}; mem {memory_used}]",
                     groups.len(),
                     trigger.name()
                 );
@@ -415,17 +412,6 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
                      from {scanned_tuples} tuple(s), {disk_bytes_read} B read"
                 );
             }
-            AdaptEvent::MemoryPressure {
-                engine,
-                used,
-                budget,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "pressure  {engine} at {used}/{budget} B ({:.0}%)",
-                    *used as f64 / (*budget).max(1) as f64 * 100.0
-                );
-            }
             AdaptEvent::FaultInjected {
                 fault,
                 edge,
@@ -460,13 +446,8 @@ pub fn render_journal(entries: &[JournalEntry]) -> String {
             AdaptEvent::EngineSample(r) => {
                 let _ = writeln!(
                     out,
-                    "sample    {}: mem={}/{} groups={} output={} (+{})",
-                    r.engine,
-                    r.memory_used,
-                    r.memory_budget,
-                    r.num_groups,
-                    r.total_output,
-                    r.window_output
+                    "sample    {}: mem={} groups={} output={} (+{})",
+                    r.engine, r.memory_used, r.num_groups, r.total_output, r.window_output
                 );
             }
         }
@@ -541,7 +522,6 @@ mod tests {
                 engine: dcape_common::ids::EngineId(engine),
                 at: VirtualTime::from_secs(at_s),
                 memory_used,
-                memory_budget: 1000,
                 num_groups: 4,
                 window_output: 1,
                 total_output,
@@ -602,7 +582,6 @@ mod tests {
                 state_bytes: 1000,
                 encoded_bytes: 800,
                 memory_used: 900,
-                memory_budget: 1000,
             },
         );
         handle.record(
@@ -697,11 +676,11 @@ mod tests {
         assert_eq!(
             journal_to_jsonl(&engine_sample),
             "{\"at_ms\":45000,\"seq\":0,\"kind\":\"engine_sample\",\"engine\":1,\
-             \"memory_used\":300,\"memory_budget\":1000,\"groups\":4,\"window_output\":1,\
+             \"memory_used\":300,\"groups\":4,\"window_output\":1,\
              \"total_output\":70}\n"
         );
         assert!(render_journal(&engine_sample)
-            .contains("sample    QE1: mem=300/1000 groups=4 output=70 (+1)"));
+            .contains("sample    QE1: mem=300 groups=4 output=70 (+1)"));
     }
 
     /// One golden line per event kind: every key, in order, and every
@@ -719,7 +698,6 @@ mod tests {
                 state_bytes: 1000,
                 encoded_bytes: 800,
                 memory_used: 900,
-                memory_budget: 1000,
             },
             AdaptEvent::RelocationStep {
                 round: 4,
@@ -746,11 +724,6 @@ mod tests {
                 scanned_tuples: 60,
                 disk_bytes_read: 600,
             },
-            AdaptEvent::MemoryPressure {
-                engine: EngineId(3),
-                used: 99,
-                budget: 100,
-            },
             AdaptEvent::FaultInjected {
                 fault: Fault::CorruptLength,
                 edge: FaultEdge::TransferAck,
@@ -775,7 +748,6 @@ mod tests {
                 engine: EngineId(1),
                 at: VirtualTime::from_secs(30),
                 memory_used: 300,
-                memory_budget: 1000,
                 num_groups: 4,
                 window_output: 1,
                 total_output: 70,
@@ -793,23 +765,21 @@ mod tests {
         let want = [
             "{\"at_ms\":1500,\"seq\":10,\"kind\":\"spill_decision\",\"engine\":1,\
              \"trigger\":\"forced\",\"groups\":[3,70000],\"state_bytes\":1000,\
-             \"encoded_bytes\":800,\"memory_used\":900,\"memory_budget\":1000}",
+             \"encoded_bytes\":800,\"memory_used\":900}",
             "{\"at_ms\":1501,\"seq\":11,\"kind\":\"relocation_step\",\"round\":4,\"step\":1,\
              \"sender\":0,\"receiver\":2,\"parts\":[],\"bytes\":512,\"buffered_tuples\":0}",
             "{\"at_ms\":1502,\"seq\":12,\"kind\":\"relocation_step\",\"round\":4,\"step\":7,\
              \"sender\":0,\"receiver\":2,\"parts\":[9],\"bytes\":0,\"buffered_tuples\":33}",
             "{\"at_ms\":1503,\"seq\":13,\"kind\":\"cleanup_phase\",\"engine\":2,\"group\":5,\
              \"missing_results\":6,\"scanned_tuples\":60,\"disk_bytes_read\":600}",
-            "{\"at_ms\":1504,\"seq\":14,\"kind\":\"memory_pressure\",\"engine\":3,\"used\":99,\
-             \"budget\":100}",
-            "{\"at_ms\":1505,\"seq\":15,\"kind\":\"fault_injected\",\"fault\":\"corrupt_length\",\
+            "{\"at_ms\":1504,\"seq\":14,\"kind\":\"fault_injected\",\"fault\":\"corrupt_length\",\
              \"edge\":\"transfer_ack\",\"round\":8,\"attempt\":2}",
-            "{\"at_ms\":1506,\"seq\":16,\"kind\":\"protocol_warning\",\
+            "{\"at_ms\":1505,\"seq\":15,\"kind\":\"protocol_warning\",\
              \"code\":\"phase_timeout_retry\",\"engine\":1,\"round\":8,\"detail\":1}",
-            "{\"at_ms\":1507,\"seq\":17,\"kind\":\"engine_joined\",\"engine\":4,\"members\":5}",
-            "{\"at_ms\":1508,\"seq\":18,\"kind\":\"engine_drained\",\"engine\":4,\"moves\":2}",
-            "{\"at_ms\":1509,\"seq\":19,\"kind\":\"engine_sample\",\"engine\":1,\
-             \"memory_used\":300,\"memory_budget\":1000,\"groups\":4,\"window_output\":1,\
+            "{\"at_ms\":1506,\"seq\":16,\"kind\":\"engine_joined\",\"engine\":4,\"members\":5}",
+            "{\"at_ms\":1507,\"seq\":17,\"kind\":\"engine_drained\",\"engine\":4,\"moves\":2}",
+            "{\"at_ms\":1508,\"seq\":18,\"kind\":\"engine_sample\",\"engine\":1,\
+             \"memory_used\":300,\"groups\":4,\"window_output\":1,\
              \"total_output\":70}",
         ];
         for (entry, want) in entries.iter().zip(want) {
@@ -828,17 +798,16 @@ mod tests {
         let handle = JournalHandle::enabled();
         handle.record(
             VirtualTime::ZERO,
-            AdaptEvent::MemoryPressure {
+            AdaptEvent::EngineDrained {
                 engine: EngineId(0),
-                used: 5,
-                budget: 10,
+                moves: 5,
             },
         );
         let path =
             std::env::temp_dir().join(format!("dcape-journal-{}/events.jsonl", std::process::id()));
         write_journal_jsonl(&path, &handle.snapshot()).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("\"kind\":\"memory_pressure\""));
+        assert!(content.contains("\"kind\":\"engine_drained\""));
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -6,9 +6,12 @@
 //! sockets, including a real `kill -9` + respawn of a worker process.
 //!
 //! Workers are the actual `dcape-node` binary (cargo builds it for this
-//! test; `CARGO_BIN_EXE_dcape-node` points at it), spawned on loopback.
+//! test; `CARGO_BIN_EXE_dcape-node` points at it), spawned on loopback
+//! by the coordinator — or, in listen mode, started by the test itself.
 
+use std::net::TcpListener;
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
 use dcape_cluster::runtime::sim::{ScaleEvent, SimConfig};
@@ -126,6 +129,57 @@ fn spill_run_is_equivalent_across_runtimes() {
     let socket = run_socket(socket_cfg(spill_cfg(spec, 2)), deadline).unwrap();
     dump_journal("socketeq-spill-socket", &socket.journal);
     assert_deterministic_equivalence(&threaded, &socket, "spill run");
+}
+
+/// Workers started by hand, reaped on drop — also when the run under
+/// test fails.
+struct Workers(Vec<Child>);
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Listen mode: the coordinator binds an address and `dcape-node
+/// --connect <addr> --engine-id <i>` processes started by hand serve
+/// the run — the same totals as the threaded runtime.
+#[test]
+fn listen_mode_with_hand_started_workers_is_equivalent() {
+    let deadline = VirtualTime::from_mins(4);
+    let spec = relocation_workload(55).with_pattern(ArrivalPattern::Uniform);
+    let threaded = run_threaded(spill_cfg(spec.clone(), 2), deadline).unwrap();
+
+    // A free loopback port; a worker retries its connection until the
+    // coordinator has bound it.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .unwrap()
+        .to_string();
+    let workers = Workers(
+        (0..2)
+            .map(|i| {
+                Command::new(node_bin())
+                    .args(["--connect", &addr, "--engine-id", &i.to_string()])
+                    .stdin(Stdio::null())
+                    .spawn()
+                    .expect("start dcape-node")
+            })
+            .collect(),
+    );
+    let cfg = SocketConfig {
+        sim: spill_cfg(spec, 2),
+        mode: SocketMode::Listen { addr },
+        kill: None,
+    };
+    let socket = run_socket(cfg, deadline).unwrap();
+    // A serving worker would wait out its reconnect grace for a next run.
+    drop(workers);
+    dump_journal("socketeq-listen-socket", &socket.journal);
+    assert_deterministic_equivalence(&threaded, &socket, "listen mode");
 }
 
 #[test]

@@ -250,8 +250,8 @@ pub(crate) fn encode_stream_block(buf: &mut Vec<u8>, stream: StreamId, cols: &St
 }
 
 /// Write `cols` as row-encoded tuples, each its header from the columns
-/// and its arena row as it is: the body of a column block's row fallback
-/// and of a version-1 segment's stream.
+/// and its arena row as it is: the body of a column block's row
+/// fallback.
 pub(crate) fn put_rows(buf: &mut Vec<u8>, stream: StreamId, cols: &StreamColumns) {
     for i in 0..cols.len() {
         buf.push(stream.0);
@@ -259,15 +259,6 @@ pub(crate) fn put_rows(buf: &mut Vec<u8>, stream: StreamId, cols: &StreamColumns
         put_varint(buf, cols.ts()[i].as_millis());
         buf.extend_from_slice(cols.row(i));
     }
-}
-
-/// Exact byte length [`put_rows`] writes.
-pub(crate) fn rows_len(cols: &StreamColumns) -> usize {
-    let headers: usize = (cols.seqs().iter())
-        .zip(cols.ts())
-        .map(|(&seq, ts)| 1 + varint_len(seq) + varint_len(ts.as_millis()))
-        .sum();
-    headers + cols.arena_len()
 }
 
 /// Decode `count` row-encoded tuples into the columns of slot `stream`,
@@ -851,8 +842,7 @@ mod tests {
             })
             .collect();
         let cols = block_round_trip(&tuples);
-        let rows = rows_len(&columns_of(&tuples));
-        assert_eq!(rows, tuples.iter().map(encoded_tuple_len).sum::<usize>());
+        let rows = tuples.iter().map(encoded_tuple_len).sum::<usize>();
         assert!(
             cols.len() * 2 < rows,
             "columnar {} should be well under half of row {}",

@@ -26,36 +26,17 @@ pub struct DiskModel {
 
 impl DiskModel {
     /// Paper-era default: 8 ms seek, 60 MB/s sequential.
-    pub fn default_2006() -> Self {
+    pub const fn default_2006() -> Self {
         DiskModel {
             seek_ms: 8,
             bytes_per_ms: 60_000,
         }
     }
 
-    /// An infinitely fast disk (all I/O free) — isolates algorithmic
-    /// effects in ablation benches.
-    pub fn free() -> Self {
-        DiskModel {
-            seek_ms: 0,
-            bytes_per_ms: u64::MAX,
-        }
-    }
-
     /// Virtual time to write or read `bytes` in one operation.
     pub fn io_cost(&self, bytes: u64) -> VirtualDuration {
-        let transfer = if self.bytes_per_ms == u64::MAX {
-            0
-        } else {
-            bytes.div_ceil(self.bytes_per_ms.max(1))
-        };
+        let transfer = bytes.div_ceil(self.bytes_per_ms.max(1));
         VirtualDuration::from_millis(self.seek_ms + transfer)
-    }
-}
-
-impl Default for DiskModel {
-    fn default() -> Self {
-        Self::default_2006()
     }
 }
 
@@ -78,12 +59,6 @@ mod tests {
         let d = DiskModel::default_2006();
         assert_eq!(d.io_cost(0).as_millis(), 8);
         assert_eq!(d.io_cost(1).as_millis(), 9); // div_ceil
-    }
-
-    #[test]
-    fn free_disk_costs_nothing() {
-        let d = DiskModel::free();
-        assert_eq!(d.io_cost(u64::MAX).as_millis(), 0);
     }
 
     #[test]

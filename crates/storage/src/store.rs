@@ -62,8 +62,6 @@ pub struct SpillStore {
     backend: Box<dyn SpillBackend>,
     /// Spill-order list of segments per partition ID.
     segments: FxHashMap<PartitionId, Vec<SegmentMeta>>,
-    /// Segment format used for writes (reads accept both).
-    codec: SegmentCodec,
     /// The encoded bytes of the segment being written or read: every
     /// spill encodes into it and every read-back decodes out of it.
     buf: Vec<u8>,
@@ -71,20 +69,20 @@ pub struct SpillStore {
 }
 
 impl SpillStore {
-    /// Create a store over the given backend with the default
-    /// (column-block) segment codec.
+    /// Create a store over the given backend.
     pub fn new(backend: Box<dyn SpillBackend>) -> Self {
-        Self::with_codec(backend, SegmentCodec::default())
-    }
-
-    /// Create a store with an explicit segment codec.
-    pub fn with_codec(backend: Box<dyn SpillBackend>, codec: SegmentCodec) -> Self {
         SpillStore {
             backend,
             segments: FxHashMap::default(),
-            codec,
             buf: Vec::new(),
             stats: SpillStats::default(),
+        }
+    }
+
+    /// [`new`](Self::new), writing `codec`'s format — the only one.
+    pub fn with_codec(backend: Box<dyn SpillBackend>, codec: SegmentCodec) -> Self {
+        match codec {
+            SegmentCodec::Columns => Self::new(backend),
         }
     }
 
@@ -93,15 +91,10 @@ impl SpillStore {
         Self::new(Box::new(crate::backend::MemBackend::new()))
     }
 
-    /// The segment codec used for writes.
-    pub fn codec(&self) -> SegmentCodec {
-        self.codec
-    }
-
     /// Spill one partition group; returns its segment metadata.
     pub fn spill_group(&mut self, group: &SpilledGroup) -> Result<SegmentMeta> {
         self.buf.clear();
-        group.encode_into(self.codec, &mut self.buf);
+        group.encode_into(&mut self.buf);
         let meta = SegmentMeta {
             handle: self.backend.write_segment(&self.buf)?,
             encoded_bytes: self.buf.len() as u64,
@@ -414,28 +407,6 @@ mod tests {
         assert_eq!(metas.len(), 2);
         assert!(metas[0].tuples < metas[1].tuples);
         assert!(store.segments_of(PartitionId(99)).is_empty());
-    }
-
-    #[test]
-    fn codec_choice_controls_written_bytes() {
-        let g = group(1, 16);
-        let mut rows = SpillStore::with_codec(
-            Box::new(crate::backend::MemBackend::new()),
-            SegmentCodec::Rows,
-        );
-        let mut cols = SpillStore::in_memory();
-        assert_eq!(cols.codec(), SegmentCodec::Columns);
-        let mr = rows.spill_group(&g).unwrap();
-        let mc = cols.spill_group(&g).unwrap();
-        assert!(
-            mc.encoded_bytes < mr.encoded_bytes,
-            "columnar {} vs rows {}",
-            mc.encoded_bytes,
-            mr.encoded_bytes
-        );
-        // Both read back to the same group.
-        assert_eq!(rows.take_segments(PartitionId(1)).unwrap(), vec![g.clone()]);
-        assert_eq!(cols.take_segments(PartitionId(1)).unwrap(), vec![g]);
     }
 
     #[test]

@@ -77,9 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.buffered_tuples,
         );
     }
-    let moved =
-        dcape::metrics::Summary::of(sim.relocations().iter().map(|r| r.bytes as f64 / 1024.0));
-    println!("  moved KiB per relocation: {}", moved.render());
+    let moved: u64 = sim.relocations().iter().map(|r| r.bytes).sum();
+    println!(
+        "  moved in total: {:.2} MiB",
+        moved as f64 / (1 << 20) as f64
+    );
     let sim_report = sim.finish()?;
 
     println!("\ncorrectness (no loss, no duplication):");

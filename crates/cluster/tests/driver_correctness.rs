@@ -284,10 +284,10 @@ fn coordinator_runs_are_pinned() {
     assert_eq!(
         hashes,
         [
-            0x8386_93CC_1EBC_0E05,
-            0xA6AF_FC38_5930_8459,
-            0xCAB4_697F_1953_8787,
-            0x4659_F181_CAC6_8826
+            0xCFA8_4D3C_CE38_83DD,
+            0x61FC_92B4_EE51_9BAB,
+            0x3F48_CCEB_6038_880E,
+            0x5686_480D_D2F5_1888
         ],
         "coordinator behaviour changed: {hashes:#018x?}"
     );

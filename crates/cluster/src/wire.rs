@@ -1092,6 +1092,31 @@ mod tests {
         );
     }
 
+    /// The handshake's frame bytes — one `Hello` and one `Welcome` with
+    /// a non-default fault plan and replay horizon — each reduced to its
+    /// length and one number: a coordinator and a worker built from
+    /// different commits must agree on them.
+    #[test]
+    fn handshake_frame_bytes_are_pinned() {
+        let hello = WireMsg::Hello(Hello {
+            engine: EngineId(3),
+        });
+        let welcome = WireMsg::Welcome(Box::new(Welcome {
+            engine: EngineId(1),
+            config: EngineConfig::three_way(1 << 22, 600 << 10),
+            journal: true,
+            fault_seed: 0xDEAD_BEEF,
+            faults: FaultConfig::uniform(0.2),
+            replay_until: 417,
+        }));
+        let pin = |msg: &WireMsg| {
+            let bytes = frame_bytes(5, msg).unwrap();
+            (bytes.len(), dcape_common::hash::fx_hash(bytes.as_slice()))
+        };
+        assert_eq!(pin(&hello), (11, 0xE22A_C8C8_EE54_657C));
+        assert_eq!(pin(&welcome), (96, 0x97A8_53DB_FEE0_EF6F));
+    }
+
     /// Warning codes, faults and edges travel as tags of a closed
     /// vocabulary: an entry whose tag lies past the last one is a codec
     /// error, not a string to keep.

@@ -989,7 +989,7 @@ mod tests {
             theta_r: 0.8,
             tau_m: VirtualDuration::ZERO,
         };
-        GlobalCoordinator::new(&strategy, 2, 3, JournalHandle::enabled(), patient)
+        GlobalCoordinator::new(&strategy, 2, 3, JournalHandle::default(), patient)
     }
 
     /// Let the strategy open a round at `now`: its id and amount.
@@ -1221,7 +1221,7 @@ mod tests {
             }
         );
         assert!(!gc.relocation_active());
-        let c = gc.journal.counters().unwrap().snapshot();
+        let c = gc.journal.counters().snapshot();
         assert_eq!(c.msgs_retried, u64::from(MAX_RETRIES));
         assert_eq!(c.rounds_aborted, 1);
         // No round anymore: the poll goes quiet.
@@ -1330,7 +1330,7 @@ mod tests {
             spill_fraction: 0.3,
             force_spill_cap: 1 << 30,
         };
-        let mut gc = GlobalCoordinator::new(&strategy, 2, 2, JournalHandle::disabled(), false);
+        let mut gc = GlobalCoordinator::new(&strategy, 2, 2, JournalHandle::default(), false);
         let stats = ClusterStats::new(vec![report(0, 1000, 10.0), report(1, 950, 1.0)]);
         let cmd = gc.evaluate(&stats, VirtualTime::from_secs(1)).unwrap();
         assert!(matches!(cmd, Some(Command::Spill { .. })), "{cmd:?}");

@@ -219,8 +219,7 @@ pub enum FromEngine {
         spill_count: u64,
         /// Modeled virtual cost of the local merge (ms).
         cleanup_cost_ms: u64,
-        /// The engine's adaptation-event journal (empty when journaling
-        /// is off).
+        /// The engine's adaptation-event journal.
         journal: Vec<JournalEntry>,
         /// The engine's final journal counters.
         journal_counters: CountersSnapshot,

@@ -105,7 +105,7 @@ pub(crate) struct RunReport {
     pub(crate) relocations: Vec<RelocationEvent>,
     pub(crate) force_spills: u64,
     /// Every engine's journal plus the coordinator's, merged by virtual
-    /// time (empty unless the run journals).
+    /// time.
     pub(crate) journal: Vec<JournalEntry>,
     pub(crate) journal_counters: CountersSnapshot,
 }
@@ -190,10 +190,10 @@ pub(crate) struct CoordinatorRun<T: Transport> {
 
 impl<T: Transport> CoordinatorRun<T> {
     /// Set the run up and start the initial engines. `journal` is the
-    /// coordinator's journal (disabled when the run keeps none);
-    /// `patient` arms bounded retry-then-abort on every protocol phase —
-    /// without it a single lost message would wedge quiesce forever, so
-    /// every caller whose transport or fault plan can lose one sets it.
+    /// coordinator's journal; `patient` arms bounded retry-then-abort on
+    /// every protocol phase — without it a single lost message would
+    /// wedge quiesce forever, so every caller whose transport or fault
+    /// plan can lose one sets it.
     pub(crate) fn new(
         cfg: &SimConfig,
         journal: JournalHandle,
@@ -434,14 +434,12 @@ impl<T: Transport> CoordinatorRun<T> {
 
         let mut report = std::mem::take(&mut self.report);
         report.force_spills = self.gc.force_spills_issued();
-        if self.journal.is_enabled() {
-            let mut journals = std::mem::take(&mut self.engine_journals);
-            journals.push(self.journal.snapshot());
-            report.journal = merge_journals(journals);
-        }
-        if let Some(c) = self.journal.counters() {
-            report.journal_counters.absorb(&c.snapshot());
-        }
+        let mut journals = std::mem::take(&mut self.engine_journals);
+        journals.push(self.journal.snapshot());
+        report.journal = merge_journals(journals);
+        report
+            .journal_counters
+            .absorb(&self.journal.counters().snapshot());
         Ok(report)
     }
 
@@ -1020,10 +1018,7 @@ mod tests {
         }
 
         fn note(&mut self, engine: Option<EngineId>, seen: Seen) {
-            let buffered = self
-                .journal
-                .counters()
-                .map_or(0, |c| c.snapshot().buffered_in_flight);
+            let buffered = self.journal.counters().snapshot().buffered_in_flight;
             self.log.push((engine, self.rows_sent + buffered, seen));
         }
 
@@ -1107,7 +1102,7 @@ mod tests {
             StrategyConfig::NoAdaptation,
         )
         .with_scale_events(vec![ScaleEvent::drain(at)]);
-        let journal = JournalHandle::disabled();
+        let journal = JournalHandle::default();
         let transport = Recording::new(&cfg, journal.clone());
         let mut run = CoordinatorRun::new(&cfg, journal, false, transport).unwrap();
         run.run_until(VirtualTime::from_mins(2)).unwrap();
@@ -1204,7 +1199,7 @@ mod tests {
         )
         .with_stats_interval(VirtualDuration::from_secs(10))
         .with_scale_events(vec![ScaleEvent::add(VirtualTime::from_secs(15))]);
-        let journal = JournalHandle::enabled();
+        let journal = JournalHandle::default();
         let transport = HoldsOneReply {
             inner: SimTransport::new(&cfg, journal.clone()),
             held_once: false,
@@ -1342,7 +1337,7 @@ mod tests {
         .with_stats_interval(VirtualDuration::from_secs(5))
         .with_faults(plan);
         cfg.network = NetworkModel::free();
-        let journal = JournalHandle::enabled();
+        let journal = JournalHandle::default();
         let transport = HoldsFirstAck {
             inner: SimTransport::new(&cfg, journal.clone()),
             acked: Vec::new(),
@@ -1413,7 +1408,7 @@ mod tests {
         .with_stats_interval(stats_interval)
         .with_faults(FaultPlan::new(6, crashes));
         cfg.network = NetworkModel::slow_wan();
-        let journal = JournalHandle::enabled();
+        let journal = JournalHandle::default();
         let transport = Recording::new(&cfg, journal.clone());
         let mut run = CoordinatorRun::new(&cfg, journal, true, transport).unwrap();
         run.run_until(deadline).unwrap();

@@ -303,8 +303,8 @@ pub(crate) struct EngineCore {
 
 impl EngineCore {
     /// Build the engine — the one place a runtime does. `journal` is
-    /// the engine's own journal (disabled when the run keeps none);
-    /// `collect_results` makes both sinks materialize their results.
+    /// the engine's own journal; `collect_results` makes both sinks
+    /// materialize their results.
     ///
     /// The engine spills to an unlinked log in the system's temporary
     /// directory (`TMPDIR` moves it), under every transport: the virtual
@@ -506,15 +506,12 @@ impl EngineCore {
                     );
                     self.qe.journal().add_relocation_bytes(bytes);
                     // Wire volume in encoded (column-block) form — what
-                    // the transfer actually costs on the network. Only
-                    // a kept journal has a counter to add it to.
-                    if self.qe.journal().is_enabled() {
-                        let encoded: u64 = groups_raw
-                            .iter()
-                            .map(|(g, _, _)| g.encode().len() as u64)
-                            .sum();
-                        self.qe.journal().add_transfer_bytes(encoded);
-                    }
+                    // the transfer actually costs on the network.
+                    let encoded: u64 = groups_raw
+                        .iter()
+                        .map(|(g, _, _)| g.encode().len() as u64)
+                        .sum();
+                    self.qe.journal().add_transfer_bytes(encoded);
                 }
                 // A stall keeps the transfer from landing for a
                 // while; a delay fault adds on top of it.
@@ -707,12 +704,7 @@ impl EngineCore {
                     spill_count: self.qe.spill_history().len() as u64,
                     cleanup_cost_ms: report.virtual_cost.as_millis() + self.cleanup_stall_ms,
                     journal: self.qe.journal().snapshot(),
-                    journal_counters: self
-                        .qe
-                        .journal()
-                        .counters()
-                        .map(|c| c.snapshot())
-                        .unwrap_or_default(),
+                    journal_counters: self.qe.journal().counters().snapshot(),
                 })?;
                 return Ok(EngineFlow::Finished);
             }
@@ -802,7 +794,7 @@ mod tests {
     impl Pair {
         fn new(cfg: EngineConfig) -> Self {
             let core = |id| {
-                let journal = JournalHandle::enabled();
+                let journal = JournalHandle::default();
                 EngineCore::new(EngineId(id), cfg.clone(), journal, false).unwrap()
             };
             Pair {
@@ -981,48 +973,40 @@ mod tests {
     }
 
     /// `transfer_bytes` is the encoded size of the groups `SendStates`
-    /// shipped; a run that keeps no journal ships the same groups and
-    /// has no counter to add them to.
+    /// shipped.
     #[test]
     fn transfer_bytes_is_the_encoded_size_of_what_send_states_shipped() {
-        let sizes = [true, false].map(|journaled| {
-            let cfg = EngineConfig::three_way(1 << 20, 1 << 19);
-            let codec = cfg.spill_codec;
-            let journal = JournalHandle::when(journaled);
-            let mut core = EngineCore::new(EngineId(0), cfg, journal, false).unwrap();
-            let mut tuples = TupleBatch::new();
-            for seq in 0..60u64 {
-                let t = TupleBuilder::new(StreamId((seq % 3) as u8))
-                    .seq(seq)
-                    .value((seq % 5) as i64)
-                    .pad(64);
-                tuples.push(PartitionId((seq % 2) as u32), t.build());
-            }
-            let (plan, mut tx) = (FaultPlan::disabled(), Recorder::default());
-            core.handle(ToEngine::DataBatch { tuples }, &plan, &mut tx)
-                .unwrap();
-            let send = ToEngine::SendStates {
-                round: 1,
-                parts: vec![PartitionId(0), PartitionId(1)],
-                receiver: EngineId(1),
-                attempt: 0,
-            };
-            core.handle(send, &plan, &mut tx).unwrap();
-            let [(_, ToEngine::InstallStates { groups, .. })] = tx.wire.make_contiguous() else {
-                panic!("expected one InstallStates, got {:?}", tx.wire);
-            };
-            let encoded: u64 = groups
-                .iter()
-                .map(|g| g.snapshot.encode_with(codec).len() as u64)
-                .sum();
-            let counted = core.qe.journal().counters().map(|c| c.snapshot());
-            assert_eq!(
-                counted.map(|c| c.transfer_bytes),
-                journaled.then_some(encoded)
-            );
-            encoded
-        });
-        assert!(sizes[0] > 0 && sizes[0] == sizes[1]);
+        let cfg = EngineConfig::three_way(1 << 20, 1 << 19);
+        let codec = cfg.spill_codec;
+        let mut core = EngineCore::new(EngineId(0), cfg, JournalHandle::default(), false).unwrap();
+        let mut tuples = TupleBatch::new();
+        for seq in 0..60u64 {
+            let t = TupleBuilder::new(StreamId((seq % 3) as u8))
+                .seq(seq)
+                .value((seq % 5) as i64)
+                .pad(64);
+            tuples.push(PartitionId((seq % 2) as u32), t.build());
+        }
+        let (plan, mut tx) = (FaultPlan::disabled(), Recorder::default());
+        core.handle(ToEngine::DataBatch { tuples }, &plan, &mut tx)
+            .unwrap();
+        let send = ToEngine::SendStates {
+            round: 1,
+            parts: vec![PartitionId(0), PartitionId(1)],
+            receiver: EngineId(1),
+            attempt: 0,
+        };
+        core.handle(send, &plan, &mut tx).unwrap();
+        let [(_, ToEngine::InstallStates { groups, .. })] = tx.wire.make_contiguous() else {
+            panic!("expected one InstallStates, got {:?}", tx.wire);
+        };
+        let encoded: u64 = groups
+            .iter()
+            .map(|g| g.snapshot.encode_with(codec).len() as u64)
+            .sum();
+        assert!(encoded > 0);
+        let counted = core.qe.journal().counters().snapshot().transfer_bytes;
+        assert_eq!(counted, encoded);
     }
 
     /// A duplicated `InstallStates` is re-acked without installing twice.

@@ -108,9 +108,6 @@ pub struct SimConfig {
     /// into a [`CollectingSink`]. Otherwise results are only counted —
     /// whole products at a time, no row materialized.
     pub collect_results: bool,
-    /// Record a structured adaptation-event journal (merged into the
-    /// report); off by default.
-    pub journal: bool,
     /// Deterministic fault injection over the relocation protocol's
     /// message edges (see [`crate::faults`]). Disabled by default; an
     /// active plan also arms the coordinator's per-phase
@@ -140,7 +137,6 @@ impl SimConfig {
             stats_interval: VirtualDuration::from_secs(45),
             network: NetworkModel::gigabit(),
             collect_results: false,
-            journal: false,
             faults: FaultPlan::disabled(),
             scale_events: Vec::new(),
         }
@@ -170,9 +166,9 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: record the adaptation-event journal.
-    pub fn with_journal(mut self) -> Self {
-        self.journal = true;
+    /// Returns `self` unchanged: every run keeps its journal. Kept
+    /// only because the benchmark's job builder still calls it.
+    pub fn with_journal(self) -> Self {
         self
     }
 
@@ -236,10 +232,10 @@ pub struct SimReport {
     /// engines' cleanup merges emitted.
     pub cleanup_results: Option<CollectingSink>,
     /// Adaptation-event journal, merged across the coordinator and every
-    /// engine by virtual time (empty unless `journal` was set).
+    /// engine by virtual time.
     pub journal: Vec<JournalEntry>,
     /// Final counter values (the coordinator's tallies plus what every
-    /// engine reported; zeros unless `journal` was set).
+    /// engine reported).
     pub journal_counters: CountersSnapshot,
 }
 
@@ -423,7 +419,7 @@ pub struct SimDriver {
 impl SimDriver {
     /// Build a driver; validates the whole configuration.
     pub fn new(cfg: SimConfig) -> Result<Self> {
-        let journal = JournalHandle::when(cfg.journal);
+        let journal = JournalHandle::default();
         let transport = SimTransport::new(&cfg, journal.clone());
         // An active fault plan implies bounded patience: dropped
         // messages must not wedge a round forever.
@@ -505,7 +501,7 @@ mod tests {
             StreamSetSpec::uniform(4, 100, 1, VirtualDuration::from_millis(30)),
             StrategyConfig::NoAdaptation,
         );
-        let mut t = SimTransport::new(&cfg, JournalHandle::disabled());
+        let mut t = SimTransport::new(&cfg, JournalHandle::default());
         let e = EngineId(0);
         t.start_engine(e).unwrap();
         let owners = vec![e; 4];

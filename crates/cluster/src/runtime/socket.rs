@@ -606,7 +606,6 @@ impl TcpTransport {
             let welcome = Welcome {
                 engine: EngineId(i as u16),
                 config: sim.engine.clone(),
-                journal: sim.journal,
                 fault_seed: sim.faults.seed(),
                 faults: *sim.faults.config(),
                 replay_until: 0,
@@ -777,7 +776,7 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
             "scale-out events need spawn mode (cannot start workers in --listen mode)",
         ));
     }
-    let journal = JournalHandle::when(sim.journal);
+    let journal = JournalHandle::default();
     // Bounded patience when anything can kill or lose a message: chaos
     // faults, or the kill plan (a worker dying mid-round needs the
     // phase timeout to re-drive the round against its respawn).
@@ -918,8 +917,7 @@ fn worker_session(stream: TcpStream, engine: EngineId) -> Result<SessionEnd> {
         ),
     )?;
 
-    let journal = JournalHandle::when(welcome.journal);
-    let mut core = EngineCore::new(engine, welcome.config, journal, false)?;
+    let mut core = EngineCore::new(engine, welcome.config, JournalHandle::default(), false)?;
     // Announce liveness: a late joiner's rebalancing is deferred until
     // this arrives; announcements from the initial engines are absorbed
     // quietly. Resent on respawn, which is how a joiner that crashed
@@ -1015,7 +1013,6 @@ mod tests {
         let welcome = Welcome {
             engine: EngineId(0),
             config: EngineConfig::three_way(1 << 20, 1 << 19),
-            journal: false,
             fault_seed: 0,
             faults: FaultConfig::none(),
             replay_until: 0,
@@ -1176,7 +1173,7 @@ mod tests {
         let cfg = unstarted_cfg();
         for _ in 0..2 {
             let mut t =
-                TcpTransport::new(&cfg, JournalHandle::disabled(), &dir, Some(&dir)).unwrap();
+                TcpTransport::new(&cfg, JournalHandle::default(), &dir, Some(&dir)).unwrap();
             t.send(EngineId(0), ToEngine::StartCleanup).unwrap();
             let named = names_in(&dir);
             assert!(
@@ -1212,7 +1209,7 @@ mod tests {
         std::fs::write(&file, b"in the way").unwrap();
         let refused = TcpTransport::new(
             &unstarted_cfg(),
-            JournalHandle::disabled(),
+            JournalHandle::default(),
             &file.join("replay"),
             None,
         );

@@ -50,11 +50,10 @@ pub struct ThreadedReport {
     /// Modeled parallel cleanup wall time: max per-engine merge cost.
     pub cleanup_wall_ms: u64,
     /// Adaptation-event journal: every engine's journal plus the
-    /// coordinator's, merged by virtual time (empty unless
-    /// `SimConfig::journal` was set).
+    /// coordinator's, merged by virtual time.
     pub journal: Vec<JournalEntry>,
     /// Final counter values (coordinator-side tallies plus per-engine
-    /// counts; zeros unless `SimConfig::journal` was set).
+    /// counts).
     pub journal_counters: CountersSnapshot,
 }
 
@@ -83,11 +82,11 @@ impl From<RunReport> for ThreadedReport {
 /// Run a complete experiment on real threads until `deadline` of
 /// virtual time, then quiesce and run the distributed cleanup.
 pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedReport> {
-    let journal = JournalHandle::when(cfg.journal);
+    let journal = JournalHandle::default();
     // An active fault plan arms bounded patience — otherwise a single
     // dropped protocol message would wedge the quiesce loop forever.
     let patient = cfg.faults.is_active();
-    let transport = ChannelTransport::new(&cfg);
+    let transport = ChannelTransport::new(&cfg, journal.clone());
     let mut run = CoordinatorRun::new(&cfg, journal, patient, transport)?;
     run.run_until(deadline)?;
     run.quiesce()?;
@@ -101,7 +100,9 @@ pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedRep
 /// admits it.
 struct ChannelTransport {
     engine_cfg: EngineConfig,
-    journal_on: bool,
+    /// The coordinator's journal; every engine records into a sibling
+    /// of it, so one `seq` source numbers the whole run.
+    journal: JournalHandle,
     plan: FaultPlan,
     to_engines: Vec<Sender<ToEngine>>,
     /// The receiving end of each slot until its thread takes it.
@@ -115,7 +116,7 @@ struct ChannelTransport {
 }
 
 impl ChannelTransport {
-    fn new(cfg: &SimConfig) -> Self {
+    fn new(cfg: &SimConfig, journal: JournalHandle) -> Self {
         let (to_engines, unstarted) = (0..cfg.capacity())
             .map(|_| {
                 let (tx, rx) = channel();
@@ -125,7 +126,7 @@ impl ChannelTransport {
         let (to_gc, from_engines) = channel();
         ChannelTransport {
             engine_cfg: cfg.engine.clone(),
-            journal_on: cfg.journal,
+            journal,
             plan: cfg.faults,
             to_engines,
             unstarted,
@@ -141,7 +142,7 @@ impl Transport for ChannelTransport {
         let rx = self.unstarted[engine.index()]
             .take()
             .ok_or_else(|| DcapeError::state(format!("engine {engine} started twice")))?;
-        let journal = JournalHandle::when(self.journal_on);
+        let journal = self.journal.sibling();
         let core = EngineCore::new(engine, self.engine_cfg.clone(), journal, false)?;
         let tx = ChannelTx {
             to_gc: self.to_gc.clone(),
@@ -253,7 +254,7 @@ mod tests {
             StreamSetSpec::uniform(4, 100, 1, VirtualDuration::from_millis(30)),
             StrategyConfig::NoAdaptation,
         );
-        let mut t = ChannelTransport::new(&cfg);
+        let mut t = ChannelTransport::new(&cfg, JournalHandle::default());
         let e = EngineId(0);
         t.start_engine(e).unwrap();
         let owners = vec![e; 4];

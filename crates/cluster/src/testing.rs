@@ -127,7 +127,6 @@ pub fn relocation_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
         engines
     ]))
     .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal()
 }
 
 /// Where every pinned run ends.
@@ -169,7 +168,6 @@ pub fn pinned_runs() -> [SimConfig; 4] {
         )
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
         .with_stats_interval(VirtualDuration::from_secs(15))
-        .with_journal()
         .with_faults(FaultPlan::new(fault_seed, FaultConfig::uniform(0.3)))
     };
     let elastic_chaos = lazy_chaos(1).with_scale_events(vec![
@@ -196,8 +194,7 @@ pub fn pinned_runs() -> [SimConfig; 4] {
             force_spill_cap: 1 << 20,
         },
     )
-    .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal();
+    .with_stats_interval(VirtualDuration::from_secs(30));
     let rebalance = SimConfig::new(
         4,
         EngineConfig::three_way(1 << 30, 1 << 29),
@@ -208,8 +205,7 @@ pub fn pinned_runs() -> [SimConfig; 4] {
         },
     )
     .with_placement(PlacementSpec::Fractions(vec![0.55, 0.25, 0.15, 0.05]))
-    .with_stats_interval(VirtualDuration::from_secs(15))
-    .with_journal();
+    .with_stats_interval(VirtualDuration::from_secs(15));
     [lazy_chaos(2), elastic_chaos, active_disk, rebalance]
 }
 

@@ -96,8 +96,6 @@ pub struct Welcome {
     pub engine: EngineId,
     /// The engine configuration to instantiate.
     pub config: EngineConfig,
-    /// Whether to keep an adaptation-event journal.
-    pub journal: bool,
     /// Seed of the deterministic fault plan.
     pub fault_seed: u64,
     /// Rates of the deterministic fault plan.
@@ -419,7 +417,7 @@ wire_struct! {
         drop_rate, duplicate_rate, delay_rate, corrupt_rate, crash_rate, stall_rate, max_delay_ms
     }
     Hello { engine }
-    Welcome { engine, config, journal, fault_seed, faults, replay_until }
+    Welcome { engine, config, fault_seed, faults, replay_until }
 }
 
 wire_enum!(SpillTrigger { 0 = MemoryThreshold, 1 = Forced });
@@ -1058,7 +1056,7 @@ mod tests {
     /// The frame bytes of every protocol message, reduced to one number
     /// taken with the hand-written encoder of commit c7c469c: whatever
     /// produces the bytes must keep producing these. (Handshake frames
-    /// are not part of it.) Re-taken five times, each time with every
+    /// have their own pin, below.) Re-taken five times, each time with every
     /// frame fingerprinted before and after. Once when the stats report
     /// lost three fields nothing read and the cluster-wide stats sample
     /// was retired: only the `stats` frame and the `cleanup_done` frame
@@ -1095,7 +1093,12 @@ mod tests {
     /// The handshake's frame bytes — one `Hello` and one `Welcome` with
     /// a non-default fault plan and replay horizon — each reduced to its
     /// length and one number: a coordinator and a worker built from
-    /// different commits must agree on them.
+    /// different commits must agree on them. Re-taken once, when
+    /// `Welcome` lost its journal flag (every run journals): only the
+    /// `Welcome` frame moved, from 96 bytes (`0x97A8_53DB_FEE0_EF6F`) to
+    /// 95. Its new bytes were checked equal to the old frame's with the
+    /// flag's one byte (offset 34, right after the engine configuration)
+    /// cut out and the length header and trailer recomputed.
     #[test]
     fn handshake_frame_bytes_are_pinned() {
         let hello = WireMsg::Hello(Hello {
@@ -1104,7 +1107,6 @@ mod tests {
         let welcome = WireMsg::Welcome(Box::new(Welcome {
             engine: EngineId(1),
             config: EngineConfig::three_way(1 << 22, 600 << 10),
-            journal: true,
             fault_seed: 0xDEAD_BEEF,
             faults: FaultConfig::uniform(0.2),
             replay_until: 417,
@@ -1114,7 +1116,7 @@ mod tests {
             (bytes.len(), dcape_common::hash::fx_hash(bytes.as_slice()))
         };
         assert_eq!(pin(&hello), (11, 0xE22A_C8C8_EE54_657C));
-        assert_eq!(pin(&welcome), (96, 0x97A8_53DB_FEE0_EF6F));
+        assert_eq!(pin(&welcome), (95, 0xED83_CD95_F237_93E8));
     }
 
     /// Warning codes, faults and edges travel as tags of a closed
@@ -1174,7 +1176,6 @@ mod tests {
                 .with_spill_fraction(0.4)
                 .with_estimator(ProductivityEstimator::Decaying { alpha: 0.5 })
                 .with_reactivation(0.25),
-            journal: true,
             fault_seed: 0xDEAD_BEEF,
             faults: FaultConfig::uniform(0.2),
             replay_until: 417,
@@ -1283,7 +1284,6 @@ mod tests {
             payload.push(K_WELCOME);
             EngineId(1).put(&mut payload);
             payload.extend_from_slice(config_bytes);
-            true.put(&mut payload);
             put_varint(&mut payload, 7);
             FaultConfig::uniform(0.2).put(&mut payload);
             put_varint(&mut payload, 0);
@@ -1340,7 +1340,6 @@ mod tests {
         let welcome = |engine: u64| {
             let mut payload = varints(0x31, &[engine]);
             EngineConfig::three_way(1 << 22, 600 << 10).put(&mut payload);
-            true.put(&mut payload);
             put_varint(&mut payload, 7);
             FaultConfig::uniform(0.2).put(&mut payload);
             put_varint(&mut payload, 0);
@@ -1401,7 +1400,6 @@ mod tests {
                 config: EngineConfig::three_way(1 << 22, 600 << 10)
                     .with_estimator(ProductivityEstimator::Decaying { alpha: 0.5 })
                     .with_reactivation(0.25),
-                journal: true,
                 fault_seed: 0xDEAD_BEEF,
                 faults: FaultConfig::uniform(0.2),
                 replay_until: 417,

@@ -48,7 +48,6 @@ fn mixed_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     )
     .with_placement(PlacementSpec::Fractions(fractions))
     .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal()
 }
 
 fn run_sim(cfg: SimConfig, deadline: VirtualTime, label: &str) -> SimReport {

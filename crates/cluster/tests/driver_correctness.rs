@@ -173,7 +173,6 @@ fn sim_is_deterministic() {
             },
         )
         .with_stats_interval(VirtualDuration::from_secs(15))
-        .with_journal()
         .with_faults(FaultPlan::new(13, FaultConfig::uniform(0.2)))
         .with_scale_events(vec![
             ScaleEvent::add(VirtualTime::from_secs(40)),
@@ -374,8 +373,7 @@ fn global_rebalance_scheme_preserves_results_across_four_engines() {
         },
     )
     .with_placement(PlacementSpec::Fractions(vec![0.55, 0.25, 0.15, 0.05]))
-    .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal();
+    .with_stats_interval(VirtualDuration::from_secs(30));
     let mut driver = SimDriver::new(cfg).unwrap();
     driver.run_until(deadline).unwrap();
     let relocations = driver.relocations().len();
@@ -460,7 +458,6 @@ fn runtime_reactivation_reduces_cleanup_debt_and_stays_exact() {
         )
         .with_placement(PlacementSpec::Fractions(vec![0.6, 0.2, 0.2]))
         .with_stats_interval(VirtualDuration::from_secs(30))
-        .with_journal()
     };
     let run_sim = |reactivate: bool| {
         let mut driver = SimDriver::new(cfg(reactivate)).unwrap();

@@ -48,7 +48,6 @@ fn overloaded_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     )
     .with_placement(PlacementSpec::Fractions(fractions))
     .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal()
 }
 
 /// Drive an elastic sim run to `deadline`, assert the mid-run membership

@@ -12,7 +12,7 @@ use dcape_cluster::PlacementSpec;
 use dcape_common::ids::PartitionId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
-use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, SpillTrigger};
+use dcape_metrics::journal::{AdaptEvent, JournalEntry, SpillTrigger};
 use dcape_metrics::journal_to_jsonl;
 use dcape_streamgen::{ArrivalPattern, ClassAssignment, PartitionClass, StreamSetSpec};
 
@@ -64,8 +64,7 @@ fn skewed_relocation_report(deadline: VirtualTime) -> SimReport {
         },
     )
     .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
-    .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal();
+    .with_stats_interval(VirtualDuration::from_secs(30));
     let mut driver = SimDriver::new(cfg).unwrap();
     driver.run_until(deadline).unwrap();
     driver.finish().unwrap()
@@ -163,8 +162,7 @@ fn sim_forced_spill_pairs_decision_with_cleanup_groups() {
             force_spill_cap: 1 << 20,
         },
     )
-    .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal();
+    .with_stats_interval(VirtualDuration::from_secs(30));
     let mut driver = SimDriver::new(cfg).unwrap();
     driver.run_until(deadline).unwrap();
     let report = driver.finish().unwrap();
@@ -262,22 +260,34 @@ fn threaded_journal_covers_relocations_and_merges_engine_journals() {
         },
     )
     .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
-    .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal();
+    .with_stats_interval(VirtualDuration::from_secs(30));
     let report = run_threaded(cfg, deadline).unwrap();
     assert!(report.relocations > 0, "skew should force relocations");
     assert!(!report.journal.is_empty());
     for pair in report.journal.windows(2) {
         assert!(pair[0].at <= pair[1].at, "merged journal not time-ordered");
     }
-    // Every completed round journals every protocol step (cross-thread
-    // timestamps may tie, so check presence rather than strict order).
+    // Every engine records into a sibling of the coordinator's journal,
+    // so one counter numbers the whole run: no two entries share a
+    // `seq`, and a round's steps, taken in `seq` order, are the
+    // protocol's causal order (an engine's clock may lag the
+    // coordinator's, so timestamps alone do not give it).
+    let mut seqs: Vec<u64> = report.journal.iter().map(|e| e.seq).collect();
+    seqs.sort_unstable();
+    seqs.dedup();
+    assert_eq!(seqs.len(), report.journal.len(), "merged seqs collide");
+    let mut by_seq: Vec<&JournalEntry> = report.journal.iter().collect();
+    by_seq.sort_by_key(|e| e.seq);
     let mut complete = 0u64;
     for round in relocation_rounds(&report.journal) {
-        let mut steps = steps_of_round(&report.journal, round);
-        steps.sort_unstable();
+        let steps: Vec<u8> = (by_seq.iter())
+            .filter_map(|e| match &e.event {
+                AdaptEvent::RelocationStep { round: r, step, .. } if *r == round => Some(*step),
+                _ => None,
+            })
+            .collect();
         if steps.len() == 8 {
-            assert_eq!(steps, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+            assert_eq!(steps, vec![1, 2, 3, 4, 5, 6, 7, 8], "round {round}");
             complete += 1;
         }
     }
@@ -317,8 +327,7 @@ fn watermark_purge_counters_cover_both_runtimes() {
             },
         )
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
-        .with_stats_interval(VirtualDuration::from_secs(30))
-        .with_journal();
+        .with_stats_interval(VirtualDuration::from_secs(30));
         // A slow network stretches transfers over many clock pulses, so
         // the held horizon demonstrably defers purges mid-transfer.
         cfg.network = dcape_cluster::netmodel::NetworkModel::slow_wan();
@@ -327,9 +336,12 @@ fn watermark_purge_counters_cover_both_runtimes() {
 
     let mut driver = SimDriver::new(windowed_cfg()).unwrap();
     driver.run_until(deadline).unwrap();
-    let sim = driver.finish().unwrap();
-    assert!(!sim.relocations.is_empty(), "skew must trigger relocations");
-    let c = sim.journal_counters;
+    let simulated = driver.finish().unwrap();
+    assert!(
+        !simulated.relocations.is_empty(),
+        "skew must trigger relocations"
+    );
+    let c = simulated.journal_counters;
     assert!(
         c.purges_deferred > 0,
         "held horizon must defer purge pulses"
@@ -370,8 +382,7 @@ fn watermark_purge_counters_cover_both_runtimes() {
             },
         )
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
-        .with_stats_interval(VirtualDuration::from_secs(5))
-        .with_journal();
+        .with_stats_interval(VirtualDuration::from_secs(5));
         run_threaded(cfg, VirtualTime::from_mins(1)).unwrap()
     };
     let mut last = None;
@@ -390,24 +401,30 @@ fn watermark_purge_counters_cover_both_runtimes() {
     assert!(t.replayed_in_order > 0, "buffered tuples must replay");
 }
 
+/// A run keeps its record with no builder call: on both in-process
+/// runtimes, a plain `SimConfig::new` run returns a journal and the
+/// counters of its routing and its spills.
 #[test]
-fn journal_off_by_default_keeps_reports_empty() {
-    let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
-    let spec = small_workload(23).with_pattern(ArrivalPattern::AlternatingSkew {
-        group_a,
-        ratio: 10.0,
-        period: VirtualDuration::from_mins(2),
-    });
-    let cfg = SimConfig::new(
-        2,
-        EngineConfig::three_way(1 << 30, 1 << 29),
-        spec,
-        StrategyConfig::lazy_default(),
-    )
-    .with_stats_interval(VirtualDuration::from_secs(30));
-    let mut driver = SimDriver::new(cfg).unwrap();
-    driver.run_until(VirtualTime::from_mins(4)).unwrap();
-    let report = driver.finish().unwrap();
-    assert!(report.journal.is_empty());
-    assert_eq!(report.journal_counters, CountersSnapshot::default());
+fn a_default_run_keeps_its_record() {
+    let cfg = || {
+        SimConfig::new(
+            2,
+            EngineConfig::three_way(1 << 22, 600 << 10),
+            small_workload(23),
+            StrategyConfig::NoAdaptation,
+        )
+    };
+    let deadline = VirtualTime::from_mins(4);
+    let mut driver = SimDriver::new(cfg()).unwrap();
+    driver.run_until(deadline).unwrap();
+    let simulated = driver.finish().unwrap();
+    let threaded = run_threaded(cfg(), deadline).unwrap();
+    for (name, journal, c) in [
+        ("sim", &simulated.journal, simulated.journal_counters),
+        ("threaded", &threaded.journal, threaded.journal_counters),
+    ] {
+        assert!(!journal.is_empty(), "{name}: an empty journal");
+        assert!(c.tuples_routed > 0, "{name}: no routed tuples counted");
+        assert!(c.spill_bytes > 0, "{name}: no spilled bytes counted");
+    }
 }

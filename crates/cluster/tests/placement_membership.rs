@@ -25,7 +25,7 @@ fn elastic_gc(initial: usize, capacity: usize) -> GlobalCoordinator {
         &StrategyConfig::NoAdaptation,
         initial,
         capacity,
-        JournalHandle::disabled(),
+        JournalHandle::default(),
         false,
     )
 }

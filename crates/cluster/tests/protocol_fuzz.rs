@@ -108,7 +108,7 @@ proptest! {
             theta_r: 0.8,
             tau_m: VirtualDuration::ZERO,
         };
-        let journal = JournalHandle::enabled();
+        let journal = JournalHandle::default();
         let mut gc = GlobalCoordinator::new(&strategy, 2, 2, journal.clone(), true);
         let warnings = || {
             journal

@@ -135,8 +135,7 @@ fn build_config(p: &CaseParams) -> SimConfig {
         }
     };
     let mut cfg = SimConfig::new(p.num_engines, engine, workload(p), strategy)
-        .with_stats_interval(VirtualDuration::from_secs(30))
-        .with_journal();
+        .with_stats_interval(VirtualDuration::from_secs(30));
     if p.num_engines == 2 {
         cfg = cfg.with_placement(PlacementSpec::Fractions(vec![0.7, 0.3]));
     }
@@ -187,11 +186,11 @@ fn check_threaded(name: &str, p: &CaseParams, deadline: VirtualTime) -> Result<(
     prop_assert_eq!(threaded.total_output(), expected, "threaded total");
     prop_assert_eq!(threaded.journal_counters.buffered_in_flight, 0);
 
-    let (sim, _) = run_sim(build_config(p), deadline);
-    prop_assert_eq!(sim.total_output(), expected, "sim total");
+    let (simulated, _) = run_sim(build_config(p), deadline);
+    prop_assert_eq!(simulated.total_output(), expected, "sim total");
     prop_assert_eq!(
         threaded.journal_counters.tuples_routed,
-        sim.journal_counters.tuples_routed
+        simulated.journal_counters.tuples_routed
     );
     Ok(())
 }
@@ -488,22 +487,21 @@ fn sim_equals_threaded_on_a_deterministic_run() {
                 SimConfig::new(2, engine, spec.clone(), StrategyConfig::NoAdaptation)
                     .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
                     .with_stats_interval(VirtualDuration::from_secs(30))
-                    .with_journal()
             };
             let what = format!("seed {seed}, window {window:?}");
-            let (sim, _) = run_sim(spill_cfg(), deadline);
+            let (simulated, _) = run_sim(spill_cfg(), deadline);
             let threaded = run_threaded(spill_cfg(), deadline).unwrap();
             let expected = reference_join(&spec, deadline, window).unwrap().count();
             assert!(
-                sim.spill_counts.iter().sum::<u64>() > 0,
+                simulated.spill_counts.iter().sum::<u64>() > 0,
                 "{what}: must spill"
             );
-            assert_eq!(sim.total_output(), expected, "{what}: sim total");
+            assert_eq!(simulated.total_output(), expected, "{what}: sim total");
             assert_eq!(threaded.total_output(), expected, "{what}: threaded total");
-            assert_eq!(sim.runtime_output, threaded.runtime_output, "{what}");
-            assert_eq!(sim.cleanup_output, threaded.cleanup_output, "{what}");
-            assert_eq!(sim.spill_counts, threaded.spill_counts, "{what}");
-            let (s, t) = (sim.journal_counters, threaded.journal_counters);
+            assert_eq!(simulated.runtime_output, threaded.runtime_output, "{what}");
+            assert_eq!(simulated.cleanup_output, threaded.cleanup_output, "{what}");
+            assert_eq!(simulated.spill_counts, threaded.spill_counts, "{what}");
+            let (s, t) = (simulated.journal_counters, threaded.journal_counters);
             assert_eq!(s.tuples_routed, t.tuples_routed, "{what}");
             assert_eq!(s.spill_bytes, t.spill_bytes, "{what}");
             assert_eq!(s.spill_bytes_written, t.spill_bytes_written, "{what}");

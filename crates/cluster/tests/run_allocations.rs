@@ -83,8 +83,7 @@ fn an_all_memory_run_allocates_well_under_once_per_tuple() {
     // No statistics collection falls due: in a debug build each one
     // audits the engine's accounting from scratch, which allocates per
     // group and has nothing to do with the rows.
-    .with_stats_interval(VirtualDuration::from_secs(2 * minutes * 60))
-    .with_journal();
+    .with_stats_interval(VirtualDuration::from_secs(2 * minutes * 60));
     let deadline = VirtualTime::from_secs(minutes * 60);
     let mut driver = SimDriver::new(cfg).unwrap();
     let (allocs_before, reallocs_before) = calls();

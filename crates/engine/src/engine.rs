@@ -140,7 +140,7 @@ impl QueryEngine {
             ss_timer: PeriodicTimer::new(cfg.ss_timer, VirtualTime::ZERO),
             cfg,
             spill_history: Vec::new(),
-            journal: JournalHandle::disabled(),
+            journal: JournalHandle::default(),
             clock: VirtualTime::ZERO,
             purge_protect: FxHashSet::default(),
         })
@@ -207,14 +207,14 @@ impl QueryEngine {
         &self.spill_history
     }
 
-    /// Attach an adaptation-event journal. Engines start with a
-    /// disabled handle; drivers install a real one per engine so the
-    /// runtimes can merge per-engine timelines afterwards.
+    /// Attach an adaptation-event journal. Engines start with a journal
+    /// of their own; drivers install a sibling of the coordinator's per
+    /// engine so the runtimes can merge per-engine timelines afterwards.
     pub fn attach_journal(&mut self, journal: JournalHandle) {
         self.journal = journal;
     }
 
-    /// The attached journal handle (cloneable, possibly disabled).
+    /// The attached journal handle (cloneable).
     pub fn journal(&self) -> &JournalHandle {
         &self.journal
     }

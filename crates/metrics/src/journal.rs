@@ -9,9 +9,8 @@
 //!
 //! The journal keeps every event of a run: it is the whole run record
 //! that figure curves are drawn from and decisions are replayed from.
-//! Recording is one short mutex acquisition and an append, counters are
-//! plain atomics, and a disabled [`JournalHandle`] is a no-op that costs
-//! one branch.
+//! Every run keeps one. Recording is one short mutex
+//! acquisition and an append, and counters are plain atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -352,12 +351,10 @@ macro_rules! counter_table {
 
         impl JournalHandle {
             $(
-                #[doc = concat!("Add `n` to `", stringify!($name), "` (no-op when disabled).")]
+                #[doc = concat!("Add `n` to `", stringify!($name), "`.")]
                 #[inline]
                 pub fn $add(&self, n: u64) {
-                    if let Some(j) = &self.inner {
-                        j.counters.$name.fetch_add(n, Ordering::Relaxed);
-                    }
+                    self.inner.counters.$name.fetch_add(n, Ordering::Relaxed);
                 }
             )+
         }
@@ -420,9 +417,9 @@ counter_table! {
     coordinator rebalance_moves => add_rebalance_moves;
 }
 
-/// The journal: an append-only event log plus counters.
+/// One journal's state: an append-only event log plus counters.
 #[derive(Debug, Default)]
-pub struct EventJournal {
+struct EventJournal {
     entries: Mutex<Vec<JournalEntry>>,
     /// Source of sequence numbers; shared between sibling journals
     /// (see [`JournalHandle::sibling`]).
@@ -430,12 +427,37 @@ pub struct EventJournal {
     counters: JournalCounters,
 }
 
-impl EventJournal {
+/// Cheap, cloneable handle to one journal, threaded through engines,
+/// coordinator, strategies and runtimes. Clones share one log; a
+/// [`default`](Self::default) handle is a new, empty journal.
+#[derive(Debug, Clone, Default)]
+pub struct JournalHandle {
+    inner: Arc<EventJournal>,
+}
+
+impl JournalHandle {
+    /// A new journal — its own log and counters — that draws sequence
+    /// numbers from the same source as this one. Whatever the threads
+    /// of one process record into siblings keeps its order when
+    /// [`merge_journals`] breaks timestamp ties by `seq`, so every
+    /// in-process runtime gives each engine a sibling of the
+    /// coordinator's journal.
+    pub fn sibling(&self) -> Self {
+        JournalHandle {
+            inner: Arc::new(EventJournal {
+                seq: Arc::clone(&self.inner.seq),
+                ..EventJournal::default()
+            }),
+        }
+    }
+
     /// Record one event at virtual time `at`.
+    #[inline]
     pub fn record(&self, at: VirtualTime, event: AdaptEvent) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
         let entry = JournalEntry { at, seq, event };
-        self.entries
+        self.inner
+            .entries
             .lock()
             .expect("journal lock poisoned")
             .push(entry);
@@ -443,103 +465,30 @@ impl EventJournal {
 
     /// The counters, readable lock-free.
     pub fn counters(&self) -> &JournalCounters {
-        &self.counters
-    }
-
-    /// Copy of every entry, oldest first.
-    pub fn snapshot(&self) -> Vec<JournalEntry> {
-        self.entries.lock().expect("journal lock poisoned").clone()
-    }
-}
-
-/// Cheap, cloneable handle threaded through engines, coordinator,
-/// strategies and runtimes. A disabled handle makes every call a no-op
-/// so un-instrumented runs pay only a branch.
-#[derive(Debug, Clone, Default)]
-pub struct JournalHandle {
-    inner: Option<Arc<EventJournal>>,
-}
-
-impl JournalHandle {
-    /// An active handle.
-    pub fn enabled() -> Self {
-        JournalHandle {
-            inner: Some(Arc::default()),
-        }
-    }
-
-    /// A no-op handle.
-    pub fn disabled() -> Self {
-        JournalHandle::default()
-    }
-
-    /// [`enabled`](Self::enabled) when `on`, else
-    /// [`disabled`](Self::disabled) — a run's `journal` flag as a handle.
-    pub fn when(on: bool) -> Self {
-        if on {
-            Self::enabled()
-        } else {
-            Self::disabled()
-        }
-    }
-
-    /// A new journal — its own log and counters — that draws sequence
-    /// numbers from the same source as this one (disabled if this one
-    /// is). Whatever one thread records into siblings keeps its order
-    /// when [`merge_journals`] breaks timestamp ties by `seq`; the
-    /// deterministic runtime gives every in-place engine a sibling of
-    /// the coordinator's journal for that reason.
-    pub fn sibling(&self) -> Self {
-        JournalHandle {
-            inner: self.inner.as_ref().map(|j| {
-                Arc::new(EventJournal {
-                    seq: Arc::clone(&j.seq),
-                    ..EventJournal::default()
-                })
-            }),
-        }
-    }
-
-    /// Whether events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Record one event (no-op when disabled).
-    #[inline]
-    pub fn record(&self, at: VirtualTime, event: AdaptEvent) {
-        if let Some(journal) = &self.inner {
-            journal.record(at, event);
-        }
-    }
-
-    /// Counters, if enabled.
-    pub fn counters(&self) -> Option<&JournalCounters> {
-        self.inner.as_deref().map(EventJournal::counters)
+        &self.inner.counters
     }
 
     /// Lower the in-flight buffered-tuple gauge (step 7 flush).
     #[inline]
     pub fn sub_buffered_in_flight(&self, n: u64) {
-        if let Some(j) = &self.inner {
-            let c = &j.counters.buffered_in_flight;
-            let mut cur = c.load(Ordering::Relaxed);
-            loop {
-                let next = cur.saturating_sub(n);
-                match c.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
+        let c = &self.inner.counters.buffered_in_flight;
+        let mut cur = c.load(Ordering::Relaxed);
+        loop {
+            let next = cur.saturating_sub(n);
+            match c.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => break,
+                Err(seen) => cur = seen,
             }
         }
     }
 
-    /// Copy of every entry, oldest first (empty when disabled).
+    /// Copy of every entry, oldest first.
     pub fn snapshot(&self) -> Vec<JournalEntry> {
         self.inner
-            .as_ref()
-            .map(|j| j.snapshot())
-            .unwrap_or_default()
+            .entries
+            .lock()
+            .expect("journal lock poisoned")
+            .clone()
     }
 }
 
@@ -569,7 +518,7 @@ mod tests {
 
     #[test]
     fn records_in_order_with_sequence_numbers() {
-        let handle = JournalHandle::enabled();
+        let handle = JournalHandle::default();
         for i in 0..5u64 {
             handle.record(VirtualTime::from_millis(i * 10), sample(0, i));
         }
@@ -587,7 +536,7 @@ mod tests {
     #[test]
     fn a_journal_keeps_every_event() {
         const N: u64 = 70_000;
-        let handle = JournalHandle::enabled();
+        let handle = JournalHandle::default();
         let sibling = handle.sibling();
         for i in 0..N {
             handle.record(VirtualTime::from_millis(i), sample(0, i));
@@ -601,18 +550,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handle_is_a_no_op() {
-        let handle = JournalHandle::disabled();
-        handle.record(VirtualTime::ZERO, sample(0, 1));
-        handle.add_spill_bytes(10);
-        assert!(!handle.is_enabled());
-        assert!(handle.snapshot().is_empty());
-        assert!(handle.counters().is_none());
-    }
-
-    #[test]
     fn clones_share_one_log() {
-        let handle = JournalHandle::enabled();
+        let handle = JournalHandle::default();
         let clone = handle.clone();
         handle.record(VirtualTime::ZERO, sample(0, 1));
         clone.record(VirtualTime::from_millis(1), sample(1, 2));
@@ -623,8 +562,8 @@ mod tests {
 
     #[test]
     fn buffered_gauge_rises_and_falls() {
-        let handle = JournalHandle::enabled();
-        let buffered = || handle.counters().unwrap().snapshot().buffered_in_flight;
+        let handle = JournalHandle::default();
+        let buffered = || handle.counters().snapshot().buffered_in_flight;
         handle.add_buffered_in_flight(7);
         handle.add_buffered_in_flight(3);
         assert_eq!(buffered(), 10);
@@ -643,10 +582,10 @@ mod tests {
         let names = CountersSnapshot::NAMES;
         for (name, add) in ADDERS {
             let row = names.iter().position(|n| n == name).expect("a table row");
-            let handle = JournalHandle::enabled();
+            let handle = JournalHandle::default();
             add(&handle, 5);
             add(&handle, 2);
-            let snap = handle.counters().unwrap().snapshot();
+            let snap = handle.counters().snapshot();
             let mut want = [0; N];
             want[row] = 7;
             assert_eq!(snap.values(), want, "{name}: its own field and no other");
@@ -654,9 +593,6 @@ mod tests {
             total.absorb(&snap);
             want[row] = 14;
             assert_eq!(total.values(), want, "{name}: absorb sums");
-            let off = JournalHandle::disabled();
-            add(&off, 1);
-            assert!(off.counters().is_none(), "{name}: ignored when disabled");
         }
 
         // The listing is the struct: distinct values sit under their own
@@ -695,8 +631,8 @@ mod tests {
 
     #[test]
     fn merge_orders_by_time_then_sequence() {
-        let a = JournalHandle::enabled();
-        let b = JournalHandle::enabled();
+        let a = JournalHandle::default();
+        let b = JournalHandle::default();
         a.record(VirtualTime::from_millis(20), sample(0, 1));
         a.record(VirtualTime::from_millis(20), sample(0, 2));
         b.record(VirtualTime::from_millis(10), sample(1, 3));
@@ -710,7 +646,7 @@ mod tests {
 
     #[test]
     fn siblings_keep_recording_order_across_journals_on_timestamp_ties() {
-        let a = JournalHandle::enabled();
+        let a = JournalHandle::default();
         let b = a.sibling();
         let t = VirtualTime::from_millis(20);
         b.record(t, sample(1, 1));
@@ -720,7 +656,7 @@ mod tests {
         assert_eq!(a.snapshot().len(), 1);
         assert_eq!(b.snapshot().len(), 2);
         b.add_spill_bytes(3);
-        assert_eq!(a.counters().unwrap().snapshot().spill_bytes, 0);
+        assert_eq!(a.counters().snapshot().spill_bytes, 0);
         let merged = merge_journals([a.snapshot(), b.snapshot()]);
         let used: Vec<u64> = merged
             .iter()
@@ -730,6 +666,5 @@ mod tests {
             })
             .collect();
         assert_eq!(used, vec![1, 2, 3]);
-        assert!(!JournalHandle::disabled().sibling().is_enabled());
     }
 }

@@ -12,8 +12,8 @@ pub mod report;
 pub mod series;
 
 pub use journal::{
-    merge_journals, AdaptEvent, CountersSnapshot, EngineStatsReport, EventJournal, Fault,
-    FaultEdge, JournalCounters, JournalEntry, JournalHandle, SpillTrigger, Warning,
+    merge_journals, AdaptEvent, CountersSnapshot, EngineStatsReport, Fault, FaultEdge,
+    JournalCounters, JournalEntry, JournalHandle, SpillTrigger, Warning,
 };
 pub use report::{
     engine_curves, journal_to_jsonl, render_journal, render_series_table, write_journal_jsonl,

@@ -572,7 +572,7 @@ mod tests {
     fn journal_jsonl_is_one_object_per_line() {
         use crate::journal::{AdaptEvent, JournalHandle, SpillTrigger};
         use dcape_common::ids::{EngineId, PartitionId};
-        let handle = JournalHandle::enabled();
+        let handle = JournalHandle::default();
         handle.record(
             VirtualTime::from_millis(5),
             AdaptEvent::SpillDecision {
@@ -795,7 +795,7 @@ mod tests {
     fn journal_jsonl_writes_to_disk() {
         use crate::journal::{AdaptEvent, JournalHandle};
         use dcape_common::ids::EngineId;
-        let handle = JournalHandle::enabled();
+        let handle = JournalHandle::default();
         handle.record(
             VirtualTime::ZERO,
             AdaptEvent::EngineDrained {

@@ -454,8 +454,7 @@ pub fn run_window_sizes(opts: &RunOpts) -> Result<WindowResult> {
             engine,
             scale::paper_workload(),
             StrategyConfig::NoAdaptation,
-        )
-        .with_journal();
+        );
         let mut driver = SimDriver::new(cfg)?;
         driver.run_until(duration)?;
         let report = driver.finish()?;

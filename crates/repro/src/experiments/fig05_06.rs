@@ -58,8 +58,7 @@ fn run_one(spill_fraction: f64, threshold: Option<u64>, opts: &RunOpts) -> Resul
         scale::paper_workload(),
         StrategyConfig::NoAdaptation,
     )
-    .with_faults(opts.fault_plan())
-    .with_journal();
+    .with_faults(opts.fault_plan());
     let cfg = opts.with_scale_events(cfg);
     let (runtime_output, spill_counts, journal) = match opts.runtime {
         RuntimeKind::Sim => {

@@ -87,8 +87,7 @@ fn run_policy(
         heterogeneous_workload(),
         StrategyConfig::NoAdaptation,
     )
-    .with_faults(opts.fault_plan())
-    .with_journal();
+    .with_faults(opts.fault_plan());
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
     let report = driver.finish()?;

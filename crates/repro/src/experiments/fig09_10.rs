@@ -79,8 +79,7 @@ fn run_theta(
     let cfg = SimConfig::new(2, engine, alternating_workload(opts.fast), strategy)
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_faults(opts.fault_plan())
-        .with_journal();
+        .with_faults(opts.fault_plan());
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
     let relocations = driver.relocations().len();

@@ -63,8 +63,7 @@ fn run_one(
     let cfg = SimConfig::new(3, engine, scale::paper_workload(), strategy)
         .with_placement(PlacementSpec::Fractions(vec![0.6, 0.2, 0.2]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_faults(opts.fault_plan())
-        .with_journal();
+        .with_faults(opts.fault_plan());
     let cfg = opts.with_scale_events(cfg);
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;

@@ -80,8 +80,7 @@ fn run_one(
             1.0 / 6.0,
         ]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_faults(opts.fault_plan())
-        .with_journal();
+        .with_faults(opts.fault_plan());
     let cfg = opts.with_scale_events(cfg);
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;

@@ -116,8 +116,7 @@ fn run_one(
             1.0 / 3.0,
         ]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_faults(opts.fault_plan())
-        .with_journal();
+        .with_faults(opts.fault_plan());
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(duration)?;
     let relocations = driver.relocations().len();

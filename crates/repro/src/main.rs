@@ -9,9 +9,10 @@
 //! --quiet     print no tables (a CSV or journal that cannot be
 //!             written still fails the run, naming its path)
 //! --out DIR   CSV output directory (default: results/)
-//! --journal PATH  record adaptation-event journals and write them as
-//!                 JSON lines, one file per instrumented run, named
-//!                 after PATH
+//! --journal PATH  write the adaptation-event journals of the fig9,
+//!                 fig10, fig11 and fig12 runs as JSON lines, one file
+//!                 per run, named after PATH (every run keeps its
+//!                 journal; this only writes it out)
 //! --chaos-seed N  arm the deterministic fault-injection layer with
 //!                 seed N: messages of the relocation protocol are
 //!                 dropped/duplicated/delayed/corrupted per a schedule

@@ -30,8 +30,8 @@ pub struct RunOpts {
     /// Suppress stdout tables (tests).
     pub quiet: bool,
     /// Base path for adaptation-event journals (`--journal`). When set,
-    /// the instrumented experiments write the journal they keep as JSON
-    /// lines, one file per run, named after this path.
+    /// the experiments that export one write their runs' journals as
+    /// JSON lines, one file per run, named after this path.
     pub journal: Option<PathBuf>,
     /// Seed for the deterministic fault-injection layer
     /// (`--chaos-seed`). When set, every experiment run consults a

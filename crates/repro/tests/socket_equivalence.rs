@@ -59,7 +59,6 @@ fn spill_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
         engines
     ]))
     .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal()
 }
 
 /// A journal entry recording a worker's respawn.

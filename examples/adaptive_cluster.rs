@@ -50,8 +50,7 @@ fn run(strategy: StrategyConfig, label: &str) -> Result<u64, Box<dyn std::error:
             1.0 / 3.0,
             1.0 / 3.0,
         ]))
-        .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_journal();
+        .with_stats_interval(VirtualDuration::from_secs(45));
     let mut driver = SimDriver::new(cfg)?;
     driver.run_until(VirtualTime::from_mins(30))?;
     let relocations = driver.relocations().len();

@@ -65,7 +65,6 @@ fn run_with_certain_install_crash(seed: u64) -> (dcape::cluster::runtime::sim::S
     )
     .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
     .with_stats_interval(VirtualDuration::from_secs(30))
-    .with_journal()
     .with_faults(FaultPlan::new(seed, crash_always));
     let mut driver = SimDriver::new(cfg).unwrap();
     driver.run_until(deadline).unwrap();

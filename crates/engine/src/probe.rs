@@ -46,6 +46,12 @@ pub enum SpanList<'a> {
         /// below `base`.
         positions: &'a [u32],
     },
+    /// Only the number of matching tuples: for a sink that answered
+    /// [`wants_rows() == false`](crate::sink::ResultSink::wants_rows) on
+    /// a join without a window, whose count is the product of lengths.
+    /// It has neither rows nor timestamps — [`SpanList::get`] and a
+    /// windowed count over it panic.
+    Len(usize),
 }
 
 impl<'a> SpanList<'a> {
@@ -56,6 +62,7 @@ impl<'a> SpanList<'a> {
             SpanList::One(_) => 1,
             SpanList::Slice(s) => s.len(),
             SpanList::TsOnly { positions, .. } => positions.len(),
+            SpanList::Len(n) => *n,
         }
     }
 
@@ -65,8 +72,8 @@ impl<'a> SpanList<'a> {
         self.len() == 0
     }
 
-    /// The `i`-th candidate tuple. Panics on [`SpanList::TsOnly`]
-    /// (counting sinks promised through
+    /// The `i`-th candidate tuple. Panics on [`SpanList::TsOnly`] and
+    /// [`SpanList::Len`] (counting sinks promised through
     /// [`wants_rows`](crate::sink::ResultSink::wants_rows) never to
     /// enumerate).
     #[inline]
@@ -74,8 +81,8 @@ impl<'a> SpanList<'a> {
         match self {
             SpanList::One(t) => t,
             SpanList::Slice(s) => &s[i],
-            SpanList::TsOnly { .. } => {
-                panic!("SpanList::TsOnly has no rows: sink broke its wants_rows() == false promise")
+            SpanList::TsOnly { .. } | SpanList::Len(_) => {
+                panic!("a rowless SpanList: sink broke its wants_rows() == false promise")
             }
         }
     }
@@ -88,6 +95,9 @@ impl<'a> SpanList<'a> {
                 base,
                 positions,
             } => ts[(positions[i] - base) as usize].as_millis(),
+            SpanList::Len(_) => {
+                panic!("SpanList::Len has no timestamps: it is for a join without a window")
+            }
             _ => self.get(i).ts().as_millis(),
         }
     }
@@ -570,6 +580,20 @@ mod tests {
             positions: &positions,
         };
         let _ = list.get(0);
+    }
+
+    #[test]
+    fn len_lists_count_their_product_without_a_window() {
+        let lists = [SpanList::Len(3), SpanList::Len(1), SpanList::Len(4)];
+        assert_eq!(ProbeSpans::new(&lists, None, true).count_valid(), 12);
+        let empty = [SpanList::Len(3), SpanList::Len(0)];
+        assert_eq!(ProbeSpans::new(&empty, None, true).count_valid(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "wants_rows")]
+    fn len_get_panics() {
+        let _ = SpanList::Len(2).get(0);
     }
 
     #[test]

@@ -118,11 +118,13 @@ fn emit_key(
 /// A slice's columns are taken in as they are and nothing is copied to
 /// grow the merge. What a product reads is kept joined up across the
 /// slices: per stream one timestamp column, and one `JoinIndex` from
-/// join key to positions in it — the run-time state's own index. The
-/// newest slice's rows sit at the end of each column, so one entry's
-/// lists split into the cumulative candidates and the fresh ones, and a
-/// count-only sink is served [`SpanList::TsOnly`] views of them: no row
-/// is rebuilt, and the slice's rows are let go as soon as it is indexed.
+/// join key to a list of positions in it per stream — the run-time
+/// state's table, with a plain `Vec<u32>` where the run-time state keeps
+/// a chain head. The newest slice's rows sit at the end of each column,
+/// so one entry's lists split by a binary search into the cumulative
+/// candidates and the fresh ones, and a count-only sink is served
+/// [`SpanList::TsOnly`] views of them: no row is rebuilt, and the slice's
+/// rows are let go as soon as it is indexed.
 pub struct SegmentMerger<'j> {
     join_columns: &'j [usize],
     window: Option<VirtualDuration>,
@@ -141,7 +143,7 @@ pub struct SegmentMerger<'j> {
     old_sorted: Vec<bool>,
     /// … and within them?
     new_sorted: Vec<bool>,
-    index: JoinIndex,
+    index: JoinIndex<Vec<u32>>,
     /// The newest slice's keys, each once, in first-occurrence order.
     fresh_keys: Vec<(u64, Value)>,
     /// Reused buffers for the rows of one key, per stream and side.
@@ -288,14 +290,14 @@ impl<'j> SegmentMerger<'j> {
             for (i, key) in keys.enumerate() {
                 let key = key?;
                 let hash = fx_hash(&key);
-                let slot = self.index.find_or_insert(hash, &key, |_| 0);
+                // Every entry holds a position: a sweep keeps them all.
+                let slot = self.index.find_or_insert(hash, &key, |_| true);
                 // Positions ascend: a key this slice has already met
                 // ends one of its lists in this slice.
-                let mut lists = self.index.lists(slot).iter().enumerate();
-                let met = lists.any(|(s, list)| {
-                    (list.as_slice().last()).is_some_and(|&p| p >= self.fresh_start(s))
-                });
-                self.index.list_mut(slot, s).push(start + i as u32);
+                let mut lists = self.index.entry(slot).iter().enumerate();
+                let met =
+                    lists.any(|(s, list)| list.last().is_some_and(|&p| p >= self.fresh_start(s)));
+                self.index.entry_mut(slot)[s].push(start + i as u32);
                 if !met {
                     self.fresh_keys.push((hash, key));
                 }
@@ -321,8 +323,7 @@ impl<'j> SegmentMerger<'j> {
         for (hash, key) in &self.fresh_keys {
             let slot = self.index.find(*hash, key).expect("indexed above");
             sides.clear();
-            for (s, list) in self.index.lists(slot).iter().enumerate() {
-                let list = list.as_slice();
+            for (s, list) in self.index.entry(slot).iter().enumerate() {
                 let start = self.fresh_start(s);
                 let (held, new) = list.split_at(list.partition_point(|&p| p < start));
                 let side = |positions, ts_sorted| Side {

@@ -3,26 +3,34 @@
 //!
 //! The adaptation unit keeps every input's partition for one ID
 //! together, so one key lookup can serve all of them: an entry is a join
-//! key plus `m` position lists, list `s` holding the row positions of
-//! stream `s`'s rows with that key, ascending. Inserting a tuple pays one
+//! key plus `m` parts, part `s` standing for stream `s`'s rows with that
+//! key. Inserting a tuple pays one
 //! [`find_or_insert`](JoinIndex::find_or_insert); the entry it yields
-//! carries the `m - 1` lists to probe and the list to append to.
+//! carries the `m - 1` parts to probe and the part to add the row to.
 //!
 //! * **Slot** — a `hash | 1` tag (0 marks an empty slot) and the key
-//!   `Value`, in one array; the position lists sit beside it in a flat
-//!   array, `m` per slot, so a probe walks tags and keys only.
+//!   `Value`, in one array; the parts sit beside it in a flat array, `m`
+//!   per slot, so a probe walks tags and keys only.
 //! * **Probe order** — linear from the home slot, which is taken from
 //!   the **high** bits of the hash: keys within one partition are
 //!   congruent modulo the partition count, and Fx's low bits are
 //!   constant across such keys.
+//! * **Parts** — the table is generic over them. The run-time group's
+//!   part is a [`ChainHead`]: the newest [`RECENT`] positions of the
+//!   key's rows in the stream and their count. Every row records the
+//!   position of the row before it with the same key (its *link*, in a
+//!   column of the stream's own), so the positions past the newest few
+//!   are a chain through the rows, and a row's insert writes its link at
+//!   the end of the column it is appended to. The cleanup merge's part
+//!   is a plain `Vec<u32>`, which it splits at slice boundaries.
 //! * **Dead positions** — the index never deletes in place. The caller
-//!   knows, per stream, a *floor* below which every position is dead
-//!   (a window purge retires rows by raising it), and lists lose their
-//!   dead prefix when the caller trims the entry it reaches
-//!   ([`trim`](JoinIndex::trim)) or when the table is swept.
+//!   knows, per stream, a *floor* below which every position is dead (a
+//!   window purge retires rows by raising it); a chain is read down to
+//!   the floor and no further ([`ChainHead::for_each_live`]), so a purge
+//!   changes nothing here.
 //! * **Growth** — at 5/8 load the table is swept
-//!   ([`sweep`](JoinIndex::sweep)): dead prefixes go, entries left with
-//!   no position go, and the survivors are placed in a table sized for
+//!   ([`sweep`](JoinIndex::sweep)): the caller says which entries still
+//!   hold something, and the survivors are placed in a table sized for
 //!   them — larger, the same or smaller — so a sliding window over keys
 //!   that never repeat keeps the table within a constant of its live
 //!   keys.
@@ -33,114 +41,101 @@
 use dcape_common::prefetch::prefetch;
 use dcape_common::value::Value;
 
-/// Positions a list holds inline before it spills to the heap.
-const INLINE: usize = 3;
+/// Positions an entry keeps per stream. A constant, not a setting: a
+/// window holds about two live rows per (key, stream) at the paper's
+/// rates, and a probe reads the link column only past these.
+pub(crate) const RECENT: usize = 4;
+/// The link of a row with no earlier row of its key, and the end of
+/// every chain.
+pub(crate) const NONE: u32 = u32::MAX;
 /// Slots of a table's first allocation (a power of two).
 const MIN_SLOTS: usize = 8;
 /// Maximum load is `LOAD_NUM / LOAD_DEN`.
 const LOAD_NUM: usize = 5;
 const LOAD_DEN: usize = 8;
 
-/// Ascending row positions of one (key, stream).
-#[derive(Debug)]
-pub(crate) enum PosList {
-    Inline { len: u8, pos: [u32; INLINE] },
-    Heap(Vec<u32>),
+/// One stream's part of a run-time entry: the head of the chain of the
+/// key's rows in that stream.
+///
+/// `count` positions have been pushed since the part was last emptied,
+/// live or dead (saturating); the newest `min(count, RECENT)` of them are in
+/// `recent`, newest first, and each older one is the link of the row at
+/// the one after it. Positions ascend in push order, so the dead ones —
+/// those below the stream's floor — are the oldest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ChainHead {
+    recent: [u32; RECENT],
+    count: u32,
 }
 
-impl Default for PosList {
-    fn default() -> Self {
-        PosList::Inline {
-            len: 0,
-            pos: [0; INLINE],
+impl ChainHead {
+    /// Positions pushed, live or dead. Exact while nothing has been
+    /// purged (an unwindowed join): then it is the key's row count.
+    #[inline]
+    pub(crate) fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// The newest position, or [`NONE`]: the link of the next row.
+    #[inline]
+    pub(crate) fn newest(&self) -> u32 {
+        if self.count == 0 {
+            NONE
+        } else {
+            self.recent[0]
         }
     }
-}
 
-impl PosList {
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[u32] {
-        match self {
-            PosList::Inline { len, pos } => &pos[..*len as usize],
-            PosList::Heap(v) => v,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-
-    /// Append `p`, which the caller guarantees is above every held
-    /// position.
+    /// Make `p`, above every position held, the newest. The caller
+    /// records [`newest`](Self::newest) as `p`'s link first.
     #[inline]
     pub(crate) fn push(&mut self, p: u32) {
-        match self {
-            PosList::Inline { len, pos } => {
-                let n = *len as usize;
-                if n < INLINE {
-                    pos[n] = p;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(2 * INLINE + 2);
-                    v.extend_from_slice(pos);
-                    v.push(p);
-                    *self = PosList::Heap(v);
-                }
-            }
-            PosList::Heap(v) => v.push(p),
-        }
+        self.recent.copy_within(0..RECENT - 1, 1);
+        self.recent[0] = p;
+        self.count = self.count.saturating_add(1);
     }
 
-    /// Drop the prefix of positions below `cut`. A list whose first
-    /// position is at or above `cut` is left as it is after one
-    /// comparison. A spilled list left with at most [`INLINE`]
-    /// positions moves back inline: entries outlive their rows, so a
-    /// list that spilled once would otherwise stay on the heap, and a
-    /// probe would read it there.
+    /// Does the part hold a position at or above `floor`?
     #[inline]
-    pub(crate) fn drop_below(&mut self, cut: u32) {
-        let held = self.as_slice();
-        if held.first().is_none_or(|&p| p >= cut) {
+    pub(crate) fn is_live(&self, floor: u32) -> bool {
+        self.count > 0 && self.recent[0] >= floor
+    }
+
+    /// Call `f` on every position at or above `floor`, newest first:
+    /// the cached ones, then — only if all of them are live and there
+    /// are older ones — down the chain, where `links[p - base]` is the
+    /// link of the row at position `p`.
+    #[inline]
+    pub(crate) fn for_each_live(
+        &self,
+        links: &[u32],
+        base: u32,
+        floor: u32,
+        mut f: impl FnMut(u32),
+    ) {
+        let cached = (self.count as usize).min(RECENT);
+        for &p in &self.recent[..cached] {
+            if p < floor {
+                return;
+            }
+            f(p);
+        }
+        if self.count as usize <= RECENT {
             return;
         }
-        let dead = held.partition_point(|&p| p < cut);
-        match self {
-            PosList::Inline { len, pos } => {
-                pos.copy_within(dead..*len as usize, 0);
-                *len -= dead as u8;
-            }
-            PosList::Heap(v) if v.len() - dead <= INLINE => {
-                let mut pos = [0; INLINE];
-                pos[..v.len() - dead].copy_from_slice(&v[dead..]);
-                *self = PosList::Inline {
-                    len: (v.len() - dead) as u8,
-                    pos,
-                };
-            }
-            PosList::Heap(v) => {
-                v.drain(..dead);
-            }
+        let mut p = links[(self.recent[RECENT - 1] - base) as usize];
+        while p != NONE && p >= floor {
+            f(p);
+            p = links[(p - base) as usize];
         }
     }
+}
 
-    /// Keep the positions `f` accepts, letting it rewrite each in place.
-    pub(crate) fn retain_mut(&mut self, mut f: impl FnMut(&mut u32) -> bool) {
-        match self {
-            PosList::Inline { len, pos } => {
-                let mut kept = 0;
-                for i in 0..*len as usize {
-                    let mut p = pos[i];
-                    if f(&mut p) {
-                        pos[kept] = p;
-                        kept += 1;
-                    }
-                }
-                *len = kept as u8;
-            }
-            PosList::Heap(v) => v.retain_mut(f),
-        }
-    }
+/// Does a part of `heads` hold a position at or above its stream's
+/// `floor`? The test of a run-time entry's survival in a
+/// [`sweep`](JoinIndex::sweep).
+pub(crate) fn keep_live(heads: &[ChainHead], floor: impl Fn(usize) -> u32) -> bool {
+    (heads.iter().enumerate()).any(|(s, head)| head.is_live(floor(s)))
 }
 
 /// Prefetch every cache line of the `n` values from `first` on: one
@@ -174,32 +169,30 @@ impl Slot {
     }
 }
 
-/// Join key → `m` position lists, for one partition group.
+/// Join key → `m` parts `P`, for one partition group.
 ///
-/// Between calls every entry holds at least one position, live or dead:
-/// the caller fills the list it asked the entry for, and a sweep removes
-/// the entries it leaves with none. What is live is the caller's to say,
-/// as a floor per stream (`floor(s)`: list `s`'s positions below it are
-/// dead); the index only drops what lies below it, never what lies above.
+/// An empty slot's parts are `P::default()`; a new entry starts with
+/// them. Which entries still hold anything is the caller's to say, to
+/// [`sweep`](Self::sweep).
 #[derive(Debug)]
-pub(crate) struct JoinIndex {
-    /// Lists per entry (the join's stream count).
+pub(crate) struct JoinIndex<P> {
+    /// Parts per entry (the join's stream count).
     m: usize,
     /// Empty until the first insert, then a power-of-two length.
     slots: Vec<Slot>,
-    /// `m` lists per slot: slot `i` owns `lists[i * m..(i + 1) * m]`.
-    lists: Vec<PosList>,
+    /// `m` parts per slot: slot `i` owns `parts[i * m..(i + 1) * m]`.
+    parts: Vec<P>,
     len: usize,
     /// `64 - log2(slots.len())`: the home slot is `tag >> shift`.
     shift: u32,
 }
 
-impl JoinIndex {
+impl<P: Default> JoinIndex<P> {
     pub(crate) fn new(m: usize) -> Self {
         JoinIndex {
             m,
             slots: Vec::new(),
-            lists: Vec::new(),
+            parts: Vec::new(),
             len: 0,
             shift: 0,
         }
@@ -232,9 +225,10 @@ impl JoinIndex {
     }
 
     /// Start loading the home slot of a key whose hash is `hash`, and
-    /// that slot's `m` lists: the lines an insert of the key reads
-    /// first. A hint only — it reads nothing, so a slot that a later
-    /// insertion or sweep moves costs a wasted load, never a result.
+    /// every line of that slot's `m` parts: the lines an insert of the
+    /// key reads first. A hint only — it reads nothing, so a slot that a
+    /// later insertion or sweep moves costs a wasted load, never a
+    /// result.
     #[inline]
     pub(crate) fn prefetch(&self, hash: u64) {
         if self.slots.is_empty() {
@@ -242,7 +236,7 @@ impl JoinIndex {
         }
         let home = self.home(hash | 1);
         prefetch_lines(self.slots.as_ptr().wrapping_add(home), 1);
-        prefetch_lines(self.lists.as_ptr().wrapping_add(home * self.m), self.m);
+        prefetch_lines(self.parts.as_ptr().wrapping_add(home * self.m), self.m);
     }
 
     /// Walk from `tag`'s home slot: `Ok(slot of key)` or `Err(the empty
@@ -264,16 +258,16 @@ impl JoinIndex {
         }
     }
 
-    /// The slot of `key`, entered with `m` empty lists (and `key`
+    /// The slot of `key`, entered with `m` default parts (and `key`
     /// cloned) if it was absent. When a new entry would pass the load
-    /// limit the table is [swept](Self::sweep) under `floor` first. The
+    /// limit the table is [swept](Self::sweep) under `keep` first. The
     /// slot is good until the next insertion or sweep.
     #[inline]
     pub(crate) fn find_or_insert(
         &mut self,
         hash: u64,
         key: &Value,
-        floor: impl Fn(usize) -> u32,
+        keep: impl Fn(&[P]) -> bool,
     ) -> usize {
         let tag = hash | 1;
         if !self.slots.is_empty() {
@@ -285,7 +279,7 @@ impl JoinIndex {
                 Err(_) => {}
             }
         }
-        self.sweep(floor);
+        self.sweep(keep);
         let i = self.probe(tag, key).expect_err("absent before the sweep");
         self.fill(i, tag, key)
     }
@@ -299,65 +293,44 @@ impl JoinIndex {
         i
     }
 
-    /// The `m` lists of the entry at `slot`.
+    /// The `m` parts of the entry at `slot`.
     #[inline]
-    pub(crate) fn lists(&self, slot: usize) -> &[PosList] {
-        &self.lists[slot * self.m..(slot + 1) * self.m]
+    pub(crate) fn entry(&self, slot: usize) -> &[P] {
+        &self.parts[slot * self.m..(slot + 1) * self.m]
     }
 
-    /// Stream `s`'s list of the entry at `slot`.
+    /// The `m` parts of the entry at `slot`, to change.
     #[inline]
-    pub(crate) fn list_mut(&mut self, slot: usize, s: usize) -> &mut PosList {
-        debug_assert!(s < self.m);
-        &mut self.lists[slot * self.m + s]
+    pub(crate) fn entry_mut(&mut self, slot: usize) -> &mut [P] {
+        &mut self.parts[slot * self.m..(slot + 1) * self.m]
     }
 
-    /// Drop the dead prefix of each list of the entry at `slot`. A
-    /// stream whose floor is 0 has no dead positions, and its list is
-    /// not read.
-    #[inline]
-    pub(crate) fn trim(&mut self, slot: usize, floor: impl Fn(usize) -> u32) {
-        let lists = &mut self.lists[slot * self.m..(slot + 1) * self.m];
-        for (s, list) in lists.iter_mut().enumerate() {
-            let f = floor(s);
-            if f > 0 {
-                list.drop_below(f);
-            }
-        }
-    }
-
-    /// Apply `f` to stream `s`'s list of every entry. May leave entries
-    /// with no positions: follow with [`sweep`](Self::sweep) if `f`
-    /// removes any.
-    pub(crate) fn for_each_list_mut(&mut self, s: usize, mut f: impl FnMut(&mut PosList)) {
-        debug_assert!(s < self.m);
-        for (slot, lists) in self.slots.iter().zip(self.lists.chunks_mut(self.m)) {
+    /// Apply `f` to the parts of every entry. May leave entries with
+    /// nothing in them: follow with [`sweep`](Self::sweep).
+    pub(crate) fn for_each_entry_mut(&mut self, mut f: impl FnMut(&mut [P])) {
+        for (slot, parts) in self.slots.iter().zip(self.parts.chunks_mut(self.m)) {
             if slot.tag != 0 {
-                f(&mut lists[s]);
+                f(parts);
             }
         }
     }
 
-    /// Drop every list's positions below `floor` of its stream, then
-    /// re-place the entries that still hold one into a fresh table with
-    /// room for twice as many: the smallest power of two at which they
-    /// fill at most half the load limit. Growth, a shrink after a
-    /// window has slid past most keys, and the removal of emptied
-    /// entries are all this one pass. O(slots + positions dropped).
-    pub(crate) fn sweep(&mut self, floor: impl Fn(usize) -> u32) {
+    /// Keep the entries `keep` accepts, then re-place them into a fresh
+    /// table with room for twice as many: the smallest power of two at which they fill at most
+    /// half the load limit. Growth, a shrink after a window has slid
+    /// past most keys, and the removal of emptied entries are all this
+    /// one pass. O(slots).
+    pub(crate) fn sweep(&mut self, keep: impl Fn(&[P]) -> bool) {
         let m = self.m;
         let mut survivors = 0;
-        for (slot, lists) in self.slots.iter_mut().zip(self.lists.chunks_mut(m)) {
+        for (slot, parts) in self.slots.iter_mut().zip(self.parts.chunks(m)) {
             if slot.tag == 0 {
                 continue;
             }
-            for (s, list) in lists.iter_mut().enumerate() {
-                list.drop_below(floor(s));
-            }
-            if lists.iter().all(PosList::is_empty) {
-                slot.tag = 0;
-            } else {
+            if keep(parts) {
                 survivors += 1;
+            } else {
+                slot.tag = 0;
             }
         }
         let mut slots = MIN_SLOTS;
@@ -365,13 +338,13 @@ impl JoinIndex {
             slots *= 2;
         }
         let old_slots = std::mem::take(&mut self.slots);
-        let mut old_lists = std::mem::take(&mut self.lists);
+        let mut old_parts = std::mem::take(&mut self.parts);
         self.slots.resize_with(slots, Slot::empty);
-        self.lists.resize_with(slots * m, PosList::default);
+        self.parts.resize_with(slots * m, P::default);
         self.shift = 64 - slots.trailing_zeros();
         self.len = survivors;
         let mask = slots - 1;
-        for (slot, lists) in old_slots.into_iter().zip(old_lists.chunks_mut(m)) {
+        for (slot, parts) in old_slots.into_iter().zip(old_parts.chunks_mut(m)) {
             if slot.tag == 0 {
                 continue;
             }
@@ -380,40 +353,40 @@ impl JoinIndex {
                 i = (i + 1) & mask;
             }
             self.slots[i] = slot;
-            self.lists[i * m..(i + 1) * m].swap_with_slice(lists);
+            self.parts[i * m..(i + 1) * m].swap_with_slice(parts);
         }
     }
 
-    /// Every entry's key and lists, in slot order.
+    /// Every entry's key and parts, in slot order.
     #[cfg(test)]
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&Value, &[PosList])> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&Value, &[P])> {
         self.slots
             .iter()
-            .zip(self.lists.chunks(self.m))
+            .zip(self.parts.chunks(self.m))
             .filter(|(slot, _)| slot.tag != 0)
-            .map(|(slot, lists)| (&slot.key, lists))
+            .map(|(slot, parts)| (&slot.key, parts))
     }
 
     /// Test-only: the table's own structural invariants.
     #[cfg(test)]
-    pub(crate) fn assert_invariants(&self) {
-        assert_eq!(self.lists.len(), self.slots.len() * self.m);
+    pub(crate) fn assert_invariants(&self)
+    where
+        P: PartialEq + std::fmt::Debug,
+    {
+        assert_eq!(self.parts.len(), self.slots.len() * self.m);
         assert_eq!(self.len, self.entries().count(), "len counts the entries");
         assert!(self.len * LOAD_DEN <= self.slots.len() * LOAD_NUM);
         let mask = self.slots.len().wrapping_sub(1);
         for (i, slot) in self.slots.iter().enumerate() {
-            let lists = self.lists(i);
+            let parts = self.entry(i);
             if slot.tag == 0 {
-                assert!(lists.iter().all(PosList::is_empty));
+                assert!(parts.iter().all(|p| *p == P::default()), "{parts:?}");
                 continue;
             }
             assert!(
-                lists.iter().any(|l| !l.is_empty()),
-                "an entry holds a position"
+                parts.iter().any(|p| *p != P::default()),
+                "an entry holds something"
             );
-            for l in lists {
-                assert!(l.as_slice().windows(2).all(|w| w[0] < w[1]));
-            }
             // No hole between an entry's home and its slot.
             let mut j = self.home(slot.tag);
             while j != i {
@@ -433,56 +406,53 @@ mod tests {
 
     const M: usize = 3;
 
-    #[test]
-    fn pos_list_spills_after_three_and_stays_a_slice() {
-        let mut l = PosList::default();
-        assert!(l.is_empty());
-        for p in 0..3 {
-            l.push(p * 2);
-        }
-        assert!(matches!(l, PosList::Inline { len: 3, .. }));
-        assert_eq!(l.as_slice(), [0, 2, 4]);
-        l.push(9);
-        assert!(matches!(l, PosList::Heap(_)));
-        assert_eq!(l.as_slice(), [0, 2, 4, 9]);
-        l.drop_below(0);
-        assert!(
-            matches!(l, PosList::Heap(_)),
-            "nothing dropped, nothing moves"
-        );
-        l.drop_below(3);
-        assert!(matches!(l, PosList::Inline { len: 2, .. }), "back inline");
-        assert_eq!(l.as_slice(), [4, 9]);
-        l.retain_mut(|p| {
-            *p -= 4;
-            *p != 0
-        });
-        assert_eq!(l.as_slice(), [5]);
-        l.drop_below(100);
-        assert!(l.is_empty());
+    /// `head`'s positions at or above `floor`, ascending.
+    fn live(head: &ChainHead, links: &[u32], floor: u32) -> Vec<u32> {
+        let mut held = Vec::new();
+        head.for_each_live(links, 0, floor, |p| held.push(p));
+        held.reverse();
+        held
     }
 
     #[test]
-    fn inline_list_drops_and_remaps_in_place() {
-        let mut l = PosList::default();
-        for p in [3, 5, 8] {
-            l.push(p);
+    fn a_chain_caches_the_newest_four_and_links_the_rest() {
+        let mut head = ChainHead::default();
+        let mut links = Vec::new();
+        assert_eq!(head.newest(), NONE);
+        for p in 0..9 {
+            links.push(head.newest());
+            head.push(p);
         }
-        l.drop_below(5);
-        assert_eq!(l.as_slice(), [5, 8]);
-        l.push(11);
-        l.retain_mut(|p| {
-            *p += 1;
-            *p != 9
-        });
-        assert_eq!(l.as_slice(), [6, 12]);
-        l.drop_below(0);
-        assert_eq!(l.as_slice(), [6, 12]);
+        assert_eq!(head.recent, [8, 7, 6, 5]);
+        assert_eq!(head.count(), 9);
+        assert_eq!(links[0], NONE);
+        assert!((1..9).all(|p| links[p] == p as u32 - 1));
+        assert_eq!(live(&head, &links, 0), (0..9).collect::<Vec<_>>());
+        assert_eq!(live(&head, &links, 3), (3..9).collect::<Vec<_>>());
+        assert_eq!(live(&head, &links, 6), [6, 7, 8]);
+        assert!(head.is_live(8) && !head.is_live(9));
+        assert!(live(&head, &links, 9).is_empty());
+        // A cached position below the floor ends the walk before the
+        // links are read.
+        assert_eq!(live(&head, &[], 6), [6, 7, 8]);
+    }
+
+    #[test]
+    fn an_entry_is_kept_while_a_part_is_live() {
+        let mut heads = [ChainHead::default(); M];
+        heads[0].push(3);
+        heads[1].push(7);
+        assert!(
+            keep_live(&heads, |s| [4, 7, 0][s]),
+            "7 is at stream 1's floor"
+        );
+        assert!(!keep_live(&heads, |s| [4, 8, 0][s]));
+        assert!(!keep_live(&[ChainHead::default(); M], |_| 0));
     }
 
     #[test]
     fn find_on_a_fresh_index_allocates_nothing() {
-        let idx = JoinIndex::new(M);
+        let idx = JoinIndex::<ChainHead>::new(M);
         assert_eq!(idx.find(7, &Value::Int(7)), None);
         assert_eq!(idx.len(), 0);
         idx.assert_invariants();
@@ -492,11 +462,11 @@ mod tests {
     fn home_slot_comes_from_the_high_bits() {
         // Keys of one partition differ only in their multiple of the
         // partition count; they must not share a home slot.
-        let mut idx = JoinIndex::new(1);
+        let mut idx = JoinIndex::<Vec<u32>>::new(1);
         for local in 0..40i64 {
             let key = Value::Int(local * 120 + 17);
-            let slot = idx.find_or_insert(fx_hash(&key), &key, |_| 0);
-            idx.list_mut(slot, 0).push(local as u32);
+            let slot = idx.find_or_insert(fx_hash(&key), &key, |_| true);
+            idx.entry_mut(slot)[0].push(local as u32);
         }
         let homes: std::collections::HashSet<usize> = idx
             .entries()
@@ -508,12 +478,12 @@ mod tests {
 
     #[test]
     fn without_a_floor_growth_doubles_and_keeps_every_entry() {
-        let mut idx = JoinIndex::new(2);
+        let mut idx = JoinIndex::<ChainHead>::new(2);
         let mut sizes = Vec::new();
         for k in 0..200i64 {
             let key = Value::Int(k);
-            let slot = idx.find_or_insert(fx_hash(&key), &key, |_| 0);
-            idx.list_mut(slot, (k % 2) as usize).push(k as u32);
+            let slot = idx.find_or_insert(fx_hash(&key), &key, |h| keep_live(h, |_| 0));
+            idx.entry_mut(slot)[(k % 2) as usize].push(k as u32);
             if sizes.last() != Some(&idx.slot_count()) {
                 sizes.push(idx.slot_count());
             }
@@ -547,22 +517,22 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        /// Reach `key`'s entry, trim it, and append the next position to
-        /// its list `s`.
+        /// Reach `key`'s entry and push stream `s`'s next position onto
+        /// its part `s`, recording the row's link.
         Push { key: u16, s: usize },
-        /// Raise stream `s`'s floor by `n` positions (never past the
+        /// Raise stream `s`'s floor by `n` positions (never past its
         /// next position).
         Raise { s: usize, n: u32 },
         /// Sweep the table.
         Sweep,
-        /// Empty list `s` of every key, then sweep.
+        /// Empty part `s` of every entry, then sweep.
         Clear { s: usize },
     }
 
     fn op_strategy(keys: u16) -> impl Strategy<Value = Op> {
         // Arms are unweighted: pushes outnumber floor raises so tables
-        // fill and grow, and one push in 40 is a sweep, one in 40 a
-        // clear.
+        // fill and grow and chains run past the cached positions, and
+        // one push in 40 is a sweep, one in 40 a clear.
         let push = || {
             (0..keys, 0..M, 0..40u8).prop_map(|(key, s, roll)| match roll {
                 0 => Op::Clear { s },
@@ -583,58 +553,57 @@ mod tests {
         }
     }
 
-    /// The model holds each key's live positions: every model key is
-    /// found with them above the floors; any other entry holds only
-    /// dead positions; a trimmed or swept list holds no dead one.
+    /// The model holds each key's live positions per stream: every model
+    /// key is found, and its entry and the links yield exactly them above
+    /// the floors; any other entry yields nothing live.
     fn check(
-        idx: &JoinIndex,
+        idx: &JoinIndex<ChainHead>,
+        links: &[Vec<u32>; M],
         model: &HashMap<Value, Vec<Vec<u32>>>,
         floors: &[u32; M],
         hashing: Hashing,
     ) {
         idx.assert_invariants();
+        let yielded = |heads: &[ChainHead]| -> Vec<Vec<u32>> {
+            (heads.iter().zip(links).zip(floors))
+                .map(|((head, links), &floor)| live(head, links, floor))
+                .collect()
+        };
         for (key, lists) in model {
             let slot = idx
                 .find(hashing.hash(key), key)
                 .unwrap_or_else(|| panic!("{key} lost"));
-            let live: Vec<&[u32]> = (idx.lists(slot).iter().zip(floors))
-                .map(|(l, &f)| {
-                    let held = l.as_slice();
-                    &held[held.partition_point(|&p| p < f)..]
-                })
-                .collect();
-            assert_eq!(live, lists.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            assert_eq!(&yielded(idx.entry(slot)), lists, "{key}");
         }
-        for (key, lists) in idx.entries() {
+        for (key, heads) in idx.entries() {
             if !model.contains_key(key) {
-                let mut held = lists.iter().zip(floors);
-                let dead = held.all(|(l, &f)| l.as_slice().iter().all(|&p| p < f));
-                assert!(dead, "{key} holds a live position the model lacks");
+                let held = yielded(heads);
+                assert!(held.iter().all(Vec::is_empty), "{key} yields {held:?}");
             }
         }
     }
 
     fn run_model(ops: Vec<Op>, hashing: Hashing) {
-        let mut idx = JoinIndex::new(M);
+        let mut idx = JoinIndex::<ChainHead>::new(M);
+        // `links[s][p]`: the link of stream `s`'s row at position `p`.
+        let mut links: [Vec<u32>; M] = Default::default();
         let mut model: HashMap<Value, Vec<Vec<u32>>> = HashMap::new();
         let mut floors = [0u32; M];
-        let mut next = 0u32;
         for op in ops {
             let floor = |s: usize| floors[s];
             match op {
                 Op::Push { key, s } => {
                     let key = key_of(key);
-                    let slot = idx.find_or_insert(hashing.hash(&key), &key, floor);
-                    idx.trim(slot, floor);
-                    for (l, &f) in idx.lists(slot).iter().zip(&floors) {
-                        assert!(l.as_slice().iter().all(|&p| p >= f), "trimmed");
-                    }
-                    idx.list_mut(slot, s).push(next);
+                    let slot =
+                        idx.find_or_insert(hashing.hash(&key), &key, |h| keep_live(h, floor));
+                    let head = &mut idx.entry_mut(slot)[s];
+                    let next = links[s].len() as u32;
+                    links[s].push(head.newest());
+                    head.push(next);
                     model.entry(key).or_insert_with(|| vec![Vec::new(); M])[s].push(next);
-                    next += 1;
                 }
                 Op::Raise { s, n } => {
-                    floors[s] = (floors[s] + n).min(next);
+                    floors[s] = (floors[s] + n).min(links[s].len() as u32);
                     let f = floors[s];
                     model.retain(|_, lists| {
                         lists[s].retain(|&p| p >= f);
@@ -642,12 +611,12 @@ mod tests {
                     });
                 }
                 Op::Sweep => {
-                    idx.sweep(floor);
+                    idx.sweep(|h| keep_live(h, floor));
                     assert_eq!(idx.len(), model.len(), "a sweep keeps the live keys only");
                 }
                 Op::Clear { s } => {
-                    idx.for_each_list_mut(s, |l| l.retain_mut(|_| false));
-                    idx.sweep(floor);
+                    idx.for_each_entry_mut(|heads| heads[s] = ChainHead::default());
+                    idx.sweep(|h| keep_live(h, floor));
                     model.retain(|_, lists| {
                         lists[s].clear();
                         lists.iter().any(|l| !l.is_empty())
@@ -656,8 +625,8 @@ mod tests {
                 }
             }
             // After every step — a sweep above all — each live key is
-            // still reachable.
-            check(&idx, &model, &floors, hashing);
+            // still reachable with its live positions.
+            check(&idx, &links, &model, &floors, hashing);
         }
     }
 

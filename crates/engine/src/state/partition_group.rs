@@ -17,23 +17,28 @@
 //! number, accounted size, arena address) and one payload arena of
 //! encoded values, in pages ([`RowPages`]) — a
 //! [`TupleBatch`](dcape_common::batch::TupleBatch) row's `arity value*`
-//! tail, copied in as it arrives and never moved by a later append; and
-//! **one** `JoinIndex` for the whole group, whose entry for a key holds
-//! a position list per stream — so an insert pays one lookup, not one
-//! per stream. Join keys live only in that index. The
-//! probe path touches only the index entry and the columns (a count-only
-//! sink gets [`SpanList::TsOnly`] lists and never sees a row); rows are
+//! tail, copied in as it arrives and never moved by a later append; a
+//! link column, each row's link being the position of the stream's row
+//! before it with the same join key; and **one** `JoinIndex` for the
+//! whole group, whose entry for a key holds, per stream, the newest four
+//! positions of the key's rows and their count — so an insert pays one
+//! lookup, not one per stream, and writes the entry it looked up and the
+//! ends of its stream's columns, nothing else. Join keys live only in
+//! that index. The probe path touches only the index entry, the link
+//! column past the entry's four and the timestamp column (a count-only
+//! sink gets [`SpanList::Len`] counts without a window and
+//! [`SpanList::TsOnly`] lists with one, and never sees a row); rows are
 //! materialized from the arena only at the sink or spill boundary.
 //!
 //! Index positions are *logical*: a stream partition counts the rows it
 //! has physically dropped (`base`), and row `i` of its columns is
-//! position `base + i`, so dropping rows moves no position. A window
-//! purge of a time-ordered partition finds the expired prefix by a
-//! galloping search, sums its accounted bytes and retires it — the join
-//! index is not touched. The retired positions stay in the index as a
-//! dead prefix of their lists, below the stream's *floor*; the next
-//! insert that reaches an entry trims them off before it probes, and a
-//! growing index sweeps out the entries left with nothing live.
+//! position `base + i`, so dropping rows moves no position and no link.
+//! A window purge of a time-ordered partition finds the expired prefix
+//! by a galloping search, sums its accounted bytes and retires it — the
+//! join index is not touched. The retired positions lie below the
+//! stream's *floor*, and a probe reads an entry's positions and links
+//! down to the floor and no further; a growing index sweeps out the
+//! entries left with nothing live.
 
 use dcape_common::batch::RowRef;
 use dcape_common::codec::{decode_value, get_varint};
@@ -51,7 +56,7 @@ use std::sync::Arc;
 
 use crate::probe::{ProbeSpans, SpanList, INLINE_STREAMS};
 use crate::sink::ResultSink;
-use crate::state::join_index::{JoinIndex, PosList};
+use crate::state::join_index::{keep_live, ChainHead, JoinIndex, NONE};
 use crate::state::productivity::DecayState;
 
 /// Estimated per-tuple bookkeeping bytes beyond the tuple itself
@@ -93,12 +98,13 @@ impl RowMeta {
 /// Row `i` is scattered across parallel stores: the dense timestamp
 /// column `ts[i]` (probes window-filter by binary search over it, and
 /// count-only sinks read it directly through [`SpanList::TsOnly`]),
-/// the packed [`RowMeta`] record `meta[i]`, and the payload arena row at
-/// `meta[i]`'s address holding the codec-encoded column
-/// values (arity varint + one encoded value per column — a
-/// [`RowRef::body`], byte for byte). The join
-/// key lives only in the group's [`JoinIndex`], and no per-row key copy
-/// is ever stored.
+/// the packed [`RowMeta`] record `meta[i]`, the link `links[i]` (the
+/// position of this stream's row before it with the same key, or
+/// [`NONE`]), and the payload arena row at `meta[i]`'s address holding
+/// the codec-encoded column values (arity varint + one encoded value
+/// per column — a [`RowRef::body`], byte for byte). The join key lives
+/// only in the group's [`JoinIndex`], and no per-row key copy is ever
+/// stored.
 ///
 /// Row `i` is index position `base + i`. Rows `..head` are a retired
 /// (window-expired) prefix: still physically present in
@@ -110,6 +116,10 @@ impl RowMeta {
 struct ColumnarPartition {
     ts: Vec<VirtualTime>,
     meta: Vec<RowMeta>,
+    /// Each row's link: the chain the index entry's newest positions
+    /// start (kept beside `meta`, not in it: a wider `RowMeta` costs more
+    /// memory than a column of its own).
+    links: Vec<u32>,
     /// Encoded payloads of all rows, in insertion order.
     arena: RowPages,
     /// True while `ts` is nondecreasing in storage order — then every
@@ -145,6 +155,7 @@ impl Default for ColumnarPartition {
         ColumnarPartition {
             ts: Vec::new(),
             meta: Vec::new(),
+            links: Vec::new(),
             arena: RowPages::default(),
             ts_sorted: true,
             head: 0,
@@ -178,9 +189,9 @@ impl ColumnarPartition {
         self.arena.row(prev, self.meta[i].at())
     }
 
-    /// Append one row and return its position. Infallible: callers run
-    /// [`ColumnarState::check_capacity`] first.
-    fn append(&mut self, row: &RowRef<'_>) -> u32 {
+    /// Append one row whose link is `link` and return its position.
+    /// Infallible: callers run [`ColumnarState::check_capacity`] first.
+    fn append(&mut self, row: &RowRef<'_>, link: u32) -> u32 {
         if let Some(&last) = self.ts.last() {
             self.ts_sorted &= row.ts() >= last;
         }
@@ -194,6 +205,7 @@ impl ColumnarPartition {
             end,
             page,
         });
+        self.links.push(link);
         pos
     }
 
@@ -220,6 +232,7 @@ impl ColumnarPartition {
         }
         self.ts.drain(..head);
         self.meta.drain(..head);
+        self.links.drain(..head);
     }
 
     /// Bytes the stores occupy: the columns' capacities and the arena's
@@ -227,6 +240,7 @@ impl ColumnarPartition {
     fn reserved_bytes(&self) -> usize {
         self.ts.capacity() * std::mem::size_of::<VirtualTime>()
             + self.meta.capacity() * std::mem::size_of::<RowMeta>()
+            + self.links.capacity() * std::mem::size_of::<u32>()
             + self.arena.reserved()
     }
 
@@ -265,6 +279,13 @@ impl ColumnarPartition {
     #[cfg(test)]
     fn assert_invariants(&self) {
         assert_eq!(self.ts.len(), self.meta.len());
+        assert_eq!(self.links.len(), self.meta.len());
+        for (i, &link) in self.links.iter().enumerate() {
+            assert!(
+                link == NONE || link < self.base + i as u32,
+                "a link points back"
+            );
+        }
         assert!(self.head <= self.meta.len());
         assert!(
             u32::try_from(self.base as usize + self.meta.len()).is_ok(),
@@ -287,16 +308,60 @@ impl ColumnarPartition {
 
 /// The columnar state of one group: a [`ColumnarPartition`] per stream
 /// and the one [`JoinIndex`] over all of them. Above stream `s`'s floor,
-/// list `s` of a key's index entry holds exactly the positions of stream
-/// `s`'s live rows with that key, ascending; below it, only a dead
-/// prefix; and every live key has an entry. A purge only raises the
-/// floor; the dead prefixes go when an insert reaches the entry or the
-/// index is swept, and whatever re-numbers positions (`rebase`,
-/// `purge_unsorted`) lives here, beside the index.
+/// part `s` of a key's index entry and the links it leads to yield
+/// exactly the positions of stream `s`'s live rows with that key, each
+/// once; below it, nothing is read; and every live key has an entry. A
+/// purge only raises the floor; whatever re-numbers positions (`rebase`,
+/// `purge_unsorted`) lives here, beside the index, and re-links the
+/// stream's rows as it goes.
 #[derive(Debug)]
 struct ColumnarState {
     cols: Vec<ColumnarPartition>,
-    index: JoinIndex,
+    index: JoinIndex<ChainHead>,
+}
+
+/// Positions a windowed or row-wanting probe gathers on the stack
+/// before it moves them to the group's reused vector.
+const STACK_POSITIONS: usize = 32;
+
+/// The live positions one probe gathers, stream after stream.
+struct Gathered<'v> {
+    stack: [u32; STACK_POSITIONS],
+    len: usize,
+    /// Holds them all once there are more than fit on the stack.
+    heap: &'v mut Vec<u32>,
+}
+
+impl<'v> Gathered<'v> {
+    fn new(heap: &'v mut Vec<u32>) -> Self {
+        Gathered {
+            stack: [0; STACK_POSITIONS],
+            len: 0,
+            heap,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, p: u32) {
+        if self.len < STACK_POSITIONS {
+            self.stack[self.len] = p;
+        } else {
+            if self.len == STACK_POSITIONS {
+                self.heap.clear();
+                self.heap.extend_from_slice(&self.stack);
+            }
+            self.heap.push(p);
+        }
+        self.len += 1;
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u32] {
+        if self.len <= STACK_POSITIONS {
+            &mut self.stack[..self.len]
+        } else {
+            &mut self.heap[..]
+        }
+    }
 }
 
 impl ColumnarState {
@@ -307,10 +372,15 @@ impl ColumnarState {
         }
     }
 
+    /// Does an entry hold a live row?
+    fn keep(cols: &[ColumnarPartition]) -> impl Fn(&[ChainHead]) -> bool + '_ {
+        |heads| keep_live(heads, |s| cols[s].floor())
+    }
+
     /// Take snapshot columns in as live state: the timestamp column and
     /// the arena move, and one walk over the rows rebuilds the
-    /// bookkeeping column and the join index. Also returns the bytes the
-    /// rows account for.
+    /// bookkeeping and link columns and the join index. Also returns the
+    /// bytes the rows account for.
     fn from_columns(
         pid: PartitionId,
         streams: Vec<StreamColumns>,
@@ -321,6 +391,7 @@ impl ColumnarState {
         for (s, columns) in streams.into_iter().enumerate() {
             let (ts, seq, ends, arena) = columns.into_parts();
             let mut meta = Vec::with_capacity(ends.len());
+            let mut links = Vec::with_capacity(ends.len());
             let mut prev = None;
             for (i, (&seq, &(page, end))) in seq.iter().zip(&ends).enumerate() {
                 let mut body = arena.row(prev, (page, end));
@@ -329,8 +400,12 @@ impl ColumnarState {
                 let key = row
                     .value(join_columns[s])
                     .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
-                let slot = st.index.find_or_insert(fx_hash(&key), &key, |_| 0);
-                st.index.list_mut(slot, s).push(i as u32);
+                let slot = st
+                    .index
+                    .find_or_insert(fx_hash(&key), &key, Self::keep(&st.cols));
+                let head = &mut st.index.entry_mut(slot)[s];
+                links.push(head.newest());
+                head.push(i as u32);
                 let acct = row.heap_size();
                 bytes += acct + PER_TUPLE_OVERHEAD;
                 meta.push(RowMeta {
@@ -345,6 +420,7 @@ impl ColumnarState {
                 min_ts: ts.iter().min().copied().unwrap_or(NO_ROWS),
                 ts,
                 meta,
+                links,
                 arena,
                 head: 0,
                 base: 0,
@@ -382,67 +458,80 @@ impl ColumnarState {
     }
 
     /// Re-number stream `s`'s positions from 0: drop the retired prefix,
-    /// then walk list `s` of every entry, dropping its dead prefix and
-    /// shifting the rest down by the old `base`, and sweep the entries
-    /// that leaves empty. O(index slots + live rows), once per 2³² rows
-    /// the stream takes in.
+    /// then shift every live position down by the old `base`. O(index
+    /// slots + live rows), once per 2³² rows the stream takes in.
     #[cold]
     fn rebase(&mut self, s: usize) {
         let cp = &mut self.cols[s];
         cp.drop_retired();
         let base = std::mem::take(&mut cp.base);
-        self.index.for_each_list_mut(s, |list| {
-            list.retain_mut(|p| match p.checked_sub(base) {
-                Some(live) => {
-                    *p = live;
-                    true
+        self.relink(s, base, base, |p| Some(p - base));
+    }
+
+    /// Re-number stream `s`'s live rows, whose positions were `base + i`
+    /// above `floor`, through `renumber` (`None` for a row that is gone;
+    /// it keeps their order), after its columns have been renumbered to
+    /// `0..`: every entry's part `s` is rebuilt from the rows it reaches,
+    /// each survivor's link is set to the survivor before it, and the
+    /// entries that lost their last live row are swept out.
+    fn relink(&mut self, s: usize, base: u32, floor: u32, renumber: impl Fn(u32) -> Option<u32>) {
+        let cp = &mut self.cols[s];
+        let old = std::mem::replace(&mut cp.links, vec![NONE; cp.meta.len()]);
+        let links = &mut cp.links;
+        let mut chain = Vec::new();
+        self.index.for_each_entry_mut(|heads| {
+            chain.clear();
+            heads[s].for_each_live(&old, base, floor, |p| chain.push(p));
+            heads[s] = ChainHead::default();
+            for &p in chain.iter().rev() {
+                if let Some(q) = renumber(p) {
+                    links[q as usize] = heads[s].newest();
+                    heads[s].push(q);
                 }
-                None => false,
-            })
+            }
         });
-        let cols = &self.cols;
-        self.index.sweep(|s| cols[s].floor());
+        self.index.sweep(Self::keep(&self.cols));
     }
 
     /// Symmetric-join step for one row of stream `s`: **one** index
-    /// lookup yields the key's entry, whose lists are the `m - 1` match
-    /// lists to probe and the list the new row's position is appended to
-    /// (the key is cloned only when the entry is new). The entry's lists
-    /// lose their dead prefixes first, so the probe sees exactly the live
-    /// rows; a stream that has never purged is not read. Returns the
-    /// results emitted.
+    /// lookup yields the key's entry, whose parts lead to the `m - 1`
+    /// match lists to probe and take the new row's position (the key is
+    /// cloned only when the entry is new). Returns the results emitted.
     fn probe_insert(
         &mut self,
         keyed: &KeyedRow<'_>,
-        scratch: &mut Vec<Vec<Tuple>>,
+        scratch: &mut Scratch,
         window: Option<VirtualDuration>,
         sink: &mut dyn ResultSink,
     ) -> Result<u64> {
         let (s, row) = (keyed.slot, &keyed.row);
         self.check_capacity(s, row.body().len())?;
-        let cols = &self.cols;
-        let floor = |s: usize| cols[s].floor();
-        let slot = self.index.find_or_insert(keyed.hash, &keyed.key, floor);
-        self.index.trim(slot, floor);
-        let matches = self.index.lists(slot);
-        let emitted = Self::probe(&self.cols, matches, scratch, window, s, row, sink);
-        let pos = self.cols[s].append(row);
-        self.index.list_mut(slot, s).push(pos);
+        let slot = self
+            .index
+            .find_or_insert(keyed.hash, &keyed.key, Self::keep(&self.cols));
+        let heads = self.index.entry(slot);
+        let emitted = Self::probe(&self.cols, heads, scratch, window, s, row, sink);
+        let head = &mut self.index.entry_mut(slot)[s];
+        let pos = self.cols[s].append(row, head.newest());
+        head.push(pos);
         Ok(emitted)
     }
 
-    /// Deliver the product of `row` (slot `s`) with the `matches` of
-    /// every other stream. First checks every other list for emptiness
-    /// and bails before touching any column; then builds the span lists:
-    /// timestamp-only views for count-only sinks (the probing slot is a
-    /// one-row view of `row`'s timestamp), materialized row slices (into
-    /// the reused `scratch` buffers) for sinks that enumerate — only
-    /// then, with a product to deliver, is `row` itself rebuilt as a
-    /// [`Tuple`].
+    /// Deliver the product of `row` (slot `s`) with the rows of every
+    /// other stream that `heads` leads to. First checks every other part
+    /// for a live row and bails before touching any column. Without a
+    /// window, a count-only sink gets each stream's count as a
+    /// [`SpanList::Len`] and no position is read. Otherwise the live
+    /// positions are gathered — from the entry, then down the links to
+    /// the floor — and served as timestamp-only views to a count-only
+    /// sink (the probing slot is a one-row view of `row`'s timestamp) or
+    /// as materialized rows (into the reused `scratch` buffers) to one
+    /// that enumerates — only then, with a product to deliver, is `row`
+    /// itself rebuilt as a [`Tuple`].
     fn probe(
         cols: &[ColumnarPartition],
-        matches: &[PosList],
-        scratch: &mut Vec<Vec<Tuple>>,
+        heads: &[ChainHead],
+        scratch: &mut Scratch,
         window: Option<VirtualDuration>,
         s: usize,
         row: &RowRef<'_>,
@@ -453,63 +542,91 @@ impl ColumnarState {
             return 0;
         }
         let mut ts_sorted = true;
-        for (i, cp) in cols.iter().enumerate() {
+        for (i, (cp, head)) in cols.iter().zip(heads).enumerate() {
             if i == s {
                 continue;
             }
-            if matches[i].is_empty() {
+            if !head.is_live(cp.floor()) {
                 return 0;
             }
             ts_sorted &= cp.ts_sorted;
         }
         let probing_ts = [row.ts()];
         let probing;
-        let mut inline = [SpanList::Slice(&[]); INLINE_STREAMS];
+        let mut inline = [SpanList::Len(0); INLINE_STREAMS];
         let mut spilled = Vec::new();
         let lists = if m <= INLINE_STREAMS {
             &mut inline[..m]
         } else {
-            spilled.resize(m, SpanList::Slice(&[]));
+            spilled.resize(m, SpanList::Len(0));
             &mut spilled[..]
         };
-        if sink.wants_rows() {
+        let wants_rows = sink.wants_rows();
+        if window.is_none() && !wants_rows {
+            // Nothing below a floor: every position pushed is live.
+            debug_assert!(
+                cols.iter().all(|cp| cp.floor() == 0),
+                "unwindowed, never purged"
+            );
+            for (i, (list, head)) in lists.iter_mut().zip(heads).enumerate() {
+                let n = if i == s { 1 } else { head.count() };
+                *list = SpanList::Len(n as usize);
+            }
+            return sink.emit_product(&ProbeSpans::new(lists, None, true));
+        }
+        // Each other stream's live positions, newest first, one run after
+        // another; its list holds the run's length until it takes the run
+        // itself, in arrival order.
+        let mut gathered = Gathered::new(&mut scratch.positions);
+        for (i, (cp, head)) in cols.iter().zip(heads).enumerate() {
+            let start = gathered.len;
+            if i != s {
+                head.for_each_live(&cp.links, cp.base, cp.floor(), |p| gathered.push(p));
+            }
+            lists[i] = SpanList::Len(gathered.len - start);
+        }
+        let positions = gathered.as_mut_slice();
+        let mut start = 0;
+        for list in lists.iter() {
+            positions[start..start + list.len()].reverse();
+            start += list.len();
+        }
+        let mut rest = &*positions;
+        if wants_rows {
             probing = row.to_tuple();
-            lists[s] = SpanList::One(&probing);
-            if scratch.len() < m {
-                scratch.resize_with(m, Vec::new);
-            }
-            for (i, cp) in cols.iter().enumerate() {
-                if i == s {
-                    continue;
-                }
-                let buf = &mut scratch[i];
+            let rows = &mut scratch.rows;
+            rows.resize_with(m.max(rows.len()), Vec::new);
+            for (i, (cp, buf)) in cols.iter().zip(rows.iter_mut()).enumerate() {
+                let run;
+                (run, rest) = rest.split_at(lists[i].len());
                 buf.clear();
-                buf.extend(
-                    matches[i]
-                        .as_slice()
-                        .iter()
-                        .map(|&p| cp.materialize(StreamId(i as u8), (p - cp.base) as usize)),
-                );
+                let at = |&p: &u32| (p - cp.base) as usize;
+                buf.extend(run.iter().map(|p| cp.materialize(StreamId(i as u8), at(p))));
             }
-            for (i, rows) in scratch.iter().enumerate().take(m) {
-                if i != s {
-                    lists[i] = SpanList::Slice(rows);
-                }
+            for (i, (list, rows)) in lists.iter_mut().zip(rows.iter()).enumerate() {
+                *list = if i == s {
+                    SpanList::One(&probing)
+                } else {
+                    SpanList::Slice(rows)
+                };
             }
         } else {
-            lists[s] = SpanList::TsOnly {
-                ts: &probing_ts,
-                base: 0,
-                positions: &[0],
-            };
-            for (i, cp) in cols.iter().enumerate() {
-                if i != s {
-                    lists[i] = SpanList::TsOnly {
+            for (i, (list, cp)) in lists.iter_mut().zip(cols).enumerate() {
+                let run;
+                (run, rest) = rest.split_at(list.len());
+                *list = if i == s {
+                    SpanList::TsOnly {
+                        ts: &probing_ts,
+                        base: 0,
+                        positions: &[0],
+                    }
+                } else {
+                    SpanList::TsOnly {
                         ts: &cp.ts,
                         base: cp.base,
-                        positions: matches[i].as_slice(),
-                    };
-                }
+                        positions: run,
+                    }
+                };
             }
         }
         sink.emit_product(&ProbeSpans::new(lists, window, ts_sorted))
@@ -554,17 +671,15 @@ impl ColumnarState {
     /// Purge of a partition whose rows are not in time order (replayed
     /// or installed state): scan every live row, compact the survivors
     /// to the front of the columns in place, push their arena rows into
-    /// fresh pages, and re-number the stream's index positions from 0
-    /// through a survivor table — no re-hashing of rows, no row
-    /// materialization; positions below the floor and those of expired
-    /// rows map to `DEAD` and are dropped — then sweep out the entries
-    /// that lost their last position. Recomputes `ts_sorted` over the
-    /// survivors, so the partition returns to the prefix-drop path once
-    /// the offending rows expire.
+    /// fresh pages, and re-number the stream's positions from 0 through
+    /// a survivor table — no re-hashing of rows, no row materialization
+    /// — [re-linking](Self::relink) the survivors as it goes. Recomputes
+    /// `ts_sorted` over the survivors, so the partition returns to the
+    /// prefix-drop path once the offending rows expire.
     fn purge_unsorted(&mut self, s: usize, cutoff: VirtualTime) -> (usize, u64) {
         const DEAD: u32 = u32::MAX;
         let cp = &mut self.cols[s];
-        let floor = cp.floor();
+        let (base, floor) = (cp.base, cp.floor());
         // `remap[p - floor]`: the new position of the row at position `p`.
         let mut remap = vec![DEAD; cp.len()];
         let mut freed = 0usize;
@@ -603,26 +718,20 @@ impl ColumnarState {
         cp.head = 0;
         cp.base = 0;
         cp.min_ts = min_ts;
-        self.index.for_each_list_mut(s, |list| {
-            list.retain_mut(|p| {
-                *p = p
-                    .checked_sub(floor)
-                    .map_or(DEAD, |live| remap[live as usize]);
-                *p != DEAD
-            })
+        self.relink(s, base, floor, |p| {
+            Some(remap[(p - floor) as usize]).filter(|&q| q != DEAD)
         });
-        let cols = &self.cols;
-        self.index.sweep(|s| cols[s].floor());
         (freed, touched)
     }
 
     /// Test-only: the column stores' invariants, the index's own, and
-    /// the tie between them — above stream `s`'s floor, list `s` of a
-    /// key's entry holds each live row of stream `s` with that key
-    /// exactly once, ascending, and nothing else; below it, only a dead
-    /// prefix; and every live key has an entry.
+    /// the tie between them — above stream `s`'s floor, part `s` of a
+    /// key's entry and its links yield each live row of stream `s` with
+    /// that key exactly once and nothing else, and every live key has an
+    /// entry. With `exact_counts` (nothing was ever purged) a part's
+    /// count is its row count.
     #[cfg(test)]
-    fn assert_invariants(&self, join_columns: &[usize]) {
+    fn assert_invariants(&self, join_columns: &[usize], exact_counts: bool) {
         self.cols
             .iter()
             .for_each(ColumnarPartition::assert_invariants);
@@ -636,24 +745,37 @@ impl ColumnarState {
                     .push(cp.base + i as u32);
             }
         }
-        for (key, lists) in self.index.entries() {
-            let live: Vec<&[u32]> = (lists.iter().zip(&self.cols))
-                .map(|(list, cp)| {
-                    let held = list.as_slice();
-                    let end = cp.base as usize + cp.meta.len();
-                    assert!(held.iter().all(|&p| (p as usize) < end), "a row holds it");
-                    &held[held.partition_point(|&p| p < cp.floor())..]
+        for (key, heads) in self.index.entries() {
+            let live: Vec<Vec<u32>> = (heads.iter().zip(&self.cols))
+                .map(|(head, cp)| {
+                    let mut held = Vec::new();
+                    head.for_each_live(&cp.links, cp.base, cp.floor(), |p| held.push(p));
+                    held.reverse();
+                    if exact_counts {
+                        assert_eq!(head.count() as usize, held.len(), "{key}'s count");
+                    }
+                    held
                 })
                 .collect();
             match expected.remove(key) {
-                Some(rows) => assert_eq!(live, rows.iter().map(Vec::as_slice).collect::<Vec<_>>()),
-                None => assert!(live.iter().all(|l| l.is_empty()), "{key} has no live row"),
+                Some(rows) => assert_eq!(live, rows, "{key}"),
+                None => assert!(live.iter().all(Vec::is_empty), "{key} has no live row"),
             }
         }
         let lost: Vec<&Value> = expected.keys().collect();
         assert!(lost.is_empty(), "live keys without an entry: {lost:?}");
     }
 }
+
+/// A group's reused probe buffers: no per-probe allocation once warm.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Per-stream rows materialized for sinks that enumerate.
+    rows: Vec<Vec<Tuple>>,
+    /// Gathered positions past what fits on the stack.
+    positions: Vec<u32>,
+}
+
 /// Length of the `< cutoff` prefix of a ts-nondecreasing column whose
 /// first element is below `cutoff`. Gallops from the front before
 /// bisecting, so a pulse that expires `k` rows costs O(log k) and reads
@@ -725,9 +847,7 @@ pub struct PartitionGroup {
     bytes: usize,
     output_count: u64,
     decay: DecayState,
-    /// Reused per-stream row-materialization buffers for probes feeding
-    /// row-wanting sinks (no per-probe allocation once warm).
-    scratch: Vec<Vec<Tuple>>,
+    scratch: Scratch,
     /// See [`purge_rows_touched`](Self::purge_rows_touched).
     purge_touched: u64,
 }
@@ -749,7 +869,7 @@ impl PartitionGroup {
             bytes: 0,
             output_count: 0,
             decay: DecayState::default(),
-            scratch: Vec::new(),
+            scratch: Scratch::default(),
             purge_touched: 0,
         }
     }
@@ -776,9 +896,10 @@ impl PartitionGroup {
         self.bytes
     }
 
-    /// Bytes the streams' columns and arena pages occupy, used or not:
-    /// what [`bytes`](Self::bytes) accounts for, as the allocator sees
-    /// it (the join index is in neither figure).
+    /// Bytes the streams' stores occupy, used or not — the timestamp,
+    /// bookkeeping and link columns and the arena pages: what
+    /// [`bytes`](Self::bytes) accounts for, as the allocator sees it
+    /// (the join index is in neither figure).
     pub fn reserved_bytes(&self) -> usize {
         let cols = self.state.cols.iter();
         cols.map(ColumnarPartition::reserved_bytes).sum()
@@ -842,16 +963,17 @@ impl PartitionGroup {
 
     /// Start loading the lines an insert of `keyed` reaches first (see
     /// [`insert_row`](Self::insert_row)): its key's home slot in the
-    /// join index and the slot's `m` lists, and the ends of its
-    /// stream's timestamp and bookkeeping columns, where the row is
-    /// appended. A hint: it changes nothing, whatever is inserted
-    /// before `keyed` is.
+    /// join index and every line of the slot's `m` parts, and the ends
+    /// of its stream's timestamp, bookkeeping and link columns, where
+    /// the row is appended. A hint: it changes nothing, whatever is
+    /// inserted before `keyed` is.
     #[inline]
     pub(crate) fn prefetch(&self, keyed: &KeyedRow<'_>) {
         self.state.index.prefetch(keyed.hash);
         let cp = &self.state.cols[keyed.slot];
         prefetch(cp.ts.as_ptr().wrapping_add(cp.ts.len()));
         prefetch(cp.meta.as_ptr().wrapping_add(cp.meta.len()));
+        prefetch(cp.links.as_ptr().wrapping_add(cp.links.len()));
     }
 
     /// Test-only: [`insert_row`](Self::insert_row) for a [`Tuple`],
@@ -993,7 +1115,9 @@ impl PartitionGroup {
     /// Test-only: check the state's structural invariants.
     #[cfg(test)]
     fn assert_invariants(&self) {
-        self.state.assert_invariants(&self.join_columns);
+        let exact_counts = self.window.is_none();
+        self.state
+            .assert_invariants(&self.join_columns, exact_counts);
     }
 
     /// Test-only: tuple count of stream `s`.
@@ -1330,21 +1454,17 @@ mod tests {
         }
     }
 
-    /// Every index entry's key and lists, as plain vectors.
-    fn index_contents(g: &PartitionGroup) -> std::collections::HashMap<Value, Vec<Vec<u32>>> {
+    /// Every index entry's key and parts.
+    fn index_contents(g: &PartitionGroup) -> std::collections::HashMap<Value, Vec<ChainHead>> {
         let entries = g.state.index.entries();
         entries
-            .map(|(key, lists)| {
-                (
-                    key.clone(),
-                    lists.iter().map(|l| l.as_slice().to_vec()).collect(),
-                )
-            })
+            .map(|(key, heads)| (key.clone(), heads.to_vec()))
             .collect()
     }
 
     /// A pulse retires rows by raising the streams' floors: until a
-    /// compaction it reads and writes nothing of the join index.
+    /// compaction it reads and writes nothing of the join index, nor of
+    /// the link columns.
     #[test]
     fn a_pulse_that_does_not_compact_leaves_the_index_as_it_was() {
         let window = Some(VirtualDuration::from_millis(99));
@@ -1356,6 +1476,7 @@ mod tests {
             }
         }
         let (before, slots) = (index_contents(&g), g.state.index.slot_count());
+        let links: Vec<Vec<u32>> = g.state.cols.iter().map(|cp| cp.links.clone()).collect();
         // Cutoff 11: 11 rows of each stream expire, 89 stay — too few
         // retired rows to compact.
         let freed = g.purge_expired(VirtualTime::from_millis(110));
@@ -1372,16 +1493,20 @@ mod tests {
         }
         assert_eq!(index_contents(&g), before);
         assert_eq!(g.state.index.slot_count(), slots);
+        assert!((g.state.cols.iter().zip(&links)).all(|(cp, links)| cp.links == *links));
         g.assert_invariants();
-        // The next insert of a key trims that key's entry only.
+        // The next insert of a key changes that key's entry only, and
+        // only its stream's part: position 100 becomes the newest, and
+        // its link is the newest before it.
         g.insert(tpl(0, 100, 2), &mut sink).unwrap();
-        let after = index_contents(&g);
-        let trimmed = Value::Int(2);
-        assert!(after[&trimmed].iter().all(|l| l.iter().all(|&p| p >= 11)));
-        assert!(after
-            .iter()
-            .filter(|(key, _)| **key != trimmed)
-            .all(|(key, lists)| *lists == before[key]));
+        let mut after = index_contents(&g);
+        let key = Value::Int(2);
+        let part = after.get_mut(&key).expect("key 2 has an entry");
+        assert_eq!(part[0].newest(), 100);
+        assert_eq!(part[0].count(), before[&key][0].count() + 1);
+        assert_eq!(g.state.cols[0].links[100], before[&key][0].newest());
+        part[0] = before[&key][0];
+        assert_eq!(after, before);
         g.assert_invariants();
     }
 
@@ -1845,6 +1970,82 @@ mod tests {
             prop_assert_eq!(counting.output_count(), reference.count());
             prop_assert_eq!(enumerating.snapshot(), counting.snapshot());
             Ok(())
+        }
+
+        /// One key with more live rows per stream than an entry caches
+        /// (about seventeen, against four), so its probes walk the links
+        /// and gather more positions than fit on the stack: under
+        /// in-order pulses that retire and compact, across the end of the
+        /// position space, where every stream is rebased, and after a
+        /// late arrival, whose stream is re-linked by each out-of-order
+        /// purge until the late row expires. A counting and an
+        /// enumerating group emit alike at every insert, and in total
+        /// what the reference join holds.
+        #[test]
+        fn a_key_with_more_live_rows_than_an_entry_caches_equals_the_reference_join() {
+            const W: u64 = 16;
+            let window = Some(VirtualDuration::from_millis(W));
+            let join_columns = vec![0; 3];
+            let group = || {
+                PartitionGroup::with_base(
+                    PartitionId(5),
+                    join_columns.clone(),
+                    window,
+                    u32::MAX - 100,
+                )
+            };
+            let (mut enumerating, mut counting) = (group(), group());
+            let (mut collect, mut count) = (CollectingSink::new(), CountingSink::new());
+            let mut reference = ReferenceJoin::new(&join_columns, window);
+            let mut longest = 0;
+            for i in 0..1200u64 {
+                let (stream, now) = ((i % 3) as u8, i / 3);
+                // Row 601 is 5 ms late: behind the rows before it, but
+                // not behind the last purge horizon.
+                let ts = if i == 601 { now - 5 } else { now };
+                let t = TupleBuilder::new(StreamId(stream))
+                    .seq(i)
+                    .ts(VirtualTime::from_millis(ts))
+                    .value(i64::from(i % 7 == 6))
+                    .value(i as i64)
+                    .build();
+                reference.push(&t);
+                let (enumerated, _) = enumerating.insert(t.clone(), &mut collect).unwrap();
+                let (counted, _) = counting.insert(t, &mut count).unwrap();
+                assert_eq!(enumerated, counted, "emitted at row {i}");
+                if i == 601 {
+                    assert!(!counting.ts_sorted_of(1), "the late row unsorts its stream");
+                }
+                if i % 6 == 5 {
+                    let horizon = VirtualTime::from_millis(now.saturating_sub(4));
+                    let freed = enumerating.purge_expired(horizon);
+                    assert_eq!(counting.purge_expired(horizon), freed);
+                    counting.assert_invariants();
+                    let state = &counting.state;
+                    let key = Value::Int(0);
+                    if let Some(slot) = state.index.find(fx_hash(&key), &key) {
+                        let (head, cp) = (&state.index.entry(slot)[0], &state.cols[0]);
+                        let mut live = 0;
+                        head.for_each_live(&cp.links, cp.base, cp.floor(), |_| live += 1);
+                        longest = longest.max(live);
+                    }
+                }
+            }
+            assert!(
+                longest > 3 * crate::state::join_index::RECENT,
+                "{longest} live rows"
+            );
+            for g in [&counting, &enumerating] {
+                assert!(g.scratch.positions.capacity() > 0, "never past the stack");
+                assert!(
+                    (0..3).all(|s| g.state.cols[s].base < 1000),
+                    "every stream was rebased"
+                );
+                assert!(g.ts_sorted_of(1), "the late row has expired");
+                g.assert_invariants();
+            }
+            assert_eq!(count.count(), reference.count());
+            assert_eq!(collect.identities(), reference.identities());
         }
 
         proptest! {

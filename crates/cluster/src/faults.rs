@@ -139,6 +139,14 @@ impl FaultConfig {
     pub fn is_active(&self) -> bool {
         self.message_rate_sum() > 0.0 || self.crash_rate > 0.0 || self.stall_rate > 0.0
     }
+
+    /// True if a fault can lose, hold back or repeat a message, or wipe
+    /// an install: what a coordinator times a round's phases out for. A
+    /// stall only makes an engine's message late — a later clock pulse
+    /// sends it — so a plan that only stalls needs no timeout.
+    pub fn needs_patience(&self) -> bool {
+        self.message_rate_sum() > 0.0 || self.crash_rate > 0.0
+    }
 }
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mix.
@@ -198,6 +206,11 @@ impl FaultPlan {
     /// True if any fault can ever fire.
     pub fn is_active(&self) -> bool {
         self.cfg.is_active()
+    }
+
+    /// See [`FaultConfig::needs_patience`].
+    pub fn needs_patience(&self) -> bool {
+        self.cfg.needs_patience()
     }
 
     /// What happens to the message on `edge` for relocation `round`,

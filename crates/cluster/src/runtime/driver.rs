@@ -333,7 +333,7 @@ impl<T: Transport> CoordinatorRun<T> {
                 self.flush_pending()?;
                 self.handle_msg(msg)?;
             }
-            // Only a fault plan holds messages, and only a patient
+            // Only a plan that can lose messages holds them, and only a patient
             // coordinator times a phase out: skip both per tick otherwise.
             if self.gc.is_patient() {
                 self.release_due()?;

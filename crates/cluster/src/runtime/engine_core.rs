@@ -25,6 +25,8 @@
 //! crash-restart, so a deterministically scheduled fault cannot re-fire
 //! on every respawn.
 
+use bytes::Bytes;
+
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::FxHashSet;
 use dcape_common::ids::{EngineId, PartitionId};
@@ -36,7 +38,7 @@ use dcape_engine::probe::ProbeSpans;
 use dcape_engine::sink::{CollectingSink, ResultSink};
 use dcape_engine::Mode;
 use dcape_metrics::journal::{AdaptEvent, Fault, JournalHandle, Warning};
-use dcape_storage::FileBackend;
+use dcape_storage::{FileBackend, SpilledGroup};
 
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, GroupTransfer, ToEngine};
@@ -134,7 +136,7 @@ struct EngineRound {
     min_live: u64,
     /// What a round shipped, kept until it ends: an abort reinstalls
     /// it, a retried `SendStates` re-ships it.
-    outbound: Option<(u64, Vec<ExtractedGroup>)>,
+    outbound: Option<(u64, Vec<KeptGroup>)>,
     /// What an uncommitted round installed here, and the latest
     /// attempt of its transfer that arrived since.
     inbound: Option<(u64, u32, Vec<PartitionId>)>,
@@ -151,9 +153,41 @@ struct EngineRound {
 enum Outbound {
     Stale,
     Fenced,
-    /// The groups, and whether they were extracted now rather than
-    /// re-shipped from the kept copy.
-    Ship(Vec<ExtractedGroup>, bool),
+    /// The groups, and — when they were extracted now rather than
+    /// decoded from the kept copy — their encoded size.
+    Ship(Vec<ExtractedGroup>, Option<u64>),
+}
+
+/// A shipped group as its sender keeps it until the round ends: the
+/// snapshot encoded once as segment bytes — their length is the
+/// transfer's `transfer_bytes` — so that the snapshot itself travels.
+/// Only a retry, a duplicate or an abort decodes it again.
+struct KeptGroup {
+    partition: PartitionId,
+    segment: Bytes,
+    output_count: u64,
+    purge_protect: bool,
+}
+
+impl KeptGroup {
+    fn keep((snapshot, output_count, purge_protect): &ExtractedGroup) -> Self {
+        KeptGroup {
+            partition: snapshot.partition,
+            segment: snapshot.encode(),
+            output_count: *output_count,
+            purge_protect: *purge_protect,
+        }
+    }
+
+    /// The kept groups as they were extracted.
+    fn restore(kept: &[KeptGroup]) -> Result<Vec<ExtractedGroup>> {
+        (kept.iter())
+            .map(|k| {
+                let snapshot = SpilledGroup::decode(k.segment.clone())?;
+                Ok((snapshot, k.output_count, k.purge_protect))
+            })
+            .collect()
+    }
 }
 
 impl EngineRound {
@@ -186,29 +220,37 @@ impl EngineRound {
         live
     }
 
-    /// `SendStates`: extract `parts` and keep them until the round ends
-    /// — or re-ship what a first copy of this command extracted — in
-    /// relocation mode.
+    /// `SendStates`: extract `parts` and keep them, encoded, until the
+    /// round ends — or re-ship what a first copy of this command
+    /// extracted — in relocation mode.
     fn on_send_states(
         &mut self,
         qe: &mut QueryEngine,
         round: u64,
         parts: &[PartitionId],
         receiver: EngineId,
-    ) -> Outbound {
+    ) -> Result<Outbound> {
         if self.is_stale(round) {
-            return Outbound::Stale;
+            return Ok(Outbound::Stale);
         }
         if self.fenced.contains(&receiver) {
-            return Outbound::Fenced;
+            return Ok(Outbound::Fenced);
         }
         qe.set_mode(Mode::Relocation);
-        if let Some((_, kept)) = self.outbound.as_ref().filter(|(r, _)| *r == round) {
-            return Outbound::Ship(kept.clone(), false);
+        if self.outbound.as_ref().is_some_and(|(r, _)| *r == round) {
+            return Ok(Outbound::Ship(self.kept_copy()?, None));
         }
         let groups = qe.extract_groups(parts);
-        self.outbound = Some((round, groups.clone()));
-        Outbound::Ship(groups, true)
+        let kept: Vec<KeptGroup> = groups.iter().map(KeptGroup::keep).collect();
+        let encoded = kept.iter().map(|k| k.segment.len() as u64).sum();
+        self.outbound = Some((round, kept));
+        Ok(Outbound::Ship(groups, Some(encoded)))
+    }
+
+    /// A copy of what the live round shipped, decoded from the kept
+    /// bytes.
+    fn kept_copy(&self) -> Result<Vec<ExtractedGroup>> {
+        KeptGroup::restore(self.outbound.as_ref().map_or(&[], |(_, kept)| kept))
     }
 
     /// Whether attempt `attempt` of `round`'s transfer is a copy of an
@@ -247,7 +289,7 @@ impl EngineRound {
     /// and what it received is its own again.
     fn on_resume(&mut self, qe: &mut QueryEngine, round: u64) {
         if let Some((_, shipped)) = self.outbound.take_if(|(r, _)| *r == round) {
-            (self.shipped_away).extend(shipped.iter().map(|(g, _, _)| g.partition));
+            (self.shipped_away).extend(shipped.iter().map(|k| k.partition));
         }
         if let Some((_, _, received)) = self.inbound.take_if(|(r, ..)| *r == round) {
             for pid in &received {
@@ -266,7 +308,7 @@ impl EngineRound {
         }
         if let Some((_, shipped)) = self.outbound.take_if(|(r, _)| *r == round) {
             unwound += shipped.len();
-            qe.install_groups(shipped)?;
+            qe.install_groups(KeptGroup::restore(&shipped)?)?;
         }
         self.close(qe, round);
         Ok(unwound)
@@ -472,9 +514,9 @@ impl EngineCore {
                 receiver,
                 attempt,
             } => {
-                let (groups_raw, fresh) =
-                    match (self.round).on_send_states(&mut self.qe, round, &parts, receiver) {
-                        Outbound::Ship(groups, fresh) => (groups, fresh),
+                let (groups, encoded) =
+                    match (self.round).on_send_states(&mut self.qe, round, &parts, receiver)? {
+                        Outbound::Ship(groups, encoded) => (groups, encoded),
                         Outbound::Stale => {
                             self.warn(Warning::StaleSendStates, id, round, 4);
                             return Ok(EngineFlow::Continue);
@@ -484,11 +526,8 @@ impl EngineCore {
                             return Ok(EngineFlow::Continue);
                         }
                     };
-                let bytes: u64 = groups_raw
-                    .iter()
-                    .map(|(g, _, _)| g.state_bytes() as u64)
-                    .sum();
-                if fresh {
+                let bytes: u64 = groups.iter().map(|(g, _, _)| g.state_bytes() as u64).sum();
+                if let Some(encoded) = encoded {
                     // Journal the extraction once; retries re-ship
                     // the retained copy and must not inflate the
                     // relocation volume.
@@ -507,10 +546,6 @@ impl EngineCore {
                     self.qe.journal().add_relocation_bytes(bytes);
                     // Wire volume in encoded (column-block) form — what
                     // the transfer actually costs on the network.
-                    let encoded: u64 = groups_raw
-                        .iter()
-                        .map(|(g, _, _)| g.encode().len() as u64)
-                        .sum();
                     self.qe.journal().add_transfer_bytes(encoded);
                 }
                 // A stall keeps the transfer from landing for a
@@ -537,10 +572,17 @@ impl EngineCore {
                     FaultDecision::Delay(ms) => delay_ms += ms,
                     FaultDecision::Duplicate => copies = 2,
                 }
-                for _ in 0..copies {
-                    let groups: Vec<GroupTransfer> = groups_raw
-                        .iter()
-                        .cloned()
+                // The snapshots travel in the last copy; a duplicate
+                // before it is decoded from the kept bytes.
+                let mut transfers = Vec::new();
+                for _ in 1..copies {
+                    transfers.push(self.round.kept_copy()?);
+                }
+                if copies > 0 {
+                    transfers.push(groups);
+                }
+                for groups in transfers {
+                    let groups = (groups.into_iter())
                         .map(|(snapshot, output_count, purge_protect)| GroupTransfer {
                             snapshot,
                             output_count,
@@ -1034,10 +1076,11 @@ mod tests {
     }
 
     /// A retried `SendStates` re-ships the copy the first one extracted
-    /// — the same buffers, not a second extraction — and an abort after
-    /// one copy was installed still finds that copy whole.
+    /// — the same rows, decoded from the bytes the sender kept, not a
+    /// second extraction — and an abort after one copy was installed
+    /// still finds that copy whole.
     #[test]
-    fn a_retried_send_states_reships_the_same_buffers() {
+    fn a_retried_send_states_reships_the_kept_copy() {
         let mut pair = Pair::new(EngineConfig::three_way(1 << 30, 1 << 29));
         pair.load(0, &P0, 5);
         let before = pair.mem(0);
@@ -1053,16 +1096,13 @@ mod tests {
         };
         let (first, second) = (groups(&pair.tx.wire[0].1), groups(&pair.tx.wire[1].1));
         assert_eq!(first.len(), P0.len());
-        // A snapshot clone shares its columns, it does not copy rows.
         for (shipped, reshipped) in first.iter().zip(&second) {
             let (a, b) = (&shipped.snapshot, &reshipped.snapshot);
             assert_eq!(a, b);
+            assert_eq!(a.state_bytes(), b.state_bytes());
             assert_eq!(shipped.output_count, reshipped.output_count);
-            for (a, b) in a.streams().iter().zip(b.streams()) {
-                assert!(!a.is_empty());
-                assert_eq!(a.row(0).as_ptr(), b.row(0).as_ptr());
-                assert_eq!(a.ts().as_ptr(), b.ts().as_ptr());
-            }
+            assert_eq!(shipped.purge_protect, reshipped.purge_protect);
+            assert!(a.streams().iter().all(|cols| !cols.is_empty()));
         }
         // One copy lands; the round aborts; the sender's copy is whole,
         // and a later round extracts the same groups again.

@@ -421,9 +421,9 @@ impl SimDriver {
     pub fn new(cfg: SimConfig) -> Result<Self> {
         let journal = JournalHandle::default();
         let transport = SimTransport::new(&cfg, journal.clone());
-        // An active fault plan implies bounded patience: dropped
-        // messages must not wedge a round forever.
-        let patient = cfg.faults.is_active();
+        // A fault plan that can lose a message implies bounded
+        // patience: dropped messages must not wedge a round forever.
+        let patient = cfg.faults.needs_patience();
         Ok(SimDriver {
             run: CoordinatorRun::new(&cfg, journal, patient, transport)?,
         })

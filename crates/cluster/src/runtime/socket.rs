@@ -780,7 +780,7 @@ pub fn run_socket(cfg: SocketConfig, deadline: VirtualTime) -> Result<ThreadedRe
     // Bounded patience when anything can kill or lose a message: chaos
     // faults, or the kill plan (a worker dying mid-round needs the
     // phase timeout to re-drive the round against its respawn).
-    let patient = sim.faults.is_active() || cfg.kill.is_some();
+    let patient = sim.faults.needs_patience() || cfg.kill.is_some();
     let transport = TcpTransport::new(
         &cfg,
         journal.clone(),

@@ -83,9 +83,10 @@ impl From<RunReport> for ThreadedReport {
 /// virtual time, then quiesce and run the distributed cleanup.
 pub fn run_threaded(cfg: SimConfig, deadline: VirtualTime) -> Result<ThreadedReport> {
     let journal = JournalHandle::default();
-    // An active fault plan arms bounded patience — otherwise a single
-    // dropped protocol message would wedge the quiesce loop forever.
-    let patient = cfg.faults.is_active();
+    // A fault plan that can lose a message arms bounded patience —
+    // otherwise a single dropped protocol message would wedge the
+    // quiesce loop forever.
+    let patient = cfg.faults.needs_patience();
     let transport = ChannelTransport::new(&cfg, journal.clone());
     let mut run = CoordinatorRun::new(&cfg, journal, patient, transport)?;
     run.run_until(deadline)?;

@@ -5,6 +5,7 @@
 //! spill decision is paired with cleanup events for the same partition
 //! groups, and the JSON-lines export holds one object per event.
 
+use dcape_cluster::faults::{FaultConfig, FaultEdge, FaultPlan};
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
@@ -352,19 +353,37 @@ fn watermark_purge_counters_cover_both_runtimes() {
 
     // Threaded runtime: the same counters flow through the channel
     // fabric (hold duration and replay volume are journaled at step 7).
-    // A short stats interval triggers the relocation while the engine
-    // inboxes are still shallow (so the pause lands mid-run, not in the
-    // quiesce drain), and fat payloads with a long window make the
-    // state transfer take real wall-time — the driver keeps generating
-    // while the partitions are held, so tuples demonstrably buffer and
-    // replay. Whether a given schedule buffers anything is still up to
-    // the OS scheduler, so retry across seeds: a real emission
-    // regression fails every attempt.
-    let threaded_arm = |seed: u64| {
+    // Tuples buffer only while a round's transfer is in flight and the
+    // coordinator still routes input, so the arm holds the transfer: a
+    // stall-only fault plan keeps each round's `InstallStates` at its
+    // sender for at least 2.1 s of virtual time (asserted below). The
+    // sender lets it go only on a clock pulse past that, which the
+    // coordinator sends only after routing the input before it; so a
+    // round whose `SendStates` goes out 1.1 s or more before the
+    // deadline has a second of input — about a hundred tuples, most of
+    // them for the skewed partitions that move — reach its paused
+    // partitions, which buffer and replay by construction. A stall loses
+    // nothing, so the coordinator runs without phase timeouts and no
+    // round aborts.
+    //
+    // What the arm cannot fix is when the first round starts: the
+    // coordinator runs ahead of its engines, and every reply a round
+    // waits for (stats, `Ptv`) adds to its lead, so on a busy host a
+    // round decided mid-run may send `SendStates` only in the quiesce
+    // drain after the deadline, where nothing is routed. Such a run
+    // tests nothing; the arm then runs again over twice the time. A run
+    // with a round that started in time must pass every assertion.
+    let stalls = FaultConfig {
+        stall_rate: 1.0,
+        max_delay_ms: 5_000,
+        ..FaultConfig::none()
+    };
+    let plan = FaultPlan::new(35, stalls);
+    let threaded_arm = |minutes: u64| {
         let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
         let spec = StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
             .with_payload_pad(8192)
-            .with_seed(seed)
+            .with_seed(23)
             .with_pattern(ArrivalPattern::AlternatingSkew {
                 group_a,
                 ratio: 10.0,
@@ -382,21 +401,33 @@ fn watermark_purge_counters_cover_both_runtimes() {
             },
         )
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
-        .with_stats_interval(VirtualDuration::from_secs(5));
-        run_threaded(cfg, VirtualTime::from_mins(1)).unwrap()
+        .with_stats_interval(VirtualDuration::from_secs(5))
+        .with_faults(plan);
+        let deadline = VirtualTime::from_mins(minutes);
+        (run_threaded(cfg, deadline).unwrap(), deadline)
     };
-    let mut last = None;
-    for seed in [23, 24, 25, 26, 27] {
-        let threaded = threaded_arm(seed);
-        let t = threaded.journal_counters;
-        assert_eq!(t.buffered_in_flight, 0, "gauge must return to zero");
-        let hit = threaded.relocations > 0 && t.watermark_held_ms > 0 && t.replayed_in_order > 0;
-        last = Some(t);
-        if hit {
-            break;
-        }
+    let started_in_time = |journal: &[JournalEntry], deadline: VirtualTime| {
+        journal.iter().any(|e| {
+            matches!(e.event, AdaptEvent::RelocationStep { step: 3, .. })
+                && e.at + VirtualDuration::from_millis(1_100) <= deadline
+        })
+    };
+    let (threaded, _) = [2, 4, 8, 16, 32]
+        .into_iter()
+        .map(threaded_arm)
+        .find(|(report, deadline)| started_in_time(&report.journal, *deadline))
+        .expect("in 32 virtual minutes no round sent SendStates before the deadline");
+    assert!(threaded.relocations > 0, "skew must trigger relocations");
+    for round in relocation_rounds(&threaded.journal) {
+        let stall = plan.stall_ms(FaultEdge::InstallStates, round, 0);
+        assert!(
+            stall >= 2_100,
+            "round {round}'s transfer is held {stall} ms"
+        );
     }
-    let t = last.unwrap();
+    let t = threaded.journal_counters;
+    assert_eq!(t.rounds_aborted, 0, "a stall-only plan aborts no round");
+    assert_eq!(t.buffered_in_flight, 0, "gauge must return to zero");
     assert!(t.watermark_held_ms > 0, "hold duration must accumulate");
     assert!(t.replayed_in_order > 0, "buffered tuples must replay");
 }

@@ -158,6 +158,7 @@ impl RawValue<'_> {
 
     /// Build the value: text and blob bytes are copied out, text is
     /// checked for UTF-8 (raw text is not, see [`raw_value`](crate::codec::raw_value)).
+    #[inline]
     pub fn to_value(self) -> crate::error::Result<Value> {
         Ok(match self {
             RawValue::Null => Value::Null,

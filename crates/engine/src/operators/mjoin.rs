@@ -120,8 +120,10 @@ impl MJoinOperator {
     /// Two steps:
     ///
     /// 1. **Key the batch.** One pass parses each row, checks it against
-    ///    the join and decodes and hashes its join key (`KeyedRow::new`),
-    ///    into a buffer the operator keeps across batches.
+    ///    the join and decodes and hashes its join key — one walk over
+    ///    the row reads its header, its payload size and its key
+    ///    (`TupleBatch::keyed_rows`, `KeyedRow::new`) — into a buffer
+    ///    the operator keeps across batches.
     /// 2. **Insert, with the entries in flight.** Rows are inserted one
     ///    by one, in arrival order, straight from the batch's encoded
     ///    bytes (`PartitionGroup::insert_row`, which takes the key and
@@ -146,8 +148,8 @@ impl MJoinOperator {
     pub fn process_batch(&mut self, batch: &TupleBatch, sink: &mut dyn ResultSink) -> Result<u64> {
         let mut keyed = recycle(std::mem::take(&mut self.keyed));
         let mut failed = None;
-        for row in batch.rows() {
-            match KeyedRow::new(row, &self.join_columns) {
+        for (row, key) in batch.keyed_rows(&self.join_columns) {
+            match KeyedRow::new(row, key, &self.join_columns) {
                 Ok(row) => keyed.push(row),
                 Err(e) => {
                     failed = Some(e);

@@ -41,7 +41,7 @@
 //! entries left with nothing live.
 
 use dcape_common::batch::RowRef;
-use dcape_common::codec::{decode_value, get_varint};
+use dcape_common::codec::{decode_value, get_varint, KnownBytes, RawValue};
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::fx_hash;
 use dcape_common::ids::{PartitionId, StreamId};
@@ -394,12 +394,14 @@ impl ColumnarState {
             let mut links = Vec::with_capacity(ends.len());
             let mut prev = None;
             for (i, (&seq, &(page, end))) in seq.iter().zip(&ends).enumerate() {
-                let mut body = arena.row(prev, (page, end));
+                let mut body = KnownBytes::new(arena.row(prev, (page, end)));
                 prev = Some((page, end));
-                let row = RowRef::from_body(pid, StreamId(s as u8), seq, ts[i], &mut body, false)?;
-                let key = row
-                    .value(join_columns[s])
-                    .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?;
+                let stream = StreamId(s as u8);
+                let key = Some(join_columns[s]);
+                let (row, key) = RowRef::from_known_body(pid, stream, seq, ts[i], &mut body, key);
+                let key = key
+                    .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?
+                    .to_value()?;
                 let slot = st
                     .index
                     .find_or_insert(fx_hash(&key), &key, Self::keep(&st.cols));
@@ -803,22 +805,22 @@ pub(crate) struct KeyedRow<'a> {
 }
 
 impl<'a> KeyedRow<'a> {
-    /// Key `row` for a join whose stream `s` joins on column
+    /// Key `row`, whose value in its join column is `key` (read in the
+    /// walk that read the row: `TupleBatch::keyed_rows` over
+    /// `join_columns`), for a join whose stream `s` joins on column
     /// `join_columns[s]`. Fails if the row's stream is not one of the
     /// join's or lacks its join column.
     #[inline]
-    pub(crate) fn new(row: RowRef<'a>, join_columns: &[usize]) -> Result<Self> {
+    pub(crate) fn new(
+        row: RowRef<'a>,
+        key: Option<RawValue<'_>>,
+        join_columns: &[usize],
+    ) -> Result<Self> {
         let slot = row.stream().index();
-        let Some(&column) = join_columns.get(slot) else {
-            return Err(DcapeError::state(format!(
-                "stream {} out of range for {}-way join",
-                row.stream(),
-                join_columns.len()
-            )));
+        let key = match key {
+            Some(key) if slot < join_columns.len() => key.to_value()?,
+            _ => return Err(unkeyed(&row, join_columns.len())),
         };
-        let key = row
-            .value(column)
-            .ok_or_else(|| DcapeError::state("tuple lacks join column"))?;
         let hash = fx_hash(&key);
         Ok(KeyedRow {
             row,
@@ -832,6 +834,19 @@ impl<'a> KeyedRow<'a> {
     #[inline]
     pub(crate) fn row(&self) -> &RowRef<'a> {
         &self.row
+    }
+}
+
+/// Why `row` of a `streams`-way join has no key.
+#[cold]
+fn unkeyed(row: &RowRef<'_>, streams: usize) -> DcapeError {
+    if row.stream().index() >= streams {
+        DcapeError::state(format!(
+            "stream {} out of range for {streams}-way join",
+            row.stream()
+        ))
+    } else {
+        DcapeError::state("tuple lacks join column")
     }
 }
 
@@ -982,8 +997,8 @@ impl PartitionGroup {
     fn insert(&mut self, tuple: Tuple, sink: &mut dyn ResultSink) -> Result<(u64, usize)> {
         let mut one = dcape_common::batch::TupleBatch::new();
         one.push(self.pid, tuple);
-        let row = one.rows().next().expect("just pushed");
-        self.insert_row(&KeyedRow::new(row, &self.join_columns)?, sink)
+        let (row, key) = (one.keyed_rows(&self.join_columns).next()).expect("just pushed");
+        self.insert_row(&KeyedRow::new(row, key, &self.join_columns)?, sink)
     }
 
     /// Book one stored tuple of accounted size `heap_size` and the

@@ -22,6 +22,7 @@ use dcape_common::error::{DcapeError, Result};
 use dcape_common::hash::{fx_hash, FxHashMap};
 use dcape_common::ids::{PartitionId, StreamId};
 use dcape_common::pages::RowPages;
+use dcape_common::prefetch::prefetch;
 use dcape_common::time::VirtualTime;
 use dcape_common::tuple::heap_size;
 
@@ -86,8 +87,10 @@ fn put_delta_column(buf: &mut impl BufMut, values: impl Iterator<Item = u64>) {
     }
 }
 
-fn get_delta_column(buf: &mut &[u8], count: usize) -> Result<Vec<u64>> {
-    let mut out = Vec::with_capacity(count);
+/// Read a delta-coded column of `count` rows; its values are kept only
+/// when `keep` is set, but every varint is read and checked either way.
+fn get_delta_column(buf: &mut &[u8], count: usize, keep: bool) -> Result<Vec<u64>> {
+    let mut out = Vec::with_capacity(if keep { count } else { 0 });
     let mut prev = 0u64;
     for i in 0..count {
         let v = get_varint(buf)?;
@@ -96,7 +99,9 @@ fn get_delta_column(buf: &mut &[u8], count: usize) -> Result<Vec<u64>> {
         } else {
             (prev as i64).wrapping_add(unzigzag(v)) as u64
         };
-        out.push(prev);
+        if keep {
+            out.push(prev);
+        }
     }
     Ok(out)
 }
@@ -120,7 +125,7 @@ fn uniform_tag(v: &RawValue<'_>) -> u8 {
 /// 1 KiB blob, not all of it — and confirmed by comparing
 /// the bytes, so entries are exactly the distinct payloads, in the order
 /// a full-value hash map would have met them.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Dict<'a> {
     entries: Vec<&'a [u8]>,
     /// `chain[id]`: the next entry with the same sample hash.
@@ -163,90 +168,229 @@ impl<'a> Dict<'a> {
         self.chain.push(NO_ENTRY);
         new_id
     }
+
+    /// Emptied, for payloads of another block; its buffers are kept.
+    fn recycle<'b>(mut self) -> Dict<'b> {
+        self.entries.clear();
+        self.chain.clear();
+        self.heads.clear();
+        Dict {
+            entries: self
+                .entries
+                .into_iter()
+                .map(|_| unreachable!("cleared"))
+                .collect(),
+            chain: self.chain,
+            heads: self.heads,
+        }
+    }
 }
+
+/// One column of the block being encoded: its tag so far, and its rows
+/// so far in that tag's encoding.
+#[derive(Debug, Default)]
+struct ColumnOut<'a> {
+    tag: u8,
+    /// A pad column's first length, the whole column while it is
+    /// `CT_PAD_CONST`.
+    first_pad: u32,
+    /// The column's per-row part: a varint, eight or one byte per row,
+    /// a dictionary id, or the value's own encoding (`CT_MIXED`).
+    values: Vec<u8>,
+    dict: Dict<'a>,
+}
+
+impl<'a> ColumnOut<'a> {
+    /// Start the column with row 0's value `v`, whose encoding is `raw`.
+    fn start(&mut self, v: RawValue<'a>, raw: &'a [u8]) {
+        self.tag = uniform_tag(&v);
+        self.first_pad = if let RawValue::Pad(n) = v { n } else { 0 };
+        self.put(v, raw);
+    }
+
+    /// Take row `i`'s value `v`, whose encoding is `raw`, first moving
+    /// the column to a tag that holds it: a pad column whose length
+    /// changes writes the first length for every row before, and a
+    /// column that meets a second kind of value restarts as `CT_MIXED`
+    /// from the arena rows of `cols` (it is column `c` of them).
+    #[inline]
+    fn push(
+        &mut self,
+        v: RawValue<'a>,
+        raw: &'a [u8],
+        i: usize,
+        c: usize,
+        cols: &'a StreamColumns,
+    ) {
+        match (self.tag, uniform_tag(&v)) {
+            (CT_PAD_CONST, CT_PAD_CONST) if v != RawValue::Pad(self.first_pad) => {
+                self.tag = CT_PAD;
+                for _ in 0..i {
+                    put_varint(&mut self.values, self.first_pad as u64);
+                }
+            }
+            (CT_MIXED, _) | (CT_PAD, CT_PAD_CONST) => {}
+            (held, seen) if held == seen => {}
+            _ => self.restart_mixed(i, c, cols),
+        }
+        self.put(v, raw);
+    }
+
+    #[inline]
+    fn put(&mut self, v: RawValue<'a>, raw: &'a [u8]) {
+        let out = &mut self.values;
+        match (self.tag, v) {
+            (CT_NULL | CT_PAD_CONST, _) => {}
+            (CT_INT, RawValue::Int(i)) => put_varint(out, zigzag(i)),
+            (CT_DOUBLE, RawValue::Double(bits)) => out.put_u64_le(bits),
+            (CT_BOOL, RawValue::Bool(b)) => out.push(b as u8),
+            (CT_PAD, RawValue::Pad(n)) => put_varint(out, n as u64),
+            (CT_TEXT_DICT, RawValue::Text(b)) | (CT_BLOB_DICT, RawValue::Blob(b)) => {
+                put_varint(out, self.dict.id_of(b) as u64)
+            }
+            (CT_MIXED, _) => out.extend_from_slice(raw),
+            (tag, _) => unreachable!("column tag {tag:#x} was picked from these values"),
+        }
+    }
+
+    /// Turn the column into `CT_MIXED` before row `rows`: what it held
+    /// is dropped and column `c` of the rows before is copied again, in
+    /// the value encoding, from the arena.
+    #[cold]
+    fn restart_mixed(&mut self, rows: usize, c: usize, cols: &'a StreamColumns) {
+        self.tag = CT_MIXED;
+        self.values.clear();
+        self.dict = std::mem::take(&mut self.dict).recycle();
+        for i in 0..rows {
+            let mut row = cols.row(i);
+            get_varint(&mut row).expect(ARENA);
+            for _ in 0..c {
+                raw_value(&mut row).expect(ARENA);
+            }
+            let from = row;
+            raw_value(&mut row).expect(ARENA);
+            self.values
+                .extend_from_slice(&from[..from.len() - row.len()]);
+        }
+    }
+
+    /// Append the column as the block stores it.
+    fn write(&self, buf: &mut Vec<u8>) {
+        buf.push(self.tag);
+        match self.tag {
+            CT_PAD_CONST => put_varint(buf, self.first_pad as u64),
+            CT_TEXT_DICT | CT_BLOB_DICT => {
+                put_varint(buf, self.dict.entries.len() as u64);
+                for entry in &self.dict.entries {
+                    put_varint(buf, entry.len() as u64);
+                    buf.extend_from_slice(entry);
+                }
+            }
+            _ => {}
+        }
+        buf.extend_from_slice(&self.values);
+    }
+
+    /// Emptied, for another block; its buffers are kept.
+    fn recycle<'b>(mut self) -> ColumnOut<'b> {
+        self.values.clear();
+        ColumnOut {
+            tag: CT_NULL,
+            first_pad: 0,
+            values: self.values,
+            dict: self.dict.recycle(),
+        }
+    }
+}
+
+/// The buffers the block encoder fills, kept from one block to the
+/// next: one value buffer and one dictionary per column. A
+/// [`SpillStore`](crate::store::SpillStore) keeps one for every spill.
+#[derive(Debug, Default)]
+pub(crate) struct BlockScratch {
+    columns: Vec<ColumnOut<'static>>,
+}
+
+impl BlockScratch {
+    /// At least `arity` empty columns, for rows that borrow from a block.
+    fn lend<'a>(&mut self, arity: usize) -> Vec<ColumnOut<'a>> {
+        let kept = std::mem::take(&mut self.columns).into_iter();
+        let mut columns: Vec<ColumnOut<'a>> = kept.map(ColumnOut::recycle).collect();
+        if columns.len() < arity {
+            columns.resize_with(arity, ColumnOut::default);
+        }
+        columns
+    }
+
+    fn give_back(&mut self, columns: Vec<ColumnOut<'_>>) {
+        self.columns = columns.into_iter().map(ColumnOut::recycle).collect();
+    }
+}
+
+/// How many rows ahead of the one it encodes the block encoder asks for
+/// every cache line of a row: a spilled group's rows are cold, and the
+/// ones of a 1 KiB payload cross the pages the hardware prefetcher
+/// stops at.
+const PREFETCH_AHEAD: usize = 2;
 
 /// Encode one stream's rows as a column block, reading the arena rows in
 /// place.
 ///
-/// One pass over the rows checks that they share an arity and picks each
-/// column's tag; then each column is written by walking a per-row cursor
-/// through the rows. Rows of differing arity take the row layout.
-pub(crate) fn encode_stream_block(buf: &mut Vec<u8>, stream: StreamId, cols: &StreamColumns) {
+/// One pass parses each row once and appends each of its values to its
+/// column's buffer in `scratch` — a dictionary id for text and blob —
+/// while the column's tag is picked; then the buffers are written out
+/// behind the header. A column that stops fitting its tag partway moves
+/// on: a pad column whose length changes writes the first length for the
+/// rows before, a column that meets a second kind of value restarts as
+/// `CT_MIXED`. A row whose arity differs from the first row's restarts
+/// the block in the row layout. The rows [`PREFETCH_AHEAD`] ahead are
+/// asked for while a row is encoded.
+pub(crate) fn encode_stream_block(
+    buf: &mut Vec<u8>,
+    stream: StreamId,
+    cols: &StreamColumns,
+    scratch: &mut BlockScratch,
+) {
     let n = cols.len();
     put_varint(buf, n as u64);
     if n == 0 {
         return;
     }
-    // Per row: what is left of it from its next unwritten value on.
-    let mut cursors: Vec<&[u8]> = Vec::with_capacity(n);
-    // Per column: its tag so far and, for a pad column, the first length.
-    let mut tags: Vec<(u8, u32)> = Vec::new();
+    let arity = get_varint(&mut cols.row(0)).expect(ARENA) as usize;
+    let mut columns = scratch.lend(arity);
     for i in 0..n {
+        if i + PREFETCH_AHEAD < n {
+            let ahead = cols.row(i + PREFETCH_AHEAD);
+            for line in (0..ahead.len()).step_by(64) {
+                prefetch(ahead.as_ptr().wrapping_add(line));
+            }
+        }
         let mut row = cols.row(i);
-        let arity = get_varint(&mut row).expect(ARENA) as usize;
-        if i > 0 && arity != tags.len() {
+        if get_varint(&mut row).expect(ARENA) as usize != arity {
+            scratch.give_back(columns);
             buf.push(LAYOUT_ROWS);
             return put_rows(buf, stream, cols);
         }
-        cursors.push(row);
-        for c in 0..arity {
+        for (c, column) in columns[..arity].iter_mut().enumerate() {
+            let from = row;
             let v = raw_value(&mut row).expect(ARENA);
-            let pad = if let RawValue::Pad(n) = v { n } else { 0 };
+            let raw = &from[..from.len() - row.len()];
             if i == 0 {
-                tags.push((uniform_tag(&v), pad));
-                continue;
+                column.start(v, raw);
+            } else {
+                column.push(v, raw, i, c, cols);
             }
-            let (tag, first_pad) = &mut tags[c];
-            *tag = match (*tag, uniform_tag(&v)) {
-                (CT_PAD_CONST, CT_PAD_CONST) if pad != *first_pad => CT_PAD,
-                (CT_PAD, CT_PAD_CONST) => CT_PAD,
-                (held, seen) if held == seen => held,
-                _ => CT_MIXED,
-            };
         }
     }
     buf.push(LAYOUT_COLUMNAR);
     buf.push(stream.0);
-    put_varint(buf, tags.len() as u64);
+    put_varint(buf, arity as u64);
     put_delta_column(buf, cols.seqs().iter().copied());
     put_delta_column(buf, cols.ts().iter().map(|t| t.as_millis()));
-    let mut ids: Vec<u32> = Vec::new();
-    for (tag, first_pad) in tags {
-        buf.push(tag);
-        let mut dict = Dict::default();
-        ids.clear();
-        for cursor in &mut cursors {
-            let from = *cursor;
-            let v = raw_value(cursor).expect(ARENA);
-            let len = from.len() - cursor.len();
-            match (tag, v) {
-                (CT_NULL | CT_PAD_CONST, _) => {}
-                (CT_INT, RawValue::Int(i)) => put_varint(buf, zigzag(i)),
-                (CT_DOUBLE, RawValue::Double(bits)) => buf.put_u64_le(bits),
-                (CT_BOOL, RawValue::Bool(b)) => buf.push(b as u8),
-                (CT_PAD, RawValue::Pad(n)) => put_varint(buf, n as u64),
-                (CT_TEXT_DICT, RawValue::Text(b)) | (CT_BLOB_DICT, RawValue::Blob(b)) => {
-                    ids.push(dict.id_of(b))
-                }
-                (CT_MIXED, _) => buf.extend_from_slice(&from[..len]),
-                _ => unreachable!("column tag {tag:#x} was picked from these values"),
-            }
-        }
-        match tag {
-            CT_PAD_CONST => put_varint(buf, first_pad as u64),
-            CT_TEXT_DICT | CT_BLOB_DICT => {
-                put_varint(buf, dict.entries.len() as u64);
-                for entry in &dict.entries {
-                    put_varint(buf, entry.len() as u64);
-                    buf.extend_from_slice(entry);
-                }
-                for &id in &ids {
-                    put_varint(buf, id as u64);
-                }
-            }
-            _ => {}
-        }
+    for column in &columns[..arity] {
+        column.write(buf);
     }
+    scratch.give_back(columns);
 }
 
 /// Write `cols` as row-encoded tuples, each its header from the columns
@@ -319,13 +463,15 @@ impl<'a> Column<'a> {
 /// Decode one value column of `count` rows, borrowing text and blob
 /// payloads from `buf`. Adds what the column's values take in the row
 /// encoding to `arena_len` and what they account for in operator state
-/// to `payload`.
+/// to `payload`. Every value is read and checked; the column is built
+/// only when `keep` is set.
 fn decode_column<'a>(
     buf: &mut &'a [u8],
     count: usize,
     arena_len: &mut u64,
     payload: &mut u64,
-) -> Result<Column<'a>> {
+    keep: bool,
+) -> Result<Option<Column<'a>>> {
     let Some((&tag, rest)) = buf.split_first() else {
         return Err(DcapeError::codec("column: unexpected end of input"));
     };
@@ -334,22 +480,25 @@ fn decode_column<'a>(
     let pad =
         |n: u64| u32::try_from(n).map_err(|_| DcapeError::codec("pad column: length exceeds u32"));
     let mut out = Vec::new();
+    if keep {
+        out.reserve(count);
+    }
     match tag {
         CT_NULL => {
             *arena_len += rows;
-            return Ok(Column::Const(RawValue::Null));
+            return Ok(keep.then_some(Column::Const(RawValue::Null)));
         }
         CT_PAD_CONST => {
             let n = get_varint(buf)?;
             *arena_len += rows * (1 + varint_len(n) as u64);
             *payload = payload.saturating_add(rows.saturating_mul(n));
-            return Ok(Column::Const(RawValue::Pad(pad(n)?)));
+            let v = RawValue::Pad(pad(n)?);
+            return Ok(keep.then_some(Column::Const(v)));
         }
         CT_INT | CT_PAD | CT_MIXED => {
-            out.reserve(count);
             let before = buf.len();
             for _ in 0..count {
-                out.push(match tag {
+                let v = match tag {
                     CT_INT => RawValue::Int(unzigzag(get_varint(buf)?)),
                     CT_PAD => RawValue::Pad(pad(get_varint(buf)?)?),
                     _ => {
@@ -359,31 +508,35 @@ fn decode_column<'a>(
                         }
                         v
                     }
-                });
-            }
-            // A mixed column is stored in the row encoding; the other
-            // two lack only the tag byte.
-            *arena_len += (before - buf.len()) as u64 + if tag == CT_MIXED { 0 } else { rows };
-            for v in &out {
-                *payload = payload.saturating_add(match *v {
+                };
+                *payload = payload.saturating_add(match v {
                     RawValue::Pad(n) => n as u64,
                     RawValue::Text(b) | RawValue::Blob(b) => b.len() as u64,
                     _ => 0,
                 });
+                if keep {
+                    out.push(v);
+                }
             }
+            // A mixed column is stored in the row encoding; the other
+            // two lack only the tag byte.
+            *arena_len += (before - buf.len()) as u64 + if tag == CT_MIXED { 0 } else { rows };
         }
         CT_DOUBLE | CT_BOOL => {
             let width = if tag == CT_DOUBLE { 8 } else { 1 };
             if buf.len() / width < count {
                 return Err(DcapeError::codec("fixed-width column: short input"));
             }
-            out.reserve(count);
-            for _ in 0..count {
-                out.push(if tag == CT_DOUBLE {
-                    RawValue::Double(buf.get_u64_le())
-                } else {
-                    RawValue::Bool(buf.get_u8() != 0)
-                });
+            if keep {
+                for _ in 0..count {
+                    out.push(if tag == CT_DOUBLE {
+                        RawValue::Double(buf.get_u64_le())
+                    } else {
+                        RawValue::Bool(buf.get_u8() != 0)
+                    });
+                }
+            } else {
+                buf.advance(width * count);
             }
             *arena_len += rows * (1 + width as u64);
         }
@@ -406,7 +559,6 @@ fn decode_column<'a>(
                 dict.push(entry);
                 *buf = rest;
             }
-            out.reserve(count);
             for _ in 0..count {
                 let entry = usize::try_from(get_varint(buf)?)
                     .ok()
@@ -414,16 +566,18 @@ fn decode_column<'a>(
                     .ok_or_else(|| DcapeError::codec("column dict index out of range"))?;
                 *arena_len += (1 + varint_len(entry.len() as u64) + entry.len()) as u64;
                 *payload = payload.saturating_add(entry.len() as u64);
-                out.push(if tag == CT_TEXT_DICT {
-                    RawValue::Text(entry)
-                } else {
-                    RawValue::Blob(entry)
-                });
+                if keep {
+                    out.push(if tag == CT_TEXT_DICT {
+                        RawValue::Text(entry)
+                    } else {
+                        RawValue::Blob(entry)
+                    });
+                }
             }
         }
         tag => return Err(DcapeError::codec(format!("unknown column tag 0x{tag:02x}"))),
     }
-    Ok(Column::PerRow(out))
+    Ok(keep.then_some(Column::PerRow(out)))
 }
 
 fn check_utf8(bytes: &[u8]) -> Result<()> {
@@ -450,19 +604,26 @@ fn block_head(buf: &mut &[u8]) -> Result<Option<(usize, u8)>> {
 /// decoders build from.
 struct ColumnarBlock<'a> {
     arity: usize,
+    /// Empty unless asked for.
     seqs: Vec<u64>,
     ts: Vec<VirtualTime>,
-    columns: Vec<Column<'a>>,
+    /// `None` for a column not asked for.
+    columns: Vec<Option<Column<'a>>>,
     /// Bytes the rows take in the row encoding.
     arena_len: u64,
     /// What the rows' values account for in operator state.
     payload: u64,
 }
 
+/// Parse and check a columnar block's body, building the sequence
+/// column only if `seqs` is set and value column `c` only if `keep(c)`:
+/// whatever is built, every byte is checked alike.
 fn parse_columnar<'a>(
     buf: &mut &'a [u8],
     count: usize,
     stream: StreamId,
+    seqs: bool,
+    keep: impl Fn(usize) -> bool,
 ) -> Result<ColumnarBlock<'a>> {
     check_stream(buf, stream)?;
     let arity = usize::try_from(get_varint(buf)?).unwrap_or(usize::MAX);
@@ -471,13 +632,19 @@ fn parse_columnar<'a>(
     if count > buf.len() || arity > buf.len() {
         return Err(DcapeError::codec("block: more rows or columns than bytes"));
     }
-    let seqs = get_delta_column(buf, count)?;
-    let ts = get_delta_column(buf, count)?;
+    let seqs = get_delta_column(buf, count, seqs)?;
+    let ts = get_delta_column(buf, count, true)?;
     let mut arena_len = (count * varint_len(arity as u64)) as u64;
     let mut payload = 0u64;
     let mut columns = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        columns.push(decode_column(buf, count, &mut arena_len, &mut payload)?);
+    for c in 0..arity {
+        columns.push(decode_column(
+            buf,
+            count,
+            &mut arena_len,
+            &mut payload,
+            keep(c),
+        )?);
     }
     if arena_len > u32::MAX as u64 {
         return Err(DcapeError::codec("block: rows exceed the 4 GiB arena"));
@@ -505,8 +672,9 @@ pub(crate) fn decode_stream_block(buf: &mut &[u8], stream: StreamId) -> Result<S
     match layout {
         LAYOUT_ROWS => decode_row_block(buf, count, stream),
         LAYOUT_COLUMNAR => {
-            let block = parse_columnar(buf, count, stream)?;
-            let (arity, columns) = (block.arity, &block.columns);
+            let block = parse_columnar(buf, count, stream, true, |_| true)?;
+            let arity = block.arity;
+            let columns: Vec<&Column<'_>> = block.columns.iter().flatten().collect();
             let mut arena = RowPages::default();
             let mut ends = Vec::with_capacity(count);
             for i in 0..count {
@@ -514,7 +682,7 @@ pub(crate) fn decode_stream_block(buf: &mut &[u8], stream: StreamId) -> Result<S
                 let len = varint_len(arity as u64) + values.sum::<usize>();
                 ends.push(arena.push_with(len, |page| {
                     put_varint(page, arity as u64);
-                    for column in columns {
+                    for column in &columns {
                         encode_raw_value(page, column.value(i));
                     }
                 }));
@@ -533,8 +701,9 @@ pub(crate) fn decode_stream_block(buf: &mut &[u8], stream: StreamId) -> Result<S
 
 /// Decode one stream's block as only its timestamps and the values of
 /// column `key_column`: the block is parsed and checked as
-/// [`decode_stream_block`] checks it, but no arena row is rebuilt. A
-/// row-layout block is decoded whole and then cut.
+/// [`decode_stream_block`] checks it, but of a columnar block only the
+/// timestamp and key columns are built, and no arena row. A row-layout
+/// block is decoded whole and then cut.
 pub(crate) fn decode_stream_keys(
     buf: &mut &[u8],
     stream: StreamId,
@@ -546,8 +715,9 @@ pub(crate) fn decode_stream_keys(
     match layout {
         LAYOUT_ROWS => KeyColumns::of_rows(&decode_row_block(buf, count, stream)?, key_column),
         LAYOUT_COLUMNAR => {
-            let block = parse_columnar(buf, count, stream)?;
+            let block = parse_columnar(buf, count, stream, false, |c| c == key_column)?;
             let column = block.columns.get(key_column).ok_or_else(lacks_key)?;
+            let column = column.as_ref().expect("the key column is built");
             let keys = (0..count).map(|i| column.value(i).to_value());
             Ok(KeyColumns::from_parts(
                 block.ts,
@@ -703,11 +873,16 @@ mod tests {
     fn block_round_trip(tuples: &[Tuple]) -> Vec<u8> {
         let stream = tuples.first().map_or(StreamId(0), Tuple::stream);
         let cols = columns_of(tuples);
+        let mut scratch = BlockScratch::default();
         let mut buf = Vec::new();
-        encode_stream_block(&mut buf, stream, &cols);
+        encode_stream_block(&mut buf, stream, &cols, &mut scratch);
         let mut reference = Vec::new();
         golden::encode_stream_block(&mut reference, tuples);
         assert_eq!(buf, reference, "bytes differ from the tuple-based encoder");
+        // A scratch another block left behind changes nothing.
+        let mut again = Vec::new();
+        encode_stream_block(&mut again, stream, &cols, &mut scratch);
+        assert_eq!(again, buf, "bytes differ through a used scratch");
         let mut bytes = buf.as_slice();
         let out = decode_stream_block(&mut bytes, stream).unwrap();
         assert!(bytes.is_empty(), "trailing bytes after block decode");
@@ -781,6 +956,92 @@ mod tests {
         ];
         let bytes = block_round_trip(&tuples);
         assert_eq!(bytes[1], LAYOUT_ROWS);
+    }
+
+    /// The tag of each value column of a columnar block `bytes`.
+    fn column_tags(bytes: &[u8]) -> Vec<u8> {
+        let mut buf = bytes;
+        let count = get_varint(&mut buf).unwrap() as usize;
+        assert_eq!(buf[0], LAYOUT_COLUMNAR);
+        buf = &buf[2..];
+        let arity = get_varint(&mut buf).unwrap() as usize;
+        get_delta_column(&mut buf, count, false).unwrap();
+        get_delta_column(&mut buf, count, false).unwrap();
+        let mut tags = Vec::new();
+        for _ in 0..arity {
+            tags.push(buf[0]);
+            let (mut arena_len, mut payload) = (0, 0);
+            decode_column(&mut buf, count, &mut arena_len, &mut payload, false).unwrap();
+        }
+        assert!(buf.is_empty());
+        tags
+    }
+
+    /// Row `i` of a block whose columns hold an int, a text, a pad and a
+    /// blob, each of which `odd` may replace.
+    fn four_columns(i: u64, odd: Option<(usize, Value)>) -> Tuple {
+        let mut values = vec![
+            Value::Int(i as i64 % 3),
+            Value::text(["x", "yy"][i as usize % 2]),
+            Value::Pad(64),
+            Value::Blob(Bytes::from(vec![i as u8 % 2; 60])),
+        ];
+        if let Some((c, v)) = odd {
+            values[c] = v;
+        }
+        Tuple::new(StreamId(2), i, VirtualTime::from_millis(i * 10), values)
+    }
+
+    /// A block that turns ragged after its first row, or on its last,
+    /// restarts in the row layout, however far its columns got.
+    #[test]
+    fn a_block_that_turns_ragged_restarts_in_the_row_layout() {
+        for ragged_at in [1, 9] {
+            let tuples: Vec<Tuple> = (0..10u64)
+                .map(|i| {
+                    let t = four_columns(i, None);
+                    if i == ragged_at {
+                        let values = t.values()[..3].to_vec();
+                        Tuple::new(t.stream(), t.seq(), t.ts(), values)
+                    } else {
+                        t
+                    }
+                })
+                .collect();
+            let bytes = block_round_trip(&tuples);
+            assert_eq!(bytes[1], LAYOUT_ROWS, "ragged at row {ragged_at}");
+        }
+    }
+
+    /// A column that meets a second kind of value partway through — on
+    /// row 1, in the middle, on its last row — turns `CT_MIXED` from its
+    /// first row on, and the columns beside it keep their tags.
+    #[test]
+    fn a_column_that_turns_mixed_partway_is_mixed_from_its_first_row() {
+        for c in 0..4 {
+            for mixed_at in [1, 5, 9] {
+                let odd = |i: u64| (i == mixed_at).then_some((c, Value::Double(0.5)));
+                let tuples: Vec<Tuple> = (0..10u64).map(|i| four_columns(i, odd(i))).collect();
+                let mut tags = vec![CT_INT, CT_TEXT_DICT, CT_PAD_CONST, CT_BLOB_DICT];
+                tags[c] = CT_MIXED;
+                assert_eq!(column_tags(&block_round_trip(&tuples)), tags);
+            }
+        }
+    }
+
+    /// A pad column that stops being constant — on its last row, or
+    /// earlier and back — carries every row's length.
+    #[test]
+    fn a_pad_column_that_stops_being_constant_carries_every_length() {
+        for changed_at in [[9, 9], [1, 1], [3, 7]] {
+            let odd = |i: u64| (changed_at.contains(&i)).then_some((2, Value::Pad(65)));
+            let tuples: Vec<Tuple> = (0..10u64).map(|i| four_columns(i, odd(i))).collect();
+            let tags = [CT_INT, CT_TEXT_DICT, CT_PAD, CT_BLOB_DICT];
+            assert_eq!(column_tags(&block_round_trip(&tuples)), tags);
+        }
+        let constant: Vec<Tuple> = (0..10u64).map(|i| four_columns(i, None)).collect();
+        let tags = [CT_INT, CT_TEXT_DICT, CT_PAD_CONST, CT_BLOB_DICT];
+        assert_eq!(column_tags(&block_round_trip(&constant)), tags);
     }
 
     #[test]
@@ -958,7 +1219,7 @@ mod tests {
         #[test]
         fn decode_stream_block_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
             if let Ok(cols) = decode_stream_block(&mut data.as_slice(), StreamId(0)) {
-                encode_stream_block(&mut Vec::new(), StreamId(0), &cols);
+                encode_stream_block(&mut Vec::new(), StreamId(0), &cols, &mut BlockScratch::default());
                 (0..cols.len()).for_each(|i| drop(cols.tuple(StreamId(0), i)));
             }
         }

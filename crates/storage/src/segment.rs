@@ -50,7 +50,7 @@ use dcape_common::value::Value;
 
 use crate::codec::{
     decode_stream_block, decode_stream_keys, encode_stream_block, encode_value, encoded_value_len,
-    get_varint, lacks_key, put_varint, varint_len,
+    get_varint, lacks_key, put_varint, varint_len, BlockScratch,
 };
 
 const MAGIC: u32 = 0xDCA9_E501;
@@ -329,7 +329,7 @@ impl SpilledGroup {
             .map(|c| c.arena_len() / 8 + 8 * c.len())
             .sum();
         let mut buf = Vec::with_capacity(32 + rows);
-        self.encode_into(&mut buf);
+        self.encode_into(&mut buf, &mut BlockScratch::default());
         buf.into()
     }
 
@@ -340,15 +340,16 @@ impl SpilledGroup {
         }
     }
 
-    /// Append the segment's bytes to `buf` — what the spill store
-    /// calls, over one buffer it keeps.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    /// Append the segment's bytes to `buf`, encoding each block through
+    /// `scratch` — what the spill store calls, over one buffer and one
+    /// scratch it keeps.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>, scratch: &mut BlockScratch) {
         buf.extend_from_slice(&MAGIC.to_le_bytes());
         buf.push(VERSION_COLUMNS);
         put_varint(buf, self.partition.0 as u64);
         put_varint(buf, self.streams.len() as u64);
         for (s, cols) in self.streams.iter().enumerate() {
-            encode_stream_block(buf, StreamId(s as u8), cols);
+            encode_stream_block(buf, StreamId(s as u8), cols, scratch);
         }
     }
 
@@ -830,6 +831,72 @@ mod tests {
             if let Ok(g) = SpilledGroup::decode(Bytes::from(data)) {
                 walk(&g);
             }
+        }
+    }
+
+    /// What [`SegmentKeys::decode_slice`] must make of `bytes`: the
+    /// full decode cut to timestamps and keys, or its error — and an
+    /// error too when a row lacks its key column.
+    fn keys_by_full_decode(bytes: &[u8], key_columns: &[usize]) -> Option<Vec<KeyColumns>> {
+        let group = SpilledGroup::decode_slice(bytes).ok()?;
+        if group.num_streams() != key_columns.len() {
+            return None;
+        }
+        let streams = group.streams().iter().zip(key_columns);
+        streams
+            .map(|(cols, &k)| KeyColumns::of_rows(cols, k).ok())
+            .collect()
+    }
+
+    /// The key decode of `bytes` succeeds exactly when the full decode
+    /// does and every row has its key column, and then reads the same
+    /// timestamps and keys.
+    fn check_keys_decode_like_the_full_decode(
+        bytes: &[u8],
+        key_columns: &[usize],
+    ) -> std::result::Result<(), TestCaseError> {
+        let keys = SegmentKeys::decode_slice(bytes, key_columns).ok();
+        let expected = keys_by_full_decode(bytes, key_columns);
+        prop_assert_eq!(keys.map(|k| k.streams), expected);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: proptest_cases(8),
+            ..ProptestConfig::default()
+        })]
+
+        /// On every truncation and single-bit flip of a valid segment —
+        /// and on a valid header followed by arbitrary bytes — the count-only key decode fails
+        /// exactly when the full decode fails (or a row lacks its key),
+        /// so both check the same bytes; where both succeed they read
+        /// the same timestamps and keys.
+        #[test]
+        fn the_key_decode_fails_exactly_when_the_full_decode_fails(
+            streams in streams_strategy(),
+            key_columns in proptest::collection::vec(0usize..3, 4..5),
+            noise in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let g = group_of(PartitionId(3), &per_stream_of(&streams));
+            let key_columns = &key_columns[..g.num_streams()];
+            let mut bytes = g.encode().to_vec();
+            check_keys_decode_like_the_full_decode(&bytes, key_columns)?;
+            for cut in 0..bytes.len() {
+                check_keys_decode_like_the_full_decode(&bytes[..cut], key_columns)?;
+            }
+            for bit in 0..bytes.len() * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                check_keys_decode_like_the_full_decode(&bytes, key_columns)?;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            let mut fuzzed = Vec::new();
+            fuzzed.put_u32_le(MAGIC);
+            fuzzed.put_u8(VERSION_COLUMNS);
+            put_varint(&mut fuzzed, 3);
+            put_varint(&mut fuzzed, key_columns.len() as u64);
+            fuzzed.extend_from_slice(&noise);
+            check_keys_decode_like_the_full_decode(&fuzzed, key_columns)?;
         }
     }
 

@@ -17,6 +17,7 @@ use dcape_common::hash::FxHashMap;
 use dcape_common::ids::PartitionId;
 
 use crate::backend::{SegmentHandle, SpillBackend};
+use crate::codec::BlockScratch;
 use crate::segment::{SegmentCodec, SegmentKeys, SpilledGroup};
 
 /// Metadata retained in memory for one spilled segment.
@@ -65,6 +66,8 @@ pub struct SpillStore {
     /// The encoded bytes of the segment being written or read: every
     /// spill encodes into it and every read-back decodes out of it.
     buf: Vec<u8>,
+    /// The block encoder's column buffers, reused by every spill.
+    scratch: BlockScratch,
     stats: SpillStats,
 }
 
@@ -75,6 +78,7 @@ impl SpillStore {
             backend,
             segments: FxHashMap::default(),
             buf: Vec::new(),
+            scratch: BlockScratch::default(),
             stats: SpillStats::default(),
         }
     }
@@ -94,7 +98,7 @@ impl SpillStore {
     /// Spill one partition group; returns its segment metadata.
     pub fn spill_group(&mut self, group: &SpilledGroup) -> Result<SegmentMeta> {
         self.buf.clear();
-        group.encode_into(&mut self.buf);
+        group.encode_into(&mut self.buf, &mut self.scratch);
         let meta = SegmentMeta {
             handle: self.backend.write_segment(&self.buf)?,
             encoded_bytes: self.buf.len() as u64,

@@ -4,7 +4,9 @@
 //! slot and its position lists that are, under random partition access,
 //! rarely in cache. A batch is in hand before its first insert, so the
 //! join asks for a later row's lines while it works on the current one
-//! ([`prefetch`]). The hint is the workspace's one `unsafe` block.
+//! ([`prefetch`]); the batch walk and the spill block encoder do the same
+//! for the rows they read next. The hint is the workspace's one `unsafe`
+//! block.
 
 /// Ask the CPU to start loading the cache line holding `p`.
 ///

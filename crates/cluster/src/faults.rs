@@ -74,6 +74,22 @@ impl FaultDecision {
             FaultDecision::CorruptLength => Some(Fault::CorruptLength),
         }
     }
+
+    /// How the message travels — the one rule every sender applies:
+    /// `(copies, delay_ms, garbled)`, the copies that arrive (0 or 2 for
+    /// a drop or a duplicate), the virtual ms each is held back first
+    /// (`None`: sent at once), and whether it arrives garbled. What that
+    /// means is the sender's: a garbled control message or reply is
+    /// discarded on receipt, a transfer carries a corrupted length.
+    pub(crate) fn delivery(self) -> (u32, Option<u64>, bool) {
+        match self {
+            FaultDecision::Deliver => (1, None, false),
+            FaultDecision::Drop => (0, None, false),
+            FaultDecision::Duplicate => (2, None, false),
+            FaultDecision::Delay(ms) => (1, Some(ms), false),
+            FaultDecision::CorruptLength => (1, None, true),
+        }
+    }
 }
 
 /// Per-edge fault rates, each in `[0, 1]`. At most one fault fires per

@@ -45,7 +45,8 @@ pub use coordinator::GlobalCoordinator;
 pub use faults::{FaultConfig, FaultDecision, FaultEdge, FaultPlan};
 pub use netmodel::NetworkModel;
 pub use placement::{PlacementMap, PlacementSpec};
-pub use runtime::sim::{SimConfig, SimDriver, SimReport};
+pub use runtime::driver::{RelocationEvent, RunReport};
+pub use runtime::sim::{SimConfig, SimDriver};
 pub use split::SplitOperator;
 pub use stats::ClusterStats;
 pub use strategy::StrategyConfig;

@@ -40,6 +40,7 @@ use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{PeriodicTimer, VirtualDuration, VirtualTime};
+use dcape_engine::sink::CollectingSink;
 use dcape_metrics::journal::{
     merge_journals, AdaptEvent, CountersSnapshot, EngineStatsReport, JournalEntry, JournalHandle,
     Warning,
@@ -50,7 +51,7 @@ use crate::coordinator::{Command, EngineState, GlobalCoordinator};
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, ToEngine};
 use crate::placement::{released_batch, PlacementMap};
-use crate::runtime::sim::{RelocationEvent, ScaleAction, ScaleEvent, SimConfig};
+use crate::runtime::sim::{ScaleAction, ScaleEvent, SimConfig};
 use crate::split::SplitOperator;
 use crate::stats::ClusterStats;
 
@@ -90,24 +91,73 @@ pub(crate) trait Transport {
     fn shutdown(&mut self) -> Result<()>;
 }
 
-/// What a run produced, in the shape every runtime's report is cut from.
-/// It accumulates over the run: a relocation when its round completes,
+/// One completed relocation, for reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RelocationEvent {
+    /// When the round completed: the coordinator's clock at its remap.
+    pub at: VirtualTime,
+    /// Sender engine.
+    pub sender: EngineId,
+    /// Receiver engine.
+    pub receiver: EngineId,
+    /// Partitions moved.
+    pub parts: usize,
+    /// Accounted bytes moved.
+    pub bytes: u64,
+    /// Tuples buffered at the splits during the transfer.
+    pub buffered_tuples: usize,
+}
+
+/// What a run produced: a run-time phase, then a cleanup phase. It
+/// accumulates over the run: a relocation when its round completes,
 /// an engine's share when its `CleanupDone` arrives — mid-run for one
 /// that drained, at shutdown for the rest.
 #[derive(Debug, Default)]
-pub(crate) struct RunReport {
-    pub(crate) runtime_output: u64,
-    pub(crate) cleanup_output: u64,
-    /// Modeled cleanup cost per engine slot (ms of virtual time).
-    pub(crate) cleanup_cost_ms: Vec<u64>,
+pub struct RunReport {
+    /// Results produced during the run-time phase.
+    pub runtime_output: u64,
+    /// Missing results produced by the cleanup phase.
+    pub cleanup_output: u64,
+    /// Modeled cleanup cost per engine slot (ms of virtual time), as
+    /// each engine reported it with `CleanupDone`.
+    pub cleanup_cost_ms: Vec<u64>,
     /// Spill adaptations per engine slot.
-    pub(crate) spill_counts: Vec<u64>,
-    pub(crate) relocations: Vec<RelocationEvent>,
-    pub(crate) force_spills: u64,
-    /// Every engine's journal plus the coordinator's, merged by virtual
-    /// time.
-    pub(crate) journal: Vec<JournalEntry>,
-    pub(crate) journal_counters: CountersSnapshot,
+    pub spill_counts: Vec<u64>,
+    /// Completed relocations, with the rounds quiesce completed.
+    pub relocations: Vec<RelocationEvent>,
+    /// Forced spills issued by the coordinator.
+    pub force_spills: u64,
+    /// Every engine's journal plus the coordinator's, merged by time.
+    pub journal: Vec<JournalEntry>,
+    /// Final counters: the coordinator's tallies plus every engine's.
+    pub journal_counters: CountersSnapshot,
+    /// What the engines emitted in the run-time phase, engine by engine;
+    /// only a sim run with `collect_results` set collects it.
+    pub runtime_results: Option<CollectingSink>,
+    /// What the engines' cleanup merges emitted, likewise.
+    pub cleanup_results: Option<CollectingSink>,
+}
+
+impl RunReport {
+    /// Total results across both phases.
+    pub fn total_output(&self) -> u64 {
+        self.runtime_output + self.cleanup_output
+    }
+
+    /// Cluster cleanup wall time under per-engine parallelism: the
+    /// maximum per-engine cost (the paper's Figure 12 comparison).
+    pub fn cleanup_wall_ms(&self) -> u64 {
+        self.cleanup_cost_ms.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The relocations completed by the `deadline` the run was taken to:
+    /// `run_until` stamps below it, quiesce at or after it.
+    pub fn relocations_before(
+        &self,
+        deadline: VirtualTime,
+    ) -> impl Iterator<Item = &RelocationEvent> {
+        self.relocations.iter().filter(move |r| r.at < deadline)
+    }
 }
 
 /// Consult the fault plan for one message edge, journaling any injected
@@ -568,21 +618,21 @@ impl<T: Transport> CoordinatorRun<T> {
         target: EngineId,
         make: impl Fn() -> ToEngine,
     ) -> Result<()> {
-        match edge_decision(&self.plan, &self.journal, self.now, edge, round, attempt) {
-            FaultDecision::Deliver => self.transport.send(target, make()),
-            // A garbled control message is discarded on receipt — same
-            // outcome as a drop; the phase timeout re-sends it.
-            FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
-            FaultDecision::Duplicate => {
-                self.transport.send(target, make())?;
-                self.transport.send(target, make())
-            }
-            FaultDecision::Delay(ms) => {
-                let due = self.now + VirtualDuration::from_millis(ms);
-                self.held.push((due, (target, make())));
-                Ok(())
+        let (copies, delay_ms, garbled) =
+            edge_decision(&self.plan, &self.journal, self.now, edge, round, attempt).delivery();
+        // A garbled control message is discarded on receipt — same
+        // outcome as a drop; the phase timeout re-sends it.
+        let copies = if garbled { 0 } else { copies };
+        for _ in 0..copies {
+            match delay_ms {
+                Some(ms) => self.held.push((
+                    self.now + VirtualDuration::from_millis(ms),
+                    (target, make()),
+                )),
+                None => self.transport.send(target, make())?,
             }
         }
+        Ok(())
     }
 
     fn send_states(

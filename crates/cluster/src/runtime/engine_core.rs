@@ -40,7 +40,7 @@ use dcape_engine::Mode;
 use dcape_metrics::journal::{AdaptEvent, Fault, JournalHandle, Warning};
 use dcape_storage::{FileBackend, SpilledGroup};
 
-use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
+use crate::faults::{FaultEdge, FaultPlan};
 use crate::messages::{FromEngine, GroupTransfer, ToEngine};
 use crate::runtime::driver::{edge_decision, pop_due};
 
@@ -434,19 +434,19 @@ impl EngineCore {
         tx: &mut dyn EngineTx,
         reply: impl Fn() -> FromEngine,
     ) -> Result<()> {
-        match edge_decision(plan, self.qe.journal(), self.last_now, edge, round, attempt) {
-            FaultDecision::Deliver => tx.to_gc(reply()),
-            FaultDecision::Drop | FaultDecision::CorruptLength => Ok(()),
-            FaultDecision::Duplicate => {
-                tx.to_gc(reply())?;
-                tx.to_gc(reply())
-            }
-            FaultDecision::Delay(ms) => {
-                let due = self.last_now + VirtualDuration::from_millis(ms);
-                self.held.push((due, Held::ToGc(reply())));
-                Ok(())
+        let (copies, delay_ms, garbled) =
+            edge_decision(plan, self.qe.journal(), self.last_now, edge, round, attempt).delivery();
+        let copies = if garbled { 0 } else { copies };
+        for _ in 0..copies {
+            match delay_ms {
+                Some(ms) => self.held.push((
+                    self.last_now + VirtualDuration::from_millis(ms),
+                    Held::ToGc(reply()),
+                )),
+                None => tx.to_gc(reply())?,
             }
         }
+        Ok(())
     }
 
     /// Handle one protocol message. `plan` decides the chaos faults on
@@ -550,28 +550,27 @@ impl EngineCore {
                 }
                 // A stall keeps the transfer from landing for a
                 // while; a delay fault adds on top of it.
-                let mut declared_bytes = bytes;
-                let mut delay_ms = plan.stall_ms(FaultEdge::InstallStates, round, attempt);
-                if delay_ms > 0 {
+                let stall_ms = plan.stall_ms(FaultEdge::InstallStates, round, attempt);
+                if stall_ms > 0 {
                     self.note_fault(Fault::Stall, FaultEdge::InstallStates, round, attempt);
                 }
-                let mut copies = 1u32;
-                match edge_decision(
+                let (copies, delay_ms, garbled) = edge_decision(
                     plan,
                     self.qe.journal(),
                     self.last_now,
                     FaultEdge::InstallStates,
                     round,
                     attempt,
-                ) {
-                    FaultDecision::Deliver => {}
-                    FaultDecision::Drop => copies = 0,
-                    FaultDecision::CorruptLength => {
-                        declared_bytes = FaultPlan::corrupt_length(bytes);
-                    }
-                    FaultDecision::Delay(ms) => delay_ms += ms,
-                    FaultDecision::Duplicate => copies = 2,
-                }
+                )
+                .delivery();
+                let delay_ms = stall_ms + delay_ms.unwrap_or(0);
+                // A garbled transfer arrives with a corrupted declared
+                // length, which the receiver detects.
+                let declared_bytes = if garbled {
+                    FaultPlan::corrupt_length(bytes)
+                } else {
+                    bytes
+                };
                 // The snapshots travel in the last copy; a duplicate
                 // before it is decoded from the kept bytes.
                 let mut transfers = Vec::new();

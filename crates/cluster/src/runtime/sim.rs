@@ -26,7 +26,7 @@ use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_engine::engine::QueryEngine;
 use dcape_engine::sink::CollectingSink;
-use dcape_metrics::journal::{CountersSnapshot, JournalEntry, JournalHandle};
+use dcape_metrics::journal::JournalHandle;
 use dcape_streamgen::StreamSetSpec;
 
 use crate::coordinator::GlobalCoordinator;
@@ -34,7 +34,7 @@ use crate::faults::FaultPlan;
 use crate::messages::{FromEngine, ToEngine};
 use crate::netmodel::NetworkModel;
 use crate::placement::{PlacementMap, PlacementSpec};
-use crate::runtime::driver::{pop_due, CoordinatorRun, Transport};
+use crate::runtime::driver::{pop_due, CoordinatorRun, RelocationEvent, RunReport, Transport};
 use crate::runtime::engine_core::{EngineCore, EngineFlow, EngineTx};
 use crate::strategy::StrategyConfig;
 
@@ -189,66 +189,6 @@ impl SimConfig {
                 .iter()
                 .filter(|e| e.action == ScaleAction::AddEngine)
                 .count()
-    }
-}
-
-/// One completed relocation, for reports.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelocationEvent {
-    /// When the transfer completed.
-    pub at: VirtualTime,
-    /// Sender engine.
-    pub sender: EngineId,
-    /// Receiver engine.
-    pub receiver: EngineId,
-    /// Partitions moved.
-    pub parts: usize,
-    /// Accounted bytes moved.
-    pub bytes: u64,
-    /// Tuples buffered at the splits during the transfer.
-    pub buffered_tuples: usize,
-}
-
-/// Aggregated result of a simulated run.
-#[derive(Debug)]
-pub struct SimReport {
-    /// Results produced during the run-time phase.
-    pub runtime_output: u64,
-    /// Missing results produced by the cleanup phase.
-    pub cleanup_output: u64,
-    /// Modeled cleanup cost per engine slot (ms of virtual time), as
-    /// each engine reported it with `CleanupDone`.
-    pub cleanup_cost_ms: Vec<u64>,
-    /// Completed relocations.
-    pub relocations: Vec<RelocationEvent>,
-    /// Forced spills issued by the coordinator.
-    pub force_spills: u64,
-    /// Local spill adaptations per engine slot.
-    pub spill_counts: Vec<u64>,
-    /// Collected results, if `collect_results` was set: what the
-    /// engines emitted during the run-time phase, engine by engine.
-    pub runtime_results: Option<CollectingSink>,
-    /// Collected results, if `collect_results` was set: what the
-    /// engines' cleanup merges emitted.
-    pub cleanup_results: Option<CollectingSink>,
-    /// Adaptation-event journal, merged across the coordinator and every
-    /// engine by virtual time.
-    pub journal: Vec<JournalEntry>,
-    /// Final counter values (the coordinator's tallies plus what every
-    /// engine reported).
-    pub journal_counters: CountersSnapshot,
-}
-
-impl SimReport {
-    /// Total results across both phases.
-    pub fn total_output(&self) -> u64 {
-        self.runtime_output + self.cleanup_output
-    }
-
-    /// Cluster cleanup wall time under per-engine parallelism: the
-    /// maximum per-engine cost (the paper's Figure 12 comparison).
-    pub fn cleanup_wall_ms(&self) -> u64 {
-        self.cleanup_cost_ms.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -460,10 +400,11 @@ impl SimDriver {
     }
 
     /// Finish the run: quiesce the protocol, then run the distributed
-    /// cleanup phase and assemble the report.
-    pub fn finish(mut self) -> Result<SimReport> {
+    /// cleanup phase and assemble the report, with the results the
+    /// engines collected if `collect_results` was set.
+    pub fn finish(mut self) -> Result<RunReport> {
         self.run.quiesce()?;
-        let report = self.run.cleanup()?;
+        let mut report = self.run.cleanup()?;
         let collect = |pick: fn(&mut EngineCore) -> Option<CollectingSink>,
                        cores: &mut [Option<EngineCore>]| {
             let mut sinks = cores.iter_mut().flatten().filter_map(pick);
@@ -472,18 +413,9 @@ impl SimDriver {
             Some(all)
         };
         let cores = &mut self.run.transport_mut().cores;
-        Ok(SimReport {
-            runtime_output: report.runtime_output,
-            cleanup_output: report.cleanup_output,
-            cleanup_cost_ms: report.cleanup_cost_ms,
-            relocations: report.relocations,
-            force_spills: report.force_spills,
-            spill_counts: report.spill_counts,
-            runtime_results: collect(|c| c.sink.collect.take(), cores),
-            cleanup_results: collect(|c| c.cleanup_sink.collect.take(), cores),
-            journal: report.journal,
-            journal_counters: report.journal_counters,
-        })
+        report.runtime_results = collect(|c| c.sink.collect.take(), cores);
+        report.cleanup_results = collect(|c| c.cleanup_sink.collect.take(), cores);
+        Ok(report)
     }
 }
 

@@ -34,7 +34,8 @@ use crate::runtime::driver::{CoordinatorRun, RunReport, Transport};
 use crate::runtime::engine_core::{EngineCore, EngineFlow, EngineTx};
 use crate::runtime::sim::SimConfig;
 
-/// Outcome of one threaded run.
+/// The live runtimes' summary of a [`RunReport`], kept while the
+/// benchmark harness reads it (ROADMAP.md's benchmark-only change).
 #[derive(Debug)]
 pub struct ThreadedReport {
     /// Results produced during the run-time phase (all engines).
@@ -67,12 +68,12 @@ impl ThreadedReport {
 impl From<RunReport> for ThreadedReport {
     fn from(r: RunReport) -> Self {
         ThreadedReport {
+            cleanup_wall_ms: r.cleanup_wall_ms(),
             runtime_output: r.runtime_output,
             cleanup_output: r.cleanup_output,
             relocations: r.relocations.len() as u64,
             spill_counts: r.spill_counts,
             force_spills: r.force_spills,
-            cleanup_wall_ms: r.cleanup_cost_ms.iter().copied().max().unwrap_or(0),
             journal: r.journal,
             journal_counters: r.journal_counters,
         }

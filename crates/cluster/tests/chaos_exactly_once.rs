@@ -15,13 +15,13 @@
 //! 3-seed list keeps local runs fast.
 
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
+use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::testing::{
     assert_chaos_invariants, dump_journal, relocation_cfg, relocation_workload, seeds,
 };
-use dcape_cluster::PlacementSpec;
+use dcape_cluster::{PlacementSpec, RunReport};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::{AdaptEvent, Fault, FaultEdge};
@@ -50,7 +50,7 @@ fn mixed_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     .with_stats_interval(VirtualDuration::from_secs(30))
 }
 
-fn run_sim(cfg: SimConfig, deadline: VirtualTime, label: &str) -> SimReport {
+fn run_sim(cfg: SimConfig, deadline: VirtualTime, label: &str) -> RunReport {
     let mut driver = SimDriver::new(cfg).unwrap();
     driver.run_until(deadline).unwrap();
     let report = driver.finish().unwrap();
@@ -60,7 +60,7 @@ fn run_sim(cfg: SimConfig, deadline: VirtualTime, label: &str) -> SimReport {
 
 /// The journal's fault schedule: every injected fault in order, as
 /// recorded — the bit-for-bit reproducibility oracle.
-fn fault_schedule(report: &SimReport) -> Vec<(u64, Fault, FaultEdge, u64, u32)> {
+fn fault_schedule(report: &RunReport) -> Vec<(u64, Fault, FaultEdge, u64, u32)> {
     report
         .journal
         .iter()

@@ -230,12 +230,12 @@ fn sim_is_deterministic() {
 /// regenerated by one.
 #[test]
 fn coordinator_runs_are_pinned() {
-    use dcape_cluster::runtime::sim::SimReport;
     use dcape_cluster::testing::{pinned_runs, PINNED_RUN_END};
+    use dcape_cluster::RunReport;
     use dcape_common::hash::fx_hash;
     use dcape_metrics::report::journal_to_jsonl;
 
-    let reports = pinned_runs().map(|cfg| -> SimReport {
+    let reports = pinned_runs().map(|cfg| -> RunReport {
         let mut driver = SimDriver::new(cfg).unwrap();
         driver.run_until(PINNED_RUN_END).unwrap();
         driver.finish().unwrap()
@@ -257,7 +257,7 @@ fn coordinator_runs_are_pinned() {
     });
 
     // Not vacuous: between them the runs take every coordinator path.
-    let sum = |f: fn(&SimReport) -> u64| reports.iter().map(f).sum::<u64>();
+    let sum = |f: fn(&RunReport) -> u64| reports.iter().map(f).sum::<u64>();
     assert!(sum(|r| r.journal_counters.msgs_retried) > 0, "a retry");
     assert!(sum(|r| r.journal_counters.rounds_aborted) > 0, "an abort");
     assert!(sum(|r| r.journal_counters.rebalance_moves) > 0, "a move");
@@ -392,7 +392,7 @@ fn global_rebalance_scheme_preserves_results_across_four_engines() {
 }
 
 /// Each engine's memory at its last statistics sample.
-fn driver_mems(report: &dcape_cluster::runtime::sim::SimReport) -> Vec<u64> {
+fn driver_mems(report: &dcape_cluster::RunReport) -> Vec<u64> {
     let mut last = [None; 4];
     for e in &report.journal {
         if let AdaptEvent::EngineSample(r) = e.event {

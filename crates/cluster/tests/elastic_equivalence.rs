@@ -14,14 +14,14 @@
 
 use dcape_cluster::coordinator::EngineState;
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
-use dcape_cluster::runtime::sim::{ScaleEvent, SimConfig, SimDriver, SimReport};
+use dcape_cluster::runtime::sim::{ScaleEvent, SimConfig, SimDriver};
 use dcape_cluster::runtime::socket::{run_socket, SocketConfig, SocketMode};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::testing::{
     assert_chaos_invariants, count_events, dump_journal, relocation_cfg, relocation_workload, seeds,
 };
-use dcape_cluster::PlacementSpec;
+use dcape_cluster::{PlacementSpec, RunReport};
 use dcape_common::ids::EngineId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
@@ -58,7 +58,7 @@ fn run_elastic_sim(
     label: &str,
     expect_joined: &[EngineId],
     expect_drained: &[EngineId],
-) -> SimReport {
+) -> RunReport {
     let mut driver = SimDriver::new(cfg).unwrap();
     driver.run_until(deadline).unwrap();
     for e in expect_joined {
@@ -143,7 +143,7 @@ fn sim_join_keeps_totals_and_takes_load() {
 
     // Same input, same answers: the union multiset of runtime + cleanup
     // results is identical between the static and the elastic run.
-    let multiset = |r: &SimReport| {
+    let multiset = |r: &RunReport| {
         let mut ids = r.runtime_results.as_ref().unwrap().identities();
         ids.extend(r.cleanup_results.as_ref().unwrap().identities());
         ids.sort();
@@ -232,7 +232,7 @@ fn sim_drain_retires_engine_empty_and_keeps_totals() {
     );
     assert_eq!(elastic.journal_counters.buffered_in_flight, 0);
 
-    let multiset = |r: &SimReport| {
+    let multiset = |r: &RunReport| {
         let mut ids = r.runtime_results.as_ref().unwrap().identities();
         ids.extend(r.cleanup_results.as_ref().unwrap().identities());
         ids.sort();

@@ -6,10 +6,10 @@
 //! groups, and the JSON-lines export holds one object per event.
 
 use dcape_cluster::faults::{FaultConfig, FaultEdge, FaultPlan};
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
+use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
-use dcape_cluster::PlacementSpec;
+use dcape_cluster::{PlacementSpec, RunReport};
 use dcape_common::ids::PartitionId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
@@ -47,7 +47,7 @@ fn relocation_rounds(journal: &[JournalEntry]) -> Vec<u64> {
     rounds
 }
 
-fn skewed_relocation_report(deadline: VirtualTime) -> SimReport {
+fn skewed_relocation_report(deadline: VirtualTime) -> RunReport {
     let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
     let spec = small_workload(23).with_pattern(ArrivalPattern::AlternatingSkew {
         group_a,

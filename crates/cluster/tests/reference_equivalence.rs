@@ -22,11 +22,11 @@
 use proptest::prelude::*;
 
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
+use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::testing::dump_journal;
-use dcape_cluster::PlacementSpec;
+use dcape_cluster::{PlacementSpec, RunReport};
 use dcape_common::ids::PartitionId;
 use dcape_common::testing::{proptest_cases as cases, ReferenceJoin};
 use dcape_common::time::{VirtualDuration, VirtualTime};
@@ -154,7 +154,7 @@ type GroupOutputs = Vec<Vec<(PartitionId, usize, u64)>>;
 
 /// Run the sim to the deadline, returning the report plus the per-group
 /// stats observed at the deadline (before cleanup).
-fn run_sim(cfg: SimConfig, deadline: VirtualTime) -> (SimReport, GroupOutputs) {
+fn run_sim(cfg: SimConfig, deadline: VirtualTime) -> (RunReport, GroupOutputs) {
     let mut driver = SimDriver::new(cfg).unwrap();
     driver.run_until(deadline).unwrap();
     let groups = driver
@@ -170,7 +170,7 @@ fn run_sim(cfg: SimConfig, deadline: VirtualTime) -> (SimReport, GroupOutputs) {
 
 /// Sorted identity multiset of every collected result (runtime +
 /// cleanup).
-fn result_identities(report: &SimReport) -> Vec<Vec<(u8, u64)>> {
+fn result_identities(report: &RunReport) -> Vec<Vec<(u8, u64)>> {
     let mut ids = report.runtime_results.as_ref().unwrap().identities();
     ids.extend(report.cleanup_results.as_ref().unwrap().identities());
     ids.sort_unstable();

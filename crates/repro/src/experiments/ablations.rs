@@ -28,6 +28,7 @@ use dcape_metrics::{engine_curves, Table, TimeSeries};
 
 use crate::experiments::fig07::heterogeneous_workload;
 use crate::experiments::fig09_10::alternating_workload;
+use crate::experiments::run_sim;
 use crate::opts::RunOpts;
 use crate::scale;
 
@@ -57,9 +58,7 @@ pub fn run_policy_ladder(opts: &RunOpts) -> Result<PolicyLadderResult> {
             heterogeneous_workload(),
             StrategyConfig::NoAdaptation,
         );
-        let mut driver = SimDriver::new(cfg)?;
-        driver.run_until(duration)?;
-        let report = driver.finish()?;
+        let report = run_sim(cfg, duration)?;
         rows.push((*name, report.runtime_output, report.cleanup_output));
     }
     let mut table = Table::new(&["victim policy", "runtime output", "cleanup tuples"]);
@@ -101,10 +100,8 @@ pub fn run_relocation_amounts(opts: &RunOpts) -> Result<AmountResult> {
             },
         )
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]));
-        let mut driver = SimDriver::new(cfg)?;
-        driver.run_until(duration)?;
-        let relocations = driver.relocations().len();
-        let report = driver.finish()?;
+        let report = run_sim(cfg, duration)?;
+        let relocations = report.relocations_before(duration).count();
         Ok((relocations, report.runtime_output))
     };
     let halving = run_with(0.8, 45)?;
@@ -153,12 +150,10 @@ pub fn run_network_sensitivity(opts: &RunOpts) -> Result<NetworkResult> {
         )
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]));
         cfg.network = *net;
-        let mut driver = SimDriver::new(cfg)?;
-        driver.run_until(duration)?;
-        let relocations = driver.relocations().len();
-        let buffered: usize = driver.relocations().iter().map(|r| r.buffered_tuples).sum();
-        let report = driver.finish()?;
-        rows.push((*label, relocations, buffered, report.runtime_output));
+        let report = run_sim(cfg, duration)?;
+        let done: Vec<_> = report.relocations_before(duration).collect();
+        let buffered: usize = done.iter().map(|r| r.buffered_tuples).sum();
+        rows.push((*label, done.len(), buffered, report.runtime_output));
     }
     let mut table = Table::new(&[
         "network",
@@ -338,9 +333,7 @@ pub fn run_estimator_drift(opts: &RunOpts) -> Result<EstimatorResult> {
         let workload = scale::paper_workload().with_pattern(pattern);
         let cfg = SimConfig::new(1, engine, workload, StrategyConfig::NoAdaptation)
             .with_stats_interval(VirtualDuration::from_secs(30));
-        let mut driver = SimDriver::new(cfg)?;
-        driver.run_until(duration)?;
-        Ok(driver.finish()?.runtime_output)
+        Ok(run_sim(cfg, duration)?.runtime_output)
     };
     let decaying = ProductivityEstimator::Decaying { alpha: 0.6 };
     let one_shot = (
@@ -455,9 +448,7 @@ pub fn run_window_sizes(opts: &RunOpts) -> Result<WindowResult> {
             scale::paper_workload(),
             StrategyConfig::NoAdaptation,
         );
-        let mut driver = SimDriver::new(cfg)?;
-        driver.run_until(duration)?;
-        let report = driver.finish()?;
+        let report = run_sim(cfg, duration)?;
         let curves = engine_curves(&report.journal, duration, report.runtime_output);
         let peak = curves
             .memory

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
+use dcape_cluster::runtime::sim::SimConfig;
 use dcape_cluster::runtime::socket::{run_socket, SocketConfig};
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
@@ -22,6 +22,7 @@ use dcape_common::time::VirtualDuration;
 use dcape_engine::VictimPolicy;
 use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 
+use crate::experiments::run_sim;
 use crate::opts::{RunOpts, RuntimeKind};
 use crate::scale;
 
@@ -62,9 +63,7 @@ fn run_one(spill_fraction: f64, threshold: Option<u64>, opts: &RunOpts) -> Resul
     let cfg = opts.with_scale_events(cfg);
     let (runtime_output, spill_counts, journal) = match opts.runtime {
         RuntimeKind::Sim => {
-            let mut driver = SimDriver::new(cfg)?;
-            driver.run_until(duration)?;
-            let r = driver.finish()?;
+            let r = run_sim(cfg, duration)?;
             (r.runtime_output, r.spill_counts, r.journal)
         }
         RuntimeKind::Threaded => {

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
+use dcape_cluster::runtime::sim::SimConfig;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_common::error::Result;
 use dcape_common::time::VirtualDuration;
@@ -23,6 +23,7 @@ use dcape_engine::VictimPolicy;
 use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 use dcape_streamgen::{ClassAssignment, PartitionClass, StreamSetSpec};
 
+use crate::experiments::run_sim;
 use crate::opts::RunOpts;
 use crate::scale;
 
@@ -88,9 +89,7 @@ fn run_policy(
         StrategyConfig::NoAdaptation,
     )
     .with_faults(opts.fault_plan());
-    let mut driver = SimDriver::new(cfg)?;
-    driver.run_until(duration)?;
-    let report = driver.finish()?;
+    let report = run_sim(cfg, duration)?;
     let curves = engine_curves(&report.journal, duration, report.runtime_output);
     throughput.insert(format!("throughput/{label}"), curves.output);
     Ok(PolicyOutcome {

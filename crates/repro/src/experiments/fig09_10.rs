@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
+use dcape_cluster::runtime::sim::SimConfig;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::error::Result;
@@ -25,6 +25,7 @@ use dcape_common::time::VirtualDuration;
 use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
+use crate::experiments::run_sim;
 use crate::opts::RunOpts;
 use crate::scale;
 
@@ -59,13 +60,8 @@ pub fn alternating_workload(fast: bool) -> StreamSetSpec {
     })
 }
 
-fn run_theta(
-    theta_pct: u32,
-    opts: &RunOpts,
-    throughput: &mut BTreeMap<String, TimeSeries>,
-    memory: Option<&mut BTreeMap<String, TimeSeries>>,
-) -> Result<ThetaOutcome> {
-    let duration = scale::default_duration(opts.fast);
+/// Figure 9's configuration at θ_r = `theta_pct` % (0: no relocation).
+pub fn theta_config(theta_pct: u32, opts: &RunOpts) -> SimConfig {
     // All-in-memory: budget far above any possible state.
     let engine = scale::engine_with_threshold(u64::MAX / 4);
     let strategy = if theta_pct == 0 {
@@ -76,14 +72,20 @@ fn run_theta(
             tau_m: VirtualDuration::from_secs(45),
         }
     };
-    let cfg = SimConfig::new(2, engine, alternating_workload(opts.fast), strategy)
+    SimConfig::new(2, engine, alternating_workload(opts.fast), strategy)
         .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
         .with_stats_interval(VirtualDuration::from_secs(45))
-        .with_faults(opts.fault_plan());
-    let mut driver = SimDriver::new(cfg)?;
-    driver.run_until(duration)?;
-    let relocations = driver.relocations().len();
-    let report = driver.finish()?;
+        .with_faults(opts.fault_plan())
+}
+
+fn run_theta(
+    theta_pct: u32,
+    opts: &RunOpts,
+    throughput: &mut BTreeMap<String, TimeSeries>,
+    memory: Option<&mut BTreeMap<String, TimeSeries>>,
+) -> Result<ThetaOutcome> {
+    let duration = scale::default_duration(opts.fast);
+    let report = run_sim(theta_config(theta_pct, opts), duration)?;
     let label = if theta_pct == 0 {
         "no-relocation".to_string()
     } else {
@@ -104,7 +106,7 @@ fn run_theta(
     Ok(ThetaOutcome {
         theta_pct,
         output: report.runtime_output,
-        relocations,
+        relocations: report.relocations_before(duration).count(),
     })
 }
 

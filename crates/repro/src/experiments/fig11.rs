@@ -11,13 +11,14 @@
 
 use std::collections::BTreeMap;
 
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
+use dcape_cluster::runtime::sim::SimConfig;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::error::Result;
 use dcape_common::time::VirtualDuration;
 use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 
+use crate::experiments::run_sim;
 use crate::opts::RunOpts;
 use crate::scale;
 
@@ -64,11 +65,7 @@ fn run_one(
         .with_placement(PlacementSpec::Fractions(vec![0.6, 0.2, 0.2]))
         .with_stats_interval(VirtualDuration::from_secs(45))
         .with_faults(opts.fault_plan());
-    let cfg = opts.with_scale_events(cfg);
-    let mut driver = SimDriver::new(cfg)?;
-    driver.run_until(duration)?;
-    let relocations = driver.relocations().len();
-    let report = driver.finish()?;
+    let report = run_sim(opts.with_scale_events(cfg), duration)?;
     opts.write_journal(
         &format!("fig11-{label}"),
         &report.journal,
@@ -80,7 +77,7 @@ fn run_one(
         label,
         runtime_output: report.runtime_output,
         spills: report.spill_counts.iter().sum(),
-        relocations,
+        relocations: report.relocations_before(duration).count(),
     })
 }
 

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
+use dcape_cluster::runtime::sim::SimConfig;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
 use dcape_common::error::Result;
@@ -24,6 +24,7 @@ use dcape_common::time::VirtualDuration;
 use dcape_metrics::{engine_curves, render_series_table, Table, TimeSeries};
 use dcape_streamgen::{ClassAssignment, PartitionClass, StreamSetSpec};
 
+use crate::experiments::run_sim;
 use crate::opts::RunOpts;
 use crate::scale;
 
@@ -117,17 +118,14 @@ fn run_one(
         ]))
         .with_stats_interval(VirtualDuration::from_secs(45))
         .with_faults(opts.fault_plan());
-    let mut driver = SimDriver::new(cfg)?;
-    driver.run_until(duration)?;
-    let relocations = driver.relocations().len();
-    let report = driver.finish()?;
+    let report = run_sim(cfg, duration)?;
     let curves = engine_curves(&report.journal, duration, report.runtime_output);
     throughput.insert(format!("throughput/{label}"), curves.output);
     Ok(StrategyOutcome {
         label,
         runtime_output: report.runtime_output,
         force_spills: report.force_spills,
-        relocations,
+        relocations: report.relocations_before(duration).count(),
     })
 }
 

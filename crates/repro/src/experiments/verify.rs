@@ -5,7 +5,7 @@
 //! run-time results + cleanup results = the reference join, exactly.
 //! Prints one PASS/FAIL row per configuration.
 
-use dcape_cluster::runtime::sim::{SimConfig, SimDriver};
+use dcape_cluster::runtime::sim::SimConfig;
 use dcape_cluster::runtime::threaded::run_threaded;
 use dcape_cluster::strategy::StrategyConfig;
 use dcape_cluster::PlacementSpec;
@@ -16,6 +16,7 @@ use dcape_metrics::Table;
 use dcape_streamgen::testing::reference_join;
 use dcape_streamgen::StreamSetSpec;
 
+use crate::experiments::run_sim;
 use crate::opts::RunOpts;
 
 /// One verification row.
@@ -68,13 +69,9 @@ pub fn run(opts: &RunOpts) -> Result<Vec<VerifyRow>> {
             .with_placement(PlacementSpec::Fractions(vec![0.6, 0.2, 0.2]))
             .with_stats_interval(VirtualDuration::from_secs(30))
             .with_faults(opts.fault_plan());
-        // Sim driver.
-        let mut driver = SimDriver::new(cfg.clone())?;
-        driver.run_until(deadline)?;
-        let report = driver.finish()?;
         rows.push(VerifyRow {
             label: format!("sim / {name}"),
-            total: report.total_output(),
+            total: run_sim(cfg.clone(), deadline)?.total_output(),
             reference,
         });
         // Threaded driver.

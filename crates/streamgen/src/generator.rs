@@ -19,10 +19,8 @@
 //! [`RawRow`] — the key, the pad and a blob that points at its template —
 //! to be classified, routed and encoded once into the batch it travels
 //! in, which is how the coordinator's loop feeds the engines; and
-//! [`tick_batch`](StreamSetGenerator::tick_batch) and the `Iterator` build
-//! [`Tuple`]s, for callers that hold rows as values.
-
-use std::collections::VecDeque;
+//! [`tick_batch`](StreamSetGenerator::tick_batch) builds [`Tuple`]s, for
+//! callers that hold rows as values.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,10 +37,9 @@ use crate::partitioner::Partitioner;
 use crate::schedule::ValueSchedule;
 use crate::spec::{PartitionProfile, StreamSetSpec};
 
-/// Deterministic generator over all streams of one experiment.
-///
-/// Implements `Iterator<Item = Tuple>`; the stream never ends — drivers
-/// decide how many tuples (or how much virtual time) to consume.
+/// Deterministic generator over all streams of one experiment. The
+/// stream never ends: drivers decide how many ticks (or how much
+/// virtual time) to consume.
 #[derive(Debug)]
 pub struct StreamSetGenerator {
     spec: StreamSetSpec,
@@ -57,7 +54,6 @@ pub struct StreamSetGenerator {
     rng: StdRng,
     now: VirtualTime,
     seqs: Vec<u64>,
-    pending: VecDeque<Tuple>,
     arrivals: Vec<u64>,
     ticks: u64,
     /// Pre-built blob payload templates (`spec.payload_blob > 0`);
@@ -116,7 +112,6 @@ impl StreamSetGenerator {
             cumulative: Vec::with_capacity(n),
             weights_valid_until: None,
             now: VirtualTime::ZERO,
-            pending: VecDeque::with_capacity(spec.num_streams),
             ticks: 0,
             profiles,
             partitioner,
@@ -304,19 +299,6 @@ impl StreamSetGenerator {
     }
 }
 
-impl Iterator for StreamSetGenerator {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        if self.pending.is_empty() {
-            let mut batch = Vec::with_capacity(self.spec.num_streams);
-            self.tick_into(&mut batch);
-            self.pending.extend(batch);
-        }
-        self.pending.pop_front()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,9 +315,13 @@ mod tests {
     fn routing_agrees_with_modulo_partitioner() {
         let mut gen = StreamSetGenerator::new(small_spec()).unwrap();
         let part = gen.partitioner();
-        for t in gen.by_ref().take(500) {
-            let pid = part.partition_of(&t.values()[StreamSetGenerator::JOIN_COLUMN]);
-            assert!(pid.0 < 8);
+        let mut tick = Vec::new();
+        for _ in 0..167 {
+            gen.tick_batch(&mut tick);
+            for t in &tick {
+                let pid = part.partition_of(&t.values()[StreamSetGenerator::JOIN_COLUMN]);
+                assert!(pid.0 < 8);
+            }
         }
     }
 
@@ -393,29 +379,22 @@ mod tests {
 
     #[test]
     fn deterministic_across_instances() {
-        let a: Vec<Tuple> = StreamSetGenerator::new(small_spec())
-            .unwrap()
-            .take(300)
-            .collect();
-        let b: Vec<Tuple> = StreamSetGenerator::new(small_spec())
-            .unwrap()
-            .take(300)
-            .collect();
-        assert_eq!(a, b);
-        let c: Vec<Tuple> = StreamSetGenerator::new(small_spec().with_seed(99))
-            .unwrap()
-            .take(300)
-            .collect();
-        assert_ne!(a, c);
+        let ticks = |spec| StreamSetGenerator::new(spec).unwrap().generate_ticks(100);
+        let a = ticks(small_spec());
+        assert_eq!(a, ticks(small_spec()));
+        assert_ne!(a, ticks(small_spec().with_seed(99)));
     }
 
     #[test]
     fn payload_pad_is_attached() {
         let spec = small_spec().with_payload_pad(256);
         let mut gen = StreamSetGenerator::new(spec).unwrap();
-        let t = gen.next().unwrap();
-        assert_eq!(t.arity(), 2);
-        assert_eq!(t.values()[1], Value::Pad(256));
+        let mut tick = Vec::new();
+        gen.tick_batch(&mut tick);
+        for t in &tick {
+            assert_eq!(t.arity(), 2);
+            assert_eq!(t.values()[1], Value::Pad(256));
+        }
     }
 
     #[test]

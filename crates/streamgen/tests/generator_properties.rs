@@ -32,7 +32,7 @@ proptest! {
         .with_seed(seed);
         let mut gen = StreamSetGenerator::new(spec).unwrap();
         let partitioner = gen.partitioner();
-        for t in gen.by_ref().take(600) {
+        for t in gen.generate_ticks(200) {
             let v = t.values()[0].as_int().unwrap();
             let pid = partitioner.partition_of(&t.values()[0]);
             prop_assert!(pid.0 < partitions);

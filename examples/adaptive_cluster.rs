@@ -51,10 +51,11 @@ fn run(strategy: StrategyConfig, label: &str) -> Result<u64, Box<dyn std::error:
             1.0 / 3.0,
         ]))
         .with_stats_interval(VirtualDuration::from_secs(45));
+    let deadline = VirtualTime::from_mins(30);
     let mut driver = SimDriver::new(cfg)?;
-    driver.run_until(VirtualTime::from_mins(30))?;
-    let relocations = driver.relocations().len();
+    driver.run_until(deadline)?;
     let report = driver.finish()?;
+    let relocations = report.relocations_before(deadline).count();
     let c = report.journal_counters;
     println!("{label}:");
     println!("  run-time output : {}", report.runtime_output);

@@ -38,7 +38,7 @@ fn strategy_from(idx: u8) -> StrategyConfig {
 /// A relocation-hungry run where **every** `InstallStates` crash-restarts
 /// the receiver after step 5: state shipped and installed, ack never
 /// sent. Retries re-ship, crash again, and the coordinator aborts.
-fn run_with_certain_install_crash(seed: u64) -> (dcape::cluster::runtime::sim::SimReport, u64) {
+fn run_with_certain_install_crash(seed: u64) -> (dcape::cluster::RunReport, u64) {
     let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
     let spec = StreamSetSpec::uniform(18, 1800, 1, VirtualDuration::from_millis(30))
         .with_payload_pad(128)
